@@ -631,17 +631,6 @@ def run_manifest(path, out_dir=None, fmt=None, seed=None, verbose=False,
     return (EXIT_OK if record.all_passed() else EXIT_CHECK_FAILED), record
 
 
-def _limit_threads(n: int) -> None:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
-    try:  # best effort; pools created before this call may ignore the env
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        pass
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="anharmonic",
@@ -653,13 +642,10 @@ def main(argv=None) -> int:
         p.add_argument("--out", help="output directory")
         p.add_argument("--format", choices=_FORMATS, help="report format")
         p.add_argument("--seed", type=int, help="overrides the manifest seed")
-        p.add_argument("--threads", type=int, help="cap BLAS thread pools")
         p.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
-    if args.threads is not None:
-        _limit_threads(args.threads)
-
+    temp_path = None
     if args.config is None:
         if args.command != "selftest":
             print("--config is required for this command", file=sys.stderr)
@@ -668,13 +654,15 @@ def main(argv=None) -> int:
         manifest = {"schema": 1, "kind": "selftest", "seed": _DEFAULT_SEED}
         with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
             json.dump(manifest, fh)
-            config_path = fh.name
-    else:
-        config_path = args.config
+            temp_path = fh.name
 
-    code, record = run_manifest(config_path, out_dir=args.out, fmt=args.format,
-                                seed=args.seed, verbose=args.verbose,
-                                expect_kind=args.command)
+    try:
+        code, record = run_manifest(temp_path or args.config, out_dir=args.out,
+                                    fmt=args.format, seed=args.seed,
+                                    verbose=args.verbose, expect_kind=args.command)
+    finally:
+        if temp_path is not None:
+            os.remove(temp_path)
     if record is not None and not args.verbose:
         status = "ok" if record.all_passed() else "CHECKS FAILED"
         print(f"{record.kind}: {len(record.results)} checks, {status}")

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .calculus import SemigroupQuery, heat_semigroup, sobolev_norm
 from .errors import InvalidSpecError, ProbeSkipWarning, TruncationError
 from .model import (MixedNormParams, OscillatorSpec, WeightSpec, check_exponent,
                     evaluate_potential, is_inf)
-from .phasespace import WindowSpec, mixed_norm, modulation_norm, stft, _weight_lattice
+from .phasespace import (WindowSpec, _weighted_magnitude, mixed_norm, mixed_reduce,
+                         modulation_norm, stft)
 from .spectral import FieldSample, Grid, SpectralDecomposition
 
 PROBE_SEED = 1234
@@ -59,7 +59,9 @@ class WeightQuotientParams:
     the exact power-law decay and is the form used for slope acceptance.
     ``radius`` is the box constant: the quadrature box grows like
     (radius / t^(1/(2 beta)))^(1/k) in x and ^(1/l) in xi, so truncation is
-    scale-covariant in t.
+    scale-covariant in t. The truncation guard of weight_quotient_norm
+    doubles both ``radius`` and ``resolution``; unless k = l = 1 that also
+    refines the lattice, so it tests resolution too.
     """
 
     oscillator: OscillatorSpec
@@ -122,29 +124,29 @@ def _quotient_lattice(params: WeightQuotientParams, t: float, radius: float,
     xi = -r_xi + (np.arange(m) + 0.5) * (2.0 * r_xi / m)
     a = np.sqrt(np.asarray(evaluate_potential(osc.potential, x), dtype=float))
     b = np.abs(xi) ** osc.l
+    two_beta_n = 2.0 * osc.beta * params.n_pow
     if params.form == "scaled":
-        grid_vals = _kernels.scaled_quotient_grid(a, b, tau, params.s2 - 2.0 * osc.beta * params.n_pow)
+        grid_vals = (1.0 + tau * (a[:, None] + b[None, :])) ** (params.s2 - two_beta_n)
     else:
-        grid_vals = _kernels.weighted_quotient_grid(
-            a, b, osc.q1, params.s2, t ** params.n_pow, 2.0 * osc.beta * params.n_pow)
+        v = osc.q1 + a[:, None] + b[None, :]
+        grid_vals = v ** params.s2 / (1.0 + t ** params.n_pow * v ** two_beta_n)
     return grid_vals, 2.0 * r_x / m, 2.0 * r_xi / m
 
 
 def _quotient_value(params, t, radius, resolution) -> float:
     vals, dx, dxi = _quotient_lattice(params, t, radius, resolution)
-    p, q = params.p_tilde, params.q_tilde
-    return _kernels.mixed_reduce(
-        vals,
-        1.0 if is_inf(p) else float(p),
-        1.0 if is_inf(q) else float(q),
-        is_inf(p), is_inf(q), dx, dxi)
+    return mixed_reduce(vals, params.p_tilde, params.q_tilde, dx, dxi)
 
 
 def weight_quotient_norm(params: WeightQuotientParams, t: float) -> float:
     """Mixed L^(p~, q~) norm of the quotient integrand at time t in (0, 1].
 
-    A doubling guard recomputes on a box twice as large (same spacing) and
-    raises TruncationError when the value moves by 0.5% or more.
+    A doubling guard recomputes with both the radius and the resolution
+    doubled and raises TruncationError when the value moves by 0.5% or more.
+    The box grows like radius^(1/k) in x and radius^(1/l) in xi, so the
+    guard's spacing is 2^(1/k - 1) times the base spacing in x and
+    2^(1/l - 1) times it in xi: the same only for k = l = 1. The guard
+    therefore tests resolution as well as truncation.
     """
     t = float(t)
     if not (0.0 < t <= 1.0):
@@ -158,6 +160,21 @@ def weight_quotient_norm(params: WeightQuotientParams, t: float) -> float:
             f"(radius {params.radius}); enlarge the truncation radius",
             suggested_radius=4.0 * params.radius)
     return base
+
+
+def _loglinear_fit(x, values):
+    """Least squares of log(values) against x: (slope, intercept, R^2).
+
+    R^2 is clamped to [0, 1] and is 1 for constant log-values.
+    """
+    x = np.asarray(x, dtype=float)
+    ly = np.log(values)
+    slope, intercept = np.polyfit(x, ly, 1)
+    pred = slope * x + intercept
+    ss_res = float(np.sum((ly - pred) ** 2))
+    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else float(min(max(1.0 - ss_res / ss_tot, 0.0), 1.0))
+    return float(slope), float(intercept), r2
 
 
 @dataclass(frozen=True)
@@ -188,15 +205,9 @@ def fit_decay_exponent(samples, target: float | None = None) -> DecayFitResult:
         raise ValueError("samples must have positive t and value")
     if np.log10(ts.max() / ts.min()) < 1.5:
         raise ValueError("samples must span at least 1.5 decades of t")
-    lx, ly = np.log(ts), np.log(vs)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    r2 = float(min(max(r2, 0.0), 1.0))
+    slope, intercept, r2 = _loglinear_fit(np.log(ts), vs)
     dev = None if target in (None, 0.0) else abs(slope - target) / abs(target)
-    return DecayFitResult(float(slope), float(intercept), r2,
+    return DecayFitResult(slope, intercept, r2,
                           (float(ts.min()), float(ts.max())),
                           None if target is None else float(target),
                           None if dev is None else float(dev))
@@ -308,15 +319,10 @@ def longtime_rate(dec: SpectralDecomposition, beta: float, t_list, source, targe
     if len(ts) < 3:
         raise ValueError("need at least 3 time points")
     vals = [probe_operator_bound(dec, beta, t, source, target, probes, window) for t in ts]
-    ys = np.log(vals)
-    rate, intercept = np.polyfit(ts, ys, 1)
-    pred = rate * np.array(ts) + intercept
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else float(min(max(1.0 - ss_res / ss_tot, 0.0), 1.0))
+    rate, intercept, r2 = _loglinear_fit(ts, vals)
     target_rate = -float(dec.eigenvalues[0]) ** beta
     dev = abs(rate - target_rate) / abs(target_rate)
-    return LongtimeRateResult(float(rate), float(intercept), r2, target_rate,
+    return LongtimeRateResult(rate, intercept, r2, target_rate,
                               float(dev), (min(ts), max(ts)))
 
 
@@ -405,23 +411,17 @@ def _xi_tail_accumulator(field_ps, ws, osc, params, bulk_radius, xi_limits):
     """Outer-exponent tail mass A(Xi) = sum over bulk_radius < |xi| <= Xi of
     inner(xi)^q (or the annulus sup for q = INF)."""
     grid = field_ps.grid
-    lattice = _weight_lattice(ws, osc, grid)
-    mag = np.abs(field_ps.values)
-    if lattice is not None:
-        mag = mag * lattice
+    mag = _weighted_magnitude(field_ps, ws, osc)
     p, q = params.p, params.q
-    if is_inf(p):
-        inner = mag.max(axis=0)
-    else:
-        inner = (np.sum(mag ** float(p), axis=0) * grid.cell_volume) ** (1.0 / float(p))
     radii = np.linalg.norm(grid.frequency_nodes(), axis=1)
     out = []
     for xi_max in xi_limits:
         mask = (radii > bulk_radius) & (radii <= xi_max)
-        if is_inf(q):
-            acc = float(inner[mask].max()) if np.any(mask) else 0.0
-        else:
-            acc = float(np.sum(inner[mask] ** float(q)) * grid.frequency_cell)
+        acc = 0.0
+        if np.any(mask):
+            acc = mixed_reduce(mag[:, mask], p, q, grid.cell_volume, grid.frequency_cell)
+            if not is_inf(q):
+                acc = acc ** float(q)
         out.append((float(xi_max), acc))
     return tuple(out)
 

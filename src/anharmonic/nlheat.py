@@ -12,18 +12,17 @@ computable surrogate for the global fixed-point ball.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidSpecError, NonConvergenceError, OffSpanWarning
+from .calculus import _warn_off_span
+from .errors import InvalidSpecError, NonConvergenceError
 from .model import MixedNormParams, WeightSpec
 from .phasespace import WindowSpec, modulation_norm
 from .spectral import FieldSample, SpectralDecomposition
 
 _BLOWUP_NORM = 1e6
-_OFFSPAN_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,29 +185,66 @@ class Trajectory:
                                  repr(float(self.l2_norms[i])), flag])
 
 
-def _warn_initial_off_span(spec):
-    frac = spec.decomposition.span_residual_fraction(spec.u0)
-    if frac > _OFFSPAN_TOL:
-        warnings.warn(
-            f"initial data has {frac:.3e} of its mass outside the retained modes; "
-            f"the flow evolves only the resolved component",
-            OffSpanWarning, stacklevel=3)
+class _Recorder:
+    """Trajectory bookkeeping shared by the integrators: per-step norms,
+    checkpoints every ``stride`` steps plus the last, and the blow-up stop."""
+
+    def __init__(self, engine, c, dt, steps, stride):
+        self.engine, self.dt, self.steps, self.stride = engine, dt, steps, stride
+        self.times = [0.0]
+        self.monitored = [engine.monitored_norm(c)]
+        self.l2s = [engine.l2_norm(c)]
+        self.cp_times = [0.0]
+        self.cps = [c.copy()]
+        self.blowup_time = None
+
+    def _checkpoint(self, t, c):
+        self.cp_times.append(t)
+        self.cps.append(c.copy())
+
+    def record(self, step, c) -> bool:
+        """Record the state after ``step``; True when the flow has blown up.
+
+        Non-finite coefficients count as infinite norms rather than being
+        handed to the monitored norm.
+        """
+        t = step * self.dt
+        finite = bool(np.all(np.isfinite(c)))
+        norm = self.engine.monitored_norm(c) if finite else float("inf")
+        self.times.append(t)
+        self.monitored.append(norm)
+        self.l2s.append(self.engine.l2_norm(c) if finite else float("inf"))
+        if step % self.stride == 0 or step == self.steps:
+            self._checkpoint(t, c)
+        if np.isfinite(norm) and norm <= _BLOWUP_NORM:
+            return False
+        self.blowup_time = t
+        if self.cp_times[-1] != t:
+            self._checkpoint(t, c)
+        return True
+
+    def trajectory(self, contractions=()) -> Trajectory:
+        return Trajectory(
+            times=np.array(self.times),
+            monitored_norms=np.array(self.monitored),
+            l2_norms=np.array(self.l2s),
+            checkpoint_times=np.array(self.cp_times),
+            checkpoint_coeffs=np.array(self.cps),
+            contraction_factors=tuple(tuple(w) for w in contractions),
+            monitor=self.engine.spec.monitor,
+            stride=self.stride,
+            blown_up=self.blowup_time is not None,
+            blowup_time=self.blowup_time,
+        )
 
 
-def _finalize(engine, times, monitored, l2s, cps, cp_times, contractions, stride,
-              blown_up, blowup_time):
-    return Trajectory(
-        times=np.array(times),
-        monitored_norms=np.array(monitored),
-        l2_norms=np.array(l2s),
-        checkpoint_times=np.array(cp_times),
-        checkpoint_coeffs=np.array(cps),
-        contraction_factors=tuple(tuple(w) for w in contractions),
-        monitor=engine.spec.monitor,
-        stride=stride,
-        blown_up=blown_up,
-        blowup_time=blowup_time,
-    )
+def _start(spec, horizon, dt, stride):
+    """Validated step count, engine and recorder seeded with the initial data."""
+    steps = _check_steps(horizon, dt)
+    engine = _Engine(spec)
+    _warn_off_span(spec.decomposition, spec.u0, "initial data")
+    c = engine.to_coeff(spec.u0.values)
+    return engine, c, _Recorder(engine, c, dt, steps, stride)
 
 
 def _check_steps(horizon, dt):
@@ -240,25 +276,13 @@ def picard_solve(spec: NonlinearProblemSpec, horizon: float, dt: float,
     if max_iter < 2:
         raise ValueError("max_iter must be at least 2: the contraction factor "
                          "needs two successive-iterate gaps")
-    steps = _check_steps(horizon, dt)
-    engine = _Engine(spec)
-    _warn_initial_off_span(spec)
-
+    engine, c, rec = _start(spec, horizon, dt, checkpoint_stride)
     e_full = engine.propagator(dt)
     e_half = engine.propagator(dt / 2.0)
     e_quarter = engine.propagator(dt / 4.0)
-
-    c = engine.to_coeff(spec.u0.values)
-    times = [0.0]
-    monitored = [engine.monitored_norm(c)]
-    l2s = [engine.l2_norm(c)]
-    cps = [c.copy()]
-    cp_times = [0.0]
     contractions = []
-    blown_up = False
-    blowup_time = None
 
-    for step in range(1, steps + 1):
+    for step in range(1, rec.steps + 1):
         t_next = step * dt
         c_mid = e_half * c
         c_end = e_full * c
@@ -292,25 +316,10 @@ def picard_solve(spec: NonlinearProblemSpec, horizon: float, dt: float,
                 {"t": t_next, "last_gap": gaps[-1],
                  "last_contraction": window_ratios[-1] if window_ratios else None})
         contractions.append(window_ratios)
-
         c = c_end
-        norm_mon = engine.monitored_norm(c)
-        times.append(t_next)
-        monitored.append(norm_mon)
-        l2s.append(engine.l2_norm(c))
-        if step % checkpoint_stride == 0 or step == steps:
-            cps.append(c.copy())
-            cp_times.append(t_next)
-        if not np.isfinite(norm_mon) or norm_mon > _BLOWUP_NORM:
-            blown_up = True
-            blowup_time = t_next
-            if cp_times[-1] != t_next:
-                cps.append(c.copy())
-                cp_times.append(t_next)
+        if rec.record(step, c):
             break
-
-    return _finalize(engine, times, monitored, l2s, cps, cp_times, contractions,
-                     checkpoint_stride, blown_up, blowup_time)
+    return rec.trajectory(contractions)
 
 
 def etd_evolve(spec: NonlinearProblemSpec, horizon: float, dt: float,
@@ -322,22 +331,10 @@ def etd_evolve(spec: NonlinearProblemSpec, horizon: float, dt: float,
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    steps = _check_steps(horizon, dt)
-    engine = _Engine(spec)
-    _warn_initial_off_span(spec)
+    engine, c, rec = _start(spec, horizon, dt, checkpoint_stride)
     e_full = engine.propagator(dt)
 
-    c = engine.to_coeff(spec.u0.values)
-    times = [0.0]
-    monitored = [engine.monitored_norm(c)]
-    l2s = [engine.l2_norm(c)]
-    cps = [c.copy()]
-    cp_times = [0.0]
-    blown_up = False
-    blowup_time = None
-
-    for step in range(1, steps + 1):
-        t_next = step * dt
+    for step in range(1, rec.steps + 1):
         k1 = engine.nonlin_coeff(c)
         if order == 1:
             c = e_full * (c + dt * k1)
@@ -345,34 +342,9 @@ def etd_evolve(spec: NonlinearProblemSpec, horizon: float, dt: float,
             predictor = e_full * (c + dt * k1)
             k2 = engine.nonlin_coeff(predictor)
             c = e_full * c + (dt / 2.0) * (e_full * k1 + k2)
-        if not np.all(np.isfinite(c)):
-            # past the representable range; record the step as the blow-up
-            # point rather than asking the norm to digest non-finite values
-            times.append(t_next)
-            monitored.append(float("inf"))
-            l2s.append(float("inf"))
-            blown_up = True
-            blowup_time = t_next
-            cps.append(c.copy())
-            cp_times.append(t_next)
+        if rec.record(step, c):
             break
-        norm_mon = engine.monitored_norm(c)
-        times.append(t_next)
-        monitored.append(norm_mon)
-        l2s.append(engine.l2_norm(c))
-        if step % checkpoint_stride == 0 or step == steps:
-            cps.append(c.copy())
-            cp_times.append(t_next)
-        if not np.isfinite(norm_mon) or norm_mon > _BLOWUP_NORM:
-            blown_up = True
-            blowup_time = t_next
-            if cp_times[-1] != t_next:
-                cps.append(c.copy())
-                cp_times.append(t_next)
-            break
-
-    return _finalize(engine, times, monitored, l2s, cps, cp_times, [],
-                     checkpoint_stride, blown_up, blowup_time)
+    return rec.trajectory()
 
 
 def duhamel_residual(traj: Trajectory, spec: NonlinearProblemSpec) -> float:

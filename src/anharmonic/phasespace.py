@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import BoundaryMassWarning, InvalidSpecError, NumericalError
 from .model import (MixedNormParams, OscillatorSpec, WeightSpec, evaluate_potential,
                     is_inf)
@@ -253,6 +252,34 @@ def _weight_lattice(w: WeightSpec, osc: OscillatorSpec | None, grid: Grid):
     return lattice
 
 
+def mixed_reduce(w, p, q, cell_x, cell_xi) -> float:
+    """Mixed L^p (over rows, the x axis) then L^q (over columns) reduction.
+
+    ``w`` is the nonnegative weighted magnitude lattice, shape (nx, nxi).
+    The INF marker takes the sup; finite exponents use the plain power sum
+    times the cell measure, which is also the quasi-norm formula below 1.
+    """
+    w = np.asarray(w)
+    if is_inf(p):
+        inner = w.max(axis=0)
+    else:
+        p = float(p)
+        inner = (np.sum(w ** p, axis=0) * cell_x) ** (1.0 / p)
+    if is_inf(q):
+        return float(inner.max())
+    q = float(q)
+    return float((np.sum(inner ** q) * cell_xi) ** (1.0 / q))
+
+
+def _weighted_magnitude(field: PhaseSpaceField, w: WeightSpec,
+                        osc: OscillatorSpec | None) -> np.ndarray:
+    lattice = _weight_lattice(w, osc, field.grid)
+    mag = np.abs(field.values)
+    if lattice is not None:
+        mag = mag * lattice
+    return mag
+
+
 def mixed_norm(field: PhaseSpaceField, w: WeightSpec, osc: OscillatorSpec | None,
                params: MixedNormParams) -> float:
     """Weighted inner-L^p (x), outer-L^q (xi) lattice norm of |field|.
@@ -260,25 +287,14 @@ def mixed_norm(field: PhaseSpaceField, w: WeightSpec, osc: OscillatorSpec | None
     INF exponents take the lattice sup; exponents below 1 use the same
     power-sum formula (quasi-norm). Cell measures are h^d and (1/(2L))^d.
     """
-    lattice = _weight_lattice(w, osc, field.grid)
-    mag = np.abs(field.values)
-    if lattice is not None:
-        mag = mag * lattice
+    mag = _weighted_magnitude(field, w, osc)
     if not np.all(np.isfinite(mag)):
         raise NumericalError("mixed norm encountered non-finite weighted values")
-    p, q = params.p, params.q
-    return _kernels.mixed_reduce(
-        mag,
-        1.0 if is_inf(p) else float(p),
-        1.0 if is_inf(q) else float(q),
-        is_inf(p), is_inf(q),
-        field.grid.cell_volume, field.grid.frequency_cell)
+    return mixed_reduce(mag, params.p, params.q,
+                        field.grid.cell_volume, field.grid.frequency_cell)
 
 
 def modulation_norm(f: FieldSample, w: WindowSpec, ws: WeightSpec,
-                    osc: OscillatorSpec | None, params: MixedNormParams,
-                    gaussian: bool = False) -> float:
-    """Weighted modulation norm of a field; ``gaussian=True`` measures the
-    Gaussian-multiplied field instead (routes through gaussian_stft)."""
-    transform = gaussian_stft if gaussian else stft
-    return mixed_norm(transform(f, w), ws, osc, params)
+                    osc: OscillatorSpec | None, params: MixedNormParams) -> float:
+    """Weighted modulation norm of a field: mixed_norm of its STFT."""
+    return mixed_norm(stft(f, w), ws, osc, params)

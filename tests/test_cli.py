@@ -1,5 +1,6 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -220,6 +221,13 @@ class TestMain:
         assert main(["selftest", "--out", str(tmp_path / "out")]) == EXIT_OK
         out = capsys.readouterr().out
         assert "selftest:" in out and "ok" in out
+
+    def test_selftest_without_config_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        temp_dir = tmp_path / "tmp"
+        temp_dir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_dir))
+        assert main(["selftest", "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert list(temp_dir.iterdir()) == []
 
     def test_config_required_elsewhere(self, capsys):
         assert main(["ou"]) == EXIT_SCHEMA

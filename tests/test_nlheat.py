@@ -205,16 +205,34 @@ class TestBlowup:
         assert [r[3] for r in rows[1:]] == ["0", "1"]
 
 
+# both integrators share one recorder for norms, checkpoints and the blow-up stop
+INTEGRATORS = pytest.mark.parametrize("integrate", [picard_solve, etd_evolve],
+                                      ids=lambda f: f.__name__)
+
+
 class TestTrajectoryRecord:
-    def test_checkpoint_stride(self, defocusing):
-        traj = picard_solve(defocusing, 0.05, 0.005, checkpoint_stride=3)
+    @INTEGRATORS
+    def test_checkpoint_stride(self, defocusing, integrate):
+        traj = integrate(defocusing, 0.05, 0.005, checkpoint_stride=3)
         np.testing.assert_allclose(traj.checkpoint_times,
                                    [0.0, 0.015, 0.03, 0.045, 0.05])
         assert traj.checkpoint_coeffs.shape[0] == 5
 
-    def test_stride_dividing_steps_has_no_duplicate_endpoint(self, defocusing):
-        traj = picard_solve(defocusing, 0.05, 0.005, checkpoint_stride=5)
+    @INTEGRATORS
+    def test_stride_dividing_steps_has_no_duplicate_endpoint(self, defocusing, integrate):
+        traj = integrate(defocusing, 0.05, 0.005, checkpoint_stride=5)
         np.testing.assert_allclose(traj.checkpoint_times, [0.0, 0.025, 0.05])
+
+    @INTEGRATORS
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_blowup_checkpoint_has_no_duplicate(self, defocusing, integrate, stride,
+                                                monkeypatch):
+        """The blow-up step is stored once, on a stride point (1) or between (3)."""
+        monkeypatch.setattr(anharmonic.nlheat, "_BLOWUP_NORM", 1e-4)
+        traj = integrate(defocusing, 0.05, 0.005, checkpoint_stride=stride)
+        assert traj.blown_up and traj.blowup_time == pytest.approx(0.005)
+        np.testing.assert_allclose(traj.checkpoint_times, [0.0, 0.005])
+        assert traj.checkpoint_coeffs.shape[0] == 2
 
     def test_csv_round_trip_values(self, defocusing, tmp_path):
         traj = picard_solve(defocusing, 0.02, 0.005)

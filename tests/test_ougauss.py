@@ -126,8 +126,7 @@ class TestGaussianNorm:
         direct = gaussian_modulation_norm(c, gaussian_field, w, FLAT, L2)
         multiplied = apply_conjugation(c, "forward", gaussian_field)
         assert direct == modulation_norm(multiplied, w, FLAT, None, L2)
-        assert direct == modulation_norm(gaussian_field, w, FLAT, None, L2,
-                                         gaussian=True)
+        assert direct == ah.mixed_norm(ah.gaussian_stft(gaussian_field, w), FLAT, None, L2)
 
     def test_weighted_variant_accepts_oscillator(self, hermite_dec, hermite_grid,
                                                  gaussian_field):

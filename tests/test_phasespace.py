@@ -225,7 +225,6 @@ class TestModulationNorm:
         damped = FieldSample(hermite_grid, gaussian_field.values * half)
         params = MixedNormParams(2.0, 1.0)
         w = WeightSpec("polynomial", 1.0)
-        via_flag = modulation_norm(gaussian_field, WindowSpec(), w, None, params,
-                                   gaussian=True)
+        via_route = mixed_norm(gaussian_stft(gaussian_field, WindowSpec()), w, None, params)
         by_hand = modulation_norm(damped, WindowSpec(), w, None, params)
-        assert via_flag == by_hand
+        assert via_route == by_hand
