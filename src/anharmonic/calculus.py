@@ -35,8 +35,8 @@ class SemigroupQuery:
             raise ValueError("t must be finite and nonnegative")
 
 
-def _warn_off_span(dec, f, context):
-    frac = dec.span_residual_fraction(f)
+def _warn_off_span(dec, f, context, coeffs=None):
+    frac = dec.span_residual_fraction(f, coeffs)
     if frac > _OFFSPAN_TOL:
         warnings.warn(
             f"{context}: {frac:.3e} of the field's L2 mass lies outside the "
@@ -47,8 +47,8 @@ def _warn_off_span(dec, f, context):
 
 def apply_spectral_function(dec: SpectralDecomposition, phi, f: FieldSample) -> FieldSample:
     """Sum of phi(lambda_j) <f, Phi_j> Phi_j over retained modes."""
-    _warn_off_span(dec, f, "apply_spectral_function")
     coeffs = dec.coefficients(f)
+    _warn_off_span(dec, f, "apply_spectral_function", coeffs)
     try:
         vals = np.asarray(phi(dec.eigenvalues), dtype=float)
         if vals.shape != dec.eigenvalues.shape:
@@ -100,7 +100,7 @@ def project(dec: SpectralDecomposition, j: int, f: FieldSample) -> FieldSample:
 def sobolev_norm(dec: SpectralDecomposition, s: float, f: FieldSample) -> float:
     """Spectral Sobolev norm (sum of lambda^s |<f, Phi_j>|^2)^(1/2)."""
     s = float(s)
-    if s > 0:
-        _warn_off_span(dec, f, "sobolev_norm")
     coeffs = dec.coefficients(f)
+    if s > 0:
+        _warn_off_span(dec, f, "sobolev_norm", coeffs)
     return float(np.sqrt(np.sum(dec.eigenvalues ** s * np.abs(coeffs) ** 2)))

@@ -20,7 +20,7 @@ from .calculus import _warn_off_span
 from .errors import InvalidSpecError, NonConvergenceError
 from .model import MixedNormParams, WeightSpec
 from .phasespace import WindowSpec, modulation_norm
-from .spectral import FieldSample, SpectralDecomposition
+from .spectral import FieldSample, SpectralDecomposition, real_matmul
 
 _BLOWUP_NORM = 1e6
 
@@ -113,10 +113,10 @@ class _Engine:
         return np.exp(-dt * self.lam_beta)
 
     def to_coeff(self, values: np.ndarray) -> np.ndarray:
-        return self.cell * (self.phi.T @ values)
+        return self.cell * real_matmul(self.phi.T, values)
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.phi @ coeffs
+        return real_matmul(self.phi, coeffs)
 
     def nonlin_coeff(self, coeffs: np.ndarray) -> np.ndarray:
         v = self.to_values(coeffs)
@@ -241,10 +241,12 @@ class _Recorder:
 def _start(spec, horizon, dt, stride):
     """Validated step count, engine and recorder seeded with the initial data."""
     steps = _check_steps(horizon, dt)
+    if not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ValueError(f"checkpoint_stride must be an integer >= 1, got {stride!r}")
     engine = _Engine(spec)
-    _warn_off_span(spec.decomposition, spec.u0, "initial data")
     c = engine.to_coeff(spec.u0.values)
-    return engine, c, _Recorder(engine, c, dt, steps, stride)
+    _warn_off_span(spec.decomposition, spec.u0, "initial data", c)
+    return engine, c, _Recorder(engine, c, dt, steps, int(stride))
 
 
 def _check_steps(horizon, dt):

@@ -5,12 +5,24 @@ xi lattice is n/(2L) with n ascending in [-N/2, N/2); window shifts are
 cyclic, consistent with the periodic grid. Lattice cells are h^d in x and
 (1/(2L))^d in xi, so the p=q=2 flat-weight mixed norm reproduces the L2
 norm of the field exactly (discrete orthogonality of the DFT).
+
+Both the transform and the norm run on one blocked pass, ``_stft_blocks``:
+it yields h^d FFT(f conj(g(. - x_i))) for consecutive blocks of x-shift rows
+(about ``_BLOCK_CELLS`` lattice cells each), columns in FFT order. ``stft``
+moves each block into ascending xi order (the fftshift), applies the
+staggered-grid phase and fills the full ``PhaseSpaceField``.
+``modulation_norm`` never builds that field: per block it takes the
+magnitude, which drops the unit-modulus phase, writes only that real block in
+ascending xi order, weights it by the matching rows of the weight lattice and
+accumulates the inner L^p column sums (or column sup); the outer L^q is taken
+once at the end. Peak memory of a norm is a few blocks, not the lattice.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import warnings
 from dataclasses import dataclass
@@ -24,7 +36,7 @@ from .spectral import FieldSample, Grid
 
 _WINDOW_NORM_TOL = 1e-10
 _BOUNDARY_TOL = 1e-8
-_STFT_CHUNK = 256
+_BLOCK_CELLS = 1 << 15  # lattice cells per block of the streamed STFT pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,67 +156,102 @@ def _check_boundary_mass(f: FieldSample) -> None:
         warnings.warn(
             f"field amplitude near the box boundary is {edge:.3e} of its peak; "
             f"cyclic window wrap-around may contaminate the STFT",
-            BoundaryMassWarning, stacklevel=3)
-
-
-def _axis_phase(n_pts: int) -> np.ndarray:
-    # staggered nodes shift the DFT by e^{i pi n (N-1)/N} per axis, n ascending
-    n = np.arange(-n_pts // 2, n_pts // 2)
-    return np.exp(1j * np.pi * n * (n_pts - 1) / n_pts)
+            # points at the caller of stft / modulation_norm, past _stft_blocks
+            BoundaryMassWarning, stacklevel=4)
 
 
 @functools.lru_cache(maxsize=4)
 def _gaussian_conj_table(grid: Grid) -> np.ndarray:
-    """Precomputed conj(g(z_j - x_i)) shift table for the default window (d=1)."""
-    g = _gaussian_window_values(grid)
+    """Shift table g(z_j - x_i) of the default window (d=1).
+
+    The gaussian is real, so the table is its own conjugate and is stored
+    real: a complex times a real with exact zero imaginary part rounds the
+    same as a complex times that real.
+    """
+    g = _gaussian_window_values(grid).real
     n_pts = grid.points_per_axis
     idx = (np.arange(n_pts)[None, :] - np.arange(n_pts)[:, None]) % n_pts
-    table = np.conj(g[idx])
+    table = g[idx]
     table.setflags(write=False)
     return table
+
+
+def _stft_blocks(f: FieldSample, w: WindowSpec):
+    """Yield (lo, block) with block[r] = h^d FFT(f conj(g(. - x_{lo+r}))).
+
+    Rows run over consecutive x shifts from ``lo``; the block has shape
+    (rows, N) for d=1 and (rows, N, N) for d=2, frequencies in FFT order on
+    each axis (bin 0 first), with neither fftshift nor the staggered-grid
+    phase applied. Every block has the same number of rows, about
+    ``_BLOCK_CELLS`` lattice cells; the windowed product reuses one buffer.
+    Warns when the field carries boundary mass above 1e-8 of its peak.
+    """
+    grid = f.grid
+    _check_boundary_mass(f)
+    n_pts, d, size = grid.points_per_axis, grid.dimension, grid.size
+    rows = min(size, max(1, _BLOCK_CELLS // size))  # powers of two: divides size
+    axes = tuple(range(1, d + 1))
+    ax = np.arange(n_pts)
+    table = _gaussian_conj_table(grid) if d == 1 and w.kind == "gaussian" else None
+    if table is None:
+        g_conj = np.conj(window_values(w, grid)).reshape((n_pts,) * d)
+    fv = f.values.reshape((n_pts,) * d)
+    prod = np.empty((rows,) + (n_pts,) * d, dtype=np.complex128)
+    for lo in range(0, size, rows):
+        shifts = np.arange(lo, lo + rows)
+        if table is not None:
+            win = table[lo:lo + rows]
+        elif d == 1:
+            win = g_conj[(ax[None, :] - shifts[:, None]) % n_pts]
+        else:
+            win = g_conj[(ax[None, :, None] - (shifts // n_pts)[:, None, None]) % n_pts,
+                         (ax[None, None, :] - (shifts % n_pts)[:, None, None]) % n_pts]
+        np.multiply(fv, win, out=prod)
+        block = np.fft.fftn(prod, axes=axes)
+        block *= grid.cell_volume
+        yield lo, block
+
+
+def _ascending_halves(n_pts: int, d: int):
+    """(FFT-order index, ascending-order index) pairs over a (rows, N[, N])
+    block: per axis, bins N/2.. (negative frequencies) move to the front."""
+    half = n_pts // 2
+    low, high = slice(None, half), slice(half, None)
+    pairs = []
+    for negative in itertools.product((False, True), repeat=d):
+        src = (slice(None),) + tuple(high if neg else low for neg in negative)
+        dst = (slice(None),) + tuple(low if neg else high for neg in negative)
+        pairs.append((src, dst))
+    return pairs
+
+
+def _staggered_phase(grid: Grid) -> np.ndarray:
+    # staggered nodes shift the DFT by e^{i pi n (N-1)/N} per axis, n ascending
+    n_pts = grid.points_per_axis
+    n = np.arange(-n_pts // 2, n_pts // 2)
+    phase = np.exp(1j * np.pi * n * (n_pts - 1) / n_pts)
+    return phase if grid.dimension == 1 else np.outer(phase, phase).ravel()
 
 
 def stft(f: FieldSample, w: WindowSpec) -> PhaseSpaceField:
     """Windowed Fourier transform h^d sum_z f(z) conj(g(z - x_i)) e^{-2 pi i xi z}.
 
-    One FFT per x shift, window shifted cyclically. Warns when the field
-    carries boundary mass above 1e-8 of its peak.
+    One FFT per x shift, window shifted cyclically; each block of the shared
+    pass is put in ascending xi order and given the staggered-grid phase.
+    Warns when the field carries boundary mass above 1e-8 of its peak.
     """
     grid = f.grid
-    _check_boundary_mass(f)
-    n_pts = grid.points_per_axis
-
-    if grid.dimension == 1:
-        if w.kind == "gaussian":
-            table = _gaussian_conj_table(grid)
-        else:
-            g = window_values(w, grid)
-            idx = (np.arange(n_pts)[None, :] - np.arange(n_pts)[:, None]) % n_pts
-            table = np.conj(g[idx])
-        prod = f.values[None, :] * table
-        vals = np.fft.fftshift(grid.h * np.fft.fft(prod, axis=1), axes=1)
-        vals *= _axis_phase(n_pts)[None, :]
-        return PhaseSpaceField(grid, vals)
-    g = window_values(w, grid)
-
-    g2 = g.reshape(n_pts, n_pts)
-    f2 = f.values.reshape(n_pts, n_pts)
-    phase = np.outer(_axis_phase(n_pts), _axis_phase(n_pts))
-    size = grid.size
+    n_pts, d, size = grid.points_per_axis, grid.dimension, grid.size
+    halves = _ascending_halves(n_pts, d)
+    phase = _staggered_phase(grid)
     out = np.empty((size, size), dtype=np.complex128)
-    shifts = np.arange(size)
-    ax = np.arange(n_pts)
-    for lo in range(0, size, _STFT_CHUNK):
-        chunk = shifts[lo:lo + _STFT_CHUNK]
-        i1 = chunk // n_pts
-        i2 = chunk % n_pts
-        rows = (ax[None, :, None] - i1[:, None, None]) % n_pts
-        cols = (ax[None, None, :] - i2[:, None, None]) % n_pts
-        prod = f2[None, :, :] * np.conj(g2[rows, cols])
-        spec = np.fft.fftshift(grid.cell_volume * np.fft.fft2(prod, axes=(1, 2)),
-                               axes=(1, 2))
-        spec *= phase[None, :, :]
-        out[lo:lo + len(chunk)] = spec.reshape(len(chunk), size)
+    out_axes = out.reshape((size,) + (n_pts,) * d)
+    for lo, block in _stft_blocks(f, w):
+        rows = block.shape[0]
+        target = out_axes[lo:lo + rows]
+        for src, dst in halves:
+            target[dst] = block[src]
+        out[lo:lo + rows] *= phase
     return PhaseSpaceField(grid, out)
 
 
@@ -252,6 +299,32 @@ def _weight_lattice(w: WeightSpec, osc: OscillatorSpec | None, grid: Grid):
     return lattice
 
 
+def _column_reduce(w: np.ndarray, p, scratch: bool = False) -> np.ndarray:
+    """Inner reduction over the rows of a magnitude block: the column sup for
+    INF, otherwise the column sums of w^p (cell measure not yet applied).
+    With ``scratch`` the powers are taken in place, overwriting ``w``."""
+    if is_inf(p):
+        return w.max(axis=0)
+    if scratch:
+        w **= float(p)
+    else:
+        w = w ** float(p)
+    return w.sum(axis=0)
+
+
+def _outer_reduce(columns: np.ndarray, p, q, cell_x, cell_xi) -> float:
+    """Finish a mixed norm from ``_column_reduce`` output of all rows."""
+    if is_inf(p):
+        inner = columns
+    else:
+        p = float(p)
+        inner = (columns * cell_x) ** (1.0 / p)
+    if is_inf(q):
+        return float(inner.max())
+    q = float(q)
+    return float((np.sum(inner ** q) * cell_xi) ** (1.0 / q))
+
+
 def mixed_reduce(w, p, q, cell_x, cell_xi) -> float:
     """Mixed L^p (over rows, the x axis) then L^q (over columns) reduction.
 
@@ -259,16 +332,7 @@ def mixed_reduce(w, p, q, cell_x, cell_xi) -> float:
     The INF marker takes the sup; finite exponents use the plain power sum
     times the cell measure, which is also the quasi-norm formula below 1.
     """
-    w = np.asarray(w)
-    if is_inf(p):
-        inner = w.max(axis=0)
-    else:
-        p = float(p)
-        inner = (np.sum(w ** p, axis=0) * cell_x) ** (1.0 / p)
-    if is_inf(q):
-        return float(inner.max())
-    q = float(q)
-    return float((np.sum(inner ** q) * cell_xi) ** (1.0 / q))
+    return _outer_reduce(_column_reduce(np.asarray(w), p), p, q, cell_x, cell_xi)
 
 
 def _weighted_magnitude(field: PhaseSpaceField, w: WeightSpec,
@@ -280,6 +344,11 @@ def _weighted_magnitude(field: PhaseSpaceField, w: WeightSpec,
     return mag
 
 
+def _check_finite(mag: np.ndarray) -> None:
+    if not np.all(np.isfinite(mag)):
+        raise NumericalError("mixed norm encountered non-finite weighted values")
+
+
 def mixed_norm(field: PhaseSpaceField, w: WeightSpec, osc: OscillatorSpec | None,
                params: MixedNormParams) -> float:
     """Weighted inner-L^p (x), outer-L^q (xi) lattice norm of |field|.
@@ -288,13 +357,44 @@ def mixed_norm(field: PhaseSpaceField, w: WeightSpec, osc: OscillatorSpec | None
     power-sum formula (quasi-norm). Cell measures are h^d and (1/(2L))^d.
     """
     mag = _weighted_magnitude(field, w, osc)
-    if not np.all(np.isfinite(mag)):
-        raise NumericalError("mixed norm encountered non-finite weighted values")
+    _check_finite(mag)
     return mixed_reduce(mag, params.p, params.q,
                         field.grid.cell_volume, field.grid.frequency_cell)
 
 
 def modulation_norm(f: FieldSample, w: WindowSpec, ws: WeightSpec,
                     osc: OscillatorSpec | None, params: MixedNormParams) -> float:
-    """Weighted modulation norm of a field: mixed_norm of its STFT."""
-    return mixed_norm(stft(f, w), ws, osc, params)
+    """Weighted modulation norm ||V_g f . w||_{L^{p,q}} of a field.
+
+    Equal to ``mixed_norm(stft(f, w), ws, osc, params)`` up to round-off, but
+    streamed: the (size, size) phase-space field is never built. Each block
+    of x-shift rows from the shared STFT pass is reduced to magnitudes (the
+    staggered-grid phase has unit modulus and drops out) written straight
+    into ascending xi order, multiplied by the same rows of the cached weight
+    lattice, and folded into the running inner L^p column sums (column sup
+    for INF). The outer L^q follows once all rows are in. Raises
+    NumericalError on non-finite weighted values; warns like ``stft`` on
+    boundary mass.
+    """
+    grid = f.grid
+    lattice = _weight_lattice(ws, osc, grid)
+    halves = _ascending_halves(grid.points_per_axis, grid.dimension)
+    p = params.p
+    columns = mag = None
+    for lo, block in _stft_blocks(f, w):
+        if mag is None:
+            mag = np.empty(block.shape)
+        for src, dst in halves:
+            np.abs(block[src], out=mag[dst])
+        flat = mag.reshape(mag.shape[0], grid.size)
+        if lattice is not None:
+            flat *= lattice[lo:lo + flat.shape[0]]
+        _check_finite(flat)
+        part = _column_reduce(flat, p, scratch=True)
+        if columns is None:
+            columns = part
+        elif is_inf(p):
+            np.maximum(columns, part, out=columns)
+        else:
+            columns += part
+    return _outer_reduce(columns, p, params.q, grid.cell_volume, grid.frequency_cell)

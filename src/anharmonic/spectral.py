@@ -199,6 +199,21 @@ def gershgorin_bounds(a: np.ndarray):
     return float(np.min(d - r)), float(np.max(d + r))
 
 
+def real_matmul(a: np.ndarray, x) -> np.ndarray:
+    """``a @ x`` for a real matrix ``a`` and a real or complex ``x`` (1-d or 2-d).
+
+    numpy would cast ``a`` to complex on every call; here a complex ``x`` is
+    viewed as interleaved real and imaginary columns, so one real GEMM does
+    the product and ``a`` is never copied.
+    """
+    x = np.asarray(x)
+    if not np.iscomplexobj(x):
+        return a @ x
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    pairs = x.reshape(x.shape[0], -1).view(np.float64)
+    return (a @ pairs).view(np.complex128).reshape(a.shape[:1] + x.shape[1:])
+
+
 @dataclass(eq=False)
 class SpectralDecomposition:
     """Retained eigenpairs of the discretized oscillator.
@@ -223,22 +238,27 @@ class SpectralDecomposition:
     def coefficients(self, f: FieldSample) -> np.ndarray:
         if f.grid != self.grid:
             raise ValueError("field grid does not match decomposition grid")
-        return self.grid.cell_volume * (self.eigenvectors.T @ f.values)
+        return self.grid.cell_volume * real_matmul(self.eigenvectors.T, f.values)
 
     def reconstruct(self, coeffs: np.ndarray) -> FieldSample:
-        return FieldSample(self.grid, self.eigenvectors @ np.asarray(coeffs))
+        return FieldSample(self.grid, real_matmul(self.eigenvectors, coeffs))
 
     def eigenfunction(self, j: int) -> FieldSample:
         if not 0 <= j < self.m:
             raise ValueError(f"mode index {j} outside [0, {self.m})")
         return FieldSample(self.grid, self.eigenvectors[:, j])
 
-    def span_residual_fraction(self, f: FieldSample) -> float:
-        """Relative L2 mass of f outside the retained-mode span."""
+    def span_residual_fraction(self, f: FieldSample, coeffs: np.ndarray | None = None) -> float:
+        """Relative L2 mass of f outside the retained-mode span.
+
+        ``coeffs`` are f's coefficients when the caller has them already.
+        """
         nf = f.norm_l2()
         if nf == 0.0:
             return 0.0
-        rec = self.eigenvectors @ self.coefficients(f)
+        if coeffs is None:
+            coeffs = self.coefficients(f)
+        rec = real_matmul(self.eigenvectors, coeffs)
         res = float(np.sqrt(self.grid.cell_volume * np.sum(np.abs(f.values - rec) ** 2)))
         return res / nf
 

@@ -64,6 +64,23 @@ def gaussian_window_transform_abs(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return np.exp(-np.pi * (x[:, None] ** 2 + xi[None, :] ** 2) / 2.0)
 
 
+def gaussian_stft_abs(x: np.ndarray, xi: np.ndarray, amp: float, a: float,
+                      b: float, c: float) -> np.ndarray:
+    """|V_g f| against the unit Gaussian window for the modulated Gaussian
+    f(t) = amp e^{-a (t - b)²} e^{2πi c t}, by the Gaussian integral.
+
+    With α = a + π and β = ab + πx + iπ(c - ξ), the transform is
+    amp 2^{1/4} (π/α)^{1/2} exp(β²/α - ab² - πx²); only Re β² reaches the
+    magnitude.
+    """
+    x = np.asarray(x)[:, None]
+    xi = np.asarray(xi)[None, :]
+    alpha = a + np.pi
+    re_beta2 = (a * b + np.pi * x) ** 2 - (np.pi * (c - xi)) ** 2
+    return (amp * 2.0 ** 0.25 * np.sqrt(np.pi / alpha)
+            * np.exp(re_beta2 / alpha - a * b ** 2 - np.pi * x ** 2))
+
+
 def mixed_norm_reference(values, weight, p, q, cell_x, cell_xi):
     """Mixed lattice norm by direct loops over the definition.
 

@@ -8,6 +8,7 @@ import anharmonic as ah
 from anharmonic import (FieldSample, Grid, NumericalError, OffSpanWarning,
                         SemigroupQuery, apply_spectral_function, decompose,
                         fractional_power, heat_semigroup, project, sobolev_norm)
+from anharmonic.spectral import SpectralDecomposition
 
 
 def eigenfield(dec, j, scale=1.0):
@@ -150,6 +151,25 @@ class TestApplySpectralFunction:
         f = FieldSample(small_dec.grid, values)
         with pytest.warns(OffSpanWarning):
             apply_spectral_function(small_dec, lambda lam: lam, f)
+
+    def test_projects_once_per_call(self, small_dec, monkeypatch):
+        """The off-span residual reuses the result's coefficients: one
+        projection per heat_semigroup call, and the warning still fires."""
+        calls = []
+        original = SpectralDecomposition.coefficients
+
+        def counting(self, f):
+            calls.append(f)
+            return original(self, f)
+
+        monkeypatch.setattr(SpectralDecomposition, "coefficients", counting)
+        query = SemigroupQuery(small_dec, 1.0, 0.1)
+        heat_semigroup(query, eigenfield(small_dec, 2))
+        assert len(calls) == 1
+        values = np.cos(np.pi * np.arange(small_dec.grid.size))
+        with pytest.warns(OffSpanWarning, match="apply_spectral_function"):
+            heat_semigroup(query, FieldSample(small_dec.grid, values))
+        assert len(calls) == 2
 
     def test_well_resolved_field_is_silent(self, hermite_dec, gaussian_field):
         with warnings.catch_warnings():

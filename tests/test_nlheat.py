@@ -234,6 +234,12 @@ class TestTrajectoryRecord:
         np.testing.assert_allclose(traj.checkpoint_times, [0.0, 0.005])
         assert traj.checkpoint_coeffs.shape[0] == 2
 
+    @INTEGRATORS
+    @pytest.mark.parametrize("stride", [0, -1, 1.5])
+    def test_bad_stride_rejected_up_front(self, defocusing, integrate, stride):
+        with pytest.raises(ValueError, match="checkpoint_stride"):
+            integrate(defocusing, 0.05, 0.005, checkpoint_stride=stride)
+
     def test_csv_round_trip_values(self, defocusing, tmp_path):
         traj = picard_solve(defocusing, 0.02, 0.005)
         path = tmp_path / "traj.csv"

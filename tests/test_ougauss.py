@@ -11,6 +11,7 @@ from anharmonic import (DiscardedMassWarning, FieldSample, GaussianConjugation,
                         decompose, gaussian_half_density, gaussian_modulation_norm,
                         gaussian_probe_fields, modulation_norm, ou_probe_rate,
                         ou_semigroup)
+from oracles import mixed_norm_reference
 
 FLAT = WeightSpec("flat", 0.0)
 L2 = MixedNormParams(2.0, 2.0)
@@ -120,13 +121,19 @@ class TestOuSemigroup:
 
 class TestGaussianNorm:
     def test_bitwise_matches_multiplied_field(self, hermite_dec, hermite_grid,
-                                              gaussian_field):
+                                              gaussian_field, damped_gaussian_abs):
         c = GaussianConjugation(1)
         w = WindowSpec()
         direct = gaussian_modulation_norm(c, gaussian_field, w, FLAT, L2)
         multiplied = apply_conjugation(c, "forward", gaussian_field)
         assert direct == modulation_norm(multiplied, w, FLAT, None, L2)
-        assert direct == ah.mixed_norm(ah.gaussian_stft(gaussian_field, w), FLAT, None, L2)
+        # the full-lattice route is different code: both meet the closed form
+        expected = mixed_norm_reference(damped_gaussian_abs, 1.0, 2.0, 2.0,
+                                        hermite_grid.cell_volume,
+                                        hermite_grid.frequency_cell)
+        assert direct == pytest.approx(expected, rel=1e-10)
+        full = ah.mixed_norm(ah.gaussian_stft(gaussian_field, w), FLAT, None, L2)
+        assert full == pytest.approx(expected, rel=1e-10)
 
     def test_weighted_variant_accepts_oscillator(self, hermite_dec, hermite_grid,
                                                  gaussian_field):

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -220,11 +221,148 @@ class TestModulationNorm:
                                         MixedNormParams(1.0, 1.0)))
         assert vals[1] == pytest.approx(vals[0], rel=1e-2)
 
-    def test_gaussian_route_matches_manual_damping(self, hermite_grid, gaussian_field):
+    def test_gaussian_route_matches_manual_damping(self, hermite_grid, gaussian_field,
+                                                   damped_gaussian_abs):
+        """The full gaussian_stft lattice and the streamed norm of the damped
+        field run different code, so each is held to the closed form."""
         half = ah.gaussian_half_density(hermite_grid)
         damped = FieldSample(hermite_grid, gaussian_field.values * half)
         params = MixedNormParams(2.0, 1.0)
         w = WeightSpec("polynomial", 1.0)
+        x = hermite_grid.nodes()[:, 0]
+        xi = hermite_grid.frequency_nodes()[:, 0]
+        lattice = 1.0 + np.abs(x)[:, None] + np.abs(xi)[None, :]
+        expected = mixed_norm_reference(damped_gaussian_abs, lattice, 2.0, 1.0,
+                                        hermite_grid.cell_volume,
+                                        hermite_grid.frequency_cell)
         via_route = mixed_norm(gaussian_stft(gaussian_field, WindowSpec()), w, None, params)
         by_hand = modulation_norm(damped, WindowSpec(), w, None, params)
-        assert via_route == by_hand
+        assert via_route == pytest.approx(expected, rel=1e-10)
+        assert by_hand == pytest.approx(expected, rel=1e-10)
+
+
+ORACLE_EXPONENTS = [1.0, 2.0, 6.0, INF]
+
+
+def _oracle_exponent(p):
+    return "inf" if p is INF else p
+
+
+def _exponent_id(p):
+    return str(_oracle_exponent(p))
+
+
+def _unit_gaussian_oracle(grid, weight, p, q):
+    x = grid.nodes()[:, 0]
+    xi = grid.frequency_nodes()[:, 0]
+    return mixed_norm_reference(gaussian_window_transform_abs(x, xi), weight,
+                                _oracle_exponent(p), _oracle_exponent(q),
+                                grid.cell_volume, grid.frequency_cell)
+
+
+def _wrapped_gaussian_window(grid):
+    """The default window as a custom one: wrapped layout, scaled off unit norm."""
+    g = 3.0 * 2.0 ** 0.25 * np.exp(-np.pi * grid.wrapped_axis_offsets() ** 2)
+    if grid.dimension == 2:
+        g = np.outer(g, g).ravel()
+    return WindowSpec("custom", FieldSample(grid, g))
+
+
+class TestStreamedNormOracle:
+    """The streamed modulation_norm of the unit gaussian against direct loops
+    over the closed form |V_g g| = exp(-pi (|x|^2 + |xi|^2) / 2), with the
+    weight lattice built here from its formula. Tolerance 1e-10 relative;
+    the agreement seen is at round-off level."""
+
+    GRID = Grid(1, 256, 8.0)  # two row blocks of the streamed pass
+
+    @pytest.mark.parametrize("p", ORACLE_EXPONENTS, ids=_exponent_id)
+    @pytest.mark.parametrize("q", ORACLE_EXPONENTS, ids=_exponent_id)
+    @pytest.mark.parametrize("kind", ["flat", "polynomial", "anharmonic"])
+    def test_one_dimension(self, kind, p, q, quartic_osc):
+        grid = self.GRID
+        x = grid.nodes()[:, 0]
+        xi = grid.frequency_nodes()[:, 0]
+        if kind == "flat":
+            ws, osc, weight = FLAT, None, 1.0
+        elif kind == "polynomial":
+            ws, osc = WeightSpec("polynomial", 1.5), None
+            weight = (1.0 + np.abs(x)[:, None] + np.abs(xi)[None, :]) ** 1.5
+        else:
+            # quartic V = x^4 and l = 1: (1 + x^2 + 2 pi |xi|)^s in angular frequency
+            ws, osc = WeightSpec("anharmonic", 0.75), quartic_osc
+            weight = (1.0 + x[:, None] ** 2 + 2.0 * np.pi * np.abs(xi)[None, :]) ** 0.75
+        expected = _unit_gaussian_oracle(grid, weight, p, q)
+        got = modulation_norm(unit_gaussian(grid), WindowSpec(), ws, osc,
+                              MixedNormParams(p, q))
+        assert got == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("p,q", [(1.0, 6.0), (2.0, INF), (6.0, 1.0), (INF, 2.0)],
+                             ids=_exponent_id)
+    def test_custom_window_route(self, p, q):
+        grid = self.GRID
+        x = grid.nodes()[:, 0]
+        xi = grid.frequency_nodes()[:, 0]
+        weight = (1.0 + np.abs(x)[:, None] + np.abs(xi)[None, :]) ** 1.5
+        expected = _unit_gaussian_oracle(grid, weight, p, q)
+        got = modulation_norm(unit_gaussian(grid), _wrapped_gaussian_window(grid),
+                              WeightSpec("polynomial", 1.5), None, MixedNormParams(p, q))
+        assert got == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("custom", [False, True], ids=["gaussian", "custom"])
+    @pytest.mark.parametrize("p,q", [(1.0, 2.0), (2.0, 6.0), (6.0, INF), (INF, 1.0)],
+                             ids=_exponent_id)
+    def test_two_dimensions_is_product(self, p, q, custom):
+        """The d=2 transform of g x g is the product of two d=1 closed forms, so
+        its flat mixed norm is the square of the d=1 oracle on the same axis."""
+        grid = Grid(2, 64, 4.0)
+        axis = Grid(1, 64, 4.0)
+        expected = _unit_gaussian_oracle(axis, 1.0, p, q) ** 2
+        r2 = np.sum(grid.nodes() ** 2, axis=1)
+        f = FieldSample(grid, np.sqrt(2.0) * np.exp(-np.pi * r2))
+        window = _wrapped_gaussian_window(grid) if custom else WindowSpec()
+        got = modulation_norm(f, window, FLAT, None, MixedNormParams(p, q))
+        assert got == pytest.approx(expected, rel=1e-10)
+
+
+class TestStreamedNormGuards:
+    def test_nonfinite_field_raises(self, hermite_grid):
+        vals = np.array(unit_gaussian(hermite_grid).values)
+        vals[200] = np.nan
+        with pytest.raises(NumericalError):
+            modulation_norm(FieldSample(hermite_grid, vals), WindowSpec(), FLAT, None,
+                            MixedNormParams(2.0, 1.0))
+
+    @pytest.mark.parametrize("p", [2.0, INF], ids=_exponent_id)
+    def test_overflowing_weight_raises(self, hermite_grid, p):
+        # (1 + |x| + |xi|)^400 overflows to inf away from the origin
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+            modulation_norm(unit_gaussian(hermite_grid), WindowSpec(),
+                            WeightSpec("polynomial", 400.0), None, MixedNormParams(p, 1.0))
+
+    @pytest.mark.parametrize("transform", ["stft", "modulation_norm"])
+    def test_boundary_mass_warns_at_caller(self, transform):
+        grid = Grid(1, 128, 6.0)
+        f = FieldSample(grid, np.ones(grid.size))
+        with pytest.warns(BoundaryMassWarning) as record:
+            if transform == "stft":
+                stft(f, WindowSpec())
+            else:
+                modulation_norm(f, WindowSpec(), FLAT, None, MixedNormParams(2.0, 2.0))
+        assert len(record) == 1
+        assert record[0].filename == __file__
+
+    def test_streamed_norm_never_holds_the_full_lattice(self, hermite_grid, quartic_osc):
+        """One warm 512-point norm allocates less than one (size, size) complex
+        lattice (4 MiB); building the phase-space field would take three times that."""
+        f = unit_gaussian(hermite_grid)
+        args = (WindowSpec(), WeightSpec("anharmonic", 2.0), quartic_osc,
+                MixedNormParams(2.0, 1.0))
+        modulation_norm(f, *args)  # fills the window-table and weight-lattice caches
+        tracemalloc.start()
+        try:
+            modulation_norm(f, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < hermite_grid.size ** 2 * 16

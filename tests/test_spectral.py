@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from anharmonic import (Grid, InvalidSpecError, NumericalError, assemble_operato
                         cache_key, decompose, eigenvalue_growth_fit, field_from_function,
                         gershgorin_bounds, growth_target, load_decomposition,
                         save_decomposition)
+from anharmonic.spectral import real_matmul
 
 from oracles import hermite_function
 
@@ -98,6 +101,33 @@ class TestDecomposition:
 
     def test_span_residual_small_for_gaussian(self, hermite_dec, gaussian_field):
         assert hermite_dec.span_residual_fraction(gaussian_field) <= 1e-6
+
+    @pytest.mark.parametrize("extra", [(), (3,)], ids=["vector", "columns"])
+    def test_real_matmul_matches_complex_product(self, hermite_dec, extra):
+        rng = np.random.default_rng(5)
+        phi = hermite_dec.eigenvectors
+        for a in (phi, phi.T):
+            shape = (a.shape[1],) + extra
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            expected = a.astype(complex) @ x
+            got = real_matmul(a, x)
+            assert got.shape == expected.shape and got.dtype == np.complex128
+            np.testing.assert_allclose(got, expected, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(expected)))
+            np.testing.assert_array_equal(real_matmul(a, x.real), a @ x.real)
+
+    def test_matvecs_do_not_copy_the_eigenvectors(self, hermite_dec, gaussian_field):
+        """coefficients and reconstruct run real GEMM: no complex copy of the
+        (size, m) eigenvector matrix is made."""
+        c = hermite_dec.coefficients(gaussian_field)
+        tracemalloc.start()
+        try:
+            hermite_dec.reconstruct(hermite_dec.coefficients(gaussian_field))
+            hermite_dec.reconstruct(c.real)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < hermite_dec.eigenvectors.size * 16
 
     def test_positivity(self, hermite_dec, quartic_dec):
         assert hermite_dec.eigenvalues[0] > 0
