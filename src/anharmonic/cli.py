@@ -6,8 +6,8 @@ figure-able series; CSV bodies contain only deterministically ordered,
 shortest-round-trip formatted numbers, so identical manifest and seed give
 byte-identical CSV files.
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 schema violation,
-3 numerical failure, 4 report write failure.
+Exit codes: 0 all checks passed, 1 some check failed, 2 schema violation or
+rejected manifest value, 3 numerical failure, 4 report write failure.
 """
 
 from __future__ import annotations
@@ -394,13 +394,8 @@ def _run_nlheat(manifest, seed, record):
         record.results.append(_result("picard_etd_gap", gap, 0.0, gap, bound,
                                       gap <= bound))
 
-    rows = [[float(traj.times[i]), float(traj.monitored_norms[i]),
-             float(traj.l2_norms[i]),
-             int(traj.blown_up and traj.blowup_time is not None
-                 and traj.times[i] >= traj.blowup_time)]
-            for i in range(len(traj.times))]
-    record.series["trajectory"] = {
-        "header": ["t", "monitored_norm", "l2_norm", "blowup"], "rows": rows}
+    header, rows = traj.table()
+    record.series["trajectory"] = {"header": header, "rows": rows}
 
 
 def _run_ou(manifest, seed, record):
@@ -570,20 +565,14 @@ def run_manifest(path, out_dir=None, fmt=None, seed=None, verbose=False,
             raise SchemaError(
                 f"manifest kind {manifest['kind']!r} does not match the "
                 f"{expect_kind!r} command", field="kind")
-    except SchemaError as exc:
-        print(f"schema error: {exc}" + (f" (field: {exc.field})" if exc.field else ""),
-              file=sys.stderr)
-        return EXIT_SCHEMA, None
+        effective_seed = seed if seed is not None else manifest.get("seed", _DEFAULT_SEED)
+        effective_fmt = fmt or manifest.get("format", "both")
+        effective_out = out_dir or manifest.get("output_dir", "out")
+        record = ReportRecord(
+            manifest_hash=_canonical_hash(manifest, effective_seed),
+            version=__version__, kind=manifest["kind"], seed=effective_seed)
 
-    effective_seed = seed if seed is not None else manifest.get("seed", _DEFAULT_SEED)
-    effective_fmt = fmt or manifest.get("format", "both")
-    effective_out = out_dir or manifest.get("output_dir", "out")
-    record = ReportRecord(
-        manifest_hash=_canonical_hash(manifest, effective_seed),
-        version=__version__, kind=manifest["kind"], seed=effective_seed)
-
-    started = time.perf_counter()
-    try:
+        started = time.perf_counter()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             _RUNNERS[manifest["kind"]](manifest, effective_seed, record)
@@ -598,8 +587,10 @@ def run_manifest(path, out_dir=None, fmt=None, seed=None, verbose=False,
                 entry = {"category": name, "message": str(w.message), "count": 1}
                 by_category[name] = entry
                 record.warnings.append(entry)
-    except SchemaError as exc:
-        print(f"schema error: {exc}" + (f" (field: {exc.field})" if exc.field else ""),
+    except (ValueError, TypeError) as exc:
+        # SchemaError, or a manifest value that a runner's own checks reject
+        field = getattr(exc, "field", None)
+        print(f"schema error: {exc}" + (f" (field: {field})" if field else ""),
               file=sys.stderr)
         return EXIT_SCHEMA, None
     except NumericalError as exc:

@@ -19,8 +19,8 @@ from .calculus import SemigroupQuery, heat_semigroup, sobolev_norm
 from .errors import InvalidSpecError, ProbeSkipWarning, TruncationError
 from .model import (MixedNormParams, OscillatorSpec, WeightSpec, check_exponent,
                     evaluate_potential, is_inf)
-from .phasespace import (WindowSpec, _weighted_magnitude, mixed_norm, mixed_reduce,
-                         modulation_norm, stft)
+from .phasespace import (WindowSpec, _check_boundary_mass, _modulation_columns,
+                         _outer_reduce, mixed_reduce, modulation_norm)
 from .spectral import FieldSample, Grid, SpectralDecomposition
 
 PROBE_SEED = 1234
@@ -263,9 +263,39 @@ def standard_probe_family(dec: SpectralDecomposition, kind: str = "equivalence",
     return gaussian_probe_fields(dec.grid, n_gauss, seed) + eigenfunction_probes(dec, 10)
 
 
-def _norm_spec(spec_tuple, osc):
-    p, q, s = spec_tuple
-    return MixedNormParams(p, q), WeightSpec("anharmonic", float(s)), osc
+def _probe_ratios(probes, source_norm, target_norms) -> list:
+    """Per target norm, the ratios target_norm(f) / source_norm(f) over the
+    probes, each source norm computed once. A probe with zero source norm is
+    skipped with a ProbeSkipWarning; ValueError when every probe is skipped."""
+    kept = []
+    for i, f in enumerate(probes):
+        denom = source_norm(f)
+        if denom == 0.0:
+            warnings.warn(f"probe {i} skipped: zero source norm", ProbeSkipWarning,
+                          stacklevel=3)
+        else:
+            kept.append((f, denom))
+    if not kept:
+        raise ValueError("all probes were skipped")
+    return [[norm(f) / denom for f, denom in kept] for norm in target_norms]
+
+
+def _heat_norms(dec: SpectralDecomposition, beta: float, source, target, window):
+    """(source norm, t -> target norm of exp(-t H^beta) f) for (p, q, s)
+    triples measured against the anharmonic weight of dec's oscillator."""
+    window = window or WindowSpec()
+
+    def norm_args(triple):
+        p, q, s = triple
+        return window, WeightSpec("anharmonic", float(s)), dec.oscillator, MixedNormParams(p, q)
+
+    src, tgt = norm_args(source), norm_args(target)
+
+    def target_at(t):
+        query = SemigroupQuery(dec, beta, t)
+        return lambda f: modulation_norm(heat_semigroup(query, f), *tgt)
+
+    return (lambda f: modulation_norm(f, *src)), target_at
 
 
 def probe_operator_bound(dec: SpectralDecomposition, beta: float, t: float,
@@ -277,23 +307,8 @@ def probe_operator_bound(dec: SpectralDecomposition, beta: float, t: float,
     ``source`` and ``target`` are (p, q, s) triples measured against the
     anharmonic weight of the decomposition's oscillator.
     """
-    window = window or WindowSpec()
-    src_params, src_weight, osc = _norm_spec(source, dec.oscillator)
-    tgt_params, tgt_weight, _ = _norm_spec(target, dec.oscillator)
-    query = SemigroupQuery(dec, beta, t)
-    best = None
-    for i, f in enumerate(probes):
-        denom = modulation_norm(f, window, src_weight, osc, src_params)
-        if denom == 0.0:
-            warnings.warn(f"probe {i} skipped: zero source norm", ProbeSkipWarning,
-                          stacklevel=2)
-            continue
-        num = modulation_norm(heat_semigroup(query, f), window, tgt_weight, osc, tgt_params)
-        ratio = num / denom
-        best = ratio if best is None else max(best, ratio)
-    if best is None:
-        raise ValueError("all probes were skipped")
-    return float(best)
+    source_norm, target_at = _heat_norms(dec, beta, source, target, window)
+    return float(max(_probe_ratios(probes, source_norm, [target_at(t)])[0]))
 
 
 @dataclass(frozen=True)
@@ -318,7 +333,8 @@ def longtime_rate(dec: SpectralDecomposition, beta: float, t_list, source, targe
     ts = [float(t) for t in t_list]
     if len(ts) < 3:
         raise ValueError("need at least 3 time points")
-    vals = [probe_operator_bound(dec, beta, t, source, target, probes, window) for t in ts]
+    source_norm, target_at = _heat_norms(dec, beta, source, target, window)
+    vals = [max(r) for r in _probe_ratios(probes, source_norm, [target_at(t) for t in ts])]
     rate, intercept, r2 = _loglinear_fit(ts, vals)
     target_rate = -float(dec.eigenvalues[0]) ** beta
     dev = abs(rate - target_rate) / abs(target_rate)
@@ -407,25 +423,6 @@ class SingularWeightResult:
     xi_tail_growth: float
 
 
-def _xi_tail_accumulator(field_ps, ws, osc, params, bulk_radius, xi_limits):
-    """Outer-exponent tail mass A(Xi) = sum over bulk_radius < |xi| <= Xi of
-    inner(xi)^q (or the annulus sup for q = INF)."""
-    grid = field_ps.grid
-    mag = _weighted_magnitude(field_ps, ws, osc)
-    p, q = params.p, params.q
-    radii = np.linalg.norm(grid.frequency_nodes(), axis=1)
-    out = []
-    for xi_max in xi_limits:
-        mask = (radii > bulk_radius) & (radii <= xi_max)
-        acc = 0.0
-        if np.any(mask):
-            acc = mixed_reduce(mag[:, mask], p, q, grid.cell_volume, grid.frequency_cell)
-            if not is_inf(q):
-                acc = acc ** float(q)
-        out.append((float(xi_max), acc))
-    return tuple(out)
-
-
 def singular_weight_norm(alpha: float, params: MixedNormParams, ws: WeightSpec,
                          radius: float, *, grid: Grid,
                          osc: OscillatorSpec | None = None,
@@ -450,23 +447,35 @@ def singular_weight_norm(alpha: float, params: MixedNormParams, ws: WeightSpec,
         raise ValueError("truncation radius exceeds the grid half-width")
     window = window or WindowSpec()
 
+    nodes_r = np.linalg.norm(grid.nodes(), axis=1)
+
     def truncated(r):
-        nodes_r = np.linalg.norm(grid.nodes(), axis=1)
-        vals = np.where(nodes_r <= r, nodes_r ** (-alpha), 0.0)
-        return FieldSample(grid, vals)
+        return FieldSample(grid, np.where(nodes_r <= r, nodes_r ** (-alpha), 0.0))
 
     f_full = truncated(radius)
-    f_half = truncated(radius / 2.0)
-    ps_full = stft(f_full, window)
-    value = float(mixed_norm(ps_full, ws, osc, params))
-    value_half = float(modulation_norm(f_half, window, ws, osc, params))
+    _check_boundary_mass(f_full)
+    p, q = params.p, params.q
+    cells = (grid.cell_volume, grid.frequency_cell)
+    columns = _modulation_columns(f_full, window, ws, osc, p)
+    value = _outer_reduce(columns, p, q, *cells)
+    value_half = modulation_norm(truncated(radius / 2.0), window, ws, osc, params)
     x_growth = abs(value - value_half) / value_half if value_half > 0 else float("inf")
-    tails = _xi_tail_accumulator(ps_full, ws, osc, params, bulk_radius,
-                                 (tail_radius, 2.0 * tail_radius))
-    a1, a2 = tails[0][1], tails[1][1]
+    # outer-exponent tail mass A(Xi): sum over bulk_radius < |xi| <= Xi of
+    # inner(xi)^q, or the annulus sup for q = INF
+    xi_radii = np.linalg.norm(grid.frequency_nodes(), axis=1)
+    tails = []
+    for xi_max in (tail_radius, 2.0 * tail_radius):
+        mask = (xi_radii > bulk_radius) & (xi_radii <= xi_max)
+        acc = 0.0
+        if np.any(mask):
+            acc = _outer_reduce(columns[mask], p, q, *cells)
+            if not is_inf(q):
+                acc = acc ** float(q)
+        tails.append((float(xi_max), acc))
+    (_, a1), (_, a2) = tails
     tail_growth = (a2 / a1 - 1.0) if a1 > 0 else float("inf")
     return SingularWeightResult(value, value_half, float(radius), float(x_growth),
-                                tails, float(tail_growth))
+                                tuple(tails), float(tail_growth))
 
 
 @dataclass(frozen=True)
@@ -491,16 +500,8 @@ def sobolev_modulation_equivalence(dec: SpectralDecomposition, s: float, probes,
     """
     window = window or WindowSpec()
     params = MixedNormParams(2.0, 2.0)
-    ws = WeightSpec("anharmonic", float(s))
-    ratios = []
-    for f in probes:
-        f_span = dec.reconstruct(dec.coefficients(f))
-        denom = modulation_norm(f_span, window, ws, dec.oscillator, params)
-        if denom == 0.0:
-            warnings.warn("equivalence probe skipped: zero modulation norm",
-                          ProbeSkipWarning, stacklevel=2)
-            continue
-        ratios.append(sobolev_norm(dec, s, f_span) / denom)
-    if not ratios:
-        raise ValueError("all probes were skipped")
+    ws, osc = WeightSpec("anharmonic", float(s)), dec.oscillator
+    spans = [dec.reconstruct(dec.coefficients(f)) for f in probes]
+    [ratios] = _probe_ratios(spans, lambda f: modulation_norm(f, window, ws, osc, params),
+                             [lambda f: sobolev_norm(dec, s, f)])
     return EquivalenceBand(float(min(ratios)), float(max(ratios)), len(ratios))

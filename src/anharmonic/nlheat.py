@@ -19,7 +19,7 @@ import numpy as np
 from .calculus import _warn_off_span
 from .errors import InvalidSpecError, NonConvergenceError
 from .model import MixedNormParams, WeightSpec
-from .phasespace import WindowSpec, modulation_norm
+from .phasespace import WindowSpec, _modulation_columns, _outer_reduce, modulation_norm
 from .spectral import FieldSample, SpectralDecomposition, real_matmul
 
 _BLOWUP_NORM = 1e6
@@ -130,6 +130,14 @@ class _Engine:
         return modulation_norm(f, self.window, self.monitor_weight,
                                self.dec.oscillator, self.monitor_params)
 
+    def gap_norm(self, coeffs: np.ndarray) -> float:
+        """Monitored norm of a difference of Picard iterates, without the
+        boundary-mass check of a state: near convergence it is round-off."""
+        grid, p, q = self.dec.grid, self.monitor_params.p, self.monitor_params.q
+        columns = _modulation_columns(FieldSample(grid, self.to_values(coeffs)), self.window,
+                                      self.monitor_weight, self.dec.oscillator, p)
+        return _outer_reduce(columns, p, q, grid.cell_volume, grid.frequency_cell)
+
     def l2_norm(self, coeffs: np.ndarray) -> float:
         return float(np.linalg.norm(coeffs))
 
@@ -174,15 +182,21 @@ class Trajectory:
                 worst = max(worst, ratio)
         return worst
 
+    def table(self):
+        """CSV header and per-step rows of Python floats and ints (written as
+        repr and str): t, the two norms, and the blow-up flag."""
+        rows = [[float(t), float(norm), float(l2),
+                 int(self.blown_up and self.blowup_time is not None
+                     and t >= self.blowup_time)]
+                for t, norm, l2 in zip(self.times, self.monitored_norms, self.l2_norms)]
+        return ["t", "monitored_norm", "l2_norm", "blowup"], rows
+
     def to_csv(self, path) -> None:
+        header, rows = self.table()
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["t", "monitored_norm", "l2_norm", "blowup"])
-            for i, t in enumerate(self.times):
-                flag = int(self.blown_up and self.blowup_time is not None
-                           and t >= self.blowup_time)
-                writer.writerow([repr(float(t)), repr(float(self.monitored_norms[i])),
-                                 repr(float(self.l2_norms[i])), flag])
+            writer.writerow(header)
+            writer.writerows(rows)
 
 
 class _Recorder:
@@ -302,7 +316,7 @@ def picard_solve(spec: NonlinearProblemSpec, horizon: float, dt: float,
                     {"t": t_next, "iterations": len(gaps) + 1,
                      "last_gap": gaps[-1] if gaps else None})
             gap_field = new_end - c_end
-            gap = engine.monitored_norm(gap_field) if np.any(gap_field) else 0.0
+            gap = engine.gap_norm(gap_field) if np.any(gap_field) else 0.0
             c_end, c_mid = new_end, new_mid
             gaps.append(gap)
             if len(gaps) >= 2 and gaps[-2] > 0:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .calculus import SemigroupQuery, heat_semigroup
 from .errors import DiscardedMassWarning, InvalidSpecError
-from .estimators import _loglinear_fit
+from .estimators import _loglinear_fit, _probe_ratios
 from .model import MixedNormParams, OscillatorSpec, WeightSpec
 from .phasespace import WindowSpec, gaussian_half_density, modulation_norm
 from .spectral import FieldSample, SpectralDecomposition
@@ -134,6 +134,7 @@ def ou_probe_rate(c: GaussianConjugation, dec: SpectralDecomposition, beta: floa
                   params: MixedNormParams | None = None) -> OuRateResult:
     """Fit the decay rate of the worst-case Gaussian-norm ratio of the OU
     flow over a probe corpus; the expected rate is -(dimension)^beta.
+    Zero-norm probes are skipped with a warning (ValueError if all are).
 
     Polynomial weight by default: the Gaussian-space experiments measure
     against it unless told otherwise.
@@ -145,20 +146,14 @@ def ou_probe_rate(c: GaussianConjugation, dec: SpectralDecomposition, beta: floa
     ts = [float(t) for t in t_list]
     if len(ts) < 3:
         raise ValueError("need at least 3 time points")
-    denoms = [gaussian_modulation_norm(c, f, window, ws, params, dec.oscillator)
-              for f in probes]
-    vals = []
-    for t in ts:
-        best = 0.0
-        for f, denom in zip(probes, denoms):
-            if denom == 0.0:
-                continue
-            num = gaussian_modulation_norm(c, ou_semigroup(c, dec, beta, t, f),
-                                           window, ws, params, dec.oscillator)
-            best = max(best, num / denom)
-        vals.append(best)
+
+    def norm(f):
+        return gaussian_modulation_norm(c, f, window, ws, params, dec.oscillator)
+
+    vals = [max(r) for r in _probe_ratios(
+        probes, norm, [lambda f, t=t: norm(ou_semigroup(c, dec, beta, t, f)) for t in ts])]
     rate, intercept, r2 = _loglinear_fit(ts, vals)
     target = -float(c.dimension) ** float(beta)
     return OuRateResult(rate, intercept, r2, target,
                         abs(rate - target) / abs(target), (min(ts), max(ts)),
-                        tuple(zip(ts, (float(v) for v in vals))))
+                        tuple(zip(ts, vals)))

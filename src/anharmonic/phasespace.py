@@ -6,16 +6,17 @@ cyclic, consistent with the periodic grid. Lattice cells are h^d in x and
 (1/(2L))^d in xi, so the p=q=2 flat-weight mixed norm reproduces the L2
 norm of the field exactly (discrete orthogonality of the DFT).
 
-Both the transform and the norm run on one blocked pass, ``_stft_blocks``:
+The transform and the streamed norms run on one blocked pass, ``_stft_blocks``:
 it yields h^d FFT(f conj(g(. - x_i))) for consecutive blocks of x-shift rows
 (about ``_BLOCK_CELLS`` lattice cells each), columns in FFT order. ``stft``
 moves each block into ascending xi order (the fftshift), applies the
-staggered-grid phase and fills the full ``PhaseSpaceField``.
-``modulation_norm`` never builds that field: per block it takes the
-magnitude, which drops the unit-modulus phase, writes only that real block in
-ascending xi order, weights it by the matching rows of the weight lattice and
-accumulates the inner L^p column sums (or column sup); the outer L^q is taken
-once at the end. Peak memory of a norm is a few blocks, not the lattice.
+staggered-grid phase and fills the full ``PhaseSpaceField``. Every norm is
+reduced by ``_weighted_columns`` (weighted inner L^p column sums or sups) and
+``_outer_reduce`` (outer L^q): ``mixed_norm`` feeds it |field| as one block,
+``modulation_norm`` the block magnitudes of the pass, so a streamed norm
+holds a few blocks, never the lattice. The boundary-mass check runs where a
+state is measured, not in the pass, so Picard gaps (round-off noise near
+convergence) are reduced without it.
 """
 
 from __future__ import annotations
@@ -145,19 +146,13 @@ def _check_boundary_mass(f: FieldSample) -> None:
     amax = float(np.max(np.abs(f.values)))
     if amax == 0.0:
         return
-    band = grid.half_width - 2.0 * grid.h
-    if grid.dimension == 1:
-        mask = np.abs(grid.axis_nodes()) >= band
-    else:
-        nodes = grid.nodes()
-        mask = np.any(np.abs(nodes) >= band, axis=1)
+    mask = np.any(np.abs(grid.nodes()) >= grid.half_width - 2.0 * grid.h, axis=1)
     edge = float(np.max(np.abs(f.values[mask]))) / amax
     if edge > _BOUNDARY_TOL:
         warnings.warn(
             f"field amplitude near the box boundary is {edge:.3e} of its peak; "
             f"cyclic window wrap-around may contaminate the STFT",
-            # points at the caller of stft / modulation_norm, past _stft_blocks
-            BoundaryMassWarning, stacklevel=4)
+            BoundaryMassWarning, stacklevel=3)
 
 
 @functools.lru_cache(maxsize=4)
@@ -184,10 +179,8 @@ def _stft_blocks(f: FieldSample, w: WindowSpec):
     each axis (bin 0 first), with neither fftshift nor the staggered-grid
     phase applied. Every block has the same number of rows, about
     ``_BLOCK_CELLS`` lattice cells; the windowed product reuses one buffer.
-    Warns when the field carries boundary mass above 1e-8 of its peak.
     """
     grid = f.grid
-    _check_boundary_mass(f)
     n_pts, d, size = grid.points_per_axis, grid.dimension, grid.size
     rows = min(size, max(1, _BLOCK_CELLS // size))  # powers of two: divides size
     axes = tuple(range(1, d + 1))
@@ -240,6 +233,7 @@ def stft(f: FieldSample, w: WindowSpec) -> PhaseSpaceField:
     pass is put in ascending xi order and given the staggered-grid phase.
     Warns when the field carries boundary mass above 1e-8 of its peak.
     """
+    _check_boundary_mass(f)
     grid = f.grid
     n_pts, d, size = grid.points_per_axis, grid.dimension, grid.size
     halves = _ascending_halves(n_pts, d)
@@ -299,17 +293,10 @@ def _weight_lattice(w: WeightSpec, osc: OscillatorSpec | None, grid: Grid):
     return lattice
 
 
-def _column_reduce(w: np.ndarray, p, scratch: bool = False) -> np.ndarray:
+def _column_reduce(w: np.ndarray, p) -> np.ndarray:
     """Inner reduction over the rows of a magnitude block: the column sup for
-    INF, otherwise the column sums of w^p (cell measure not yet applied).
-    With ``scratch`` the powers are taken in place, overwriting ``w``."""
-    if is_inf(p):
-        return w.max(axis=0)
-    if scratch:
-        w **= float(p)
-    else:
-        w = w ** float(p)
-    return w.sum(axis=0)
+    INF, otherwise the column sums of w^p (cell measure not yet applied)."""
+    return w.max(axis=0) if is_inf(p) else (w ** float(p)).sum(axis=0)
 
 
 def _outer_reduce(columns: np.ndarray, p, q, cell_x, cell_xi) -> float:
@@ -335,18 +322,44 @@ def mixed_reduce(w, p, q, cell_x, cell_xi) -> float:
     return _outer_reduce(_column_reduce(np.asarray(w), p), p, q, cell_x, cell_xi)
 
 
-def _weighted_magnitude(field: PhaseSpaceField, w: WeightSpec,
-                        osc: OscillatorSpec | None) -> np.ndarray:
-    lattice = _weight_lattice(w, osc, field.grid)
-    mag = np.abs(field.values)
-    if lattice is not None:
-        mag = mag * lattice
-    return mag
+def _weighted_columns(blocks, lattice, p) -> np.ndarray:
+    """The inner reduction of every phase-space norm. Each (lo, mag) block
+    holds the magnitudes of lattice rows lo.. in ascending xi, overwritten
+    here: it is weighted by the same rows of ``lattice`` and must be finite.
+    Returns the column sums of the p-th powers (column max for INF)."""
+    columns = None
+    for lo, mag in blocks:
+        if lattice is not None:
+            mag *= lattice[lo:lo + mag.shape[0]]
+        if not np.all(np.isfinite(mag)):
+            raise NumericalError("mixed norm encountered non-finite weighted values")
+        part = _column_reduce(mag, p)
+        if columns is None:
+            columns = part
+        elif is_inf(p):
+            np.maximum(columns, part, out=columns)
+        else:
+            columns += part
+    return columns
 
 
-def _check_finite(mag: np.ndarray) -> None:
-    if not np.all(np.isfinite(mag)):
-        raise NumericalError("mixed norm encountered non-finite weighted values")
+def _modulation_columns(f: FieldSample, w: WindowSpec, ws: WeightSpec,
+                        osc: OscillatorSpec | None, p) -> np.ndarray:
+    """``_weighted_columns`` of |V_g f| straight from the blocked STFT pass,
+    one column per xi node in ascending order. No boundary-mass check."""
+    grid = f.grid
+    halves = _ascending_halves(grid.points_per_axis, grid.dimension)
+
+    def magnitudes():
+        mag = None
+        for lo, block in _stft_blocks(f, w):
+            if mag is None:
+                mag = np.empty(block.shape)
+            for src, dst in halves:
+                np.abs(block[src], out=mag[dst])
+            yield lo, mag.reshape(mag.shape[0], grid.size)
+
+    return _weighted_columns(magnitudes(), _weight_lattice(ws, osc, grid), p)
 
 
 def mixed_norm(field: PhaseSpaceField, w: WeightSpec, osc: OscillatorSpec | None,
@@ -356,10 +369,10 @@ def mixed_norm(field: PhaseSpaceField, w: WeightSpec, osc: OscillatorSpec | None
     INF exponents take the lattice sup; exponents below 1 use the same
     power-sum formula (quasi-norm). Cell measures are h^d and (1/(2L))^d.
     """
-    mag = _weighted_magnitude(field, w, osc)
-    _check_finite(mag)
-    return mixed_reduce(mag, params.p, params.q,
-                        field.grid.cell_volume, field.grid.frequency_cell)
+    grid = field.grid
+    columns = _weighted_columns([(0, np.abs(field.values))],
+                                _weight_lattice(w, osc, grid), params.p)
+    return _outer_reduce(columns, params.p, params.q, grid.cell_volume, grid.frequency_cell)
 
 
 def modulation_norm(f: FieldSample, w: WindowSpec, ws: WeightSpec,
@@ -367,34 +380,15 @@ def modulation_norm(f: FieldSample, w: WindowSpec, ws: WeightSpec,
     """Weighted modulation norm ||V_g f . w||_{L^{p,q}} of a field.
 
     Equal to ``mixed_norm(stft(f, w), ws, osc, params)`` up to round-off, but
-    streamed: the (size, size) phase-space field is never built. Each block
-    of x-shift rows from the shared STFT pass is reduced to magnitudes (the
-    staggered-grid phase has unit modulus and drops out) written straight
-    into ascending xi order, multiplied by the same rows of the cached weight
-    lattice, and folded into the running inner L^p column sums (column sup
-    for INF). The outer L^q follows once all rows are in. Raises
-    NumericalError on non-finite weighted values; warns like ``stft`` on
-    boundary mass.
+    streamed: the (size, size) phase-space field is never built. The same
+    reducer as ``mixed_norm`` folds each block of x-shift magnitudes from the
+    shared STFT pass into the inner L^p column sums (column sup for INF);
+    the outer L^q follows once all rows are in. Raises NumericalError on
+    non-finite weighted values. Like ``stft`` it measures a state, so it
+    warns when the field carries boundary mass above 1e-8 of its peak; a
+    Picard gap goes through ``_modulation_columns`` without that check.
     """
+    _check_boundary_mass(f)
     grid = f.grid
-    lattice = _weight_lattice(ws, osc, grid)
-    halves = _ascending_halves(grid.points_per_axis, grid.dimension)
-    p = params.p
-    columns = mag = None
-    for lo, block in _stft_blocks(f, w):
-        if mag is None:
-            mag = np.empty(block.shape)
-        for src, dst in halves:
-            np.abs(block[src], out=mag[dst])
-        flat = mag.reshape(mag.shape[0], grid.size)
-        if lattice is not None:
-            flat *= lattice[lo:lo + flat.shape[0]]
-        _check_finite(flat)
-        part = _column_reduce(flat, p, scratch=True)
-        if columns is None:
-            columns = part
-        elif is_inf(p):
-            np.maximum(columns, part, out=columns)
-        else:
-            columns += part
-    return _outer_reduce(columns, p, params.q, grid.cell_volume, grid.frequency_cell)
+    columns = _modulation_columns(f, w, ws, osc, params.p)
+    return _outer_reduce(columns, params.p, params.q, grid.cell_volume, grid.frequency_cell)

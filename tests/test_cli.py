@@ -160,6 +160,34 @@ class TestRunManifest:
         assert code == EXIT_SCHEMA and record is None
         assert "schema error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,params", [
+        ("nlheat", {"dt": 0.02, "modes": 16, "horizon": 0.04}),
+        ("decay", {"radius": "thirty"}),
+        ("ou", {"modes": 16, "gauss_probes": 2, "rate_t_list": [1.0, 2.0]}),
+    ], ids=["nlheat_dt", "decay_radius", "ou_rate_t_list"])
+    def test_rejected_value_exits_schema(self, tmp_path, capsys, kind, params):
+        """A value the runner's own checks reject (ValueError) is a manifest
+        problem: exit 2 with a schema-error line, not a traceback."""
+        manifest = {"schema": 1, "kind": kind, "params": params,
+                    "grid": {"dimension": 1, "points_per_axis": 64, "half_width": 8.0}}
+        path = write_manifest(tmp_path, manifest)
+        code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
+        assert code == EXIT_SCHEMA and record is None
+        assert "schema error" in capsys.readouterr().err
+
+    def test_picard_gaps_raise_no_boundary_warning(self, tmp_path):
+        """Near convergence a Picard gap (the difference of two iterates) is
+        round-off noise; only measured states get the boundary-mass check."""
+        manifest = {"schema": 1, "kind": "nlheat", "seed": 1,
+                    "grid": {"dimension": 1, "points_per_axis": 128, "half_width": 12.0},
+                    "params": {"kind": "inhomogeneous", "alpha": 0.2,
+                               "monitor": [6.0, 2.0, 0.02], "horizon": 0.02,
+                               "dt": 0.005, "modes": 48}}
+        path = write_manifest(tmp_path, manifest)
+        code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
+        assert code == EXIT_OK
+        assert "BoundaryMassWarning" not in [w["category"] for w in record.warnings]
+
     def test_write_failure_exits_write(self, tmp_path):
         path = write_manifest(tmp_path, selftest_manifest())
         blocker = tmp_path / "blocked"

@@ -8,11 +8,12 @@ import anharmonic as ah
 from anharmonic import (INF, FieldSample, Grid, InvalidSpecError, MixedNormParams,
                         ProbeSkipWarning, TruncationError, WeightQuotientParams,
                         WeightSpec, WindowSpec, algebra_ratio, eigenfunction_probes,
-                        fit_decay_exponent, gaussian_probe_fields, longtime_rate,
+                        fit_decay_exponent, gaussian_probe_fields, is_inf, longtime_rate,
                         multilinear_ratio, probe_operator_bound, sigma_exponent,
                         singular_weight_norm, smoothing_decay_run,
                         sobolev_modulation_equivalence, spectral_sum_bound,
-                        standard_probe_family, weight_quotient_norm)
+                        standard_probe_family, stft, weight_quotient_norm)
+from oracles import mixed_norm_reference
 
 FLAT = WeightSpec("flat", 0.0)
 
@@ -285,6 +286,35 @@ class TestSingularWeight:
         # the tail accumulator fills in slowly but stays under the
         # divergence marker used for inadmissible exponents
         assert res.xi_tail_growth < 0.25
+
+    @pytest.mark.parametrize("p,q", [(3.0, 3.0), (3.0, 1.5), (2.0, INF), (INF, 2.0)],
+                             ids=["p3-q3", "p3-q1.5", "p2-qinf", "pinf-q2"])
+    def test_matches_direct_loop_reference(self, p, q):
+        """Value, half-radius value and both xi-tail accumulators against the
+        direct-loop mixed norm of the full STFT field, weight built here. The
+        256-point lattice streams as two blocks."""
+        grid = Grid(1, 256, 8.0)
+        x = grid.axis_nodes()
+        xi = grid.frequency_nodes()[:, 0]
+        weight = (1.0 + np.abs(x)[:, None] + np.abs(xi)[None, :]) ** 0.5
+        cells = (grid.cell_volume, grid.frequency_cell)
+        p_ref, q_ref = ("inf" if is_inf(e) else e for e in (p, q))
+
+        def reference(radius, columns=slice(None)):
+            vals = np.where(np.abs(x) <= radius, np.abs(x) ** -0.5, 0.0)
+            ps = stft(FieldSample(grid, vals), WindowSpec()).values
+            return mixed_norm_reference(ps[:, columns], weight[:, columns],
+                                        p_ref, q_ref, *cells)
+
+        res = singular_weight_norm(0.5, MixedNormParams(p, q), WeightSpec("polynomial", 0.5),
+                                   6.0, grid=grid, bulk_radius=1.0, tail_radius=1.5)
+        assert res.value == pytest.approx(reference(6.0), rel=1e-10)
+        assert res.value_half == pytest.approx(reference(3.0), rel=1e-10)
+        for xi_max, acc in res.xi_tail:
+            band = (np.abs(xi) > 1.0) & (np.abs(xi) <= xi_max)
+            expected = reference(6.0, band) ** (1.0 if is_inf(q) else q)
+            assert acc == pytest.approx(expected, rel=1e-10)
+        assert [xi_max for xi_max, _ in res.xi_tail] == [1.5, 3.0]
 
     def test_inadmissible_outer_exponent_grows_in_frequency(self, hermite_grid):
         # a strong singularity measured with a tiny outer exponent keeps

@@ -6,8 +6,8 @@ import pytest
 
 import anharmonic as ah
 from anharmonic import (DiscardedMassWarning, FieldSample, GaussianConjugation,
-                        Grid, InvalidSpecError, MixedNormParams, WeightSpec,
-                        WindowSpec, apply_conjugation, conjugation_discarded_mass,
+                        Grid, InvalidSpecError, MixedNormParams, ProbeSkipWarning,
+                        WeightSpec, WindowSpec, apply_conjugation, conjugation_discarded_mass,
                         decompose, gaussian_half_density, gaussian_modulation_norm,
                         gaussian_probe_fields, modulation_norm, ou_probe_rate,
                         ou_semigroup)
@@ -164,6 +164,18 @@ class TestOuProbeRate:
         res = ou_probe_rate(c, hermite_dec, 1.0, (1.0, 2.0, 3.0, 4.0), probes)
         assert res.rel_deviation < 0.05
         assert res.r_squared > 0.99
+
+    def test_zero_probe_skipped_with_warning(self, hermite_dec, hermite_grid):
+        """The same skip rule as probe_operator_bound: a zero-norm probe warns
+        and drops out; a corpus of zero probes raises."""
+        c = GaussianConjugation(1)
+        zero = FieldSample(hermite_grid, np.zeros(hermite_grid.size))
+        ones = FieldSample(hermite_grid, np.ones(hermite_grid.size))
+        with pytest.warns(ProbeSkipWarning):
+            res = ou_probe_rate(c, hermite_dec, 1.0, (1.0, 2.0, 3.0), [zero, ones])
+        assert res.rate == pytest.approx(-1.0, rel=1e-9)
+        with pytest.warns(ProbeSkipWarning), pytest.raises(ValueError):
+            ou_probe_rate(c, hermite_dec, 1.0, (1.0, 2.0, 3.0), [zero])
 
     def test_needs_three_times(self, hermite_dec, hermite_grid):
         c = GaussianConjugation(1)

@@ -340,15 +340,19 @@ class TestStreamedNormGuards:
             modulation_norm(unit_gaussian(hermite_grid), WindowSpec(),
                             WeightSpec("polynomial", 400.0), None, MixedNormParams(p, 1.0))
 
-    @pytest.mark.parametrize("transform", ["stft", "modulation_norm"])
+    @pytest.mark.parametrize("transform", ["stft", "modulation_norm", "singular_weight_norm"])
     def test_boundary_mass_warns_at_caller(self, transform):
         grid = Grid(1, 128, 6.0)
         f = FieldSample(grid, np.ones(grid.size))
+        params = MixedNormParams(2.0, 2.0)
         with pytest.warns(BoundaryMassWarning) as record:
             if transform == "stft":
                 stft(f, WindowSpec())
+            elif transform == "modulation_norm":
+                modulation_norm(f, WindowSpec(), FLAT, None, params)
             else:
-                modulation_norm(f, WindowSpec(), FLAT, None, MixedNormParams(2.0, 2.0))
+                # truncated at the half-width, |x|^(-1/2) reaches the box edge
+                ah.singular_weight_norm(0.5, params, FLAT, 6.0, grid=grid)
         assert len(record) == 1
         assert record[0].filename == __file__
 
