@@ -33,8 +33,8 @@ from .model import (INF, MixedNormParams, WeightSpec, exponent_from_json, hermit
 from .estimators import (WeightQuotientParams, algebra_ratio, gaussian_probe_fields,
                          sigma_exponent, singular_weight_norm, smoothing_decay_run,
                          sobolev_modulation_equivalence, standard_probe_family)
-from .nlheat import (NonlinearProblemSpec, duhamel_residual, etd_evolve, picard_solve,
-                     replace_u0)
+from .nlheat import (NonlinearProblemSpec, _check_steps, duhamel_residual, etd_evolve,
+                     picard_solve, replace_u0)
 from .ougauss import (GaussianConjugation, apply_conjugation, gaussian_modulation_norm,
                       ou_probe_rate, ou_semigroup)
 from .phasespace import WindowSpec, gaussian_stft, modulation_norm, stft
@@ -385,8 +385,11 @@ def _run_nlheat(manifest, seed, record):
         e_hor = float(etd_cfg.get("horizon", 1.0))
         e_dt = float(etd_cfg.get("dt", 1e-3))
         order = int(etd_cfg.get("order", 2))
-        p_short = picard_solve(spec, e_hor, e_dt, tol=tol)
-        e_traj = etd_evolve(spec, e_hor, e_dt, order=order)
+        # only the final coefficients are read: checkpoint (and measure the
+        # monitored norm) at the two ends alone
+        e_steps = _check_steps(e_hor, e_dt)
+        p_short = picard_solve(spec, e_hor, e_dt, tol=tol, checkpoint_stride=e_steps)
+        e_traj = etd_evolve(spec, e_hor, e_dt, order=order, checkpoint_stride=e_steps)
         engine_gap = p_short.final_coeffs - e_traj.final_coeffs
         gap_field = dec.reconstruct(engine_gap)
         gap = modulation_norm(gap_field, window, ws, osc, mparams)

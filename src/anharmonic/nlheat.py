@@ -146,11 +146,17 @@ class _Engine:
 class Trajectory:
     """Time-stepped solution record.
 
-    ``monitored_norms`` and ``l2_norms`` are per step; field checkpoints
+    ``l2_norms`` (of the coefficients) are per step. Field checkpoints
     (retained-mode coefficients) are stored every ``stride`` steps plus the
-    final state. ``contraction_factors`` holds, per Picard window, the gap
-    ratios of successive iterates; exponential stepping leaves it empty.
-    A blow-up truncates the record instead of raising.
+    final state, and ``monitored_norms`` is measured at exactly those steps
+    and NaN between them. ``contraction_factors`` holds, per Picard window,
+    the gap ratios of successive iterates; exponential stepping leaves it
+    empty. A blow-up truncates the record instead of raising; its step is
+    stored as a checkpoint with the monitored norm measured. Blow-up is
+    detected at the granularity of the stride: at a stride point by the
+    monitored norm (non-finite or above 1e6), between stride points by
+    non-finite coefficients or an l2 coefficient norm above 1e6. With
+    stride 1 every step is measured.
     """
 
     times: np.ndarray
@@ -173,7 +179,9 @@ class Trajectory:
         return self.checkpoint_coeffs[-1]
 
     def sup_monitored_norm(self) -> float:
-        return float(np.max(self.monitored_norms))
+        """Largest measured monitored norm (NaN steps between checkpoints are
+        skipped)."""
+        return float(np.nanmax(self.monitored_norms))
 
     def max_contraction(self) -> float:
         worst = 0.0
@@ -200,8 +208,17 @@ class Trajectory:
 
 
 class _Recorder:
-    """Trajectory bookkeeping shared by the integrators: per-step norms,
-    checkpoints every ``stride`` steps plus the last, and the blow-up stop."""
+    """Trajectory bookkeeping shared by the integrators: per-step l2 norms,
+    checkpoints every ``stride`` steps plus the last, and the blow-up stop.
+
+    The monitored norm (one full STFT reduction) is measured only where a
+    checkpoint is stored and is NaN at the steps between. At a stride point
+    or the last step the flow has blown up when the monitored norm is
+    non-finite or above ``_BLOWUP_NORM``; between them, when the
+    coefficients are non-finite or their l2 norm is above it. A blow-up step
+    is always checkpointed, with its monitored norm measured (infinite for
+    non-finite coefficients).
+    """
 
     def __init__(self, engine, c, dt, steps, stride):
         self.engine, self.dt, self.steps, self.stride = engine, dt, steps, stride
@@ -212,10 +229,6 @@ class _Recorder:
         self.cps = [c.copy()]
         self.blowup_time = None
 
-    def _checkpoint(self, t, c):
-        self.cp_times.append(t)
-        self.cps.append(c.copy())
-
     def record(self, step, c) -> bool:
         """Record the state after ``step``; True when the flow has blown up.
 
@@ -224,18 +237,23 @@ class _Recorder:
         """
         t = step * self.dt
         finite = bool(np.all(np.isfinite(c)))
-        norm = self.engine.monitored_norm(c) if finite else float("inf")
+        l2 = self.engine.l2_norm(c) if finite else float("inf")
+        on_stride = step % self.stride == 0 or step == self.steps
+        # between stride points only the l2 guard runs; a step it stops is
+        # measured and checkpointed all the same
+        if on_stride or not l2 <= _BLOWUP_NORM:
+            norm = self.engine.monitored_norm(c) if finite else float("inf")
+            blown = not (on_stride and norm <= _BLOWUP_NORM)
+            self.cp_times.append(t)
+            self.cps.append(c.copy())
+        else:
+            norm, blown = float("nan"), False
         self.times.append(t)
         self.monitored.append(norm)
-        self.l2s.append(self.engine.l2_norm(c) if finite else float("inf"))
-        if step % self.stride == 0 or step == self.steps:
-            self._checkpoint(t, c)
-        if np.isfinite(norm) and norm <= _BLOWUP_NORM:
-            return False
-        self.blowup_time = t
-        if self.cp_times[-1] != t:
-            self._checkpoint(t, c)
-        return True
+        self.l2s.append(l2)
+        if blown:
+            self.blowup_time = t
+        return blown
 
     def trajectory(self, contractions=()) -> Trajectory:
         return Trajectory(
@@ -284,8 +302,9 @@ def picard_solve(spec: NonlinearProblemSpec, horizon: float, dt: float,
     the midpoint state is refreshed from the averaged endpoint data. The
     iteration stops when the successive-iterate gap in the monitored norm
     drops below tol; gap ratios are recorded as contraction factors.
-    Monitored norm above 1e6 or a non-finite value truncates the trajectory
-    with the blow-up flag instead of raising.
+    Blow-up (see ``Trajectory`` for how the checkpoint stride sets where it
+    is detected) truncates the trajectory with the blow-up flag instead of
+    raising.
     """
     if tol < 1e-10:
         raise ValueError("tol below 1e-10 is not resolvable by the window quadrature")
@@ -344,6 +363,7 @@ def etd_evolve(spec: NonlinearProblemSpec, horizon: float, dt: float,
 
     Order 1: u(t + dt) = exp(-dt H^beta)(u + dt N(u)); the linear flow is
     exact. Order 2 is the two-stage variant with a trapezoidal correction.
+    Blow-up is recorded as in ``picard_solve``.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")

@@ -14,9 +14,14 @@ staggered-grid phase and fills the full ``PhaseSpaceField``. Every norm is
 reduced by ``_weighted_columns`` (weighted inner L^p column sums or sups) and
 ``_outer_reduce`` (outer L^q): ``mixed_norm`` feeds it |field| as one block,
 ``modulation_norm`` the block magnitudes of the pass, so a streamed norm
-holds a few blocks, never the lattice. The boundary-mass check runs where a
-state is measured, not in the pass, so Picard gaps (round-off noise near
-convergence) are reduced without it.
+holds a few blocks, never the lattice. A real d=1 field under the default
+gaussian window streams half the spectrum: |V_g f(x, -xi)| = |V_g f(x, xi)|
+for real f and a real window, and every weight depends on |xi| only, so the
+pass runs ``rfft`` on the real windowed product, reduces the bins xi >= 0 and
+mirrors the column sums. Complex fields, d=2 and custom windows take the full
+spectrum. The boundary-mass check runs where a state is measured, not in the
+pass, so Picard gaps (round-off noise near convergence) are reduced without
+it.
 """
 
 from __future__ import annotations
@@ -171,7 +176,7 @@ def _gaussian_conj_table(grid: Grid) -> np.ndarray:
     return table
 
 
-def _stft_blocks(f: FieldSample, w: WindowSpec):
+def _stft_blocks(f: FieldSample, w: WindowSpec, real: bool = False):
     """Yield (lo, block) with block[r] = h^d FFT(f conj(g(. - x_{lo+r}))).
 
     Rows run over consecutive x shifts from ``lo``; the block has shape
@@ -179,6 +184,8 @@ def _stft_blocks(f: FieldSample, w: WindowSpec):
     each axis (bin 0 first), with neither fftshift nor the staggered-grid
     phase applied. Every block has the same number of rows, about
     ``_BLOCK_CELLS`` lattice cells; the windowed product reuses one buffer.
+    ``real`` (d=1, default window, f real) transforms the real product with
+    ``rfft`` and yields only the bins 0..N/2, shape (rows, N/2 + 1).
     """
     grid = f.grid
     n_pts, d, size = grid.points_per_axis, grid.dimension, grid.size
@@ -188,8 +195,8 @@ def _stft_blocks(f: FieldSample, w: WindowSpec):
     table = _gaussian_conj_table(grid) if d == 1 and w.kind == "gaussian" else None
     if table is None:
         g_conj = np.conj(window_values(w, grid)).reshape((n_pts,) * d)
-    fv = f.values.reshape((n_pts,) * d)
-    prod = np.empty((rows,) + (n_pts,) * d, dtype=np.complex128)
+    fv = f.values.real if real else f.values.reshape((n_pts,) * d)
+    prod = np.empty((rows,) + (n_pts,) * d, dtype=fv.dtype)
     for lo in range(0, size, rows):
         shifts = np.arange(lo, lo + rows)
         if table is not None:
@@ -200,7 +207,7 @@ def _stft_blocks(f: FieldSample, w: WindowSpec):
             win = g_conj[(ax[None, :, None] - (shifts // n_pts)[:, None, None]) % n_pts,
                          (ax[None, None, :] - (shifts % n_pts)[:, None, None]) % n_pts]
         np.multiply(fv, win, out=prod)
-        block = np.fft.fftn(prod, axes=axes)
+        block = np.fft.rfft(prod, axis=1) if real else np.fft.fftn(prod, axes=axes)
         block *= grid.cell_volume
         yield lo, block
 
@@ -322,15 +329,17 @@ def mixed_reduce(w, p, q, cell_x, cell_xi) -> float:
     return _outer_reduce(_column_reduce(np.asarray(w), p), p, q, cell_x, cell_xi)
 
 
-def _weighted_columns(blocks, lattice, p) -> np.ndarray:
+def _weighted_columns(blocks, lattice, p, lattice_columns=slice(None)) -> np.ndarray:
     """The inner reduction of every phase-space norm. Each (lo, mag) block
-    holds the magnitudes of lattice rows lo.. in ascending xi, overwritten
-    here: it is weighted by the same rows of ``lattice`` and must be finite.
-    Returns the column sums of the p-th powers (column max for INF)."""
+    holds the magnitudes of lattice rows lo.., overwritten here: it is
+    weighted by the same rows of ``lattice``, taken at ``lattice_columns``
+    (by default all of them, a block in ascending xi), and must be finite.
+    Returns the column sums of the p-th powers (column max for INF), one per
+    block column."""
     columns = None
     for lo, mag in blocks:
         if lattice is not None:
-            mag *= lattice[lo:lo + mag.shape[0]]
+            mag *= lattice[lo:lo + mag.shape[0], lattice_columns]
         if not np.all(np.isfinite(mag)):
             raise NumericalError("mixed norm encountered non-finite weighted values")
         part = _column_reduce(mag, p)
@@ -346,9 +355,26 @@ def _weighted_columns(blocks, lattice, p) -> np.ndarray:
 def _modulation_columns(f: FieldSample, w: WindowSpec, ws: WeightSpec,
                         osc: OscillatorSpec | None, p) -> np.ndarray:
     """``_weighted_columns`` of |V_g f| straight from the blocked STFT pass,
-    one column per xi node in ascending order. No boundary-mass check."""
+    one column per xi node in ascending order. No boundary-mass check.
+    A real d=1 field under the default window reduces only the N/2 + 1
+    ``rfft`` bins and mirrors their column sums (see the module docstring).
+    """
     grid = f.grid
-    halves = _ascending_halves(grid.points_per_axis, grid.dimension)
+    n_pts = grid.points_per_axis
+    lattice = _weight_lattice(ws, osc, grid)
+    if grid.dimension == 1 and w.kind == "gaussian" and not f.values.imag.any():
+        half = n_pts // 2
+        # rfft bin k has |xi| = k/(2L), as has lattice column N/2 - k (the
+        # Nyquist bin N/2 is column 0, xi = -N/2): a reversed view weighs all
+        sums = _weighted_columns(
+            ((lo, np.abs(block)) for lo, block in _stft_blocks(f, w, real=True)),
+            lattice, p, slice(half, None, -1))
+        columns = np.empty(n_pts)
+        columns[half:] = sums[:half]
+        columns[:half] = sums[half:0:-1]  # bin k also stands for -k, at column N/2 - k
+        return columns
+
+    halves = _ascending_halves(n_pts, grid.dimension)
 
     def magnitudes():
         mag = None
@@ -359,7 +385,7 @@ def _modulation_columns(f: FieldSample, w: WindowSpec, ws: WeightSpec,
                 np.abs(block[src], out=mag[dst])
             yield lo, mag.reshape(mag.shape[0], grid.size)
 
-    return _weighted_columns(magnitudes(), _weight_lattice(ws, osc, grid), p)
+    return _weighted_columns(magnitudes(), lattice, p)
 
 
 def mixed_norm(field: PhaseSpaceField, w: WeightSpec, osc: OscillatorSpec | None,
@@ -383,7 +409,10 @@ def modulation_norm(f: FieldSample, w: WindowSpec, ws: WeightSpec,
     streamed: the (size, size) phase-space field is never built. The same
     reducer as ``mixed_norm`` folds each block of x-shift magnitudes from the
     shared STFT pass into the inner L^p column sums (column sup for INF);
-    the outer L^q follows once all rows are in. Raises NumericalError on
+    the outer L^q follows once all rows are in. A real d=1 field under the
+    default window transforms only the frequencies xi >= 0 (``rfft``) and
+    mirrors their column sums, which is about half the work; the value
+    agrees with the full-spectrum pass to round-off. Raises NumericalError on
     non-finite weighted values. Like ``stft`` it measures a state, so it
     warns when the field carries boundary mass above 1e-8 of its peak; a
     Picard gap goes through ``_modulation_columns`` without that check.

@@ -2,8 +2,8 @@
 
 Everything here is built from a different method than the code under test:
 the quartic ground state comes from an ODE shooting method, the window
-transform from a closed form, and the mixed norm from direct loops over the
-definition. Frozen constants at the bottom were produced by these oracles
+transform from a closed form (and its Poisson-summed aliases), and the mixed
+norm from direct loops over the definition. Frozen constants at the bottom were produced by these oracles
 and pinned so a regression in either side is caught.
 """
 
@@ -79,6 +79,25 @@ def gaussian_stft_abs(x: np.ndarray, xi: np.ndarray, amp: float, a: float,
     re_beta2 = (a * b + np.pi * x) ** 2 - (np.pi * (c - xi)) ** 2
     return (amp * 2.0 ** 0.25 * np.sqrt(np.pi / alpha)
             * np.exp(re_beta2 / alpha - a * b ** 2 - np.pi * x ** 2))
+
+
+def gaussian_lattice_stft_abs(x: np.ndarray, xi: np.ndarray, amp: float, a: float,
+                              b: float, c: float, h: float, terms: int = 3) -> np.ndarray:
+    """|V_g f| of the same modulated Gaussian as ``gaussian_stft_abs``, but as
+    the lattice transform sees it: the sum over staggered nodes of spacing h
+    (offset h/2 from an even count of cells) aliases every frequency, so by
+    Poisson summation it is |sum_m (-1)^m V_g f(x, xi + m/h)|, here over
+    |m| <= ``terms`` with the complex closed form. Near the Nyquist node the
+    aliases are as large as the term itself.
+    """
+    x = np.asarray(x)[:, None]
+    alpha = a + np.pi
+    total = np.zeros((x.shape[0], np.size(xi)), dtype=complex)
+    for m in range(-terms, terms + 1):
+        eta = np.asarray(xi)[None, :] + m / h
+        beta = a * b + np.pi * x + 1j * np.pi * (c - eta)
+        total += (-1) ** m * np.exp(beta ** 2 / alpha - a * b ** 2 - np.pi * x ** 2)
+    return amp * 2.0 ** 0.25 * np.sqrt(np.pi / alpha) * np.abs(total)
 
 
 def mixed_norm_reference(values, weight, p, q, cell_x, cell_xi):

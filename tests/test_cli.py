@@ -235,6 +235,26 @@ class TestRunManifest:
         assert r1["results"] == r2["results"]
         assert r1["manifest_hash"] == r2["manifest_hash"]
 
+    def test_nlheat_rerun_is_byte_identical(self, tmp_path):
+        """The Picard run, its Duhamel residual and the ETD cross-check give the
+        same CSV bytes and report values on a rerun."""
+        manifest = {"schema": 1, "kind": "nlheat", "seed": 3, "format": "both",
+                    "grid": {"dimension": 1, "points_per_axis": 128, "half_width": 12.0},
+                    "params": {"modes": 48, "horizon": 0.02, "dt": 0.005,
+                               "etd": {"horizon": 0.01, "dt": 0.001, "order": 2}}}
+        path = write_manifest(tmp_path, manifest)
+        code1, _ = run_manifest(path, out_dir=str(tmp_path / "r1"))
+        code2, _ = run_manifest(path, out_dir=str(tmp_path / "r2"))
+        assert code1 == EXIT_OK and code2 == EXIT_OK
+        first = sorted((tmp_path / "r1").glob("*.csv"))
+        assert [p.name for p in first] == ["trajectory.csv"]
+        for a in first:
+            assert a.read_bytes() == (tmp_path / "r2" / a.name).read_bytes()
+        r1 = json.loads((tmp_path / "r1" / "report.json").read_text())
+        r2 = json.loads((tmp_path / "r2" / "report.json").read_text())
+        assert "picard_etd_gap" in [row["name"] for row in r1["results"]]
+        assert r1["results"] == r2["results"]
+
     def test_json_only_format_skips_csv(self, tmp_path):
         path = write_manifest(tmp_path, small_spectrum_manifest())
         code, _ = run_manifest(path, out_dir=str(tmp_path / "out"), fmt="json")

@@ -183,16 +183,28 @@ class TestBlowup:
         assert len(traj.times) == 2
         assert traj.checkpoint_times[-1] == pytest.approx(0.005)
 
-    def test_focusing_etd_blows_up_for_real(self, dec):
+    @pytest.mark.parametrize("stride", [1, 1000])
+    def test_focusing_etd_blows_up_for_real(self, dec, stride):
+        """Stride 1 measures every step; at stride 1000 the l2 guard stops the
+        run between stride points, and the blow-up step is still stored as a
+        checkpoint with its monitored norm measured."""
         x = dec.grid.axis_nodes()
         big = FieldSample(dec.grid, 3.0 * np.exp(-x ** 2 / 2))
         spec = NonlinearProblemSpec(dec, big, coupling=60.0, monitor=MONITOR)
         with np.errstate(all="ignore"):
-            traj = etd_evolve(spec, 0.5, 0.005)
+            traj = etd_evolve(spec, 0.5, 0.005, checkpoint_stride=stride)
         assert traj.blown_up
         assert traj.blowup_time is not None and traj.blowup_time < 0.5
         assert len(traj.times) < 101
         assert traj.monitored_norms[-1] > 1e6 or math.isinf(traj.monitored_norms[-1])
+        assert traj.checkpoint_times[-1] == traj.blowup_time
+        if stride == 1:
+            assert not np.any(np.isnan(traj.monitored_norms))
+        else:
+            assert 1e6 < traj.l2_norms[-1] < np.inf
+            assert np.all(np.isnan(traj.monitored_norms[1:-1]))
+            np.testing.assert_allclose(traj.checkpoint_times, [0.0, traj.blowup_time])
+            assert traj.sup_monitored_norm() == traj.monitored_norms[-1]
 
     def test_blowup_flag_in_csv(self, defocusing, monkeypatch, tmp_path):
         monkeypatch.setattr(anharmonic.nlheat, "_BLOWUP_NORM", 1e-4)
@@ -249,6 +261,26 @@ class TestTrajectoryRecord:
         assert len(rows) == 1 + len(traj.times)
         assert float(rows[1][1]) == traj.monitored_norms[0]
         assert float(rows[-1][0]) == traj.times[-1]
+
+    def test_monitored_norm_only_at_checkpoints(self, defocusing, monkeypatch):
+        """A full-stride run measures the monitored norm at its two ends only;
+        stride 1 measures every step."""
+        calls = []
+        measure = anharmonic.nlheat._Engine.monitored_norm
+
+        def counted(engine, coeffs):
+            calls.append(1)
+            return measure(engine, coeffs)
+
+        monkeypatch.setattr(anharmonic.nlheat._Engine, "monitored_norm", counted)
+        steps = 10
+        traj = etd_evolve(defocusing, 0.05, 0.005, checkpoint_stride=steps)
+        assert len(calls) == 2
+        assert np.isnan(traj.monitored_norms[1:-1]).all()
+        assert np.isfinite(traj.monitored_norms[[0, -1]]).all()
+        calls.clear()
+        picard_solve(defocusing, 0.05, 0.005)
+        assert len(calls) == steps + 1
 
     def test_residual_needs_three_checkpoints(self, defocusing):
         traj = picard_solve(defocusing, 0.02, 0.005, checkpoint_stride=100)

@@ -12,7 +12,8 @@ from anharmonic import (INF, BoundaryMassWarning, FieldSample, Grid,
                         PhaseSpaceField, WeightSpec, WindowSpec, gaussian_stft,
                         mixed_norm, modulation_norm, stft, weight_value,
                         window_values)
-from oracles import gaussian_window_transform_abs, mixed_norm_reference
+from oracles import (gaussian_lattice_stft_abs, gaussian_window_transform_abs,
+                     mixed_norm_reference)
 
 FLAT = WeightSpec("flat", 0.0)
 
@@ -268,6 +269,20 @@ def _wrapped_gaussian_window(grid):
     return WindowSpec("custom", FieldSample(grid, g))
 
 
+def _oracle_weight(kind, grid, quartic_osc):
+    """(WeightSpec, oscillator, lattice built here from the weight's formula)."""
+    x = grid.nodes()[:, 0]
+    xi = grid.frequency_nodes()[:, 0]
+    if kind == "flat":
+        return FLAT, None, 1.0
+    if kind == "polynomial":
+        return (WeightSpec("polynomial", 1.5), None,
+                (1.0 + np.abs(x)[:, None] + np.abs(xi)[None, :]) ** 1.5)
+    # quartic V = x^4 and l = 1: (1 + x^2 + 2 pi |xi|)^s in angular frequency
+    return (WeightSpec("anharmonic", 0.75), quartic_osc,
+            (1.0 + x[:, None] ** 2 + 2.0 * np.pi * np.abs(xi)[None, :]) ** 0.75)
+
+
 class TestStreamedNormOracle:
     """The streamed modulation_norm of the unit gaussian against direct loops
     over the closed form |V_g g| = exp(-pi (|x|^2 + |xi|^2) / 2), with the
@@ -281,17 +296,7 @@ class TestStreamedNormOracle:
     @pytest.mark.parametrize("kind", ["flat", "polynomial", "anharmonic"])
     def test_one_dimension(self, kind, p, q, quartic_osc):
         grid = self.GRID
-        x = grid.nodes()[:, 0]
-        xi = grid.frequency_nodes()[:, 0]
-        if kind == "flat":
-            ws, osc, weight = FLAT, None, 1.0
-        elif kind == "polynomial":
-            ws, osc = WeightSpec("polynomial", 1.5), None
-            weight = (1.0 + np.abs(x)[:, None] + np.abs(xi)[None, :]) ** 1.5
-        else:
-            # quartic V = x^4 and l = 1: (1 + x^2 + 2 pi |xi|)^s in angular frequency
-            ws, osc = WeightSpec("anharmonic", 0.75), quartic_osc
-            weight = (1.0 + x[:, None] ** 2 + 2.0 * np.pi * np.abs(xi)[None, :]) ** 0.75
+        ws, osc, weight = _oracle_weight(kind, grid, quartic_osc)
         expected = _unit_gaussian_oracle(grid, weight, p, q)
         got = modulation_norm(unit_gaussian(grid), WindowSpec(), ws, osc,
                               MixedNormParams(p, q))
@@ -323,6 +328,43 @@ class TestStreamedNormOracle:
         window = _wrapped_gaussian_window(grid) if custom else WindowSpec()
         got = modulation_norm(f, window, FLAT, None, MixedNormParams(p, q))
         assert got == pytest.approx(expected, rel=1e-10)
+
+
+class TestRealStateNorm:
+    """A real field under the default window takes the half-spectrum (rfft)
+    path of the streamed norm. The oracle is the off-centre real Gaussian
+    2 e^{-2 (t - 0.75)^2}, not symmetric in x, with its lattice aliases: on
+    this grid the Nyquist node carries 2e-6 of the peak, so both the Nyquist
+    bin and the mirror into negative xi are weighed by the tolerance."""
+
+    GRID = Grid(1, 256, 24.0)  # two row blocks of the streamed pass
+    AMP, A, B = 2.0, 2.0, 0.75
+
+    def field(self):
+        x = self.GRID.axis_nodes()
+        return FieldSample(self.GRID, self.AMP * np.exp(-self.A * (x - self.B) ** 2))
+
+    @pytest.mark.parametrize("p,q", [(1.0, 1.0), (2.0, 1.0), (6.0, 2.0), (INF, 2.0),
+                                     (2.0, INF), (0.5, 0.5)], ids=_exponent_id)
+    @pytest.mark.parametrize("kind", ["flat", "polynomial", "anharmonic"])
+    def test_against_aliased_closed_form(self, kind, p, q, quartic_osc):
+        grid = self.GRID
+        ws, osc, weight = _oracle_weight(kind, grid, quartic_osc)
+        mag = gaussian_lattice_stft_abs(grid.nodes()[:, 0], grid.frequency_nodes()[:, 0],
+                                        self.AMP, self.A, self.B, 0.0, grid.h)
+        expected = mixed_norm_reference(mag, weight, _oracle_exponent(p),
+                                        _oracle_exponent(q), grid.cell_volume,
+                                        grid.frequency_cell)
+        f = self.field()
+        params = MixedNormParams(p, q)
+        got = modulation_norm(f, WindowSpec(), ws, osc, params)
+        assert got == pytest.approx(expected, rel=1e-10)
+        # an imaginary part far below round-off sends the same field down the
+        # full-spectrum path
+        vals = np.array(f.values)
+        vals[grid.size // 3] += 1e-300j
+        full = modulation_norm(FieldSample(grid, vals), WindowSpec(), ws, osc, params)
+        assert got == pytest.approx(full, rel=1e-13)
 
 
 class TestStreamedNormGuards:
