@@ -15,16 +15,11 @@ from .errors import (AnharmonicError, BoundaryMassWarning, DiscardedMassWarning,
                      OffSpanWarning, ProbeSkipWarning, SchemaError, TruncationError)
 from .model import (INF, MixedNormParams, OscillatorSpec, PotentialSpec, WeightSpec,
                     check_exponent, evaluate_potential, exponent_from_json,
-                    exponent_to_json, hermite_oscillator, is_inf, norm_params_from_dict,
-                    norm_params_to_dict, oscillator, oscillator_from_dict,
-                    oscillator_to_dict, potential_from_dict, potential_to_dict,
-                    submultiplicativity_defect, weight_from_dict, weight_to_dict,
-                    weight_value)
+                    hermite_oscillator, is_inf, oscillator, oscillator_from_dict,
+                    potential_from_dict, submultiplicativity_defect, weight_value)
 from .spectral import (FieldSample, Grid, GrowthFit, SpectralDecomposition,
-                       assemble_operator, cache_key, decompose, default_grid,
-                       eigendecompose, eigenvalue_growth_fit, field_from_function,
-                       gershgorin_bounds, growth_target, load_decomposition,
-                       save_decomposition)
+                       assemble_operator, decompose, eigendecompose, eigenvalue_growth_fit,
+                       field_from_function, growth_target)
 from .calculus import (SemigroupQuery, apply_spectral_function, fractional_power,
                        heat_semigroup, project, sobolev_norm)
 from .phasespace import (PhaseSpaceField, WindowSpec, gaussian_half_density,
@@ -53,15 +48,12 @@ __all__ = [
     # model
     "INF", "is_inf", "check_exponent", "PotentialSpec", "evaluate_potential",
     "OscillatorSpec", "oscillator", "hermite_oscillator", "WeightSpec", "weight_value",
-    "submultiplicativity_defect", "MixedNormParams", "exponent_to_json",
-    "exponent_from_json", "potential_to_dict", "potential_from_dict",
-    "oscillator_to_dict", "oscillator_from_dict", "weight_to_dict", "weight_from_dict",
-    "norm_params_to_dict", "norm_params_from_dict",
+    "submultiplicativity_defect", "MixedNormParams", "exponent_from_json",
+    "potential_from_dict", "oscillator_from_dict",
     # spectral
-    "Grid", "default_grid", "FieldSample", "field_from_function", "assemble_operator",
-    "gershgorin_bounds", "SpectralDecomposition", "eigendecompose", "decompose",
-    "GrowthFit", "growth_target", "eigenvalue_growth_fit", "cache_key",
-    "save_decomposition", "load_decomposition",
+    "Grid", "FieldSample", "field_from_function", "assemble_operator",
+    "SpectralDecomposition", "eigendecompose", "decompose", "GrowthFit", "growth_target",
+    "eigenvalue_growth_fit",
     # calculus
     "SemigroupQuery", "apply_spectral_function", "heat_semigroup", "fractional_power",
     "project", "sobolev_norm",

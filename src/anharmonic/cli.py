@@ -37,12 +37,13 @@ from .nlheat import (NonlinearProblemSpec, _check_steps, duhamel_residual, etd_e
                      picard_solve, replace_u0)
 from .ougauss import (GaussianConjugation, apply_conjugation, gaussian_modulation_norm,
                       ou_probe_rate, ou_semigroup)
-from .phasespace import WindowSpec, gaussian_stft, modulation_norm, stft
+from .phasespace import WindowSpec, gaussian_stft, mixed_norm, modulation_norm, stft
 from .spectral import FieldSample, Grid, decompose, eigenvalue_growth_fit
 
 _KINDS = ("spectrum", "decay", "norms", "nlheat", "ou", "selftest")
 _FORMATS = ("json", "csv", "both")
 _DEFAULT_SEED = 1234
+_L2_GAMMA_TOL = 1e-9  # Moyal holds up to the window-norm error, capped at 1e-10
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -350,6 +351,8 @@ def _run_nlheat(manifest, seed, record):
     monitor = (_parse_exponent(mon_raw[0], "params.monitor"),
                _parse_exponent(mon_raw[1], "params.monitor"), float(mon_raw[2]))
     initial_norm = float(params.get("initial_norm", 0.05))
+    _require(np.isfinite(initial_norm) and initial_norm > 0,
+             "params.initial_norm must be a finite real > 0", "params.initial_norm")
     horizon = float(params.get("horizon", 5.0))
     dt = float(params.get("dt", 5e-3))
     tol = float(params.get("tol", 1e-8))
@@ -401,6 +404,16 @@ def _run_nlheat(manifest, seed, record):
     record.series["trajectory"] = {"header": header, "rows": rows}
 
 
+def _l2_gamma_rel_err(norm, conj, f) -> float:
+    """Relative distance of an L^{2,2} modulation norm of gamma^(1/2) f from
+    ||f||_{L^2(gamma)}, with gamma taken from ``conj.density``: the lattice
+    Moyal identity makes them equal up to the window-norm error."""
+    grid = f.grid
+    ref = float(np.sqrt(grid.cell_volume
+                        * np.sum(conj.density(grid) * np.abs(f.values) ** 2)))
+    return abs(norm - ref) / ref
+
+
 def _run_ou(manifest, seed, record):
     params = manifest.get("params", {})
     grid = _grid_from_manifest(manifest)
@@ -431,6 +444,9 @@ def _run_ou(manifest, seed, record):
     gap = abs(lhs - rhs)
     record.results.append(_result("gaussian_norm_isometry_gap", gap, 0.0, gap, 0.0,
                                   gap == 0.0))
+    err = _l2_gamma_rel_err(lhs, conj, probe)
+    record.results.append(_result("gaussian_norm_l2_gamma_rel_err", err, 0.0, err,
+                                  _L2_GAMMA_TOL, err <= _L2_GAMMA_TOL))
 
     probes = gaussian_probe_fields(grid, int(params.get("gauss_probes", 30)), seed)
     rate = ou_probe_rate(conj, dec, beta, params.get("rate_t_list", [1, 2, 3, 4, 5]),
@@ -491,6 +507,9 @@ def _run_selftest(manifest, seed, record):
     conj = GaussianConjugation(1)
     ms = stft(apply_conjugation(conj, "forward", probe), window)
     row("gaussian_stft_code_path", float(np.max(np.abs(gs.values - ms.values))), 0.0, 0.0)
+    row("gaussian_stft_l2_gamma_rel_err",
+        _l2_gamma_rel_err(mixed_norm(gs, flat, None, MixedNormParams(2.0, 2.0)), conj, probe),
+        0.0, _L2_GAMMA_TOL)
 
     u0 = FieldSample(grid, 0.05 * np.asarray(dec.eigenfunction(0).values))
     spec = NonlinearProblemSpec(dec, u0, coupling=0.0)

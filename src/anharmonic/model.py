@@ -338,30 +338,8 @@ class MixedNormParams:
         object.__setattr__(self, "p", check_exponent("p", self.p))
         object.__setattr__(self, "q", check_exponent("q", self.q))
 
-    @property
-    def p_conjugate(self):
-        return _conjugate("p", self.p)
 
-    @property
-    def q_conjugate(self):
-        return _conjugate("q", self.q)
-
-
-def _conjugate(name, p):
-    if is_inf(p):
-        return 1.0
-    if p < 1.0:
-        raise InvalidSpecError(f"conjugate of {name}={p} is undefined below 1")
-    if p == 1.0:
-        return INF
-    return p / (p - 1.0)
-
-
-# --- serialization helpers used by the spectral cache and the CLI ---------
-
-def exponent_to_json(p):
-    return "inf" if is_inf(p) else float(p)
-
+# --- manifest parsers used by the CLI ---------------------------------------
 
 def exponent_from_json(v):
     if isinstance(v, str):
@@ -369,15 +347,6 @@ def exponent_from_json(v):
             return INF
         raise InvalidSpecError(f"bad exponent string {v!r}")
     return float(v)
-
-
-def potential_to_dict(spec: PotentialSpec) -> dict:
-    out = {"kind": spec.kind, "degree_half": spec.degree_half, "dimension": spec.dimension}
-    if spec.kind == "aniso_sum":
-        out["coefficients"] = list(spec.coefficients)
-    if spec.kind == "custom_poly":
-        out["terms"] = [[list(m), c] for m, c in spec.terms]
-    return out
 
 
 def potential_from_dict(data: dict) -> PotentialSpec:
@@ -390,16 +359,6 @@ def potential_from_dict(data: dict) -> PotentialSpec:
     )
 
 
-def oscillator_to_dict(osc: OscillatorSpec) -> dict:
-    return {
-        "dimension": osc.dimension,
-        "l": osc.l,
-        "potential": potential_to_dict(osc.potential),
-        "beta": osc.beta,
-        "q1": osc.q1,
-    }
-
-
 def oscillator_from_dict(data: dict) -> OscillatorSpec:
     return OscillatorSpec(
         dimension=int(data["dimension"]),
@@ -409,21 +368,3 @@ def oscillator_from_dict(data: dict) -> OscillatorSpec:
         q1=float(data.get("q1", 1.0)),
     )
 
-
-def weight_to_dict(w: WeightSpec) -> dict:
-    return {"kind": w.kind, "s": w.s}
-
-
-def weight_from_dict(data: dict) -> WeightSpec:
-    return WeightSpec(kind=data.get("kind", "anharmonic"), s=float(data.get("s", 0.0)))
-
-
-def norm_params_to_dict(np_: MixedNormParams) -> dict:
-    return {"p": exponent_to_json(np_.p), "q": exponent_to_json(np_.q)}
-
-
-def norm_params_from_dict(data: dict) -> MixedNormParams:
-    return MixedNormParams(
-        p=exponent_from_json(data.get("p", 2.0)),
-        q=exponent_from_json(data.get("q", 2.0)),
-    )

@@ -11,7 +11,6 @@ computable surrogate for the global fixed-point ball.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,14 +49,16 @@ class NonlinearProblemSpec:
         object.__setattr__(self, "coupling", complex(self.coupling))
         if not np.isfinite(self.beta) or self.beta <= 0:
             raise InvalidSpecError("beta must be a positive real")
+        if not np.isfinite(self.coupling):
+            raise InvalidSpecError("coupling must be finite")
         if not isinstance(self.nu, (int, np.integer)) or self.nu < 1:
             raise InvalidSpecError("nu must be an integer >= 1")
         object.__setattr__(self, "nu", int(self.nu))
         if self.kind not in ("power", "inhomogeneous"):
             raise InvalidSpecError(f"unknown nonlinearity kind {self.kind!r}")
         alpha = float(self.alpha)
-        if self.kind == "inhomogeneous" and alpha <= 0:
-            raise InvalidSpecError("inhomogeneous kind needs alpha > 0")
+        if self.kind == "inhomogeneous" and not (np.isfinite(alpha) and alpha > 0):
+            raise InvalidSpecError("inhomogeneous kind needs a finite alpha > 0")
         if self.kind == "power":
             alpha = 0.0
         object.__setattr__(self, "alpha", alpha)
@@ -69,7 +70,8 @@ class NonlinearProblemSpec:
     @property
     def alpha_admissible(self) -> bool:
         """Whether alpha sits in the window ks < alpha < d - ls of the
-        monitored weight exponent; recorded, never enforced."""
+        monitored weight exponent. A query for the caller: no solver or
+        runner checks, enforces or records it."""
         if self.kind != "inhomogeneous":
             return True
         osc = self.decomposition.oscillator
@@ -84,13 +86,15 @@ def _singular_factor(spec: NonlinearProblemSpec):
     return np.linalg.norm(grid.nodes(), axis=1) ** (-spec.alpha)
 
 
+def _nonlinear_values(spec: NonlinearProblemSpec, v: np.ndarray, sing) -> np.ndarray:
+    """coupling |v|^(2 nu) v, times the singular factor ``sing`` unless None."""
+    nl = spec.coupling * np.abs(v) ** (2 * spec.nu) * v
+    return nl if sing is None else nl * sing
+
+
 def apply_nonlinearity(spec: NonlinearProblemSpec, u: FieldSample) -> FieldSample:
     """Pointwise coupling |u|^(2 nu) u, times |x|^(-alpha) when inhomogeneous."""
-    vals = spec.coupling * np.abs(u.values) ** (2 * spec.nu) * u.values
-    sing = _singular_factor(spec)
-    if sing is not None:
-        vals = vals * sing
-    return FieldSample(u.grid, vals)
+    return FieldSample(u.grid, _nonlinear_values(spec, u.values, _singular_factor(spec)))
 
 
 class _Engine:
@@ -119,11 +123,7 @@ class _Engine:
         return real_matmul(self.phi, coeffs)
 
     def nonlin_coeff(self, coeffs: np.ndarray) -> np.ndarray:
-        v = self.to_values(coeffs)
-        nl = self.spec.coupling * np.abs(v) ** (2 * self.spec.nu) * v
-        if self.sing is not None:
-            nl = nl * self.sing
-        return self.to_coeff(nl)
+        return self.to_coeff(_nonlinear_values(self.spec, self.to_values(coeffs), self.sing))
 
     def monitored_norm(self, coeffs: np.ndarray) -> float:
         f = FieldSample(self.dec.grid, self.to_values(coeffs))
@@ -198,13 +198,6 @@ class Trajectory:
                      and t >= self.blowup_time)]
                 for t, norm, l2 in zip(self.times, self.monitored_norms, self.l2_norms)]
         return ["t", "monitored_norm", "l2_norm", "blowup"], rows
-
-    def to_csv(self, path) -> None:
-        header, rows = self.table()
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
 
 
 class _Recorder:
@@ -306,8 +299,9 @@ def picard_solve(spec: NonlinearProblemSpec, horizon: float, dt: float,
     is detected) truncates the trajectory with the blow-up flag instead of
     raising.
     """
-    if tol < 1e-10:
-        raise ValueError("tol below 1e-10 is not resolvable by the window quadrature")
+    if not (np.isfinite(tol) and tol >= 1e-10):
+        raise ValueError("tol must be a finite real >= 1e-10, the finest the window "
+                         "quadrature resolves")
     if max_iter < 2:
         raise ValueError("max_iter must be at least 2: the contraction factor "
                          "needs two successive-iterate gaps")

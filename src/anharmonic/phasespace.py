@@ -26,10 +26,8 @@ it.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -111,39 +109,6 @@ class PhaseSpaceField:
             raise InvalidSpecError(f"phase-space values must be ({size}, {size})")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    def xi_lattice(self) -> np.ndarray:
-        return self.grid.frequency_nodes()
-
-    def to_csv(self, path) -> None:
-        """Rows (x, xi, re, im, abs); d=2 writes per-axis coordinate columns."""
-        nodes = self.grid.nodes()
-        freqs = self.grid.frequency_nodes()
-        d = self.grid.dimension
-        header = (["x", "xi"] if d == 1 else ["x1", "x2", "xi1", "xi2"]) + ["re", "im", "abs"]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(self.grid.size):
-                for n in range(self.grid.size):
-                    v = self.values[i, n]
-                    coords = [repr(float(c)) for c in (*nodes[i], *freqs[n])]
-                    writer.writerow(coords + [repr(float(v.real)), repr(float(v.imag)),
-                                              repr(float(abs(v)))])
-
-    def metadata_sidecar(self, path) -> None:
-        meta = {
-            "schema": 1,
-            "dimension": self.grid.dimension,
-            "points_per_axis": self.grid.points_per_axis,
-            "half_width": self.grid.half_width,
-            "x_cell": self.grid.cell_volume,
-            "xi_cell": self.grid.frequency_cell,
-            "convention": "kernel exp(-2*pi*i*xi*z), xi lattice n/(2L) ascending",
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _check_boundary_mass(f: FieldSample) -> None:

@@ -9,24 +9,18 @@ nodal potential is strictly positive.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import InvalidSpecError, NonConvergenceError, NumericalError
-from .model import OscillatorSpec, evaluate_potential, oscillator_from_dict, oscillator_to_dict
+from .model import OscillatorSpec, evaluate_potential
 
 _CLUSTER_GAP = 1e-8
 _ORTHO_TOL = 1e-9
 _RESIDUAL_TOL = 1e-8
 _MAX_DENSE = 4096
-
-_CACHE_MAGIC = b"AHNC"
-_CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -95,10 +89,6 @@ class Grid:
         return (((np.arange(n) + n // 2) % n) - n // 2) * self.h
 
 
-def default_grid(dimension: int = 1) -> Grid:
-    return Grid(dimension, 512 if dimension == 1 else 64, 12.0)
-
-
 @dataclass(frozen=True, eq=False)
 class FieldSample:
     """A complex-valued function sampled on a grid, flattened C-order."""
@@ -162,8 +152,7 @@ def assemble_operator(osc: OscillatorSpec, grid: Grid) -> np.ndarray:
     Positivity is certified exactly: the Fourier multiplier is nonnegative
     and the strictly positive nodal potential is checked (the staggered
     grid excludes the origin, so min V over nodes is positive for any valid
-    potential). Gershgorin radii are available separately as a diagnostic
-    only; they are far too pessimistic to certify anything here.
+    potential).
     """
     if osc.dimension != grid.dimension:
         raise InvalidSpecError("oscillator and grid dimensions differ")
@@ -190,13 +179,6 @@ def assemble_operator(osc: OscillatorSpec, grid: Grid) -> np.ndarray:
     a = a + np.diag(np.asarray(v_nodes, dtype=float).ravel())
     a = 0.5 * (a + a.T)
     return a
-
-
-def gershgorin_bounds(a: np.ndarray):
-    """Diagnostic (min, max) Gershgorin eigenvalue bounds of a square matrix."""
-    d = np.diag(a)
-    r = np.sum(np.abs(a), axis=1) - np.abs(d)
-    return float(np.min(d - r)), float(np.max(d + r))
 
 
 def real_matmul(a: np.ndarray, x) -> np.ndarray:
@@ -379,58 +361,3 @@ def eigenvalue_growth_fit(dec: SpectralDecomposition, j_lo: int, j_hi: int) -> G
     return GrowthFit(float(slope), float(intercept), target,
                      abs(slope - target) / target, int(j_lo), int(j_hi))
 
-
-# --- binary cache -----------------------------------------------------------
-
-def cache_key(osc: OscillatorSpec, grid: Grid, m: int) -> str:
-    payload = {
-        "oscillator": oscillator_to_dict(osc),
-        "grid": {"dimension": grid.dimension, "points_per_axis": grid.points_per_axis,
-                 "half_width": grid.half_width},
-        "m": int(m),
-    }
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
-def save_decomposition(dec: SpectralDecomposition, path) -> None:
-    """Write a decomposition: magic, version, JSON header, little-endian f8 arrays."""
-    header = {
-        "key": cache_key(dec.oscillator, dec.grid, dec.m),
-        "oscillator": oscillator_to_dict(dec.oscillator),
-        "grid": {"dimension": dec.grid.dimension,
-                 "points_per_axis": dec.grid.points_per_axis,
-                 "half_width": dec.grid.half_width},
-        "m": dec.m,
-        "size": dec.grid.size,
-    }
-    blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<I", _CACHE_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(dec.eigenvalues, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(dec.eigenvectors, dtype="<f8").tobytes())
-
-
-def load_decomposition(path) -> SpectralDecomposition:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _CACHE_MAGIC:
-            raise InvalidSpecError(f"{path} is not a decomposition cache file")
-        version, = struct.unpack("<I", fh.read(4))
-        if version != _CACHE_VERSION:
-            raise InvalidSpecError(f"unsupported cache version {version}")
-        blob_len, = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(blob_len).decode())
-        osc = oscillator_from_dict(header["oscillator"])
-        grid = Grid(header["grid"]["dimension"], header["grid"]["points_per_axis"],
-                    header["grid"]["half_width"])
-        m = int(header["m"])
-        size = int(header["size"])
-        vals = np.frombuffer(fh.read(8 * m), dtype="<f8").copy()
-        vecs = np.frombuffer(fh.read(8 * size * m), dtype="<f8").copy().reshape(size, m)
-    if header["key"] != cache_key(osc, grid, m):
-        raise InvalidSpecError("cache key mismatch; file does not match its header")
-    if vals.shape[0] != m or vals[0] <= 0 or not np.all(np.diff(vals) >= 0):
-        raise NumericalError("cached eigenvalues fail basic sanity checks")
-    return SpectralDecomposition(osc, grid, m, vals, vecs)

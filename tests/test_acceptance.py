@@ -207,11 +207,13 @@ def test_inhomogeneous_nonlinearity_runs_globally(tmp_path):
 def test_gaussian_conjugated_semigroup_checks(tmp_path):
     """Conjugated semigroup on the constant field matches exp(-t) on
     |x| <= 6 within 1e-6; the conjugated norm is bit-identical to the norm
-    of the multiplied field; the probe decay rate lands within 5% of -1."""
+    of the multiplied field and equals the L^2(gamma) norm of the probe to
+    1e-9 relative; the probe decay rate lands within 5% of -1."""
     code, record = run_config("ou.json", tmp_path)
     rows = rows_by_name(record)
     assert rows["ou_constant_field_err"]["value"] <= 1e-6
     assert rows["gaussian_norm_isometry_gap"]["value"] == 0.0
+    assert rows["gaussian_norm_l2_gamma_rel_err"]["value"] <= 1e-9
     assert rows["ou_longtime_rate"]["target"] == pytest.approx(-1.0, rel=1e-12)
     assert rows["ou_longtime_rate"]["deviation"] <= 0.05
     assert code == EXIT_OK

@@ -164,7 +164,18 @@ class TestRunManifest:
         ("nlheat", {"dt": 0.02, "modes": 16, "horizon": 0.04}),
         ("decay", {"radius": "thirty"}),
         ("ou", {"modes": 16, "gauss_probes": 2, "rate_t_list": [1.0, 2.0]}),
-    ], ids=["nlheat_dt", "decay_radius", "ou_rate_t_list"])
+        ("nlheat", {"initial_norm": 0.0, "modes": 16, "horizon": 0.01}),
+        ("nlheat", {"initial_norm": -0.05, "modes": 16, "horizon": 0.01}),
+        ("nlheat", {"initial_norm": float("nan"), "modes": 16, "horizon": 0.01}),
+        ("nlheat", {"initial_norm": float("inf"), "modes": 16, "horizon": 0.01}),
+        ("nlheat", {"tol": float("nan"), "modes": 16, "horizon": 0.01}),
+        ("nlheat", {"coupling_re": float("nan"), "modes": 16, "horizon": 0.01}),
+        ("nlheat", {"kind": "inhomogeneous", "alpha": float("nan"), "modes": 16,
+                    "horizon": 0.01}),
+    ], ids=["nlheat_dt", "decay_radius", "ou_rate_t_list", "nlheat_initial_norm_zero",
+            "nlheat_initial_norm_negative", "nlheat_initial_norm_nan",
+            "nlheat_initial_norm_inf", "nlheat_tol_nan", "nlheat_coupling_nan",
+            "nlheat_alpha_nan"])
     def test_rejected_value_exits_schema(self, tmp_path, capsys, kind, params):
         """A value the runner's own checks reject (ValueError) is a manifest
         problem: exit 2 with a schema-error line, not a traceback."""

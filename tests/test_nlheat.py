@@ -10,6 +10,7 @@ from anharmonic import (FieldSample, Grid, InvalidSpecError, NonConvergenceError
                         NonlinearProblemSpec, OffSpanWarning, SemigroupQuery,
                         apply_nonlinearity, decompose, duhamel_residual, etd_evolve,
                         heat_semigroup, picard_solve, replace_u0, smallness_threshold)
+from anharmonic.cli import ReportRecord, emit_plot_data
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::anharmonic.errors.BoundaryMassWarning")
@@ -33,6 +34,16 @@ def defocusing(dec, small_u0):
     return NonlinearProblemSpec(dec, small_u0, coupling=-1.0, monitor=MONITOR)
 
 
+def trajectory_csv_rows(traj, out_dir):
+    """Rows of trajectory.csv as the nlheat runner writes it from ``table()``."""
+    header, rows = traj.table()
+    record = ReportRecord("h", "0", "nlheat", 1,
+                          series={"trajectory": {"header": header, "rows": rows}})
+    emit_plot_data(record, out_dir)
+    with open(out_dir / "trajectory.csv", newline="") as fh:
+        return list(csv.reader(fh))
+
+
 class TestProblemSpec:
     def test_validation(self, dec, small_u0):
         with pytest.raises(InvalidSpecError):
@@ -47,6 +58,9 @@ class TestProblemSpec:
             NonlinearProblemSpec(dec, small_u0, kind="inhomogeneous", alpha=0.0)
         with pytest.raises(InvalidSpecError):
             NonlinearProblemSpec(dec, small_u0, monitor=(2.0, 1.0))
+        for coupling in (complex(np.nan, 0.0), complex(0.0, np.inf)):
+            with pytest.raises(InvalidSpecError):
+                NonlinearProblemSpec(dec, small_u0, coupling=coupling)
         other = FieldSample(Grid(1, 64, 10.0), np.zeros(64))
         with pytest.raises(InvalidSpecError):
             NonlinearProblemSpec(dec, other)
@@ -89,6 +103,18 @@ class TestApplyNonlinearity:
         np.testing.assert_allclose(out.values, expected, rtol=1e-14)
         assert np.all(np.isfinite(out.values))  # staggered nodes avoid x = 0
 
+    @pytest.mark.parametrize("kind,alpha", [("power", 0.0), ("inhomogeneous", 0.4)])
+    def test_integrators_run_the_same_rule(self, dec, small_u0, kind, alpha):
+        """The engine's coefficient-space nonlinearity is apply_nonlinearity
+        between a reconstruction and a projection, bit for bit."""
+        spec = NonlinearProblemSpec(dec, small_u0, nu=2, coupling=-0.3 + 0.1j,
+                                    kind=kind, alpha=alpha)
+        engine = anharmonic.nlheat._Engine(spec)
+        c = engine.to_coeff(small_u0.values)
+        u = FieldSample(dec.grid, engine.to_values(c))
+        np.testing.assert_array_equal(engine.nonlin_coeff(c),
+                                      engine.to_coeff(apply_nonlinearity(spec, u).values))
+
 
 class TestStepValidation:
     def test_step_constraints(self, defocusing):
@@ -100,6 +126,8 @@ class TestStepValidation:
             picard_solve(defocusing, -1.0, 0.005)
         with pytest.raises(ValueError):
             picard_solve(defocusing, 0.05, 0.005, tol=1e-12)
+        with pytest.raises(ValueError):
+            picard_solve(defocusing, 0.05, 0.005, tol=float("nan"))
         with pytest.raises(ValueError):
             picard_solve(defocusing, 0.05, 0.005, max_iter=1)
         with pytest.raises(ValueError):
@@ -209,10 +237,7 @@ class TestBlowup:
     def test_blowup_flag_in_csv(self, defocusing, monkeypatch, tmp_path):
         monkeypatch.setattr(anharmonic.nlheat, "_BLOWUP_NORM", 1e-4)
         traj = picard_solve(defocusing, 0.05, 0.005)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        rows = trajectory_csv_rows(traj, tmp_path)
         assert rows[0] == ["t", "monitored_norm", "l2_norm", "blowup"]
         assert [r[3] for r in rows[1:]] == ["0", "1"]
 
@@ -254,10 +279,7 @@ class TestTrajectoryRecord:
 
     def test_csv_round_trip_values(self, defocusing, tmp_path):
         traj = picard_solve(defocusing, 0.02, 0.005)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        rows = trajectory_csv_rows(traj, tmp_path)
         assert len(rows) == 1 + len(traj.times)
         assert float(rows[1][1]) == traj.monitored_norms[0]
         assert float(rows[-1][0]) == traj.times[-1]

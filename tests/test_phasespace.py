@@ -1,5 +1,3 @@
-import csv
-import json
 import tracemalloc
 import warnings
 
@@ -79,7 +77,7 @@ class TestStft:
         out = stft(f, WindowSpec())
         i, n = np.unravel_index(np.argmax(np.abs(out.values)), out.values.shape)
         assert hermite_grid.nodes()[i, 0] == pytest.approx(2.0, abs=hermite_grid.h)
-        assert out.xi_lattice()[n, 0] == pytest.approx(1.5, abs=hermite_grid.frequency_cell)
+        assert hermite_grid.frequency_nodes()[n, 0] == pytest.approx(1.5, abs=hermite_grid.frequency_cell)
 
     def test_boundary_mass_warns(self):
         grid = Grid(1, 128, 6.0)
@@ -105,32 +103,6 @@ class TestPhaseSpaceField:
     def test_shape_validated(self, hermite_grid):
         with pytest.raises(InvalidSpecError):
             PhaseSpaceField(hermite_grid, np.zeros((3, 3)))
-
-    def test_to_csv_layout(self, tmp_path):
-        grid = Grid(1, 8, 4.0)
-        vals = np.arange(64, dtype=float).reshape(8, 8) * (1 + 1j)
-        field = PhaseSpaceField(grid, vals)
-        path = tmp_path / "field.csv"
-        field.to_csv(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["x", "xi", "re", "im", "abs"]
-        assert len(rows) == 1 + 64
-        x, xi, re, im, mag = (float(v) for v in rows[1])
-        assert x == grid.nodes()[0, 0] and xi == grid.frequency_nodes()[0, 0]
-        assert re == 0.0 and im == 0.0 and mag == 0.0
-        x, xi, re, im, mag = (float(v) for v in rows[2])
-        assert re == 1.0 and im == 1.0 and mag == pytest.approx(np.sqrt(2.0))
-
-    def test_metadata_sidecar(self, tmp_path):
-        grid = Grid(1, 8, 4.0)
-        field = PhaseSpaceField(grid, np.zeros((8, 8)))
-        path = tmp_path / "field.meta.json"
-        field.metadata_sidecar(path)
-        meta = json.loads(path.read_text())
-        assert meta["schema"] == 1
-        assert meta["x_cell"] == grid.cell_volume
-        assert meta["xi_cell"] == grid.frequency_cell
 
 
 class TestMixedNorm:

@@ -9,16 +9,12 @@ import json
 import numpy as np
 import pytest
 
-from anharmonic import INF, InvalidSpecError
+from anharmonic import INF
 from anharmonic.estimators import sigma_exponent
-from anharmonic.model import (MixedNormParams, OscillatorSpec, PotentialSpec,
-                              WeightSpec, evaluate_potential, exponent_from_json,
-                              exponent_to_json, is_inf, norm_params_from_dict,
-                              norm_params_to_dict, oscillator,
-                              oscillator_from_dict, oscillator_to_dict,
-                              potential_from_dict, potential_to_dict,
-                              submultiplicativity_defect, weight_from_dict,
-                              weight_to_dict, weight_value)
+from anharmonic.model import (OscillatorSpec, PotentialSpec, WeightSpec,
+                              evaluate_potential, exponent_from_json, is_inf,
+                              oscillator, oscillator_from_dict, potential_from_dict,
+                              submultiplicativity_defect, weight_value)
 from anharmonic.phasespace import mixed_reduce
 from oracles import mixed_norm_reference
 
@@ -118,60 +114,52 @@ class TestWeightAlgebra:
 
 
 class TestExponentArithmetic:
-    def test_conjugate_is_an_involution(self):
-        for p in [1.0, 2.0, INF] + list(rng.uniform(1.0, 40.0, 20)):
-            params = MixedNormParams(p=p, q=2.0)
-            back = MixedNormParams(p=params.p_conjugate, q=2.0).p_conjugate
-            if is_inf(p):
-                assert is_inf(back)
-            else:
-                assert back == pytest.approx(float(p), rel=1e-12)
-
-    def test_holder_pairing(self):
-        """1/p + 1/p' = 1 for finite conjugate pairs."""
-        for p in rng.uniform(1.0 + 1e-6, 50.0, 20):
-            params = MixedNormParams(p=float(p), q=2.0)
-            assert 1.0 / p + 1.0 / params.p_conjugate == pytest.approx(1.0, rel=1e-12)
-
-    def test_conjugate_below_one_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            MixedNormParams(p=0.5, q=2.0).p_conjugate
-
     def test_inf_json_roundtrip(self):
-        assert is_inf(exponent_from_json(exponent_to_json(INF)))
-        assert json.dumps(exponent_to_json(INF)) == '"inf"'
+        """Exponents written into manifest JSON parse back unchanged."""
+        assert is_inf(exponent_from_json(json.loads('"inf"')))
         for p in rng.uniform(0.25, 30.0, 20):
-            cycled = exponent_from_json(json.loads(json.dumps(exponent_to_json(float(p)))))
-            assert cycled == float(p)
+            assert exponent_from_json(json.loads(json.dumps(float(p)))) == float(p)
 
 
 class TestSerializationRoundtrips:
+    """Random manifest blocks, written as JSON text, parse to the spec built directly."""
+
     def test_potential_roundtrip(self):
-        for spec in random_potentials(30):
-            assert potential_from_dict(json.loads(json.dumps(potential_to_dict(spec)))) == spec
+        for _ in range(10):
+            k = int(rng.integers(1, 4))
+            d = int(rng.integers(1, 3))
+            coeffs = [float(c) for c in rng.uniform(0.2, 3.0, d)]
+            a = int(rng.integers(0, k + 1))
+            c0, c1, c2 = (float(c) for c in rng.uniform(0.1, 2.0, 3))
+            terms = [[[2 * k, 0], c0], [[0, 2 * k], c1], [[2 * a, 2 * (k - a)], c2]]
+            cases = [
+                ({"kind": "iso_power", "degree_half": k, "dimension": d},
+                 PotentialSpec("iso_power", k, d)),
+                ({"kind": "aniso_sum", "degree_half": k, "dimension": d,
+                  "coefficients": coeffs},
+                 PotentialSpec("aniso_sum", k, d, coefficients=tuple(coeffs))),
+                ({"kind": "custom_poly", "degree_half": k, "dimension": 2, "terms": terms},
+                 PotentialSpec("custom_poly", k, 2,
+                               terms=(((2 * k, 0), c0), ((0, 2 * k), c1),
+                                      ((2 * a, 2 * (k - a)), c2)))),
+            ]
+            for block, expected in cases:
+                assert potential_from_dict(json.loads(json.dumps(block))) == expected
 
     def test_oscillator_roundtrip(self):
         for _ in range(20):
-            pot = PotentialSpec("aniso_sum", int(rng.integers(1, 3)), 2,
-                                coefficients=(1.0, float(rng.uniform(0.5, 2.0))))
-            osc = OscillatorSpec(2, int(rng.integers(1, 4)), pot,
-                                 beta=float(rng.uniform(0.5, 3.0)),
-                                 q1=float(rng.uniform(1.0, 2.0)))
-            assert oscillator_from_dict(json.loads(json.dumps(oscillator_to_dict(osc)))) == osc
-
-    def test_weight_roundtrip(self):
-        for kind in ("anharmonic", "polynomial", "flat"):
-            w = WeightSpec(kind, float(rng.uniform(0.0, 3.0)) if kind != "flat" else 0.0)
-            assert weight_from_dict(json.loads(json.dumps(weight_to_dict(w)))) == w
-
-    def test_norm_params_roundtrip_keeps_inf(self):
-        for p, q in [(1.0, INF), (INF, 2.0), (2.5, 0.5), (INF, INF)]:
-            params = MixedNormParams(p=p, q=q)
-            cycled = norm_params_from_dict(json.loads(json.dumps(norm_params_to_dict(params))))
-            assert is_inf(cycled.p) == is_inf(params.p)
-            assert is_inf(cycled.q) == is_inf(params.q)
-            if not is_inf(p):
-                assert cycled.p == params.p
+            k = int(rng.integers(1, 3))
+            c = float(rng.uniform(0.5, 2.0))
+            l = int(rng.integers(1, 4))
+            beta = float(rng.uniform(0.5, 3.0))
+            q1 = float(rng.uniform(1.0, 2.0))
+            block = {"dimension": 2, "l": l, "beta": beta, "q1": q1,
+                     "potential": {"kind": "aniso_sum", "degree_half": k,
+                                   "dimension": 2, "coefficients": [1.0, c]}}
+            expected = OscillatorSpec(2, l, PotentialSpec("aniso_sum", k, 2,
+                                                          coefficients=(1.0, c)),
+                                      beta=beta, q1=q1)
+            assert oscillator_from_dict(json.loads(json.dumps(block))) == expected
 
 
 class TestMixedReduce:

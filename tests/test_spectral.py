@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 import anharmonic as ah
-from anharmonic import (Grid, InvalidSpecError, NumericalError, assemble_operator,
-                        cache_key, decompose, eigenvalue_growth_fit, field_from_function,
-                        gershgorin_bounds, growth_target, load_decomposition,
-                        save_decomposition)
+from anharmonic import (Grid, InvalidSpecError, assemble_operator, decompose,
+                        eigenvalue_growth_fit, field_from_function, growth_target)
 from anharmonic.spectral import real_matmul
 
 from oracles import hermite_function
@@ -57,10 +55,6 @@ class TestAssembly:
         n = np.fft.fftfreq(64, d=1.0 / 64)
         expected = np.sort((np.pi * n / 8.0) ** 2)
         np.testing.assert_allclose(eig, expected, atol=1e-9)
-
-    def test_gershgorin_is_diagnostic(self, hermite_osc, hermite_grid):
-        lo, hi = gershgorin_bounds(assemble_operator(hermite_osc, hermite_grid))
-        assert lo < hi
 
     def test_size_cap(self, hermite_osc):
         with pytest.raises(InvalidSpecError):
@@ -166,40 +160,3 @@ class TestGrowthFit:
         with pytest.raises(ValueError):
             eigenvalue_growth_fit(hermite_dec, 30, 380)
 
-
-class TestCache:
-    def test_roundtrip(self, tmp_path, hermite_osc):
-        grid = Grid(1, 128, 10.0)
-        dec = decompose(hermite_osc, grid, 32)
-        path = tmp_path / "dec.bin"
-        save_decomposition(dec, path)
-        again = load_decomposition(path)
-        assert again.oscillator == hermite_osc
-        assert again.grid == grid
-        np.testing.assert_array_equal(again.eigenvalues, dec.eigenvalues)
-        np.testing.assert_array_equal(again.eigenvectors, dec.eigenvectors)
-
-    def test_tampered_header_rejected(self, tmp_path, hermite_osc):
-        grid = Grid(1, 128, 10.0)
-        dec = decompose(hermite_osc, grid, 32)
-        path = tmp_path / "dec.bin"
-        save_decomposition(dec, path)
-        blob = bytearray(path.read_bytes())
-        # flip the retained-mode count inside the JSON header
-        idx = blob.find(b'"m": 32')
-        assert idx > 0
-        blob[idx:idx + 7] = b'"m": 16'
-        path.write_bytes(bytes(blob))
-        with pytest.raises((InvalidSpecError, NumericalError, ValueError)):
-            load_decomposition(path)
-
-    def test_wrong_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(InvalidSpecError):
-            load_decomposition(path)
-
-    def test_key_is_deterministic(self, hermite_osc):
-        grid = Grid(1, 128, 10.0)
-        assert cache_key(hermite_osc, grid, 32) == cache_key(hermite_osc, grid, 32)
-        assert cache_key(hermite_osc, grid, 32) != cache_key(hermite_osc, grid, 16)
