@@ -19,8 +19,9 @@ from .calculus import SemigroupQuery, heat_semigroup, sobolev_norm
 from .errors import InvalidSpecError, ProbeSkipWarning, TruncationError
 from .model import (MixedNormParams, OscillatorSpec, WeightSpec, check_exponent,
                     evaluate_potential, is_inf)
-from .phasespace import (WindowSpec, _check_boundary_mass, _modulation_columns,
-                         _outer_reduce, mixed_reduce, modulation_norm)
+from .phasespace import (_BLOCK_CELLS, WindowSpec, _check_boundary_mass,
+                         _modulation_columns, _outer_reduce, _weighted_columns,
+                         modulation_norm)
 from .spectral import FieldSample, Grid, SpectralDecomposition
 
 PROBE_SEED = 1234
@@ -61,7 +62,9 @@ class WeightQuotientParams:
     (radius / t^(1/(2 beta)))^(1/k) in x and ^(1/l) in xi, so truncation is
     scale-covariant in t. The truncation guard of weight_quotient_norm
     doubles both ``radius`` and ``resolution``; unless k = l = 1 that also
-    refines the lattice, so it tests resolution too.
+    refines the lattice, so it tests resolution too. ``resolution`` (cells
+    per axis) must be even: the norm is reduced on one quadrant of the
+    lattice, which needs the midpoint grids to pair up about 0.
     """
 
     oscillator: OscillatorSpec
@@ -87,8 +90,9 @@ class WeightQuotientParams:
             raise InvalidSpecError(f"unknown quotient form {self.form!r}")
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise InvalidSpecError("radius must be a positive real")
-        if not isinstance(self.resolution, (int, np.integer)) or self.resolution < 32:
-            raise InvalidSpecError("resolution must be an integer >= 32")
+        if (not isinstance(self.resolution, (int, np.integer)) or self.resolution < 32
+                or self.resolution % 2):
+            raise InvalidSpecError("resolution must be an even integer >= 32")
         n = self.n_pow
         if n is None:
             n = _auto_n_pow(osc.beta, self.s2, self.p_tilde, self.q_tilde, osc.dimension)
@@ -111,31 +115,58 @@ class WeightQuotientParams:
         object.__setattr__(self, "t_list", t)
 
 
-def _quotient_lattice(params: WeightQuotientParams, t: float, radius: float,
-                      resolution: int):
+def _quotient_value(params: WeightQuotientParams, t: float, radius: float,
+                    resolution: int) -> float:
+    """Mixed L^(p~, q~) norm of the quotient integrand on the midpoint
+    lattice of resolution^2 cells over the scaled box.
+
+    The four quadrants hold the same values (see weight_quotient_norm), so
+    row blocks of the positive one go through the phase-space column reducer
+    (with its finiteness check) in one reused buffer, and each finite axis
+    gets twice its cell measure. An INF axis takes the max; ``_outer_reduce``
+    does not use its cell.
+    """
     osc = params.oscillator
     k = osc.degree_half
     tau = t ** (1.0 / (2.0 * osc.beta))
     box = radius * max(1.0, 1.0 / tau)
     r_x = box ** (1.0 / k)
     r_xi = box ** (1.0 / osc.l)
-    m = resolution
-    x = -r_x + (np.arange(m) + 0.5) * (2.0 * r_x / m)
-    xi = -r_xi + (np.arange(m) + 0.5) * (2.0 * r_xi / m)
-    a = np.sqrt(np.asarray(evaluate_potential(osc.potential, x), dtype=float))
-    b = np.abs(xi) ** osc.l
+    half = resolution // 2
+    dx, dxi = 2.0 * r_x / resolution, 2.0 * r_xi / resolution
+    nodes = np.arange(half) + 0.5
+    a = np.sqrt(np.asarray(evaluate_potential(osc.potential, nodes * dx), dtype=float))
+    b = (nodes * dxi) ** osc.l
     two_beta_n = 2.0 * osc.beta * params.n_pow
-    if params.form == "scaled":
-        grid_vals = (1.0 + tau * (a[:, None] + b[None, :])) ** (params.s2 - two_beta_n)
-    else:
-        v = osc.q1 + a[:, None] + b[None, :]
-        grid_vals = v ** params.s2 / (1.0 + t ** params.n_pow * v ** two_beta_n)
-    return grid_vals, 2.0 * r_x / m, 2.0 * r_xi / m
+    scaled = params.form == "scaled"
+    if not scaled:
+        a = osc.q1 + a
+        t_n = t ** params.n_pow
+    rows = min(half, max(1, _BLOCK_CELLS // half))
+    buf = np.empty((rows, half))
+    den = None if scaled else np.empty_like(buf)
 
+    def blocks():
+        for lo in range(0, half, rows):
+            a_rows = a[lo:lo + rows, None]
+            v = buf[:a_rows.shape[0]]
+            np.add(a_rows, b, out=v)
+            if scaled:  # (1 + tau (a + b))^(s2 - 2 beta N)
+                v *= tau
+                v += 1.0
+                np.power(v, params.s2 - two_beta_n, out=v)
+            else:  # v^s2 / (1 + t^N v^(2 beta N)), v = q1 + a + b
+                d = den[:v.shape[0]]
+                np.power(v, two_beta_n, out=d)
+                d *= t_n
+                d += 1.0
+                np.power(v, params.s2, out=v)
+                v /= d
+            yield lo, v
 
-def _quotient_value(params, t, radius, resolution) -> float:
-    vals, dx, dxi = _quotient_lattice(params, t, radius, resolution)
-    return mixed_reduce(vals, params.p_tilde, params.q_tilde, dx, dxi)
+    p, q = params.p_tilde, params.q_tilde
+    columns = _weighted_columns(blocks(), None, p)
+    return _outer_reduce(columns, p, q, 2.0 * dx, 2.0 * dxi)
 
 
 def weight_quotient_norm(params: WeightQuotientParams, t: float) -> float:
@@ -146,7 +177,13 @@ def weight_quotient_norm(params: WeightQuotientParams, t: float) -> float:
     The box grows like radius^(1/k) in x and radius^(1/l) in xi, so the
     guard's spacing is 2^(1/k - 1) times the base spacing in x and
     2^(1/l - 1) times it in xi: the same only for k = l = 1. The guard
-    therefore tests resolution as well as truncation.
+    therefore tests resolution as well as truncation. A guard that cannot
+    be compared (an overflowed sum makes the movement NaN) raises too.
+
+    Both evaluations rely on the integrand taking the same value at
+    (+-x, +-xi): V is even (c x^(2k), the only d=1 potential) and the midpoint
+    grids are symmetric, so one quadrant is reduced in row blocks and no
+    full lattice is built. Non-finite integrand values raise NumericalError.
     """
     t = float(t)
     if not (0.0 < t <= 1.0):
@@ -154,9 +191,10 @@ def weight_quotient_norm(params: WeightQuotientParams, t: float) -> float:
     base = _quotient_value(params, t, params.radius, params.resolution)
     guard = _quotient_value(params, t, 2.0 * params.radius, 2 * params.resolution)
     denom = max(abs(base), abs(guard), np.finfo(float).tiny)
-    if abs(guard - base) / denom >= _GUARD_REL:
+    rel = abs(guard - base) / denom
+    if not (rel < _GUARD_REL):  # NaN (inf - inf) must fail as well
         raise TruncationError(
-            f"quotient norm moved {abs(guard - base) / denom:.2%} when the box doubled "
+            f"quotient norm moved {rel:.2%} when the box doubled "
             f"(radius {params.radius}); enlarge the truncation radius",
             suggested_radius=4.0 * params.radius)
     return base

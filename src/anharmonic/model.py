@@ -166,7 +166,10 @@ def _evaluate_on_points(spec, pts):
         term = np.full(pts.shape[:-1], coeff)
         for axis, power in enumerate(multi):
             if power:
-                term = term * pts[..., axis] ** power
+                # numpy's pow can round x^n and (-x)^n apart for even n; |x|
+                # keeps every even factor exactly even
+                coord = pts[..., axis]
+                term = term * (np.abs(coord) if power % 2 == 0 else coord) ** power
         out = out + term
     return out
 

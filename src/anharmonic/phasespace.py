@@ -284,16 +284,6 @@ def _outer_reduce(columns: np.ndarray, p, q, cell_x, cell_xi) -> float:
     return float((np.sum(inner ** q) * cell_xi) ** (1.0 / q))
 
 
-def mixed_reduce(w, p, q, cell_x, cell_xi) -> float:
-    """Mixed L^p (over rows, the x axis) then L^q (over columns) reduction.
-
-    ``w`` is the nonnegative weighted magnitude lattice, shape (nx, nxi).
-    The INF marker takes the sup; finite exponents use the plain power sum
-    times the cell measure, which is also the quasi-norm formula below 1.
-    """
-    return _outer_reduce(_column_reduce(np.asarray(w), p), p, q, cell_x, cell_xi)
-
-
 def _weighted_columns(blocks, lattice, p, lattice_columns=slice(None)) -> np.ndarray:
     """The inner reduction of every phase-space norm. Each (lo, mag) block
     holds the magnitudes of lattice rows lo.., overwritten here: it is

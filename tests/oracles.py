@@ -2,9 +2,11 @@
 
 Everything here is built from a different method than the code under test:
 the quartic ground state comes from an ODE shooting method, the window
-transform from a closed form (and its Poisson-summed aliases), and the mixed
-norm from direct loops over the definition. Frozen constants at the bottom were produced by these oracles
-and pinned so a regression in either side is caught.
+transform from a closed form (and its Poisson-summed aliases), the mixed
+norm from direct loops over the definition, and the weight quotient from its
+formula on every node of the full lattice. Frozen constants at the bottom
+were produced by these oracles and pinned so a regression in either side is
+caught.
 """
 
 import math
@@ -118,6 +120,38 @@ def mixed_norm_reference(values, weight, p, q, cell_x, cell_xi):
         return max(inner)
     return (sum(v ** q for v in inner) * cell_xi) ** (1.0 / q)
 
+
+def quotient_reference(params, t, radius, resolution):
+    """Mixed L^(p~, q~) norm of the weight quotient by direct midpoint
+    quadrature on the full resolution x resolution lattice of the scaled box.
+
+    Every node of both signs is evaluated from the integrand's formula and
+    the lattice goes through ``mixed_norm_reference``: no symmetry is used,
+    so this checks the package's one-quadrant reduction.
+    """
+    osc = params.oscillator
+    assert osc.potential.kind == "iso_power", "the reference knows V = |x|^(2k) only"
+    k, l, beta, n = osc.degree_half, osc.l, osc.beta, params.n_pow
+    tau = t ** (1.0 / (2.0 * beta))
+    box = radius * max(1.0, 1.0 / tau)
+    r_x, r_xi = box ** (1.0 / k), box ** (1.0 / l)
+    cells = (np.arange(resolution) + 0.5) / resolution
+    x = r_x * (2.0 * cells - 1.0)
+    xi = r_xi * (2.0 * cells - 1.0)
+    a = (np.abs(x) ** k)[:, None]  # V(x)^(1/2) for V = |x|^(2k)
+    b = (np.abs(xi) ** l)[None, :]
+    if params.form == "scaled":
+        values = (1.0 + tau * (a + b)) ** (params.s2 - 2.0 * beta * n)
+    else:
+        v = osc.q1 + a + b
+        values = v ** params.s2 / (1.0 + t ** n * v ** (2.0 * beta * n))
+
+    def exponent(e):
+        return "inf" if repr(e) == "INF" else float(e)
+
+    return mixed_norm_reference(values, np.ones_like(values),
+                                exponent(params.p_tilde), exponent(params.q_tilde),
+                                2.0 * r_x / resolution, 2.0 * r_xi / resolution)
 
 # frozen oracle outputs (see module docstring)
 QUARTIC_LAMBDA0 = 1.0603620904867057

@@ -172,10 +172,11 @@ class TestRunManifest:
         ("nlheat", {"coupling_re": float("nan"), "modes": 16, "horizon": 0.01}),
         ("nlheat", {"kind": "inhomogeneous", "alpha": float("nan"), "modes": 16,
                     "horizon": 0.01}),
+        ("decay", {"resolution": 255}),
     ], ids=["nlheat_dt", "decay_radius", "ou_rate_t_list", "nlheat_initial_norm_zero",
             "nlheat_initial_norm_negative", "nlheat_initial_norm_nan",
             "nlheat_initial_norm_inf", "nlheat_tol_nan", "nlheat_coupling_nan",
-            "nlheat_alpha_nan"])
+            "nlheat_alpha_nan", "decay_resolution_odd"])
     def test_rejected_value_exits_schema(self, tmp_path, capsys, kind, params):
         """A value the runner's own checks reject (ValueError) is a manifest
         problem: exit 2 with a schema-error line, not a traceback."""
@@ -219,6 +220,20 @@ class TestRunManifest:
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "suggested_radius" in err
+
+    def test_non_finite_quotient_exits_numerical(self, tmp_path, capsys):
+        """The literal quotient with s2 = 120 overflows to inf / inf on the
+        guard lattice; that is a numerical failure, not a checked value."""
+        manifest = {
+            "schema": 1, "kind": "decay",
+            "params": {"form": "weighted", "resolution": 256,
+                       "tuples": [{"k": 1, "l": 1, "s2": 120.0}]},
+        }
+        path = write_manifest(tmp_path, manifest)
+        code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
+        assert code == EXIT_NUMERICAL and record is None
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "NumericalError" in err
 
     def test_failing_check_exits_one(self, tmp_path):
         path = write_manifest(tmp_path, small_spectrum_manifest(tolerance=1e-9))

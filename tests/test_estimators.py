@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,14 +7,15 @@ import pytest
 
 import anharmonic as ah
 from anharmonic import (INF, FieldSample, Grid, InvalidSpecError, MixedNormParams,
-                        ProbeSkipWarning, TruncationError, WeightQuotientParams,
-                        WeightSpec, WindowSpec, algebra_ratio, eigenfunction_probes,
-                        fit_decay_exponent, gaussian_probe_fields, is_inf, longtime_rate,
-                        multilinear_ratio, probe_operator_bound, sigma_exponent,
-                        singular_weight_norm, smoothing_decay_run,
-                        sobolev_modulation_equivalence, spectral_sum_bound,
-                        standard_probe_family, stft, weight_quotient_norm)
-from oracles import mixed_norm_reference
+                        NumericalError, PotentialSpec, ProbeSkipWarning, TruncationError,
+                        WeightQuotientParams, WeightSpec, WindowSpec, algebra_ratio,
+                        eigenfunction_probes, estimators, fit_decay_exponent,
+                        gaussian_probe_fields, is_inf, longtime_rate, multilinear_ratio,
+                        probe_operator_bound, sigma_exponent, singular_weight_norm,
+                        smoothing_decay_run, sobolev_modulation_equivalence,
+                        spectral_sum_bound, standard_probe_family, stft,
+                        weight_quotient_norm)
+from oracles import mixed_norm_reference, quotient_reference
 
 FLAT = WeightSpec("flat", 0.0)
 
@@ -60,6 +62,8 @@ class TestQuotientParams:
         with pytest.raises(InvalidSpecError):
             WeightQuotientParams(osc, resolution=16)
         with pytest.raises(InvalidSpecError):
+            WeightQuotientParams(osc, resolution=255)  # the fold pairs nodes about 0
+        with pytest.raises(InvalidSpecError):
             WeightQuotientParams(osc, t_list=(0.001, 0.01, 0.1))
         with pytest.raises(InvalidSpecError):
             WeightQuotientParams(osc, t_list=(2.0, 0.5))
@@ -105,6 +109,75 @@ class TestWeightQuotient:
         assert fit.target == pytest.approx(-1.0)
         assert fit.rel_deviation < 1e-3
         assert fit.r_squared > 0.9999
+
+    def test_nan_guard_raises(self):
+        """v^s2 and v^(2 beta N) overflow on the guard lattice, so inf / inf
+        cells appear; a NaN guard must not pass as a checked value."""
+        params = WeightQuotientParams(ah.oscillator(1, 1, 1), s2=120, form="weighted",
+                                      resolution=256)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError):
+                weight_quotient_norm(params, 0.1)
+
+    @pytest.mark.parametrize("base,guard", [(1.0, np.inf), (np.inf, np.inf)])
+    def test_overflowed_sum_fails_the_guard(self, monkeypatch, base, guard):
+        """An overflowed (inf) sum makes the guard's movement inf or NaN;
+        either fails the truncation guard."""
+        params = WeightQuotientParams(ah.oscillator(1, 1, 1), resolution=64)
+        monkeypatch.setattr(
+            estimators, "_quotient_value",
+            lambda p, t, radius, resolution: base if radius == p.radius else guard)
+        with pytest.raises(TruncationError):
+            weight_quotient_norm(params, 0.1)
+
+
+_FOLD_EXPONENTS = [(1.0, 1.0), (2.0, 2.0), (2.0, INF), (INF, 2.0), (INF, INF), (0.5, 0.5)]
+
+
+class TestQuotientFold:
+    """The quotient is reduced on one quadrant; these guard that reduction
+    and the symmetry it relies on."""
+
+    @pytest.mark.parametrize("resolution", [64, 128])
+    @pytest.mark.parametrize("p_tilde,q_tilde", _FOLD_EXPONENTS,
+                             ids=[f"{p}-{q}" for p, q in _FOLD_EXPONENTS])
+    @pytest.mark.parametrize("k,l,beta", [(1, 1, 1.0), (2, 1, 1.0), (1, 2, 2.0)])
+    @pytest.mark.parametrize("form,s2", [("scaled", 0.0), ("weighted", 0.0),
+                                         ("weighted", 1.5)])
+    def test_matches_full_lattice_reference(self, form, s2, k, l, beta, p_tilde, q_tilde,
+                                            resolution):
+        params = WeightQuotientParams(ah.oscillator(k, l, beta=beta), s2=s2,
+                                      p_tilde=p_tilde, q_tilde=q_tilde, form=form,
+                                      resolution=resolution)
+        for t, radius in ((0.01, 30.0), (1.0, 3.0)):
+            got = estimators._quotient_value(params, t, radius, resolution)
+            ref = quotient_reference(params, t, radius, resolution)
+            assert got == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_one_dimensional_potential_is_even(self, k):
+        x = np.concatenate([np.random.default_rng(k).uniform(-50.0, 50.0, 500),
+                            np.linspace(-3.0, 3.0, 301)])
+        for pot in (PotentialSpec("iso_power", k, 1),
+                    PotentialSpec("aniso_sum", k, 1, (2.5,)),
+                    PotentialSpec("custom_poly", k, 1,
+                                  terms=(((2 * k,), 0.75), ((2 * k,), 1.5)))):
+            mirrored = ah.evaluate_potential(pot, -x)
+            assert np.array_equal(mirrored, ah.evaluate_potential(pot, x)), pot.kind
+
+    @pytest.mark.parametrize("form", ["scaled", "weighted"])
+    def test_guard_lattice_is_never_built(self, form):
+        """At resolution 2048 the guard lattice is 4096^2 (128 MiB of
+        float64); the streamed reduction holds a few row blocks."""
+        params = WeightQuotientParams(ah.oscillator(1, 1, 1), form=form,
+                                      resolution=2048)
+        tracemalloc.start()
+        try:
+            weight_quotient_norm(params, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestDecayFit:
