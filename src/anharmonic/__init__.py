@@ -23,15 +23,15 @@ from .spectral import (FieldSample, Grid, GrowthFit, SpectralDecomposition,
 from .calculus import (SemigroupQuery, apply_spectral_function, fractional_power,
                        heat_semigroup, project, sobolev_norm)
 from .phasespace import (PhaseSpaceField, WindowSpec, gaussian_half_density,
-                         gaussian_stft, mixed_norm, modulation_norm, stft,
-                         window_values)
+                         gaussian_stft, mixed_norm, modulation_norm, modulation_norms,
+                         stft, window_values)
 from .estimators import (DecayFitResult, EquivalenceBand, LongtimeRateResult,
                          SingularWeightResult, WeightQuotientParams, algebra_ratio,
-                         eigenfunction_probes, fit_decay_exponent, gaussian_probe_fields,
-                         longtime_rate, multilinear_ratio, probe_operator_bound,
-                         sigma_exponent, singular_weight_norm, smoothing_decay_run,
-                         sobolev_modulation_equivalence, spectral_sum_bound,
-                         standard_probe_family, weight_quotient_norm)
+                         algebra_ratios, eigenfunction_probes, fit_decay_exponent,
+                         gaussian_probe_fields, longtime_rate, multilinear_ratio,
+                         probe_operator_bound, sigma_exponent, singular_weight_norm,
+                         smoothing_decay_run, sobolev_modulation_equivalence,
+                         spectral_sum_bound, standard_probe_family, weight_quotient_norm)
 from .nlheat import (NonlinearProblemSpec, ThresholdResult, Trajectory,
                      apply_nonlinearity, duhamel_residual, etd_evolve, picard_solve,
                      replace_u0, smallness_threshold)
@@ -59,13 +59,13 @@ __all__ = [
     "project", "sobolev_norm",
     # phasespace
     "WindowSpec", "window_values", "PhaseSpaceField", "stft", "gaussian_half_density",
-    "gaussian_stft", "mixed_norm", "modulation_norm",
+    "gaussian_stft", "mixed_norm", "modulation_norm", "modulation_norms",
     # estimators
     "sigma_exponent", "WeightQuotientParams", "weight_quotient_norm", "DecayFitResult",
     "fit_decay_exponent", "smoothing_decay_run", "gaussian_probe_fields",
     "eigenfunction_probes", "standard_probe_family", "probe_operator_bound",
     "LongtimeRateResult", "longtime_rate", "spectral_sum_bound", "algebra_ratio",
-    "multilinear_ratio", "SingularWeightResult", "singular_weight_norm",
+    "algebra_ratios", "multilinear_ratio", "SingularWeightResult", "singular_weight_norm",
     "EquivalenceBand", "sobolev_modulation_equivalence",
     # nlheat
     "NonlinearProblemSpec", "apply_nonlinearity", "Trajectory", "picard_solve",

@@ -30,7 +30,7 @@ from .errors import InvalidSpecError, NumericalError, SchemaError
 from .model import (INF, MixedNormParams, WeightSpec, exponent_from_json, hermite_oscillator,
                     oscillator, oscillator_from_dict, submultiplicativity_defect,
                     weight_value)
-from .estimators import (WeightQuotientParams, algebra_ratio, gaussian_probe_fields,
+from .estimators import (WeightQuotientParams, algebra_ratios, gaussian_probe_fields,
                          sigma_exponent, singular_weight_norm, smoothing_decay_run,
                          sobolev_modulation_equivalence, standard_probe_family)
 from .nlheat import (NonlinearProblemSpec, _check_steps, duhamel_residual, etd_evolve,
@@ -301,8 +301,9 @@ def _run_norms(manifest, seed, record):
 
     if "equivalence" in checks:
         probes = standard_probe_family(dec, "equivalence", seed)
-        for s in (0.0, 1.0, 2.0):
-            band = sobolev_modulation_equivalence(dec, s, probes, window)
+        s_values = (0.0, 1.0, 2.0)
+        bands = sobolev_modulation_equivalence(dec, s_values, probes, window)
+        for s, band in zip(s_values, bands):
             record.results.append(_result(
                 f"equivalence_spread_s{s:g}", band.spread, 1.0, band.spread, 20.0,
                 band.spread <= 20.0))
@@ -310,8 +311,8 @@ def _run_norms(manifest, seed, record):
     if "algebra" in checks:
         ws = WeightSpec("anharmonic", 2.0)
         fields = gaussian_probe_fields(grid, 15, seed + 1)
-        pairs = [(a, b) for i, a in enumerate(fields) for b in fields[i:]][:100]
-        ratios = [algebra_ratio(f, g, l2_params, ws, osc, window) for f, g in pairs]
+        pairs = [(i, j) for i in range(len(fields)) for j in range(i, len(fields))][:100]
+        ratios = algebra_ratios(fields, pairs, l2_params, ws, osc, window)
         finite = [r for r in ratios if np.isfinite(r)]
         value = max(finite) if finite else float("inf")
         record.results.append(_result("algebra_max_ratio", value, 0.0, value, 1e3,

@@ -21,7 +21,7 @@ from .model import (MixedNormParams, OscillatorSpec, WeightSpec, check_exponent,
                     evaluate_potential, is_inf)
 from .phasespace import (_BLOCK_CELLS, WindowSpec, _check_boundary_mass,
                          _modulation_columns, _outer_reduce, _weighted_columns,
-                         modulation_norm)
+                         modulation_norm, modulation_norms)
 from .spectral import FieldSample, Grid, SpectralDecomposition
 
 PROBE_SEED = 1234
@@ -165,7 +165,7 @@ def _quotient_value(params: WeightQuotientParams, t: float, radius: float,
             yield lo, v
 
     p, q = params.p_tilde, params.q_tilde
-    columns = _weighted_columns(blocks(), None, p)
+    [columns] = _weighted_columns(blocks(), [None], p)
     return _outer_reduce(columns, p, q, 2.0 * dx, 2.0 * dxi)
 
 
@@ -397,23 +397,38 @@ def spectral_sum_bound(dec: SpectralDecomposition, beta: float, s0: float, t: fl
     return total, ratio
 
 
+def algebra_ratios(fields, pairs, params: MixedNormParams, ws: WeightSpec,
+                   osc: OscillatorSpec | None = None,
+                   window: WindowSpec | None = None) -> list:
+    """norm(f_i f_j) / (norm(f_i) norm(f_j)) for each index pair (i, j) into
+    ``fields``, with the pointwise grid product.
+
+    Each field is normed once, however many pairs share it, and each product
+    once, so a corpus of n fields and m pairs takes n + m norm passes. A pair
+    with a vanishing factor norm gives NaN (with a ProbeSkipWarning) and its
+    product is not normed, so corpus maxima can skip the pair.
+    """
+    window = window or WindowSpec()
+    norms = [modulation_norm(f, window, ws, osc, params) for f in fields]
+    ratios = []
+    for i, j in pairs:
+        if norms[i] == 0.0 or norms[j] == 0.0:
+            warnings.warn("algebra pair skipped: zero factor norm", ProbeSkipWarning,
+                          stacklevel=2)
+            ratios.append(float("nan"))
+            continue
+        product = FieldSample(fields[i].grid, fields[i].values * fields[j].values)
+        ratios.append(modulation_norm(product, window, ws, osc, params)
+                      / (norms[i] * norms[j]))
+    return ratios
+
+
 def algebra_ratio(f: FieldSample, g: FieldSample, params: MixedNormParams,
                   ws: WeightSpec, osc: OscillatorSpec | None = None,
                   window: WindowSpec | None = None) -> float:
-    """norm(f g) / (norm(f) norm(g)) with the pointwise grid product.
-
-    Returns NaN (with a warning) when a factor norm vanishes, so corpus
-    maxima can skip the pair.
-    """
-    window = window or WindowSpec()
-    nf = modulation_norm(f, window, ws, osc, params)
-    ng = modulation_norm(g, window, ws, osc, params)
-    if nf == 0.0 or ng == 0.0:
-        warnings.warn("algebra pair skipped: zero factor norm", ProbeSkipWarning,
-                      stacklevel=2)
-        return float("nan")
-    product = FieldSample(f.grid, f.values * g.values)
-    return modulation_norm(product, window, ws, osc, params) / (nf * ng)
+    """norm(f g) / (norm(f) norm(g)): the one-pair case of ``algebra_ratios``."""
+    [ratio] = algebra_ratios([f, g], [(0, 1)], params, ws, osc, window)
+    return ratio
 
 
 def _inv(e) -> float:
@@ -494,7 +509,7 @@ def singular_weight_norm(alpha: float, params: MixedNormParams, ws: WeightSpec,
     _check_boundary_mass(f_full)
     p, q = params.p, params.q
     cells = (grid.cell_volume, grid.frequency_cell)
-    columns = _modulation_columns(f_full, window, ws, osc, p)
+    [columns] = _modulation_columns(f_full, window, [ws], osc, p)
     value = _outer_reduce(columns, p, q, *cells)
     value_half = modulation_norm(truncated(radius / 2.0), window, ws, osc, params)
     x_growth = abs(value - value_half) / value_half if value_half > 0 else float("inf")
@@ -529,17 +544,26 @@ class EquivalenceBand:
         return self.max_ratio / self.min_ratio
 
 
-def sobolev_modulation_equivalence(dec: SpectralDecomposition, s: float, probes,
-                                   window: WindowSpec | None = None) -> EquivalenceBand:
-    """Band of ratios sobolev_norm / modulation_norm(p=q=2, anharmonic s).
+def sobolev_modulation_equivalence(dec: SpectralDecomposition, s_values, probes,
+                                   window: WindowSpec | None = None) -> list:
+    """One band per s in ``s_values`` of the ratios
+    sobolev_norm / modulation_norm(p=q=2, anharmonic s).
 
     Probes are projected onto the retained-mode span first, so the spectral
-    norm sees exactly the same object as the lattice norm.
+    norm sees exactly the same object as the lattice norm. Each span is
+    projected once and transformed once: ``modulation_norms`` reduces its
+    pass under every weight. Per s, a probe with zero modulation norm is
+    skipped with a ProbeSkipWarning, and ValueError is raised when all are.
     """
     window = window or WindowSpec()
+    s_values = [float(s) for s in s_values]
+    weights = [WeightSpec("anharmonic", s) for s in s_values]
     params = MixedNormParams(2.0, 2.0)
-    ws, osc = WeightSpec("anharmonic", float(s)), dec.oscillator
     spans = [dec.reconstruct(dec.coefficients(f)) for f in probes]
-    [ratios] = _probe_ratios(spans, lambda f: modulation_norm(f, window, ws, osc, params),
-                             [lambda f: sobolev_norm(dec, s, f)])
-    return EquivalenceBand(float(min(ratios)), float(max(ratios)), len(ratios))
+    mod = [modulation_norms(f, window, weights, dec.oscillator, params) for f in spans]
+    bands = []
+    for k, s in enumerate(s_values):
+        [ratios] = _probe_ratios(range(len(spans)), lambda i, k=k: mod[i][k],
+                                 [lambda i, s=s: sobolev_norm(dec, s, spans[i])])
+        bands.append(EquivalenceBand(float(min(ratios)), float(max(ratios)), len(ratios)))
+    return bands

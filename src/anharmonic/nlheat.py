@@ -134,8 +134,9 @@ class _Engine:
         """Monitored norm of a difference of Picard iterates, without the
         boundary-mass check of a state: near convergence it is round-off."""
         grid, p, q = self.dec.grid, self.monitor_params.p, self.monitor_params.q
-        columns = _modulation_columns(FieldSample(grid, self.to_values(coeffs)), self.window,
-                                      self.monitor_weight, self.dec.oscillator, p)
+        [columns] = _modulation_columns(FieldSample(grid, self.to_values(coeffs)),
+                                        self.window, [self.monitor_weight],
+                                        self.dec.oscillator, p)
         return _outer_reduce(columns, p, q, grid.cell_volume, grid.frequency_cell)
 
     def l2_norm(self, coeffs: np.ndarray) -> float:

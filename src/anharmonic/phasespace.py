@@ -14,7 +14,10 @@ staggered-grid phase and fills the full ``PhaseSpaceField``. Every norm is
 reduced by ``_weighted_columns`` (weighted inner L^p column sums or sups) and
 ``_outer_reduce`` (outer L^q): ``mixed_norm`` feeds it |field| as one block,
 ``modulation_norm`` the block magnitudes of the pass, so a streamed norm
-holds a few blocks, never the lattice. A real d=1 field under the default
+holds a few blocks, never the lattice. ``modulation_norms`` reduces one pass
+under several weights at once: the transform and its magnitudes, which are
+most of the cost, are shared, and each weight adds only its own weighting
+and column sums. A real d=1 field under the default
 gaussian window streams half the spectrum: |V_g f(x, -xi)| = |V_g f(x, xi)|
 for real f and a real window, and every weight depends on |xi| only, so the
 pass runs ``rfft`` on the real windowed product, reduces the bins xi >= 0 and
@@ -111,7 +114,7 @@ class PhaseSpaceField:
         object.__setattr__(self, "values", v)
 
 
-def _check_boundary_mass(f: FieldSample) -> None:
+def _check_boundary_mass(f: FieldSample, stacklevel: int = 3) -> None:
     grid = f.grid
     amax = float(np.max(np.abs(f.values)))
     if amax == 0.0:
@@ -122,7 +125,7 @@ def _check_boundary_mass(f: FieldSample) -> None:
         warnings.warn(
             f"field amplitude near the box boundary is {edge:.3e} of its peak; "
             f"cyclic window wrap-around may contaminate the STFT",
-            BoundaryMassWarning, stacklevel=3)
+            BoundaryMassWarning, stacklevel=stacklevel)
 
 
 @functools.lru_cache(maxsize=4)
@@ -284,50 +287,68 @@ def _outer_reduce(columns: np.ndarray, p, q, cell_x, cell_xi) -> float:
     return float((np.sum(inner ** q) * cell_xi) ** (1.0 / q))
 
 
-def _weighted_columns(blocks, lattice, p, lattice_columns=slice(None)) -> np.ndarray:
-    """The inner reduction of every phase-space norm. Each (lo, mag) block
-    holds the magnitudes of lattice rows lo.., overwritten here: it is
-    weighted by the same rows of ``lattice``, taken at ``lattice_columns``
-    (by default all of them, a block in ascending xi), and must be finite.
-    Returns the column sums of the p-th powers (column max for INF), one per
-    block column."""
-    columns = None
+def _weighted_columns(blocks, lattices, p, lattice_columns=slice(None)) -> list:
+    """The inner reduction of every phase-space norm, for several weights from
+    one pass. Each (lo, mag) block holds the magnitudes of lattice rows lo..;
+    every entry of ``lattices`` weights those rows of it, taken at
+    ``lattice_columns`` (by default all of them, a block in ascending xi). A
+    None lattice reduces the raw magnitudes; any other weights a copy of the
+    block in one scratch buffer, except the last, which overwrites the block
+    in place (so a single lattice costs no copy). Every weighted block must be
+    finite. Returns one array per lattice: the column sums of the p-th powers
+    (column max for INF), one per block column."""
+    last = len(lattices) - 1
+    columns = [None] * len(lattices)
+    scratch = None
     for lo, mag in blocks:
-        if lattice is not None:
-            mag *= lattice[lo:lo + mag.shape[0], lattice_columns]
-        if not np.all(np.isfinite(mag)):
-            raise NumericalError("mixed norm encountered non-finite weighted values")
-        part = _column_reduce(mag, p)
-        if columns is None:
-            columns = part
-        elif is_inf(p):
-            np.maximum(columns, part, out=columns)
-        else:
-            columns += part
+        rows = mag.shape[0]
+        for k, lattice in enumerate(lattices):
+            weighted = mag
+            if lattice is not None:
+                weights = lattice[lo:lo + rows, lattice_columns]
+                if k == last:
+                    mag *= weights
+                else:
+                    if scratch is None:  # the first block is the largest
+                        scratch = np.empty_like(mag)
+                    weighted = np.multiply(mag, weights, out=scratch[:rows])
+            if not np.all(np.isfinite(weighted)):
+                raise NumericalError("mixed norm encountered non-finite weighted values")
+            part = _column_reduce(weighted, p)
+            if columns[k] is None:
+                columns[k] = part
+            elif is_inf(p):
+                np.maximum(columns[k], part, out=columns[k])
+            else:
+                columns[k] += part
     return columns
 
 
-def _modulation_columns(f: FieldSample, w: WindowSpec, ws: WeightSpec,
-                        osc: OscillatorSpec | None, p) -> np.ndarray:
-    """``_weighted_columns`` of |V_g f| straight from the blocked STFT pass,
-    one column per xi node in ascending order. No boundary-mass check.
-    A real d=1 field under the default window reduces only the N/2 + 1
-    ``rfft`` bins and mirrors their column sums (see the module docstring).
+def _modulation_columns(f: FieldSample, w: WindowSpec, weights,
+                        osc: OscillatorSpec | None, p) -> list:
+    """``_weighted_columns`` of |V_g f| straight from one blocked STFT pass,
+    one column array per WeightSpec in ``weights`` (flat weights reduce the
+    raw magnitudes), each with one column per xi node in ascending order. No
+    boundary-mass check. A real d=1 field under the default window reduces
+    only the N/2 + 1 ``rfft`` bins and mirrors their column sums (see the
+    module docstring).
     """
     grid = f.grid
     n_pts = grid.points_per_axis
-    lattice = _weight_lattice(ws, osc, grid)
+    lattices = [_weight_lattice(ws, osc, grid) for ws in weights]
     if grid.dimension == 1 and w.kind == "gaussian" and not f.values.imag.any():
         half = n_pts // 2
         # rfft bin k has |xi| = k/(2L), as has lattice column N/2 - k (the
         # Nyquist bin N/2 is column 0, xi = -N/2): a reversed view weighs all
-        sums = _weighted_columns(
-            ((lo, np.abs(block)) for lo, block in _stft_blocks(f, w, real=True)),
-            lattice, p, slice(half, None, -1))
-        columns = np.empty(n_pts)
-        columns[half:] = sums[:half]
-        columns[:half] = sums[half:0:-1]  # bin k also stands for -k, at column N/2 - k
-        return columns
+        mirrored = []
+        for sums in _weighted_columns(
+                ((lo, np.abs(block)) for lo, block in _stft_blocks(f, w, real=True)),
+                lattices, p, slice(half, None, -1)):
+            columns = np.empty(n_pts)
+            columns[half:] = sums[:half]
+            columns[:half] = sums[half:0:-1]  # bin k also stands for -k, at column N/2 - k
+            mirrored.append(columns)
+        return mirrored
 
     halves = _ascending_halves(n_pts, grid.dimension)
 
@@ -340,7 +361,7 @@ def _modulation_columns(f: FieldSample, w: WindowSpec, ws: WeightSpec,
                 np.abs(block[src], out=mag[dst])
             yield lo, mag.reshape(mag.shape[0], grid.size)
 
-    return _weighted_columns(magnitudes(), lattice, p)
+    return _weighted_columns(magnitudes(), lattices, p)
 
 
 def mixed_norm(field: PhaseSpaceField, w: WeightSpec, osc: OscillatorSpec | None,
@@ -351,8 +372,8 @@ def mixed_norm(field: PhaseSpaceField, w: WeightSpec, osc: OscillatorSpec | None
     power-sum formula (quasi-norm). Cell measures are h^d and (1/(2L))^d.
     """
     grid = field.grid
-    columns = _weighted_columns([(0, np.abs(field.values))],
-                                _weight_lattice(w, osc, grid), params.p)
+    [columns] = _weighted_columns([(0, np.abs(field.values))],
+                                  [_weight_lattice(w, osc, grid)], params.p)
     return _outer_reduce(columns, params.p, params.q, grid.cell_volume, grid.frequency_cell)
 
 
@@ -371,8 +392,25 @@ def modulation_norm(f: FieldSample, w: WindowSpec, ws: WeightSpec,
     non-finite weighted values. Like ``stft`` it measures a state, so it
     warns when the field carries boundary mass above 1e-8 of its peak; a
     Picard gap goes through ``_modulation_columns`` without that check.
+    This is the one-weight case of ``modulation_norms``.
     """
-    _check_boundary_mass(f)
-    grid = f.grid
-    columns = _modulation_columns(f, w, ws, osc, params.p)
-    return _outer_reduce(columns, params.p, params.q, grid.cell_volume, grid.frequency_cell)
+    [value] = _measured_norms(f, w, [ws], osc, params)
+    return value
+
+
+def modulation_norms(f: FieldSample, w: WindowSpec, weights, osc: OscillatorSpec | None,
+                     params: MixedNormParams) -> list:
+    """``modulation_norm`` of one field under each WeightSpec in ``weights``,
+    from one blocked STFT pass and one boundary-mass check. Each value equals
+    the one-weight ``modulation_norm`` bit for bit: the magnitudes of the
+    pass are shared and each weight is applied with the same arithmetic. An
+    overflowing weight anywhere in the list raises NumericalError.
+    """
+    return _measured_norms(f, w, weights, osc, params)
+
+
+def _measured_norms(f, w, weights, osc, params) -> list:
+    _check_boundary_mass(f, stacklevel=4)  # names the caller of the public function
+    cells = (f.grid.cell_volume, f.grid.frequency_cell)
+    return [_outer_reduce(columns, params.p, params.q, *cells)
+            for columns in _modulation_columns(f, w, weights, osc, params.p)]

@@ -152,7 +152,8 @@ def assemble_operator(osc: OscillatorSpec, grid: Grid) -> np.ndarray:
     Positivity is certified exactly: the Fourier multiplier is nonnegative
     and the strictly positive nodal potential is checked (the staggered
     grid excludes the origin, so min V over nodes is positive for any valid
-    potential).
+    potential). A nodal potential that overflows (a finite but huge
+    coefficient) raises NumericalError before the matrix is built.
     """
     if osc.dimension != grid.dimension:
         raise InvalidSpecError("oscillator and grid dimensions differ")
@@ -162,6 +163,8 @@ def assemble_operator(osc: OscillatorSpec, grid: Grid) -> np.ndarray:
 
     nodes = grid.nodes()
     v_nodes = evaluate_potential(osc.potential, nodes)
+    if not np.all(np.isfinite(v_nodes)):
+        raise NumericalError("nodal potential is not finite; a coefficient overflows")
     v_min = float(np.min(v_nodes))
     if v_min <= 0:
         raise NumericalError(f"nodal potential minimum {v_min:.3e} is not positive")

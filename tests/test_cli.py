@@ -235,6 +235,21 @@ class TestRunManifest:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "NumericalError" in err
 
+    def test_overflowing_potential_exits_numerical(self, tmp_path, capsys):
+        """A coefficient of 1e308 is a finite, valid spec whose nodal potential
+        overflows to inf: a numerical failure, caught before the eigensolver."""
+        manifest = {"schema": 1, "kind": "norms",
+                    "grid": {"dimension": 1, "points_per_axis": 64, "half_width": 8.0},
+                    "oscillator": {"dimension": 1, "l": 1,
+                                   "potential": {"kind": "aniso_sum", "degree_half": 1,
+                                                 "coefficients": [1e308]}},
+                    "params": {"checks": ["moyal"], "modes": 16}}
+        path = write_manifest(tmp_path, manifest)
+        code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
+        assert code == EXIT_NUMERICAL and record is None
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "nodal potential" in err
+
     def test_failing_check_exits_one(self, tmp_path):
         path = write_manifest(tmp_path, small_spectrum_manifest(tolerance=1e-9))
         code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
@@ -279,6 +294,36 @@ class TestRunManifest:
         r1 = json.loads((tmp_path / "r1" / "report.json").read_text())
         r2 = json.loads((tmp_path / "r2" / "report.json").read_text())
         assert "picard_etd_gap" in [row["name"] for row in r1["results"]]
+        assert r1["results"] == r2["results"]
+
+    def test_norms_rerun_is_identical(self, tmp_path):
+        """All four norms checks on a 128-point grid give the same report
+        values on a rerun (the runner writes no CSV)."""
+        manifest = {"schema": 1, "kind": "norms", "seed": 11, "format": "both",
+                    "grid": {"dimension": 1, "points_per_axis": 128, "half_width": 6.0},
+                    "params": {"checks": ["moyal", "equivalence", "algebra", "singular"]}}
+        path = write_manifest(tmp_path, manifest)
+        code1, _ = run_manifest(path, out_dir=str(tmp_path / "r1"))
+        code2, _ = run_manifest(path, out_dir=str(tmp_path / "r2"))
+        assert code1 == EXIT_OK and code2 == EXIT_OK
+        r1 = json.loads((tmp_path / "r1" / "report.json").read_text())
+        r2 = json.loads((tmp_path / "r2" / "report.json").read_text())
+        assert len(r1["results"]) == 7
+        assert r1["results"] == r2["results"]
+
+    def test_ou_rerun_is_byte_identical(self, tmp_path):
+        manifest = {"schema": 1, "kind": "ou", "seed": 11, "format": "both",
+                    "grid": {"dimension": 1, "points_per_axis": 128, "half_width": 12.0},
+                    "params": {"modes": 48, "gauss_probes": 3}}
+        path = write_manifest(tmp_path, manifest)
+        code1, _ = run_manifest(path, out_dir=str(tmp_path / "r1"))
+        code2, _ = run_manifest(path, out_dir=str(tmp_path / "r2"))
+        assert code1 == EXIT_OK and code2 == EXIT_OK
+        first = sorted((tmp_path / "r1").glob("*.csv"))
+        assert [p.name for p in first] == ["ou_rate.csv"]
+        assert first[0].read_bytes() == (tmp_path / "r2" / "ou_rate.csv").read_bytes()
+        r1 = json.loads((tmp_path / "r1" / "report.json").read_text())
+        r2 = json.loads((tmp_path / "r2" / "report.json").read_text())
         assert r1["results"] == r2["results"]
 
     def test_json_only_format_skips_csv(self, tmp_path):

@@ -9,10 +9,11 @@ import anharmonic as ah
 from anharmonic import (INF, FieldSample, Grid, InvalidSpecError, MixedNormParams,
                         NumericalError, PotentialSpec, ProbeSkipWarning, TruncationError,
                         WeightQuotientParams, WeightSpec, WindowSpec, algebra_ratio,
-                        eigenfunction_probes, estimators, fit_decay_exponent,
-                        gaussian_probe_fields, is_inf, longtime_rate, multilinear_ratio,
+                        algebra_ratios, eigenfunction_probes, estimators,
+                        fit_decay_exponent, gaussian_probe_fields, is_inf, longtime_rate,
+                        modulation_norm, multilinear_ratio, phasespace,
                         probe_operator_bound, sigma_exponent, singular_weight_norm,
-                        smoothing_decay_run, sobolev_modulation_equivalence,
+                        smoothing_decay_run, sobolev_modulation_equivalence, sobolev_norm,
                         spectral_sum_bound, standard_probe_family, stft,
                         weight_quotient_norm)
 from oracles import mixed_norm_reference, quotient_reference
@@ -400,7 +401,7 @@ class TestSingularWeight:
 class TestEquivalenceBand:
     def test_zero_order_band_collapses_to_parseval(self, hermite_dec):
         probes = eigenfunction_probes(hermite_dec, 4)
-        band = sobolev_modulation_equivalence(hermite_dec, 0.0, probes)
+        [band] = sobolev_modulation_equivalence(hermite_dec, [0.0], probes)
         assert band.count == 4
         assert band.spread == pytest.approx(1.0, rel=1e-9)
         assert band.min_ratio == pytest.approx(1.0, rel=1e-9)
@@ -408,11 +409,85 @@ class TestEquivalenceBand:
     def test_positive_order_band_is_finite(self, hermite_dec):
         probes = (gaussian_probe_fields(hermite_dec.grid, 4)
                   + eigenfunction_probes(hermite_dec, 4))
-        band = sobolev_modulation_equivalence(hermite_dec, 1.0, probes)
+        [band] = sobolev_modulation_equivalence(hermite_dec, [1.0], probes)
         assert 0 < band.min_ratio <= band.max_ratio
         assert band.spread < 20.0
 
     def test_all_probes_skipped_raises(self, hermite_dec):
         zero = FieldSample(hermite_dec.grid, np.zeros(hermite_dec.grid.size))
         with pytest.warns(ProbeSkipWarning), pytest.raises(ValueError):
-            sobolev_modulation_equivalence(hermite_dec, 0.0, [zero])
+            sobolev_modulation_equivalence(hermite_dec, [0.0], [zero])
+        with pytest.warns(ProbeSkipWarning), pytest.raises(ValueError):
+            sobolev_modulation_equivalence(hermite_dec, (0.0, 1.0, 2.0), [zero, zero])
+
+
+class TestCorpusBookkeeping:
+    """The norms runner's corpora take one STFT pass per distinct field: the
+    algebra corpus norms each factor once and each product once, and the
+    equivalence bands for every s share one pass per projected probe."""
+
+    GRID = Grid(1, 128, 10.0)
+    L2 = MixedNormParams(2.0, 2.0)
+
+    @staticmethod
+    def count_passes(monkeypatch):
+        calls = []
+        original = phasespace._modulation_columns
+
+        def counted(f, *args):
+            calls.append(f)
+            return original(f, *args)
+
+        monkeypatch.setattr(phasespace, "_modulation_columns", counted)
+        return calls
+
+    @pytest.mark.parametrize("p,q", [(2.0, 2.0), (INF, 1.0)], ids=["p2-q2", "pinf-q1"])
+    def test_ratios_are_the_direct_quotients(self, p, q, hermite_osc):
+        fields = gaussian_probe_fields(self.GRID, 6, 7)
+        pairs = [(0, 0), (0, 3), (2, 5), (5, 2), (4, 4)]
+        ws, params, window = WeightSpec("anharmonic", 2.0), MixedNormParams(p, q), WindowSpec()
+
+        def norm(values):
+            return modulation_norm(FieldSample(self.GRID, values), window, ws, hermite_osc,
+                                   params)
+
+        expected = [norm(fields[i].values * fields[j].values)
+                    / (norm(fields[i].values) * norm(fields[j].values)) for i, j in pairs]
+        assert algebra_ratios(fields, pairs, params, ws, hermite_osc) == expected
+
+    def test_shipped_corpus_takes_one_pass_per_field(self, monkeypatch, hermite_osc):
+        fields = gaussian_probe_fields(self.GRID, 15, 1235)
+        pairs = [(i, j) for i in range(15) for j in range(i, 15)][:100]
+        calls = self.count_passes(monkeypatch)
+        ratios = algebra_ratios(fields, pairs, self.L2, WeightSpec("anharmonic", 2.0),
+                                hermite_osc)
+        assert len(calls) == 15 + 100
+        assert len(ratios) == 100 and all(np.isfinite(ratios))
+
+    def test_zero_factor_skips_each_pair(self, monkeypatch):
+        f, g = gaussian_probe_fields(self.GRID, 2, 7)
+        zero = FieldSample(self.GRID, np.zeros(self.GRID.size))
+        pairs = [(0, 1), (1, 1), (0, 2), (2, 1)]
+        calls = self.count_passes(monkeypatch)
+        with pytest.warns(ProbeSkipWarning) as record:
+            ratios = algebra_ratios([f, zero, g], pairs, self.L2, FLAT)
+        assert len(record) == 3
+        assert [math.isnan(r) for r in ratios] == [True, True, False, True]
+        assert np.isfinite(ratios[2]) and ratios[2] > 0
+        assert len(calls) == 3 + 1  # the skipped products are not normed
+
+    @pytest.mark.filterwarnings("ignore")  # boundary and off-span notes of the probes
+    def test_bands_are_the_direct_ratios(self, monkeypatch, small_dec):
+        probes = standard_probe_family(small_dec, "equivalence", 11)
+        s_values = (0.0, 1.0, 2.0)
+        calls = self.count_passes(monkeypatch)
+        bands = sobolev_modulation_equivalence(small_dec, s_values, probes)
+        assert len(calls) == len(probes) == 50
+        spans = [small_dec.reconstruct(small_dec.coefficients(f)) for f in probes]
+        for s, band in zip(s_values, bands):
+            ws = WeightSpec("anharmonic", s)
+            ratios = [sobolev_norm(small_dec, s, f)
+                      / modulation_norm(f, WindowSpec(), ws, small_dec.oscillator, self.L2)
+                      for f in spans]
+            assert band == ah.EquivalenceBand(min(ratios), max(ratios), 50)
+        assert len(bands) == 3

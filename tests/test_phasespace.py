@@ -8,8 +8,8 @@ import anharmonic as ah
 from anharmonic import (INF, BoundaryMassWarning, FieldSample, Grid,
                         InvalidSpecError, MixedNormParams, NumericalError,
                         PhaseSpaceField, WeightSpec, WindowSpec, gaussian_stft,
-                        mixed_norm, modulation_norm, stft, weight_value,
-                        window_values)
+                        mixed_norm, modulation_norm, modulation_norms, stft,
+                        weight_value, window_values)
 from oracles import (gaussian_lattice_stft_abs, gaussian_window_transform_abs,
                      mixed_norm_reference)
 
@@ -384,3 +384,79 @@ class TestStreamedNormGuards:
         finally:
             tracemalloc.stop()
         assert peak < hermite_grid.size ** 2 * 16
+
+
+class TestSharedPass:
+    """``modulation_norms`` reduces one STFT pass under several weights. Each
+    value must be the one-weight ``modulation_norm`` bit for bit, whatever
+    the weight's place in the list: a flat weight reduces the raw magnitudes,
+    the others weight a copy of the block, the last one weights it in place."""
+
+    GRID = TestRealStateNorm.GRID  # two row blocks of the streamed pass
+    AMP, A, B, C = 2.0, 2.0, 0.75, 0.5
+
+    def case(self, name):
+        """(field, window, oscillator, the two non-flat weights)."""
+        grid = self.GRID
+        x = grid.axis_nodes()
+        real = self.AMP * np.exp(-self.A * (x - self.B) ** 2)
+        weighted = (WeightSpec("polynomial", 1.5), WeightSpec("anharmonic", 0.75))
+        osc = ah.oscillator(2, 1)
+        if name == "real":  # the half-spectrum branch
+            return FieldSample(grid, real), WindowSpec(), osc, weighted
+        if name == "complex":
+            f = FieldSample(grid, real * np.exp(2j * np.pi * self.C * x))
+            return f, WindowSpec(), osc, weighted
+        if name == "custom":
+            return FieldSample(grid, real), _wrapped_gaussian_window(grid), osc, weighted
+        grid2 = Grid(2, 32, 4.0)
+        r2 = np.sum((grid2.nodes() - 0.25) ** 2, axis=1)
+        return (FieldSample(grid2, np.exp(-2.0 * r2)), WindowSpec(),
+                ah.oscillator(1, 1, dimension=2), weighted)
+
+    @pytest.mark.parametrize("p,q", [(2.0, 1.0), (INF, 2.0), (0.5, INF)], ids=_exponent_id)
+    @pytest.mark.parametrize("flat_at", [0, 1, 2], ids=["flat_first", "flat_mid", "flat_last"])
+    @pytest.mark.parametrize("name", ["real", "complex", "d2", "custom"])
+    def test_each_value_is_the_one_weight_norm(self, name, flat_at, p, q):
+        f, window, osc, weighted = self.case(name)
+        weights = list(weighted)
+        weights.insert(flat_at, FLAT)
+        params = MixedNormParams(p, q)
+        got = modulation_norms(f, window, weights, osc, params)
+        assert got == [modulation_norm(f, window, ws, osc, params) for ws in weights]
+
+    @pytest.mark.parametrize("name", ["real", "complex"])
+    def test_against_aliased_closed_form(self, name, quartic_osc):
+        grid = self.GRID
+        f, window, _, _ = self.case(name)
+        c = self.C if name == "complex" else 0.0
+        mag = gaussian_lattice_stft_abs(grid.nodes()[:, 0], grid.frequency_nodes()[:, 0],
+                                        self.AMP, self.A, self.B, c, grid.h)
+        kinds = ["polynomial", "flat", "anharmonic"]
+        specs = [_oracle_weight(kind, grid, quartic_osc) for kind in kinds]
+        params = MixedNormParams(6.0, 2.0)
+        got = modulation_norms(f, window, [ws for ws, _, _ in specs], quartic_osc, params)
+        for value, (_, _, weight) in zip(got, specs):
+            expected = mixed_norm_reference(mag, weight, 6.0, 2.0, grid.cell_volume,
+                                            grid.frequency_cell)
+            assert value == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("p", [2.0, INF], ids=_exponent_id)
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["real", "complex"])
+    def test_overflowing_weight_raises_in_any_place(self, name, at, p):
+        f, window, osc, _ = self.case(name)
+        weights = [FLAT, WeightSpec("polynomial", 1.5)]
+        # (1 + |x| + |xi|)^400 overflows to inf away from the origin
+        weights.insert(at, WeightSpec("polynomial", 400.0))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+            modulation_norms(f, window, weights, osc, MixedNormParams(p, 1.0))
+
+    def test_boundary_mass_warns_once_per_field(self):
+        grid = Grid(1, 128, 6.0)
+        f = FieldSample(grid, np.ones(grid.size))
+        weights = [FLAT, WeightSpec("polynomial", 1.0), WeightSpec("polynomial", 2.0)]
+        with pytest.warns(BoundaryMassWarning) as record:
+            modulation_norms(f, WindowSpec(), weights, None, MixedNormParams(2.0, 2.0))
+        assert len(record) == 1
+        assert record[0].filename == __file__
