@@ -17,27 +17,26 @@ from .model import (INF, MixedNormParams, OscillatorSpec, PotentialSpec, WeightS
                     check_exponent, evaluate_potential, exponent_from_json,
                     hermite_oscillator, is_inf, oscillator, oscillator_from_dict,
                     potential_from_dict, submultiplicativity_defect, weight_value)
-from .spectral import (FieldSample, Grid, GrowthFit, SpectralDecomposition,
-                       assemble_operator, decompose, eigendecompose, eigenvalue_growth_fit,
-                       field_from_function, growth_target)
+from .spectral import (FieldSample, Grid, SpectralDecomposition, assemble_operator,
+                       decompose, eigendecompose, field_from_function)
 from .calculus import (SemigroupQuery, apply_spectral_function, fractional_power,
                        heat_semigroup, project, sobolev_norm)
 from .phasespace import (PhaseSpaceField, WindowSpec, gaussian_half_density,
                          gaussian_stft, mixed_norm, modulation_norm, modulation_norms,
                          stft, window_values)
-from .estimators import (DecayFitResult, EquivalenceBand, LongtimeRateResult,
-                         SingularWeightResult, WeightQuotientParams, algebra_ratio,
-                         algebra_ratios, eigenfunction_probes, fit_decay_exponent,
-                         gaussian_probe_fields, longtime_rate, multilinear_ratio,
-                         probe_operator_bound, sigma_exponent, singular_weight_norm,
-                         smoothing_decay_run, sobolev_modulation_equivalence,
-                         spectral_sum_bound, standard_probe_family, weight_quotient_norm)
+from .estimators import (EquivalenceBand, LogLinearFit, SingularWeightResult,
+                         WeightQuotientParams, algebra_ratio, algebra_ratios,
+                         eigenfunction_probes, eigenvalue_growth_fit, fit_decay_exponent,
+                         gaussian_probe_fields, growth_target, longtime_rate,
+                         multilinear_ratio, ou_probe_rate, probe_operator_bound,
+                         sigma_exponent, singular_weight_norm, smoothing_decay_run,
+                         sobolev_modulation_equivalence, spectral_sum_bound,
+                         standard_probe_family, weight_quotient_norm)
 from .nlheat import (NonlinearProblemSpec, ThresholdResult, Trajectory,
                      apply_nonlinearity, duhamel_residual, etd_evolve, picard_solve,
-                     replace_u0, smallness_threshold)
-from .ougauss import (GaussianConjugation, OuRateResult, apply_conjugation,
-                      conjugation_discarded_mass, gaussian_modulation_norm,
-                      ou_probe_rate, ou_semigroup)
+                     smallness_threshold)
+from .ougauss import (GaussianConjugation, apply_conjugation, conjugation_discarded_mass,
+                      gaussian_modulation_norm, ou_semigroup)
 
 __all__ = [
     "__version__",
@@ -52,8 +51,7 @@ __all__ = [
     "potential_from_dict", "oscillator_from_dict",
     # spectral
     "Grid", "FieldSample", "field_from_function", "assemble_operator",
-    "SpectralDecomposition", "eigendecompose", "decompose", "GrowthFit", "growth_target",
-    "eigenvalue_growth_fit",
+    "SpectralDecomposition", "eigendecompose", "decompose",
     # calculus
     "SemigroupQuery", "apply_spectral_function", "heat_semigroup", "fractional_power",
     "project", "sobolev_norm",
@@ -61,17 +59,17 @@ __all__ = [
     "WindowSpec", "window_values", "PhaseSpaceField", "stft", "gaussian_half_density",
     "gaussian_stft", "mixed_norm", "modulation_norm", "modulation_norms",
     # estimators
-    "sigma_exponent", "WeightQuotientParams", "weight_quotient_norm", "DecayFitResult",
-    "fit_decay_exponent", "smoothing_decay_run", "gaussian_probe_fields",
-    "eigenfunction_probes", "standard_probe_family", "probe_operator_bound",
-    "LongtimeRateResult", "longtime_rate", "spectral_sum_bound", "algebra_ratio",
-    "algebra_ratios", "multilinear_ratio", "SingularWeightResult", "singular_weight_norm",
-    "EquivalenceBand", "sobolev_modulation_equivalence",
+    "LogLinearFit", "growth_target", "eigenvalue_growth_fit", "sigma_exponent",
+    "WeightQuotientParams", "weight_quotient_norm", "fit_decay_exponent",
+    "smoothing_decay_run", "gaussian_probe_fields", "eigenfunction_probes",
+    "standard_probe_family", "probe_operator_bound", "longtime_rate", "ou_probe_rate",
+    "spectral_sum_bound", "algebra_ratio", "algebra_ratios", "multilinear_ratio",
+    "SingularWeightResult", "singular_weight_norm", "EquivalenceBand",
+    "sobolev_modulation_equivalence",
     # nlheat
     "NonlinearProblemSpec", "apply_nonlinearity", "Trajectory", "picard_solve",
     "etd_evolve", "duhamel_residual", "ThresholdResult", "smallness_threshold",
-    "replace_u0",
     # ougauss
     "GaussianConjugation", "conjugation_discarded_mass", "apply_conjugation",
-    "ou_semigroup", "gaussian_modulation_norm", "OuRateResult", "ou_probe_rate",
+    "ou_semigroup", "gaussian_modulation_norm",
 ]

@@ -20,7 +20,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,15 +30,16 @@ from .errors import InvalidSpecError, NumericalError, SchemaError
 from .model import (INF, MixedNormParams, WeightSpec, exponent_from_json, hermite_oscillator,
                     oscillator, oscillator_from_dict, submultiplicativity_defect,
                     weight_value)
-from .estimators import (WeightQuotientParams, algebra_ratios, gaussian_probe_fields,
-                         sigma_exponent, singular_weight_norm, smoothing_decay_run,
+from .estimators import (WeightQuotientParams, algebra_ratios, eigenvalue_growth_fit,
+                         gaussian_probe_fields, ou_probe_rate, sigma_exponent,
+                         singular_weight_norm, smoothing_decay_run,
                          sobolev_modulation_equivalence, standard_probe_family)
 from .nlheat import (NonlinearProblemSpec, _check_steps, duhamel_residual, etd_evolve,
-                     picard_solve, replace_u0)
+                     picard_solve)
 from .ougauss import (GaussianConjugation, apply_conjugation, gaussian_modulation_norm,
-                      ou_probe_rate, ou_semigroup)
+                      ou_semigroup)
 from .phasespace import WindowSpec, gaussian_stft, mixed_norm, modulation_norm, stft
-from .spectral import FieldSample, Grid, decompose, eigenvalue_growth_fit
+from .spectral import FieldSample, Grid, decompose
 
 _KINDS = ("spectrum", "decay", "norms", "nlheat", "ou", "selftest")
 _FORMATS = ("json", "csv", "both")
@@ -369,7 +370,7 @@ def _run_nlheat(manifest, seed, record):
     ws = WeightSpec("anharmonic", monitor[2])
     mparams = MixedNormParams(monitor[0], monitor[1])
     base_norm = modulation_norm(base, window, ws, osc, mparams)
-    spec = replace_u0(spec, FieldSample(grid, base.values * (initial_norm / base_norm)))
+    spec = replace(spec, u0=FieldSample(grid, base.values * (initial_norm / base_norm)))
 
     traj = picard_solve(spec, horizon, dt, tol=tol)
     scale = traj.sup_monitored_norm()
@@ -452,11 +453,11 @@ def _run_ou(manifest, seed, record):
     probes = gaussian_probe_fields(grid, int(params.get("gauss_probes", 30)), seed)
     rate = ou_probe_rate(conj, dec, beta, params.get("rate_t_list", [1, 2, 3, 4, 5]),
                          probes, window, ws, l2_params)
-    record.results.append(_result("ou_longtime_rate", rate.rate, rate.target,
+    record.results.append(_result("ou_longtime_rate", rate.slope, rate.target,
                                   rate.rel_deviation, 0.05, rate.rel_deviation <= 0.05))
     record.series["ou_rate"] = {
         "header": ["t", "log_bound", "fitted", "target_rate"],
-        "rows": [[float(t), float(np.log(v)), float(rate.rate * t + rate.intercept),
+        "rows": [[float(t), float(np.log(v)), float(rate.slope * t + rate.intercept),
                   float(rate.target)] for t, v in rate.samples]}
 
 

@@ -1,5 +1,7 @@
-"""Experiment estimators: smoothing-rate fits, long-time rates, spectral sums,
-algebra and multilinear ratios, singular weights, and norm-equivalence bands.
+"""Experiment estimators: eigenvalue-growth and smoothing-rate fits, long-time
+and Ornstein-Uhlenbeck rates, spectral sums, algebra and multilinear ratios,
+singular weights, and norm-equivalence bands. Every slope and rate is one
+``LogLinearFit``.
 
 Two families of measurements live here. Analytic ones evaluate the weight
 quotient that controls the semigroup bound on a dedicated scaled quadrature
@@ -16,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import SemigroupQuery, heat_semigroup, sobolev_norm
-from .errors import InvalidSpecError, ProbeSkipWarning, TruncationError
+from .errors import InvalidSpecError, NumericalError, ProbeSkipWarning, TruncationError
 from .model import (MixedNormParams, OscillatorSpec, WeightSpec, check_exponent,
                     evaluate_potential, is_inf)
+from .ougauss import GaussianConjugation, gaussian_modulation_norm, ou_semigroup
 from .phasespace import (_BLOCK_CELLS, WindowSpec, _check_boundary_mass,
                          _modulation_columns, _outer_reduce, _weighted_columns,
                          modulation_norm, modulation_norms)
@@ -200,35 +203,66 @@ def weight_quotient_norm(params: WeightQuotientParams, t: float) -> float:
     return base
 
 
-def _loglinear_fit(x, values):
-    """Least squares of log(values) against x: (slope, intercept, R^2).
+@dataclass(frozen=True)
+class LogLinearFit:
+    """Least-squares line through (x, log value): every slope and rate the
+    runners check. ``rel_deviation`` is |slope - target| / |target|, None
+    without a (nonzero) target; ``samples`` holds the fitted (x, value)
+    pairs."""
 
-    R^2 is clamped to [0, 1] and is 1 for constant log-values.
-    """
+    slope: float
+    intercept: float
+    r_squared: float
+    target: float | None
+    rel_deviation: float | None
+    samples: tuple
+
+
+def _loglinear_fit(x, values, target=None) -> LogLinearFit:
+    """Fit log(values) against x. R^2 is clamped to [0, 1] and is 1 for
+    constant log-values. A non-positive or non-finite value (an underflowed
+    or overflowed measurement) raises NumericalError."""
     x = np.asarray(x, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values) & (values > 0)):
+        raise NumericalError(f"log-linear fit needs finite positive values, got {values}")
     ly = np.log(values)
     slope, intercept = np.polyfit(x, ly, 1)
     pred = slope * x + intercept
     ss_res = float(np.sum((ly - pred) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else float(min(max(1.0 - ss_res / ss_tot, 0.0), 1.0))
-    return float(slope), float(intercept), r2
+    dev = None if target in (None, 0.0) else float(abs(slope - target) / abs(target))
+    return LogLinearFit(float(slope), float(intercept), r2,
+                        None if target is None else float(target), dev,
+                        tuple(zip(x.tolist(), values.tolist())))
 
 
-@dataclass(frozen=True)
-class DecayFitResult:
-    """Least-squares power-law fit of (t, value) samples in log-log space."""
-
-    slope: float
-    intercept: float
-    r_squared: float
-    t_window: tuple
-    target: float | None
-    rel_deviation: float | None
+def growth_target(osc: OscillatorSpec) -> float:
+    k = osc.degree_half
+    return 2.0 * k * osc.l / (osc.dimension * (k + osc.l))
 
 
-def fit_decay_exponent(samples, target: float | None = None) -> DecayFitResult:
-    """Ordinary least squares of log(value) against log(t).
+def eigenvalue_growth_fit(dec: SpectralDecomposition, j_lo: int, j_hi: int) -> LogLinearFit:
+    """Fit log lambda_j against log j over [j_lo, j_hi], with the target
+    slope 2kl / (d (k + l)).
+
+    The window must start at j_lo >= 20 and stop by 0.4 m, away from the
+    discretization-corrupted tail, and must contain at least 20 points.
+    """
+    if j_lo < 20:
+        raise ValueError("j_lo must be at least 20 (asymptotic regime)")
+    if j_hi > 0.4 * dec.m:
+        raise ValueError(f"j_hi={j_hi} exceeds 0.4*m = {0.4 * dec.m:.0f}")
+    if j_hi - j_lo + 1 < 20:
+        raise ValueError("growth window needs at least 20 points")
+    j = np.arange(j_lo, j_hi + 1)
+    return _loglinear_fit(np.log(j), dec.eigenvalues[j_lo:j_hi + 1],
+                          growth_target(dec.oscillator))
+
+
+def fit_decay_exponent(samples, target: float | None = None) -> LogLinearFit:
+    """Fit log(value) against log(t).
 
     Needs at least 6 samples spanning at least 1.5 decades, all positive.
     ``target`` is the expected slope (the negated smoothing exponent for
@@ -243,18 +277,14 @@ def fit_decay_exponent(samples, target: float | None = None) -> DecayFitResult:
         raise ValueError("samples must have positive t and value")
     if np.log10(ts.max() / ts.min()) < 1.5:
         raise ValueError("samples must span at least 1.5 decades of t")
-    slope, intercept, r2 = _loglinear_fit(np.log(ts), vs)
-    dev = None if target in (None, 0.0) else abs(slope - target) / abs(target)
-    return DecayFitResult(slope, intercept, r2,
-                          (float(ts.min()), float(ts.max())),
-                          None if target is None else float(target),
-                          None if dev is None else float(dev))
+    return _loglinear_fit(np.log(ts), vs, target)
 
 
 def smoothing_decay_run(params: WeightQuotientParams):
     """Sample the quotient over params.t_list and fit the decay exponent.
 
-    Returns (samples, DecayFitResult) with the target slope -sigma.
+    Returns (samples, fit) with the target slope -sigma: the samples hold
+    natural t, the fit's own samples log t.
     """
     osc = params.oscillator
     sigma = sigma_exponent(osc.degree_half, osc.l, osc.beta, osc.dimension,
@@ -349,35 +379,50 @@ def probe_operator_bound(dec: SpectralDecomposition, beta: float, t: float,
     return float(max(_probe_ratios(probes, source_norm, [target_at(t)])[0]))
 
 
-@dataclass(frozen=True)
-class LongtimeRateResult:
-    """Exponential-rate fit of the probe bound over a t window."""
-
-    rate: float
-    intercept: float
-    r_squared: float
-    target: float
-    rel_deviation: float
-    t_window: tuple
+def _rate_fit(probes, source_norm, target_at, t_list, target_rate) -> LogLinearFit:
+    """Fit log of the worst probe ratio target_at(t)(f) / source_norm(f)
+    against t over at least 3 times."""
+    ts = [float(t) for t in t_list]
+    if len(ts) < 3:
+        raise ValueError("need at least 3 time points")
+    ratios = _probe_ratios(probes, source_norm, [target_at(t) for t in ts])
+    return _loglinear_fit(ts, [max(r) for r in ratios], target_rate)
 
 
 def longtime_rate(dec: SpectralDecomposition, beta: float, t_list, source, target,
-                  probes, window: WindowSpec | None = None) -> LongtimeRateResult:
+                  probes, window: WindowSpec | None = None) -> LogLinearFit:
     """Fit log probe_operator_bound against t; the expected rate is the
     negated beta-th power of the ground eigenvalue. Requires matching
     nonnegative weight exponents on both sides (the refined regime)."""
     if source[2] != target[2] or float(source[2]) < 0:
         raise ValueError("longtime fit needs s_source = s_target >= 0")
-    ts = [float(t) for t in t_list]
-    if len(ts) < 3:
-        raise ValueError("need at least 3 time points")
     source_norm, target_at = _heat_norms(dec, beta, source, target, window)
-    vals = [max(r) for r in _probe_ratios(probes, source_norm, [target_at(t) for t in ts])]
-    rate, intercept, r2 = _loglinear_fit(ts, vals)
-    target_rate = -float(dec.eigenvalues[0]) ** beta
-    dev = abs(rate - target_rate) / abs(target_rate)
-    return LongtimeRateResult(rate, intercept, r2, target_rate,
-                              float(dev), (min(ts), max(ts)))
+    return _rate_fit(probes, source_norm, target_at, t_list,
+                     -float(dec.eigenvalues[0]) ** beta)
+
+
+def ou_probe_rate(c: GaussianConjugation, dec: SpectralDecomposition, beta: float,
+                  t_list, probes, window: WindowSpec | None = None,
+                  ws: WeightSpec | None = None,
+                  params: MixedNormParams | None = None) -> LogLinearFit:
+    """Fit the decay rate of the worst-case Gaussian-norm ratio of the OU
+    flow over a probe corpus; the expected rate is -(dimension)^beta.
+    Zero-norm probes are skipped with a warning (ValueError if all are).
+
+    Polynomial weight by default: the Gaussian-space experiments measure
+    against it unless told otherwise.
+    """
+    window = window or WindowSpec()
+    ws = ws or WeightSpec("polynomial", 0.0)
+    params = params or MixedNormParams(2.0, 2.0)
+
+    def norm(f):
+        return gaussian_modulation_norm(c, f, window, ws, params, dec.oscillator)
+
+    def target_at(t):
+        return lambda f: norm(ou_semigroup(c, dec, beta, t, f))
+
+    return _rate_fit(probes, norm, target_at, t_list, -float(c.dimension) ** float(beta))
 
 
 def spectral_sum_bound(dec: SpectralDecomposition, beta: float, s0: float, t: float):

@@ -143,14 +143,13 @@ class PotentialSpec:
             )
 
 
-def _as_points(spec, x):
+def _points(x, d):
     """Coerce input to an (..., d) point array; d=1 also accepts bare arrays."""
     x = np.asarray(x, dtype=float)
-    d = spec.dimension
     if x.ndim >= 1 and x.shape[-1] == d:
-        return x, False
+        return x
     if d == 1:
-        return x[..., None], True
+        return x[..., None]
     raise InvalidSpecError(f"expected points with last axis {d}, got shape {x.shape}")
 
 
@@ -180,7 +179,7 @@ def evaluate_potential(spec: PotentialSpec, x):
     For dimension 1 any array is treated elementwise; otherwise the last
     axis must have length d.
     """
-    pts, _ = _as_points(spec, x)
+    pts = _points(x, spec.dimension)
     if not np.all(np.isfinite(pts)):
         raise InvalidSpecError("potential evaluation needs finite coordinates")
     vals = _evaluate_on_points(spec, pts)
@@ -267,40 +266,23 @@ def weight_value(w: WeightSpec, osc, x, xi):
     """
     if w.kind == "flat":
         return 1.0
-
-    if w.kind == "anharmonic":
-        if osc is None:
-            raise InvalidSpecError("anharmonic weight needs an OscillatorSpec")
-        xp, _ = _as_points(osc.potential, x)
-        xip, _ = _as_points(osc.potential, xi)
-        if w.s == 0.0:
-            shape = np.broadcast_shapes(xp.shape[:-1], xip.shape[:-1])
-            return 1.0 if shape == () else np.ones(shape)
-        base = (osc.q1
-                + np.sqrt(_evaluate_on_points(osc.potential, xp))
-                + np.linalg.norm(xip, axis=-1) ** osc.l)
-        vals = base ** w.s
-        return float(vals) if vals.ndim == 0 else vals
-
-    # polynomial kind; dimension is inferred from osc when available
+    if w.kind == "anharmonic" and osc is None:
+        raise InvalidSpecError("anharmonic weight needs an OscillatorSpec")
+    # the polynomial kind infers the dimension from osc when available
     d = osc.dimension if osc is not None else 1
-    xp = _points_for_dim(x, d)
-    xip = _points_for_dim(xi, d)
+    xp = _points(x, d)
+    xip = _points(xi, d)
     if w.s == 0.0:
         shape = np.broadcast_shapes(xp.shape[:-1], xip.shape[:-1])
         return 1.0 if shape == () else np.ones(shape)
-    base = 1.0 + np.linalg.norm(xp, axis=-1) + np.linalg.norm(xip, axis=-1)
+    if w.kind == "anharmonic":
+        base = (osc.q1
+                + np.sqrt(_evaluate_on_points(osc.potential, xp))
+                + np.linalg.norm(xip, axis=-1) ** osc.l)
+    else:
+        base = 1.0 + np.linalg.norm(xp, axis=-1) + np.linalg.norm(xip, axis=-1)
     vals = base ** w.s
     return float(vals) if vals.ndim == 0 else vals
-
-
-def _points_for_dim(x, d):
-    x = np.asarray(x, dtype=float)
-    if x.ndim >= 1 and x.shape[-1] == d:
-        return x
-    if d == 1:
-        return x[..., None]
-    raise InvalidSpecError(f"expected points with last axis {d}, got shape {x.shape}")
 
 
 def submultiplicativity_defect(w: WeightSpec, osc, samples) -> float:

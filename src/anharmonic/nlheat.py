@@ -148,16 +148,17 @@ class Trajectory:
     """Time-stepped solution record.
 
     ``l2_norms`` (of the coefficients) are per step. Field checkpoints
-    (retained-mode coefficients) are stored every ``stride`` steps plus the
-    final state, and ``monitored_norms`` is measured at exactly those steps
-    and NaN between them. ``contraction_factors`` holds, per Picard window,
-    the gap ratios of successive iterates; exponential stepping leaves it
-    empty. A blow-up truncates the record instead of raising; its step is
-    stored as a checkpoint with the monitored norm measured. Blow-up is
-    detected at the granularity of the stride: at a stride point by the
-    monitored norm (non-finite or above 1e6), between stride points by
-    non-finite coefficients or an l2 coefficient norm above 1e6. With
-    stride 1 every step is measured.
+    (retained-mode coefficients) are stored every ``checkpoint_stride``
+    steps plus the final state, and ``monitored_norms`` is measured at
+    exactly those steps and NaN between them. ``contraction_factors`` holds,
+    per Picard window, the gap ratios of successive iterates; exponential
+    stepping leaves it empty. A blow-up truncates the record instead of
+    raising and sets ``blowup_time``; its step is stored as a checkpoint
+    with the monitored norm measured. Blow-up is detected at the
+    granularity of the stride: at a stride point by the monitored norm
+    (non-finite or above 1e6), between stride points by non-finite
+    coefficients or an l2 coefficient norm above 1e6. With stride 1 every
+    step is measured.
     """
 
     times: np.ndarray
@@ -166,14 +167,15 @@ class Trajectory:
     checkpoint_times: np.ndarray
     checkpoint_coeffs: np.ndarray
     contraction_factors: tuple
-    monitor: tuple
-    stride: int
-    blown_up: bool = False
     blowup_time: float | None = None
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
             raise InvalidSpecError("trajectory times must be strictly increasing")
+
+    @property
+    def blown_up(self) -> bool:
+        return self.blowup_time is not None
 
     @property
     def final_coeffs(self) -> np.ndarray:
@@ -195,8 +197,7 @@ class Trajectory:
         """CSV header and per-step rows of Python floats and ints (written as
         repr and str): t, the two norms, and the blow-up flag."""
         rows = [[float(t), float(norm), float(l2),
-                 int(self.blown_up and self.blowup_time is not None
-                     and t >= self.blowup_time)]
+                 int(self.blown_up and t >= self.blowup_time)]
                 for t, norm, l2 in zip(self.times, self.monitored_norms, self.l2_norms)]
         return ["t", "monitored_norm", "l2_norm", "blowup"], rows
 
@@ -257,9 +258,6 @@ class _Recorder:
             checkpoint_times=np.array(self.cp_times),
             checkpoint_coeffs=np.array(self.cps),
             contraction_factors=tuple(tuple(w) for w in contractions),
-            monitor=self.engine.spec.monitor,
-            stride=self.stride,
-            blown_up=self.blowup_time is not None,
             blowup_time=self.blowup_time,
         )
 
@@ -446,7 +444,7 @@ def smallness_threshold(spec: NonlinearProblemSpec, horizon: float, dt: float = 
     history = []
 
     def passes(eps: float) -> bool:
-        trial = replace_u0(spec, FieldSample(unit.grid, eps * unit.values))
+        trial = replace(spec, u0=FieldSample(unit.grid, eps * unit.values))
         try:
             traj = picard_solve(trial, horizon, dt, tol=tol, max_iter=max_iter)
         except NonConvergenceError:
@@ -468,7 +466,3 @@ def smallness_threshold(spec: NonlinearProblemSpec, horizon: float, dt: float = 
         else:
             hi = mid
     return ThresholdResult(_round_two_significant(lo), tuple(history), "")
-
-
-def replace_u0(spec: NonlinearProblemSpec, u0: FieldSample) -> NonlinearProblemSpec:
-    return replace(spec, u0=u0)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .calculus import SemigroupQuery, heat_semigroup
 from .errors import DiscardedMassWarning, InvalidSpecError
-from .estimators import _loglinear_fit, _probe_ratios
 from .model import MixedNormParams, OscillatorSpec, WeightSpec
 from .phasespace import WindowSpec, gaussian_half_density, modulation_norm
 from .spectral import FieldSample, SpectralDecomposition
@@ -113,47 +112,3 @@ def gaussian_modulation_norm(c: GaussianConjugation, f: FieldSample, window: Win
     that code path, so the conjugation isometry holds bitwise.
     """
     return modulation_norm(apply_conjugation(c, "forward", f), window, ws, osc, params)
-
-
-@dataclass(frozen=True)
-class OuRateResult:
-    """Exponential-rate fit of the OU probe bound over a time window."""
-
-    rate: float
-    intercept: float
-    r_squared: float
-    target: float
-    rel_deviation: float
-    t_window: tuple
-    samples: tuple = ()
-
-
-def ou_probe_rate(c: GaussianConjugation, dec: SpectralDecomposition, beta: float,
-                  t_list, probes, window: WindowSpec | None = None,
-                  ws: WeightSpec | None = None,
-                  params: MixedNormParams | None = None) -> OuRateResult:
-    """Fit the decay rate of the worst-case Gaussian-norm ratio of the OU
-    flow over a probe corpus; the expected rate is -(dimension)^beta.
-    Zero-norm probes are skipped with a warning (ValueError if all are).
-
-    Polynomial weight by default: the Gaussian-space experiments measure
-    against it unless told otherwise.
-    """
-    _require_harmonic(dec, c)
-    window = window or WindowSpec()
-    ws = ws or WeightSpec("polynomial", 0.0)
-    params = params or MixedNormParams(2.0, 2.0)
-    ts = [float(t) for t in t_list]
-    if len(ts) < 3:
-        raise ValueError("need at least 3 time points")
-
-    def norm(f):
-        return gaussian_modulation_norm(c, f, window, ws, params, dec.oscillator)
-
-    vals = [max(r) for r in _probe_ratios(
-        probes, norm, [lambda f, t=t: norm(ou_semigroup(c, dec, beta, t, f)) for t in ts])]
-    rate, intercept, r2 = _loglinear_fit(ts, vals)
-    target = -float(c.dimension) ** float(beta)
-    return OuRateResult(rate, intercept, r2, target,
-                        abs(rate - target) / abs(target), (min(ts), max(ts)),
-                        tuple(zip(ts, vals)))

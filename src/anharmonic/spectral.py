@@ -326,41 +326,3 @@ def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None) -> Spectral
     if m is None:
         m = grid.size // 2
     return eigendecompose(assemble_operator(osc, grid), m, osc=osc, grid=grid)
-
-
-@dataclass(frozen=True)
-class GrowthFit:
-    """Log-log slope of the eigenvalue sequence against the mode index."""
-
-    slope: float
-    intercept: float
-    target: float
-    rel_deviation: float
-    j_lo: int
-    j_hi: int
-
-
-def growth_target(osc: OscillatorSpec) -> float:
-    k = osc.degree_half
-    return 2.0 * k * osc.l / (osc.dimension * (k + osc.l))
-
-
-def eigenvalue_growth_fit(dec: SpectralDecomposition, j_lo: int, j_hi: int) -> GrowthFit:
-    """Least-squares fit of log lambda_j vs log j over [j_lo, j_hi].
-
-    The window must start at j_lo >= 20 and stop by 0.4 m, away from the
-    discretization-corrupted tail, and must contain at least 20 points.
-    """
-    if j_lo < 20:
-        raise ValueError("j_lo must be at least 20 (asymptotic regime)")
-    if j_hi > 0.4 * dec.m:
-        raise ValueError(f"j_hi={j_hi} exceeds 0.4*m = {0.4 * dec.m:.0f}")
-    if j_hi - j_lo + 1 < 20:
-        raise ValueError("growth window needs at least 20 points")
-    j = np.arange(j_lo, j_hi + 1)
-    lam = dec.eigenvalues[j_lo:j_hi + 1]
-    slope, intercept = np.polyfit(np.log(j), np.log(lam), 1)
-    target = growth_target(dec.oscillator)
-    return GrowthFit(float(slope), float(intercept), target,
-                     abs(slope - target) / target, int(j_lo), int(j_hi))
-

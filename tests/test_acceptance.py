@@ -84,8 +84,8 @@ def test_longtime_semigroup_decay_rates(hermite_dec, quartic_dec, window):
         probes = ah.standard_probe_family(dec, "operator")
         rate = ah.longtime_rate(dec, beta, t_list, norms, norms, probes, window)
         expected = -(lam0 ** beta)
-        assert abs(rate.rate - expected) / abs(expected) <= 0.05, (
-            f"beta={beta}: rate {rate.rate:.6f} vs {expected:.6f}")
+        assert abs(rate.slope - expected) / abs(expected) <= 0.05, (
+            f"beta={beta}: rate {rate.slope:.6f} vs {expected:.6f}")
         assert rate.target == pytest.approx(expected, rel=1e-6)
 
 

@@ -326,6 +326,46 @@ class TestRunManifest:
         r2 = json.loads((tmp_path / "r2" / "report.json").read_text())
         assert r1["results"] == r2["results"]
 
+    def test_decay_rerun_is_byte_identical(self, tmp_path):
+        manifest = {"schema": 1, "kind": "decay", "seed": 5, "format": "both",
+                    "params": {"resolution": 256, "tuples": [
+                        {"k": 1, "l": 1},
+                        {"k": 1, "l": 2, "beta": 2.0, "p_tilde": 2.0, "q_tilde": "inf"}]}}
+        path = write_manifest(tmp_path, manifest)
+        code1, _ = run_manifest(path, out_dir=str(tmp_path / "r1"))
+        code2, _ = run_manifest(path, out_dir=str(tmp_path / "r2"))
+        assert code1 == EXIT_OK and code2 == EXIT_OK
+        first = sorted((tmp_path / "r1").glob("*.csv"))
+        assert [p.name for p in first] == ["decay_k1_l1_b1.csv", "decay_k1_l2_b2.csv"]
+        for a in first:
+            assert a.read_bytes() == (tmp_path / "r2" / a.name).read_bytes()
+        r1 = json.loads((tmp_path / "r1" / "report.json").read_text())
+        r2 = json.loads((tmp_path / "r2" / "report.json").read_text())
+        assert r1["results"] == r2["results"]
+
+    def test_selftest_rerun_is_identical(self, tmp_path):
+        path = write_manifest(tmp_path, selftest_manifest())
+        code1, _ = run_manifest(path, out_dir=str(tmp_path / "r1"))
+        code2, _ = run_manifest(path, out_dir=str(tmp_path / "r2"))
+        assert code1 == EXIT_OK and code2 == EXIT_OK
+        r1 = json.loads((tmp_path / "r1" / "report.json").read_text())
+        r2 = json.loads((tmp_path / "r2" / "report.json").read_text())
+        assert len(r1["results"]) == 17
+        assert r1["results"] == r2["results"]
+
+    def test_underflowing_probe_bound_exits_numerical(self, tmp_path, capsys):
+        """At t = 800 the OU probe bound underflows to 0: the rate fit would
+        take log 0, so the run is a numerical failure, not a NaN check."""
+        manifest = {"schema": 1, "kind": "ou", "seed": 11, "format": "both",
+                    "grid": {"dimension": 1, "points_per_axis": 128, "half_width": 12.0},
+                    "params": {"modes": 48, "gauss_probes": 3,
+                               "rate_t_list": [1, 2, 800]}}
+        path = write_manifest(tmp_path, manifest)
+        code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
+        assert code == EXIT_NUMERICAL and record is None
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "NumericalError" in err
+
     def test_json_only_format_skips_csv(self, tmp_path):
         path = write_manifest(tmp_path, small_spectrum_manifest())
         code, _ = run_manifest(path, out_dir=str(tmp_path / "out"), fmt="json")

@@ -190,7 +190,7 @@ class TestDecayFit:
         assert fit.intercept == pytest.approx(math.log(3.0), rel=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
         assert fit.rel_deviation == pytest.approx(0.0, abs=1e-12)
-        assert fit.t_window == (float(ts[0]), float(ts[-1]))
+        assert [x for x, _ in fit.samples] == np.log(ts).tolist()
 
     def test_no_target_leaves_deviation_unset(self):
         samples = [(t, t ** -1.0) for t in np.logspace(-3, -1, 6)]
@@ -259,9 +259,17 @@ class TestLongtimeRate:
         res = longtime_rate(hermite_dec, 1.0, (1.0, 2.0, 3.0),
                             (2.0, 2.0, 0.0), (2.0, 2.0, 0.0), probes)
         assert res.target == pytest.approx(-1.0, rel=1e-9)
-        assert res.rate == pytest.approx(-1.0, rel=1e-9)
+        assert res.slope == pytest.approx(-1.0, rel=1e-9)
         assert res.r_squared == pytest.approx(1.0, abs=1e-10)
-        assert res.t_window == (1.0, 3.0)
+        assert [t for t, _ in res.samples] == [1.0, 2.0, 3.0]
+
+    def test_underflowed_bound_raises_numerical(self, hermite_dec):
+        """At t = 800 the ground-state bound e^(-800) underflows to 0; its
+        log must not reach the fit as -inf."""
+        probes = eigenfunction_probes(hermite_dec, 1)
+        with pytest.raises(NumericalError):
+            longtime_rate(hermite_dec, 1.0, (1.0, 2.0, 800.0),
+                          (2.0, 2.0, 0.0), (2.0, 2.0, 0.0), probes)
 
     def test_validation(self, hermite_dec):
         probes = eigenfunction_probes(hermite_dec, 1)

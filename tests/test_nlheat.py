@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import anharmonic.nlheat
 from anharmonic import (FieldSample, Grid, InvalidSpecError, NonConvergenceError,
                         NonlinearProblemSpec, OffSpanWarning, SemigroupQuery,
                         apply_nonlinearity, decompose, duhamel_residual, etd_evolve,
-                        heat_semigroup, picard_solve, replace_u0, smallness_threshold)
+                        heat_semigroup, picard_solve, smallness_threshold)
 from anharmonic.cli import ReportRecord, emit_plot_data
 
 pytestmark = pytest.mark.filterwarnings(
@@ -79,11 +80,12 @@ class TestProblemSpec:
         assert not mk(1.5, 0.02).alpha_admissible
         assert NonlinearProblemSpec(dec, small_u0).alpha_admissible
 
-    def test_replace_u0(self, defocusing, dec):
-        new = FieldSample(dec.grid, np.zeros(dec.grid.size))
-        swapped = replace_u0(defocusing, new)
-        assert swapped.coupling == defocusing.coupling
-        assert np.all(swapped.u0.values == 0)
+    def test_replace_u0(self, defocusing):
+        """The runners swap u0 with dataclasses.replace, which reruns the
+        grid check."""
+        other = Grid(1, 64, 6.0)
+        with pytest.raises(InvalidSpecError):
+            dataclasses.replace(defocusing, u0=FieldSample(other, np.zeros(other.size)))
 
 
 class TestApplyNonlinearity:

@@ -150,7 +150,7 @@ class TestOuProbeRate:
         ones = FieldSample(hermite_grid, np.ones(hermite_grid.size))
         res = ou_probe_rate(c, hermite_dec, 1.0, (1.0, 2.0, 3.0), [ones])
         assert res.target == -1.0
-        assert res.rate == pytest.approx(-1.0, rel=1e-9)
+        assert res.slope == pytest.approx(-1.0, rel=1e-9)
         assert res.rel_deviation < 1e-9
         assert res.r_squared == pytest.approx(1.0, abs=1e-12)
         assert len(res.samples) == 3
@@ -173,7 +173,7 @@ class TestOuProbeRate:
         ones = FieldSample(hermite_grid, np.ones(hermite_grid.size))
         with pytest.warns(ProbeSkipWarning):
             res = ou_probe_rate(c, hermite_dec, 1.0, (1.0, 2.0, 3.0), [zero, ones])
-        assert res.rate == pytest.approx(-1.0, rel=1e-9)
+        assert res.slope == pytest.approx(-1.0, rel=1e-9)
         with pytest.warns(ProbeSkipWarning), pytest.raises(ValueError):
             ou_probe_rate(c, hermite_dec, 1.0, (1.0, 2.0, 3.0), [zero])
 
