@@ -21,22 +21,19 @@ from .spectral import (FieldSample, Grid, SpectralDecomposition, assemble_operat
                        decompose, eigendecompose, field_from_function)
 from .calculus import (SemigroupQuery, apply_spectral_function, fractional_power,
                        heat_semigroup, project, sobolev_norm)
-from .phasespace import (PhaseSpaceField, WindowSpec, gaussian_half_density,
-                         gaussian_stft, mixed_norm, modulation_norm, modulation_norms,
-                         stft, window_values)
+from .phasespace import (PhaseSpaceField, WindowSpec, gaussian_half_density, mixed_norm,
+                         modulation_norm, modulation_norms, stft, window_values)
 from .estimators import (EquivalenceBand, LogLinearFit, SingularWeightResult,
                          WeightQuotientParams, algebra_ratio, algebra_ratios,
                          eigenfunction_probes, eigenvalue_growth_fit, fit_decay_exponent,
                          gaussian_probe_fields, growth_target, longtime_rate,
-                         multilinear_ratio, ou_probe_rate, probe_operator_bound,
-                         sigma_exponent, singular_weight_norm, smoothing_decay_run,
-                         sobolev_modulation_equivalence, spectral_sum_bound,
+                         ou_probe_rate, sigma_exponent, singular_weight_norm,
+                         smoothing_decay_run, sobolev_modulation_equivalence,
                          standard_probe_family, weight_quotient_norm)
-from .nlheat import (NonlinearProblemSpec, ThresholdResult, Trajectory,
-                     apply_nonlinearity, duhamel_residual, etd_evolve, picard_solve,
-                     smallness_threshold)
+from .nlheat import (NonlinearProblemSpec, Trajectory, apply_nonlinearity,
+                     duhamel_residual, etd_evolve, picard_solve)
 from .ougauss import (GaussianConjugation, apply_conjugation, conjugation_discarded_mass,
-                      gaussian_modulation_norm, ou_semigroup)
+                      ou_semigroup)
 
 __all__ = [
     "__version__",
@@ -57,19 +54,19 @@ __all__ = [
     "project", "sobolev_norm",
     # phasespace
     "WindowSpec", "window_values", "PhaseSpaceField", "stft", "gaussian_half_density",
-    "gaussian_stft", "mixed_norm", "modulation_norm", "modulation_norms",
+    "mixed_norm", "modulation_norm", "modulation_norms",
     # estimators
     "LogLinearFit", "growth_target", "eigenvalue_growth_fit", "sigma_exponent",
     "WeightQuotientParams", "weight_quotient_norm", "fit_decay_exponent",
     "smoothing_decay_run", "gaussian_probe_fields", "eigenfunction_probes",
-    "standard_probe_family", "probe_operator_bound", "longtime_rate", "ou_probe_rate",
-    "spectral_sum_bound", "algebra_ratio", "algebra_ratios", "multilinear_ratio",
+    "standard_probe_family", "longtime_rate", "ou_probe_rate", "algebra_ratio",
+    "algebra_ratios",
     "SingularWeightResult", "singular_weight_norm", "EquivalenceBand",
     "sobolev_modulation_equivalence",
     # nlheat
     "NonlinearProblemSpec", "apply_nonlinearity", "Trajectory", "picard_solve",
-    "etd_evolve", "duhamel_residual", "ThresholdResult", "smallness_threshold",
+    "etd_evolve", "duhamel_residual",
     # ougauss
     "GaussianConjugation", "conjugation_discarded_mass", "apply_conjugation",
-    "ou_semigroup", "gaussian_modulation_norm",
+    "ou_semigroup",
 ]

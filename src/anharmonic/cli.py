@@ -36,9 +36,8 @@ from .estimators import (WeightQuotientParams, algebra_ratios, eigenvalue_growth
                          sobolev_modulation_equivalence, standard_probe_family)
 from .nlheat import (NonlinearProblemSpec, _check_steps, duhamel_residual, etd_evolve,
                      picard_solve)
-from .ougauss import (GaussianConjugation, apply_conjugation, gaussian_modulation_norm,
-                      ou_semigroup)
-from .phasespace import WindowSpec, gaussian_stft, mixed_norm, modulation_norm, stft
+from .ougauss import GaussianConjugation, apply_conjugation, ou_semigroup
+from .phasespace import WindowSpec, mixed_norm, modulation_norm, stft
 from .spectral import FieldSample, Grid, decompose
 
 _KINDS = ("spectrum", "decay", "norms", "nlheat", "ou", "selftest")
@@ -198,13 +197,15 @@ def _run_spectrum(manifest, seed, record):
         tol = float(case.get("tolerance", 0.10))
         osc = oscillator(k, l, d)
         grid = Grid(d, n_pts, half_width)
+        # d = 1 names carry no suffix, so the shipped configs keep their names
+        label = f"k{k}_l{l}" + ("" if d == 1 else f"_d{d}")
         try:
             dec = decompose(osc, grid, modes)
             fit = eigenvalue_growth_fit(dec, j_lo, j_hi)
         except ValueError as exc:
             raise SchemaError(f"spectrum case k={k}, l={l}: {exc}", field="params.cases")
         record.results.append(_result(
-            f"growth_slope_k{k}_l{l}", fit.slope, fit.target, fit.rel_deviation, tol,
+            f"growth_slope_{label}", fit.slope, fit.target, fit.rel_deviation, tol,
             fit.rel_deviation <= tol))
         if k == 1 and l == 1 and d == 1:
             j = np.arange(min(21, dec.m))
@@ -217,7 +218,7 @@ def _run_spectrum(manifest, seed, record):
         for j in range(1, dec.m):
             line = anchor * (j / j_lo) ** fit.target
             rows.append([j, float(dec.eigenvalues[j]), float(line)])
-        record.series[f"spectrum_k{k}_l{l}"] = {
+        record.series[f"spectrum_{label}"] = {
             "header": ["j", "lambda", "target_exponent_line"], "rows": rows}
 
 
@@ -440,13 +441,9 @@ def _run_ou(manifest, seed, record):
                                   worst <= 1e-6))
 
     probe = gaussian_probe_fields(grid, 1, seed + 2)[0]
-    lhs = gaussian_modulation_norm(conj, probe, window, ws, l2_params, osc)
-    rhs = modulation_norm(apply_conjugation(conj, "forward", probe), window, ws, osc,
-                          l2_params)
-    gap = abs(lhs - rhs)
-    record.results.append(_result("gaussian_norm_isometry_gap", gap, 0.0, gap, 0.0,
-                                  gap == 0.0))
-    err = _l2_gamma_rel_err(lhs, conj, probe)
+    norm = modulation_norm(apply_conjugation(conj, "forward", probe), window, ws, osc,
+                           l2_params)
+    err = _l2_gamma_rel_err(norm, conj, probe)
     record.results.append(_result("gaussian_norm_l2_gamma_rel_err", err, 0.0, err,
                                   _L2_GAMMA_TOL, err <= _L2_GAMMA_TOL))
 
@@ -505,10 +502,8 @@ def _run_selftest(manifest, seed, record):
     probe = dec.reconstruct(coeffs)
     moyal = modulation_norm(probe, window, flat, None, MixedNormParams(2.0, 2.0))
     row("moyal_identity", moyal / probe.norm_l2(), 1.0, 1e-6)
-    gs = gaussian_stft(probe, window)
     conj = GaussianConjugation(1)
-    ms = stft(apply_conjugation(conj, "forward", probe), window)
-    row("gaussian_stft_code_path", float(np.max(np.abs(gs.values - ms.values))), 0.0, 0.0)
+    gs = stft(apply_conjugation(conj, "forward", probe), window)
     row("gaussian_stft_l2_gamma_rel_err",
         _l2_gamma_rel_err(mixed_norm(gs, flat, None, MixedNormParams(2.0, 2.0)), conj, probe),
         0.0, _L2_GAMMA_TOL)

@@ -1,7 +1,6 @@
 """Experiment estimators: eigenvalue-growth and smoothing-rate fits, long-time
-and Ornstein-Uhlenbeck rates, spectral sums, algebra and multilinear ratios,
-singular weights, and norm-equivalence bands. Every slope and rate is one
-``LogLinearFit``.
+and Ornstein-Uhlenbeck rates, algebra ratios, singular weights, and
+norm-equivalence bands. Every slope and rate is one ``LogLinearFit``.
 
 Two families of measurements live here. Analytic ones evaluate the weight
 quotient that controls the semigroup bound on a dedicated scaled quadrature
@@ -21,7 +20,7 @@ from .calculus import SemigroupQuery, heat_semigroup, sobolev_norm
 from .errors import InvalidSpecError, NumericalError, ProbeSkipWarning, TruncationError
 from .model import (MixedNormParams, OscillatorSpec, WeightSpec, check_exponent,
                     evaluate_potential, is_inf)
-from .ougauss import GaussianConjugation, gaussian_modulation_norm, ou_semigroup
+from .ougauss import GaussianConjugation, apply_conjugation, ou_semigroup
 from .phasespace import (_BLOCK_CELLS, WindowSpec, _check_boundary_mass,
                          _modulation_columns, _outer_reduce, _weighted_columns,
                          modulation_norm, modulation_norms)
@@ -220,10 +219,13 @@ class LogLinearFit:
 
 def _loglinear_fit(x, values, target=None) -> LogLinearFit:
     """Fit log(values) against x. R^2 is clamped to [0, 1] and is 1 for
-    constant log-values. A non-positive or non-finite value (an underflowed
-    or overflowed measurement) raises NumericalError."""
+    constant log-values. Fewer than 2 distinct x (no slope is determined)
+    raise ValueError; a non-positive or non-finite value (an underflowed or
+    overflowed measurement) raises NumericalError."""
     x = np.asarray(x, dtype=float)
     values = np.asarray(values, dtype=float)
+    if np.unique(x).size < 2:
+        raise ValueError(f"log-linear fit needs at least 2 distinct x, got {x}")
     if not np.all(np.isfinite(values) & (values > 0)):
         raise NumericalError(f"log-linear fit needs finite positive values, got {values}")
     ly = np.log(values)
@@ -348,9 +350,25 @@ def _probe_ratios(probes, source_norm, target_norms) -> list:
     return [[norm(f) / denom for f, denom in kept] for norm in target_norms]
 
 
-def _heat_norms(dec: SpectralDecomposition, beta: float, source, target, window):
-    """(source norm, t -> target norm of exp(-t H^beta) f) for (p, q, s)
-    triples measured against the anharmonic weight of dec's oscillator."""
+def _rate_fit(probes, source_norm, target_at, t_list, target_rate) -> LogLinearFit:
+    """Fit log of the worst probe ratio target_at(t)(f) / source_norm(f)
+    against t over at least 3 distinct times."""
+    ts = [float(t) for t in t_list]
+    if len(set(ts)) < 3:
+        raise ValueError("need at least 3 distinct time points")
+    ratios = _probe_ratios(probes, source_norm, [target_at(t) for t in ts])
+    return _loglinear_fit(ts, [max(r) for r in ratios], target_rate)
+
+
+def longtime_rate(dec: SpectralDecomposition, beta: float, t_list, source, target,
+                  probes, window: WindowSpec | None = None) -> LogLinearFit:
+    """Fit log of the worst probe ratio target-norm(exp(-t H^beta) f) /
+    source-norm(f) against t; the expected rate is the negated beta-th
+    power of the ground eigenvalue. ``source`` and ``target`` are (p, q, s)
+    triples measured against the anharmonic weight of dec's oscillator and
+    must have matching nonnegative weight exponents (the refined regime)."""
+    if source[2] != target[2] or float(source[2]) < 0:
+        raise ValueError("longtime fit needs s_source = s_target >= 0")
     window = window or WindowSpec()
 
     def norm_args(triple):
@@ -363,41 +381,7 @@ def _heat_norms(dec: SpectralDecomposition, beta: float, source, target, window)
         query = SemigroupQuery(dec, beta, t)
         return lambda f: modulation_norm(heat_semigroup(query, f), *tgt)
 
-    return (lambda f: modulation_norm(f, *src)), target_at
-
-
-def probe_operator_bound(dec: SpectralDecomposition, beta: float, t: float,
-                         source, target, probes, window: WindowSpec | None = None) -> float:
-    """Max over probes of target-norm(exp(-t H^beta) f) / source-norm(f).
-
-    An explicit lower bound for the operator norm between the two weighted
-    spaces. Probes with vanishing source norm are skipped with a warning.
-    ``source`` and ``target`` are (p, q, s) triples measured against the
-    anharmonic weight of the decomposition's oscillator.
-    """
-    source_norm, target_at = _heat_norms(dec, beta, source, target, window)
-    return float(max(_probe_ratios(probes, source_norm, [target_at(t)])[0]))
-
-
-def _rate_fit(probes, source_norm, target_at, t_list, target_rate) -> LogLinearFit:
-    """Fit log of the worst probe ratio target_at(t)(f) / source_norm(f)
-    against t over at least 3 times."""
-    ts = [float(t) for t in t_list]
-    if len(ts) < 3:
-        raise ValueError("need at least 3 time points")
-    ratios = _probe_ratios(probes, source_norm, [target_at(t) for t in ts])
-    return _loglinear_fit(ts, [max(r) for r in ratios], target_rate)
-
-
-def longtime_rate(dec: SpectralDecomposition, beta: float, t_list, source, target,
-                  probes, window: WindowSpec | None = None) -> LogLinearFit:
-    """Fit log probe_operator_bound against t; the expected rate is the
-    negated beta-th power of the ground eigenvalue. Requires matching
-    nonnegative weight exponents on both sides (the refined regime)."""
-    if source[2] != target[2] or float(source[2]) < 0:
-        raise ValueError("longtime fit needs s_source = s_target >= 0")
-    source_norm, target_at = _heat_norms(dec, beta, source, target, window)
-    return _rate_fit(probes, source_norm, target_at, t_list,
+    return _rate_fit(probes, lambda f: modulation_norm(f, *src), target_at, t_list,
                      -float(dec.eigenvalues[0]) ** beta)
 
 
@@ -417,29 +401,13 @@ def ou_probe_rate(c: GaussianConjugation, dec: SpectralDecomposition, beta: floa
     params = params or MixedNormParams(2.0, 2.0)
 
     def norm(f):
-        return gaussian_modulation_norm(c, f, window, ws, params, dec.oscillator)
+        return modulation_norm(apply_conjugation(c, "forward", f), window, ws,
+                               dec.oscillator, params)
 
     def target_at(t):
         return lambda f: norm(ou_semigroup(c, dec, beta, t, f))
 
     return _rate_fit(probes, norm, target_at, t_list, -float(c.dimension) ** float(beta))
-
-
-def spectral_sum_bound(dec: SpectralDecomposition, beta: float, s0: float, t: float):
-    """(sum_j exp(-t lambda_j^beta) lambda_j^s0, ratio to exp(-t lambda_0^beta)).
-
-    The ratio is computed against the shifted exponent so it stays finite
-    when the raw sum underflows at large t.
-    """
-    if t < 1.0:
-        raise ValueError("the bound is a long-time statement; t must be >= 1")
-    if s0 < 0:
-        raise ValueError("s0 must be nonnegative")
-    lam = dec.eigenvalues
-    lam_b = lam ** beta
-    total = float(np.sum(np.exp(-t * lam_b) * lam ** s0))
-    ratio = float(np.sum(np.exp(-t * (lam_b - lam_b[0])) * lam ** s0))
-    return total, ratio
 
 
 def algebra_ratios(fields, pairs, params: MixedNormParams, ws: WeightSpec,
@@ -474,39 +442,6 @@ def algebra_ratio(f: FieldSample, g: FieldSample, params: MixedNormParams,
     """norm(f g) / (norm(f) norm(g)): the one-pair case of ``algebra_ratios``."""
     [ratio] = algebra_ratios([f, g], [(0, 1)], params, ws, osc, window)
     return ratio
-
-
-def _inv(e) -> float:
-    return 0.0 if is_inf(e) else 1.0 / float(e)
-
-
-def multilinear_ratio(factors, p_list, q_list, p0, q0, ws: WeightSpec,
-                      osc: OscillatorSpec | None = None,
-                      window: WindowSpec | None = None) -> float:
-    """norm of the m-fold product in M^(p0, q0) over the product of factor
-    norms in M^(p_i, q_i); the exponents must satisfy the Hoelder-type
-    relations sum 1/p_i = 1/p0 and sum 1/q_i = m - 1 + 1/q0 to 1e-12."""
-    m = len(factors)
-    if m < 1 or len(p_list) != m or len(q_list) != m:
-        raise ValueError("need one (p, q) pair per factor")
-    if abs(sum(_inv(p) for p in p_list) - _inv(p0)) > 1e-12:
-        raise ValueError("exponents violate sum 1/p_i = 1/p0")
-    if abs(sum(_inv(q) for q in q_list) - (m - 1 + _inv(q0))) > 1e-12:
-        raise ValueError("exponents violate sum 1/q_i = m - 1 + 1/q0")
-    window = window or WindowSpec()
-    denom = 1.0
-    for f, p, q in zip(factors, p_list, q_list):
-        denom *= modulation_norm(f, window, ws, osc, MixedNormParams(p, q))
-    if denom == 0.0:
-        warnings.warn("multilinear probe skipped: zero factor norm", ProbeSkipWarning,
-                      stacklevel=2)
-        return float("nan")
-    values = factors[0].values.copy()
-    for f in factors[1:]:
-        values = values * f.values
-    product = FieldSample(factors[0].grid, values)
-    num = modulation_norm(product, window, ws, osc, MixedNormParams(p0, q0))
-    return num / denom
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ computable surrogate for the global fixed-point ball.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,17 +66,6 @@ class NonlinearProblemSpec:
             raise InvalidSpecError("initial data and decomposition grids differ")
         if len(self.monitor) != 3:
             raise InvalidSpecError("monitor must be a (p, q, s) triple")
-
-    @property
-    def alpha_admissible(self) -> bool:
-        """Whether alpha sits in the window ks < alpha < d - ls of the
-        monitored weight exponent. A query for the caller: no solver or
-        runner checks, enforces or records it."""
-        if self.kind != "inhomogeneous":
-            return True
-        osc = self.decomposition.oscillator
-        s = float(self.monitor[2])
-        return osc.degree_half * s < self.alpha < osc.dimension - osc.l * s
 
 
 def _singular_factor(spec: NonlinearProblemSpec):
@@ -406,63 +395,3 @@ def duhamel_residual(traj: Trajectory, spec: NonlinearProblemSpec) -> float:
         worst = max(worst, float(np.linalg.norm(defect)))
     return worst
 
-
-@dataclass(frozen=True)
-class ThresholdResult:
-    """Outcome of the smallness-threshold bisection."""
-
-    eps_star: float | None
-    history: tuple
-    note: str = ""
-
-
-def _round_two_significant(x: float) -> float:
-    return float(f"{x:.1e}")
-
-
-def smallness_threshold(spec: NonlinearProblemSpec, horizon: float, dt: float = 5e-3,
-                        profile: FieldSample | None = None,
-                        lo: float = 1e-4, hi: float = 10.0,
-                        tol: float = 1e-8, max_iter: int = 25) -> ThresholdResult:
-    """Largest epsilon (2 significant digits) whose trajectory stays in the
-    ball of radius 2 epsilon in the monitored norm up to the horizon.
-
-    The profile (default: the spec's initial data) is normalized to unit
-    monitored norm, so u0 = epsilon * profile starts exactly at norm
-    epsilon, mirroring the fixed-point ball criterion. Log-space bisection
-    between the brackets; a failure at the lower bracket reports
-    "no threshold in range" instead of raising.
-    """
-    engine = _Engine(spec)
-    base = profile if profile is not None else spec.u0
-    base_norm = modulation_norm(base, engine.window, engine.monitor_weight,
-                                engine.dec.oscillator, engine.monitor_params)
-    if base_norm == 0.0:
-        raise ValueError("profile has zero monitored norm")
-    unit = FieldSample(base.grid, base.values / base_norm)
-
-    history = []
-
-    def passes(eps: float) -> bool:
-        trial = replace(spec, u0=FieldSample(unit.grid, eps * unit.values))
-        try:
-            traj = picard_solve(trial, horizon, dt, tol=tol, max_iter=max_iter)
-        except NonConvergenceError:
-            history.append((eps, False))
-            return False
-        ok = (not traj.blown_up) and traj.sup_monitored_norm() <= 2.0 * eps
-        history.append((eps, ok))
-        return ok
-
-    if passes(hi):
-        return ThresholdResult(_round_two_significant(hi), tuple(history),
-                               "criterion holds at the upper bracket")
-    if not passes(lo):
-        return ThresholdResult(None, tuple(history), "no threshold in range")
-    while hi / lo > 1.05:
-        mid = float(np.sqrt(lo * hi))
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
-    return ThresholdResult(_round_two_significant(lo), tuple(history), "")

@@ -1,6 +1,10 @@
-"""Gaussian conjugation: multiplier, Gaussian modulation norms, and the
-Ornstein-Uhlenbeck semigroup obtained by intertwining with the harmonic
-heat flow.
+"""Gaussian conjugation: the multiplier and the Ornstein-Uhlenbeck semigroup
+obtained by intertwining with the harmonic heat flow.
+
+The Gaussian modulation norm of f is the modulation norm of the multiplied
+field, ``modulation_norm(apply_conjugation(c, "forward", f), ...)``; the
+``ou`` and ``selftest`` runs check its p = q = 2 value against the
+L^2(gamma) norm of f.
 
 The OU semigroup is never discretized directly; it is defined as
 M^(-1) exp(-t H^beta) M with M the Gaussian half-density multiplier and H
@@ -18,8 +22,7 @@ import numpy as np
 
 from .calculus import SemigroupQuery, heat_semigroup
 from .errors import DiscardedMassWarning, InvalidSpecError
-from .model import MixedNormParams, OscillatorSpec, WeightSpec
-from .phasespace import WindowSpec, gaussian_half_density, modulation_norm
+from .phasespace import gaussian_half_density
 from .spectral import FieldSample, SpectralDecomposition
 
 _DISCARD_TOL = 1e-10
@@ -102,13 +105,3 @@ def ou_semigroup(c: GaussianConjugation, dec: SpectralDecomposition, beta: float
     return apply_conjugation(c, "inverse",
                              heat_semigroup(query, apply_conjugation(c, "forward", f)))
 
-
-def gaussian_modulation_norm(c: GaussianConjugation, f: FieldSample, window: WindowSpec,
-                             ws: WeightSpec, params: MixedNormParams,
-                             osc: OscillatorSpec | None = None) -> float:
-    """Modulation norm of the Gaussian-multiplied field.
-
-    By definition this is modulation_norm(M f), evaluated through exactly
-    that code path, so the conjugation isometry holds bitwise.
-    """
-    return modulation_norm(apply_conjugation(c, "forward", f), window, ws, osc, params)

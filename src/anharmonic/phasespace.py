@@ -230,12 +230,6 @@ def gaussian_half_density(grid: Grid) -> np.ndarray:
     return np.pi ** (-grid.dimension / 4.0) * np.exp(-r2 / 2.0)
 
 
-def gaussian_stft(f: FieldSample, w: WindowSpec) -> PhaseSpaceField:
-    """STFT of the Gaussian-multiplied field; same code path as stft."""
-    mf = FieldSample(f.grid, f.values * gaussian_half_density(f.grid))
-    return stft(mf, w)
-
-
 @functools.lru_cache(maxsize=8)
 def _weight_lattice(w: WeightSpec, osc: OscillatorSpec | None, grid: Grid):
     """Weight values on the full (x, xi) lattice, or None for trivial weights.

@@ -89,18 +89,6 @@ def test_longtime_semigroup_decay_rates(hermite_dec, quartic_dec, window):
         assert rate.target == pytest.approx(expected, rel=1e-6)
 
 
-def test_heat_weighted_trace_ratio_monotone_and_settles(hermite_dec):
-    """The exp(-t lambda^beta)-weighted eigenvalue sum, normalized by its
-    ground term, is non-increasing on t in {1,2,4,8} and within 1e-6 of
-    lambda_0^{s0} = 1 at t = 10 for s0 in {0, 2}."""
-    for s0 in (0.0, 2.0):
-        ratios = [ah.spectral_sum_bound(hermite_dec, 1.0, s0, t)[1]
-                  for t in (1.0, 2.0, 4.0, 8.0)]
-        assert all(b <= a + 1e-15 for a, b in zip(ratios, ratios[1:]))
-        _, settled = ah.spectral_sum_bound(hermite_dec, 1.0, s0, 10.0)
-        assert abs(settled - 1.0) <= 1e-6
-
-
 # the high modes reach ~1e-5 of peak at the box edge, which trips the
 # advisory boundary check but sits far below the 1e-6 identity tolerance
 @pytest.mark.filterwarnings("ignore::anharmonic.errors.BoundaryMassWarning")
@@ -206,13 +194,12 @@ def test_inhomogeneous_nonlinearity_runs_globally(tmp_path):
 
 def test_gaussian_conjugated_semigroup_checks(tmp_path):
     """Conjugated semigroup on the constant field matches exp(-t) on
-    |x| <= 6 within 1e-6; the conjugated norm is bit-identical to the norm
-    of the multiplied field and equals the L^2(gamma) norm of the probe to
-    1e-9 relative; the probe decay rate lands within 5% of -1."""
+    |x| <= 6 within 1e-6; the norm of the multiplied field equals the
+    L^2(gamma) norm of the probe to 1e-9 relative; the probe decay rate
+    lands within 5% of -1."""
     code, record = run_config("ou.json", tmp_path)
     rows = rows_by_name(record)
     assert rows["ou_constant_field_err"]["value"] <= 1e-6
-    assert rows["gaussian_norm_isometry_gap"]["value"] == 0.0
     assert rows["gaussian_norm_l2_gamma_rel_err"]["value"] <= 1e-9
     assert rows["ou_longtime_rate"]["target"] == pytest.approx(-1.0, rel=1e-12)
     assert rows["ou_longtime_rate"]["deviation"] <= 0.05

@@ -173,10 +173,13 @@ class TestRunManifest:
         ("nlheat", {"kind": "inhomogeneous", "alpha": float("nan"), "modes": 16,
                     "horizon": 0.01}),
         ("decay", {"resolution": 255}),
+        ("ou", {"modes": 48, "gauss_probes": 3, "rate_t_list": [1, 1, 1]}),
+        ("ou", {"modes": 48, "gauss_probes": 3, "rate_t_list": [1, 1, 2]}),
     ], ids=["nlheat_dt", "decay_radius", "ou_rate_t_list", "nlheat_initial_norm_zero",
             "nlheat_initial_norm_negative", "nlheat_initial_norm_nan",
             "nlheat_initial_norm_inf", "nlheat_tol_nan", "nlheat_coupling_nan",
-            "nlheat_alpha_nan", "decay_resolution_odd"])
+            "nlheat_alpha_nan", "decay_resolution_odd", "ou_rate_t_list_repeated",
+            "ou_rate_t_list_two_distinct"])
     def test_rejected_value_exits_schema(self, tmp_path, capsys, kind, params):
         """A value the runner's own checks reject (ValueError) is a manifest
         problem: exit 2 with a schema-error line, not a traceback."""
@@ -350,7 +353,7 @@ class TestRunManifest:
         assert code1 == EXIT_OK and code2 == EXIT_OK
         r1 = json.loads((tmp_path / "r1" / "report.json").read_text())
         r2 = json.loads((tmp_path / "r2" / "report.json").read_text())
-        assert len(r1["results"]) == 17
+        assert len(r1["results"]) == 16
         assert r1["results"] == r2["results"]
 
     def test_underflowing_probe_bound_exits_numerical(self, tmp_path, capsys):
@@ -365,6 +368,22 @@ class TestRunManifest:
         assert code == EXIT_NUMERICAL and record is None
         err = capsys.readouterr().err
         assert "numerical failure" in err and "NumericalError" in err
+
+    def test_spectrum_names_carry_dimension(self, tmp_path):
+        """A d = 1 and a d = 2 case of the same (k, l) give distinct rows and
+        write both series; the d = 1 names keep no suffix."""
+        cases = [{"k": 1, "l": 1, "points": 128, "modes": 120, "j_lo": 20, "j_hi": 40},
+                 {"k": 1, "l": 1, "dimension": 2, "points": 16, "half_width": 8.0,
+                  "modes": 120, "j_lo": 20, "j_hi": 40}]
+        manifest = {"schema": 1, "kind": "spectrum", "seed": 7, "format": "both",
+                    "params": {"cases": cases}}
+        path = write_manifest(tmp_path, manifest)
+        out = tmp_path / "out"
+        _, record = run_manifest(path, out_dir=str(out))
+        names = [r["name"] for r in record.results if r["name"].startswith("growth_slope")]
+        assert names == ["growth_slope_k1_l1", "growth_slope_k1_l1_d2"]
+        assert sorted(p.name for p in out.glob("*.csv")) == ["spectrum_k1_l1.csv",
+                                                            "spectrum_k1_l1_d2.csv"]
 
     def test_json_only_format_skips_csv(self, tmp_path):
         path = write_manifest(tmp_path, small_spectrum_manifest())

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -6,16 +8,15 @@ import numpy as np
 import pytest
 
 import anharmonic as ah
+import anharmonic.cli
 from anharmonic import (INF, FieldSample, Grid, InvalidSpecError, MixedNormParams,
                         NumericalError, PotentialSpec, ProbeSkipWarning, TruncationError,
                         WeightQuotientParams, WeightSpec, WindowSpec, algebra_ratio,
                         algebra_ratios, eigenfunction_probes, estimators,
                         fit_decay_exponent, gaussian_probe_fields, is_inf, longtime_rate,
-                        modulation_norm, multilinear_ratio, phasespace,
-                        probe_operator_bound, sigma_exponent, singular_weight_norm,
+                        modulation_norm, phasespace, sigma_exponent, singular_weight_norm,
                         smoothing_decay_run, sobolev_modulation_equivalence, sobolev_norm,
-                        spectral_sum_bound, standard_probe_family, stft,
-                        weight_quotient_norm)
+                        standard_probe_family, stft, weight_quotient_norm)
 from oracles import mixed_norm_reference, quotient_reference
 
 FLAT = WeightSpec("flat", 0.0)
@@ -206,6 +207,46 @@ class TestDecayFit:
         narrow = np.logspace(-1.5, -1, 6)
         with pytest.raises(ValueError):
             fit_decay_exponent([(t, t) for t in narrow])
+        # one distinct x determines no slope
+        with pytest.raises(ValueError):
+            estimators._loglinear_fit([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+
+class TestLogLinearFit:
+    def test_exact_exponential_is_recovered(self):
+        x = [0.5, 1.0, 2.0, 4.0]
+        fit = estimators._loglinear_fit(x, [2.0 * math.exp(-1.5 * t) for t in x], -1.5)
+        assert fit.slope == pytest.approx(-1.5, rel=1e-12)
+        assert fit.intercept == pytest.approx(math.log(2.0), rel=1e-12)
+        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+        assert fit.rel_deviation == pytest.approx(0.0, abs=1e-12)
+        assert [t for t, _ in fit.samples] == x
+
+    def test_two_distinct_x_suffice(self):
+        """Repeats are allowed once two distinct x determine the slope: the
+        fit goes through the mean log-value at each x."""
+        fit = estimators._loglinear_fit([0.0, 0.0, 1.0, 1.0],
+                                        [1.0, math.e ** 2, math.e, math.e ** 3])
+        assert fit.slope == pytest.approx(1.0, rel=1e-12)
+        assert fit.intercept == pytest.approx(1.0, rel=1e-12)
+        assert fit.r_squared == pytest.approx(0.2, rel=1e-12)
+
+    def test_constant_values_have_unit_r_squared(self):
+        fit = estimators._loglinear_fit([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
+        assert fit.slope == pytest.approx(0.0, abs=1e-12)
+        assert fit.r_squared == 1.0
+
+    def test_zero_target_leaves_deviation_unset(self):
+        fit = estimators._loglinear_fit([1.0, 2.0, 3.0], [1.0, 2.0, 4.0], 0.0)
+        assert fit.target == 0.0 and fit.rel_deviation is None
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_bad_value_raises_numerical(self, bad):
+        """An underflowed, signed or non-finite measurement must not reach
+        the log as -inf or nan."""
+        with pytest.raises(NumericalError):
+            estimators._loglinear_fit([1.0, 2.0, 3.0], [1.0, bad, 0.5])
 
 
 class TestProbeCorpora:
@@ -231,28 +272,6 @@ class TestProbeCorpora:
         assert len(probes) == small_dec.m
 
 
-class TestProbeOperatorBound:
-    def test_ground_state_rate(self, hermite_dec):
-        probes = eigenfunction_probes(hermite_dec, 1)
-        got = probe_operator_bound(hermite_dec, 1.0, 0.5,
-                                   (2.0, 2.0, 0.0), (2.0, 2.0, 0.0), probes)
-        assert got == pytest.approx(math.exp(-0.5), rel=1e-10)
-
-    def test_zero_probe_skipped_with_warning(self, hermite_dec):
-        zero = FieldSample(hermite_dec.grid, np.zeros(hermite_dec.grid.size))
-        probes = [zero] + eigenfunction_probes(hermite_dec, 1)
-        with pytest.warns(ProbeSkipWarning):
-            got = probe_operator_bound(hermite_dec, 1.0, 0.5,
-                                       (2.0, 2.0, 0.0), (2.0, 2.0, 0.0), probes)
-        assert got == pytest.approx(math.exp(-0.5), rel=1e-10)
-
-    def test_all_skipped_raises(self, hermite_dec):
-        zero = FieldSample(hermite_dec.grid, np.zeros(hermite_dec.grid.size))
-        with pytest.warns(ProbeSkipWarning), pytest.raises(ValueError):
-            probe_operator_bound(hermite_dec, 1.0, 0.5,
-                                 (2.0, 2.0, 0.0), (2.0, 2.0, 0.0), [zero])
-
-
 class TestLongtimeRate:
     def test_ground_state_fit_is_exact(self, hermite_dec):
         probes = eigenfunction_probes(hermite_dec, 1)
@@ -262,6 +281,37 @@ class TestLongtimeRate:
         assert res.slope == pytest.approx(-1.0, rel=1e-9)
         assert res.r_squared == pytest.approx(1.0, abs=1e-10)
         assert [t for t, _ in res.samples] == [1.0, 2.0, 3.0]
+        # the worst ratio of the ground state alone is e^(-t lambda_0) = e^(-t)
+        for t, value in res.samples:
+            assert value == pytest.approx(math.exp(-t), rel=1e-10)
+
+    def test_zero_probe_skipped_with_warning(self, hermite_dec):
+        """A zero probe drops out with a ProbeSkipWarning and leaves the
+        ground-state ratio e^(-t) of the rest."""
+        zero = FieldSample(hermite_dec.grid, np.zeros(hermite_dec.grid.size))
+        probes = [zero] + eigenfunction_probes(hermite_dec, 1)
+        with pytest.warns(ProbeSkipWarning):
+            res = longtime_rate(hermite_dec, 1.0, (1.0, 2.0, 3.0),
+                                (2.0, 2.0, 0.0), (2.0, 2.0, 0.0), probes)
+        assert res.samples[0][1] == pytest.approx(math.exp(-1.0), rel=1e-10)
+
+    def test_all_skipped_raises(self, hermite_dec):
+        zero = FieldSample(hermite_dec.grid, np.zeros(hermite_dec.grid.size))
+        with pytest.warns(ProbeSkipWarning), pytest.raises(ValueError):
+            longtime_rate(hermite_dec, 1.0, (1.0, 2.0, 3.0),
+                          (2.0, 2.0, 0.0), (2.0, 2.0, 0.0), [zero])
+
+    def test_needs_three_distinct_times(self, hermite_dec):
+        """Repeated times count once: three entries with two distinct times
+        raise, and a repeat beside three distinct times is fitted."""
+        probes = eigenfunction_probes(hermite_dec, 1)
+        args = ((2.0, 2.0, 0.0), (2.0, 2.0, 0.0), probes)
+        for t_list in ((1.0, 1.0, 2.0), (2.0, 2.0, 2.0)):
+            with pytest.raises(ValueError):
+                longtime_rate(hermite_dec, 1.0, t_list, *args)
+        res = longtime_rate(hermite_dec, 1.0, (1.0, 2.0, 2.0, 3.0), *args)
+        assert res.slope == pytest.approx(-1.0, rel=1e-9)
+        assert [t for t, _ in res.samples] == [1.0, 2.0, 2.0, 3.0]
 
     def test_underflowed_bound_raises_numerical(self, hermite_dec):
         """At t = 800 the ground-state bound e^(-800) underflows to 0; its
@@ -281,26 +331,6 @@ class TestLongtimeRate:
                           (2.0, 2.0, 0.0), (2.0, 2.0, 0.0), probes)
 
 
-class TestSpectralSumBound:
-    def test_long_time_ratio_settles_at_ground_power(self, hermite_dec):
-        total, ratio = spectral_sum_bound(hermite_dec, 1.0, 0.0, 10.0)
-        assert ratio == pytest.approx(1.0, abs=1e-6)
-        assert total == pytest.approx(ratio * math.exp(-10.0), rel=1e-12)
-        _, ratio_s2 = spectral_sum_bound(hermite_dec, 1.0, 2.0, 10.0)
-        assert ratio_s2 == pytest.approx(1.0, abs=1e-6)
-
-    def test_ratio_monotone_in_time(self, hermite_dec):
-        _, r2 = spectral_sum_bound(hermite_dec, 1.0, 1.0, 2.0)
-        _, r4 = spectral_sum_bound(hermite_dec, 1.0, 1.0, 4.0)
-        assert r4 <= r2
-
-    def test_validation(self, hermite_dec):
-        with pytest.raises(ValueError):
-            spectral_sum_bound(hermite_dec, 1.0, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            spectral_sum_bound(hermite_dec, 1.0, -1.0, 2.0)
-
-
 class TestAlgebraRatio:
     def test_scale_invariant(self, hermite_grid, gaussian_field):
         g = FieldSample(hermite_grid, np.roll(gaussian_field.values, 40))
@@ -316,35 +346,6 @@ class TestAlgebraRatio:
         with pytest.warns(ProbeSkipWarning):
             out = algebra_ratio(gaussian_field, zero, MixedNormParams(1.0, 1.0), FLAT)
         assert math.isnan(out)
-
-
-class TestMultilinearRatio:
-    def test_single_factor_is_unity(self, gaussian_field):
-        out = multilinear_ratio([gaussian_field], [2.0], [1.0], 2.0, 1.0, FLAT)
-        assert out == pytest.approx(1.0, rel=1e-12)
-
-    def test_bilinear_value_is_finite_positive(self, hermite_grid, gaussian_field):
-        g = FieldSample(hermite_grid, np.roll(gaussian_field.values, 25))
-        out = multilinear_ratio([gaussian_field, g], [2.0, 2.0], [1.0, 1.0],
-                                1.0, 1.0, FLAT)
-        assert np.isfinite(out) and out > 0
-
-    def test_exponent_relations_enforced(self, gaussian_field):
-        with pytest.raises(ValueError):
-            multilinear_ratio([gaussian_field, gaussian_field], [2.0, 3.0],
-                              [1.0, 1.0], 1.0, 1.0, FLAT)
-        with pytest.raises(ValueError):
-            multilinear_ratio([gaussian_field, gaussian_field], [2.0, 2.0],
-                              [1.0, 2.0], 1.0, 1.0, FLAT)
-        with pytest.raises(ValueError):
-            multilinear_ratio([gaussian_field], [2.0, 2.0], [1.0], 2.0, 1.0, FLAT)
-
-    def test_inf_exponents_participate(self, hermite_grid, gaussian_field):
-        # 1/INF = 0 on both sides of the p relation
-        g = FieldSample(hermite_grid, np.roll(gaussian_field.values, 10))
-        out = multilinear_ratio([gaussian_field, g], [2.0, 2.0], [INF, 1.0],
-                                1.0, INF, FLAT)
-        assert np.isfinite(out) and out > 0
 
 
 class TestSingularWeight:
@@ -499,3 +500,33 @@ class TestCorpusBookkeeping:
                       for f in spans]
             assert band == ah.EquivalenceBand(min(ratios), max(ratios), 50)
         assert len(bands) == 3
+
+
+class TestPublicEstimators:
+    # exported estimators that no runner reaches yet, each with its reason
+    UNREACHED = {
+        "longtime_rate": "the only check of the -lambda_0^beta rate is an acceptance "
+                         "test; a spectrum row for it is still to come",
+        "algebra_ratio": "perfbench/spans.py traces it by name",
+    }
+
+    @staticmethod
+    def called_names(obj):
+        tree = ast.parse(inspect.getsource(obj))
+        return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+    def test_every_exported_estimator_serves_a_run(self):
+        """Each function that anharmonic exports from estimators is called by
+        the runner module or by another exported estimator."""
+        exported = {name: getattr(ah, name) for name in ah.__all__
+                    if inspect.isfunction(getattr(ah, name))
+                    and getattr(ah, name).__module__ == "anharmonic.estimators"}
+        assert set(self.UNREACHED) <= set(exported)
+        unreached = []
+        for name in exported:
+            callers = [anharmonic.cli] + [f for other, f in exported.items() if other != name]
+            if not any(name in self.called_names(c) for c in callers):
+                unreached.append(name)
+        assert sorted(unreached) == sorted(self.UNREACHED)

@@ -10,7 +10,7 @@ import anharmonic.nlheat
 from anharmonic import (FieldSample, Grid, InvalidSpecError, NonConvergenceError,
                         NonlinearProblemSpec, OffSpanWarning, SemigroupQuery,
                         apply_nonlinearity, decompose, duhamel_residual, etd_evolve,
-                        heat_semigroup, picard_solve, smallness_threshold)
+                        heat_semigroup, picard_solve)
 from anharmonic.cli import ReportRecord, emit_plot_data
 
 pytestmark = pytest.mark.filterwarnings(
@@ -69,16 +69,6 @@ class TestProblemSpec:
     def test_power_kind_zeroes_alpha(self, dec, small_u0):
         spec = NonlinearProblemSpec(dec, small_u0, kind="power", alpha=0.7)
         assert spec.alpha == 0.0
-
-    def test_alpha_admissibility_window(self, dec, small_u0):
-        # k = l = d = 1 and monitor s: the window is s < alpha < 1 - s
-        mk = lambda alpha, s: NonlinearProblemSpec(
-            dec, small_u0, kind="inhomogeneous", alpha=alpha,
-            monitor=(2.0, 1.0, s))
-        assert mk(0.2, 0.02).alpha_admissible
-        assert not mk(0.01, 0.02).alpha_admissible
-        assert not mk(1.5, 0.02).alpha_admissible
-        assert NonlinearProblemSpec(dec, small_u0).alpha_admissible
 
     def test_replace_u0(self, defocusing):
         """The runners swap u0 with dataclasses.replace, which reruns the
@@ -311,23 +301,3 @@ class TestTrajectoryRecord:
         assert len(traj.checkpoint_times) == 2
         with pytest.raises(ValueError):
             duhamel_residual(traj, defocusing)
-
-
-class TestSmallnessThreshold:
-    def test_defocusing_holds_at_upper_bracket(self, defocusing):
-        res = smallness_threshold(defocusing, 0.05, dt=0.005, lo=1e-3, hi=0.5)
-        assert res.eps_star == pytest.approx(0.5)
-        assert res.note == "criterion holds at the upper bracket"
-        assert res.history[0][1] is True
-
-    def test_violent_focusing_reports_no_threshold(self, dec, small_u0):
-        spec = NonlinearProblemSpec(dec, small_u0, coupling=1e6, monitor=MONITOR)
-        with np.errstate(all="ignore"):
-            res = smallness_threshold(spec, 0.05, dt=0.005, lo=0.5, hi=1.0)
-        assert res.eps_star is None
-        assert res.note == "no threshold in range"
-
-    def test_zero_profile_rejected(self, defocusing, dec):
-        zero = FieldSample(dec.grid, np.zeros(dec.grid.size))
-        with pytest.raises(ValueError):
-            smallness_threshold(defocusing, 0.05, profile=zero)

@@ -8,9 +8,8 @@ import anharmonic as ah
 from anharmonic import (DiscardedMassWarning, FieldSample, GaussianConjugation,
                         Grid, InvalidSpecError, MixedNormParams, ProbeSkipWarning,
                         WeightSpec, WindowSpec, apply_conjugation, conjugation_discarded_mass,
-                        decompose, gaussian_half_density, gaussian_modulation_norm,
-                        gaussian_probe_fields, modulation_norm, ou_probe_rate,
-                        ou_semigroup)
+                        decompose, gaussian_half_density, gaussian_probe_fields,
+                        modulation_norm, ou_probe_rate, ou_semigroup, stft)
 from oracles import mixed_norm_reference
 
 FLAT = WeightSpec("flat", 0.0)
@@ -120,28 +119,52 @@ class TestOuSemigroup:
 
 
 class TestGaussianNorm:
-    def test_bitwise_matches_multiplied_field(self, hermite_dec, hermite_grid,
-                                              gaussian_field, damped_gaussian_abs):
+    """The Gaussian norm is the modulation norm of the multiplied field."""
+
+    def test_multiplied_field_meets_closed_form(self, hermite_grid, gaussian_field,
+                                                damped_gaussian_abs):
         c = GaussianConjugation(1)
         w = WindowSpec()
-        direct = gaussian_modulation_norm(c, gaussian_field, w, FLAT, L2)
         multiplied = apply_conjugation(c, "forward", gaussian_field)
-        assert direct == modulation_norm(multiplied, w, FLAT, None, L2)
-        # the full-lattice route is different code: both meet the closed form
+        # the streamed norm and the full-lattice route are different code:
+        # both meet the closed form
         expected = mixed_norm_reference(damped_gaussian_abs, 1.0, 2.0, 2.0,
                                         hermite_grid.cell_volume,
                                         hermite_grid.frequency_cell)
-        assert direct == pytest.approx(expected, rel=1e-10)
-        full = ah.mixed_norm(ah.gaussian_stft(gaussian_field, w), FLAT, None, L2)
+        streamed = modulation_norm(multiplied, w, FLAT, None, L2)
+        assert streamed == pytest.approx(expected, rel=1e-10)
+        full = ah.mixed_norm(stft(multiplied, w), FLAT, None, L2)
         assert full == pytest.approx(expected, rel=1e-10)
 
     def test_weighted_variant_accepts_oscillator(self, hermite_dec, hermite_grid,
-                                                 gaussian_field):
+                                                 gaussian_field, damped_gaussian_abs):
         c = GaussianConjugation(1)
-        got = gaussian_modulation_norm(c, gaussian_field, WindowSpec(),
-                                       WeightSpec("anharmonic", 1.0), L2,
-                                       osc=hermite_dec.oscillator)
-        assert np.isfinite(got) and got > 0
+        multiplied = apply_conjugation(c, "forward", gaussian_field)
+        ws = WeightSpec("anharmonic", 1.0)
+        got = modulation_norm(multiplied, WindowSpec(), ws, hermite_dec.oscillator, L2)
+        # q1 + V^(1/2) + |omega| with V = x^2, q1 = 1 and omega = 2 pi xi
+        x = hermite_grid.nodes()[:, 0]
+        xi = hermite_grid.frequency_nodes()[:, 0]
+        weight = 1.0 + np.abs(x)[:, None] + 2.0 * np.pi * np.abs(xi)[None, :]
+        expected = mixed_norm_reference(damped_gaussian_abs, weight, 2.0, 2.0,
+                                        hermite_grid.cell_volume,
+                                        hermite_grid.frequency_cell)
+        assert got == pytest.approx(expected, rel=1e-10)
+
+
+    def test_l2_norm_is_l2_gamma_norm_of_probe(self, hermite_grid):
+        """For p = q = 2 and the flat weight, the lattice Moyal identity makes
+        the norm of gamma^(1/2) f the L^2(gamma) norm of f, here summed
+        directly on the nodes for a modulated off-centre probe."""
+        c = GaussianConjugation(1)
+        x = hermite_grid.nodes()[:, 0]
+        f = FieldSample(hermite_grid, (1.0 + x ** 2) * np.exp(-0.25 * (x - 1.0) ** 2)
+                        * np.exp(2j * np.pi * 0.6 * x))
+        got = modulation_norm(apply_conjugation(c, "forward", f), WindowSpec(), FLAT,
+                              None, L2)
+        gamma = np.exp(-x ** 2) / math.sqrt(math.pi)
+        expected = math.sqrt(hermite_grid.cell_volume * np.sum(gamma * np.abs(f.values) ** 2))
+        assert got == pytest.approx(expected, rel=1e-9)
 
 
 class TestOuProbeRate:
@@ -166,8 +189,8 @@ class TestOuProbeRate:
         assert res.r_squared > 0.99
 
     def test_zero_probe_skipped_with_warning(self, hermite_dec, hermite_grid):
-        """The same skip rule as probe_operator_bound: a zero-norm probe warns
-        and drops out; a corpus of zero probes raises."""
+        """The skip rule of every probe corpus: a zero-norm probe warns and
+        drops out; a corpus of zero probes raises."""
         c = GaussianConjugation(1)
         zero = FieldSample(hermite_grid, np.zeros(hermite_grid.size))
         ones = FieldSample(hermite_grid, np.ones(hermite_grid.size))
@@ -182,6 +205,9 @@ class TestOuProbeRate:
         ones = FieldSample(hermite_grid, np.ones(hermite_grid.size))
         with pytest.raises(ValueError):
             ou_probe_rate(c, hermite_dec, 1.0, (1.0, 2.0), [ones])
+        # three times but one distinct: no slope is determined
+        with pytest.raises(ValueError):
+            ou_probe_rate(c, hermite_dec, 1.0, (1.0, 1.0, 1.0), [ones])
 
     def test_rejects_non_harmonic(self, quartic_dec, hermite_grid):
         c = GaussianConjugation(1)

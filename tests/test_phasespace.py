@@ -7,7 +7,7 @@ import pytest
 import anharmonic as ah
 from anharmonic import (INF, BoundaryMassWarning, FieldSample, Grid,
                         InvalidSpecError, MixedNormParams, NumericalError,
-                        PhaseSpaceField, WeightSpec, WindowSpec, gaussian_stft,
+                        PhaseSpaceField, WeightSpec, WindowSpec, apply_conjugation,
                         mixed_norm, modulation_norm, modulation_norms, stft,
                         weight_value, window_values)
 from oracles import (gaussian_lattice_stft_abs, gaussian_window_transform_abs,
@@ -91,12 +91,16 @@ class TestStft:
             stft(gaussian_field, WindowSpec())
 
     def test_gaussian_variant_is_plain_stft_of_damped_field(self, hermite_grid,
-                                                            gaussian_field):
+                                                            gaussian_field,
+                                                            damped_gaussian_abs):
+        """The forward conjugation is the damping by the half-density, and the
+        transform of the damped field meets the closed form."""
         half = ah.gaussian_half_density(hermite_grid)
         damped = FieldSample(hermite_grid, gaussian_field.values * half)
-        a = gaussian_stft(gaussian_field, WindowSpec())
-        b = stft(damped, WindowSpec())
-        np.testing.assert_array_equal(a.values, b.values)
+        conj = apply_conjugation(ah.GaussianConjugation(1), "forward", gaussian_field)
+        np.testing.assert_array_equal(conj.values, damped.values)
+        got = np.abs(stft(conj, WindowSpec()).values)
+        np.testing.assert_allclose(got, damped_gaussian_abs, rtol=0.0, atol=1e-14)
 
 
 class TestPhaseSpaceField:
@@ -196,10 +200,12 @@ class TestModulationNorm:
 
     def test_gaussian_route_matches_manual_damping(self, hermite_grid, gaussian_field,
                                                    damped_gaussian_abs):
-        """The full gaussian_stft lattice and the streamed norm of the damped
-        field run different code, so each is held to the closed form."""
+        """The full stft lattice of the conjugated field and the streamed norm
+        of the damped field run different code, so each is held to the closed
+        form."""
         half = ah.gaussian_half_density(hermite_grid)
         damped = FieldSample(hermite_grid, gaussian_field.values * half)
+        conj = apply_conjugation(ah.GaussianConjugation(1), "forward", gaussian_field)
         params = MixedNormParams(2.0, 1.0)
         w = WeightSpec("polynomial", 1.0)
         x = hermite_grid.nodes()[:, 0]
@@ -208,7 +214,7 @@ class TestModulationNorm:
         expected = mixed_norm_reference(damped_gaussian_abs, lattice, 2.0, 1.0,
                                         hermite_grid.cell_volume,
                                         hermite_grid.frequency_cell)
-        via_route = mixed_norm(gaussian_stft(gaussian_field, WindowSpec()), w, None, params)
+        via_route = mixed_norm(stft(conj, WindowSpec()), w, None, params)
         by_hand = modulation_norm(damped, WindowSpec(), w, None, params)
         assert via_route == pytest.approx(expected, rel=1e-10)
         assert by_hand == pytest.approx(expected, rel=1e-10)
