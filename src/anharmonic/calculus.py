@@ -97,10 +97,15 @@ def project(dec: SpectralDecomposition, j: int, f: FieldSample) -> FieldSample:
     return dec.reconstruct(keep)
 
 
-def sobolev_norm(dec: SpectralDecomposition, s: float, f: FieldSample) -> float:
-    """Spectral Sobolev norm (sum of lambda^s |<f, Phi_j>|^2)^(1/2)."""
+def sobolev_norm(dec: SpectralDecomposition, s: float, f: FieldSample,
+                 coeffs: np.ndarray | None = None) -> float:
+    """Spectral Sobolev norm (sum of lambda^s |<f, Phi_j>|^2)^(1/2).
+
+    ``coeffs`` are f's coefficients when the caller has them already.
+    """
     s = float(s)
-    coeffs = dec.coefficients(f)
+    if coeffs is None:
+        coeffs = dec.coefficients(f)
     if s > 0:
         _warn_off_span(dec, f, "sobolev_norm", coeffs)
     return float(np.sqrt(np.sum(dec.eigenvalues ** s * np.abs(coeffs) ** 2)))

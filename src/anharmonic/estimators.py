@@ -532,18 +532,21 @@ def sobolev_modulation_equivalence(dec: SpectralDecomposition, s_values, probes,
     Probes are projected onto the retained-mode span first, so the spectral
     norm sees exactly the same object as the lattice norm. Each span is
     projected once and transformed once: ``modulation_norms`` reduces its
-    pass under every weight. Per s, a probe with zero modulation norm is
-    skipped with a ProbeSkipWarning, and ValueError is raised when all are.
+    pass under every weight, and the span's coefficients serve every s. Per
+    s, a probe with zero modulation norm is skipped with a ProbeSkipWarning,
+    and ValueError is raised when all are.
     """
     window = window or WindowSpec()
     s_values = [float(s) for s in s_values]
     weights = [WeightSpec("anharmonic", s) for s in s_values]
     params = MixedNormParams(2.0, 2.0)
     spans = [dec.reconstruct(dec.coefficients(f)) for f in probes]
+    span_coeffs = [dec.coefficients(f) for f in spans]
     mod = [modulation_norms(f, window, weights, dec.oscillator, params) for f in spans]
     bands = []
     for k, s in enumerate(s_values):
-        [ratios] = _probe_ratios(range(len(spans)), lambda i, k=k: mod[i][k],
-                                 [lambda i, s=s: sobolev_norm(dec, s, spans[i])])
+        [ratios] = _probe_ratios(
+            range(len(spans)), lambda i, k=k: mod[i][k],
+            [lambda i, s=s: sobolev_norm(dec, s, spans[i], span_coeffs[i])])
         bands.append(EquivalenceBand(float(min(ratios)), float(max(ratios)), len(ratios)))
     return bands

@@ -165,10 +165,12 @@ def _evaluate_on_points(spec, pts):
         term = np.full(pts.shape[:-1], coeff)
         for axis, power in enumerate(multi):
             if power:
-                # numpy's pow can round x^n and (-x)^n apart for even n; |x|
-                # keeps every even factor exactly even
+                # numpy's pow can round x^n and (-x)^n apart; the power of |x|
+                # with the sign restored for odd n keeps every factor exactly
+                # even or odd, so a monomial of even total degree is exactly even
                 coord = pts[..., axis]
-                term = term * (np.abs(coord) if power % 2 == 0 else coord) ** power
+                mag = np.abs(coord) ** power
+                term = term * (mag if power % 2 == 0 else np.copysign(mag, coord))
         out = out + term
     return out
 

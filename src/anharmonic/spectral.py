@@ -56,8 +56,9 @@ class Grid:
         return self.h ** self.dimension
 
     def axis_nodes(self) -> np.ndarray:
+        """Nodes -L + (i + 1/2) h, formed so that node n-1-i is exactly -(node i)."""
         n = self.points_per_axis
-        return -self.half_width + (np.arange(n) + 0.5) * self.h
+        return (np.arange(n) + 0.5 - n // 2) * self.h
 
     def nodes(self) -> np.ndarray:
         """All nodes as a (size, d) array, C-order over axes."""
@@ -154,6 +155,17 @@ def assemble_operator(osc: OscillatorSpec, grid: Grid) -> np.ndarray:
     grid excludes the origin, so min V over nodes is positive for any valid
     potential). A nodal potential that overflows (a finite but huge
     coefficient) raises NumericalError before the matrix is built.
+
+    The matrix commutes exactly with the reflection x -> -x, which reverses
+    the flat index in d = 1 and d = 2: ``a[::-1, ::-1]`` equals ``a``
+    bitwise, and eigendecompose relies on it. The kinetic entry depends on
+    the index difference i - j, and the reflection turns it into j - i,
+    which is the transposed entry; the final 0.5 (a + a^T) makes both the
+    same sum. The diagonal is the potential on the nodes, which are
+    symmetric about 0 bit for bit (see Grid.axis_nodes), and every potential
+    kind is evaluated exactly even: an even power is taken of |x_j|, and a
+    monomial of even total degree has its odd powers in pairs whose sign
+    flips cancel.
     """
     if osc.dimension != grid.dimension:
         raise InvalidSpecError("oscillator and grid dimensions differ")
@@ -204,7 +216,11 @@ class SpectralDecomposition:
     """Retained eigenpairs of the discretized oscillator.
 
     ``eigenvectors`` has shape (grid.size, m) and is orthonormal in the
-    h-weighted inner product; columns carry a deterministic sign gauge.
+    h-weighted inner product. Each column is exactly even or odd under
+    x -> -x (the reversed flat index), and its sign gauge is: the entry of
+    largest modulus on the second half of the flat index (x > 0, or x_1 > 0
+    in d = 2) is positive. For the harmonic oscillator that is the sign of
+    the Hermite function.
     """
 
     oscillator: OscillatorSpec
@@ -265,10 +281,71 @@ def _cluster_ranges(eigenvalues):
     return ranges
 
 
-def eigendecompose(a: np.ndarray, m: int, *, osc: OscillatorSpec, grid: Grid) -> SpectralDecomposition:
-    """Lowest m eigenpairs of the assembled operator, checked and gauged.
+def _parity_solve(a: np.ndarray, m: int, hd: float):
+    """Lowest m eigenpairs of a reflection-invariant a from its two parity blocks.
 
-    Raises NumericalError when the decomposition violates its invariants
+    With J the reversal of a half-length index, a = [[A11, A12], [J A12 J,
+    J A11 J]], so [u; Ju] and [u; -Ju] are eigenvectors of a exactly when u
+    is one of E = A11 + A12 J or O = A11 - A12 J, with the same eigenvalue.
+    Returns the merged eigenvalues and the (n, m) vectors, h-normalized and
+    each exactly even or odd; the block arrays die with this frame.
+    """
+    n = a.shape[0]
+    half = n // 2
+    k = min(m, half)
+    a11, a12j = a[:half, :half], a[:half, half:][:, ::-1]
+    blocks = []
+    for combine in (np.add, np.subtract):
+        try:
+            blocks.append(scipy.linalg.eigh(combine(a11, a12j), subset_by_index=(0, k - 1),
+                                            overwrite_a=True))
+        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare driver failure
+            raise NonConvergenceError(f"dense symmetric eigensolver failed: {exc}",
+                                      {"matrix_size": half, "modes": k})
+
+    # no block holds more than k of the lowest m, so the lowest m of the two
+    # lists are the lowest m overall; a tie puts the even mode first
+    order = np.argsort(np.concatenate([blocks[0][0], blocks[1][0]]), kind="stable")[:m]
+    odd = order >= k
+    vals = np.empty(m)
+    vecs = np.empty((n, m))
+    norm = 1.0 / np.sqrt(2.0 * hd)
+    for parity, (block_vals, u), cols in zip((1.0, -1.0), blocks,
+                                             (np.flatnonzero(~odd), np.flatnonzero(odd))):
+        block_vals, u = block_vals[:len(cols)], u[:, :len(cols)]
+        # even and odd vectors are exactly orthogonal, so degenerate clusters
+        # are re-orthonormalized inside each block only
+        for start, stop in _cluster_ranges(block_vals):
+            if stop - start > 1:
+                u[:, start:stop] = np.linalg.qr(u[:, start:stop])[0]
+        u *= norm
+        vals[cols] = block_vals
+        vecs[:half, cols] = u
+        vecs[half:, cols] = parity * u[::-1]
+    return vals, vecs
+
+
+def eigendecompose(a: np.ndarray, m: int, *, osc: OscillatorSpec, grid: Grid) -> SpectralDecomposition:
+    """Lowest m eigenpairs of the assembled operator, solved by parity, checked and gauged.
+
+    The operator commutes with the reflection x -> -x, which on the staggered
+    grid reverses the flat index in d = 1 and d = 2 (see assemble_operator).
+    So the n = grid.size unknowns split into two (n/2)² parity blocks,
+    E = A11 + A12 J and O = A11 - A12 J with J the reversal of a half-length
+    index. Each block is solved for its lowest min(m, n/2) pairs and the two
+    lists are merged by a stable sort that keeps the lowest m; this is
+    exact, since no block holds more than min(m, n/2) of the lowest m
+    overall. Degenerate clusters are re-orthonormalized inside each block.
+    Each block vector u becomes [u; ±Ju] / sqrt(2 h^d) in one (n, m) array,
+    so every column is exactly even or odd (``v[::-1] == ±v`` bitwise).
+
+    Sign gauge: the entry of largest modulus on the second half of the flat
+    index (x > 0; x_1 > 0 in d = 2) is positive. In the harmonic case that
+    is the sign of the Hermite function.
+
+    Raises ValueError for a matrix that is not square, not symmetric or not
+    reflection-invariant to 1e-12 relative. Raises NumericalError when the
+    full vectors violate the invariants on the full matrix ``a``
     (orthonormality to 1e-9, residual to 1e-8 per unit of (1 + lambda),
     positive ground eigenvalue) and NonConvergenceError when the dense
     solver fails.
@@ -279,32 +356,24 @@ def eigendecompose(a: np.ndarray, m: int, *, osc: OscillatorSpec, grid: Grid) ->
     scale = float(np.max(np.abs(a)))
     if scale > 0 and float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
         raise ValueError("operator is not symmetric to 1e-12 relative")
+    if scale > 0 and float(np.max(np.abs(a - a[::-1, ::-1]))) > 1e-12 * scale:
+        raise ValueError("operator does not commute with the reflection x -> -x "
+                         "to 1e-12 relative")
     if not isinstance(m, (int, np.integer)) or not 1 <= m <= a.shape[0]:
         raise ValueError(f"mode count m={m} outside [1, {a.shape[0]}]")
     if a.shape[0] != grid.size:
         raise ValueError("operator size does not match grid")
 
-    try:
-        vals, vecs = scipy.linalg.eigh(a, subset_by_index=(0, m - 1))
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare driver failure
-        raise NonConvergenceError(f"dense symmetric eigensolver failed: {exc}",
-                                  {"matrix_size": a.shape[0], "modes": m})
-
     hd = grid.cell_volume
-    vecs = vecs / np.sqrt(hd)
+    vals, vecs = _parity_solve(a, int(m), hd)
 
-    # re-orthonormalize inside numerically degenerate clusters, then fix signs
-    for start, stop in _cluster_ranges(vals):
-        if stop - start > 1:
-            block, _ = np.linalg.qr(vecs[:, start:stop] * np.sqrt(hd))
-            vecs[:, start:stop] = block / np.sqrt(hd)
-    peaks = np.argmax(np.abs(vecs), axis=0)
+    half = a.shape[0] // 2
+    peaks = half + np.argmax(np.abs(vecs[half:]), axis=0)
     signs = np.sign(vecs[peaks, np.arange(m)])
     signs[signs == 0] = 1.0
-    vecs = vecs * signs
+    vecs *= signs
 
-    gram = hd * (vecs.T @ vecs)
-    ortho_err = float(np.max(np.abs(gram - np.eye(m))))
+    ortho_err = float(np.max(np.abs(hd * (vecs.T @ vecs) - np.eye(m))))
     if ortho_err > _ORTHO_TOL:
         raise NumericalError(f"eigenvector orthonormality error {ortho_err:.3e} exceeds {_ORTHO_TOL}")
     if vals[0] <= 0:

@@ -501,6 +501,22 @@ class TestCorpusBookkeeping:
             assert band == ah.EquivalenceBand(min(ratios), max(ratios), 50)
         assert len(bands) == 3
 
+    @pytest.mark.filterwarnings("ignore")  # boundary and off-span notes of the probes
+    def test_each_span_is_projected_once(self, monkeypatch, small_dec):
+        """One coefficient matvec per probe for its projection and one per
+        span that serves all three s: 2P, where a matvec per (s, span) is 4P."""
+        probes = standard_probe_family(small_dec, "equivalence", 11)
+        calls = []
+        original = ah.SpectralDecomposition.coefficients
+
+        def counted(dec, f):
+            calls.append(f)
+            return original(dec, f)
+
+        monkeypatch.setattr(ah.SpectralDecomposition, "coefficients", counted)
+        sobolev_modulation_equivalence(small_dec, (0.0, 1.0, 2.0), probes)
+        assert len(calls) == 2 * len(probes) == 100
+
 
 class TestPublicEstimators:
     # exported estimators that no runner reaches yet, each with its reason

@@ -79,6 +79,14 @@ class TestPotential:
                             terms=(((4, 0), 1.0), ((2, 2), 1.0), ((0, 4), 1.0)))
         assert evaluate_potential(pot, (1.0, 1.0)) == 3.0
 
+    def test_custom_poly_with_odd_factors_is_exactly_even(self):
+        # x^3 y and x y^3 flip sign twice under x -> -x; pow alone can round
+        # (-x)^3 and -(x^3) apart
+        pot = PotentialSpec("custom_poly", 2, 2,
+                            terms=(((4, 0), 1.0), ((3, 1), 0.5), ((1, 3), -0.3), ((0, 4), 2.0)))
+        x = np.random.default_rng(3).uniform(-5.0, 5.0, (1000, 2))
+        assert np.array_equal(evaluate_potential(pot, -x), evaluate_potential(pot, x))
+
     def test_custom_poly_wrong_degree_rejected(self):
         with pytest.raises(InvalidSpecError):
             PotentialSpec("custom_poly", 2, 2, terms=(((2, 0), 1.0),))
