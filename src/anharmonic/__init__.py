@@ -21,8 +21,8 @@ from .spectral import (FieldSample, Grid, SpectralDecomposition, assemble_operat
                        decompose, eigendecompose, field_from_function)
 from .calculus import (SemigroupQuery, apply_spectral_function, fractional_power,
                        heat_semigroup, project, sobolev_norm)
-from .phasespace import (PhaseSpaceField, WindowSpec, gaussian_half_density, mixed_norm,
-                         modulation_norm, modulation_norms, stft, window_values)
+from .phasespace import (PhaseSpaceField, gaussian_half_density, mixed_norm, modulation_norm,
+                         modulation_norms, stft)
 from .estimators import (EquivalenceBand, LogLinearFit, SingularWeightResult,
                          WeightQuotientParams, algebra_ratio, algebra_ratios,
                          eigenfunction_probes, eigenvalue_growth_fit, fit_decay_exponent,
@@ -53,8 +53,8 @@ __all__ = [
     "SemigroupQuery", "apply_spectral_function", "heat_semigroup", "fractional_power",
     "project", "sobolev_norm",
     # phasespace
-    "WindowSpec", "window_values", "PhaseSpaceField", "stft", "gaussian_half_density",
-    "mixed_norm", "modulation_norm", "modulation_norms",
+    "PhaseSpaceField", "stft", "gaussian_half_density", "mixed_norm", "modulation_norm",
+    "modulation_norms",
     # estimators
     "LogLinearFit", "growth_target", "eigenvalue_growth_fit", "sigma_exponent",
     "WeightQuotientParams", "weight_quotient_norm", "fit_decay_exponent",

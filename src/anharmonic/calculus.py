@@ -46,15 +46,17 @@ def _warn_off_span(dec, f, context, coeffs=None):
 
 
 def apply_spectral_function(dec: SpectralDecomposition, phi, f: FieldSample) -> FieldSample:
-    """Sum of phi(lambda_j) <f, Phi_j> Phi_j over retained modes."""
+    """Sum of phi(lambda_j) <f, Phi_j> Phi_j over retained modes.
+
+    ``phi`` is called once on the eigenvalue array: an output not shaped like
+    ``dec.eigenvalues`` raises ValueError, a non-finite value NumericalError.
+    """
     coeffs = dec.coefficients(f)
     _warn_off_span(dec, f, "apply_spectral_function", coeffs)
-    try:
-        vals = np.asarray(phi(dec.eigenvalues), dtype=float)
-        if vals.shape != dec.eigenvalues.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(phi(lam)) for lam in dec.eigenvalues])
+    vals = np.asarray(phi(dec.eigenvalues), dtype=float)
+    if vals.shape != dec.eigenvalues.shape:
+        raise ValueError(f"spectral function returned shape {vals.shape}, "
+                         f"not the eigenvalue shape {dec.eigenvalues.shape}")
     if not np.all(np.isfinite(vals)):
         j = int(np.argmin(np.isfinite(vals)))
         raise NumericalError(

@@ -28,7 +28,7 @@ from . import __version__
 from .calculus import SemigroupQuery, heat_semigroup, project
 from .errors import InvalidSpecError, NumericalError, SchemaError
 from .model import (INF, MixedNormParams, WeightSpec, exponent_from_json, hermite_oscillator,
-                    oscillator, oscillator_from_dict, submultiplicativity_defect,
+                    is_inf, oscillator, oscillator_from_dict, submultiplicativity_defect,
                     weight_value)
 from .estimators import (WeightQuotientParams, algebra_ratios, eigenvalue_growth_fit,
                          gaussian_probe_fields, ou_probe_rate, sigma_exponent,
@@ -37,7 +37,7 @@ from .estimators import (WeightQuotientParams, algebra_ratios, eigenvalue_growth
 from .nlheat import (NonlinearProblemSpec, _check_steps, duhamel_residual, etd_evolve,
                      picard_solve)
 from .ougauss import GaussianConjugation, apply_conjugation, ou_semigroup
-from .phasespace import WindowSpec, mixed_norm, modulation_norm, stft
+from .phasespace import mixed_norm, modulation_norm, stft
 from .spectral import FieldSample, Grid, decompose
 
 _KINDS = ("spectrum", "decay", "norms", "nlheat", "ou", "selftest")
@@ -248,6 +248,8 @@ def _run_decay(manifest, seed, record):
         beta = float(spec.get("beta", 1.0))
         p_tilde = _parse_exponent(spec.get("p_tilde", 1.0), "params.tuples.p_tilde")
         q_tilde = _parse_exponent(spec.get("q_tilde", 1.0), "params.tuples.q_tilde")
+        _require(not (is_inf(p_tilde) and is_inf(q_tilde)), "decay tuple has both gaps "
+                 "infinite, so sigma = 0 and there is no decay slope to check", "params.tuples")
         s2 = float(spec.get("s2", 0.0))
         tol = float(spec.get("tolerance", 0.10))
         r2_min = float(spec.get("r2_min", 0.98))
@@ -284,7 +286,6 @@ def _run_norms(manifest, seed, record):
     osc = _oscillator_from_manifest(manifest)
     modes = int(params.get("modes", min(grid.size // 2, 192)))
     dec = decompose(osc, grid, modes)
-    window = WindowSpec()
     flat = WeightSpec("flat", 0.0)
     l2_params = MixedNormParams(2.0, 2.0)
 
@@ -296,7 +297,7 @@ def _run_norms(manifest, seed, record):
             coeffs = np.zeros(dec.m, dtype=complex)
             coeffs[:band] = rng.standard_normal(band) + 1j * rng.standard_normal(band)
             f = dec.reconstruct(coeffs)
-            norm_mod = modulation_norm(f, window, flat, None, l2_params)
+            norm_mod = modulation_norm(f, flat, None, l2_params)
             worst = max(worst, abs(norm_mod - f.norm_l2()) / f.norm_l2())
         record.results.append(_result("moyal_identity_rel_err", worst, 0.0, worst,
                                       1e-6, worst <= 1e-6))
@@ -304,7 +305,7 @@ def _run_norms(manifest, seed, record):
     if "equivalence" in checks:
         probes = standard_probe_family(dec, "equivalence", seed)
         s_values = (0.0, 1.0, 2.0)
-        bands = sobolev_modulation_equivalence(dec, s_values, probes, window)
+        bands = sobolev_modulation_equivalence(dec, s_values, probes)
         for s, band in zip(s_values, bands):
             record.results.append(_result(
                 f"equivalence_spread_s{s:g}", band.spread, 1.0, band.spread, 20.0,
@@ -314,7 +315,7 @@ def _run_norms(manifest, seed, record):
         ws = WeightSpec("anharmonic", 2.0)
         fields = gaussian_probe_fields(grid, 15, seed + 1)
         pairs = [(i, j) for i in range(len(fields)) for j in range(i, len(fields))][:100]
-        ratios = algebra_ratios(fields, pairs, l2_params, ws, osc, window)
+        ratios = algebra_ratios(fields, pairs, l2_params, ws, osc)
         finite = [r for r in ratios if np.isfinite(r)]
         value = max(finite) if finite else float("inf")
         record.results.append(_result("algebra_max_ratio", value, 0.0, value, 1e3,
@@ -323,12 +324,12 @@ def _run_norms(manifest, seed, record):
     if "singular" in checks:
         ws = WeightSpec("anharmonic", 0.1)
         res_adm = singular_weight_norm(0.5, MixedNormParams(3.0, 3.0), ws, 6.0,
-                                       grid=grid, osc=osc, window=window)
+                                       grid=grid, osc=osc)
         record.results.append(_result(
             "singular_admissible_x_growth", res_adm.x_growth, 0.0, res_adm.x_growth,
             0.02, res_adm.x_growth < 0.02))
         res_bad = singular_weight_norm(0.5, MixedNormParams(3.0, 1.5), ws, 6.0,
-                                       grid=grid, osc=osc, window=window)
+                                       grid=grid, osc=osc)
         record.results.append(_result(
             "singular_inadmissible_tail_growth", res_bad.xi_tail_growth, 1.0,
             res_bad.xi_tail_growth, 0.25, res_bad.xi_tail_growth > 0.25))
@@ -367,10 +368,9 @@ def _run_nlheat(manifest, seed, record):
                                     monitor=monitor)
     except InvalidSpecError as exc:
         raise SchemaError(f"bad nlheat parameters: {exc}", field="params")
-    window = WindowSpec()
     ws = WeightSpec("anharmonic", monitor[2])
     mparams = MixedNormParams(monitor[0], monitor[1])
-    base_norm = modulation_norm(base, window, ws, osc, mparams)
+    base_norm = modulation_norm(base, ws, osc, mparams)
     spec = replace(spec, u0=FieldSample(grid, base.values * (initial_norm / base_norm)))
 
     traj = picard_solve(spec, horizon, dt, tol=tol)
@@ -398,7 +398,7 @@ def _run_nlheat(manifest, seed, record):
         e_traj = etd_evolve(spec, e_hor, e_dt, order=order, checkpoint_stride=e_steps)
         engine_gap = p_short.final_coeffs - e_traj.final_coeffs
         gap_field = dec.reconstruct(engine_gap)
-        gap = modulation_norm(gap_field, window, ws, osc, mparams)
+        gap = modulation_norm(gap_field, ws, osc, mparams)
         bound = 10.0 * e_dt * scale
         record.results.append(_result("picard_etd_gap", gap, 0.0, gap, bound,
                                       gap <= bound))
@@ -425,7 +425,6 @@ def _run_ou(manifest, seed, record):
     dec = decompose(osc, grid, modes)
     conj = GaussianConjugation(grid.dimension, float(params.get("safe_radius", 8.0)))
     beta = float(params.get("beta", 1.0))
-    window = WindowSpec()
     ws = WeightSpec("polynomial", 0.0)
     l2_params = MixedNormParams(2.0, 2.0)
 
@@ -441,15 +440,14 @@ def _run_ou(manifest, seed, record):
                                   worst <= 1e-6))
 
     probe = gaussian_probe_fields(grid, 1, seed + 2)[0]
-    norm = modulation_norm(apply_conjugation(conj, "forward", probe), window, ws, osc,
-                           l2_params)
+    norm = modulation_norm(apply_conjugation(conj, "forward", probe), ws, osc, l2_params)
     err = _l2_gamma_rel_err(norm, conj, probe)
     record.results.append(_result("gaussian_norm_l2_gamma_rel_err", err, 0.0, err,
                                   _L2_GAMMA_TOL, err <= _L2_GAMMA_TOL))
 
     probes = gaussian_probe_fields(grid, int(params.get("gauss_probes", 30)), seed)
     rate = ou_probe_rate(conj, dec, beta, params.get("rate_t_list", [1, 2, 3, 4, 5]),
-                         probes, window, ws, l2_params)
+                         probes, ws, l2_params)
     record.results.append(_result("ou_longtime_rate", rate.slope, rate.target,
                                   rate.rel_deviation, 0.05, rate.rel_deviation <= 0.05))
     record.series["ou_rate"] = {
@@ -495,15 +493,14 @@ def _run_selftest(manifest, seed, record):
     pj = project(dec, 3, project(dec, 3, f))
     row("projection_idempotent", float(np.max(np.abs(pj.values - f.values))), 0.0, 1e-9)
 
-    window = WindowSpec()
     flat = WeightSpec("flat", 0.0)
     coeffs = np.zeros(dec.m)
     coeffs[:12] = np.linspace(1.0, 0.1, 12)
     probe = dec.reconstruct(coeffs)
-    moyal = modulation_norm(probe, window, flat, None, MixedNormParams(2.0, 2.0))
+    moyal = modulation_norm(probe, flat, None, MixedNormParams(2.0, 2.0))
     row("moyal_identity", moyal / probe.norm_l2(), 1.0, 1e-6)
     conj = GaussianConjugation(1)
-    gs = stft(apply_conjugation(conj, "forward", probe), window)
+    gs = stft(apply_conjugation(conj, "forward", probe))
     row("gaussian_stft_l2_gamma_rel_err",
         _l2_gamma_rel_err(mixed_norm(gs, flat, None, MixedNormParams(2.0, 2.0)), conj, probe),
         0.0, _L2_GAMMA_TOL)

@@ -21,9 +21,9 @@ from .errors import InvalidSpecError, NumericalError, ProbeSkipWarning, Truncati
 from .model import (MixedNormParams, OscillatorSpec, WeightSpec, check_exponent,
                     evaluate_potential, is_inf)
 from .ougauss import GaussianConjugation, apply_conjugation, ou_semigroup
-from .phasespace import (_BLOCK_CELLS, WindowSpec, _check_boundary_mass,
-                         _modulation_columns, _outer_reduce, _weighted_columns,
-                         modulation_norm, modulation_norms)
+from .phasespace import (_BLOCK_CELLS, _check_boundary_mass, _modulation_columns,
+                         _outer_reduce, _weighted_columns, modulation_norm,
+                         modulation_norms)
 from .spectral import FieldSample, Grid, SpectralDecomposition
 
 PROBE_SEED = 1234
@@ -361,7 +361,7 @@ def _rate_fit(probes, source_norm, target_at, t_list, target_rate) -> LogLinearF
 
 
 def longtime_rate(dec: SpectralDecomposition, beta: float, t_list, source, target,
-                  probes, window: WindowSpec | None = None) -> LogLinearFit:
+                  probes) -> LogLinearFit:
     """Fit log of the worst probe ratio target-norm(exp(-t H^beta) f) /
     source-norm(f) against t; the expected rate is the negated beta-th
     power of the ground eigenvalue. ``source`` and ``target`` are (p, q, s)
@@ -369,11 +369,10 @@ def longtime_rate(dec: SpectralDecomposition, beta: float, t_list, source, targe
     must have matching nonnegative weight exponents (the refined regime)."""
     if source[2] != target[2] or float(source[2]) < 0:
         raise ValueError("longtime fit needs s_source = s_target >= 0")
-    window = window or WindowSpec()
 
     def norm_args(triple):
         p, q, s = triple
-        return window, WeightSpec("anharmonic", float(s)), dec.oscillator, MixedNormParams(p, q)
+        return WeightSpec("anharmonic", float(s)), dec.oscillator, MixedNormParams(p, q)
 
     src, tgt = norm_args(source), norm_args(target)
 
@@ -386,8 +385,7 @@ def longtime_rate(dec: SpectralDecomposition, beta: float, t_list, source, targe
 
 
 def ou_probe_rate(c: GaussianConjugation, dec: SpectralDecomposition, beta: float,
-                  t_list, probes, window: WindowSpec | None = None,
-                  ws: WeightSpec | None = None,
+                  t_list, probes, ws: WeightSpec | None = None,
                   params: MixedNormParams | None = None) -> LogLinearFit:
     """Fit the decay rate of the worst-case Gaussian-norm ratio of the OU
     flow over a probe corpus; the expected rate is -(dimension)^beta.
@@ -396,13 +394,12 @@ def ou_probe_rate(c: GaussianConjugation, dec: SpectralDecomposition, beta: floa
     Polynomial weight by default: the Gaussian-space experiments measure
     against it unless told otherwise.
     """
-    window = window or WindowSpec()
     ws = ws or WeightSpec("polynomial", 0.0)
     params = params or MixedNormParams(2.0, 2.0)
 
     def norm(f):
-        return modulation_norm(apply_conjugation(c, "forward", f), window, ws,
-                               dec.oscillator, params)
+        return modulation_norm(apply_conjugation(c, "forward", f), ws, dec.oscillator,
+                               params)
 
     def target_at(t):
         return lambda f: norm(ou_semigroup(c, dec, beta, t, f))
@@ -411,8 +408,7 @@ def ou_probe_rate(c: GaussianConjugation, dec: SpectralDecomposition, beta: floa
 
 
 def algebra_ratios(fields, pairs, params: MixedNormParams, ws: WeightSpec,
-                   osc: OscillatorSpec | None = None,
-                   window: WindowSpec | None = None) -> list:
+                   osc: OscillatorSpec | None = None) -> list:
     """norm(f_i f_j) / (norm(f_i) norm(f_j)) for each index pair (i, j) into
     ``fields``, with the pointwise grid product.
 
@@ -421,8 +417,7 @@ def algebra_ratios(fields, pairs, params: MixedNormParams, ws: WeightSpec,
     with a vanishing factor norm gives NaN (with a ProbeSkipWarning) and its
     product is not normed, so corpus maxima can skip the pair.
     """
-    window = window or WindowSpec()
-    norms = [modulation_norm(f, window, ws, osc, params) for f in fields]
+    norms = [modulation_norm(f, ws, osc, params) for f in fields]
     ratios = []
     for i, j in pairs:
         if norms[i] == 0.0 or norms[j] == 0.0:
@@ -431,16 +426,15 @@ def algebra_ratios(fields, pairs, params: MixedNormParams, ws: WeightSpec,
             ratios.append(float("nan"))
             continue
         product = FieldSample(fields[i].grid, fields[i].values * fields[j].values)
-        ratios.append(modulation_norm(product, window, ws, osc, params)
+        ratios.append(modulation_norm(product, ws, osc, params)
                       / (norms[i] * norms[j]))
     return ratios
 
 
 def algebra_ratio(f: FieldSample, g: FieldSample, params: MixedNormParams,
-                  ws: WeightSpec, osc: OscillatorSpec | None = None,
-                  window: WindowSpec | None = None) -> float:
+                  ws: WeightSpec, osc: OscillatorSpec | None = None) -> float:
     """norm(f g) / (norm(f) norm(g)): the one-pair case of ``algebra_ratios``."""
-    [ratio] = algebra_ratios([f, g], [(0, 1)], params, ws, osc, window)
+    [ratio] = algebra_ratios([f, g], [(0, 1)], params, ws, osc)
     return ratio
 
 
@@ -459,7 +453,6 @@ class SingularWeightResult:
 def singular_weight_norm(alpha: float, params: MixedNormParams, ws: WeightSpec,
                          radius: float, *, grid: Grid,
                          osc: OscillatorSpec | None = None,
-                         window: WindowSpec | None = None,
                          bulk_radius: float = 1.0,
                          tail_radius: float = 2.5) -> SingularWeightResult:
     """Weighted modulation norm of |x|^(-alpha) truncated to |x| <= radius.
@@ -478,7 +471,6 @@ def singular_weight_norm(alpha: float, params: MixedNormParams, ws: WeightSpec,
         raise ValueError("singular-weight runs need s >= 0")
     if radius > grid.half_width:
         raise ValueError("truncation radius exceeds the grid half-width")
-    window = window or WindowSpec()
 
     nodes_r = np.linalg.norm(grid.nodes(), axis=1)
 
@@ -489,9 +481,9 @@ def singular_weight_norm(alpha: float, params: MixedNormParams, ws: WeightSpec,
     _check_boundary_mass(f_full)
     p, q = params.p, params.q
     cells = (grid.cell_volume, grid.frequency_cell)
-    [columns] = _modulation_columns(f_full, window, [ws], osc, p)
+    [columns] = _modulation_columns(f_full, [ws], osc, p)
     value = _outer_reduce(columns, p, q, *cells)
-    value_half = modulation_norm(truncated(radius / 2.0), window, ws, osc, params)
+    value_half = modulation_norm(truncated(radius / 2.0), ws, osc, params)
     x_growth = abs(value - value_half) / value_half if value_half > 0 else float("inf")
     # outer-exponent tail mass A(Xi): sum over bulk_radius < |xi| <= Xi of
     # inner(xi)^q, or the annulus sup for q = INF
@@ -524,8 +516,7 @@ class EquivalenceBand:
         return self.max_ratio / self.min_ratio
 
 
-def sobolev_modulation_equivalence(dec: SpectralDecomposition, s_values, probes,
-                                   window: WindowSpec | None = None) -> list:
+def sobolev_modulation_equivalence(dec: SpectralDecomposition, s_values, probes) -> list:
     """One band per s in ``s_values`` of the ratios
     sobolev_norm / modulation_norm(p=q=2, anharmonic s).
 
@@ -536,13 +527,12 @@ def sobolev_modulation_equivalence(dec: SpectralDecomposition, s_values, probes,
     s, a probe with zero modulation norm is skipped with a ProbeSkipWarning,
     and ValueError is raised when all are.
     """
-    window = window or WindowSpec()
     s_values = [float(s) for s in s_values]
     weights = [WeightSpec("anharmonic", s) for s in s_values]
     params = MixedNormParams(2.0, 2.0)
     spans = [dec.reconstruct(dec.coefficients(f)) for f in probes]
     span_coeffs = [dec.coefficients(f) for f in spans]
-    mod = [modulation_norms(f, window, weights, dec.oscillator, params) for f in spans]
+    mod = [modulation_norms(f, weights, dec.oscillator, params) for f in spans]
     bands = []
     for k, s in enumerate(s_values):
         [ratios] = _probe_ratios(

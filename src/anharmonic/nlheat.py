@@ -18,7 +18,7 @@ import numpy as np
 from .calculus import _warn_off_span
 from .errors import InvalidSpecError, NonConvergenceError
 from .model import MixedNormParams, WeightSpec
-from .phasespace import WindowSpec, _modulation_columns, _outer_reduce, modulation_norm
+from .phasespace import _modulation_columns, _outer_reduce, modulation_norm
 from .spectral import FieldSample, SpectralDecomposition, real_matmul
 
 _BLOWUP_NORM = 1e6
@@ -97,7 +97,6 @@ class _Engine:
         self.phi = dec.eigenvectors
         self.cell = dec.grid.cell_volume
         self.sing = _singular_factor(spec)
-        self.window = WindowSpec()
         p, q, s = spec.monitor
         self.monitor_params = MixedNormParams(p, q)
         self.monitor_weight = WeightSpec("anharmonic", float(s))
@@ -116,16 +115,15 @@ class _Engine:
 
     def monitored_norm(self, coeffs: np.ndarray) -> float:
         f = FieldSample(self.dec.grid, self.to_values(coeffs))
-        return modulation_norm(f, self.window, self.monitor_weight,
-                               self.dec.oscillator, self.monitor_params)
+        return modulation_norm(f, self.monitor_weight, self.dec.oscillator,
+                               self.monitor_params)
 
     def gap_norm(self, coeffs: np.ndarray) -> float:
         """Monitored norm of a difference of Picard iterates, without the
         boundary-mass check of a state: near convergence it is round-off."""
         grid, p, q = self.dec.grid, self.monitor_params.p, self.monitor_params.q
         [columns] = _modulation_columns(FieldSample(grid, self.to_values(coeffs)),
-                                        self.window, [self.monitor_weight],
-                                        self.dec.oscillator, p)
+                                        [self.monitor_weight], self.dec.oscillator, p)
         return _outer_reduce(columns, p, q, grid.cell_volume, grid.frequency_cell)
 
     def l2_norm(self, coeffs: np.ndarray) -> float:

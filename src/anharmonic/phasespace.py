@@ -17,14 +17,16 @@ reduced by ``_weighted_columns`` (weighted inner L^p column sums or sups) and
 holds a few blocks, never the lattice. ``modulation_norms`` reduces one pass
 under several weights at once: the transform and its magnitudes, which are
 most of the cost, are shared, and each weight adds only its own weighting
-and column sums. A real d=1 field under the default
-gaussian window streams half the spectrum: |V_g f(x, -xi)| = |V_g f(x, xi)|
-for real f and a real window, and every weight depends on |xi| only, so the
+and column sums. The window g is the unit Gaussian 2^(d/4) e^(-pi |z|^2),
+the only one: it gives one space over the whole range 0 < p, q <= INF, and
+other admissible windows give only equivalent norms (Groechenig, Foundations
+of Time-Frequency Analysis, 2001, 11.3; Galperin-Samarah, ACHA 16, 2004).
+A real d=1 field streams half the spectrum: |V_g f(x, -xi)| = |V_g f(x, xi)|
+for real f and the real g, and every weight depends on |xi| only, so the
 pass runs ``rfft`` on the real windowed product, reduces the bins xi >= 0 and
-mirrors the column sums. Complex fields, d=2 and custom windows take the full
-spectrum. The boundary-mass check runs where a state is measured, not in the
-pass, so Picard gaps (round-off noise near convergence) are reduced without
-it.
+mirrors the column sums. Complex fields and d=2 take the full spectrum. The
+boundary-mass check runs where a state is measured, not in the pass, so
+Picard gaps (round-off noise near convergence) are reduced without it.
 """
 
 from __future__ import annotations
@@ -46,26 +48,9 @@ _BOUNDARY_TOL = 1e-8
 _BLOCK_CELLS = 1 << 15  # lattice cells per block of the streamed STFT pass
 
 
-@dataclass(frozen=True, eq=False)
-class WindowSpec:
-    """STFT window. The default is the unit-norm Gaussian 2^(d/4) e^(-pi |z|^2)."""
-
-    kind: str = "gaussian"
-    field: FieldSample | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "custom"):
-            raise InvalidSpecError(f"unknown window kind {self.kind!r}")
-        if self.kind == "custom":
-            if self.field is None:
-                raise InvalidSpecError("custom window needs a FieldSample")
-        elif self.field is not None:
-            raise InvalidSpecError("gaussian window takes no field")
-
-
 @functools.lru_cache(maxsize=16)
 def _gaussian_window_values(grid: Grid) -> np.ndarray:
-    """Cyclic window table values g(z_i) with wrapped offsets, flat C-order."""
+    """Unit Gaussian window g(z_i) at the wrapped offsets, flat C-order."""
     z = grid.wrapped_axis_offsets()
     if grid.dimension == 1:
         g = 2.0 ** 0.25 * np.exp(-np.pi * z ** 2)
@@ -79,19 +64,6 @@ def _gaussian_window_values(grid: Grid) -> np.ndarray:
     g = g.astype(np.complex128)
     g.setflags(write=False)
     return g
-
-
-def window_values(w: WindowSpec, grid: Grid) -> np.ndarray:
-    """Window samples in wrapped-offset layout (offset zero at index 0)."""
-    if w.kind == "gaussian":
-        return _gaussian_window_values(grid)
-    if w.field.grid != grid:
-        raise ValueError("custom window lives on a different grid")
-    vals = w.field.values
-    norm = np.sqrt(grid.cell_volume * np.sum(np.abs(vals) ** 2))
-    if norm == 0:
-        raise InvalidSpecError("custom window is identically zero")
-    return vals / norm  # normalized so all windows are unit-norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +102,7 @@ def _check_boundary_mass(f: FieldSample, stacklevel: int = 3) -> None:
 
 @functools.lru_cache(maxsize=4)
 def _gaussian_conj_table(grid: Grid) -> np.ndarray:
-    """Shift table g(z_j - x_i) of the default window (d=1).
+    """Shift table g(z_j - x_i) of the window (d=1).
 
     The gaussian is real, so the table is its own conjugate and is stored
     real: a complex times a real with exact zero imaginary part rounds the
@@ -144,34 +116,33 @@ def _gaussian_conj_table(grid: Grid) -> np.ndarray:
     return table
 
 
-def _stft_blocks(f: FieldSample, w: WindowSpec, real: bool = False):
-    """Yield (lo, block) with block[r] = h^d FFT(f conj(g(. - x_{lo+r}))).
+def _stft_blocks(f: FieldSample, real: bool = False):
+    """Yield (lo, block) with block[r] = h^d FFT(f g(. - x_{lo+r})).
 
     Rows run over consecutive x shifts from ``lo``; the block has shape
     (rows, N) for d=1 and (rows, N, N) for d=2, frequencies in FFT order on
     each axis (bin 0 first), with neither fftshift nor the staggered-grid
     phase applied. Every block has the same number of rows, about
     ``_BLOCK_CELLS`` lattice cells; the windowed product reuses one buffer.
-    ``real`` (d=1, default window, f real) transforms the real product with
-    ``rfft`` and yields only the bins 0..N/2, shape (rows, N/2 + 1).
+    ``real`` (d=1, f real) transforms the real product with ``rfft`` and
+    yields only the bins 0..N/2, shape (rows, N/2 + 1).
     """
     grid = f.grid
     n_pts, d, size = grid.points_per_axis, grid.dimension, grid.size
     rows = min(size, max(1, _BLOCK_CELLS // size))  # powers of two: divides size
     axes = tuple(range(1, d + 1))
-    ax = np.arange(n_pts)
-    table = _gaussian_conj_table(grid) if d == 1 and w.kind == "gaussian" else None
-    if table is None:
-        g_conj = np.conj(window_values(w, grid)).reshape((n_pts,) * d)
+    if d == 1:
+        table = _gaussian_conj_table(grid)
+    else:
+        ax = np.arange(n_pts)
+        g_conj = np.conj(_gaussian_window_values(grid)).reshape((n_pts,) * d)
     fv = f.values.real if real else f.values.reshape((n_pts,) * d)
     prod = np.empty((rows,) + (n_pts,) * d, dtype=fv.dtype)
     for lo in range(0, size, rows):
-        shifts = np.arange(lo, lo + rows)
-        if table is not None:
+        if d == 1:
             win = table[lo:lo + rows]
-        elif d == 1:
-            win = g_conj[(ax[None, :] - shifts[:, None]) % n_pts]
         else:
+            shifts = np.arange(lo, lo + rows)
             win = g_conj[(ax[None, :, None] - (shifts // n_pts)[:, None, None]) % n_pts,
                          (ax[None, None, :] - (shifts % n_pts)[:, None, None]) % n_pts]
         np.multiply(fv, win, out=prod)
@@ -201,12 +172,12 @@ def _staggered_phase(grid: Grid) -> np.ndarray:
     return phase if grid.dimension == 1 else np.outer(phase, phase).ravel()
 
 
-def stft(f: FieldSample, w: WindowSpec) -> PhaseSpaceField:
-    """Windowed Fourier transform h^d sum_z f(z) conj(g(z - x_i)) e^{-2 pi i xi z}.
+def stft(f: FieldSample) -> PhaseSpaceField:
+    """Windowed Fourier transform h^d sum_z f(z) g(z - x_i) e^{-2 pi i xi z}.
 
-    One FFT per x shift, window shifted cyclically; each block of the shared
-    pass is put in ascending xi order and given the staggered-grid phase.
-    Warns when the field carries boundary mass above 1e-8 of its peak.
+    One FFT per x shift, the Gaussian g shifted cyclically; each block of the
+    shared pass is put in ascending xi order and given the staggered-grid
+    phase. Warns when the field carries boundary mass above 1e-8 of its peak.
     """
     _check_boundary_mass(f)
     grid = f.grid
@@ -215,7 +186,7 @@ def stft(f: FieldSample, w: WindowSpec) -> PhaseSpaceField:
     phase = _staggered_phase(grid)
     out = np.empty((size, size), dtype=np.complex128)
     out_axes = out.reshape((size,) + (n_pts,) * d)
-    for lo, block in _stft_blocks(f, w):
+    for lo, block in _stft_blocks(f):
         rows = block.shape[0]
         target = out_axes[lo:lo + rows]
         for src, dst in halves:
@@ -318,25 +289,23 @@ def _weighted_columns(blocks, lattices, p, lattice_columns=slice(None)) -> list:
     return columns
 
 
-def _modulation_columns(f: FieldSample, w: WindowSpec, weights,
-                        osc: OscillatorSpec | None, p) -> list:
+def _modulation_columns(f: FieldSample, weights, osc: OscillatorSpec | None, p) -> list:
     """``_weighted_columns`` of |V_g f| straight from one blocked STFT pass,
     one column array per WeightSpec in ``weights`` (flat weights reduce the
     raw magnitudes), each with one column per xi node in ascending order. No
-    boundary-mass check. A real d=1 field under the default window reduces
-    only the N/2 + 1 ``rfft`` bins and mirrors their column sums (see the
-    module docstring).
+    boundary-mass check. A real d=1 field reduces only the N/2 + 1 ``rfft``
+    bins and mirrors their column sums (see the module docstring).
     """
     grid = f.grid
     n_pts = grid.points_per_axis
     lattices = [_weight_lattice(ws, osc, grid) for ws in weights]
-    if grid.dimension == 1 and w.kind == "gaussian" and not f.values.imag.any():
+    if grid.dimension == 1 and not f.values.imag.any():
         half = n_pts // 2
         # rfft bin k has |xi| = k/(2L), as has lattice column N/2 - k (the
         # Nyquist bin N/2 is column 0, xi = -N/2): a reversed view weighs all
         mirrored = []
         for sums in _weighted_columns(
-                ((lo, np.abs(block)) for lo, block in _stft_blocks(f, w, real=True)),
+                ((lo, np.abs(block)) for lo, block in _stft_blocks(f, real=True)),
                 lattices, p, slice(half, None, -1)):
             columns = np.empty(n_pts)
             columns[half:] = sums[:half]
@@ -348,7 +317,7 @@ def _modulation_columns(f: FieldSample, w: WindowSpec, weights,
 
     def magnitudes():
         mag = None
-        for lo, block in _stft_blocks(f, w):
+        for lo, block in _stft_blocks(f):
             if mag is None:
                 mag = np.empty(block.shape)
             for src, dst in halves:
@@ -371,28 +340,28 @@ def mixed_norm(field: PhaseSpaceField, w: WeightSpec, osc: OscillatorSpec | None
     return _outer_reduce(columns, params.p, params.q, grid.cell_volume, grid.frequency_cell)
 
 
-def modulation_norm(f: FieldSample, w: WindowSpec, ws: WeightSpec,
-                    osc: OscillatorSpec | None, params: MixedNormParams) -> float:
-    """Weighted modulation norm ||V_g f . w||_{L^{p,q}} of a field.
+def modulation_norm(f: FieldSample, ws: WeightSpec, osc: OscillatorSpec | None,
+                    params: MixedNormParams) -> float:
+    """Weighted modulation norm ||V_g f . w||_{L^{p,q}}, g the unit Gaussian.
 
-    Equal to ``mixed_norm(stft(f, w), ws, osc, params)`` up to round-off, but
+    Equal to ``mixed_norm(stft(f), ws, osc, params)`` up to round-off, but
     streamed: the (size, size) phase-space field is never built. The same
     reducer as ``mixed_norm`` folds each block of x-shift magnitudes from the
     shared STFT pass into the inner L^p column sums (column sup for INF);
-    the outer L^q follows once all rows are in. A real d=1 field under the
-    default window transforms only the frequencies xi >= 0 (``rfft``) and
-    mirrors their column sums, which is about half the work; the value
-    agrees with the full-spectrum pass to round-off. Raises NumericalError on
+    the outer L^q follows once all rows are in. A real d=1 field transforms
+    only the frequencies xi >= 0 (``rfft``) and mirrors their column sums,
+    which is about half the work; the value agrees with the full-spectrum
+    pass to round-off. Raises NumericalError on
     non-finite weighted values. Like ``stft`` it measures a state, so it
     warns when the field carries boundary mass above 1e-8 of its peak; a
     Picard gap goes through ``_modulation_columns`` without that check.
     This is the one-weight case of ``modulation_norms``.
     """
-    [value] = _measured_norms(f, w, [ws], osc, params)
+    [value] = _measured_norms(f, [ws], osc, params)
     return value
 
 
-def modulation_norms(f: FieldSample, w: WindowSpec, weights, osc: OscillatorSpec | None,
+def modulation_norms(f: FieldSample, weights, osc: OscillatorSpec | None,
                      params: MixedNormParams) -> list:
     """``modulation_norm`` of one field under each WeightSpec in ``weights``,
     from one blocked STFT pass and one boundary-mass check. Each value equals
@@ -400,11 +369,11 @@ def modulation_norms(f: FieldSample, w: WindowSpec, weights, osc: OscillatorSpec
     pass are shared and each weight is applied with the same arithmetic. An
     overflowing weight anywhere in the list raises NumericalError.
     """
-    return _measured_norms(f, w, weights, osc, params)
+    return _measured_norms(f, weights, osc, params)
 
 
-def _measured_norms(f, w, weights, osc, params) -> list:
+def _measured_norms(f, weights, osc, params) -> list:
     _check_boundary_mass(f, stacklevel=4)  # names the caller of the public function
     cells = (f.grid.cell_volume, f.grid.frequency_cell)
     return [_outer_reduce(columns, params.p, params.q, *cells)
-            for columns in _modulation_columns(f, w, weights, osc, params.p)]
+            for columns in _modulation_columns(f, weights, osc, params.p)]

@@ -353,12 +353,14 @@ def eigendecompose(a: np.ndarray, m: int, *, osc: OscillatorSpec, grid: Grid) ->
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("operator must be a square matrix")
-    scale = float(np.max(np.abs(a)))
-    if scale > 0 and float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
-        raise ValueError("operator is not symmetric to 1e-12 relative")
-    if scale > 0 and float(np.max(np.abs(a - a[::-1, ::-1]))) > 1e-12 * scale:
-        raise ValueError("operator does not commute with the reflection x -> -x "
-                         "to 1e-12 relative")
+    buf = np.abs(a)  # one n² scratch buffer serves the scale and both checks
+    scale = float(buf.max())
+    for image, fault in ((a.T, "is not symmetric"),
+                         (a[::-1, ::-1], "does not commute with the reflection x -> -x")):
+        np.subtract(a, image, out=buf)
+        if scale > 0 and float(np.abs(buf, out=buf).max()) > 1e-12 * scale:
+            raise ValueError(f"operator {fault} to 1e-12 relative")
+    del buf
     if not isinstance(m, (int, np.integer)) or not 1 <= m <= a.shape[0]:
         raise ValueError(f"mode count m={m} outside [1, {a.shape[0]}]")
     if a.shape[0] != grid.size:

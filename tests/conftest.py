@@ -36,11 +36,6 @@ def quartic_dec(quartic_osc, hermite_grid):
 
 
 @pytest.fixture(scope="session")
-def window():
-    return ah.WindowSpec()
-
-
-@pytest.fixture(scope="session")
 def small_dec(hermite_osc):
     return ah.decompose(hermite_osc, ah.Grid(1, 128, 10.0), 48)
 

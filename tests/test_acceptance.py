@@ -69,7 +69,7 @@ def test_short_time_smoothing_exponents():
         assert fit.r_squared >= 0.98
 
 
-def test_longtime_semigroup_decay_rates(hermite_dec, quartic_dec, window):
+def test_longtime_semigroup_decay_rates(hermite_dec, quartic_dec):
     """Probe-bound log-slope over t in [1, 5] within 5% of minus the
     ground eigenvalue to the beta, for the harmonic (beta 1 and 2) and the
     quartic (checked against the independent shooting value)."""
@@ -82,7 +82,7 @@ def test_longtime_semigroup_decay_rates(hermite_dec, quartic_dec, window):
     )
     for dec, beta, lam0 in cases:
         probes = ah.standard_probe_family(dec, "operator")
-        rate = ah.longtime_rate(dec, beta, t_list, norms, norms, probes, window)
+        rate = ah.longtime_rate(dec, beta, t_list, norms, norms, probes)
         expected = -(lam0 ** beta)
         assert abs(rate.slope - expected) / abs(expected) <= 0.05, (
             f"beta={beta}: rate {rate.slope:.6f} vs {expected:.6f}")
@@ -92,7 +92,7 @@ def test_longtime_semigroup_decay_rates(hermite_dec, quartic_dec, window):
 # the high modes reach ~1e-5 of peak at the box edge, which trips the
 # advisory boundary check but sits far below the 1e-6 identity tolerance
 @pytest.mark.filterwarnings("ignore::anharmonic.errors.BoundaryMassWarning")
-def test_flat_l2_phase_space_norm_matches_plancherel(hermite_dec, window):
+def test_flat_l2_phase_space_norm_matches_plancherel(hermite_dec):
     """Unweighted p=q=2 phase-space norm equals the plain L2 norm within
     1e-6 relative on 20 random fields spanned by the first 50 modes."""
     rng = np.random.default_rng(1234)
@@ -104,20 +104,20 @@ def test_flat_l2_phase_space_norm_matches_plancherel(hermite_dec, window):
         coeffs = np.zeros(hermite_dec.m, dtype=complex)
         coeffs[:band] = rng.standard_normal(band) + 1j * rng.standard_normal(band)
         f = hermite_dec.reconstruct(coeffs)
-        val = ah.modulation_norm(f, window, flat, None, params)
+        val = ah.modulation_norm(f, flat, None, params)
         worst = max(worst, abs(val - f.norm_l2()) / f.norm_l2())
     assert worst <= 1e-6
 
 
-def test_spectral_phase_space_equivalence_band(hermite_dec, hermite_dec_fine, window):
+def test_spectral_phase_space_equivalence_band(hermite_dec, hermite_dec_fine):
     """Spectral-norm to phase-space-norm ratio over the 50-probe family
     spans at most a factor 20 for s in {0, 1, 2}, and the recorded band
     moves under grid doubling by at most 5%."""
     s_values = (0.0, 1.0, 2.0)
     bands = ah.sobolev_modulation_equivalence(
-        hermite_dec, s_values, ah.standard_probe_family(hermite_dec), window)
+        hermite_dec, s_values, ah.standard_probe_family(hermite_dec))
     fines = ah.sobolev_modulation_equivalence(
-        hermite_dec_fine, s_values, ah.standard_probe_family(hermite_dec_fine), window)
+        hermite_dec_fine, s_values, ah.standard_probe_family(hermite_dec_fine))
     for s, band, fine in zip(s_values, bands, fines, strict=True):
         assert band.count == 50
         assert band.spread <= 20.0, f"s={s}: spread {band.spread:.2f}"
@@ -125,7 +125,7 @@ def test_spectral_phase_space_equivalence_band(hermite_dec, hermite_dec_fine, wi
             f"s={s}: spread {band.spread:.4f} -> {fine.spread:.4f}")
 
 
-def test_pointwise_product_norm_ratio_stable(hermite_osc, window):
+def test_pointwise_product_norm_ratio_stable(hermite_osc):
     """norm(fg) / (norm(f) norm(g)) at s=2, p=q=2 has a finite maximum over
     the 100-pair corpus, stable within 5% under grid doubling."""
     ws = ah.WeightSpec("anharmonic", 2.0)
@@ -134,7 +134,7 @@ def test_pointwise_product_norm_ratio_stable(hermite_osc, window):
     def max_ratio(grid):
         fields = ah.gaussian_probe_fields(grid, 15, 1235)
         pairs = [(i, j) for i in range(15) for j in range(i, 15)][:100]
-        ratios = ah.algebra_ratios(fields, pairs, params, ws, hermite_osc, window)
+        ratios = ah.algebra_ratios(fields, pairs, params, ws, hermite_osc)
         assert all(np.isfinite(r) for r in ratios)
         return max(ratios)
 
@@ -143,17 +143,16 @@ def test_pointwise_product_norm_ratio_stable(hermite_osc, window):
     assert abs(fine - coarse) / coarse <= 0.05, f"{coarse:.6f} -> {fine:.6f}"
 
 
-def test_singular_weight_truncation_markers(hermite_grid, hermite_osc, window):
+def test_singular_weight_truncation_markers(hermite_grid, hermite_osc):
     """|x|^{-1/2} factor at s=0.1: the p=q=3 norm moves under domain
     doubling by under 2%, while dropping q to 1.5 makes the frequency-tail
     contribution grow by over 25% on doubling."""
     ws = ah.WeightSpec("anharmonic", 0.1)
     admissible = ah.singular_weight_norm(0.5, ah.MixedNormParams(3.0, 3.0), ws, 6.0,
-                                         grid=hermite_grid, osc=hermite_osc,
-                                         window=window)
+                                         grid=hermite_grid, osc=hermite_osc)
     assert admissible.x_growth < 0.02, f"admissible growth {admissible.x_growth:.4f}"
     bad = ah.singular_weight_norm(0.5, ah.MixedNormParams(3.0, 1.5), ws, 6.0,
-                                  grid=hermite_grid, osc=hermite_osc, window=window)
+                                  grid=hermite_grid, osc=hermite_osc)
     assert bad.xi_tail_growth > 0.25, f"inadmissible growth {bad.xi_tail_growth:.4f}"
 
 

@@ -130,14 +130,11 @@ class TestSobolevNorm:
 
 
 class TestApplySpectralFunction:
-    def test_scalar_only_callable_falls_back(self, hermite_dec, gaussian_field):
-        vectorized = apply_spectral_function(hermite_dec, lambda lam: np.exp(-lam),
-                                             gaussian_field)
-        scalar = apply_spectral_function(hermite_dec, lambda lam: math.exp(-lam),
-                                         gaussian_field)
-        # libm and numpy exp may disagree in the last ulp, nothing more
-        np.testing.assert_allclose(scalar.values, vectorized.values,
-                                   rtol=1e-12, atol=1e-22)
+    def test_misshapen_output_raises(self, hermite_dec, gaussian_field):
+        """phi is applied to the eigenvalue array once; a scalar output is not
+        one value per mode."""
+        with pytest.raises(ValueError, match="shape"):
+            apply_spectral_function(hermite_dec, lambda lam: 1.0, gaussian_field)
 
     def test_nonfinite_value_raises(self, hermite_dec, gaussian_field):
         with pytest.raises(NumericalError):

@@ -160,35 +160,42 @@ class TestRunManifest:
         assert code == EXIT_SCHEMA and record is None
         assert "schema error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind,params", [
-        ("nlheat", {"dt": 0.02, "modes": 16, "horizon": 0.04}),
-        ("decay", {"radius": "thirty"}),
-        ("ou", {"modes": 16, "gauss_probes": 2, "rate_t_list": [1.0, 2.0]}),
-        ("nlheat", {"initial_norm": 0.0, "modes": 16, "horizon": 0.01}),
-        ("nlheat", {"initial_norm": -0.05, "modes": 16, "horizon": 0.01}),
-        ("nlheat", {"initial_norm": float("nan"), "modes": 16, "horizon": 0.01}),
-        ("nlheat", {"initial_norm": float("inf"), "modes": 16, "horizon": 0.01}),
-        ("nlheat", {"tol": float("nan"), "modes": 16, "horizon": 0.01}),
-        ("nlheat", {"coupling_re": float("nan"), "modes": 16, "horizon": 0.01}),
+    @pytest.mark.parametrize("kind,params,detail", [
+        ("nlheat", {"dt": 0.02, "modes": 16, "horizon": 0.04}, ""),
+        ("decay", {"radius": "thirty"}, ""),
+        ("ou", {"modes": 16, "gauss_probes": 2, "rate_t_list": [1.0, 2.0]}, ""),
+        ("nlheat", {"initial_norm": 0.0, "modes": 16, "horizon": 0.01}, ""),
+        ("nlheat", {"initial_norm": -0.05, "modes": 16, "horizon": 0.01}, ""),
+        ("nlheat", {"initial_norm": float("nan"), "modes": 16, "horizon": 0.01}, ""),
+        ("nlheat", {"initial_norm": float("inf"), "modes": 16, "horizon": 0.01}, ""),
+        ("nlheat", {"tol": float("nan"), "modes": 16, "horizon": 0.01}, ""),
+        ("nlheat", {"coupling_re": float("nan"), "modes": 16, "horizon": 0.01}, ""),
         ("nlheat", {"kind": "inhomogeneous", "alpha": float("nan"), "modes": 16,
-                    "horizon": 0.01}),
-        ("decay", {"resolution": 255}),
-        ("ou", {"modes": 48, "gauss_probes": 3, "rate_t_list": [1, 1, 1]}),
-        ("ou", {"modes": 48, "gauss_probes": 3, "rate_t_list": [1, 1, 2]}),
+                    "horizon": 0.01}, ""),
+        ("decay", {"resolution": 255}, ""),
+        ("ou", {"modes": 48, "gauss_probes": 3, "rate_t_list": [1, 1, 1]}, ""),
+        ("ou", {"modes": 48, "gauss_probes": 3, "rate_t_list": [1, 1, 2]}, ""),
+        ("decay", {"resolution": 256,
+                   "tuples": [{"k": 1, "l": 1, "p_tilde": "inf", "q_tilde": "inf"}]},
+         "both gaps infinite, so sigma = 0 and there is no decay slope to check "
+         "(field: params.tuples)"),
     ], ids=["nlheat_dt", "decay_radius", "ou_rate_t_list", "nlheat_initial_norm_zero",
             "nlheat_initial_norm_negative", "nlheat_initial_norm_nan",
             "nlheat_initial_norm_inf", "nlheat_tol_nan", "nlheat_coupling_nan",
             "nlheat_alpha_nan", "decay_resolution_odd", "ou_rate_t_list_repeated",
-            "ou_rate_t_list_two_distinct"])
-    def test_rejected_value_exits_schema(self, tmp_path, capsys, kind, params):
+            "ou_rate_t_list_two_distinct", "decay_sigma_zero"])
+    def test_rejected_value_exits_schema(self, tmp_path, capsys, kind, params, detail):
         """A value the runner's own checks reject (ValueError) is a manifest
-        problem: exit 2 with a schema-error line, not a traceback."""
+        problem: exit 2 with a schema-error line, not a traceback. ``detail``,
+        where given, is the end of that line: the message and the field."""
         manifest = {"schema": 1, "kind": kind, "params": params,
                     "grid": {"dimension": 1, "points_per_axis": 64, "half_width": 8.0}}
         path = write_manifest(tmp_path, manifest)
         code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
         assert code == EXIT_SCHEMA and record is None
-        assert "schema error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "schema error" in err
+        assert detail in err
 
     def test_picard_gaps_raise_no_boundary_warning(self, tmp_path):
         """Near convergence a Picard gap (the difference of two iterates) is

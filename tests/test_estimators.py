@@ -11,7 +11,7 @@ import anharmonic as ah
 import anharmonic.cli
 from anharmonic import (INF, FieldSample, Grid, InvalidSpecError, MixedNormParams,
                         NumericalError, PotentialSpec, ProbeSkipWarning, TruncationError,
-                        WeightQuotientParams, WeightSpec, WindowSpec, algebra_ratio,
+                        WeightQuotientParams, WeightSpec, algebra_ratio,
                         algebra_ratios, eigenfunction_probes, estimators,
                         fit_decay_exponent, gaussian_probe_fields, is_inf, longtime_rate,
                         modulation_norm, phasespace, sigma_exponent, singular_weight_norm,
@@ -385,7 +385,7 @@ class TestSingularWeight:
 
         def reference(radius, columns=slice(None)):
             vals = np.where(np.abs(x) <= radius, np.abs(x) ** -0.5, 0.0)
-            ps = stft(FieldSample(grid, vals), WindowSpec()).values
+            ps = stft(FieldSample(grid, vals)).values
             return mixed_norm_reference(ps[:, columns], weight[:, columns],
                                         p_ref, q_ref, *cells)
 
@@ -454,11 +454,10 @@ class TestCorpusBookkeeping:
     def test_ratios_are_the_direct_quotients(self, p, q, hermite_osc):
         fields = gaussian_probe_fields(self.GRID, 6, 7)
         pairs = [(0, 0), (0, 3), (2, 5), (5, 2), (4, 4)]
-        ws, params, window = WeightSpec("anharmonic", 2.0), MixedNormParams(p, q), WindowSpec()
+        ws, params = WeightSpec("anharmonic", 2.0), MixedNormParams(p, q)
 
         def norm(values):
-            return modulation_norm(FieldSample(self.GRID, values), window, ws, hermite_osc,
-                                   params)
+            return modulation_norm(FieldSample(self.GRID, values), ws, hermite_osc, params)
 
         expected = [norm(fields[i].values * fields[j].values)
                     / (norm(fields[i].values) * norm(fields[j].values)) for i, j in pairs]
@@ -496,7 +495,7 @@ class TestCorpusBookkeeping:
         for s, band in zip(s_values, bands):
             ws = WeightSpec("anharmonic", s)
             ratios = [sobolev_norm(small_dec, s, f)
-                      / modulation_norm(f, WindowSpec(), ws, small_dec.oscillator, self.L2)
+                      / modulation_norm(f, ws, small_dec.oscillator, self.L2)
                       for f in spans]
             assert band == ah.EquivalenceBand(min(ratios), max(ratios), 50)
         assert len(bands) == 3

@@ -7,7 +7,7 @@ import pytest
 import anharmonic as ah
 from anharmonic import (DiscardedMassWarning, FieldSample, GaussianConjugation,
                         Grid, InvalidSpecError, MixedNormParams, ProbeSkipWarning,
-                        WeightSpec, WindowSpec, apply_conjugation, conjugation_discarded_mass,
+                        WeightSpec, apply_conjugation, conjugation_discarded_mass,
                         decompose, gaussian_half_density, gaussian_probe_fields,
                         modulation_norm, ou_probe_rate, ou_semigroup, stft)
 from oracles import mixed_norm_reference
@@ -124,16 +124,15 @@ class TestGaussianNorm:
     def test_multiplied_field_meets_closed_form(self, hermite_grid, gaussian_field,
                                                 damped_gaussian_abs):
         c = GaussianConjugation(1)
-        w = WindowSpec()
         multiplied = apply_conjugation(c, "forward", gaussian_field)
         # the streamed norm and the full-lattice route are different code:
         # both meet the closed form
         expected = mixed_norm_reference(damped_gaussian_abs, 1.0, 2.0, 2.0,
                                         hermite_grid.cell_volume,
                                         hermite_grid.frequency_cell)
-        streamed = modulation_norm(multiplied, w, FLAT, None, L2)
+        streamed = modulation_norm(multiplied, FLAT, None, L2)
         assert streamed == pytest.approx(expected, rel=1e-10)
-        full = ah.mixed_norm(stft(multiplied, w), FLAT, None, L2)
+        full = ah.mixed_norm(stft(multiplied), FLAT, None, L2)
         assert full == pytest.approx(expected, rel=1e-10)
 
     def test_weighted_variant_accepts_oscillator(self, hermite_dec, hermite_grid,
@@ -141,7 +140,7 @@ class TestGaussianNorm:
         c = GaussianConjugation(1)
         multiplied = apply_conjugation(c, "forward", gaussian_field)
         ws = WeightSpec("anharmonic", 1.0)
-        got = modulation_norm(multiplied, WindowSpec(), ws, hermite_dec.oscillator, L2)
+        got = modulation_norm(multiplied, ws, hermite_dec.oscillator, L2)
         # q1 + V^(1/2) + |omega| with V = x^2, q1 = 1 and omega = 2 pi xi
         x = hermite_grid.nodes()[:, 0]
         xi = hermite_grid.frequency_nodes()[:, 0]
@@ -160,8 +159,7 @@ class TestGaussianNorm:
         x = hermite_grid.nodes()[:, 0]
         f = FieldSample(hermite_grid, (1.0 + x ** 2) * np.exp(-0.25 * (x - 1.0) ** 2)
                         * np.exp(2j * np.pi * 0.6 * x))
-        got = modulation_norm(apply_conjugation(c, "forward", f), WindowSpec(), FLAT,
-                              None, L2)
+        got = modulation_norm(apply_conjugation(c, "forward", f), FLAT, None, L2)
         gamma = np.exp(-x ** 2) / math.sqrt(math.pi)
         expected = math.sqrt(hermite_grid.cell_volume * np.sum(gamma * np.abs(f.values) ** 2))
         assert got == pytest.approx(expected, rel=1e-9)

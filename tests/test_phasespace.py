@@ -7,9 +7,9 @@ import pytest
 import anharmonic as ah
 from anharmonic import (INF, BoundaryMassWarning, FieldSample, Grid,
                         InvalidSpecError, MixedNormParams, NumericalError,
-                        PhaseSpaceField, WeightSpec, WindowSpec, apply_conjugation,
-                        mixed_norm, modulation_norm, modulation_norms, stft,
-                        weight_value, window_values)
+                        PhaseSpaceField, WeightSpec, apply_conjugation, mixed_norm,
+                        modulation_norm, modulation_norms, stft, weight_value)
+from anharmonic.phasespace import _gaussian_window_values
 from oracles import (gaussian_lattice_stft_abs, gaussian_window_transform_abs,
                      mixed_norm_reference)
 
@@ -23,41 +23,35 @@ def unit_gaussian(grid):
 
 class TestWindow:
     def test_gaussian_is_unit_norm(self, hermite_grid):
-        g = window_values(WindowSpec(), hermite_grid)
+        g = _gaussian_window_values(hermite_grid)
         norm = np.sqrt(hermite_grid.cell_volume * np.sum(np.abs(g) ** 2))
         assert norm == pytest.approx(1.0, abs=1e-12)
 
     def test_wrapped_layout_peaks_at_origin(self, hermite_grid):
-        g = window_values(WindowSpec(), hermite_grid)
+        g = _gaussian_window_values(hermite_grid)
         assert np.argmax(np.abs(g)) == 0
 
-    def test_custom_window_is_normalized(self, hermite_grid, gaussian_field):
-        x = hermite_grid.axis_nodes()
-        # same gaussian profile as the default, but in node layout and scaled
-        prof = FieldSample(hermite_grid, 5.0 * 2.0 ** 0.25 * np.exp(-np.pi * x ** 2))
-        g = window_values(WindowSpec("custom", prof), hermite_grid)
-        norm = np.sqrt(hermite_grid.cell_volume * np.sum(np.abs(g) ** 2))
+    def test_two_dimensional_gaussian_is_unit_norm(self):
+        grid = Grid(2, 64, 4.0)
+        g = _gaussian_window_values(grid)
+        norm = np.sqrt(grid.cell_volume * np.sum(np.abs(g) ** 2))
         assert norm == pytest.approx(1.0, abs=1e-12)
+        assert np.argmax(np.abs(g)) == 0
 
-    def test_spec_validation(self, hermite_grid, gaussian_field):
-        with pytest.raises(InvalidSpecError):
-            WindowSpec("hann")
-        with pytest.raises(InvalidSpecError):
-            WindowSpec("custom")
-        with pytest.raises(InvalidSpecError):
-            WindowSpec("gaussian", gaussian_field)
-
-    def test_zero_custom_window_rejected(self, hermite_grid):
-        zero = FieldSample(hermite_grid, np.zeros(hermite_grid.size))
-        with pytest.raises(InvalidSpecError):
-            window_values(WindowSpec("custom", zero), hermite_grid)
+    def test_too_coarse_grid_rejected(self):
+        # h = 1/8 samples the unit gaussian too coarsely: its discrete norm is
+        # off by 2.4e-4, far past the window-norm tolerance
+        grid = Grid(1, 16, 1.0)
+        f = FieldSample(grid, np.exp(-60.0 * grid.axis_nodes() ** 2))
+        with pytest.raises(NumericalError, match="window norm"):
+            stft(f)
 
 
 class TestStft:
     def test_gaussian_pair_closed_form(self, hermite_grid):
         """Transforming the unit gaussian against the gaussian window has the
         explicit magnitude exp(-pi (x^2 + xi^2) / 2)."""
-        out = stft(unit_gaussian(hermite_grid), WindowSpec())
+        out = stft(unit_gaussian(hermite_grid))
         x = hermite_grid.nodes()[:, 0]
         xi = hermite_grid.frequency_nodes()[:, 0]
         expected = gaussian_window_transform_abs(x, xi)
@@ -65,7 +59,7 @@ class TestStft:
 
     def test_flat_l2_isometry(self, hermite_grid, gaussian_field):
         # discrete orthogonality makes the p=q=2 flat norm the exact L2 norm
-        out = stft(gaussian_field, WindowSpec())
+        out = stft(gaussian_field)
         norm = mixed_norm(out, FLAT, None, MixedNormParams(2.0, 2.0))
         assert norm == pytest.approx(gaussian_field.norm_l2(), rel=1e-12)
 
@@ -74,7 +68,7 @@ class TestStft:
         f = FieldSample(hermite_grid,
                         2.0 ** 0.25 * np.exp(-np.pi * (x - 2.0) ** 2)
                         * np.exp(2j * np.pi * 1.5 * x))
-        out = stft(f, WindowSpec())
+        out = stft(f)
         i, n = np.unravel_index(np.argmax(np.abs(out.values)), out.values.shape)
         assert hermite_grid.nodes()[i, 0] == pytest.approx(2.0, abs=hermite_grid.h)
         assert hermite_grid.frequency_nodes()[n, 0] == pytest.approx(1.5, abs=hermite_grid.frequency_cell)
@@ -83,12 +77,12 @@ class TestStft:
         grid = Grid(1, 128, 6.0)
         f = FieldSample(grid, np.ones(grid.size))
         with pytest.warns(BoundaryMassWarning):
-            stft(f, WindowSpec())
+            stft(f)
 
     def test_interior_field_is_silent(self, hermite_grid, gaussian_field):
         with warnings.catch_warnings():
             warnings.simplefilter("error", BoundaryMassWarning)
-            stft(gaussian_field, WindowSpec())
+            stft(gaussian_field)
 
     def test_gaussian_variant_is_plain_stft_of_damped_field(self, hermite_grid,
                                                             gaussian_field,
@@ -99,7 +93,7 @@ class TestStft:
         damped = FieldSample(hermite_grid, gaussian_field.values * half)
         conj = apply_conjugation(ah.GaussianConjugation(1), "forward", gaussian_field)
         np.testing.assert_array_equal(conj.values, damped.values)
-        got = np.abs(stft(conj, WindowSpec()).values)
+        got = np.abs(stft(conj).values)
         np.testing.assert_allclose(got, damped_gaussian_abs, rtol=0.0, atol=1e-14)
 
 
@@ -168,7 +162,7 @@ class TestMixedNorm:
             mixed_norm(field, FLAT, None, MixedNormParams(1.0, 1.0))
 
     def test_zero_order_weight_is_flat(self, hermite_grid, gaussian_field):
-        out = stft(gaussian_field, WindowSpec())
+        out = stft(gaussian_field)
         a = mixed_norm(out, WeightSpec("polynomial", 0.0), None, MixedNormParams(1.0, 2.0))
         b = mixed_norm(out, FLAT, None, MixedNormParams(1.0, 2.0))
         assert a == b
@@ -178,14 +172,14 @@ class TestModulationNorm:
     def test_unit_gaussian_integral(self, hermite_grid):
         """The flat M^{1,1} norm of the unit gaussian equals the closed-form
         phase-space integral, which is exactly 2."""
-        norm = modulation_norm(unit_gaussian(hermite_grid), WindowSpec(), FLAT,
-                               None, MixedNormParams(1.0, 1.0))
+        norm = modulation_norm(unit_gaussian(hermite_grid), FLAT, None,
+                               MixedNormParams(1.0, 1.0))
         assert norm == pytest.approx(2.0, rel=1e-12)
 
     def test_ground_state_regression(self, hermite_grid):
         x = hermite_grid.axis_nodes()
         phi0 = FieldSample(hermite_grid, np.pi ** -0.25 * np.exp(-x ** 2 / 2))
-        norm = modulation_norm(phi0, WindowSpec(), FLAT, None, MixedNormParams(1.0, 1.0))
+        norm = modulation_norm(phi0, FLAT, None, MixedNormParams(1.0, 1.0))
         assert norm == pytest.approx(2.410630853130538, rel=1e-9)
 
     def test_ground_state_stable_under_refinement(self, hermite_grid):
@@ -194,8 +188,7 @@ class TestModulationNorm:
         for grid in (hermite_grid, fine):
             x = grid.axis_nodes()
             phi0 = FieldSample(grid, np.pi ** -0.25 * np.exp(-x ** 2 / 2))
-            vals.append(modulation_norm(phi0, WindowSpec(), FLAT, None,
-                                        MixedNormParams(1.0, 1.0)))
+            vals.append(modulation_norm(phi0, FLAT, None, MixedNormParams(1.0, 1.0)))
         assert vals[1] == pytest.approx(vals[0], rel=1e-2)
 
     def test_gaussian_route_matches_manual_damping(self, hermite_grid, gaussian_field,
@@ -214,8 +207,8 @@ class TestModulationNorm:
         expected = mixed_norm_reference(damped_gaussian_abs, lattice, 2.0, 1.0,
                                         hermite_grid.cell_volume,
                                         hermite_grid.frequency_cell)
-        via_route = mixed_norm(stft(conj, WindowSpec()), w, None, params)
-        by_hand = modulation_norm(damped, WindowSpec(), w, None, params)
+        via_route = mixed_norm(stft(conj), w, None, params)
+        by_hand = modulation_norm(damped, w, None, params)
         assert via_route == pytest.approx(expected, rel=1e-10)
         assert by_hand == pytest.approx(expected, rel=1e-10)
 
@@ -237,14 +230,6 @@ def _unit_gaussian_oracle(grid, weight, p, q):
     return mixed_norm_reference(gaussian_window_transform_abs(x, xi), weight,
                                 _oracle_exponent(p), _oracle_exponent(q),
                                 grid.cell_volume, grid.frequency_cell)
-
-
-def _wrapped_gaussian_window(grid):
-    """The default window as a custom one: wrapped layout, scaled off unit norm."""
-    g = 3.0 * 2.0 ** 0.25 * np.exp(-np.pi * grid.wrapped_axis_offsets() ** 2)
-    if grid.dimension == 2:
-        g = np.outer(g, g).ravel()
-    return WindowSpec("custom", FieldSample(grid, g))
 
 
 def _oracle_weight(kind, grid, quartic_osc):
@@ -276,40 +261,51 @@ class TestStreamedNormOracle:
         grid = self.GRID
         ws, osc, weight = _oracle_weight(kind, grid, quartic_osc)
         expected = _unit_gaussian_oracle(grid, weight, p, q)
-        got = modulation_norm(unit_gaussian(grid), WindowSpec(), ws, osc,
-                              MixedNormParams(p, q))
+        got = modulation_norm(unit_gaussian(grid), ws, osc, MixedNormParams(p, q))
         assert got == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("p,q", [(1.0, 6.0), (2.0, INF), (6.0, 1.0), (INF, 2.0)],
                              ids=_exponent_id)
-    def test_custom_window_route(self, p, q):
+    def test_complex_field_route(self, p, q):
+        """A complex d=1 field takes the full-spectrum path: the shifted,
+        modulated unit gaussian against its closed form, polynomial weight."""
         grid = self.GRID
         x = grid.nodes()[:, 0]
         xi = grid.frequency_nodes()[:, 0]
+        b, c = 0.5, 1.25
+        mag = gaussian_lattice_stft_abs(x, xi, 2.0 ** 0.25, np.pi, b, c, grid.h)
         weight = (1.0 + np.abs(x)[:, None] + np.abs(xi)[None, :]) ** 1.5
-        expected = _unit_gaussian_oracle(grid, weight, p, q)
-        got = modulation_norm(unit_gaussian(grid), _wrapped_gaussian_window(grid),
-                              WeightSpec("polynomial", 1.5), None, MixedNormParams(p, q))
+        expected = mixed_norm_reference(mag, weight, _oracle_exponent(p),
+                                        _oracle_exponent(q), grid.cell_volume,
+                                        grid.frequency_cell)
+        f = FieldSample(grid, 2.0 ** 0.25 * np.exp(-np.pi * (x - b) ** 2)
+                        * np.exp(2j * np.pi * c * x))
+        got = modulation_norm(f, WeightSpec("polynomial", 1.5), None, MixedNormParams(p, q))
         assert got == pytest.approx(expected, rel=1e-10)
 
-    @pytest.mark.parametrize("custom", [False, True], ids=["gaussian", "custom"])
+    @pytest.mark.parametrize("modulated", [False, True], ids=["gaussian", "modulated"])
     @pytest.mark.parametrize("p,q", [(1.0, 2.0), (2.0, 6.0), (6.0, INF), (INF, 1.0)],
                              ids=_exponent_id)
-    def test_two_dimensions_is_product(self, p, q, custom):
+    def test_two_dimensions_is_product(self, p, q, modulated):
         """The d=2 transform of g x g is the product of two d=1 closed forms, so
-        its flat mixed norm is the square of the d=1 oracle on the same axis."""
+        its flat mixed norm is the square of the d=1 oracle on the same axis.
+        Modulating by a lattice frequency permutes the frequency bins cyclically,
+        so the flat norm of the complex field is the same."""
         grid = Grid(2, 64, 4.0)
         axis = Grid(1, 64, 4.0)
         expected = _unit_gaussian_oracle(axis, 1.0, p, q) ** 2
-        r2 = np.sum(grid.nodes() ** 2, axis=1)
-        f = FieldSample(grid, np.sqrt(2.0) * np.exp(-np.pi * r2))
-        window = _wrapped_gaussian_window(grid) if custom else WindowSpec()
-        got = modulation_norm(f, window, FLAT, None, MixedNormParams(p, q))
+        nodes = grid.nodes()
+        values = np.sqrt(2.0) * np.exp(-np.pi * np.sum(nodes ** 2, axis=1))
+        if modulated:
+            dxi = axis.frequency_cell
+            values = values * np.exp(2j * np.pi * dxi * (3 * nodes[:, 0] - 5 * nodes[:, 1]))
+        f = FieldSample(grid, values)
+        got = modulation_norm(f, FLAT, None, MixedNormParams(p, q))
         assert got == pytest.approx(expected, rel=1e-10)
 
 
 class TestRealStateNorm:
-    """A real field under the default window takes the half-spectrum (rfft)
+    """A real field takes the half-spectrum (rfft)
     path of the streamed norm. The oracle is the off-centre real Gaussian
     2 e^{-2 (t - 0.75)^2}, not symmetric in x, with its lattice aliases: on
     this grid the Nyquist node carries 2e-6 of the peak, so both the Nyquist
@@ -335,13 +331,13 @@ class TestRealStateNorm:
                                         grid.frequency_cell)
         f = self.field()
         params = MixedNormParams(p, q)
-        got = modulation_norm(f, WindowSpec(), ws, osc, params)
+        got = modulation_norm(f, ws, osc, params)
         assert got == pytest.approx(expected, rel=1e-10)
         # an imaginary part far below round-off sends the same field down the
         # full-spectrum path
         vals = np.array(f.values)
         vals[grid.size // 3] += 1e-300j
-        full = modulation_norm(FieldSample(grid, vals), WindowSpec(), ws, osc, params)
+        full = modulation_norm(FieldSample(grid, vals), ws, osc, params)
         assert got == pytest.approx(full, rel=1e-13)
 
 
@@ -350,15 +346,15 @@ class TestStreamedNormGuards:
         vals = np.array(unit_gaussian(hermite_grid).values)
         vals[200] = np.nan
         with pytest.raises(NumericalError):
-            modulation_norm(FieldSample(hermite_grid, vals), WindowSpec(), FLAT, None,
+            modulation_norm(FieldSample(hermite_grid, vals), FLAT, None,
                             MixedNormParams(2.0, 1.0))
 
     @pytest.mark.parametrize("p", [2.0, INF], ids=_exponent_id)
     def test_overflowing_weight_raises(self, hermite_grid, p):
         # (1 + |x| + |xi|)^400 overflows to inf away from the origin
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
-            modulation_norm(unit_gaussian(hermite_grid), WindowSpec(),
-                            WeightSpec("polynomial", 400.0), None, MixedNormParams(p, 1.0))
+            modulation_norm(unit_gaussian(hermite_grid), WeightSpec("polynomial", 400.0), None,
+                            MixedNormParams(p, 1.0))
 
     @pytest.mark.parametrize("transform", ["stft", "modulation_norm", "singular_weight_norm"])
     def test_boundary_mass_warns_at_caller(self, transform):
@@ -367,9 +363,9 @@ class TestStreamedNormGuards:
         params = MixedNormParams(2.0, 2.0)
         with pytest.warns(BoundaryMassWarning) as record:
             if transform == "stft":
-                stft(f, WindowSpec())
+                stft(f)
             elif transform == "modulation_norm":
-                modulation_norm(f, WindowSpec(), FLAT, None, params)
+                modulation_norm(f, FLAT, None, params)
             else:
                 # truncated at the half-width, |x|^(-1/2) reaches the box edge
                 ah.singular_weight_norm(0.5, params, FLAT, 6.0, grid=grid)
@@ -380,8 +376,7 @@ class TestStreamedNormGuards:
         """One warm 512-point norm allocates less than one (size, size) complex
         lattice (4 MiB); building the phase-space field would take three times that."""
         f = unit_gaussian(hermite_grid)
-        args = (WindowSpec(), WeightSpec("anharmonic", 2.0), quartic_osc,
-                MixedNormParams(2.0, 1.0))
+        args = (WeightSpec("anharmonic", 2.0), quartic_osc, MixedNormParams(2.0, 1.0))
         modulation_norm(f, *args)  # fills the window-table and weight-lattice caches
         tracemalloc.start()
         try:
@@ -402,46 +397,46 @@ class TestSharedPass:
     AMP, A, B, C = 2.0, 2.0, 0.75, 0.5
 
     def case(self, name):
-        """(field, window, oscillator, the two non-flat weights)."""
+        """(field, oscillator, the two non-flat weights)."""
         grid = self.GRID
         x = grid.axis_nodes()
         real = self.AMP * np.exp(-self.A * (x - self.B) ** 2)
         weighted = (WeightSpec("polynomial", 1.5), WeightSpec("anharmonic", 0.75))
         osc = ah.oscillator(2, 1)
         if name == "real":  # the half-spectrum branch
-            return FieldSample(grid, real), WindowSpec(), osc, weighted
+            return FieldSample(grid, real), osc, weighted
         if name == "complex":
             f = FieldSample(grid, real * np.exp(2j * np.pi * self.C * x))
-            return f, WindowSpec(), osc, weighted
-        if name == "custom":
-            return FieldSample(grid, real), _wrapped_gaussian_window(grid), osc, weighted
+            return f, osc, weighted
         grid2 = Grid(2, 32, 4.0)
-        r2 = np.sum((grid2.nodes() - 0.25) ** 2, axis=1)
-        return (FieldSample(grid2, np.exp(-2.0 * r2)), WindowSpec(),
-                ah.oscillator(1, 1, dimension=2), weighted)
+        nodes = grid2.nodes()
+        values = np.exp(-2.0 * np.sum((nodes - 0.25) ** 2, axis=1))
+        if name == "complex_d2":
+            values = values * np.exp(2j * np.pi * self.C * (nodes[:, 0] - nodes[:, 1]))
+        return FieldSample(grid2, values), ah.oscillator(1, 1, dimension=2), weighted
 
     @pytest.mark.parametrize("p,q", [(2.0, 1.0), (INF, 2.0), (0.5, INF)], ids=_exponent_id)
     @pytest.mark.parametrize("flat_at", [0, 1, 2], ids=["flat_first", "flat_mid", "flat_last"])
-    @pytest.mark.parametrize("name", ["real", "complex", "d2", "custom"])
+    @pytest.mark.parametrize("name", ["real", "complex", "d2", "complex_d2"])
     def test_each_value_is_the_one_weight_norm(self, name, flat_at, p, q):
-        f, window, osc, weighted = self.case(name)
+        f, osc, weighted = self.case(name)
         weights = list(weighted)
         weights.insert(flat_at, FLAT)
         params = MixedNormParams(p, q)
-        got = modulation_norms(f, window, weights, osc, params)
-        assert got == [modulation_norm(f, window, ws, osc, params) for ws in weights]
+        got = modulation_norms(f, weights, osc, params)
+        assert got == [modulation_norm(f, ws, osc, params) for ws in weights]
 
     @pytest.mark.parametrize("name", ["real", "complex"])
     def test_against_aliased_closed_form(self, name, quartic_osc):
         grid = self.GRID
-        f, window, _, _ = self.case(name)
+        f, _, _ = self.case(name)
         c = self.C if name == "complex" else 0.0
         mag = gaussian_lattice_stft_abs(grid.nodes()[:, 0], grid.frequency_nodes()[:, 0],
                                         self.AMP, self.A, self.B, c, grid.h)
         kinds = ["polynomial", "flat", "anharmonic"]
         specs = [_oracle_weight(kind, grid, quartic_osc) for kind in kinds]
         params = MixedNormParams(6.0, 2.0)
-        got = modulation_norms(f, window, [ws for ws, _, _ in specs], quartic_osc, params)
+        got = modulation_norms(f, [ws for ws, _, _ in specs], quartic_osc, params)
         for value, (_, _, weight) in zip(got, specs):
             expected = mixed_norm_reference(mag, weight, 6.0, 2.0, grid.cell_volume,
                                             grid.frequency_cell)
@@ -451,18 +446,18 @@ class TestSharedPass:
     @pytest.mark.parametrize("at", [0, 1, 2])
     @pytest.mark.parametrize("name", ["real", "complex"])
     def test_overflowing_weight_raises_in_any_place(self, name, at, p):
-        f, window, osc, _ = self.case(name)
+        f, osc, _ = self.case(name)
         weights = [FLAT, WeightSpec("polynomial", 1.5)]
         # (1 + |x| + |xi|)^400 overflows to inf away from the origin
         weights.insert(at, WeightSpec("polynomial", 400.0))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
-            modulation_norms(f, window, weights, osc, MixedNormParams(p, 1.0))
+            modulation_norms(f, weights, osc, MixedNormParams(p, 1.0))
 
     def test_boundary_mass_warns_once_per_field(self):
         grid = Grid(1, 128, 6.0)
         f = FieldSample(grid, np.ones(grid.size))
         weights = [FLAT, WeightSpec("polynomial", 1.0), WeightSpec("polynomial", 2.0)]
         with pytest.warns(BoundaryMassWarning) as record:
-            modulation_norms(f, WindowSpec(), weights, None, MixedNormParams(2.0, 2.0))
+            modulation_norms(f, weights, None, MixedNormParams(2.0, 2.0))
         assert len(record) == 1
         assert record[0].filename == __file__

@@ -261,6 +261,21 @@ class TestParitySolve:
             tracemalloc.stop()
         assert peak <= 6 * 2 ** 20
 
+    def test_invariance_checks_share_one_buffer(self):
+        """A d = 2 decomposition (32², 400 modes, an 8 MiB operator) peaks at
+        most 1.25 operators above ``a``: the scale, symmetry and reflection
+        checks run in one n² scratch buffer, which is gone before the solve."""
+        osc = ah.hermite_oscillator(2)
+        grid = Grid(2, 32, 8.0)
+        a = assemble_operator(osc, grid)
+        tracemalloc.start()
+        try:
+            eigendecompose(a, 400, osc=osc, grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * a.nbytes
+
 
 class TestGrowthFit:
     def test_targets(self):
