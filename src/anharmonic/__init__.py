@@ -3,8 +3,8 @@
 The package builds discrete oscillators (fractional Laplacian plus a strictly
 positive even-degree potential), diagonalises them on staggered periodic
 grids, and measures modulation-space norms of spectral flows: heat smoothing
-rates, long-time decay, Sobolev equivalence bands, algebra ratios, singular
-initial data, small-data nonlinear evolution, and the Gaussian-conjugated
+rates, Sobolev equivalence bands, algebra ratios, singular initial data,
+small-data nonlinear evolution, and the Gaussian-conjugated
 Ornstein-Uhlenbeck picture.
 """
 
@@ -13,10 +13,10 @@ __version__ = "0.1.0"
 from .errors import (AnharmonicError, BoundaryMassWarning, DiscardedMassWarning,
                      InvalidSpecError, NonConvergenceError, NumericalError,
                      OffSpanWarning, ProbeSkipWarning, SchemaError, TruncationError)
-from .model import (INF, MixedNormParams, OscillatorSpec, PotentialSpec, WeightSpec,
-                    check_exponent, evaluate_potential, exponent_from_json,
-                    hermite_oscillator, is_inf, oscillator, oscillator_from_dict,
-                    potential_from_dict, submultiplicativity_defect, weight_value)
+from .model import (INF, MixedNormParams, OscillatorSpec, PotentialSpec, check_exponent,
+                    evaluate_potential, exponent_from_json, hermite_oscillator, is_inf,
+                    oscillator, oscillator_from_dict, potential_from_dict,
+                    submultiplicativity_defect, weight_value)
 from .spectral import (FieldSample, Grid, SpectralDecomposition, assemble_operator,
                        decompose, eigendecompose, field_from_function)
 from .calculus import (SemigroupQuery, apply_spectral_function, fractional_power,
@@ -26,10 +26,10 @@ from .phasespace import (PhaseSpaceField, gaussian_half_density, mixed_norm, mod
 from .estimators import (EquivalenceBand, LogLinearFit, SingularWeightResult,
                          WeightQuotientParams, algebra_ratio, algebra_ratios,
                          eigenfunction_probes, eigenvalue_growth_fit, fit_decay_exponent,
-                         gaussian_probe_fields, growth_target, longtime_rate,
-                         ou_probe_rate, sigma_exponent, singular_weight_norm,
-                         smoothing_decay_run, sobolev_modulation_equivalence,
-                         standard_probe_family, weight_quotient_norm)
+                         gaussian_probe_fields, growth_target, ou_probe_rate,
+                         sigma_exponent, singular_weight_norm, smoothing_decay_run,
+                         sobolev_modulation_equivalence, standard_probe_family,
+                         weight_quotient_norm)
 from .nlheat import (NonlinearProblemSpec, Trajectory, apply_nonlinearity,
                      duhamel_residual, etd_evolve, picard_solve)
 from .ougauss import (GaussianConjugation, apply_conjugation, conjugation_discarded_mass,
@@ -43,7 +43,7 @@ __all__ = [
     "ProbeSkipWarning", "DiscardedMassWarning",
     # model
     "INF", "is_inf", "check_exponent", "PotentialSpec", "evaluate_potential",
-    "OscillatorSpec", "oscillator", "hermite_oscillator", "WeightSpec", "weight_value",
+    "OscillatorSpec", "oscillator", "hermite_oscillator", "weight_value",
     "submultiplicativity_defect", "MixedNormParams", "exponent_from_json",
     "potential_from_dict", "oscillator_from_dict",
     # spectral
@@ -59,7 +59,7 @@ __all__ = [
     "LogLinearFit", "growth_target", "eigenvalue_growth_fit", "sigma_exponent",
     "WeightQuotientParams", "weight_quotient_norm", "fit_decay_exponent",
     "smoothing_decay_run", "gaussian_probe_fields", "eigenfunction_probes",
-    "standard_probe_family", "longtime_rate", "ou_probe_rate", "algebra_ratio",
+    "standard_probe_family", "ou_probe_rate", "algebra_ratio",
     "algebra_ratios",
     "SingularWeightResult", "singular_weight_norm", "EquivalenceBand",
     "sobolev_modulation_equivalence",

@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from .calculus import SemigroupQuery, heat_semigroup, project
 from .errors import InvalidSpecError, NumericalError, SchemaError
-from .model import (INF, MixedNormParams, WeightSpec, exponent_from_json, hermite_oscillator,
-                    is_inf, oscillator, oscillator_from_dict, submultiplicativity_defect,
+from .model import (INF, MixedNormParams, exponent_from_json, hermite_oscillator, is_inf,
+                    oscillator, oscillator_from_dict, submultiplicativity_defect,
                     weight_value)
 from .estimators import (WeightQuotientParams, algebra_ratios, eigenvalue_growth_fit,
                          gaussian_probe_fields, ou_probe_rate, sigma_exponent,
@@ -41,6 +41,7 @@ from .phasespace import mixed_norm, modulation_norm, stft
 from .spectral import FieldSample, Grid, decompose
 
 _KINDS = ("spectrum", "decay", "norms", "nlheat", "ou", "selftest")
+_NORMS_CHECKS = ("moyal", "equivalence", "algebra", "singular")
 _FORMATS = ("json", "csv", "both")
 _DEFAULT_SEED = 1234
 _L2_GAMMA_TOL = 1e-9  # Moyal holds up to the window-norm error, capped at 1e-10
@@ -240,6 +241,7 @@ def _run_decay(manifest, seed, record):
     radius = float(params.get("radius", 30.0))
     resolution = int(params.get("resolution", 2048))
     t_list = params.get("t_list")
+    runs = []  # every tuple is validated before any runs
     for spec in tuples:
         _require(isinstance(spec, dict), "each decay tuple must be an object",
                  "params.tuples")
@@ -263,8 +265,9 @@ def _run_decay(manifest, seed, record):
             qparams = WeightQuotientParams(**qp_kwargs)
         except InvalidSpecError as exc:
             raise SchemaError(f"bad decay tuple: {exc}", field="params.tuples")
+        runs.append((f"decay_k{k}_l{l}_b{beta:g}", tol, r2_min, qparams))
+    for label, tol, r2_min, qparams in runs:
         samples, fit = smoothing_decay_run(qparams)
-        label = f"decay_k{k}_l{l}_b{beta:g}"
         passed = fit.rel_deviation <= tol and fit.r_squared >= r2_min
         record.results.append(_result(
             f"{label}_slope", fit.slope, fit.target, fit.rel_deviation, tol, passed))
@@ -280,13 +283,14 @@ def _run_decay(manifest, seed, record):
 
 def _run_norms(manifest, seed, record):
     params = manifest.get("params", {})
-    checks = _get(params, "checks", list,
-                  default=["moyal", "equivalence", "algebra", "singular"], where="params.")
+    checks = _get(params, "checks", list, default=list(_NORMS_CHECKS), where="params.")
+    unknown = [c for c in checks if c not in _NORMS_CHECKS]
+    _require(not unknown, f"unknown norms checks {unknown}; known: {_NORMS_CHECKS}",
+             "params.checks")
     grid = _grid_from_manifest(manifest)
     osc = _oscillator_from_manifest(manifest)
     modes = int(params.get("modes", min(grid.size // 2, 192)))
     dec = decompose(osc, grid, modes)
-    flat = WeightSpec("flat", 0.0)
     l2_params = MixedNormParams(2.0, 2.0)
 
     if "moyal" in checks:
@@ -297,13 +301,13 @@ def _run_norms(manifest, seed, record):
             coeffs = np.zeros(dec.m, dtype=complex)
             coeffs[:band] = rng.standard_normal(band) + 1j * rng.standard_normal(band)
             f = dec.reconstruct(coeffs)
-            norm_mod = modulation_norm(f, flat, None, l2_params)
+            norm_mod = modulation_norm(f, 0.0, None, l2_params)
             worst = max(worst, abs(norm_mod - f.norm_l2()) / f.norm_l2())
         record.results.append(_result("moyal_identity_rel_err", worst, 0.0, worst,
                                       1e-6, worst <= 1e-6))
 
     if "equivalence" in checks:
-        probes = standard_probe_family(dec, "equivalence", seed)
+        probes = standard_probe_family(dec, seed)
         s_values = (0.0, 1.0, 2.0)
         bands = sobolev_modulation_equivalence(dec, s_values, probes)
         for s, band in zip(s_values, bands):
@@ -312,23 +316,21 @@ def _run_norms(manifest, seed, record):
                 band.spread <= 20.0))
 
     if "algebra" in checks:
-        ws = WeightSpec("anharmonic", 2.0)
         fields = gaussian_probe_fields(grid, 15, seed + 1)
         pairs = [(i, j) for i in range(len(fields)) for j in range(i, len(fields))][:100]
-        ratios = algebra_ratios(fields, pairs, l2_params, ws, osc)
+        ratios = algebra_ratios(fields, pairs, l2_params, 2.0, osc)
         finite = [r for r in ratios if np.isfinite(r)]
         value = max(finite) if finite else float("inf")
         record.results.append(_result("algebra_max_ratio", value, 0.0, value, 1e3,
                                       bool(np.isfinite(value) and value <= 1e3)))
 
     if "singular" in checks:
-        ws = WeightSpec("anharmonic", 0.1)
-        res_adm = singular_weight_norm(0.5, MixedNormParams(3.0, 3.0), ws, 6.0,
+        res_adm = singular_weight_norm(0.5, MixedNormParams(3.0, 3.0), 0.1, 6.0,
                                        grid=grid, osc=osc)
         record.results.append(_result(
             "singular_admissible_x_growth", res_adm.x_growth, 0.0, res_adm.x_growth,
             0.02, res_adm.x_growth < 0.02))
-        res_bad = singular_weight_norm(0.5, MixedNormParams(3.0, 1.5), ws, 6.0,
+        res_bad = singular_weight_norm(0.5, MixedNormParams(3.0, 1.5), 0.1, 6.0,
                                        grid=grid, osc=osc)
         record.results.append(_result(
             "singular_inadmissible_tail_growth", res_bad.xi_tail_growth, 1.0,
@@ -368,9 +370,8 @@ def _run_nlheat(manifest, seed, record):
                                     monitor=monitor)
     except InvalidSpecError as exc:
         raise SchemaError(f"bad nlheat parameters: {exc}", field="params")
-    ws = WeightSpec("anharmonic", monitor[2])
     mparams = MixedNormParams(monitor[0], monitor[1])
-    base_norm = modulation_norm(base, ws, osc, mparams)
+    base_norm = modulation_norm(base, monitor[2], osc, mparams)
     spec = replace(spec, u0=FieldSample(grid, base.values * (initial_norm / base_norm)))
 
     traj = picard_solve(spec, horizon, dt, tol=tol)
@@ -398,7 +399,7 @@ def _run_nlheat(manifest, seed, record):
         e_traj = etd_evolve(spec, e_hor, e_dt, order=order, checkpoint_stride=e_steps)
         engine_gap = p_short.final_coeffs - e_traj.final_coeffs
         gap_field = dec.reconstruct(engine_gap)
-        gap = modulation_norm(gap_field, ws, osc, mparams)
+        gap = modulation_norm(gap_field, monitor[2], osc, mparams)
         bound = 10.0 * e_dt * scale
         record.results.append(_result("picard_etd_gap", gap, 0.0, gap, bound,
                                       gap <= bound))
@@ -425,7 +426,6 @@ def _run_ou(manifest, seed, record):
     dec = decompose(osc, grid, modes)
     conj = GaussianConjugation(grid.dimension, float(params.get("safe_radius", 8.0)))
     beta = float(params.get("beta", 1.0))
-    ws = WeightSpec("polynomial", 0.0)
     l2_params = MixedNormParams(2.0, 2.0)
 
     ones = FieldSample(grid, np.ones(grid.size))
@@ -440,14 +440,14 @@ def _run_ou(manifest, seed, record):
                                   worst <= 1e-6))
 
     probe = gaussian_probe_fields(grid, 1, seed + 2)[0]
-    norm = modulation_norm(apply_conjugation(conj, "forward", probe), ws, osc, l2_params)
+    norm = modulation_norm(apply_conjugation(conj, "forward", probe), 0.0, osc, l2_params)
     err = _l2_gamma_rel_err(norm, conj, probe)
     record.results.append(_result("gaussian_norm_l2_gamma_rel_err", err, 0.0, err,
                                   _L2_GAMMA_TOL, err <= _L2_GAMMA_TOL))
 
     probes = gaussian_probe_fields(grid, int(params.get("gauss_probes", 30)), seed)
     rate = ou_probe_rate(conj, dec, beta, params.get("rate_t_list", [1, 2, 3, 4, 5]),
-                         probes, ws, l2_params)
+                         probes, 0.0, l2_params)
     record.results.append(_result("ou_longtime_rate", rate.slope, rate.target,
                                   rate.rel_deviation, 0.05, rate.rel_deviation <= 0.05))
     record.series["ou_rate"] = {
@@ -472,13 +472,13 @@ def _run_selftest(manifest, seed, record):
         evaluate_potential(pot, 3.0) / evaluate_potential(pot, 1.5), 4.0, 1e-12)
 
     osc = hermite_oscillator()
-    w1 = WeightSpec("anharmonic", 1.0)
-    row("weight_anharmonic_s1", weight_value(w1, osc, 1.0, 1.0), 3.0, 1e-12)
-    row("weight_polynomial_s2",
-        weight_value(WeightSpec("polynomial", 2.0), None, 1.0, 2.0), 16.0, 1e-12)
+    row("weight_anharmonic_s1", weight_value(1.0, osc, 1.0, 1.0), 3.0, 1e-12)
+    # the defect bound 2^(s (max(k, l) - 1)) is 1 for k = l = 1; it rests on
+    # q1 >= 1 (without q1 the first pair reads 1.13)
     samples = [((0.3, -0.7), (1.1, 0.4)), ((2.0, 1.0), (-1.0, 0.5))]
-    row("weight_defect_s0",
-        submultiplicativity_defect(WeightSpec("anharmonic", 0.0), osc, samples), 1.0, 0.0)
+    defect = submultiplicativity_defect(1.0, osc, samples)
+    record.results.append(_result("weight_defect_s1", defect, 1.0, defect, 1.0 + 1e-12,
+                                  defect <= 1.0 + 1e-12))
 
     row("sigma_hermite_p1q1", sigma_exponent(1, 1, 1.0, 1, 1.0, 1.0), 1.0, 0.0)
     row("sigma_quartic_p2q2", sigma_exponent(2, 1, 1.0, 1, 2.0, 2.0), 0.375, 0.0)
@@ -493,16 +493,15 @@ def _run_selftest(manifest, seed, record):
     pj = project(dec, 3, project(dec, 3, f))
     row("projection_idempotent", float(np.max(np.abs(pj.values - f.values))), 0.0, 1e-9)
 
-    flat = WeightSpec("flat", 0.0)
     coeffs = np.zeros(dec.m)
     coeffs[:12] = np.linspace(1.0, 0.1, 12)
     probe = dec.reconstruct(coeffs)
-    moyal = modulation_norm(probe, flat, None, MixedNormParams(2.0, 2.0))
+    moyal = modulation_norm(probe, 0.0, None, MixedNormParams(2.0, 2.0))
     row("moyal_identity", moyal / probe.norm_l2(), 1.0, 1e-6)
     conj = GaussianConjugation(1)
     gs = stft(apply_conjugation(conj, "forward", probe))
     row("gaussian_stft_l2_gamma_rel_err",
-        _l2_gamma_rel_err(mixed_norm(gs, flat, None, MixedNormParams(2.0, 2.0)), conj, probe),
+        _l2_gamma_rel_err(mixed_norm(gs, 0.0, None, MixedNormParams(2.0, 2.0)), conj, probe),
         0.0, _L2_GAMMA_TOL)
 
     u0 = FieldSample(grid, 0.05 * np.asarray(dec.eigenfunction(0).values))
@@ -592,6 +591,8 @@ def run_manifest(path, out_dir=None, fmt=None, seed=None, verbose=False,
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             _RUNNERS[manifest["kind"]](manifest, effective_seed, record)
+        # an empty checks, cases or tuples list runs nothing: no exit 0 for it
+        _require(record.results, "the manifest selects no checks", "params")
         # one report entry per warning category: first message plus an event
         # count, so repeated per-step diagnostics neither flood nor vanish
         by_category = {}

@@ -1,6 +1,8 @@
-"""Experiment estimators: eigenvalue-growth and smoothing-rate fits, long-time
-and Ornstein-Uhlenbeck rates, algebra ratios, singular weights, and
-norm-equivalence bands. Every slope and rate is one ``LogLinearFit``.
+"""Experiment estimators: eigenvalue-growth and smoothing-rate fits, the
+Ornstein-Uhlenbeck rate, algebra ratios, singular weights, and
+norm-equivalence bands. Every slope and rate is one ``LogLinearFit``, and
+every phase-space norm is weighted by the symbol-adapted v_s, given by its
+exponent s (``model.weight_value``).
 
 Two families of measurements live here. Analytic ones evaluate the weight
 quotient that controls the semigroup bound on a dedicated scaled quadrature
@@ -16,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import SemigroupQuery, heat_semigroup, sobolev_norm
+from .calculus import sobolev_norm
 from .errors import InvalidSpecError, NumericalError, ProbeSkipWarning, TruncationError
-from .model import (MixedNormParams, OscillatorSpec, WeightSpec, check_exponent,
-                    evaluate_potential, is_inf)
+from .model import (MixedNormParams, OscillatorSpec, check_exponent, evaluate_potential,
+                    is_inf)
 from .ougauss import GaussianConjugation, apply_conjugation, ou_semigroup
 from .phasespace import (_BLOCK_CELLS, _check_boundary_mass, _modulation_columns,
                          _outer_reduce, _weighted_columns, modulation_norm,
@@ -320,17 +322,10 @@ def eigenfunction_probes(dec: SpectralDecomposition, count: int = 10):
     return [dec.eigenfunction(j) for j in range(min(count, dec.m))]
 
 
-def standard_probe_family(dec: SpectralDecomposition, kind: str = "equivalence",
-                          seed: int = PROBE_SEED):
-    """The fixed probe corpora: 'operator' is 30 Gaussians plus the first 10
-    eigenfunctions; 'equivalence' is 40 Gaussians plus the first 10."""
-    if kind == "operator":
-        n_gauss = 30
-    elif kind == "equivalence":
-        n_gauss = 40
-    else:
-        raise ValueError(f"unknown probe family {kind!r}")
-    return gaussian_probe_fields(dec.grid, n_gauss, seed) + eigenfunction_probes(dec, 10)
+def standard_probe_family(dec: SpectralDecomposition, seed: int = PROBE_SEED):
+    """The fixed probe corpus of the equivalence bands: 40 seeded Gaussians
+    plus the first 10 eigenfunctions."""
+    return gaussian_probe_fields(dec.grid, 40, seed) + eigenfunction_probes(dec, 10)
 
 
 def _probe_ratios(probes, source_norm, target_norms) -> list:
@@ -350,64 +345,33 @@ def _probe_ratios(probes, source_norm, target_norms) -> list:
     return [[norm(f) / denom for f, denom in kept] for norm in target_norms]
 
 
-def _rate_fit(probes, source_norm, target_at, t_list, target_rate) -> LogLinearFit:
-    """Fit log of the worst probe ratio target_at(t)(f) / source_norm(f)
-    against t over at least 3 distinct times."""
+def ou_probe_rate(c: GaussianConjugation, dec: SpectralDecomposition, beta: float,
+                  t_list, probes, s: float = 0.0,
+                  params: MixedNormParams | None = None) -> LogLinearFit:
+    """Fit log of the worst-case Gaussian-norm ratio
+    norm(OU_t f) / norm(f) over a probe corpus against t, over at least 3
+    distinct times; the expected rate is -(dimension)^beta. The Gaussian norm
+    is the modulation norm of the multiplied field, flat (s = 0) and p = q = 2
+    unless told otherwise. Zero-norm probes are skipped with a warning
+    (ValueError if all are).
+    """
     ts = [float(t) for t in t_list]
     if len(set(ts)) < 3:
         raise ValueError("need at least 3 distinct time points")
-    ratios = _probe_ratios(probes, source_norm, [target_at(t) for t in ts])
-    return _loglinear_fit(ts, [max(r) for r in ratios], target_rate)
-
-
-def longtime_rate(dec: SpectralDecomposition, beta: float, t_list, source, target,
-                  probes) -> LogLinearFit:
-    """Fit log of the worst probe ratio target-norm(exp(-t H^beta) f) /
-    source-norm(f) against t; the expected rate is the negated beta-th
-    power of the ground eigenvalue. ``source`` and ``target`` are (p, q, s)
-    triples measured against the anharmonic weight of dec's oscillator and
-    must have matching nonnegative weight exponents (the refined regime)."""
-    if source[2] != target[2] or float(source[2]) < 0:
-        raise ValueError("longtime fit needs s_source = s_target >= 0")
-
-    def norm_args(triple):
-        p, q, s = triple
-        return WeightSpec("anharmonic", float(s)), dec.oscillator, MixedNormParams(p, q)
-
-    src, tgt = norm_args(source), norm_args(target)
-
-    def target_at(t):
-        query = SemigroupQuery(dec, beta, t)
-        return lambda f: modulation_norm(heat_semigroup(query, f), *tgt)
-
-    return _rate_fit(probes, lambda f: modulation_norm(f, *src), target_at, t_list,
-                     -float(dec.eigenvalues[0]) ** beta)
-
-
-def ou_probe_rate(c: GaussianConjugation, dec: SpectralDecomposition, beta: float,
-                  t_list, probes, ws: WeightSpec | None = None,
-                  params: MixedNormParams | None = None) -> LogLinearFit:
-    """Fit the decay rate of the worst-case Gaussian-norm ratio of the OU
-    flow over a probe corpus; the expected rate is -(dimension)^beta.
-    Zero-norm probes are skipped with a warning (ValueError if all are).
-
-    Polynomial weight by default: the Gaussian-space experiments measure
-    against it unless told otherwise.
-    """
-    ws = ws or WeightSpec("polynomial", 0.0)
     params = params or MixedNormParams(2.0, 2.0)
 
     def norm(f):
-        return modulation_norm(apply_conjugation(c, "forward", f), ws, dec.oscillator,
+        return modulation_norm(apply_conjugation(c, "forward", f), s, dec.oscillator,
                                params)
 
     def target_at(t):
         return lambda f: norm(ou_semigroup(c, dec, beta, t, f))
 
-    return _rate_fit(probes, norm, target_at, t_list, -float(c.dimension) ** float(beta))
+    ratios = _probe_ratios(probes, norm, [target_at(t) for t in ts])
+    return _loglinear_fit(ts, [max(r) for r in ratios], -float(c.dimension) ** float(beta))
 
 
-def algebra_ratios(fields, pairs, params: MixedNormParams, ws: WeightSpec,
+def algebra_ratios(fields, pairs, params: MixedNormParams, s: float,
                    osc: OscillatorSpec | None = None) -> list:
     """norm(f_i f_j) / (norm(f_i) norm(f_j)) for each index pair (i, j) into
     ``fields``, with the pointwise grid product.
@@ -417,7 +381,7 @@ def algebra_ratios(fields, pairs, params: MixedNormParams, ws: WeightSpec,
     with a vanishing factor norm gives NaN (with a ProbeSkipWarning) and its
     product is not normed, so corpus maxima can skip the pair.
     """
-    norms = [modulation_norm(f, ws, osc, params) for f in fields]
+    norms = [modulation_norm(f, s, osc, params) for f in fields]
     ratios = []
     for i, j in pairs:
         if norms[i] == 0.0 or norms[j] == 0.0:
@@ -426,15 +390,15 @@ def algebra_ratios(fields, pairs, params: MixedNormParams, ws: WeightSpec,
             ratios.append(float("nan"))
             continue
         product = FieldSample(fields[i].grid, fields[i].values * fields[j].values)
-        ratios.append(modulation_norm(product, ws, osc, params)
+        ratios.append(modulation_norm(product, s, osc, params)
                       / (norms[i] * norms[j]))
     return ratios
 
 
 def algebra_ratio(f: FieldSample, g: FieldSample, params: MixedNormParams,
-                  ws: WeightSpec, osc: OscillatorSpec | None = None) -> float:
+                  s: float, osc: OscillatorSpec | None = None) -> float:
     """norm(f g) / (norm(f) norm(g)): the one-pair case of ``algebra_ratios``."""
-    [ratio] = algebra_ratios([f, g], [(0, 1)], params, ws, osc)
+    [ratio] = algebra_ratios([f, g], [(0, 1)], params, s, osc)
     return ratio
 
 
@@ -450,7 +414,7 @@ class SingularWeightResult:
     xi_tail_growth: float
 
 
-def singular_weight_norm(alpha: float, params: MixedNormParams, ws: WeightSpec,
+def singular_weight_norm(alpha: float, params: MixedNormParams, s: float,
                          radius: float, *, grid: Grid,
                          osc: OscillatorSpec | None = None,
                          bulk_radius: float = 1.0,
@@ -467,7 +431,7 @@ def singular_weight_norm(alpha: float, params: MixedNormParams, ws: WeightSpec,
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if ws.s < 0:
+    if s < 0:
         raise ValueError("singular-weight runs need s >= 0")
     if radius > grid.half_width:
         raise ValueError("truncation radius exceeds the grid half-width")
@@ -481,9 +445,9 @@ def singular_weight_norm(alpha: float, params: MixedNormParams, ws: WeightSpec,
     _check_boundary_mass(f_full)
     p, q = params.p, params.q
     cells = (grid.cell_volume, grid.frequency_cell)
-    [columns] = _modulation_columns(f_full, [ws], osc, p)
+    [columns] = _modulation_columns(f_full, [s], osc, p)
     value = _outer_reduce(columns, p, q, *cells)
-    value_half = modulation_norm(truncated(radius / 2.0), ws, osc, params)
+    value_half = modulation_norm(truncated(radius / 2.0), s, osc, params)
     x_growth = abs(value - value_half) / value_half if value_half > 0 else float("inf")
     # outer-exponent tail mass A(Xi): sum over bulk_radius < |xi| <= Xi of
     # inner(xi)^q, or the annulus sup for q = INF
@@ -528,11 +492,10 @@ def sobolev_modulation_equivalence(dec: SpectralDecomposition, s_values, probes)
     and ValueError is raised when all are.
     """
     s_values = [float(s) for s in s_values]
-    weights = [WeightSpec("anharmonic", s) for s in s_values]
     params = MixedNormParams(2.0, 2.0)
     spans = [dec.reconstruct(dec.coefficients(f)) for f in probes]
     span_coeffs = [dec.coefficients(f) for f in spans]
-    mod = [modulation_norms(f, weights, dec.oscillator, params) for f in spans]
+    mod = [modulation_norms(f, s_values, dec.oscillator, params) for f in spans]
     bands = []
     for k, s in enumerate(s_values):
         [ratios] = _probe_ratios(

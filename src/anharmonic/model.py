@@ -1,4 +1,4 @@
-"""Core domain types: potentials, oscillators, weights, and norm parameters.
+"""Core domain types: potentials, oscillators, the weight, and norm parameters.
 
 Everything here is an immutable value object; all operations are pure and
 vectorized over trailing point batches.
@@ -237,64 +237,41 @@ def hermite_oscillator(dimension: int = 1, beta: float = 1.0) -> OscillatorSpec:
     return oscillator(1, 1, dimension, beta)
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Phase-space weight.
+def weight_value(s: float, osc, x, omega):
+    """The symbol-adapted weight v_s = (q1 + V(x)^(1/2) + |omega|^l)^s at
+    (x, omega), batched over trailing point axes; omega is the angular
+    frequency of the operator symbol, 2 pi times a cycle frequency.
 
-    ``anharmonic``: (q1 + V(x)^(1/2) + |xi|^l)^s, adapted to the oscillator.
-    ``polynomial``: (1 + |x| + |xi|)^s.
-    ``flat``: identically 1.
+    The one phase-space weight: s = 0 is the flat weight and needs no
+    oscillator; any other s needs one for V, l and q1. A non-finite s raises
+    InvalidSpecError.
     """
-
-    kind: str = "anharmonic"
-    s: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("anharmonic", "polynomial", "flat"):
-            raise InvalidSpecError(f"unknown weight kind {self.kind!r}")
-        s = float(self.s)
-        if not np.isfinite(s):
-            raise InvalidSpecError("weight exponent must be finite")
-        if self.kind == "flat":
-            s = 0.0
-        object.__setattr__(self, "s", s)
-
-
-def weight_value(w: WeightSpec, osc, x, xi):
-    """Evaluate the weight at (x, xi), batched over trailing point axes.
-
-    The anharmonic kind needs the oscillator for V, l, and q1; the other
-    kinds accept ``osc=None``.
-    """
-    if w.kind == "flat":
-        return 1.0
-    if w.kind == "anharmonic" and osc is None:
-        raise InvalidSpecError("anharmonic weight needs an OscillatorSpec")
-    # the polynomial kind infers the dimension from osc when available
+    s = float(s)
+    if not np.isfinite(s):
+        raise InvalidSpecError("weight exponent must be finite")
+    if s != 0.0 and osc is None:
+        raise InvalidSpecError("a weight with s != 0 needs an OscillatorSpec")
     d = osc.dimension if osc is not None else 1
     xp = _points(x, d)
-    xip = _points(xi, d)
-    if w.s == 0.0:
-        shape = np.broadcast_shapes(xp.shape[:-1], xip.shape[:-1])
+    wp = _points(omega, d)
+    if s == 0.0:
+        shape = np.broadcast_shapes(xp.shape[:-1], wp.shape[:-1])
         return 1.0 if shape == () else np.ones(shape)
-    if w.kind == "anharmonic":
-        base = (osc.q1
-                + np.sqrt(_evaluate_on_points(osc.potential, xp))
-                + np.linalg.norm(xip, axis=-1) ** osc.l)
-    else:
-        base = 1.0 + np.linalg.norm(xp, axis=-1) + np.linalg.norm(xip, axis=-1)
-    vals = base ** w.s
+    base = (osc.q1
+            + np.sqrt(_evaluate_on_points(osc.potential, xp))
+            + np.linalg.norm(wp, axis=-1) ** osc.l)
+    vals = base ** s
     return float(vals) if vals.ndim == 0 else vals
 
 
-def submultiplicativity_defect(w: WeightSpec, osc, samples) -> float:
-    """Max over sampled pairs (X, Y) of v(X+Y) / (v(X) v(Y)).
+def submultiplicativity_defect(s: float, osc, samples) -> float:
+    """Max over sampled pairs (X, Y) of v_s(X+Y) / (v_s(X) v_s(Y)).
 
-    ``samples`` is a sequence of pairs ((x, xi), (y, eta)); points are
+    ``samples`` is a sequence of pairs ((x, omega), (y, eta)); points are
     scalars in dimension 1 or length-d sequences. Symmetric in X and Y by
     construction of the quotient's max.
     """
-    if w.s < 0:
+    if s < 0:
         raise ValueError("defect is only meaningful for s >= 0")
     samples = list(samples)
     if not samples:
@@ -304,13 +281,13 @@ def submultiplicativity_defect(w: WeightSpec, osc, samples) -> float:
     def stack(component):
         return np.array([np.atleast_1d(np.asarray(p, dtype=float)) for p in component]).reshape(len(samples), d)
 
-    x = stack([s[0][0] for s in samples])
-    xi = stack([s[0][1] for s in samples])
-    y = stack([s[1][0] for s in samples])
-    eta = stack([s[1][1] for s in samples])
+    x = stack([p[0][0] for p in samples])
+    omega = stack([p[0][1] for p in samples])
+    y = stack([p[1][0] for p in samples])
+    eta = stack([p[1][1] for p in samples])
 
-    num = weight_value(w, osc, x + y, xi + eta)
-    den = np.asarray(weight_value(w, osc, x, xi)) * np.asarray(weight_value(w, osc, y, eta))
+    num = weight_value(s, osc, x + y, omega + eta)
+    den = np.asarray(weight_value(s, osc, x, omega)) * np.asarray(weight_value(s, osc, y, eta))
     return float(np.max(np.asarray(num) / den))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .calculus import _warn_off_span
 from .errors import InvalidSpecError, NonConvergenceError
-from .model import MixedNormParams, WeightSpec
+from .model import MixedNormParams
 from .phasespace import _modulation_columns, _outer_reduce, modulation_norm
 from .spectral import FieldSample, SpectralDecomposition, real_matmul
 
@@ -99,7 +99,7 @@ class _Engine:
         self.sing = _singular_factor(spec)
         p, q, s = spec.monitor
         self.monitor_params = MixedNormParams(p, q)
-        self.monitor_weight = WeightSpec("anharmonic", float(s))
+        self.monitor_s = float(s)
 
     def propagator(self, dt: float) -> np.ndarray:
         return np.exp(-dt * self.lam_beta)
@@ -115,15 +115,14 @@ class _Engine:
 
     def monitored_norm(self, coeffs: np.ndarray) -> float:
         f = FieldSample(self.dec.grid, self.to_values(coeffs))
-        return modulation_norm(f, self.monitor_weight, self.dec.oscillator,
-                               self.monitor_params)
+        return modulation_norm(f, self.monitor_s, self.dec.oscillator, self.monitor_params)
 
     def gap_norm(self, coeffs: np.ndarray) -> float:
         """Monitored norm of a difference of Picard iterates, without the
         boundary-mass check of a state: near convergence it is round-off."""
         grid, p, q = self.dec.grid, self.monitor_params.p, self.monitor_params.q
         [columns] = _modulation_columns(FieldSample(grid, self.to_values(coeffs)),
-                                        [self.monitor_weight], self.dec.oscillator, p)
+                                        [self.monitor_s], self.dec.oscillator, p)
         return _outer_reduce(columns, p, q, grid.cell_volume, grid.frequency_cell)
 
     def l2_norm(self, coeffs: np.ndarray) -> float:

@@ -6,6 +6,13 @@ cyclic, consistent with the periodic grid. Lattice cells are h^d in x and
 (1/(2L))^d in xi, so the p=q=2 flat-weight mixed norm reproduces the L2
 norm of the field exactly (discrete orthogonality of the DFT).
 
+Every norm takes the exponent s of the one weight, the symbol-adapted
+v_s = (q1 + V(x)^(1/2) + |omega|^l)^s of ``model.weight_value``, read at the
+angular frequency omega = 2 pi xi; s = 0 is the flat weight and needs no
+oscillator. Other weights of the literature, such as the bracket
+(1 + |x| + |xi|)^s, are equivalent to it for k = l = 1 and define the same
+spaces (Groechenig, Foundations of Time-Frequency Analysis, 2001, ch. 11).
+
 The transform and the streamed norms run on one blocked pass, ``_stft_blocks``:
 it yields h^d FFT(f conj(g(. - x_i))) for consecutive blocks of x-shift rows
 (about ``_BLOCK_CELLS`` lattice cells each), columns in FFT order. ``stft``
@@ -15,14 +22,14 @@ reduced by ``_weighted_columns`` (weighted inner L^p column sums or sups) and
 ``_outer_reduce`` (outer L^q): ``mixed_norm`` feeds it |field| as one block,
 ``modulation_norm`` the block magnitudes of the pass, so a streamed norm
 holds a few blocks, never the lattice. ``modulation_norms`` reduces one pass
-under several weights at once: the transform and its magnitudes, which are
-most of the cost, are shared, and each weight adds only its own weighting
-and column sums. The window g is the unit Gaussian 2^(d/4) e^(-pi |z|^2),
+for several weight exponents at once: the transform and its magnitudes,
+which are most of the cost, are shared, and each weight adds only its own
+weighting and column sums. The window g is the unit Gaussian 2^(d/4) e^(-pi |z|^2),
 the only one: it gives one space over the whole range 0 < p, q <= INF, and
 other admissible windows give only equivalent norms (Groechenig, Foundations
 of Time-Frequency Analysis, 2001, 11.3; Galperin-Samarah, ACHA 16, 2004).
 A real d=1 field streams half the spectrum: |V_g f(x, -xi)| = |V_g f(x, xi)|
-for real f and the real g, and every weight depends on |xi| only, so the
+for real f and the real g, and the weight depends on |xi| only, so the
 pass runs ``rfft`` on the real windowed product, reduces the bins xi >= 0 and
 mirrors the column sums. Complex fields and d=2 take the full spectrum. The
 boundary-mass check runs where a state is measured, not in the pass, so
@@ -39,8 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryMassWarning, InvalidSpecError, NumericalError
-from .model import (MixedNormParams, OscillatorSpec, WeightSpec, evaluate_potential,
-                    is_inf)
+from .model import MixedNormParams, OscillatorSpec, is_inf, weight_value
 from .spectral import FieldSample, Grid
 
 _WINDOW_NORM_TOL = 1e-10
@@ -202,33 +208,18 @@ def gaussian_half_density(grid: Grid) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _weight_lattice(w: WeightSpec, osc: OscillatorSpec | None, grid: Grid):
-    """Weight values on the full (x, xi) lattice, or None for trivial weights.
+def _weight_lattice(s: float, osc: OscillatorSpec | None, grid: Grid):
+    """``weight_value`` on the full (x, xi) lattice, or None for s = 0 (the
+    flat weight, reduced from the raw magnitudes).
 
     Frequency-scale conversion lives here and nowhere else: the transform
-    lattice carries cycle frequencies xi = n/(2L), while the operator symbol
-    (and hence the symbol-adapted weight) uses the angular variable
-    omega = 2*pi*xi. The polynomial weight is a plain phase-space bracket in
-    the transform's own variables, so it takes xi unconverted.
-
-    Built from per-node separable pieces so the d=2 case never materializes
-    (size^2, d) coordinate arrays; agreement with weight_value is covered by
-    tests.
+    lattice carries cycle frequencies xi = n/(2L), while the operator symbol,
+    and hence the weight, uses the angular variable omega = 2*pi*xi.
     """
-    if w.kind == "flat" or w.s == 0.0:
+    if s == 0.0:
         return None
-    nodes = grid.nodes()
-    freqs = grid.frequency_nodes()
-    if w.kind == "anharmonic":
-        if osc is None:
-            raise InvalidSpecError("anharmonic weight needs an OscillatorSpec")
-        a = np.sqrt(np.asarray(evaluate_potential(osc.potential, nodes), dtype=float).ravel())
-        b = (2.0 * np.pi * np.linalg.norm(freqs, axis=1)) ** osc.l
-        base = osc.q1 + a[:, None] + b[None, :]
-    else:
-        base = 1.0 + np.linalg.norm(nodes, axis=1)[:, None] \
-            + np.linalg.norm(freqs, axis=1)[None, :]
-    lattice = base ** w.s
+    lattice = weight_value(s, osc, grid.nodes()[:, None, :],
+                           2.0 * np.pi * grid.frequency_nodes()[None, :, :])
     lattice.setflags(write=False)
     return lattice
 
@@ -289,16 +280,16 @@ def _weighted_columns(blocks, lattices, p, lattice_columns=slice(None)) -> list:
     return columns
 
 
-def _modulation_columns(f: FieldSample, weights, osc: OscillatorSpec | None, p) -> list:
+def _modulation_columns(f: FieldSample, s_values, osc: OscillatorSpec | None, p) -> list:
     """``_weighted_columns`` of |V_g f| straight from one blocked STFT pass,
-    one column array per WeightSpec in ``weights`` (flat weights reduce the
+    one column array per weight exponent in ``s_values`` (s = 0 reduces the
     raw magnitudes), each with one column per xi node in ascending order. No
     boundary-mass check. A real d=1 field reduces only the N/2 + 1 ``rfft``
     bins and mirrors their column sums (see the module docstring).
     """
     grid = f.grid
     n_pts = grid.points_per_axis
-    lattices = [_weight_lattice(ws, osc, grid) for ws in weights]
+    lattices = [_weight_lattice(s, osc, grid) for s in s_values]
     if grid.dimension == 1 and not f.values.imag.any():
         half = n_pts // 2
         # rfft bin k has |xi| = k/(2L), as has lattice column N/2 - k (the
@@ -327,24 +318,24 @@ def _modulation_columns(f: FieldSample, weights, osc: OscillatorSpec | None, p) 
     return _weighted_columns(magnitudes(), lattices, p)
 
 
-def mixed_norm(field: PhaseSpaceField, w: WeightSpec, osc: OscillatorSpec | None,
+def mixed_norm(field: PhaseSpaceField, s: float, osc: OscillatorSpec | None,
                params: MixedNormParams) -> float:
-    """Weighted inner-L^p (x), outer-L^q (xi) lattice norm of |field|.
+    """Inner-L^p (x), outer-L^q (xi) lattice norm of |field| weighted by v_s.
 
     INF exponents take the lattice sup; exponents below 1 use the same
     power-sum formula (quasi-norm). Cell measures are h^d and (1/(2L))^d.
     """
     grid = field.grid
     [columns] = _weighted_columns([(0, np.abs(field.values))],
-                                  [_weight_lattice(w, osc, grid)], params.p)
+                                  [_weight_lattice(s, osc, grid)], params.p)
     return _outer_reduce(columns, params.p, params.q, grid.cell_volume, grid.frequency_cell)
 
 
-def modulation_norm(f: FieldSample, ws: WeightSpec, osc: OscillatorSpec | None,
+def modulation_norm(f: FieldSample, s: float, osc: OscillatorSpec | None,
                     params: MixedNormParams) -> float:
-    """Weighted modulation norm ||V_g f . w||_{L^{p,q}}, g the unit Gaussian.
+    """Weighted modulation norm ||V_g f . v_s||_{L^{p,q}}, g the unit Gaussian.
 
-    Equal to ``mixed_norm(stft(f), ws, osc, params)`` up to round-off, but
+    Equal to ``mixed_norm(stft(f), s, osc, params)`` up to round-off, but
     streamed: the (size, size) phase-space field is never built. The same
     reducer as ``mixed_norm`` folds each block of x-shift magnitudes from the
     shared STFT pass into the inner L^p column sums (column sup for INF);
@@ -357,23 +348,23 @@ def modulation_norm(f: FieldSample, ws: WeightSpec, osc: OscillatorSpec | None,
     Picard gap goes through ``_modulation_columns`` without that check.
     This is the one-weight case of ``modulation_norms``.
     """
-    [value] = _measured_norms(f, [ws], osc, params)
+    [value] = _measured_norms(f, [s], osc, params)
     return value
 
 
-def modulation_norms(f: FieldSample, weights, osc: OscillatorSpec | None,
+def modulation_norms(f: FieldSample, s_values, osc: OscillatorSpec | None,
                      params: MixedNormParams) -> list:
-    """``modulation_norm`` of one field under each WeightSpec in ``weights``,
+    """``modulation_norm`` of one field for each weight exponent in ``s_values``,
     from one blocked STFT pass and one boundary-mass check. Each value equals
     the one-weight ``modulation_norm`` bit for bit: the magnitudes of the
     pass are shared and each weight is applied with the same arithmetic. An
     overflowing weight anywhere in the list raises NumericalError.
     """
-    return _measured_norms(f, weights, osc, params)
+    return _measured_norms(f, s_values, osc, params)
 
 
-def _measured_norms(f, weights, osc, params) -> list:
+def _measured_norms(f, s_values, osc, params) -> list:
     _check_boundary_mass(f, stacklevel=4)  # names the caller of the public function
     cells = (f.grid.cell_volume, f.grid.frequency_cell)
     return [_outer_reduce(columns, params.p, params.q, *cells)
-            for columns in _modulation_columns(f, weights, osc, params.p)]
+            for columns in _modulation_columns(f, s_values, osc, params.p)]

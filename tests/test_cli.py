@@ -5,6 +5,7 @@ import tempfile
 import numpy as np
 import pytest
 
+import anharmonic.cli
 from anharmonic import SchemaError
 from anharmonic.cli import (EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
                             EXIT_WRITE, ReportRecord, _canonical_hash, _format_cell,
@@ -179,11 +180,19 @@ class TestRunManifest:
                    "tuples": [{"k": 1, "l": 1, "p_tilde": "inf", "q_tilde": "inf"}]},
          "both gaps infinite, so sigma = 0 and there is no decay slope to check "
          "(field: params.tuples)"),
+        ("norms", {"checks": ["moyall"], "modes": 16}, "unknown norms checks ['moyall']"),
+        ("norms", {"checks": [], "modes": 16}, "selects no checks (field: params)"),
+        ("spectrum", {"cases": []}, "selects no checks (field: params)"),
+        ("decay", {"tuples": []}, "selects no checks (field: params)"),
+        ("nlheat", {"monitor": [2.0, 1.0, float("nan")], "modes": 16, "horizon": 0.01},
+         "weight exponent must be finite"),
     ], ids=["nlheat_dt", "decay_radius", "ou_rate_t_list", "nlheat_initial_norm_zero",
             "nlheat_initial_norm_negative", "nlheat_initial_norm_nan",
             "nlheat_initial_norm_inf", "nlheat_tol_nan", "nlheat_coupling_nan",
             "nlheat_alpha_nan", "decay_resolution_odd", "ou_rate_t_list_repeated",
-            "ou_rate_t_list_two_distinct", "decay_sigma_zero"])
+            "ou_rate_t_list_two_distinct", "decay_sigma_zero", "norms_unknown_check",
+            "norms_no_checks", "spectrum_no_cases", "decay_no_tuples",
+            "nlheat_monitor_s_nan"])
     def test_rejected_value_exits_schema(self, tmp_path, capsys, kind, params, detail):
         """A value the runner's own checks reject (ValueError) is a manifest
         problem: exit 2 with a schema-error line, not a traceback. ``detail``,
@@ -196,6 +205,27 @@ class TestRunManifest:
         err = capsys.readouterr().err
         assert "schema error" in err
         assert detail in err
+
+    def test_decay_validates_every_tuple_before_running_any(self, tmp_path, monkeypatch):
+        """A valid tuple followed by a sigma = 0 tuple is rejected before the
+        valid one runs."""
+        calls = []
+        original = anharmonic.cli.smoothing_decay_run
+
+        def counted(params):
+            calls.append(params)
+            return original(params)
+
+        monkeypatch.setattr(anharmonic.cli, "smoothing_decay_run", counted)
+        manifest = {"schema": 1, "kind": "decay",
+                    "params": {"resolution": 256,
+                               "tuples": [{"k": 1, "l": 1},
+                                          {"k": 1, "l": 1, "p_tilde": "inf",
+                                           "q_tilde": "inf"}]}}
+        path = write_manifest(tmp_path, manifest)
+        code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
+        assert code == EXIT_SCHEMA and record is None
+        assert calls == []
 
     def test_picard_gaps_raise_no_boundary_warning(self, tmp_path):
         """Near convergence a Picard gap (the difference of two iterates) is
@@ -360,7 +390,7 @@ class TestRunManifest:
         assert code1 == EXIT_OK and code2 == EXIT_OK
         r1 = json.loads((tmp_path / "r1" / "report.json").read_text())
         r2 = json.loads((tmp_path / "r2" / "report.json").read_text())
-        assert len(r1["results"]) == 16
+        assert len(r1["results"]) == 15
         assert r1["results"] == r2["results"]
 
     def test_underflowing_probe_bound_exits_numerical(self, tmp_path, capsys):

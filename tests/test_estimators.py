@@ -11,15 +11,15 @@ import anharmonic as ah
 import anharmonic.cli
 from anharmonic import (INF, FieldSample, Grid, InvalidSpecError, MixedNormParams,
                         NumericalError, PotentialSpec, ProbeSkipWarning, TruncationError,
-                        WeightQuotientParams, WeightSpec, algebra_ratio,
-                        algebra_ratios, eigenfunction_probes, estimators,
-                        fit_decay_exponent, gaussian_probe_fields, is_inf, longtime_rate,
-                        modulation_norm, phasespace, sigma_exponent, singular_weight_norm,
-                        smoothing_decay_run, sobolev_modulation_equivalence, sobolev_norm,
+                        WeightQuotientParams, algebra_ratio, algebra_ratios,
+                        eigenfunction_probes, estimators, fit_decay_exponent,
+                        gaussian_probe_fields, is_inf, modulation_norm, phasespace,
+                        sigma_exponent, singular_weight_norm, smoothing_decay_run,
+                        sobolev_modulation_equivalence, sobolev_norm,
                         standard_probe_family, stft, weight_quotient_norm)
 from oracles import mixed_norm_reference, quotient_reference
 
-FLAT = WeightSpec("flat", 0.0)
+FLAT = 0.0  # the weight exponent of the flat weight
 
 
 class TestSigmaExponent:
@@ -251,10 +251,8 @@ class TestLogLinearFit:
 
 class TestProbeCorpora:
     def test_family_sizes(self, small_dec):
-        assert len(standard_probe_family(small_dec, "equivalence")) == 50
-        assert len(standard_probe_family(small_dec, "operator")) == 40
-        with pytest.raises(ValueError):
-            standard_probe_family(small_dec, "stress")
+        assert len(standard_probe_family(small_dec)) == 50
+        assert len(standard_probe_family(small_dec, 11)) == 50
 
     def test_gaussian_probes_are_seeded_and_unit(self, small_dec):
         grid = small_dec.grid
@@ -272,72 +270,12 @@ class TestProbeCorpora:
         assert len(probes) == small_dec.m
 
 
-class TestLongtimeRate:
-    def test_ground_state_fit_is_exact(self, hermite_dec):
-        probes = eigenfunction_probes(hermite_dec, 1)
-        res = longtime_rate(hermite_dec, 1.0, (1.0, 2.0, 3.0),
-                            (2.0, 2.0, 0.0), (2.0, 2.0, 0.0), probes)
-        assert res.target == pytest.approx(-1.0, rel=1e-9)
-        assert res.slope == pytest.approx(-1.0, rel=1e-9)
-        assert res.r_squared == pytest.approx(1.0, abs=1e-10)
-        assert [t for t, _ in res.samples] == [1.0, 2.0, 3.0]
-        # the worst ratio of the ground state alone is e^(-t lambda_0) = e^(-t)
-        for t, value in res.samples:
-            assert value == pytest.approx(math.exp(-t), rel=1e-10)
-
-    def test_zero_probe_skipped_with_warning(self, hermite_dec):
-        """A zero probe drops out with a ProbeSkipWarning and leaves the
-        ground-state ratio e^(-t) of the rest."""
-        zero = FieldSample(hermite_dec.grid, np.zeros(hermite_dec.grid.size))
-        probes = [zero] + eigenfunction_probes(hermite_dec, 1)
-        with pytest.warns(ProbeSkipWarning):
-            res = longtime_rate(hermite_dec, 1.0, (1.0, 2.0, 3.0),
-                                (2.0, 2.0, 0.0), (2.0, 2.0, 0.0), probes)
-        assert res.samples[0][1] == pytest.approx(math.exp(-1.0), rel=1e-10)
-
-    def test_all_skipped_raises(self, hermite_dec):
-        zero = FieldSample(hermite_dec.grid, np.zeros(hermite_dec.grid.size))
-        with pytest.warns(ProbeSkipWarning), pytest.raises(ValueError):
-            longtime_rate(hermite_dec, 1.0, (1.0, 2.0, 3.0),
-                          (2.0, 2.0, 0.0), (2.0, 2.0, 0.0), [zero])
-
-    def test_needs_three_distinct_times(self, hermite_dec):
-        """Repeated times count once: three entries with two distinct times
-        raise, and a repeat beside three distinct times is fitted."""
-        probes = eigenfunction_probes(hermite_dec, 1)
-        args = ((2.0, 2.0, 0.0), (2.0, 2.0, 0.0), probes)
-        for t_list in ((1.0, 1.0, 2.0), (2.0, 2.0, 2.0)):
-            with pytest.raises(ValueError):
-                longtime_rate(hermite_dec, 1.0, t_list, *args)
-        res = longtime_rate(hermite_dec, 1.0, (1.0, 2.0, 2.0, 3.0), *args)
-        assert res.slope == pytest.approx(-1.0, rel=1e-9)
-        assert [t for t, _ in res.samples] == [1.0, 2.0, 2.0, 3.0]
-
-    def test_underflowed_bound_raises_numerical(self, hermite_dec):
-        """At t = 800 the ground-state bound e^(-800) underflows to 0; its
-        log must not reach the fit as -inf."""
-        probes = eigenfunction_probes(hermite_dec, 1)
-        with pytest.raises(NumericalError):
-            longtime_rate(hermite_dec, 1.0, (1.0, 2.0, 800.0),
-                          (2.0, 2.0, 0.0), (2.0, 2.0, 0.0), probes)
-
-    def test_validation(self, hermite_dec):
-        probes = eigenfunction_probes(hermite_dec, 1)
-        with pytest.raises(ValueError):
-            longtime_rate(hermite_dec, 1.0, (1.0, 2.0, 3.0),
-                          (2.0, 2.0, 0.0), (2.0, 2.0, 1.0), probes)
-        with pytest.raises(ValueError):
-            longtime_rate(hermite_dec, 1.0, (1.0, 2.0),
-                          (2.0, 2.0, 0.0), (2.0, 2.0, 0.0), probes)
-
-
 class TestAlgebraRatio:
-    def test_scale_invariant(self, hermite_grid, gaussian_field):
+    def test_scale_invariant(self, hermite_grid, hermite_osc, gaussian_field):
         g = FieldSample(hermite_grid, np.roll(gaussian_field.values, 40))
         params = MixedNormParams(1.0, 1.0)
-        w = WeightSpec("polynomial", 1.0)
-        base = algebra_ratio(gaussian_field, g, params, w)
-        scaled = algebra_ratio(7.0 * gaussian_field, g, params, w)
+        base = algebra_ratio(gaussian_field, g, params, 1.0, hermite_osc)
+        scaled = algebra_ratio(7.0 * gaussian_field, g, params, 1.0, hermite_osc)
         assert base > 0
         assert scaled == pytest.approx(base, rel=1e-12)
 
@@ -354,8 +292,7 @@ class TestSingularWeight:
         with pytest.raises(ValueError):
             singular_weight_norm(-0.3, params, FLAT, 4.0, grid=hermite_grid)
         with pytest.raises(ValueError):
-            singular_weight_norm(0.3, params, WeightSpec("polynomial", -1.0),
-                                 4.0, grid=hermite_grid)
+            singular_weight_norm(0.3, params, -1.0, 4.0, grid=hermite_grid)
         with pytest.raises(ValueError):
             singular_weight_norm(0.3, params, FLAT, 100.0, grid=hermite_grid)
 
@@ -379,7 +316,8 @@ class TestSingularWeight:
         grid = Grid(1, 256, 8.0)
         x = grid.axis_nodes()
         xi = grid.frequency_nodes()[:, 0]
-        weight = (1.0 + np.abs(x)[:, None] + np.abs(xi)[None, :]) ** 0.5
+        # the harmonic weight, (1 + |x| + 2 pi |xi|)^s in angular frequency
+        weight = (1.0 + np.abs(x)[:, None] + 2.0 * np.pi * np.abs(xi)[None, :]) ** 0.5
         cells = (grid.cell_volume, grid.frequency_cell)
         p_ref, q_ref = ("inf" if is_inf(e) else e for e in (p, q))
 
@@ -389,8 +327,9 @@ class TestSingularWeight:
             return mixed_norm_reference(ps[:, columns], weight[:, columns],
                                         p_ref, q_ref, *cells)
 
-        res = singular_weight_norm(0.5, MixedNormParams(p, q), WeightSpec("polynomial", 0.5),
-                                   6.0, grid=grid, bulk_radius=1.0, tail_radius=1.5)
+        res = singular_weight_norm(0.5, MixedNormParams(p, q), 0.5, 6.0, grid=grid,
+                                   osc=ah.hermite_oscillator(), bulk_radius=1.0,
+                                   tail_radius=1.5)
         assert res.value == pytest.approx(reference(6.0), rel=1e-10)
         assert res.value_half == pytest.approx(reference(3.0), rel=1e-10)
         for xi_max, acc in res.xi_tail:
@@ -454,21 +393,20 @@ class TestCorpusBookkeeping:
     def test_ratios_are_the_direct_quotients(self, p, q, hermite_osc):
         fields = gaussian_probe_fields(self.GRID, 6, 7)
         pairs = [(0, 0), (0, 3), (2, 5), (5, 2), (4, 4)]
-        ws, params = WeightSpec("anharmonic", 2.0), MixedNormParams(p, q)
+        params = MixedNormParams(p, q)
 
         def norm(values):
-            return modulation_norm(FieldSample(self.GRID, values), ws, hermite_osc, params)
+            return modulation_norm(FieldSample(self.GRID, values), 2.0, hermite_osc, params)
 
         expected = [norm(fields[i].values * fields[j].values)
                     / (norm(fields[i].values) * norm(fields[j].values)) for i, j in pairs]
-        assert algebra_ratios(fields, pairs, params, ws, hermite_osc) == expected
+        assert algebra_ratios(fields, pairs, params, 2.0, hermite_osc) == expected
 
     def test_shipped_corpus_takes_one_pass_per_field(self, monkeypatch, hermite_osc):
         fields = gaussian_probe_fields(self.GRID, 15, 1235)
         pairs = [(i, j) for i in range(15) for j in range(i, 15)][:100]
         calls = self.count_passes(monkeypatch)
-        ratios = algebra_ratios(fields, pairs, self.L2, WeightSpec("anharmonic", 2.0),
-                                hermite_osc)
+        ratios = algebra_ratios(fields, pairs, self.L2, 2.0, hermite_osc)
         assert len(calls) == 15 + 100
         assert len(ratios) == 100 and all(np.isfinite(ratios))
 
@@ -486,16 +424,15 @@ class TestCorpusBookkeeping:
 
     @pytest.mark.filterwarnings("ignore")  # boundary and off-span notes of the probes
     def test_bands_are_the_direct_ratios(self, monkeypatch, small_dec):
-        probes = standard_probe_family(small_dec, "equivalence", 11)
+        probes = standard_probe_family(small_dec, 11)
         s_values = (0.0, 1.0, 2.0)
         calls = self.count_passes(monkeypatch)
         bands = sobolev_modulation_equivalence(small_dec, s_values, probes)
         assert len(calls) == len(probes) == 50
         spans = [small_dec.reconstruct(small_dec.coefficients(f)) for f in probes]
         for s, band in zip(s_values, bands):
-            ws = WeightSpec("anharmonic", s)
             ratios = [sobolev_norm(small_dec, s, f)
-                      / modulation_norm(f, ws, small_dec.oscillator, self.L2)
+                      / modulation_norm(f, s, small_dec.oscillator, self.L2)
                       for f in spans]
             assert band == ah.EquivalenceBand(min(ratios), max(ratios), 50)
         assert len(bands) == 3
@@ -504,7 +441,7 @@ class TestCorpusBookkeeping:
     def test_each_span_is_projected_once(self, monkeypatch, small_dec):
         """One coefficient matvec per probe for its projection and one per
         span that serves all three s: 2P, where a matvec per (s, span) is 4P."""
-        probes = standard_probe_family(small_dec, "equivalence", 11)
+        probes = standard_probe_family(small_dec, 11)
         calls = []
         original = ah.SpectralDecomposition.coefficients
 
@@ -520,8 +457,6 @@ class TestCorpusBookkeeping:
 class TestPublicEstimators:
     # exported estimators that no runner reaches yet, each with its reason
     UNREACHED = {
-        "longtime_rate": "the only check of the -lambda_0^beta rate is an acceptance "
-                         "test; a spectrum row for it is still to come",
         "algebra_ratio": "perfbench/spans.py traces it by name",
     }
 

@@ -7,7 +7,7 @@ import pytest
 
 import anharmonic
 from anharmonic import (INF, InvalidSpecError, MixedNormParams, OscillatorSpec,
-                        PotentialSpec, WeightSpec, check_exponent, evaluate_potential,
+                        PotentialSpec, check_exponent, evaluate_potential,
                         exponent_from_json, hermite_oscillator, is_inf, oscillator,
                         oscillator_from_dict, potential_from_dict,
                         submultiplicativity_defect, weight_value)
@@ -157,34 +157,37 @@ class TestWeight:
     def test_pinned_anharmonic_value(self):
         # v_1(1,1) = q1 + sqrt(V(1)) + |1| = 3 for the harmonic case
         osc = hermite_oscillator()
-        w = WeightSpec("anharmonic", 1.0)
-        assert weight_value(w, osc, 1.0, 1.0) == pytest.approx(3.0, rel=1e-12)
+        assert weight_value(1.0, osc, 1.0, 1.0) == pytest.approx(3.0, rel=1e-12)
 
-    def test_polynomial_value(self):
-        w = WeightSpec("polynomial", 2.0)
-        assert weight_value(w, None, 1.0, 2.0) == pytest.approx(16.0, rel=1e-12)
+    def test_harmonic_weight_is_the_bracket(self):
+        # k = l = 1: (1 + |x| + |omega|)^s, here (1 + 1 + 2)^2
+        assert weight_value(2.0, hermite_oscillator(), 1.0, -2.0) == pytest.approx(
+            16.0, rel=1e-12)
 
     def test_flat_is_one(self):
-        w = WeightSpec("flat", 0.0)
-        assert weight_value(w, None, 5.0, -7.0) == 1.0
+        assert weight_value(0.0, None, 5.0, -7.0) == 1.0
 
     def test_s_zero_exact_one(self):
         osc = hermite_oscillator()
-        w = WeightSpec("anharmonic", 0.0)
-        vals = weight_value(w, osc, np.linspace(-4, 4, 9), np.linspace(-4, 4, 9))
+        vals = weight_value(0.0, osc, np.linspace(-4, 4, 9), np.linspace(-4, 4, 9))
         assert np.all(np.asarray(vals) == 1.0)
 
     def test_exponent_additivity(self):
         osc = oscillator(2, 1, 1)
         x, xi = 1.3, -0.7
-        a = weight_value(WeightSpec("anharmonic", 1.25), osc, x, xi)
-        b = weight_value(WeightSpec("anharmonic", 0.75), osc, x, xi)
-        c = weight_value(WeightSpec("anharmonic", 2.0), osc, x, xi)
+        a = weight_value(1.25, osc, x, xi)
+        b = weight_value(0.75, osc, x, xi)
+        c = weight_value(2.0, osc, x, xi)
         assert a * b == pytest.approx(c, rel=1e-12)
 
-    def test_anharmonic_needs_oscillator(self):
+    def test_nonzero_exponent_needs_oscillator(self):
         with pytest.raises(InvalidSpecError):
-            weight_value(WeightSpec("anharmonic", 1.0), None, 1.0, 1.0)
+            weight_value(1.0, None, 1.0, 1.0)
+
+    @pytest.mark.parametrize("s", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_exponent_rejected(self, s):
+        with pytest.raises(InvalidSpecError, match="finite"):
+            weight_value(s, hermite_oscillator(), 1.0, 1.0)
 
     def test_submultiplicativity_scan(self):
         # 10^4 sample pairs; defect must not exceed 1 for q1 >= 1
@@ -192,13 +195,12 @@ class TestWeight:
         rng = np.random.default_rng(42)
         pts = rng.uniform(-5, 5, size=(10000, 4))
         samples = [((p[0], p[1]), (p[2], p[3])) for p in pts]
-        w = WeightSpec("anharmonic", 1.0)
-        assert submultiplicativity_defect(w, osc, samples) <= 1.0 + 1e-12
+        assert submultiplicativity_defect(1.0, osc, samples) <= 1.0 + 1e-12
 
     def test_defect_s0_is_one(self):
         osc = hermite_oscillator()
         samples = [((0.5, 0.5), (1.0, -1.0))]
-        assert submultiplicativity_defect(WeightSpec("anharmonic", 0.0), osc, samples) == 1.0
+        assert submultiplicativity_defect(0.0, osc, samples) == 1.0
 
 
 class TestNormParams:

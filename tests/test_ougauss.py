@@ -6,13 +6,14 @@ import pytest
 
 import anharmonic as ah
 from anharmonic import (DiscardedMassWarning, FieldSample, GaussianConjugation,
-                        Grid, InvalidSpecError, MixedNormParams, ProbeSkipWarning,
-                        WeightSpec, apply_conjugation, conjugation_discarded_mass,
+                        Grid, InvalidSpecError, MixedNormParams, NumericalError,
+                        ProbeSkipWarning,
+                        apply_conjugation, conjugation_discarded_mass,
                         decompose, gaussian_half_density, gaussian_probe_fields,
                         modulation_norm, ou_probe_rate, ou_semigroup, stft)
 from oracles import mixed_norm_reference
 
-FLAT = WeightSpec("flat", 0.0)
+FLAT = 0.0  # the weight exponent of the flat weight
 L2 = MixedNormParams(2.0, 2.0)
 
 
@@ -139,8 +140,7 @@ class TestGaussianNorm:
                                                  gaussian_field, damped_gaussian_abs):
         c = GaussianConjugation(1)
         multiplied = apply_conjugation(c, "forward", gaussian_field)
-        ws = WeightSpec("anharmonic", 1.0)
-        got = modulation_norm(multiplied, ws, hermite_dec.oscillator, L2)
+        got = modulation_norm(multiplied, 1.0, hermite_dec.oscillator, L2)
         # q1 + V^(1/2) + |omega| with V = x^2, q1 = 1 and omega = 2 pi xi
         x = hermite_grid.nodes()[:, 0]
         xi = hermite_grid.frequency_nodes()[:, 0]
@@ -198,14 +198,26 @@ class TestOuProbeRate:
         with pytest.warns(ProbeSkipWarning), pytest.raises(ValueError):
             ou_probe_rate(c, hermite_dec, 1.0, (1.0, 2.0, 3.0), [zero])
 
-    def test_needs_three_times(self, hermite_dec, hermite_grid):
+    def test_needs_three_distinct_times(self, hermite_dec, hermite_grid):
+        """Repeated times count once: two times, or three entries with fewer
+        than three distinct, raise; a repeat beside three distinct times is
+        fitted."""
         c = GaussianConjugation(1)
         ones = FieldSample(hermite_grid, np.ones(hermite_grid.size))
-        with pytest.raises(ValueError):
-            ou_probe_rate(c, hermite_dec, 1.0, (1.0, 2.0), [ones])
-        # three times but one distinct: no slope is determined
-        with pytest.raises(ValueError):
-            ou_probe_rate(c, hermite_dec, 1.0, (1.0, 1.0, 1.0), [ones])
+        for t_list in ((1.0, 2.0), (1.0, 1.0, 1.0), (1.0, 1.0, 2.0), (2.0, 2.0, 2.0)):
+            with pytest.raises(ValueError, match="3 distinct"):
+                ou_probe_rate(c, hermite_dec, 1.0, t_list, [ones])
+        res = ou_probe_rate(c, hermite_dec, 1.0, (1.0, 2.0, 2.0, 3.0), [ones])
+        assert res.slope == pytest.approx(-1.0, rel=1e-9)
+        assert [t for t, _ in res.samples] == [1.0, 2.0, 2.0, 3.0]
+
+    def test_underflowed_bound_raises_numerical(self, hermite_dec, hermite_grid):
+        """At t = 800 the constant probe's bound e^(-800) underflows to 0; its
+        log must not reach the fit as -inf."""
+        c = GaussianConjugation(1)
+        ones = FieldSample(hermite_grid, np.ones(hermite_grid.size))
+        with pytest.raises(NumericalError):
+            ou_probe_rate(c, hermite_dec, 1.0, (1.0, 2.0, 800.0), [ones])
 
     def test_rejects_non_harmonic(self, quartic_dec, hermite_grid):
         c = GaussianConjugation(1)

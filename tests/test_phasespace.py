@@ -7,13 +7,28 @@ import pytest
 import anharmonic as ah
 from anharmonic import (INF, BoundaryMassWarning, FieldSample, Grid,
                         InvalidSpecError, MixedNormParams, NumericalError,
-                        PhaseSpaceField, WeightSpec, apply_conjugation, mixed_norm,
+                        PhaseSpaceField, apply_conjugation, mixed_norm,
                         modulation_norm, modulation_norms, stft, weight_value)
 from anharmonic.phasespace import _gaussian_window_values
 from oracles import (gaussian_lattice_stft_abs, gaussian_window_transform_abs,
                      mixed_norm_reference)
 
-FLAT = WeightSpec("flat", 0.0)
+FLAT = 0.0  # the weight exponent of the flat weight
+HARMONIC = ah.hermite_oscillator()
+
+
+def harmonic_lattice(grid, s):
+    """(1 + |x| + 2 pi |xi|)^s: the k = l = 1 weight in angular frequency."""
+    x = grid.nodes()[:, 0]
+    xi = grid.frequency_nodes()[:, 0]
+    return (1.0 + np.abs(x)[:, None] + 2.0 * np.pi * np.abs(xi)[None, :]) ** s
+
+
+def quartic_lattice(grid, s):
+    """(1 + x^2 + 2 pi |xi|)^s: quartic V = x^4 and l = 1 in angular frequency."""
+    x = grid.nodes()[:, 0]
+    xi = grid.frequency_nodes()[:, 0]
+    return (1.0 + x[:, None] ** 2 + 2.0 * np.pi * np.abs(xi)[None, :]) ** s
 
 
 def unit_gaussian(grid):
@@ -112,46 +127,40 @@ class TestMixedNorm:
         rng = np.random.default_rng(7)
         vals = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         field = PhaseSpaceField(grid, vals)
-        w = WeightSpec("polynomial", 1.5)
-        x = grid.nodes()[:, 0]
-        xi = grid.frequency_nodes()[:, 0]
-        lattice = (1.0 + np.abs(x)[:, None] + np.abs(xi)[None, :]) ** 1.5
-        expected = mixed_norm_reference(vals, lattice, p, q,
+        expected = mixed_norm_reference(vals, harmonic_lattice(grid, 1.5), p, q,
                                         grid.cell_volume, grid.frequency_cell)
         params = MixedNormParams(INF if p == "inf" else p, INF if q == "inf" else q)
-        got = mixed_norm(field, w, None, params)
+        got = mixed_norm(field, 1.5, HARMONIC, params)
         assert got == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("p,q", [(1.0, 1.0), (2.0, 1.0), ("inf", 1.0),
                                      (1.0, "inf")])
-    @pytest.mark.parametrize("kind,s", [("anharmonic", 1.0), ("polynomial", 2.0)])
-    def test_point_mass_value(self, p, q, kind, s, quartic_osc):
+    @pytest.mark.parametrize("k,s", [(2, 1.0), (1, 2.0)])
+    def test_point_mass_value(self, p, q, k, s):
         """A single lattice point carries |c| w(x_i, xi_n) h^(1/p) (1/2L)^(1/q);
-        the symbol-adapted weight reads the frequency in angular scale."""
+        the weight reads the frequency in angular scale."""
         grid = Grid(1, 16, 4.0)
         i, n = 11, 5
         vals = np.zeros((16, 16), dtype=complex)
         vals[i, n] = 2.0 - 1.0j
         field = PhaseSpaceField(grid, vals)
-        w = WeightSpec(kind, s)
-        osc = quartic_osc if kind == "anharmonic" else None
+        osc = ah.oscillator(k, 1)
         x = grid.nodes()[i, 0]
         xi = grid.frequency_nodes()[n, 0]
-        wf = weight_value(w, osc, x, 2.0 * np.pi * xi if kind == "anharmonic" else xi)
+        wf = weight_value(s, osc, x, 2.0 * np.pi * xi)
         expected = abs(2.0 - 1.0j) * wf
         if p != "inf":
             expected *= grid.cell_volume ** (1.0 / p)
         if q != "inf":
             expected *= grid.frequency_cell ** (1.0 / q)
         params = MixedNormParams(INF if p == "inf" else p, INF if q == "inf" else q)
-        assert mixed_norm(field, w, osc, params) == pytest.approx(expected, rel=1e-12)
+        assert mixed_norm(field, s, osc, params) == pytest.approx(expected, rel=1e-12)
 
-    def test_anharmonic_weight_needs_oscillator(self):
+    def test_weighted_norm_needs_oscillator(self):
         grid = Grid(1, 8, 4.0)
         field = PhaseSpaceField(grid, np.ones((8, 8)))
         with pytest.raises(InvalidSpecError):
-            mixed_norm(field, WeightSpec("anharmonic", 1.0), None,
-                       MixedNormParams(1.0, 1.0))
+            mixed_norm(field, 1.0, None, MixedNormParams(1.0, 1.0))
 
     def test_nonfinite_values_raise(self):
         grid = Grid(1, 8, 4.0)
@@ -161,9 +170,9 @@ class TestMixedNorm:
         with pytest.raises(NumericalError):
             mixed_norm(field, FLAT, None, MixedNormParams(1.0, 1.0))
 
-    def test_zero_order_weight_is_flat(self, hermite_grid, gaussian_field):
+    def test_zero_order_weight_ignores_the_oscillator(self, hermite_grid, gaussian_field):
         out = stft(gaussian_field)
-        a = mixed_norm(out, WeightSpec("polynomial", 0.0), None, MixedNormParams(1.0, 2.0))
+        a = mixed_norm(out, 0.0, HARMONIC, MixedNormParams(1.0, 2.0))
         b = mixed_norm(out, FLAT, None, MixedNormParams(1.0, 2.0))
         assert a == b
 
@@ -200,15 +209,12 @@ class TestModulationNorm:
         damped = FieldSample(hermite_grid, gaussian_field.values * half)
         conj = apply_conjugation(ah.GaussianConjugation(1), "forward", gaussian_field)
         params = MixedNormParams(2.0, 1.0)
-        w = WeightSpec("polynomial", 1.0)
-        x = hermite_grid.nodes()[:, 0]
-        xi = hermite_grid.frequency_nodes()[:, 0]
-        lattice = 1.0 + np.abs(x)[:, None] + np.abs(xi)[None, :]
-        expected = mixed_norm_reference(damped_gaussian_abs, lattice, 2.0, 1.0,
+        expected = mixed_norm_reference(damped_gaussian_abs,
+                                        harmonic_lattice(hermite_grid, 1.0), 2.0, 1.0,
                                         hermite_grid.cell_volume,
                                         hermite_grid.frequency_cell)
-        via_route = mixed_norm(stft(conj), w, None, params)
-        by_hand = modulation_norm(damped, w, None, params)
+        via_route = mixed_norm(stft(conj), 1.0, HARMONIC, params)
+        by_hand = modulation_norm(damped, 1.0, HARMONIC, params)
         assert via_route == pytest.approx(expected, rel=1e-10)
         assert by_hand == pytest.approx(expected, rel=1e-10)
 
@@ -233,17 +239,12 @@ def _unit_gaussian_oracle(grid, weight, p, q):
 
 
 def _oracle_weight(kind, grid, quartic_osc):
-    """(WeightSpec, oscillator, lattice built here from the weight's formula)."""
-    x = grid.nodes()[:, 0]
-    xi = grid.frequency_nodes()[:, 0]
+    """(weight exponent, oscillator, lattice built here from the weight's formula)."""
     if kind == "flat":
         return FLAT, None, 1.0
-    if kind == "polynomial":
-        return (WeightSpec("polynomial", 1.5), None,
-                (1.0 + np.abs(x)[:, None] + np.abs(xi)[None, :]) ** 1.5)
-    # quartic V = x^4 and l = 1: (1 + x^2 + 2 pi |xi|)^s in angular frequency
-    return (WeightSpec("anharmonic", 0.75), quartic_osc,
-            (1.0 + x[:, None] ** 2 + 2.0 * np.pi * np.abs(xi)[None, :]) ** 0.75)
+    if kind == "harmonic":
+        return 1.5, HARMONIC, harmonic_lattice(grid, 1.5)
+    return 0.75, quartic_osc, quartic_lattice(grid, 0.75)
 
 
 class TestStreamedNormOracle:
@@ -256,31 +257,30 @@ class TestStreamedNormOracle:
 
     @pytest.mark.parametrize("p", ORACLE_EXPONENTS, ids=_exponent_id)
     @pytest.mark.parametrize("q", ORACLE_EXPONENTS, ids=_exponent_id)
-    @pytest.mark.parametrize("kind", ["flat", "polynomial", "anharmonic"])
+    @pytest.mark.parametrize("kind", ["flat", "harmonic", "anharmonic"])
     def test_one_dimension(self, kind, p, q, quartic_osc):
         grid = self.GRID
-        ws, osc, weight = _oracle_weight(kind, grid, quartic_osc)
+        s, osc, weight = _oracle_weight(kind, grid, quartic_osc)
         expected = _unit_gaussian_oracle(grid, weight, p, q)
-        got = modulation_norm(unit_gaussian(grid), ws, osc, MixedNormParams(p, q))
+        got = modulation_norm(unit_gaussian(grid), s, osc, MixedNormParams(p, q))
         assert got == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("p,q", [(1.0, 6.0), (2.0, INF), (6.0, 1.0), (INF, 2.0)],
                              ids=_exponent_id)
     def test_complex_field_route(self, p, q):
         """A complex d=1 field takes the full-spectrum path: the shifted,
-        modulated unit gaussian against its closed form, polynomial weight."""
+        modulated unit gaussian against its closed form, harmonic weight."""
         grid = self.GRID
         x = grid.nodes()[:, 0]
         xi = grid.frequency_nodes()[:, 0]
         b, c = 0.5, 1.25
         mag = gaussian_lattice_stft_abs(x, xi, 2.0 ** 0.25, np.pi, b, c, grid.h)
-        weight = (1.0 + np.abs(x)[:, None] + np.abs(xi)[None, :]) ** 1.5
-        expected = mixed_norm_reference(mag, weight, _oracle_exponent(p),
+        expected = mixed_norm_reference(mag, harmonic_lattice(grid, 1.5), _oracle_exponent(p),
                                         _oracle_exponent(q), grid.cell_volume,
                                         grid.frequency_cell)
         f = FieldSample(grid, 2.0 ** 0.25 * np.exp(-np.pi * (x - b) ** 2)
                         * np.exp(2j * np.pi * c * x))
-        got = modulation_norm(f, WeightSpec("polynomial", 1.5), None, MixedNormParams(p, q))
+        got = modulation_norm(f, 1.5, HARMONIC, MixedNormParams(p, q))
         assert got == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("modulated", [False, True], ids=["gaussian", "modulated"])
@@ -320,10 +320,10 @@ class TestRealStateNorm:
 
     @pytest.mark.parametrize("p,q", [(1.0, 1.0), (2.0, 1.0), (6.0, 2.0), (INF, 2.0),
                                      (2.0, INF), (0.5, 0.5)], ids=_exponent_id)
-    @pytest.mark.parametrize("kind", ["flat", "polynomial", "anharmonic"])
+    @pytest.mark.parametrize("kind", ["flat", "harmonic", "anharmonic"])
     def test_against_aliased_closed_form(self, kind, p, q, quartic_osc):
         grid = self.GRID
-        ws, osc, weight = _oracle_weight(kind, grid, quartic_osc)
+        s, osc, weight = _oracle_weight(kind, grid, quartic_osc)
         mag = gaussian_lattice_stft_abs(grid.nodes()[:, 0], grid.frequency_nodes()[:, 0],
                                         self.AMP, self.A, self.B, 0.0, grid.h)
         expected = mixed_norm_reference(mag, weight, _oracle_exponent(p),
@@ -331,13 +331,13 @@ class TestRealStateNorm:
                                         grid.frequency_cell)
         f = self.field()
         params = MixedNormParams(p, q)
-        got = modulation_norm(f, ws, osc, params)
+        got = modulation_norm(f, s, osc, params)
         assert got == pytest.approx(expected, rel=1e-10)
         # an imaginary part far below round-off sends the same field down the
         # full-spectrum path
         vals = np.array(f.values)
         vals[grid.size // 3] += 1e-300j
-        full = modulation_norm(FieldSample(grid, vals), ws, osc, params)
+        full = modulation_norm(FieldSample(grid, vals), s, osc, params)
         assert got == pytest.approx(full, rel=1e-13)
 
 
@@ -351,9 +351,9 @@ class TestStreamedNormGuards:
 
     @pytest.mark.parametrize("p", [2.0, INF], ids=_exponent_id)
     def test_overflowing_weight_raises(self, hermite_grid, p):
-        # (1 + |x| + |xi|)^400 overflows to inf away from the origin
+        # (1 + |x| + 2 pi |xi|)^400 overflows to inf away from the origin
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
-            modulation_norm(unit_gaussian(hermite_grid), WeightSpec("polynomial", 400.0), None,
+            modulation_norm(unit_gaussian(hermite_grid), 400.0, HARMONIC,
                             MixedNormParams(p, 1.0))
 
     @pytest.mark.parametrize("transform", ["stft", "modulation_norm", "singular_weight_norm"])
@@ -376,7 +376,7 @@ class TestStreamedNormGuards:
         """One warm 512-point norm allocates less than one (size, size) complex
         lattice (4 MiB); building the phase-space field would take three times that."""
         f = unit_gaussian(hermite_grid)
-        args = (WeightSpec("anharmonic", 2.0), quartic_osc, MixedNormParams(2.0, 1.0))
+        args = (2.0, quartic_osc, MixedNormParams(2.0, 1.0))
         modulation_norm(f, *args)  # fills the window-table and weight-lattice caches
         tracemalloc.start()
         try:
@@ -390,18 +390,18 @@ class TestStreamedNormGuards:
 class TestSharedPass:
     """``modulation_norms`` reduces one STFT pass under several weights. Each
     value must be the one-weight ``modulation_norm`` bit for bit, whatever
-    the weight's place in the list: a flat weight reduces the raw magnitudes,
+    the weight's place in the list: s = 0 reduces the raw magnitudes,
     the others weight a copy of the block, the last one weights it in place."""
 
     GRID = TestRealStateNorm.GRID  # two row blocks of the streamed pass
     AMP, A, B, C = 2.0, 2.0, 0.75, 0.5
 
     def case(self, name):
-        """(field, oscillator, the two non-flat weights)."""
+        """(field, oscillator, the two non-zero weight exponents)."""
         grid = self.GRID
         x = grid.axis_nodes()
         real = self.AMP * np.exp(-self.A * (x - self.B) ** 2)
-        weighted = (WeightSpec("polynomial", 1.5), WeightSpec("anharmonic", 0.75))
+        weighted = (1.5, 0.75)
         osc = ah.oscillator(2, 1)
         if name == "real":  # the half-spectrum branch
             return FieldSample(grid, real), osc, weighted
@@ -424,7 +424,7 @@ class TestSharedPass:
         weights.insert(flat_at, FLAT)
         params = MixedNormParams(p, q)
         got = modulation_norms(f, weights, osc, params)
-        assert got == [modulation_norm(f, ws, osc, params) for ws in weights]
+        assert got == [modulation_norm(f, s, osc, params) for s in weights]
 
     @pytest.mark.parametrize("name", ["real", "complex"])
     def test_against_aliased_closed_form(self, name, quartic_osc):
@@ -433,11 +433,11 @@ class TestSharedPass:
         c = self.C if name == "complex" else 0.0
         mag = gaussian_lattice_stft_abs(grid.nodes()[:, 0], grid.frequency_nodes()[:, 0],
                                         self.AMP, self.A, self.B, c, grid.h)
-        kinds = ["polynomial", "flat", "anharmonic"]
-        specs = [_oracle_weight(kind, grid, quartic_osc) for kind in kinds]
+        specs = [(1.5, quartic_lattice(grid, 1.5)), (FLAT, 1.0),
+                 (0.75, quartic_lattice(grid, 0.75))]
         params = MixedNormParams(6.0, 2.0)
-        got = modulation_norms(f, [ws for ws, _, _ in specs], quartic_osc, params)
-        for value, (_, _, weight) in zip(got, specs):
+        got = modulation_norms(f, [s for s, _ in specs], quartic_osc, params)
+        for value, (_, weight) in zip(got, specs):
             expected = mixed_norm_reference(mag, weight, 6.0, 2.0, grid.cell_volume,
                                             grid.frequency_cell)
             assert value == pytest.approx(expected, rel=1e-10)
@@ -447,17 +447,16 @@ class TestSharedPass:
     @pytest.mark.parametrize("name", ["real", "complex"])
     def test_overflowing_weight_raises_in_any_place(self, name, at, p):
         f, osc, _ = self.case(name)
-        weights = [FLAT, WeightSpec("polynomial", 1.5)]
-        # (1 + |x| + |xi|)^400 overflows to inf away from the origin
-        weights.insert(at, WeightSpec("polynomial", 400.0))
+        weights = [FLAT, 1.5]
+        # (1 + x^2 + 2 pi |xi|)^400 overflows to inf away from the origin
+        weights.insert(at, 400.0)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
             modulation_norms(f, weights, osc, MixedNormParams(p, 1.0))
 
     def test_boundary_mass_warns_once_per_field(self):
         grid = Grid(1, 128, 6.0)
         f = FieldSample(grid, np.ones(grid.size))
-        weights = [FLAT, WeightSpec("polynomial", 1.0), WeightSpec("polynomial", 2.0)]
         with pytest.warns(BoundaryMassWarning) as record:
-            modulation_norms(f, weights, None, MixedNormParams(2.0, 2.0))
+            modulation_norms(f, [FLAT, 1.0, 2.0], HARMONIC, MixedNormParams(2.0, 2.0))
         assert len(record) == 1
         assert record[0].filename == __file__

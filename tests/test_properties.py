@@ -11,10 +11,9 @@ import pytest
 
 from anharmonic import INF
 from anharmonic.estimators import sigma_exponent
-from anharmonic.model import (OscillatorSpec, PotentialSpec, WeightSpec,
-                              evaluate_potential, exponent_from_json, is_inf,
-                              oscillator, oscillator_from_dict, potential_from_dict,
-                              submultiplicativity_defect, weight_value)
+from anharmonic.model import (OscillatorSpec, PotentialSpec, evaluate_potential,
+                              exponent_from_json, is_inf, oscillator, oscillator_from_dict,
+                              potential_from_dict, submultiplicativity_defect, weight_value)
 from anharmonic.phasespace import _column_reduce, _outer_reduce
 from oracles import mixed_norm_reference
 
@@ -73,24 +72,23 @@ class TestWeightAlgebra:
     def test_exponent_additivity(self):
         """w_{s1+s2} = w_{s1} * w_{s2} pointwise for a shared base."""
         for _ in range(30):
-            kind = rng.choice(["anharmonic", "polynomial"])
             osc = oscillator(int(rng.integers(1, 4)), int(rng.integers(1, 4)),
                              q1=float(rng.uniform(1.0, 3.0)))
             s1, s2 = rng.uniform(0.0, 3.0, 2)
             x, xi = rng.normal(scale=3.0, size=2)
-            combined = weight_value(WeightSpec(kind, s1 + s2), osc, x, xi)
-            split = (weight_value(WeightSpec(kind, s1), osc, x, xi)
-                     * weight_value(WeightSpec(kind, s2), osc, x, xi))
+            combined = weight_value(s1 + s2, osc, x, xi)
+            split = weight_value(s1, osc, x, xi) * weight_value(s2, osc, x, xi)
             assert combined == pytest.approx(split, rel=1e-12)
 
-    def test_polynomial_weight_is_submultiplicative(self):
-        """(1+|x+y|+|xi+eta|)^s <= ((1+|x|+|xi|)(1+|y|+|eta|))^s, so the
-        sampled defect never exceeds 1."""
+    def test_harmonic_weight_is_submultiplicative(self):
+        """For k = l = 1 and q1 >= 1, q1 + |x+y| + |xi+eta| <= (q1 + |x| +
+        |xi|)(q1 + |y| + |eta|), so the sampled defect never exceeds 1."""
         for _ in range(20):
-            w = WeightSpec("polynomial", float(rng.uniform(0.0, 4.0)))
+            s = float(rng.uniform(0.0, 4.0))
+            osc = oscillator(1, 1, q1=float(rng.uniform(1.0, 2.0)))
             pairs = [((float(a), float(b)), (float(c), float(d)))
                      for a, b, c, d in rng.normal(scale=5.0, size=(40, 4))]
-            assert submultiplicativity_defect(w, None, pairs) <= 1.0 + 1e-12
+            assert submultiplicativity_defect(s, osc, pairs) <= 1.0 + 1e-12
 
     def test_anharmonic_defect_bounded_by_degree(self):
         """Triangle inequality plus convexity of t^m gives the uniform bound
@@ -100,17 +98,15 @@ class TestWeightAlgebra:
             l = int(rng.integers(1, 4))
             s = float(rng.uniform(0.0, 2.5))
             osc = oscillator(k, l, q1=float(rng.uniform(1.0, 2.0)))
-            w = WeightSpec("anharmonic", s)
             pairs = [((float(a), float(b)), (float(c), float(d)))
                      for a, b, c, d in rng.normal(scale=4.0, size=(40, 4))]
             bound = 2.0 ** (s * (max(k, l) - 1))
-            assert submultiplicativity_defect(w, osc, pairs) <= bound * (1 + 1e-12)
+            assert submultiplicativity_defect(s, osc, pairs) <= bound * (1 + 1e-12)
 
     def test_flat_weight_is_one_everywhere(self):
-        w = WeightSpec("flat")
         for _ in range(10):
             x, xi = rng.normal(scale=10.0, size=2)
-            assert weight_value(w, None, x, xi) == 1.0
+            assert weight_value(0.0, None, x, xi) == 1.0
 
 
 class TestExponentArithmetic:
