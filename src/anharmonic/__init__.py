@@ -18,9 +18,9 @@ from .model import (INF, MixedNormParams, OscillatorSpec, PotentialSpec, check_e
                     oscillator, oscillator_from_dict, potential_from_dict,
                     submultiplicativity_defect, weight_value)
 from .spectral import (FieldSample, Grid, SpectralDecomposition, assemble_operator,
-                       decompose, eigendecompose, field_from_function)
-from .calculus import (SemigroupQuery, apply_spectral_function, fractional_power,
-                       heat_semigroup, project, sobolev_norm)
+                       decompose, eigendecompose)
+from .calculus import (SemigroupQuery, apply_spectral_function, heat_semigroup, project,
+                       sobolev_norm)
 from .phasespace import (PhaseSpaceField, gaussian_half_density, mixed_norm, modulation_norm,
                          modulation_norms, stft)
 from .estimators import (EquivalenceBand, LogLinearFit, SingularWeightResult,
@@ -30,8 +30,8 @@ from .estimators import (EquivalenceBand, LogLinearFit, SingularWeightResult,
                          sigma_exponent, singular_weight_norm, smoothing_decay_run,
                          sobolev_modulation_equivalence, standard_probe_family,
                          weight_quotient_norm)
-from .nlheat import (NonlinearProblemSpec, Trajectory, apply_nonlinearity,
-                     duhamel_residual, etd_evolve, picard_solve)
+from .nlheat import (NonlinearProblemSpec, Trajectory, duhamel_residual, etd_evolve,
+                     picard_solve)
 from .ougauss import (GaussianConjugation, apply_conjugation, conjugation_discarded_mass,
                       ou_semigroup)
 
@@ -47,11 +47,11 @@ __all__ = [
     "submultiplicativity_defect", "MixedNormParams", "exponent_from_json",
     "potential_from_dict", "oscillator_from_dict",
     # spectral
-    "Grid", "FieldSample", "field_from_function", "assemble_operator",
+    "Grid", "FieldSample", "assemble_operator",
     "SpectralDecomposition", "eigendecompose", "decompose",
     # calculus
-    "SemigroupQuery", "apply_spectral_function", "heat_semigroup", "fractional_power",
-    "project", "sobolev_norm",
+    "SemigroupQuery", "apply_spectral_function", "heat_semigroup", "project",
+    "sobolev_norm",
     # phasespace
     "PhaseSpaceField", "stft", "gaussian_half_density", "mixed_norm", "modulation_norm",
     "modulation_norms",
@@ -64,7 +64,7 @@ __all__ = [
     "SingularWeightResult", "singular_weight_norm", "EquivalenceBand",
     "sobolev_modulation_equivalence",
     # nlheat
-    "NonlinearProblemSpec", "apply_nonlinearity", "Trajectory", "picard_solve",
+    "NonlinearProblemSpec", "Trajectory", "picard_solve",
     "etd_evolve", "duhamel_residual",
     # ougauss
     "GaussianConjugation", "conjugation_discarded_mass", "apply_conjugation",

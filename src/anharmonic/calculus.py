@@ -1,5 +1,9 @@
 """Functions of the operator through its eigendecomposition.
 
+``apply_spectral_function`` is the one entry point for phi(H) f: the heat
+semigroup is its exponential case, and a fractional power H^b f is one call
+with phi = lambda ** b. Projections and Sobolev norms read the coefficients.
+
 All operations act on the retained-mode component of a field; when a field
 has more than a sliver of energy outside that span, an OffSpanWarning is
 emitted with the discarded fraction.
@@ -74,14 +78,6 @@ def heat_semigroup(query: SemigroupQuery, f: FieldSample) -> FieldSample:
     dec = query.decomposition
     t, beta = query.t, query.beta
     return apply_spectral_function(dec, lambda lam: np.exp(-t * lam ** beta), f)
-
-
-def fractional_power(dec: SpectralDecomposition, beta: float, f: FieldSample) -> FieldSample:
-    """H^beta f on the retained span. beta=0 is the spectral identity."""
-    beta = float(beta)
-    if not np.isfinite(beta):
-        raise ValueError("beta must be finite")
-    return apply_spectral_function(dec, lambda lam: lam ** beta, f)
 
 
 def project(dec: SpectralDecomposition, j: int, f: FieldSample) -> FieldSample:

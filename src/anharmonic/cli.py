@@ -34,8 +34,8 @@ from .estimators import (WeightQuotientParams, algebra_ratios, eigenvalue_growth
                          gaussian_probe_fields, ou_probe_rate, sigma_exponent,
                          singular_weight_norm, smoothing_decay_run,
                          sobolev_modulation_equivalence, standard_probe_family)
-from .nlheat import (NonlinearProblemSpec, _check_steps, duhamel_residual, etd_evolve,
-                     picard_solve)
+from .nlheat import (NonlinearProblemSpec, _check_order, _check_steps, _check_tol,
+                     duhamel_residual, etd_evolve, picard_solve)
 from .ougauss import GaussianConjugation, apply_conjugation, ou_semigroup
 from .phasespace import mixed_norm, modulation_norm, stft
 from .spectral import FieldSample, Grid, decompose
@@ -45,6 +45,22 @@ _NORMS_CHECKS = ("moyal", "equivalence", "algebra", "singular")
 _FORMATS = ("json", "csv", "both")
 _DEFAULT_SEED = 1234
 _L2_GAMMA_TOL = 1e-9  # Moyal holds up to the window-norm error, capped at 1e-10
+# the keys each runner reads: params per kind, then the nested blocks by
+# field path. Any other key would silently take a default, so it exits 2.
+_KEYS = {
+    "spectrum": ("cases",),
+    "decay": ("tuples", "form", "radius", "resolution", "t_list"),
+    "norms": ("checks", "modes"),
+    "nlheat": ("modes", "kind", "nu", "coupling_re", "coupling_im", "alpha", "monitor",
+               "initial_norm", "horizon", "dt", "tol", "beta", "etd"),
+    "ou": ("modes", "safe_radius", "beta", "t_check", "gauss_probes", "rate_t_list"),
+    "selftest": (),
+    "grid": ("dimension", "points_per_axis", "half_width"),
+    "params.cases": ("k", "l", "dimension", "points", "half_width", "modes", "j_lo",
+                     "j_hi", "tolerance"),
+    "params.tuples": ("k", "l", "beta", "p_tilde", "q_tilde", "s2", "tolerance", "r2_min"),
+    "params.etd": ("horizon", "dt", "order"),
+}
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -109,6 +125,21 @@ def _get(obj, key, types, default=None, required=False, where=""):
     return val
 
 
+def _selection(params, key, default):
+    """The ``key`` list of params; an empty one runs nothing, so it exits 2."""
+    items = _get(params, key, list, default=default, where="params.")
+    _require(items, "the manifest selects no checks", "params")
+    return items
+
+
+def _reject_unknown(block, known, where=""):
+    """SchemaError naming each key of a dict ``block`` outside ``known``; a
+    block of another type is left to the runner that reads it."""
+    if isinstance(block, dict):
+        unknown = [where + key for key in sorted(set(block) - set(known))]
+        _require(not unknown, f"unknown manifest fields: {unknown}", ",".join(unknown))
+
+
 def load_manifest(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -134,23 +165,28 @@ def validate_manifest(manifest: dict) -> None:
     fmt = _get(manifest, "format", str, default="both")
     _require(fmt in _FORMATS, f"format must be one of {_FORMATS}", "format")
     _get(manifest, "output_dir", str, default=None)
-    _get(manifest, "params", dict, default={})
+    params = _get(manifest, "params", dict, default={})
     if "oscillator" in manifest:
         _require(isinstance(manifest["oscillator"], dict), "oscillator must be an object",
                  "oscillator")
     if "grid" in manifest:
         _require(isinstance(manifest["grid"], dict), "grid must be an object", "grid")
-    known = {"schema", "kind", "seed", "format", "output_dir", "params",
-             "oscillator", "grid"}
-    unknown = set(manifest) - known
-    _require(not unknown, f"unknown manifest fields: {sorted(unknown)}",
-             ",".join(sorted(unknown)))
+    _reject_unknown(manifest, ("schema", "kind", "seed", "format", "output_dir", "params",
+                               "oscillator", "grid"))
+    _reject_unknown(manifest.get("grid"), _KEYS["grid"], "grid.")
+    _reject_unknown(params, _KEYS[kind], "params.")
+    for key in _KEYS[kind]:
+        nested = _KEYS.get(f"params.{key}")
+        if nested is not None:  # cases and tuples are lists of blocks, etd one block
+            value = params.get(key)
+            for block in value if isinstance(value, list) else [value]:
+                _reject_unknown(block, nested, f"params.{key}.")
 
 
-def _grid_from_manifest(manifest, default=None) -> Grid:
+def _grid_from_manifest(manifest) -> Grid:
     data = manifest.get("grid")
     if data is None:
-        return default or Grid()
+        return Grid()
     try:
         return Grid(int(data.get("dimension", 1)),
                     int(data.get("points_per_axis", 512)),
@@ -179,11 +215,11 @@ def _canonical_hash(manifest: dict, seed: int) -> str:
 
 def _run_spectrum(manifest, seed, record):
     params = manifest.get("params", {})
-    cases = _get(params, "cases", list, default=[
+    cases = _selection(params, "cases", [
         {"k": 1, "l": 1, "half_width": 25.0},
         {"k": 2, "l": 1, "half_width": 12.0},
         {"k": 1, "l": 2, "half_width": 60.0},
-    ], where="params.")
+    ])
     for case in cases:
         _require(isinstance(case, dict), "each spectrum case must be an object",
                  "params.cases")
@@ -232,11 +268,11 @@ def _parse_exponent(value, where):
 
 def _run_decay(manifest, seed, record):
     params = manifest.get("params", {})
-    tuples = _get(params, "tuples", list, default=[
+    tuples = _selection(params, "tuples", [
         {"k": 1, "l": 1, "beta": 1.0, "p_tilde": 1.0, "q_tilde": 1.0},
         {"k": 2, "l": 1, "beta": 1.0, "p_tilde": 2.0, "q_tilde": 2.0},
         {"k": 1, "l": 2, "beta": 2.0, "p_tilde": 2.0, "q_tilde": "inf"},
-    ], where="params.")
+    ])
     form = str(params.get("form", "scaled"))
     radius = float(params.get("radius", 30.0))
     resolution = int(params.get("resolution", 2048))
@@ -283,7 +319,7 @@ def _run_decay(manifest, seed, record):
 
 def _run_norms(manifest, seed, record):
     params = manifest.get("params", {})
-    checks = _get(params, "checks", list, default=list(_NORMS_CHECKS), where="params.")
+    checks = _selection(params, "checks", list(_NORMS_CHECKS))
     unknown = [c for c in checks if c not in _NORMS_CHECKS]
     _require(not unknown, f"unknown norms checks {unknown}; known: {_NORMS_CHECKS}",
              "params.checks")
@@ -343,11 +379,8 @@ def _gaussian_initial(grid) -> FieldSample:
 
 
 def _run_nlheat(manifest, seed, record):
+    # every value that needs no decomposition is checked before it is built
     params = manifest.get("params", {})
-    grid = _grid_from_manifest(manifest)
-    osc = _oscillator_from_manifest(manifest)
-    modes = int(params.get("modes", min(grid.size // 2, 384)))
-    dec = decompose(osc, grid, modes)
     kind = str(params.get("kind", "power"))
     nu = int(params.get("nu", 1))
     coupling = complex(params.get("coupling_re", -1.0), params.get("coupling_im", 0.0))
@@ -356,13 +389,28 @@ def _run_nlheat(manifest, seed, record):
     _require(len(mon_raw) == 3, "params.monitor must be [p, q, s]", "params.monitor")
     monitor = (_parse_exponent(mon_raw[0], "params.monitor"),
                _parse_exponent(mon_raw[1], "params.monitor"), float(mon_raw[2]))
+    _require(np.isfinite(monitor[2]), "weight exponent must be finite", "params.monitor")
     initial_norm = float(params.get("initial_norm", 0.05))
     _require(np.isfinite(initial_norm) and initial_norm > 0,
              "params.initial_norm must be a finite real > 0", "params.initial_norm")
     horizon = float(params.get("horizon", 5.0))
     dt = float(params.get("dt", 5e-3))
+    _check_steps(horizon, dt)
     tol = float(params.get("tol", 1e-8))
+    _check_tol(tol)
+    etd_cfg = params.get("etd")
+    if etd_cfg is not None:
+        _require(isinstance(etd_cfg, dict), "params.etd must be an object", "params.etd")
+        e_hor = float(etd_cfg.get("horizon", 1.0))
+        e_dt = float(etd_cfg.get("dt", 1e-3))
+        order = int(etd_cfg.get("order", 2))
+        e_steps = _check_steps(e_hor, e_dt)
+        _check_order(order)
 
+    grid = _grid_from_manifest(manifest)
+    osc = _oscillator_from_manifest(manifest)
+    modes = int(params.get("modes", min(grid.size // 2, 384)))
+    dec = decompose(osc, grid, modes)
     base = _gaussian_initial(grid)
     try:
         spec = NonlinearProblemSpec(dec, base, beta=float(params.get("beta", 1.0)),
@@ -386,15 +434,9 @@ def _run_nlheat(manifest, seed, record):
     record.results.append(_result("duhamel_residual", residual, 0.0, residual,
                                   1e-4 * scale, residual <= 1e-4 * scale))
 
-    etd_cfg = params.get("etd")
     if etd_cfg is not None:
-        _require(isinstance(etd_cfg, dict), "params.etd must be an object", "params.etd")
-        e_hor = float(etd_cfg.get("horizon", 1.0))
-        e_dt = float(etd_cfg.get("dt", 1e-3))
-        order = int(etd_cfg.get("order", 2))
         # only the final coefficients are read: checkpoint (and measure the
         # monitored norm) at the two ends alone
-        e_steps = _check_steps(e_hor, e_dt)
         p_short = picard_solve(spec, e_hor, e_dt, tol=tol, checkpoint_stride=e_steps)
         e_traj = etd_evolve(spec, e_hor, e_dt, order=order, checkpoint_stride=e_steps)
         engine_gap = p_short.final_coeffs - e_traj.final_coeffs
@@ -447,7 +489,7 @@ def _run_ou(manifest, seed, record):
 
     probes = gaussian_probe_fields(grid, int(params.get("gauss_probes", 30)), seed)
     rate = ou_probe_rate(conj, dec, beta, params.get("rate_t_list", [1, 2, 3, 4, 5]),
-                         probes, 0.0, l2_params)
+                         probes)
     record.results.append(_result("ou_longtime_rate", rate.slope, rate.target,
                                   rate.rel_deviation, 0.05, rate.rel_deviation <= 0.05))
     record.series["ou_rate"] = {
@@ -542,11 +584,9 @@ def _format_cell(value):
 def emit_plot_data(record: ReportRecord, out_dir) -> list:
     """One CSV per series, independent variable first; returns written paths.
 
-    An empty record emits nothing and warns.
+    A record without series (selftest, norms) writes nothing.
     """
     if not record.series:
-        warnings.warn("report record has no series; nothing to plot", UserWarning,
-                      stacklevel=2)
         return []
     os.makedirs(out_dir, exist_ok=True)
     paths = []
@@ -591,7 +631,7 @@ def run_manifest(path, out_dir=None, fmt=None, seed=None, verbose=False,
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             _RUNNERS[manifest["kind"]](manifest, effective_seed, record)
-        # an empty checks, cases or tuples list runs nothing: no exit 0 for it
+        # backstop for a run that adds no row (empty selections exit 2 earlier)
         _require(record.results, "the manifest selects no checks", "params")
         # one report entry per warning category: first message plus an event
         # count, so repeated per-step diagnostics neither flood nor vanish
@@ -622,9 +662,7 @@ def run_manifest(path, out_dir=None, fmt=None, seed=None, verbose=False,
 
     try:
         _write_report_json(record, effective_out)
-        if effective_fmt in ("csv", "both") and record.series:
-            # selftest runs carry no series; skipping avoids a spurious
-            # nothing-to-plot warning on every invocation
+        if effective_fmt in ("csv", "both"):
             emit_plot_data(record, effective_out)
     except OSError as exc:
         print(f"write failure: {exc}", file=sys.stderr)

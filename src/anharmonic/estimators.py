@@ -14,7 +14,7 @@ operator norms.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,8 @@ PROBE_SEED = 1234
 
 _GUARD_REL = 5e-3
 _DEFAULT_T_GRID = tuple(np.logspace(-1, -3, 6))
+_L2 = MixedNormParams(2.0, 2.0)
+_TAIL_BULK_RADIUS, _TAIL_RADIUS = 1.0, 2.5  # singular_weight_norm's xi tails
 
 
 def sigma_exponent(k: int, l: int, beta: float, dimension: int, p_tilde, q_tilde) -> float:
@@ -46,6 +48,8 @@ def sigma_exponent(k: int, l: int, beta: float, dimension: int, p_tilde, q_tilde
 
 
 def _auto_n_pow(beta: float, s2: float, p_tilde, q_tilde, dimension: int) -> int:
+    """The smallest N with (2 beta N - s2) p_eff > d + 10 (integrability needs
+    > d), p_eff the smaller finite gap or 1."""
     finite = [float(e) for e in (p_tilde, q_tilde) if not is_inf(e)]
     p_eff = min(finite) if finite else 1.0
     n = 1
@@ -68,18 +72,19 @@ class WeightQuotientParams:
     doubles both ``radius`` and ``resolution``; unless k = l = 1 that also
     refines the lattice, so it tests resolution too. ``resolution`` (cells
     per axis) must be even: the norm is reduced on one quadrant of the
-    lattice, which needs the midpoint grids to pair up about 0.
+    lattice, which needs the midpoint grids to pair up about 0. The power N,
+    ``n_pow``, is derived (``_auto_n_pow``).
     """
 
     oscillator: OscillatorSpec
     s2: float = 0.0
     p_tilde: object = 1.0
     q_tilde: object = 1.0
-    n_pow: int | None = None
     radius: float = 30.0
     resolution: int = 2048
     form: str = "scaled"
     t_list: tuple = _DEFAULT_T_GRID
+    n_pow: int = field(init=False)
 
     def __post_init__(self):
         osc = self.oscillator
@@ -97,20 +102,8 @@ class WeightQuotientParams:
         if (not isinstance(self.resolution, (int, np.integer)) or self.resolution < 32
                 or self.resolution % 2):
             raise InvalidSpecError("resolution must be an even integer >= 32")
-        n = self.n_pow
-        if n is None:
-            n = _auto_n_pow(osc.beta, self.s2, self.p_tilde, self.q_tilde, osc.dimension)
-        else:
-            n = int(n)
-            if n < 1:
-                raise InvalidSpecError("n_pow must be a positive integer")
-        finite = [float(e) for e in (self.p_tilde, self.q_tilde) if not is_inf(e)]
-        p_eff = min(finite) if finite else 1.0
-        if (2.0 * osc.beta * n - self.s2) * p_eff <= osc.dimension:
-            raise InvalidSpecError(
-                f"n_pow={n} leaves the quotient non-integrable: "
-                f"(2 beta N - s2) * {p_eff} must exceed d={osc.dimension}")
-        object.__setattr__(self, "n_pow", n)
+        object.__setattr__(self, "n_pow", _auto_n_pow(osc.beta, self.s2, self.p_tilde,
+                                                      self.q_tilde, osc.dimension))
         t = tuple(float(v) for v in self.t_list)
         if not t or any(not (0.0 < v <= 1.0) for v in t):
             raise InvalidSpecError("t_list must contain values in (0, 1]")
@@ -346,23 +339,19 @@ def _probe_ratios(probes, source_norm, target_norms) -> list:
 
 
 def ou_probe_rate(c: GaussianConjugation, dec: SpectralDecomposition, beta: float,
-                  t_list, probes, s: float = 0.0,
-                  params: MixedNormParams | None = None) -> LogLinearFit:
+                  t_list, probes) -> LogLinearFit:
     """Fit log of the worst-case Gaussian-norm ratio
     norm(OU_t f) / norm(f) over a probe corpus against t, over at least 3
     distinct times; the expected rate is -(dimension)^beta. The Gaussian norm
-    is the modulation norm of the multiplied field, flat (s = 0) and p = q = 2
-    unless told otherwise. Zero-norm probes are skipped with a warning
-    (ValueError if all are).
+    is the flat p = q = 2 modulation norm of the multiplied field. Zero-norm
+    probes are skipped with a warning (ValueError if all are).
     """
     ts = [float(t) for t in t_list]
     if len(set(ts)) < 3:
         raise ValueError("need at least 3 distinct time points")
-    params = params or MixedNormParams(2.0, 2.0)
 
     def norm(f):
-        return modulation_norm(apply_conjugation(c, "forward", f), s, dec.oscillator,
-                               params)
+        return modulation_norm(apply_conjugation(c, "forward", f), 0.0, None, _L2)
 
     def target_at(t):
         return lambda f: norm(ou_semigroup(c, dec, beta, t, f))
@@ -416,15 +405,13 @@ class SingularWeightResult:
 
 def singular_weight_norm(alpha: float, params: MixedNormParams, s: float,
                          radius: float, *, grid: Grid,
-                         osc: OscillatorSpec | None = None,
-                         bulk_radius: float = 1.0,
-                         tail_radius: float = 2.5) -> SingularWeightResult:
+                         osc: OscillatorSpec | None = None) -> SingularWeightResult:
     """Weighted modulation norm of |x|^(-alpha) truncated to |x| <= radius.
 
     Reports the value at the given radius and at half of it (the x-side
-    truncation trend) plus the outer-exponent frequency-tail accumulators at
-    tail_radius and twice it. For admissible exponents the value is stable
-    under radius doubling; for inadmissible outer exponents the frequency
+    truncation trend) plus the outer-exponent frequency-tail accumulators
+    over 1 < |xi| <= 2.5 and 1 < |xi| <= 5. For admissible exponents the
+    value is stable under radius doubling; for inadmissible outer exponents the frequency
     tail keeps growing, which is where divergence shows first: the bulk of
     the norm always dominates a lattice total, so the total-norm trend alone
     cannot expose a slowly divergent tail.
@@ -449,12 +436,12 @@ def singular_weight_norm(alpha: float, params: MixedNormParams, s: float,
     value = _outer_reduce(columns, p, q, *cells)
     value_half = modulation_norm(truncated(radius / 2.0), s, osc, params)
     x_growth = abs(value - value_half) / value_half if value_half > 0 else float("inf")
-    # outer-exponent tail mass A(Xi): sum over bulk_radius < |xi| <= Xi of
-    # inner(xi)^q, or the annulus sup for q = INF
+    # outer-exponent tail mass A(Xi): sum over the bulk radius < |xi| <= Xi
+    # of inner(xi)^q, or the annulus sup for q = INF
     xi_radii = np.linalg.norm(grid.frequency_nodes(), axis=1)
     tails = []
-    for xi_max in (tail_radius, 2.0 * tail_radius):
-        mask = (xi_radii > bulk_radius) & (xi_radii <= xi_max)
+    for xi_max in (_TAIL_RADIUS, 2.0 * _TAIL_RADIUS):
+        mask = (xi_radii > _TAIL_BULK_RADIUS) & (xi_radii <= xi_max)
         acc = 0.0
         if np.any(mask):
             acc = _outer_reduce(columns[mask], p, q, *cells)
@@ -492,10 +479,9 @@ def sobolev_modulation_equivalence(dec: SpectralDecomposition, s_values, probes)
     and ValueError is raised when all are.
     """
     s_values = [float(s) for s in s_values]
-    params = MixedNormParams(2.0, 2.0)
     spans = [dec.reconstruct(dec.coefficients(f)) for f in probes]
     span_coeffs = [dec.coefficients(f) for f in spans]
-    mod = [modulation_norms(f, s_values, dec.oscillator, params) for f in spans]
+    mod = [modulation_norms(f, s_values, dec.oscillator, _L2) for f in spans]
     bands = []
     for k, s in enumerate(s_values):
         [ratios] = _probe_ratios(

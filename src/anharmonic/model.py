@@ -13,7 +13,6 @@ import numpy as np
 from .errors import InvalidSpecError
 
 _SPHERE_SAMPLES = 2000
-_SPHERE_SEED = 12345
 
 
 class _Infinity:
@@ -67,12 +66,8 @@ def check_exponent(name, p):
 def _unit_sphere_samples(dimension):
     if dimension == 1:
         return np.array([[1.0], [-1.0]])
-    if dimension == 2:
-        theta = 2.0 * np.pi * (np.arange(_SPHERE_SAMPLES) + 0.5) / _SPHERE_SAMPLES
-        return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    rng = np.random.default_rng(_SPHERE_SEED)
-    pts = rng.standard_normal((_SPHERE_SAMPLES, dimension))
-    return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
+    theta = 2.0 * np.pi * (np.arange(_SPHERE_SAMPLES) + 0.5) / _SPHERE_SAMPLES
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -84,8 +79,8 @@ class PotentialSpec:
       - ``aniso_sum``: V(x) = sum_j a_j |x_j|^(2k), coefficients a_j > 0
       - ``custom_poly``: sum of monomial terms, each of total degree exactly 2k
 
-    Positivity away from the origin is checked at construction by sampling
-    the unit sphere; homogeneity then extends the check to all of R^d.
+    ``dimension`` is 1 or 2, as for ``Grid``. Positivity away from the origin
+    is checked on the unit sphere; homogeneity extends the check to R^d.
     """
 
     kind: str
@@ -99,8 +94,8 @@ class PotentialSpec:
             raise InvalidSpecError(f"unknown potential kind {self.kind!r}")
         if not isinstance(self.degree_half, (int, np.integer)) or self.degree_half < 1:
             raise InvalidSpecError("degree_half must be a positive integer")
-        if not isinstance(self.dimension, (int, np.integer)) or self.dimension < 1:
-            raise InvalidSpecError("dimension must be a positive integer")
+        if not isinstance(self.dimension, (int, np.integer)) or self.dimension not in (1, 2):
+            raise InvalidSpecError("dimension must be 1 or 2")
         object.__setattr__(self, "degree_half", int(self.degree_half))
         object.__setattr__(self, "dimension", int(self.dimension))
 
@@ -194,8 +189,8 @@ def evaluate_potential(spec: PotentialSpec, x):
 class OscillatorSpec:
     """The oscillator: (-Laplacian)^l + V, with a fractional power and offset.
 
-    ``q1`` is the additive offset in the adapted weight; requiring q1 >= 1
-    keeps the combined symbol bounded below by 1.
+    ``dimension`` is 1 or 2, as for ``Grid``. ``q1`` is the additive offset in
+    the adapted weight; q1 >= 1 keeps the combined symbol bounded below by 1.
     """
 
     dimension: int
@@ -205,8 +200,8 @@ class OscillatorSpec:
     q1: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.dimension, (int, np.integer)) or self.dimension < 1:
-            raise InvalidSpecError("dimension must be a positive integer")
+        if not isinstance(self.dimension, (int, np.integer)) or self.dimension not in (1, 2):
+            raise InvalidSpecError("dimension must be 1 or 2")
         if not isinstance(self.l, (int, np.integer)) or self.l < 1:
             raise InvalidSpecError("l must be a positive integer")
         object.__setattr__(self, "dimension", int(self.dimension))

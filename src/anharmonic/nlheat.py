@@ -2,11 +2,13 @@
 
 The solver works in retained-mode coefficient space: the linear semigroup is
 diagonal there, and each nonlinearity evaluation is one reconstruction, one
-pointwise power, and one projection back. On every window [t, t + dt] the
-Picard map iterates the Duhamel formula with midpoint quadrature; the
-midpoint state is updated alongside the endpoint using the averaged input,
-so both carry second-order local accuracy. A restart per window is the
-computable surrogate for the global fixed-point ball.
+pointwise power, and one projection back, the only form of the nonlinearity.
+The runner applies the step, tolerance and ETD-order rules before it
+decomposes anything. On every window [t, t + dt] the Picard map iterates the
+Duhamel formula with midpoint quadrature; the midpoint state is updated
+alongside the endpoint using the averaged input, so both carry second-order
+local accuracy. A restart per window is the computable surrogate for the
+global fixed-point ball.
 """
 
 from __future__ import annotations
@@ -79,11 +81,6 @@ def _nonlinear_values(spec: NonlinearProblemSpec, v: np.ndarray, sing) -> np.nda
     """coupling |v|^(2 nu) v, times the singular factor ``sing`` unless None."""
     nl = spec.coupling * np.abs(v) ** (2 * spec.nu) * v
     return nl if sing is None else nl * sing
-
-
-def apply_nonlinearity(spec: NonlinearProblemSpec, u: FieldSample) -> FieldSample:
-    """Pointwise coupling |u|^(2 nu) u, times |x|^(-alpha) when inhomogeneous."""
-    return FieldSample(u.grid, _nonlinear_values(spec, u.values, _singular_factor(spec)))
 
 
 class _Engine:
@@ -270,6 +267,17 @@ def _check_steps(horizon, dt):
     return steps
 
 
+def _check_tol(tol):
+    if not (np.isfinite(tol) and tol >= 1e-10):
+        raise ValueError("tol must be a finite real >= 1e-10, the finest the window "
+                         "quadrature resolves")
+
+
+def _check_order(order):
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+
+
 def picard_solve(spec: NonlinearProblemSpec, horizon: float, dt: float,
                  tol: float = 1e-8, max_iter: int = 25,
                  checkpoint_stride: int = 1) -> Trajectory:
@@ -284,9 +292,7 @@ def picard_solve(spec: NonlinearProblemSpec, horizon: float, dt: float,
     is detected) truncates the trajectory with the blow-up flag instead of
     raising.
     """
-    if not (np.isfinite(tol) and tol >= 1e-10):
-        raise ValueError("tol must be a finite real >= 1e-10, the finest the window "
-                         "quadrature resolves")
+    _check_tol(tol)
     if max_iter < 2:
         raise ValueError("max_iter must be at least 2: the contraction factor "
                          "needs two successive-iterate gaps")
@@ -344,8 +350,7 @@ def etd_evolve(spec: NonlinearProblemSpec, horizon: float, dt: float,
     exact. Order 2 is the two-stage variant with a trapezoidal correction.
     Blow-up is recorded as in ``picard_solve``.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
+    _check_order(order)
     engine, c, rec = _start(spec, horizon, dt, checkpoint_stride)
     e_full = engine.propagator(dt)
 

@@ -108,34 +108,6 @@ class FieldSample:
     def norm_l2(self) -> float:
         return float(np.sqrt(self.grid.cell_volume * np.sum(np.abs(self.values) ** 2)))
 
-    def inner(self, other: "FieldSample") -> complex:
-        if other.grid != self.grid:
-            raise ValueError("fields live on different grids")
-        return complex(self.grid.cell_volume * np.sum(self.values * np.conj(other.values)))
-
-    def __add__(self, other):
-        return FieldSample(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        return FieldSample(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar):
-        return FieldSample(self.grid, self.values * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldSample(self.grid, -self.values)
-
-
-def field_from_function(grid: Grid, fn) -> FieldSample:
-    """Sample fn on the grid; fn takes (size, d) points or, for d=1, a 1-d array."""
-    if grid.dimension == 1:
-        vals = fn(grid.axis_nodes())
-    else:
-        vals = fn(grid.nodes())
-    return FieldSample(grid, np.asarray(vals, dtype=np.complex128).ravel())
-
 
 def _kinetic_multiplier(osc: OscillatorSpec, grid: Grid) -> np.ndarray:
     n = grid.points_per_axis

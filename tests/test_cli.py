@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,24 @@ class TestValidateManifest:
             validate_manifest({"schema": 1, "kind": "selftest", "extra": 1})
         assert "extra" in str(exc.value)
 
+    @pytest.mark.parametrize("manifest,field", [
+        ({"kind": "ou", "grid": {"dimension": 1, "points": 64}}, "grid.points"),
+        ({"kind": "nlheat", "params": {"etd": {"order": 2, "stride": 5}}},
+         "params.etd.stride"),
+        ({"kind": "spectrum", "params": {"cases": [{"k": 1, "l": 1, "jlo": 20}]}},
+         "params.cases.jlo"),
+        ({"kind": "decay", "params": {"tuples": [{"k": 1, "l": 1, "ptilde": 2.0}]}},
+         "params.tuples.ptilde"),
+        ({"kind": "selftest", "params": {"modes": 16}}, "params.modes"),
+        ({"kind": "norms", "params": {"check": ["moyal"]}}, "params.check"),
+    ], ids=["grid", "etd", "case", "tuple", "selftest", "norms"])
+    def test_unknown_nested_keys_rejected(self, manifest, field):
+        """A key no runner reads would silently take the default."""
+        with pytest.raises(SchemaError) as exc:
+            validate_manifest({"schema": 1, **manifest})
+        assert exc.value.field == field
+        assert field in str(exc.value)
+
     def test_block_types(self):
         with pytest.raises(SchemaError):
             validate_manifest({"schema": 1, "kind": "ou", "grid": []})
@@ -110,9 +129,10 @@ class TestFormatCell:
 
 
 class TestEmitPlotData:
-    def test_empty_record_warns_and_writes_nothing(self, tmp_path):
+    def test_empty_record_writes_nothing_quietly(self, tmp_path):
         record = ReportRecord("h", "0", "selftest", 1)
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             paths = emit_plot_data(record, tmp_path / "out")
         assert paths == []
         assert not (tmp_path / "out").exists()
@@ -186,13 +206,15 @@ class TestRunManifest:
         ("decay", {"tuples": []}, "selects no checks (field: params)"),
         ("nlheat", {"monitor": [2.0, 1.0, float("nan")], "modes": 16, "horizon": 0.01},
          "weight exponent must be finite"),
+        ("nlheat", {"horizn": 1.0, "modes": 16, "horizon": 0.01},
+         "unknown manifest fields: ['params.horizn'] (field: params.horizn)"),
     ], ids=["nlheat_dt", "decay_radius", "ou_rate_t_list", "nlheat_initial_norm_zero",
             "nlheat_initial_norm_negative", "nlheat_initial_norm_nan",
             "nlheat_initial_norm_inf", "nlheat_tol_nan", "nlheat_coupling_nan",
             "nlheat_alpha_nan", "decay_resolution_odd", "ou_rate_t_list_repeated",
             "ou_rate_t_list_two_distinct", "decay_sigma_zero", "norms_unknown_check",
             "norms_no_checks", "spectrum_no_cases", "decay_no_tuples",
-            "nlheat_monitor_s_nan"])
+            "nlheat_monitor_s_nan", "nlheat_unknown_key"])
     def test_rejected_value_exits_schema(self, tmp_path, capsys, kind, params, detail):
         """A value the runner's own checks reject (ValueError) is a manifest
         problem: exit 2 with a schema-error line, not a traceback. ``detail``,
@@ -225,6 +247,40 @@ class TestRunManifest:
         path = write_manifest(tmp_path, manifest)
         code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
         assert code == EXIT_SCHEMA and record is None
+        assert calls == []
+
+    @pytest.mark.parametrize("kind,params,detail", [
+        ("nlheat", {"horizon": 0.02, "etd": {"horizon": 0.01, "dt": 0.001, "order": 3}},
+         "order must be 1 or 2"),
+        ("nlheat", {"horizon": 0.02, "etd": {"horizon": 0.0105, "dt": 0.001}},
+         "horizon must be an integer number of steps"),
+        ("nlheat", {"horizon": 0.02, "monitor": [2.0, 1.0, float("inf")]},
+         "weight exponent must be finite"),
+        ("nlheat", {"horizon": 0.02, "tol": 1e-12}, "tol must be a finite real >= 1e-10"),
+        ("nlheat", {"horizon": 0.02, "dt": 0.02}, "step must satisfy 0 < dt <= 1e-2"),
+        ("norms", {"checks": []}, "selects no checks (field: params)"),
+    ], ids=["etd_order", "etd_horizon", "monitor_s_inf", "tol", "dt", "norms_no_checks"])
+    def test_rejected_before_any_work(self, tmp_path, monkeypatch, capsys, kind, params,
+                                      detail):
+        """A rejected manifest value costs no decomposition and no Picard run."""
+        calls = []
+
+        def counted(name):
+            original = getattr(anharmonic.cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("decompose", "picard_solve"):
+            monkeypatch.setattr(anharmonic.cli, name, counted(name))
+        manifest = {"schema": 1, "kind": kind, "params": params,
+                    "grid": {"dimension": 1, "points_per_axis": 128, "half_width": 12.0}}
+        path = write_manifest(tmp_path, manifest)
+        code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
+        assert code == EXIT_SCHEMA and record is None
+        assert detail in capsys.readouterr().err
         assert calls == []
 
     def test_picard_gaps_raise_no_boundary_warning(self, tmp_path):

@@ -44,14 +44,12 @@ class TestQuotientParams:
                                     p_tilde=2.0, q_tilde=2.0).n_pow == 3
         assert WeightQuotientParams(ah.oscillator(1, 2, 1, beta=2.0),
                                     p_tilde=2.0, q_tilde=INF).n_pow == 2
+        # the smallest N with (2 beta N - s2) p_eff > d + 10: (14 - 2) > 11
+        assert WeightQuotientParams(ah.oscillator(1, 1, 1), s2=2.0).n_pow == 7
 
     def test_rejects_two_dimensional_oscillator(self):
         with pytest.raises(InvalidSpecError):
             WeightQuotientParams(ah.oscillator(1, 1, 2))
-
-    def test_rejects_non_integrable_power(self):
-        with pytest.raises(InvalidSpecError):
-            WeightQuotientParams(ah.oscillator(1, 1, 1), s2=2.0, n_pow=1)
 
     def test_rejects_bad_settings(self):
         osc = ah.oscillator(1, 1, 1)
@@ -275,7 +273,8 @@ class TestAlgebraRatio:
         g = FieldSample(hermite_grid, np.roll(gaussian_field.values, 40))
         params = MixedNormParams(1.0, 1.0)
         base = algebra_ratio(gaussian_field, g, params, 1.0, hermite_osc)
-        scaled = algebra_ratio(7.0 * gaussian_field, g, params, 1.0, hermite_osc)
+        scaled = algebra_ratio(FieldSample(hermite_grid, 7.0 * gaussian_field.values), g,
+                               params, 1.0, hermite_osc)
         assert base > 0
         assert scaled == pytest.approx(base, rel=1e-12)
 
@@ -328,15 +327,14 @@ class TestSingularWeight:
                                         p_ref, q_ref, *cells)
 
         res = singular_weight_norm(0.5, MixedNormParams(p, q), 0.5, 6.0, grid=grid,
-                                   osc=ah.hermite_oscillator(), bulk_radius=1.0,
-                                   tail_radius=1.5)
+                                   osc=ah.hermite_oscillator())
         assert res.value == pytest.approx(reference(6.0), rel=1e-10)
         assert res.value_half == pytest.approx(reference(3.0), rel=1e-10)
         for xi_max, acc in res.xi_tail:
             band = (np.abs(xi) > 1.0) & (np.abs(xi) <= xi_max)
             expected = reference(6.0, band) ** (1.0 if is_inf(q) else q)
             assert acc == pytest.approx(expected, rel=1e-10)
-        assert [xi_max for xi_max, _ in res.xi_tail] == [1.5, 3.0]
+        assert [xi_max for xi_max, _ in res.xi_tail] == [2.5, 5.0]
 
     def test_inadmissible_outer_exponent_grows_in_frequency(self, hermite_grid):
         # a strong singularity measured with a tiny outer exponent keeps
@@ -454,8 +452,8 @@ class TestCorpusBookkeeping:
         assert len(calls) == 2 * len(probes) == 100
 
 
-class TestPublicEstimators:
-    # exported estimators that no runner reaches yet, each with its reason
+class TestPublicSurface:
+    # exported functions that no run reaches, each with its reason
     UNREACHED = {
         "algebra_ratio": "perfbench/spans.py traces it by name",
     }
@@ -467,16 +465,17 @@ class TestPublicEstimators:
                 for node in ast.walk(tree) if isinstance(node, ast.Call)
                 and isinstance(node.func, (ast.Name, ast.Attribute))}
 
-    def test_every_exported_estimator_serves_a_run(self):
-        """Each function that anharmonic exports from estimators is called by
-        the runner module or by another exported estimator."""
-        exported = {name: getattr(ah, name) for name in ah.__all__
-                    if inspect.isfunction(getattr(ah, name))
-                    and getattr(ah, name).__module__ == "anharmonic.estimators"}
-        assert set(self.UNREACHED) <= set(exported)
-        unreached = []
-        for name in exported:
-            callers = [anharmonic.cli] + [f for other, f in exported.items() if other != name]
-            if not any(name in self.called_names(c) for c in callers):
-                unreached.append(name)
-        assert sorted(unreached) == sorted(self.UNREACHED)
+    def test_every_exported_function_serves_a_run(self):
+        """Each function in anharmonic.__all__, from every module, is called by
+        the runner module or by another exported function or class."""
+        exported = {name: getattr(ah, name) for name in ah.__all__}
+        functions = [name for name, obj in exported.items() if inspect.isfunction(obj)]
+        assert set(self.UNREACHED) <= set(functions)
+        calls = {name: self.called_names(obj) for name, obj in exported.items()
+                 if inspect.isfunction(obj) or inspect.isclass(obj)}
+        runner = self.called_names(anharmonic.cli)
+        unreached = [name for name in functions if name not in runner
+                     and not any(name in called for other, called in calls.items()
+                                 if other != name)]
+        assert sorted(unreached) == sorted(self.UNREACHED), \
+            f"exported but reached by no run: {sorted(set(unreached) - set(self.UNREACHED))}"

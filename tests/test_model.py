@@ -97,6 +97,12 @@ class TestPotential:
             PotentialSpec("custom_poly", 2, 2,
                           terms=(((4, 0), 1.0), ((2, 2), -3.0), ((0, 4), 1.0)))
 
+    @pytest.mark.parametrize("dimension", [0, 3, 1.0])
+    def test_dimension_is_one_or_two(self, dimension):
+        """The dimensions a Grid discretizes, and no other."""
+        with pytest.raises(InvalidSpecError, match="dimension must be 1 or 2"):
+            PotentialSpec("iso_power", 1, dimension)
+
     def test_vectorized_evaluation(self):
         pot = PotentialSpec("iso_power", 1, 2)
         pts = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
@@ -137,6 +143,11 @@ class TestOscillator:
     def test_beta_positive_required(self):
         with pytest.raises(InvalidSpecError):
             oscillator(1, 1, 1, beta=0.0)
+
+    def test_dimension_is_one_or_two(self):
+        pot = PotentialSpec("iso_power", 1, 1)
+        with pytest.raises(InvalidSpecError, match="dimension must be 1 or 2"):
+            OscillatorSpec(dimension=3, l=1, potential=pot)
 
     def test_dimension_mismatch_rejected(self):
         pot = PotentialSpec("iso_power", 1, 2)

@@ -5,9 +5,9 @@ import pytest
 import scipy.linalg
 
 import anharmonic as ah
-from anharmonic import (Grid, InvalidSpecError, OscillatorSpec, PotentialSpec,
-                        assemble_operator, decompose, eigendecompose,
-                        eigenvalue_growth_fit, field_from_function, growth_target)
+from anharmonic import (FieldSample, Grid, InvalidSpecError, OscillatorSpec,
+                        PotentialSpec, assemble_operator, decompose, eigendecompose,
+                        eigenvalue_growth_fit, growth_target)
 from anharmonic.spectral import real_matmul
 
 from oracles import QUARTIC_LAMBDA0, hermite_function
@@ -120,7 +120,8 @@ class TestDecomposition:
         c = hermite_dec.coefficients(gaussian_field)
         rec = hermite_dec.reconstruct(c)
         # the Gaussian probe lies in the retained span up to 1e-6
-        assert (rec - gaussian_field).norm_l2() <= 1e-6 * gaussian_field.norm_l2()
+        gap = FieldSample(hermite_dec.grid, rec.values - gaussian_field.values)
+        assert gap.norm_l2() <= 1e-6 * gaussian_field.norm_l2()
 
     def test_span_residual_small_for_gaussian(self, hermite_dec, gaussian_field):
         assert hermite_dec.span_residual_fraction(gaussian_field) <= 1e-6
@@ -173,13 +174,6 @@ class TestDecomposition:
         dec = decompose(osc, Grid(2, 32, 8.0), 16)
         start, stop = dec.cluster_of(1)
         assert (start, stop) == (1, 3)
-
-    def test_field_from_function(self, hermite_grid):
-        # one dimension hands the callable the bare axis, no trailing index
-        f = field_from_function(hermite_grid, lambda x: np.exp(-x ** 2))
-        assert f.values.shape == (512,)
-        x0 = hermite_grid.axis_nodes()[0]
-        assert f.values[0] == pytest.approx(np.exp(-x0 ** 2))
 
 
 def _exact_parity(v):
