@@ -14,8 +14,7 @@ from .errors import (AnharmonicError, BoundaryMassWarning, DiscardedMassWarning,
                      InvalidSpecError, NonConvergenceError, NumericalError,
                      OffSpanWarning, ProbeSkipWarning, SchemaError, TruncationError)
 from .model import (INF, MixedNormParams, OscillatorSpec, PotentialSpec, check_exponent,
-                    evaluate_potential, exponent_from_json, hermite_oscillator, is_inf,
-                    oscillator, oscillator_from_dict, potential_from_dict,
+                    evaluate_potential, hermite_oscillator, is_inf, oscillator,
                     submultiplicativity_defect, weight_value)
 from .spectral import (FieldSample, Grid, SpectralDecomposition, assemble_operator,
                        decompose, eigendecompose)
@@ -44,8 +43,7 @@ __all__ = [
     # model
     "INF", "is_inf", "check_exponent", "PotentialSpec", "evaluate_potential",
     "OscillatorSpec", "oscillator", "hermite_oscillator", "weight_value",
-    "submultiplicativity_defect", "MixedNormParams", "exponent_from_json",
-    "potential_from_dict", "oscillator_from_dict",
+    "submultiplicativity_defect", "MixedNormParams",
     # spectral
     "Grid", "FieldSample", "assemble_operator",
     "SpectralDecomposition", "eigendecompose", "decompose",

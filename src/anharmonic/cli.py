@@ -1,13 +1,15 @@
 """Experiment runner: manifest validation, deterministic execution, reports.
 
-A manifest is a JSON document with a versioned schema. Reports are a JSON
-summary (which carries wall time and the manifest hash) plus one CSV per
-figure-able series; CSV bodies contain only deterministically ordered,
-shortest-round-trip formatted numbers, so identical manifest and seed give
-byte-identical CSV files.
+A manifest is a JSON document with a versioned schema: ``_TABLE`` gives each
+key a type, a default and a range, and ``validate_manifest`` parses it once
+into the values the runners read. Reports are a JSON summary (which carries
+wall time and the manifest hash) plus one CSV per figure-able series; CSV
+bodies contain only deterministically ordered, shortest-round-trip formatted
+numbers, so identical manifest and seed give byte-identical CSV files.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 schema violation or
-rejected manifest value, 3 numerical failure, 4 report write failure.
+rejected manifest value (before any decomposition, save a spectrum fit
+window), 3 numerical failure, 4 report write failure.
 """
 
 from __future__ import annotations
@@ -20,22 +22,23 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
 from .calculus import SemigroupQuery, heat_semigroup, project
-from .errors import InvalidSpecError, NumericalError, SchemaError
-from .model import (INF, MixedNormParams, exponent_from_json, hermite_oscillator, is_inf,
-                    oscillator, oscillator_from_dict, submultiplicativity_defect,
-                    weight_value)
+from .errors import NumericalError, SchemaError
+from .model import (INF, MixedNormParams, OscillatorSpec, PotentialSpec, hermite_oscillator,
+                    is_inf, oscillator, submultiplicativity_defect, weight_value)
 from .estimators import (WeightQuotientParams, algebra_ratios, eigenvalue_growth_fit,
                          gaussian_probe_fields, ou_probe_rate, sigma_exponent,
                          singular_weight_norm, smoothing_decay_run,
                          sobolev_modulation_equivalence, standard_probe_family)
-from .nlheat import (NonlinearProblemSpec, _check_order, _check_steps, _check_tol,
-                     duhamel_residual, etd_evolve, picard_solve)
+from .nlheat import (NonlinearProblemSpec, _check_order, _check_problem, _check_steps,
+                     _check_tol, duhamel_residual, etd_evolve, picard_solve)
 from .ougauss import GaussianConjugation, apply_conjugation, ou_semigroup
 from .phasespace import mixed_norm, modulation_norm, stft
 from .spectral import FieldSample, Grid, decompose
@@ -45,22 +48,6 @@ _NORMS_CHECKS = ("moyal", "equivalence", "algebra", "singular")
 _FORMATS = ("json", "csv", "both")
 _DEFAULT_SEED = 1234
 _L2_GAMMA_TOL = 1e-9  # Moyal holds up to the window-norm error, capped at 1e-10
-# the keys each runner reads: params per kind, then the nested blocks by
-# field path. Any other key would silently take a default, so it exits 2.
-_KEYS = {
-    "spectrum": ("cases",),
-    "decay": ("tuples", "form", "radius", "resolution", "t_list"),
-    "norms": ("checks", "modes"),
-    "nlheat": ("modes", "kind", "nu", "coupling_re", "coupling_im", "alpha", "monitor",
-               "initial_norm", "horizon", "dt", "tol", "beta", "etd"),
-    "ou": ("modes", "safe_radius", "beta", "t_check", "gauss_probes", "rate_t_list"),
-    "selftest": (),
-    "grid": ("dimension", "points_per_axis", "half_width"),
-    "params.cases": ("k", "l", "dimension", "points", "half_width", "modes", "j_lo",
-                     "j_hi", "tolerance"),
-    "params.tuples": ("k", "l", "beta", "p_tilde", "q_tilde", "s2", "tolerance", "r2_min"),
-    "params.etd": ("horizon", "dt", "order"),
-}
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -116,93 +103,255 @@ def _require(cond, message, field_name=None):
         raise SchemaError(message, field=field_name)
 
 
-def _get(obj, key, types, default=None, required=False, where=""):
-    if key not in obj:
-        _require(not required, f"missing required field {where}{key}", f"{where}{key}")
-        return default
-    val = obj[key]
-    _require(isinstance(val, types), f"field {where}{key} has wrong type", f"{where}{key}")
-    return val
+@contextmanager
+def _rejected_as(field_name, prefix=""):
+    """A library check's ValueError inside the block exits 2 as a SchemaError
+    at ``field_name``, or at its parameter below that when the error names one."""
+    try:
+        yield
+    except ValueError as exc:
+        at = getattr(exc, "field", None)
+        raise SchemaError(prefix + str(exc), field=f"{field_name}.{at}" if at else field_name)
 
 
-def _selection(params, key, default):
-    """The ``key`` list of params; an empty one runs nothing, so it exits 2."""
-    items = _get(params, key, list, default=default, where="params.")
-    _require(items, "the manifest selects no checks", "params")
-    return items
+# --- the manifest table -----------------------------------------------------
+
+def _is_number(v):  # a JSON number that a float holds; booleans are not numbers
+    return type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
 
 
-def _reject_unknown(block, known, where=""):
-    """SchemaError naming each key of a dict ``block`` outside ``known``; a
-    block of another type is left to the runner that reads it."""
-    if isinstance(block, dict):
-        unknown = [where + key for key in sorted(set(block) - set(known))]
-        _require(not unknown, f"unknown manifest fields: {unknown}", ",".join(unknown))
+# each type: (accepts a JSON value, the value a run reads). "[t]" is a list
+# of t, and a type named after a block of _TABLE is that block.
+_TYPES = {
+    "int": (lambda v: type(v) is int, int),
+    "float": (_is_number, float),
+    "str": (lambda v: isinstance(v, str), str),
+    "exponent": (lambda v: _is_number(v)
+                 or (isinstance(v, str) and v.lower() in ("inf", "infinity")),
+                 lambda v: INF if isinstance(v, str) else float(v)),
+    "term": (lambda v: (isinstance(v, list) and len(v) == 2  # [multi-index, coefficient]
+                        and isinstance(v[0], list) and all(type(m) is int for m in v[0])
+                        and _is_number(v[1])),
+             lambda v: (tuple(v[0]), float(v[1]))),
+    "object": (lambda v: isinstance(v, dict), dict),
+}
+_REQUIRED = object()  # the default of a key that the manifest must give
+# a range: (holds for the parsed value, message[, field]); {field} is the key's path
+_SELECTION = (len, "the manifest selects no checks", "params")  # an empty list runs nothing
+_FINITE = (np.isfinite, "{field} must be finite")
+_POSITIVE = (lambda v: np.isfinite(v) and v > 0, "{field} must be a finite real > 0")
+_TIMES = (lambda ts: all(np.isfinite(t) and t >= 0 for t in ts),
+          "{field} must be finite times >= 0")
+
+# block -> key -> (type, default, *ranges). A default of None leaves the key
+# unset for the block's finish (_FINISH); "params" is walked as params.<kind>.
+_TABLE = {
+    "": {
+        "schema": ("int", _REQUIRED,
+                   (lambda v: v == 1, "unsupported schema version; expected 1")),
+        "kind": ("str", _REQUIRED, (lambda v: v in _KINDS, f"kind must be one of {_KINDS}")),
+        "seed": ("int", _DEFAULT_SEED,
+                 (lambda v: 0 <= v < 2 ** 64, "seed must be an unsigned 64-bit integer")),
+        "format": ("str", "both",
+                   (lambda v: v in _FORMATS, f"format must be one of {_FORMATS}")),
+        "output_dir": ("str", "out"), "grid": ("grid", {}), "oscillator": ("oscillator", None),
+        "params": ("object", {})},
+    "grid": {"dimension": ("int", 1), "points_per_axis": ("int", 512),
+             "half_width": ("float", 12.0)},
+    "oscillator": {"dimension": ("int", _REQUIRED), "l": ("int", _REQUIRED),
+                   "potential": ("oscillator.potential", _REQUIRED), "beta": ("float", 1.0),
+                   "q1": ("float", 1.0)},
+    "oscillator.potential": {"kind": ("str", _REQUIRED), "degree_half": ("int", _REQUIRED),
+                             "dimension": ("int", 1), "coefficients": ("[float]", []),
+                             "terms": ("[term]", [])},
+    "params.spectrum": {"cases": ("[params.cases]", [{"k": 1, "l": 1, "half_width": 25.0},
+                                                     {"k": 2, "l": 1, "half_width": 12.0},
+                                                     {"k": 1, "l": 2, "half_width": 60.0}],
+                                  _SELECTION)},
+    "params.cases": {"k": ("int", _REQUIRED), "l": ("int", _REQUIRED), "dimension": ("int", 1),
+                     "points": ("int", 512), "half_width": ("float", 12.0),
+                     "modes": ("int", None), "j_lo": ("int", 30), "j_hi": ("int", 150),
+                     "tolerance": ("float", 0.10, _FINITE)},
+    "params.decay": {"tuples": ("[params.tuples]", [
+                         {"k": 1, "l": 1, "beta": 1.0, "p_tilde": 1.0, "q_tilde": 1.0},
+                         {"k": 2, "l": 1, "beta": 1.0, "p_tilde": 2.0, "q_tilde": 2.0},
+                         {"k": 1, "l": 2, "beta": 2.0, "p_tilde": 2.0, "q_tilde": "inf"}],
+                         _SELECTION),
+                     "form": ("str", "scaled"), "radius": ("float", 30.0),
+                     "resolution": ("int", 2048), "t_list": ("[float]", None)},
+    "params.tuples": {"k": ("int", _REQUIRED), "l": ("int", _REQUIRED), "beta": ("float", 1.0),
+                      "p_tilde": ("exponent", 1.0), "q_tilde": ("exponent", 1.0),
+                      "s2": ("float", 0.0), "tolerance": ("float", 0.10, _FINITE),
+                      "r2_min": ("float", 0.98, _FINITE)},
+    "params.norms": {"checks": ("[str]", list(_NORMS_CHECKS), _SELECTION),
+                     "modes": ("int", None)},
+    "params.nlheat": {"modes": ("int", None), "kind": ("str", "power"), "nu": ("int", 1),
+                      "coupling_re": ("float", -1.0), "coupling_im": ("float", 0.0),
+                      "alpha": ("float", None),
+                      "monitor": ("[exponent]", [2.0, 1.0, 2.0],
+                                  (lambda m: len(m) == 3, "{field} must be [p, q, s]")),
+                      "initial_norm": ("float", 0.05, _POSITIVE), "horizon": ("float", 5.0),
+                      "dt": ("float", 5e-3), "tol": ("float", 1e-8), "beta": ("float", 1.0),
+                      "etd": ("params.etd", None)},
+    "params.etd": {"horizon": ("float", 1.0), "dt": ("float", 1e-3), "order": ("int", 2)},
+    "params.ou": {"modes": ("int", None), "safe_radius": ("float", 8.0, _POSITIVE),
+                  "beta": ("float", 1.0, _POSITIVE),
+                  "t_check": ("[float]", [0.1, 0.5, 1.0], _TIMES),
+                  "gauss_probes": ("int", 30, (lambda n: n >= 1, "{field} must be at least 1")),
+                  "rate_t_list": ("[float]", [1, 2, 3, 4, 5], _TIMES,
+                                  (lambda ts: len(set(ts)) >= 3,
+                                   "need at least 3 distinct time points"))},
+    "params.selftest": {},
+}
+_MODES_CAP = {"norms": 192, "nlheat": 384, "ou": 256}  # default modes: min(size / 2, cap)
 
 
-def load_manifest(path) -> dict:
+def _parse(typ, value, where):
+    if typ.startswith("["):
+        _require(isinstance(value, list), f"field {where} has wrong type", where)
+        return tuple(_parse(typ[1:-1], item, where) for item in value)
+    accepts, parse = _TYPES.get(typ, _TYPES["object"])
+    _require(accepts(value), f"field {where} has wrong type", where)
+    return _walk(typ, value, where) if typ in _TABLE else parse(value)
+
+
+def _walk(name, data, where):
+    """Block ``name`` of the table read from ``data`` at field path ``where``:
+    a namespace of parsed, defaulted values, passed through ``_FINISH[name]``."""
+    prefix = where + "." if where else ""
+    unknown = [prefix + key for key in sorted(set(data) - set(_TABLE[name]))]
+    _require(not unknown, f"unknown manifest fields: {unknown}", ",".join(unknown))
+    block = SimpleNamespace()
+    for key, (typ, default, *ranges) in _TABLE[name].items():
+        path = prefix + key
+        value = data.get(key, default)
+        _require(value is not _REQUIRED, f"missing required field {path}", path)
+        if key in data or value is not None:
+            value = _parse(typ, value, path)
+        for holds, message, *at in ranges if value is not None else ():
+            _require(holds(value), message.format(field=path), (at or [path])[0])
+        setattr(block, key, value)
+    return _FINISH[name](block) if name in _FINISH else block
+
+
+def _modes(block, kind, grid, where):
+    """``block.modes`` or its default on ``grid`` (half the grid, capped per kind;
+    a spectrum case keeps 384 from 512 points up); it must fit the grid."""
+    n = grid.points_per_axis
+    default = ((max(384, n // 2) if n >= 512 else n // 2) if kind == "spectrum"
+               else min(grid.size // 2, _MODES_CAP[kind]))
+    modes = default if block.modes is None else block.modes
+    _require(1 <= modes <= grid.size, f"{where} must lie in [1, {grid.size}]", where)
+    return modes
+
+
+def _finish_manifest(run):  # the grid is parsed before the params
+    if run.kind in ("norms", "nlheat"):
+        run.oscillator = run.oscillator or hermite_oscillator()
+        _require(run.oscillator.dimension == run.grid.dimension,
+                 "oscillator and grid dimensions differ", "oscillator")
+    else:  # ou runs the harmonic oscillator, which its intertwining needs
+        _require(run.oscillator is None, f"a {run.kind} run reads no oscillator block",
+                 "oscillator")
+    run.params = _walk(f"params.{run.kind}", run.params, "params")
+    if run.kind in _MODES_CAP:
+        run.params.modes = _modes(run.params, run.kind, run.grid, "params.modes")
+    return run
+
+
+def _finish_case(case):
+    with _rejected_as("params.cases", f"spectrum case k={case.k}, l={case.l}: "):
+        case.oscillator = oscillator(case.k, case.l, case.dimension)
+        case.grid = Grid(case.dimension, case.points, case.half_width)
+    case.modes = _modes(case, "spectrum", case.grid, "params.cases.modes")
+    # d = 1 names carry no suffix, so the shipped configs keep their names
+    case.label = f"k{case.k}_l{case.l}" + (f"_d{case.dimension}" if case.dimension > 1 else "")
+    return case
+
+
+def _finish_decay(p):
+    t_list = {} if p.t_list is None else {"t_list": tuple(sorted(set(p.t_list), reverse=True))}
+    for tup in p.tuples:
+        _require(not (is_inf(tup.p_tilde) and is_inf(tup.q_tilde)), "decay tuple has both "
+                 "gaps infinite, so sigma = 0 and there is no decay slope to check",
+                 "params.tuples")
+        with _rejected_as("params.tuples", "bad decay tuple: "):
+            tup.quotient = WeightQuotientParams(
+                oscillator(tup.k, tup.l, 1, tup.beta), tup.s2, tup.p_tilde, tup.q_tilde,
+                p.radius, p.resolution, p.form, **t_list)
+        tup.label = f"decay_k{tup.k}_l{tup.l}_b{tup.beta:g}"
+    return p
+
+
+def _finish_norms(p):
+    unknown = [c for c in p.checks if c not in _NORMS_CHECKS]
+    _require(not unknown, f"unknown norms checks {unknown}; known: {_NORMS_CHECKS}",
+             "params.checks")
+    return p
+
+
+def _finish_nlheat(p):
+    _require(p.alpha is None or p.kind != "power",
+             "params.alpha is read only by the inhomogeneous kind", "params.alpha")
+    with _rejected_as("params", "bad nlheat parameters: "):
+        p.beta, p.nu, p.coupling, p.alpha = _check_problem(
+            p.kind, p.nu, p.beta, complex(p.coupling_re, p.coupling_im), p.alpha or 0.0)
+    _require(not is_inf(p.monitor[2]) and np.isfinite(p.monitor[2]),
+             "weight exponent must be finite", "params.monitor")
+    with _rejected_as("params.monitor", "bad exponent at params.monitor: "):
+        p.monitor_params = MixedNormParams(*p.monitor[:2])
+    with _rejected_as("params"):
+        _check_steps(p.horizon, p.dt)
+        _check_tol(p.tol)
+    if p.etd is not None:
+        with _rejected_as("params.etd"):
+            p.etd.steps = _check_steps(p.etd.horizon, p.etd.dt)
+            _check_order(p.etd.order)
+    return p
+
+
+def _spec(cls, field_name):
+    """A finish that builds ``cls`` from the block, whose keys are its
+    fields; a rejected spec exits 2 at ``field_name``."""
+    def finish(block):
+        with _rejected_as(field_name, f"bad {field_name} block: "):
+            return cls(**vars(block))
+    return finish
+
+
+_FINISH = {
+    "": _finish_manifest, "grid": _spec(Grid, "grid"),
+    "oscillator": _spec(OscillatorSpec, "oscillator"),
+    "oscillator.potential": _spec(PotentialSpec, "oscillator"),
+    "params.cases": _finish_case, "params.decay": _finish_decay, "params.norms": _finish_norms,
+    "params.nlheat": _finish_nlheat,
+}
+
+
+def validate_manifest(manifest: dict) -> SimpleNamespace:
+    """The parsed, defaulted values of ``manifest`` from one walk of the table,
+    with the ``Grid`` and ``OscillatorSpec`` built. SchemaError names the
+    field of the first rejected value."""
+    _require(isinstance(manifest, dict), "manifest must be a JSON object")
+    return _walk("", manifest, "")
+
+
+def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read manifest: {exc}")
     try:
-        manifest = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"manifest is not valid JSON (line {exc.lineno}): {exc.msg}")
+
+
+def load_manifest(path) -> dict:
+    manifest = _read_json(path)
     validate_manifest(manifest)
     return manifest
-
-
-def validate_manifest(manifest: dict) -> None:
-    _require(isinstance(manifest, dict), "manifest must be a JSON object")
-    _require(_get(manifest, "schema", int, required=True) == 1,
-             "unsupported schema version; expected 1", "schema")
-    kind = _get(manifest, "kind", str, required=True)
-    _require(kind in _KINDS, f"kind must be one of {_KINDS}", "kind")
-    seed = _get(manifest, "seed", int, default=_DEFAULT_SEED)
-    _require(0 <= seed < 2 ** 64, "seed must be an unsigned 64-bit integer", "seed")
-    fmt = _get(manifest, "format", str, default="both")
-    _require(fmt in _FORMATS, f"format must be one of {_FORMATS}", "format")
-    _get(manifest, "output_dir", str, default=None)
-    params = _get(manifest, "params", dict, default={})
-    if "oscillator" in manifest:
-        _require(isinstance(manifest["oscillator"], dict), "oscillator must be an object",
-                 "oscillator")
-    if "grid" in manifest:
-        _require(isinstance(manifest["grid"], dict), "grid must be an object", "grid")
-    _reject_unknown(manifest, ("schema", "kind", "seed", "format", "output_dir", "params",
-                               "oscillator", "grid"))
-    _reject_unknown(manifest.get("grid"), _KEYS["grid"], "grid.")
-    _reject_unknown(params, _KEYS[kind], "params.")
-    for key in _KEYS[kind]:
-        nested = _KEYS.get(f"params.{key}")
-        if nested is not None:  # cases and tuples are lists of blocks, etd one block
-            value = params.get(key)
-            for block in value if isinstance(value, list) else [value]:
-                _reject_unknown(block, nested, f"params.{key}.")
-
-
-def _grid_from_manifest(manifest) -> Grid:
-    data = manifest.get("grid")
-    if data is None:
-        return Grid()
-    try:
-        return Grid(int(data.get("dimension", 1)),
-                    int(data.get("points_per_axis", 512)),
-                    float(data.get("half_width", 12.0)))
-    except InvalidSpecError as exc:
-        raise SchemaError(f"bad grid block: {exc}", field="grid")
-
-
-def _oscillator_from_manifest(manifest):
-    data = manifest.get("oscillator")
-    if data is None:
-        return hermite_oscillator()
-    try:
-        return oscillator_from_dict(data)
-    except (KeyError, InvalidSpecError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad oscillator block: {exc}", field="oscillator")
 
 
 def _canonical_hash(manifest: dict, seed: int) -> str:
@@ -213,120 +362,46 @@ def _canonical_hash(manifest: dict, seed: int) -> str:
 
 # --- experiment bodies ------------------------------------------------------
 
-def _run_spectrum(manifest, seed, record):
-    params = manifest.get("params", {})
-    cases = _selection(params, "cases", [
-        {"k": 1, "l": 1, "half_width": 25.0},
-        {"k": 2, "l": 1, "half_width": 12.0},
-        {"k": 1, "l": 2, "half_width": 60.0},
-    ])
-    for case in cases:
-        _require(isinstance(case, dict), "each spectrum case must be an object",
-                 "params.cases")
-        k = int(_get(case, "k", int, required=True, where="params.cases."))
-        l = int(_get(case, "l", int, required=True, where="params.cases."))
-        d = int(case.get("dimension", 1))
-        n_pts = int(case.get("points", 512))
-        half_width = float(case.get("half_width", 12.0))
-        modes = int(case.get("modes", max(384, n_pts // 2) if n_pts >= 512 else n_pts // 2))
-        j_lo = int(case.get("j_lo", 30))
-        j_hi = int(case.get("j_hi", 150))
-        tol = float(case.get("tolerance", 0.10))
-        osc = oscillator(k, l, d)
-        grid = Grid(d, n_pts, half_width)
-        # d = 1 names carry no suffix, so the shipped configs keep their names
-        label = f"k{k}_l{l}" + ("" if d == 1 else f"_d{d}")
-        try:
-            dec = decompose(osc, grid, modes)
-            fit = eigenvalue_growth_fit(dec, j_lo, j_hi)
-        except ValueError as exc:
-            raise SchemaError(f"spectrum case k={k}, l={l}: {exc}", field="params.cases")
+def _run_spectrum(run, record):
+    for case in run.params.cases:
+        dec = decompose(case.oscillator, case.grid, case.modes)
+        # checked after decompose: perfbench's tiny cases sit below the window floor
+        with _rejected_as("params.cases", f"spectrum case k={case.k}, l={case.l}: "):
+            fit = eigenvalue_growth_fit(dec, case.j_lo, case.j_hi)
         record.results.append(_result(
-            f"growth_slope_{label}", fit.slope, fit.target, fit.rel_deviation, tol,
-            fit.rel_deviation <= tol))
-        if k == 1 and l == 1 and d == 1:
+            f"growth_slope_{case.label}", fit.slope, fit.target, fit.rel_deviation,
+            case.tolerance, fit.rel_deviation <= case.tolerance))
+        if case.k == 1 and case.l == 1 and case.dimension == 1:
             j = np.arange(min(21, dec.m))
             exact = 2.0 * j + 1.0
             err = float(np.max(np.abs(dec.eigenvalues[:len(j)] - exact) / exact))
             record.results.append(_result(
                 "harmonic_spectrum_rel_err", err, 0.0, err, 1e-6, err <= 1e-6))
-        rows = []
-        anchor = dec.eigenvalues[j_lo]
-        for j in range(1, dec.m):
-            line = anchor * (j / j_lo) ** fit.target
-            rows.append([j, float(dec.eigenvalues[j]), float(line)])
-        record.series[f"spectrum_{label}"] = {
+        anchor = dec.eigenvalues[case.j_lo]
+        rows = [[j, float(dec.eigenvalues[j]), float(anchor * (j / case.j_lo) ** fit.target)]
+                for j in range(1, dec.m)]
+        record.series[f"spectrum_{case.label}"] = {
             "header": ["j", "lambda", "target_exponent_line"], "rows": rows}
 
 
-def _parse_exponent(value, where):
-    try:
-        return exponent_from_json(value)
-    except (InvalidSpecError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad exponent at {where}: {exc}", field=where)
-
-
-def _run_decay(manifest, seed, record):
-    params = manifest.get("params", {})
-    tuples = _selection(params, "tuples", [
-        {"k": 1, "l": 1, "beta": 1.0, "p_tilde": 1.0, "q_tilde": 1.0},
-        {"k": 2, "l": 1, "beta": 1.0, "p_tilde": 2.0, "q_tilde": 2.0},
-        {"k": 1, "l": 2, "beta": 2.0, "p_tilde": 2.0, "q_tilde": "inf"},
-    ])
-    form = str(params.get("form", "scaled"))
-    radius = float(params.get("radius", 30.0))
-    resolution = int(params.get("resolution", 2048))
-    t_list = params.get("t_list")
-    runs = []  # every tuple is validated before any runs
-    for spec in tuples:
-        _require(isinstance(spec, dict), "each decay tuple must be an object",
-                 "params.tuples")
-        k = int(_get(spec, "k", int, required=True, where="params.tuples."))
-        l = int(_get(spec, "l", int, required=True, where="params.tuples."))
-        beta = float(spec.get("beta", 1.0))
-        p_tilde = _parse_exponent(spec.get("p_tilde", 1.0), "params.tuples.p_tilde")
-        q_tilde = _parse_exponent(spec.get("q_tilde", 1.0), "params.tuples.q_tilde")
-        _require(not (is_inf(p_tilde) and is_inf(q_tilde)), "decay tuple has both gaps "
-                 "infinite, so sigma = 0 and there is no decay slope to check", "params.tuples")
-        s2 = float(spec.get("s2", 0.0))
-        tol = float(spec.get("tolerance", 0.10))
-        r2_min = float(spec.get("r2_min", 0.98))
-        osc = oscillator(k, l, 1, beta)
-        try:
-            qp_kwargs = {"oscillator": osc, "s2": s2, "p_tilde": p_tilde,
-                         "q_tilde": q_tilde, "radius": radius, "resolution": resolution,
-                         "form": form}
-            if t_list is not None:
-                qp_kwargs["t_list"] = tuple(sorted({float(t) for t in t_list}, reverse=True))
-            qparams = WeightQuotientParams(**qp_kwargs)
-        except InvalidSpecError as exc:
-            raise SchemaError(f"bad decay tuple: {exc}", field="params.tuples")
-        runs.append((f"decay_k{k}_l{l}_b{beta:g}", tol, r2_min, qparams))
-    for label, tol, r2_min, qparams in runs:
-        samples, fit = smoothing_decay_run(qparams)
-        passed = fit.rel_deviation <= tol and fit.r_squared >= r2_min
+def _run_decay(run, record):
+    for tup in run.params.tuples:
+        samples, fit = smoothing_decay_run(tup.quotient)
+        passed = fit.rel_deviation <= tup.tolerance and fit.r_squared >= tup.r2_min
         record.results.append(_result(
-            f"{label}_slope", fit.slope, fit.target, fit.rel_deviation, tol, passed))
-        rows = []
-        for t, value in samples:
-            fitted = float(np.exp(fit.intercept) * t ** fit.slope)
-            rows.append([float(t), float(value), float(np.log10(t)),
-                         float(np.log10(value)), fitted, fit.target])
-        record.series[label] = {
+            f"{tup.label}_slope", fit.slope, fit.target, fit.rel_deviation, tup.tolerance,
+            passed))
+        rows = [[float(t), float(value), float(np.log10(t)), float(np.log10(value)),
+                 float(np.exp(fit.intercept) * t ** fit.slope), fit.target]
+                for t, value in samples]
+        record.series[tup.label] = {
             "header": ["t", "value", "log10_t", "log10_value", "fitted", "target"],
             "rows": rows}
 
 
-def _run_norms(manifest, seed, record):
-    params = manifest.get("params", {})
-    checks = _selection(params, "checks", list(_NORMS_CHECKS))
-    unknown = [c for c in checks if c not in _NORMS_CHECKS]
-    _require(not unknown, f"unknown norms checks {unknown}; known: {_NORMS_CHECKS}",
-             "params.checks")
-    grid = _grid_from_manifest(manifest)
-    osc = _oscillator_from_manifest(manifest)
-    modes = int(params.get("modes", min(grid.size // 2, 192)))
-    dec = decompose(osc, grid, modes)
+def _run_norms(run, record):
+    checks, grid, osc, seed = run.params.checks, run.grid, run.oscillator, run.seed
+    dec = decompose(osc, grid, run.params.modes)
     l2_params = MixedNormParams(2.0, 2.0)
 
     if "moyal" in checks:
@@ -378,71 +453,37 @@ def _gaussian_initial(grid) -> FieldSample:
     return FieldSample(grid, np.exp(-r2 / 2.0))
 
 
-def _run_nlheat(manifest, seed, record):
-    # every value that needs no decomposition is checked before it is built
-    params = manifest.get("params", {})
-    kind = str(params.get("kind", "power"))
-    nu = int(params.get("nu", 1))
-    coupling = complex(params.get("coupling_re", -1.0), params.get("coupling_im", 0.0))
-    alpha = float(params.get("alpha", 0.0))
-    mon_raw = _get(params, "monitor", list, default=[2.0, 1.0, 2.0], where="params.")
-    _require(len(mon_raw) == 3, "params.monitor must be [p, q, s]", "params.monitor")
-    monitor = (_parse_exponent(mon_raw[0], "params.monitor"),
-               _parse_exponent(mon_raw[1], "params.monitor"), float(mon_raw[2]))
-    _require(np.isfinite(monitor[2]), "weight exponent must be finite", "params.monitor")
-    initial_norm = float(params.get("initial_norm", 0.05))
-    _require(np.isfinite(initial_norm) and initial_norm > 0,
-             "params.initial_norm must be a finite real > 0", "params.initial_norm")
-    horizon = float(params.get("horizon", 5.0))
-    dt = float(params.get("dt", 5e-3))
-    _check_steps(horizon, dt)
-    tol = float(params.get("tol", 1e-8))
-    _check_tol(tol)
-    etd_cfg = params.get("etd")
-    if etd_cfg is not None:
-        _require(isinstance(etd_cfg, dict), "params.etd must be an object", "params.etd")
-        e_hor = float(etd_cfg.get("horizon", 1.0))
-        e_dt = float(etd_cfg.get("dt", 1e-3))
-        order = int(etd_cfg.get("order", 2))
-        e_steps = _check_steps(e_hor, e_dt)
-        _check_order(order)
-
-    grid = _grid_from_manifest(manifest)
-    osc = _oscillator_from_manifest(manifest)
-    modes = int(params.get("modes", min(grid.size // 2, 384)))
-    dec = decompose(osc, grid, modes)
+def _run_nlheat(run, record):
+    p, grid, osc = run.params, run.grid, run.oscillator
+    dec = decompose(osc, grid, p.modes)
     base = _gaussian_initial(grid)
-    try:
-        spec = NonlinearProblemSpec(dec, base, beta=float(params.get("beta", 1.0)),
-                                    nu=nu, coupling=coupling, kind=kind, alpha=alpha,
-                                    monitor=monitor)
-    except InvalidSpecError as exc:
-        raise SchemaError(f"bad nlheat parameters: {exc}", field="params")
-    mparams = MixedNormParams(monitor[0], monitor[1])
-    base_norm = modulation_norm(base, monitor[2], osc, mparams)
-    spec = replace(spec, u0=FieldSample(grid, base.values * (initial_norm / base_norm)))
+    base_norm = modulation_norm(base, p.monitor[2], osc, p.monitor_params)
+    u0 = FieldSample(grid, base.values * (p.initial_norm / base_norm))
+    spec = NonlinearProblemSpec(dec, u0, beta=p.beta, nu=p.nu, coupling=p.coupling,
+                                kind=p.kind, alpha=p.alpha, monitor=p.monitor)
 
-    traj = picard_solve(spec, horizon, dt, tol=tol)
+    traj = picard_solve(spec, p.horizon, p.dt, tol=p.tol)
     scale = traj.sup_monitored_norm()
     residual = duhamel_residual(traj, spec)
     record.results.append(_result("picard_max_contraction", traj.max_contraction(), 0.0,
                                   traj.max_contraction(), 0.5,
                                   traj.max_contraction() <= 0.5))
-    record.results.append(_result("sup_monitored_norm", scale, initial_norm,
-                                  scale, 2.0 * initial_norm,
-                                  (not traj.blown_up) and scale <= 2.0 * initial_norm))
+    record.results.append(_result("sup_monitored_norm", scale, p.initial_norm,
+                                  scale, 2.0 * p.initial_norm,
+                                  (not traj.blown_up) and scale <= 2.0 * p.initial_norm))
     record.results.append(_result("duhamel_residual", residual, 0.0, residual,
                                   1e-4 * scale, residual <= 1e-4 * scale))
 
-    if etd_cfg is not None:
+    if p.etd is not None:
         # only the final coefficients are read: checkpoint (and measure the
         # monitored norm) at the two ends alone
-        p_short = picard_solve(spec, e_hor, e_dt, tol=tol, checkpoint_stride=e_steps)
-        e_traj = etd_evolve(spec, e_hor, e_dt, order=order, checkpoint_stride=e_steps)
+        e = p.etd
+        p_short = picard_solve(spec, e.horizon, e.dt, tol=p.tol, checkpoint_stride=e.steps)
+        e_traj = etd_evolve(spec, e.horizon, e.dt, order=e.order, checkpoint_stride=e.steps)
         engine_gap = p_short.final_coeffs - e_traj.final_coeffs
         gap_field = dec.reconstruct(engine_gap)
-        gap = modulation_norm(gap_field, monitor[2], osc, mparams)
-        bound = 10.0 * e_dt * scale
+        gap = modulation_norm(gap_field, p.monitor[2], osc, p.monitor_params)
+        bound = 10.0 * e.dt * scale
         record.results.append(_result("picard_etd_gap", gap, 0.0, gap, bound,
                                       gap <= bound))
 
@@ -460,36 +501,32 @@ def _l2_gamma_rel_err(norm, conj, f) -> float:
     return abs(norm - ref) / ref
 
 
-def _run_ou(manifest, seed, record):
-    params = manifest.get("params", {})
-    grid = _grid_from_manifest(manifest)
+def _run_ou(run, record):
+    p, grid = run.params, run.grid
     osc = hermite_oscillator(grid.dimension)
-    modes = int(params.get("modes", min(grid.size // 2, 256)))
-    dec = decompose(osc, grid, modes)
-    conj = GaussianConjugation(grid.dimension, float(params.get("safe_radius", 8.0)))
-    beta = float(params.get("beta", 1.0))
+    dec = decompose(osc, grid, p.modes)
+    conj = GaussianConjugation(grid.dimension, p.safe_radius)
     l2_params = MixedNormParams(2.0, 2.0)
 
     ones = FieldSample(grid, np.ones(grid.size))
     radii = np.linalg.norm(grid.nodes(), axis=1)
     mask = radii <= 6.0
     worst = 0.0
-    for t in params.get("t_check", [0.1, 0.5, 1.0]):
-        out = ou_semigroup(conj, dec, beta, float(t), ones)
-        expected = np.exp(-float(t) * grid.dimension ** beta)
+    for t in p.t_check:
+        out = ou_semigroup(conj, dec, p.beta, t, ones)
+        expected = np.exp(-t * grid.dimension ** p.beta)
         worst = max(worst, float(np.max(np.abs(out.values[mask] - expected))))
     record.results.append(_result("ou_constant_field_err", worst, 0.0, worst, 1e-6,
                                   worst <= 1e-6))
 
-    probe = gaussian_probe_fields(grid, 1, seed + 2)[0]
+    probe = gaussian_probe_fields(grid, 1, run.seed + 2)[0]
     norm = modulation_norm(apply_conjugation(conj, "forward", probe), 0.0, osc, l2_params)
     err = _l2_gamma_rel_err(norm, conj, probe)
     record.results.append(_result("gaussian_norm_l2_gamma_rel_err", err, 0.0, err,
                                   _L2_GAMMA_TOL, err <= _L2_GAMMA_TOL))
 
-    probes = gaussian_probe_fields(grid, int(params.get("gauss_probes", 30)), seed)
-    rate = ou_probe_rate(conj, dec, beta, params.get("rate_t_list", [1, 2, 3, 4, 5]),
-                         probes)
+    probes = gaussian_probe_fields(grid, p.gauss_probes, run.seed)
+    rate = ou_probe_rate(conj, dec, p.beta, p.rate_t_list, probes)
     record.results.append(_result("ou_longtime_rate", rate.slope, rate.target,
                                   rate.rel_deviation, 0.05, rate.rel_deviation <= 0.05))
     record.series["ou_rate"] = {
@@ -498,8 +535,8 @@ def _run_ou(manifest, seed, record):
                   float(rate.target)] for t, v in rate.samples]}
 
 
-def _run_selftest(manifest, seed, record):
-    from .model import PotentialSpec, evaluate_potential
+def _run_selftest(run, record):
+    from .model import evaluate_potential
 
     def row(name, value, target, tolerance):
         dev = abs(value - target)
@@ -613,26 +650,25 @@ def _write_report_json(record: ReportRecord, out_dir) -> str:
 
 def run_manifest(path, out_dir=None, fmt=None, seed=None, verbose=False,
                  expect_kind=None):
-    """Execute a manifest file; returns (exit_code, ReportRecord or None)."""
+    """Execute a manifest, given as a file path or as its JSON object; returns
+    (exit_code, ReportRecord or None). ``seed`` overrides the manifest's seed
+    and is held to the same rule."""
     try:
-        manifest = load_manifest(path)
-        if expect_kind is not None and manifest["kind"] != expect_kind:
+        manifest = path if isinstance(path, dict) else _read_json(path)
+        if seed is not None and isinstance(manifest, dict):
+            manifest = {**manifest, "seed": seed}  # held to the manifest's seed rule
+        run = validate_manifest(manifest)
+        if expect_kind is not None and run.kind != expect_kind:
             raise SchemaError(
-                f"manifest kind {manifest['kind']!r} does not match the "
+                f"manifest kind {run.kind!r} does not match the "
                 f"{expect_kind!r} command", field="kind")
-        effective_seed = seed if seed is not None else manifest.get("seed", _DEFAULT_SEED)
-        effective_fmt = fmt or manifest.get("format", "both")
-        effective_out = out_dir or manifest.get("output_dir", "out")
-        record = ReportRecord(
-            manifest_hash=_canonical_hash(manifest, effective_seed),
-            version=__version__, kind=manifest["kind"], seed=effective_seed)
+        record = ReportRecord(manifest_hash=_canonical_hash(manifest, run.seed),
+                              version=__version__, kind=run.kind, seed=run.seed)
 
         started = time.perf_counter()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _RUNNERS[manifest["kind"]](manifest, effective_seed, record)
-        # backstop for a run that adds no row (empty selections exit 2 earlier)
-        _require(record.results, "the manifest selects no checks", "params")
+            _RUNNERS[run.kind](run, record)
         # one report entry per warning category: first message plus an event
         # count, so repeated per-step diagnostics neither flood nor vanish
         by_category = {}
@@ -645,7 +681,7 @@ def run_manifest(path, out_dir=None, fmt=None, seed=None, verbose=False,
                 by_category[name] = entry
                 record.warnings.append(entry)
     except (ValueError, TypeError) as exc:
-        # SchemaError, or a manifest value that a runner's own checks reject
+        # SchemaError; every manifest value is checked before the runner starts
         field = getattr(exc, "field", None)
         print(f"schema error: {exc}" + (f" (field: {field})" if field else ""),
               file=sys.stderr)
@@ -661,9 +697,9 @@ def run_manifest(path, out_dir=None, fmt=None, seed=None, verbose=False,
     record.wall_time_s = time.perf_counter() - started
 
     try:
-        _write_report_json(record, effective_out)
-        if effective_fmt in ("csv", "both"):
-            emit_plot_data(record, effective_out)
+        _write_report_json(record, out_dir or run.output_dir)
+        if (fmt or run.format) in ("csv", "both"):
+            emit_plot_data(record, out_dir or run.output_dir)
     except OSError as exc:
         print(f"write failure: {exc}", file=sys.stderr)
         return EXIT_WRITE, None
@@ -691,24 +727,14 @@ def main(argv=None) -> int:
         p.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
-    temp_path = None
-    if args.config is None:
+    source = args.config
+    if source is None:
         if args.command != "selftest":
             print("--config is required for this command", file=sys.stderr)
             return EXIT_SCHEMA
-        import tempfile
-        manifest = {"schema": 1, "kind": "selftest", "seed": _DEFAULT_SEED}
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-            json.dump(manifest, fh)
-            temp_path = fh.name
-
-    try:
-        code, record = run_manifest(temp_path or args.config, out_dir=args.out,
-                                    fmt=args.format, seed=args.seed,
-                                    verbose=args.verbose, expect_kind=args.command)
-    finally:
-        if temp_path is not None:
-            os.remove(temp_path)
+        source = {"schema": 1, "kind": "selftest", "seed": _DEFAULT_SEED}
+    code, record = run_manifest(source, out_dir=args.out, fmt=args.format, seed=args.seed,
+                                verbose=args.verbose, expect_kind=args.command)
     if record is not None and not args.verbose:
         status = "ok" if record.all_passed() else "CHECKS FAILED"
         print(f"{record.kind}: {len(record.results)} checks, {status}")

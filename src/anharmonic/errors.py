@@ -6,7 +6,12 @@ class AnharmonicError(Exception):
 
 
 class InvalidSpecError(AnharmonicError, ValueError):
-    """A domain object failed construction-time validation."""
+    """A domain object failed construction-time validation; ``field`` names
+    the offending parameter or entry when known."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class NumericalError(AnharmonicError, ArithmeticError):
@@ -36,15 +41,9 @@ class NonConvergenceError(NumericalError):
         self.diagnostics = dict(diagnostics or {})
 
 
-class SchemaError(AnharmonicError, ValueError):
-    """A manifest or config document violated its schema.
-
-    ``field`` names the offending entry when known.
-    """
-
-    def __init__(self, message, field=None):
-        super().__init__(message)
-        self.field = field
+class SchemaError(InvalidSpecError):
+    """A manifest or config document violated its schema; ``field`` is the
+    path of the offending entry when known."""
 
 
 class BoundaryMassWarning(UserWarning):

@@ -297,33 +297,3 @@ class MixedNormParams:
         object.__setattr__(self, "p", check_exponent("p", self.p))
         object.__setattr__(self, "q", check_exponent("q", self.q))
 
-
-# --- manifest parsers used by the CLI ---------------------------------------
-
-def exponent_from_json(v):
-    if isinstance(v, str):
-        if v.lower() in ("inf", "infinity"):
-            return INF
-        raise InvalidSpecError(f"bad exponent string {v!r}")
-    return float(v)
-
-
-def potential_from_dict(data: dict) -> PotentialSpec:
-    return PotentialSpec(
-        kind=data["kind"],
-        degree_half=int(data["degree_half"]),
-        dimension=int(data.get("dimension", 1)),
-        coefficients=tuple(data.get("coefficients", ())),
-        terms=tuple((tuple(m), c) for m, c in data.get("terms", ())),
-    )
-
-
-def oscillator_from_dict(data: dict) -> OscillatorSpec:
-    return OscillatorSpec(
-        dimension=int(data["dimension"]),
-        l=int(data["l"]),
-        potential=potential_from_dict(data["potential"]),
-        beta=float(data.get("beta", 1.0)),
-        q1=float(data.get("q1", 1.0)),
-    )
-

@@ -3,8 +3,8 @@
 The solver works in retained-mode coefficient space: the linear semigroup is
 diagonal there, and each nonlinearity evaluation is one reconstruction, one
 pointwise power, and one projection back, the only form of the nonlinearity.
-The runner applies the step, tolerance and ETD-order rules before it
-decomposes anything. On every window [t, t + dt] the Picard map iterates the
+The runner applies the problem, step, tolerance and ETD-order rules before
+it decomposes anything. On every window [t, t + dt] the Picard map iterates the
 Duhamel formula with midpoint quadrature; the midpoint state is updated
 alongside the endpoint using the averaged input, so both carry second-order
 local accuracy. A restart per window is the computable surrogate for the
@@ -47,27 +47,31 @@ class NonlinearProblemSpec:
     monitor: tuple = (2.0, 1.0, 2.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "coupling", complex(self.coupling))
-        if not np.isfinite(self.beta) or self.beta <= 0:
-            raise InvalidSpecError("beta must be a positive real")
-        if not np.isfinite(self.coupling):
-            raise InvalidSpecError("coupling must be finite")
-        if not isinstance(self.nu, (int, np.integer)) or self.nu < 1:
-            raise InvalidSpecError("nu must be an integer >= 1")
-        object.__setattr__(self, "nu", int(self.nu))
-        if self.kind not in ("power", "inhomogeneous"):
-            raise InvalidSpecError(f"unknown nonlinearity kind {self.kind!r}")
-        alpha = float(self.alpha)
-        if self.kind == "inhomogeneous" and not (np.isfinite(alpha) and alpha > 0):
-            raise InvalidSpecError("inhomogeneous kind needs a finite alpha > 0")
-        if self.kind == "power":
-            alpha = 0.0
-        object.__setattr__(self, "alpha", alpha)
+        checked = _check_problem(self.kind, self.nu, self.beta, self.coupling, self.alpha)
+        for name, value in zip(("beta", "nu", "coupling", "alpha"), checked):
+            object.__setattr__(self, name, value)
         if self.u0.grid != self.decomposition.grid:
             raise InvalidSpecError("initial data and decomposition grids differ")
         if len(self.monitor) != 3:
             raise InvalidSpecError("monitor must be a (p, q, s) triple")
+
+
+def _check_problem(kind, nu, beta, coupling, alpha):
+    """NonlinearProblemSpec's field rules, which need no decomposition: the
+    normalized (beta, nu, coupling, alpha), alpha 0 for the power kind."""
+    beta, coupling = float(beta), complex(coupling)
+    if not np.isfinite(beta) or beta <= 0:
+        raise InvalidSpecError("beta must be a positive real", field="beta")
+    if not np.isfinite(coupling):
+        raise InvalidSpecError("coupling must be finite", field="coupling")
+    if not isinstance(nu, (int, np.integer)) or nu < 1:
+        raise InvalidSpecError("nu must be an integer >= 1", field="nu")
+    if kind not in ("power", "inhomogeneous"):
+        raise InvalidSpecError(f"unknown nonlinearity kind {kind!r}", field="kind")
+    alpha = float(alpha)
+    if kind == "inhomogeneous" and not (np.isfinite(alpha) and alpha > 0):
+        raise InvalidSpecError("inhomogeneous kind needs a finite alpha > 0", field="alpha")
+    return beta, int(nu), coupling, alpha if kind == "inhomogeneous" else 0.0
 
 
 def _singular_factor(spec: NonlinearProblemSpec):

@@ -1,13 +1,12 @@
 import json
 import os
-import tempfile
 import warnings
 
 import numpy as np
 import pytest
 
 import anharmonic.cli
-from anharmonic import SchemaError
+from anharmonic import INF, Grid, SchemaError, hermite_oscillator, oscillator
 from anharmonic.cli import (EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
                             EXIT_WRITE, ReportRecord, _canonical_hash, _format_cell,
                             emit_plot_data, load_manifest, main, run_manifest,
@@ -94,6 +93,60 @@ class TestValidateManifest:
             validate_manifest({"schema": 1, "kind": "ou", "grid": []})
         with pytest.raises(SchemaError):
             validate_manifest({"schema": 1, "kind": "ou", "oscillator": 3})
+
+    def test_returns_the_values_runners_read(self):
+        run = validate_manifest({"schema": 1, "kind": "nlheat"})
+        assert run.grid == Grid() and run.oscillator == hermite_oscillator()
+        assert (run.seed, run.format, run.output_dir) == (1234, "both", "out")
+        p = run.params
+        assert p.monitor == (2.0, 1.0, 2.0) and p.etd is None
+        assert (p.kind, p.nu, p.beta, p.coupling, p.alpha) == ("power", 1, 1.0, -1.0, 0.0)
+
+    @pytest.mark.parametrize("kind,points,modes", [
+        ("norms", 512, 192), ("norms", 128, 64), ("ou", 512, 256), ("nlheat", 512, 256),
+        ("nlheat", 1024, 384)])
+    def test_default_modes_follow_the_grid(self, kind, points, modes):
+        grid = {"dimension": 1, "points_per_axis": points}
+        assert validate_manifest({"schema": 1, "kind": kind, "grid": grid}).params.modes == modes
+
+    @pytest.mark.parametrize("points,modes", [(256, 128), (512, 384), (1024, 512)])
+    def test_default_spectrum_modes_follow_the_points(self, points, modes):
+        case = {"k": 1, "l": 1, "points": points}
+        run = validate_manifest({"schema": 1, "kind": "spectrum", "params": {"cases": [case]}})
+        assert run.params.cases[0].modes == modes
+
+    @pytest.mark.parametrize("params,field", [
+        ({"modes": 48.0}, "params.modes"), ({"modes": True}, "params.modes"),
+        ({"initial_norm": "0.05"}, "params.initial_norm"),
+        ({"initial_norm": False}, "params.initial_norm"),
+        ({"initial_norm": 10 ** 400}, "params.initial_norm"),
+        ({"monitor": [True, 1.0, 2.0]}, "params.monitor"),
+        ({"monitor": ["infinite", 1.0, 2.0]}, "params.monitor"),
+        ({"etd": None}, "params.etd")])
+    def test_types_are_strict(self, params, field):
+        """An int is a JSON integer, booleans and strings are never numbers,
+        a number must fit a float, and null is no value."""
+        with pytest.raises(SchemaError) as exc:
+            validate_manifest({"schema": 1, "kind": "nlheat", "params": params})
+        assert exc.value.field == field
+
+    def test_floats_take_integers_and_exponents_take_inf(self):
+        params = {"initial_norm": 1, "monitor": ["inf", 2, 0]}
+        p = validate_manifest({"schema": 1, "kind": "nlheat", "params": params}).params
+        assert type(p.initial_norm) is float and p.initial_norm == 1.0
+        assert p.monitor[0] is INF and p.monitor[1:] == (2.0, 0.0)
+
+    def test_oscillator_block_only_where_a_run_reads_it(self):
+        osc = {"dimension": 1, "l": 1, "potential": {"kind": "iso_power", "degree_half": 2}}
+        run = validate_manifest({"schema": 1, "kind": "norms", "oscillator": osc})
+        assert run.oscillator == oscillator(2, 1)
+        for kind in ("spectrum", "decay", "ou", "selftest"):
+            with pytest.raises(SchemaError) as exc:
+                validate_manifest({"schema": 1, "kind": kind, "oscillator": osc})
+            assert exc.value.field == "oscillator"
+        with pytest.raises(SchemaError, match="dimensions differ"):
+            validate_manifest({"schema": 1, "kind": "norms",
+                               "grid": {"dimension": 2, "points_per_axis": 16}})
 
 
 class TestLoadManifest:
@@ -249,20 +302,87 @@ class TestRunManifest:
         assert code == EXIT_SCHEMA and record is None
         assert calls == []
 
-    @pytest.mark.parametrize("kind,params,detail", [
+    @pytest.mark.parametrize("kind,params,top,seed,detail", [
         ("nlheat", {"horizon": 0.02, "etd": {"horizon": 0.01, "dt": 0.001, "order": 3}},
-         "order must be 1 or 2"),
+         {}, None, "order must be 1 or 2"),
         ("nlheat", {"horizon": 0.02, "etd": {"horizon": 0.0105, "dt": 0.001}},
-         "horizon must be an integer number of steps"),
+         {}, None, "horizon must be an integer number of steps"),
         ("nlheat", {"horizon": 0.02, "monitor": [2.0, 1.0, float("inf")]},
-         "weight exponent must be finite"),
-        ("nlheat", {"horizon": 0.02, "tol": 1e-12}, "tol must be a finite real >= 1e-10"),
-        ("nlheat", {"horizon": 0.02, "dt": 0.02}, "step must satisfy 0 < dt <= 1e-2"),
-        ("norms", {"checks": []}, "selects no checks (field: params)"),
-    ], ids=["etd_order", "etd_horizon", "monitor_s_inf", "tol", "dt", "norms_no_checks"])
+         {}, None, "weight exponent must be finite"),
+        ("nlheat", {"horizon": 0.02, "tol": 1e-12}, {}, None,
+         "tol must be a finite real >= 1e-10"),
+        ("nlheat", {"horizon": 0.02, "dt": 0.02}, {}, None,
+         "step must satisfy 0 < dt <= 1e-2"),
+        ("norms", {"checks": []}, {}, None, "selects no checks (field: params)"),
+        # values that int() or float() used to coerce, so the run measured
+        # another operator than the manifest names
+        ("nlheat", {"horizon": 0.02, "nu": 1.5}, {}, None,
+         "field params.nu has wrong type (field: params.nu)"),
+        ("nlheat", {"horizon": 0.02, "nu": True}, {}, None, "(field: params.nu)"),
+        ("nlheat", {"horizon": 0.02, "modes": 10.9}, {}, None, "(field: params.modes)"),
+        ("nlheat", {"horizon": 0.02, "modes": "48"}, {}, None, "(field: params.modes)"),
+        ("nlheat", {"horizon": 0.02, "beta": "1"}, {}, None, "(field: params.beta)"),
+        ("nlheat", {"horizon": 0.02, "etd": {"horizon": 0.01, "dt": 0.001, "order": 2.7}},
+         {}, None, "(field: params.etd.order)"),
+        ("nlheat", {"horizon": 0.02, "kind": "power", "alpha": 0.3}, {}, None,
+         "alpha is read only by the inhomogeneous kind (field: params.alpha)"),
+        ("nlheat", {"horizon": 0.02},
+         {"grid": {"dimension": 1, "points_per_axis": 128.6, "half_width": 12.0}}, None,
+         "(field: grid.points_per_axis)"),
+        ("nlheat", {"horizon": 0.02},
+         {"grid": {"dimension": 1, "points_per_axis": 128, "half_width": "10"}}, None,
+         "(field: grid.half_width)"),
+        ("norms", {"checks": ["moyal"], "modes": 16},
+         {"oscillator": {"dimension": 1, "l": 1, "betta": 2.0,
+                         "potential": {"kind": "iso_power", "degree_half": 1}}}, None,
+         "unknown manifest fields: ['oscillator.betta'] (field: oscillator.betta)"),
+        ("norms", {"checks": ["moyal"], "modes": 16},
+         {"oscillator": {"dimension": 1, "l": 1,
+                         "potential": {"kind": "iso_power", "degree_half": 1, "typo": 3}}},
+         None, "(field: oscillator.potential.typo)"),
+        ("norms", {"checks": ["moyal"], "modes": 16},
+         {"oscillator": {"dimension": 1, "l": 1,
+                         "potential": {"kind": "iso_power", "degree_half": 1.7}}}, None,
+         "(field: oscillator.potential.degree_half)"),
+        ("spectrum", {"cases": [{"k": True, "l": 1, "points": 256, "j_lo": 20, "j_hi": 45}]},
+         {}, None, "(field: params.cases.k)"),
+        ("spectrum", {"cases": [{"k": 1, "l": 1, "points": 256, "j_lo": 20, "j_hi": 45,
+                                 "tolerance": "0.1"}]}, {}, None,
+         "(field: params.cases.tolerance)"),
+        ("spectrum", {"cases": [{"k": 1, "l": 1, "points": 256.9, "j_lo": 20, "j_hi": 45}]},
+         {}, None, "(field: params.cases.points)"),
+        ("spectrum", {"cases": [{"k": 1, "l": 1, "points": 256, "j_lo": 20, "j_hi": 45.5}]},
+         {}, None, "(field: params.cases.j_hi)"),
+        ("decay", {"resolution": 256, "tuples": [{"k": 1, "l": 1, "beta": "2"}]}, {}, None,
+         "(field: params.tuples.beta)"),
+        ("ou", {"modes": 48, "gauss_probes": 2.9}, {}, None, "(field: params.gauss_probes)"),
+        # values that were rejected only after a decomposition
+        ("nlheat", {"horizon": 0.02, "kind": "cubic"}, {}, None,
+         "unknown nonlinearity kind 'cubic' (field: params.kind)"),
+        ("nlheat", {"horizon": 0.02, "nu": 0}, {}, None,
+         "nu must be an integer >= 1 (field: params.nu)"),
+        ("ou", {"modes": 48, "t_check": 0.5}, {}, None, "(field: params.t_check)"),
+        ("ou", {"modes": 48, "safe_radius": None}, {}, None, "(field: params.safe_radius)"),
+        ("norms", {"checks": ["moyal"], "modes": 0}, {}, None,
+         "params.modes must lie in [1, 128] (field: params.modes)"),
+        # the seed override obeys the manifest's seed rule
+        ("norms", {"checks": ["moyal"], "modes": 16}, {}, -1,
+         "seed must be an unsigned 64-bit integer (field: seed)"),
+        ("norms", {"checks": ["moyal"], "modes": 16}, {}, 2 ** 64 + 5,
+         "seed must be an unsigned 64-bit integer (field: seed)"),
+    ], ids=["etd_order", "etd_horizon", "monitor_s_inf", "tol", "dt", "norms_no_checks",
+            "nlheat_nu_float", "nlheat_nu_bool", "nlheat_modes_float", "nlheat_modes_str",
+            "nlheat_beta_str", "nlheat_etd_order_float", "nlheat_power_alpha",
+            "grid_points_float", "grid_half_width_str", "oscillator_unknown_key",
+            "potential_unknown_key", "potential_degree_half_float", "spectrum_k_bool",
+            "spectrum_tolerance_str", "spectrum_points_float", "spectrum_j_hi_float",
+            "decay_beta_str", "ou_gauss_probes_float", "nlheat_kind_cubic", "nlheat_nu_zero",
+            "ou_t_check_scalar", "ou_safe_radius_null", "norms_modes_zero",
+            "seed_override_negative", "seed_override_too_large"])
     def test_rejected_before_any_work(self, tmp_path, monkeypatch, capsys, kind, params,
-                                      detail):
-        """A rejected manifest value costs no decomposition and no Picard run."""
+                                      top, seed, detail):
+        """A rejected manifest value costs no decomposition and no Picard run.
+        ``top`` overrides top-level blocks; ``seed`` is the --seed override."""
         calls = []
 
         def counted(name):
@@ -276,9 +396,10 @@ class TestRunManifest:
         for name in ("decompose", "picard_solve"):
             monkeypatch.setattr(anharmonic.cli, name, counted(name))
         manifest = {"schema": 1, "kind": kind, "params": params,
-                    "grid": {"dimension": 1, "points_per_axis": 128, "half_width": 12.0}}
+                    "grid": {"dimension": 1, "points_per_axis": 128, "half_width": 12.0},
+                    **top}
         path = write_manifest(tmp_path, manifest)
-        code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
+        code, record = run_manifest(path, out_dir=str(tmp_path / "out"), seed=seed)
         assert code == EXIT_SCHEMA and record is None
         assert detail in capsys.readouterr().err
         assert calls == []
@@ -493,12 +614,20 @@ class TestMain:
         out = capsys.readouterr().out
         assert "selftest:" in out and "ok" in out
 
-    def test_selftest_without_config_leaves_no_temp_file(self, tmp_path, monkeypatch):
-        temp_dir = tmp_path / "tmp"
-        temp_dir.mkdir()
-        monkeypatch.setattr(tempfile, "tempdir", str(temp_dir))
+    def test_selftest_without_config_keeps_its_hash(self, tmp_path):
+        """The built-in manifest runs as a dict and hashes as it always has."""
         assert main(["selftest", "--out", str(tmp_path / "out")]) == EXIT_OK
-        assert list(temp_dir.iterdir()) == []
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["manifest_hash"] == (
+            "c1d8c01369cf86e87f487d582a2bc75938818017a49f6d2f636a295b6e4c9457")
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64 + 5)])
+    def test_seed_flag_obeys_the_seed_rule(self, tmp_path, capsys, seed):
+        """--seed is held to the manifest's 0 <= seed < 2^64 before any work."""
+        out = tmp_path / "out"
+        assert main(["selftest", "--out", str(out), "--seed", seed]) == EXIT_SCHEMA
+        assert "seed must be an unsigned 64-bit integer (field: seed)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_required_elsewhere(self, capsys):
         assert main(["ou"]) == EXIT_SCHEMA

@@ -7,10 +7,25 @@ import pytest
 
 import anharmonic
 from anharmonic import (INF, InvalidSpecError, MixedNormParams, OscillatorSpec,
-                        PotentialSpec, check_exponent, evaluate_potential,
-                        exponent_from_json, hermite_oscillator, is_inf, oscillator,
-                        oscillator_from_dict, potential_from_dict,
-                        submultiplicativity_defect, weight_value)
+                        PotentialSpec, SchemaError, check_exponent, evaluate_potential,
+                        hermite_oscillator, is_inf, oscillator, submultiplicativity_defect,
+                        weight_value)
+from anharmonic.cli import validate_manifest
+
+
+def parsed_oscillator(text):
+    """The OscillatorSpec that an oscillator block, written as JSON text,
+    parses to in a norms manifest on a grid of the block's dimension."""
+    block = json.loads(text)
+    grid = {"dimension": block["dimension"], "points_per_axis": 16}
+    return validate_manifest({"schema": 1, "kind": "norms", "grid": grid,
+                              "oscillator": block}).oscillator
+
+
+def parsed_monitor(text):
+    """The (p, q, s) that an nlheat monitor, written as JSON text, parses to."""
+    return validate_manifest({"schema": 1, "kind": "nlheat",
+                              "params": {"monitor": json.loads(text)}}).params.monitor
 
 
 def test_export_list_names_resolve_once():
@@ -46,11 +61,11 @@ class TestInfMarker:
 
     def test_json_roundtrip(self):
         # manifest exponents as written in JSON text come back as INF or a float
-        assert exponent_from_json(json.loads('"inf"')) is INF
-        assert exponent_from_json(json.loads('"Infinity"')) is INF
-        assert exponent_from_json(json.loads("2.5")) == 2.5
-        with pytest.raises(InvalidSpecError):
-            exponent_from_json("infinite")
+        p, q, _ = parsed_monitor('["inf", "Infinity", 2.0]')
+        assert p is INF and q is INF
+        assert parsed_monitor("[2.5, 1.0, 2.0]")[0] == 2.5
+        with pytest.raises(SchemaError):
+            parsed_monitor('["infinite", 1.0, 2.0]')
 
 
 class TestPotential:
@@ -120,7 +135,8 @@ class TestPotential:
                            terms=(((4, 0), 1.0), ((2, 2), 1.0), ((0, 4), 1.0)))),
         ]
         for text, expected in blocks:
-            assert potential_from_dict(json.loads(text)) == expected
+            block = '{"dimension": %d, "l": 1, "potential": %s}' % (expected.dimension, text)
+            assert parsed_oscillator(block).potential == expected
 
 
 class TestOscillator:
@@ -157,11 +173,10 @@ class TestOscillator:
     def test_serialization_roundtrip(self):
         """Oscillator manifest JSON, default and explicit beta/q1, parses to the spec."""
         pot = '{"kind": "iso_power", "degree_half": 2}'
-        default = json.loads('{"dimension": 1, "l": 1, "potential": %s}' % pot)
-        assert oscillator_from_dict(default) == oscillator(2, 1, 1)
-        explicit = json.loads(
-            '{"dimension": 1, "l": 1, "potential": %s, "beta": 1.5, "q1": 2.0}' % pot)
-        assert oscillator_from_dict(explicit) == oscillator(2, 1, 1, beta=1.5, q1=2.0)
+        default = '{"dimension": 1, "l": 1, "potential": %s}' % pot
+        assert parsed_oscillator(default) == oscillator(2, 1, 1)
+        explicit = '{"dimension": 1, "l": 1, "potential": %s, "beta": 1.5, "q1": 2.0}' % pot
+        assert parsed_oscillator(explicit) == oscillator(2, 1, 1, beta=1.5, q1=2.0)
 
 
 class TestWeight:

@@ -10,14 +10,29 @@ import numpy as np
 import pytest
 
 from anharmonic import INF
+from anharmonic.cli import validate_manifest
 from anharmonic.estimators import sigma_exponent
-from anharmonic.model import (OscillatorSpec, PotentialSpec, evaluate_potential,
-                              exponent_from_json, is_inf, oscillator, oscillator_from_dict,
-                              potential_from_dict, submultiplicativity_defect, weight_value)
+from anharmonic.model import (OscillatorSpec, PotentialSpec, evaluate_potential, is_inf,
+                              oscillator, submultiplicativity_defect, weight_value)
 from anharmonic.phasespace import _column_reduce, _outer_reduce
 from oracles import mixed_norm_reference
 
 rng = np.random.default_rng(20240814)
+
+
+def parsed_oscillator(text):
+    """The OscillatorSpec that an oscillator block, written as JSON text,
+    parses to in a norms manifest on a grid of the block's dimension."""
+    block = json.loads(text)
+    grid = {"dimension": block["dimension"], "points_per_axis": 16}
+    return validate_manifest({"schema": 1, "kind": "norms", "grid": grid,
+                              "oscillator": block}).oscillator
+
+
+def parsed_monitor(text):
+    """The (p, q, s) that an nlheat monitor, written as JSON text, parses to."""
+    return validate_manifest({"schema": 1, "kind": "nlheat",
+                              "params": {"monitor": json.loads(text)}}).params.monitor
 
 
 def random_potentials(n):
@@ -112,9 +127,9 @@ class TestWeightAlgebra:
 class TestExponentArithmetic:
     def test_inf_json_roundtrip(self):
         """Exponents written into manifest JSON parse back unchanged."""
-        assert is_inf(exponent_from_json(json.loads('"inf"')))
+        assert is_inf(parsed_monitor('["inf", 1.0, 2.0]')[0])
         for p in rng.uniform(0.25, 30.0, 20):
-            assert exponent_from_json(json.loads(json.dumps(float(p)))) == float(p)
+            assert parsed_monitor(json.dumps([float(p), 1.0, 2.0]))[0] == float(p)
 
 
 class TestSerializationRoundtrips:
@@ -140,7 +155,8 @@ class TestSerializationRoundtrips:
                                       ((2 * a, 2 * (k - a)), c2)))),
             ]
             for block, expected in cases:
-                assert potential_from_dict(json.loads(json.dumps(block))) == expected
+                osc = {"dimension": expected.dimension, "l": 1, "potential": block}
+                assert parsed_oscillator(json.dumps(osc)).potential == expected
 
     def test_oscillator_roundtrip(self):
         for _ in range(20):
@@ -155,7 +171,7 @@ class TestSerializationRoundtrips:
             expected = OscillatorSpec(2, l, PotentialSpec("aniso_sum", k, 2,
                                                           coefficients=(1.0, c)),
                                       beta=beta, q1=q1)
-            assert oscillator_from_dict(json.loads(json.dumps(block))) == expected
+            assert parsed_oscillator(json.dumps(block)) == expected
 
 
 def whole_lattice_reduce(w, p, q, cx, cxi):
