@@ -154,7 +154,7 @@ _TABLE = {
                  (lambda v: 0 <= v < 2 ** 64, "seed must be an unsigned 64-bit integer")),
         "format": ("str", "both",
                    (lambda v: v in _FORMATS, f"format must be one of {_FORMATS}")),
-        "output_dir": ("str", "out"), "grid": ("grid", {}), "oscillator": ("oscillator", None),
+        "output_dir": ("str", "out"), "grid": ("grid", None), "oscillator": ("oscillator", None),
         "params": ("object", {})},
     "grid": {"dimension": ("int", 1), "points_per_axis": ("int", 512),
              "half_width": ("float", 12.0)},
@@ -246,6 +246,11 @@ def _modes(block, kind, grid, where):
 
 
 def _finish_manifest(run):  # the grid is parsed before the params
+    # the kinds whose default mode count follows the grid are the ones run on it
+    if run.kind in _MODES_CAP:
+        run.grid = run.grid or _walk("grid", {}, "grid")
+    else:
+        _require(run.grid is None, f"a {run.kind} run reads no grid block", "grid")
     if run.kind in ("norms", "nlheat"):
         run.oscillator = run.oscillator or hermite_oscillator()
         _require(run.oscillator.dimension == run.grid.dimension,

@@ -9,6 +9,16 @@ Duhamel formula with midpoint quadrature; the midpoint state is updated
 alongside the endpoint using the averaged input, so both carry second-order
 local accuracy. A restart per window is the computable surrogate for the
 global fixed-point ball.
+
+Both nonlinearities keep parity, and every retained mode is exactly even or
+odd. So a real d=1 u0 that is bitwise even or odd (the shipped Gaussian is)
+is evolved in its parity sector alone: the coefficients of that parity's
+modes, with values on the rows x > 0 and twice the cell measure, about half
+of every matvec. Each state and Picard gap is mirrored into a full field
+before it is measured, so it is exactly even or odd and its norm takes the
+half-row pass of ``phasespace``. Checkpoint coefficients stay full length m,
+with exact zeros in the other parity. Other initial data (not bitwise
+symmetric, complex, or d=2) evolve in the full layout, as before.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from .calculus import _warn_off_span
 from .errors import InvalidSpecError, NonConvergenceError
 from .model import MixedNormParams
 from .phasespace import _modulation_columns, _outer_reduce, modulation_norm
-from .spectral import FieldSample, SpectralDecomposition, real_matmul
+from .spectral import FieldSample, SpectralDecomposition, _reflection_parity, real_matmul
 
 _BLOWUP_NORM = 1e6
 
@@ -87,17 +97,47 @@ def _nonlinear_values(spec: NonlinearProblemSpec, v: np.ndarray, sing) -> np.nda
     return nl if sing is None else nl * sing
 
 
+def _sector(spec: NonlinearProblemSpec):
+    """(sign, modes) of the parity sector the flow stays in: sign 1.0 or -1.0
+    for d = 1, u0 real and bitwise even or odd, and every retained mode
+    bitwise even or odd (both nonlinearities keep parity), with the indices
+    of the modes of u0's parity. (0.0, every mode) otherwise."""
+    dec, u0 = spec.decomposition, spec.u0.values
+    sign = 0.0
+    if dec.grid.dimension == 1 and not u0.imag.any():
+        sign = float(_reflection_parity(u0.real))
+    parity = _reflection_parity(dec.eigenvectors) if sign else None
+    if not sign or not np.all(parity):
+        return 0.0, slice(None)
+    return sign, np.flatnonzero(parity == sign)
+
+
 class _Engine:
-    """Coefficient-space workhorse shared by the integrators."""
+    """Coefficient-space workhorse shared by the integrators.
+
+    In a parity sector (``sign`` nonzero, see ``_sector``) states live in it
+    alone: the coefficients of the modes ``cols`` of u0's parity, with
+    values on the rows x > 0 (``rows``), twice the cell measure in the
+    projection, and a state mirrored into an exactly even or odd full field
+    where it is measured. Otherwise ``cols`` and ``rows`` take every mode
+    and node.
+    """
 
     def __init__(self, spec: NonlinearProblemSpec):
         self.spec = spec
         dec = spec.decomposition
         self.dec = dec
-        self.lam_beta = dec.eigenvalues ** spec.beta
+        self.sign, self.cols = _sector(spec)
+        self.rows = slice(None)
         self.phi = dec.eigenvectors
         self.cell = dec.grid.cell_volume
-        self.sing = _singular_factor(spec)
+        if self.sign:
+            self.rows = slice(dec.grid.size // 2, None)
+            self.phi = np.ascontiguousarray(dec.eigenvectors[self.rows, self.cols])
+            self.cell *= 2.0
+        self.lam_beta = dec.eigenvalues[self.cols] ** spec.beta
+        sing = _singular_factor(spec)
+        self.sing = None if sing is None else sing[self.rows]
         p, q, s = spec.monitor
         self.monitor_params = MixedNormParams(p, q)
         self.monitor_s = float(s)
@@ -114,16 +154,31 @@ class _Engine:
     def nonlin_coeff(self, coeffs: np.ndarray) -> np.ndarray:
         return self.to_coeff(_nonlinear_values(self.spec, self.to_values(coeffs), self.sing))
 
+    def field(self, coeffs: np.ndarray) -> FieldSample:
+        """The full field of ``coeffs``; a sector state is mirrored from its
+        rows x > 0, so it is exactly even or odd."""
+        v = self.to_values(coeffs)
+        if self.sign:
+            v = np.concatenate((self.sign * v[::-1], v))
+        return FieldSample(self.dec.grid, v)
+
+    def checkpoint(self, coeffs: np.ndarray) -> np.ndarray:
+        """A copy of ``coeffs`` over all m retained modes, exact zeros in the
+        parity a sector run leaves out."""
+        full = np.zeros(self.dec.m, dtype=coeffs.dtype)
+        full[self.cols] = coeffs
+        return full
+
     def monitored_norm(self, coeffs: np.ndarray) -> float:
-        f = FieldSample(self.dec.grid, self.to_values(coeffs))
-        return modulation_norm(f, self.monitor_s, self.dec.oscillator, self.monitor_params)
+        return modulation_norm(self.field(coeffs), self.monitor_s, self.dec.oscillator,
+                               self.monitor_params)
 
     def gap_norm(self, coeffs: np.ndarray) -> float:
         """Monitored norm of a difference of Picard iterates, without the
         boundary-mass check of a state: near convergence it is round-off."""
         grid, p, q = self.dec.grid, self.monitor_params.p, self.monitor_params.q
-        [columns] = _modulation_columns(FieldSample(grid, self.to_values(coeffs)),
-                                        [self.monitor_s], self.dec.oscillator, p)
+        [columns] = _modulation_columns(self.field(coeffs), [self.monitor_s],
+                                        self.dec.oscillator, p)
         return _outer_reduce(columns, p, q, grid.cell_volume, grid.frequency_cell)
 
     def l2_norm(self, coeffs: np.ndarray) -> float:
@@ -135,7 +190,8 @@ class Trajectory:
     """Time-stepped solution record.
 
     ``l2_norms`` (of the coefficients) are per step. Field checkpoints
-    (retained-mode coefficients) are stored every ``checkpoint_stride``
+    (all m retained-mode coefficients; a parity-sector run stores exact
+    zeros in the other parity) are stored every ``checkpoint_stride``
     steps plus the final state, and ``monitored_norms`` is measured at
     exactly those steps and NaN between them. ``contraction_factors`` holds,
     per Picard window, the gap ratios of successive iterates; exponential
@@ -208,7 +264,7 @@ class _Recorder:
         self.monitored = [engine.monitored_norm(c)]
         self.l2s = [engine.l2_norm(c)]
         self.cp_times = [0.0]
-        self.cps = [c.copy()]
+        self.cps = [engine.checkpoint(c)]
         self.blowup_time = None
 
     def record(self, step, c) -> bool:
@@ -227,7 +283,7 @@ class _Recorder:
             norm = self.engine.monitored_norm(c) if finite else float("inf")
             blown = not (on_stride and norm <= _BLOWUP_NORM)
             self.cp_times.append(t)
-            self.cps.append(c.copy())
+            self.cps.append(self.engine.checkpoint(c))
         else:
             norm, blown = float("nan"), False
         self.times.append(t)
@@ -255,8 +311,8 @@ def _start(spec, horizon, dt, stride):
     if not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"checkpoint_stride must be an integer >= 1, got {stride!r}")
     engine = _Engine(spec)
-    c = engine.to_coeff(spec.u0.values)
-    _warn_off_span(spec.decomposition, spec.u0, "initial data", c)
+    c = engine.to_coeff(spec.u0.values[engine.rows])
+    _warn_off_span(spec.decomposition, spec.u0, "initial data", engine.checkpoint(c))
     return engine, c, _Recorder(engine, c, dt, steps, int(stride))
 
 
@@ -376,13 +432,15 @@ def duhamel_residual(traj: Trajectory, spec: NonlinearProblemSpec) -> float:
 
     The Duhamel integral is accumulated segment by segment with the
     trapezoid rule, multiplying by the segment propagator as it goes, so
-    each checkpoint's integral carries the exact semigroup kernel.
+    each checkpoint's integral carries the exact semigroup kernel. A sector
+    run (see ``_Engine``) is checked on its sector's coefficients; the
+    others are exact zeros in its checkpoints.
     """
     if len(traj.checkpoint_times) < 3:
         raise ValueError("need at least 3 checkpoints for a residual")
     engine = _Engine(spec)
     times = traj.checkpoint_times
-    coeffs = traj.checkpoint_coeffs
+    coeffs = traj.checkpoint_coeffs[:, engine.cols]
     n_hat = np.stack([engine.nonlin_coeff(coeffs[i]) for i in range(len(times))])
 
     worst = 0.0

@@ -31,7 +31,15 @@ of Time-Frequency Analysis, 2001, 11.3; Galperin-Samarah, ACHA 16, 2004).
 A real d=1 field streams half the spectrum: |V_g f(x, -xi)| = |V_g f(x, xi)|
 for real f and the real g, and the weight depends on |xi| only, so the
 pass runs ``rfft`` on the real windowed product, reduces the bins xi >= 0 and
-mirrors the column sums. Complex fields and d=2 take the full spectrum. The
+mirrors the column sums. Complex fields and d=2 take the full spectrum.
+A real d=1 field that is also bitwise even or odd (``v == +-v[::-1]``, an
+O(N) check; every state of a parity-sector flow in ``nlheat`` is one) streams
+half the rows as well. The staggered nodes give -x_i = x_{N-1-i} bit for bit,
+so with the even window V_g f(-x, xi) = +-conj(V_g f(x, xi)); the weight
+depends on x only through the even V. The pass therefore runs the rows
+x > 0 alone (``_stft_blocks`` from row N/2) and doubles the finite-p column
+sums; the column sup for p = INF is the same over half the rows. Other
+fields run every row. The
 boundary-mass check runs where a state is measured, not in the pass, so
 Picard gaps (round-off noise near convergence) are reduced without it.
 """
@@ -47,7 +55,7 @@ import numpy as np
 
 from .errors import BoundaryMassWarning, InvalidSpecError, NumericalError
 from .model import MixedNormParams, OscillatorSpec, is_inf, weight_value
-from .spectral import FieldSample, Grid
+from .spectral import FieldSample, Grid, _reflection_parity
 
 _WINDOW_NORM_TOL = 1e-10
 _BOUNDARY_TOL = 1e-8
@@ -122,20 +130,23 @@ def _gaussian_conj_table(grid: Grid) -> np.ndarray:
     return table
 
 
-def _stft_blocks(f: FieldSample, real: bool = False):
+def _stft_blocks(f: FieldSample, real: bool = False, first_row: int = 0):
     """Yield (lo, block) with block[r] = h^d FFT(f g(. - x_{lo+r})).
 
-    Rows run over consecutive x shifts from ``lo``; the block has shape
+    Rows run over consecutive x shifts from ``first_row`` (0, or N/2 for the
+    half-row pass of an even or odd field); the block has shape
     (rows, N) for d=1 and (rows, N, N) for d=2, frequencies in FFT order on
     each axis (bin 0 first), with neither fftshift nor the staggered-grid
     phase applied. Every block has the same number of rows, about
-    ``_BLOCK_CELLS`` lattice cells; the windowed product reuses one buffer.
+    ``_BLOCK_CELLS`` lattice cells and at most the rows to run; the windowed
+    product reuses one buffer.
     ``real`` (d=1, f real) transforms the real product with ``rfft`` and
     yields only the bins 0..N/2, shape (rows, N/2 + 1).
     """
     grid = f.grid
     n_pts, d, size = grid.points_per_axis, grid.dimension, grid.size
-    rows = min(size, max(1, _BLOCK_CELLS // size))  # powers of two: divides size
+    # powers of two: divides size - first_row
+    rows = min(size - first_row, max(1, _BLOCK_CELLS // size))
     axes = tuple(range(1, d + 1))
     if d == 1:
         table = _gaussian_conj_table(grid)
@@ -144,7 +155,7 @@ def _stft_blocks(f: FieldSample, real: bool = False):
         g_conj = np.conj(_gaussian_window_values(grid)).reshape((n_pts,) * d)
     fv = f.values.real if real else f.values.reshape((n_pts,) * d)
     prod = np.empty((rows,) + (n_pts,) * d, dtype=fv.dtype)
-    for lo in range(0, size, rows):
+    for lo in range(first_row, size, rows):
         if d == 1:
             win = table[lo:lo + rows]
         else:
@@ -285,19 +296,25 @@ def _modulation_columns(f: FieldSample, s_values, osc: OscillatorSpec | None, p)
     one column array per weight exponent in ``s_values`` (s = 0 reduces the
     raw magnitudes), each with one column per xi node in ascending order. No
     boundary-mass check. A real d=1 field reduces only the N/2 + 1 ``rfft``
-    bins and mirrors their column sums (see the module docstring).
+    bins and mirrors their column sums; if it is also bitwise even or odd,
+    only the rows x > 0, with finite-p column sums doubled (see the module
+    docstring).
     """
     grid = f.grid
     n_pts = grid.points_per_axis
     lattices = [_weight_lattice(s, osc, grid) for s in s_values]
     if grid.dimension == 1 and not f.values.imag.any():
         half = n_pts // 2
+        first_row = half if _reflection_parity(f.values.real) else 0
         # rfft bin k has |xi| = k/(2L), as has lattice column N/2 - k (the
         # Nyquist bin N/2 is column 0, xi = -N/2): a reversed view weighs all
         mirrored = []
         for sums in _weighted_columns(
-                ((lo, np.abs(block)) for lo, block in _stft_blocks(f, real=True)),
+                ((lo, np.abs(block))
+                 for lo, block in _stft_blocks(f, real=True, first_row=first_row)),
                 lattices, p, slice(half, None, -1)):
+            if first_row and not is_inf(p):
+                sums *= 2.0  # rows x < 0 repeat the magnitudes of rows x > 0
             columns = np.empty(n_pts)
             columns[half:] = sums[:half]
             columns[:half] = sums[half:0:-1]  # bin k also stands for -k, at column N/2 - k
@@ -341,8 +358,10 @@ def modulation_norm(f: FieldSample, s: float, osc: OscillatorSpec | None,
     shared STFT pass into the inner L^p column sums (column sup for INF);
     the outer L^q follows once all rows are in. A real d=1 field transforms
     only the frequencies xi >= 0 (``rfft``) and mirrors their column sums,
-    which is about half the work; the value agrees with the full-spectrum
-    pass to round-off. Raises NumericalError on
+    which is about half the work; if it is also bitwise even or odd
+    (``v == +-v[::-1]``), only the x-shift rows x > 0 are run and the
+    finite-p column sums doubled, which halves the work again. Either value
+    agrees with the full pass to round-off. Raises NumericalError on
     non-finite weighted values. Like ``stft`` it measures a state, so it
     warns when the field carries boundary mass above 1e-8 of its peak; a
     Picard gap goes through ``_modulation_columns`` without that check.

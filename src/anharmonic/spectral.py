@@ -168,6 +168,14 @@ def assemble_operator(osc: OscillatorSpec, grid: Grid) -> np.ndarray:
     return a
 
 
+def _reflection_parity(v: np.ndarray):
+    """Per column (axis 0) of ``v``: 1.0 where it is bitwise even under
+    x -> -x (the reversed flat index), -1.0 where bitwise odd, 0.0 elsewhere.
+    A zero column counts as even."""
+    even = np.all(v == v[::-1], axis=0)
+    return np.where(even, 1.0, np.where(np.all(v == -v[::-1], axis=0), -1.0, 0.0))
+
+
 def real_matmul(a: np.ndarray, x) -> np.ndarray:
     """``a @ x`` for a real matrix ``a`` and a real or complex ``x`` (1-d or 2-d).
 

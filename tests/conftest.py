@@ -2,7 +2,25 @@ import numpy as np
 import pytest
 
 import anharmonic as ah
+from anharmonic import phasespace
 from oracles import gaussian_stft_abs
+
+
+@pytest.fixture()
+def pass_starts(monkeypatch):
+    """The first x-shift row of every blocked STFT pass run while the test
+    runs, in call order: 0 for a full pass, N/2 for a half-row one."""
+    starts = []
+    blocks = phasespace._stft_blocks
+
+    def recorded(*args, **kwargs):
+        for i, (lo, block) in enumerate(blocks(*args, **kwargs)):
+            if i == 0:
+                starts.append(lo)
+            yield lo, block
+
+    monkeypatch.setattr(phasespace, "_stft_blocks", recorded)
+    return starts
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,9 @@ from anharmonic.cli import (EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, EXIT_SCH
                             validate_manifest)
 
 
+GRID_KINDS = ("norms", "nlheat", "ou")  # the kinds that run on the top-level grid
+
+
 def write_manifest(tmp_path, payload, name="manifest.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -148,6 +151,18 @@ class TestValidateManifest:
             validate_manifest({"schema": 1, "kind": "norms",
                                "grid": {"dimension": 2, "points_per_axis": 16}})
 
+    def test_grid_block_only_where_a_run_reads_it(self):
+        grid = {"points_per_axis": 64, "half_width": 8.0}
+        for kind in GRID_KINDS:
+            assert validate_manifest({"schema": 1, "kind": kind}).grid == Grid()
+            run = validate_manifest({"schema": 1, "kind": kind, "grid": grid})
+            assert run.grid == Grid(1, 64, 8.0)
+        for kind in ("spectrum", "decay", "selftest"):
+            assert validate_manifest({"schema": 1, "kind": kind}).grid is None
+            with pytest.raises(SchemaError, match=f"a {kind} run reads no grid block") as exc:
+                validate_manifest({"schema": 1, "kind": kind, "grid": grid})
+            assert exc.value.field == "grid"
+
 
 class TestLoadManifest:
     def test_missing_file(self, tmp_path):
@@ -272,8 +287,9 @@ class TestRunManifest:
         """A value the runner's own checks reject (ValueError) is a manifest
         problem: exit 2 with a schema-error line, not a traceback. ``detail``,
         where given, is the end of that line: the message and the field."""
-        manifest = {"schema": 1, "kind": kind, "params": params,
-                    "grid": {"dimension": 1, "points_per_axis": 64, "half_width": 8.0}}
+        manifest = {"schema": 1, "kind": kind, "params": params}
+        if kind in GRID_KINDS:
+            manifest["grid"] = {"dimension": 1, "points_per_axis": 64, "half_width": 8.0}
         path = write_manifest(tmp_path, manifest)
         code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
         assert code == EXIT_SCHEMA and record is None
@@ -365,6 +381,13 @@ class TestRunManifest:
         ("ou", {"modes": 48, "safe_radius": None}, {}, None, "(field: params.safe_radius)"),
         ("norms", {"checks": ["moyal"], "modes": 0}, {}, None,
          "params.modes must lie in [1, 128] (field: params.modes)"),
+        # a grid block on a kind that runs on no top-level grid
+        ("spectrum", {"cases": [{"k": 1, "l": 1, "points": 256, "j_lo": 20, "j_hi": 45}]},
+         {"grid": {"points_per_axis": 64}}, None, "a spectrum run reads no grid block "
+         "(field: grid)"),
+        ("decay", {"resolution": 256}, {"grid": {"points_per_axis": 64}}, None,
+         "a decay run reads no grid block (field: grid)"),
+        ("selftest", {}, {"grid": {}}, None, "a selftest run reads no grid block (field: grid)"),
         # the seed override obeys the manifest's seed rule
         ("norms", {"checks": ["moyal"], "modes": 16}, {}, -1,
          "seed must be an unsigned 64-bit integer (field: seed)"),
@@ -378,6 +401,7 @@ class TestRunManifest:
             "spectrum_tolerance_str", "spectrum_points_float", "spectrum_j_hi_float",
             "decay_beta_str", "ou_gauss_probes_float", "nlheat_kind_cubic", "nlheat_nu_zero",
             "ou_t_check_scalar", "ou_safe_radius_null", "norms_modes_zero",
+            "spectrum_grid", "decay_grid", "selftest_grid",
             "seed_override_negative", "seed_override_too_large"])
     def test_rejected_before_any_work(self, tmp_path, monkeypatch, capsys, kind, params,
                                       top, seed, detail):
@@ -395,9 +419,10 @@ class TestRunManifest:
 
         for name in ("decompose", "picard_solve"):
             monkeypatch.setattr(anharmonic.cli, name, counted(name))
-        manifest = {"schema": 1, "kind": kind, "params": params,
-                    "grid": {"dimension": 1, "points_per_axis": 128, "half_width": 12.0},
-                    **top}
+        manifest = {"schema": 1, "kind": kind, "params": params, **top}
+        if kind in GRID_KINDS:
+            manifest.setdefault(
+                "grid", {"dimension": 1, "points_per_axis": 128, "half_width": 12.0})
         path = write_manifest(tmp_path, manifest)
         code, record = run_manifest(path, out_dir=str(tmp_path / "out"), seed=seed)
         assert code == EXIT_SCHEMA and record is None

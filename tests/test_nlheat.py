@@ -17,6 +17,10 @@ pytestmark = pytest.mark.filterwarnings(
     "ignore::anharmonic.errors.BoundaryMassWarning")
 
 MONITOR = (2.0, 1.0, 2.0)
+# both integrators share one engine, and one recorder for norms, checkpoints
+# and the blow-up stop
+INTEGRATORS = pytest.mark.parametrize("integrate", [picard_solve, etd_evolve],
+                                      ids=lambda f: f.__name__)
 
 
 @pytest.fixture(scope="module")
@@ -78,32 +82,104 @@ class TestProblemSpec:
             dataclasses.replace(defocusing, u0=FieldSample(other, np.zeros(other.size)))
 
 
+# u0 centred at 0 is bitwise even and runs in its parity sector; shifted, it
+# takes the full layout
+LAYOUTS = pytest.mark.parametrize("shift", [0.0, 0.3], ids=["sector", "full"])
+
+
 class TestNonlinearity:
     """The engine's coefficient-space nonlinearity, the one both integrators
-    and the residual use, against the projection of the closed form."""
+    and the residual use, against the projection of the closed form, in
+    both engine layouts."""
 
     @staticmethod
-    def engine_and_state(spec):
+    def engine_and_state(spec, shift):
+        """The engine, u0's coefficients and their values on the engine's rows."""
         engine = anharmonic.nlheat._Engine(spec)
-        c = engine.to_coeff(spec.u0.values)
+        assert engine.sign == (1.0 if shift == 0.0 else 0.0)
+        c = engine.to_coeff(spec.u0.values[engine.rows])
         return engine, c, engine.to_values(c)
 
-    def test_power_formula(self, dec, small_u0):
-        spec = NonlinearProblemSpec(dec, small_u0, nu=2, coupling=-0.3 + 0.1j)
-        engine, c, u = self.engine_and_state(spec)
+    @staticmethod
+    def u0(dec, shift):
+        x = dec.grid.axis_nodes()
+        return FieldSample(dec.grid, 0.5 * np.exp(-(x - shift) ** 2 / 2))
+
+    @LAYOUTS
+    def test_power_formula(self, dec, shift):
+        spec = NonlinearProblemSpec(dec, self.u0(dec, shift), nu=2, coupling=-0.3 + 0.1j)
+        engine, c, u = self.engine_and_state(spec, shift)
         expected = engine.to_coeff((-0.3 + 0.1j) * np.abs(u) ** 4 * u)
         np.testing.assert_allclose(engine.nonlin_coeff(c), expected, rtol=0,
                                    atol=1e-14 * np.max(np.abs(expected)))
 
-    def test_inhomogeneous_factor(self, dec, small_u0):
-        spec = NonlinearProblemSpec(dec, small_u0, kind="inhomogeneous", alpha=0.4)
-        engine, c, u = self.engine_and_state(spec)
-        x = np.abs(dec.grid.axis_nodes())
+    @LAYOUTS
+    def test_inhomogeneous_factor(self, dec, shift):
+        spec = NonlinearProblemSpec(dec, self.u0(dec, shift), kind="inhomogeneous",
+                                    alpha=0.4)
+        engine, c, u = self.engine_and_state(spec, shift)
+        x = np.abs(dec.grid.axis_nodes())[engine.rows]
         expected = engine.to_coeff(-1.0 * np.abs(u) ** 2 * u * x ** -0.4)
         out = engine.nonlin_coeff(c)
         np.testing.assert_allclose(out, expected, rtol=0,
                                    atol=1e-14 * np.max(np.abs(expected)))
         assert np.all(np.isfinite(out))  # staggered nodes avoid x = 0
+
+
+class TestParitySector:
+    """A real u0 that is bitwise even or odd is evolved in its parity sector.
+    The reference is the same flow from a copy of u0 with one node moved by
+    one ulp, which the full layout evolves."""
+
+    @staticmethod
+    def u0(dec, parity):
+        x = dec.grid.axis_nodes()
+        gauss = np.exp(-x ** 2 / 2)
+        return FieldSample(dec.grid, 0.5 * (gauss if parity == "even" else x * gauss))
+
+    @staticmethod
+    def nudged(u0):
+        vals = np.array(u0.values.real)
+        k = u0.grid.size // 2 + 3
+        vals[k] = np.nextafter(vals[k], np.inf)
+        return FieldSample(u0.grid, vals)
+
+    @INTEGRATORS
+    @pytest.mark.parametrize("coupling", [-1.0, -1.0 + 0.5j], ids=["real", "complex"])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_agrees_with_the_full_layout(self, dec, parity, coupling, integrate):
+        spec = NonlinearProblemSpec(dec, self.u0(dec, parity), coupling=coupling,
+                                    monitor=MONITOR)
+        full = dataclasses.replace(spec, u0=self.nudged(spec.u0))
+        assert anharmonic.nlheat._Engine(spec).sign == (1.0 if parity == "even" else -1.0)
+        assert anharmonic.nlheat._Engine(full).sign == 0.0
+        a, b = integrate(spec, 0.05, 0.005), integrate(full, 0.05, 0.005)
+        np.testing.assert_allclose(a.monitored_norms, b.monitored_norms, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(a.final_coeffs, b.final_coeffs, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(b.final_coeffs)))
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_checkpoints_hold_zeros_in_the_other_parity(self, dec, parity):
+        spec = NonlinearProblemSpec(dec, self.u0(dec, parity), monitor=MONITOR)
+        traj = picard_solve(spec, 0.02, 0.005)
+        vecs = dec.eigenvectors
+        other = ~np.all(vecs == (1.0 if parity == "even" else -1.0) * vecs[::-1], axis=0)
+        assert traj.checkpoint_coeffs.shape == (5, dec.m)
+        assert 0 < np.count_nonzero(other) < dec.m
+        assert np.all(traj.checkpoint_coeffs[:, other] == 0.0)
+        assert np.all(traj.checkpoint_coeffs[:, ~other] != 0.0)
+        assert duhamel_residual(traj, spec) < 1e-6
+
+    @INTEGRATORS
+    def test_every_pass_of_a_gaussian_run_is_half_rows(self, dec, integrate, pass_starts):
+        """The shipped initial data (``cli._gaussian_initial``, scaled) runs
+        every monitored norm and Picard gap on the rows N/2.., so a silent
+        fall back to the full pass fails here."""
+        base = ah.cli._gaussian_initial(dec.grid)
+        u0 = FieldSample(dec.grid, 0.05 * base.values)
+        integrate(NonlinearProblemSpec(dec, u0, monitor=MONITOR), 0.02, 0.005)
+        assert len(pass_starts) >= 5  # the initial state and four steps, at least
+        assert set(pass_starts) == {dec.grid.size // 2}
 
 
 class TestStepValidation:
@@ -230,11 +306,6 @@ class TestBlowup:
         rows = trajectory_csv_rows(traj, tmp_path)
         assert rows[0] == ["t", "monitored_norm", "l2_norm", "blowup"]
         assert [r[3] for r in rows[1:]] == ["0", "1"]
-
-
-# both integrators share one recorder for norms, checkpoints and the blow-up stop
-INTEGRATORS = pytest.mark.parametrize("integrate", [picard_solve, etd_evolve],
-                                      ids=lambda f: f.__name__)
 
 
 class TestTrajectoryRecord:

@@ -341,6 +341,48 @@ class TestRealStateNorm:
         assert got == pytest.approx(full, rel=1e-13)
 
 
+class TestHalfRowPass:
+    """A real d=1 field that is bitwise even or odd reduces only the rows
+    x > 0 of the pass and doubles the finite-p column sums (the column max
+    for p = INF is kept). The reference is the full lattice,
+    ``mixed_norm(stft(f), ...)``, which runs every row."""
+
+    @staticmethod
+    def field(grid, parity):
+        x = grid.axis_nodes()
+        even = np.exp(-x ** 2 / 2) * (1.0 + 0.3 * x ** 2)
+        return FieldSample(grid, even if parity == "even" else x * even)
+
+    # on 128 points one block would span every row, so the half start must
+    # also shrink the block
+    @pytest.mark.parametrize("grid", [Grid(1, 128, 10.0), Grid(1, 512, 12.0)],
+                             ids=["128", "512"])
+    @pytest.mark.parametrize("p,q", [(2.0, 1.0), (6.0, 2.0), (INF, 2.0), (0.5, INF)],
+                             ids=_exponent_id)
+    @pytest.mark.parametrize("s", [FLAT, 1.5], ids=["s0", "s1.5"])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_matches_full_lattice(self, parity, s, p, q, grid, pass_starts):
+        f = self.field(grid, parity)
+        params = MixedNormParams(p, q)
+        expected = mixed_norm(stft(f), s, HARMONIC, params)
+        got = modulation_norm(f, s, HARMONIC, params)
+        assert pass_starts == [0, grid.size // 2]  # stft runs every row
+        assert got == pytest.approx(expected, rel=1e-13)
+
+    def test_perturbed_node_takes_the_full_pass(self, pass_starts):
+        """One node moved by one ulp breaks the symmetry: every row is run and
+        the value is the full pass's, bit for bit (pinned before the half-row
+        pass existed)."""
+        grid = Grid(1, 512, 12.0)
+        vals = np.array(self.field(grid, "even").values.real)
+        k = grid.size // 4
+        vals[k] = np.nextafter(vals[k], np.inf)
+        got = modulation_norm(FieldSample(grid, vals), 1.5, HARMONIC,
+                              MixedNormParams(2.0, 1.0))
+        assert pass_starts == [0]
+        assert got == 15.81629462367387
+
+
 class TestStreamedNormGuards:
     def test_nonfinite_field_raises(self, hermite_grid):
         vals = np.array(unit_gaussian(hermite_grid).values)
