@@ -33,9 +33,9 @@ from .calculus import SemigroupQuery, heat_semigroup, project
 from .errors import NumericalError, SchemaError
 from .model import (INF, MixedNormParams, OscillatorSpec, PotentialSpec, hermite_oscillator,
                     is_inf, oscillator, submultiplicativity_defect, weight_value)
-from .estimators import (WeightQuotientParams, algebra_ratios, eigenvalue_growth_fit,
-                         gaussian_probe_fields, ou_probe_rate, sigma_exponent,
-                         singular_weight_norm, smoothing_decay_run,
+from .estimators import (WeightQuotientParams, _check_decay_times, algebra_ratios,
+                         eigenvalue_growth_fit, gaussian_probe_fields, ou_probe_rate,
+                         sigma_exponent, singular_weight_norm, smoothing_decay_run,
                          sobolev_modulation_equivalence, standard_probe_family)
 from .nlheat import (NonlinearProblemSpec, _check_order, _check_problem, _check_steps,
                      _check_tol, duhamel_residual, etd_evolve, picard_solve)
@@ -48,6 +48,7 @@ _NORMS_CHECKS = ("moyal", "equivalence", "algebra", "singular")
 _FORMATS = ("json", "csv", "both")
 _DEFAULT_SEED = 1234
 _L2_GAMMA_TOL = 1e-9  # Moyal holds up to the window-norm error, capped at 1e-10
+_SINGULAR_RADIUS = 6.0  # the norms singular check truncates |x|^(-alpha) at this radius
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -261,6 +262,10 @@ def _finish_manifest(run):  # the grid is parsed before the params
     run.params = _walk(f"params.{run.kind}", run.params, "params")
     if run.kind in _MODES_CAP:
         run.params.modes = _modes(run.params, run.kind, run.grid, "params.modes")
+    if run.kind == "norms" and "singular" in run.params.checks:
+        _require(run.grid.half_width >= _SINGULAR_RADIUS,
+                 f"the singular check truncates at radius {_SINGULAR_RADIUS:g}, beyond "
+                 f"the grid half-width {run.grid.half_width:g}", "grid.half_width")
     return run
 
 
@@ -275,7 +280,11 @@ def _finish_case(case):
 
 
 def _finish_decay(p):
-    t_list = {} if p.t_list is None else {"t_list": tuple(sorted(set(p.t_list), reverse=True))}
+    t_list = {}
+    if p.t_list is not None:  # the default times pass the fit's rule
+        t_list["t_list"] = tuple(sorted(set(p.t_list), reverse=True))
+        with _rejected_as("params.t_list"):
+            _check_decay_times(t_list["t_list"])
     for tup in p.tuples:
         _require(not (is_inf(tup.p_tilde) and is_inf(tup.q_tilde)), "decay tuple has both "
                  "gaps infinite, so sigma = 0 and there is no decay slope to check",
@@ -306,8 +315,10 @@ def _finish_nlheat(p):
     with _rejected_as("params.monitor", "bad exponent at params.monitor: "):
         p.monitor_params = MixedNormParams(*p.monitor[:2])
     with _rejected_as("params"):
-        _check_steps(p.horizon, p.dt)
+        steps = _check_steps(p.horizon, p.dt)
         _check_tol(p.tol)
+    _require(steps >= 2, "params.horizon must span at least 2 steps of params.dt for a "
+             "Duhamel residual", "params.horizon")
     if p.etd is not None:
         with _rejected_as("params.etd"):
             p.etd.steps = _check_steps(p.etd.horizon, p.etd.dt)
@@ -441,12 +452,12 @@ def _run_norms(run, record):
                                       bool(np.isfinite(value) and value <= 1e3)))
 
     if "singular" in checks:
-        res_adm = singular_weight_norm(0.5, MixedNormParams(3.0, 3.0), 0.1, 6.0,
+        res_adm = singular_weight_norm(0.5, MixedNormParams(3.0, 3.0), 0.1, _SINGULAR_RADIUS,
                                        grid=grid, osc=osc)
         record.results.append(_result(
             "singular_admissible_x_growth", res_adm.x_growth, 0.0, res_adm.x_growth,
             0.02, res_adm.x_growth < 0.02))
-        res_bad = singular_weight_norm(0.5, MixedNormParams(3.0, 1.5), 0.1, 6.0,
+        res_bad = singular_weight_norm(0.5, MixedNormParams(3.0, 1.5), 0.1, _SINGULAR_RADIUS,
                                        grid=grid, osc=osc)
         record.results.append(_result(
             "singular_inadmissible_tail_growth", res_bad.xi_tail_growth, 1.0,
@@ -653,6 +664,12 @@ def _write_report_json(record: ReportRecord, out_dir) -> str:
     return path
 
 
+def _json_value(value):
+    """``value`` as strict JSON holds it: a non-finite float becomes the
+    string "inf", "-inf" or "nan"."""
+    return str(value) if isinstance(value, float) and not np.isfinite(value) else value
+
+
 def run_manifest(path, out_dir=None, fmt=None, seed=None, verbose=False,
                  expect_kind=None):
     """Execute a manifest, given as a file path or as its JSON object; returns
@@ -694,10 +711,11 @@ def run_manifest(path, out_dir=None, fmt=None, seed=None, verbose=False,
     except NumericalError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if getattr(exc, "diagnostics", None):
-            payload["diagnostics"] = exc.diagnostics
+            payload["diagnostics"] = {k: _json_value(v) for k, v in exc.diagnostics.items()}
         if getattr(exc, "suggested_radius", None) is not None:
-            payload["suggested_radius"] = exc.suggested_radius
-        print(f"numerical failure: {json.dumps(payload, sort_keys=True)}", file=sys.stderr)
+            payload["suggested_radius"] = _json_value(exc.suggested_radius)
+        print(f"numerical failure: {json.dumps(payload, sort_keys=True, allow_nan=False)}",
+              file=sys.stderr)
         return EXIT_NUMERICAL, None
     record.wall_time_s = time.perf_counter() - started
 

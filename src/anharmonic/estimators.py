@@ -258,22 +258,32 @@ def eigenvalue_growth_fit(dec: SpectralDecomposition, j_lo: int, j_hi: int) -> L
                           growth_target(dec.oscillator))
 
 
-def fit_decay_exponent(samples, target: float | None = None) -> LogLinearFit:
-    """Fit log(value) against log(t).
-
-    Needs at least 6 samples spanning at least 1.5 decades, all positive.
-    ``target`` is the expected slope (the negated smoothing exponent for
-    semigroup runs); the relative deviation is reported against it.
-    """
-    pts = [(float(t), float(v)) for t, v in samples]
-    if len(pts) < 6:
+def _check_decay_times(ts) -> None:
+    """The sampling rule of ``fit_decay_exponent``, which needs no values:
+    at least 6 distinct times, all positive, spanning at least 1.5 decades."""
+    ts = np.array(ts, dtype=float)
+    if len(np.unique(ts)) < 6:
         raise ValueError("need at least 6 samples for a slope fit")
-    ts = np.array([p[0] for p in pts])
-    vs = np.array([p[1] for p in pts])
-    if np.any(ts <= 0) or np.any(vs <= 0):
+    if np.any(ts <= 0):
         raise ValueError("samples must have positive t and value")
     if np.log10(ts.max() / ts.min()) < 1.5:
         raise ValueError("samples must span at least 1.5 decades of t")
+
+
+def fit_decay_exponent(samples, target: float | None = None) -> LogLinearFit:
+    """Fit log(value) against log(t).
+
+    Needs at least 6 distinct times spanning at least 1.5 decades
+    (``_check_decay_times``), and positive values. ``target`` is the
+    expected slope (the negated smoothing exponent for semigroup runs); the
+    relative deviation is reported against it.
+    """
+    pts = [(float(t), float(v)) for t, v in samples]
+    ts = np.array([p[0] for p in pts])
+    vs = np.array([p[1] for p in pts])
+    _check_decay_times(ts)
+    if np.any(vs <= 0):
+        raise ValueError("samples must have positive t and value")
     return _loglinear_fit(np.log(ts), vs, target)
 
 

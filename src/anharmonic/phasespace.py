@@ -17,21 +17,28 @@ The transform and the streamed norms run on one blocked pass, ``_stft_blocks``:
 it yields h^d FFT(f conj(g(. - x_i))) for consecutive blocks of x-shift rows
 (about ``_BLOCK_CELLS`` lattice cells each), columns in FFT order. ``stft``
 moves each block into ascending xi order (the fftshift), applies the
-staggered-grid phase and fills the full ``PhaseSpaceField``. Every norm is
+staggered-grid phase and fills the full ``PhaseSpaceField``. The norms
+reduce in the order the pass yields: the weight lattice is cached with its
+columns in FFT order, and a norm moves its column sums to ascending xi once,
+at the end (the order of the xi lattice is only a convention). Every norm is
 reduced by ``_weighted_columns`` (weighted inner L^p column sums or sups) and
-``_outer_reduce`` (outer L^q): ``mixed_norm`` feeds it |field| as one block,
-``modulation_norm`` the block magnitudes of the pass, so a streamed norm
-holds a few blocks, never the lattice. ``modulation_norms`` reduces one pass
-for several weight exponents at once: the transform and its magnitudes,
-which are most of the cost, are shared, and each weight adds only its own
-weighting and column sums. The window g is the unit Gaussian 2^(d/4) e^(-pi |z|^2),
-the only one: it gives one space over the whole range 0 < p, q <= INF, and
-other admissible windows give only equivalent norms (Groechenig, Foundations
-of Time-Frequency Analysis, 2001, 11.3; Galperin-Samarah, ACHA 16, 2004).
+``_outer_reduce`` (outer L^q): ``mixed_norm`` feeds it |field|, put in FFT
+order, as one block, ``modulation_norm`` the block magnitudes of the pass,
+so a streamed norm holds a few blocks, never the lattice.
+``modulation_norms`` reduces one pass for several weight exponents at once:
+the transform and its magnitudes, which are most of the cost, are shared,
+and each weight adds only its own weighting and column sums. The window g
+is the unit Gaussian 2^(d/4) e^(-pi |z|^2), in d=2 the product of two rows
+of one table of axis shifts, and the only window: it gives one space over
+the whole range 0 < p, q <= INF, and other admissible windows give only
+equivalent norms (Groechenig, Foundations of Time-Frequency Analysis, 2001,
+11.3; Galperin-Samarah, ACHA 16, 2004).
 A real d=1 field streams half the spectrum: |V_g f(x, -xi)| = |V_g f(x, xi)|
 for real f and the real g, and the weight depends on |xi| only, so the
-pass runs ``rfft`` on the real windowed product, reduces the bins xi >= 0 and
-mirrors the column sums. Complex fields and d=2 take the full spectrum.
+pass runs ``rfft`` on the real windowed product, reduces the bins 0..N/2 (the
+leading FFT columns, weighted by the leading lattice columns) and mirrors
+their column sums onto the FFT columns N - k. Complex fields and d=2 take the
+full spectrum.
 A real d=1 field that is also bitwise even or odd (``v == +-v[::-1]``, an
 O(N) check; every state of a parity-sector flow in ``nlheat`` is one) streams
 half the rows as well. The staggered nodes give -x_i = x_{N-1-i} bit for bit,
@@ -39,15 +46,14 @@ so with the even window V_g f(-x, xi) = +-conj(V_g f(x, xi)); the weight
 depends on x only through the even V. The pass therefore runs the rows
 x > 0 alone (``_stft_blocks`` from row N/2) and doubles the finite-p column
 sums; the column sup for p = INF is the same over half the rows. Other
-fields run every row. The
-boundary-mass check runs where a state is measured, not in the pass, so
-Picard gaps (round-off noise near convergence) are reduced without it.
+fields run every row. The boundary-mass check runs where a state is
+measured, not in the pass, so Picard gaps (round-off noise near
+convergence) are reduced without it.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -64,18 +70,14 @@ _BLOCK_CELLS = 1 << 15  # lattice cells per block of the streamed STFT pass
 
 @functools.lru_cache(maxsize=16)
 def _gaussian_window_values(grid: Grid) -> np.ndarray:
-    """Unit Gaussian window g(z_i) at the wrapped offsets, flat C-order."""
+    """Unit Gaussian window 2^(1/4) e^(-pi z_i^2) of one axis at the wrapped
+    offsets; the d-dimensional window is its product over the axes."""
     z = grid.wrapped_axis_offsets()
-    if grid.dimension == 1:
-        g = 2.0 ** 0.25 * np.exp(-np.pi * z ** 2)
-    else:
-        g1 = 2.0 ** 0.25 * np.exp(-np.pi * z ** 2)
-        g = np.outer(g1, g1).ravel()
-    norm = np.sqrt(grid.cell_volume * np.sum(g ** 2))
+    g = 2.0 ** 0.25 * np.exp(-np.pi * z ** 2)
+    norm = np.sqrt(grid.h * np.sum(g ** 2)) ** grid.dimension
     if abs(norm - 1.0) > _WINDOW_NORM_TOL:
         raise NumericalError(
             f"gaussian window norm deviates by {abs(norm - 1.0):.3e}; grid too coarse or small")
-    g = g.astype(np.complex128)
     g.setflags(write=False)
     return g
 
@@ -116,13 +118,13 @@ def _check_boundary_mass(f: FieldSample, stacklevel: int = 3) -> None:
 
 @functools.lru_cache(maxsize=4)
 def _gaussian_conj_table(grid: Grid) -> np.ndarray:
-    """Shift table g(z_j - x_i) of the window (d=1).
+    """Shift table g(z_j - x_i) of the one-axis window.
 
     The gaussian is real, so the table is its own conjugate and is stored
     real: a complex times a real with exact zero imaginary part rounds the
     same as a complex times that real.
     """
-    g = _gaussian_window_values(grid).real
+    g = _gaussian_window_values(grid)
     n_pts = grid.points_per_axis
     idx = (np.arange(n_pts)[None, :] - np.arange(n_pts)[:, None]) % n_pts
     table = g[idx]
@@ -136,8 +138,10 @@ def _stft_blocks(f: FieldSample, real: bool = False, first_row: int = 0):
     Rows run over consecutive x shifts from ``first_row`` (0, or N/2 for the
     half-row pass of an even or odd field); the block has shape
     (rows, N) for d=1 and (rows, N, N) for d=2, frequencies in FFT order on
-    each axis (bin 0 first), with neither fftshift nor the staggered-grid
-    phase applied. Every block has the same number of rows, about
+    each axis (bin 0 first), the order the weight lattice and the norms use,
+    with neither fftshift nor the staggered-grid phase applied. The d=2
+    window of row i is the product of the rows i // N and i % N of the axis
+    shift table. Every block has the same number of rows, about
     ``_BLOCK_CELLS`` lattice cells and at most the rows to run; the windowed
     product reuses one buffer.
     ``real`` (d=1, f real) transforms the real product with ``rfft`` and
@@ -148,37 +152,19 @@ def _stft_blocks(f: FieldSample, real: bool = False, first_row: int = 0):
     # powers of two: divides size - first_row
     rows = min(size - first_row, max(1, _BLOCK_CELLS // size))
     axes = tuple(range(1, d + 1))
-    if d == 1:
-        table = _gaussian_conj_table(grid)
-    else:
-        ax = np.arange(n_pts)
-        g_conj = np.conj(_gaussian_window_values(grid)).reshape((n_pts,) * d)
+    table = _gaussian_conj_table(grid)
     fv = f.values.real if real else f.values.reshape((n_pts,) * d)
     prod = np.empty((rows,) + (n_pts,) * d, dtype=fv.dtype)
     for lo in range(first_row, size, rows):
         if d == 1:
             win = table[lo:lo + rows]
-        else:
+        else:  # row i shifts by (x_{i // N}, x_{i % N}): a product of two table rows
             shifts = np.arange(lo, lo + rows)
-            win = g_conj[(ax[None, :, None] - (shifts // n_pts)[:, None, None]) % n_pts,
-                         (ax[None, None, :] - (shifts % n_pts)[:, None, None]) % n_pts]
+            win = table[shifts // n_pts, :, None] * table[shifts % n_pts, None, :]
         np.multiply(fv, win, out=prod)
         block = np.fft.rfft(prod, axis=1) if real else np.fft.fftn(prod, axes=axes)
         block *= grid.cell_volume
         yield lo, block
-
-
-def _ascending_halves(n_pts: int, d: int):
-    """(FFT-order index, ascending-order index) pairs over a (rows, N[, N])
-    block: per axis, bins N/2.. (negative frequencies) move to the front."""
-    half = n_pts // 2
-    low, high = slice(None, half), slice(half, None)
-    pairs = []
-    for negative in itertools.product((False, True), repeat=d):
-        src = (slice(None),) + tuple(high if neg else low for neg in negative)
-        dst = (slice(None),) + tuple(low if neg else high for neg in negative)
-        pairs.append((src, dst))
-    return pairs
 
 
 def _staggered_phase(grid: Grid) -> np.ndarray:
@@ -199,15 +185,12 @@ def stft(f: FieldSample) -> PhaseSpaceField:
     _check_boundary_mass(f)
     grid = f.grid
     n_pts, d, size = grid.points_per_axis, grid.dimension, grid.size
-    halves = _ascending_halves(n_pts, d)
     phase = _staggered_phase(grid)
     out = np.empty((size, size), dtype=np.complex128)
     out_axes = out.reshape((size,) + (n_pts,) * d)
     for lo, block in _stft_blocks(f):
         rows = block.shape[0]
-        target = out_axes[lo:lo + rows]
-        for src, dst in halves:
-            target[dst] = block[src]
+        out_axes[lo:lo + rows] = np.fft.fftshift(block, axes=tuple(range(1, d + 1)))
         out[lo:lo + rows] *= phase
     return PhaseSpaceField(grid, out)
 
@@ -218,10 +201,20 @@ def gaussian_half_density(grid: Grid) -> np.ndarray:
     return np.pi ** (-grid.dimension / 4.0) * np.exp(-r2 / 2.0)
 
 
+def _swap_xi_order(a: np.ndarray, grid: Grid, axis: int = 0) -> np.ndarray:
+    """``a`` with its xi axis ``axis`` (length size, C-order over the
+    frequency axes) moved between ascending and FFT order: an fftshift on
+    every frequency axis, its own inverse because N is even."""
+    n_pts, d = grid.points_per_axis, grid.dimension
+    split = a.shape[:axis] + (n_pts,) * d + a.shape[axis + 1:]
+    return np.fft.fftshift(a.reshape(split), axes=tuple(range(axis, axis + d))).reshape(a.shape)
+
+
 @functools.lru_cache(maxsize=8)
 def _weight_lattice(s: float, osc: OscillatorSpec | None, grid: Grid):
-    """``weight_value`` on the full (x, xi) lattice, or None for s = 0 (the
-    flat weight, reduced from the raw magnitudes).
+    """``weight_value`` on the full (x, xi) lattice, columns in the FFT order
+    of ``_stft_blocks``, or None for s = 0 (the flat weight, reduced from the
+    raw magnitudes).
 
     Frequency-scale conversion lives here and nowhere else: the transform
     lattice carries cycle frequencies xi = n/(2L), while the operator symbol,
@@ -229,8 +222,8 @@ def _weight_lattice(s: float, osc: OscillatorSpec | None, grid: Grid):
     """
     if s == 0.0:
         return None
-    lattice = weight_value(s, osc, grid.nodes()[:, None, :],
-                           2.0 * np.pi * grid.frequency_nodes()[None, :, :])
+    xi = _swap_xi_order(grid.frequency_nodes(), grid)
+    lattice = weight_value(s, osc, grid.nodes()[:, None, :], 2.0 * np.pi * xi[None, :, :])
     lattice.setflags(write=False)
     return lattice
 
@@ -254,25 +247,25 @@ def _outer_reduce(columns: np.ndarray, p, q, cell_x, cell_xi) -> float:
     return float((np.sum(inner ** q) * cell_xi) ** (1.0 / q))
 
 
-def _weighted_columns(blocks, lattices, p, lattice_columns=slice(None)) -> list:
+def _weighted_columns(blocks, lattices, p) -> list:
     """The inner reduction of every phase-space norm, for several weights from
-    one pass. Each (lo, mag) block holds the magnitudes of lattice rows lo..;
-    every entry of ``lattices`` weights those rows of it, taken at
-    ``lattice_columns`` (by default all of them, a block in ascending xi). A
-    None lattice reduces the raw magnitudes; any other weights a copy of the
-    block in one scratch buffer, except the last, which overwrites the block
-    in place (so a single lattice costs no copy). Every weighted block must be
-    finite. Returns one array per lattice: the column sums of the p-th powers
-    (column max for INF), one per block column."""
+    one pass. Each (lo, mag) block holds the magnitudes of lattice rows lo..,
+    columns in FFT order; every entry of ``lattices`` weights it by the
+    leading columns of those rows (all of them, or the bins 0..N/2 of an
+    ``rfft`` block). A None lattice reduces the raw magnitudes; any other
+    weights a copy of the block in one scratch buffer, except the last, which
+    overwrites the block in place (so a single lattice costs no copy). Every
+    weighted block must be finite. Returns one array per lattice: the column
+    sums of the p-th powers (column max for INF), one per block column."""
     last = len(lattices) - 1
     columns = [None] * len(lattices)
     scratch = None
     for lo, mag in blocks:
-        rows = mag.shape[0]
+        rows, width = mag.shape
         for k, lattice in enumerate(lattices):
             weighted = mag
             if lattice is not None:
-                weights = lattice[lo:lo + rows, lattice_columns]
+                weights = lattice[lo:lo + rows, :width]
                 if k == last:
                     mag *= weights
                 else:
@@ -298,41 +291,22 @@ def _modulation_columns(f: FieldSample, s_values, osc: OscillatorSpec | None, p)
     boundary-mass check. A real d=1 field reduces only the N/2 + 1 ``rfft``
     bins and mirrors their column sums; if it is also bitwise even or odd,
     only the rows x > 0, with finite-p column sums doubled (see the module
-    docstring).
+    docstring). Blocks are reduced in FFT order; the columns move to
+    ascending xi once, at the end.
     """
     grid = f.grid
-    n_pts = grid.points_per_axis
-    lattices = [_weight_lattice(s, osc, grid) for s in s_values]
-    if grid.dimension == 1 and not f.values.imag.any():
-        half = n_pts // 2
-        first_row = half if _reflection_parity(f.values.real) else 0
-        # rfft bin k has |xi| = k/(2L), as has lattice column N/2 - k (the
-        # Nyquist bin N/2 is column 0, xi = -N/2): a reversed view weighs all
-        mirrored = []
-        for sums in _weighted_columns(
-                ((lo, np.abs(block))
-                 for lo, block in _stft_blocks(f, real=True, first_row=first_row)),
-                lattices, p, slice(half, None, -1)):
-            if first_row and not is_inf(p):
-                sums *= 2.0  # rows x < 0 repeat the magnitudes of rows x > 0
-            columns = np.empty(n_pts)
-            columns[half:] = sums[:half]
-            columns[:half] = sums[half:0:-1]  # bin k also stands for -k, at column N/2 - k
-            mirrored.append(columns)
-        return mirrored
-
-    halves = _ascending_halves(n_pts, grid.dimension)
-
-    def magnitudes():
-        mag = None
-        for lo, block in _stft_blocks(f):
-            if mag is None:
-                mag = np.empty(block.shape)
-            for src, dst in halves:
-                np.abs(block[src], out=mag[dst])
-            yield lo, mag.reshape(mag.shape[0], grid.size)
-
-    return _weighted_columns(magnitudes(), lattices, p)
+    real = grid.dimension == 1 and not f.values.imag.any()
+    first_row = grid.size // 2 if real and _reflection_parity(f.values.real) else 0
+    blocks = ((lo, np.abs(block).reshape(block.shape[0], -1))
+              for lo, block in _stft_blocks(f, real, first_row))
+    columns = []
+    for sums in _weighted_columns(blocks, [_weight_lattice(s, osc, grid) for s in s_values], p):
+        if first_row and not is_inf(p):
+            sums *= 2.0  # rows x < 0 repeat the magnitudes of rows x > 0
+        if real:  # rfft bin k also stands for -k, at FFT column N - k
+            sums = np.concatenate([sums, sums[-2:0:-1]])
+        columns.append(_swap_xi_order(sums, grid))
+    return columns
 
 
 def mixed_norm(field: PhaseSpaceField, s: float, osc: OscillatorSpec | None,
@@ -341,11 +315,14 @@ def mixed_norm(field: PhaseSpaceField, s: float, osc: OscillatorSpec | None,
 
     INF exponents take the lattice sup; exponents below 1 use the same
     power-sum formula (quasi-norm). Cell measures are h^d and (1/(2L))^d.
+    |field| is put in the FFT column order of the weight lattice first, and
+    its column sums back in ascending xi, as the streamed norm's are.
     """
     grid = field.grid
-    [columns] = _weighted_columns([(0, np.abs(field.values))],
+    [columns] = _weighted_columns([(0, _swap_xi_order(np.abs(field.values), grid, 1))],
                                   [_weight_lattice(s, osc, grid)], params.p)
-    return _outer_reduce(columns, params.p, params.q, grid.cell_volume, grid.frequency_cell)
+    return _outer_reduce(_swap_xi_order(columns, grid), params.p, params.q,
+                         grid.cell_volume, grid.frequency_cell)
 
 
 def modulation_norm(f: FieldSample, s: float, osc: OscillatorSpec | None,
@@ -355,8 +332,9 @@ def modulation_norm(f: FieldSample, s: float, osc: OscillatorSpec | None,
     Equal to ``mixed_norm(stft(f), s, osc, params)`` up to round-off, but
     streamed: the (size, size) phase-space field is never built. The same
     reducer as ``mixed_norm`` folds each block of x-shift magnitudes from the
-    shared STFT pass into the inner L^p column sums (column sup for INF);
-    the outer L^q follows once all rows are in. A real d=1 field transforms
+    shared STFT pass into the inner L^p column sums (column sup for INF), in
+    the FFT order of the pass; the columns move to ascending xi and the outer
+    L^q follows once all rows are in. A real d=1 field transforms
     only the frequencies xi >= 0 (``rfft``) and mirrors their column sums,
     which is about half the work; if it is also bitwise even or odd
     (``v == +-v[::-1]``), only the x-shift rows x > 0 are run and the

@@ -388,6 +388,18 @@ class TestRunManifest:
         ("decay", {"resolution": 256}, {"grid": {"points_per_axis": 64}}, None,
          "a decay run reads no grid block (field: grid)"),
         ("selftest", {}, {"grid": {}}, None, "a selftest run reads no grid block (field: grid)"),
+        # values that were rejected only after the work they make useless
+        ("norms", {"checks": ["singular"], "modes": 16},
+         {"grid": {"dimension": 1, "points_per_axis": 128, "half_width": 5.0}}, None,
+         "the singular check truncates at radius 6, beyond the grid half-width 5 "
+         "(field: grid.half_width)"),
+        ("nlheat", {"horizon": 0.005, "dt": 0.005}, {}, None,
+         "params.horizon must span at least 2 steps of params.dt for a Duhamel residual "
+         "(field: params.horizon)"),
+        ("decay", {"resolution": 256, "t_list": [0.1, 0.05, 0.01]}, {}, None,
+         "need at least 6 samples for a slope fit (field: params.t_list)"),
+        ("decay", {"resolution": 256, "t_list": [0.1, 0.07, 0.05, 0.03, 0.02, 0.01]}, {},
+         None, "samples must span at least 1.5 decades of t (field: params.t_list)"),
         # the seed override obeys the manifest's seed rule
         ("norms", {"checks": ["moyal"], "modes": 16}, {}, -1,
          "seed must be an unsigned 64-bit integer (field: seed)"),
@@ -401,12 +413,14 @@ class TestRunManifest:
             "spectrum_tolerance_str", "spectrum_points_float", "spectrum_j_hi_float",
             "decay_beta_str", "ou_gauss_probes_float", "nlheat_kind_cubic", "nlheat_nu_zero",
             "ou_t_check_scalar", "ou_safe_radius_null", "norms_modes_zero",
-            "spectrum_grid", "decay_grid", "selftest_grid",
+            "spectrum_grid", "decay_grid", "selftest_grid", "norms_singular_half_width",
+            "nlheat_one_step", "decay_three_times", "decay_one_decade",
             "seed_override_negative", "seed_override_too_large"])
     def test_rejected_before_any_work(self, tmp_path, monkeypatch, capsys, kind, params,
                                       top, seed, detail):
-        """A rejected manifest value costs no decomposition and no Picard run.
-        ``top`` overrides top-level blocks; ``seed`` is the --seed override."""
+        """A rejected manifest value costs no decomposition, no Picard run and
+        no decay quotient. ``top`` overrides top-level blocks; ``seed`` is the
+        --seed override."""
         calls = []
 
         def counted(name):
@@ -417,7 +431,7 @@ class TestRunManifest:
                 return original(*args, **kwargs)
             return wrapper
 
-        for name in ("decompose", "picard_solve"):
+        for name in ("decompose", "picard_solve", "smoothing_decay_run"):
             monkeypatch.setattr(anharmonic.cli, name, counted(name))
         manifest = {"schema": 1, "kind": kind, "params": params, **top}
         if kind in GRID_KINDS:
@@ -441,6 +455,25 @@ class TestRunManifest:
         code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
         assert code == EXIT_OK
         assert "BoundaryMassWarning" not in [w["category"] for w in record.warnings]
+
+    def test_numerical_failure_prints_strict_json(self, tmp_path, capsys):
+        """A Picard run that blows up reports its infinite last gap as the
+        string "inf", so the stderr line is strict JSON."""
+        manifest = {"schema": 1, "kind": "nlheat",
+                    "grid": {"dimension": 1, "points_per_axis": 128, "half_width": 12.0},
+                    "params": {"modes": 48, "coupling_re": 1.0, "initial_norm": 5000,
+                               "horizon": 0.5, "dt": 0.005}}
+        path = write_manifest(tmp_path, manifest)
+        code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
+        assert code == EXIT_NUMERICAL and record is None
+        prefix = "numerical failure: "
+        [line] = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith(prefix)]
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(line[len(prefix):], parse_constant=reject)
+        assert payload["diagnostics"]["last_gap"] == "inf"
 
     def test_write_failure_exits_write(self, tmp_path):
         path = write_manifest(tmp_path, selftest_manifest())

@@ -9,7 +9,7 @@ from anharmonic import (INF, BoundaryMassWarning, FieldSample, Grid,
                         InvalidSpecError, MixedNormParams, NumericalError,
                         PhaseSpaceField, apply_conjugation, mixed_norm,
                         modulation_norm, modulation_norms, stft, weight_value)
-from anharmonic.phasespace import _gaussian_window_values
+from anharmonic.phasespace import _gaussian_window_values, _modulation_columns
 from oracles import (gaussian_lattice_stft_abs, gaussian_window_transform_abs,
                      mixed_norm_reference)
 
@@ -47,8 +47,10 @@ class TestWindow:
         assert np.argmax(np.abs(g)) == 0
 
     def test_two_dimensional_gaussian_is_unit_norm(self):
+        # the d = 2 window is the product of the axis windows
         grid = Grid(2, 64, 4.0)
         g = _gaussian_window_values(grid)
+        g = np.outer(g, g)
         norm = np.sqrt(grid.cell_volume * np.sum(np.abs(g) ** 2))
         assert norm == pytest.approx(1.0, abs=1e-12)
         assert np.argmax(np.abs(g)) == 0
@@ -381,6 +383,36 @@ class TestHalfRowPass:
                               MixedNormParams(2.0, 1.0))
         assert pass_starts == [0]
         assert got == 15.81629462367387
+
+
+class TestColumnOrder:
+    """``_modulation_columns`` gives one column per xi node in ascending
+    order, whatever order its pass reduces in: the column sums of p-th
+    powers (column max for INF) of the weighted |stft(f)|. A rough field
+    keeps every column far above round-off, so a column out of place shows."""
+
+    @staticmethod
+    def field(kind):
+        grid = Grid(2, 32, 4.0) if kind == "complex_2d" else Grid(1, 128, 10.0)
+        rng = np.random.default_rng(7)
+        envelope = np.exp(-2.0 * np.sum(grid.nodes() ** 2, axis=1))
+        re, im = rng.standard_normal((2, grid.size)) * envelope
+        vals = {"even": re + re[::-1], "real": re}.get(kind, re + 1j * im)
+        return FieldSample(grid, vals)
+
+    @pytest.mark.parametrize("p", [2.0, INF], ids=_exponent_id)
+    @pytest.mark.parametrize("s", [FLAT, 1.5], ids=["s0", "s1.5"])
+    @pytest.mark.parametrize("kind", ["even", "real", "complex", "complex_2d"])
+    def test_columns_are_ascending_xi(self, kind, s, p):
+        f = self.field(kind)
+        grid = f.grid
+        osc = ah.hermite_oscillator(grid.dimension)
+        weights = weight_value(s, osc, grid.nodes()[:, None, :],
+                               2.0 * np.pi * grid.frequency_nodes()[None, :, :])
+        w = np.abs(stft(f).values) * weights
+        expected = w.max(axis=0) if p is INF else (w ** p).sum(axis=0)
+        [got] = _modulation_columns(f, [s], osc, p)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
 class TestStreamedNormGuards:
