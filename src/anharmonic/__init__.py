@@ -18,8 +18,7 @@ from .model import (INF, MixedNormParams, OscillatorSpec, PotentialSpec, check_e
                     submultiplicativity_defect, weight_value)
 from .spectral import (FieldSample, Grid, SpectralDecomposition, assemble_operator,
                        decompose, eigendecompose)
-from .calculus import (SemigroupQuery, apply_spectral_function, heat_semigroup, project,
-                       sobolev_norm)
+from .calculus import apply_spectral_function, heat_semigroup, project, sobolev_norm
 from .phasespace import (PhaseSpaceField, gaussian_half_density, mixed_norm, modulation_norm,
                          modulation_norms, stft)
 from .estimators import (EquivalenceBand, LogLinearFit, SingularWeightResult,
@@ -48,8 +47,7 @@ __all__ = [
     "Grid", "FieldSample", "assemble_operator",
     "SpectralDecomposition", "eigendecompose", "decompose",
     # calculus
-    "SemigroupQuery", "apply_spectral_function", "heat_semigroup", "project",
-    "sobolev_norm",
+    "apply_spectral_function", "heat_semigroup", "project", "sobolev_norm",
     # phasespace
     "PhaseSpaceField", "stft", "gaussian_half_density", "mixed_norm", "modulation_norm",
     "modulation_norms",

@@ -1,8 +1,9 @@
 """Functions of the operator through its eigendecomposition.
 
 ``apply_spectral_function`` is the one entry point for phi(H) f: the heat
-semigroup is its exponential case, and a fractional power H^b f is one call
-with phi = lambda ** b. Projections and Sobolev norms read the coefficients.
+semigroup exp(-t H^beta), whose beta is its own argument, is its
+exponential case, and a fractional power H^b f is one call with
+phi = lambda ** b. Projections and Sobolev norms read the coefficients.
 
 All operations act on the retained-mode component of a field; when a field
 has more than a sliver of energy outside that span, an OffSpanWarning is
@@ -12,7 +13,6 @@ emitted with the discarded fraction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,23 +20,6 @@ from .errors import NumericalError, OffSpanWarning
 from .spectral import FieldSample, SpectralDecomposition
 
 _OFFSPAN_TOL = 1e-6
-
-
-@dataclass(frozen=True, eq=False)
-class SemigroupQuery:
-    """One heat-semigroup evaluation request: exp(-t H^beta)."""
-
-    decomposition: SpectralDecomposition
-    beta: float
-    t: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "t", float(self.t))
-        if not np.isfinite(self.beta) or self.beta <= 0:
-            raise ValueError("beta must be a positive real")
-        if not np.isfinite(self.t) or self.t < 0:
-            raise ValueError("t must be finite and nonnegative")
 
 
 def _warn_off_span(dec, f, context, coeffs=None):
@@ -69,14 +52,21 @@ def apply_spectral_function(dec: SpectralDecomposition, phi, f: FieldSample) -> 
     return dec.reconstruct(vals * coeffs)
 
 
-def heat_semigroup(query: SemigroupQuery, f: FieldSample) -> FieldSample:
-    """exp(-t H^beta) f; the exact spectral identity on the span at t=0.
+def heat_semigroup(dec: SpectralDecomposition, beta: float, t: float,
+                   f: FieldSample) -> FieldSample:
+    """exp(-t H^beta) f, H the decomposed oscillator; the exact spectral
+    identity on the span at t=0. The arguments come in the order of
+    ``ougauss.ou_semigroup``. ValueError unless beta is a positive real and
+    t is finite and nonnegative.
 
     Mode-wise exp(-t lambda^beta) underflows to exact zero for deep modes,
     which only sharpens the decay.
     """
-    dec = query.decomposition
-    t, beta = query.t, query.beta
+    beta, t = float(beta), float(t)
+    if not np.isfinite(beta) or beta <= 0:
+        raise ValueError("beta must be a positive real")
+    if not np.isfinite(t) or t < 0:
+        raise ValueError("t must be finite and nonnegative")
     return apply_spectral_function(dec, lambda lam: np.exp(-t * lam ** beta), f)
 
 

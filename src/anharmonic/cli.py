@@ -29,7 +29,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .calculus import SemigroupQuery, heat_semigroup, project
+from .calculus import heat_semigroup, project
 from .errors import NumericalError, SchemaError
 from .model import (INF, MixedNormParams, OscillatorSpec, PotentialSpec, hermite_oscillator,
                     is_inf, oscillator, submultiplicativity_defect, weight_value)
@@ -159,12 +159,11 @@ _TABLE = {
         "params": ("object", {})},
     "grid": {"dimension": ("int", 1), "points_per_axis": ("int", 512),
              "half_width": ("float", 12.0)},
-    "oscillator": {"dimension": ("int", _REQUIRED), "l": ("int", _REQUIRED),
-                   "potential": ("oscillator.potential", _REQUIRED), "beta": ("float", 1.0),
+    # the oscillator H = (-Laplacian)^l + V takes the grid's dimension
+    "oscillator": {"l": ("int", _REQUIRED), "potential": ("oscillator.potential", _REQUIRED),
                    "q1": ("float", 1.0)},
     "oscillator.potential": {"kind": ("str", _REQUIRED), "degree_half": ("int", _REQUIRED),
-                             "dimension": ("int", 1), "coefficients": ("[float]", []),
-                             "terms": ("[term]", [])},
+                             "coefficients": ("[float]", []), "terms": ("[term]", [])},
     "params.spectrum": {"cases": ("[params.cases]", [{"k": 1, "l": 1, "half_width": 25.0},
                                                      {"k": 2, "l": 1, "half_width": 12.0},
                                                      {"k": 1, "l": 2, "half_width": 60.0}],
@@ -253,9 +252,10 @@ def _finish_manifest(run):  # the grid is parsed before the params
     else:
         _require(run.grid is None, f"a {run.kind} run reads no grid block", "grid")
     if run.kind in ("norms", "nlheat"):
-        run.oscillator = run.oscillator or hermite_oscillator()
-        _require(run.oscillator.dimension == run.grid.dimension,
-                 "oscillator and grid dimensions differ", "oscillator")
+        block, d = run.oscillator, run.grid.dimension
+        with _rejected_as("oscillator", "bad oscillator block: "):
+            run.oscillator = hermite_oscillator(d) if block is None else OscillatorSpec(
+                block.l, PotentialSpec(dimension=d, **vars(block.potential)), block.q1)
     else:  # ou runs the harmonic oscillator, which its intertwining needs
         _require(run.oscillator is None, f"a {run.kind} run reads no oscillator block",
                  "oscillator")
@@ -291,8 +291,8 @@ def _finish_decay(p):
                  "params.tuples")
         with _rejected_as("params.tuples", "bad decay tuple: "):
             tup.quotient = WeightQuotientParams(
-                oscillator(tup.k, tup.l, 1, tup.beta), tup.s2, tup.p_tilde, tup.q_tilde,
-                p.radius, p.resolution, p.form, **t_list)
+                oscillator(tup.k, tup.l), tup.s2, tup.p_tilde, tup.q_tilde,
+                p.radius, p.resolution, p.form, **t_list, beta=tup.beta)
         tup.label = f"decay_k{tup.k}_l{tup.l}_b{tup.beta:g}"
     return p
 
@@ -326,19 +326,13 @@ def _finish_nlheat(p):
     return p
 
 
-def _spec(cls, field_name):
-    """A finish that builds ``cls`` from the block, whose keys are its
-    fields; a rejected spec exits 2 at ``field_name``."""
-    def finish(block):
-        with _rejected_as(field_name, f"bad {field_name} block: "):
-            return cls(**vars(block))
-    return finish
+def _finish_grid(block):
+    with _rejected_as("grid", "bad grid block: "):
+        return Grid(**vars(block))
 
 
 _FINISH = {
-    "": _finish_manifest, "grid": _spec(Grid, "grid"),
-    "oscillator": _spec(OscillatorSpec, "oscillator"),
-    "oscillator.potential": _spec(PotentialSpec, "oscillator"),
+    "": _finish_manifest, "grid": _finish_grid,
     "params.cases": _finish_case, "params.decay": _finish_decay, "params.norms": _finish_norms,
     "params.nlheat": _finish_nlheat,
 }
@@ -521,7 +515,7 @@ def _run_ou(run, record):
     p, grid = run.params, run.grid
     osc = hermite_oscillator(grid.dimension)
     dec = decompose(osc, grid, p.modes)
-    conj = GaussianConjugation(grid.dimension, p.safe_radius)
+    conj = GaussianConjugation(p.safe_radius)
     l2_params = MixedNormParams(2.0, 2.0)
 
     ones = FieldSample(grid, np.ones(grid.size))
@@ -583,7 +577,7 @@ def _run_selftest(run, record):
     dec = decompose(osc, grid, 40)
     row("harmonic_ground_eigenvalue", float(dec.eigenvalues[0]), 1.0, 1e-6)
     f = dec.eigenfunction(3)
-    ht = heat_semigroup(SemigroupQuery(dec, 1.0, 0.0), f)
+    ht = heat_semigroup(dec, 1.0, 0.0, f)
     row("heat_identity_t0", float(np.max(np.abs(ht.values - f.values))), 0.0, 1e-9)
     pj = project(dec, 3, project(dec, 3, f))
     row("projection_idempotent", float(np.max(np.abs(pj.values - f.values))), 0.0, 1e-9)
@@ -593,7 +587,7 @@ def _run_selftest(run, record):
     probe = dec.reconstruct(coeffs)
     moyal = modulation_norm(probe, 0.0, None, MixedNormParams(2.0, 2.0))
     row("moyal_identity", moyal / probe.norm_l2(), 1.0, 1e-6)
-    conj = GaussianConjugation(1)
+    conj = GaussianConjugation()
     gs = stft(apply_conjugation(conj, "forward", probe))
     row("gaussian_stft_l2_gamma_rel_err",
         _l2_gamma_rel_err(mixed_norm(gs, 0.0, None, MixedNormParams(2.0, 2.0)), conj, probe),
@@ -602,7 +596,7 @@ def _run_selftest(run, record):
     u0 = FieldSample(grid, 0.05 * np.asarray(dec.eigenfunction(0).values))
     spec = NonlinearProblemSpec(dec, u0, coupling=0.0)
     traj = picard_solve(spec, 0.05, 5e-3, tol=1e-9)
-    lin = heat_semigroup(SemigroupQuery(dec, 1.0, 0.05), u0)
+    lin = heat_semigroup(dec, 1.0, 0.05, u0)
     gap = float(np.max(np.abs(dec.reconstruct(traj.final_coeffs).values - lin.values)))
     row("picard_linear_consistency", gap, 0.0, 1e-9)
 

@@ -48,14 +48,15 @@ def sigma_exponent(k: int, l: int, beta: float, dimension: int, p_tilde, q_tilde
 
 
 def _auto_n_pow(beta: float, s2: float, p_tilde, q_tilde, dimension: int) -> int:
-    """The smallest N with (2 beta N - s2) p_eff > d + 10 (integrability needs
-    > d), p_eff the smaller finite gap or 1."""
+    """The smallest N >= 1 with (2 beta N - s2) p_eff > d + 10 (integrability
+    needs > d), p_eff the smaller finite gap or 1: in closed form,
+    floor(((d + 10) / p_eff + s2) / (2 beta)) + 1."""
     finite = [float(e) for e in (p_tilde, q_tilde) if not is_inf(e)]
     p_eff = min(finite) if finite else 1.0
-    n = 1
-    while (2.0 * beta * n - s2) * p_eff <= dimension + 10.0:
-        n += 1
-    return n
+    bound = ((dimension + 10.0) / p_eff + s2) / (2.0 * beta)
+    if not np.isfinite(bound):
+        raise InvalidSpecError("the decay exponents give no finite power N")
+    return max(1, int(np.floor(bound)) + 1)
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,8 @@ class WeightQuotientParams:
     refines the lattice, so it tests resolution too. ``resolution`` (cells
     per axis) must be even: the norm is reduced on one quadrant of the
     lattice, which needs the midpoint grids to pair up about 0. The power N,
-    ``n_pow``, is derived (``_auto_n_pow``).
+    ``n_pow``, is derived (``_auto_n_pow``). ``beta`` is the power of
+    H^beta whose semigroup the quotient bounds; the oscillator is H alone.
     """
 
     oscillator: OscillatorSpec
@@ -85,14 +87,19 @@ class WeightQuotientParams:
     form: str = "scaled"
     t_list: tuple = _DEFAULT_T_GRID
     n_pow: int = field(init=False)
+    beta: float = field(default=1.0, kw_only=True)
 
     def __post_init__(self):
         osc = self.oscillator
         if osc.dimension != 1:
             raise InvalidSpecError("quotient quadrature is implemented for dimension 1")
+        object.__setattr__(self, "beta", float(self.beta))
+        if not np.isfinite(self.beta) or self.beta <= 0:
+            raise InvalidSpecError("beta must be a positive real")
         object.__setattr__(self, "s2", float(self.s2))
-        if self.s2 < 0:
-            raise InvalidSpecError("s2 < 0 is outside the reduction's validity")
+        if not (np.isfinite(self.s2) and self.s2 >= 0):
+            raise InvalidSpecError("s2 must be a finite real >= 0; s2 < 0 is outside "
+                                   "the reduction's validity")
         object.__setattr__(self, "p_tilde", check_exponent("p_tilde", self.p_tilde))
         object.__setattr__(self, "q_tilde", check_exponent("q_tilde", self.q_tilde))
         if self.form not in ("scaled", "weighted"):
@@ -102,7 +109,7 @@ class WeightQuotientParams:
         if (not isinstance(self.resolution, (int, np.integer)) or self.resolution < 32
                 or self.resolution % 2):
             raise InvalidSpecError("resolution must be an even integer >= 32")
-        object.__setattr__(self, "n_pow", _auto_n_pow(osc.beta, self.s2, self.p_tilde,
+        object.__setattr__(self, "n_pow", _auto_n_pow(self.beta, self.s2, self.p_tilde,
                                                       self.q_tilde, osc.dimension))
         t = tuple(float(v) for v in self.t_list)
         if not t or any(not (0.0 < v <= 1.0) for v in t):
@@ -125,7 +132,7 @@ def _quotient_value(params: WeightQuotientParams, t: float, radius: float,
     """
     osc = params.oscillator
     k = osc.degree_half
-    tau = t ** (1.0 / (2.0 * osc.beta))
+    tau = t ** (1.0 / (2.0 * params.beta))
     box = radius * max(1.0, 1.0 / tau)
     r_x = box ** (1.0 / k)
     r_xi = box ** (1.0 / osc.l)
@@ -134,7 +141,7 @@ def _quotient_value(params: WeightQuotientParams, t: float, radius: float,
     nodes = np.arange(half) + 0.5
     a = np.sqrt(np.asarray(evaluate_potential(osc.potential, nodes * dx), dtype=float))
     b = (nodes * dxi) ** osc.l
-    two_beta_n = 2.0 * osc.beta * params.n_pow
+    two_beta_n = 2.0 * params.beta * params.n_pow
     scaled = params.form == "scaled"
     if not scaled:
         a = osc.q1 + a
@@ -175,7 +182,9 @@ def weight_quotient_norm(params: WeightQuotientParams, t: float) -> float:
     guard's spacing is 2^(1/k - 1) times the base spacing in x and
     2^(1/l - 1) times it in xi: the same only for k = l = 1. The guard
     therefore tests resolution as well as truncation. A guard that cannot
-    be compared (an overflowed sum makes the movement NaN) raises too.
+    be compared (an overflowed sum makes the movement NaN) raises too, and
+    a base or guard value of 0 (every cell of the positive integrand
+    underflowed) raises NumericalError.
 
     Both evaluations rely on the integrand taking the same value at
     (+-x, +-xi): V is even (c x^(2k), the only d=1 potential) and the midpoint
@@ -187,6 +196,9 @@ def weight_quotient_norm(params: WeightQuotientParams, t: float) -> float:
         raise ValueError("t must lie in (0, 1]")
     base = _quotient_value(params, t, params.radius, params.resolution)
     guard = _quotient_value(params, t, 2.0 * params.radius, 2 * params.resolution)
+    if base == 0.0 or guard == 0.0:  # the integrand is positive: every cell underflowed
+        raise NumericalError(
+            f"quotient norm underflowed to 0 at t = {t:g} (base {base!r}, guard {guard!r})")
     denom = max(abs(base), abs(guard), np.finfo(float).tiny)
     rel = abs(guard - base) / denom
     if not (rel < _GUARD_REL):  # NaN (inf - inf) must fail as well
@@ -294,7 +306,7 @@ def smoothing_decay_run(params: WeightQuotientParams):
     natural t, the fit's own samples log t.
     """
     osc = params.oscillator
-    sigma = sigma_exponent(osc.degree_half, osc.l, osc.beta, osc.dimension,
+    sigma = sigma_exponent(osc.degree_half, osc.l, params.beta, osc.dimension,
                            params.p_tilde, params.q_tilde)
     samples = [(t, weight_quotient_norm(params, t)) for t in params.t_list]
     return samples, fit_decay_exponent(samples, target=-sigma)
@@ -352,9 +364,10 @@ def ou_probe_rate(c: GaussianConjugation, dec: SpectralDecomposition, beta: floa
                   t_list, probes) -> LogLinearFit:
     """Fit log of the worst-case Gaussian-norm ratio
     norm(OU_t f) / norm(f) over a probe corpus against t, over at least 3
-    distinct times; the expected rate is -(dimension)^beta. The Gaussian norm
-    is the flat p = q = 2 modulation norm of the multiplied field. Zero-norm
-    probes are skipped with a warning (ValueError if all are).
+    distinct times; the expected rate is -d^beta, d the dimension of the
+    decomposition's grid. The Gaussian norm is the flat p = q = 2 modulation
+    norm of the multiplied field. Zero-norm probes are skipped with a warning
+    (ValueError if all are).
     """
     ts = [float(t) for t in t_list]
     if len(set(ts)) < 3:
@@ -367,7 +380,8 @@ def ou_probe_rate(c: GaussianConjugation, dec: SpectralDecomposition, beta: floa
         return lambda f: norm(ou_semigroup(c, dec, beta, t, f))
 
     ratios = _probe_ratios(probes, norm, [target_at(t) for t in ts])
-    return _loglinear_fit(ts, [max(r) for r in ratios], -float(c.dimension) ** float(beta))
+    return _loglinear_fit(ts, [max(r) for r in ratios],
+                          -float(dec.grid.dimension) ** float(beta))
 
 
 def algebra_ratios(fields, pairs, params: MixedNormParams, s: float,

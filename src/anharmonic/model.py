@@ -1,5 +1,8 @@
 """Core domain types: potentials, oscillators, the weight, and norm parameters.
 
+An oscillator is the operator H = (-Laplacian)^l + V alone; a fractional
+power H^beta is given where it is used, with its semigroup or quotient.
+
 Everything here is an immutable value object; all operations are pure and
 vectorized over trailing point batches.
 """
@@ -187,49 +190,45 @@ def evaluate_potential(spec: PotentialSpec, x):
 
 @dataclass(frozen=True)
 class OscillatorSpec:
-    """The oscillator: (-Laplacian)^l + V, with a fractional power and offset.
+    """The oscillator H = (-Laplacian)^l + V, and nothing else.
 
-    ``dimension`` is 1 or 2, as for ``Grid``. ``q1`` is the additive offset in
-    the adapted weight; q1 >= 1 keeps the combined symbol bounded below by 1.
+    Its dimension is the potential's (``dimension``). A fractional power
+    H^beta is not part of H: each use of it (a heat semigroup, the decay
+    quotient) carries its own beta. ``q1`` is the additive offset in the
+    adapted weight; q1 >= 1 keeps the combined symbol bounded below by 1.
     """
 
-    dimension: int
     l: int
     potential: PotentialSpec
-    beta: float = 1.0
     q1: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.dimension, (int, np.integer)) or self.dimension not in (1, 2):
-            raise InvalidSpecError("dimension must be 1 or 2")
         if not isinstance(self.l, (int, np.integer)) or self.l < 1:
             raise InvalidSpecError("l must be a positive integer")
-        object.__setattr__(self, "dimension", int(self.dimension))
+        if not isinstance(self.potential, PotentialSpec):
+            raise InvalidSpecError("potential must be a PotentialSpec")
         object.__setattr__(self, "l", int(self.l))
-        object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "q1", float(self.q1))
-        if self.potential.dimension != self.dimension:
-            raise InvalidSpecError("potential dimension does not match oscillator")
-        if not np.isfinite(self.beta) or self.beta <= 0:
-            raise InvalidSpecError("beta must be a positive real")
         if not np.isfinite(self.q1) or self.q1 < 1.0:
             raise InvalidSpecError("q1 must be >= 1 so the symbol stays >= 1")
+
+    @property
+    def dimension(self) -> int:
+        return self.potential.dimension
 
     @property
     def degree_half(self) -> int:
         return self.potential.degree_half
 
 
-def oscillator(k: int, l: int, dimension: int = 1, beta: float = 1.0,
-               q1: float = 1.0) -> OscillatorSpec:
+def oscillator(k: int, l: int, dimension: int = 1, *, q1: float = 1.0) -> OscillatorSpec:
     """Isotropic-power oscillator with V(x) = |x|^(2k)."""
-    pot = PotentialSpec("iso_power", k, dimension)
-    return OscillatorSpec(dimension, l, pot, beta, q1)
+    return OscillatorSpec(l, PotentialSpec("iso_power", k, dimension), q1)
 
 
-def hermite_oscillator(dimension: int = 1, beta: float = 1.0) -> OscillatorSpec:
+def hermite_oscillator(dimension: int = 1) -> OscillatorSpec:
     """The harmonic special case k = l = 1, V(x) = |x|^2."""
-    return oscillator(1, 1, dimension, beta)
+    return oscillator(1, 1, dimension)
 
 
 def weight_value(s: float, osc, x, omega):

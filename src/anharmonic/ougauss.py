@@ -8,9 +8,10 @@ L^2(gamma) norm of f.
 
 The OU semigroup is never discretized directly; it is defined as
 M^(-1) exp(-t H^beta) M with M the Gaussian half-density multiplier and H
-the harmonic oscillator, which is the defining relation. The inverse
-multiplier grows like e^(|x|^2/2), so it is truncated outside a safe radius
-with explicit mass accounting.
+the harmonic oscillator, which is the defining relation; beta is an
+argument of each semigroup call, and the dimension is that of the grid. The
+inverse multiplier grows like e^(|x|^2/2), so it is truncated outside a safe
+radius with explicit mass accounting.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import SemigroupQuery, heat_semigroup
+from .calculus import heat_semigroup
 from .errors import DiscardedMassWarning, InvalidSpecError
 from .phasespace import gaussian_half_density
 from .spectral import FieldSample, SpectralDecomposition
@@ -31,14 +32,13 @@ _DISCARD_TOL = 1e-10
 @dataclass(frozen=True)
 class GaussianConjugation:
     """The multiplier M f = gamma^(1/2) f with gamma the standard Gaussian
-    density pi^(-d/2) e^(-|x|^2), and its truncated inverse."""
+    density pi^(-d/2) e^(-|x|^2), and its inverse truncated beyond
+    ``safe_radius``. It has no dimension of its own: d is that of the grid
+    it is applied on."""
 
-    dimension: int = 1
     safe_radius: float = 8.0
 
     def __post_init__(self):
-        if self.dimension not in (1, 2):
-            raise InvalidSpecError("dimension must be 1 or 2")
         r = float(self.safe_radius)
         if not np.isfinite(r) or r <= 0:
             raise InvalidSpecError("safe_radius must be a positive real")
@@ -46,7 +46,7 @@ class GaussianConjugation:
 
     def density(self, grid) -> np.ndarray:
         r2 = np.sum(grid.nodes() ** 2, axis=1)
-        return np.pi ** (-self.dimension / 2.0) * np.exp(-r2)
+        return np.pi ** (-grid.dimension / 2.0) * np.exp(-r2)
 
 
 def conjugation_discarded_mass(c: GaussianConjugation, f: FieldSample) -> float:
@@ -67,8 +67,6 @@ def apply_conjugation(c: GaussianConjugation, direction: str, f: FieldSample) ->
     more than 1e-10 of the field's relative L2 mass a DiscardedMassWarning
     reports the fraction, so silent corruption is impossible.
     """
-    if f.grid.dimension != c.dimension:
-        raise InvalidSpecError("conjugation and field dimensions differ")
     half = gaussian_half_density(f.grid)
     if direction == "forward":
         return FieldSample(f.grid, f.values * half)
@@ -87,21 +85,15 @@ def apply_conjugation(c: GaussianConjugation, direction: str, f: FieldSample) ->
     return FieldSample(f.grid, vals)
 
 
-def _require_harmonic(dec: SpectralDecomposition, c: GaussianConjugation):
-    osc = dec.oscillator
-    if (osc.l != 1 or osc.potential.kind != "iso_power"
-            or osc.potential.degree_half != 1):
-        raise InvalidSpecError(
-            "the intertwining needs the harmonic decomposition (k = l = 1, V = |x|^2)")
-    if osc.dimension != c.dimension:
-        raise InvalidSpecError("conjugation and decomposition dimensions differ")
-
-
 def ou_semigroup(c: GaussianConjugation, dec: SpectralDecomposition, beta: float,
                  t: float, f: FieldSample) -> FieldSample:
-    """exp(-t L^beta) f via the intertwining with the harmonic heat flow."""
-    _require_harmonic(dec, c)
-    query = SemigroupQuery(dec, beta, t)
-    return apply_conjugation(c, "inverse",
-                             heat_semigroup(query, apply_conjugation(c, "forward", f)))
+    """exp(-t L^beta) f via the intertwining with the harmonic heat flow.
 
+    A field on another grid than ``dec``'s fails in ``dec.coefficients``.
+    """
+    osc = dec.oscillator
+    if osc.l != 1 or osc.potential.kind != "iso_power" or osc.potential.degree_half != 1:
+        raise InvalidSpecError(
+            "the intertwining needs the harmonic decomposition (k = l = 1, V = |x|^2)")
+    return apply_conjugation(c, "inverse",
+                             heat_semigroup(dec, beta, t, apply_conjugation(c, "forward", f)))

@@ -205,7 +205,6 @@ class SpectralDecomposition:
 
     oscillator: OscillatorSpec
     grid: Grid
-    m: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
@@ -215,6 +214,11 @@ class SpectralDecomposition:
         self.eigenvalues.setflags(write=False)
         self.eigenvectors.setflags(write=False)
         self._clusters = _cluster_ranges(self.eigenvalues)
+
+    @property
+    def m(self) -> int:
+        """The number of retained modes."""
+        return len(self.eigenvalues)
 
     def coefficients(self, f: FieldSample) -> np.ndarray:
         if f.grid != self.grid:
@@ -369,7 +373,7 @@ def eigendecompose(a: np.ndarray, m: int, *, osc: OscillatorSpec, grid: Grid) ->
             f"eigenpair residual {resid_norms[worst]:.3e} at mode {worst} "
             f"exceeds {bound[worst]:.3e}")
 
-    return SpectralDecomposition(osc, grid, int(m), vals, vecs)
+    return SpectralDecomposition(osc, grid, vals, vecs)
 
 
 def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None) -> SpectralDecomposition:

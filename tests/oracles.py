@@ -121,6 +121,15 @@ def mixed_norm_reference(values, weight, p, q, cell_x, cell_xi):
     return (sum(v ** q for v in inner) * cell_xi) ** (1.0 / q)
 
 
+def auto_n_pow_reference(beta, s2, p_eff, dimension):
+    """The quotient's power N by its definition: count up from 1 until
+    (2 beta N - s2) p_eff > d + 10."""
+    n = 1
+    while (2.0 * beta * n - s2) * p_eff <= dimension + 10.0:
+        n += 1
+    return n
+
+
 def quotient_reference(params, t, radius, resolution):
     """Mixed L^(p~, q~) norm of the weight quotient by direct midpoint
     quadrature on the full resolution x resolution lattice of the scaled box.
@@ -131,7 +140,7 @@ def quotient_reference(params, t, radius, resolution):
     """
     osc = params.oscillator
     assert osc.potential.kind == "iso_power", "the reference knows V = |x|^(2k) only"
-    k, l, beta, n = osc.degree_half, osc.l, osc.beta, params.n_pow
+    k, l, beta, n = osc.degree_half, osc.l, params.beta, params.n_pow
     tau = t ** (1.0 / (2.0 * beta))
     box = radius * max(1.0, 1.0 / tau)
     r_x, r_xi = box ** (1.0 / k), box ** (1.0 / l)

@@ -59,8 +59,8 @@ def test_short_time_smoothing_exponents():
         (1, 2, 2.0, 2.0, INF, 0.125),
     )
     for k, l, beta, p_t, q_t, sigma in cases:
-        params = ah.WeightQuotientParams(ah.oscillator(k, l, beta=beta),
-                                         p_tilde=p_t, q_tilde=q_t)
+        params = ah.WeightQuotientParams(ah.oscillator(k, l), p_tilde=p_t, q_tilde=q_t,
+                                         beta=beta)
         _, fit = ah.smoothing_decay_run(params)
         assert fit.target == pytest.approx(-sigma, rel=1e-12)
         assert fit.rel_deviation <= 0.10, (

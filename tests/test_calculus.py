@@ -6,8 +6,8 @@ import pytest
 
 import anharmonic as ah
 from anharmonic import (FieldSample, Grid, NumericalError, OffSpanWarning,
-                        SemigroupQuery, apply_spectral_function, decompose,
-                        heat_semigroup, project, sobolev_norm)
+                        apply_spectral_function, decompose, heat_semigroup, project,
+                        sobolev_norm)
 from anharmonic.spectral import SpectralDecomposition
 
 
@@ -17,46 +17,39 @@ def eigenfield(dec, j, scale=1.0):
     return dec.reconstruct(c)
 
 
-class TestSemigroupQuery:
-    def test_rejects_bad_beta(self, hermite_dec):
-        with pytest.raises(ValueError):
-            SemigroupQuery(hermite_dec, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            SemigroupQuery(hermite_dec, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            SemigroupQuery(hermite_dec, math.nan, 1.0)
-
-    def test_rejects_bad_time(self, hermite_dec):
-        with pytest.raises(ValueError):
-            SemigroupQuery(hermite_dec, 1.0, -0.1)
-        with pytest.raises(ValueError):
-            SemigroupQuery(hermite_dec, 1.0, math.inf)
-
-
 class TestHeatSemigroup:
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_beta(self, hermite_dec, gaussian_field, beta):
+        with pytest.raises(ValueError, match="beta must be a positive real"):
+            heat_semigroup(hermite_dec, beta, 1.0, gaussian_field)
+
+    @pytest.mark.parametrize("t", [-0.1, math.inf, math.nan])
+    def test_rejects_bad_time(self, hermite_dec, gaussian_field, t):
+        with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+            heat_semigroup(hermite_dec, 1.0, t, gaussian_field)
+
     @pytest.mark.parametrize("j", [0, 5])
     def test_eigenfunction_rate(self, hermite_dec, j):
         f = eigenfield(hermite_dec, j)
-        out = heat_semigroup(SemigroupQuery(hermite_dec, 1.0, 0.3), f)
+        out = heat_semigroup(hermite_dec, 1.0, 0.3, f)
         np.testing.assert_allclose(out.values, np.exp(-0.3 * (2 * j + 1)) * f.values,
                                    rtol=1e-10, atol=1e-13)
 
     def test_beta_two_rate(self, hermite_dec):
         f = eigenfield(hermite_dec, 3)
-        out = heat_semigroup(SemigroupQuery(hermite_dec, 2.0, 0.05), f)
+        out = heat_semigroup(hermite_dec, 2.0, 0.05, f)
         np.testing.assert_allclose(out.values, np.exp(-0.05 * 7.0 ** 2) * f.values,
                                    rtol=1e-10, atol=1e-13)
 
     def test_zero_time_is_span_identity(self, hermite_dec, gaussian_field):
-        evolved = heat_semigroup(SemigroupQuery(hermite_dec, 1.0, 0.0), gaussian_field)
+        evolved = heat_semigroup(hermite_dec, 1.0, 0.0, gaussian_field)
         span_part = hermite_dec.reconstruct(hermite_dec.coefficients(gaussian_field))
         np.testing.assert_allclose(evolved.values, span_part.values, atol=1e-12)
 
     def test_composition(self, hermite_dec, gaussian_field):
-        two_steps = heat_semigroup(
-            SemigroupQuery(hermite_dec, 1.0, 0.4),
-            heat_semigroup(SemigroupQuery(hermite_dec, 1.0, 0.6), gaussian_field))
-        one_step = heat_semigroup(SemigroupQuery(hermite_dec, 1.0, 1.0), gaussian_field)
+        two_steps = heat_semigroup(hermite_dec, 1.0, 0.4,
+                                   heat_semigroup(hermite_dec, 1.0, 0.6, gaussian_field))
+        one_step = heat_semigroup(hermite_dec, 1.0, 1.0, gaussian_field)
         np.testing.assert_allclose(two_steps.values, one_step.values, atol=1e-12)
 
 
@@ -163,12 +156,11 @@ class TestApplySpectralFunction:
             return original(self, f)
 
         monkeypatch.setattr(SpectralDecomposition, "coefficients", counting)
-        query = SemigroupQuery(small_dec, 1.0, 0.1)
-        heat_semigroup(query, eigenfield(small_dec, 2))
+        heat_semigroup(small_dec, 1.0, 0.1, eigenfield(small_dec, 2))
         assert len(calls) == 1
         values = np.cos(np.pi * np.arange(small_dec.grid.size))
         with pytest.warns(OffSpanWarning, match="apply_spectral_function"):
-            heat_semigroup(query, FieldSample(small_dec.grid, values))
+            heat_semigroup(small_dec, 1.0, 0.1, FieldSample(small_dec.grid, values))
         assert len(calls) == 2
 
     def test_well_resolved_field_is_silent(self, hermite_dec, gaussian_field):

@@ -140,16 +140,26 @@ class TestValidateManifest:
         assert p.monitor[0] is INF and p.monitor[1:] == (2.0, 0.0)
 
     def test_oscillator_block_only_where_a_run_reads_it(self):
-        osc = {"dimension": 1, "l": 1, "potential": {"kind": "iso_power", "degree_half": 2}}
+        osc = {"l": 1, "potential": {"kind": "iso_power", "degree_half": 2}}
         run = validate_manifest({"schema": 1, "kind": "norms", "oscillator": osc})
         assert run.oscillator == oscillator(2, 1)
         for kind in ("spectrum", "decay", "ou", "selftest"):
             with pytest.raises(SchemaError) as exc:
                 validate_manifest({"schema": 1, "kind": kind, "oscillator": osc})
             assert exc.value.field == "oscillator"
-        with pytest.raises(SchemaError, match="dimensions differ"):
-            validate_manifest({"schema": 1, "kind": "norms",
-                               "grid": {"dimension": 2, "points_per_axis": 16}})
+
+    @pytest.mark.parametrize("kind", ["norms", "nlheat"])
+    def test_oscillator_takes_the_grid_dimension(self, kind):
+        """The grid names the dimension once: the default oscillator and an
+        oscillator block both take it."""
+        grid = {"dimension": 2, "points_per_axis": 16}
+        run = validate_manifest({"schema": 1, "kind": kind, "grid": grid})
+        assert run.oscillator == hermite_oscillator(2)
+        osc = {"l": 1, "potential": {"kind": "aniso_sum", "degree_half": 1,
+                                     "coefficients": [1.0, 2.0]}}
+        run = validate_manifest({"schema": 1, "kind": kind, "grid": grid, "oscillator": osc})
+        assert run.oscillator.dimension == 2
+        assert run.oscillator.potential.coefficients == (1.0, 2.0)
 
     def test_grid_block_only_where_a_run_reads_it(self):
         grid = {"points_per_axis": 64, "half_width": 8.0}
@@ -349,17 +359,32 @@ class TestRunManifest:
          {"grid": {"dimension": 1, "points_per_axis": 128, "half_width": "10"}}, None,
          "(field: grid.half_width)"),
         ("norms", {"checks": ["moyal"], "modes": 16},
-         {"oscillator": {"dimension": 1, "l": 1, "betta": 2.0,
+         {"oscillator": {"l": 1, "betta": 2.0,
                          "potential": {"kind": "iso_power", "degree_half": 1}}}, None,
          "unknown manifest fields: ['oscillator.betta'] (field: oscillator.betta)"),
         ("norms", {"checks": ["moyal"], "modes": 16},
-         {"oscillator": {"dimension": 1, "l": 1,
+         {"oscillator": {"l": 1,
                          "potential": {"kind": "iso_power", "degree_half": 1, "typo": 3}}},
          None, "(field: oscillator.potential.typo)"),
         ("norms", {"checks": ["moyal"], "modes": 16},
-         {"oscillator": {"dimension": 1, "l": 1,
+         {"oscillator": {"l": 1,
                          "potential": {"kind": "iso_power", "degree_half": 1.7}}}, None,
          "(field: oscillator.potential.degree_half)"),
+        # the oscillator is H alone: beta belongs to each semigroup, and the
+        # dimension to the grid
+        ("norms", {"checks": ["moyal"], "modes": 16},
+         {"oscillator": {"l": 1, "beta": 2.0,
+                         "potential": {"kind": "iso_power", "degree_half": 1}}}, None,
+         "unknown manifest fields: ['oscillator.beta'] (field: oscillator.beta)"),
+        ("nlheat", {"horizon": 0.02},
+         {"oscillator": {"dimension": 1, "l": 1,
+                         "potential": {"kind": "iso_power", "degree_half": 1}}}, None,
+         "unknown manifest fields: ['oscillator.dimension'] (field: oscillator.dimension)"),
+        ("norms", {"checks": ["moyal"], "modes": 16},
+         {"oscillator": {"l": 1, "potential": {"kind": "iso_power", "degree_half": 1,
+                                               "dimension": 1}}}, None,
+         "unknown manifest fields: ['oscillator.potential.dimension'] "
+         "(field: oscillator.potential.dimension)"),
         ("spectrum", {"cases": [{"k": True, "l": 1, "points": 256, "j_lo": 20, "j_hi": 45}]},
          {}, None, "(field: params.cases.k)"),
         ("spectrum", {"cases": [{"k": 1, "l": 1, "points": 256, "j_lo": 20, "j_hi": 45,
@@ -371,6 +396,10 @@ class TestRunManifest:
          {}, None, "(field: params.cases.j_hi)"),
         ("decay", {"resolution": 256, "tuples": [{"k": 1, "l": 1, "beta": "2"}]}, {}, None,
          "(field: params.tuples.beta)"),
+        ("decay", {"resolution": 256, "tuples": [{"k": 1, "l": 1, "s2": float("inf")}]}, {},
+         None, "s2 must be a finite real >= 0"),
+        ("decay", {"resolution": 256, "tuples": [{"k": 1, "l": 1, "s2": float("nan")}]}, {},
+         None, "s2 must be a finite real >= 0"),
         ("ou", {"modes": 48, "gauss_probes": 2.9}, {}, None, "(field: params.gauss_probes)"),
         # values that were rejected only after a decomposition
         ("nlheat", {"horizon": 0.02, "kind": "cubic"}, {}, None,
@@ -409,9 +438,10 @@ class TestRunManifest:
             "nlheat_nu_float", "nlheat_nu_bool", "nlheat_modes_float", "nlheat_modes_str",
             "nlheat_beta_str", "nlheat_etd_order_float", "nlheat_power_alpha",
             "grid_points_float", "grid_half_width_str", "oscillator_unknown_key",
-            "potential_unknown_key", "potential_degree_half_float", "spectrum_k_bool",
+            "potential_unknown_key", "potential_degree_half_float", "oscillator_beta",
+            "oscillator_dimension", "potential_dimension", "spectrum_k_bool",
             "spectrum_tolerance_str", "spectrum_points_float", "spectrum_j_hi_float",
-            "decay_beta_str", "ou_gauss_probes_float", "nlheat_kind_cubic", "nlheat_nu_zero",
+            "decay_beta_str", "decay_s2_inf", "decay_s2_nan", "ou_gauss_probes_float", "nlheat_kind_cubic", "nlheat_nu_zero",
             "ou_t_check_scalar", "ou_safe_radius_null", "norms_modes_zero",
             "spectrum_grid", "decay_grid", "selftest_grid", "norms_singular_half_width",
             "nlheat_one_step", "decay_three_times", "decay_one_decade",
@@ -496,26 +526,40 @@ class TestRunManifest:
         assert "numerical failure" in err
         assert "suggested_radius" in err
 
-    def test_non_finite_quotient_exits_numerical(self, tmp_path, capsys):
+    @pytest.mark.parametrize("params,detail", [
+        ({"form": "weighted", "resolution": 256, "tuples": [{"k": 1, "l": 1, "s2": 120.0}]},
+         "non-finite"),
+        ({"resolution": 256, "tuples": [{"k": 1, "l": 1, "p_tilde": 400}]},
+         "underflowed to 0")], ids=["overflow", "underflow"])
+    def test_non_finite_quotient_exits_numerical(self, tmp_path, capsys, params, detail):
         """The literal quotient with s2 = 120 overflows to inf / inf on the
-        guard lattice; that is a numerical failure, not a checked value."""
-        manifest = {
-            "schema": 1, "kind": "decay",
-            "params": {"form": "weighted", "resolution": 256,
-                       "tuples": [{"k": 1, "l": 1, "s2": 120.0}]},
-        }
-        path = write_manifest(tmp_path, manifest)
+        guard lattice, and with p~ = 400 every cell of the integrand to the
+        power 400 underflows on a 256-cell lattice, so a positive integrand
+        would read 0. Each is a numerical failure, not a checked value."""
+        path = write_manifest(tmp_path, {"schema": 1, "kind": "decay", "params": params})
         code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
         assert code == EXIT_NUMERICAL and record is None
         err = capsys.readouterr().err
-        assert "numerical failure" in err and "NumericalError" in err
+        assert "numerical failure" in err and "NumericalError" in err and detail in err
+
+    def test_two_dimensional_norms_from_the_grid_alone(self, tmp_path):
+        """A d = 2 norms manifest names its dimension once, in the grid, and
+        runs the d = 2 harmonic oscillator."""
+        manifest = {"schema": 1, "kind": "norms",
+                    "grid": {"dimension": 2, "points_per_axis": 32, "half_width": 4.0},
+                    "params": {"checks": ["moyal"], "modes": 64}}
+        path = write_manifest(tmp_path, manifest)
+        code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
+        assert code == EXIT_OK
+        [row] = record.results
+        assert row["name"] == "moyal_identity_rel_err" and row["value"] < 1e-9
 
     def test_overflowing_potential_exits_numerical(self, tmp_path, capsys):
         """A coefficient of 1e308 is a finite, valid spec whose nodal potential
         overflows to inf: a numerical failure, caught before the eigensolver."""
         manifest = {"schema": 1, "kind": "norms",
                     "grid": {"dimension": 1, "points_per_axis": 64, "half_width": 8.0},
-                    "oscillator": {"dimension": 1, "l": 1,
+                    "oscillator": {"l": 1,
                                    "potential": {"kind": "aniso_sum", "degree_half": 1,
                                                  "coefficients": [1e308]}},
                     "params": {"checks": ["moyal"], "modes": 16}}

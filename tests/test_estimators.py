@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -17,7 +18,7 @@ from anharmonic import (INF, FieldSample, Grid, InvalidSpecError, MixedNormParam
                         sigma_exponent, singular_weight_norm, smoothing_decay_run,
                         sobolev_modulation_equivalence, sobolev_norm,
                         standard_probe_family, stft, weight_quotient_norm)
-from oracles import mixed_norm_reference, quotient_reference
+from oracles import auto_n_pow_reference, mixed_norm_reference, quotient_reference
 
 FLAT = 0.0  # the weight exponent of the flat weight
 
@@ -42,8 +43,8 @@ class TestQuotientParams:
         assert WeightQuotientParams(ah.oscillator(1, 1, 1)).n_pow == 6
         assert WeightQuotientParams(ah.oscillator(2, 1, 1),
                                     p_tilde=2.0, q_tilde=2.0).n_pow == 3
-        assert WeightQuotientParams(ah.oscillator(1, 2, 1, beta=2.0),
-                                    p_tilde=2.0, q_tilde=INF).n_pow == 2
+        assert WeightQuotientParams(ah.oscillator(1, 2, 1), p_tilde=2.0, q_tilde=INF,
+                                    beta=2.0).n_pow == 2
         # the smallest N with (2 beta N - s2) p_eff > d + 10: (14 - 2) > 11
         assert WeightQuotientParams(ah.oscillator(1, 1, 1), s2=2.0).n_pow == 7
 
@@ -53,8 +54,14 @@ class TestQuotientParams:
 
     def test_rejects_bad_settings(self):
         osc = ah.oscillator(1, 1, 1)
-        with pytest.raises(InvalidSpecError):
-            WeightQuotientParams(osc, s2=-1.0)
+        for s2 in (-1.0, math.inf, math.nan):
+            with pytest.raises(InvalidSpecError, match="s2 must be a finite real >= 0"):
+                WeightQuotientParams(osc, s2=s2)
+        for beta in (0.0, math.nan):
+            with pytest.raises(InvalidSpecError, match="beta must be a positive real"):
+                WeightQuotientParams(osc, beta=beta)
+        with pytest.raises(InvalidSpecError, match="no finite power N"):
+            WeightQuotientParams(osc, p_tilde=5e-324, q_tilde=5e-324)
         with pytest.raises(InvalidSpecError):
             WeightQuotientParams(osc, form="midpoint")
         with pytest.raises(InvalidSpecError):
@@ -67,6 +74,27 @@ class TestQuotientParams:
             WeightQuotientParams(osc, t_list=(0.001, 0.01, 0.1))
         with pytest.raises(InvalidSpecError):
             WeightQuotientParams(osc, t_list=(2.0, 0.5))
+
+    def test_closed_form_power_matches_the_count(self):
+        """N in closed form equals the count from 1 of the definition, on a
+        lattice of exact boundary cases and on random draws."""
+        rng = np.random.default_rng(19)
+        lattice = [(b, s2, p, d) for b in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+                   for s2 in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+                   for p in (1.0 / 3.0, 0.5, 1.0, 1.5, 2.0, 4.0) for d in (1, 2)]
+        draws = [(rng.uniform(0.1, 4.0), rng.uniform(0.0, 10.0), rng.uniform(0.2, 10.0),
+                  int(rng.integers(1, 3))) for _ in range(2000)]
+        for beta, s2, p, d in lattice + draws:
+            assert (estimators._auto_n_pow(beta, s2, p, INF, d)
+                    == auto_n_pow_reference(beta, s2, p, d)), (beta, s2, p, d)
+
+    def test_tiny_gaps_build_at_once(self):
+        """N comes in closed form, however large: p~ = q~ = 1e-9 gives
+        N = floor(11e9 / 2) + 1 with no loop over N."""
+        start = time.perf_counter()
+        params = WeightQuotientParams(ah.oscillator(1, 1), p_tilde=1e-9, q_tilde=1e-9)
+        assert time.perf_counter() - start < 1.0
+        assert params.n_pow == 5_500_000_001
 
 
 class TestWeightQuotient:
@@ -119,6 +147,13 @@ class TestWeightQuotient:
             with pytest.raises(NumericalError):
                 weight_quotient_norm(params, 0.1)
 
+    def test_underflowed_quotient_raises(self):
+        """With p~ = 400 every cell of the integrand to the power 400
+        underflows at resolution 256; a positive integrand must not read 0."""
+        params = WeightQuotientParams(ah.oscillator(1, 1), p_tilde=400.0, resolution=256)
+        with pytest.raises(NumericalError, match="underflowed to 0"):
+            weight_quotient_norm(params, 0.1)
+
     @pytest.mark.parametrize("base,guard", [(1.0, np.inf), (np.inf, np.inf)])
     def test_overflowed_sum_fails_the_guard(self, monkeypatch, base, guard):
         """An overflowed (inf) sum makes the guard's movement inf or NaN;
@@ -146,9 +181,9 @@ class TestQuotientFold:
                                          ("weighted", 1.5)])
     def test_matches_full_lattice_reference(self, form, s2, k, l, beta, p_tilde, q_tilde,
                                             resolution):
-        params = WeightQuotientParams(ah.oscillator(k, l, beta=beta), s2=s2,
+        params = WeightQuotientParams(ah.oscillator(k, l), s2=s2,
                                       p_tilde=p_tilde, q_tilde=q_tilde, form=form,
-                                      resolution=resolution)
+                                      resolution=resolution, beta=beta)
         for t, radius in ((0.01, 30.0), (1.0, 3.0)):
             got = estimators._quotient_value(params, t, radius, resolution)
             ref = quotient_reference(params, t, radius, resolution)

@@ -13,13 +13,12 @@ from anharmonic import (INF, InvalidSpecError, MixedNormParams, OscillatorSpec,
 from anharmonic.cli import validate_manifest
 
 
-def parsed_oscillator(text):
+def parsed_oscillator(text, dimension=1):
     """The OscillatorSpec that an oscillator block, written as JSON text,
-    parses to in a norms manifest on a grid of the block's dimension."""
-    block = json.loads(text)
-    grid = {"dimension": block["dimension"], "points_per_axis": 16}
+    parses to in a norms manifest on a grid of the given dimension."""
+    grid = {"dimension": dimension, "points_per_axis": 16}
     return validate_manifest({"schema": 1, "kind": "norms", "grid": grid,
-                              "oscillator": block}).oscillator
+                              "oscillator": json.loads(text)}).oscillator
 
 
 def parsed_monitor(text):
@@ -127,16 +126,16 @@ class TestPotential:
         """Manifest JSON of each potential kind parses to the spec built directly."""
         blocks = [
             ('{"kind": "iso_power", "degree_half": 2}', PotentialSpec("iso_power", 2, 1)),
-            ('{"kind": "aniso_sum", "degree_half": 2, "dimension": 2,'
-             ' "coefficients": [1.5, 0.5]}', PotentialSpec("aniso_sum", 2, 2, (1.5, 0.5))),
-            ('{"kind": "custom_poly", "degree_half": 2, "dimension": 2,'
+            ('{"kind": "aniso_sum", "degree_half": 2, "coefficients": [1.5, 0.5]}',
+             PotentialSpec("aniso_sum", 2, 2, (1.5, 0.5))),
+            ('{"kind": "custom_poly", "degree_half": 2,'
              ' "terms": [[[4, 0], 1.0], [[2, 2], 1.0], [[0, 4], 1.0]]}',
              PotentialSpec("custom_poly", 2, 2,
                            terms=(((4, 0), 1.0), ((2, 2), 1.0), ((0, 4), 1.0)))),
         ]
         for text, expected in blocks:
-            block = '{"dimension": %d, "l": 1, "potential": %s}' % (expected.dimension, text)
-            assert parsed_oscillator(block).potential == expected
+            block = '{"l": 1, "potential": %s}' % text
+            assert parsed_oscillator(block, expected.dimension).potential == expected
 
 
 class TestOscillator:
@@ -156,27 +155,25 @@ class TestOscillator:
         with pytest.raises(InvalidSpecError):
             oscillator(1, 1, 1, q1=0.5)
 
-    def test_beta_positive_required(self):
-        with pytest.raises(InvalidSpecError):
-            oscillator(1, 1, 1, beta=0.0)
-
-    def test_dimension_is_one_or_two(self):
-        pot = PotentialSpec("iso_power", 1, 1)
-        with pytest.raises(InvalidSpecError, match="dimension must be 1 or 2"):
-            OscillatorSpec(dimension=3, l=1, potential=pot)
-
-    def test_dimension_mismatch_rejected(self):
-        pot = PotentialSpec("iso_power", 1, 2)
-        with pytest.raises(InvalidSpecError):
-            OscillatorSpec(dimension=1, l=1, potential=pot)
+    def test_dimension_is_the_potentials(self):
+        """H carries no dimension of its own, and no beta: a stale positional
+        beta after the dimension raises instead of becoming q1."""
+        assert OscillatorSpec(1, PotentialSpec("iso_power", 1, 2)).dimension == 2
+        assert hermite_oscillator(2).dimension == 2
+        assert oscillator(2, 1).dimension == 1
+        with pytest.raises(TypeError):
+            oscillator(1, 1, 1, 2.0)
+        with pytest.raises(InvalidSpecError, match="potential must be a PotentialSpec"):
+            OscillatorSpec(1, None)
 
     def test_serialization_roundtrip(self):
-        """Oscillator manifest JSON, default and explicit beta/q1, parses to the spec."""
+        """Oscillator manifest JSON, default and explicit q1, parses to the spec."""
         pot = '{"kind": "iso_power", "degree_half": 2}'
-        default = '{"dimension": 1, "l": 1, "potential": %s}' % pot
+        default = '{"l": 1, "potential": %s}' % pot
         assert parsed_oscillator(default) == oscillator(2, 1, 1)
-        explicit = '{"dimension": 1, "l": 1, "potential": %s, "beta": 1.5, "q1": 2.0}' % pot
-        assert parsed_oscillator(explicit) == oscillator(2, 1, 1, beta=1.5, q1=2.0)
+        explicit = '{"l": 1, "potential": %s, "q1": 2.0}' % pot
+        assert parsed_oscillator(explicit) == oscillator(2, 1, 1, q1=2.0)
+        assert parsed_oscillator(default, 2) == oscillator(2, 1, 2)
 
 
 class TestWeight:

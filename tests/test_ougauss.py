@@ -20,20 +20,22 @@ L2 = MixedNormParams(2.0, 2.0)
 class TestConjugationSpec:
     def test_validation(self):
         with pytest.raises(InvalidSpecError):
-            GaussianConjugation(3)
+            GaussianConjugation(safe_radius=0.0)
         with pytest.raises(InvalidSpecError):
-            GaussianConjugation(1, safe_radius=0.0)
-        with pytest.raises(InvalidSpecError):
-            GaussianConjugation(1, safe_radius=math.inf)
+            GaussianConjugation(safe_radius=math.inf)
 
     def test_density_formula(self, hermite_grid):
-        c = GaussianConjugation(1)
+        """pi^(-d/2) e^(-|x|^2), with d taken from the grid."""
+        c = GaussianConjugation()
         x = hermite_grid.axis_nodes()
         np.testing.assert_allclose(c.density(hermite_grid),
                                    np.pi ** -0.5 * np.exp(-x ** 2), rtol=1e-14)
+        grid = Grid(2, 16, 4.0)
+        r2 = np.sum(grid.nodes() ** 2, axis=1)
+        np.testing.assert_allclose(c.density(grid), np.exp(-r2) / np.pi, rtol=1e-14)
 
     def test_half_density_is_density_square_root(self, hermite_grid):
-        c = GaussianConjugation(1)
+        c = GaussianConjugation()
         np.testing.assert_allclose(gaussian_half_density(hermite_grid),
                                    np.sqrt(c.density(hermite_grid)), rtol=1e-12)
 
@@ -47,7 +49,7 @@ class TestConjugationSpec:
 
 class TestApplyConjugation:
     def test_roundtrip_inside_safe_radius(self, hermite_grid, gaussian_field):
-        c = GaussianConjugation(1)
+        c = GaussianConjugation()
         back = apply_conjugation(c, "inverse",
                                  apply_conjugation(c, "forward", gaussian_field))
         x = np.abs(hermite_grid.axis_nodes())
@@ -60,27 +62,24 @@ class TestApplyConjugation:
         assert np.all(back.values[~inside] == 0)
 
     def test_forward_is_pointwise_multiplication(self, hermite_grid, gaussian_field):
-        c = GaussianConjugation(1)
+        c = GaussianConjugation()
         out = apply_conjugation(c, "forward", gaussian_field)
         np.testing.assert_array_equal(
             out.values, gaussian_field.values * gaussian_half_density(hermite_grid))
 
     def test_inverse_warns_on_discarded_mass(self, hermite_grid, gaussian_field):
-        c = GaussianConjugation(1, safe_radius=2.0)
+        c = GaussianConjugation(safe_radius=2.0)
         with pytest.warns(DiscardedMassWarning):
             apply_conjugation(c, "inverse", gaussian_field)
 
-    def test_direction_and_dimension_validation(self, hermite_grid, gaussian_field):
-        c = GaussianConjugation(1)
+    def test_direction_validation(self, hermite_grid, gaussian_field):
         with pytest.raises(ValueError):
-            apply_conjugation(c, "sideways", gaussian_field)
-        with pytest.raises(InvalidSpecError):
-            apply_conjugation(GaussianConjugation(2), "forward", gaussian_field)
+            apply_conjugation(GaussianConjugation(), "sideways", gaussian_field)
 
     def test_discarded_mass_accounting(self, hermite_grid, gaussian_field):
         zero = FieldSample(hermite_grid, np.zeros(hermite_grid.size))
-        assert conjugation_discarded_mass(GaussianConjugation(1), zero) == 0.0
-        tight = GaussianConjugation(1, safe_radius=0.25)
+        assert conjugation_discarded_mass(GaussianConjugation(), zero) == 0.0
+        tight = GaussianConjugation(safe_radius=0.25)
         frac = conjugation_discarded_mass(tight, gaussian_field)
         assert 0.5 < frac <= 1.0
 
@@ -88,16 +87,18 @@ class TestApplyConjugation:
 class TestOuSemigroup:
     def test_rejects_non_harmonic_decomposition(self, quartic_dec, gaussian_field):
         with pytest.raises(InvalidSpecError):
-            ou_semigroup(GaussianConjugation(1), quartic_dec, 1.0, 0.5, gaussian_field)
+            ou_semigroup(GaussianConjugation(), quartic_dec, 1.0, 0.5, gaussian_field)
 
-    def test_rejects_dimension_mismatch(self, hermite_dec, gaussian_field):
-        with pytest.raises(InvalidSpecError):
-            ou_semigroup(GaussianConjugation(2), hermite_dec, 1.0, 0.5, gaussian_field)
+    def test_field_on_another_grid_fails(self, hermite_dec):
+        grid = Grid(2, 16, 4.0)
+        field = FieldSample(grid, np.ones(grid.size))
+        with pytest.raises(ValueError, match="field grid does not match"):
+            ou_semigroup(GaussianConjugation(), hermite_dec, 1.0, 0.5, field)
 
     def test_constant_field_decay_rate(self, hermite_dec, hermite_grid):
         """M maps constants onto the harmonic ground state, so the OU flow
         scales them by exp(-t lambda_0^beta) with lambda_0 = dimension."""
-        c = GaussianConjugation(1)
+        c = GaussianConjugation()
         ones = FieldSample(hermite_grid, np.ones(hermite_grid.size))
         x = np.abs(hermite_grid.axis_nodes())
         for t in (0.1, 0.5, 1.0):
@@ -108,7 +109,7 @@ class TestOuSemigroup:
     def test_two_dimensional_rate_feels_beta(self):
         grid = Grid(2, 32, 6.0)
         dec = decompose(ah.oscillator(1, 1, 2), grid, 24)
-        c = GaussianConjugation(2, safe_radius=5.0)
+        c = GaussianConjugation(safe_radius=5.0)
         ones = FieldSample(grid, np.ones(grid.size))
         radii = np.linalg.norm(grid.nodes(), axis=1)
         for beta in (1.0, 2.0):
@@ -124,7 +125,7 @@ class TestGaussianNorm:
 
     def test_multiplied_field_meets_closed_form(self, hermite_grid, gaussian_field,
                                                 damped_gaussian_abs):
-        c = GaussianConjugation(1)
+        c = GaussianConjugation()
         multiplied = apply_conjugation(c, "forward", gaussian_field)
         # the streamed norm and the full-lattice route are different code:
         # both meet the closed form
@@ -138,7 +139,7 @@ class TestGaussianNorm:
 
     def test_weighted_variant_accepts_oscillator(self, hermite_dec, hermite_grid,
                                                  gaussian_field, damped_gaussian_abs):
-        c = GaussianConjugation(1)
+        c = GaussianConjugation()
         multiplied = apply_conjugation(c, "forward", gaussian_field)
         got = modulation_norm(multiplied, 1.0, hermite_dec.oscillator, L2)
         # q1 + V^(1/2) + |omega| with V = x^2, q1 = 1 and omega = 2 pi xi
@@ -155,7 +156,7 @@ class TestGaussianNorm:
         """For p = q = 2 and the flat weight, the lattice Moyal identity makes
         the norm of gamma^(1/2) f the L^2(gamma) norm of f, here summed
         directly on the nodes for a modulated off-centre probe."""
-        c = GaussianConjugation(1)
+        c = GaussianConjugation()
         x = hermite_grid.nodes()[:, 0]
         f = FieldSample(hermite_grid, (1.0 + x ** 2) * np.exp(-0.25 * (x - 1.0) ** 2)
                         * np.exp(2j * np.pi * 0.6 * x))
@@ -167,7 +168,7 @@ class TestGaussianNorm:
 
 class TestOuProbeRate:
     def test_constant_probe_fit_is_exact(self, hermite_dec, hermite_grid):
-        c = GaussianConjugation(1)
+        c = GaussianConjugation()
         ones = FieldSample(hermite_grid, np.ones(hermite_grid.size))
         res = ou_probe_rate(c, hermite_dec, 1.0, (1.0, 2.0, 3.0), [ones])
         assert res.target == -1.0
@@ -178,7 +179,7 @@ class TestOuProbeRate:
         assert res.samples[0][0] == 1.0 and res.samples[0][1] > 0
 
     def test_gaussian_corpus_recovers_rate(self, hermite_dec, hermite_grid):
-        c = GaussianConjugation(1)
+        c = GaussianConjugation()
         probes = gaussian_probe_fields(hermite_grid, 5, seed=11,
                                        center_range=(-1.5, 1.5),
                                        modulation_range=(-1.0, 1.0))
@@ -189,7 +190,7 @@ class TestOuProbeRate:
     def test_zero_probe_skipped_with_warning(self, hermite_dec, hermite_grid):
         """The skip rule of every probe corpus: a zero-norm probe warns and
         drops out; a corpus of zero probes raises."""
-        c = GaussianConjugation(1)
+        c = GaussianConjugation()
         zero = FieldSample(hermite_grid, np.zeros(hermite_grid.size))
         ones = FieldSample(hermite_grid, np.ones(hermite_grid.size))
         with pytest.warns(ProbeSkipWarning):
@@ -202,7 +203,7 @@ class TestOuProbeRate:
         """Repeated times count once: two times, or three entries with fewer
         than three distinct, raise; a repeat beside three distinct times is
         fitted."""
-        c = GaussianConjugation(1)
+        c = GaussianConjugation()
         ones = FieldSample(hermite_grid, np.ones(hermite_grid.size))
         for t_list in ((1.0, 2.0), (1.0, 1.0, 1.0), (1.0, 1.0, 2.0), (2.0, 2.0, 2.0)):
             with pytest.raises(ValueError, match="3 distinct"):
@@ -214,13 +215,13 @@ class TestOuProbeRate:
     def test_underflowed_bound_raises_numerical(self, hermite_dec, hermite_grid):
         """At t = 800 the constant probe's bound e^(-800) underflows to 0; its
         log must not reach the fit as -inf."""
-        c = GaussianConjugation(1)
+        c = GaussianConjugation()
         ones = FieldSample(hermite_grid, np.ones(hermite_grid.size))
         with pytest.raises(NumericalError):
             ou_probe_rate(c, hermite_dec, 1.0, (1.0, 2.0, 800.0), [ones])
 
     def test_rejects_non_harmonic(self, quartic_dec, hermite_grid):
-        c = GaussianConjugation(1)
+        c = GaussianConjugation()
         ones = FieldSample(quartic_dec.grid, np.ones(quartic_dec.grid.size))
         with pytest.raises(InvalidSpecError):
             ou_probe_rate(c, quartic_dec, 1.0, (1.0, 2.0, 3.0), [ones])

@@ -108,7 +108,7 @@ class TestStft:
         transform of the damped field meets the closed form."""
         half = ah.gaussian_half_density(hermite_grid)
         damped = FieldSample(hermite_grid, gaussian_field.values * half)
-        conj = apply_conjugation(ah.GaussianConjugation(1), "forward", gaussian_field)
+        conj = apply_conjugation(ah.GaussianConjugation(), "forward", gaussian_field)
         np.testing.assert_array_equal(conj.values, damped.values)
         got = np.abs(stft(conj).values)
         np.testing.assert_allclose(got, damped_gaussian_abs, rtol=0.0, atol=1e-14)
@@ -209,7 +209,7 @@ class TestModulationNorm:
         form."""
         half = ah.gaussian_half_density(hermite_grid)
         damped = FieldSample(hermite_grid, gaussian_field.values * half)
-        conj = apply_conjugation(ah.GaussianConjugation(1), "forward", gaussian_field)
+        conj = apply_conjugation(ah.GaussianConjugation(), "forward", gaussian_field)
         params = MixedNormParams(2.0, 1.0)
         expected = mixed_norm_reference(damped_gaussian_abs,
                                         harmonic_lattice(hermite_grid, 1.0), 2.0, 1.0,

@@ -20,13 +20,12 @@ from oracles import mixed_norm_reference
 rng = np.random.default_rng(20240814)
 
 
-def parsed_oscillator(text):
+def parsed_oscillator(text, dimension=1):
     """The OscillatorSpec that an oscillator block, written as JSON text,
-    parses to in a norms manifest on a grid of the block's dimension."""
-    block = json.loads(text)
-    grid = {"dimension": block["dimension"], "points_per_axis": 16}
+    parses to in a norms manifest on a grid of the given dimension."""
+    grid = {"dimension": dimension, "points_per_axis": 16}
     return validate_manifest({"schema": 1, "kind": "norms", "grid": grid,
-                              "oscillator": block}).oscillator
+                              "oscillator": json.loads(text)}).oscillator
 
 
 def parsed_monitor(text):
@@ -144,34 +143,32 @@ class TestSerializationRoundtrips:
             c0, c1, c2 = (float(c) for c in rng.uniform(0.1, 2.0, 3))
             terms = [[[2 * k, 0], c0], [[0, 2 * k], c1], [[2 * a, 2 * (k - a)], c2]]
             cases = [
-                ({"kind": "iso_power", "degree_half": k, "dimension": d},
+                ({"kind": "iso_power", "degree_half": k},
                  PotentialSpec("iso_power", k, d)),
-                ({"kind": "aniso_sum", "degree_half": k, "dimension": d,
-                  "coefficients": coeffs},
+                ({"kind": "aniso_sum", "degree_half": k, "coefficients": coeffs},
                  PotentialSpec("aniso_sum", k, d, coefficients=tuple(coeffs))),
-                ({"kind": "custom_poly", "degree_half": k, "dimension": 2, "terms": terms},
+                ({"kind": "custom_poly", "degree_half": k, "terms": terms},
                  PotentialSpec("custom_poly", k, 2,
                                terms=(((2 * k, 0), c0), ((0, 2 * k), c1),
                                       ((2 * a, 2 * (k - a)), c2)))),
             ]
             for block, expected in cases:
-                osc = {"dimension": expected.dimension, "l": 1, "potential": block}
-                assert parsed_oscillator(json.dumps(osc)).potential == expected
+                osc = {"l": 1, "potential": block}
+                parsed = parsed_oscillator(json.dumps(osc), expected.dimension)
+                assert parsed.potential == expected
 
     def test_oscillator_roundtrip(self):
         for _ in range(20):
             k = int(rng.integers(1, 3))
             c = float(rng.uniform(0.5, 2.0))
             l = int(rng.integers(1, 4))
-            beta = float(rng.uniform(0.5, 3.0))
             q1 = float(rng.uniform(1.0, 2.0))
-            block = {"dimension": 2, "l": l, "beta": beta, "q1": q1,
+            block = {"l": l, "q1": q1,
                      "potential": {"kind": "aniso_sum", "degree_half": k,
-                                   "dimension": 2, "coefficients": [1.0, c]}}
-            expected = OscillatorSpec(2, l, PotentialSpec("aniso_sum", k, 2,
-                                                          coefficients=(1.0, c)),
-                                      beta=beta, q1=q1)
-            assert parsed_oscillator(json.dumps(block)) == expected
+                                   "coefficients": [1.0, c]}}
+            expected = OscillatorSpec(l, PotentialSpec("aniso_sum", k, 2,
+                                                       coefficients=(1.0, c)), q1)
+            assert parsed_oscillator(json.dumps(block), 2) == expected
 
 
 def whole_lattice_reduce(w, p, q, cx, cxi):

@@ -76,12 +76,12 @@ class TestAssembly:
 
     @pytest.mark.parametrize("osc,grid", [
         (ah.oscillator(1, 1, 1), Grid(1, 64, 7.77)),
-        (OscillatorSpec(1, 1, PotentialSpec("aniso_sum", 2, 1, (2.5,))), Grid(1, 64, 5.3)),
-        (OscillatorSpec(1, 2, PotentialSpec("custom_poly", 3, 1, terms=(((6,), 0.7),))),
+        (OscillatorSpec(1, PotentialSpec("aniso_sum", 2, 1, (2.5,))), Grid(1, 64, 5.3)),
+        (OscillatorSpec(2, PotentialSpec("custom_poly", 3, 1, terms=(((6,), 0.7),))),
          Grid(1, 64, 0.1)),
         (ah.oscillator(2, 1, 2), Grid(2, 16, 4.3)),
-        (OscillatorSpec(2, 1, PotentialSpec("aniso_sum", 1, 2, (1.0, 2.5))), Grid(2, 16, np.pi)),
-        (OscillatorSpec(2, 1, ODD_FACTOR_POLY), Grid(2, 16, 5.3)),
+        (OscillatorSpec(1, PotentialSpec("aniso_sum", 1, 2, (1.0, 2.5))), Grid(2, 16, np.pi)),
+        (OscillatorSpec(1, ODD_FACTOR_POLY), Grid(2, 16, 5.3)),
     ], ids=["iso_power_d1", "aniso_sum_d1", "custom_poly_d1", "iso_power_d2",
             "aniso_sum_d2", "custom_poly_odd_factors_d2"])
     def test_commutes_with_reflection(self, osc, grid):
@@ -184,9 +184,9 @@ PARITY_CASES = {
     "hermite": (ah.hermite_oscillator(), Grid(1, 512, 12.0), 384),
     "quartic": (ah.oscillator(2, 1, 1), Grid(1, 512, 12.0), 384),
     "l2": (ah.oscillator(1, 2, 1), Grid(1, 512, 60.0), 384),
-    "aniso_sum_d2": (OscillatorSpec(2, 1, PotentialSpec("aniso_sum", 1, 2, (1.0, 2.5))),
+    "aniso_sum_d2": (OscillatorSpec(1, PotentialSpec("aniso_sum", 1, 2, (1.0, 2.5))),
                      Grid(2, 32, 7.0), 120),
-    "custom_poly_odd_factors_d2": (OscillatorSpec(2, 1, ODD_FACTOR_POLY), Grid(2, 32, 5.0), 120),
+    "custom_poly_odd_factors_d2": (OscillatorSpec(1, ODD_FACTOR_POLY), Grid(2, 32, 5.0), 120),
 }
 
 
