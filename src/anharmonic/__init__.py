@@ -16,8 +16,7 @@ from .errors import (AnharmonicError, BoundaryMassWarning, DiscardedMassWarning,
 from .model import (INF, MixedNormParams, OscillatorSpec, PotentialSpec, check_exponent,
                     evaluate_potential, hermite_oscillator, is_inf, oscillator,
                     submultiplicativity_defect, weight_value)
-from .spectral import (FieldSample, Grid, SpectralDecomposition, assemble_operator,
-                       decompose, eigendecompose)
+from .spectral import FieldSample, Grid, SpectralDecomposition, decompose
 from .calculus import apply_spectral_function, heat_semigroup, project, sobolev_norm
 from .phasespace import (PhaseSpaceField, gaussian_half_density, mixed_norm, modulation_norm,
                          modulation_norms, stft)
@@ -44,8 +43,7 @@ __all__ = [
     "OscillatorSpec", "oscillator", "hermite_oscillator", "weight_value",
     "submultiplicativity_defect", "MixedNormParams",
     # spectral
-    "Grid", "FieldSample", "assemble_operator",
-    "SpectralDecomposition", "eigendecompose", "decompose",
+    "Grid", "FieldSample", "SpectralDecomposition", "decompose",
     # calculus
     "apply_spectral_function", "heat_semigroup", "project", "sobolev_norm",
     # phasespace

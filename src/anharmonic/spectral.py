@@ -2,9 +2,11 @@
 
 The kinetic part is the exact Fourier multiplier |omega|^(2l) on a staggered
 grid (nodes offset by half a cell, so the origin is never a node); the
-potential is diagonal. The assembled dense matrix is real symmetric and
-positive definite by construction: the multiplier is nonnegative and the
-nodal potential is strictly positive.
+potential is diagonal. ``decompose`` is the one entry: it builds only the
+even and odd (n/2)² blocks of the real symmetric, positive definite grid
+operator (the multiplier is nonnegative and the nodal potential strictly
+positive), solves them, and checks the eigenpairs against H applied from
+its definition by FFT.
 """
 
 from __future__ import annotations
@@ -119,55 +121,6 @@ def _kinetic_multiplier(osc: OscillatorSpec, grid: Grid) -> np.ndarray:
     return w2 ** osc.l
 
 
-def assemble_operator(osc: OscillatorSpec, grid: Grid) -> np.ndarray:
-    """Dense real symmetric matrix of (-Laplacian)^l + V on the grid.
-
-    Positivity is certified exactly: the Fourier multiplier is nonnegative
-    and the strictly positive nodal potential is checked (the staggered
-    grid excludes the origin, so min V over nodes is positive for any valid
-    potential). A nodal potential that overflows (a finite but huge
-    coefficient) raises NumericalError before the matrix is built.
-
-    The matrix commutes exactly with the reflection x -> -x, which reverses
-    the flat index in d = 1 and d = 2: ``a[::-1, ::-1]`` equals ``a``
-    bitwise, and eigendecompose relies on it. The kinetic entry depends on
-    the index difference i - j, and the reflection turns it into j - i,
-    which is the transposed entry; the final 0.5 (a + a^T) makes both the
-    same sum. The diagonal is the potential on the nodes, which are
-    symmetric about 0 bit for bit (see Grid.axis_nodes), and every potential
-    kind is evaluated exactly even: an even power is taken of |x_j|, and a
-    monomial of even total degree has its odd powers in pairs whose sign
-    flips cancel.
-    """
-    if osc.dimension != grid.dimension:
-        raise InvalidSpecError("oscillator and grid dimensions differ")
-    if grid.size > _MAX_DENSE:
-        raise InvalidSpecError(
-            f"dense operator would be {grid.size}^2; cap is {_MAX_DENSE}^2")
-
-    nodes = grid.nodes()
-    v_nodes = evaluate_potential(osc.potential, nodes)
-    if not np.all(np.isfinite(v_nodes)):
-        raise NumericalError("nodal potential is not finite; a coefficient overflows")
-    v_min = float(np.min(v_nodes))
-    if v_min <= 0:
-        raise NumericalError(f"nodal potential minimum {v_min:.3e} is not positive")
-
-    mult = _kinetic_multiplier(osc, grid)
-    n = grid.points_per_axis
-    if grid.dimension == 1:
-        kern = np.fft.ifft(mult).real
-        idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-        a = kern[idx]
-    else:
-        kern = np.fft.ifft2(mult).real
-        di = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-        a = kern[di[:, None, :, None], di[None, :, None, :]].reshape(grid.size, grid.size)
-    a = a + np.diag(np.asarray(v_nodes, dtype=float).ravel())
-    a = 0.5 * (a + a.T)
-    return a
-
-
 def _reflection_parity(v: np.ndarray):
     """Per column (axis 0) of ``v``: 1.0 where it is bitwise even under
     x -> -x (the reversed flat index), -1.0 where bitwise odd, 0.0 elsewhere.
@@ -193,7 +146,7 @@ def real_matmul(a: np.ndarray, x) -> np.ndarray:
 
 @dataclass(eq=False)
 class SpectralDecomposition:
-    """Retained eigenpairs of the discretized oscillator.
+    """Retained eigenpairs of the discretized oscillator, as ``decompose`` returns them.
 
     ``eigenvectors`` has shape (grid.size, m) and is orthonormal in the
     h-weighted inner product. Each column is exactly even or odd under
@@ -265,23 +218,52 @@ def _cluster_ranges(eigenvalues):
     return ranges
 
 
-def _parity_solve(a: np.ndarray, m: int, hd: float):
-    """Lowest m eigenpairs of a reflection-invariant a from its two parity blocks.
+def _parity_blocks(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid):
+    """The even and odd blocks E = A11 + A12 J and O = A11 - A12 J of the grid operator.
 
-    With J the reversal of a half-length index, a = [[A11, A12], [J A12 J,
-    J A11 J]], so [u; Ju] and [u; -Ju] are eigenvectors of a exactly when u
-    is one of E = A11 + A12 J or O = A11 - A12 J, with the same eigenvalue.
-    Returns the merged eigenvalues and the (n, m) vectors, h-normalized and
-    each exactly even or odd; the block arrays die with this frame.
+    A is H on the grid, symmetrized: its entry (i, j) is 0.5 (K[i - j] +
+    K[j - i]) with K the inverse transform of ``mult`` (indices mod N per
+    axis), plus V at node i on the diagonal. A commutes exactly with the
+    reflection x -> -x, which reverses the flat index in d = 1 and d = 2: the
+    nodes are symmetric about 0 bit for bit (see Grid.axis_nodes), and every
+    potential kind is evaluated exactly even. So with J the reversal of a
+    half-length index, A12 J reads the kernel at i + j + 1 per axis. The half
+    rows are those whose first axis is below N/2.
     """
-    n = a.shape[0]
+    n, d, half = grid.points_per_axis, grid.dimension, grid.size // 2
+    kern = np.fft.ifftn(mult).real + 0.0  # every zero entry is +0.0
+    flip = (-np.arange(n)) % n
+    sym = 0.5 * (kern + kern[np.ix_(*[flip] * d)])
+    rows = [np.arange(n // 2)] + [np.arange(n)] * (d - 1)
+
+    def gather(sign, shift):  # sym at (i + sign j + shift) mod N per axis
+        idx = [(r[:, None] + sign * r[None, :] + shift) % n for r in rows]
+        if d == 2:  # broadcast index arrays, so no index array is half x half
+            idx = [idx[0][:, None, :, None], idx[1][None, :, None, :]]
+        return sym[tuple(idx)].reshape(half, half)
+
+    a11 = gather(-1, 0)
+    diag = np.arange(half)
+    a11[diag, diag] += v_nodes[:half]
+    a12j = gather(1, 1)
+    return a11 + a12j, np.subtract(a11, a12j, out=a11)
+
+
+def _parity_solve(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid, m: int):
+    """Lowest m eigenpairs of the grid operator from its two parity blocks.
+
+    [u; Ju] and [u; -Ju] are eigenvectors of A exactly when u is one of E or
+    O (see _parity_blocks), with the same eigenvalue. Returns the merged
+    eigenvalues and the (n, m) vectors, h-normalized and each exactly even or
+    odd; the blocks die with this frame.
+    """
+    n = grid.size
     half = n // 2
     k = min(m, half)
-    a11, a12j = a[:half, :half], a[:half, half:][:, ::-1]
     blocks = []
-    for combine in (np.add, np.subtract):
+    for block in _parity_blocks(mult, v_nodes, grid):
         try:
-            blocks.append(scipy.linalg.eigh(combine(a11, a12j), subset_by_index=(0, k - 1),
+            blocks.append(scipy.linalg.eigh(block, subset_by_index=(0, k - 1),
                                             overwrite_a=True))
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare driver failure
             raise NonConvergenceError(f"dense symmetric eigensolver failed: {exc}",
@@ -293,7 +275,7 @@ def _parity_solve(a: np.ndarray, m: int, hd: float):
     odd = order >= k
     vals = np.empty(m)
     vecs = np.empty((n, m))
-    norm = 1.0 / np.sqrt(2.0 * hd)
+    norm = 1.0 / np.sqrt(2.0 * grid.cell_volume)
     for parity, (block_vals, u), cols in zip((1.0, -1.0), blocks,
                                              (np.flatnonzero(~odd), np.flatnonzero(odd))):
         block_vals, u = block_vals[:len(cols)], u[:, :len(cols)]
@@ -309,14 +291,27 @@ def _parity_solve(a: np.ndarray, m: int, hd: float):
     return vals, vecs
 
 
-def eigendecompose(a: np.ndarray, m: int, *, osc: OscillatorSpec, grid: Grid) -> SpectralDecomposition:
-    """Lowest m eigenpairs of the assembled operator, solved by parity, checked and gauged.
+def _apply_operator(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid, vecs: np.ndarray):
+    """H applied to the columns of ``vecs`` from its definition: the kinetic
+    multiplier by real FFT over the grid axes, plus the nodal potential."""
+    shape = (grid.points_per_axis,) * grid.dimension
+    axes = tuple(range(grid.dimension))
+    spec = np.fft.rfftn(vecs.reshape(shape + vecs.shape[1:]), axes=axes)
+    spec *= mult[..., :shape[-1] // 2 + 1, None]
+    out = np.fft.irfftn(spec, s=shape, axes=axes).reshape(vecs.shape)
+    out += v_nodes[:, None] * vecs
+    return out
 
-    The operator commutes with the reflection x -> -x, which on the staggered
-    grid reverses the flat index in d = 1 and d = 2 (see assemble_operator).
-    So the n = grid.size unknowns split into two (n/2)² parity blocks,
-    E = A11 + A12 J and O = A11 - A12 J with J the reversal of a half-length
-    index. Each block is solved for its lowest min(m, n/2) pairs and the two
+
+def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None) -> SpectralDecomposition:
+    """Lowest m eigenpairs of H on the grid, solved by parity, checked and gauged;
+    m defaults to size/2.
+
+    H = (-Laplacian)^l + V commutes with the reflection x -> -x, which on the
+    staggered grid reverses the flat index in d = 1 and d = 2. So the
+    n = grid.size unknowns split into two (n/2)² parity blocks (see
+    _parity_blocks), built directly from the kernel; no n x n matrix is
+    formed. Each block is solved for its lowest min(m, n/2) pairs and the two
     lists are merged by a stable sort that keeps the lowest m; this is
     exact, since no block holds more than min(m, n/2) of the lowest m
     overall. Degenerate clusters are re-orthonormalized inside each block.
@@ -327,44 +322,50 @@ def eigendecompose(a: np.ndarray, m: int, *, osc: OscillatorSpec, grid: Grid) ->
     index (x > 0; x_1 > 0 in d = 2) is positive. In the harmonic case that
     is the sign of the Hermite function.
 
-    Raises ValueError for a matrix that is not square, not symmetric or not
-    reflection-invariant to 1e-12 relative. Raises NumericalError when the
-    full vectors violate the invariants on the full matrix ``a``
-    (orthonormality to 1e-9, residual to 1e-8 per unit of (1 + lambda),
-    positive ground eigenvalue) and NonConvergenceError when the dense
-    solver fails.
+    Positivity is certified exactly: the multiplier is nonnegative and the
+    strictly positive nodal potential is checked (the staggered grid
+    excludes the origin). Raises InvalidSpecError for a dimension mismatch or
+    a grid above the dense cap, ValueError for m outside [1, n], and
+    NumericalError for a non-finite or non-positive nodal potential or when
+    the vectors violate the invariants: orthonormality to 1e-9, a positive
+    ground eigenvalue, and the residual against H applied by FFT (see
+    _apply_operator, independent of the blocks) to 1e-8 per unit of
+    (1 + lambda). NonConvergenceError when the dense solver fails.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("operator must be a square matrix")
-    buf = np.abs(a)  # one n² scratch buffer serves the scale and both checks
-    scale = float(buf.max())
-    for image, fault in ((a.T, "is not symmetric"),
-                         (a[::-1, ::-1], "does not commute with the reflection x -> -x")):
-        np.subtract(a, image, out=buf)
-        if scale > 0 and float(np.abs(buf, out=buf).max()) > 1e-12 * scale:
-            raise ValueError(f"operator {fault} to 1e-12 relative")
-    del buf
-    if not isinstance(m, (int, np.integer)) or not 1 <= m <= a.shape[0]:
-        raise ValueError(f"mode count m={m} outside [1, {a.shape[0]}]")
-    if a.shape[0] != grid.size:
-        raise ValueError("operator size does not match grid")
+    if osc.dimension != grid.dimension:
+        raise InvalidSpecError("oscillator and grid dimensions differ")
+    if grid.size > _MAX_DENSE:
+        raise InvalidSpecError(
+            f"dense operator would be {grid.size}^2; cap is {_MAX_DENSE}^2")
+    v_nodes = np.asarray(evaluate_potential(osc.potential, grid.nodes()), dtype=float).ravel()
+    if not np.all(np.isfinite(v_nodes)):
+        raise NumericalError("nodal potential is not finite; a coefficient overflows")
+    v_min = float(np.min(v_nodes))
+    if v_min <= 0:
+        raise NumericalError(f"nodal potential minimum {v_min:.3e} is not positive")
+    if m is None:
+        m = grid.size // 2
+    if not isinstance(m, (int, np.integer)) or not 1 <= m <= grid.size:
+        raise ValueError(f"mode count m={m} outside [1, {grid.size}]")
 
-    hd = grid.cell_volume
-    vals, vecs = _parity_solve(a, int(m), hd)
+    m = int(m)
+    mult = _kinetic_multiplier(osc, grid)
+    vals, vecs = _parity_solve(mult, v_nodes, grid, m)
 
-    half = a.shape[0] // 2
+    half = grid.size // 2
     peaks = half + np.argmax(np.abs(vecs[half:]), axis=0)
     signs = np.sign(vecs[peaks, np.arange(m)])
     signs[signs == 0] = 1.0
     vecs *= signs
 
+    hd = grid.cell_volume
     ortho_err = float(np.max(np.abs(hd * (vecs.T @ vecs) - np.eye(m))))
     if ortho_err > _ORTHO_TOL:
         raise NumericalError(f"eigenvector orthonormality error {ortho_err:.3e} exceeds {_ORTHO_TOL}")
     if vals[0] <= 0:
         raise NumericalError(f"ground eigenvalue {vals[0]:.6e} is not positive")
-    resid = a @ vecs - vecs * vals
+    resid = _apply_operator(mult, v_nodes, grid, vecs)
+    resid -= vecs * vals
     resid_norms = np.sqrt(hd * np.sum(resid ** 2, axis=0))
     bound = _RESIDUAL_TOL * (1.0 + vals)
     if np.any(resid_norms > bound):
@@ -374,10 +375,3 @@ def eigendecompose(a: np.ndarray, m: int, *, osc: OscillatorSpec, grid: Grid) ->
             f"exceeds {bound[worst]:.3e}")
 
     return SpectralDecomposition(osc, grid, vals, vecs)
-
-
-def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None) -> SpectralDecomposition:
-    """Assemble and eigendecompose in one step; m defaults to size/2."""
-    if m is None:
-        m = grid.size // 2
-    return eigendecompose(assemble_operator(osc, grid), m, osc=osc, grid=grid)

@@ -1,10 +1,11 @@
 """Independent reference computations the tests check the package against.
 
 Everything here is built from a different method than the code under test:
-the quartic ground state comes from an ODE shooting method, the window
-transform from a closed form (and its Poisson-summed aliases), the mixed
-norm from direct loops over the definition, and the weight quotient from its
-formula on every node of the full lattice. Frozen constants at the bottom
+the grid operator is the dense n x n matrix of H (the package builds only
+its two parity blocks), the quartic ground state comes from an ODE shooting
+method, the window transform from a closed form (and its Poisson-summed
+aliases), the mixed norm from direct loops over the definition, and the
+weight quotient from its formula on every node of the full lattice. Frozen constants at the bottom
 were produced by these oracles and pinned so a regression in either side is
 caught.
 """
@@ -13,6 +14,32 @@ import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from anharmonic import evaluate_potential
+
+
+def dense_operator(osc, grid) -> np.ndarray:
+    """Dense real symmetric matrix of (-Laplacian)^l + V on the grid.
+
+    The kinetic part is the circulant of the Fourier multiplier |omega|^(2l)
+    (entry (i, j) reads the inverse transform at i - j per axis), the
+    potential its diagonal, and the whole is symmetrized as 0.5 (a + a^T).
+    """
+    nodes = grid.nodes()
+    v_nodes = evaluate_potential(osc.potential, nodes)
+    n = grid.points_per_axis
+    w = np.pi * np.fft.fftfreq(n, d=1.0 / n) / grid.half_width
+    if grid.dimension == 1:
+        kern = np.fft.ifft(np.abs(w) ** (2 * osc.l)).real
+        idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+        a = kern[idx]
+    else:
+        kern = np.fft.ifft2((w[:, None] ** 2 + w[None, :] ** 2) ** osc.l).real
+        di = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+        a = kern[di[:, None, :, None], di[None, :, None, :]].reshape(grid.size, grid.size)
+    a = a + np.diag(np.asarray(v_nodes, dtype=float).ravel())
+    a = 0.5 * (a + a.T)
+    return a
 
 
 def quartic_eigenvalue_shooting(which: int, x_far: float = 7.0) -> float:

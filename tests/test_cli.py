@@ -9,7 +9,7 @@ import anharmonic.cli
 from anharmonic import INF, Grid, SchemaError, hermite_oscillator, oscillator
 from anharmonic.cli import (EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
                             EXIT_WRITE, ReportRecord, _canonical_hash, _format_cell,
-                            emit_plot_data, load_manifest, main, run_manifest,
+                            emit_plot_data, main, run_manifest,
                             validate_manifest)
 
 
@@ -174,17 +174,18 @@ class TestValidateManifest:
             assert exc.value.field == "grid"
 
 
-class TestLoadManifest:
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(SchemaError):
-            load_manifest(tmp_path / "absent.json")
+class TestReadManifest:
+    def test_missing_file(self, tmp_path, capsys):
+        code, record = run_manifest(tmp_path / "absent.json", out_dir=str(tmp_path / "out"))
+        assert code == EXIT_SCHEMA and record is None
+        assert "cannot read manifest" in capsys.readouterr().err
 
-    def test_invalid_json(self, tmp_path):
+    def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(SchemaError) as exc:
-            load_manifest(path)
-        assert "line" in str(exc.value)
+        code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
+        assert code == EXIT_SCHEMA and record is None
+        assert "line 1" in capsys.readouterr().err
 
 
 class TestCanonicalHash:
@@ -408,6 +409,8 @@ class TestRunManifest:
          "nu must be an integer >= 1 (field: params.nu)"),
         ("ou", {"modes": 48, "t_check": 0.5}, {}, None, "(field: params.t_check)"),
         ("ou", {"modes": 48, "safe_radius": None}, {}, None, "(field: params.safe_radius)"),
+        ("selftest", {}, {"format": "csv"}, None, "format must be one of ('json', 'both') "
+         "(field: format)"),
         ("norms", {"checks": ["moyal"], "modes": 0}, {}, None,
          "params.modes must lie in [1, 128] (field: params.modes)"),
         # a grid block on a kind that runs on no top-level grid
@@ -422,6 +425,9 @@ class TestRunManifest:
          {"grid": {"dimension": 1, "points_per_axis": 128, "half_width": 5.0}}, None,
          "the singular check truncates at radius 6, beyond the grid half-width 5 "
          "(field: grid.half_width)"),
+        ("ou", {"modes": 48, "safe_radius": 5.0}, {}, None,
+         "params.safe_radius must be at least 6, the radius of the constant-field check "
+         "(field: params.safe_radius)"),
         ("nlheat", {"horizon": 0.005, "dt": 0.005}, {}, None,
          "params.horizon must span at least 2 steps of params.dt for a Duhamel residual "
          "(field: params.horizon)"),
@@ -442,9 +448,9 @@ class TestRunManifest:
             "oscillator_dimension", "potential_dimension", "spectrum_k_bool",
             "spectrum_tolerance_str", "spectrum_points_float", "spectrum_j_hi_float",
             "decay_beta_str", "decay_s2_inf", "decay_s2_nan", "ou_gauss_probes_float", "nlheat_kind_cubic", "nlheat_nu_zero",
-            "ou_t_check_scalar", "ou_safe_radius_null", "norms_modes_zero",
+            "ou_t_check_scalar", "ou_safe_radius_null", "format_csv", "norms_modes_zero",
             "spectrum_grid", "decay_grid", "selftest_grid", "norms_singular_half_width",
-            "nlheat_one_step", "decay_three_times", "decay_one_decade",
+            "ou_safe_radius_inside_the_check", "nlheat_one_step", "decay_three_times", "decay_one_decade",
             "seed_override_negative", "seed_override_too_large"])
     def test_rejected_before_any_work(self, tmp_path, monkeypatch, capsys, kind, params,
                                       top, seed, detail):
@@ -485,6 +491,23 @@ class TestRunManifest:
         code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
         assert code == EXIT_OK
         assert "BoundaryMassWarning" not in [w["category"] for w in record.warnings]
+
+    def test_blow_up_before_the_third_checkpoint_is_a_result(self, tmp_path):
+        """An initial norm above the blow-up guard stops the flow at step 1,
+        with two checkpoints and so no Duhamel residual: that row fails at
+        inf, and the run exits 1 with its trajectory written."""
+        manifest = {"schema": 1, "kind": "nlheat",
+                    "grid": {"points_per_axis": 128, "half_width": 10},
+                    "params": {"modes": 48, "coupling_re": 0.0, "initial_norm": 2e6,
+                               "horizon": 0.05, "dt": 0.005}}
+        path = write_manifest(tmp_path, manifest)
+        code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
+        assert code == EXIT_CHECK_FAILED
+        rows = {r["name"]: r for r in record.results}
+        assert not rows["sup_monitored_norm"]["passed"]
+        assert rows["duhamel_residual"]["value"] == float("inf")
+        assert not rows["duhamel_residual"]["passed"]
+        assert (tmp_path / "out" / "trajectory.csv").exists()
 
     def test_numerical_failure_prints_strict_json(self, tmp_path, capsys):
         """A Picard run that blows up reports its infinite last gap as the

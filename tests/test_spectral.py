@@ -5,12 +5,12 @@ import pytest
 import scipy.linalg
 
 import anharmonic as ah
-from anharmonic import (FieldSample, Grid, InvalidSpecError, OscillatorSpec,
-                        PotentialSpec, assemble_operator, decompose, eigendecompose,
-                        eigenvalue_growth_fit, growth_target)
+from anharmonic import (FieldSample, Grid, InvalidSpecError, NumericalError, OscillatorSpec,
+                        PotentialSpec, decompose, eigenvalue_growth_fit, evaluate_potential,
+                        growth_target, spectral)
 from anharmonic.spectral import real_matmul
 
-from oracles import QUARTIC_LAMBDA0, hermite_function
+from oracles import QUARTIC_LAMBDA0, dense_operator, hermite_function
 
 # x^4 + x^3 y / 2 - 3 x y^3 / 10 + 2 y^4: odd powers of each axis, even overall
 ODD_FACTOR_POLY = PotentialSpec("custom_poly", 2, 2, terms=(
@@ -53,16 +53,65 @@ class TestGrid:
         assert g.nodes().shape == (256, 2)
 
 
-class TestAssembly:
-    def test_matrix_symmetric(self, hermite_osc, hermite_grid):
-        a = assemble_operator(hermite_osc, hermite_grid)
-        assert np.max(np.abs(a - a.T)) <= 1e-12 * np.max(np.abs(a))
+REFLECTION_CASES = {
+    "iso_power_d1": (ah.oscillator(1, 1, 1), Grid(1, 64, 7.77)),
+    "aniso_sum_d1": (OscillatorSpec(1, PotentialSpec("aniso_sum", 2, 1, (2.5,))),
+                     Grid(1, 64, 5.3)),
+    "custom_poly_d1": (OscillatorSpec(2, PotentialSpec("custom_poly", 3, 1, terms=(((6,), 0.7),))),
+                       Grid(1, 64, 0.1)),
+    "iso_power_d2": (ah.oscillator(2, 1, 2), Grid(2, 16, 4.3)),
+    "aniso_sum_d2": (OscillatorSpec(1, PotentialSpec("aniso_sum", 1, 2, (1.0, 2.5))),
+                     Grid(2, 16, np.pi)),
+    "custom_poly_odd_factors_d2": (OscillatorSpec(1, ODD_FACTOR_POLY), Grid(2, 16, 5.3)),
+}
+
+
+def _nodal_potential(osc, grid):
+    return np.asarray(evaluate_potential(osc.potential, grid.nodes()), dtype=float).ravel()
+
+
+class TestGridOperator:
+    """decompose builds the parity blocks and applies H by FFT; the dense
+    matrix of tests/oracles.py is the reference for both."""
+
+    @pytest.mark.parametrize("name", list(REFLECTION_CASES))
+    def test_commutes_with_reflection(self, name):
+        """Reversing the flat index is x -> -x; the half-widths are not
+        dyadic, so the nodes and the potential must be symmetric bit for bit."""
+        osc, grid = REFLECTION_CASES[name]
+        v = _nodal_potential(osc, grid)
+        assert np.array_equal(v, v[::-1])
+        a = dense_operator(osc, grid)
+        assert np.array_equal(a, a[::-1, ::-1])
+
+    @pytest.mark.parametrize("name", list(REFLECTION_CASES))
+    def test_blocks_are_cut_from_the_dense_operator(self, name):
+        """E = A11 + A12 J and O = A11 - A12 J bit for bit, each symmetric."""
+        osc, grid = REFLECTION_CASES[name]
+        a = dense_operator(osc, grid)
+        half = grid.size // 2
+        a11, a12j = a[:half, :half], a[:half, half:][:, ::-1]
+        even, odd = spectral._parity_blocks(spectral._kinetic_multiplier(osc, grid),
+                                            _nodal_potential(osc, grid), grid)
+        assert np.array_equal(even, a11 + a12j) and np.array_equal(odd, a11 - a12j)
+        assert np.array_equal(even, even.T) and np.array_equal(odd, odd.T)
+
+    @pytest.mark.parametrize("name", list(REFLECTION_CASES))
+    def test_fft_application_matches_the_dense_operator(self, name):
+        osc, grid = REFLECTION_CASES[name]
+        a = dense_operator(osc, grid)
+        x = np.random.default_rng(3).standard_normal((grid.size, 5))
+        got = spectral._apply_operator(spectral._kinetic_multiplier(osc, grid),
+                                       _nodal_potential(osc, grid), grid, x)
+        expected = a @ x
+        np.testing.assert_allclose(got, expected, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(expected)))
 
     def test_kinetic_block_is_circulant_with_known_spectrum(self, hermite_osc):
         # subtracting the potential diagonal leaves the kinetic circulant,
         # whose eigenvalues are exactly the multiplier values |pi n / L|^2
         grid = Grid(1, 64, 8.0)
-        a = assemble_operator(hermite_osc, grid)
+        a = dense_operator(hermite_osc, grid)
         x = grid.axis_nodes()
         kin = a - np.diag(x ** 2)
         eig = np.sort(np.linalg.eigvalsh(kin))
@@ -72,23 +121,19 @@ class TestAssembly:
 
     def test_size_cap(self, hermite_osc):
         with pytest.raises(InvalidSpecError):
-            assemble_operator(hermite_osc, Grid(1, 8192, 12.0))
+            decompose(hermite_osc, Grid(1, 8192, 12.0))
 
-    @pytest.mark.parametrize("osc,grid", [
-        (ah.oscillator(1, 1, 1), Grid(1, 64, 7.77)),
-        (OscillatorSpec(1, PotentialSpec("aniso_sum", 2, 1, (2.5,))), Grid(1, 64, 5.3)),
-        (OscillatorSpec(2, PotentialSpec("custom_poly", 3, 1, terms=(((6,), 0.7),))),
-         Grid(1, 64, 0.1)),
-        (ah.oscillator(2, 1, 2), Grid(2, 16, 4.3)),
-        (OscillatorSpec(1, PotentialSpec("aniso_sum", 1, 2, (1.0, 2.5))), Grid(2, 16, np.pi)),
-        (OscillatorSpec(1, ODD_FACTOR_POLY), Grid(2, 16, 5.3)),
-    ], ids=["iso_power_d1", "aniso_sum_d1", "custom_poly_d1", "iso_power_d2",
-            "aniso_sum_d2", "custom_poly_odd_factors_d2"])
-    def test_commutes_with_reflection(self, osc, grid):
-        """Reversing the flat index is x -> -x; the half-widths are not
-        dyadic, so the nodes and the potential must be symmetric bit for bit."""
-        a = assemble_operator(osc, grid)
-        assert np.array_equal(a, a[::-1, ::-1])
+    def test_potential_evaluated_once(self, hermite_osc, monkeypatch):
+        calls = []
+        evaluate = spectral.evaluate_potential
+
+        def counted(*args):
+            calls.append(1)
+            return evaluate(*args)
+
+        monkeypatch.setattr(spectral, "evaluate_potential", counted)
+        decompose(hermite_osc, Grid(1, 64, 8.0), 16)
+        assert len(calls) == 1
 
 
 class TestDecomposition:
@@ -191,14 +236,13 @@ PARITY_CASES = {
 
 
 class TestParitySolve:
-    """eigendecompose solves the even and odd blocks; the full matrix is
-    solved here only as the independent reference."""
+    """decompose solves the even and odd blocks; the dense matrix of
+    tests/oracles.py is solved here only as the independent reference."""
 
     @pytest.fixture(scope="class", params=sorted(PARITY_CASES))
     def case(self, request):
         osc, grid, m = PARITY_CASES[request.param]
-        a = assemble_operator(osc, grid)
-        return a, grid, eigendecompose(a, m, osc=osc, grid=grid)
+        return dense_operator(osc, grid), grid, decompose(osc, grid, m)
 
     def test_matches_full_eigh(self, case):
         a, grid, dec = case
@@ -227,9 +271,8 @@ class TestParitySolve:
 
     @pytest.mark.parametrize("m", [1, 255, 256, 257, 384, 512])
     def test_merge_keeps_the_lowest_m(self, hermite_osc, hermite_grid, m):
-        a = assemble_operator(hermite_osc, hermite_grid)
-        w = scipy.linalg.eigvalsh(a)
-        dec = eigendecompose(a, m, osc=hermite_osc, grid=hermite_grid)
+        w = scipy.linalg.eigvalsh(dense_operator(hermite_osc, hermite_grid))
+        dec = decompose(hermite_osc, hermite_grid, m)
         np.testing.assert_allclose(dec.eigenvalues, w[:m], rtol=1e-10, atol=0)
         # the harmonic levels alternate even, odd, even, ...
         odd = np.array([np.array_equal(dec.eigenvectors[::-1, j], -dec.eigenvectors[:, j])
@@ -239,41 +282,47 @@ class TestParitySolve:
         right = dec.eigenvectors[hermite_grid.size // 2:]
         assert np.all(right.max(axis=0) >= -right.min(axis=0))
 
-    def test_matrix_off_the_reflection_rejected(self, hermite_osc):
-        grid = Grid(1, 64, 8.0)
-        a = assemble_operator(hermite_osc, grid)
-        a[3, 10] += 1e-6 * np.max(np.abs(a))
-        a[10, 3] = a[3, 10]
-        with pytest.raises(ValueError, match="reflection"):
-            eigendecompose(a, 16, osc=hermite_osc, grid=grid)
+    def test_bumped_block_fails_the_residual(self, hermite_osc, monkeypatch):
+        """A symmetric one-entry fault in E passes the orthonormality and
+        positivity gates; the residual against H applied by FFT catches it."""
+        blocks = spectral._parity_blocks
 
-    def test_block_temporaries_do_not_raise_the_peak(self, hermite_osc, hermite_grid):
-        """One decomposition at (512, 384) allocates at most 6 MiB beyond the
-        2 MiB operator: the block matrices and half-length vectors are gone
-        before the full-matrix checks run."""
-        a = assemble_operator(hermite_osc, hermite_grid)
+        def bumped(*args):
+            even, odd = blocks(*args)
+            even[3, 10] += 1e-6 * np.max(np.abs(even))
+            even[10, 3] = even[3, 10]
+            return even, odd
+
+        monkeypatch.setattr(spectral, "_parity_blocks", bumped)
+        with pytest.raises(NumericalError, match="residual"):
+            decompose(hermite_osc, Grid(1, 64, 8.0), 16)
+
+    def test_scaled_kernel_fails_the_residual(self, hermite_osc, hermite_grid, monkeypatch):
+        """A kinetic kernel scaled by 1 + 1e-6 keeps both blocks symmetric and
+        the operator reflection-invariant, and moves the harmonic levels by
+        5e-7 relative, under the 1e-6 spectrum tolerance; a residual against
+        the faulty operator itself would pass it."""
+        blocks = spectral._parity_blocks
+        monkeypatch.setattr(spectral, "_parity_blocks", lambda mult, v_nodes, grid:
+                            blocks(mult * (1.0 + 1e-6), v_nodes, grid))
+        with pytest.raises(NumericalError, match="residual"):
+            decompose(hermite_osc, hermite_grid, 384)
+
+    @pytest.mark.parametrize("osc,grid,m,mib", [
+        (ah.hermite_oscillator(), Grid(1, 512, 12.0), 384, 6.6),
+        (ah.hermite_oscillator(2), Grid(2, 32, 8.0), 400, 14.0),
+    ], ids=["d1_512", "d2_32"])
+    def test_traced_peak(self, osc, grid, m, mib):
+        """The whole decomposition stays under ``mib`` MiB traced: no n x n
+        array is formed (at 32² the dense operator alone is 8 MiB), only the
+        two (n/2)² blocks, the (n, m) vectors and the FFT residual."""
         tracemalloc.start()
         try:
-            eigendecompose(a, 384, osc=hermite_osc, grid=hermite_grid)
+            decompose(osc, grid, m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * 2 ** 20
-
-    def test_invariance_checks_share_one_buffer(self):
-        """A d = 2 decomposition (32², 400 modes, an 8 MiB operator) peaks at
-        most 1.25 operators above ``a``: the scale, symmetry and reflection
-        checks run in one n² scratch buffer, which is gone before the solve."""
-        osc = ah.hermite_oscillator(2)
-        grid = Grid(2, 32, 8.0)
-        a = assemble_operator(osc, grid)
-        tracemalloc.start()
-        try:
-            eigendecompose(a, 400, osc=osc, grid=grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * a.nbytes
+        assert peak <= mib * 2 ** 20
 
 
 class TestGrowthFit:
