@@ -1,8 +1,8 @@
 """Phase-space laboratory for fractional anharmonic oscillator semigroups.
 
-The package builds discrete oscillators (fractional Laplacian plus a strictly
-positive even-degree potential), diagonalises them on staggered periodic
-grids, and measures modulation-space norms of spectral flows: heat smoothing
+The package builds discrete oscillators (fractional Laplacian plus the
+potential |x|^(2k)), diagonalises them on staggered periodic grids, and
+measures modulation-space norms of spectral flows: heat smoothing
 rates, Sobolev equivalence bands, algebra ratios, singular initial data,
 small-data nonlinear evolution, and the Gaussian-conjugated
 Ornstein-Uhlenbeck picture.
@@ -13,9 +13,8 @@ __version__ = "0.1.0"
 from .errors import (AnharmonicError, BoundaryMassWarning, DiscardedMassWarning,
                      InvalidSpecError, NonConvergenceError, NumericalError,
                      OffSpanWarning, ProbeSkipWarning, SchemaError, TruncationError)
-from .model import (INF, MixedNormParams, OscillatorSpec, PotentialSpec, check_exponent,
-                    evaluate_potential, hermite_oscillator, is_inf, oscillator,
-                    submultiplicativity_defect, weight_value)
+from .model import (INF, MixedNormParams, OscillatorSpec, check_exponent, evaluate_potential,
+                    hermite_oscillator, is_inf, submultiplicativity_defect, weight_value)
 from .spectral import FieldSample, Grid, SpectralDecomposition, decompose
 from .calculus import apply_spectral_function, heat_semigroup, project, sobolev_norm
 from .phasespace import (PhaseSpaceField, gaussian_half_density, mixed_norm, modulation_norm,
@@ -39,8 +38,8 @@ __all__ = [
     "NonConvergenceError", "SchemaError", "BoundaryMassWarning", "OffSpanWarning",
     "ProbeSkipWarning", "DiscardedMassWarning",
     # model
-    "INF", "is_inf", "check_exponent", "PotentialSpec", "evaluate_potential",
-    "OscillatorSpec", "oscillator", "hermite_oscillator", "weight_value",
+    "INF", "is_inf", "check_exponent", "OscillatorSpec", "evaluate_potential",
+    "hermite_oscillator", "weight_value",
     "submultiplicativity_defect", "MixedNormParams",
     # spectral
     "Grid", "FieldSample", "SpectralDecomposition", "decompose",

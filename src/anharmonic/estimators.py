@@ -131,7 +131,7 @@ def _quotient_value(params: WeightQuotientParams, t: float, radius: float,
     does not use its cell.
     """
     osc = params.oscillator
-    k = osc.degree_half
+    k = osc.k
     tau = t ** (1.0 / (2.0 * params.beta))
     box = radius * max(1.0, 1.0 / tau)
     r_x = box ** (1.0 / k)
@@ -139,12 +139,12 @@ def _quotient_value(params: WeightQuotientParams, t: float, radius: float,
     half = resolution // 2
     dx, dxi = 2.0 * r_x / resolution, 2.0 * r_xi / resolution
     nodes = np.arange(half) + 0.5
-    a = np.sqrt(np.asarray(evaluate_potential(osc.potential, nodes * dx), dtype=float))
+    a = np.sqrt(np.asarray(evaluate_potential(osc, nodes * dx), dtype=float))
     b = (nodes * dxi) ** osc.l
     two_beta_n = 2.0 * params.beta * params.n_pow
     scaled = params.form == "scaled"
     if not scaled:
-        a = osc.q1 + a
+        a = 1.0 + a
         t_n = t ** params.n_pow
     rows = min(half, max(1, _BLOCK_CELLS // half))
     buf = np.empty((rows, half))
@@ -159,7 +159,7 @@ def _quotient_value(params: WeightQuotientParams, t: float, radius: float,
                 v *= tau
                 v += 1.0
                 np.power(v, params.s2 - two_beta_n, out=v)
-            else:  # v^s2 / (1 + t^N v^(2 beta N)), v = q1 + a + b
+            else:  # v^s2 / (1 + t^N v^(2 beta N)), v = 1 + a + b
                 d = den[:v.shape[0]]
                 np.power(v, two_beta_n, out=d)
                 d *= t_n
@@ -187,9 +187,8 @@ def weight_quotient_norm(params: WeightQuotientParams, t: float) -> float:
     underflowed) raises NumericalError.
 
     Both evaluations rely on the integrand taking the same value at
-    (+-x, +-xi): V is even (c x^(2k), the only d=1 potential) and the midpoint
-    grids are symmetric, so one quadrant is reduced in row blocks and no
-    full lattice is built. Non-finite integrand values raise NumericalError.
+    (+-x, +-xi): V = x^(2k) is even and the midpoint grids are symmetric,
+    so one quadrant is reduced in row blocks and no full lattice is built. Non-finite integrand values raise NumericalError.
     """
     t = float(t)
     if not (0.0 < t <= 1.0):
@@ -248,8 +247,7 @@ def _loglinear_fit(x, values, target=None) -> LogLinearFit:
 
 
 def growth_target(osc: OscillatorSpec) -> float:
-    k = osc.degree_half
-    return 2.0 * k * osc.l / (osc.dimension * (k + osc.l))
+    return 2.0 * osc.k * osc.l / (osc.dimension * (osc.k + osc.l))
 
 
 def eigenvalue_growth_fit(dec: SpectralDecomposition, j_lo: int, j_hi: int) -> LogLinearFit:
@@ -306,7 +304,7 @@ def smoothing_decay_run(params: WeightQuotientParams):
     natural t, the fit's own samples log t.
     """
     osc = params.oscillator
-    sigma = sigma_exponent(osc.degree_half, osc.l, params.beta, osc.dimension,
+    sigma = sigma_exponent(osc.k, osc.l, params.beta, osc.dimension,
                            params.p_tilde, params.q_tilde)
     samples = [(t, weight_quotient_norm(params, t)) for t in params.t_list]
     return samples, fit_decay_exponent(samples, target=-sigma)

@@ -1,7 +1,8 @@
-"""Core domain types: potentials, oscillators, the weight, and norm parameters.
+"""Core domain types: the oscillator, the weight, and norm parameters.
 
-An oscillator is the operator H = (-Laplacian)^l + V alone; a fractional
-power H^beta is given where it is used, with its semigroup or quotient.
+An oscillator is the operator H = (-Laplacian)^l + |x|^(2k) alone, named by
+(k, l, d); a fractional power H^beta is given where it is used, with its
+semigroup or quotient.
 
 Everything here is an immutable value object; all operations are pure and
 vectorized over trailing point batches.
@@ -14,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError
-
-_SPHERE_SAMPLES = 2000
 
 
 class _Infinity:
@@ -66,79 +65,31 @@ def check_exponent(name, p):
     return p
 
 
-def _unit_sphere_samples(dimension):
-    if dimension == 1:
-        return np.array([[1.0], [-1.0]])
-    theta = 2.0 * np.pi * (np.arange(_SPHERE_SAMPLES) + 0.5) / _SPHERE_SAMPLES
-    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-
-
 @dataclass(frozen=True)
-class PotentialSpec:
-    """Strictly positive potential V, homogeneous of degree 2k.
+class OscillatorSpec:
+    """The oscillator H = (-Laplacian)^l + |x|^(2k) on R^d, and nothing else.
 
-    Kinds:
-      - ``iso_power``: V(x) = |x|^(2k)
-      - ``aniso_sum``: V(x) = sum_j a_j |x_j|^(2k), coefficients a_j > 0
-      - ``custom_poly``: sum of monomial terms, each of total degree exactly 2k
-
-    ``dimension`` is 1 or 2, as for ``Grid``. Positivity away from the origin
-    is checked on the unit sphere; homogeneity extends the check to R^d.
+    k and l are positive integers and the dimension d is 1 or 2, as for
+    ``Grid``. Any strictly positive V homogeneous of degree 2k lies between
+    two multiples of |x|^(2k), so it defines the same weighted spaces, and in
+    d = 1 a dilation of x turns (-Laplacian)^l + c |x|^(2k) into c^(l/(k+l)) H.
+    A fractional power H^beta is not part of H: each use of it (a heat
+    semigroup, the decay quotient) carries its own beta.
     """
 
-    kind: str
-    degree_half: int
+    k: int
+    l: int
     dimension: int = 1
-    coefficients: tuple = ()
-    terms: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("iso_power", "aniso_sum", "custom_poly"):
-            raise InvalidSpecError(f"unknown potential kind {self.kind!r}")
-        if not isinstance(self.degree_half, (int, np.integer)) or self.degree_half < 1:
-            raise InvalidSpecError("degree_half must be a positive integer")
+        for name in ("k", "l"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise InvalidSpecError(f"{name} must be a positive integer")
+            object.__setattr__(self, name, int(value))
         if not isinstance(self.dimension, (int, np.integer)) or self.dimension not in (1, 2):
             raise InvalidSpecError("dimension must be 1 or 2")
-        object.__setattr__(self, "degree_half", int(self.degree_half))
         object.__setattr__(self, "dimension", int(self.dimension))
-
-        if self.kind == "aniso_sum":
-            coeffs = tuple(float(a) for a in self.coefficients)
-            if len(coeffs) != self.dimension:
-                raise InvalidSpecError("aniso_sum needs one coefficient per axis")
-            if any(a <= 0 or not np.isfinite(a) for a in coeffs):
-                raise InvalidSpecError("aniso_sum coefficients must be positive finite reals")
-            object.__setattr__(self, "coefficients", coeffs)
-        elif self.coefficients:
-            raise InvalidSpecError("coefficients are only meaningful for aniso_sum")
-
-        if self.kind == "custom_poly":
-            cleaned = []
-            for entry in self.terms:
-                multi, coeff = entry
-                multi = tuple(int(m) for m in multi)
-                if len(multi) != self.dimension or any(m < 0 for m in multi):
-                    raise InvalidSpecError(f"bad multi-index {multi}")
-                if sum(multi) != 2 * self.degree_half:
-                    raise InvalidSpecError(
-                        f"term {multi} has total degree {sum(multi)}, "
-                        f"expected {2 * self.degree_half}"
-                    )
-                cleaned.append((multi, float(coeff)))
-            if not cleaned:
-                raise InvalidSpecError("custom_poly needs at least one term")
-            object.__setattr__(self, "terms", tuple(cleaned))
-        elif self.terms:
-            raise InvalidSpecError("terms are only meaningful for custom_poly")
-
-        sphere = _unit_sphere_samples(self.dimension)
-        vals = _evaluate_on_points(self, sphere)
-        if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
-            worst = sphere[int(np.argmin(vals))]
-            raise InvalidSpecError(
-                f"potential is not strictly positive on the unit sphere "
-                f"(V({worst}) = {np.min(vals):.3e})"
-            )
 
 
 def _points(x, d):
@@ -151,93 +102,37 @@ def _points(x, d):
     raise InvalidSpecError(f"expected points with last axis {d}, got shape {x.shape}")
 
 
-def _evaluate_on_points(spec, pts):
-    if spec.kind == "iso_power":
-        r2 = np.sum(pts * pts, axis=-1)
-        return r2 ** spec.degree_half
-    if spec.kind == "aniso_sum":
-        a = np.asarray(spec.coefficients)
-        return np.sum(a * np.abs(pts) ** (2 * spec.degree_half), axis=-1)
-    out = np.zeros(pts.shape[:-1])
-    for multi, coeff in spec.terms:
-        term = np.full(pts.shape[:-1], coeff)
-        for axis, power in enumerate(multi):
-            if power:
-                # numpy's pow can round x^n and (-x)^n apart; the power of |x|
-                # with the sign restored for odd n keeps every factor exactly
-                # even or odd, so a monomial of even total degree is exactly even
-                coord = pts[..., axis]
-                mag = np.abs(coord) ** power
-                term = term * (mag if power % 2 == 0 else np.copysign(mag, coord))
-        out = out + term
-    return out
+def _potential(osc, pts):
+    return np.sum(pts * pts, axis=-1) ** osc.k
 
 
-def evaluate_potential(spec: PotentialSpec, x):
-    """Evaluate V at one point or a batch of points.
+def evaluate_potential(osc: OscillatorSpec, x):
+    """Evaluate V = |x|^(2k) at one point or a batch of points.
 
     For dimension 1 any array is treated elementwise; otherwise the last
     axis must have length d.
     """
-    pts = _points(x, spec.dimension)
+    pts = _points(x, osc.dimension)
     if not np.all(np.isfinite(pts)):
         raise InvalidSpecError("potential evaluation needs finite coordinates")
-    vals = _evaluate_on_points(spec, pts)
+    vals = _potential(osc, pts)
     if vals.ndim == 0:
         return float(vals)
     return vals
 
 
-@dataclass(frozen=True)
-class OscillatorSpec:
-    """The oscillator H = (-Laplacian)^l + V, and nothing else.
-
-    Its dimension is the potential's (``dimension``). A fractional power
-    H^beta is not part of H: each use of it (a heat semigroup, the decay
-    quotient) carries its own beta. ``q1`` is the additive offset in the
-    adapted weight; q1 >= 1 keeps the combined symbol bounded below by 1.
-    """
-
-    l: int
-    potential: PotentialSpec
-    q1: float = 1.0
-
-    def __post_init__(self):
-        if not isinstance(self.l, (int, np.integer)) or self.l < 1:
-            raise InvalidSpecError("l must be a positive integer")
-        if not isinstance(self.potential, PotentialSpec):
-            raise InvalidSpecError("potential must be a PotentialSpec")
-        object.__setattr__(self, "l", int(self.l))
-        object.__setattr__(self, "q1", float(self.q1))
-        if not np.isfinite(self.q1) or self.q1 < 1.0:
-            raise InvalidSpecError("q1 must be >= 1 so the symbol stays >= 1")
-
-    @property
-    def dimension(self) -> int:
-        return self.potential.dimension
-
-    @property
-    def degree_half(self) -> int:
-        return self.potential.degree_half
-
-
-def oscillator(k: int, l: int, dimension: int = 1, *, q1: float = 1.0) -> OscillatorSpec:
-    """Isotropic-power oscillator with V(x) = |x|^(2k)."""
-    return OscillatorSpec(l, PotentialSpec("iso_power", k, dimension), q1)
-
-
 def hermite_oscillator(dimension: int = 1) -> OscillatorSpec:
     """The harmonic special case k = l = 1, V(x) = |x|^2."""
-    return oscillator(1, 1, dimension)
+    return OscillatorSpec(1, 1, dimension)
 
 
 def weight_value(s: float, osc, x, omega):
-    """The symbol-adapted weight v_s = (q1 + V(x)^(1/2) + |omega|^l)^s at
+    """The symbol-adapted weight v_s = (1 + V(x)^(1/2) + |omega|^l)^s at
     (x, omega), batched over trailing point axes; omega is the angular
     frequency of the operator symbol, 2 pi times a cycle frequency.
 
     The one phase-space weight: s = 0 is the flat weight and needs no
-    oscillator; any other s needs one for V, l and q1. A non-finite s raises
+    oscillator; any other s needs one for V and l. A non-finite s raises
     InvalidSpecError.
     """
     s = float(s)
@@ -251,9 +146,7 @@ def weight_value(s: float, osc, x, omega):
     if s == 0.0:
         shape = np.broadcast_shapes(xp.shape[:-1], wp.shape[:-1])
         return 1.0 if shape == () else np.ones(shape)
-    base = (osc.q1
-            + np.sqrt(_evaluate_on_points(osc.potential, xp))
-            + np.linalg.norm(wp, axis=-1) ** osc.l)
+    base = 1.0 + np.sqrt(_potential(osc, xp)) + np.linalg.norm(wp, axis=-1) ** osc.l
     vals = base ** s
     return float(vals) if vals.ndim == 0 else vals
 

@@ -92,7 +92,7 @@ def ou_semigroup(c: GaussianConjugation, dec: SpectralDecomposition, beta: float
     A field on another grid than ``dec``'s fails in ``dec.coefficients``.
     """
     osc = dec.oscillator
-    if osc.l != 1 or osc.potential.kind != "iso_power" or osc.potential.degree_half != 1:
+    if osc.k != 1 or osc.l != 1:
         raise InvalidSpecError(
             "the intertwining needs the harmonic decomposition (k = l = 1, V = |x|^2)")
     return apply_conjugation(c, "inverse",

@@ -7,7 +7,7 @@ cyclic, consistent with the periodic grid. Lattice cells are h^d in x and
 norm of the field exactly (discrete orthogonality of the DFT).
 
 Every norm takes the exponent s of the one weight, the symbol-adapted
-v_s = (q1 + V(x)^(1/2) + |omega|^l)^s of ``model.weight_value``, read at the
+v_s = (1 + V(x)^(1/2) + |omega|^l)^s of ``model.weight_value``, read at the
 angular frequency omega = 2 pi xi; s = 0 is the flat weight and needs no
 oscillator. Other weights of the literature, such as the bracket
 (1 + |x| + |xi|)^s, are equivalent to it for k = l = 1 and define the same

@@ -2,7 +2,7 @@
 
 The kinetic part is the exact Fourier multiplier |omega|^(2l) on a staggered
 grid (nodes offset by half a cell, so the origin is never a node); the
-potential is diagonal. ``decompose`` is the one entry: it builds only the
+potential |x|^(2k) is diagonal. ``decompose`` is the one entry: it builds only the
 even and odd (n/2)² blocks of the real symmetric, positive definite grid
 operator (the multiplier is nonnegative and the nodal potential strictly
 positive), solves them, and checks the eigenpairs against H applied from
@@ -225,8 +225,8 @@ def _parity_blocks(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid):
     K[j - i]) with K the inverse transform of ``mult`` (indices mod N per
     axis), plus V at node i on the diagonal. A commutes exactly with the
     reflection x -> -x, which reverses the flat index in d = 1 and d = 2: the
-    nodes are symmetric about 0 bit for bit (see Grid.axis_nodes), and every
-    potential kind is evaluated exactly even. So with J the reversal of a
+    nodes are symmetric about 0 bit for bit (see Grid.axis_nodes), and
+    |x|^(2k) reads only squares of the coordinates, so it is exactly even. So with J the reversal of a
     half-length index, A12 J reads the kernel at i + j + 1 per axis. The half
     rows are those whose first axis is below N/2.
     """
@@ -337,9 +337,9 @@ def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None) -> Spectral
     if grid.size > _MAX_DENSE:
         raise InvalidSpecError(
             f"dense operator would be {grid.size}^2; cap is {_MAX_DENSE}^2")
-    v_nodes = np.asarray(evaluate_potential(osc.potential, grid.nodes()), dtype=float).ravel()
+    v_nodes = np.asarray(evaluate_potential(osc, grid.nodes()), dtype=float).ravel()
     if not np.all(np.isfinite(v_nodes)):
-        raise NumericalError("nodal potential is not finite; a coefficient overflows")
+        raise NumericalError("nodal potential is not finite; |x|^(2k) overflows on the grid")
     v_min = float(np.min(v_nodes))
     if v_min <= 0:
         raise NumericalError(f"nodal potential minimum {v_min:.3e} is not positive")

@@ -45,7 +45,7 @@ def hermite_dec_fine(hermite_osc):
 
 @pytest.fixture(scope="session")
 def quartic_osc():
-    return ah.oscillator(2, 1, 1)
+    return ah.OscillatorSpec(2, 1, 1)
 
 
 @pytest.fixture(scope="session")

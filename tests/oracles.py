@@ -18,15 +18,16 @@ from scipy.integrate import solve_ivp
 from anharmonic import evaluate_potential
 
 
-def dense_operator(osc, grid) -> np.ndarray:
-    """Dense real symmetric matrix of (-Laplacian)^l + V on the grid.
+def dense_operator(osc, grid, c=1.0) -> np.ndarray:
+    """Dense real symmetric matrix of (-Laplacian)^l + c |x|^(2k) on the grid.
 
     The kinetic part is the circulant of the Fourier multiplier |omega|^(2l)
     (entry (i, j) reads the inverse transform at i - j per axis), the
-    potential its diagonal, and the whole is symmetrized as 0.5 (a + a^T).
+    potential, times ``c``, its diagonal, and the whole is symmetrized as
+    0.5 (a + a^T).
     """
     nodes = grid.nodes()
-    v_nodes = evaluate_potential(osc.potential, nodes)
+    v_nodes = c * np.asarray(evaluate_potential(osc, nodes), dtype=float)
     n = grid.points_per_axis
     w = np.pi * np.fft.fftfreq(n, d=1.0 / n) / grid.half_width
     if grid.dimension == 1:
@@ -37,7 +38,7 @@ def dense_operator(osc, grid) -> np.ndarray:
         kern = np.fft.ifft2((w[:, None] ** 2 + w[None, :] ** 2) ** osc.l).real
         di = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
         a = kern[di[:, None, :, None], di[None, :, None, :]].reshape(grid.size, grid.size)
-    a = a + np.diag(np.asarray(v_nodes, dtype=float).ravel())
+    a = a + np.diag(v_nodes.ravel())
     a = 0.5 * (a + a.T)
     return a
 
@@ -166,8 +167,7 @@ def quotient_reference(params, t, radius, resolution):
     so this checks the package's one-quadrant reduction.
     """
     osc = params.oscillator
-    assert osc.potential.kind == "iso_power", "the reference knows V = |x|^(2k) only"
-    k, l, beta, n = osc.degree_half, osc.l, params.beta, params.n_pow
+    k, l, beta, n = osc.k, osc.l, params.beta, params.n_pow
     tau = t ** (1.0 / (2.0 * beta))
     box = radius * max(1.0, 1.0 / tau)
     r_x, r_xi = box ** (1.0 / k), box ** (1.0 / l)
@@ -179,7 +179,7 @@ def quotient_reference(params, t, radius, resolution):
     if params.form == "scaled":
         values = (1.0 + tau * (a + b)) ** (params.s2 - 2.0 * beta * n)
     else:
-        v = osc.q1 + a + b
+        v = 1.0 + a + b
         values = v ** params.s2 / (1.0 + t ** n * v ** (2.0 * beta * n))
 
     def exponent(e):

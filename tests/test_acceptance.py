@@ -43,7 +43,7 @@ def test_eigenvalue_growth_exponent_fits_degree_prediction():
     """Fitted log lambda_j vs log j slope over j in [30, 150] lands within
     10% of 2kl/(k+l) for three potential/Laplacian degree combinations."""
     for k, l, half_width in ((1, 1, 25.0), (2, 1, 12.0), (1, 2, 60.0)):
-        dec = ah.decompose(ah.oscillator(k, l), ah.Grid(1, 512, half_width), 384)
+        dec = ah.decompose(ah.OscillatorSpec(k, l), ah.Grid(1, 512, half_width), 384)
         fit = ah.eigenvalue_growth_fit(dec, 30, 150)
         assert fit.target == pytest.approx(2.0 * k * l / (k + l), rel=1e-12)
         assert fit.rel_deviation <= 0.10, (
@@ -59,7 +59,7 @@ def test_short_time_smoothing_exponents():
         (1, 2, 2.0, 2.0, INF, 0.125),
     )
     for k, l, beta, p_t, q_t, sigma in cases:
-        params = ah.WeightQuotientParams(ah.oscillator(k, l), p_tilde=p_t, q_tilde=q_t,
+        params = ah.WeightQuotientParams(ah.OscillatorSpec(k, l), p_tilde=p_t, q_tilde=q_t,
                                          beta=beta)
         _, fit = ah.smoothing_decay_run(params)
         assert fit.target == pytest.approx(-sigma, rel=1e-12)

@@ -98,7 +98,7 @@ class TestProject:
         # 2d isotropic harmonic level lambda=4 is two-fold degenerate; any mode
         # index inside the cluster must select the same subspace
         grid = Grid(2, 32, 6.0)
-        dec = decompose(ah.oscillator(1, 1, 2), grid, 12)
+        dec = decompose(ah.OscillatorSpec(1, 1, 2), grid, 12)
         f = dec.reconstruct(np.linspace(1.0, 0.2, 12).astype(complex))
         via_first = project(dec, 1, f)
         via_second = project(dec, 2, f)

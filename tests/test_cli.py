@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import anharmonic.cli
-from anharmonic import INF, Grid, SchemaError, hermite_oscillator, oscillator
+from anharmonic import INF, Grid, OscillatorSpec, SchemaError, hermite_oscillator
 from anharmonic.cli import (EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
                             EXIT_WRITE, ReportRecord, _canonical_hash, _format_cell,
                             emit_plot_data, main, run_manifest,
@@ -140,9 +140,9 @@ class TestValidateManifest:
         assert p.monitor[0] is INF and p.monitor[1:] == (2.0, 0.0)
 
     def test_oscillator_block_only_where_a_run_reads_it(self):
-        osc = {"l": 1, "potential": {"kind": "iso_power", "degree_half": 2}}
+        osc = {"k": 2, "l": 1}
         run = validate_manifest({"schema": 1, "kind": "norms", "oscillator": osc})
-        assert run.oscillator == oscillator(2, 1)
+        assert run.oscillator == OscillatorSpec(2, 1)
         for kind in ("spectrum", "decay", "ou", "selftest"):
             with pytest.raises(SchemaError) as exc:
                 validate_manifest({"schema": 1, "kind": kind, "oscillator": osc})
@@ -155,11 +155,9 @@ class TestValidateManifest:
         grid = {"dimension": 2, "points_per_axis": 16}
         run = validate_manifest({"schema": 1, "kind": kind, "grid": grid})
         assert run.oscillator == hermite_oscillator(2)
-        osc = {"l": 1, "potential": {"kind": "aniso_sum", "degree_half": 1,
-                                     "coefficients": [1.0, 2.0]}}
+        osc = {"k": 2, "l": 1}
         run = validate_manifest({"schema": 1, "kind": kind, "grid": grid, "oscillator": osc})
-        assert run.oscillator.dimension == 2
-        assert run.oscillator.potential.coefficients == (1.0, 2.0)
+        assert run.oscillator == OscillatorSpec(2, 1, 2)
 
     def test_grid_block_only_where_a_run_reads_it(self):
         grid = {"points_per_axis": 64, "half_width": 8.0}
@@ -232,7 +230,12 @@ class TestRunManifest:
         code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
         assert code == EXIT_OK
         assert record.all_passed()
-        assert len(record.results) >= 15
+        assert [r["name"] for r in record.results] == [
+            "potential_iso_square", "potential_homogeneity", "weight_anharmonic_s1",
+            "weight_defect_s1", "sigma_hermite_p1q1", "sigma_quartic_p2q2",
+            "sigma_bilaplacian_qinf", "harmonic_ground_eigenvalue", "heat_identity_t0",
+            "projection_idempotent", "moyal_identity", "gaussian_stft_l2_gamma_rel_err",
+            "picard_linear_consistency", "conjugation_roundtrip"]
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["schema"] == 1
         assert report["all_passed"] is True
@@ -360,32 +363,29 @@ class TestRunManifest:
          {"grid": {"dimension": 1, "points_per_axis": 128, "half_width": "10"}}, None,
          "(field: grid.half_width)"),
         ("norms", {"checks": ["moyal"], "modes": 16},
-         {"oscillator": {"l": 1, "betta": 2.0,
-                         "potential": {"kind": "iso_power", "degree_half": 1}}}, None,
+         {"oscillator": {"k": 1, "l": 1, "betta": 2.0}}, None,
          "unknown manifest fields: ['oscillator.betta'] (field: oscillator.betta)"),
         ("norms", {"checks": ["moyal"], "modes": 16},
-         {"oscillator": {"l": 1,
-                         "potential": {"kind": "iso_power", "degree_half": 1, "typo": 3}}},
-         None, "(field: oscillator.potential.typo)"),
+         {"oscillator": {"k": 1.7, "l": 1}}, None, "(field: oscillator.k)"),
         ("norms", {"checks": ["moyal"], "modes": 16},
-         {"oscillator": {"l": 1,
-                         "potential": {"kind": "iso_power", "degree_half": 1.7}}}, None,
-         "(field: oscillator.potential.degree_half)"),
-        # the oscillator is H alone: beta belongs to each semigroup, and the
-        # dimension to the grid
+         {"oscillator": {"k": 0, "l": 1}}, None,
+         "bad oscillator block: k must be a positive integer (field: oscillator)"),
+        # the oscillator is H = (-Laplacian)^l + |x|^(2k) alone: beta belongs
+        # to each semigroup, the dimension to the grid, and the potential and
+        # the weight offset are no keys
         ("norms", {"checks": ["moyal"], "modes": 16},
-         {"oscillator": {"l": 1, "beta": 2.0,
-                         "potential": {"kind": "iso_power", "degree_half": 1}}}, None,
+         {"oscillator": {"k": 1, "l": 1, "beta": 2.0}}, None,
          "unknown manifest fields: ['oscillator.beta'] (field: oscillator.beta)"),
         ("nlheat", {"horizon": 0.02},
-         {"oscillator": {"dimension": 1, "l": 1,
-                         "potential": {"kind": "iso_power", "degree_half": 1}}}, None,
+         {"oscillator": {"dimension": 1, "k": 1, "l": 1}}, None,
          "unknown manifest fields: ['oscillator.dimension'] (field: oscillator.dimension)"),
         ("norms", {"checks": ["moyal"], "modes": 16},
-         {"oscillator": {"l": 1, "potential": {"kind": "iso_power", "degree_half": 1,
-                                               "dimension": 1}}}, None,
-         "unknown manifest fields: ['oscillator.potential.dimension'] "
-         "(field: oscillator.potential.dimension)"),
+         {"oscillator": {"l": 1, "potential": {"kind": "iso_power", "degree_half": 1}}},
+         None, "unknown manifest fields: ['oscillator.potential'] "
+         "(field: oscillator.potential)"),
+        ("nlheat", {"horizon": 0.02},
+         {"oscillator": {"k": 1, "l": 1, "q1": 2.0}}, None,
+         "unknown manifest fields: ['oscillator.q1'] (field: oscillator.q1)"),
         ("spectrum", {"cases": [{"k": True, "l": 1, "points": 256, "j_lo": 20, "j_hi": 45}]},
          {}, None, "(field: params.cases.k)"),
         ("spectrum", {"cases": [{"k": 1, "l": 1, "points": 256, "j_lo": 20, "j_hi": 45,
@@ -408,6 +408,8 @@ class TestRunManifest:
         ("nlheat", {"horizon": 0.02, "nu": 0}, {}, None,
          "nu must be an integer >= 1 (field: params.nu)"),
         ("ou", {"modes": 48, "t_check": 0.5}, {}, None, "(field: params.t_check)"),
+        ("ou", {"modes": 48, "t_check": []}, {}, None,
+         "params.t_check must list at least one time (field: params.t_check)"),
         ("ou", {"modes": 48, "safe_radius": None}, {}, None, "(field: params.safe_radius)"),
         ("selftest", {}, {"format": "csv"}, None, "format must be one of ('json', 'both') "
          "(field: format)"),
@@ -444,11 +446,11 @@ class TestRunManifest:
             "nlheat_nu_float", "nlheat_nu_bool", "nlheat_modes_float", "nlheat_modes_str",
             "nlheat_beta_str", "nlheat_etd_order_float", "nlheat_power_alpha",
             "grid_points_float", "grid_half_width_str", "oscillator_unknown_key",
-            "potential_unknown_key", "potential_degree_half_float", "oscillator_beta",
-            "oscillator_dimension", "potential_dimension", "spectrum_k_bool",
+            "oscillator_k_float", "oscillator_k_zero", "oscillator_beta",
+            "oscillator_dimension", "oscillator_potential", "oscillator_q1", "spectrum_k_bool",
             "spectrum_tolerance_str", "spectrum_points_float", "spectrum_j_hi_float",
             "decay_beta_str", "decay_s2_inf", "decay_s2_nan", "ou_gauss_probes_float", "nlheat_kind_cubic", "nlheat_nu_zero",
-            "ou_t_check_scalar", "ou_safe_radius_null", "format_csv", "norms_modes_zero",
+            "ou_t_check_scalar", "ou_no_check_times", "ou_safe_radius_null", "format_csv", "norms_modes_zero",
             "spectrum_grid", "decay_grid", "selftest_grid", "norms_singular_half_width",
             "ou_safe_radius_inside_the_check", "nlheat_one_step", "decay_three_times", "decay_one_decade",
             "seed_override_negative", "seed_override_too_large"])
@@ -494,8 +496,9 @@ class TestRunManifest:
 
     def test_blow_up_before_the_third_checkpoint_is_a_result(self, tmp_path):
         """An initial norm above the blow-up guard stops the flow at step 1,
-        with two checkpoints and so no Duhamel residual: that row fails at
-        inf, and the run exits 1 with its trajectory written."""
+        with two checkpoints and so no Duhamel residual: that row and the
+        monitored-norm row fail at inf, and the run exits 1 with its
+        trajectory written."""
         manifest = {"schema": 1, "kind": "nlheat",
                     "grid": {"points_per_axis": 128, "half_width": 10},
                     "params": {"modes": 48, "coupling_re": 0.0, "initial_norm": 2e6,
@@ -504,6 +507,8 @@ class TestRunManifest:
         code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
         assert code == EXIT_CHECK_FAILED
         rows = {r["name"]: r for r in record.results}
+        assert rows["sup_monitored_norm"]["value"] == float("inf")
+        assert rows["sup_monitored_norm"]["deviation"] == float("inf")
         assert not rows["sup_monitored_norm"]["passed"]
         assert rows["duhamel_residual"]["value"] == float("inf")
         assert not rows["duhamel_residual"]["passed"]
@@ -578,13 +583,12 @@ class TestRunManifest:
         assert row["name"] == "moyal_identity_rel_err" and row["value"] < 1e-9
 
     def test_overflowing_potential_exits_numerical(self, tmp_path, capsys):
-        """A coefficient of 1e308 is a finite, valid spec whose nodal potential
-        overflows to inf: a numerical failure, caught before the eigensolver."""
+        """k = 200 is a valid spec whose nodal potential |x|^400 overflows to
+        inf on a half-width of 60: a numerical failure, caught before the
+        eigensolver."""
         manifest = {"schema": 1, "kind": "norms",
-                    "grid": {"dimension": 1, "points_per_axis": 64, "half_width": 8.0},
-                    "oscillator": {"l": 1,
-                                   "potential": {"kind": "aniso_sum", "degree_half": 1,
-                                                 "coefficients": [1e308]}},
+                    "grid": {"dimension": 1, "points_per_axis": 64, "half_width": 60.0},
+                    "oscillator": {"k": 200, "l": 1},
                     "params": {"checks": ["moyal"], "modes": 16}}
         path = write_manifest(tmp_path, manifest)
         code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
@@ -692,7 +696,7 @@ class TestRunManifest:
         assert code1 == EXIT_OK and code2 == EXIT_OK
         r1 = json.loads((tmp_path / "r1" / "report.json").read_text())
         r2 = json.loads((tmp_path / "r2" / "report.json").read_text())
-        assert len(r1["results"]) == 15
+        assert len(r1["results"]) == 14
         assert r1["results"] == r2["results"]
 
     def test_underflowing_probe_bound_exits_numerical(self, tmp_path, capsys):

@@ -11,7 +11,7 @@ import pytest
 import anharmonic as ah
 import anharmonic.cli
 from anharmonic import (INF, FieldSample, Grid, InvalidSpecError, MixedNormParams,
-                        NumericalError, PotentialSpec, ProbeSkipWarning, TruncationError,
+                        NumericalError, ProbeSkipWarning, TruncationError,
                         WeightQuotientParams, algebra_ratio, algebra_ratios,
                         eigenfunction_probes, estimators, fit_decay_exponent,
                         gaussian_probe_fields, is_inf, modulation_norm, phasespace,
@@ -40,20 +40,20 @@ class TestSigmaExponent:
 
 class TestQuotientParams:
     def test_auto_power_choices(self):
-        assert WeightQuotientParams(ah.oscillator(1, 1, 1)).n_pow == 6
-        assert WeightQuotientParams(ah.oscillator(2, 1, 1),
+        assert WeightQuotientParams(ah.OscillatorSpec(1, 1, 1)).n_pow == 6
+        assert WeightQuotientParams(ah.OscillatorSpec(2, 1, 1),
                                     p_tilde=2.0, q_tilde=2.0).n_pow == 3
-        assert WeightQuotientParams(ah.oscillator(1, 2, 1), p_tilde=2.0, q_tilde=INF,
+        assert WeightQuotientParams(ah.OscillatorSpec(1, 2, 1), p_tilde=2.0, q_tilde=INF,
                                     beta=2.0).n_pow == 2
         # the smallest N with (2 beta N - s2) p_eff > d + 10: (14 - 2) > 11
-        assert WeightQuotientParams(ah.oscillator(1, 1, 1), s2=2.0).n_pow == 7
+        assert WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), s2=2.0).n_pow == 7
 
     def test_rejects_two_dimensional_oscillator(self):
         with pytest.raises(InvalidSpecError):
-            WeightQuotientParams(ah.oscillator(1, 1, 2))
+            WeightQuotientParams(ah.OscillatorSpec(1, 1, 2))
 
     def test_rejects_bad_settings(self):
-        osc = ah.oscillator(1, 1, 1)
+        osc = ah.OscillatorSpec(1, 1, 1)
         for s2 in (-1.0, math.inf, math.nan):
             with pytest.raises(InvalidSpecError, match="s2 must be a finite real >= 0"):
                 WeightQuotientParams(osc, s2=s2)
@@ -92,14 +92,14 @@ class TestQuotientParams:
         """N comes in closed form, however large: p~ = q~ = 1e-9 gives
         N = floor(11e9 / 2) + 1 with no loop over N."""
         start = time.perf_counter()
-        params = WeightQuotientParams(ah.oscillator(1, 1), p_tilde=1e-9, q_tilde=1e-9)
+        params = WeightQuotientParams(ah.OscillatorSpec(1, 1), p_tilde=1e-9, q_tilde=1e-9)
         assert time.perf_counter() - start < 1.0
         assert params.n_pow == 5_500_000_001
 
 
 class TestWeightQuotient:
     def test_time_domain(self):
-        params = WeightQuotientParams(ah.oscillator(1, 1, 1), resolution=64)
+        params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), resolution=64)
         with pytest.raises(ValueError):
             weight_quotient_norm(params, 0.0)
         with pytest.raises(ValueError):
@@ -110,7 +110,7 @@ class TestWeightQuotient:
         (1 + tau(|x| + |xi|))^(-12) with tau = sqrt(t), whose plane integral
         is 2 / (55 tau^2); the midpoint rule at this resolution sits within
         one percent of it."""
-        params = WeightQuotientParams(ah.oscillator(1, 1, 1), resolution=2048)
+        params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), resolution=2048)
         t = 0.1
         got = weight_quotient_norm(params, t)
         closed = 2.0 / (55.0 * t)
@@ -118,20 +118,20 @@ class TestWeightQuotient:
 
     def test_exact_decade_scaling(self):
         # the quadrature box scales with t, so the power law is exact
-        params = WeightQuotientParams(ah.oscillator(1, 1, 1), resolution=512)
+        params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), resolution=512)
         sigma = sigma_exponent(1, 1, 1.0, 1, 1.0, 1.0)
         ratio = weight_quotient_norm(params, 0.01) / weight_quotient_norm(params, 0.1)
         assert ratio == pytest.approx(10.0 ** sigma, rel=1e-10)
 
     def test_truncation_guard_raises_with_suggestion(self):
-        params = WeightQuotientParams(ah.oscillator(1, 1, 1), radius=0.5,
+        params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), radius=0.5,
                                       resolution=256)
         with pytest.raises(TruncationError) as exc:
             weight_quotient_norm(params, 1.0)
         assert exc.value.suggested_radius == pytest.approx(2.0)
 
     def test_decay_run_recovers_sigma(self):
-        params = WeightQuotientParams(ah.oscillator(1, 1, 1), resolution=256)
+        params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), resolution=256)
         samples, fit = smoothing_decay_run(params)
         assert len(samples) == len(params.t_list)
         assert fit.target == pytest.approx(-1.0)
@@ -141,7 +141,7 @@ class TestWeightQuotient:
     def test_nan_guard_raises(self):
         """v^s2 and v^(2 beta N) overflow on the guard lattice, so inf / inf
         cells appear; a NaN guard must not pass as a checked value."""
-        params = WeightQuotientParams(ah.oscillator(1, 1, 1), s2=120, form="weighted",
+        params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), s2=120, form="weighted",
                                       resolution=256)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError):
@@ -150,7 +150,7 @@ class TestWeightQuotient:
     def test_underflowed_quotient_raises(self):
         """With p~ = 400 every cell of the integrand to the power 400
         underflows at resolution 256; a positive integrand must not read 0."""
-        params = WeightQuotientParams(ah.oscillator(1, 1), p_tilde=400.0, resolution=256)
+        params = WeightQuotientParams(ah.OscillatorSpec(1, 1), p_tilde=400.0, resolution=256)
         with pytest.raises(NumericalError, match="underflowed to 0"):
             weight_quotient_norm(params, 0.1)
 
@@ -158,7 +158,7 @@ class TestWeightQuotient:
     def test_overflowed_sum_fails_the_guard(self, monkeypatch, base, guard):
         """An overflowed (inf) sum makes the guard's movement inf or NaN;
         either fails the truncation guard."""
-        params = WeightQuotientParams(ah.oscillator(1, 1, 1), resolution=64)
+        params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), resolution=64)
         monkeypatch.setattr(
             estimators, "_quotient_value",
             lambda p, t, radius, resolution: base if radius == p.radius else guard)
@@ -181,7 +181,7 @@ class TestQuotientFold:
                                          ("weighted", 1.5)])
     def test_matches_full_lattice_reference(self, form, s2, k, l, beta, p_tilde, q_tilde,
                                             resolution):
-        params = WeightQuotientParams(ah.oscillator(k, l), s2=s2,
+        params = WeightQuotientParams(ah.OscillatorSpec(k, l), s2=s2,
                                       p_tilde=p_tilde, q_tilde=q_tilde, form=form,
                                       resolution=resolution, beta=beta)
         for t, radius in ((0.01, 30.0), (1.0, 3.0)):
@@ -193,18 +193,14 @@ class TestQuotientFold:
     def test_every_one_dimensional_potential_is_even(self, k):
         x = np.concatenate([np.random.default_rng(k).uniform(-50.0, 50.0, 500),
                             np.linspace(-3.0, 3.0, 301)])
-        for pot in (PotentialSpec("iso_power", k, 1),
-                    PotentialSpec("aniso_sum", k, 1, (2.5,)),
-                    PotentialSpec("custom_poly", k, 1,
-                                  terms=(((2 * k,), 0.75), ((2 * k,), 1.5)))):
-            mirrored = ah.evaluate_potential(pot, -x)
-            assert np.array_equal(mirrored, ah.evaluate_potential(pot, x)), pot.kind
+        osc = ah.OscillatorSpec(k, 1)
+        assert np.array_equal(ah.evaluate_potential(osc, -x), ah.evaluate_potential(osc, x))
 
     @pytest.mark.parametrize("form", ["scaled", "weighted"])
     def test_guard_lattice_is_never_built(self, form):
         """At resolution 2048 the guard lattice is 4096^2 (128 MiB of
         float64); the streamed reduction holds a few row blocks."""
-        params = WeightQuotientParams(ah.oscillator(1, 1, 1), form=form,
+        params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), form=form,
                                       resolution=2048)
         tracemalloc.start()
         try:

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import anharmonic
-from anharmonic import (INF, InvalidSpecError, MixedNormParams, OscillatorSpec,
-                        PotentialSpec, SchemaError, check_exponent, evaluate_potential,
-                        hermite_oscillator, is_inf, oscillator, submultiplicativity_defect,
-                        weight_value)
+from anharmonic import (INF, InvalidSpecError, MixedNormParams, OscillatorSpec, SchemaError,
+                        check_exponent, evaluate_potential, hermite_oscillator, is_inf,
+                        submultiplicativity_defect, weight_value)
 from anharmonic.cli import validate_manifest
 
 
@@ -69,116 +68,57 @@ class TestInfMarker:
 
 class TestPotential:
     def test_iso_square(self):
-        pot = PotentialSpec("iso_power", 1, 1)
-        assert evaluate_potential(pot, 2.0) == 4.0
+        assert evaluate_potential(OscillatorSpec(1, 1), 2.0) == 4.0
 
     def test_iso_quartic(self):
-        pot = PotentialSpec("iso_power", 2, 1)
-        assert evaluate_potential(pot, 2.0) == 16.0
-
-    def test_aniso_sum(self):
-        pot = PotentialSpec("aniso_sum", 1, 2, (1.0, 2.0))
-        assert evaluate_potential(pot, (1.0, 1.0)) == 3.0
+        assert evaluate_potential(OscillatorSpec(2, 1), 2.0) == 16.0
 
     def test_homogeneity(self):
         for k in (1, 2, 3):
-            pot = PotentialSpec("iso_power", k, 1)
+            osc = OscillatorSpec(k, 1)
             x = 1.37
-            ratio = evaluate_potential(pot, 2 * x) / evaluate_potential(pot, x)
+            ratio = evaluate_potential(osc, 2 * x) / evaluate_potential(osc, x)
             assert ratio == pytest.approx(2.0 ** (2 * k), rel=1e-12)
 
-    def test_custom_poly_positive(self):
-        # x^4 + x^2 y^2 + y^4 is strictly positive on the sphere
-        pot = PotentialSpec("custom_poly", 2, 2,
-                            terms=(((4, 0), 1.0), ((2, 2), 1.0), ((0, 4), 1.0)))
-        assert evaluate_potential(pot, (1.0, 1.0)) == 3.0
+    def test_vectorized_evaluation(self):
+        osc = OscillatorSpec(1, 1, 2)
+        pts = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+        np.testing.assert_allclose(evaluate_potential(osc, pts), [1.0, 4.0, 2.0])
 
-    def test_custom_poly_with_odd_factors_is_exactly_even(self):
-        # x^3 y and x y^3 flip sign twice under x -> -x; pow alone can round
-        # (-x)^3 and -(x^3) apart
-        pot = PotentialSpec("custom_poly", 2, 2,
-                            terms=(((4, 0), 1.0), ((3, 1), 0.5), ((1, 3), -0.3), ((0, 4), 2.0)))
-        x = np.random.default_rng(3).uniform(-5.0, 5.0, (1000, 2))
-        assert np.array_equal(evaluate_potential(pot, -x), evaluate_potential(pot, x))
 
-    def test_custom_poly_wrong_degree_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            PotentialSpec("custom_poly", 2, 2, terms=(((2, 0), 1.0),))
-
-    def test_sign_indefinite_rejected(self):
-        # x^4 - 3 x^2 y^2 + y^4 is negative on the diagonal
-        with pytest.raises(InvalidSpecError):
-            PotentialSpec("custom_poly", 2, 2,
-                          terms=(((4, 0), 1.0), ((2, 2), -3.0), ((0, 4), 1.0)))
-
+class TestOscillator:
     @pytest.mark.parametrize("dimension", [0, 3, 1.0])
     def test_dimension_is_one_or_two(self, dimension):
         """The dimensions a Grid discretizes, and no other."""
         with pytest.raises(InvalidSpecError, match="dimension must be 1 or 2"):
-            PotentialSpec("iso_power", 1, dimension)
+            OscillatorSpec(1, 1, dimension)
 
-    def test_vectorized_evaluation(self):
-        pot = PotentialSpec("iso_power", 1, 2)
-        pts = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-        np.testing.assert_allclose(evaluate_potential(pot, pts), [1.0, 4.0, 2.0])
-
-    def test_serialization_roundtrip(self):
-        """Manifest JSON of each potential kind parses to the spec built directly."""
-        blocks = [
-            ('{"kind": "iso_power", "degree_half": 2}', PotentialSpec("iso_power", 2, 1)),
-            ('{"kind": "aniso_sum", "degree_half": 2, "coefficients": [1.5, 0.5]}',
-             PotentialSpec("aniso_sum", 2, 2, (1.5, 0.5))),
-            ('{"kind": "custom_poly", "degree_half": 2,'
-             ' "terms": [[[4, 0], 1.0], [[2, 2], 1.0], [[0, 4], 1.0]]}',
-             PotentialSpec("custom_poly", 2, 2,
-                           terms=(((4, 0), 1.0), ((2, 2), 1.0), ((0, 4), 1.0)))),
-        ]
-        for text, expected in blocks:
-            block = '{"l": 1, "potential": %s}' % text
-            assert parsed_oscillator(block, expected.dimension).potential == expected
-
-
-class TestOscillator:
-    def test_convenience_matches_manual(self):
-        osc = oscillator(2, 1, 1)
-        assert osc.potential.degree_half == 2
-        assert osc.l == 1
-        assert osc.degree_half == 2
+    @pytest.mark.parametrize("k,l,name", [(0, 1, "k"), (1.0, 1, "k"), (1, 0, "l"),
+                                          (1, 1.5, "l")])
+    def test_k_and_l_are_positive_integers(self, k, l, name):
+        with pytest.raises(InvalidSpecError, match=f"{name} must be a positive integer"):
+            OscillatorSpec(k, l)
 
     def test_hermite(self):
         osc = hermite_oscillator()
-        assert osc.l == 1
-        assert osc.potential.degree_half == 1
-        assert evaluate_potential(osc.potential, 3.0) == 9.0
+        assert (osc.k, osc.l, osc.dimension) == (1, 1, 1)
+        assert evaluate_potential(osc, 3.0) == 9.0
+        assert hermite_oscillator(2) == OscillatorSpec(1, 1, 2)
 
-    def test_q1_below_one_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            oscillator(1, 1, 1, q1=0.5)
-
-    def test_dimension_is_the_potentials(self):
-        """H carries no dimension of its own, and no beta: a stale positional
-        beta after the dimension raises instead of becoming q1."""
-        assert OscillatorSpec(1, PotentialSpec("iso_power", 1, 2)).dimension == 2
-        assert hermite_oscillator(2).dimension == 2
-        assert oscillator(2, 1).dimension == 1
+    def test_no_beta_argument(self):
+        """H carries no beta: a stale positional beta after the dimension raises."""
         with pytest.raises(TypeError):
-            oscillator(1, 1, 1, 2.0)
-        with pytest.raises(InvalidSpecError, match="potential must be a PotentialSpec"):
-            OscillatorSpec(1, None)
+            OscillatorSpec(1, 1, 1, 2.0)
 
     def test_serialization_roundtrip(self):
-        """Oscillator manifest JSON, default and explicit q1, parses to the spec."""
-        pot = '{"kind": "iso_power", "degree_half": 2}'
-        default = '{"l": 1, "potential": %s}' % pot
-        assert parsed_oscillator(default) == oscillator(2, 1, 1)
-        explicit = '{"l": 1, "potential": %s, "q1": 2.0}' % pot
-        assert parsed_oscillator(explicit) == oscillator(2, 1, 1, q1=2.0)
-        assert parsed_oscillator(default, 2) == oscillator(2, 1, 2)
+        """An oscillator block {k, l} parses to the spec on the grid's dimension."""
+        assert parsed_oscillator('{"k": 2, "l": 1}') == OscillatorSpec(2, 1, 1)
+        assert parsed_oscillator('{"k": 2, "l": 1}', 2) == OscillatorSpec(2, 1, 2)
 
 
 class TestWeight:
     def test_pinned_anharmonic_value(self):
-        # v_1(1,1) = q1 + sqrt(V(1)) + |1| = 3 for the harmonic case
+        # v_1(1,1) = 1 + sqrt(V(1)) + |1| = 3 for the harmonic case
         osc = hermite_oscillator()
         assert weight_value(1.0, osc, 1.0, 1.0) == pytest.approx(3.0, rel=1e-12)
 
@@ -196,7 +136,7 @@ class TestWeight:
         assert np.all(np.asarray(vals) == 1.0)
 
     def test_exponent_additivity(self):
-        osc = oscillator(2, 1, 1)
+        osc = OscillatorSpec(2, 1)
         x, xi = 1.3, -0.7
         a = weight_value(1.25, osc, x, xi)
         b = weight_value(0.75, osc, x, xi)
@@ -213,7 +153,7 @@ class TestWeight:
             weight_value(s, hermite_oscillator(), 1.0, 1.0)
 
     def test_submultiplicativity_scan(self):
-        # 10^4 sample pairs; defect must not exceed 1 for q1 >= 1
+        # 10^4 sample pairs; with the offset 1 the defect must not exceed 1
         osc = hermite_oscillator()
         rng = np.random.default_rng(42)
         pts = rng.uniform(-5, 5, size=(10000, 4))

@@ -24,7 +24,7 @@ INTEGRATORS = pytest.mark.parametrize("integrate", [picard_solve, etd_evolve],
 
 @pytest.fixture(scope="module")
 def dec():
-    return decompose(ah.oscillator(1, 1, 1), Grid(1, 128, 10.0), 48)
+    return decompose(ah.OscillatorSpec(1, 1, 1), Grid(1, 128, 10.0), 48)
 
 
 @pytest.fixture()

@@ -108,7 +108,7 @@ class TestOuSemigroup:
 
     def test_two_dimensional_rate_feels_beta(self):
         grid = Grid(2, 32, 6.0)
-        dec = decompose(ah.oscillator(1, 1, 2), grid, 24)
+        dec = decompose(ah.OscillatorSpec(1, 1, 2), grid, 24)
         c = GaussianConjugation(safe_radius=5.0)
         ones = FieldSample(grid, np.ones(grid.size))
         radii = np.linalg.norm(grid.nodes(), axis=1)
@@ -142,7 +142,7 @@ class TestGaussianNorm:
         c = GaussianConjugation()
         multiplied = apply_conjugation(c, "forward", gaussian_field)
         got = modulation_norm(multiplied, 1.0, hermite_dec.oscillator, L2)
-        # q1 + V^(1/2) + |omega| with V = x^2, q1 = 1 and omega = 2 pi xi
+        # 1 + V^(1/2) + |omega| with V = x^2 and omega = 2 pi xi
         x = hermite_grid.nodes()[:, 0]
         xi = hermite_grid.frequency_nodes()[:, 0]
         weight = 1.0 + np.abs(x)[:, None] + 2.0 * np.pi * np.abs(xi)[None, :]

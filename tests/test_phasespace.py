@@ -146,7 +146,7 @@ class TestMixedNorm:
         vals = np.zeros((16, 16), dtype=complex)
         vals[i, n] = 2.0 - 1.0j
         field = PhaseSpaceField(grid, vals)
-        osc = ah.oscillator(k, 1)
+        osc = ah.OscillatorSpec(k, 1)
         x = grid.nodes()[i, 0]
         xi = grid.frequency_nodes()[n, 0]
         wf = weight_value(s, osc, x, 2.0 * np.pi * xi)
@@ -476,7 +476,7 @@ class TestSharedPass:
         x = grid.axis_nodes()
         real = self.AMP * np.exp(-self.A * (x - self.B) ** 2)
         weighted = (1.5, 0.75)
-        osc = ah.oscillator(2, 1)
+        osc = ah.OscillatorSpec(2, 1)
         if name == "real":  # the half-spectrum branch
             return FieldSample(grid, real), osc, weighted
         if name == "complex":
@@ -487,7 +487,7 @@ class TestSharedPass:
         values = np.exp(-2.0 * np.sum((nodes - 0.25) ** 2, axis=1))
         if name == "complex_d2":
             values = values * np.exp(2j * np.pi * self.C * (nodes[:, 0] - nodes[:, 1]))
-        return FieldSample(grid2, values), ah.oscillator(1, 1, dimension=2), weighted
+        return FieldSample(grid2, values), ah.OscillatorSpec(1, 1, dimension=2), weighted
 
     @pytest.mark.parametrize("p,q", [(2.0, 1.0), (INF, 2.0), (0.5, INF)], ids=_exponent_id)
     @pytest.mark.parametrize("flat_at", [0, 1, 2], ids=["flat_first", "flat_mid", "flat_last"])

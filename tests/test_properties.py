@@ -12,8 +12,8 @@ import pytest
 from anharmonic import INF
 from anharmonic.cli import validate_manifest
 from anharmonic.estimators import sigma_exponent
-from anharmonic.model import (OscillatorSpec, PotentialSpec, evaluate_potential, is_inf,
-                              oscillator, submultiplicativity_defect, weight_value)
+from anharmonic.model import (OscillatorSpec, evaluate_potential, hermite_oscillator, is_inf,
+                              submultiplicativity_defect, weight_value)
 from anharmonic.phasespace import _column_reduce, _outer_reduce
 from oracles import mixed_norm_reference
 
@@ -34,60 +34,35 @@ def parsed_monitor(text):
                               "params": {"monitor": json.loads(text)}}).params.monitor
 
 
-def random_potentials(n):
-    out = []
-    for _ in range(n):
-        kind = rng.choice(["iso_power", "aniso_sum", "custom_poly"])
-        k = int(rng.integers(1, 4))
-        d = int(rng.integers(1, 3))
-        if kind == "iso_power":
-            out.append(PotentialSpec("iso_power", k, d))
-        elif kind == "aniso_sum":
-            coeffs = tuple(float(a) for a in rng.uniform(0.2, 3.0, d))
-            out.append(PotentialSpec("aniso_sum", k, d, coefficients=coeffs))
-        else:
-            # even multi-indices with positive coefficients keep every
-            # monomial nonnegative; the axis powers anchor positivity on
-            # the whole sphere
-            if d == 1:
-                terms = [((2 * k,), float(rng.uniform(0.1, 2.0)))]
-            else:
-                terms = [((2 * k, 0), float(rng.uniform(0.1, 2.0))),
-                         ((0, 2 * k), float(rng.uniform(0.1, 2.0)))]
-                for _ in range(int(rng.integers(0, 3))):
-                    a = int(rng.integers(0, k + 1))
-                    terms.append(((2 * a, 2 * (k - a)),
-                                  float(rng.uniform(0.1, 2.0))))
-            out.append(PotentialSpec("custom_poly", k, d, terms=tuple(terms)))
-    return out
+def random_oscillators(n):
+    return [OscillatorSpec(int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+                           int(rng.integers(1, 3))) for _ in range(n)]
 
 
 class TestPotentialHomogeneity:
     def test_degree_scaling(self):
-        """V(c x) = c^(2k) V(x) for every kind, exactly in the exponent."""
-        for spec in random_potentials(30):
-            x = rng.normal(size=spec.dimension) if spec.dimension > 1 else float(rng.normal())
+        """V(c x) = c^(2k) V(x), exactly in the exponent."""
+        for osc in random_oscillators(30):
+            x = rng.normal(size=osc.dimension) if osc.dimension > 1 else float(rng.normal())
             c = float(rng.uniform(0.1, 5.0))
-            scaled = evaluate_potential(spec, np.asarray(x) * c)
-            base = evaluate_potential(spec, x)
-            assert scaled == pytest.approx(c ** (2 * spec.degree_half) * base,
-                                           rel=1e-10)
+            scaled = evaluate_potential(osc, np.asarray(x) * c)
+            base = evaluate_potential(osc, x)
+            assert scaled == pytest.approx(c ** (2 * osc.k) * base, rel=1e-10)
 
     def test_strictly_positive_away_from_origin(self):
-        for spec in random_potentials(30):
-            x = rng.normal(size=spec.dimension)
+        for osc in random_oscillators(30):
+            x = rng.normal(size=osc.dimension)
             x = x / np.linalg.norm(x)
-            if spec.dimension == 1:
+            if osc.dimension == 1:
                 x = float(x[0])
-            assert evaluate_potential(spec, x) > 0.0
+            assert evaluate_potential(osc, x) > 0.0
 
 
 class TestWeightAlgebra:
     def test_exponent_additivity(self):
         """w_{s1+s2} = w_{s1} * w_{s2} pointwise for a shared base."""
         for _ in range(30):
-            osc = oscillator(int(rng.integers(1, 4)), int(rng.integers(1, 4)),
-                             q1=float(rng.uniform(1.0, 3.0)))
+            osc = OscillatorSpec(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
             s1, s2 = rng.uniform(0.0, 3.0, 2)
             x, xi = rng.normal(scale=3.0, size=2)
             combined = weight_value(s1 + s2, osc, x, xi)
@@ -95,23 +70,23 @@ class TestWeightAlgebra:
             assert combined == pytest.approx(split, rel=1e-12)
 
     def test_harmonic_weight_is_submultiplicative(self):
-        """For k = l = 1 and q1 >= 1, q1 + |x+y| + |xi+eta| <= (q1 + |x| +
-        |xi|)(q1 + |y| + |eta|), so the sampled defect never exceeds 1."""
+        """For k = l = 1, 1 + |x+y| + |xi+eta| <= (1 + |x| + |xi|)(1 + |y| +
+        |eta|), so the sampled defect never exceeds 1."""
+        osc = hermite_oscillator()
         for _ in range(20):
             s = float(rng.uniform(0.0, 4.0))
-            osc = oscillator(1, 1, q1=float(rng.uniform(1.0, 2.0)))
             pairs = [((float(a), float(b)), (float(c), float(d)))
                      for a, b, c, d in rng.normal(scale=5.0, size=(40, 4))]
             assert submultiplicativity_defect(s, osc, pairs) <= 1.0 + 1e-12
 
     def test_anharmonic_defect_bounded_by_degree(self):
         """Triangle inequality plus convexity of t^m gives the uniform bound
-        2^(s (max(k, l) - 1)) once q1 >= 1."""
+        2^(s (max(k, l) - 1)), given the offset 1 in the weight."""
         for _ in range(20):
             k = int(rng.integers(1, 4))
             l = int(rng.integers(1, 4))
             s = float(rng.uniform(0.0, 2.5))
-            osc = oscillator(k, l, q1=float(rng.uniform(1.0, 2.0)))
+            osc = OscillatorSpec(k, l)
             pairs = [((float(a), float(b)), (float(c), float(d)))
                      for a, b, c, d in rng.normal(scale=4.0, size=(40, 4))]
             bound = 2.0 ** (s * (max(k, l) - 1))
@@ -134,41 +109,12 @@ class TestExponentArithmetic:
 class TestSerializationRoundtrips:
     """Random manifest blocks, written as JSON text, parse to the spec built directly."""
 
-    def test_potential_roundtrip(self):
-        for _ in range(10):
-            k = int(rng.integers(1, 4))
-            d = int(rng.integers(1, 3))
-            coeffs = [float(c) for c in rng.uniform(0.2, 3.0, d)]
-            a = int(rng.integers(0, k + 1))
-            c0, c1, c2 = (float(c) for c in rng.uniform(0.1, 2.0, 3))
-            terms = [[[2 * k, 0], c0], [[0, 2 * k], c1], [[2 * a, 2 * (k - a)], c2]]
-            cases = [
-                ({"kind": "iso_power", "degree_half": k},
-                 PotentialSpec("iso_power", k, d)),
-                ({"kind": "aniso_sum", "degree_half": k, "coefficients": coeffs},
-                 PotentialSpec("aniso_sum", k, d, coefficients=tuple(coeffs))),
-                ({"kind": "custom_poly", "degree_half": k, "terms": terms},
-                 PotentialSpec("custom_poly", k, 2,
-                               terms=(((2 * k, 0), c0), ((0, 2 * k), c1),
-                                      ((2 * a, 2 * (k - a)), c2)))),
-            ]
-            for block, expected in cases:
-                osc = {"l": 1, "potential": block}
-                parsed = parsed_oscillator(json.dumps(osc), expected.dimension)
-                assert parsed.potential == expected
-
     def test_oscillator_roundtrip(self):
         for _ in range(20):
-            k = int(rng.integers(1, 3))
-            c = float(rng.uniform(0.5, 2.0))
-            l = int(rng.integers(1, 4))
-            q1 = float(rng.uniform(1.0, 2.0))
-            block = {"l": l, "q1": q1,
-                     "potential": {"kind": "aniso_sum", "degree_half": k,
-                                   "coefficients": [1.0, c]}}
-            expected = OscillatorSpec(l, PotentialSpec("aniso_sum", k, 2,
-                                                       coefficients=(1.0, c)), q1)
-            assert parsed_oscillator(json.dumps(block), 2) == expected
+            k, l = (int(v) for v in rng.integers(1, 4, 2))
+            d = int(rng.integers(1, 3))
+            block = {"k": k, "l": l}
+            assert parsed_oscillator(json.dumps(block), d) == OscillatorSpec(k, l, d)
 
 
 def whole_lattice_reduce(w, p, q, cx, cxi):
