@@ -66,7 +66,10 @@ class WeightQuotientParams:
     ``form`` selects the integrand: "weighted" is the literal quotient
     v_s2 / (1 + t^N v~^(2 beta N)); "scaled" is its scale-exact reduction
     (1 + t^(1/(2 beta)) (V^(1/2) + |xi|^l))^(s2 - 2 beta N), which carries
-    the exact power-law decay and is the form used for slope acceptance.
+    the exact power-law decay and is the form used for slope acceptance. On
+    the scaled box its lattice is the same for every t, so its values obey
+    the scaling identity value(t) = value(1) t^(-sigma) by construction: a
+    slope fitted to them checks that identity, not a measured rate.
     ``radius`` is the box constant: the quadrature box grows like
     (radius / t^(1/(2 beta)))^(1/k) in x and ^(1/l) in xi, so truncation is
     scale-covariant in t. The truncation guard of weight_quotient_norm
@@ -119,25 +122,30 @@ class WeightQuotientParams:
         object.__setattr__(self, "t_list", t)
 
 
-def _quotient_value(params: WeightQuotientParams, t: float, radius: float,
-                    resolution: int) -> float:
-    """Mixed L^(p~, q~) norm of the quotient integrand on the midpoint
-    lattice of resolution^2 cells over the scaled box.
+def _quotient_spacings(params: WeightQuotientParams, t: float, radius: float,
+                       resolution: int) -> tuple:
+    """Midpoint spacings (dx, dxi) of the resolution^2 lattice over the box at
+    time t, which grows like (radius / t^(1/(2 beta)))^(1/k) in x and ^(1/l)
+    in xi."""
+    tau = t ** (1.0 / (2.0 * params.beta))
+    box = radius * (1.0 / tau)
+    return (2.0 * box ** (1.0 / params.oscillator.k) / resolution,
+            2.0 * box ** (1.0 / params.oscillator.l) / resolution)
+
+
+def _quotient_columns(params: WeightQuotientParams, t: float, radius: float,
+                      resolution: int) -> np.ndarray:
+    """Column sums of the p~-th power (column max for INF) of the quotient
+    integrand at time t over the positive quadrant of the lattice.
 
     The four quadrants hold the same values (see weight_quotient_norm), so
     row blocks of the positive one go through the phase-space column reducer
-    (with its finiteness check) in one reused buffer, and each finite axis
-    gets twice its cell measure. An INF axis takes the max; ``_outer_reduce``
-    does not use its cell.
+    (with its finiteness check) in one reused buffer.
     """
     osc = params.oscillator
-    k = osc.k
     tau = t ** (1.0 / (2.0 * params.beta))
-    box = radius * max(1.0, 1.0 / tau)
-    r_x = box ** (1.0 / k)
-    r_xi = box ** (1.0 / osc.l)
+    dx, dxi = _quotient_spacings(params, t, radius, resolution)
     half = resolution // 2
-    dx, dxi = 2.0 * r_x / resolution, 2.0 * r_xi / resolution
     nodes = np.arange(half) + 0.5
     a = np.sqrt(np.asarray(evaluate_potential(osc, nodes * dx), dtype=float))
     b = (nodes * dxi) ** osc.l
@@ -168,44 +176,76 @@ def _quotient_value(params: WeightQuotientParams, t: float, radius: float,
                 v /= d
             yield lo, v
 
+    [columns] = _weighted_columns(blocks(), [None], params.p_tilde)
+    return columns
+
+
+def _quotient_values(params: WeightQuotientParams, radius: float, resolution: int):
+    """Mixed L^(p~, q~) norms of the quotient integrand at each t of
+    ``params.t_list``, in order, on the midpoint lattice of resolution^2
+    cells over the box at that t; a generator, so each value is reduced when
+    it is asked for.
+
+    Each finite axis gets twice its cell measure, for the quadrant folded
+    over four; an INF axis takes the max, and ``_outer_reduce`` does not use
+    its cell. The scaled integrand is t-free: t in (0, 1] gives the box
+    radius / tau, tau = t^(1/(2 beta)), so tau V^(1/2)(x_i) =
+    radius (2 n_i / resolution)^k and tau |xi_j|^l = radius
+    (2 n_j / resolution)^l (n the half-integer node indices). Its columns are
+    therefore reduced once, on the t = 1 box, and each t only sets the cell
+    measures. The weighted integrand carries t^N and is reduced per t.
+    """
     p, q = params.p_tilde, params.q_tilde
-    [columns] = _weighted_columns(blocks(), [None], p)
-    return _outer_reduce(columns, p, q, 2.0 * dx, 2.0 * dxi)
+    scaled = params.form == "scaled"
+    columns = _quotient_columns(params, 1.0, radius, resolution) if scaled else None
+    for t in params.t_list:
+        if not scaled:
+            columns = _quotient_columns(params, t, radius, resolution)
+        dx, dxi = _quotient_spacings(params, t, radius, resolution)
+        yield _outer_reduce(columns, p, q, 2.0 * dx, 2.0 * dxi)
 
 
-def weight_quotient_norm(params: WeightQuotientParams, t: float) -> float:
-    """Mixed L^(p~, q~) norm of the quotient integrand at time t in (0, 1].
+def weight_quotient_norm(params: WeightQuotientParams) -> list:
+    """Mixed L^(p~, q~) norm of the quotient integrand at each t of
+    ``params.t_list``, one value per t, in order.
 
     A doubling guard recomputes with both the radius and the resolution
-    doubled and raises TruncationError when the value moves by 0.5% or more.
-    The box grows like radius^(1/k) in x and radius^(1/l) in xi, so the
-    guard's spacing is 2^(1/k - 1) times the base spacing in x and
-    2^(1/l - 1) times it in xi: the same only for k = l = 1. The guard
+    doubled and raises TruncationError when the value at some t moves by
+    0.5% or more. The box grows like radius^(1/k) in x and radius^(1/l) in
+    xi, so the guard's spacing is 2^(1/k - 1) times the base spacing in x
+    and 2^(1/l - 1) times it in xi: the same only for k = l = 1. The guard
     therefore tests resolution as well as truncation. A guard that cannot
     be compared (an overflowed sum makes the movement NaN) raises too, and
     a base or guard value of 0 (every cell of the positive integrand
-    underflowed) raises NumericalError.
+    underflowed) raises NumericalError. Every t is checked, in order.
 
     Both evaluations rely on the integrand taking the same value at
     (+-x, +-xi): V = x^(2k) is even and the midpoint grids are symmetric,
-    so one quadrant is reduced in row blocks and no full lattice is built. Non-finite integrand values raise NumericalError.
+    so one quadrant is reduced in row blocks and no full lattice is built.
+    Non-finite integrand values raise NumericalError. The scaled form's
+    lattice does not depend on t, so a run reduces it once for the base and
+    once for the guard (``_quotient_values``): its values obey the scaling
+    identity value(t) = value(1) t^(-sigma) by construction, which the
+    scaled rows check rather than measure. The weighted form is reduced
+    per t.
     """
-    t = float(t)
-    if not (0.0 < t <= 1.0):
-        raise ValueError("t must lie in (0, 1]")
-    base = _quotient_value(params, t, params.radius, params.resolution)
-    guard = _quotient_value(params, t, 2.0 * params.radius, 2 * params.resolution)
-    if base == 0.0 or guard == 0.0:  # the integrand is positive: every cell underflowed
-        raise NumericalError(
-            f"quotient norm underflowed to 0 at t = {t:g} (base {base!r}, guard {guard!r})")
-    denom = max(abs(base), abs(guard), np.finfo(float).tiny)
-    rel = abs(guard - base) / denom
-    if not (rel < _GUARD_REL):  # NaN (inf - inf) must fail as well
-        raise TruncationError(
-            f"quotient norm moved {rel:.2%} when the box doubled "
-            f"(radius {params.radius}); enlarge the truncation radius",
-            suggested_radius=4.0 * params.radius)
-    return base
+    values = []
+    for t, base, guard in zip(params.t_list,
+                              _quotient_values(params, params.radius, params.resolution),
+                              _quotient_values(params, 2.0 * params.radius,
+                                               2 * params.resolution)):
+        if base == 0.0 or guard == 0.0:  # the integrand is positive: every cell underflowed
+            raise NumericalError(
+                f"quotient norm underflowed to 0 at t = {t:g} (base {base!r}, guard {guard!r})")
+        denom = max(abs(base), abs(guard), np.finfo(float).tiny)
+        rel = abs(guard - base) / denom
+        if not (rel < _GUARD_REL):  # NaN (inf - inf) must fail as well
+            raise TruncationError(
+                f"quotient norm moved {rel:.2%} when the box doubled "
+                f"(radius {params.radius}); enlarge the truncation radius",
+                suggested_radius=4.0 * params.radius)
+        values.append(base)
+    return values
 
 
 @dataclass(frozen=True)
@@ -301,12 +341,14 @@ def smoothing_decay_run(params: WeightQuotientParams):
     """Sample the quotient over params.t_list and fit the decay exponent.
 
     Returns (samples, fit) with the target slope -sigma: the samples hold
-    natural t, the fit's own samples log t.
+    natural t, the fit's own samples log t. For the scaled form the fit
+    checks the scaling identity value(t) = value(1) t^(-sigma), which holds
+    by construction; only the weighted form measures a rate.
     """
     osc = params.oscillator
     sigma = sigma_exponent(osc.k, osc.l, params.beta, osc.dimension,
                            params.p_tilde, params.q_tilde)
-    samples = [(t, weight_quotient_norm(params, t)) for t in params.t_list]
+    samples = list(zip(params.t_list, weight_quotient_norm(params)))
     return samples, fit_decay_exponent(samples, target=-sigma)
 
 

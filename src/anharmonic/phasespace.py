@@ -230,8 +230,23 @@ def _weight_lattice(s: float, osc: OscillatorSpec | None, grid: Grid):
 
 def _column_reduce(w: np.ndarray, p) -> np.ndarray:
     """Inner reduction over the rows of a magnitude block: the column sup for
-    INF, otherwise the column sums of w^p (cell measure not yet applied)."""
-    return w.max(axis=0) if is_inf(p) else (w ** float(p)).sum(axis=0)
+    INF, otherwise the column sums of w^p (cell measure not yet applied).
+    An integer p is formed by repeated squaring in new arrays rather than
+    the general ``pow`` (p = 1 sums w itself, p = 2 is one square); w is
+    never written, so a caller may hand the same block to another weight."""
+    if is_inf(p):
+        return w.max(axis=0)
+    p = float(p)
+    if not p.is_integer():
+        return (w ** p).sum(axis=0)
+    n, square, power = int(p), w, None
+    while True:
+        if n & 1:
+            power = square if power is None else power * square
+        n >>= 1
+        if not n:
+            return power.sum(axis=0)
+        square = square * square
 
 
 def _outer_reduce(columns: np.ndarray, p, q, cell_x, cell_xi) -> float:

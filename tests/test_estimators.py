@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import math
 import time
@@ -21,6 +22,11 @@ from anharmonic import (INF, FieldSample, Grid, InvalidSpecError, MixedNormParam
 from oracles import auto_n_pow_reference, mixed_norm_reference, quotient_reference
 
 FLAT = 0.0  # the weight exponent of the flat weight
+
+
+def at_one_time(params, t):
+    """``params`` with the one-point t grid (t,)."""
+    return dataclasses.replace(params, t_list=(t,))
 
 
 class TestSigmaExponent:
@@ -100,34 +106,37 @@ class TestQuotientParams:
 class TestWeightQuotient:
     def test_time_domain(self):
         params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), resolution=64)
-        with pytest.raises(ValueError):
-            weight_quotient_norm(params, 0.0)
-        with pytest.raises(ValueError):
-            weight_quotient_norm(params, 1.5)
+        with pytest.raises(InvalidSpecError):
+            at_one_time(params, 0.0)
+        with pytest.raises(InvalidSpecError):
+            at_one_time(params, 1.5)
 
     def test_closed_form_fully_harmonic(self):
         """For k = l = beta = 1, p~ = q~ = 1 the scaled integrand is
         (1 + tau(|x| + |xi|))^(-12) with tau = sqrt(t), whose plane integral
         is 2 / (55 tau^2); the midpoint rule at this resolution sits within
         one percent of it."""
-        params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), resolution=2048)
         t = 0.1
-        got = weight_quotient_norm(params, t)
+        params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), resolution=2048,
+                                      t_list=(t,))
+        [got] = weight_quotient_norm(params)
         closed = 2.0 / (55.0 * t)
         assert got == pytest.approx(closed, rel=2e-2)
 
     def test_exact_decade_scaling(self):
         # the quadrature box scales with t, so the power law is exact
-        params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), resolution=512)
+        params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), resolution=512,
+                                      t_list=(0.1, 0.01))
         sigma = sigma_exponent(1, 1, 1.0, 1, 1.0, 1.0)
-        ratio = weight_quotient_norm(params, 0.01) / weight_quotient_norm(params, 0.1)
+        at_tenth, at_hundredth = weight_quotient_norm(params)
+        ratio = at_hundredth / at_tenth
         assert ratio == pytest.approx(10.0 ** sigma, rel=1e-10)
 
     def test_truncation_guard_raises_with_suggestion(self):
         params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), radius=0.5,
                                       resolution=256)
         with pytest.raises(TruncationError) as exc:
-            weight_quotient_norm(params, 1.0)
+            weight_quotient_norm(at_one_time(params, 1.0))
         assert exc.value.suggested_radius == pytest.approx(2.0)
 
     def test_decay_run_recovers_sigma(self):
@@ -145,14 +154,14 @@ class TestWeightQuotient:
                                       resolution=256)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError):
-                weight_quotient_norm(params, 0.1)
+                weight_quotient_norm(at_one_time(params, 0.1))
 
     def test_underflowed_quotient_raises(self):
         """With p~ = 400 every cell of the integrand to the power 400
         underflows at resolution 256; a positive integrand must not read 0."""
         params = WeightQuotientParams(ah.OscillatorSpec(1, 1), p_tilde=400.0, resolution=256)
         with pytest.raises(NumericalError, match="underflowed to 0"):
-            weight_quotient_norm(params, 0.1)
+            weight_quotient_norm(at_one_time(params, 0.1))
 
     @pytest.mark.parametrize("base,guard", [(1.0, np.inf), (np.inf, np.inf)])
     def test_overflowed_sum_fails_the_guard(self, monkeypatch, base, guard):
@@ -160,10 +169,10 @@ class TestWeightQuotient:
         either fails the truncation guard."""
         params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), resolution=64)
         monkeypatch.setattr(
-            estimators, "_quotient_value",
-            lambda p, t, radius, resolution: base if radius == p.radius else guard)
+            estimators, "_quotient_values",
+            lambda p, radius, resolution: [base if radius == p.radius else guard] * len(p.t_list))
         with pytest.raises(TruncationError):
-            weight_quotient_norm(params, 0.1)
+            weight_quotient_norm(at_one_time(params, 0.1))
 
 
 _FOLD_EXPONENTS = [(1.0, 1.0), (2.0, 2.0), (2.0, INF), (INF, 2.0), (INF, INF), (0.5, 0.5)]
@@ -185,9 +194,45 @@ class TestQuotientFold:
                                       p_tilde=p_tilde, q_tilde=q_tilde, form=form,
                                       resolution=resolution, beta=beta)
         for t, radius in ((0.01, 30.0), (1.0, 3.0)):
-            got = estimators._quotient_value(params, t, radius, resolution)
+            [got] = estimators._quotient_values(at_one_time(params, t), radius, resolution)
             ref = quotient_reference(params, t, radius, resolution)
             assert got == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("p_tilde,q_tilde", [(2.0, 2.0), (1.0, INF)],
+                             ids=["2-2", "1-inf"])
+    @pytest.mark.parametrize("k,l,beta", [(1, 1, 1.0), (2, 1, 1.0), (1, 2, 2.0), (3, 2, 1.5)])
+    @pytest.mark.parametrize("form", ["scaled", "weighted"])
+    def test_every_run_value_matches_the_reference(self, form, k, l, beta, p_tilde, q_tilde):
+        """A run reduces the scaled lattice once for its whole t grid and the
+        weighted one per t; each value must still be the quotient at its
+        own t, by full-lattice quadrature on that t's box."""
+        rng = np.random.default_rng(100 * k + l)
+        t_list = tuple(sorted(10.0 ** rng.uniform(-4.0, 0.0, 5), reverse=True))
+        params = WeightQuotientParams(ah.OscillatorSpec(k, l), p_tilde=p_tilde,
+                                      q_tilde=q_tilde, form=form, resolution=256,
+                                      t_list=t_list, beta=beta)
+        values = weight_quotient_norm(params)
+        assert len(values) == len(t_list)
+        for t, got in zip(t_list, values):
+            ref = quotient_reference(params, t, params.radius, params.resolution)
+            assert got == pytest.approx(ref, rel=1e-12), t
+
+    @pytest.mark.parametrize("form", ["scaled", "weighted"])
+    def test_scaled_run_reduces_each_lattice_once(self, form, monkeypatch):
+        """The scaled lattice is t-free: a decay run reduces it once for the
+        base and once for the guard, however many times it samples. The
+        weighted form reduces both per t."""
+        params = WeightQuotientParams(ah.OscillatorSpec(1, 1), form=form, resolution=128)
+        reduce, calls = estimators._weighted_columns, []
+
+        def counted(*args):
+            calls.append(args)
+            return reduce(*args)
+
+        monkeypatch.setattr(estimators, "_weighted_columns", counted)
+        samples, _ = smoothing_decay_run(params)
+        assert len(samples) == len(params.t_list) == 6
+        assert len(calls) == (2 if form == "scaled" else 2 * len(params.t_list))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_every_one_dimensional_potential_is_even(self, k):
@@ -204,7 +249,7 @@ class TestQuotientFold:
                                       resolution=2048)
         tracemalloc.start()
         try:
-            weight_quotient_norm(params, 0.1)
+            weight_quotient_norm(at_one_time(params, 0.1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

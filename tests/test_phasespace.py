@@ -9,7 +9,8 @@ from anharmonic import (INF, BoundaryMassWarning, FieldSample, Grid,
                         InvalidSpecError, MixedNormParams, NumericalError,
                         PhaseSpaceField, apply_conjugation, mixed_norm,
                         modulation_norm, modulation_norms, stft, weight_value)
-from anharmonic.phasespace import _gaussian_window_values, _modulation_columns
+from anharmonic.phasespace import (_gaussian_window_values, _modulation_columns,
+                                   _weighted_columns)
 from oracles import (gaussian_lattice_stft_abs, gaussian_window_transform_abs,
                      mixed_norm_reference)
 
@@ -257,7 +258,8 @@ class TestStreamedNormOracle:
 
     GRID = Grid(1, 256, 8.0)  # two row blocks of the streamed pass
 
-    @pytest.mark.parametrize("p", ORACLE_EXPONENTS, ids=_exponent_id)
+    # p = 3 and 4 take the repeated-squaring powers of the column reducer
+    @pytest.mark.parametrize("p", ORACLE_EXPONENTS + [3.0, 4.0], ids=_exponent_id)
     @pytest.mark.parametrize("q", ORACLE_EXPONENTS, ids=_exponent_id)
     @pytest.mark.parametrize("kind", ["flat", "harmonic", "anharmonic"])
     def test_one_dimension(self, kind, p, q, quartic_osc):
@@ -526,6 +528,24 @@ class TestSharedPass:
         weights.insert(at, 400.0)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
             modulation_norms(f, weights, osc, MixedNormParams(p, 1.0))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 6.0, 0.5, INF], ids=_exponent_id)
+    def test_raw_reduction_leaves_the_shared_block(self, p):
+        """A None lattice reduces the block that later weights receive: its
+        p-th power must go to new arrays, so the next weight reduces the
+        same magnitudes."""
+        rng = np.random.default_rng(7)
+        mag = rng.uniform(0.0, 3.0, (16, 24))
+        kept = mag.copy()
+        lattice = rng.uniform(0.5, 2.0, (16, 24))
+        raw, again, weighted = _weighted_columns([(0, mag)], [None, None, lattice], p)
+        assert np.array_equal(raw, again)
+        if p is INF:
+            assert np.array_equal(raw, kept.max(axis=0))
+            assert np.array_equal(weighted, (kept * lattice).max(axis=0))
+        else:
+            assert raw == pytest.approx((kept ** p).sum(axis=0), rel=1e-14)
+            assert weighted == pytest.approx(((kept * lattice) ** p).sum(axis=0), rel=1e-14)
 
     def test_boundary_mass_warns_once_per_field(self):
         grid = Grid(1, 128, 6.0)
