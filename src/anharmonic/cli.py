@@ -33,7 +33,8 @@ from .calculus import heat_semigroup, project
 from .errors import NumericalError, SchemaError
 from .model import (INF, MixedNormParams, OscillatorSpec, evaluate_potential,
                     hermite_oscillator, is_inf, submultiplicativity_defect, weight_value)
-from .estimators import (WeightQuotientParams, _check_decay_times, algebra_ratios,
+from .estimators import (WeightQuotientParams, _check_decay_times, _check_quotient_box,
+                         algebra_ratios,
                          eigenvalue_growth_fit, gaussian_probe_fields, ou_probe_rate,
                          sigma_exponent, singular_weight_norm, smoothing_decay_run,
                          sobolev_modulation_equivalence, standard_probe_family)
@@ -154,17 +155,17 @@ _TABLE = {
                    (lambda v: v in _FORMATS, f"format must be one of {_FORMATS}")),
         "output_dir": ("str", "out"), "grid": ("grid", None), "oscillator": ("oscillator", None),
         "params": ("object", {})},
-    "grid": {"dimension": ("int", 1), "points_per_axis": ("int", 512),
-             "half_width": ("float", 12.0)},
-    # the oscillator H = (-Laplacian)^l + |x|^(2k) takes the grid's dimension
+    # every shipped manifest names d = 1, the only one there is
+    "grid": {"dimension": ("int", 1, (lambda v: v == 1, "only d = 1 is supported")),
+             "points_per_axis": ("int", 512), "half_width": ("float", 12.0)},
     "oscillator": {"k": ("int", _REQUIRED), "l": ("int", _REQUIRED)},
     "params.spectrum": {"cases": ("[params.cases]", [{"k": 1, "l": 1, "half_width": 25.0},
                                                      {"k": 2, "l": 1, "half_width": 12.0},
                                                      {"k": 1, "l": 2, "half_width": 60.0}],
                                   _SELECTION)},
-    "params.cases": {"k": ("int", _REQUIRED), "l": ("int", _REQUIRED), "dimension": ("int", 1),
-                     "points": ("int", 512), "half_width": ("float", 12.0),
-                     "modes": ("int", None), "j_lo": ("int", 30), "j_hi": ("int", 150),
+    "params.cases": {"k": ("int", _REQUIRED), "l": ("int", _REQUIRED), "points": ("int", 512),
+                     "half_width": ("float", 12.0), "modes": ("int", None),
+                     "j_lo": ("int", 30), "j_hi": ("int", 150),
                      "tolerance": ("float", 0.10, _FINITE)},
     "params.decay": {"tuples": ("[params.tuples]", [
                          {"k": 1, "l": 1, "beta": 1.0, "p_tilde": 1.0, "q_tilde": 1.0},
@@ -180,7 +181,8 @@ _TABLE = {
     "params.norms": {"checks": ("[str]", list(_NORMS_CHECKS), _SELECTION),
                      "modes": ("int", None)},
     "params.nlheat": {"modes": ("int", None), "kind": ("str", "power"), "nu": ("int", 1),
-                      "coupling_re": ("float", -1.0), "coupling_im": ("float", 0.0),
+                      "coupling_re": ("float", -1.0, _FINITE),
+                      "coupling_im": ("float", 0.0, _FINITE),
                       "alpha": ("float", None),
                       "monitor": ("[exponent]", [2.0, 1.0, 2.0],
                                   (lambda m: len(m) == 3, "{field} must be [p, q, s]")),
@@ -251,10 +253,10 @@ def _finish_manifest(run):  # the grid is parsed before the params
     else:
         _require(run.grid is None, f"a {run.kind} run reads no grid block", "grid")
     if run.kind in ("norms", "nlheat"):
-        block, d = run.oscillator, run.grid.dimension
+        block = run.oscillator
         with _rejected_as("oscillator", "bad oscillator block: "):
-            run.oscillator = (hermite_oscillator(d) if block is None
-                              else OscillatorSpec(block.k, block.l, d))
+            run.oscillator = (hermite_oscillator() if block is None
+                              else OscillatorSpec(block.k, block.l))
     else:  # ou runs the harmonic oscillator, which its intertwining needs
         _require(run.oscillator is None, f"a {run.kind} run reads no oscillator block",
                  "oscillator")
@@ -270,11 +272,10 @@ def _finish_manifest(run):  # the grid is parsed before the params
 
 def _finish_case(case):
     with _rejected_as("params.cases", f"spectrum case k={case.k}, l={case.l}: "):
-        case.oscillator = OscillatorSpec(case.k, case.l, case.dimension)
-        case.grid = Grid(case.dimension, case.points, case.half_width)
+        case.oscillator = OscillatorSpec(case.k, case.l)
+        case.grid = Grid(case.points, case.half_width)
     case.modes = _modes(case, "spectrum", case.grid, "params.cases.modes")
-    # d = 1 names carry no suffix, so the shipped configs keep their names
-    case.label = f"k{case.k}_l{case.l}" + (f"_d{case.dimension}" if case.dimension > 1 else "")
+    case.label = f"k{case.k}_l{case.l}"
     return case
 
 
@@ -284,6 +285,8 @@ def _finish_decay(p):
         t_list["t_list"] = tuple(sorted(set(p.t_list), reverse=True))
         with _rejected_as("params.t_list"):
             _check_decay_times(t_list["t_list"])
+    with _rejected_as("params"):  # the values every tuple shares name their own keys
+        _check_quotient_box(p.radius, p.resolution, p.form, **t_list)
     for tup in p.tuples:
         _require(not (is_inf(tup.p_tilde) and is_inf(tup.q_tilde)), "decay tuple has both "
                  "gaps infinite, so sigma = 0 and there is no decay slope to check",
@@ -327,7 +330,7 @@ def _finish_nlheat(p):
 
 def _finish_grid(block):
     with _rejected_as("grid", "bad grid block: "):
-        return Grid(**vars(block))
+        return Grid(block.points_per_axis, block.half_width)
 
 
 _FINISH = {
@@ -374,7 +377,7 @@ def _run_spectrum(run, record):
         record.results.append(_result(
             f"growth_slope_{case.label}", fit.slope, fit.target, fit.rel_deviation,
             case.tolerance, fit.rel_deviation <= case.tolerance))
-        if case.k == 1 and case.l == 1 and case.dimension == 1:
+        if case.k == 1 and case.l == 1:
             j = np.arange(min(21, dec.m))
             exact = 2.0 * j + 1.0
             err = float(np.max(np.abs(dec.eigenvalues[:len(j)] - exact) / exact))
@@ -452,7 +455,7 @@ def _run_norms(run, record):
 
 
 def _gaussian_initial(grid) -> FieldSample:
-    r2 = np.sum(grid.nodes() ** 2, axis=1)
+    r2 = grid.nodes() ** 2
     return FieldSample(grid, np.exp(-r2 / 2.0))
 
 
@@ -508,18 +511,17 @@ def _l2_gamma_rel_err(norm, conj, f) -> float:
 
 def _run_ou(run, record):
     p, grid = run.params, run.grid
-    osc = hermite_oscillator(grid.dimension)
+    osc = hermite_oscillator()
     dec = decompose(osc, grid, p.modes)
     conj = GaussianConjugation(p.safe_radius)
     l2_params = MixedNormParams(2.0, 2.0)
 
     ones = FieldSample(grid, np.ones(grid.size))
-    radii = np.linalg.norm(grid.nodes(), axis=1)
-    mask = radii <= _OU_CHECK_RADIUS
+    mask = np.abs(grid.nodes()) <= _OU_CHECK_RADIUS
     worst = 0.0
     for t in p.t_check:
         out = ou_semigroup(conj, dec, p.beta, t, ones)
-        expected = np.exp(-t * grid.dimension ** p.beta)
+        expected = np.exp(-t)  # e^(-t d^beta) at d = 1
         worst = max(worst, float(np.max(np.abs(out.values[mask] - expected))))
     record.results.append(_result("ou_constant_field_err", worst, 0.0, worst, 1e-6,
                                   worst <= 1e-6))
@@ -559,11 +561,11 @@ def _run_selftest(run, record):
     record.results.append(_result("weight_defect_s1", defect, 1.0, defect, 1.0 + 1e-12,
                                   defect <= 1.0 + 1e-12))
 
-    row("sigma_hermite_p1q1", sigma_exponent(1, 1, 1.0, 1, 1.0, 1.0), 1.0, 0.0)
-    row("sigma_quartic_p2q2", sigma_exponent(2, 1, 1.0, 1, 2.0, 2.0), 0.375, 0.0)
-    row("sigma_bilaplacian_qinf", sigma_exponent(1, 2, 2.0, 1, 2.0, INF), 0.125, 0.0)
+    row("sigma_hermite_p1q1", sigma_exponent(1, 1, 1.0, 1.0, 1.0), 1.0, 0.0)
+    row("sigma_quartic_p2q2", sigma_exponent(2, 1, 1.0, 2.0, 2.0), 0.375, 0.0)
+    row("sigma_bilaplacian_qinf", sigma_exponent(1, 2, 2.0, 2.0, INF), 0.125, 0.0)
 
-    grid = Grid(1, 128, 10.0)
+    grid = Grid(128, 10.0)
     dec = decompose(osc, grid, 40)
     row("harmonic_ground_eigenvalue", float(dec.eigenvalues[0]), 1.0, 1e-6)
     f = dec.eigenfunction(3)
@@ -591,7 +593,7 @@ def _run_selftest(run, record):
     row("picard_linear_consistency", gap, 0.0, 1e-9)
 
     rt = apply_conjugation(conj, "inverse", apply_conjugation(conj, "forward", probe))
-    inside = np.linalg.norm(grid.nodes(), axis=1) <= conj.safe_radius
+    inside = np.abs(grid.nodes()) <= conj.safe_radius
     row("conjugation_roundtrip",
         float(np.max(np.abs(rt.values[inside] - probe.values[inside]))), 0.0, 1e-12)
 

@@ -36,24 +36,24 @@ _L2 = MixedNormParams(2.0, 2.0)
 _TAIL_BULK_RADIUS, _TAIL_RADIUS = 1.0, 2.5  # singular_weight_norm's xi tails
 
 
-def sigma_exponent(k: int, l: int, beta: float, dimension: int, p_tilde, q_tilde) -> float:
-    """Short-time blow-up exponent (d / 2 beta)(1/(k p) + 1/(l q)).
+def sigma_exponent(k: int, l: int, beta: float, p_tilde, q_tilde) -> float:
+    """Short-time blow-up exponent (d / 2 beta)(1/(k p) + 1/(l q)) at d = 1.
 
     ``p_tilde`` and ``q_tilde`` are the positive-part exponent gaps; the INF
     marker zeroes the corresponding term.
     """
     term_p = 0.0 if is_inf(p_tilde) else 1.0 / (k * float(p_tilde))
     term_q = 0.0 if is_inf(q_tilde) else 1.0 / (l * float(q_tilde))
-    return dimension / (2.0 * beta) * (term_p + term_q)
+    return 1.0 / (2.0 * beta) * (term_p + term_q)
 
 
-def _auto_n_pow(beta: float, s2: float, p_tilde, q_tilde, dimension: int) -> int:
-    """The smallest N >= 1 with (2 beta N - s2) p_eff > d + 10 (integrability
-    needs > d), p_eff the smaller finite gap or 1: in closed form,
-    floor(((d + 10) / p_eff + s2) / (2 beta)) + 1."""
+def _auto_n_pow(beta: float, s2: float, p_tilde, q_tilde) -> int:
+    """The smallest N >= 1 with (2 beta N - s2) p_eff > d + 10 at d = 1
+    (integrability needs > d), p_eff the smaller finite gap or 1: in closed
+    form, floor(((d + 10) / p_eff + s2) / (2 beta)) + 1."""
     finite = [float(e) for e in (p_tilde, q_tilde) if not is_inf(e)]
     p_eff = min(finite) if finite else 1.0
-    bound = ((dimension + 10.0) / p_eff + s2) / (2.0 * beta)
+    bound = (11.0 / p_eff + s2) / (2.0 * beta)
     if not np.isfinite(bound):
         raise InvalidSpecError("the decay exponents give no finite power N")
     return max(1, int(np.floor(bound)) + 1)
@@ -93,9 +93,6 @@ class WeightQuotientParams:
     beta: float = field(default=1.0, kw_only=True)
 
     def __post_init__(self):
-        osc = self.oscillator
-        if osc.dimension != 1:
-            raise InvalidSpecError("quotient quadrature is implemented for dimension 1")
         object.__setattr__(self, "beta", float(self.beta))
         if not np.isfinite(self.beta) or self.beta <= 0:
             raise InvalidSpecError("beta must be a positive real")
@@ -105,21 +102,28 @@ class WeightQuotientParams:
                                    "the reduction's validity")
         object.__setattr__(self, "p_tilde", check_exponent("p_tilde", self.p_tilde))
         object.__setattr__(self, "q_tilde", check_exponent("q_tilde", self.q_tilde))
-        if self.form not in ("scaled", "weighted"):
-            raise InvalidSpecError(f"unknown quotient form {self.form!r}")
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise InvalidSpecError("radius must be a positive real")
-        if (not isinstance(self.resolution, (int, np.integer)) or self.resolution < 32
-                or self.resolution % 2):
-            raise InvalidSpecError("resolution must be an even integer >= 32")
+        object.__setattr__(self, "t_list", _check_quotient_box(self.radius, self.resolution,
+                                                               self.form, self.t_list))
         object.__setattr__(self, "n_pow", _auto_n_pow(self.beta, self.s2, self.p_tilde,
-                                                      self.q_tilde, osc.dimension))
-        t = tuple(float(v) for v in self.t_list)
-        if not t or any(not (0.0 < v <= 1.0) for v in t):
-            raise InvalidSpecError("t_list must contain values in (0, 1]")
-        if any(t[i] <= t[i + 1] for i in range(len(t) - 1)):
-            raise InvalidSpecError("t_list must be strictly decreasing")
-        object.__setattr__(self, "t_list", t)
+                                                      self.q_tilde))
+
+
+def _check_quotient_box(radius, resolution, form, t_list=_DEFAULT_T_GRID) -> tuple:
+    """WeightQuotientParams' rules for the values that need no oscillator and
+    no exponents (a decay run shares them over its tuples); each error names
+    its parameter. Returns t_list as a tuple of floats."""
+    if form not in ("scaled", "weighted"):
+        raise InvalidSpecError(f"unknown quotient form {form!r}", field="form")
+    if not (np.isfinite(radius) and radius > 0):
+        raise InvalidSpecError("radius must be a positive real", field="radius")
+    if not isinstance(resolution, (int, np.integer)) or resolution < 32 or resolution % 2:
+        raise InvalidSpecError("resolution must be an even integer >= 32", field="resolution")
+    t = tuple(float(v) for v in t_list)
+    if not t or any(not (0.0 < v <= 1.0) for v in t):
+        raise InvalidSpecError("t_list must contain values in (0, 1]", field="t_list")
+    if any(t[i] <= t[i + 1] for i in range(len(t) - 1)):
+        raise InvalidSpecError("t_list must be strictly decreasing", field="t_list")
+    return t
 
 
 def _quotient_spacings(params: WeightQuotientParams, t: float, radius: float,
@@ -287,12 +291,13 @@ def _loglinear_fit(x, values, target=None) -> LogLinearFit:
 
 
 def growth_target(osc: OscillatorSpec) -> float:
-    return 2.0 * osc.k * osc.l / (osc.dimension * (osc.k + osc.l))
+    """The Weyl exponent 2kl / (d (k + l)) of lambda_j at d = 1."""
+    return 2.0 * osc.k * osc.l / (osc.k + osc.l)
 
 
 def eigenvalue_growth_fit(dec: SpectralDecomposition, j_lo: int, j_hi: int) -> LogLinearFit:
     """Fit log lambda_j against log j over [j_lo, j_hi], with the target
-    slope 2kl / (d (k + l)).
+    slope ``growth_target``.
 
     The window must start at j_lo >= 20 and stop by 0.4 m, away from the
     discretization-corrupted tail, and must contain at least 20 points.
@@ -346,8 +351,7 @@ def smoothing_decay_run(params: WeightQuotientParams):
     by construction; only the weighted form measures a rate.
     """
     osc = params.oscillator
-    sigma = sigma_exponent(osc.k, osc.l, params.beta, osc.dimension,
-                           params.p_tilde, params.q_tilde)
+    sigma = sigma_exponent(osc.k, osc.l, params.beta, params.p_tilde, params.q_tilde)
     samples = list(zip(params.t_list, weight_quotient_norm(params)))
     return samples, fit_decay_exponent(samples, target=-sigma)
 
@@ -361,12 +365,12 @@ def gaussian_probe_fields(grid: Grid, count: int, seed: int = PROBE_SEED,
     rng = np.random.default_rng(seed)
     probes = []
     for _ in range(count):
-        centers = rng.uniform(*center_range, size=grid.dimension)
-        widths = rng.uniform(*width_range, size=grid.dimension)
-        mods = rng.uniform(*modulation_range, size=grid.dimension)
+        center = rng.uniform(*center_range)
+        width = rng.uniform(*width_range)
+        mod = rng.uniform(*modulation_range)
         nodes = grid.nodes()
-        envelope = np.exp(-np.pi * np.sum(((nodes - centers) / widths) ** 2, axis=1))
-        carrier = np.exp(2j * np.pi * nodes @ mods)
+        envelope = np.exp(-np.pi * ((nodes - center) / width) ** 2)
+        carrier = np.exp(2j * np.pi * nodes * mod)
         f = FieldSample(grid, envelope * carrier)
         n = f.norm_l2()
         probes.append(FieldSample(grid, f.values / n))
@@ -404,10 +408,10 @@ def ou_probe_rate(c: GaussianConjugation, dec: SpectralDecomposition, beta: floa
                   t_list, probes) -> LogLinearFit:
     """Fit log of the worst-case Gaussian-norm ratio
     norm(OU_t f) / norm(f) over a probe corpus against t, over at least 3
-    distinct times; the expected rate is -d^beta, d the dimension of the
-    decomposition's grid. The Gaussian norm is the flat p = q = 2 modulation
-    norm of the multiplied field. Zero-norm probes are skipped with a warning
-    (ValueError if all are).
+    distinct times; the expected rate is -d^beta, which is -1 at d = 1. The
+    Gaussian norm is the flat p = q = 2 modulation norm of the multiplied
+    field. Zero-norm probes are skipped with a warning (ValueError if all
+    are).
     """
     ts = [float(t) for t in t_list]
     if len(set(ts)) < 3:
@@ -420,8 +424,7 @@ def ou_probe_rate(c: GaussianConjugation, dec: SpectralDecomposition, beta: floa
         return lambda f: norm(ou_semigroup(c, dec, beta, t, f))
 
     ratios = _probe_ratios(probes, norm, [target_at(t) for t in ts])
-    return _loglinear_fit(ts, [max(r) for r in ratios],
-                          -float(dec.grid.dimension) ** float(beta))
+    return _loglinear_fit(ts, [max(r) for r in ratios], -1.0)
 
 
 def algebra_ratios(fields, pairs, params: MixedNormParams, s: float,
@@ -487,7 +490,7 @@ def singular_weight_norm(alpha: float, params: MixedNormParams, s: float,
     if radius > grid.half_width:
         raise ValueError("truncation radius exceeds the grid half-width")
 
-    nodes_r = np.linalg.norm(grid.nodes(), axis=1)
+    nodes_r = np.abs(grid.nodes())
 
     def truncated(r):
         return FieldSample(grid, np.where(nodes_r <= r, nodes_r ** (-alpha), 0.0))
@@ -502,7 +505,7 @@ def singular_weight_norm(alpha: float, params: MixedNormParams, s: float,
     x_growth = abs(value - value_half) / value_half if value_half > 0 else float("inf")
     # outer-exponent tail mass A(Xi): sum over the bulk radius < |xi| <= Xi
     # of inner(xi)^q, or the annulus sup for q = INF
-    xi_radii = np.linalg.norm(grid.frequency_nodes(), axis=1)
+    xi_radii = np.abs(grid.frequency_nodes())
     tails = []
     for xi_max in (_TAIL_RADIUS, 2.0 * _TAIL_RADIUS):
         mask = (xi_radii > _TAIL_BULK_RADIUS) & (xi_radii <= xi_max)

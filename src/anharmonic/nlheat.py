@@ -11,14 +11,14 @@ local accuracy. A restart per window is the computable surrogate for the
 global fixed-point ball.
 
 Both nonlinearities keep parity, and every retained mode is exactly even or
-odd. So a real d=1 u0 that is bitwise even or odd (the shipped Gaussian is)
+odd. So a real u0 that is bitwise even or odd (the shipped Gaussian is)
 is evolved in its parity sector alone: the coefficients of that parity's
 modes, with values on the rows x > 0 and twice the cell measure, about half
 of every matvec. Each state and Picard gap is mirrored into a full field
 before it is measured, so it is exactly even or odd and its norm takes the
 half-row pass of ``phasespace``. Checkpoint coefficients stay full length m,
 with exact zeros in the other parity. Other initial data (not bitwise
-symmetric, complex, or d=2) evolve in the full layout, as before.
+symmetric, or complex) evolve in the full layout, as before.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def _singular_factor(spec: NonlinearProblemSpec):
     if spec.kind != "inhomogeneous":
         return None
     grid = spec.decomposition.grid
-    return np.linalg.norm(grid.nodes(), axis=1) ** (-spec.alpha)
+    return np.abs(grid.nodes()) ** (-spec.alpha)
 
 
 def _nonlinear_values(spec: NonlinearProblemSpec, v: np.ndarray, sing) -> np.ndarray:
@@ -99,12 +99,12 @@ def _nonlinear_values(spec: NonlinearProblemSpec, v: np.ndarray, sing) -> np.nda
 
 def _sector(spec: NonlinearProblemSpec):
     """(sign, modes) of the parity sector the flow stays in: sign 1.0 or -1.0
-    for d = 1, u0 real and bitwise even or odd, and every retained mode
+    for u0 real and bitwise even or odd, and every retained mode
     bitwise even or odd (both nonlinearities keep parity), with the indices
     of the modes of u0's parity. (0.0, every mode) otherwise."""
     dec, u0 = spec.decomposition, spec.u0.values
     sign = 0.0
-    if dec.grid.dimension == 1 and not u0.imag.any():
+    if not u0.imag.any():
         sign = float(_reflection_parity(u0.real))
     parity = _reflection_parity(dec.eigenvectors) if sign else None
     if not sign or not np.all(parity):

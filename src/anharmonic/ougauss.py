@@ -9,9 +9,9 @@ L^2(gamma) norm of f.
 The OU semigroup is never discretized directly; it is defined as
 M^(-1) exp(-t H^beta) M with M the Gaussian half-density multiplier and H
 the harmonic oscillator, which is the defining relation; beta is an
-argument of each semigroup call, and the dimension is that of the grid. The
-inverse multiplier grows like e^(|x|^2/2), so it is truncated outside a safe
-radius with explicit mass accounting.
+argument of each semigroup call. The inverse multiplier grows like
+e^(|x|^2/2), so it is truncated outside a safe radius with explicit mass
+accounting.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ _DISCARD_TOL = 1e-10
 @dataclass(frozen=True)
 class GaussianConjugation:
     """The multiplier M f = gamma^(1/2) f with gamma the standard Gaussian
-    density pi^(-d/2) e^(-|x|^2), and its inverse truncated beyond
-    ``safe_radius``. It has no dimension of its own: d is that of the grid
-    it is applied on."""
+    density pi^(-d/2) e^(-|x|^2) at d = 1, and its inverse truncated beyond
+    ``safe_radius``."""
 
     safe_radius: float = 8.0
 
@@ -45,8 +44,8 @@ class GaussianConjugation:
         object.__setattr__(self, "safe_radius", r)
 
     def density(self, grid) -> np.ndarray:
-        r2 = np.sum(grid.nodes() ** 2, axis=1)
-        return np.pi ** (-grid.dimension / 2.0) * np.exp(-r2)
+        r2 = grid.nodes() ** 2
+        return np.pi ** -0.5 * np.exp(-r2)
 
 
 def conjugation_discarded_mass(c: GaussianConjugation, f: FieldSample) -> float:
@@ -54,7 +53,7 @@ def conjugation_discarded_mass(c: GaussianConjugation, f: FieldSample) -> float:
     total = f.norm_l2()
     if total == 0.0:
         return 0.0
-    radii = np.linalg.norm(f.grid.nodes(), axis=1)
+    radii = np.abs(f.grid.nodes())
     outside = f.values * (radii > c.safe_radius)
     lost = float(np.sqrt(f.grid.cell_volume * np.sum(np.abs(outside) ** 2)))
     return lost / total
@@ -72,7 +71,7 @@ def apply_conjugation(c: GaussianConjugation, direction: str, f: FieldSample) ->
         return FieldSample(f.grid, f.values * half)
     if direction != "inverse":
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    radii = np.linalg.norm(f.grid.nodes(), axis=1)
+    radii = np.abs(f.grid.nodes())
     mask = radii <= c.safe_radius
     vals = np.zeros_like(f.values)
     vals[mask] = f.values[mask] / half[mask]

@@ -2,8 +2,8 @@
 
 Conventions: frequency variable xi in cycles (kernel e^{-2 pi i xi z}); the
 xi lattice is n/(2L) with n ascending in [-N/2, N/2); window shifts are
-cyclic, consistent with the periodic grid. Lattice cells are h^d in x and
-(1/(2L))^d in xi, so the p=q=2 flat-weight mixed norm reproduces the L2
+cyclic, consistent with the periodic grid. Lattice cells are h in x and
+1/(2L) in xi, so the p=q=2 flat-weight mixed norm reproduces the L2
 norm of the field exactly (discrete orthogonality of the DFT).
 
 Every norm takes the exponent s of the one weight, the symbol-adapted
@@ -14,7 +14,7 @@ oscillator. Other weights of the literature, such as the bracket
 spaces (Groechenig, Foundations of Time-Frequency Analysis, 2001, ch. 11).
 
 The transform and the streamed norms run on one blocked pass, ``_stft_blocks``:
-it yields h^d FFT(f conj(g(. - x_i))) for consecutive blocks of x-shift rows
+it yields h FFT(f conj(g(. - x_i))) for consecutive blocks of x-shift rows
 (about ``_BLOCK_CELLS`` lattice cells each), columns in FFT order. ``stft``
 moves each block into ascending xi order (the fftshift), applies the
 staggered-grid phase and fills the full ``PhaseSpaceField``. The norms
@@ -28,18 +28,17 @@ so a streamed norm holds a few blocks, never the lattice.
 ``modulation_norms`` reduces one pass for several weight exponents at once:
 the transform and its magnitudes, which are most of the cost, are shared,
 and each weight adds only its own weighting and column sums. The window g
-is the unit Gaussian 2^(d/4) e^(-pi |z|^2), in d=2 the product of two rows
-of one table of axis shifts, and the only window: it gives one space over
-the whole range 0 < p, q <= INF, and other admissible windows give only
-equivalent norms (Groechenig, Foundations of Time-Frequency Analysis, 2001,
+is the unit Gaussian 2^(1/4) e^(-pi z^2), the one window: it gives one
+space over the whole range 0 < p, q <= INF, and other admissible windows
+give only equivalent norms (Groechenig, Foundations of Time-Frequency Analysis, 2001,
 11.3; Galperin-Samarah, ACHA 16, 2004).
-A real d=1 field streams half the spectrum: |V_g f(x, -xi)| = |V_g f(x, xi)|
+A real field streams half the spectrum: |V_g f(x, -xi)| = |V_g f(x, xi)|
 for real f and the real g, and the weight depends on |xi| only, so the
 pass runs ``rfft`` on the real windowed product, reduces the bins 0..N/2 (the
 leading FFT columns, weighted by the leading lattice columns) and mirrors
-their column sums onto the FFT columns N - k. Complex fields and d=2 take the
-full spectrum.
-A real d=1 field that is also bitwise even or odd (``v == +-v[::-1]``, an
+their column sums onto the FFT columns N - k. Complex fields take the full
+spectrum.
+A real field that is also bitwise even or odd (``v == +-v[::-1]``, an
 O(N) check; every state of a parity-sector flow in ``nlheat`` is one) streams
 half the rows as well. The staggered nodes give -x_i = x_{N-1-i} bit for bit,
 so with the even window V_g f(-x, xi) = +-conj(V_g f(x, xi)); the weight
@@ -70,11 +69,10 @@ _BLOCK_CELLS = 1 << 15  # lattice cells per block of the streamed STFT pass
 
 @functools.lru_cache(maxsize=16)
 def _gaussian_window_values(grid: Grid) -> np.ndarray:
-    """Unit Gaussian window 2^(1/4) e^(-pi z_i^2) of one axis at the wrapped
-    offsets; the d-dimensional window is its product over the axes."""
+    """Unit Gaussian window 2^(1/4) e^(-pi z_i^2) at the wrapped offsets."""
     z = grid.wrapped_axis_offsets()
     g = 2.0 ** 0.25 * np.exp(-np.pi * z ** 2)
-    norm = np.sqrt(grid.h * np.sum(g ** 2)) ** grid.dimension
+    norm = np.sqrt(grid.h * np.sum(g ** 2))
     if abs(norm - 1.0) > _WINDOW_NORM_TOL:
         raise NumericalError(
             f"gaussian window norm deviates by {abs(norm - 1.0):.3e}; grid too coarse or small")
@@ -86,8 +84,8 @@ def _gaussian_window_values(grid: Grid) -> np.ndarray:
 class PhaseSpaceField:
     """STFT values on the (x, xi) lattice.
 
-    ``values[i, n]``: row i indexes the x node (flat C-order), column n the
-    xi lattice point (per-axis ascending, C-order for d=2).
+    ``values[i, n]``: row i indexes the x node, column n the xi lattice
+    point in ascending order.
     """
 
     grid: Grid
@@ -107,7 +105,7 @@ def _check_boundary_mass(f: FieldSample, stacklevel: int = 3) -> None:
     amax = float(np.max(np.abs(f.values)))
     if amax == 0.0:
         return
-    mask = np.any(np.abs(grid.nodes()) >= grid.half_width - 2.0 * grid.h, axis=1)
+    mask = np.abs(grid.nodes()) >= grid.half_width - 2.0 * grid.h
     edge = float(np.max(np.abs(f.values[mask]))) / amax
     if edge > _BOUNDARY_TOL:
         warnings.warn(
@@ -118,7 +116,7 @@ def _check_boundary_mass(f: FieldSample, stacklevel: int = 3) -> None:
 
 @functools.lru_cache(maxsize=4)
 def _gaussian_conj_table(grid: Grid) -> np.ndarray:
-    """Shift table g(z_j - x_i) of the one-axis window.
+    """Shift table g(z_j - x_i) of the window.
 
     The gaussian is real, so the table is its own conjugate and is stored
     real: a complex times a real with exact zero imaginary part rounds the
@@ -133,50 +131,41 @@ def _gaussian_conj_table(grid: Grid) -> np.ndarray:
 
 
 def _stft_blocks(f: FieldSample, real: bool = False, first_row: int = 0):
-    """Yield (lo, block) with block[r] = h^d FFT(f g(. - x_{lo+r})).
+    """Yield (lo, block) with block[r] = h FFT(f g(. - x_{lo+r})).
 
     Rows run over consecutive x shifts from ``first_row`` (0, or N/2 for the
-    half-row pass of an even or odd field); the block has shape
-    (rows, N) for d=1 and (rows, N, N) for d=2, frequencies in FFT order on
-    each axis (bin 0 first), the order the weight lattice and the norms use,
-    with neither fftshift nor the staggered-grid phase applied. The d=2
-    window of row i is the product of the rows i // N and i % N of the axis
-    shift table. Every block has the same number of rows, about
-    ``_BLOCK_CELLS`` lattice cells and at most the rows to run; the windowed
-    product reuses one buffer.
-    ``real`` (d=1, f real) transforms the real product with ``rfft`` and
-    yields only the bins 0..N/2, shape (rows, N/2 + 1).
+    half-row pass of an even or odd field); the block has shape (rows, N),
+    frequencies in FFT order (bin 0 first), the order the weight lattice and
+    the norms use, with neither fftshift nor the staggered-grid phase
+    applied. Every block has the same number of rows, about ``_BLOCK_CELLS``
+    lattice cells and at most the rows to run; the windowed product reuses
+    one buffer.
+    ``real`` (f real) transforms the real product with ``rfft`` and yields
+    only the bins 0..N/2, shape (rows, N/2 + 1).
     """
     grid = f.grid
-    n_pts, d, size = grid.points_per_axis, grid.dimension, grid.size
+    size = grid.size
     # powers of two: divides size - first_row
     rows = min(size - first_row, max(1, _BLOCK_CELLS // size))
-    axes = tuple(range(1, d + 1))
     table = _gaussian_conj_table(grid)
-    fv = f.values.real if real else f.values.reshape((n_pts,) * d)
-    prod = np.empty((rows,) + (n_pts,) * d, dtype=fv.dtype)
+    fv = f.values.real if real else f.values
+    prod = np.empty((rows, size), dtype=fv.dtype)
     for lo in range(first_row, size, rows):
-        if d == 1:
-            win = table[lo:lo + rows]
-        else:  # row i shifts by (x_{i // N}, x_{i % N}): a product of two table rows
-            shifts = np.arange(lo, lo + rows)
-            win = table[shifts // n_pts, :, None] * table[shifts % n_pts, None, :]
-        np.multiply(fv, win, out=prod)
-        block = np.fft.rfft(prod, axis=1) if real else np.fft.fftn(prod, axes=axes)
+        np.multiply(fv, table[lo:lo + rows], out=prod)
+        block = np.fft.rfft(prod, axis=1) if real else np.fft.fft(prod, axis=1)
         block *= grid.cell_volume
         yield lo, block
 
 
 def _staggered_phase(grid: Grid) -> np.ndarray:
-    # staggered nodes shift the DFT by e^{i pi n (N-1)/N} per axis, n ascending
+    # staggered nodes shift the DFT by e^{i pi n (N-1)/N}, n ascending
     n_pts = grid.points_per_axis
     n = np.arange(-n_pts // 2, n_pts // 2)
-    phase = np.exp(1j * np.pi * n * (n_pts - 1) / n_pts)
-    return phase if grid.dimension == 1 else np.outer(phase, phase).ravel()
+    return np.exp(1j * np.pi * n * (n_pts - 1) / n_pts)
 
 
 def stft(f: FieldSample) -> PhaseSpaceField:
-    """Windowed Fourier transform h^d sum_z f(z) g(z - x_i) e^{-2 pi i xi z}.
+    """Windowed Fourier transform h sum_z f(z) g(z - x_i) e^{-2 pi i xi z}.
 
     One FFT per x shift, the Gaussian g shifted cyclically; each block of the
     shared pass is put in ascending xi order and given the staggered-grid
@@ -184,30 +173,20 @@ def stft(f: FieldSample) -> PhaseSpaceField:
     """
     _check_boundary_mass(f)
     grid = f.grid
-    n_pts, d, size = grid.points_per_axis, grid.dimension, grid.size
     phase = _staggered_phase(grid)
-    out = np.empty((size, size), dtype=np.complex128)
-    out_axes = out.reshape((size,) + (n_pts,) * d)
+    out = np.empty((grid.size, grid.size), dtype=np.complex128)
     for lo, block in _stft_blocks(f):
         rows = block.shape[0]
-        out_axes[lo:lo + rows] = np.fft.fftshift(block, axes=tuple(range(1, d + 1)))
+        out[lo:lo + rows] = np.fft.fftshift(block, axes=1)
         out[lo:lo + rows] *= phase
     return PhaseSpaceField(grid, out)
 
 
 def gaussian_half_density(grid: Grid) -> np.ndarray:
-    """pi^(-d/4) e^(-|x|^2 / 2) on the nodes; the Gaussian multiplier's symbol."""
-    r2 = np.sum(grid.nodes() ** 2, axis=1)
-    return np.pi ** (-grid.dimension / 4.0) * np.exp(-r2 / 2.0)
-
-
-def _swap_xi_order(a: np.ndarray, grid: Grid, axis: int = 0) -> np.ndarray:
-    """``a`` with its xi axis ``axis`` (length size, C-order over the
-    frequency axes) moved between ascending and FFT order: an fftshift on
-    every frequency axis, its own inverse because N is even."""
-    n_pts, d = grid.points_per_axis, grid.dimension
-    split = a.shape[:axis] + (n_pts,) * d + a.shape[axis + 1:]
-    return np.fft.fftshift(a.reshape(split), axes=tuple(range(axis, axis + d))).reshape(a.shape)
+    """pi^(-d/4) e^(-|x|^2 / 2) at d = 1 on the nodes; the Gaussian
+    multiplier's symbol."""
+    r2 = grid.nodes() ** 2
+    return np.pi ** -0.25 * np.exp(-r2 / 2.0)
 
 
 @functools.lru_cache(maxsize=8)
@@ -222,8 +201,8 @@ def _weight_lattice(s: float, osc: OscillatorSpec | None, grid: Grid):
     """
     if s == 0.0:
         return None
-    xi = _swap_xi_order(grid.frequency_nodes(), grid)
-    lattice = weight_value(s, osc, grid.nodes()[:, None, :], 2.0 * np.pi * xi[None, :, :])
+    xi = np.fft.ifftshift(grid.frequency_nodes())
+    lattice = weight_value(s, osc, grid.nodes()[:, None], 2.0 * np.pi * xi[None, :])
     lattice.setflags(write=False)
     return lattice
 
@@ -303,14 +282,14 @@ def _modulation_columns(f: FieldSample, s_values, osc: OscillatorSpec | None, p)
     """``_weighted_columns`` of |V_g f| straight from one blocked STFT pass,
     one column array per weight exponent in ``s_values`` (s = 0 reduces the
     raw magnitudes), each with one column per xi node in ascending order. No
-    boundary-mass check. A real d=1 field reduces only the N/2 + 1 ``rfft``
+    boundary-mass check. A real field reduces only the N/2 + 1 ``rfft``
     bins and mirrors their column sums; if it is also bitwise even or odd,
     only the rows x > 0, with finite-p column sums doubled (see the module
     docstring). Blocks are reduced in FFT order; the columns move to
     ascending xi once, at the end.
     """
     grid = f.grid
-    real = grid.dimension == 1 and not f.values.imag.any()
+    real = not f.values.imag.any()
     first_row = grid.size // 2 if real and _reflection_parity(f.values.real) else 0
     blocks = ((lo, np.abs(block).reshape(block.shape[0], -1))
               for lo, block in _stft_blocks(f, real, first_row))
@@ -320,7 +299,7 @@ def _modulation_columns(f: FieldSample, s_values, osc: OscillatorSpec | None, p)
             sums *= 2.0  # rows x < 0 repeat the magnitudes of rows x > 0
         if real:  # rfft bin k also stands for -k, at FFT column N - k
             sums = np.concatenate([sums, sums[-2:0:-1]])
-        columns.append(_swap_xi_order(sums, grid))
+        columns.append(np.fft.fftshift(sums))
     return columns
 
 
@@ -329,14 +308,14 @@ def mixed_norm(field: PhaseSpaceField, s: float, osc: OscillatorSpec | None,
     """Inner-L^p (x), outer-L^q (xi) lattice norm of |field| weighted by v_s.
 
     INF exponents take the lattice sup; exponents below 1 use the same
-    power-sum formula (quasi-norm). Cell measures are h^d and (1/(2L))^d.
+    power-sum formula (quasi-norm). Cell measures are h and 1/(2L).
     |field| is put in the FFT column order of the weight lattice first, and
     its column sums back in ascending xi, as the streamed norm's are.
     """
     grid = field.grid
-    [columns] = _weighted_columns([(0, _swap_xi_order(np.abs(field.values), grid, 1))],
+    [columns] = _weighted_columns([(0, np.fft.ifftshift(np.abs(field.values), axes=1))],
                                   [_weight_lattice(s, osc, grid)], params.p)
-    return _outer_reduce(_swap_xi_order(columns, grid), params.p, params.q,
+    return _outer_reduce(np.fft.fftshift(columns), params.p, params.q,
                          grid.cell_volume, grid.frequency_cell)
 
 
@@ -349,7 +328,7 @@ def modulation_norm(f: FieldSample, s: float, osc: OscillatorSpec | None,
     reducer as ``mixed_norm`` folds each block of x-shift magnitudes from the
     shared STFT pass into the inner L^p column sums (column sup for INF), in
     the FFT order of the pass; the columns move to ascending xi and the outer
-    L^q follows once all rows are in. A real d=1 field transforms
+    L^q follows once all rows are in. A real field transforms
     only the frequencies xi >= 0 (``rfft``) and mirrors their column sums,
     which is about half the work; if it is also bitwise even or odd
     (``v == +-v[::-1]``), only the x-shift rows x > 0 are run and the

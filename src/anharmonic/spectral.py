@@ -1,12 +1,13 @@
 """Periodic pseudospectral discretization of the oscillator and its spectrum.
 
-The kinetic part is the exact Fourier multiplier |omega|^(2l) on a staggered
-grid (nodes offset by half a cell, so the origin is never a node); the
-potential |x|^(2k) is diagonal. ``decompose`` is the one entry: it builds only the
-even and odd (n/2)² blocks of the real symmetric, positive definite grid
-operator (the multiplier is nonnegative and the nodal potential strictly
-positive), solves them, and checks the eigenpairs against H applied from
-its definition by FFT.
+Everything runs on the line: the paper states its results on R^d, and
+every run here is d = 1. The kinetic part is the exact Fourier multiplier
+|omega|^(2l) on a staggered grid (nodes offset by half a cell, so the origin
+is never a node); the potential |x|^(2k) is diagonal. ``decompose`` is the
+one entry: it builds only the even and odd (n/2)² blocks of the real
+symmetric, positive definite grid operator (the multiplier is nonnegative
+and the nodal potential strictly positive), solves them, and checks the
+eigenpairs against H applied from its definition by FFT.
 """
 
 from __future__ import annotations
@@ -27,15 +28,12 @@ _MAX_DENSE = 4096
 
 @dataclass(frozen=True)
 class Grid:
-    """Staggered periodic grid on [-L, L]^d with N points per axis."""
+    """Staggered periodic grid on [-L, L] with N points."""
 
-    dimension: int = 1
     points_per_axis: int = 512
     half_width: float = 12.0
 
     def __post_init__(self):
-        if self.dimension not in (1, 2):
-            raise InvalidSpecError("grid dimension must be 1 or 2")
         n = self.points_per_axis
         if not isinstance(n, (int, np.integer)) or n < 8 or (n & (n - 1)) != 0:
             raise InvalidSpecError("points_per_axis must be a power of two, at least 8")
@@ -51,40 +49,25 @@ class Grid:
 
     @property
     def size(self) -> int:
-        return self.points_per_axis ** self.dimension
+        return self.points_per_axis
 
     @property
     def cell_volume(self) -> float:
-        return self.h ** self.dimension
+        return self.h
 
-    def axis_nodes(self) -> np.ndarray:
+    def nodes(self) -> np.ndarray:
         """Nodes -L + (i + 1/2) h, formed so that node n-1-i is exactly -(node i)."""
         n = self.points_per_axis
         return (np.arange(n) + 0.5 - n // 2) * self.h
 
-    def nodes(self) -> np.ndarray:
-        """All nodes as a (size, d) array, C-order over axes."""
-        a = self.axis_nodes()
-        if self.dimension == 1:
-            return a[:, None]
-        g1, g2 = np.meshgrid(a, a, indexing="ij")
-        return np.stack([g1.ravel(), g2.ravel()], axis=-1)
-
-    def axis_frequencies(self) -> np.ndarray:
+    def frequency_nodes(self) -> np.ndarray:
         """Frequency lattice n/(2L) in ascending order (DFT bins, shifted)."""
         n = self.points_per_axis
         return np.arange(-n // 2, n // 2) / (2.0 * self.half_width)
 
-    def frequency_nodes(self) -> np.ndarray:
-        f = self.axis_frequencies()
-        if self.dimension == 1:
-            return f[:, None]
-        g1, g2 = np.meshgrid(f, f, indexing="ij")
-        return np.stack([g1.ravel(), g2.ravel()], axis=-1)
-
     @property
     def frequency_cell(self) -> float:
-        return (1.0 / (2.0 * self.half_width)) ** self.dimension
+        return 1.0 / (2.0 * self.half_width)
 
     def wrapped_axis_offsets(self) -> np.ndarray:
         """Signed offsets z_i of the cyclic window table, origin at index 0."""
@@ -94,7 +77,7 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class FieldSample:
-    """A complex-valued function sampled on a grid, flattened C-order."""
+    """A complex-valued function sampled on the nodes of a grid."""
 
     grid: Grid
     values: np.ndarray
@@ -115,15 +98,12 @@ def _kinetic_multiplier(osc: OscillatorSpec, grid: Grid) -> np.ndarray:
     n = grid.points_per_axis
     k = np.fft.fftfreq(n, d=1.0 / n)  # integer bin indices in FFT order
     w = np.pi * k / grid.half_width
-    if grid.dimension == 1:
-        return np.abs(w) ** (2 * osc.l)
-    w2 = w[:, None] ** 2 + w[None, :] ** 2
-    return w2 ** osc.l
+    return np.abs(w) ** (2 * osc.l)
 
 
 def _reflection_parity(v: np.ndarray):
     """Per column (axis 0) of ``v``: 1.0 where it is bitwise even under
-    x -> -x (the reversed flat index), -1.0 where bitwise odd, 0.0 elsewhere.
+    x -> -x (the reversed node index), -1.0 where bitwise odd, 0.0 elsewhere.
     A zero column counts as even."""
     even = np.all(v == v[::-1], axis=0)
     return np.where(even, 1.0, np.where(np.all(v == -v[::-1], axis=0), -1.0, 0.0))
@@ -150,10 +130,9 @@ class SpectralDecomposition:
 
     ``eigenvectors`` has shape (grid.size, m) and is orthonormal in the
     h-weighted inner product. Each column is exactly even or odd under
-    x -> -x (the reversed flat index), and its sign gauge is: the entry of
-    largest modulus on the second half of the flat index (x > 0, or x_1 > 0
-    in d = 2) is positive. For the harmonic oscillator that is the sign of
-    the Hermite function.
+    x -> -x (the reversed node index), and its sign gauge is: the entry of
+    largest modulus at x > 0 (the second half of the nodes) is positive.
+    For the harmonic oscillator that is the sign of the Hermite function.
     """
 
     oscillator: OscillatorSpec
@@ -222,25 +201,20 @@ def _parity_blocks(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid):
     """The even and odd blocks E = A11 + A12 J and O = A11 - A12 J of the grid operator.
 
     A is H on the grid, symmetrized: its entry (i, j) is 0.5 (K[i - j] +
-    K[j - i]) with K the inverse transform of ``mult`` (indices mod N per
-    axis), plus V at node i on the diagonal. A commutes exactly with the
-    reflection x -> -x, which reverses the flat index in d = 1 and d = 2: the
-    nodes are symmetric about 0 bit for bit (see Grid.axis_nodes), and
-    |x|^(2k) reads only squares of the coordinates, so it is exactly even. So with J the reversal of a
-    half-length index, A12 J reads the kernel at i + j + 1 per axis. The half
-    rows are those whose first axis is below N/2.
+    K[j - i]) with K the inverse transform of ``mult`` (indices mod N), plus
+    V at node i on the diagonal. A commutes exactly with the reflection
+    x -> -x, which reverses the node index: the nodes are symmetric about 0
+    bit for bit (see Grid.nodes), and |x|^(2k) = (x x)^k is exactly even. So
+    with J the reversal of a half-length index, A12 J reads the kernel at
+    i + j + 1. The half rows are the nodes x < 0.
     """
-    n, d, half = grid.points_per_axis, grid.dimension, grid.size // 2
-    kern = np.fft.ifftn(mult).real + 0.0  # every zero entry is +0.0
-    flip = (-np.arange(n)) % n
-    sym = 0.5 * (kern + kern[np.ix_(*[flip] * d)])
-    rows = [np.arange(n // 2)] + [np.arange(n)] * (d - 1)
+    n, half = grid.points_per_axis, grid.size // 2
+    kern = np.fft.ifft(mult).real + 0.0  # every zero entry is +0.0
+    sym = 0.5 * (kern + kern[(-np.arange(n)) % n])
+    rows = np.arange(half)
 
-    def gather(sign, shift):  # sym at (i + sign j + shift) mod N per axis
-        idx = [(r[:, None] + sign * r[None, :] + shift) % n for r in rows]
-        if d == 2:  # broadcast index arrays, so no index array is half x half
-            idx = [idx[0][:, None, :, None], idx[1][None, :, None, :]]
-        return sym[tuple(idx)].reshape(half, half)
+    def gather(sign, shift):  # sym at (i + sign j + shift) mod N
+        return sym[(rows[:, None] + sign * rows[None, :] + shift) % n]
 
     a11 = gather(-1, 0)
     diag = np.arange(half)
@@ -293,12 +267,11 @@ def _parity_solve(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid, m: int):
 
 def _apply_operator(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid, vecs: np.ndarray):
     """H applied to the columns of ``vecs`` from its definition: the kinetic
-    multiplier by real FFT over the grid axes, plus the nodal potential."""
-    shape = (grid.points_per_axis,) * grid.dimension
-    axes = tuple(range(grid.dimension))
-    spec = np.fft.rfftn(vecs.reshape(shape + vecs.shape[1:]), axes=axes)
-    spec *= mult[..., :shape[-1] // 2 + 1, None]
-    out = np.fft.irfftn(spec, s=shape, axes=axes).reshape(vecs.shape)
+    multiplier by real FFT down the columns, plus the nodal potential."""
+    n = grid.points_per_axis
+    spec = np.fft.rfft(vecs, axis=0)
+    spec *= mult[:n // 2 + 1, None]
+    out = np.fft.irfft(spec, n=n, axis=0)
     out += v_nodes[:, None] * vecs
     return out
 
@@ -308,36 +281,34 @@ def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None) -> Spectral
     m defaults to size/2.
 
     H = (-Laplacian)^l + V commutes with the reflection x -> -x, which on the
-    staggered grid reverses the flat index in d = 1 and d = 2. So the
-    n = grid.size unknowns split into two (n/2)² parity blocks (see
-    _parity_blocks), built directly from the kernel; no n x n matrix is
-    formed. Each block is solved for its lowest min(m, n/2) pairs and the two
-    lists are merged by a stable sort that keeps the lowest m; this is
-    exact, since no block holds more than min(m, n/2) of the lowest m
-    overall. Degenerate clusters are re-orthonormalized inside each block.
-    Each block vector u becomes [u; ±Ju] / sqrt(2 h^d) in one (n, m) array,
-    so every column is exactly even or odd (``v[::-1] == ±v`` bitwise).
+    staggered grid reverses the node index. So the n = grid.size unknowns
+    split into two (n/2)² parity blocks (see _parity_blocks), built directly
+    from the kernel; no n x n matrix is formed. Each block is solved for its
+    lowest min(m, n/2) pairs and the two lists are merged by a stable sort
+    that keeps the lowest m; this is exact, since no block holds more than
+    min(m, n/2) of the lowest m overall. Degenerate clusters are
+    re-orthonormalized inside each block. Each block vector u becomes
+    [u; ±Ju] / sqrt(2 h) in one (n, m) array, so every column is exactly
+    even or odd (``v[::-1] == ±v`` bitwise).
 
-    Sign gauge: the entry of largest modulus on the second half of the flat
-    index (x > 0; x_1 > 0 in d = 2) is positive. In the harmonic case that
-    is the sign of the Hermite function.
+    Sign gauge: the entry of largest modulus at x > 0 (the second half of
+    the nodes) is positive. In the harmonic case that is the sign of the
+    Hermite function.
 
     Positivity is certified exactly: the multiplier is nonnegative and the
     strictly positive nodal potential is checked (the staggered grid
-    excludes the origin). Raises InvalidSpecError for a dimension mismatch or
-    a grid above the dense cap, ValueError for m outside [1, n], and
-    NumericalError for a non-finite or non-positive nodal potential or when
-    the vectors violate the invariants: orthonormality to 1e-9, a positive
-    ground eigenvalue, and the residual against H applied by FFT (see
-    _apply_operator, independent of the blocks) to 1e-8 per unit of
-    (1 + lambda). NonConvergenceError when the dense solver fails.
+    excludes the origin). Raises InvalidSpecError for a grid above the dense
+    cap, ValueError for m outside [1, n], and NumericalError for a
+    non-finite or non-positive nodal potential or when the vectors violate
+    the invariants: orthonormality to 1e-9, a positive ground eigenvalue,
+    and the residual against H applied by FFT (see _apply_operator,
+    independent of the blocks) to 1e-8 per unit of (1 + lambda).
+    NonConvergenceError when the dense solver fails.
     """
-    if osc.dimension != grid.dimension:
-        raise InvalidSpecError("oscillator and grid dimensions differ")
     if grid.size > _MAX_DENSE:
         raise InvalidSpecError(
             f"dense operator would be {grid.size}^2; cap is {_MAX_DENSE}^2")
-    v_nodes = np.asarray(evaluate_potential(osc, grid.nodes()), dtype=float).ravel()
+    v_nodes = np.asarray(evaluate_potential(osc, grid.nodes()), dtype=float)
     if not np.all(np.isfinite(v_nodes)):
         raise NumericalError("nodal potential is not finite; |x|^(2k) overflows on the grid")
     v_min = float(np.min(v_nodes))

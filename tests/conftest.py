@@ -25,7 +25,7 @@ def pass_starts(monkeypatch):
 
 @pytest.fixture(scope="session")
 def hermite_grid():
-    return ah.Grid(1, 512, 12.0)
+    return ah.Grid(512, 12.0)
 
 
 @pytest.fixture(scope="session")
@@ -40,12 +40,12 @@ def hermite_dec(hermite_osc, hermite_grid):
 
 @pytest.fixture(scope="session")
 def hermite_dec_fine(hermite_osc):
-    return ah.decompose(hermite_osc, ah.Grid(1, 1024, 12.0), 384)
+    return ah.decompose(hermite_osc, ah.Grid(1024, 12.0), 384)
 
 
 @pytest.fixture(scope="session")
 def quartic_osc():
-    return ah.OscillatorSpec(2, 1, 1)
+    return ah.OscillatorSpec(2, 1)
 
 
 @pytest.fixture(scope="session")
@@ -55,12 +55,12 @@ def quartic_dec(quartic_osc, hermite_grid):
 
 @pytest.fixture(scope="session")
 def small_dec(hermite_osc):
-    return ah.decompose(hermite_osc, ah.Grid(1, 128, 10.0), 48)
+    return ah.decompose(hermite_osc, ah.Grid(128, 10.0), 48)
 
 
 @pytest.fixture()
 def gaussian_field(hermite_grid):
-    x = hermite_grid.nodes()[:, 0]
+    x = hermite_grid.nodes()
     vals = np.exp(-np.pi * (x - 0.5) ** 2) * np.exp(2j * np.pi * 0.75 * x)
     return ah.FieldSample(hermite_grid, vals)
 
@@ -73,5 +73,5 @@ def damped_gaussian_abs(hermite_grid):
     a = np.pi + 0.5
     b = np.pi / (2.0 * a)
     amp = np.pi ** -0.25 * np.exp(a * b ** 2 - np.pi / 4.0)
-    return gaussian_stft_abs(hermite_grid.nodes()[:, 0],
-                             hermite_grid.frequency_nodes()[:, 0], amp, a, b, 0.75)
+    return gaussian_stft_abs(hermite_grid.nodes(),
+                             hermite_grid.frequency_nodes(), amp, a, b, 0.75)

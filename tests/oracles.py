@@ -22,7 +22,7 @@ def dense_operator(osc, grid, c=1.0) -> np.ndarray:
     """Dense real symmetric matrix of (-Laplacian)^l + c |x|^(2k) on the grid.
 
     The kinetic part is the circulant of the Fourier multiplier |omega|^(2l)
-    (entry (i, j) reads the inverse transform at i - j per axis), the
+    (entry (i, j) reads the inverse transform at i - j), the
     potential, times ``c``, its diagonal, and the whole is symmetrized as
     0.5 (a + a^T).
     """
@@ -30,15 +30,10 @@ def dense_operator(osc, grid, c=1.0) -> np.ndarray:
     v_nodes = c * np.asarray(evaluate_potential(osc, nodes), dtype=float)
     n = grid.points_per_axis
     w = np.pi * np.fft.fftfreq(n, d=1.0 / n) / grid.half_width
-    if grid.dimension == 1:
-        kern = np.fft.ifft(np.abs(w) ** (2 * osc.l)).real
-        idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-        a = kern[idx]
-    else:
-        kern = np.fft.ifft2((w[:, None] ** 2 + w[None, :] ** 2) ** osc.l).real
-        di = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-        a = kern[di[:, None, :, None], di[None, :, None, :]].reshape(grid.size, grid.size)
-    a = a + np.diag(v_nodes.ravel())
+    kern = np.fft.ifft(np.abs(w) ** (2 * osc.l)).real
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    a = kern[idx]
+    a = a + np.diag(v_nodes)
     a = 0.5 * (a + a.T)
     return a
 
@@ -149,11 +144,11 @@ def mixed_norm_reference(values, weight, p, q, cell_x, cell_xi):
     return (sum(v ** q for v in inner) * cell_xi) ** (1.0 / q)
 
 
-def auto_n_pow_reference(beta, s2, p_eff, dimension):
+def auto_n_pow_reference(beta, s2, p_eff):
     """The quotient's power N by its definition: count up from 1 until
-    (2 beta N - s2) p_eff > d + 10."""
+    (2 beta N - s2) p_eff > d + 10, d = 1."""
     n = 1
-    while (2.0 * beta * n - s2) * p_eff <= dimension + 10.0:
+    while (2.0 * beta * n - s2) * p_eff <= 1 + 10.0:
         n += 1
     return n
 

@@ -43,7 +43,7 @@ def test_eigenvalue_growth_exponent_fits_degree_prediction():
     """Fitted log lambda_j vs log j slope over j in [30, 150] lands within
     10% of 2kl/(k+l) for three potential/Laplacian degree combinations."""
     for k, l, half_width in ((1, 1, 25.0), (2, 1, 12.0), (1, 2, 60.0)):
-        dec = ah.decompose(ah.OscillatorSpec(k, l), ah.Grid(1, 512, half_width), 384)
+        dec = ah.decompose(ah.OscillatorSpec(k, l), ah.Grid(512, half_width), 384)
         fit = ah.eigenvalue_growth_fit(dec, 30, 150)
         assert fit.target == pytest.approx(2.0 * k * l / (k + l), rel=1e-12)
         assert fit.rel_deviation <= 0.10, (
@@ -115,8 +115,8 @@ def test_pointwise_product_norm_ratio_stable(hermite_osc):
         assert all(np.isfinite(r) for r in ratios)
         return max(ratios)
 
-    coarse = max_ratio(ah.Grid(1, 512, 12.0))
-    fine = max_ratio(ah.Grid(1, 1024, 12.0))
+    coarse = max_ratio(ah.Grid(512, 12.0))
+    fine = max_ratio(ah.Grid(1024, 12.0))
     assert abs(fine - coarse) / coarse <= 0.05, f"{coarse:.6f} -> {fine:.6f}"
 
 

@@ -4,10 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-import anharmonic as ah
-from anharmonic import (FieldSample, Grid, NumericalError, OffSpanWarning,
-                        apply_spectral_function, decompose, heat_semigroup, project,
-                        sobolev_norm)
+from anharmonic import (FieldSample, NumericalError, OffSpanWarning, apply_spectral_function,
+                        heat_semigroup, project, sobolev_norm)
 from anharmonic.spectral import SpectralDecomposition
 
 
@@ -94,12 +92,15 @@ class TestProject:
             with pytest.raises(ValueError):
                 project(hermite_dec, j, gaussian_field)
 
-    def test_degenerate_cluster_projected_whole(self):
-        # 2d isotropic harmonic level lambda=4 is two-fold degenerate; any mode
-        # index inside the cluster must select the same subspace
-        grid = Grid(2, 32, 6.0)
-        dec = decompose(ah.OscillatorSpec(1, 1, 2), grid, 12)
-        f = dec.reconstruct(np.linspace(1.0, 0.2, 12).astype(complex))
+    def test_degenerate_cluster_projected_whole(self, small_dec):
+        # the line has no degenerate level, so the Hermite vectors are given
+        # lambda_1 = lambda_2; any mode index inside that cluster must select
+        # the same subspace
+        vals = small_dec.eigenvalues.copy()
+        vals[1] = vals[2]
+        dec = SpectralDecomposition(small_dec.oscillator, small_dec.grid, vals,
+                                    small_dec.eigenvectors)
+        f = dec.reconstruct(np.linspace(1.0, 0.2, dec.m).astype(complex))
         via_first = project(dec, 1, f)
         via_second = project(dec, 2, f)
         np.testing.assert_allclose(via_first.values, via_second.values, atol=1e-12)

@@ -149,22 +149,21 @@ class TestValidateManifest:
             assert exc.value.field == "oscillator"
 
     @pytest.mark.parametrize("kind", ["norms", "nlheat"])
-    def test_oscillator_takes_the_grid_dimension(self, kind):
-        """The grid names the dimension once: the default oscillator and an
-        oscillator block both take it."""
-        grid = {"dimension": 2, "points_per_axis": 16}
-        run = validate_manifest({"schema": 1, "kind": kind, "grid": grid})
-        assert run.oscillator == hermite_oscillator(2)
+    def test_oscillator_block_or_the_harmonic_default(self, kind):
+        """No oscillator block runs the harmonic oscillator; a block {k, l}
+        runs OscillatorSpec(k, l)."""
+        run = validate_manifest({"schema": 1, "kind": kind})
+        assert run.oscillator == hermite_oscillator()
         osc = {"k": 2, "l": 1}
-        run = validate_manifest({"schema": 1, "kind": kind, "grid": grid, "oscillator": osc})
-        assert run.oscillator == OscillatorSpec(2, 1, 2)
+        run = validate_manifest({"schema": 1, "kind": kind, "oscillator": osc})
+        assert run.oscillator == OscillatorSpec(2, 1)
 
     def test_grid_block_only_where_a_run_reads_it(self):
         grid = {"points_per_axis": 64, "half_width": 8.0}
         for kind in GRID_KINDS:
             assert validate_manifest({"schema": 1, "kind": kind}).grid == Grid()
             run = validate_manifest({"schema": 1, "kind": kind, "grid": grid})
-            assert run.grid == Grid(1, 64, 8.0)
+            assert run.grid == Grid(64, 8.0)
         for kind in ("spectrum", "decay", "selftest"):
             assert validate_manifest({"schema": 1, "kind": kind}).grid is None
             with pytest.raises(SchemaError, match=f"a {kind} run reads no grid block") as exc:
@@ -272,10 +271,12 @@ class TestRunManifest:
         ("nlheat", {"initial_norm": float("nan"), "modes": 16, "horizon": 0.01}, ""),
         ("nlheat", {"initial_norm": float("inf"), "modes": 16, "horizon": 0.01}, ""),
         ("nlheat", {"tol": float("nan"), "modes": 16, "horizon": 0.01}, ""),
-        ("nlheat", {"coupling_re": float("nan"), "modes": 16, "horizon": 0.01}, ""),
+        ("nlheat", {"coupling_re": float("nan"), "modes": 16, "horizon": 0.01},
+         "params.coupling_re must be finite (field: params.coupling_re)"),
         ("nlheat", {"kind": "inhomogeneous", "alpha": float("nan"), "modes": 16,
                     "horizon": 0.01}, ""),
-        ("decay", {"resolution": 255}, ""),
+        ("decay", {"resolution": 255},
+         "resolution must be an even integer >= 32 (field: params.resolution)"),
         ("ou", {"modes": 48, "gauss_probes": 3, "rate_t_list": [1, 1, 1]}, ""),
         ("ou", {"modes": 48, "gauss_probes": 3, "rate_t_list": [1, 1, 2]}, ""),
         ("decay", {"resolution": 256,
@@ -437,6 +438,29 @@ class TestRunManifest:
          "need at least 6 samples for a slope fit (field: params.t_list)"),
         ("decay", {"resolution": 256, "t_list": [0.1, 0.07, 0.05, 0.03, 0.02, 0.01]}, {},
          None, "samples must span at least 1.5 decades of t (field: params.t_list)"),
+        # values every decay tuple shares name their own key, not params.tuples
+        ("decay", {"resolution": 256, "radius": -1.0}, {}, None,
+         "radius must be a positive real (field: params.radius)"),
+        ("decay", {"resolution": 16}, {}, None,
+         "resolution must be an even integer >= 32 (field: params.resolution)"),
+        ("decay", {"resolution": 255}, {}, None,
+         "resolution must be an even integer >= 32 (field: params.resolution)"),
+        ("decay", {"resolution": 256, "form": "scaledd"}, {}, None,
+         "unknown quotient form 'scaledd' (field: params.form)"),
+        ("decay", {"resolution": 256, "t_list": [2.0, 1.0, 0.5, 0.1, 0.05, 0.01]}, {}, None,
+         "t_list must contain values in (0, 1] (field: params.t_list)"),
+        # a non-finite coupling names the manifest key that holds it
+        ("nlheat", {"horizon": 0.02, "coupling_re": float("nan")}, {}, None,
+         "params.coupling_re must be finite (field: params.coupling_re)"),
+        ("nlheat", {"horizon": 0.02, "coupling_im": float("inf")}, {}, None,
+         "params.coupling_im must be finite (field: params.coupling_im)"),
+        # the line is the only dimension
+        ("nlheat", {"horizon": 0.02},
+         {"grid": {"dimension": 2, "points_per_axis": 16, "half_width": 4.0}}, None,
+         "only d = 1 is supported (field: grid.dimension)"),
+        ("spectrum", {"cases": [{"k": 1, "l": 1, "dimension": 2, "points": 16}]}, {}, None,
+         "unknown manifest fields: ['params.cases.dimension'] "
+         "(field: params.cases.dimension)"),
         # the seed override obeys the manifest's seed rule
         ("norms", {"checks": ["moyal"], "modes": 16}, {}, -1,
          "seed must be an unsigned 64-bit integer (field: seed)"),
@@ -453,6 +477,9 @@ class TestRunManifest:
             "ou_t_check_scalar", "ou_no_check_times", "ou_safe_radius_null", "format_csv", "norms_modes_zero",
             "spectrum_grid", "decay_grid", "selftest_grid", "norms_singular_half_width",
             "ou_safe_radius_inside_the_check", "nlheat_one_step", "decay_three_times", "decay_one_decade",
+            "decay_radius_negative", "decay_resolution_small", "decay_resolution_odd",
+            "decay_form_typo", "decay_t_above_one", "nlheat_coupling_re_nan",
+            "nlheat_coupling_im_inf", "grid_dimension_two", "spectrum_case_dimension",
             "seed_override_negative", "seed_override_too_large"])
     def test_rejected_before_any_work(self, tmp_path, monkeypatch, capsys, kind, params,
                                       top, seed, detail):
@@ -569,18 +596,6 @@ class TestRunManifest:
         assert code == EXIT_NUMERICAL and record is None
         err = capsys.readouterr().err
         assert "numerical failure" in err and "NumericalError" in err and detail in err
-
-    def test_two_dimensional_norms_from_the_grid_alone(self, tmp_path):
-        """A d = 2 norms manifest names its dimension once, in the grid, and
-        runs the d = 2 harmonic oscillator."""
-        manifest = {"schema": 1, "kind": "norms",
-                    "grid": {"dimension": 2, "points_per_axis": 32, "half_width": 4.0},
-                    "params": {"checks": ["moyal"], "modes": 64}}
-        path = write_manifest(tmp_path, manifest)
-        code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
-        assert code == EXIT_OK
-        [row] = record.results
-        assert row["name"] == "moyal_identity_rel_err" and row["value"] < 1e-9
 
     def test_overflowing_potential_exits_numerical(self, tmp_path, capsys):
         """k = 200 is a valid spec whose nodal potential |x|^400 overflows to
@@ -711,22 +726,6 @@ class TestRunManifest:
         assert code == EXIT_NUMERICAL and record is None
         err = capsys.readouterr().err
         assert "numerical failure" in err and "NumericalError" in err
-
-    def test_spectrum_names_carry_dimension(self, tmp_path):
-        """A d = 1 and a d = 2 case of the same (k, l) give distinct rows and
-        write both series; the d = 1 names keep no suffix."""
-        cases = [{"k": 1, "l": 1, "points": 128, "modes": 120, "j_lo": 20, "j_hi": 40},
-                 {"k": 1, "l": 1, "dimension": 2, "points": 16, "half_width": 8.0,
-                  "modes": 120, "j_lo": 20, "j_hi": 40}]
-        manifest = {"schema": 1, "kind": "spectrum", "seed": 7, "format": "both",
-                    "params": {"cases": cases}}
-        path = write_manifest(tmp_path, manifest)
-        out = tmp_path / "out"
-        _, record = run_manifest(path, out_dir=str(out))
-        names = [r["name"] for r in record.results if r["name"].startswith("growth_slope")]
-        assert names == ["growth_slope_k1_l1", "growth_slope_k1_l1_d2"]
-        assert sorted(p.name for p in out.glob("*.csv")) == ["spectrum_k1_l1.csv",
-                                                            "spectrum_k1_l1_d2.csv"]
 
     def test_json_only_format_skips_csv(self, tmp_path):
         path = write_manifest(tmp_path, small_spectrum_manifest())

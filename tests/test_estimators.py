@@ -31,35 +31,26 @@ def at_one_time(params, t):
 
 class TestSigmaExponent:
     def test_closed_forms(self):
-        assert sigma_exponent(1, 1, 1.0, 1, 1.0, 1.0) == pytest.approx(1.0)
-        assert sigma_exponent(2, 1, 1.0, 1, 2.0, 2.0) == pytest.approx(3.0 / 8.0)
-        assert sigma_exponent(1, 2, 2.0, 1, 2.0, INF) == pytest.approx(1.0 / 8.0)
+        assert sigma_exponent(1, 1, 1.0, 1.0, 1.0) == pytest.approx(1.0)
+        assert sigma_exponent(2, 1, 1.0, 2.0, 2.0) == pytest.approx(3.0 / 8.0)
+        assert sigma_exponent(1, 2, 2.0, 2.0, INF) == pytest.approx(1.0 / 8.0)
 
     def test_inf_zeroes_both_terms(self):
-        assert sigma_exponent(1, 1, 1.0, 1, INF, INF) == 0.0
-
-    def test_dimension_scales_linearly(self):
-        one = sigma_exponent(1, 1, 1.0, 1, 1.0, 1.0)
-        two = sigma_exponent(1, 1, 1.0, 2, 1.0, 1.0)
-        assert two == pytest.approx(2.0 * one)
+        assert sigma_exponent(1, 1, 1.0, INF, INF) == 0.0
 
 
 class TestQuotientParams:
     def test_auto_power_choices(self):
-        assert WeightQuotientParams(ah.OscillatorSpec(1, 1, 1)).n_pow == 6
-        assert WeightQuotientParams(ah.OscillatorSpec(2, 1, 1),
+        assert WeightQuotientParams(ah.OscillatorSpec(1, 1)).n_pow == 6
+        assert WeightQuotientParams(ah.OscillatorSpec(2, 1),
                                     p_tilde=2.0, q_tilde=2.0).n_pow == 3
-        assert WeightQuotientParams(ah.OscillatorSpec(1, 2, 1), p_tilde=2.0, q_tilde=INF,
+        assert WeightQuotientParams(ah.OscillatorSpec(1, 2), p_tilde=2.0, q_tilde=INF,
                                     beta=2.0).n_pow == 2
         # the smallest N with (2 beta N - s2) p_eff > d + 10: (14 - 2) > 11
-        assert WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), s2=2.0).n_pow == 7
-
-    def test_rejects_two_dimensional_oscillator(self):
-        with pytest.raises(InvalidSpecError):
-            WeightQuotientParams(ah.OscillatorSpec(1, 1, 2))
+        assert WeightQuotientParams(ah.OscillatorSpec(1, 1), s2=2.0).n_pow == 7
 
     def test_rejects_bad_settings(self):
-        osc = ah.OscillatorSpec(1, 1, 1)
+        osc = ah.OscillatorSpec(1, 1)
         for s2 in (-1.0, math.inf, math.nan):
             with pytest.raises(InvalidSpecError, match="s2 must be a finite real >= 0"):
                 WeightQuotientParams(osc, s2=s2)
@@ -85,14 +76,14 @@ class TestQuotientParams:
         """N in closed form equals the count from 1 of the definition, on a
         lattice of exact boundary cases and on random draws."""
         rng = np.random.default_rng(19)
-        lattice = [(b, s2, p, d) for b in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+        lattice = [(b, s2, p) for b in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
                    for s2 in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
-                   for p in (1.0 / 3.0, 0.5, 1.0, 1.5, 2.0, 4.0) for d in (1, 2)]
-        draws = [(rng.uniform(0.1, 4.0), rng.uniform(0.0, 10.0), rng.uniform(0.2, 10.0),
-                  int(rng.integers(1, 3))) for _ in range(2000)]
-        for beta, s2, p, d in lattice + draws:
-            assert (estimators._auto_n_pow(beta, s2, p, INF, d)
-                    == auto_n_pow_reference(beta, s2, p, d)), (beta, s2, p, d)
+                   for p in (1.0 / 3.0, 0.5, 1.0, 1.5, 2.0, 4.0)]
+        draws = [(rng.uniform(0.1, 4.0), rng.uniform(0.0, 10.0), rng.uniform(0.2, 10.0))
+                 for _ in range(2000)]
+        for beta, s2, p in lattice + draws:
+            assert (estimators._auto_n_pow(beta, s2, p, INF)
+                    == auto_n_pow_reference(beta, s2, p)), (beta, s2, p)
 
     def test_tiny_gaps_build_at_once(self):
         """N comes in closed form, however large: p~ = q~ = 1e-9 gives
@@ -105,7 +96,7 @@ class TestQuotientParams:
 
 class TestWeightQuotient:
     def test_time_domain(self):
-        params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), resolution=64)
+        params = WeightQuotientParams(ah.OscillatorSpec(1, 1), resolution=64)
         with pytest.raises(InvalidSpecError):
             at_one_time(params, 0.0)
         with pytest.raises(InvalidSpecError):
@@ -117,7 +108,7 @@ class TestWeightQuotient:
         is 2 / (55 tau^2); the midpoint rule at this resolution sits within
         one percent of it."""
         t = 0.1
-        params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), resolution=2048,
+        params = WeightQuotientParams(ah.OscillatorSpec(1, 1), resolution=2048,
                                       t_list=(t,))
         [got] = weight_quotient_norm(params)
         closed = 2.0 / (55.0 * t)
@@ -125,22 +116,22 @@ class TestWeightQuotient:
 
     def test_exact_decade_scaling(self):
         # the quadrature box scales with t, so the power law is exact
-        params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), resolution=512,
+        params = WeightQuotientParams(ah.OscillatorSpec(1, 1), resolution=512,
                                       t_list=(0.1, 0.01))
-        sigma = sigma_exponent(1, 1, 1.0, 1, 1.0, 1.0)
+        sigma = sigma_exponent(1, 1, 1.0, 1.0, 1.0)
         at_tenth, at_hundredth = weight_quotient_norm(params)
         ratio = at_hundredth / at_tenth
         assert ratio == pytest.approx(10.0 ** sigma, rel=1e-10)
 
     def test_truncation_guard_raises_with_suggestion(self):
-        params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), radius=0.5,
+        params = WeightQuotientParams(ah.OscillatorSpec(1, 1), radius=0.5,
                                       resolution=256)
         with pytest.raises(TruncationError) as exc:
             weight_quotient_norm(at_one_time(params, 1.0))
         assert exc.value.suggested_radius == pytest.approx(2.0)
 
     def test_decay_run_recovers_sigma(self):
-        params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), resolution=256)
+        params = WeightQuotientParams(ah.OscillatorSpec(1, 1), resolution=256)
         samples, fit = smoothing_decay_run(params)
         assert len(samples) == len(params.t_list)
         assert fit.target == pytest.approx(-1.0)
@@ -150,7 +141,7 @@ class TestWeightQuotient:
     def test_nan_guard_raises(self):
         """v^s2 and v^(2 beta N) overflow on the guard lattice, so inf / inf
         cells appear; a NaN guard must not pass as a checked value."""
-        params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), s2=120, form="weighted",
+        params = WeightQuotientParams(ah.OscillatorSpec(1, 1), s2=120, form="weighted",
                                       resolution=256)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError):
@@ -167,7 +158,7 @@ class TestWeightQuotient:
     def test_overflowed_sum_fails_the_guard(self, monkeypatch, base, guard):
         """An overflowed (inf) sum makes the guard's movement inf or NaN;
         either fails the truncation guard."""
-        params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), resolution=64)
+        params = WeightQuotientParams(ah.OscillatorSpec(1, 1), resolution=64)
         monkeypatch.setattr(
             estimators, "_quotient_values",
             lambda p, radius, resolution: [base if radius == p.radius else guard] * len(p.t_list))
@@ -245,7 +236,7 @@ class TestQuotientFold:
     def test_guard_lattice_is_never_built(self, form):
         """At resolution 2048 the guard lattice is 4096^2 (128 MiB of
         float64); the streamed reduction holds a few row blocks."""
-        params = WeightQuotientParams(ah.OscillatorSpec(1, 1, 1), form=form,
+        params = WeightQuotientParams(ah.OscillatorSpec(1, 1), form=form,
                                       resolution=2048)
         tracemalloc.start()
         try:
@@ -388,9 +379,9 @@ class TestSingularWeight:
         """Value, half-radius value and both xi-tail accumulators against the
         direct-loop mixed norm of the full STFT field, weight built here. The
         256-point lattice streams as two blocks."""
-        grid = Grid(1, 256, 8.0)
-        x = grid.axis_nodes()
-        xi = grid.frequency_nodes()[:, 0]
+        grid = Grid(256, 8.0)
+        x = grid.nodes()
+        xi = grid.frequency_nodes()
         # the harmonic weight, (1 + |x| + 2 pi |xi|)^s in angular frequency
         weight = (1.0 + np.abs(x)[:, None] + 2.0 * np.pi * np.abs(xi)[None, :]) ** 0.5
         cells = (grid.cell_volume, grid.frequency_cell)
@@ -448,7 +439,7 @@ class TestCorpusBookkeeping:
     algebra corpus norms each factor once and each product once, and the
     equivalence bands for every s share one pass per projected probe."""
 
-    GRID = Grid(1, 128, 10.0)
+    GRID = Grid(128, 10.0)
     L2 = MixedNormParams(2.0, 2.0)
 
     @staticmethod

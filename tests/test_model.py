@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 import anharmonic
-from anharmonic import (INF, InvalidSpecError, MixedNormParams, OscillatorSpec, SchemaError,
-                        check_exponent, evaluate_potential, hermite_oscillator, is_inf,
-                        submultiplicativity_defect, weight_value)
+from anharmonic import (INF, Grid, InvalidSpecError, MixedNormParams, OscillatorSpec,
+                        SchemaError, check_exponent, evaluate_potential, hermite_oscillator,
+                        is_inf, submultiplicativity_defect, weight_value)
 from anharmonic.cli import validate_manifest
 
 
-def parsed_oscillator(text, dimension=1):
+def parsed_oscillator(text):
     """The OscillatorSpec that an oscillator block, written as JSON text,
-    parses to in a norms manifest on a grid of the given dimension."""
-    grid = {"dimension": dimension, "points_per_axis": 16}
+    parses to in a norms manifest."""
+    grid = {"points_per_axis": 16}
     return validate_manifest({"schema": 1, "kind": "norms", "grid": grid,
                               "oscillator": json.loads(text)}).oscillator
 
@@ -81,17 +81,21 @@ class TestPotential:
             assert ratio == pytest.approx(2.0 ** (2 * k), rel=1e-12)
 
     def test_vectorized_evaluation(self):
-        osc = OscillatorSpec(1, 1, 2)
-        pts = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-        np.testing.assert_allclose(evaluate_potential(osc, pts), [1.0, 4.0, 2.0])
+        osc = OscillatorSpec(1, 1)
+        pts = np.array([[1.0, 0.0], [-2.0, 0.5]])
+        np.testing.assert_array_equal(evaluate_potential(osc, pts), [[1.0, 0.0], [4.0, 0.25]])
 
 
 class TestOscillator:
-    @pytest.mark.parametrize("dimension", [0, 3, 1.0])
-    def test_dimension_is_one_or_two(self, dimension):
-        """The dimensions a Grid discretizes, and no other."""
-        with pytest.raises(InvalidSpecError, match="dimension must be 1 or 2"):
-            OscillatorSpec(1, 1, dimension)
+    @pytest.mark.parametrize("stale", [lambda: Grid(1, 512, 12.0),
+                                       lambda: OscillatorSpec(1, 1, 2),
+                                       lambda: hermite_oscillator(2)],
+                             ids=["grid", "oscillator", "hermite"])
+    def test_no_dimension_argument(self, stale):
+        """The line is the only dimension: a call that still passes one is a
+        TypeError, not a spec."""
+        with pytest.raises(TypeError):
+            stale()
 
     @pytest.mark.parametrize("k,l,name", [(0, 1, "k"), (1.0, 1, "k"), (1, 0, "l"),
                                           (1, 1.5, "l")])
@@ -101,19 +105,17 @@ class TestOscillator:
 
     def test_hermite(self):
         osc = hermite_oscillator()
-        assert (osc.k, osc.l, osc.dimension) == (1, 1, 1)
+        assert (osc.k, osc.l) == (1, 1)
         assert evaluate_potential(osc, 3.0) == 9.0
-        assert hermite_oscillator(2) == OscillatorSpec(1, 1, 2)
 
     def test_no_beta_argument(self):
-        """H carries no beta: a stale positional beta after the dimension raises."""
+        """H carries no beta: a stale positional beta raises."""
         with pytest.raises(TypeError):
-            OscillatorSpec(1, 1, 1, 2.0)
+            OscillatorSpec(1, 1, 2.0)
 
     def test_serialization_roundtrip(self):
-        """An oscillator block {k, l} parses to the spec on the grid's dimension."""
-        assert parsed_oscillator('{"k": 2, "l": 1}') == OscillatorSpec(2, 1, 1)
-        assert parsed_oscillator('{"k": 2, "l": 1}', 2) == OscillatorSpec(2, 1, 2)
+        """An oscillator block {k, l} parses to the spec (k, l)."""
+        assert parsed_oscillator('{"k": 2, "l": 1}') == OscillatorSpec(2, 1)
 
 
 class TestWeight:

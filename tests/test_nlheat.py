@@ -24,12 +24,12 @@ INTEGRATORS = pytest.mark.parametrize("integrate", [picard_solve, etd_evolve],
 
 @pytest.fixture(scope="module")
 def dec():
-    return decompose(ah.OscillatorSpec(1, 1, 1), Grid(1, 128, 10.0), 48)
+    return decompose(ah.OscillatorSpec(1, 1), Grid(128, 10.0), 48)
 
 
 @pytest.fixture()
 def small_u0(dec):
-    x = dec.grid.axis_nodes()
+    x = dec.grid.nodes()
     return FieldSample(dec.grid, 0.5 * np.exp(-x ** 2 / 2))
 
 
@@ -65,7 +65,7 @@ class TestProblemSpec:
         for coupling in (complex(np.nan, 0.0), complex(0.0, np.inf)):
             with pytest.raises(InvalidSpecError):
                 NonlinearProblemSpec(dec, small_u0, coupling=coupling)
-        other = FieldSample(Grid(1, 64, 10.0), np.zeros(64))
+        other = FieldSample(Grid(64, 10.0), np.zeros(64))
         with pytest.raises(InvalidSpecError):
             NonlinearProblemSpec(dec, other)
 
@@ -76,7 +76,7 @@ class TestProblemSpec:
     def test_replace_u0(self, defocusing):
         """The runners swap u0 with dataclasses.replace, which reruns the
         grid check."""
-        other = Grid(1, 64, 6.0)
+        other = Grid(64, 6.0)
         with pytest.raises(InvalidSpecError):
             dataclasses.replace(defocusing, u0=FieldSample(other, np.zeros(other.size)))
 
@@ -101,7 +101,7 @@ class TestNonlinearity:
 
     @staticmethod
     def u0(dec, shift):
-        x = dec.grid.axis_nodes()
+        x = dec.grid.nodes()
         return FieldSample(dec.grid, 0.5 * np.exp(-(x - shift) ** 2 / 2))
 
     @LAYOUTS
@@ -117,7 +117,7 @@ class TestNonlinearity:
         spec = NonlinearProblemSpec(dec, self.u0(dec, shift), kind="inhomogeneous",
                                     alpha=0.4)
         engine, c, u = self.engine_and_state(spec, shift)
-        x = np.abs(dec.grid.axis_nodes())[engine.rows]
+        x = np.abs(dec.grid.nodes())[engine.rows]
         expected = engine.to_coeff(-1.0 * np.abs(u) ** 2 * u * x ** -0.4)
         out = engine.nonlin_coeff(c)
         np.testing.assert_allclose(out, expected, rtol=0,
@@ -132,7 +132,7 @@ class TestParitySector:
 
     @staticmethod
     def u0(dec, parity):
-        x = dec.grid.axis_nodes()
+        x = dec.grid.nodes()
         gauss = np.exp(-x ** 2 / 2)
         return FieldSample(dec.grid, 0.5 * (gauss if parity == "even" else x * gauss))
 
@@ -245,7 +245,7 @@ class TestPicard:
         assert gap2 < gap1
 
     def test_divergent_iteration_raises_with_diagnostics(self, dec):
-        x = dec.grid.axis_nodes()
+        x = dec.grid.nodes()
         big = FieldSample(dec.grid, 3.0 * np.exp(-x ** 2 / 2))
         spec = NonlinearProblemSpec(dec, big, coupling=60.0, monitor=MONITOR)
         with pytest.raises(NonConvergenceError) as exc, np.errstate(all="ignore"):
@@ -253,7 +253,7 @@ class TestPicard:
         assert "t" in exc.value.diagnostics
 
     def test_out_of_iterations_raises(self, dec):
-        x = dec.grid.axis_nodes()
+        x = dec.grid.nodes()
         u0 = FieldSample(dec.grid, 1.2 * np.exp(-x ** 2 / 2))
         spec = NonlinearProblemSpec(dec, u0, coupling=-5.0, monitor=MONITOR)
         with pytest.raises(NonConvergenceError) as exc:
@@ -281,7 +281,7 @@ class TestBlowup:
         """Stride 1 measures every step; at stride 1000 the l2 guard stops the
         run between stride points, and the blow-up step is still stored as a
         checkpoint with its monitored norm measured."""
-        x = dec.grid.axis_nodes()
+        x = dec.grid.nodes()
         big = FieldSample(dec.grid, 3.0 * np.exp(-x ** 2 / 2))
         spec = NonlinearProblemSpec(dec, big, coupling=60.0, monitor=MONITOR)
         with np.errstate(all="ignore"):

@@ -9,7 +9,7 @@ from anharmonic import (DiscardedMassWarning, FieldSample, GaussianConjugation,
                         Grid, InvalidSpecError, MixedNormParams, NumericalError,
                         ProbeSkipWarning,
                         apply_conjugation, conjugation_discarded_mass,
-                        decompose, gaussian_half_density, gaussian_probe_fields,
+                        gaussian_half_density, gaussian_probe_fields,
                         modulation_norm, ou_probe_rate, ou_semigroup, stft)
 from oracles import mixed_norm_reference
 
@@ -25,14 +25,11 @@ class TestConjugationSpec:
             GaussianConjugation(safe_radius=math.inf)
 
     def test_density_formula(self, hermite_grid):
-        """pi^(-d/2) e^(-|x|^2), with d taken from the grid."""
+        """pi^(-d/2) e^(-|x|^2) at d = 1."""
         c = GaussianConjugation()
-        x = hermite_grid.axis_nodes()
+        x = hermite_grid.nodes()
         np.testing.assert_allclose(c.density(hermite_grid),
                                    np.pi ** -0.5 * np.exp(-x ** 2), rtol=1e-14)
-        grid = Grid(2, 16, 4.0)
-        r2 = np.sum(grid.nodes() ** 2, axis=1)
-        np.testing.assert_allclose(c.density(grid), np.exp(-r2) / np.pi, rtol=1e-14)
 
     def test_half_density_is_density_square_root(self, hermite_grid):
         c = GaussianConjugation()
@@ -52,7 +49,7 @@ class TestApplyConjugation:
         c = GaussianConjugation()
         back = apply_conjugation(c, "inverse",
                                  apply_conjugation(c, "forward", gaussian_field))
-        x = np.abs(hermite_grid.axis_nodes())
+        x = np.abs(hermite_grid.nodes())
         inside = x <= c.safe_radius
         # multiply-then-divide costs a rounding step; deep-tail products may
         # also underflow outright
@@ -90,34 +87,21 @@ class TestOuSemigroup:
             ou_semigroup(GaussianConjugation(), quartic_dec, 1.0, 0.5, gaussian_field)
 
     def test_field_on_another_grid_fails(self, hermite_dec):
-        grid = Grid(2, 16, 4.0)
+        grid = Grid(64, 4.0)
         field = FieldSample(grid, np.ones(grid.size))
         with pytest.raises(ValueError, match="field grid does not match"):
             ou_semigroup(GaussianConjugation(), hermite_dec, 1.0, 0.5, field)
 
     def test_constant_field_decay_rate(self, hermite_dec, hermite_grid):
         """M maps constants onto the harmonic ground state, so the OU flow
-        scales them by exp(-t lambda_0^beta) with lambda_0 = dimension."""
+        scales them by exp(-t lambda_0^beta) with lambda_0 = d = 1."""
         c = GaussianConjugation()
         ones = FieldSample(hermite_grid, np.ones(hermite_grid.size))
-        x = np.abs(hermite_grid.axis_nodes())
+        x = np.abs(hermite_grid.nodes())
         for t in (0.1, 0.5, 1.0):
             out = ou_semigroup(c, hermite_dec, 1.0, t, ones)
             err = np.max(np.abs(out.values[x <= 6.0] - math.exp(-t)))
             assert err < 1e-6
-
-    def test_two_dimensional_rate_feels_beta(self):
-        grid = Grid(2, 32, 6.0)
-        dec = decompose(ah.OscillatorSpec(1, 1, 2), grid, 24)
-        c = GaussianConjugation(safe_radius=5.0)
-        ones = FieldSample(grid, np.ones(grid.size))
-        radii = np.linalg.norm(grid.nodes(), axis=1)
-        for beta in (1.0, 2.0):
-            with pytest.warns(DiscardedMassWarning):
-                out = ou_semigroup(c, dec, beta, 0.3, ones)
-            err = np.max(np.abs(out.values[radii <= 3.0]
-                                - math.exp(-0.3 * 2.0 ** beta)))
-            assert err < 1e-9
 
 
 class TestGaussianNorm:
@@ -143,8 +127,8 @@ class TestGaussianNorm:
         multiplied = apply_conjugation(c, "forward", gaussian_field)
         got = modulation_norm(multiplied, 1.0, hermite_dec.oscillator, L2)
         # 1 + V^(1/2) + |omega| with V = x^2 and omega = 2 pi xi
-        x = hermite_grid.nodes()[:, 0]
-        xi = hermite_grid.frequency_nodes()[:, 0]
+        x = hermite_grid.nodes()
+        xi = hermite_grid.frequency_nodes()
         weight = 1.0 + np.abs(x)[:, None] + 2.0 * np.pi * np.abs(xi)[None, :]
         expected = mixed_norm_reference(damped_gaussian_abs, weight, 2.0, 2.0,
                                         hermite_grid.cell_volume,
@@ -157,7 +141,7 @@ class TestGaussianNorm:
         the norm of gamma^(1/2) f the L^2(gamma) norm of f, here summed
         directly on the nodes for a modulated off-centre probe."""
         c = GaussianConjugation()
-        x = hermite_grid.nodes()[:, 0]
+        x = hermite_grid.nodes()
         f = FieldSample(hermite_grid, (1.0 + x ** 2) * np.exp(-0.25 * (x - 1.0) ** 2)
                         * np.exp(2j * np.pi * 0.6 * x))
         got = modulation_norm(apply_conjugation(c, "forward", f), FLAT, None, L2)

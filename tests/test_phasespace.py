@@ -20,20 +20,20 @@ HARMONIC = ah.hermite_oscillator()
 
 def harmonic_lattice(grid, s):
     """(1 + |x| + 2 pi |xi|)^s: the k = l = 1 weight in angular frequency."""
-    x = grid.nodes()[:, 0]
-    xi = grid.frequency_nodes()[:, 0]
+    x = grid.nodes()
+    xi = grid.frequency_nodes()
     return (1.0 + np.abs(x)[:, None] + 2.0 * np.pi * np.abs(xi)[None, :]) ** s
 
 
 def quartic_lattice(grid, s):
     """(1 + x^2 + 2 pi |xi|)^s: quartic V = x^4 and l = 1 in angular frequency."""
-    x = grid.nodes()[:, 0]
-    xi = grid.frequency_nodes()[:, 0]
+    x = grid.nodes()
+    xi = grid.frequency_nodes()
     return (1.0 + x[:, None] ** 2 + 2.0 * np.pi * np.abs(xi)[None, :]) ** s
 
 
 def unit_gaussian(grid):
-    x = grid.axis_nodes()
+    x = grid.nodes()
     return FieldSample(grid, 2.0 ** 0.25 * np.exp(-np.pi * x ** 2))
 
 
@@ -43,24 +43,21 @@ class TestWindow:
         norm = np.sqrt(hermite_grid.cell_volume * np.sum(np.abs(g) ** 2))
         assert norm == pytest.approx(1.0, abs=1e-12)
 
-    def test_wrapped_layout_peaks_at_origin(self, hermite_grid):
-        g = _gaussian_window_values(hermite_grid)
-        assert np.argmax(np.abs(g)) == 0
-
-    def test_two_dimensional_gaussian_is_unit_norm(self):
-        # the d = 2 window is the product of the axis windows
-        grid = Grid(2, 64, 4.0)
+    @pytest.mark.parametrize("grid", [Grid(64, 4.0), Grid(256, 8.0)], ids=["64", "256"])
+    def test_gaussian_is_unit_norm_on_other_grids(self, grid):
         g = _gaussian_window_values(grid)
-        g = np.outer(g, g)
         norm = np.sqrt(grid.cell_volume * np.sum(np.abs(g) ** 2))
         assert norm == pytest.approx(1.0, abs=1e-12)
+
+    def test_wrapped_layout_peaks_at_origin(self, hermite_grid):
+        g = _gaussian_window_values(hermite_grid)
         assert np.argmax(np.abs(g)) == 0
 
     def test_too_coarse_grid_rejected(self):
         # h = 1/8 samples the unit gaussian too coarsely: its discrete norm is
         # off by 2.4e-4, far past the window-norm tolerance
-        grid = Grid(1, 16, 1.0)
-        f = FieldSample(grid, np.exp(-60.0 * grid.axis_nodes() ** 2))
+        grid = Grid(16, 1.0)
+        f = FieldSample(grid, np.exp(-60.0 * grid.nodes() ** 2))
         with pytest.raises(NumericalError, match="window norm"):
             stft(f)
 
@@ -70,8 +67,8 @@ class TestStft:
         """Transforming the unit gaussian against the gaussian window has the
         explicit magnitude exp(-pi (x^2 + xi^2) / 2)."""
         out = stft(unit_gaussian(hermite_grid))
-        x = hermite_grid.nodes()[:, 0]
-        xi = hermite_grid.frequency_nodes()[:, 0]
+        x = hermite_grid.nodes()
+        xi = hermite_grid.frequency_nodes()
         expected = gaussian_window_transform_abs(x, xi)
         assert np.max(np.abs(np.abs(out.values) - expected)) < 1e-12
 
@@ -82,17 +79,18 @@ class TestStft:
         assert norm == pytest.approx(gaussian_field.norm_l2(), rel=1e-12)
 
     def test_modulated_shift_moves_peak(self, hermite_grid):
-        x = hermite_grid.axis_nodes()
+        x = hermite_grid.nodes()
         f = FieldSample(hermite_grid,
                         2.0 ** 0.25 * np.exp(-np.pi * (x - 2.0) ** 2)
                         * np.exp(2j * np.pi * 1.5 * x))
         out = stft(f)
         i, n = np.unravel_index(np.argmax(np.abs(out.values)), out.values.shape)
-        assert hermite_grid.nodes()[i, 0] == pytest.approx(2.0, abs=hermite_grid.h)
-        assert hermite_grid.frequency_nodes()[n, 0] == pytest.approx(1.5, abs=hermite_grid.frequency_cell)
+        assert hermite_grid.nodes()[i] == pytest.approx(2.0, abs=hermite_grid.h)
+        assert hermite_grid.frequency_nodes()[n] == pytest.approx(
+            1.5, abs=hermite_grid.frequency_cell)
 
     def test_boundary_mass_warns(self):
-        grid = Grid(1, 128, 6.0)
+        grid = Grid(128, 6.0)
         f = FieldSample(grid, np.ones(grid.size))
         with pytest.warns(BoundaryMassWarning):
             stft(f)
@@ -126,7 +124,7 @@ class TestMixedNorm:
                                      (0.5, 3.0), ("inf", 2.0), (2.0, "inf"),
                                      ("inf", "inf")])
     def test_against_direct_loops(self, p, q):
-        grid = Grid(1, 8, 4.0)
+        grid = Grid(8, 4.0)
         rng = np.random.default_rng(7)
         vals = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         field = PhaseSpaceField(grid, vals)
@@ -142,14 +140,14 @@ class TestMixedNorm:
     def test_point_mass_value(self, p, q, k, s):
         """A single lattice point carries |c| w(x_i, xi_n) h^(1/p) (1/2L)^(1/q);
         the weight reads the frequency in angular scale."""
-        grid = Grid(1, 16, 4.0)
+        grid = Grid(16, 4.0)
         i, n = 11, 5
         vals = np.zeros((16, 16), dtype=complex)
         vals[i, n] = 2.0 - 1.0j
         field = PhaseSpaceField(grid, vals)
         osc = ah.OscillatorSpec(k, 1)
-        x = grid.nodes()[i, 0]
-        xi = grid.frequency_nodes()[n, 0]
+        x = grid.nodes()[i]
+        xi = grid.frequency_nodes()[n]
         wf = weight_value(s, osc, x, 2.0 * np.pi * xi)
         expected = abs(2.0 - 1.0j) * wf
         if p != "inf":
@@ -160,13 +158,13 @@ class TestMixedNorm:
         assert mixed_norm(field, s, osc, params) == pytest.approx(expected, rel=1e-12)
 
     def test_weighted_norm_needs_oscillator(self):
-        grid = Grid(1, 8, 4.0)
+        grid = Grid(8, 4.0)
         field = PhaseSpaceField(grid, np.ones((8, 8)))
         with pytest.raises(InvalidSpecError):
             mixed_norm(field, 1.0, None, MixedNormParams(1.0, 1.0))
 
     def test_nonfinite_values_raise(self):
-        grid = Grid(1, 8, 4.0)
+        grid = Grid(8, 4.0)
         vals = np.ones((8, 8), dtype=complex)
         vals[3, 3] = np.inf
         field = PhaseSpaceField(grid, vals)
@@ -189,16 +187,16 @@ class TestModulationNorm:
         assert norm == pytest.approx(2.0, rel=1e-12)
 
     def test_ground_state_regression(self, hermite_grid):
-        x = hermite_grid.axis_nodes()
+        x = hermite_grid.nodes()
         phi0 = FieldSample(hermite_grid, np.pi ** -0.25 * np.exp(-x ** 2 / 2))
         norm = modulation_norm(phi0, FLAT, None, MixedNormParams(1.0, 1.0))
         assert norm == pytest.approx(2.410630853130538, rel=1e-9)
 
     def test_ground_state_stable_under_refinement(self, hermite_grid):
-        fine = Grid(1, 1024, 12.0)
+        fine = Grid(1024, 12.0)
         vals = []
         for grid in (hermite_grid, fine):
-            x = grid.axis_nodes()
+            x = grid.nodes()
             phi0 = FieldSample(grid, np.pi ** -0.25 * np.exp(-x ** 2 / 2))
             vals.append(modulation_norm(phi0, FLAT, None, MixedNormParams(1.0, 1.0)))
         assert vals[1] == pytest.approx(vals[0], rel=1e-2)
@@ -234,8 +232,8 @@ def _exponent_id(p):
 
 
 def _unit_gaussian_oracle(grid, weight, p, q):
-    x = grid.nodes()[:, 0]
-    xi = grid.frequency_nodes()[:, 0]
+    x = grid.nodes()
+    xi = grid.frequency_nodes()
     return mixed_norm_reference(gaussian_window_transform_abs(x, xi), weight,
                                 _oracle_exponent(p), _oracle_exponent(q),
                                 grid.cell_volume, grid.frequency_cell)
@@ -256,7 +254,7 @@ class TestStreamedNormOracle:
     weight lattice built here from its formula. Tolerance 1e-10 relative;
     the agreement seen is at round-off level."""
 
-    GRID = Grid(1, 256, 8.0)  # two row blocks of the streamed pass
+    GRID = Grid(256, 8.0)  # two row blocks of the streamed pass
 
     # p = 3 and 4 take the repeated-squaring powers of the column reducer
     @pytest.mark.parametrize("p", ORACLE_EXPONENTS + [3.0, 4.0], ids=_exponent_id)
@@ -272,11 +270,11 @@ class TestStreamedNormOracle:
     @pytest.mark.parametrize("p,q", [(1.0, 6.0), (2.0, INF), (6.0, 1.0), (INF, 2.0)],
                              ids=_exponent_id)
     def test_complex_field_route(self, p, q):
-        """A complex d=1 field takes the full-spectrum path: the shifted,
+        """A complex field takes the full-spectrum path: the shifted,
         modulated unit gaussian against its closed form, harmonic weight."""
         grid = self.GRID
-        x = grid.nodes()[:, 0]
-        xi = grid.frequency_nodes()[:, 0]
+        x = grid.nodes()
+        xi = grid.frequency_nodes()
         b, c = 0.5, 1.25
         mag = gaussian_lattice_stft_abs(x, xi, 2.0 ** 0.25, np.pi, b, c, grid.h)
         expected = mixed_norm_reference(mag, harmonic_lattice(grid, 1.5), _oracle_exponent(p),
@@ -287,24 +285,20 @@ class TestStreamedNormOracle:
         got = modulation_norm(f, 1.5, HARMONIC, MixedNormParams(p, q))
         assert got == pytest.approx(expected, rel=1e-10)
 
-    @pytest.mark.parametrize("modulated", [False, True], ids=["gaussian", "modulated"])
+    @pytest.mark.parametrize("shift", [0, 3, -5], ids=["m0", "m3", "m-5"])
     @pytest.mark.parametrize("p,q", [(1.0, 2.0), (2.0, 6.0), (6.0, INF), (INF, 1.0)],
                              ids=_exponent_id)
-    def test_two_dimensions_is_product(self, p, q, modulated):
-        """The d=2 transform of g x g is the product of two d=1 closed forms, so
-        its flat mixed norm is the square of the d=1 oracle on the same axis.
-        Modulating by a lattice frequency permutes the frequency bins cyclically,
-        so the flat norm of the complex field is the same."""
-        grid = Grid(2, 64, 4.0)
-        axis = Grid(1, 64, 4.0)
-        expected = _unit_gaussian_oracle(axis, 1.0, p, q) ** 2
-        nodes = grid.nodes()
-        values = np.sqrt(2.0) * np.exp(-np.pi * np.sum(nodes ** 2, axis=1))
-        if modulated:
-            dxi = axis.frequency_cell
-            values = values * np.exp(2j * np.pi * dxi * (3 * nodes[:, 0] - 5 * nodes[:, 1]))
-        f = FieldSample(grid, values)
-        got = modulation_norm(f, FLAT, None, MixedNormParams(p, q))
+    def test_lattice_modulation_permutes_the_columns(self, p, q, shift):
+        """Modulating by a lattice frequency permutes the frequency bins
+        cyclically, so the flat norm of the complex field is the unit
+        gaussian's oracle; one row block on 64 points."""
+        grid = Grid(64, 4.0)
+        expected = _unit_gaussian_oracle(grid, 1.0, p, q)
+        x = grid.nodes()
+        values = 2.0 ** 0.25 * np.exp(-np.pi * x ** 2)
+        if shift:
+            values = values * np.exp(2j * np.pi * shift * grid.frequency_cell * x)
+        got = modulation_norm(FieldSample(grid, values), FLAT, None, MixedNormParams(p, q))
         assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -315,11 +309,11 @@ class TestRealStateNorm:
     this grid the Nyquist node carries 2e-6 of the peak, so both the Nyquist
     bin and the mirror into negative xi are weighed by the tolerance."""
 
-    GRID = Grid(1, 256, 24.0)  # two row blocks of the streamed pass
+    GRID = Grid(256, 24.0)  # two row blocks of the streamed pass
     AMP, A, B = 2.0, 2.0, 0.75
 
     def field(self):
-        x = self.GRID.axis_nodes()
+        x = self.GRID.nodes()
         return FieldSample(self.GRID, self.AMP * np.exp(-self.A * (x - self.B) ** 2))
 
     @pytest.mark.parametrize("p,q", [(1.0, 1.0), (2.0, 1.0), (6.0, 2.0), (INF, 2.0),
@@ -328,7 +322,7 @@ class TestRealStateNorm:
     def test_against_aliased_closed_form(self, kind, p, q, quartic_osc):
         grid = self.GRID
         s, osc, weight = _oracle_weight(kind, grid, quartic_osc)
-        mag = gaussian_lattice_stft_abs(grid.nodes()[:, 0], grid.frequency_nodes()[:, 0],
+        mag = gaussian_lattice_stft_abs(grid.nodes(), grid.frequency_nodes(),
                                         self.AMP, self.A, self.B, 0.0, grid.h)
         expected = mixed_norm_reference(mag, weight, _oracle_exponent(p),
                                         _oracle_exponent(q), grid.cell_volume,
@@ -346,20 +340,20 @@ class TestRealStateNorm:
 
 
 class TestHalfRowPass:
-    """A real d=1 field that is bitwise even or odd reduces only the rows
+    """A real field that is bitwise even or odd reduces only the rows
     x > 0 of the pass and doubles the finite-p column sums (the column max
     for p = INF is kept). The reference is the full lattice,
     ``mixed_norm(stft(f), ...)``, which runs every row."""
 
     @staticmethod
     def field(grid, parity):
-        x = grid.axis_nodes()
+        x = grid.nodes()
         even = np.exp(-x ** 2 / 2) * (1.0 + 0.3 * x ** 2)
         return FieldSample(grid, even if parity == "even" else x * even)
 
     # on 128 points one block would span every row, so the half start must
     # also shrink the block
-    @pytest.mark.parametrize("grid", [Grid(1, 128, 10.0), Grid(1, 512, 12.0)],
+    @pytest.mark.parametrize("grid", [Grid(128, 10.0), Grid(512, 12.0)],
                              ids=["128", "512"])
     @pytest.mark.parametrize("p,q", [(2.0, 1.0), (6.0, 2.0), (INF, 2.0), (0.5, INF)],
                              ids=_exponent_id)
@@ -377,7 +371,7 @@ class TestHalfRowPass:
         """One node moved by one ulp breaks the symmetry: every row is run and
         the value is the full pass's, bit for bit (pinned before the half-row
         pass existed)."""
-        grid = Grid(1, 512, 12.0)
+        grid = Grid(512, 12.0)
         vals = np.array(self.field(grid, "even").values.real)
         k = grid.size // 4
         vals[k] = np.nextafter(vals[k], np.inf)
@@ -395,22 +389,22 @@ class TestColumnOrder:
 
     @staticmethod
     def field(kind):
-        grid = Grid(2, 32, 4.0) if kind == "complex_2d" else Grid(1, 128, 10.0)
+        grid = Grid(128, 10.0)
         rng = np.random.default_rng(7)
-        envelope = np.exp(-2.0 * np.sum(grid.nodes() ** 2, axis=1))
+        envelope = np.exp(-2.0 * grid.nodes() ** 2)
         re, im = rng.standard_normal((2, grid.size)) * envelope
-        vals = {"even": re + re[::-1], "real": re}.get(kind, re + 1j * im)
+        vals = {"even": re + re[::-1], "odd": re - re[::-1], "real": re}.get(kind, re + 1j * im)
         return FieldSample(grid, vals)
 
     @pytest.mark.parametrize("p", [2.0, INF], ids=_exponent_id)
     @pytest.mark.parametrize("s", [FLAT, 1.5], ids=["s0", "s1.5"])
-    @pytest.mark.parametrize("kind", ["even", "real", "complex", "complex_2d"])
+    @pytest.mark.parametrize("kind", ["even", "odd", "real", "complex"])
     def test_columns_are_ascending_xi(self, kind, s, p):
         f = self.field(kind)
         grid = f.grid
-        osc = ah.hermite_oscillator(grid.dimension)
-        weights = weight_value(s, osc, grid.nodes()[:, None, :],
-                               2.0 * np.pi * grid.frequency_nodes()[None, :, :])
+        osc = ah.hermite_oscillator()
+        weights = weight_value(s, osc, grid.nodes()[:, None],
+                               2.0 * np.pi * grid.frequency_nodes()[None, :])
         w = np.abs(stft(f).values) * weights
         expected = w.max(axis=0) if p is INF else (w ** p).sum(axis=0)
         [got] = _modulation_columns(f, [s], osc, p)
@@ -434,7 +428,7 @@ class TestStreamedNormGuards:
 
     @pytest.mark.parametrize("transform", ["stft", "modulation_norm", "singular_weight_norm"])
     def test_boundary_mass_warns_at_caller(self, transform):
-        grid = Grid(1, 128, 6.0)
+        grid = Grid(128, 6.0)
         f = FieldSample(grid, np.ones(grid.size))
         params = MixedNormParams(2.0, 2.0)
         with pytest.warns(BoundaryMassWarning) as record:
@@ -475,25 +469,20 @@ class TestSharedPass:
     def case(self, name):
         """(field, oscillator, the two non-zero weight exponents)."""
         grid = self.GRID
-        x = grid.axis_nodes()
+        x = grid.nodes()
         real = self.AMP * np.exp(-self.A * (x - self.B) ** 2)
         weighted = (1.5, 0.75)
         osc = ah.OscillatorSpec(2, 1)
         if name == "real":  # the half-spectrum branch
             return FieldSample(grid, real), osc, weighted
-        if name == "complex":
-            f = FieldSample(grid, real * np.exp(2j * np.pi * self.C * x))
-            return f, osc, weighted
-        grid2 = Grid(2, 32, 4.0)
-        nodes = grid2.nodes()
-        values = np.exp(-2.0 * np.sum((nodes - 0.25) ** 2, axis=1))
-        if name == "complex_d2":
-            values = values * np.exp(2j * np.pi * self.C * (nodes[:, 0] - nodes[:, 1]))
-        return FieldSample(grid2, values), ah.OscillatorSpec(1, 1, dimension=2), weighted
+        if name in ("even", "odd"):  # the half-row pass as well
+            even = self.AMP * np.exp(-self.A * x ** 2)
+            return FieldSample(grid, even if name == "even" else x * even), osc, weighted
+        return FieldSample(grid, real * np.exp(2j * np.pi * self.C * x)), osc, weighted
 
     @pytest.mark.parametrize("p,q", [(2.0, 1.0), (INF, 2.0), (0.5, INF)], ids=_exponent_id)
     @pytest.mark.parametrize("flat_at", [0, 1, 2], ids=["flat_first", "flat_mid", "flat_last"])
-    @pytest.mark.parametrize("name", ["real", "complex", "d2", "complex_d2"])
+    @pytest.mark.parametrize("name", ["real", "complex", "even", "odd"])
     def test_each_value_is_the_one_weight_norm(self, name, flat_at, p, q):
         f, osc, weighted = self.case(name)
         weights = list(weighted)
@@ -507,7 +496,7 @@ class TestSharedPass:
         grid = self.GRID
         f, _, _ = self.case(name)
         c = self.C if name == "complex" else 0.0
-        mag = gaussian_lattice_stft_abs(grid.nodes()[:, 0], grid.frequency_nodes()[:, 0],
+        mag = gaussian_lattice_stft_abs(grid.nodes(), grid.frequency_nodes(),
                                         self.AMP, self.A, self.B, c, grid.h)
         specs = [(1.5, quartic_lattice(grid, 1.5)), (FLAT, 1.0),
                  (0.75, quartic_lattice(grid, 0.75))]
@@ -548,7 +537,7 @@ class TestSharedPass:
             assert weighted == pytest.approx(((kept * lattice) ** p).sum(axis=0), rel=1e-14)
 
     def test_boundary_mass_warns_once_per_field(self):
-        grid = Grid(1, 128, 6.0)
+        grid = Grid(128, 6.0)
         f = FieldSample(grid, np.ones(grid.size))
         with pytest.warns(BoundaryMassWarning) as record:
             modulation_norms(f, [FLAT, 1.0, 2.0], HARMONIC, MixedNormParams(2.0, 2.0))

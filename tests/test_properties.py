@@ -20,10 +20,10 @@ from oracles import mixed_norm_reference
 rng = np.random.default_rng(20240814)
 
 
-def parsed_oscillator(text, dimension=1):
+def parsed_oscillator(text):
     """The OscillatorSpec that an oscillator block, written as JSON text,
-    parses to in a norms manifest on a grid of the given dimension."""
-    grid = {"dimension": dimension, "points_per_axis": 16}
+    parses to in a norms manifest."""
+    grid = {"points_per_axis": 16}
     return validate_manifest({"schema": 1, "kind": "norms", "grid": grid,
                               "oscillator": json.loads(text)}).oscillator
 
@@ -35,26 +35,23 @@ def parsed_monitor(text):
 
 
 def random_oscillators(n):
-    return [OscillatorSpec(int(rng.integers(1, 4)), int(rng.integers(1, 4)),
-                           int(rng.integers(1, 3))) for _ in range(n)]
+    return [OscillatorSpec(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+            for _ in range(n)]
 
 
 class TestPotentialHomogeneity:
     def test_degree_scaling(self):
         """V(c x) = c^(2k) V(x), exactly in the exponent."""
         for osc in random_oscillators(30):
-            x = rng.normal(size=osc.dimension) if osc.dimension > 1 else float(rng.normal())
+            x = float(rng.normal())
             c = float(rng.uniform(0.1, 5.0))
-            scaled = evaluate_potential(osc, np.asarray(x) * c)
+            scaled = evaluate_potential(osc, x * c)
             base = evaluate_potential(osc, x)
             assert scaled == pytest.approx(c ** (2 * osc.k) * base, rel=1e-10)
 
     def test_strictly_positive_away_from_origin(self):
         for osc in random_oscillators(30):
-            x = rng.normal(size=osc.dimension)
-            x = x / np.linalg.norm(x)
-            if osc.dimension == 1:
-                x = float(x[0])
+            x = float(rng.normal())
             assert evaluate_potential(osc, x) > 0.0
 
 
@@ -112,9 +109,8 @@ class TestSerializationRoundtrips:
     def test_oscillator_roundtrip(self):
         for _ in range(20):
             k, l = (int(v) for v in rng.integers(1, 4, 2))
-            d = int(rng.integers(1, 3))
             block = {"k": k, "l": l}
-            assert parsed_oscillator(json.dumps(block), d) == OscillatorSpec(k, l, d)
+            assert parsed_oscillator(json.dumps(block)) == OscillatorSpec(k, l)
 
 
 def whole_lattice_reduce(w, p, q, cx, cxi):
@@ -156,17 +152,14 @@ class TestMixedReduce:
 
 
 class TestSigmaExponent:
-    def test_nonnegative_and_linear_in_dimension(self):
+    def test_nonnegative(self):
         for _ in range(25):
             k = int(rng.integers(1, 5))
             l = int(rng.integers(1, 5))
             beta = float(rng.uniform(0.5, 3.0))
             pt = float(rng.uniform(1.0, 8.0))
             qt = float(rng.uniform(1.0, 8.0))
-            one = sigma_exponent(k, l, beta, 1, pt, qt)
-            assert one >= 0.0
-            for d in (2, 3):
-                assert sigma_exponent(k, l, beta, d, pt, qt) == pytest.approx(d * one, rel=1e-12)
+            assert sigma_exponent(k, l, beta, pt, qt) >= 0.0
 
     def test_inf_components_drop_their_term(self):
         for _ in range(15):
@@ -174,12 +167,12 @@ class TestSigmaExponent:
             l = int(rng.integers(1, 5))
             beta = float(rng.uniform(0.5, 3.0))
             pt = float(rng.uniform(1.0, 8.0))
-            with_inf = sigma_exponent(k, l, beta, 1, pt, INF)
+            with_inf = sigma_exponent(k, l, beta, pt, INF)
             assert with_inf == pytest.approx(1.0 / (2.0 * beta * k * pt), rel=1e-12)
-        assert sigma_exponent(2, 3, 1.5, 1, INF, INF) == 0.0
+        assert sigma_exponent(2, 3, 1.5, INF, INF) == 0.0
 
     def test_monotone_in_integrability(self):
-        base = sigma_exponent(2, 1, 1.0, 1, 1.0, 1.0)
-        assert sigma_exponent(2, 1, 1.0, 1, 2.0, 1.0) < base
-        assert sigma_exponent(2, 1, 1.0, 1, 1.0, 2.0) < base
+        base = sigma_exponent(2, 1, 1.0, 1.0, 1.0)
+        assert sigma_exponent(2, 1, 1.0, 2.0, 1.0) < base
+        assert sigma_exponent(2, 1, 1.0, 1.0, 2.0) < base
 

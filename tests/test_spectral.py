@@ -8,20 +8,20 @@ import anharmonic as ah
 from anharmonic import (FieldSample, Grid, InvalidSpecError, NumericalError, OscillatorSpec,
                         decompose, eigenvalue_growth_fit, evaluate_potential, growth_target,
                         spectral)
-from anharmonic.spectral import real_matmul
+from anharmonic.spectral import SpectralDecomposition, real_matmul
 
 from oracles import QUARTIC_LAMBDA0, dense_operator, hermite_function
 
 
 class TestGrid:
     def test_staggered_nodes_exclude_origin(self, hermite_grid):
-        x = hermite_grid.axis_nodes()
+        x = hermite_grid.nodes()
         assert np.min(np.abs(x)) > 0
         assert x[0] == pytest.approx(-12.0 + hermite_grid.h / 2)
 
     @pytest.mark.parametrize("half_width", [12.0, 7.77, 0.1, np.pi])
     def test_nodes_mirror_exactly(self, half_width):
-        x = Grid(1, 64, half_width).axis_nodes()
+        x = Grid(64, half_width).nodes()
         assert np.array_equal(x[::-1], -x)
         h = 2.0 * half_width / 64
         np.testing.assert_allclose(x, -half_width + (np.arange(64) + 0.5) * h,
@@ -31,36 +31,33 @@ class TestGrid:
         assert hermite_grid.cell_volume == pytest.approx(24.0 / 512)
 
     def test_frequency_lattice(self, hermite_grid):
-        xi = hermite_grid.axis_frequencies()
+        xi = hermite_grid.frequency_nodes()
         assert len(xi) == 512
         assert xi[1] - xi[0] == pytest.approx(1.0 / 24.0)
         assert np.all(np.diff(xi) > 0)
 
     def test_power_of_two_required(self):
         with pytest.raises(InvalidSpecError):
-            Grid(1, 500, 12.0)
+            Grid(500, 12.0)
 
-    def test_dimension_cap(self):
-        with pytest.raises(InvalidSpecError):
-            Grid(3, 16, 5.0)
+    def test_nodes_are_one_axis(self):
+        g = Grid(16, 5.0)
+        assert g.nodes().shape == (16,) and g.frequency_nodes().shape == (16,)
 
-    def test_2d_nodes_shape(self):
-        g = Grid(2, 16, 5.0)
-        assert g.nodes().shape == (256, 2)
 
 
 REFLECTION_CASES = {
-    "iso_power_d1": (ah.hermite_oscillator(), Grid(1, 64, 7.77)),
-    "quartic_d1": (OscillatorSpec(2, 1), Grid(1, 64, 5.3)),
-    "k3_l2_d1": (OscillatorSpec(3, 2), Grid(1, 64, 0.1)),
-    "iso_power_d2": (OscillatorSpec(2, 1, 2), Grid(2, 16, 4.3)),
-    "hermite_d2": (ah.hermite_oscillator(2), Grid(2, 16, np.pi)),
-    "quartic_d2": (OscillatorSpec(2, 1, 2), Grid(2, 16, 5.3)),
+    "iso_power_d1": (ah.hermite_oscillator(), Grid(64, 7.77)),
+    "quartic_d1": (OscillatorSpec(2, 1), Grid(64, 5.3)),
+    "k3_l2_d1": (OscillatorSpec(3, 2), Grid(64, 0.1)),
+    "l2_d1": (OscillatorSpec(1, 2), Grid(64, 4.3)),
+    "k2_l2_d1": (OscillatorSpec(2, 2), Grid(16, np.pi)),
+    "l3_d1": (OscillatorSpec(1, 3), Grid(32, 5.3)),
 }
 
 
 def _nodal_potential(osc, grid):
-    return np.asarray(evaluate_potential(osc, grid.nodes()), dtype=float).ravel()
+    return np.asarray(evaluate_potential(osc, grid.nodes()), dtype=float)
 
 
 class TestGridOperator:
@@ -69,7 +66,7 @@ class TestGridOperator:
 
     @pytest.mark.parametrize("name", list(REFLECTION_CASES))
     def test_commutes_with_reflection(self, name):
-        """Reversing the flat index is x -> -x; the half-widths are not
+        """Reversing the node index is x -> -x; the half-widths are not
         dyadic, so the nodes and the potential must be symmetric bit for bit."""
         osc, grid = REFLECTION_CASES[name]
         v = _nodal_potential(osc, grid)
@@ -103,9 +100,9 @@ class TestGridOperator:
     def test_kinetic_block_is_circulant_with_known_spectrum(self, hermite_osc):
         # subtracting the potential diagonal leaves the kinetic circulant,
         # whose eigenvalues are exactly the multiplier values |pi n / L|^2
-        grid = Grid(1, 64, 8.0)
+        grid = Grid(64, 8.0)
         a = dense_operator(hermite_osc, grid)
-        x = grid.axis_nodes()
+        x = grid.nodes()
         kin = a - np.diag(x ** 2)
         eig = np.sort(np.linalg.eigvalsh(kin))
         n = np.fft.fftfreq(64, d=1.0 / 64)
@@ -114,7 +111,7 @@ class TestGridOperator:
 
     def test_size_cap(self, hermite_osc):
         with pytest.raises(InvalidSpecError):
-            decompose(hermite_osc, Grid(1, 8192, 12.0))
+            decompose(hermite_osc, Grid(8192, 12.0))
 
     def test_potential_evaluated_once(self, hermite_osc, monkeypatch):
         calls = []
@@ -125,7 +122,7 @@ class TestGridOperator:
             return evaluate(*args)
 
         monkeypatch.setattr(spectral, "evaluate_potential", counted)
-        decompose(hermite_osc, Grid(1, 64, 8.0), 16)
+        decompose(hermite_osc, Grid(64, 8.0), 16)
         assert len(calls) == 1
 
 
@@ -143,7 +140,7 @@ class TestDecomposition:
     def test_eigenfunctions_match_hermite_functions(self, hermite_dec, hermite_grid):
         """The sign gauge (largest entry on x > 0 is positive) is the sign of
         the Hermite function, so no sign is fixed up here."""
-        x = hermite_grid.axis_nodes()
+        x = hermite_grid.nodes()
         for j in range(20):
             ref = hermite_function(j, x)
             got = hermite_dec.eigenfunction(j).values.real
@@ -200,18 +197,15 @@ class TestDecomposition:
         value, within 1e-6 relative at 512 points on half-width 12."""
         assert quartic_dec.eigenvalues[0] == pytest.approx(QUARTIC_LAMBDA0, rel=1e-6)
 
-    def test_2d_hermite_eigenvalues(self):
-        osc = ah.hermite_oscillator(2)
-        dec = decompose(osc, Grid(2, 32, 8.0), 16)
-        # 2d harmonic spectrum: 2(j1+j2)+2 with multiplicities 1,2,3,...
-        np.testing.assert_allclose(dec.eigenvalues[:6], [2, 4, 4, 6, 6, 6],
-                                   rtol=1e-6)
-
-    def test_cluster_of_degenerate_pair(self):
-        osc = ah.hermite_oscillator(2)
-        dec = decompose(osc, Grid(2, 32, 8.0), 16)
-        start, stop = dec.cluster_of(1)
-        assert (start, stop) == (1, 3)
+    def test_cluster_of_degenerate_pair(self, small_dec):
+        """The line has no degenerate level, so one is made: the Hermite
+        vectors with lambda_1 set equal to lambda_2."""
+        vals = small_dec.eigenvalues.copy()
+        vals[1] = vals[2]
+        dec = SpectralDecomposition(small_dec.oscillator, small_dec.grid, vals,
+                                    small_dec.eigenvectors)
+        assert dec.cluster_of(1) == (1, 3) and dec.cluster_of(2) == (1, 3)
+        assert dec.cluster_of(0) == (0, 1) and dec.cluster_of(3) == (3, 4)
 
 
 def _exact_parity(v):
@@ -219,11 +213,11 @@ def _exact_parity(v):
 
 
 PARITY_CASES = {
-    "hermite": (ah.hermite_oscillator(), Grid(1, 512, 12.0), 384),
-    "quartic": (OscillatorSpec(2, 1), Grid(1, 512, 12.0), 384),
-    "l2": (OscillatorSpec(1, 2), Grid(1, 512, 60.0), 384),
-    "hermite_d2": (ah.hermite_oscillator(2), Grid(2, 32, 7.0), 120),
-    "quartic_d2": (OscillatorSpec(2, 1, 2), Grid(2, 32, 5.0), 120),
+    "hermite": (ah.hermite_oscillator(), Grid(512, 12.0), 384),
+    "quartic": (OscillatorSpec(2, 1), Grid(512, 12.0), 384),
+    "l2": (OscillatorSpec(1, 2), Grid(512, 60.0), 384),
+    "hermite_small": (ah.hermite_oscillator(), Grid(32, 7.0), 24),
+    "k3_l2": (OscillatorSpec(3, 2), Grid(128, 5.0), 96),
 }
 
 
@@ -243,8 +237,7 @@ class TestParitySolve:
         m = dec.m
         np.testing.assert_allclose(dec.eigenvalues, w[:m], rtol=1e-10, atol=0)
         # each vector lies in the reference eigenspace of its level: for a
-        # simple level that is the overlap with the one reference vector; in
-        # d = 2 the square's symmetry leaves many levels degenerate
+        # simple level that is the overlap with the one reference vector
         for j in range(m):
             level = np.abs(w - w[j]) <= 1e-6 * (1.0 + w[j])
             coeffs = grid.cell_volume * (v[:, level].T @ dec.eigenvectors[:, j])
@@ -254,11 +247,14 @@ class TestParitySolve:
         _, _, dec = case
         assert all(_exact_parity(dec.eigenvectors[:, j]) for j in range(dec.m))
 
-    def test_degenerate_clusters_keep_exact_parity(self):
-        osc = ah.hermite_oscillator(2)
-        dec = decompose(osc, Grid(2, 32, 8.0), 40)
-        # levels 2n + 2 of multiplicity n + 1: clusters of 2, 3, 4, ... modes
-        assert max(stop - start for start, stop in map(dec.cluster_of, range(dec.m))) >= 4
+    def test_degenerate_clusters_keep_exact_parity(self, hermite_osc, monkeypatch):
+        """The line has no degenerate level, so a cluster gap above the
+        harmonic spacing 2 (4 inside a parity block) makes every level one
+        cluster: the QR step runs on each whole block and must keep every
+        column exactly even or odd and orthonormal."""
+        monkeypatch.setattr(spectral, "_CLUSTER_GAP", 4.5)
+        dec = decompose(hermite_osc, Grid(64, 8.0), 24)
+        assert dec.cluster_of(0) == (0, dec.m)
         assert all(_exact_parity(dec.eigenvectors[:, j]) for j in range(dec.m))
         gram = dec.grid.cell_volume * (dec.eigenvectors.T @ dec.eigenvectors)
         np.testing.assert_allclose(gram, np.eye(dec.m), rtol=0, atol=1e-12)
@@ -289,7 +285,7 @@ class TestParitySolve:
 
         monkeypatch.setattr(spectral, "_parity_blocks", bumped)
         with pytest.raises(NumericalError, match="residual"):
-            decompose(hermite_osc, Grid(1, 64, 8.0), 16)
+            decompose(hermite_osc, Grid(64, 8.0), 16)
 
     def test_scaled_kernel_fails_the_residual(self, hermite_osc, hermite_grid, monkeypatch):
         """A kinetic kernel scaled by 1 + 1e-6 keeps both blocks symmetric and
@@ -303,13 +299,13 @@ class TestParitySolve:
             decompose(hermite_osc, hermite_grid, 384)
 
     @pytest.mark.parametrize("osc,grid,m,mib", [
-        (ah.hermite_oscillator(), Grid(1, 512, 12.0), 384, 6.6),
-        (ah.hermite_oscillator(2), Grid(2, 32, 8.0), 400, 14.0),
-    ], ids=["d1_512", "d2_32"])
+        (ah.hermite_oscillator(), Grid(512, 12.0), 384, 6.6),
+        (OscillatorSpec(2, 1), Grid(1024, 12.0), 512, 17.5),
+    ], ids=["d1_512", "quartic_1024"])
     def test_traced_peak(self, osc, grid, m, mib):
-        """The whole decomposition stays under ``mib`` MiB traced: no n x n
-        array is formed (at 32² the dense operator alone is 8 MiB), only the
-        two (n/2)² blocks, the (n, m) vectors and the FFT residual."""
+        """The whole decomposition stays under ``mib`` MiB traced: only the
+        two (n/2)² blocks, the (n, m) vectors and the FFT residual are
+        formed, never the n x n operator."""
         tracemalloc.start()
         try:
             decompose(osc, grid, m)
@@ -330,8 +326,8 @@ class TestDilation:
         for every potential c |x|^(2k) of d = 1."""
         osc = OscillatorSpec(k, l)
         scaled = scipy.linalg.eigvalsh(
-            dense_operator(osc, Grid(1, 256, half_width), c))[:100]
-        dilated = decompose(osc, Grid(1, 256, c ** (1.0 / (2 * (k + l))) * half_width), 100)
+            dense_operator(osc, Grid(256, half_width), c))[:100]
+        dilated = decompose(osc, Grid(256, c ** (1.0 / (2 * (k + l))) * half_width), 100)
         np.testing.assert_allclose(c ** (l / (k + l)) * dilated.eigenvalues, scaled,
                                    rtol=1e-9, atol=0)
 
