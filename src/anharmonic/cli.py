@@ -240,9 +240,9 @@ def _modes(block, kind, grid, where):
     a spectrum case keeps 384 from 512 points up); it must fit the grid."""
     n = grid.points_per_axis
     default = ((max(384, n // 2) if n >= 512 else n // 2) if kind == "spectrum"
-               else min(grid.size // 2, _MODES_CAP[kind]))
+               else min(n // 2, _MODES_CAP[kind]))
     modes = default if block.modes is None else block.modes
-    _require(1 <= modes <= grid.size, f"{where} must lie in [1, {grid.size}]", where)
+    _require(1 <= modes <= n, f"{where} must lie in [1, {n}]", where)
     return modes
 
 
@@ -516,7 +516,7 @@ def _run_ou(run, record):
     conj = GaussianConjugation(p.safe_radius)
     l2_params = MixedNormParams(2.0, 2.0)
 
-    ones = FieldSample(grid, np.ones(grid.size))
+    ones = FieldSample(grid, np.ones(grid.points_per_axis))
     mask = np.abs(grid.nodes()) <= _OU_CHECK_RADIUS
     worst = 0.0
     for t in p.t_check:

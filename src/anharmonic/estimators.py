@@ -409,16 +409,20 @@ def ou_probe_rate(c: GaussianConjugation, dec: SpectralDecomposition, beta: floa
     """Fit log of the worst-case Gaussian-norm ratio
     norm(OU_t f) / norm(f) over a probe corpus against t, over at least 3
     distinct times; the expected rate is -d^beta, which is -1 at d = 1. The
-    Gaussian norm is the flat p = q = 2 modulation norm of the multiplied
-    field. Zero-norm probes are skipped with a warning (ValueError if all
-    are).
+    Gaussian norm is the lattice L^2 norm of the multiplied field
+    gamma^(1/2) f: by the lattice Moyal identity it is the flat p = q = 2
+    modulation norm of that field divided by the window norm, a factor that
+    cancels in every ratio. The identity itself is checked through the STFT
+    by the ``ou`` row ``gaussian_norm_l2_gamma_rel_err``, the ``norms`` row
+    ``moyal_identity_rel_err`` and the ``selftest`` rows. Zero-norm probes
+    are skipped with a warning (ValueError if all are).
     """
     ts = [float(t) for t in t_list]
     if len(set(ts)) < 3:
         raise ValueError("need at least 3 distinct time points")
 
     def norm(f):
-        return modulation_norm(apply_conjugation(c, "forward", f), 0.0, None, _L2)
+        return apply_conjugation(c, "forward", f).norm_l2()
 
     def target_at(t):
         return lambda f: norm(ou_semigroup(c, dec, beta, t, f))

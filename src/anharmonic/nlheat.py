@@ -132,7 +132,7 @@ class _Engine:
         self.phi = dec.eigenvectors
         self.cell = dec.grid.cell_volume
         if self.sign:
-            self.rows = slice(dec.grid.size // 2, None)
+            self.rows = slice(dec.grid.points_per_axis // 2, None)
             self.phi = np.ascontiguousarray(dec.eigenvectors[self.rows, self.cols])
             self.cell *= 2.0
         self.lam_beta = dec.eigenvalues[self.cols] ** spec.beta

@@ -4,7 +4,9 @@ obtained by intertwining with the harmonic heat flow.
 The Gaussian modulation norm of f is the modulation norm of the multiplied
 field, ``modulation_norm(apply_conjugation(c, "forward", f), ...)``; the
 ``ou`` and ``selftest`` runs check its p = q = 2 value against the
-L^2(gamma) norm of f.
+L^2(gamma) norm of f. That check is the lattice Moyal identity, and it is
+why the OU rate (``estimators.ou_probe_rate``) takes its flat p = q = 2
+norms as the lattice L^2 norm of the multiplied field, without an STFT.
 
 The OU semigroup is never discretized directly; it is defined as
 M^(-1) exp(-t H^beta) M with M the Gaussian half-density multiplier and H

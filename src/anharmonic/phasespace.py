@@ -93,7 +93,7 @@ class PhaseSpaceField:
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.complex128)
-        size = self.grid.size
+        size = self.grid.points_per_axis
         if v.shape != (size, size):
             raise InvalidSpecError(f"phase-space values must be ({size}, {size})")
         v.setflags(write=False)
@@ -144,7 +144,7 @@ def _stft_blocks(f: FieldSample, real: bool = False, first_row: int = 0):
     only the bins 0..N/2, shape (rows, N/2 + 1).
     """
     grid = f.grid
-    size = grid.size
+    size = grid.points_per_axis
     # powers of two: divides size - first_row
     rows = min(size - first_row, max(1, _BLOCK_CELLS // size))
     table = _gaussian_conj_table(grid)
@@ -174,7 +174,8 @@ def stft(f: FieldSample) -> PhaseSpaceField:
     _check_boundary_mass(f)
     grid = f.grid
     phase = _staggered_phase(grid)
-    out = np.empty((grid.size, grid.size), dtype=np.complex128)
+    n = grid.points_per_axis
+    out = np.empty((n, n), dtype=np.complex128)
     for lo, block in _stft_blocks(f):
         rows = block.shape[0]
         out[lo:lo + rows] = np.fft.fftshift(block, axes=1)
@@ -290,7 +291,7 @@ def _modulation_columns(f: FieldSample, s_values, osc: OscillatorSpec | None, p)
     """
     grid = f.grid
     real = not f.values.imag.any()
-    first_row = grid.size // 2 if real and _reflection_parity(f.values.real) else 0
+    first_row = grid.points_per_axis // 2 if real and _reflection_parity(f.values.real) else 0
     blocks = ((lo, np.abs(block).reshape(block.shape[0], -1))
               for lo, block in _stft_blocks(f, real, first_row))
     columns = []

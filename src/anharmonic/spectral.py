@@ -48,10 +48,6 @@ class Grid:
         return 2.0 * self.half_width / self.points_per_axis
 
     @property
-    def size(self) -> int:
-        return self.points_per_axis
-
-    @property
     def cell_volume(self) -> float:
         return self.h
 
@@ -84,9 +80,10 @@ class FieldSample:
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.complex128).copy()
-        if v.ndim != 1 or v.shape[0] != self.grid.size:
+        if v.ndim != 1 or v.shape[0] != self.grid.points_per_axis:
             raise InvalidSpecError(
-                f"field needs {self.grid.size} flat values, got shape {np.shape(self.values)}")
+                f"field needs {self.grid.points_per_axis} flat values, "
+                f"got shape {np.shape(self.values)}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -128,7 +125,7 @@ def real_matmul(a: np.ndarray, x) -> np.ndarray:
 class SpectralDecomposition:
     """Retained eigenpairs of the discretized oscillator, as ``decompose`` returns them.
 
-    ``eigenvectors`` has shape (grid.size, m) and is orthonormal in the
+    ``eigenvectors`` has shape (grid.points_per_axis, m) and is orthonormal in the
     h-weighted inner product. Each column is exactly even or odd under
     x -> -x (the reversed node index), and its sign gauge is: the entry of
     largest modulus at x > 0 (the second half of the nodes) is positive.
@@ -208,7 +205,8 @@ def _parity_blocks(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid):
     with J the reversal of a half-length index, A12 J reads the kernel at
     i + j + 1. The half rows are the nodes x < 0.
     """
-    n, half = grid.points_per_axis, grid.size // 2
+    n = grid.points_per_axis
+    half = n // 2
     kern = np.fft.ifft(mult).real + 0.0  # every zero entry is +0.0
     sym = 0.5 * (kern + kern[(-np.arange(n)) % n])
     rows = np.arange(half)
@@ -231,7 +229,7 @@ def _parity_solve(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid, m: int):
     eigenvalues and the (n, m) vectors, h-normalized and each exactly even or
     odd; the blocks die with this frame.
     """
-    n = grid.size
+    n = grid.points_per_axis
     half = n // 2
     k = min(m, half)
     blocks = []
@@ -278,12 +276,12 @@ def _apply_operator(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid, vecs: np.
 
 def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None) -> SpectralDecomposition:
     """Lowest m eigenpairs of H on the grid, solved by parity, checked and gauged;
-    m defaults to size/2.
+    m defaults to n/2, n = grid.points_per_axis.
 
     H = (-Laplacian)^l + V commutes with the reflection x -> -x, which on the
-    staggered grid reverses the node index. So the n = grid.size unknowns
-    split into two (n/2)² parity blocks (see _parity_blocks), built directly
-    from the kernel; no n x n matrix is formed. Each block is solved for its
+    staggered grid reverses the node index. So the n unknowns split into
+    two (n/2)² parity blocks (see _parity_blocks), built directly from the
+    kernel; no n x n matrix is formed. Each block is solved for its
     lowest min(m, n/2) pairs and the two lists are merged by a stable sort
     that keeps the lowest m; this is exact, since no block holds more than
     min(m, n/2) of the lowest m overall. Degenerate clusters are
@@ -305,9 +303,9 @@ def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None) -> Spectral
     independent of the blocks) to 1e-8 per unit of (1 + lambda).
     NonConvergenceError when the dense solver fails.
     """
-    if grid.size > _MAX_DENSE:
-        raise InvalidSpecError(
-            f"dense operator would be {grid.size}^2; cap is {_MAX_DENSE}^2")
+    n = grid.points_per_axis
+    if n > _MAX_DENSE:
+        raise InvalidSpecError(f"dense operator would be {n}^2; cap is {_MAX_DENSE}^2")
     v_nodes = np.asarray(evaluate_potential(osc, grid.nodes()), dtype=float)
     if not np.all(np.isfinite(v_nodes)):
         raise NumericalError("nodal potential is not finite; |x|^(2k) overflows on the grid")
@@ -315,15 +313,15 @@ def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None) -> Spectral
     if v_min <= 0:
         raise NumericalError(f"nodal potential minimum {v_min:.3e} is not positive")
     if m is None:
-        m = grid.size // 2
-    if not isinstance(m, (int, np.integer)) or not 1 <= m <= grid.size:
-        raise ValueError(f"mode count m={m} outside [1, {grid.size}]")
+        m = n // 2
+    if not isinstance(m, (int, np.integer)) or not 1 <= m <= n:
+        raise ValueError(f"mode count m={m} outside [1, {n}]")
 
     m = int(m)
     mult = _kinetic_multiplier(osc, grid)
     vals, vecs = _parity_solve(mult, v_nodes, grid, m)
 
-    half = grid.size // 2
+    half = n // 2
     peaks = half + np.argmax(np.abs(vecs[half:]), axis=0)
     signs = np.sign(vecs[peaks, np.arange(m)])
     signs[signs == 0] = 1.0

@@ -141,7 +141,7 @@ class TestApplySpectralFunction:
 
     def test_off_span_field_warns(self, small_dec):
         # alternating-sign data is pure grid-scale oscillation, far outside 48 modes
-        values = np.cos(np.pi * np.arange(small_dec.grid.size))
+        values = np.cos(np.pi * np.arange(small_dec.grid.points_per_axis))
         f = FieldSample(small_dec.grid, values)
         with pytest.warns(OffSpanWarning):
             apply_spectral_function(small_dec, lambda lam: lam, f)
@@ -159,7 +159,7 @@ class TestApplySpectralFunction:
         monkeypatch.setattr(SpectralDecomposition, "coefficients", counting)
         heat_semigroup(small_dec, 1.0, 0.1, eigenfield(small_dec, 2))
         assert len(calls) == 1
-        values = np.cos(np.pi * np.arange(small_dec.grid.size))
+        values = np.cos(np.pi * np.arange(small_dec.grid.points_per_axis))
         with pytest.warns(OffSpanWarning, match="apply_spectral_function"):
             heat_semigroup(small_dec, 1.0, 0.1, FieldSample(small_dec.grid, values))
         assert len(calls) == 2

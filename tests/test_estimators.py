@@ -346,7 +346,7 @@ class TestAlgebraRatio:
         assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_zero_factor_gives_nan_and_warns(self, hermite_grid, gaussian_field):
-        zero = FieldSample(hermite_grid, np.zeros(hermite_grid.size))
+        zero = FieldSample(hermite_grid, np.zeros(hermite_grid.points_per_axis))
         with pytest.warns(ProbeSkipWarning):
             out = algebra_ratio(gaussian_field, zero, MixedNormParams(1.0, 1.0), FLAT)
         assert math.isnan(out)
@@ -427,7 +427,7 @@ class TestEquivalenceBand:
         assert band.spread < 20.0
 
     def test_all_probes_skipped_raises(self, hermite_dec):
-        zero = FieldSample(hermite_dec.grid, np.zeros(hermite_dec.grid.size))
+        zero = FieldSample(hermite_dec.grid, np.zeros(hermite_dec.grid.points_per_axis))
         with pytest.warns(ProbeSkipWarning), pytest.raises(ValueError):
             sobolev_modulation_equivalence(hermite_dec, [0.0], [zero])
         with pytest.warns(ProbeSkipWarning), pytest.raises(ValueError):
@@ -477,7 +477,7 @@ class TestCorpusBookkeeping:
 
     def test_zero_factor_skips_each_pair(self, monkeypatch):
         f, g = gaussian_probe_fields(self.GRID, 2, 7)
-        zero = FieldSample(self.GRID, np.zeros(self.GRID.size))
+        zero = FieldSample(self.GRID, np.zeros(self.GRID.points_per_axis))
         pairs = [(0, 1), (1, 1), (0, 2), (2, 1)]
         calls = self.count_passes(monkeypatch)
         with pytest.warns(ProbeSkipWarning) as record:

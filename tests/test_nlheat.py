@@ -78,7 +78,7 @@ class TestProblemSpec:
         grid check."""
         other = Grid(64, 6.0)
         with pytest.raises(InvalidSpecError):
-            dataclasses.replace(defocusing, u0=FieldSample(other, np.zeros(other.size)))
+            dataclasses.replace(defocusing, u0=FieldSample(other, np.zeros(other.points_per_axis)))
 
 
 # u0 centred at 0 is bitwise even and runs in its parity sector; shifted, it
@@ -139,7 +139,7 @@ class TestParitySector:
     @staticmethod
     def nudged(u0):
         vals = np.array(u0.values.real)
-        k = u0.grid.size // 2 + 3
+        k = u0.grid.points_per_axis // 2 + 3
         vals[k] = np.nextafter(vals[k], np.inf)
         return FieldSample(u0.grid, vals)
 
@@ -178,7 +178,7 @@ class TestParitySector:
         u0 = FieldSample(dec.grid, 0.05 * base.values)
         integrate(NonlinearProblemSpec(dec, u0, monitor=MONITOR), 0.02, 0.005)
         assert len(pass_starts) >= 5  # the initial state and four steps, at least
-        assert set(pass_starts) == {dec.grid.size // 2}
+        assert set(pass_starts) == {dec.grid.points_per_axis // 2}
 
 
 class TestStepValidation:
@@ -261,7 +261,7 @@ class TestPicard:
         assert exc.value.diagnostics.get("t") is not None
 
     def test_off_span_initial_data_warns(self, dec):
-        rough = FieldSample(dec.grid, np.cos(np.pi * np.arange(dec.grid.size)))
+        rough = FieldSample(dec.grid, np.cos(np.pi * np.arange(dec.grid.points_per_axis)))
         spec = NonlinearProblemSpec(dec, rough, coupling=-1.0, monitor=MONITOR)
         with pytest.warns(OffSpanWarning):
             picard_solve(spec, 0.01, 0.005)

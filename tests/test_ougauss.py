@@ -39,7 +39,7 @@ class TestConjugationSpec:
     def test_half_density_is_harmonic_ground_state(self, hermite_dec, hermite_grid):
         phi0 = hermite_dec.eigenfunction(0).values.real
         analytic = gaussian_half_density(hermite_grid)
-        if phi0[hermite_grid.size // 2] < 0:
+        if phi0[hermite_grid.points_per_axis // 2] < 0:
             phi0 = -phi0
         assert np.max(np.abs(phi0 - analytic)) < 1e-8
 
@@ -74,7 +74,7 @@ class TestApplyConjugation:
             apply_conjugation(GaussianConjugation(), "sideways", gaussian_field)
 
     def test_discarded_mass_accounting(self, hermite_grid, gaussian_field):
-        zero = FieldSample(hermite_grid, np.zeros(hermite_grid.size))
+        zero = FieldSample(hermite_grid, np.zeros(hermite_grid.points_per_axis))
         assert conjugation_discarded_mass(GaussianConjugation(), zero) == 0.0
         tight = GaussianConjugation(safe_radius=0.25)
         frac = conjugation_discarded_mass(tight, gaussian_field)
@@ -88,7 +88,7 @@ class TestOuSemigroup:
 
     def test_field_on_another_grid_fails(self, hermite_dec):
         grid = Grid(64, 4.0)
-        field = FieldSample(grid, np.ones(grid.size))
+        field = FieldSample(grid, np.ones(grid.points_per_axis))
         with pytest.raises(ValueError, match="field grid does not match"):
             ou_semigroup(GaussianConjugation(), hermite_dec, 1.0, 0.5, field)
 
@@ -96,7 +96,7 @@ class TestOuSemigroup:
         """M maps constants onto the harmonic ground state, so the OU flow
         scales them by exp(-t lambda_0^beta) with lambda_0 = d = 1."""
         c = GaussianConjugation()
-        ones = FieldSample(hermite_grid, np.ones(hermite_grid.size))
+        ones = FieldSample(hermite_grid, np.ones(hermite_grid.points_per_axis))
         x = np.abs(hermite_grid.nodes())
         for t in (0.1, 0.5, 1.0):
             out = ou_semigroup(c, hermite_dec, 1.0, t, ones)
@@ -153,7 +153,7 @@ class TestGaussianNorm:
 class TestOuProbeRate:
     def test_constant_probe_fit_is_exact(self, hermite_dec, hermite_grid):
         c = GaussianConjugation()
-        ones = FieldSample(hermite_grid, np.ones(hermite_grid.size))
+        ones = FieldSample(hermite_grid, np.ones(hermite_grid.points_per_axis))
         res = ou_probe_rate(c, hermite_dec, 1.0, (1.0, 2.0, 3.0), [ones])
         assert res.target == -1.0
         assert res.slope == pytest.approx(-1.0, rel=1e-9)
@@ -161,6 +161,26 @@ class TestOuProbeRate:
         assert res.r_squared == pytest.approx(1.0, abs=1e-12)
         assert len(res.samples) == 3
         assert res.samples[0][0] == 1.0 and res.samples[0][1] > 0
+
+    def test_hermite_polynomial_samples_match_closed_form(self):
+        """OU_t H_n = e^(-(2n+1) t) H_n for the physicists' Hermite
+        polynomials, which are orthogonal in L^2(gamma) with
+        ||H_n||^2 = 2^n n!. So f = sum a_n H_n has the sample ratio
+        sqrt(sum a_n^2 2^n n! e^(-2(2n+1)t) / sum a_n^2 2^n n!). A norm
+        without the Gaussian multiplier misses it by orders of magnitude."""
+        grid = Grid(256, 10.0)
+        dec = ah.decompose(ah.hermite_oscillator(), grid, 128)
+        a = np.array([1.0, 0.5, 0.25])
+        f = FieldSample(grid, np.polynomial.hermite.hermval(grid.nodes(), a))
+        ts = (1.0, 2.0, 3.0)
+        res = ou_probe_rate(GaussianConjugation(), dec, 1.0, ts, [f])
+        n = np.arange(a.size)
+        mass = a ** 2 * 2.0 ** n * np.array([math.factorial(j) for j in n])
+        for (t, got), t_in in zip(res.samples, ts):
+            expected = math.sqrt(np.sum(mass * np.exp(-2.0 * (2 * n + 1) * t_in))
+                                 / np.sum(mass))
+            assert t == t_in
+            assert got == pytest.approx(expected, rel=1e-10)
 
     def test_gaussian_corpus_recovers_rate(self, hermite_dec, hermite_grid):
         c = GaussianConjugation()
@@ -175,8 +195,8 @@ class TestOuProbeRate:
         """The skip rule of every probe corpus: a zero-norm probe warns and
         drops out; a corpus of zero probes raises."""
         c = GaussianConjugation()
-        zero = FieldSample(hermite_grid, np.zeros(hermite_grid.size))
-        ones = FieldSample(hermite_grid, np.ones(hermite_grid.size))
+        zero = FieldSample(hermite_grid, np.zeros(hermite_grid.points_per_axis))
+        ones = FieldSample(hermite_grid, np.ones(hermite_grid.points_per_axis))
         with pytest.warns(ProbeSkipWarning):
             res = ou_probe_rate(c, hermite_dec, 1.0, (1.0, 2.0, 3.0), [zero, ones])
         assert res.slope == pytest.approx(-1.0, rel=1e-9)
@@ -188,7 +208,7 @@ class TestOuProbeRate:
         than three distinct, raise; a repeat beside three distinct times is
         fitted."""
         c = GaussianConjugation()
-        ones = FieldSample(hermite_grid, np.ones(hermite_grid.size))
+        ones = FieldSample(hermite_grid, np.ones(hermite_grid.points_per_axis))
         for t_list in ((1.0, 2.0), (1.0, 1.0, 1.0), (1.0, 1.0, 2.0), (2.0, 2.0, 2.0)):
             with pytest.raises(ValueError, match="3 distinct"):
                 ou_probe_rate(c, hermite_dec, 1.0, t_list, [ones])
@@ -200,12 +220,12 @@ class TestOuProbeRate:
         """At t = 800 the constant probe's bound e^(-800) underflows to 0; its
         log must not reach the fit as -inf."""
         c = GaussianConjugation()
-        ones = FieldSample(hermite_grid, np.ones(hermite_grid.size))
+        ones = FieldSample(hermite_grid, np.ones(hermite_grid.points_per_axis))
         with pytest.raises(NumericalError):
             ou_probe_rate(c, hermite_dec, 1.0, (1.0, 2.0, 800.0), [ones])
 
     def test_rejects_non_harmonic(self, quartic_dec, hermite_grid):
         c = GaussianConjugation()
-        ones = FieldSample(quartic_dec.grid, np.ones(quartic_dec.grid.size))
+        ones = FieldSample(quartic_dec.grid, np.ones(quartic_dec.grid.points_per_axis))
         with pytest.raises(InvalidSpecError):
             ou_probe_rate(c, quartic_dec, 1.0, (1.0, 2.0, 3.0), [ones])

@@ -91,7 +91,7 @@ class TestStft:
 
     def test_boundary_mass_warns(self):
         grid = Grid(128, 6.0)
-        f = FieldSample(grid, np.ones(grid.size))
+        f = FieldSample(grid, np.ones(grid.points_per_axis))
         with pytest.warns(BoundaryMassWarning):
             stft(f)
 
@@ -334,7 +334,7 @@ class TestRealStateNorm:
         # an imaginary part far below round-off sends the same field down the
         # full-spectrum path
         vals = np.array(f.values)
-        vals[grid.size // 3] += 1e-300j
+        vals[grid.points_per_axis // 3] += 1e-300j
         full = modulation_norm(FieldSample(grid, vals), s, osc, params)
         assert got == pytest.approx(full, rel=1e-13)
 
@@ -364,7 +364,7 @@ class TestHalfRowPass:
         params = MixedNormParams(p, q)
         expected = mixed_norm(stft(f), s, HARMONIC, params)
         got = modulation_norm(f, s, HARMONIC, params)
-        assert pass_starts == [0, grid.size // 2]  # stft runs every row
+        assert pass_starts == [0, grid.points_per_axis // 2]  # stft runs every row
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_perturbed_node_takes_the_full_pass(self, pass_starts):
@@ -373,7 +373,7 @@ class TestHalfRowPass:
         pass existed)."""
         grid = Grid(512, 12.0)
         vals = np.array(self.field(grid, "even").values.real)
-        k = grid.size // 4
+        k = grid.points_per_axis // 4
         vals[k] = np.nextafter(vals[k], np.inf)
         got = modulation_norm(FieldSample(grid, vals), 1.5, HARMONIC,
                               MixedNormParams(2.0, 1.0))
@@ -392,7 +392,7 @@ class TestColumnOrder:
         grid = Grid(128, 10.0)
         rng = np.random.default_rng(7)
         envelope = np.exp(-2.0 * grid.nodes() ** 2)
-        re, im = rng.standard_normal((2, grid.size)) * envelope
+        re, im = rng.standard_normal((2, grid.points_per_axis)) * envelope
         vals = {"even": re + re[::-1], "odd": re - re[::-1], "real": re}.get(kind, re + 1j * im)
         return FieldSample(grid, vals)
 
@@ -429,7 +429,7 @@ class TestStreamedNormGuards:
     @pytest.mark.parametrize("transform", ["stft", "modulation_norm", "singular_weight_norm"])
     def test_boundary_mass_warns_at_caller(self, transform):
         grid = Grid(128, 6.0)
-        f = FieldSample(grid, np.ones(grid.size))
+        f = FieldSample(grid, np.ones(grid.points_per_axis))
         params = MixedNormParams(2.0, 2.0)
         with pytest.warns(BoundaryMassWarning) as record:
             if transform == "stft":
@@ -454,7 +454,7 @@ class TestStreamedNormGuards:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < hermite_grid.size ** 2 * 16
+        assert peak < hermite_grid.points_per_axis ** 2 * 16
 
 
 class TestSharedPass:
@@ -538,7 +538,7 @@ class TestSharedPass:
 
     def test_boundary_mass_warns_once_per_field(self):
         grid = Grid(128, 6.0)
-        f = FieldSample(grid, np.ones(grid.size))
+        f = FieldSample(grid, np.ones(grid.points_per_axis))
         with pytest.warns(BoundaryMassWarning) as record:
             modulation_norms(f, [FLAT, 1.0, 2.0], HARMONIC, MixedNormParams(2.0, 2.0))
         assert len(record) == 1

@@ -79,7 +79,7 @@ class TestGridOperator:
         """E = A11 + A12 J and O = A11 - A12 J bit for bit, each symmetric."""
         osc, grid = REFLECTION_CASES[name]
         a = dense_operator(osc, grid)
-        half = grid.size // 2
+        half = grid.points_per_axis // 2
         a11, a12j = a[:half, :half], a[:half, half:][:, ::-1]
         even, odd = spectral._parity_blocks(spectral._kinetic_multiplier(osc, grid),
                                             _nodal_potential(osc, grid), grid)
@@ -90,7 +90,7 @@ class TestGridOperator:
     def test_fft_application_matches_the_dense_operator(self, name):
         osc, grid = REFLECTION_CASES[name]
         a = dense_operator(osc, grid)
-        x = np.random.default_rng(3).standard_normal((grid.size, 5))
+        x = np.random.default_rng(3).standard_normal((grid.points_per_axis, 5))
         got = spectral._apply_operator(spectral._kinetic_multiplier(osc, grid),
                                        _nodal_potential(osc, grid), grid, x)
         expected = a @ x
@@ -269,7 +269,7 @@ class TestParitySolve:
                         for j in range(min(m, 20))])
         np.testing.assert_array_equal(odd, np.arange(min(m, 20)) % 2 == 1)
         # gauge: on x > 0 the largest entry outweighs the most negative one
-        right = dec.eigenvectors[hermite_grid.size // 2:]
+        right = dec.eigenvectors[hermite_grid.points_per_axis // 2:]
         assert np.all(right.max(axis=0) >= -right.min(axis=0))
 
     def test_bumped_block_fails_the_residual(self, hermite_osc, monkeypatch):
