@@ -71,17 +71,18 @@ def heat_semigroup(dec: SpectralDecomposition, beta: float, t: float,
 
 
 def project(dec: SpectralDecomposition, j: int, f: FieldSample) -> FieldSample:
-    """Projection onto the degeneracy cluster containing mode j.
+    """Projection <f, Phi_j> Phi_j onto mode j.
 
-    Projecting onto a full cluster is the only grid-stable notion for
-    numerically degenerate eigenvalues.
+    Within its parity each eigenpair is unique up to sign (see
+    ``SpectralDecomposition``), so the spectral projection of a level is the
+    projection onto its one mode. ValueError unless j is an integer in
+    [0, m).
     """
     if not isinstance(j, (int, np.integer)) or not 0 <= j < dec.m:
         raise ValueError(f"mode index {j} outside [0, {dec.m})")
-    start, stop = dec.cluster_of(int(j))
     coeffs = dec.coefficients(f)
     keep = np.zeros_like(coeffs)
-    keep[start:stop] = coeffs[start:stop]
+    keep[j] = coeffs[j]
     return dec.reconstruct(keep)
 
 

@@ -270,6 +270,21 @@ def _finish_manifest(run):  # the grid is parsed before the params
     return run
 
 
+def _require_unique_labels(items, field_name):
+    """Each entry's series and rows are named by its label, so a repeated
+    label would overwrite an earlier entry's output."""
+    seen = set()
+    for item in items:
+        _require(item.label not in seen, f"two entries of {field_name} have the run label "
+                 f"{item.label}; the second would overwrite the first's series", field_name)
+        seen.add(item.label)
+
+
+def _finish_spectrum(p):
+    _require_unique_labels(p.cases, "params.cases")
+    return p
+
+
 def _finish_case(case):
     with _rejected_as("params.cases", f"spectrum case k={case.k}, l={case.l}: "):
         case.oscillator = OscillatorSpec(case.k, case.l)
@@ -296,6 +311,7 @@ def _finish_decay(p):
                 OscillatorSpec(tup.k, tup.l), tup.s2, tup.p_tilde, tup.q_tilde,
                 p.radius, p.resolution, p.form, **t_list, beta=tup.beta)
         tup.label = f"decay_k{tup.k}_l{tup.l}_b{tup.beta:g}"
+    _require_unique_labels(p.tuples, "params.tuples")
     return p
 
 
@@ -335,7 +351,8 @@ def _finish_grid(block):
 
 _FINISH = {
     "": _finish_manifest, "grid": _finish_grid,
-    "params.cases": _finish_case, "params.decay": _finish_decay, "params.norms": _finish_norms,
+    "params.spectrum": _finish_spectrum, "params.cases": _finish_case,
+    "params.decay": _finish_decay, "params.norms": _finish_norms,
     "params.nlheat": _finish_nlheat,
 }
 
@@ -504,7 +521,7 @@ def _l2_gamma_rel_err(norm, conj, f) -> float:
     ||f||_{L^2(gamma)}, with gamma taken from ``conj.density``: the lattice
     Moyal identity makes them equal up to the window-norm error."""
     grid = f.grid
-    ref = float(np.sqrt(grid.cell_volume
+    ref = float(np.sqrt(grid.h
                         * np.sum(conj.density(grid) * np.abs(f.values) ** 2)))
     return abs(norm - ref) / ref
 

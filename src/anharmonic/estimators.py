@@ -502,7 +502,7 @@ def singular_weight_norm(alpha: float, params: MixedNormParams, s: float,
     f_full = truncated(radius)
     _check_boundary_mass(f_full)
     p, q = params.p, params.q
-    cells = (grid.cell_volume, grid.frequency_cell)
+    cells = (grid.h, grid.frequency_cell)
     [columns] = _modulation_columns(f_full, [s], osc, p)
     value = _outer_reduce(columns, p, q, *cells)
     value_half = modulation_norm(truncated(radius / 2.0), s, osc, params)

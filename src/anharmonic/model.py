@@ -5,8 +5,7 @@ alone, named by (k, l); a fractional power H^beta is given where it is used,
 with its semigroup or quotient. The paper states its results on R^d; every
 run here is d = 1, as on ``spectral.Grid``.
 
-Everything here is an immutable value object; all operations are pure and
-vectorized over trailing point batches.
+Everything here is an immutable value object, and all operations are pure.
 """
 
 from __future__ import annotations

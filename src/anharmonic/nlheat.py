@@ -130,7 +130,7 @@ class _Engine:
         self.sign, self.cols = _sector(spec)
         self.rows = slice(None)
         self.phi = dec.eigenvectors
-        self.cell = dec.grid.cell_volume
+        self.cell = dec.grid.h
         if self.sign:
             self.rows = slice(dec.grid.points_per_axis // 2, None)
             self.phi = np.ascontiguousarray(dec.eigenvectors[self.rows, self.cols])
@@ -179,7 +179,7 @@ class _Engine:
         grid, p, q = self.dec.grid, self.monitor_params.p, self.monitor_params.q
         [columns] = _modulation_columns(self.field(coeffs), [self.monitor_s],
                                         self.dec.oscillator, p)
-        return _outer_reduce(columns, p, q, grid.cell_volume, grid.frequency_cell)
+        return _outer_reduce(columns, p, q, grid.h, grid.frequency_cell)
 
     def l2_norm(self, coeffs: np.ndarray) -> float:
         return float(np.linalg.norm(coeffs))

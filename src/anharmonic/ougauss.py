@@ -57,7 +57,7 @@ def conjugation_discarded_mass(c: GaussianConjugation, f: FieldSample) -> float:
         return 0.0
     radii = np.abs(f.grid.nodes())
     outside = f.values * (radii > c.safe_radius)
-    lost = float(np.sqrt(f.grid.cell_volume * np.sum(np.abs(outside) ** 2)))
+    lost = float(np.sqrt(f.grid.h * np.sum(np.abs(outside) ** 2)))
     return lost / total
 
 

@@ -70,7 +70,7 @@ _BLOCK_CELLS = 1 << 15  # lattice cells per block of the streamed STFT pass
 @functools.lru_cache(maxsize=16)
 def _gaussian_window_values(grid: Grid) -> np.ndarray:
     """Unit Gaussian window 2^(1/4) e^(-pi z_i^2) at the wrapped offsets."""
-    z = grid.wrapped_axis_offsets()
+    z = grid.wrapped_offsets()
     g = 2.0 ** 0.25 * np.exp(-np.pi * z ** 2)
     norm = np.sqrt(grid.h * np.sum(g ** 2))
     if abs(norm - 1.0) > _WINDOW_NORM_TOL:
@@ -153,7 +153,7 @@ def _stft_blocks(f: FieldSample, real: bool = False, first_row: int = 0):
     for lo in range(first_row, size, rows):
         np.multiply(fv, table[lo:lo + rows], out=prod)
         block = np.fft.rfft(prod, axis=1) if real else np.fft.fft(prod, axis=1)
-        block *= grid.cell_volume
+        block *= grid.h
         yield lo, block
 
 
@@ -317,7 +317,7 @@ def mixed_norm(field: PhaseSpaceField, s: float, osc: OscillatorSpec | None,
     [columns] = _weighted_columns([(0, np.fft.ifftshift(np.abs(field.values), axes=1))],
                                   [_weight_lattice(s, osc, grid)], params.p)
     return _outer_reduce(np.fft.fftshift(columns), params.p, params.q,
-                         grid.cell_volume, grid.frequency_cell)
+                         grid.h, grid.frequency_cell)
 
 
 def modulation_norm(f: FieldSample, s: float, osc: OscillatorSpec | None,
@@ -357,6 +357,6 @@ def modulation_norms(f: FieldSample, s_values, osc: OscillatorSpec | None,
 
 def _measured_norms(f, s_values, osc, params) -> list:
     _check_boundary_mass(f, stacklevel=4)  # names the caller of the public function
-    cells = (f.grid.cell_volume, f.grid.frequency_cell)
+    cells = (f.grid.h, f.grid.frequency_cell)
     return [_outer_reduce(columns, params.p, params.q, *cells)
             for columns in _modulation_columns(f, s_values, osc, params.p)]

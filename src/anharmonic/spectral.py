@@ -20,7 +20,6 @@ import scipy.linalg
 from .errors import InvalidSpecError, NonConvergenceError, NumericalError
 from .model import OscillatorSpec, evaluate_potential
 
-_CLUSTER_GAP = 1e-8
 _ORTHO_TOL = 1e-9
 _RESIDUAL_TOL = 1e-8
 _MAX_DENSE = 4096
@@ -47,10 +46,6 @@ class Grid:
     def h(self) -> float:
         return 2.0 * self.half_width / self.points_per_axis
 
-    @property
-    def cell_volume(self) -> float:
-        return self.h
-
     def nodes(self) -> np.ndarray:
         """Nodes -L + (i + 1/2) h, formed so that node n-1-i is exactly -(node i)."""
         n = self.points_per_axis
@@ -65,7 +60,7 @@ class Grid:
     def frequency_cell(self) -> float:
         return 1.0 / (2.0 * self.half_width)
 
-    def wrapped_axis_offsets(self) -> np.ndarray:
+    def wrapped_offsets(self) -> np.ndarray:
         """Signed offsets z_i of the cyclic window table, origin at index 0."""
         n = self.points_per_axis
         return (((np.arange(n) + n // 2) % n) - n // 2) * self.h
@@ -88,7 +83,7 @@ class FieldSample:
         object.__setattr__(self, "values", v)
 
     def norm_l2(self) -> float:
-        return float(np.sqrt(self.grid.cell_volume * np.sum(np.abs(self.values) ** 2)))
+        return float(np.sqrt(self.grid.h * np.sum(np.abs(self.values) ** 2)))
 
 
 def _kinetic_multiplier(osc: OscillatorSpec, grid: Grid) -> np.ndarray:
@@ -130,6 +125,8 @@ class SpectralDecomposition:
     x -> -x (the reversed node index), and its sign gauge is: the entry of
     largest modulus at x > 0 (the second half of the nodes) is positive.
     For the harmonic oscillator that is the sign of the Hermite function.
+    Within its parity each eigenpair is unique up to that sign, so a mode is
+    one column.
     """
 
     oscillator: OscillatorSpec
@@ -142,7 +139,6 @@ class SpectralDecomposition:
         self.eigenvectors = np.ascontiguousarray(self.eigenvectors, dtype=float)
         self.eigenvalues.setflags(write=False)
         self.eigenvectors.setflags(write=False)
-        self._clusters = _cluster_ranges(self.eigenvalues)
 
     @property
     def m(self) -> int:
@@ -152,7 +148,7 @@ class SpectralDecomposition:
     def coefficients(self, f: FieldSample) -> np.ndarray:
         if f.grid != self.grid:
             raise ValueError("field grid does not match decomposition grid")
-        return self.grid.cell_volume * real_matmul(self.eigenvectors.T, f.values)
+        return self.grid.h * real_matmul(self.eigenvectors.T, f.values)
 
     def reconstruct(self, coeffs: np.ndarray) -> FieldSample:
         return FieldSample(self.grid, real_matmul(self.eigenvectors, coeffs))
@@ -173,25 +169,8 @@ class SpectralDecomposition:
         if coeffs is None:
             coeffs = self.coefficients(f)
         rec = real_matmul(self.eigenvectors, coeffs)
-        res = float(np.sqrt(self.grid.cell_volume * np.sum(np.abs(f.values - rec) ** 2)))
+        res = float(np.sqrt(self.grid.h * np.sum(np.abs(f.values - rec) ** 2)))
         return res / nf
-
-    def cluster_of(self, j: int):
-        """(start, stop) of the numerically degenerate cluster containing j."""
-        for start, stop in self._clusters:
-            if start <= j < stop:
-                return start, stop
-        raise ValueError(f"mode index {j} outside [0, {self.m})")
-
-
-def _cluster_ranges(eigenvalues):
-    ranges = []
-    start = 0
-    for j in range(1, len(eigenvalues) + 1):
-        if j == len(eigenvalues) or eigenvalues[j] - eigenvalues[j - 1] >= _CLUSTER_GAP:
-            ranges.append((start, j))
-            start = j
-    return ranges
 
 
 def _parity_blocks(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid):
@@ -247,15 +226,10 @@ def _parity_solve(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid, m: int):
     odd = order >= k
     vals = np.empty(m)
     vecs = np.empty((n, m))
-    norm = 1.0 / np.sqrt(2.0 * grid.cell_volume)
+    norm = 1.0 / np.sqrt(2.0 * grid.h)
     for parity, (block_vals, u), cols in zip((1.0, -1.0), blocks,
                                              (np.flatnonzero(~odd), np.flatnonzero(odd))):
         block_vals, u = block_vals[:len(cols)], u[:, :len(cols)]
-        # even and odd vectors are exactly orthogonal, so degenerate clusters
-        # are re-orthonormalized inside each block only
-        for start, stop in _cluster_ranges(block_vals):
-            if stop - start > 1:
-                u[:, start:stop] = np.linalg.qr(u[:, start:stop])[0]
         u *= norm
         vals[cols] = block_vals
         vecs[:half, cols] = u
@@ -284,10 +258,12 @@ def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None) -> Spectral
     kernel; no n x n matrix is formed. Each block is solved for its
     lowest min(m, n/2) pairs and the two lists are merged by a stable sort
     that keeps the lowest m; this is exact, since no block holds more than
-    min(m, n/2) of the lowest m overall. Degenerate clusters are
-    re-orthonormalized inside each block. Each block vector u becomes
+    min(m, n/2) of the lowest m overall. Each block vector u becomes
     [u; ±Ju] / sqrt(2 h) in one (n, m) array, so every column is exactly
-    even or odd (``v[::-1] == ±v`` bitwise).
+    even or odd (``v[::-1] == ±v`` bitwise). Within one parity the levels
+    of the line are simple, so the solver's vectors are used as they come:
+    a block whose levels ever came out degenerate would fail the
+    orthonormality gate below rather than be re-orthonormalized.
 
     Sign gauge: the entry of largest modulus at x > 0 (the second half of
     the nodes) is positive. In the harmonic case that is the sign of the
@@ -327,15 +303,14 @@ def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None) -> Spectral
     signs[signs == 0] = 1.0
     vecs *= signs
 
-    hd = grid.cell_volume
-    ortho_err = float(np.max(np.abs(hd * (vecs.T @ vecs) - np.eye(m))))
+    ortho_err = float(np.max(np.abs(grid.h * (vecs.T @ vecs) - np.eye(m))))
     if ortho_err > _ORTHO_TOL:
         raise NumericalError(f"eigenvector orthonormality error {ortho_err:.3e} exceeds {_ORTHO_TOL}")
     if vals[0] <= 0:
         raise NumericalError(f"ground eigenvalue {vals[0]:.6e} is not positive")
     resid = _apply_operator(mult, v_nodes, grid, vecs)
     resid -= vecs * vals
-    resid_norms = np.sqrt(hd * np.sum(resid ** 2, axis=0))
+    resid_norms = np.sqrt(grid.h * np.sum(resid ** 2, axis=0))
     bound = _RESIDUAL_TOL * (1.0 + vals)
     if np.any(resid_norms > bound):
         worst = int(np.argmax(resid_norms / bound))

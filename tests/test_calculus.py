@@ -92,22 +92,6 @@ class TestProject:
             with pytest.raises(ValueError):
                 project(hermite_dec, j, gaussian_field)
 
-    def test_degenerate_cluster_projected_whole(self, small_dec):
-        # the line has no degenerate level, so the Hermite vectors are given
-        # lambda_1 = lambda_2; any mode index inside that cluster must select
-        # the same subspace
-        vals = small_dec.eigenvalues.copy()
-        vals[1] = vals[2]
-        dec = SpectralDecomposition(small_dec.oscillator, small_dec.grid, vals,
-                                    small_dec.eigenvectors)
-        f = dec.reconstruct(np.linspace(1.0, 0.2, dec.m).astype(complex))
-        via_first = project(dec, 1, f)
-        via_second = project(dec, 2, f)
-        np.testing.assert_allclose(via_first.values, via_second.values, atol=1e-12)
-        kept = dec.coefficients(via_first)
-        assert abs(kept[1]) > 0.1 and abs(kept[2]) > 0.1
-        assert np.all(np.abs(kept[3:]) < 1e-10) and abs(kept[0]) < 1e-10
-
 
 class TestSobolevNorm:
     def test_eigenfunction_value(self, hermite_dec):

@@ -466,6 +466,16 @@ class TestRunManifest:
          "seed must be an unsigned 64-bit integer (field: seed)"),
         ("norms", {"checks": ["moyal"], "modes": 16}, {}, 2 ** 64 + 5,
          "seed must be an unsigned 64-bit integer (field: seed)"),
+        # a run label names an entry's series and rows, so it may appear once
+        ("decay", {"resolution": 256,
+                   "tuples": [{"k": 1, "l": 1, "beta": 1.0, "p_tilde": 1.0, "q_tilde": 1.0},
+                              {"k": 1, "l": 1, "beta": 1.0, "p_tilde": 2.0, "q_tilde": 2.0}]},
+         {}, None, "run label decay_k1_l1_b1; the second would overwrite the first's "
+         "series (field: params.tuples)"),
+        ("spectrum", {"cases": [{"k": 1, "l": 1, "points": 64, "half_width": 8.0},
+                                {"k": 1, "l": 1, "points": 128, "half_width": 12.0}]},
+         {}, None, "run label k1_l1; the second would overwrite the first's series "
+         "(field: params.cases)"),
     ], ids=["etd_order", "etd_horizon", "monitor_s_inf", "tol", "dt", "norms_no_checks",
             "nlheat_nu_float", "nlheat_nu_bool", "nlheat_modes_float", "nlheat_modes_str",
             "nlheat_beta_str", "nlheat_etd_order_float", "nlheat_power_alpha",
@@ -480,7 +490,8 @@ class TestRunManifest:
             "decay_radius_negative", "decay_resolution_small", "decay_resolution_odd",
             "decay_form_typo", "decay_t_above_one", "nlheat_coupling_re_nan",
             "nlheat_coupling_im_inf", "grid_dimension_two", "spectrum_case_dimension",
-            "seed_override_negative", "seed_override_too_large"])
+            "seed_override_negative", "seed_override_too_large", "decay_repeated_label",
+            "spectrum_repeated_label"])
     def test_rejected_before_any_work(self, tmp_path, monkeypatch, capsys, kind, params,
                                       top, seed, detail):
         """A rejected manifest value costs no decomposition, no Picard run and

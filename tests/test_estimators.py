@@ -384,7 +384,7 @@ class TestSingularWeight:
         xi = grid.frequency_nodes()
         # the harmonic weight, (1 + |x| + 2 pi |xi|)^s in angular frequency
         weight = (1.0 + np.abs(x)[:, None] + 2.0 * np.pi * np.abs(xi)[None, :]) ** 0.5
-        cells = (grid.cell_volume, grid.frequency_cell)
+        cells = (grid.h, grid.frequency_cell)
         p_ref, q_ref = ("inf" if is_inf(e) else e for e in (p, q))
 
         def reference(radius, columns=slice(None)):

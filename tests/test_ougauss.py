@@ -114,7 +114,7 @@ class TestGaussianNorm:
         # the streamed norm and the full-lattice route are different code:
         # both meet the closed form
         expected = mixed_norm_reference(damped_gaussian_abs, 1.0, 2.0, 2.0,
-                                        hermite_grid.cell_volume,
+                                        hermite_grid.h,
                                         hermite_grid.frequency_cell)
         streamed = modulation_norm(multiplied, FLAT, None, L2)
         assert streamed == pytest.approx(expected, rel=1e-10)
@@ -131,7 +131,7 @@ class TestGaussianNorm:
         xi = hermite_grid.frequency_nodes()
         weight = 1.0 + np.abs(x)[:, None] + 2.0 * np.pi * np.abs(xi)[None, :]
         expected = mixed_norm_reference(damped_gaussian_abs, weight, 2.0, 2.0,
-                                        hermite_grid.cell_volume,
+                                        hermite_grid.h,
                                         hermite_grid.frequency_cell)
         assert got == pytest.approx(expected, rel=1e-10)
 
@@ -146,7 +146,7 @@ class TestGaussianNorm:
                         * np.exp(2j * np.pi * 0.6 * x))
         got = modulation_norm(apply_conjugation(c, "forward", f), FLAT, None, L2)
         gamma = np.exp(-x ** 2) / math.sqrt(math.pi)
-        expected = math.sqrt(hermite_grid.cell_volume * np.sum(gamma * np.abs(f.values) ** 2))
+        expected = math.sqrt(hermite_grid.h * np.sum(gamma * np.abs(f.values) ** 2))
         assert got == pytest.approx(expected, rel=1e-9)
 
 

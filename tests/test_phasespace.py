@@ -40,13 +40,13 @@ def unit_gaussian(grid):
 class TestWindow:
     def test_gaussian_is_unit_norm(self, hermite_grid):
         g = _gaussian_window_values(hermite_grid)
-        norm = np.sqrt(hermite_grid.cell_volume * np.sum(np.abs(g) ** 2))
+        norm = np.sqrt(hermite_grid.h * np.sum(np.abs(g) ** 2))
         assert norm == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("grid", [Grid(64, 4.0), Grid(256, 8.0)], ids=["64", "256"])
     def test_gaussian_is_unit_norm_on_other_grids(self, grid):
         g = _gaussian_window_values(grid)
-        norm = np.sqrt(grid.cell_volume * np.sum(np.abs(g) ** 2))
+        norm = np.sqrt(grid.h * np.sum(np.abs(g) ** 2))
         assert norm == pytest.approx(1.0, abs=1e-12)
 
     def test_wrapped_layout_peaks_at_origin(self, hermite_grid):
@@ -129,7 +129,7 @@ class TestMixedNorm:
         vals = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         field = PhaseSpaceField(grid, vals)
         expected = mixed_norm_reference(vals, harmonic_lattice(grid, 1.5), p, q,
-                                        grid.cell_volume, grid.frequency_cell)
+                                        grid.h, grid.frequency_cell)
         params = MixedNormParams(INF if p == "inf" else p, INF if q == "inf" else q)
         got = mixed_norm(field, 1.5, HARMONIC, params)
         assert got == pytest.approx(expected, rel=1e-12)
@@ -151,7 +151,7 @@ class TestMixedNorm:
         wf = weight_value(s, osc, x, 2.0 * np.pi * xi)
         expected = abs(2.0 - 1.0j) * wf
         if p != "inf":
-            expected *= grid.cell_volume ** (1.0 / p)
+            expected *= grid.h ** (1.0 / p)
         if q != "inf":
             expected *= grid.frequency_cell ** (1.0 / q)
         params = MixedNormParams(INF if p == "inf" else p, INF if q == "inf" else q)
@@ -212,7 +212,7 @@ class TestModulationNorm:
         params = MixedNormParams(2.0, 1.0)
         expected = mixed_norm_reference(damped_gaussian_abs,
                                         harmonic_lattice(hermite_grid, 1.0), 2.0, 1.0,
-                                        hermite_grid.cell_volume,
+                                        hermite_grid.h,
                                         hermite_grid.frequency_cell)
         via_route = mixed_norm(stft(conj), 1.0, HARMONIC, params)
         by_hand = modulation_norm(damped, 1.0, HARMONIC, params)
@@ -236,7 +236,7 @@ def _unit_gaussian_oracle(grid, weight, p, q):
     xi = grid.frequency_nodes()
     return mixed_norm_reference(gaussian_window_transform_abs(x, xi), weight,
                                 _oracle_exponent(p), _oracle_exponent(q),
-                                grid.cell_volume, grid.frequency_cell)
+                                grid.h, grid.frequency_cell)
 
 
 def _oracle_weight(kind, grid, quartic_osc):
@@ -278,7 +278,7 @@ class TestStreamedNormOracle:
         b, c = 0.5, 1.25
         mag = gaussian_lattice_stft_abs(x, xi, 2.0 ** 0.25, np.pi, b, c, grid.h)
         expected = mixed_norm_reference(mag, harmonic_lattice(grid, 1.5), _oracle_exponent(p),
-                                        _oracle_exponent(q), grid.cell_volume,
+                                        _oracle_exponent(q), grid.h,
                                         grid.frequency_cell)
         f = FieldSample(grid, 2.0 ** 0.25 * np.exp(-np.pi * (x - b) ** 2)
                         * np.exp(2j * np.pi * c * x))
@@ -325,7 +325,7 @@ class TestRealStateNorm:
         mag = gaussian_lattice_stft_abs(grid.nodes(), grid.frequency_nodes(),
                                         self.AMP, self.A, self.B, 0.0, grid.h)
         expected = mixed_norm_reference(mag, weight, _oracle_exponent(p),
-                                        _oracle_exponent(q), grid.cell_volume,
+                                        _oracle_exponent(q), grid.h,
                                         grid.frequency_cell)
         f = self.field()
         params = MixedNormParams(p, q)
@@ -503,7 +503,7 @@ class TestSharedPass:
         params = MixedNormParams(6.0, 2.0)
         got = modulation_norms(f, [s for s, _ in specs], quartic_osc, params)
         for value, (_, weight) in zip(got, specs):
-            expected = mixed_norm_reference(mag, weight, 6.0, 2.0, grid.cell_volume,
+            expected = mixed_norm_reference(mag, weight, 6.0, 2.0, grid.h,
                                             grid.frequency_cell)
             assert value == pytest.approx(expected, rel=1e-10)
 

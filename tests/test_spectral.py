@@ -8,7 +8,7 @@ import anharmonic as ah
 from anharmonic import (FieldSample, Grid, InvalidSpecError, NumericalError, OscillatorSpec,
                         decompose, eigenvalue_growth_fit, evaluate_potential, growth_target,
                         spectral)
-from anharmonic.spectral import SpectralDecomposition, real_matmul
+from anharmonic.spectral import real_matmul
 
 from oracles import QUARTIC_LAMBDA0, dense_operator, hermite_function
 
@@ -27,8 +27,8 @@ class TestGrid:
         np.testing.assert_allclose(x, -half_width + (np.arange(64) + 0.5) * h,
                                    rtol=0, atol=4e-16 * half_width)
 
-    def test_cell_volume(self, hermite_grid):
-        assert hermite_grid.cell_volume == pytest.approx(24.0 / 512)
+    def test_cell_width(self, hermite_grid):
+        assert hermite_grid.h == pytest.approx(24.0 / 512)
 
     def test_frequency_lattice(self, hermite_grid):
         xi = hermite_grid.frequency_nodes()
@@ -148,7 +148,7 @@ class TestDecomposition:
 
     def test_orthonormality(self, hermite_dec, hermite_grid):
         phi = hermite_dec.eigenvectors[:, :50]
-        gram = hermite_grid.cell_volume * (phi.T @ phi)
+        gram = hermite_grid.h * (phi.T @ phi)
         np.testing.assert_allclose(gram, np.eye(50), atol=1e-9)
 
     def test_coefficients_reconstruct_roundtrip(self, hermite_dec, gaussian_field):
@@ -197,16 +197,6 @@ class TestDecomposition:
         value, within 1e-6 relative at 512 points on half-width 12."""
         assert quartic_dec.eigenvalues[0] == pytest.approx(QUARTIC_LAMBDA0, rel=1e-6)
 
-    def test_cluster_of_degenerate_pair(self, small_dec):
-        """The line has no degenerate level, so one is made: the Hermite
-        vectors with lambda_1 set equal to lambda_2."""
-        vals = small_dec.eigenvalues.copy()
-        vals[1] = vals[2]
-        dec = SpectralDecomposition(small_dec.oscillator, small_dec.grid, vals,
-                                    small_dec.eigenvectors)
-        assert dec.cluster_of(1) == (1, 3) and dec.cluster_of(2) == (1, 3)
-        assert dec.cluster_of(0) == (0, 1) and dec.cluster_of(3) == (3, 4)
-
 
 def _exact_parity(v):
     return np.array_equal(v[::-1], v) or np.array_equal(v[::-1], -v)
@@ -233,31 +223,48 @@ class TestParitySolve:
     def test_matches_full_eigh(self, case):
         a, grid, dec = case
         w, v = scipy.linalg.eigh(a)  # every eigenpair of the full matrix
-        v /= np.sqrt(grid.cell_volume)
+        v /= np.sqrt(grid.h)
         m = dec.m
         np.testing.assert_allclose(dec.eigenvalues, w[:m], rtol=1e-10, atol=0)
         # each vector lies in the reference eigenspace of its level: for a
         # simple level that is the overlap with the one reference vector
         for j in range(m):
             level = np.abs(w - w[j]) <= 1e-6 * (1.0 + w[j])
-            coeffs = grid.cell_volume * (v[:, level].T @ dec.eigenvectors[:, j])
+            coeffs = grid.h * (v[:, level].T @ dec.eigenvectors[:, j])
             assert np.linalg.norm(coeffs) >= 1.0 - 1e-9, j
 
     def test_every_column_exactly_even_or_odd(self, case):
         _, _, dec = case
         assert all(_exact_parity(dec.eigenvectors[:, j]) for j in range(dec.m))
 
-    def test_degenerate_clusters_keep_exact_parity(self, hermite_osc, monkeypatch):
-        """The line has no degenerate level, so a cluster gap above the
-        harmonic spacing 2 (4 inside a parity block) makes every level one
-        cluster: the QR step runs on each whole block and must keep every
-        column exactly even or odd and orthonormal."""
-        monkeypatch.setattr(spectral, "_CLUSTER_GAP", 4.5)
-        dec = decompose(hermite_osc, Grid(64, 8.0), 24)
-        assert dec.cluster_of(0) == (0, dec.m)
-        assert all(_exact_parity(dec.eigenvectors[:, j]) for j in range(dec.m))
-        gram = dec.grid.cell_volume * (dec.eigenvectors.T @ dec.eigenvectors)
-        np.testing.assert_allclose(gram, np.eye(dec.m), rtol=0, atol=1e-12)
+    def test_levels_are_simple_within_each_parity(self, case):
+        """The premise that a mode is one column: inside one parity block
+        the retained levels are far apart (at least 3.73 over these cases),
+        so each eigenpair is unique up to sign."""
+        _, _, dec = case
+        parity = spectral._reflection_parity(dec.eigenvectors)
+        assert np.all(parity != 0.0)
+        for sign in (1.0, -1.0):
+            assert np.all(np.diff(dec.eigenvalues[parity == sign]) > 1.0), sign
+
+    def test_mixed_block_vectors_fail_the_orthonormality(self, hermite_osc, monkeypatch):
+        """Nothing re-orthonormalizes the solver's vectors: an even vector
+        carrying 1e-6 of its even neighbour (what a degenerate level could
+        return) exits through the 1e-9 orthonormality gate."""
+        eigh = scipy.linalg.eigh
+        calls = []
+
+        def mixed(*args, **kwargs):
+            w, u = eigh(*args, **kwargs)
+            if not calls:  # the even block is solved first
+                u[:, 3] += 1e-6 * u[:, 4]
+            calls.append(1)
+            return w, u
+
+        monkeypatch.setattr(scipy.linalg, "eigh", mixed)
+        with pytest.raises(NumericalError, match="orthonormality"):
+            decompose(hermite_osc, Grid(64, 8.0), 16)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("m", [1, 255, 256, 257, 384, 512])
     def test_merge_keeps_the_lowest_m(self, hermite_osc, hermite_grid, m):
