@@ -33,7 +33,10 @@ class NonConvergenceError(NumericalError):
     """An iterative solver ran out of iterations.
 
     ``diagnostics`` holds solver state at failure (last contraction
-    factor, iteration count, and similar).
+    factor, iteration count, and similar). The Picard solver's ``last_gap``
+    is the cap of the last gap, C ||gap||_{L^2} of ``nlheat.picard_solve``,
+    which bounds its monitored norm; it is inf when the gap's sum of
+    squares overflows, and the CLI prints inf as the string "inf".
     """
 
     def __init__(self, message, diagnostics=None):

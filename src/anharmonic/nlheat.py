@@ -14,11 +14,12 @@ Both nonlinearities keep parity, and every retained mode is exactly even or
 odd. So a real u0 that is bitwise even or odd (the shipped Gaussian is)
 is evolved in its parity sector alone: the coefficients of that parity's
 modes, with values on the rows x > 0 and twice the cell measure, about half
-of every matvec. Each state and Picard gap is mirrored into a full field
-before it is measured, so it is exactly even or odd and its norm takes the
-half-row pass of ``phasespace``. Checkpoint coefficients stay full length m,
-with exact zeros in the other parity. Other initial data (not bitwise
-symmetric, or complex) evolve in the full layout, as before.
+of every matvec. Each state, and each Picard gap that takes the exact
+norm, is mirrored into a full field before it is measured, so it is exactly
+even or odd and its norm takes the half-row pass of ``phasespace``.
+Checkpoint coefficients stay full length m, with exact zeros in the other
+parity. Other initial data (not bitwise symmetric, or complex) evolve in
+the full layout, as before.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .calculus import _warn_off_span
 from .errors import InvalidSpecError, NonConvergenceError
 from .model import MixedNormParams
-from .phasespace import _modulation_columns, _outer_reduce, modulation_norm
+from .phasespace import _l2_cap, _modulation_columns, _outer_reduce, modulation_norm
 from .spectral import FieldSample, SpectralDecomposition, _reflection_parity, real_matmul
 
 _BLOWUP_NORM = 1e6
@@ -175,11 +176,27 @@ class _Engine:
 
     def gap_norm(self, coeffs: np.ndarray) -> float:
         """Monitored norm of a difference of Picard iterates, without the
-        boundary-mass check of a state: near convergence it is round-off."""
+        boundary-mass check of a state: near convergence it is round-off.
+        The Picard stop's exact fallback, run when the gap's cap cannot
+        decide."""
         grid, p, q = self.dec.grid, self.monitor_params.p, self.monitor_params.q
         [columns] = _modulation_columns(self.field(coeffs), [self.monitor_s],
                                         self.dec.oscillator, p)
         return _outer_reduce(columns, p, q, grid.h, grid.frequency_cell)
+
+    def cap_constant(self) -> float:
+        """``phasespace._l2_cap`` of the monitor: the monitored norm of any
+        field is at most this times its L^2 norm."""
+        return _l2_cap(self.monitor_s, self.dec.oscillator, self.dec.grid,
+                       self.monitor_params)
+
+    def field_l2(self, coeffs: np.ndarray) -> float:
+        """L^2 norm of the full field of ``coeffs``, sqrt(cell sum |v|^2) over
+        the engine's rows (a sector field's mirror half is carried by the
+        doubled cell). A sum of squares that overflows (norm above about
+        1e154) gives inf."""
+        v = self.to_values(coeffs)
+        return float(np.sqrt(self.cell * np.vdot(v, v).real))
 
     def l2_norm(self, coeffs: np.ndarray) -> float:
         return float(np.linalg.norm(coeffs))
@@ -194,11 +211,12 @@ class Trajectory:
     zeros in the other parity) are stored every ``checkpoint_stride``
     steps plus the final state, and ``monitored_norms`` is measured at
     exactly those steps and NaN between them. ``contraction_factors`` holds,
-    per Picard window, the gap ratios of successive iterates; exponential
-    stepping leaves it empty. A blow-up truncates the record instead of
-    raising and sets ``blowup_time``; its step is stored as a checkpoint
-    with the monitored norm measured. Blow-up is detected at the
-    granularity of the stride: at a stride point by the monitored norm
+    per Picard window, the ratios of successive gaps in the L^2 norm of the
+    gap field (the cap norm of ``picard_solve``; ``max_contraction`` reads
+    them); exponential stepping leaves it empty. A blow-up truncates the
+    record instead of raising and sets ``blowup_time``; its step is stored
+    as a checkpoint with the monitored norm measured. Blow-up is detected at
+    the granularity of the stride: at a stride point by the monitored norm
     (non-finite or above 1e6), between stride points by non-finite
     coefficients or an l2 coefficient norm above 1e6. With stride 1 every
     step is measured.
@@ -346,8 +364,17 @@ def picard_solve(spec: NonlinearProblemSpec, horizon: float, dt: float,
     On each window the endpoint iterate is exp(-dt H^beta) u(t) plus the
     midpoint-quadrature Duhamel increment dt exp(-(dt/2) H^beta) N(u_mid);
     the midpoint state is refreshed from the averaged endpoint data. The
-    iteration stops when the successive-iterate gap in the monitored norm
-    drops below tol; gap ratios are recorded as contraction factors.
+    iteration stops, after at least two passes, when the successive-iterate
+    gap in the monitored norm drops below tol.
+
+    Each gap is recorded as its cap C ||gap||_{L^2}, with C the monitor's
+    ``phasespace._l2_cap``: one O(N) sum after the reconstruction. The cap
+    bounds the monitored norm, so a cap below tol stops the window; only a
+    cap at or above tol sends the gap through the exact STFT norm. Every
+    window therefore takes the iterations the exact gap alone would give.
+    Contraction factors are ratios of successive caps, which are ratios of
+    the gaps' L^2 norms. A NonConvergenceError reports the last cap as
+    ``last_gap``; a gap whose sum of squares overflows has cap inf.
     Blow-up (see ``Trajectory`` for how the checkpoint stride sets where it
     is detected) truncates the trajectory with the blow-up flag instead of
     raising.
@@ -360,6 +387,7 @@ def picard_solve(spec: NonlinearProblemSpec, horizon: float, dt: float,
     e_full = engine.propagator(dt)
     e_half = engine.propagator(dt / 2.0)
     e_quarter = engine.propagator(dt / 4.0)
+    cap = engine.cap_constant()
     contractions = []
 
     for step in range(1, rec.steps + 1):
@@ -380,14 +408,15 @@ def picard_solve(spec: NonlinearProblemSpec, horizon: float, dt: float,
                     {"t": t_next, "iterations": len(gaps) + 1,
                      "last_gap": gaps[-1] if gaps else None})
             gap_field = new_end - c_end
-            gap = engine.gap_norm(gap_field) if np.any(gap_field) else 0.0
+            gap = cap * engine.field_l2(gap_field) if np.any(gap_field) else 0.0
             c_end, c_mid = new_end, new_mid
             gaps.append(gap)
             if len(gaps) >= 2 and gaps[-2] > 0:
                 window_ratios.append(gaps[-1] / gaps[-2])
             # a second pass is mandatory so the contraction is measured, not
-            # assumed, even when the first correction is already below tol
-            if gap < tol and len(gaps) >= 2:
+            # assumed, even when the first correction is already below tol;
+            # the exact norm runs only where the cap cannot decide
+            if len(gaps) >= 2 and (gap < tol or engine.gap_norm(gap_field) < tol):
                 converged = True
                 break
         if not converged:

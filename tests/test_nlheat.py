@@ -267,6 +267,65 @@ class TestPicard:
             picard_solve(spec, 0.01, 0.005)
 
 
+class TestCertifiedStop:
+    """Picard records each gap as its cap C ||gap||_{L^2}, which bounds the
+    monitored norm; the exact STFT gap norm runs only when the cap is at or
+    above tol, so every window takes the iterations the exact gap gives."""
+
+    @staticmethod
+    def exact_gap_calls(monkeypatch):
+        calls = []
+        exact = anharmonic.nlheat._Engine.gap_norm
+
+        def counted(engine, coeffs):
+            calls.append(1)
+            return exact(engine, coeffs)
+
+        monkeypatch.setattr(anharmonic.nlheat._Engine, "gap_norm", counted)
+        return calls
+
+    def test_fallback_keeps_the_exact_iteration_counts(self, defocusing, monkeypatch):
+        """Amplitude 0.5 needs 3-4 passes per window, so the cap cannot
+        decide every stop: the exact norm runs on two passes of each window.
+        The counts were taken while every gap was measured exactly."""
+        calls = self.exact_gap_calls(monkeypatch)
+        traj = picard_solve(defocusing, 0.2, 0.005)
+        assert [len(w) + 1 for w in traj.contraction_factors] == [4] * 25 + [3] * 15
+        assert len(calls) == 80
+
+    def test_small_data_takes_no_exact_gap(self, dec, small_u0, monkeypatch):
+        """At monitored norm 0.05 (the benchmark flow's initial norm) the cap
+        decides every stop, after the two mandatory passes."""
+        scale = 0.05 / ah.modulation_norm(small_u0, MONITOR[2], dec.oscillator,
+                                          ah.MixedNormParams(*MONITOR[:2]))
+        u0 = FieldSample(dec.grid, scale * small_u0.values)
+        spec = NonlinearProblemSpec(dec, u0, coupling=-1.0, monitor=MONITOR)
+        calls = self.exact_gap_calls(monkeypatch)
+        traj = picard_solve(spec, 0.05, 0.005)
+        assert [len(w) + 1 for w in traj.contraction_factors] == [2] * 10
+        assert calls == []
+
+    @LAYOUTS
+    def test_field_l2_is_the_full_field_norm(self, dec, shift):
+        """The sector layout's doubled cell carries the mirrored half."""
+        x = dec.grid.nodes()
+        spec = NonlinearProblemSpec(dec, FieldSample(dec.grid, np.exp(-(x - shift) ** 2 / 2)),
+                                    monitor=MONITOR)
+        engine = anharmonic.nlheat._Engine(spec)
+        c = np.random.default_rng(3).standard_normal(len(engine.lam_beta))
+        full = engine.field(c).values
+        expected = math.sqrt(dec.grid.h * np.sum(np.abs(full) ** 2))
+        assert engine.field_l2(c) == pytest.approx(expected, rel=1e-13)
+
+    def test_overflowing_gap_has_cap_inf(self, defocusing):
+        """A gap whose sum of squares overflows has cap inf, which a
+        NonConvergenceError reports as last_gap."""
+        engine = anharmonic.nlheat._Engine(defocusing)
+        huge = np.full(len(engine.lam_beta), 1e200)
+        with np.errstate(over="ignore"):
+            assert engine.cap_constant() * engine.field_l2(huge) == math.inf
+
+
 class TestBlowup:
     def test_threshold_crossing_truncates(self, defocusing, monkeypatch):
         monkeypatch.setattr(anharmonic.nlheat, "_BLOWUP_NORM", 1e-4)

@@ -9,8 +9,8 @@ from anharmonic import (INF, BoundaryMassWarning, FieldSample, Grid,
                         InvalidSpecError, MixedNormParams, NumericalError,
                         PhaseSpaceField, apply_conjugation, mixed_norm,
                         modulation_norm, modulation_norms, stft, weight_value)
-from anharmonic.phasespace import (_gaussian_window_values, _modulation_columns,
-                                   _weighted_columns)
+from anharmonic.phasespace import (_gaussian_conj_table, _gaussian_window_values, _l2_cap,
+                                   _modulation_columns, _weight_lattice, _weighted_columns)
 from oracles import (gaussian_lattice_stft_abs, gaussian_window_transform_abs,
                      mixed_norm_reference)
 
@@ -543,3 +543,65 @@ class TestSharedPass:
             modulation_norms(f, [FLAT, 1.0, 2.0], HARMONIC, MixedNormParams(2.0, 2.0))
         assert len(record) == 1
         assert record[0].filename == __file__
+
+
+@pytest.mark.filterwarnings("ignore::anharmonic.errors.BoundaryMassWarning")
+class TestL2Cap:
+    """``_l2_cap`` C caps every modulation norm by the L^2 norm of the field:
+    Cauchy-Schwarz gives |V_g f| <= ||f||_2 ||g||_2 on the lattice, and the
+    lattice (quasi-)norm is monotone, so ||V_g f . v_s||_{L^{p,q}} <= C ||f||_2
+    with C = ||g||_2 ||v_s||_{L^{p,q}}, for all 0 < p, q <= INF."""
+
+    GRID = Grid(128, 10.0)
+
+    @staticmethod
+    def l2(f):
+        return float(np.sqrt(f.grid.h * np.sum(np.abs(f.values) ** 2)))
+
+    @staticmethod
+    def field(kind):
+        """Seeded noise over the whole box: its high frequencies meet the
+        large weights, so a cap that dropped the weight would fall below the
+        weighted norm."""
+        grid = TestL2Cap.GRID
+        re, im = np.random.default_rng(11).standard_normal((2, grid.points_per_axis))
+        vals = {"even": re + re[::-1], "odd": re - re[::-1], "real": re}.get(kind, re + 1j * im)
+        return FieldSample(grid, vals)
+
+    @pytest.mark.parametrize("p,q", [(0.5, 0.5), (1.0, 0.5), (1.0, 1.0), (2.0, 1.0),
+                                     (6.0, 2.0), (INF, INF)], ids=_exponent_id)
+    @pytest.mark.parametrize("s", [FLAT, 0.02, 2.0], ids=["s0", "s0.02", "s2"])
+    @pytest.mark.parametrize("kind", ["real", "complex", "even", "odd"])
+    def test_bounds_the_exact_norm(self, kind, s, p, q):
+        f = self.field(kind)
+        params = MixedNormParams(p, q)
+        exact = modulation_norm(f, s, HARMONIC, params)
+        assert 0.0 < exact <= _l2_cap(s, HARMONIC, f.grid, params) * self.l2(f)
+
+    @pytest.mark.parametrize("node,freq", [(0, 64), (37, 75), (90, 0), (127, 20)])
+    def test_sharp_for_a_modulated_shifted_window(self, node, freq):
+        """f = g(. - x_i) e^{2 pi i xi_n .} gives |V_g f(x_i, xi_n)| = ||g||_2^2
+        = ||g||_2 ||f||_2, so at p = q = INF and s = 0 the cap is attained.
+        It rounds up: never below the exact norm, and within 1e-12 of it.
+        (freq 64 is xi = 0, a real field.)"""
+        grid = self.GRID
+        xi = grid.frequency_nodes()[freq]
+        vals = _gaussian_conj_table(grid)[node] * np.exp(2j * np.pi * xi * grid.nodes())
+        f = FieldSample(grid, vals.real if xi == 0.0 else vals)
+        params = MixedNormParams(INF, INF)
+        exact = modulation_norm(f, FLAT, None, params)
+        cap = _l2_cap(FLAT, None, grid, params) * self.l2(f)
+        assert exact <= cap <= exact * (1.0 + 1e-12)
+
+    def test_reduces_the_weight_lattice_in_blocks(self, hermite_grid, quartic_osc):
+        """With the weight lattice cached, the constant allocates less than
+        one (size, size) real lattice (2 MiB at 512 points)."""
+        args = (2.0, quartic_osc, hermite_grid)
+        _weight_lattice(*args)
+        tracemalloc.start()
+        try:
+            _l2_cap.__wrapped__(*args, MixedNormParams(2.0, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < hermite_grid.points_per_axis ** 2 * 8 / 2
