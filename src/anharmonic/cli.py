@@ -77,7 +77,7 @@ class ReportRecord:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "manifest_hash": self.manifest_hash,
             "artifact_version": self.version,
             "kind": self.kind,
@@ -90,15 +90,22 @@ class ReportRecord:
         }
 
 
-def _result(name: str, value: float, target: float, deviation: float,
-            tolerance: float, passed: bool) -> dict:
-    # the report invariant: every pass/fail carries numeric deviation and tolerance
-    row = {"name": str(name), "value": float(value), "target": float(target),
-           "deviation": float(deviation), "tolerance": float(tolerance),
-           "passed": bool(passed)}
-    if not np.isfinite(row["tolerance"]):
+# the verdict rule of every row, for value v and target t: the deviation is
+# |v - t| (abs), |v - t| / |t| (rel), v - t (upper, v at most the bound t)
+# or t - v (lower, v at least t), and passed <=> deviation <= tolerance
+_DEVIATION = {"abs": lambda v, t: abs(v - t), "rel": lambda v, t: abs(v - t) / abs(t),
+              "upper": lambda v, t: v - t, "lower": lambda v, t: t - v}
+
+
+def _result(name: str, kind: str, value: float, target: float, tolerance: float) -> dict:
+    """The one way to make a report row: ``_DEVIATION`` judges it, so a NaN
+    deviation fails; a non-finite tolerance is a SchemaError."""
+    value, target, tolerance = float(value), float(target), float(tolerance)
+    if not np.isfinite(tolerance):
         raise SchemaError(f"result {name} lacks a finite tolerance")
-    return row
+    deviation = _DEVIATION[kind](value, target)
+    return {"name": str(name), "kind": kind, "value": value, "target": target,
+            "deviation": deviation, "tolerance": tolerance, "passed": deviation <= tolerance}
 
 
 def _require(cond, message, field_name=None):
@@ -391,15 +398,13 @@ def _run_spectrum(run, record):
         # checked after decompose: perfbench's tiny cases sit below the window floor
         with _rejected_as("params.cases", f"spectrum case k={case.k}, l={case.l}: "):
             fit = eigenvalue_growth_fit(dec, case.j_lo, case.j_hi)
-        record.results.append(_result(
-            f"growth_slope_{case.label}", fit.slope, fit.target, fit.rel_deviation,
-            case.tolerance, fit.rel_deviation <= case.tolerance))
+        record.results.append(_result(f"growth_slope_{case.label}", "rel", fit.slope,
+                                      fit.target, case.tolerance))
         if case.k == 1 and case.l == 1:
             j = np.arange(min(21, dec.m))
             exact = 2.0 * j + 1.0
             err = float(np.max(np.abs(dec.eigenvalues[:len(j)] - exact) / exact))
-            record.results.append(_result(
-                "harmonic_spectrum_rel_err", err, 0.0, err, 1e-6, err <= 1e-6))
+            record.results.append(_result("harmonic_spectrum_rel_err", "abs", err, 0.0, 1e-6))
         anchor = dec.eigenvalues[case.j_lo]
         rows = [[j, float(dec.eigenvalues[j]), float(anchor * (j / case.j_lo) ** fit.target)]
                 for j in range(1, dec.m)]
@@ -410,10 +415,9 @@ def _run_spectrum(run, record):
 def _run_decay(run, record):
     for tup in run.params.tuples:
         samples, fit = smoothing_decay_run(tup.quotient)
-        passed = fit.rel_deviation <= tup.tolerance and fit.r_squared >= tup.r2_min
-        record.results.append(_result(
-            f"{tup.label}_slope", fit.slope, fit.target, fit.rel_deviation, tup.tolerance,
-            passed))
+        record.results += [
+            _result(f"{tup.label}_slope", "rel", fit.slope, fit.target, tup.tolerance),
+            _result(f"{tup.label}_r2", "lower", fit.r_squared, tup.r2_min, 0.0)]
         rows = [[float(t), float(value), float(np.log10(t)), float(np.log10(value)),
                  float(np.exp(fit.intercept) * t ** fit.slope), fit.target]
                 for t, value in samples]
@@ -437,17 +441,15 @@ def _run_norms(run, record):
             f = dec.reconstruct(coeffs)
             norm_mod = modulation_norm(f, 0.0, None, l2_params)
             worst = max(worst, abs(norm_mod - f.norm_l2()) / f.norm_l2())
-        record.results.append(_result("moyal_identity_rel_err", worst, 0.0, worst,
-                                      1e-6, worst <= 1e-6))
+        record.results.append(_result("moyal_identity_rel_err", "abs", worst, 0.0, 1e-6))
 
     if "equivalence" in checks:
         probes = standard_probe_family(dec, seed)
         s_values = (0.0, 1.0, 2.0)
         bands = sobolev_modulation_equivalence(dec, s_values, probes)
         for s, band in zip(s_values, bands):
-            record.results.append(_result(
-                f"equivalence_spread_s{s:g}", band.spread, 1.0, band.spread, 20.0,
-                band.spread <= 20.0))
+            record.results.append(_result(f"equivalence_spread_s{s:g}", "upper",
+                                          band.spread, 20.0, 0.0))
 
     if "algebra" in checks:
         fields = gaussian_probe_fields(grid, 15, seed + 1)
@@ -455,20 +457,17 @@ def _run_norms(run, record):
         ratios = algebra_ratios(fields, pairs, l2_params, 2.0, osc)
         finite = [r for r in ratios if np.isfinite(r)]
         value = max(finite) if finite else float("inf")
-        record.results.append(_result("algebra_max_ratio", value, 0.0, value, 1e3,
-                                      bool(np.isfinite(value) and value <= 1e3)))
+        record.results.append(_result("algebra_max_ratio", "upper", value, 0.0, 1e3))
 
     if "singular" in checks:
         res_adm = singular_weight_norm(0.5, MixedNormParams(3.0, 3.0), 0.1, _SINGULAR_RADIUS,
                                        grid=grid, osc=osc)
-        record.results.append(_result(
-            "singular_admissible_x_growth", res_adm.x_growth, 0.0, res_adm.x_growth,
-            0.02, res_adm.x_growth < 0.02))
+        record.results.append(_result("singular_admissible_x_growth", "upper",
+                                      res_adm.x_growth, 0.0, 0.02))
         res_bad = singular_weight_norm(0.5, MixedNormParams(3.0, 1.5), 0.1, _SINGULAR_RADIUS,
                                        grid=grid, osc=osc)
-        record.results.append(_result(
-            "singular_inadmissible_tail_growth", res_bad.xi_tail_growth, 1.0,
-            res_bad.xi_tail_growth, 0.25, res_bad.xi_tail_growth > 0.25))
+        record.results.append(_result("singular_inadmissible_tail_growth", "lower",
+                                      res_bad.xi_tail_growth, 0.25, 0.0))
 
 
 def _gaussian_initial(grid) -> FieldSample:
@@ -486,18 +485,17 @@ def _run_nlheat(run, record):
                                 kind=p.kind, alpha=p.alpha, monitor=p.monitor)
 
     traj = picard_solve(spec, p.horizon, p.dt, tol=p.tol)
-    scale = traj.sup_monitored_norm()  # the finite scale of the residual and gap bounds
+    # the scale of the residual and gap bounds: the largest finite measured norm
+    measured = traj.monitored_norms[np.isfinite(traj.monitored_norms)]
+    scale = float(measured.max()) if measured.size else p.initial_norm
     sup = float("inf") if traj.blown_up else scale
     # a flow that blows up before its third checkpoint has no residual to check
     residual = (duhamel_residual(traj, spec) if len(traj.checkpoint_times) >= 3
                 else float("inf"))
-    record.results.append(_result("picard_max_contraction", traj.max_contraction(), 0.0,
-                                  traj.max_contraction(), 0.5,
-                                  traj.max_contraction() <= 0.5))
-    record.results.append(_result("sup_monitored_norm", sup, p.initial_norm, sup,
-                                  2.0 * p.initial_norm, sup <= 2.0 * p.initial_norm))
-    record.results.append(_result("duhamel_residual", residual, 0.0, residual,
-                                  1e-4 * scale, residual <= 1e-4 * scale))
+    record.results += [
+        _result("picard_max_contraction", "upper", traj.max_contraction(), 0.0, 0.5),
+        _result("sup_monitored_norm", "upper", sup, 2.0 * p.initial_norm, 0.0),
+        _result("duhamel_residual", "abs", residual, 0.0, 1e-4 * scale)]
 
     if p.etd is not None:
         # only the final coefficients are read: checkpoint (and measure the
@@ -508,9 +506,7 @@ def _run_nlheat(run, record):
         engine_gap = p_short.final_coeffs - e_traj.final_coeffs
         gap_field = dec.reconstruct(engine_gap)
         gap = modulation_norm(gap_field, p.monitor[2], osc, p.monitor_params)
-        bound = 10.0 * e.dt * scale
-        record.results.append(_result("picard_etd_gap", gap, 0.0, gap, bound,
-                                      gap <= bound))
+        record.results.append(_result("picard_etd_gap", "abs", gap, 0.0, 10.0 * e.dt * scale))
 
     header, rows = traj.table()
     record.series["trajectory"] = {"header": header, "rows": rows}
@@ -540,19 +536,17 @@ def _run_ou(run, record):
         out = ou_semigroup(conj, dec, p.beta, t, ones)
         expected = np.exp(-t)  # e^(-t d^beta) at d = 1
         worst = max(worst, float(np.max(np.abs(out.values[mask] - expected))))
-    record.results.append(_result("ou_constant_field_err", worst, 0.0, worst, 1e-6,
-                                  worst <= 1e-6))
+    record.results.append(_result("ou_constant_field_err", "abs", worst, 0.0, 1e-6))
 
     probe = gaussian_probe_fields(grid, 1, run.seed + 2)[0]
     norm = modulation_norm(apply_conjugation(conj, "forward", probe), 0.0, osc, l2_params)
     err = _l2_gamma_rel_err(norm, conj, probe)
-    record.results.append(_result("gaussian_norm_l2_gamma_rel_err", err, 0.0, err,
-                                  _L2_GAMMA_TOL, err <= _L2_GAMMA_TOL))
+    record.results.append(_result("gaussian_norm_l2_gamma_rel_err", "abs", err, 0.0,
+                                  _L2_GAMMA_TOL))
 
     probes = gaussian_probe_fields(grid, p.gauss_probes, run.seed)
     rate = ou_probe_rate(conj, dec, p.beta, p.rate_t_list, probes)
-    record.results.append(_result("ou_longtime_rate", rate.slope, rate.target,
-                                  rate.rel_deviation, 0.05, rate.rel_deviation <= 0.05))
+    record.results.append(_result("ou_longtime_rate", "rel", rate.slope, rate.target, 0.05))
     record.series["ou_rate"] = {
         "header": ["t", "log_bound", "fitted", "target_rate"],
         "rows": [[float(t), float(np.log(v)), float(rate.slope * t + rate.intercept),
@@ -560,10 +554,8 @@ def _run_ou(run, record):
 
 
 def _run_selftest(run, record):
-    def row(name, value, target, tolerance):
-        dev = abs(value - target)
-        record.results.append(_result(name, value, target, dev, tolerance,
-                                      dev <= tolerance))
+    def row(name, value, target, tolerance, kind="abs"):
+        record.results.append(_result(name, kind, value, target, tolerance))
 
     osc = hermite_oscillator()
     row("potential_iso_square", evaluate_potential(osc, 2.0), 4.0, 0.0)
@@ -575,8 +567,7 @@ def _run_selftest(run, record):
     # the offset 1 in the weight (without it the first pair reads 1.13)
     samples = [((0.3, -0.7), (1.1, 0.4)), ((2.0, 1.0), (-1.0, 0.5))]
     defect = submultiplicativity_defect(1.0, osc, samples)
-    record.results.append(_result("weight_defect_s1", defect, 1.0, defect, 1.0 + 1e-12,
-                                  defect <= 1.0 + 1e-12))
+    row("weight_defect_s1", defect, 1.0, 1e-12, kind="upper")
 
     row("sigma_hermite_p1q1", sigma_exponent(1, 1, 1.0, 1.0, 1.0), 1.0, 0.0)
     row("sigma_quartic_p2q2", sigma_exponent(2, 1, 1.0, 2.0, 2.0), 0.375, 0.0)

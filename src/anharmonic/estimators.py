@@ -255,15 +255,12 @@ def weight_quotient_norm(params: WeightQuotientParams) -> list:
 @dataclass(frozen=True)
 class LogLinearFit:
     """Least-squares line through (x, log value): every slope and rate the
-    runners check. ``rel_deviation`` is |slope - target| / |target|, None
-    without a (nonzero) target; ``samples`` holds the fitted (x, value)
-    pairs."""
+    runners check; ``samples`` holds the fitted (x, value) pairs."""
 
     slope: float
     intercept: float
     r_squared: float
     target: float | None
-    rel_deviation: float | None
     samples: tuple
 
 
@@ -284,9 +281,8 @@ def _loglinear_fit(x, values, target=None) -> LogLinearFit:
     ss_res = float(np.sum((ly - pred) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else float(min(max(1.0 - ss_res / ss_tot, 0.0), 1.0))
-    dev = None if target in (None, 0.0) else float(abs(slope - target) / abs(target))
     return LogLinearFit(float(slope), float(intercept), r2,
-                        None if target is None else float(target), dev,
+                        None if target is None else float(target),
                         tuple(zip(x.tolist(), values.tolist())))
 
 

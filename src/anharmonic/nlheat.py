@@ -242,11 +242,6 @@ class Trajectory:
     def final_coeffs(self) -> np.ndarray:
         return self.checkpoint_coeffs[-1]
 
-    def sup_monitored_norm(self) -> float:
-        """Largest measured monitored norm (NaN steps between checkpoints are
-        skipped)."""
-        return float(np.nanmax(self.monitored_norms))
-
     def max_contraction(self) -> float:
         worst = 0.0
         for window in self.contraction_factors:

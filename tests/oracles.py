@@ -5,7 +5,8 @@ the grid operator is the dense n x n matrix of H (the package builds only
 its two parity blocks), the quartic ground state comes from an ODE shooting
 method, the window transform from a closed form (and its Poisson-summed
 aliases), the mixed norm from direct loops over the definition, and the
-weight quotient from its formula on every node of the full lattice. Frozen constants at the bottom
+weight quotient from its formula on every node of the full lattice, and a
+report row's verdict from the four deviation rules. Frozen constants at the bottom
 were produced by these oracles and pinned so a regression in either side is
 caught.
 """
@@ -183,6 +184,29 @@ def quotient_reference(params, t, radius, resolution):
     return mixed_norm_reference(values, np.ones_like(values),
                                 exponent(params.p_tilde), exponent(params.q_tilde),
                                 2.0 * r_x / resolution, 2.0 * r_xi / resolution)
+
+
+def assert_rows_judge_themselves(results):
+    """Every report row's deviation and verdict follow from its own kind,
+    value, target and tolerance: deviation |v - t| (abs), |v - t| / |t|
+    (rel), v - t (upper) or t - v (lower), and passed <=> deviation <=
+    tolerance."""
+    for row in results:
+        v, t, kind = row["value"], row["target"], row["kind"]
+        if kind == "abs":
+            deviation = abs(v - t)
+        elif kind == "rel":
+            deviation = abs(v - t) / abs(t)
+        elif kind == "upper":
+            deviation = v - t
+        else:
+            assert kind == "lower", f"{row['name']}: unknown kind {kind!r}"
+            deviation = t - v
+        same = deviation == row["deviation"] or (math.isnan(deviation)
+                                                  and math.isnan(row["deviation"]))
+        assert same, f"{row['name']}: deviation {row['deviation']!r}, expected {deviation!r}"
+        assert row["passed"] == (deviation <= row["tolerance"]), f"{row['name']}: verdict"
+
 
 # frozen oracle outputs (see module docstring)
 QUARTIC_LAMBDA0 = 1.0603620904867057

@@ -236,7 +236,7 @@ class TestRunManifest:
             "projection_idempotent", "moyal_identity", "gaussian_stft_l2_gamma_rel_err",
             "picard_linear_consistency", "conjugation_roundtrip"]
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["all_passed"] is True
         assert report["kind"] == "selftest"
 
@@ -244,7 +244,7 @@ class TestRunManifest:
         path = write_manifest(tmp_path, selftest_manifest())
         _, record = run_manifest(path, out_dir=str(tmp_path / "out"))
         for row in record.results:
-            assert set(row) == {"name", "value", "target", "deviation",
+            assert set(row) == {"name", "kind", "value", "target", "deviation",
                                 "tolerance", "passed"}
             assert np.isfinite(row["deviation"])
             assert np.isfinite(row["tolerance"])
@@ -552,6 +552,23 @@ class TestRunManifest:
         assert not rows["duhamel_residual"]["passed"]
         assert (tmp_path / "out" / "trajectory.csv").exists()
 
+    def test_blow_up_with_every_norm_overflowed_is_a_result(self, tmp_path):
+        """At initial norm 1e154 every measured monitored norm overflows to
+        inf, so the initial norm scales the residual bound: the run exits 1
+        (not 2 for an infinite tolerance) with its trajectory written."""
+        manifest = {"schema": 1, "kind": "nlheat",
+                    "grid": {"points_per_axis": 128, "half_width": 10},
+                    "params": {"modes": 48, "coupling_re": 0.0, "initial_norm": 1e154,
+                               "horizon": 0.05, "dt": 0.005}}
+        path = write_manifest(tmp_path, manifest)
+        code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
+        assert code == EXIT_CHECK_FAILED
+        rows = {r["name"]: r for r in record.results}
+        for name in ("sup_monitored_norm", "duhamel_residual"):
+            assert rows[name]["value"] == float("inf") and not rows[name]["passed"]
+        assert rows["duhamel_residual"]["tolerance"] == pytest.approx(1e-4 * 1e154)
+        assert (tmp_path / "out" / "trajectory.csv").exists()
+
     def test_numerical_failure_prints_strict_json(self, tmp_path, capsys):
         """A Picard run that blows up reports its infinite last gap as the
         string "inf", so the stderr line is strict JSON."""
@@ -714,6 +731,19 @@ class TestRunManifest:
         r1 = json.loads((tmp_path / "r1" / "report.json").read_text())
         r2 = json.loads((tmp_path / "r2" / "report.json").read_text())
         assert r1["results"] == r2["results"]
+
+    def test_decay_r2_is_a_row_of_its_own(self, tmp_path):
+        """R^2 >= r2_min is judged by the ``_r2`` row (kind lower), not by the
+        slope row: an unreachable r2_min fails only the former."""
+        manifest = {"schema": 1, "kind": "decay", "format": "json",
+                    "params": {"resolution": 256, "tuples": [{"k": 1, "l": 1, "r2_min": 1.5}]}}
+        code, record = run_manifest(write_manifest(tmp_path, manifest),
+                                    out_dir=str(tmp_path / "out"))
+        assert code == EXIT_CHECK_FAILED
+        slope, r2 = record.results
+        assert slope["name"] == "decay_k1_l1_b1_slope" and slope["passed"]
+        assert (r2["name"], r2["kind"], r2["target"]) == ("decay_k1_l1_b1_r2", "lower", 1.5)
+        assert r2["deviation"] == 1.5 - r2["value"] and not r2["passed"]
 
     def test_selftest_rerun_is_identical(self, tmp_path):
         path = write_manifest(tmp_path, selftest_manifest())

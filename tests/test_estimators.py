@@ -135,7 +135,7 @@ class TestWeightQuotient:
         samples, fit = smoothing_decay_run(params)
         assert len(samples) == len(params.t_list)
         assert fit.target == pytest.approx(-1.0)
-        assert fit.rel_deviation < 1e-3
+        assert abs(fit.slope - fit.target) / abs(fit.target) < 1e-3
         assert fit.r_squared > 0.9999
 
     def test_nan_guard_raises(self):
@@ -255,13 +255,13 @@ class TestDecayFit:
         assert fit.slope == pytest.approx(-0.7, rel=1e-12)
         assert fit.intercept == pytest.approx(math.log(3.0), rel=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-        assert fit.rel_deviation == pytest.approx(0.0, abs=1e-12)
+        assert abs(fit.slope - fit.target) / abs(fit.target) == pytest.approx(0.0, abs=1e-12)
         assert [x for x, _ in fit.samples] == np.log(ts).tolist()
 
     def test_no_target_leaves_deviation_unset(self):
         samples = [(t, t ** -1.0) for t in np.logspace(-3, -1, 6)]
         fit = fit_decay_exponent(samples)
-        assert fit.target is None and fit.rel_deviation is None
+        assert fit.target is None
 
     def test_input_validation(self):
         good_ts = np.logspace(-3, -1, 6)
@@ -284,7 +284,7 @@ class TestLogLinearFit:
         assert fit.slope == pytest.approx(-1.5, rel=1e-12)
         assert fit.intercept == pytest.approx(math.log(2.0), rel=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-        assert fit.rel_deviation == pytest.approx(0.0, abs=1e-12)
+        assert abs(fit.slope - fit.target) / abs(fit.target) == pytest.approx(0.0, abs=1e-12)
         assert [t for t, _ in fit.samples] == x
 
     def test_two_distinct_x_suffice(self):
@@ -303,7 +303,7 @@ class TestLogLinearFit:
 
     def test_zero_target_leaves_deviation_unset(self):
         fit = estimators._loglinear_fit([1.0, 2.0, 3.0], [1.0, 2.0, 4.0], 0.0)
-        assert fit.target == 0.0 and fit.rel_deviation is None
+        assert fit.target == 0.0
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")],
                              ids=["zero", "negative", "nan", "inf"])

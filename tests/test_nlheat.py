@@ -356,7 +356,6 @@ class TestBlowup:
             assert 1e6 < traj.l2_norms[-1] < np.inf
             assert np.all(np.isnan(traj.monitored_norms[1:-1]))
             np.testing.assert_allclose(traj.checkpoint_times, [0.0, traj.blowup_time])
-            assert traj.sup_monitored_norm() == traj.monitored_norms[-1]
 
     def test_blowup_flag_in_csv(self, defocusing, monkeypatch, tmp_path):
         monkeypatch.setattr(anharmonic.nlheat, "_BLOWUP_NORM", 1e-4)

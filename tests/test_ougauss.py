@@ -157,7 +157,7 @@ class TestOuProbeRate:
         res = ou_probe_rate(c, hermite_dec, 1.0, (1.0, 2.0, 3.0), [ones])
         assert res.target == -1.0
         assert res.slope == pytest.approx(-1.0, rel=1e-9)
-        assert res.rel_deviation < 1e-9
+        assert abs(res.slope - res.target) / abs(res.target) < 1e-9
         assert res.r_squared == pytest.approx(1.0, abs=1e-12)
         assert len(res.samples) == 3
         assert res.samples[0][0] == 1.0 and res.samples[0][1] > 0
@@ -188,7 +188,7 @@ class TestOuProbeRate:
                                        center_range=(-1.5, 1.5),
                                        modulation_range=(-1.0, 1.0))
         res = ou_probe_rate(c, hermite_dec, 1.0, (1.0, 2.0, 3.0, 4.0), probes)
-        assert res.rel_deviation < 0.05
+        assert abs(res.slope - res.target) / abs(res.target) < 0.05
         assert res.r_squared > 0.99
 
     def test_zero_probe_skipped_with_warning(self, hermite_dec, hermite_grid):
