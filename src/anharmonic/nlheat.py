@@ -24,6 +24,7 @@ the full layout, as before.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,15 @@ class NonlinearProblemSpec:
             raise InvalidSpecError("initial data and decomposition grids differ")
         if len(self.monitor) != 3:
             raise InvalidSpecError("monitor must be a (p, q, s) triple")
+
+    @functools.cached_property
+    def _initial_norm(self) -> float:
+        """Monitored norm of the projected initial state, measured by the first
+        run of this problem and read by the later ones (a Picard run, its ETD
+        cross-check and the cross-check's Picard rerun share it). Only the
+        float is kept, so the spec holds no engine."""
+        engine = _Engine(self)
+        return engine.monitored_norm(engine.to_coeff(self.u0.values[engine.rows]))
 
 
 def _check_problem(kind, nu, beta, coupling, alpha):
@@ -274,7 +284,7 @@ class _Recorder:
     def __init__(self, engine, c, dt, steps, stride):
         self.engine, self.dt, self.steps, self.stride = engine, dt, steps, stride
         self.times = [0.0]
-        self.monitored = [engine.monitored_norm(c)]
+        self.monitored = [engine.spec._initial_norm]
         self.l2s = [engine.l2_norm(c)]
         self.cp_times = [0.0]
         self.cps = [engine.checkpoint(c)]

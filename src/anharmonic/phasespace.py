@@ -48,6 +48,22 @@ sums; the column sup for p = INF is the same over half the rows. Other
 fields run every row. The boundary-mass check runs where a state is
 measured, not in the pass, so Picard gaps (round-off noise near
 convergence) are reduced without it.
+A p = q = 2 norm (``modulation_norm``, ``modulation_norms``) runs only the
+x-shift rows that can move its value. By DFT Parseval the row at x_i has
+squared l^2 norm N h^2 sum_j |f_j|^2 g(z_j - x_i)^2, bounded without its
+FFT from both sides by ``_row_energies``, so the row's share of the squared
+norm lies between those bounds times the square of the row min and of the
+row max of v_s (Groechenig,
+Foundations of Time-Frequency Analysis, 2001, ch. 1 and 3). ``_kept_rows``
+drops outermost rows from both ends of the pass's range ([0, N), or
+[N/2, N) for the half-row pass) while the upper bounds of the dropped rows
+add up to at most 2^-54 of the lower bounds of all rows: the squared norm
+moves by at most half an ulp and the norm by at most a quarter. The kept
+rows run on the same block grid, the first and last block clipped, and are
+summed in the same order. Every other (p, q), ``mixed_norm``, ``stft``,
+the unpruned column pass (Picard gaps, ``singular_weight_norm``) and the
+L^2 cap run every row, and so do a zero or non-finite field, a weight that
+is not finite and a field whose weighted squared norm could overflow.
 Cauchy-Schwarz caps every norm by the field's L^2 norm: ``_l2_cap`` is the
 constant C with ``modulation_norm`` <= C ||f||_{L^2}, cached once per
 (s, oscillator, grid, exponents). ``nlheat`` stops its Picard windows on that
@@ -61,6 +77,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BoundaryMassWarning, InvalidSpecError, NumericalError
 from .model import MixedNormParams, OscillatorSpec, is_inf, weight_value
@@ -72,6 +89,12 @@ _BLOCK_CELLS = 1 << 15  # lattice cells per block of the streamed STFT pass
 # relative lift of the L^2 cap over an exact norm's FFT round-off (about
 # eps log2 N, 2e-15 at 512 points)
 _CAP_SLACK = 1e-13
+# the share of a p = q = 2 squared norm that its dropped rows may carry: at
+# most half an ulp of the square, a quarter of the norm
+_ROW_SHARE = 2.0 ** -54
+# the row energies take the squared window exactly within this offset (beyond
+# it g^2 < 3e-44 of its peak, which bounds the rest)
+_BAND_RADIUS = 4.0
 
 
 @functools.lru_cache(maxsize=16)
@@ -137,28 +160,33 @@ def _gaussian_conj_table(grid: Grid) -> np.ndarray:
     return table
 
 
-def _stft_blocks(f: FieldSample, real: bool = False, first_row: int = 0):
+def _stft_blocks(f: FieldSample, real: bool = False, first_row: int = 0, kept=None):
     """Yield (lo, block) with block[r] = h FFT(f g(. - x_{lo+r})).
 
     Rows run over consecutive x shifts from ``first_row`` (0, or N/2 for the
     half-row pass of an even or odd field); the block has shape (rows, N),
     frequencies in FFT order (bin 0 first), the order the weight lattice and
     the norms use, with neither fftshift nor the staggered-grid phase
-    applied. Every block has the same number of rows, about ``_BLOCK_CELLS``
-    lattice cells and at most the rows to run; the windowed product reuses
-    one buffer.
+    applied. The blocks lie on one grid of about ``_BLOCK_CELLS`` lattice
+    cells each (at most the rows to run) from ``first_row``; the windowed
+    product reuses one buffer. ``kept`` = (start, stop) runs only those rows
+    of the grid, so the first and last block may be clipped.
     ``real`` (f real) transforms the real product with ``rfft`` and yields
     only the bins 0..N/2, shape (rows, N/2 + 1).
     """
     grid = f.grid
     size = grid.points_per_axis
+    start, stop = kept or (first_row, size)
     # powers of two: divides size - first_row
     rows = min(size - first_row, max(1, _BLOCK_CELLS // size))
     table = _gaussian_conj_table(grid)
     fv = f.values.real if real else f.values
-    prod = np.empty((rows, size), dtype=fv.dtype)
-    for lo in range(first_row, size, rows):
-        np.multiply(fv, table[lo:lo + rows], out=prod)
+    buf = np.empty((rows, size), dtype=fv.dtype)
+    for edge in range(first_row, stop, rows):
+        lo, hi = max(edge, start), min(edge + rows, stop)
+        if lo >= hi:
+            continue
+        prod = np.multiply(fv, table[lo:hi], out=buf[:hi - lo])
         block = np.fft.rfft(prod, axis=1) if real else np.fft.fft(prod, axis=1)
         block *= grid.h
         yield lo, block
@@ -213,6 +241,99 @@ def _weight_lattice(s: float, osc: OscillatorSpec | None, grid: Grid):
     lattice = weight_value(s, osc, grid.nodes()[:, None], 2.0 * np.pi * xi[None, :])
     lattice.setflags(write=False)
     return lattice
+
+
+@functools.lru_cache(maxsize=8)
+def _weight_row_bounds(s_values: tuple, osc: OscillatorSpec | None, grid: Grid):
+    """(low, high): the squares of the smallest row min and of the largest
+    row max of ``_weight_lattice`` over the exponents ``s_values``, two
+    N-vectors (the flat weight's rows are ones). A square that overflows is
+    inf."""
+    ones = np.ones(grid.points_per_axis)
+    lattices = [_weight_lattice(s, osc, grid) for s in s_values]
+    low = np.min([ones if w is None else w.min(axis=1) for w in lattices], axis=0)
+    high = np.max([ones if w is None else w.max(axis=1) for w in lattices], axis=0)
+    with np.errstate(over="ignore"):
+        bounds = np.square(low), np.square(high)
+    for b in bounds:
+        b.setflags(write=False)
+    return bounds
+
+
+@functools.lru_cache(maxsize=4)
+def _squared_window_band(grid: Grid):
+    """(k, band, rest): the squared window g_m^2 at the offsets m = -k..k,
+    those within ``_BAND_RADIUS``, and its largest value at any other offset
+    (0 when there is none)."""
+    n = grid.points_per_axis
+    g2 = np.square(_gaussian_window_values(grid))
+    k = min(int(_BAND_RADIUS / grid.h), (n - 1) // 2)
+    inside = np.arange(-k, k + 1) % n
+    outside = np.delete(g2, inside)
+    return k, g2[inside], float(outside.max()) if outside.size else 0.0
+
+
+def _row_energies(f: FieldSample, amax: float, first_row: int):
+    """(E, tail) for the rows first_row..N, with
+    E_i <= sum_j |f_j / amax|^2 g(z_j - x_i)^2 <= E_i + tail.
+
+    By DFT Parseval the row of the pass at x_i has squared l^2 norm
+    N h^2 amax^2 times that sum. The shift table is circulant,
+    g(z_j - x_i) = g_{(j - i) mod N}, so E_i pairs the squared window within
+    ``_BAND_RADIUS`` of the row with |f / amax|^2 read cyclically around node
+    i (a sliding view, no (N, N) array); the terms left out are at most
+    ``tail`` = max g^2 outside the band times sum_j |f_j / amax|^2. Each E_i
+    is a sum of nonnegative terms, so it carries a relative round-off below
+    N eps; scaling by amax = max|f| keeps the largest terms from
+    underflowing.
+    """
+    n = f.grid.points_per_axis
+    k, band, rest = _squared_window_band(f.grid)
+    a = np.square(np.abs(f.values) / amax)
+    windows = sliding_window_view(np.concatenate((a[n - k:], a, a[:k])), 2 * k + 1)
+    return np.einsum("ij,j->i", windows[first_row:], band), rest * float(np.sum(a))
+
+
+def _kept_rows(f: FieldSample, s_values, osc: OscillatorSpec | None, first_row: int):
+    """The rows (start, stop) of a p = q = 2 pass over the rows first_row..N
+    that can move its value: the outermost rows whose share of the squared
+    norm is certified below ``_ROW_SHARE`` are left out.
+
+    Row i adds between E_i min_n v_s(x_i, .)^2 and
+    (E_i + tail) max_n v_s(x_i, .)^2 to the squared norm, up to the common
+    factor N h^2 max|f|^2 (see ``_row_energies``), for every s of
+    ``s_values`` (``_weight_row_bounds``). Rows are dropped from
+    both ends while the upper bounds of the dropped rows add up to at most
+    ``_ROW_SHARE`` (1 - slack) times the lower bounds of all rows; the
+    slack 4 N eps covers the round-off of E, of the sums and of the FFT
+    (and the dropped rows' own share of the total), and an absolute
+    N 2^-1072 per dropped row the terms of E that underflow. Among the
+    ranges that pass, the one that drops the most rows is kept.
+    A zero or non-finite field, a weight that is not finite, and a field
+    whose weighted squared norm could overflow keep every row, so every
+    NumericalError and inf comes out of the pass as before.
+    """
+    grid = f.grid
+    n = grid.points_per_axis
+    amax = float(np.max(np.abs(f.values)))
+    if not 0.0 < amax < np.inf:
+        return first_row, n
+    energy, tail = _row_energies(f, amax, first_row)
+    low, high = (b[first_row:] for b in _weight_row_bounds(tuple(s_values), osc, grid))
+    slack = 4.0 * n * np.finfo(float).eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        upper = ((energy + tail) * (1.0 + slack) + n * 2.0 ** -1072) * high
+        budget = _ROW_SHARE * (1.0 - slack) * float(np.dot(energy, low))
+        scale = amax * amax * n * grid.h * grid.h * float(np.sum(upper))
+    if not (budget > 0.0 and np.isfinite(scale)):
+        return first_row, n
+    front = np.concatenate(([0.0], np.cumsum(upper)))  # sums of the first a rows
+    back = np.concatenate(([0.0], np.cumsum(upper[::-1])))  # of the last b rows
+    a = np.arange(np.searchsorted(front, budget, side="right"))
+    # every row's upper bound is above its lower one, so no row is in both
+    b = np.searchsorted(back, budget - front[a], side="right") - 1
+    best = int(np.argmax(a + b))
+    return first_row + int(a[best]), n - int(b[best])
 
 
 @functools.lru_cache(maxsize=8)
@@ -284,8 +405,9 @@ def _weighted_columns(blocks, lattices, p) -> list:
     columns in FFT order; every entry of ``lattices`` weights it by the
     leading columns of those rows (all of them, or the bins 0..N/2 of an
     ``rfft`` block). A None lattice reduces the raw magnitudes; any other
-    weights a copy of the block in one scratch buffer, except the last, which
-    overwrites the block in place (so a single lattice costs no copy). Every
+    weights a copy of the block in one scratch buffer, sized by the largest
+    block so far, except the last, which overwrites the block in place (so a
+    single lattice costs no copy). Blocks may differ in rows. Every
     weighted block must be finite. Returns one array per lattice: the column
     sums of the p-th powers (column max for INF), one per block column."""
     last = len(lattices) - 1
@@ -300,7 +422,7 @@ def _weighted_columns(blocks, lattices, p) -> list:
                 if k == last:
                     mag *= weights
                 else:
-                    if scratch is None:  # the first block is the largest
+                    if scratch is None or len(scratch) < rows:
                         scratch = np.empty_like(mag)
                     weighted = np.multiply(mag, weights, out=scratch[:rows])
             if not np.all(np.isfinite(weighted)):
@@ -315,7 +437,8 @@ def _weighted_columns(blocks, lattices, p) -> list:
     return columns
 
 
-def _modulation_columns(f: FieldSample, s_values, osc: OscillatorSpec | None, p) -> list:
+def _modulation_columns(f: FieldSample, s_values, osc: OscillatorSpec | None, p,
+                        prune: bool = False) -> list:
     """``_weighted_columns`` of |V_g f| straight from one blocked STFT pass,
     one column array per weight exponent in ``s_values`` (s = 0 reduces the
     raw magnitudes), each with one column per xi node in ascending order. No
@@ -323,13 +446,15 @@ def _modulation_columns(f: FieldSample, s_values, osc: OscillatorSpec | None, p)
     bins and mirrors their column sums; if it is also bitwise even or odd,
     only the rows x > 0, with finite-p column sums doubled (see the module
     docstring). Blocks are reduced in FFT order; the columns move to
-    ascending xi once, at the end.
+    ascending xi once, at the end. ``prune`` (p = 2 with an outer q = 2
+    only) runs just the rows of ``_kept_rows``.
     """
     grid = f.grid
     real = not f.values.imag.any()
     first_row = grid.points_per_axis // 2 if real and _reflection_parity(f.values.real) else 0
+    kept = _kept_rows(f, s_values, osc, first_row) if prune else None
     blocks = ((lo, np.abs(block).reshape(block.shape[0], -1))
-              for lo, block in _stft_blocks(f, real, first_row))
+              for lo, block in _stft_blocks(f, real, first_row, kept))
     columns = []
     for sums in _weighted_columns(blocks, [_weight_lattice(s, osc, grid) for s in s_values], p):
         if first_row and not is_inf(p):
@@ -370,7 +495,11 @@ def modulation_norm(f: FieldSample, s: float, osc: OscillatorSpec | None,
     which is about half the work; if it is also bitwise even or odd
     (``v == +-v[::-1]``), only the x-shift rows x > 0 are run and the
     finite-p column sums doubled, which halves the work again. Either value
-    agrees with the full pass to round-off. Raises NumericalError on
+    agrees with the full pass to round-off. At p = q = 2 only the rows of
+    ``_kept_rows`` are run: the rows left out carry at most 2^-54 of the
+    squared norm, certified from their Parseval row energies and the
+    weight's row min and max, so the value moves by less than half an ulp
+    (see the module docstring). Raises NumericalError on
     non-finite weighted values. Like ``stft`` it measures a state, so it
     warns when the field carries boundary mass above 1e-8 of its peak; a
     Picard gap goes through ``_modulation_columns`` without that check.
@@ -385,7 +514,12 @@ def modulation_norms(f: FieldSample, s_values, osc: OscillatorSpec | None,
     """``modulation_norm`` of one field for each weight exponent in ``s_values``,
     from one blocked STFT pass and one boundary-mass check. Each value equals
     the one-weight ``modulation_norm`` bit for bit: the magnitudes of the
-    pass are shared and each weight is applied with the same arithmetic. An
+    pass are shared and each weight is applied with the same arithmetic. At
+    p = q = 2 the shared pass runs the rows that the certificate allows
+    for every weight at once (the smallest row min and largest row max of
+    the list): the rows it leaves out carry at most 2^-54 of each squared
+    norm, as those of a one-weight pass do, but they may be other rows, so
+    a value may differ from the one-weight value in the last bit. An
     overflowing weight anywhere in the list raises NumericalError.
     """
     return _measured_norms(f, s_values, osc, params)
@@ -394,5 +528,6 @@ def modulation_norms(f: FieldSample, s_values, osc: OscillatorSpec | None,
 def _measured_norms(f, s_values, osc, params) -> list:
     _check_boundary_mass(f, stacklevel=4)  # names the caller of the public function
     cells = (f.grid.h, f.grid.frequency_cell)
+    prune = params.p == 2.0 and params.q == 2.0
     return [_outer_reduce(columns, params.p, params.q, *cells)
-            for columns in _modulation_columns(f, s_values, osc, params.p)]
+            for columns in _modulation_columns(f, s_values, osc, params.p, prune)]

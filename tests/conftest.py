@@ -7,20 +7,22 @@ from oracles import gaussian_stft_abs
 
 
 @pytest.fixture()
-def pass_starts(monkeypatch):
-    """The first x-shift row of every blocked STFT pass run while the test
-    runs, in call order: 0 for a full pass, N/2 for a half-row one."""
-    starts = []
+def pass_ranges(monkeypatch):
+    """The x-shift rows (start, stop) of every blocked STFT pass run while the
+    test runs, in call order; the rows of a pass are consecutive."""
+    ranges = []
     blocks = phasespace._stft_blocks
 
     def recorded(*args, **kwargs):
-        for i, (lo, block) in enumerate(blocks(*args, **kwargs)):
-            if i == 0:
-                starts.append(lo)
+        span = None
+        for lo, block in blocks(*args, **kwargs):
+            assert span is None or lo == span[1]
+            span = (lo if span is None else span[0], lo + block.shape[0])
             yield lo, block
+        ranges.append(span)
 
     monkeypatch.setattr(phasespace, "_stft_blocks", recorded)
-    return starts
+    return ranges
 
 
 @pytest.fixture(scope="session")

@@ -170,15 +170,16 @@ class TestParitySector:
         assert duhamel_residual(traj, spec) < 1e-6
 
     @INTEGRATORS
-    def test_every_pass_of_a_gaussian_run_is_half_rows(self, dec, integrate, pass_starts):
+    def test_every_pass_of_a_gaussian_run_is_half_rows(self, dec, integrate, pass_ranges):
         """The shipped initial data (``cli._gaussian_initial``, scaled) runs
         every monitored norm and Picard gap on the rows N/2.., so a silent
         fall back to the full pass fails here."""
         base = ah.cli._gaussian_initial(dec.grid)
         u0 = FieldSample(dec.grid, 0.05 * base.values)
         integrate(NonlinearProblemSpec(dec, u0, monitor=MONITOR), 0.02, 0.005)
-        assert len(pass_starts) >= 5  # the initial state and four steps, at least
-        assert set(pass_starts) == {dec.grid.points_per_axis // 2}
+        n = dec.grid.points_per_axis
+        assert len(pass_ranges) >= 5  # the initial state and four steps, at least
+        assert set(pass_ranges) == {(n // 2, n)}
 
 
 class TestStepValidation:
@@ -404,7 +405,8 @@ class TestTrajectoryRecord:
 
     def test_monitored_norm_only_at_checkpoints(self, defocusing, monkeypatch):
         """A full-stride run measures the monitored norm at its two ends only;
-        stride 1 measures every step."""
+        stride 1 measures every step. The initial state's norm is measured
+        once per spec: a second run of the same spec reads it."""
         calls = []
         measure = anharmonic.nlheat._Engine.monitored_norm
 
@@ -419,7 +421,11 @@ class TestTrajectoryRecord:
         assert np.isnan(traj.monitored_norms[1:-1]).all()
         assert np.isfinite(traj.monitored_norms[[0, -1]]).all()
         calls.clear()
-        picard_solve(defocusing, 0.05, 0.005)
+        again = picard_solve(defocusing, 0.05, 0.005)
+        assert len(calls) == steps
+        assert again.monitored_norms[0] == traj.monitored_norms[0]
+        calls.clear()
+        picard_solve(dataclasses.replace(defocusing), 0.05, 0.005)
         assert len(calls) == steps + 1
 
     def test_residual_needs_three_checkpoints(self, defocusing):

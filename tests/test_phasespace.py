@@ -9,8 +9,11 @@ from anharmonic import (INF, BoundaryMassWarning, FieldSample, Grid,
                         InvalidSpecError, MixedNormParams, NumericalError,
                         PhaseSpaceField, apply_conjugation, mixed_norm,
                         modulation_norm, modulation_norms, stft, weight_value)
-from anharmonic.phasespace import (_gaussian_conj_table, _gaussian_window_values, _l2_cap,
-                                   _modulation_columns, _weight_lattice, _weighted_columns)
+from anharmonic.estimators import gaussian_probe_fields
+from anharmonic.phasespace import (_column_reduce, _gaussian_conj_table,
+                                   _gaussian_window_values, _kept_rows, _l2_cap,
+                                   _modulation_columns, _outer_reduce, _weight_lattice,
+                                   _weighted_columns)
 from oracles import (gaussian_lattice_stft_abs, gaussian_window_transform_abs,
                      mixed_norm_reference)
 
@@ -359,15 +362,16 @@ class TestHalfRowPass:
                              ids=_exponent_id)
     @pytest.mark.parametrize("s", [FLAT, 1.5], ids=["s0", "s1.5"])
     @pytest.mark.parametrize("parity", ["even", "odd"])
-    def test_matches_full_lattice(self, parity, s, p, q, grid, pass_starts):
+    def test_matches_full_lattice(self, parity, s, p, q, grid, pass_ranges):
         f = self.field(grid, parity)
         params = MixedNormParams(p, q)
         expected = mixed_norm(stft(f), s, HARMONIC, params)
         got = modulation_norm(f, s, HARMONIC, params)
-        assert pass_starts == [0, grid.points_per_axis // 2]  # stft runs every row
+        n = grid.points_per_axis
+        assert pass_ranges == [(0, n), (n // 2, n)]  # stft runs every row
         assert got == pytest.approx(expected, rel=1e-13)
 
-    def test_perturbed_node_takes_the_full_pass(self, pass_starts):
+    def test_perturbed_node_takes_the_full_pass(self, pass_ranges):
         """One node moved by one ulp breaks the symmetry: every row is run and
         the value is the full pass's, bit for bit (pinned before the half-row
         pass existed)."""
@@ -377,7 +381,7 @@ class TestHalfRowPass:
         vals[k] = np.nextafter(vals[k], np.inf)
         got = modulation_norm(FieldSample(grid, vals), 1.5, HARMONIC,
                               MixedNormParams(2.0, 1.0))
-        assert pass_starts == [0]
+        assert pass_ranges == [(0, grid.points_per_axis)]
         assert got == 15.81629462367387
 
 
@@ -536,6 +540,24 @@ class TestSharedPass:
             assert raw == pytest.approx((kept ** p).sum(axis=0), rel=1e-14)
             assert weighted == pytest.approx(((kept * lattice) ** p).sum(axis=0), rel=1e-14)
 
+    @pytest.mark.parametrize("p", [2.0, INF], ids=_exponent_id)
+    def test_blocks_of_any_size(self, p):
+        """A pruned pass clips its first block, so blocks differ in size: the
+        scratch copy of a weight that is not the last must hold the largest.
+        Each weight's columns are, bit for bit, its per-block reductions
+        added in order."""
+        rng = np.random.default_rng(5)
+        mag = rng.uniform(0.0, 3.0, (19, 24))
+        lattices = [rng.uniform(0.5, 2.0, (19, 24)) for _ in range(2)]
+        cuts = [(0, 5), (5, 13), (13, 19)]  # the first block is shorter than the second
+        got = _weighted_columns([(lo, mag[lo:hi].copy()) for lo, hi in cuts], lattices, p)
+        for lattice, columns in zip(lattices, got):
+            parts = [_column_reduce(mag[lo:hi] * lattice[lo:hi], p) for lo, hi in cuts]
+            expected = parts[0]
+            for part in parts[1:]:
+                expected = np.maximum(expected, part) if p is INF else expected + part
+            assert np.array_equal(columns, expected)
+
     def test_boundary_mass_warns_once_per_field(self):
         grid = Grid(128, 6.0)
         f = FieldSample(grid, np.ones(grid.points_per_axis))
@@ -605,3 +627,148 @@ class TestL2Cap:
         finally:
             tracemalloc.stop()
         assert peak < hermite_grid.points_per_axis ** 2 * 8 / 2
+
+
+class TestPrunedRows:
+    """A p = q = 2 norm runs only the x-shift rows of ``_kept_rows``. By DFT
+    Parseval row i of the pass has squared norm N h^2 sum_j |f_j|^2
+    g(z_j - x_i)^2, so with the weight's row min and max the rows left out
+    carry at most 2^-54 of the squared norm. The references are direct loops
+    over the aliased closed form of a Gaussian packet, and the full lattice
+    ``mixed_norm(stft(f), ...)``, which runs every row."""
+
+    GRID = Grid(512, 12.0)  # 64-row blocks: a kept range clips its first and last
+    L2 = MixedNormParams(2.0, 2.0)
+    # (a, b, c) of 2 e^{-a (t - b)^2} e^{2 pi i c t}
+    PACKETS = {("narrow", "even"): (8.0, 0.0, 0.0), ("wide", "even"): (0.5, 0.0, 0.0),
+               ("narrow", "real"): (8.0, 0.75, 0.0), ("wide", "real"): (0.5, -1.25, 0.0),
+               ("narrow", "complex"): (8.0, 0.75, 1.5), ("wide", "complex"): (0.5, -1.25, -0.5)}
+
+    def packet(self, width, kind):
+        grid = self.GRID
+        a, b, c = self.PACKETS[width, kind]
+        x = grid.nodes()
+        vals = 2.0 * np.exp(-a * (x - b) ** 2)
+        f = FieldSample(grid, vals * np.exp(2j * np.pi * c * x) if c else vals)
+        mag = gaussian_lattice_stft_abs(x, grid.frequency_nodes(), 2.0, a, b, c, grid.h)
+        return f, mag
+
+    def reference(self, mag, s):
+        grid = self.GRID
+        return mixed_norm_reference(mag, harmonic_lattice(grid, s), 2.0, 2.0, grid.h,
+                                    grid.frequency_cell)
+
+    def tail_packet(self):
+        """A low-frequency core and, at x = 6, a high-frequency packet 1e-7
+        as large: the rows of the packet carry tiny energy, but meet weights
+        up to (1 + 6 + 2 pi 8)^4 at s = 2, so a bound that left out the
+        weight's row max would drop them."""
+        x = self.GRID.nodes()
+        return FieldSample(self.GRID, np.exp(-x ** 2 / 2.0)
+                           + 1e-7 * np.exp(-4.0 * (x - 6.0) ** 2) * np.cos(16.0 * np.pi * x))
+
+    @pytest.mark.parametrize("kind", ["even", "real", "complex"])
+    @pytest.mark.parametrize("width", ["narrow", "wide"])
+    def test_against_the_closed_form(self, width, kind, pass_ranges):
+        f, mag = self.packet(width, kind)
+        n = self.GRID.points_per_axis
+        s_values = [FLAT, 1.0, 2.0]
+        shared = modulation_norms(f, s_values, HARMONIC, self.L2)
+        for s, value in zip(s_values, shared):
+            alone = modulation_norm(f, s, HARMONIC, self.L2)
+            assert value == pytest.approx(self.reference(mag, s), rel=1e-14)
+            assert abs(alone - value) <= 2 * np.spacing(value)
+        first_row = n // 2 if kind == "even" else 0
+        assert len(pass_ranges) == 1 + len(s_values)
+        for start, stop in pass_ranges:  # rows left out (an even field's start is x = 0)
+            assert first_row <= start < stop < n
+            assert kind == "even" or start > 0
+
+    @pytest.mark.parametrize("s", [-2.0, -1.0])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_negative_weight_exponent(self, kind, s):
+        """For s < 0 the weight's row min sits at the highest frequency: the
+        kept rows' lower bound must take it there."""
+        f, mag = self.packet("narrow", kind)
+        got = modulation_norm(f, s, HARMONIC, self.L2)
+        assert got == pytest.approx(self.reference(mag, s), rel=1e-14)
+
+    @pytest.mark.parametrize("s", [FLAT, 1.0, 2.0])
+    def test_tail_rows_under_a_large_weight(self, s, pass_ranges):
+        f = self.tail_packet()
+        got = modulation_norm(f, s, HARMONIC, self.L2)
+        expected = mixed_norm(stft(f), s, HARMONIC, self.L2)
+        assert got == pytest.approx(expected, rel=1e-14)
+        [(start, stop), _] = pass_ranges
+        assert 0 < start and stop < self.GRID.points_per_axis
+
+    def test_tail_rows_are_kept(self):
+        """The certificate keeps the rows of the tail packet (around row 384)
+        that its energy alone would let go."""
+        f = self.tail_packet()
+        _, stop = _kept_rows(f, [2.0], HARMONIC, 0)
+        assert stop > 400
+
+    def test_zero_field(self, pass_ranges):
+        f = FieldSample(self.GRID, np.zeros(self.GRID.points_per_axis))
+        assert modulation_norms(f, [FLAT, 2.0], HARMONIC, self.L2) == [0.0, 0.0]
+        assert pass_ranges == [(self.GRID.points_per_axis // 2, self.GRID.points_per_axis)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_field_raises(self, bad):
+        f, _ = self.packet("narrow", "complex")
+        vals = np.array(f.values)
+        vals[200] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+            modulation_norm(FieldSample(self.GRID, vals), 2.0, HARMONIC, self.L2)
+
+    def test_overflowing_weight_raises(self):
+        f, _ = self.packet("narrow", "complex")
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+            modulation_norms(f, [FLAT, 400.0], HARMONIC, self.L2)
+
+    def test_overflowing_norm_keeps_every_row(self, pass_ranges):
+        """A field whose weighted squares overflow gives inf, as the full pass
+        does."""
+        f, _ = self.packet("narrow", "complex")
+        huge = FieldSample(self.GRID, 1e300 * f.values)
+        with np.errstate(over="ignore"):
+            assert modulation_norm(huge, 2.0, HARMONIC, self.L2) == np.inf
+        assert pass_ranges == [(0, self.GRID.points_per_axis)]
+
+    def test_boundary_mass_warns_and_keeps_every_row(self, pass_ranges):
+        x = self.GRID.nodes()
+        f = FieldSample(self.GRID, np.exp(-(x - 0.5) ** 2 / 50.0) * np.cos(x))
+        with pytest.warns(BoundaryMassWarning):
+            got = modulation_norm(f, 1.0, HARMONIC, self.L2)
+        assert pass_ranges == [(0, self.GRID.points_per_axis)]
+        with pytest.warns(BoundaryMassWarning):
+            full = stft(f)
+        assert got == pytest.approx(mixed_norm(full, 1.0, HARMONIC, self.L2), rel=1e-14)
+
+    @pytest.mark.parametrize("p,q", [(2.0, 1.0), (1.0, 2.0), (6.0, 2.0), (2.0, INF)],
+                             ids=_exponent_id)
+    def test_other_exponents_run_every_row(self, p, q, pass_ranges):
+        f, _ = self.packet("narrow", "complex")
+        modulation_norm(f, 2.0, HARMONIC, MixedNormParams(p, q))
+        assert pass_ranges == [(0, self.GRID.points_per_axis)]
+
+    def test_gap_columns_run_every_row(self, pass_ranges):
+        """The unpruned column pass (the Picard gap fallback, the singular
+        weight) runs every row, whatever the exponents."""
+        f, _ = self.packet("narrow", "complex")
+        [columns] = _modulation_columns(f, [2.0], HARMONIC, 2.0)
+        full = _outer_reduce(columns, 2.0, 2.0, self.GRID.h, self.GRID.frequency_cell)
+        assert pass_ranges == [(0, self.GRID.points_per_axis)]
+        assert modulation_norm(f, 2.0, HARMONIC, self.L2) == pytest.approx(full, rel=1e-15)
+
+    def test_probe_corpus_keeps_under_sixty_percent(self, pass_ranges):
+        """The saving stays: the 15 seeded probes of the shipped algebra check,
+        at s = 2, transform at most 60 % of their rows (about 40 % at this
+        seed)."""
+        fields = gaussian_probe_fields(self.GRID, 15, 1235)
+        for f in fields:
+            modulation_norm(f, 2.0, HARMONIC, self.L2)
+        rows = sum(stop - start for start, stop in pass_ranges)
+        assert len(pass_ranges) == 15
+        assert rows <= 0.6 * 15 * self.GRID.points_per_axis
