@@ -144,10 +144,11 @@ def _quotient_columns(params: WeightQuotientParams, t: float, radius: float,
 
     The four quadrants hold the same values (see weight_quotient_norm), so
     row blocks of the positive one go through the phase-space column reducer
-    (with its finiteness check) in one reused buffer.
+    (with its finiteness check) in one reused buffer. The scaled form is
+    t-free and is reduced only on the t = 1 box (``_quotient_values`` passes
+    t = 1), so it takes no factor tau = t^(1/(2 beta)).
     """
     osc = params.oscillator
-    tau = t ** (1.0 / (2.0 * params.beta))
     dx, dxi = _quotient_spacings(params, t, radius, resolution)
     half = resolution // 2
     nodes = np.arange(half) + 0.5
@@ -167,8 +168,7 @@ def _quotient_columns(params: WeightQuotientParams, t: float, radius: float,
             a_rows = a[lo:lo + rows, None]
             v = buf[:a_rows.shape[0]]
             np.add(a_rows, b, out=v)
-            if scaled:  # (1 + tau (a + b))^(s2 - 2 beta N)
-                v *= tau
+            if scaled:  # (1 + a + b)^(s2 - 2 beta N), read on the t = 1 box
                 v += 1.0
                 np.power(v, params.s2 - two_beta_n, out=v)
             else:  # v^s2 / (1 + t^N v^(2 beta N)), v = 1 + a + b

@@ -32,7 +32,7 @@ import numpy as np
 from .calculus import _warn_off_span
 from .errors import InvalidSpecError, NonConvergenceError
 from .model import MixedNormParams
-from .phasespace import _l2_cap, _modulation_columns, _outer_reduce, modulation_norm
+from .phasespace import _l2_cap, _measured_norms, modulation_norm
 from .spectral import FieldSample, SpectralDecomposition, _reflection_parity, real_matmul
 
 _BLOWUP_NORM = 1e6
@@ -189,10 +189,9 @@ class _Engine:
         boundary-mass check of a state: near convergence it is round-off.
         The Picard stop's exact fallback, run when the gap's cap cannot
         decide."""
-        grid, p, q = self.dec.grid, self.monitor_params.p, self.monitor_params.q
-        [columns] = _modulation_columns(self.field(coeffs), [self.monitor_s],
-                                        self.dec.oscillator, p)
-        return _outer_reduce(columns, p, q, grid.h, grid.frequency_cell)
+        [value] = _measured_norms(self.field(coeffs), [self.monitor_s],
+                                  self.dec.oscillator, self.monitor_params)
+        return value
 
     def cap_constant(self) -> float:
         """``phasespace._l2_cap`` of the monitor: the monitored norm of any

@@ -15,16 +15,21 @@ spaces (Groechenig, Foundations of Time-Frequency Analysis, 2001, ch. 11).
 
 The transform and the streamed norms run on one blocked pass, ``_stft_blocks``:
 it yields h FFT(f conj(g(. - x_i))) for consecutive blocks of x-shift rows
-(about ``_BLOCK_CELLS`` lattice cells each), columns in FFT order. ``stft``
-moves each block into ascending xi order (the fftshift), applies the
-staggered-grid phase and fills the full ``PhaseSpaceField``. The norms
+(about ``_BLOCK_CELLS`` lattice cells each), columns in FFT order. The
+shifted windows g(z_j - x_i) = g_{(j - i) mod N} form a circulant, read as
+rows of one view of the doubled window, so no (N, N) table is built. The
+pass runs one range of rows on one block grid from row 0, the first and
+last block clipped to the range. ``stft`` moves each block into ascending
+xi order (the fftshift), applies the staggered-grid phase and fills the
+full ``PhaseSpaceField``. The norms
 reduce in the order the pass yields: the weight lattice is cached with its
 columns in FFT order, and a norm moves its column sums to ascending xi once,
 at the end (the order of the xi lattice is only a convention). Every norm is
 reduced by ``_weighted_columns`` (weighted inner L^p column sums or sups) and
 ``_outer_reduce`` (outer L^q): ``mixed_norm`` feeds it |field|, put in FFT
 order, as one block, ``modulation_norm`` the block magnitudes of the pass,
-so a streamed norm holds a few blocks, never the lattice.
+so a streamed norm holds a few blocks, never the lattice, and ``_l2_cap``
+row blocks of the weight lattice.
 ``modulation_norms`` reduces one pass for several weight exponents at once:
 the transform and its magnitudes, which are most of the cost, are shared,
 and each weight adds only its own weighting and column sums. The window g
@@ -43,27 +48,28 @@ O(N) check; every state of a parity-sector flow in ``nlheat`` is one) streams
 half the rows as well. The staggered nodes give -x_i = x_{N-1-i} bit for bit,
 so with the even window V_g f(-x, xi) = +-conj(V_g f(x, xi)); the weight
 depends on x only through the even V. The pass therefore runs the rows
-x > 0 alone (``_stft_blocks`` from row N/2) and doubles the finite-p column
-sums; the column sup for p = INF is the same over half the rows. Other
-fields run every row. The boundary-mass check runs where a state is
-measured, not in the pass, so Picard gaps (round-off noise near
-convergence) are reduced without it.
-A p = q = 2 norm (``modulation_norm``, ``modulation_norms``) runs only the
-x-shift rows that can move its value. By DFT Parseval the row at x_i has
-squared l^2 norm N h^2 sum_j |f_j|^2 g(z_j - x_i)^2, bounded without its
-FFT from both sides by ``_row_energies``, so the row's share of the squared
-norm lies between those bounds times the square of the row min and of the
-row max of v_s (Groechenig,
-Foundations of Time-Frequency Analysis, 2001, ch. 1 and 3). ``_kept_rows``
+x > 0 alone (the rows [N/2, N) of ``_stft_blocks``) and doubles the finite-p
+column sums; the column sup for p = INF is the same over half the rows.
+Other fields run every row. The boundary-mass check runs where a state is
+measured (``stft``, ``modulation_norm``, ``modulation_norms``), not in the
+pass: a Picard gap, round-off noise near convergence, is reduced by the
+same ``_measured_norms`` without it.
+A p = q = 2 norm (``modulation_norm``, ``modulation_norms``, a Picard gap)
+runs only the x-shift rows that can move its value. By DFT Parseval the
+row at x_i has squared l^2 norm N h^2 sum_j |f_j|^2 g(z_j - x_i)^2, bounded
+without its FFT from both sides by ``_row_energies``, so the row's share of
+the squared norm lies between those bounds times the square of the row min
+and of the row max of v_s (Groechenig, Foundations of Time-Frequency
+Analysis, 2001, ch. 1 and 3). ``_kept_rows``
 drops outermost rows from both ends of the pass's range ([0, N), or
 [N/2, N) for the half-row pass) while the upper bounds of the dropped rows
 add up to at most 2^-54 of the lower bounds of all rows: the squared norm
 moves by at most half an ulp and the norm by at most a quarter. The kept
 rows run on the same block grid, the first and last block clipped, and are
 summed in the same order. Every other (p, q), ``mixed_norm``, ``stft``,
-the unpruned column pass (Picard gaps, ``singular_weight_norm``) and the
-L^2 cap run every row, and so do a zero or non-finite field, a weight that
-is not finite and a field whose weighted squared norm could overflow.
+the column pass of ``singular_weight_norm`` and the L^2 cap run every
+row, and so do a zero or non-finite field, a weight that is not finite
+and a field whose weighted squared norm could overflow.
 Cauchy-Schwarz caps every norm by the field's L^2 norm: ``_l2_cap`` is the
 constant C with ``modulation_norm`` <= C ||f||_{L^2}, cached once per
 (s, oscillator, grid, exponents). ``nlheat`` stops its Picard windows on that
@@ -130,7 +136,9 @@ class PhaseSpaceField:
         object.__setattr__(self, "values", v)
 
 
-def _check_boundary_mass(f: FieldSample, stacklevel: int = 3) -> None:
+def _check_boundary_mass(f: FieldSample) -> None:
+    """Warn, naming the caller of the public function that measures ``f``,
+    when ``f`` carries boundary mass above ``_BOUNDARY_TOL`` of its peak."""
     grid = f.grid
     amax = float(np.max(np.abs(f.values)))
     if amax == 0.0:
@@ -141,52 +149,37 @@ def _check_boundary_mass(f: FieldSample, stacklevel: int = 3) -> None:
         warnings.warn(
             f"field amplitude near the box boundary is {edge:.3e} of its peak; "
             f"cyclic window wrap-around may contaminate the STFT",
-            BoundaryMassWarning, stacklevel=stacklevel)
+            BoundaryMassWarning, stacklevel=3)
 
 
-@functools.lru_cache(maxsize=4)
-def _gaussian_conj_table(grid: Grid) -> np.ndarray:
-    """Shift table g(z_j - x_i) of the window.
-
-    The gaussian is real, so the table is its own conjugate and is stored
-    real: a complex times a real with exact zero imaginary part rounds the
-    same as a complex times that real.
-    """
-    g = _gaussian_window_values(grid)
-    n_pts = grid.points_per_axis
-    idx = (np.arange(n_pts)[None, :] - np.arange(n_pts)[:, None]) % n_pts
-    table = g[idx]
-    table.setflags(write=False)
-    return table
-
-
-def _stft_blocks(f: FieldSample, real: bool = False, first_row: int = 0, kept=None):
+def _stft_blocks(f: FieldSample, real: bool, rows: tuple):
     """Yield (lo, block) with block[r] = h FFT(f g(. - x_{lo+r})).
 
-    Rows run over consecutive x shifts from ``first_row`` (0, or N/2 for the
-    half-row pass of an even or odd field); the block has shape (rows, N),
-    frequencies in FFT order (bin 0 first), the order the weight lattice and
-    the norms use, with neither fftshift nor the staggered-grid phase
-    applied. The blocks lie on one grid of about ``_BLOCK_CELLS`` lattice
-    cells each (at most the rows to run) from ``first_row``; the windowed
-    product reuses one buffer. ``kept`` = (start, stop) runs only those rows
-    of the grid, so the first and last block may be clipped.
+    ``rows`` = (start, stop) is the range of x shifts to run: (0, N), (N/2, N)
+    for the half-row pass of an even or odd field, or a ``_kept_rows`` range.
+    The block has shape (rows, N), frequencies in FFT order (bin 0 first),
+    the order the weight lattice and the norms use, with neither fftshift
+    nor the staggered-grid phase applied. The blocks lie on one grid of
+    ``_BLOCK_CELLS`` / N rows (at least one) from row 0, the first and last
+    clipped to the range; for a power-of-two N this height divides N/2 or
+    exceeds N, so every range starts on the grid or fits in one block. The
+    shifted windows are the rows of a circulant, g(z_j - x_i) =
+    g_{(j - i) mod N}, read from one view of the doubled window, and the
+    windowed product reuses one buffer.
     ``real`` (f real) transforms the real product with ``rfft`` and yields
     only the bins 0..N/2, shape (rows, N/2 + 1).
     """
     grid = f.grid
     size = grid.points_per_axis
-    start, stop = kept or (first_row, size)
-    # powers of two: divides size - first_row
-    rows = min(size - first_row, max(1, _BLOCK_CELLS // size))
-    table = _gaussian_conj_table(grid)
+    start, stop = rows
+    height = max(1, _BLOCK_CELLS // size)
+    g = _gaussian_window_values(grid)
+    shifts = sliding_window_view(np.concatenate((g, g)), size)[size:0:-1]
     fv = f.values.real if real else f.values
-    buf = np.empty((rows, size), dtype=fv.dtype)
-    for edge in range(first_row, stop, rows):
-        lo, hi = max(edge, start), min(edge + rows, stop)
-        if lo >= hi:
-            continue
-        prod = np.multiply(fv, table[lo:hi], out=buf[:hi - lo])
+    buf = np.empty((min(height, stop - start), size), dtype=fv.dtype)
+    for edge in range(start - start % height, stop, height):
+        lo, hi = max(edge, start), min(edge + height, stop)
+        prod = np.multiply(fv, shifts[lo:hi], out=buf[:hi - lo])
         block = np.fft.rfft(prod, axis=1) if real else np.fft.fft(prod, axis=1)
         block *= grid.h
         yield lo, block
@@ -211,7 +204,7 @@ def stft(f: FieldSample) -> PhaseSpaceField:
     phase = _staggered_phase(grid)
     n = grid.points_per_axis
     out = np.empty((n, n), dtype=np.complex128)
-    for lo, block in _stft_blocks(f):
+    for lo, block in _stft_blocks(f, False, (0, n)):
         rows = block.shape[0]
         out[lo:lo + rows] = np.fft.fftshift(block, axes=1)
         out[lo:lo + rows] *= phase
@@ -346,7 +339,7 @@ def _l2_cap(s: float, osc: OscillatorSpec | None, grid: Grid, params: MixedNormP
     (quasi-)norm is monotone in |V_g f|, so C = ||g||_2 ||v_s||_{L^{p,q}}
     for all 0 < p, q <= INF, with no triangle inequality (Groechenig,
     Foundations of Time-Frequency Analysis, 2001, ch. 3). The cached weight
-    lattice is reduced by ``_column_reduce`` in row blocks of the pass's
+    lattice is reduced by ``_weighted_columns`` in row blocks of the pass's
     size, never as a whole; the flat weight's column sums are the row count.
     Equality holds at p = q = INF, s = 0 for a window shifted to a node and
     modulated by a lattice frequency; C is lifted by ``_CAP_SLACK`` so that
@@ -358,8 +351,8 @@ def _l2_cap(s: float, osc: OscillatorSpec | None, grid: Grid, params: MixedNormP
         columns = np.full(n, 1.0 if is_inf(p) else float(n))
     else:
         rows = max(1, _BLOCK_CELLS // n)
-        parts = [_column_reduce(lattice[lo:lo + rows], p) for lo in range(0, n, rows)]
-        columns = np.max(parts, axis=0) if is_inf(p) else np.sum(parts, axis=0)
+        blocks = ((lo, lattice[lo:lo + rows]) for lo in range(0, n, rows))
+        [columns] = _weighted_columns(blocks, [None], p)
     weight = _outer_reduce(columns, p, params.q, grid.h, grid.frequency_cell)
     g = _gaussian_window_values(grid)
     return float(np.sqrt(grid.h * np.dot(g, g))) * weight * (1.0 + _CAP_SLACK)
@@ -451,10 +444,10 @@ def _modulation_columns(f: FieldSample, s_values, osc: OscillatorSpec | None, p,
     """
     grid = f.grid
     real = not f.values.imag.any()
-    first_row = grid.points_per_axis // 2 if real and _reflection_parity(f.values.real) else 0
-    kept = _kept_rows(f, s_values, osc, first_row) if prune else None
-    blocks = ((lo, np.abs(block).reshape(block.shape[0], -1))
-              for lo, block in _stft_blocks(f, real, first_row, kept))
+    n = grid.points_per_axis
+    first_row = n // 2 if real and _reflection_parity(f.values.real) else 0
+    rows = _kept_rows(f, s_values, osc, first_row) if prune else (first_row, n)
+    blocks = ((lo, np.abs(block)) for lo, block in _stft_blocks(f, real, rows))
     columns = []
     for sums in _weighted_columns(blocks, [_weight_lattice(s, osc, grid) for s in s_values], p):
         if first_row and not is_inf(p):
@@ -502,9 +495,10 @@ def modulation_norm(f: FieldSample, s: float, osc: OscillatorSpec | None,
     (see the module docstring). Raises NumericalError on
     non-finite weighted values. Like ``stft`` it measures a state, so it
     warns when the field carries boundary mass above 1e-8 of its peak; a
-    Picard gap goes through ``_modulation_columns`` without that check.
+    Picard gap goes through the same ``_measured_norms`` without that check.
     This is the one-weight case of ``modulation_norms``.
     """
+    _check_boundary_mass(f)
     [value] = _measured_norms(f, [s], osc, params)
     return value
 
@@ -522,11 +516,14 @@ def modulation_norms(f: FieldSample, s_values, osc: OscillatorSpec | None,
     a value may differ from the one-weight value in the last bit. An
     overflowing weight anywhere in the list raises NumericalError.
     """
+    _check_boundary_mass(f)
     return _measured_norms(f, s_values, osc, params)
 
 
 def _measured_norms(f, s_values, osc, params) -> list:
-    _check_boundary_mass(f, stacklevel=4)  # names the caller of the public function
+    """The norms of ``modulation_norms`` without the boundary-mass check: the
+    shared path of a measured state and of a Picard gap (round-off noise
+    near convergence)."""
     cells = (f.grid.h, f.grid.frequency_cell)
     prune = params.p == 2.0 and params.q == 2.0
     return [_outer_reduce(columns, params.p, params.q, *cells)

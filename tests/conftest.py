@@ -6,20 +6,31 @@ from anharmonic import phasespace
 from oracles import gaussian_stft_abs
 
 
+class PassRanges(list):
+    """(start, stop) of each recorded pass; ``blocks`` holds, per pass, the
+    (lo, rows) of each of its blocks."""
+
+    def __init__(self):
+        super().__init__()
+        self.blocks = []
+
+
 @pytest.fixture()
 def pass_ranges(monkeypatch):
     """The x-shift rows (start, stop) of every blocked STFT pass run while the
     test runs, in call order; the rows of a pass are consecutive."""
-    ranges = []
+    ranges = PassRanges()
     blocks = phasespace._stft_blocks
 
     def recorded(*args, **kwargs):
-        span = None
+        span, parts = None, []
         for lo, block in blocks(*args, **kwargs):
             assert span is None or lo == span[1]
             span = (lo if span is None else span[0], lo + block.shape[0])
+            parts.append((lo, block.shape[0]))
             yield lo, block
         ranges.append(span)
+        ranges.blocks.append(parts)
 
     monkeypatch.setattr(phasespace, "_stft_blocks", recorded)
     return ranges

@@ -1,15 +1,16 @@
 import csv
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import anharmonic as ah
 import anharmonic.nlheat
-from anharmonic import (FieldSample, Grid, InvalidSpecError, NonConvergenceError,
-                        NonlinearProblemSpec, OffSpanWarning, decompose, duhamel_residual,
-                        etd_evolve, heat_semigroup, picard_solve)
+from anharmonic import (BoundaryMassWarning, FieldSample, Grid, InvalidSpecError,
+                        NonConvergenceError, NonlinearProblemSpec, OffSpanWarning, decompose,
+                        duhamel_residual, etd_evolve, heat_semigroup, picard_solve)
 from anharmonic.cli import ReportRecord, emit_plot_data
 
 pytestmark = pytest.mark.filterwarnings(
@@ -317,6 +318,24 @@ class TestCertifiedStop:
         full = engine.field(c).values
         expected = math.sqrt(dec.grid.h * np.sum(np.abs(full) ** 2))
         assert engine.field_l2(c) == pytest.approx(expected, rel=1e-13)
+
+    @LAYOUTS
+    def test_gap_norm_skips_the_boundary_mass_check(self, dec, shift):
+        """Near convergence a Picard gap is round-off noise, so its exact norm
+        takes no boundary-mass check. It is the monitored norm of the same
+        mirrored field, which, measured as a state, warns."""
+        x = dec.grid.nodes()
+        spec = NonlinearProblemSpec(dec, FieldSample(dec.grid, np.exp(-(x - shift) ** 2 / 2)),
+                                    monitor=MONITOR)
+        engine = anharmonic.nlheat._Engine(spec)
+        c = np.random.default_rng(5).standard_normal(len(engine.lam_beta))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BoundaryMassWarning)
+            gap = engine.gap_norm(c)
+        with pytest.warns(BoundaryMassWarning):
+            state = ah.modulation_norm(engine.field(c), MONITOR[2], dec.oscillator,
+                                       ah.MixedNormParams(*MONITOR[:2]))
+        assert gap == state
 
     def test_overflowing_gap_has_cap_inf(self, defocusing):
         """A gap whose sum of squares overflows has cap inf, which a

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 import anharmonic as ah
+from anharmonic import phasespace
 from anharmonic import (INF, BoundaryMassWarning, FieldSample, Grid,
                         InvalidSpecError, MixedNormParams, NumericalError,
                         PhaseSpaceField, apply_conjugation, mixed_norm,
                         modulation_norm, modulation_norms, stft, weight_value)
 from anharmonic.estimators import gaussian_probe_fields
-from anharmonic.phasespace import (_column_reduce, _gaussian_conj_table,
-                                   _gaussian_window_values, _kept_rows, _l2_cap,
-                                   _modulation_columns, _outer_reduce, _weight_lattice,
-                                   _weighted_columns)
+from anharmonic.phasespace import (_column_reduce, _gaussian_window_values, _kept_rows,
+                                   _l2_cap, _modulation_columns, _outer_reduce,
+                                   _weight_lattice, _weighted_columns)
 from oracles import (gaussian_lattice_stft_abs, gaussian_window_transform_abs,
                      mixed_norm_reference)
 
@@ -460,6 +460,21 @@ class TestStreamedNormGuards:
             tracemalloc.stop()
         assert peak < hermite_grid.points_per_axis ** 2 * 16
 
+    def test_first_norm_builds_no_shift_table(self):
+        """The shifted windows are views of one doubled window, so even the
+        first norm on a grid, with every cache cold, allocates less than half
+        an (N, N) real array (1 MiB at 512 points); a cached (N, N) shift
+        table took 4 MiB to build."""
+        grid = Grid(512, 12.5)  # no other test uses this grid
+        f = unit_gaussian(grid)
+        tracemalloc.start()
+        try:
+            modulation_norm(f, FLAT, None, MixedNormParams(2.0, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.points_per_axis ** 2 * 8 / 2
+
 
 class TestSharedPass:
     """``modulation_norms`` reduces one STFT pass under several weights. Each
@@ -608,7 +623,7 @@ class TestL2Cap:
         (freq 64 is xi = 0, a real field.)"""
         grid = self.GRID
         xi = grid.frequency_nodes()[freq]
-        vals = _gaussian_conj_table(grid)[node] * np.exp(2j * np.pi * xi * grid.nodes())
+        vals = np.roll(_gaussian_window_values(grid), node) * np.exp(2j * np.pi * xi * grid.nodes())
         f = FieldSample(grid, vals.real if xi == 0.0 else vals)
         params = MixedNormParams(INF, INF)
         exact = modulation_norm(f, FLAT, None, params)
@@ -754,8 +769,9 @@ class TestPrunedRows:
         assert pass_ranges == [(0, self.GRID.points_per_axis)]
 
     def test_gap_columns_run_every_row(self, pass_ranges):
-        """The unpruned column pass (the Picard gap fallback, the singular
-        weight) runs every row, whatever the exponents."""
+        """The unpruned column pass (the singular weight's) runs every row,
+        whatever the exponents; a Picard gap goes through ``_measured_norms``
+        and at p = q = 2 takes the pruned rows like any such norm."""
         f, _ = self.packet("narrow", "complex")
         [columns] = _modulation_columns(f, [2.0], HARMONIC, 2.0)
         full = _outer_reduce(columns, 2.0, 2.0, self.GRID.h, self.GRID.frequency_cell)
@@ -772,3 +788,30 @@ class TestPrunedRows:
         rows = sum(stop - start for start, stop in pass_ranges)
         assert len(pass_ranges) == 15
         assert rows <= 0.6 * 15 * self.GRID.points_per_axis
+
+
+class TestBlockGrid:
+    """``_stft_blocks`` runs any row range on one grid of max(1, 2^15 / N)
+    rows from row 0, its first and last block clipped to the range. Interior
+    block edges on that grid keep a norm's column sums in the order of the
+    full pass, and every block holds the full pass's rows bit for bit."""
+
+    @pytest.mark.parametrize("n", [128, 256, 512, 1024])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_ranges_run_on_one_grid(self, kind, n, pass_ranges):
+        grid = Grid(n, 12.0)
+        x = grid.nodes()
+        vals = 2.0 * np.exp(-8.0 * (x - 0.75) ** 2)
+        real = kind == "real"
+        f = FieldSample(grid, vals if real else vals * np.exp(3j * np.pi * x))
+        kept = _kept_rows(f, [FLAT], None, 0)
+        assert 0 < kept[0] and kept[1] < n  # clipped at both ends
+        full = np.concatenate([b for _, b in phasespace._stft_blocks(f, real, (0, n))])
+        for rows in [(n // 2, n), kept]:
+            for lo, block in phasespace._stft_blocks(f, real, rows):
+                assert block.tobytes() == full[lo:lo + block.shape[0]].tobytes()
+        assert pass_ranges == [(0, n), (n // 2, n), kept]
+        height = max(1, 2 ** 15 // n)
+        for blocks in pass_ranges.blocks:
+            assert all(rows <= height for _, rows in blocks)
+            assert all(lo % height == 0 for lo, _ in blocks[1:])
