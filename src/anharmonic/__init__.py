@@ -16,7 +16,7 @@ from .errors import (AnharmonicError, BoundaryMassWarning, DiscardedMassWarning,
 from .model import (INF, MixedNormParams, OscillatorSpec, check_exponent, evaluate_potential,
                     hermite_oscillator, is_inf, submultiplicativity_defect, weight_value)
 from .spectral import FieldSample, Grid, SpectralDecomposition, decompose
-from .calculus import apply_spectral_function, heat_semigroup, project, sobolev_norm
+from .calculus import apply_spectral_function, heat_semigroup, sobolev_norm
 from .phasespace import (PhaseSpaceField, gaussian_half_density, mixed_norm, modulation_norm,
                          modulation_norms, stft)
 from .estimators import (EquivalenceBand, LogLinearFit, SingularWeightResult,
@@ -44,7 +44,7 @@ __all__ = [
     # spectral
     "Grid", "FieldSample", "SpectralDecomposition", "decompose",
     # calculus
-    "apply_spectral_function", "heat_semigroup", "project", "sobolev_norm",
+    "apply_spectral_function", "heat_semigroup", "sobolev_norm",
     # phasespace
     "PhaseSpaceField", "stft", "gaussian_half_density", "mixed_norm", "modulation_norm",
     "modulation_norms",

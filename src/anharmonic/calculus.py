@@ -3,7 +3,7 @@
 ``apply_spectral_function`` is the one entry point for phi(H) f: the heat
 semigroup exp(-t H^beta), whose beta is its own argument, is its
 exponential case, and a fractional power H^b f is one call with
-phi = lambda ** b. Projections and Sobolev norms read the coefficients.
+phi = lambda ** b. Sobolev norms read the coefficients.
 
 All operations act on the retained-mode component of a field; when a field
 has more than a sliver of energy outside that span, an OffSpanWarning is
@@ -68,22 +68,6 @@ def heat_semigroup(dec: SpectralDecomposition, beta: float, t: float,
     if not np.isfinite(t) or t < 0:
         raise ValueError("t must be finite and nonnegative")
     return apply_spectral_function(dec, lambda lam: np.exp(-t * lam ** beta), f)
-
-
-def project(dec: SpectralDecomposition, j: int, f: FieldSample) -> FieldSample:
-    """Projection <f, Phi_j> Phi_j onto mode j.
-
-    Within its parity each eigenpair is unique up to sign (see
-    ``SpectralDecomposition``), so the spectral projection of a level is the
-    projection onto its one mode. ValueError unless j is an integer in
-    [0, m).
-    """
-    if not isinstance(j, (int, np.integer)) or not 0 <= j < dec.m:
-        raise ValueError(f"mode index {j} outside [0, {dec.m})")
-    coeffs = dec.coefficients(f)
-    keep = np.zeros_like(coeffs)
-    keep[j] = coeffs[j]
-    return dec.reconstruct(keep)
 
 
 def sobolev_norm(dec: SpectralDecomposition, s: float, f: FieldSample,

@@ -29,7 +29,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .calculus import heat_semigroup, project
+from .calculus import heat_semigroup
 from .errors import NumericalError, SchemaError
 from .model import (INF, MixedNormParams, OscillatorSpec, evaluate_potential,
                     hermite_oscillator, is_inf, submultiplicativity_defect, weight_value)
@@ -579,8 +579,6 @@ def _run_selftest(run, record):
     f = dec.eigenfunction(3)
     ht = heat_semigroup(dec, 1.0, 0.0, f)
     row("heat_identity_t0", float(np.max(np.abs(ht.values - f.values))), 0.0, 1e-9)
-    pj = project(dec, 3, project(dec, 3, f))
-    row("projection_idempotent", float(np.max(np.abs(pj.values - f.values))), 0.0, 1e-9)
 
     coeffs = np.zeros(dec.m)
     coeffs[:12] = np.linspace(1.0, 0.1, 12)

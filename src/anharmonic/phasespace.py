@@ -523,7 +523,9 @@ def modulation_norms(f: FieldSample, s_values, osc: OscillatorSpec | None,
 def _measured_norms(f, s_values, osc, params) -> list:
     """The norms of ``modulation_norms`` without the boundary-mass check: the
     shared path of a measured state and of a Picard gap (round-off noise
-    near convergence)."""
+    near convergence). No weight exponent, no pass."""
+    if not len(s_values):
+        return []
     cells = (f.grid.h, f.grid.frequency_cell)
     prune = params.p == 2.0 and params.q == 2.0
     return [_outer_reduce(columns, params.p, params.q, *cells)

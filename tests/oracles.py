@@ -4,7 +4,9 @@ Everything here is built from a different method than the code under test:
 the grid operator is the dense n x n matrix of H (the package builds only
 its two parity blocks), the quartic ground state comes from an ODE shooting
 method, the window transform from a closed form (and its Poisson-summed
-aliases), the mixed norm from direct loops over the definition, and the
+aliases) and, for any field, from the dense sum of its definition with an
+explicit n x n phase matrix (the package streams FFT blocks), the mixed
+norm from direct loops over the definition, and the
 weight quotient from its formula on every node of the full lattice, and a
 report row's verdict from the four deviation rules. Frozen constants at the bottom
 were produced by these oracles and pinned so a regression in either side is
@@ -124,6 +126,27 @@ def gaussian_lattice_stft_abs(x: np.ndarray, xi: np.ndarray, amp: float, a: floa
         beta = a * b + np.pi * x + 1j * np.pi * (c - eta)
         total += (-1) ** m * np.exp(beta ** 2 / alpha - a * b ** 2 - np.pi * x ** 2)
     return amp * 2.0 ** 0.25 * np.sqrt(np.pi / alpha) * np.abs(total)
+
+
+def dense_stft(f) -> np.ndarray:
+    """The lattice window transform of a field by its definition,
+    V_g f(x_i, xi_n) = h sum_j f(z_j) g(z_j - x_i) e^{-2 pi i xi_n z_j}.
+
+    The nodes are z_j = -L + (j + 1/2) h, the frequencies xi_n = n / (2L)
+    with n ascending in [-N/2, N/2), and g is the unit Gaussian
+    2^{1/4} e^{-pi z^2} at the signed cyclic offset of z_j - x_i, in
+    [-N/2, N/2) cells. The phases form one explicit (N, N) matrix: no FFT,
+    no circulant view and nothing from ``anharmonic.phasespace``. Rows index
+    x_i, columns ascending xi_n.
+    """
+    n, half_width = f.grid.points_per_axis, f.grid.half_width
+    h = 2.0 * half_width / n
+    z = -half_width + (np.arange(n) + 0.5) * h
+    xi = np.arange(-(n // 2), n - n // 2) / (2.0 * half_width)
+    offsets = (np.arange(n)[None, :] - np.arange(n)[:, None] + n // 2) % n - n // 2
+    window = 2.0 ** 0.25 * np.exp(-np.pi * (offsets * h) ** 2)
+    phase = np.exp(-2j * np.pi * np.outer(z, xi))
+    return h * (window * np.asarray(f.values)[None, :]) @ phase
 
 
 def mixed_norm_reference(values, weight, p, q, cell_x, cell_xi):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from anharmonic import (FieldSample, NumericalError, OffSpanWarning, apply_spectral_function,
-                        heat_semigroup, project, sobolev_norm)
+                        heat_semigroup, sobolev_norm)
 from anharmonic.spectral import SpectralDecomposition
 
 
@@ -72,25 +72,6 @@ class TestFractionalPower:
                         + eigenfield(hermite_dec, 7, scale=0.5).values)
         back = power(hermite_dec, -1.0, power(hermite_dec, 1.0, f))
         np.testing.assert_allclose(back.values, f.values, rtol=1e-9, atol=1e-12)
-
-
-class TestProject:
-    def test_idempotent(self, hermite_dec, gaussian_field):
-        once = project(hermite_dec, 3, gaussian_field)
-        twice = project(hermite_dec, 3, once)
-        np.testing.assert_allclose(twice.values, once.values, atol=1e-12)
-
-    def test_simple_spectrum_keeps_one_mode(self, hermite_dec, gaussian_field):
-        out = project(hermite_dec, 2, gaussian_field)
-        coeffs = hermite_dec.coefficients(out)
-        mask = np.ones(hermite_dec.m, dtype=bool)
-        mask[2] = False
-        assert np.all(np.abs(coeffs[mask]) < 1e-10)
-
-    def test_bad_index_rejected(self, hermite_dec, gaussian_field):
-        for j in (-1, hermite_dec.m, 2.0):
-            with pytest.raises(ValueError):
-                project(hermite_dec, j, gaussian_field)
 
 
 class TestSobolevNorm:

@@ -18,8 +18,9 @@ from anharmonic import (INF, FieldSample, Grid, InvalidSpecError, MixedNormParam
                         gaussian_probe_fields, is_inf, modulation_norm, phasespace,
                         sigma_exponent, singular_weight_norm, smoothing_decay_run,
                         sobolev_modulation_equivalence, sobolev_norm,
-                        standard_probe_family, stft, weight_quotient_norm)
-from oracles import auto_n_pow_reference, mixed_norm_reference, quotient_reference
+                        standard_probe_family, weight_quotient_norm)
+from oracles import (auto_n_pow_reference, dense_stft, mixed_norm_reference,
+                     quotient_reference)
 
 FLAT = 0.0  # the weight exponent of the flat weight
 
@@ -377,7 +378,7 @@ class TestSingularWeight:
                              ids=["p3-q3", "p3-q1.5", "p2-qinf", "pinf-q2"])
     def test_matches_direct_loop_reference(self, p, q):
         """Value, half-radius value and both xi-tail accumulators against the
-        direct-loop mixed norm of the full STFT field, weight built here. The
+        direct-loop mixed norm of the dense transform, weight built here. The
         256-point lattice streams as two blocks."""
         grid = Grid(256, 8.0)
         x = grid.nodes()
@@ -389,7 +390,7 @@ class TestSingularWeight:
 
         def reference(radius, columns=slice(None)):
             vals = np.where(np.abs(x) <= radius, np.abs(x) ** -0.5, 0.0)
-            ps = stft(FieldSample(grid, vals)).values
+            ps = dense_stft(FieldSample(grid, vals))
             return mixed_norm_reference(ps[:, columns], weight[:, columns],
                                         p_ref, q_ref, *cells)
 
@@ -432,6 +433,10 @@ class TestEquivalenceBand:
             sobolev_modulation_equivalence(hermite_dec, [0.0], [zero])
         with pytest.warns(ProbeSkipWarning), pytest.raises(ValueError):
             sobolev_modulation_equivalence(hermite_dec, (0.0, 1.0, 2.0), [zero, zero])
+
+    def test_no_weight_exponent_gives_no_band(self, hermite_dec):
+        probes = eigenfunction_probes(hermite_dec, 2)
+        assert sobolev_modulation_equivalence(hermite_dec, [], probes) == []
 
 
 class TestCorpusBookkeeping:

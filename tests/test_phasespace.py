@@ -14,7 +14,7 @@ from anharmonic.estimators import gaussian_probe_fields
 from anharmonic.phasespace import (_column_reduce, _gaussian_window_values, _kept_rows,
                                    _l2_cap, _modulation_columns, _outer_reduce,
                                    _weight_lattice, _weighted_columns)
-from oracles import (gaussian_lattice_stft_abs, gaussian_window_transform_abs,
+from oracles import (dense_stft, gaussian_lattice_stft_abs, gaussian_window_transform_abs,
                      mixed_norm_reference)
 
 FLAT = 0.0  # the weight exponent of the flat weight
@@ -114,6 +114,23 @@ class TestStft:
         np.testing.assert_array_equal(conj.values, damped.values)
         got = np.abs(stft(conj).values)
         np.testing.assert_allclose(got, damped_gaussian_abs, rtol=0.0, atol=1e-14)
+
+
+class TestDenseStftOracle:
+    """``oracles.dense_stft``, the reference of the streamed norms, against
+    the aliased closed form of a modulated, shifted Gaussian, within 1e-14
+    of the peak (round-off is about 1e-15)."""
+
+    @pytest.mark.parametrize("grid", [Grid(128, 10.0), Grid(512, 12.0)],
+                             ids=["128", "512"])
+    @pytest.mark.parametrize("amp,a,b,c", [(2.0 ** 0.25, np.pi, 0.5, 1.25),
+                                           (2.0, 2.0, 0.75, 0.0)], ids=["complex", "real"])
+    def test_against_aliased_closed_form(self, grid, amp, a, b, c):
+        x = grid.nodes()
+        f = FieldSample(grid, amp * np.exp(-a * (x - b) ** 2) * np.exp(2j * np.pi * c * x))
+        expected = gaussian_lattice_stft_abs(x, grid.frequency_nodes(), amp, a, b, c, grid.h)
+        got = np.abs(dense_stft(f))
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14 * expected.max())
 
 
 class TestPhaseSpaceField:
@@ -346,7 +363,9 @@ class TestHalfRowPass:
     """A real field that is bitwise even or odd reduces only the rows
     x > 0 of the pass and doubles the finite-p column sums (the column max
     for p = INF is kept). The reference is the full lattice,
-    ``mixed_norm(stft(f), ...)``, which runs every row."""
+    ``mixed_norm(stft(f), ...)``, which runs every row, and direct loops
+    over the dense transform of ``oracles.dense_stft``, which shares no code
+    with the pass."""
 
     @staticmethod
     def field(grid, parity):
@@ -370,6 +389,10 @@ class TestHalfRowPass:
         n = grid.points_per_axis
         assert pass_ranges == [(0, n), (n // 2, n)]  # stft runs every row
         assert got == pytest.approx(expected, rel=1e-13)
+        dense = mixed_norm_reference(dense_stft(f), harmonic_lattice(grid, s),
+                                     _oracle_exponent(p), _oracle_exponent(q), grid.h,
+                                     grid.frequency_cell)
+        assert got == pytest.approx(dense, rel=1e-12)
 
     def test_perturbed_node_takes_the_full_pass(self, pass_ranges):
         """One node moved by one ulp breaks the symmetry: every row is run and
@@ -388,7 +411,8 @@ class TestHalfRowPass:
 class TestColumnOrder:
     """``_modulation_columns`` gives one column per xi node in ascending
     order, whatever order its pass reduces in: the column sums of p-th
-    powers (column max for INF) of the weighted |stft(f)|. A rough field
+    powers (column max for INF) of the weighted |V_g f| of the dense
+    ``oracles.dense_stft``. A rough field
     keeps every column far above round-off, so a column out of place shows."""
 
     @staticmethod
@@ -409,7 +433,7 @@ class TestColumnOrder:
         osc = ah.hermite_oscillator()
         weights = weight_value(s, osc, grid.nodes()[:, None],
                                2.0 * np.pi * grid.frequency_nodes()[None, :])
-        w = np.abs(stft(f).values) * weights
+        w = np.abs(dense_stft(f)) * weights
         expected = w.max(axis=0) if p is INF else (w ** p).sum(axis=0)
         [got] = _modulation_columns(f, [s], osc, p)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
@@ -581,6 +605,12 @@ class TestSharedPass:
         assert len(record) == 1
         assert record[0].filename == __file__
 
+    @pytest.mark.parametrize("p,q", [(2.0, 2.0), (2.0, 1.0)], ids=_exponent_id)
+    def test_no_weight_exponent_runs_no_pass(self, p, q, pass_ranges):
+        assert modulation_norms(unit_gaussian(self.GRID), [], HARMONIC,
+                                MixedNormParams(p, q)) == []
+        assert pass_ranges == []
+
 
 @pytest.mark.filterwarnings("ignore::anharmonic.errors.BoundaryMassWarning")
 class TestL2Cap:
@@ -649,7 +679,8 @@ class TestPrunedRows:
     Parseval row i of the pass has squared norm N h^2 sum_j |f_j|^2
     g(z_j - x_i)^2, so with the weight's row min and max the rows left out
     carry at most 2^-54 of the squared norm. The references are direct loops
-    over the aliased closed form of a Gaussian packet, and the full lattice
+    over the aliased closed form of a Gaussian packet or over the dense
+    transform of ``oracles.dense_stft``, and the full lattice
     ``mixed_norm(stft(f), ...)``, which runs every row."""
 
     GRID = Grid(512, 12.0)  # 64-row blocks: a kept range clips its first and last
@@ -714,6 +745,7 @@ class TestPrunedRows:
         got = modulation_norm(f, s, HARMONIC, self.L2)
         expected = mixed_norm(stft(f), s, HARMONIC, self.L2)
         assert got == pytest.approx(expected, rel=1e-14)
+        assert got == pytest.approx(self.reference(dense_stft(f), s), rel=1e-14)
         [(start, stop), _] = pass_ranges
         assert 0 < start and stop < self.GRID.points_per_axis
 
@@ -760,6 +792,7 @@ class TestPrunedRows:
         with pytest.warns(BoundaryMassWarning):
             full = stft(f)
         assert got == pytest.approx(mixed_norm(full, 1.0, HARMONIC, self.L2), rel=1e-14)
+        assert got == pytest.approx(self.reference(dense_stft(f), 1.0), rel=1e-14)
 
     @pytest.mark.parametrize("p,q", [(2.0, 1.0), (1.0, 2.0), (6.0, 2.0), (2.0, INF)],
                              ids=_exponent_id)
