@@ -160,7 +160,8 @@ _TABLE = {
                  (lambda v: 0 <= v < 2 ** 64, "seed must be an unsigned 64-bit integer")),
         "format": ("str", "both",
                    (lambda v: v in _FORMATS, f"format must be one of {_FORMATS}")),
-        "output_dir": ("str", "out"), "grid": ("grid", None), "oscillator": ("oscillator", None),
+        "output_dir": ("str", "out", (len, "{field} must name a directory")),
+        "grid": ("grid", None), "oscillator": ("oscillator", None),
         "params": ("object", {})},
     # every shipped manifest names d = 1, the only one there is
     "grid": {"dimension": ("int", 1, (lambda v: v == 1, "only d = 1 is supported")),
@@ -666,8 +667,10 @@ def run_manifest(path, out_dir=None, fmt=None, seed=None, verbose=False,
                  expect_kind=None):
     """Execute a manifest, given as a file path or as its JSON object; returns
     (exit_code, ReportRecord or None). ``seed`` overrides the manifest's seed
-    and is held to the same rule."""
+    and is held to the same rule; ``out_dir`` replaces the manifest's
+    output_dir and, like it, must not be empty."""
     try:
+        _require(out_dir != "", "--out must name a directory", "--out")
         manifest = path if isinstance(path, dict) else _read_json(path)
         if seed is not None and isinstance(manifest, dict):
             manifest = {**manifest, "seed": seed}  # held to the manifest's seed rule

@@ -8,7 +8,9 @@ it decomposes anything. On every window [t, t + dt] the Picard map iterates the
 Duhamel formula with midpoint quadrature; the midpoint state is updated
 alongside the endpoint using the averaged input, so both carry second-order
 local accuracy. A restart per window is the computable surrogate for the
-global fixed-point ball.
+global fixed-point ball. A problem's engine, with its parity sector, its
+nonlinearity and its projected initial state, is built once, at the first
+integrator or residual call on the spec, and read by every later one.
 
 Both nonlinearities keep parity, and every retained mode is exactly even or
 odd. So a real u0 that is bitwise even or odd (the shipped Gaussian is)
@@ -19,7 +21,7 @@ norm, is mirrored into a full field before it is measured, so it is exactly
 even or odd and its norm takes the half-row pass of ``phasespace``.
 Checkpoint coefficients stay full length m, with exact zeros in the other
 parity. Other initial data (not bitwise symmetric, or complex) evolve in
-the full layout, as before.
+the full layout.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ class NonlinearProblemSpec:
     for the same with an extra |x|^(-alpha) factor (the staggered grid keeps
     the factor finite). ``monitor`` is the (p, q, s) triple of the
     modulation norm tracked along the flow, measured against the anharmonic
-    weight.
+    weight. ``_engine`` is built at the first integrator or residual call and
+    shared by the later ones (a Picard run, its residual, its ETD cross-check
+    and the cross-check's Picard rerun).
     """
 
     decomposition: SpectralDecomposition
@@ -68,13 +72,8 @@ class NonlinearProblemSpec:
             raise InvalidSpecError("monitor must be a (p, q, s) triple")
 
     @functools.cached_property
-    def _initial_norm(self) -> float:
-        """Monitored norm of the projected initial state, measured by the first
-        run of this problem and read by the later ones (a Picard run, its ETD
-        cross-check and the cross-check's Picard rerun share it). Only the
-        float is kept, so the spec holds no engine."""
-        engine = _Engine(self)
-        return engine.monitored_norm(engine.to_coeff(self.u0.values[engine.rows]))
+    def _engine(self) -> _Engine:
+        return _Engine(self)
 
 
 def _check_problem(kind, nu, beta, coupling, alpha):
@@ -95,63 +94,48 @@ def _check_problem(kind, nu, beta, coupling, alpha):
     return beta, int(nu), coupling, alpha if kind == "inhomogeneous" else 0.0
 
 
-def _singular_factor(spec: NonlinearProblemSpec):
-    if spec.kind != "inhomogeneous":
-        return None
-    grid = spec.decomposition.grid
-    return np.abs(grid.nodes()) ** (-spec.alpha)
-
-
-def _nonlinear_values(spec: NonlinearProblemSpec, v: np.ndarray, sing) -> np.ndarray:
-    """coupling |v|^(2 nu) v, times the singular factor ``sing`` unless None."""
-    nl = spec.coupling * np.abs(v) ** (2 * spec.nu) * v
-    return nl if sing is None else nl * sing
-
-
-def _sector(spec: NonlinearProblemSpec):
-    """(sign, modes) of the parity sector the flow stays in: sign 1.0 or -1.0
-    for u0 real and bitwise even or odd, and every retained mode
-    bitwise even or odd (both nonlinearities keep parity), with the indices
-    of the modes of u0's parity. (0.0, every mode) otherwise."""
-    dec, u0 = spec.decomposition, spec.u0.values
-    sign = 0.0
-    if not u0.imag.any():
-        sign = float(_reflection_parity(u0.real))
-    parity = _reflection_parity(dec.eigenvectors) if sign else None
-    if not sign or not np.all(parity):
-        return 0.0, slice(None)
-    return sign, np.flatnonzero(parity == sign)
-
-
 class _Engine:
-    """Coefficient-space workhorse shared by the integrators.
+    """Coefficient-space state of one flow problem, shared by both
+    integrators and ``duhamel_residual``. It keeps only what the flow reads,
+    with no reference back to the spec.
 
-    In a parity sector (``sign`` nonzero, see ``_sector``) states live in it
-    alone: the coefficients of the modes ``cols`` of u0's parity, with
-    values on the rows x > 0 (``rows``), twice the cell measure in the
-    projection, and a state mirrored into an exactly even or odd full field
-    where it is measured. Otherwise ``cols`` and ``rows`` take every mode
-    and node.
+    In a parity sector (``sign`` 1.0 or -1.0, see the module docstring)
+    states are the coefficients of the modes ``cols`` of u0's parity, with
+    values on the rows x > 0 (``rows``) and twice the cell measure, mirrored
+    into a full field where they are measured. Otherwise ``sign`` is 0.0 and
+    ``cols`` and ``rows`` take every mode and node. ``c0``, the projected
+    initial coefficients, is read-only and checked for off-span mass at the
+    build; ``initial_norm``, the trajectory's t = 0 value, is measured at
+    its first read.
     """
 
     def __init__(self, spec: NonlinearProblemSpec):
-        self.spec = spec
-        dec = spec.decomposition
+        dec, u0 = spec.decomposition, spec.u0.values
         self.dec = dec
-        self.sign, self.cols = _sector(spec)
-        self.rows = slice(None)
-        self.phi = dec.eigenvectors
-        self.cell = dec.grid.h
-        if self.sign:
+        sign = 0.0 if u0.imag.any() else float(_reflection_parity(u0.real))
+        parity = _reflection_parity(dec.eigenvectors) if sign else None
+        if sign and np.all(parity):
+            self.sign, self.cols = sign, np.flatnonzero(parity == sign)
             self.rows = slice(dec.grid.points_per_axis // 2, None)
             self.phi = np.ascontiguousarray(dec.eigenvectors[self.rows, self.cols])
-            self.cell *= 2.0
+            self.cell = 2.0 * dec.grid.h
+        else:
+            self.sign, self.cols, self.rows = 0.0, slice(None), slice(None)
+            self.phi, self.cell = dec.eigenvectors, dec.grid.h
         self.lam_beta = dec.eigenvalues[self.cols] ** spec.beta
-        sing = _singular_factor(spec)
-        self.sing = None if sing is None else sing[self.rows]
+        self.coupling, self.power = spec.coupling, 2 * spec.nu
+        self.sing = (np.abs(dec.grid.nodes()[self.rows]) ** (-spec.alpha)
+                     if spec.kind == "inhomogeneous" else None)
         p, q, s = spec.monitor
         self.monitor_params = MixedNormParams(p, q)
         self.monitor_s = float(s)
+        self.c0 = self.to_coeff(u0[self.rows])
+        self.c0.setflags(write=False)
+        _warn_off_span(dec, spec.u0, "initial data", self.checkpoint(self.c0))
+
+    @functools.cached_property
+    def initial_norm(self) -> float:
+        return self.monitored_norm(self.c0)
 
     def propagator(self, dt: float) -> np.ndarray:
         return np.exp(-dt * self.lam_beta)
@@ -163,7 +147,11 @@ class _Engine:
         return real_matmul(self.phi, coeffs)
 
     def nonlin_coeff(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.to_coeff(_nonlinear_values(self.spec, self.to_values(coeffs), self.sing))
+        """Coefficients of N(v) = coupling |v|^(2 nu) v, times |x|^(-alpha)
+        for the inhomogeneous kind, v the values of ``coeffs``."""
+        v = self.to_values(coeffs)
+        nl = self.coupling * np.abs(v) ** self.power * v
+        return self.to_coeff(nl if self.sing is None else nl * self.sing)
 
     def field(self, coeffs: np.ndarray) -> FieldSample:
         """The full field of ``coeffs``; a sector state is mirrored from its
@@ -280,13 +268,13 @@ class _Recorder:
     non-finite coefficients).
     """
 
-    def __init__(self, engine, c, dt, steps, stride):
+    def __init__(self, engine, dt, steps, stride):
         self.engine, self.dt, self.steps, self.stride = engine, dt, steps, stride
         self.times = [0.0]
-        self.monitored = [engine.spec._initial_norm]
-        self.l2s = [engine.l2_norm(c)]
+        self.monitored = [engine.initial_norm]
+        self.l2s = [engine.l2_norm(engine.c0)]
         self.cp_times = [0.0]
-        self.cps = [engine.checkpoint(c)]
+        self.cps = [engine.checkpoint(engine.c0)]
         self.blowup_time = None
 
     def record(self, step, c) -> bool:
@@ -328,14 +316,13 @@ class _Recorder:
 
 
 def _start(spec, horizon, dt, stride):
-    """Validated step count, engine and recorder seeded with the initial data."""
+    """Validated step count, the spec's engine, the initial coefficients and
+    a recorder seeded with them."""
     steps = _check_steps(horizon, dt)
     if not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"checkpoint_stride must be an integer >= 1, got {stride!r}")
-    engine = _Engine(spec)
-    c = engine.to_coeff(spec.u0.values[engine.rows])
-    _warn_off_span(spec.decomposition, spec.u0, "initial data", engine.checkpoint(c))
-    return engine, c, _Recorder(engine, c, dt, steps, int(stride))
+    engine = spec._engine
+    return engine, engine.c0, _Recorder(engine, dt, steps, int(stride))
 
 
 def _check_steps(horizon, dt):
@@ -471,7 +458,7 @@ def duhamel_residual(traj: Trajectory, spec: NonlinearProblemSpec) -> float:
     """
     if len(traj.checkpoint_times) < 3:
         raise ValueError("need at least 3 checkpoints for a residual")
-    engine = _Engine(spec)
+    engine = spec._engine
     times = traj.checkpoint_times
     coeffs = traj.checkpoint_coeffs[:, engine.cols]
     n_hat = np.stack([engine.nonlin_coeff(coeffs[i]) for i in range(len(times))])

@@ -74,7 +74,7 @@ class FieldSample:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.complex128).copy()
+        v = np.array(self.values, dtype=np.complex128, order="C")
         if v.ndim != 1 or v.shape[0] != self.grid.points_per_axis:
             raise InvalidSpecError(
                 f"field needs {self.grid.points_per_axis} flat values, "

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from anharmonic import (FieldSample, NumericalError, OffSpanWarning, apply_spectral_function,
-                        heat_semigroup, sobolev_norm)
+from anharmonic import (FieldSample, GaussianConjugation, NumericalError, OffSpanWarning,
+                        apply_spectral_function, heat_semigroup, ou_semigroup, sobolev_norm)
 from anharmonic.spectral import SpectralDecomposition
 
 
@@ -128,6 +128,23 @@ class TestApplySpectralFunction:
         with pytest.warns(OffSpanWarning, match="apply_spectral_function"):
             heat_semigroup(small_dec, 1.0, 0.1, FieldSample(small_dec.grid, values))
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("call", [
+        lambda dec, f: apply_spectral_function(dec, lambda lam: lam, f),
+        lambda dec, f: heat_semigroup(dec, 1.0, 0.1, f),
+        lambda dec, f: sobolev_norm(dec, 1.0, f),
+        lambda dec, f: ou_semigroup(GaussianConjugation(), dec, 1.0, 0.1, f),
+    ], ids=["apply_spectral_function", "heat_semigroup", "sobolev_norm", "ou_semigroup"])
+    def test_warning_names_the_callers_line(self, small_dec, call):
+        """Each public function that can warn points the warning at its
+        caller's line, not into the library (``ou_semigroup`` warns through
+        ``heat_semigroup``)."""
+        values = np.cos(np.pi * np.arange(small_dec.grid.points_per_axis))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(small_dec, FieldSample(small_dec.grid, values))
+        [record] = [w for w in caught if w.category is OffSpanWarning]
+        assert record.filename == __file__
 
     def test_well_resolved_field_is_silent(self, hermite_dec, gaussian_field):
         with warnings.catch_warnings():

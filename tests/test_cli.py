@@ -798,6 +798,20 @@ class TestMain:
         assert "seed must be an unsigned 64-bit integer (field: seed)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("output_dir, flags, field", [
+        ("", [], "output_dir"), ("out", ["--out", ""], "--out")], ids=["manifest", "flag"])
+    def test_empty_output_dir_exits_2(self, tmp_path, capsys, monkeypatch, output_dir, flags,
+                                      field):
+        """An empty output directory, from the manifest or from --out, is
+        rejected before the runner starts."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setitem(anharmonic.cli._RUNNERS, "selftest",
+                            lambda run, record: pytest.fail("the runner started"))
+        path = write_manifest(tmp_path, {**selftest_manifest(), "output_dir": output_dir})
+        assert main(["selftest", "--config", path, *flags]) == EXIT_SCHEMA
+        assert f"(field: {field})" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_required_elsewhere(self, capsys):
         assert main(["ou"]) == EXIT_SCHEMA
         assert "--config is required" in capsys.readouterr().err

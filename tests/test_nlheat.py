@@ -269,6 +269,63 @@ class TestPicard:
             picard_solve(spec, 0.01, 0.005)
 
 
+class TestOneEngine:
+    """A spec builds its engine once, at the first integrator or residual
+    call: the parity sector, the nonlinearity, the projected initial state
+    and its off-span check are shared by every later call."""
+
+    @staticmethod
+    def rough_spec(dec):
+        rough = FieldSample(dec.grid, np.cos(np.pi * np.arange(dec.grid.points_per_axis)))
+        return NonlinearProblemSpec(dec, rough, coupling=-1.0, monitor=MONITOR)
+
+    def test_one_engine_per_spec(self, defocusing, monkeypatch):
+        builds = []
+        build = anharmonic.nlheat._Engine.__init__
+
+        def counted(engine, spec):
+            builds.append(spec)
+            build(engine, spec)
+
+        monkeypatch.setattr(anharmonic.nlheat._Engine, "__init__", counted)
+        traj = picard_solve(defocusing, 0.02, 0.005)
+        etd_evolve(defocusing, 0.02, 0.005)
+        duhamel_residual(traj, defocusing)
+        picard_solve(defocusing, 0.02, 0.005, checkpoint_stride=4)
+        assert builds == [defocusing]
+
+    def test_off_span_check_runs_once(self, dec):
+        spec = self.rough_spec(dec)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            picard_solve(spec, 0.01, 0.005)
+            etd_evolve(spec, 0.01, 0.005)
+        assert [w.category for w in caught].count(OffSpanWarning) == 1
+
+    @pytest.mark.parametrize("call", [
+        lambda spec: picard_solve(spec, 0.01, 0.005),
+        lambda spec: etd_evolve(spec, 0.01, 0.005),
+        lambda spec: duhamel_residual(
+            picard_solve(dataclasses.replace(spec), 0.015, 0.005), spec),
+    ], ids=["picard_solve", "etd_evolve", "duhamel_residual"])
+    def test_warning_names_the_callers_line(self, dec, call):
+        """Whichever call builds the engine, its warning points at the
+        caller's line (the residual's spec is fresh here, so it builds)."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(self.rough_spec(dec))
+        records = [w for w in caught if w.category is OffSpanWarning]
+        assert records and all(w.filename == __file__ for w in records)
+
+    def test_initial_coefficients_are_read_only(self, defocusing):
+        traj = etd_evolve(defocusing, 0.01, 0.005)
+        c0 = defocusing._engine.c0
+        np.testing.assert_array_equal(defocusing._engine.checkpoint(c0),
+                                      traj.checkpoint_coeffs[0])
+        with pytest.raises(ValueError, match="read-only"):
+            c0[0] = 1.0
+
+
 class TestCertifiedStop:
     """Picard records each gap as its cap C ||gap||_{L^2}, which bounds the
     monitored norm; the exact STFT gap norm runs only when the cap is at or
