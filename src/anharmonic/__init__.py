@@ -17,8 +17,7 @@ from .model import (INF, MixedNormParams, OscillatorSpec, check_exponent, evalua
                     hermite_oscillator, is_inf, submultiplicativity_defect, weight_value)
 from .spectral import FieldSample, Grid, SpectralDecomposition, decompose
 from .calculus import apply_spectral_function, heat_semigroup, sobolev_norm
-from .phasespace import (PhaseSpaceField, gaussian_half_density, mixed_norm, modulation_norm,
-                         modulation_norms, stft)
+from .phasespace import PhaseSpaceField, mixed_norm, modulation_norm, modulation_norms, stft
 from .estimators import (EquivalenceBand, LogLinearFit, SingularWeightResult,
                          WeightQuotientParams, algebra_ratio, algebra_ratios,
                          eigenfunction_probes, eigenvalue_growth_fit, fit_decay_exponent,
@@ -29,7 +28,7 @@ from .estimators import (EquivalenceBand, LogLinearFit, SingularWeightResult,
 from .nlheat import (NonlinearProblemSpec, Trajectory, duhamel_residual, etd_evolve,
                      picard_solve)
 from .ougauss import (GaussianConjugation, apply_conjugation, conjugation_discarded_mass,
-                      ou_semigroup)
+                      gaussian_half_density, ou_semigroup)
 
 __all__ = [
     "__version__",
@@ -46,8 +45,7 @@ __all__ = [
     # calculus
     "apply_spectral_function", "heat_semigroup", "sobolev_norm",
     # phasespace
-    "PhaseSpaceField", "stft", "gaussian_half_density", "mixed_norm", "modulation_norm",
-    "modulation_norms",
+    "PhaseSpaceField", "stft", "mixed_norm", "modulation_norm", "modulation_norms",
     # estimators
     "LogLinearFit", "growth_target", "eigenvalue_growth_fit", "sigma_exponent",
     "WeightQuotientParams", "weight_quotient_norm", "fit_decay_exponent",
@@ -60,6 +58,6 @@ __all__ = [
     "NonlinearProblemSpec", "Trajectory", "picard_solve",
     "etd_evolve", "duhamel_residual",
     # ougauss
-    "GaussianConjugation", "conjugation_discarded_mass", "apply_conjugation",
-    "ou_semigroup",
+    "GaussianConjugation", "gaussian_half_density", "conjugation_discarded_mass",
+    "apply_conjugation", "ou_semigroup",
 ]

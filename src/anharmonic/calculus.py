@@ -12,35 +12,23 @@ emitted with the discarded fraction.
 
 from __future__ import annotations
 
-import sys
-import warnings
-
 import numpy as np
 
-from .errors import NumericalError, OffSpanWarning
+from .errors import NumericalError, OffSpanWarning, _warn
 from .spectral import FieldSample, SpectralDecomposition
 
 _OFFSPAN_TOL = 1e-6
-# frames a warning passes over: the package's own and functools', whose
-# cached_property builds a flow engine lazily
-_INTERNAL = ("anharmonic", "functools")
 
 
 def _warn_off_span(dec, f, context, coeffs=None):
-    """Warn when more than ``_OFFSPAN_TOL`` of f's L2 mass lies off the span,
-    at the first line outside ``_INTERNAL``: whichever public function was
-    called, the warning names its caller's line."""
+    """Warn when more than ``_OFFSPAN_TOL`` of f's L2 mass lies off the span;
+    like every package warning, through ``errors._warn``, so it names the
+    line that called into the package."""
     frac = dec.span_residual_fraction(f, coeffs)
     if frac > _OFFSPAN_TOL:
-        level, frame = 1, sys._getframe()
-        while frame is not None and (
-                frame.f_globals.get("__name__", "").partition(".")[0] in _INTERNAL):
-            level, frame = level + 1, frame.f_back
-        warnings.warn(
-            f"{context}: {frac:.3e} of the field's L2 mass lies outside the "
-            f"retained {dec.m} modes and is dropped",
-            OffSpanWarning, stacklevel=level)
-    return frac
+        _warn(OffSpanWarning,
+              f"{context}: {frac:.3e} of the field's L2 mass lies outside the "
+              f"retained {dec.m} modes and is dropped")
 
 
 def apply_spectral_function(dec: SpectralDecomposition, phi, f: FieldSample) -> FieldSample:

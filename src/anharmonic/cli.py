@@ -618,8 +618,6 @@ _RUNNERS = {
 # --- emission ---------------------------------------------------------------
 
 def _format_cell(value):
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):

@@ -1,4 +1,15 @@
-"""Error and warning types shared across the package."""
+"""Error and warning types shared across the package, and its one warning
+rule: every warning the package raises goes through ``_warn``, which names
+the line of the first caller outside the package, whichever public function
+that caller entered by.
+"""
+
+import sys
+import warnings
+
+# frames a warning passes over: the package's own and functools', whose
+# cached_property builds a flow engine lazily
+_INTERNAL = ("anharmonic", "functools")
 
 
 class AnharmonicError(Exception):
@@ -63,3 +74,12 @@ class ProbeSkipWarning(UserWarning):
 
 class DiscardedMassWarning(UserWarning):
     """The inverse Gaussian multiplier discarded non-negligible mass."""
+
+
+def _warn(category, message):
+    """Warn with ``category`` at the first frame outside ``_INTERNAL``."""
+    level, frame = 1, sys._getframe()
+    while frame is not None and (
+            frame.f_globals.get("__name__", "").partition(".")[0] in _INTERNAL):
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, category, stacklevel=level)

@@ -13,13 +13,12 @@ operator norms.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .calculus import sobolev_norm
-from .errors import InvalidSpecError, NumericalError, ProbeSkipWarning, TruncationError
+from .errors import InvalidSpecError, NumericalError, ProbeSkipWarning, TruncationError, _warn
 from .model import (MixedNormParams, OscillatorSpec, check_exponent, evaluate_potential,
                     is_inf)
 from .ougauss import GaussianConjugation, apply_conjugation, ou_semigroup
@@ -391,8 +390,7 @@ def _probe_ratios(probes, source_norm, target_norms) -> list:
     for i, f in enumerate(probes):
         denom = source_norm(f)
         if denom == 0.0:
-            warnings.warn(f"probe {i} skipped: zero source norm", ProbeSkipWarning,
-                          stacklevel=3)
+            _warn(ProbeSkipWarning, f"probe {i} skipped: zero source norm")
         else:
             kept.append((f, denom))
     if not kept:
@@ -441,8 +439,7 @@ def algebra_ratios(fields, pairs, params: MixedNormParams, s: float,
     ratios = []
     for i, j in pairs:
         if norms[i] == 0.0 or norms[j] == 0.0:
-            warnings.warn("algebra pair skipped: zero factor norm", ProbeSkipWarning,
-                          stacklevel=2)
+            _warn(ProbeSkipWarning, "algebra pair skipped: zero factor norm")
             ratios.append(float("nan"))
             continue
         product = FieldSample(fields[i].grid, fields[i].values * fields[j].values)

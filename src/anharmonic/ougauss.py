@@ -18,15 +18,13 @@ accounting.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calculus import heat_semigroup
-from .errors import DiscardedMassWarning, InvalidSpecError
-from .phasespace import gaussian_half_density
-from .spectral import FieldSample, SpectralDecomposition
+from .errors import DiscardedMassWarning, InvalidSpecError, _warn
+from .spectral import FieldSample, Grid, SpectralDecomposition
 
 _DISCARD_TOL = 1e-10
 
@@ -50,6 +48,13 @@ class GaussianConjugation:
         return np.pi ** -0.5 * np.exp(-r2)
 
 
+def gaussian_half_density(grid: Grid) -> np.ndarray:
+    """pi^(-d/4) e^(-|x|^2 / 2) at d = 1 on the nodes; the Gaussian
+    multiplier's symbol."""
+    r2 = grid.nodes() ** 2
+    return np.pi ** -0.25 * np.exp(-r2 / 2.0)
+
+
 def conjugation_discarded_mass(c: GaussianConjugation, f: FieldSample) -> float:
     """Relative L2 mass of f outside the safe radius (lost by the inverse)."""
     total = f.norm_l2()
@@ -66,7 +71,9 @@ def apply_conjugation(c: GaussianConjugation, direction: str, f: FieldSample) ->
 
     The inverse zeroes values outside the safe radius; when that discards
     more than 1e-10 of the field's relative L2 mass a DiscardedMassWarning
-    reports the fraction, so silent corruption is impossible.
+    reports the fraction, so silent corruption is impossible. Through
+    ``errors._warn``, it names the line that called into the package, also
+    when that call was ``ou_semigroup`` or ``ou_probe_rate``.
     """
     half = gaussian_half_density(f.grid)
     if direction == "forward":
@@ -79,10 +86,9 @@ def apply_conjugation(c: GaussianConjugation, direction: str, f: FieldSample) ->
     vals[mask] = f.values[mask] / half[mask]
     lost = conjugation_discarded_mass(c, f)
     if lost > _DISCARD_TOL:
-        warnings.warn(
-            f"inverse conjugation discarded {lost:.3e} of the field's relative "
-            f"L2 mass beyond |x| = {c.safe_radius}",
-            DiscardedMassWarning, stacklevel=2)
+        _warn(DiscardedMassWarning,
+              f"inverse conjugation discarded {lost:.3e} of the field's relative "
+              f"L2 mass beyond |x| = {c.safe_radius}")
     return FieldSample(f.grid, vals)
 
 

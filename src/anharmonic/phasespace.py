@@ -79,13 +79,12 @@ cap and takes the exact pass of a gap only when the cap cannot decide.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BoundaryMassWarning, InvalidSpecError, NumericalError
+from .errors import BoundaryMassWarning, InvalidSpecError, NumericalError, _warn
 from .model import MixedNormParams, OscillatorSpec, is_inf, weight_value
 from .spectral import FieldSample, Grid, _reflection_parity
 
@@ -137,8 +136,9 @@ class PhaseSpaceField:
 
 
 def _check_boundary_mass(f: FieldSample) -> None:
-    """Warn, naming the caller of the public function that measures ``f``,
-    when ``f`` carries boundary mass above ``_BOUNDARY_TOL`` of its peak."""
+    """Warn when ``f`` carries boundary mass above ``_BOUNDARY_TOL`` of its
+    peak; through ``errors._warn``, so the warning names the line that called
+    into the package, whichever public function measures ``f``."""
     grid = f.grid
     amax = float(np.max(np.abs(f.values)))
     if amax == 0.0:
@@ -146,10 +146,9 @@ def _check_boundary_mass(f: FieldSample) -> None:
     mask = np.abs(grid.nodes()) >= grid.half_width - 2.0 * grid.h
     edge = float(np.max(np.abs(f.values[mask]))) / amax
     if edge > _BOUNDARY_TOL:
-        warnings.warn(
-            f"field amplitude near the box boundary is {edge:.3e} of its peak; "
-            f"cyclic window wrap-around may contaminate the STFT",
-            BoundaryMassWarning, stacklevel=3)
+        _warn(BoundaryMassWarning,
+              f"field amplitude near the box boundary is {edge:.3e} of its peak; "
+              f"cyclic window wrap-around may contaminate the STFT")
 
 
 def _stft_blocks(f: FieldSample, real: bool, rows: tuple):
@@ -209,13 +208,6 @@ def stft(f: FieldSample) -> PhaseSpaceField:
         out[lo:lo + rows] = np.fft.fftshift(block, axes=1)
         out[lo:lo + rows] *= phase
     return PhaseSpaceField(grid, out)
-
-
-def gaussian_half_density(grid: Grid) -> np.ndarray:
-    """pi^(-d/4) e^(-|x|^2 / 2) at d = 1 on the nodes; the Gaussian
-    multiplier's symbol."""
-    r2 = grid.nodes() ** 2
-    return np.pi ** -0.25 * np.exp(-r2 / 2.0)
 
 
 @functools.lru_cache(maxsize=8)

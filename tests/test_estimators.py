@@ -5,6 +5,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -536,6 +537,52 @@ class TestPublicSurface:
         return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
                 for node in ast.walk(tree) if isinstance(node, ast.Call)
                 and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+    # route -> (call on a nonzero field f and the zero field of a
+    # decomposition, the number of probes or pairs it skips)
+    PROBE_SKIP_ROUTES = {
+        "algebra_ratios": (lambda dec, f, zero: algebra_ratios(
+            [f, zero], [(0, 1), (1, 1)], MixedNormParams(2.0, 2.0), FLAT), 2),
+        "algebra_ratio": (lambda dec, f, zero: algebra_ratio(
+            f, zero, MixedNormParams(2.0, 2.0), FLAT), 1),
+        "sobolev_modulation_equivalence": (lambda dec, f, zero: sobolev_modulation_equivalence(
+            dec, [FLAT, 1.0], [f, zero]), 2),
+        "ou_probe_rate": (lambda dec, f, zero: ah.ou_probe_rate(
+            ah.GaussianConjugation(), dec, 1.0, (1.0, 2.0, 3.0), [zero, f]), 1),
+    }
+
+    @pytest.mark.parametrize("route", list(PROBE_SKIP_ROUTES))
+    def test_probe_skip_warns_at_caller(self, small_dec, route):
+        """Every public route to a probe skip warns once per skipped probe or
+        pair, at its caller's line."""
+        call, skipped = self.PROBE_SKIP_ROUTES[route]
+        [f] = gaussian_probe_fields(small_dec.grid, 1, 7)
+        zero = FieldSample(small_dec.grid, np.zeros(small_dec.grid.points_per_axis))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(small_dec, f, zero)
+        records = [w for w in caught if w.category is ProbeSkipWarning]
+        assert len(records) == skipped
+        assert all(w.filename == __file__ for w in records)
+
+    def test_only_errors_warns(self):
+        """Every warning goes through ``errors._warn``: no other module of the
+        package calls ``warnings.warn`` or passes a ``stacklevel``."""
+        package = Path(anharmonic.__file__).parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            if path.name == "errors.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Attribute) and node.attr == "warn"
+                        and isinstance(node.value, ast.Name) and node.value.id == "warnings"):
+                    found.append(f"{path.name}:{node.lineno} warnings.warn")
+                if isinstance(node, ast.ImportFrom) and node.module == "warnings" and any(
+                        alias.name == "warn" for alias in node.names):
+                    found.append(f"{path.name}:{node.lineno} from warnings import warn")
+                if isinstance(node, ast.keyword) and node.arg == "stacklevel":
+                    found.append(f"{path.name}:{node.value.lineno} stacklevel")
+        assert found == []
 
     def test_every_exported_function_serves_a_run(self):
         """Each function in anharmonic.__all__, from every module, is called by

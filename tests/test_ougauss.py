@@ -69,6 +69,29 @@ class TestApplyConjugation:
         with pytest.warns(DiscardedMassWarning):
             apply_conjugation(c, "inverse", gaussian_field)
 
+    # route -> (call on a field f with mass beyond |x| = 2 under the
+    # conjugation c, the number of inverse multiplications that discard mass)
+    DISCARD_ROUTES = {
+        "apply_conjugation": (lambda c, dec, f: apply_conjugation(c, "inverse", f), 1),
+        "ou_semigroup": (lambda c, dec, f: ou_semigroup(c, dec, 1.0, 0.1, f), 1),
+        # one inverse per time of the fit
+        "ou_probe_rate": (lambda c, dec, f: ou_probe_rate(c, dec, 1.0, (1.0, 2.0, 3.0), [f]), 3),
+    }
+
+    @pytest.mark.parametrize("route", list(DISCARD_ROUTES))
+    def test_discarded_mass_warns_at_caller(self, small_dec, route):
+        """Every public route to the inverse multiplier warns once per inverse
+        that discards mass, at its caller's line."""
+        call, inverses = self.DISCARD_ROUTES[route]
+        x = small_dec.grid.nodes()
+        f = FieldSample(small_dec.grid, np.exp(-x ** 2 / 8.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(GaussianConjugation(safe_radius=2.0), small_dec, f)
+        records = [w for w in caught if w.category is DiscardedMassWarning]
+        assert len(records) == inverses
+        assert all(w.filename == __file__ for w in records)
+
     def test_direction_validation(self, hermite_grid, gaussian_field):
         with pytest.raises(ValueError):
             apply_conjugation(GaussianConjugation(), "sideways", gaussian_field)

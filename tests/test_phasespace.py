@@ -454,21 +454,39 @@ class TestStreamedNormGuards:
             modulation_norm(unit_gaussian(hermite_grid), 400.0, HARMONIC,
                             MixedNormParams(p, 1.0))
 
-    @pytest.mark.parametrize("transform", ["stft", "modulation_norm", "singular_weight_norm"])
-    def test_boundary_mass_warns_at_caller(self, transform):
-        grid = Grid(128, 6.0)
-        f = FieldSample(grid, np.ones(grid.points_per_axis))
-        params = MixedNormParams(2.0, 2.0)
-        with pytest.warns(BoundaryMassWarning) as record:
-            if transform == "stft":
-                stft(f)
-            elif transform == "modulation_norm":
-                modulation_norm(f, FLAT, None, params)
-            else:
-                # truncated at the half-width, |x|^(-1/2) reaches the box edge
-                ah.singular_weight_norm(0.5, params, FLAT, 6.0, grid=grid)
-        assert len(record) == 1
-        assert record[0].filename == __file__
+    # route -> (call on a field f with boundary mass on a decomposition's
+    # grid, the number of fields with boundary mass that the call measures)
+    BOUNDARY_ROUTES = {
+        "stft": (lambda dec, f, params: stft(f), 1),
+        "modulation_norm": (lambda dec, f, params: modulation_norm(f, FLAT, None, params), 1),
+        # truncated at the half-width, |x|^(-1/2) reaches the box edge
+        "singular_weight_norm": (lambda dec, f, params: ah.singular_weight_norm(
+            0.5, params, FLAT, dec.grid.half_width, grid=dec.grid), 1),
+        "algebra_ratios": (lambda dec, f, params: ah.algebra_ratios(
+            [f, unit_gaussian(dec.grid)], [(0, 1)], params, FLAT), 1),
+        "algebra_ratio": (lambda dec, f, params: ah.algebra_ratio(f, f, params, FLAT), 3),
+        # the span of f keeps boundary mass: the top modes reach the box edge
+        "sobolev_modulation_equivalence": (
+            lambda dec, f, params: ah.sobolev_modulation_equivalence(dec, [FLAT, 1.0], [f]), 1),
+        # one monitored state per checkpoint, at t = 0, 0.005 and 0.01
+        "picard_solve": (lambda dec, f, params: ah.picard_solve(
+            ah.NonlinearProblemSpec(dec, f), 0.01, 0.005), 3),
+        "etd_evolve": (lambda dec, f, params: ah.etd_evolve(
+            ah.NonlinearProblemSpec(dec, f), 0.01, 0.005), 3),
+    }
+
+    @pytest.mark.parametrize("route", list(BOUNDARY_ROUTES))
+    def test_boundary_mass_warns_at_caller(self, small_dec, route):
+        """Every public route to the boundary check warns once per field it
+        measures, at its caller's line."""
+        call, fields = self.BOUNDARY_ROUTES[route]
+        f = FieldSample(small_dec.grid, np.ones(small_dec.grid.points_per_axis))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(small_dec, f, MixedNormParams(2.0, 2.0))
+        records = [w for w in caught if w.category is BoundaryMassWarning]
+        assert len(records) == fields
+        assert all(w.filename == __file__ for w in records)
 
     def test_streamed_norm_never_holds_the_full_lattice(self, hermite_grid, quartic_osc):
         """One warm 512-point norm allocates less than one (size, size) complex
