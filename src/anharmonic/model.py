@@ -83,7 +83,7 @@ class OscillatorSpec:
     def __post_init__(self):
         for name in ("k", "l"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise InvalidSpecError(f"{name} must be a positive integer")
             object.__setattr__(self, name, int(value))
 

@@ -7,7 +7,11 @@ is never a node); the potential |x|^(2k) is diagonal. ``decompose`` is the
 one entry: it builds only the even and odd (n/2)² blocks of the real
 symmetric, positive definite grid operator (the multiplier is nonnegative
 and the nodal potential strictly positive), solves them, and checks the
-eigenpairs against H applied from its definition by FFT.
+eigenpairs against H applied from its definition by FFT. Its memory is
+bounded by the result: one parity block exists at a time, each copied from
+strided views of the kernel, and the gauge and the gates run over blocks
+of 64 eigenvector columns, so the traced peak is about 2-2.3 times the
+(n, m) eigenvector array.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidSpecError, NonConvergenceError, NumericalError
 from .model import OscillatorSpec, evaluate_potential
@@ -23,6 +28,7 @@ from .model import OscillatorSpec, evaluate_potential
 _ORTHO_TOL = 1e-9
 _RESIDUAL_TOL = 1e-8
 _MAX_DENSE = 4096
+_GATE_COLUMNS = 64  # eigenvector columns per block of the gauge and the gates
 
 
 @dataclass(frozen=True)
@@ -174,7 +180,8 @@ class SpectralDecomposition:
 
 
 def _parity_blocks(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid):
-    """The even and odd blocks E = A11 + A12 J and O = A11 - A12 J of the grid operator.
+    """The even and odd blocks E = A11 + A12 J and O = A11 - A12 J of the grid
+    operator, yielded one at a time: E, then O.
 
     A is H on the grid, symmetrized: its entry (i, j) is 0.5 (K[i - j] +
     K[j - i]) with K the inverse transform of ``mult`` (indices mod N), plus
@@ -183,21 +190,29 @@ def _parity_blocks(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid):
     bit for bit (see Grid.nodes), and |x|^(2k) = (x x)^k is exactly even. So
     with J the reversal of a half-length index, A12 J reads the kernel at
     i + j + 1. The half rows are the nodes x < 0.
+
+    Both parts are strided views of the doubled kernel, so each block is one
+    copy: A11, the Toeplitz rows at (i - j) mod N, is a reversed sliding
+    window; A12 J, the Hankel rows at i + j + 1, a forward one. V goes on
+    the diagonal of the copy before the Hankel view is added or subtracted.
     """
     n = grid.points_per_axis
     half = n // 2
     kern = np.fft.ifft(mult).real + 0.0  # every zero entry is +0.0
     sym = 0.5 * (kern + kern[(-np.arange(n)) % n])
-    rows = np.arange(half)
-
-    def gather(sign, shift):  # sym at (i + sign j + shift) mod N
-        return sym[(rows[:, None] + sign * rows[None, :] + shift) % n]
-
-    a11 = gather(-1, 0)
+    doubled = np.concatenate([sym, sym])
+    # row i of the reversed windows starts at doubled[n + i] and runs down
+    toeplitz = sliding_window_view(doubled[::-1], half)[n - 1:half - 1:-1]
+    hankel = sliding_window_view(doubled, half)[1:half + 1]
     diag = np.arange(half)
-    a11[diag, diag] += v_nodes[:half]
-    a12j = gather(1, 1)
-    return a11 + a12j, np.subtract(a11, a12j, out=a11)
+
+    def block(combine):
+        out = toeplitz.copy()
+        out[diag, diag] += v_nodes[:half]
+        return combine(out, hankel, out=out)
+
+    yield block(np.add)
+    yield block(np.subtract)
 
 
 def _parity_solve(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid, m: int):
@@ -206,7 +221,7 @@ def _parity_solve(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid, m: int):
     [u; Ju] and [u; -Ju] are eigenvectors of A exactly when u is one of E or
     O (see _parity_blocks), with the same eigenvalue. Returns the merged
     eigenvalues and the (n, m) vectors, h-normalized and each exactly even or
-    odd; the blocks die with this frame.
+    odd. E is solved and dropped before O is built.
     """
     n = grid.points_per_axis
     half = n // 2
@@ -219,6 +234,7 @@ def _parity_solve(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid, m: int):
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare driver failure
             raise NonConvergenceError(f"dense symmetric eigensolver failed: {exc}",
                                       {"matrix_size": half, "modes": k})
+        del block  # the loop name would keep E alive while O is built
 
     # no block holds more than k of the lowest m, so the lowest m of the two
     # lists are the lowest m overall; a tie puts the even mode first
@@ -265,6 +281,11 @@ def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None) -> Spectral
     a block whose levels ever came out degenerate would fail the
     orthonormality gate below rather than be re-orthonormalized.
 
+    Memory: E is built and solved before O is built, and the gauge and the
+    gates below run over blocks of 64 columns, so besides the two block
+    solutions and the returned arrays no temporary of the result's size is
+    held (the traced peak is about 2-2.3 times the eigenvector array).
+
     Sign gauge: the entry of largest modulus at x > 0 (the second half of
     the nodes) is positive. In the harmonic case that is the sign of the
     Hermite function.
@@ -290,27 +311,39 @@ def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None) -> Spectral
         raise NumericalError(f"nodal potential minimum {v_min:.3e} is not positive")
     if m is None:
         m = n // 2
-    if not isinstance(m, (int, np.integer)) or not 1 <= m <= n:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 1 <= m <= n:
         raise ValueError(f"mode count m={m} outside [1, {n}]")
 
     m = int(m)
     mult = _kinetic_multiplier(osc, grid)
     vals, vecs = _parity_solve(mult, v_nodes, grid, m)
 
+    # gauge and gate the vectors a column block at a time, so no (n, m)
+    # temporary is formed; the gates are judged after the loop, in order
     half = n // 2
-    peaks = half + np.argmax(np.abs(vecs[half:]), axis=0)
-    signs = np.sign(vecs[peaks, np.arange(m)])
-    signs[signs == 0] = 1.0
-    vecs *= signs
+    ortho_err = 0.0
+    resid_norms = np.empty(m)
+    for start in range(0, m, _GATE_COLUMNS):
+        c = slice(start, min(start + _GATE_COLUMNS, m))
+        block = vecs[:, c]
+        width = block.shape[1]
+        peaks = half + np.argmax(np.abs(block[half:]), axis=0)
+        signs = np.sign(block[peaks, np.arange(width)])
+        signs[signs == 0] = 1.0
+        block *= signs
+        # the Gram matrix is symmetric: its rows from this block down suffice,
+        # and a column not yet gauged flips only the sign of its entries
+        gram = grid.h * (vecs[:, start:].T @ block)
+        gram[:width] -= np.eye(width)
+        ortho_err = max(ortho_err, float(np.max(np.abs(gram))))
+        resid = _apply_operator(mult, v_nodes, grid, block)
+        resid -= block * vals[c]
+        resid_norms[c] = np.sqrt(grid.h * np.sum(resid ** 2, axis=0))
 
-    ortho_err = float(np.max(np.abs(grid.h * (vecs.T @ vecs) - np.eye(m))))
     if ortho_err > _ORTHO_TOL:
         raise NumericalError(f"eigenvector orthonormality error {ortho_err:.3e} exceeds {_ORTHO_TOL}")
     if vals[0] <= 0:
         raise NumericalError(f"ground eigenvalue {vals[0]:.6e} is not positive")
-    resid = _apply_operator(mult, v_nodes, grid, vecs)
-    resid -= vecs * vals
-    resid_norms = np.sqrt(grid.h * np.sum(resid ** 2, axis=0))
     bound = _RESIDUAL_TOL * (1.0 + vals)
     if np.any(resid_norms > bound):
         worst = int(np.argmax(resid_norms / bound))

@@ -2,11 +2,12 @@
 
 Everything here is built from a different method than the code under test:
 the grid operator is the dense n x n matrix of H (the package builds only
-its two parity blocks), the quartic ground state comes from an ODE shooting
-method, the window transform from a closed form (and its Poisson-summed
-aliases) and, for any field, from the dense sum of its definition with an
-explicit n x n phase matrix (the package streams FFT blocks), the mixed
-norm from direct loops over the definition, and the
+its two parity blocks), those blocks come from an index-array gather (the
+package copies them from strided views), the quartic ground state comes
+from an ODE shooting method, the window transform from a closed form (and
+its Poisson-summed aliases) and, for any field, from the dense sum of its
+definition with an explicit n x n phase matrix (the package streams FFT
+blocks), the mixed norm from direct loops over the definition, and the
 weight quotient from its formula on every node of the full lattice, and a
 report row's verdict from the four deviation rules. Frozen constants at the bottom
 were produced by these oracles and pinned so a regression in either side is
@@ -39,6 +40,23 @@ def dense_operator(osc, grid, c=1.0) -> np.ndarray:
     a = a + np.diag(v_nodes)
     a = 0.5 * (a + a.T)
     return a
+
+
+def parity_blocks_by_gather(mult, v_nodes, grid):
+    """The even and odd blocks E = A11 + A12 J and O = A11 - A12 J of the grid
+    operator, each gathered from the symmetrized kernel through an explicit
+    (n/2)² index array: A11 at (i - j) mod N with V added on its diagonal,
+    A12 J at i + j + 1. The package copies the same entries from strided
+    views instead."""
+    n = grid.points_per_axis
+    half = n // 2
+    kern = np.fft.ifft(mult).real + 0.0
+    sym = 0.5 * (kern + kern[(-np.arange(n)) % n])
+    rows = np.arange(half)
+    a11 = sym[(rows[:, None] - rows[None, :]) % n]
+    a11[rows, rows] += v_nodes[:half]
+    a12j = sym[(rows[:, None] + rows[None, :] + 1) % n]
+    return a11 + a12j, a11 - a12j
 
 
 def quartic_eigenvalue_shooting(which: int, x_far: float = 7.0) -> float:

@@ -97,8 +97,8 @@ class TestOscillator:
         with pytest.raises(TypeError):
             stale()
 
-    @pytest.mark.parametrize("k,l,name", [(0, 1, "k"), (1.0, 1, "k"), (1, 0, "l"),
-                                          (1, 1.5, "l")])
+    @pytest.mark.parametrize("k,l,name", [(0, 1, "k"), (1.0, 1, "k"), (True, 2, "k"),
+                                          (1, 0, "l"), (1, 1.5, "l"), (1, True, "l")])
     def test_k_and_l_are_positive_integers(self, k, l, name):
         with pytest.raises(InvalidSpecError, match=f"{name} must be a positive integer"):
             OscillatorSpec(k, l)

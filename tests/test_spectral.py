@@ -10,7 +10,7 @@ from anharmonic import (FieldSample, Grid, InvalidSpecError, NumericalError, Osc
                         spectral)
 from anharmonic.spectral import real_matmul
 
-from oracles import QUARTIC_LAMBDA0, dense_operator, hermite_function
+from oracles import QUARTIC_LAMBDA0, dense_operator, hermite_function, parity_blocks_by_gather
 
 
 class TestGrid:
@@ -86,6 +86,18 @@ class TestGridOperator:
         assert np.array_equal(even, a11 + a12j) and np.array_equal(odd, a11 - a12j)
         assert np.array_equal(even, even.T) and np.array_equal(odd, odd.T)
 
+    @pytest.mark.parametrize("k,l,n,half_width", [
+        (1, 1, 512, 12.0), (2, 1, 512, 12.0), (1, 2, 128, 10.0), (3, 1, 64, 7.77),
+        (1, 1, 8, 3.0)])
+    def test_blocks_match_the_index_gather(self, k, l, n, half_width):
+        """Each yielded block, copied from strided views of the kernel, equals
+        the index-array gather of tests/oracles.py bit for bit."""
+        osc, grid = OscillatorSpec(k, l), Grid(n, half_width)
+        args = (spectral._kinetic_multiplier(osc, grid), _nodal_potential(osc, grid), grid)
+        for got, expected in zip(spectral._parity_blocks(*args),
+                                 parity_blocks_by_gather(*args), strict=True):
+            assert got.flags.c_contiguous and np.array_equal(got, expected)
+
     @pytest.mark.parametrize("name", list(REFLECTION_CASES))
     def test_fft_application_matches_the_dense_operator(self, name):
         osc, grid = REFLECTION_CASES[name]
@@ -112,6 +124,12 @@ class TestGridOperator:
     def test_size_cap(self, hermite_osc):
         with pytest.raises(InvalidSpecError):
             decompose(hermite_osc, Grid(8192, 12.0))
+
+    @pytest.mark.parametrize("m", [0, 65, 1.5, True])
+    def test_mode_count_is_an_integer_in_range(self, hermite_osc, m):
+        """m lies in [1, n]; a bool is not a count, though it subclasses int."""
+        with pytest.raises(ValueError, match="mode count"):
+            decompose(hermite_osc, Grid(64, 8.0), m)
 
     def test_potential_evaluated_once(self, hermite_osc, monkeypatch):
         calls = []
@@ -266,6 +284,44 @@ class TestParitySolve:
             decompose(hermite_osc, Grid(64, 8.0), 16)
         assert len(calls) == 2
 
+    @staticmethod
+    def _faulty_solve(monkeypatch, fault):
+        """Patch _parity_solve so ``fault`` edits its (vals, vecs) in place."""
+        solve = spectral._parity_solve
+
+        def faulty(*args):
+            vals, vecs = solve(*args)
+            fault(vals, vecs)
+            return vals, vecs
+
+        monkeypatch.setattr(spectral, "_parity_solve", faulty)
+
+    @pytest.mark.parametrize("i,j", [(3, 70), (383, 0)])
+    def test_vectors_mixed_across_column_blocks_fail_the_orthonormality(
+            self, hermite_osc, hermite_grid, monkeypatch, i, j):
+        """The Gram matrix is formed 64 columns at a time; vectors i and j sit
+        in different column blocks, and the 1e-6 overlap still exits through
+        the 1e-9 orthonormality gate."""
+        def mix(vals, vecs):
+            vecs[:, i] += 1e-6 * vecs[:, j]
+
+        self._faulty_solve(monkeypatch, mix)
+        with pytest.raises(NumericalError, match="orthonormality"):
+            decompose(hermite_osc, hermite_grid, 384)
+
+    @pytest.mark.parametrize("c", [0, 63, 64, 383])
+    def test_scaled_eigenvalue_fails_the_residual(self, hermite_osc, hermite_grid,
+                                                  monkeypatch, c):
+        """One eigenvalue scaled by 1 + 1e-6, at either edge of a 64-column
+        block of the residual gate, leaves the vectors orthonormal; the
+        residual against H applied by FFT catches it."""
+        def scale(vals, vecs):
+            vals[c] *= 1.0 + 1e-6
+
+        self._faulty_solve(monkeypatch, scale)
+        with pytest.raises(NumericalError, match=f"residual .* at mode {c} "):
+            decompose(hermite_osc, hermite_grid, 384)
+
     @pytest.mark.parametrize("m", [1, 255, 256, 257, 384, 512])
     def test_merge_keeps_the_lowest_m(self, hermite_osc, hermite_grid, m):
         w = scipy.linalg.eigvalsh(dense_operator(hermite_osc, hermite_grid))
@@ -306,13 +362,15 @@ class TestParitySolve:
             decompose(hermite_osc, hermite_grid, 384)
 
     @pytest.mark.parametrize("osc,grid,m,mib", [
-        (ah.hermite_oscillator(), Grid(512, 12.0), 384, 6.6),
-        (OscillatorSpec(2, 1), Grid(1024, 12.0), 512, 17.5),
+        (ah.hermite_oscillator(), Grid(512, 12.0), 384, 4.0),
+        (OscillatorSpec(2, 1), Grid(1024, 12.0), 512, 12.5),
     ], ids=["d1_512", "quartic_1024"])
     def test_traced_peak(self, osc, grid, m, mib):
-        """The whole decomposition stays under ``mib`` MiB traced: only the
-        two (n/2)² blocks, the (n, m) vectors and the FFT residual are
-        formed, never the n x n operator."""
+        """The whole decomposition stays under ``mib`` MiB traced: one (n/2)²
+        parity block at a time, the two block solutions and the (n, m)
+        vectors; the gauge, the Gram matrix and the FFT residual run over
+        64-column blocks, so no other (n, m) temporary is formed, and never
+        the n x n operator."""
         tracemalloc.start()
         try:
             decompose(osc, grid, m)
