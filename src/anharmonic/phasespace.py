@@ -14,25 +14,41 @@ oscillator. Other weights of the literature, such as the bracket
 spaces (Groechenig, Foundations of Time-Frequency Analysis, 2001, ch. 11).
 
 The transform and the streamed norms run on one blocked pass, ``_stft_blocks``:
-it yields h FFT(f conj(g(. - x_i))) for consecutive blocks of x-shift rows
-(about ``_BLOCK_CELLS`` lattice cells each), columns in FFT order. The
+it yields the unscaled FFT(f conj(g(. - x_i))) for consecutive blocks of
+x-shift rows (about ``_BLOCK_CELLS`` lattice cells each), columns in FFT
+order; the cell factor h is applied by the consumer. The
 shifted windows g(z_j - x_i) = g_{(j - i) mod N} form a circulant, read as
 rows of one view of the doubled window, so no (N, N) table is built. The
 pass runs one range of rows on one block grid from row 0, the first and
 last block clipped to the range. ``stft`` moves each block into ascending
-xi order (the fftshift), applies the staggered-grid phase and fills the
-full ``PhaseSpaceField``. The norms
+xi order (the fftshift), applies h and the staggered-grid phase to that
+copy and fills the full ``PhaseSpaceField``. The norms
 reduce in the order the pass yields: the weight lattice is cached with its
 columns in FFT order, and a norm moves its column sums to ascending xi once,
 at the end (the order of the xi lattice is only a convention). Every norm is
 reduced by ``_weighted_columns`` (weighted inner L^p column sums or sups) and
 ``_outer_reduce`` (outer L^q): ``mixed_norm`` feeds it |field|, put in FFT
-order, as one block, ``modulation_norm`` the block magnitudes of the pass,
-so a streamed norm holds a few blocks, never the lattice, and ``_l2_cap``
-row blocks of the weight lattice.
+order, as one block, ``modulation_norm`` the blocks of the pass, so a
+streamed norm holds a few blocks, never the lattice, and ``_l2_cap`` row
+blocks of the weight lattice. At an even p a streamed norm reduces the
+squared moduli m^2 = re^2 + im^2 of the unscaled blocks, with no modulus
+and no per-cell h: it weights m^2 twice by v_s, sums ((m^2 v_s) v_s)^(p/2)
+and puts h^p on the column sums once. Any other p, and INF, reduce the
+magnitudes |h block| (h on every cell), as ``mixed_norm`` does. Finiteness
+is judged on each block's column sums: only a block whose sums are not
+finite has its weighted magnitudes tested, and a cell h |V_g f| v_s that is
+not finite raises NumericalError, while finite cells whose power sums
+overflow give an inf norm. A field whose peak is below 1 is measured as
+2^-e f, its peak in [1/2, 1), and the norm scaled back by 2^e, so that no
+square or power underflows. Either change of scale can overflow where the
+magnitudes of f would not, so a streamed norm that comes out not finite
+is measured again from the magnitudes of f itself, which decide between
+NumericalError, inf and a finite value (see ``_measured_norms``).
 ``modulation_norms`` reduces one pass for several weight exponents at once:
-the transform and its magnitudes, which are most of the cost, are shared,
-and each weight adds only its own weighting and column sums. The window g
+the transform and its squared moduli or magnitudes, which are most of the
+cost, are shared, and each weight adds only its own weighting and column
+sums. The weight lattice is v_s itself for every p, never v_s^p: at
+s = 90, v_180 already overflows. The window g
 is the unit Gaussian 2^(1/4) e^(-pi z^2), the one window: it gives one
 space over the whole range 0 < p, q <= INF, and other admissible windows
 give only equivalent norms (Groechenig, Foundations of Time-Frequency Analysis, 2001,
@@ -79,6 +95,7 @@ cap and takes the exact pass of a gap only when the cap cannot decide.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +117,9 @@ _ROW_SHARE = 2.0 ** -54
 # the row energies take the squared window exactly within this offset (beyond
 # it g^2 < 3e-44 of its peak, which bounds the rest)
 _BAND_RADIUS = 4.0
+# a cell of the norm pass is at most max|f| sum_j g_j; below this bound its
+# squared modulus cannot overflow
+_SQUARE_LIMIT = 2.0 ** 511
 
 
 @functools.lru_cache(maxsize=16)
@@ -152,7 +172,8 @@ def _check_boundary_mass(f: FieldSample) -> None:
 
 
 def _stft_blocks(f: FieldSample, real: bool, rows: tuple):
-    """Yield (lo, block) with block[r] = h FFT(f g(. - x_{lo+r})).
+    """Yield (lo, block) with block[r] = FFT(f g(. - x_{lo+r})), unscaled: the
+    cell factor h is the caller's to apply.
 
     ``rows`` = (start, stop) is the range of x shifts to run: (0, N), (N/2, N)
     for the half-row pass of an even or odd field, or a ``_kept_rows`` range.
@@ -179,9 +200,7 @@ def _stft_blocks(f: FieldSample, real: bool, rows: tuple):
     for edge in range(start - start % height, stop, height):
         lo, hi = max(edge, start), min(edge + height, stop)
         prod = np.multiply(fv, shifts[lo:hi], out=buf[:hi - lo])
-        block = np.fft.rfft(prod, axis=1) if real else np.fft.fft(prod, axis=1)
-        block *= grid.h
-        yield lo, block
+        yield lo, np.fft.rfft(prod, axis=1) if real else np.fft.fft(prod, axis=1)
 
 
 def _staggered_phase(grid: Grid) -> np.ndarray:
@@ -204,9 +223,9 @@ def stft(f: FieldSample) -> PhaseSpaceField:
     n = grid.points_per_axis
     out = np.empty((n, n), dtype=np.complex128)
     for lo, block in _stft_blocks(f, False, (0, n)):
-        rows = block.shape[0]
-        out[lo:lo + rows] = np.fft.fftshift(block, axes=1)
-        out[lo:lo + rows] *= phase
+        rows = out[lo:lo + block.shape[0]]
+        np.multiply(np.fft.fftshift(block, axes=1), grid.h, out=rows)
+        rows *= phase
     return PhaseSpaceField(grid, out)
 
 
@@ -384,35 +403,51 @@ def _outer_reduce(columns: np.ndarray, p, q, cell_x, cell_xi) -> float:
     return float((np.sum(inner ** q) * cell_xi) ** (1.0 / q))
 
 
-def _weighted_columns(blocks, lattices, p) -> list:
+def _weighted_columns(blocks, lattices, p, squared=False) -> list:
     """The inner reduction of every phase-space norm, for several weights from
-    one pass. Each (lo, mag) block holds the magnitudes of lattice rows lo..,
-    columns in FFT order; every entry of ``lattices`` weights it by the
-    leading columns of those rows (all of them, or the bins 0..N/2 of an
-    ``rfft`` block). A None lattice reduces the raw magnitudes; any other
-    weights a copy of the block in one scratch buffer, sized by the largest
-    block so far, except the last, which overwrites the block in place (so a
-    single lattice costs no copy). Blocks may differ in rows. Every
-    weighted block must be finite. Returns one array per lattice: the column
-    sums of the p-th powers (column max for INF), one per block column."""
+    one pass. Each (lo, block) holds the magnitudes m of lattice rows lo..,
+    or (``squared``, at an even p only) their squares m^2, columns in FFT
+    order; every entry of ``lattices`` weights it by the leading columns of
+    those rows (all of them, or the bins 0..N/2 of an ``rfft`` block). A
+    None lattice reduces the block itself; any other weights a copy of the
+    block in one scratch buffer, sized by the largest block so far, except
+    the last, which overwrites the block in place (so a single lattice
+    costs no copy). Blocks may differ in rows. Squared moduli are weighted
+    twice, (m^2 v) v, and reduced at the power p/2, so no cell takes a
+    square root; at p = 2 the weighting and the column sum are one
+    ``einsum``, with the same products in the same row order.
+
+    Finiteness is judged on each block's column sums (column maxes for
+    INF), not on its cells: only a part that is not finite has the weighted
+    magnitudes of its block tested, and one that is not finite raises
+    NumericalError; if they are all finite, the power sums overflowed and
+    the part stays inf. Squared blocks are not tested: a caller of the
+    squared reduction measures again from magnitudes whatever does not come
+    out finite. Returns one array per lattice: the column sums of the p-th
+    powers (column max for INF), one per block column."""
+    inner = float(p) / 2.0 if squared else p
     last = len(lattices) - 1
     columns = [None] * len(lattices)
     scratch = None
-    for lo, mag in blocks:
-        rows, width = mag.shape
+    for lo, block in blocks:
+        rows, width = block.shape
         for k, lattice in enumerate(lattices):
-            weighted = mag
-            if lattice is not None:
-                weights = lattice[lo:lo + rows, :width]
-                if k == last:
-                    mag *= weights
-                else:
-                    if scratch is None or len(scratch) < rows:
-                        scratch = np.empty_like(mag)
-                    weighted = np.multiply(mag, weights, out=scratch[:rows])
-            if not np.all(np.isfinite(weighted)):
-                raise NumericalError("mixed norm encountered non-finite weighted values")
-            part = _column_reduce(weighted, p)
+            weights = None if lattice is None else lattice[lo:lo + rows, :width]
+            if squared and inner == 1.0 and weights is not None:  # p = 2: sum_i (m^2 v) v
+                part = np.einsum("ij,ij,ij->j", block, weights, weights)
+            else:
+                weighted = block
+                if weights is not None:
+                    if k < last:
+                        if scratch is None or len(scratch) < rows:
+                            scratch = np.empty_like(block)
+                        weighted = scratch[:rows]
+                    np.multiply(block, weights, out=weighted)
+                    if squared:
+                        weighted *= weights
+                part = _column_reduce(weighted, inner)
+                if not (squared or np.isfinite(part).all() or np.isfinite(weighted).all()):
+                    raise NumericalError("mixed norm encountered non-finite weighted values")
             if columns[k] is None:
                 columns[k] = part
             elif is_inf(p):
@@ -422,8 +457,23 @@ def _weighted_columns(blocks, lattices, p) -> list:
     return columns
 
 
+def _squared_moduli(blocks):
+    """(lo, re^2 + im^2) for each (lo, block) of ``_stft_blocks``, in one
+    reused buffer that the next block overwrites. The block, which the pass
+    does not read again, is squared in place as one real array, so both
+    squares run over contiguous memory."""
+    buf = None
+    for lo, block in blocks:
+        rows = block.shape[0]
+        if buf is None or len(buf) < rows:
+            buf = np.empty(block.shape)
+        parts = block.view(np.float64)
+        np.square(parts, out=parts)
+        yield lo, np.add(parts[:, 0::2], parts[:, 1::2], out=buf[:rows])
+
+
 def _modulation_columns(f: FieldSample, s_values, osc: OscillatorSpec | None, p,
-                        prune: bool = False) -> list:
+                        prune: bool = False, squared: bool = False) -> list:
     """``_weighted_columns`` of |V_g f| straight from one blocked STFT pass,
     one column array per weight exponent in ``s_values`` (s = 0 reduces the
     raw magnitudes), each with one column per xi node in ascending order. No
@@ -433,17 +483,30 @@ def _modulation_columns(f: FieldSample, s_values, osc: OscillatorSpec | None, p,
     docstring). Blocks are reduced in FFT order; the columns move to
     ascending xi once, at the end. ``prune`` (p = 2 with an outer q = 2
     only) runs just the rows of ``_kept_rows``.
+
+    The pass reduces the magnitudes |h block|, h on every cell; ``squared``
+    (an even p only) reduces the squared moduli of the unscaled blocks
+    instead and puts h^p on the column sums once. Only the magnitudes
+    decide between NumericalError and inf as ``mixed_norm`` does: squared
+    moduli and h^p can overflow where they do not.
     """
     grid = f.grid
     real = not f.values.imag.any()
     n = grid.points_per_axis
     first_row = n // 2 if real and _reflection_parity(f.values.real) else 0
     rows = _kept_rows(f, s_values, osc, first_row) if prune else (first_row, n)
-    blocks = ((lo, np.abs(block)) for lo, block in _stft_blocks(f, real, rows))
+    blocks = _stft_blocks(f, real, rows)
+    if squared:
+        blocks = _squared_moduli(blocks)
+    else:
+        blocks = ((lo, np.abs(np.multiply(block, grid.h, out=block))) for lo, block in blocks)
     columns = []
-    for sums in _weighted_columns(blocks, [_weight_lattice(s, osc, grid) for s in s_values], p):
+    lattices = [_weight_lattice(s, osc, grid) for s in s_values]
+    for sums in _weighted_columns(blocks, lattices, p, squared):
+        if squared:
+            sums *= grid.h ** float(p)
         if first_row and not is_inf(p):
-            sums *= 2.0  # rows x < 0 repeat the magnitudes of rows x > 0
+            sums *= 2.0  # rows x < 0 repeat the moduli of rows x > 0
         if real:  # rfft bin k also stands for -k, at FFT column N - k
             sums = np.concatenate([sums, sums[-2:0:-1]])
         columns.append(np.fft.fftshift(sums))
@@ -484,8 +547,16 @@ def modulation_norm(f: FieldSample, s: float, osc: OscillatorSpec | None,
     ``_kept_rows`` are run: the rows left out carry at most 2^-54 of the
     squared norm, certified from their Parseval row energies and the
     weight's row min and max, so the value moves by less than half an ulp
-    (see the module docstring). Raises NumericalError on
-    non-finite weighted values. Like ``stft`` it measures a state, so it
+    (see the module docstring). An even p reduces squared moduli, any other
+    p magnitudes; a field whose peak is below 1 is measured as 2^-e f with
+    its peak in [1/2, 1) and the norm multiplied by 2^e, so
+    modulation_norm(2^-k f) is 2^-k modulation_norm(f) bit for bit for
+    such an f. A norm that the scaled field or the squared moduli leave not
+    finite is measured again from the magnitudes |h V_g f| of f itself,
+    judged on each block's column sums: a block whose sums are not finite
+    raises NumericalError when a weighted cell h |V_g f| v_s is not finite,
+    and otherwise gives an inf norm (its power sums overflowed). Like
+    ``stft`` it measures a state, so it
     warns when the field carries boundary mass above 1e-8 of its peak; a
     Picard gap goes through the same ``_measured_norms`` without that check.
     This is the one-weight case of ``modulation_norms``.
@@ -515,10 +586,39 @@ def modulation_norms(f: FieldSample, s_values, osc: OscillatorSpec | None,
 def _measured_norms(f, s_values, osc, params) -> list:
     """The norms of ``modulation_norms`` without the boundary-mass check: the
     shared path of a measured state and of a Picard gap (round-off noise
-    near convergence). No weight exponent, no pass."""
+    near convergence). No weight exponent, no pass.
+
+    A field whose peak is below 1 runs as 2^-e f, its peak in [1/2, 1), so
+    that no square or power underflows, and its norms are scaled back by
+    2^e; an even p reduces the squared moduli, unless they could overflow
+    (max|f| sum_j g_j at least ``_SQUARE_LIMIT``, which a non-finite field
+    also fails). Both lift what the pass forms above the cells
+    h |V_g f| v_s of the magnitudes, and can overflow where those do not (a
+    field of peak 2^-600 under s = 100, or the sums of (|V_g f| v_s)^p
+    before h^p), so when any norm of that pass is not finite, or a scaled
+    cell raises, every norm is measured again from the magnitudes of f
+    itself: they give inf, a finite value or NumericalError by the rule of
+    ``mixed_norm``."""
     if not len(s_values):
         return []
+    p, q = params.p, params.q
     cells = (f.grid.h, f.grid.frequency_cell)
-    prune = params.p == 2.0 and params.q == 2.0
-    return [_outer_reduce(columns, params.p, params.q, *cells)
-            for columns in _modulation_columns(f, s_values, osc, params.p, prune)]
+    prune = p == 2.0 and q == 2.0
+
+    def norms(field, squared, e):
+        return [math.ldexp(_outer_reduce(columns, p, q, *cells), e)
+                for columns in _modulation_columns(field, s_values, osc, p, prune, squared)]
+
+    peak = float(np.max(np.abs(f.values)))
+    squared = (not is_inf(p) and float(p) % 2.0 == 0.0
+               and peak * np.sum(_gaussian_window_values(f.grid)) < _SQUARE_LIMIT)
+    e = min(math.frexp(peak)[1], 0)
+    if squared or e:
+        scaled = FieldSample(f.grid, np.ldexp(f.values.view(float), -e).view(complex)) if e else f
+        try:
+            values = norms(scaled, squared, e)
+        except NumericalError:
+            values = [math.nan]
+        if all(math.isfinite(v) for v in values):
+            return values
+    return norms(f, False, 0)

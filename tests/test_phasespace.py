@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -615,6 +616,56 @@ class TestSharedPass:
                 expected = np.maximum(expected, part) if p is INF else expected + part
             assert np.array_equal(columns, expected)
 
+    @pytest.mark.parametrize("p", [2.0, 4.0, 6.0], ids=_exponent_id)
+    def test_raw_reduction_of_squared_moduli(self, p):
+        """The same for squared moduli (``squared``, an even p): a None
+        lattice reduces m^2 at the power p/2, and the next weight reduces
+        the same block, weighted twice."""
+        rng = np.random.default_rng(7)
+        mag = rng.uniform(0.0, 3.0, (16, 24))
+        lattice = rng.uniform(0.5, 2.0, (16, 24))
+        raw, again, weighted = _weighted_columns([(0, mag ** 2)], [None, None, lattice], p,
+                                                 squared=True)
+        assert np.array_equal(raw, again)
+        assert raw == pytest.approx((mag ** p).sum(axis=0), rel=1e-14)
+        assert weighted == pytest.approx(((mag * lattice) ** p).sum(axis=0), rel=1e-14)
+
+    @pytest.mark.parametrize("v,raises", [(1e300, False), (1e305, True)],
+                             ids=["overflowing_sum", "overflowing_cell"])
+    def test_cells_are_tested_when_the_sums_are_not_finite(self, v, raises):
+        """Magnitudes 1e4 under the weight v: at v = 1e300 every weighted
+        cell is finite and only the squares overflow, so the columns are
+        inf; at v = 1e305 the weighted cells overflow and NumericalError is
+        raised. Squared moduli are never tested: their inf columns are the
+        caller's to measure again from magnitudes."""
+        mag = np.full((2, 3), 1e4)
+        lattice = np.full((2, 3), v)
+        with np.errstate(over="ignore"):
+            if raises:
+                with pytest.raises(NumericalError):
+                    _weighted_columns([(0, mag.copy())], [lattice], 2.0)
+            else:
+                [columns] = _weighted_columns([(0, mag.copy())], [lattice], 2.0)
+                assert np.all(columns == np.inf)
+            [squared] = _weighted_columns([(0, mag ** 2)], [lattice], 2.0, squared=True)
+        assert np.all(squared == np.inf)
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, 6.0], ids=_exponent_id)
+    def test_squared_blocks_of_any_size(self, p):
+        """Squared blocks of differing rows: each weight's columns are, bit
+        for bit, its per-block reductions of (m^2 v) v at the power p/2
+        added in order."""
+        rng = np.random.default_rng(5)
+        squares = rng.uniform(0.0, 9.0, (19, 24))
+        lattices = [rng.uniform(0.5, 2.0, (19, 24)) for _ in range(2)]
+        cuts = [(0, 5), (5, 13), (13, 19)]  # the first block is shorter than the second
+        got = _weighted_columns([(lo, squares[lo:hi].copy()) for lo, hi in cuts], lattices, p,
+                                squared=True)
+        for lattice, columns in zip(lattices, got):
+            parts = [_column_reduce(squares[lo:hi] * lattice[lo:hi] * lattice[lo:hi], p / 2.0)
+                     for lo, hi in cuts]
+            assert np.array_equal(columns, parts[0] + parts[1] + parts[2])
+
     def test_boundary_mass_warns_once_per_field(self):
         grid = Grid(128, 6.0)
         f = FieldSample(grid, np.ones(grid.points_per_axis))
@@ -866,3 +917,152 @@ class TestBlockGrid:
         for blocks in pass_ranges.blocks:
             assert all(rows <= height for _, rows in blocks)
             assert all(lo % height == 0 for lo, _ in blocks[1:])
+
+
+PASS_PAIRS = [(0.5, 0.5), (1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (3.0, 3.0), (6.0, 2.0),
+              (INF, 1.0), (2.0, INF)]
+
+
+class TestSquaredModulusPass:
+    """The streamed norms reduce the squared moduli of unscaled FFT blocks,
+    with h applied to the column sums once. The reference is the dense
+    transform of ``oracles.dense_stft`` reduced by the direct loops of
+    ``mixed_norm_reference``, neither of which shares code with the pass."""
+
+    GRID = Grid(256, 8.0)  # two row blocks of the streamed pass
+    WEIGHTS = [FLAT, 0.02, 2.0]
+
+    @classmethod
+    def field(cls, family, kind):
+        """A seeded noise field, whose transform is of the order of its peak
+        in every cell, or a Gaussian packet, which decays to round-off; each
+        complex, real, or real and bitwise even or odd."""
+        x = cls.GRID.nodes()
+        if family == "noise":
+            rng = np.random.default_rng(11)
+            values = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
+        else:
+            values = 1.5 * np.exp(-2.0 * (x - 0.75) ** 2) * np.exp(1j * np.pi * x)
+        real = values.real
+        return FieldSample(cls.GRID, {"complex": values, "real": real,
+                                      "even": real + real[::-1],
+                                      "odd": real - real[::-1]}[kind])
+
+    # A packet's quasi-norm at p = q = 1/2 is set by the round-off of its
+    # far cells, raised to the power 1/2: the streamed and the dense
+    # transform differ there by 1e-7 to 1e-6, which no reduction can
+    # change, so the packets take the exponents from 1 up and the noise
+    # fields all.
+    CASES = [(family, kind, p, q) for family in ("noise", "packet")
+             for kind in ("complex", "real", "even", "odd")
+             for p, q in PASS_PAIRS if family == "noise" or p != 0.5]
+
+    @pytest.mark.filterwarnings("ignore::anharmonic.errors.BoundaryMassWarning")
+    @pytest.mark.parametrize("family,kind,p,q", CASES,
+                             ids=[f"{fam}-{kind}-{_exponent_id(p)}-{_exponent_id(q)}"
+                                  for fam, kind, p, q in CASES])
+    def test_against_the_dense_transform(self, family, kind, p, q):
+        grid = self.GRID
+        f = self.field(family, kind)
+        dense = dense_stft(f)
+        params = MixedNormParams(p, q)
+        shared = modulation_norms(f, self.WEIGHTS, HARMONIC, params)
+        for s, value in zip(self.WEIGHTS, shared):
+            expected = mixed_norm_reference(dense, harmonic_lattice(grid, s), _oracle_exponent(p),
+                                            _oracle_exponent(q), grid.h, grid.frequency_cell)
+            assert value == pytest.approx(expected, rel=1e-12)
+            assert modulation_norm(f, s, HARMONIC, params) == pytest.approx(expected,
+                                                                             rel=1e-12)
+
+    # A field whose peak is below 1 is measured as 2^-e f with its peak in
+    # [1/2, 1), and the norm is scaled back by 2^e: every 2^-k f is measured
+    # as the same field, far below where its squared moduli (2^-1200 at
+    # k = 600) or its powers would underflow.
+    @pytest.mark.parametrize("p,q", [(0.5, 0.5), (1.0, 1.0), (2.0, 2.0), (2.0, 1.0),
+                                     (6.0, 2.0), (INF, 1.0), (3.0, INF)], ids=_exponent_id)
+    @pytest.mark.parametrize("kind", ["complex", "even"])
+    def test_tiny_fields_scale_exactly(self, kind, p, q):
+        grid = Grid(512, 12.0)
+        x = grid.nodes()
+        values = 0.8 * np.exp(-2.0 * x ** 2)
+        if kind == "complex":
+            values = values * np.exp(2j * np.pi * 0.5 * (x - 0.75))
+        params = MixedNormParams(p, q)
+        base = modulation_norm(FieldSample(grid, values), 1.0, HARMONIC, params)
+        for k in (1, 100, 520, 600, 700):
+            tiny = np.ldexp(values.real, -k) + 1j * np.ldexp(values.imag, -k)
+            got = modulation_norm(FieldSample(grid, tiny), 1.0, HARMONIC, params)
+            assert got == math.ldexp(base, -k), k
+
+    # The unit Gaussian on 512 points, and 2^-600 times it, under v_s of
+    # exponent s = 90 to 150: the norms of the magnitude reduction (np.abs,
+    # h on every cell), to 1e-13, inf where they are inf and NumericalError
+    # where a weighted cell is not finite. The pass weights by v_s itself,
+    # twice for an even p; a lattice of v_{s p} would overflow here (v_180
+    # does), and the norms would come out NaN. The small field is measured
+    # scaled to its peak in [1/2, 1), which overflows at s = 100 and 120
+    # although its magnitudes do not, so it is measured again from them.
+    LARGE_WEIGHTS = {
+        ("harmonic", 90.0, 0): [3.622538243880981e+148, 2.5090557750166657e+148,
+                                3.932764337668386e+148, 3.1204726487323316e+148],
+        ("harmonic", 100.0, 0): [np.inf, np.inf, 8.269167761035274e+166,
+                                 6.536920583622063e+166],
+        ("harmonic", 150.0, 0): [np.inf, np.inf, 4.016953195879142e+258,
+                                 3.137426403563682e+258],
+        ("quartic", 90.0, 0): [3.4617142248017845e+148, 2.4002662278971946e+148,
+                               3.157730130417974e+148, 4.083416046614128e+148],
+        ("quartic", 100.0, 0): [np.inf, np.inf, 7.03800482400054e+166,
+                                1.1005738923456827e+167],
+        ("quartic", 150.0, 0): [NumericalError] * 4,
+        ("harmonic", 100.0, 600): [1.8874335889997583e-14, 1.2544355716927593e-14,
+                                   1.9928031655187246e-14, 1.575345477107075e-14],
+        ("quartic", 120.0, 600): [2.800510781147678e+23, 1.7421834753349176e+23,
+                                  1.5309306055809605e+23, 4.271654839619002e+23],
+        ("quartic", 150.0, 600): [NumericalError] * 4,
+    }
+
+    @pytest.mark.parametrize("osc,s,k", list(LARGE_WEIGHTS),
+                             ids=[f"{o}-{s:g}-{k}" for o, s, k in LARGE_WEIGHTS])
+    def test_large_weight_exponents(self, osc, s, k, quartic_osc):
+        grid = Grid(512, 12.0)
+        f = FieldSample(grid, np.ldexp(unit_gaussian(grid).values.real, -k))
+        oscillator = HARMONIC if osc == "harmonic" else quartic_osc
+        pairs = [(2.0, 2.0), (2.0, 1.0), (INF, 1.0), (1.0, 1.0)]
+        for (p, q), expected in zip(pairs, self.LARGE_WEIGHTS[osc, s, k]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                if expected is NumericalError:
+                    with pytest.raises(NumericalError):
+                        modulation_norm(f, s, oscillator, MixedNormParams(p, q))
+                    continue
+                got = modulation_norm(f, s, oscillator, MixedNormParams(p, q))
+            assert got == pytest.approx(expected, rel=1e-13), (p, q)
+
+    # s = 90..100 in steps of 1/4 crosses the overflow of the unit
+    # Gaussian's (2, 2) norm on 512 points (between s = 92.25 and 92.5).
+    # Squared moduli and h^p on the column sums overflow below s = 92.25
+    # too (the sums of (|V_g f| v_s)^2 stand 1/h^2 above those of
+    # (h |V_g f| v_s)^2), and so does the field 2^-600 times the Gaussian,
+    # measured scaled to peak 1/2; each such norm must be measured again
+    # from the magnitudes |h V_g f| of the same pass. (At these weights the
+    # norm is set by the round-off of the far cells, so a dense transform,
+    # with its own round-off, differs from the pass by up to 5 %.)
+    @pytest.mark.parametrize("p,q", [(2.0, 2.0), (6.0, 2.0), (4.0, 4.0), (1.0, 1.0)],
+                             ids=_exponent_id)
+    @pytest.mark.parametrize("k", [0, 600])
+    def test_overflow_edge_follows_the_magnitudes(self, k, p, q):
+        grid = Grid(512, 12.0)
+        f = FieldSample(grid, np.ldexp(unit_gaussian(grid).values.real, -k))
+        params, prune = MixedNormParams(p, q), (p, q) == (2.0, 2.0)
+        outcomes = []
+        for s in np.arange(90.0, 100.125, 0.25):
+            with np.errstate(over="ignore", invalid="ignore"):
+                [columns] = _modulation_columns(f, [s], HARMONIC, p, prune)
+                expected = _outer_reduce(columns, p, q, grid.h, grid.frequency_cell)
+                got = modulation_norm(f, s, HARMONIC, params)
+            if np.isfinite(expected):
+                assert got == pytest.approx(expected, rel=1e-13), s
+            else:
+                assert got == expected, s
+            outcomes.append(np.isfinite(expected))
+        if k == 0 and p == 2.0:  # the edge is inside the scan
+            assert outcomes[0] and not outcomes[-1]

@@ -14,7 +14,7 @@ from anharmonic.cli import validate_manifest
 from anharmonic.estimators import sigma_exponent
 from anharmonic.model import (OscillatorSpec, evaluate_potential, hermite_oscillator, is_inf,
                               submultiplicativity_defect, weight_value)
-from anharmonic.phasespace import _column_reduce, _outer_reduce
+from anharmonic.phasespace import _outer_reduce, _weighted_columns
 from oracles import mixed_norm_reference
 
 rng = np.random.default_rng(20240814)
@@ -113,34 +113,42 @@ class TestSerializationRoundtrips:
             assert parsed_oscillator(json.dumps(block)) == OscillatorSpec(k, l)
 
 
-def whole_lattice_reduce(w, p, q, cx, cxi):
-    """The package's mixed reduction of a whole lattice as one block."""
-    return _outer_reduce(_column_reduce(w, p), p, q, cx, cxi)
+def whole_lattice_reduce(w, p, q, cx, cxi, squared=False):
+    """The package's mixed reduction of a whole lattice of magnitudes w as
+    one block: of w itself, or (``squared``, an even p) of its squares, the
+    squared moduli that the streamed norm pass reduces."""
+    [columns] = _weighted_columns([(0, w ** 2 if squared else w)], [None], p, squared)
+    return _outer_reduce(columns, p, q, cx, cxi)
 
 
 class TestMixedReduce:
+    squared = False
+    rng = rng
+
     def cases(self, n):
         for _ in range(n):
-            w = rng.uniform(0.0, 2.0, size=(int(rng.integers(2, 12)),
-                                            int(rng.integers(2, 12))))
-            p = float(rng.uniform(0.5, 4.0))
-            q = float(rng.uniform(0.5, 4.0))
-            p_inf, q_inf = rng.random(2) < 0.25
-            cx, cxi = rng.uniform(0.05, 1.0, 2)
+            w = self.rng.uniform(0.0, 2.0, size=(int(self.rng.integers(2, 12)),
+                                                 int(self.rng.integers(2, 12))))
+            p = float(self.rng.uniform(0.5, 4.0))
+            q = float(self.rng.uniform(0.5, 4.0))
+            p_inf, q_inf = self.rng.random(2) < 0.25
+            cx, cxi = self.rng.uniform(0.05, 1.0, 2)
+            if self.squared:  # an even p, 2 or 4
+                p, p_inf = 2.0 * max(1.0, round(p / 2.0)), False
             yield w, INF if p_inf else p, INF if q_inf else q, float(cx), float(cxi)
 
     def test_absolute_homogeneity(self):
         for w, p, q, cx, cxi in self.cases(25):
-            c = float(rng.uniform(0.1, 9.0))
-            lhs = whole_lattice_reduce(c * w, p, q, cx, cxi)
-            rhs = c * whole_lattice_reduce(w, p, q, cx, cxi)
+            c = float(self.rng.uniform(0.1, 9.0))
+            lhs = whole_lattice_reduce(c * w, p, q, cx, cxi, self.squared)
+            rhs = c * whole_lattice_reduce(w, p, q, cx, cxi, self.squared)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_pointwise_monotone(self):
         for w, p, q, cx, cxi in self.cases(25):
-            bigger = w + rng.uniform(0.0, 1.0, size=w.shape)
-            assert (whole_lattice_reduce(bigger, p, q, cx, cxi)
-                    >= whole_lattice_reduce(w, p, q, cx, cxi) - 1e-12)
+            bigger = w + self.rng.uniform(0.0, 1.0, size=w.shape)
+            assert (whole_lattice_reduce(bigger, p, q, cx, cxi, self.squared)
+                    >= whole_lattice_reduce(w, p, q, cx, cxi, self.squared) - 1e-12)
 
     def test_dispatch_matches_plain_numpy(self):
         """The vectorized reduction agrees with the direct-loop oracle."""
@@ -148,7 +156,15 @@ class TestMixedReduce:
             ref = mixed_norm_reference(w, np.ones_like(w),
                                        "inf" if is_inf(p) else p,
                                        "inf" if is_inf(q) else q, cx, cxi)
-            assert whole_lattice_reduce(w, p, q, cx, cxi) == pytest.approx(ref, rel=1e-12)
+            got = whole_lattice_reduce(w, p, q, cx, cxi, self.squared)
+            assert got == pytest.approx(ref, rel=1e-12)
+
+
+class TestSquaredMixedReduce(TestMixedReduce):
+    """The same properties for the squared moduli of the streamed pass, on
+    their own random stream."""
+    squared = True
+    rng = np.random.default_rng(20240815)
 
 
 class TestSigmaExponent:

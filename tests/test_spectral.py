@@ -265,6 +265,24 @@ class TestParitySolve:
         for sign in (1.0, -1.0):
             assert np.all(np.diff(dec.eigenvalues[parity == sign]) > 1.0), sign
 
+    def test_blocks_are_solved_in_full(self, hermite_osc, monkeypatch):
+        """Each block asks LAPACK for every pair (MRRR, not a subset by
+        bisection) and keeps the lowest k = min(m, n/2); the eigenvalues are
+        the dense matrix's."""
+        eigh = scipy.linalg.eigh
+        asked = []
+
+        def spy(*args, **kwargs):
+            asked.append(sorted(kwargs))
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        grid = Grid(64, 8.0)
+        dec = decompose(hermite_osc, grid, 7)
+        assert asked == [["overwrite_a"], ["overwrite_a"]]
+        reference = eigh(dense_operator(hermite_osc, grid), eigvals_only=True)
+        np.testing.assert_allclose(dec.eigenvalues, reference[:7], rtol=1e-10, atol=0)
+
     def test_mixed_block_vectors_fail_the_orthonormality(self, hermite_osc, monkeypatch):
         """Nothing re-orthonormalizes the solver's vectors: an even vector
         carrying 1e-6 of its even neighbour (what a degenerate level could
