@@ -19,6 +19,7 @@ import csv
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 import warnings
@@ -59,6 +60,20 @@ EXIT_NUMERICAL = 3
 EXIT_WRITE = 4
 
 
+# the variables that cap the BLAS and OpenMP thread pools, read by a BLAS
+# only when it loads
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def _provenance() -> dict:
+    """The python and numpy versions and the thread variables as set in the
+    environment (None when unset): environment values, not a thread count
+    read back from the loaded BLAS."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas_thread_env": {name: os.environ.get(name) for name in _THREAD_VARS}}
+
+
 @dataclass(eq=False)
 class ReportRecord:
     """Assembled run outcome: result rows, series tables, warnings."""
@@ -77,7 +92,8 @@ class ReportRecord:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": 2,
+            "schema": 3,
+            "provenance": _provenance(),
             "manifest_hash": self.manifest_hash,
             "artifact_version": self.version,
             "kind": self.kind,

@@ -1,6 +1,10 @@
 import json
 import os
+import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,9 +240,30 @@ class TestRunManifest:
             "moyal_identity", "gaussian_stft_l2_gamma_rel_err", "picard_linear_consistency",
             "conjugation_roundtrip"]
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["schema"] == 2
+        assert report["schema"] == 3
         assert report["all_passed"] is True
         assert report["kind"] == "selftest"
+
+    def test_report_records_its_provenance(self, tmp_path, monkeypatch):
+        """report.json names the python and numpy versions and the five
+        thread variables as found in the environment, unset ones as null."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        run_manifest(selftest_manifest(), out_dir=str(tmp_path / "out"))
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert set(report) == {"schema", "provenance", "manifest_hash", "artifact_version",
+                               "kind", "seed", "wall_time_s", "results", "warnings",
+                               "series_files", "all_passed"}
+        prov = report["provenance"]
+        assert set(prov) == {"python", "numpy", "blas_thread_env"}
+        assert prov["python"] == platform.python_version()
+        assert prov["numpy"] == np.__version__
+        assert prov["blas_thread_env"] == {
+            name: os.environ.get(name) for name in
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")}
+        assert prov["blas_thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert prov["blas_thread_env"]["MKL_NUM_THREADS"] is None
 
     def test_every_row_carries_numeric_deviation_and_tolerance(self, tmp_path):
         path = write_manifest(tmp_path, selftest_manifest())
@@ -815,6 +840,23 @@ class TestMain:
     def test_config_required_elsewhere(self, capsys):
         assert main(["ou"]) == EXIT_SCHEMA
         assert "--config is required" in capsys.readouterr().err
+
+    def test_a_run_imports_no_scipy(self, tmp_path):
+        """scipy is a test dependency only: a fresh interpreter that imports
+        the package and its CLI, decomposes and runs the built-in selftest
+        never loads it."""
+        code = (
+            "import sys\n"
+            "import anharmonic as ah\n"
+            "import anharmonic.cli\n"
+            "ah.decompose(ah.hermite_oscillator(), ah.Grid(64, 8.0), 16)\n"
+            f"assert anharmonic.cli.main(['selftest', '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(anharmonic.cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_command_kind_mismatch(self, tmp_path, capsys):
         path = write_manifest(tmp_path, selftest_manifest())

@@ -5,9 +5,9 @@ import pytest
 import scipy.linalg
 
 import anharmonic as ah
-from anharmonic import (FieldSample, Grid, InvalidSpecError, NumericalError, OscillatorSpec,
-                        decompose, eigenvalue_growth_fit, evaluate_potential, growth_target,
-                        spectral)
+from anharmonic import (FieldSample, Grid, InvalidSpecError, NonConvergenceError, NumericalError,
+                        OscillatorSpec, decompose, eigenvalue_growth_fit, evaluate_potential,
+                        growth_target, spectral)
 from anharmonic.spectral import real_matmul
 
 from oracles import QUARTIC_LAMBDA0, dense_operator, hermite_function, parity_blocks_by_gather
@@ -266,41 +266,52 @@ class TestParitySolve:
             assert np.all(np.diff(dec.eigenvalues[parity == sign]) > 1.0), sign
 
     def test_blocks_are_solved_in_full(self, hermite_osc, monkeypatch):
-        """Each block asks LAPACK for every pair (MRRR, not a subset by
-        bisection) and keeps the lowest k = min(m, n/2); the eigenvalues are
-        the dense matrix's."""
-        eigh = scipy.linalg.eigh
-        asked = []
+        """Each block goes whole to numpy's dsyevd, one (n/2)² block per
+        call, and keeps the lowest k = min(m, n/2); the eigenvalues are the
+        dense matrix's."""
+        eigh = np.linalg.eigh
+        shapes = []
 
-        def spy(*args, **kwargs):
-            asked.append(sorted(kwargs))
-            return eigh(*args, **kwargs)
+        def spy(a, *args, **kwargs):
+            shapes.append((a.shape, args, kwargs))
+            return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        monkeypatch.setattr(np.linalg, "eigh", spy)
         grid = Grid(64, 8.0)
         dec = decompose(hermite_osc, grid, 7)
-        assert asked == [["overwrite_a"], ["overwrite_a"]]
-        reference = eigh(dense_operator(hermite_osc, grid), eigvals_only=True)
+        assert shapes == [((32, 32), (), {}), ((32, 32), (), {})]
+        reference = scipy.linalg.eigvalsh(dense_operator(hermite_osc, grid))
         np.testing.assert_allclose(dec.eigenvalues, reference[:7], rtol=1e-10, atol=0)
 
     def test_mixed_block_vectors_fail_the_orthonormality(self, hermite_osc, monkeypatch):
         """Nothing re-orthonormalizes the solver's vectors: an even vector
         carrying 1e-6 of its even neighbour (what a degenerate level could
         return) exits through the 1e-9 orthonormality gate."""
-        eigh = scipy.linalg.eigh
+        eigh = np.linalg.eigh
         calls = []
 
-        def mixed(*args, **kwargs):
-            w, u = eigh(*args, **kwargs)
+        def mixed(a):
+            w, u = eigh(a)
             if not calls:  # the even block is solved first
                 u[:, 3] += 1e-6 * u[:, 4]
             calls.append(1)
             return w, u
 
-        monkeypatch.setattr(scipy.linalg, "eigh", mixed)
+        monkeypatch.setattr(np.linalg, "eigh", mixed)
         with pytest.raises(NumericalError, match="orthonormality"):
             decompose(hermite_osc, Grid(64, 8.0), 16)
         assert len(calls) == 2
+
+    def test_solver_failure_is_nonconvergence(self, hermite_osc, monkeypatch):
+        """A LinAlgError from the block solver ends in NonConvergenceError,
+        with the block size and the modes kept per block."""
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NonConvergenceError, match="did not converge") as exc:
+            decompose(hermite_osc, Grid(64, 8.0), 40)
+        assert exc.value.diagnostics == {"matrix_size": 32, "modes": 32}
 
     @staticmethod
     def _faulty_solve(monkeypatch, fault):
@@ -396,6 +407,46 @@ class TestParitySolve:
         finally:
             tracemalloc.stop()
         assert peak <= mib * 2 ** 20
+
+
+# the three cases of configs/spectrum.json: (k, l, half_width), 512 points, 384 modes
+SPECTRUM_CASES = {"hermite": (1, 1, 25.0), "quartic": (2, 1, 12.0), "l2": (1, 2, 60.0)}
+
+
+class TestAgainstDenseSolver:
+    """decompose against scipy's eigh of the dense n x n operator: another
+    LAPACK, another matrix and no parity split."""
+
+    @pytest.fixture(scope="class", params=sorted(SPECTRUM_CASES))
+    def case(self, request):
+        k, l, half_width = SPECTRUM_CASES[request.param]
+        osc, grid = OscillatorSpec(k, l), Grid(512, half_width)
+        w, v = scipy.linalg.eigh(dense_operator(osc, grid))
+        return grid, w, v / np.sqrt(grid.h), decompose(osc, grid, 384)
+
+    def test_eigenvalues(self, case):
+        _, w, _, dec = case
+        np.testing.assert_allclose(dec.eigenvalues, w[:384], rtol=1e-11, atol=0)
+
+    def test_gauged_eigenvectors(self, case):
+        """Each vector, in the same sign gauge, within 1e-12 in h-L^2 of the
+        reference, plus the reference's own error: a computed vector is off
+        by about eps ||A|| / gap, and an even and an odd level of the box
+        tail lie as close as 4e-4 (4 eps ||A|| / gap, which covers the
+        measured 1.9 at most)."""
+        grid, w, v, dec = case
+        half = grid.points_per_axis // 2
+        ref = v[:, :384].copy()
+        ref *= np.sign(ref[half + np.argmax(np.abs(ref[half:]), axis=0), np.arange(384)])
+        gap = np.minimum(w[1:385] - w[:384], np.r_[np.inf, np.diff(w[:384])])
+        bound = 1e-12 + 4.0 * np.finfo(float).eps * np.max(np.abs(w)) / gap
+        err = np.sqrt(grid.h * np.sum((dec.eigenvectors - ref) ** 2, axis=0))
+        assert np.all(err <= bound), int(np.argmax(err / bound))
+        # a level apart from both neighbours by 1e-3 (1 + lambda) meets 1e-12
+        # alone (measured: 4.0e-13 at most)
+        apart = gap >= 1e-3 * (1.0 + w[:384])
+        assert np.count_nonzero(apart) >= 250
+        assert np.max(err[apart]) <= 1e-12
 
 
 class TestDilation:
