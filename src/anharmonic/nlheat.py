@@ -17,16 +17,24 @@ odd. So a real u0 that is bitwise even or odd (the shipped Gaussian is)
 is evolved in its parity sector alone: the coefficients of that parity's
 modes, with values on the rows x > 0 and twice the cell measure, about half
 of every matvec. Each state, and each Picard gap that takes the exact
-norm, is mirrored into a full field before it is measured, so it is exactly
-even or odd and its norm takes the half-row pass of ``phasespace``.
+norm, is mirrored into a full field before it is measured or bounded, so
+it is exactly even or odd and takes the half-row pass of ``phasespace``.
 Checkpoint coefficients stay full length m, with exact zeros in the other
 parity. Other initial data (not bitwise symmetric, or complex) evolve in
 the full layout.
+
+The trajectory certifies the monitored norm of every recorded state with
+``phasespace._state_bound``, an upper bound from O(N) sums at a quarter to
+a third of the cost of the exact STFT pass, and runs the exact pass only at
+t = 0, every ``_EXACT_STRIDE``-th step, the last step and any state whose
+bound cannot rule out blow-up (see ``_Recorder``). Every blow-up decision is
+the one the exact norm gives.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +42,14 @@ import numpy as np
 from .calculus import _warn_off_span
 from .errors import InvalidSpecError, NonConvergenceError
 from .model import MixedNormParams
-from .phasespace import _l2_cap, _measured_norms, modulation_norm
+from .phasespace import (_check_boundary_mass, _l2_cap, _measured_norms, _state_bound,
+                         modulation_norm)
 from .spectral import FieldSample, SpectralDecomposition, _reflection_parity, real_matmul
 
 _BLOWUP_NORM = 1e6
+# a stride-1 record runs the exact monitored norm at every this many steps
+# (and at t = 0, the last step and wherever the bound cannot decide)
+_EXACT_STRIDE = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,11 +114,11 @@ class _Engine:
     In a parity sector (``sign`` 1.0 or -1.0, see the module docstring)
     states are the coefficients of the modes ``cols`` of u0's parity, with
     values on the rows x > 0 (``rows``) and twice the cell measure, mirrored
-    into a full field where they are measured. Otherwise ``sign`` is 0.0 and
+    into a full field where they are measured or bounded. Otherwise ``sign`` is 0.0 and
     ``cols`` and ``rows`` take every mode and node. ``c0``, the projected
     initial coefficients, is read-only and checked for off-span mass at the
-    build; ``initial_norm``, the trajectory's t = 0 value, is measured at
-    its first read.
+    build; ``initial_values``, the trajectory's t = 0 norm and bound, are
+    measured at the first read.
     """
 
     def __init__(self, spec: NonlinearProblemSpec):
@@ -134,8 +146,10 @@ class _Engine:
         _warn_off_span(dec, spec.u0, "initial data", self.checkpoint(self.c0))
 
     @functools.cached_property
-    def initial_norm(self) -> float:
-        return self.monitored_norm(self.c0)
+    def initial_values(self) -> tuple:
+        """(monitored norm, bound) of the initial state."""
+        field = self.field(self.c0)
+        return self.monitored_norm(field), self.monitored_bound(field)
 
     def propagator(self, dt: float) -> np.ndarray:
         return np.exp(-dt * self.lam_beta)
@@ -168,9 +182,15 @@ class _Engine:
         full[self.cols] = coeffs
         return full
 
-    def monitored_norm(self, coeffs: np.ndarray) -> float:
-        return modulation_norm(self.field(coeffs), self.monitor_s, self.dec.oscillator,
-                               self.monitor_params)
+    def monitored_norm(self, field: FieldSample) -> float:
+        """The exact monitored norm of a state's full field: one STFT pass,
+        which warns on boundary mass."""
+        return modulation_norm(field, self.monitor_s, self.dec.oscillator, self.monitor_params)
+
+    def monitored_bound(self, field: FieldSample) -> float:
+        """``phasespace._state_bound`` of a full field: a certified upper
+        bound of its monitored norm, from O(N) sums."""
+        return _state_bound(field, self.monitor_s, self.dec.oscillator, self.monitor_params)
 
     def gap_norm(self, coeffs: np.ndarray) -> float:
         """Monitored norm of a difference of Picard iterates, without the
@@ -206,21 +226,28 @@ class Trajectory:
     ``l2_norms`` (of the coefficients) are per step. Field checkpoints
     (all m retained-mode coefficients; a parity-sector run stores exact
     zeros in the other parity) are stored every ``checkpoint_stride``
-    steps plus the final state, and ``monitored_norms`` is measured at
-    exactly those steps and NaN between them. ``contraction_factors`` holds,
-    per Picard window, the ratios of successive gaps in the L^2 norm of the
-    gap field (the cap norm of ``picard_solve``; ``max_contraction`` reads
-    them); exponential stepping leaves it empty. A blow-up truncates the
-    record instead of raising and sets ``blowup_time``; its step is stored
-    as a checkpoint with the monitored norm measured. Blow-up is detected at
-    the granularity of the stride: at a stride point by the monitored norm
-    (non-finite or above 1e6), between stride points by non-finite
-    coefficients or an l2 coefficient norm above 1e6. With stride 1 every
-    step is measured.
+    steps plus the final state. ``monitored_bounds`` holds, at exactly
+    those steps, a certified upper bound of the monitored norm
+    (``phasespace._state_bound``), and NaN between them.
+    ``monitored_norms`` holds the exact norm where it was measured and NaN
+    elsewhere: at t = 0, at the checkpoints on every 100th step, at the
+    last step and at any checkpoint whose bound is not at most 1e6 (see
+    ``_Recorder``).
+    ``contraction_factors`` holds, per Picard window, the ratios of
+    successive gaps in the L^2 norm of the gap field (the cap norm of
+    ``picard_solve``; ``max_contraction`` reads them); exponential stepping
+    leaves it empty. A blow-up truncates the record instead of raising and
+    sets ``blowup_time``; its step is stored as a checkpoint with the
+    monitored norm measured. Blow-up is detected at the granularity of the
+    stride: at a stride point by the monitored norm (non-finite or above
+    1e6; the bound decides where it is at most 1e6, which certifies the
+    norm is), between stride points by non-finite coefficients or an l2
+    coefficient norm above 1e6. With stride 1 every step is checked.
     """
 
     times: np.ndarray
     monitored_norms: np.ndarray
+    monitored_bounds: np.ndarray
     l2_norms: np.ndarray
     checkpoint_times: np.ndarray
     checkpoint_coeffs: np.ndarray
@@ -248,30 +275,42 @@ class Trajectory:
 
     def table(self):
         """CSV header and per-step rows of Python floats and ints (written as
-        repr and str): t, the two norms, and the blow-up flag."""
-        rows = [[float(t), float(norm), float(l2),
+        repr and str): t, the exact norm, its bound, the l2 norm and the
+        blow-up flag."""
+        rows = [[float(t), float(norm), float(bound), float(l2),
                  int(self.blown_up and t >= self.blowup_time)]
-                for t, norm, l2 in zip(self.times, self.monitored_norms, self.l2_norms)]
-        return ["t", "monitored_norm", "l2_norm", "blowup"], rows
+                for t, norm, bound, l2 in zip(self.times, self.monitored_norms,
+                                              self.monitored_bounds, self.l2_norms)]
+        return ["t", "monitored_norm", "monitored_bound", "l2_norm", "blowup"], rows
 
 
 class _Recorder:
     """Trajectory bookkeeping shared by the integrators: per-step l2 norms,
     checkpoints every ``stride`` steps plus the last, and the blow-up stop.
 
-    The monitored norm (one full STFT reduction) is measured only where a
-    checkpoint is stored and is NaN at the steps between. At a stride point
-    or the last step the flow has blown up when the monitored norm is
-    non-finite or above ``_BLOWUP_NORM``; between them, when the
-    coefficients are non-finite or their l2 norm is above it. A blow-up step
-    is always checkpointed, with its monitored norm measured (infinite for
+    At every checkpoint the state is checked for boundary mass and bounded
+    by ``phasespace._state_bound``, O(N) sums and one reduction of the
+    cell bounds; between checkpoints both monitored columns are NaN. The
+    exact monitored norm (one full STFT pass) runs only at t = 0, at the
+    checkpoints on every ``_EXACT_STRIDE``-th step, at the last step (of
+    the horizon, or of a blow-up) and at a checkpoint whose bound is not at
+    most ``_BLOWUP_NORM``; it is NaN elsewhere. At a stride point or the last
+    step the flow has blown up when the monitored norm is non-finite or
+    above ``_BLOWUP_NORM``: a bound at most ``_BLOWUP_NORM`` certifies that
+    it is not, and any other bound hands the decision to the exact norm, so
+    every decision is the one the exact norm gives. Between stride points
+    the flow has blown up when the coefficients are non-finite or their l2
+    norm is above ``_BLOWUP_NORM``. A blow-up step is always checkpointed,
+    with its monitored norm measured (infinite, as its bound, for
     non-finite coefficients).
     """
 
     def __init__(self, engine, dt, steps, stride):
         self.engine, self.dt, self.steps, self.stride = engine, dt, steps, stride
+        norm, bound = engine.initial_values
         self.times = [0.0]
-        self.monitored = [engine.initial_norm]
+        self.monitored = [norm]
+        self.bounds = [bound]
         self.l2s = [engine.l2_norm(engine.c0)]
         self.cp_times = [0.0]
         self.cps = [engine.checkpoint(engine.c0)]
@@ -280,24 +319,35 @@ class _Recorder:
     def record(self, step, c) -> bool:
         """Record the state after ``step``; True when the flow has blown up.
 
-        Non-finite coefficients count as infinite norms rather than being
-        handed to the monitored norm.
+        Non-finite coefficients count as infinite norms and bounds rather
+        than being handed to the monitored norm.
         """
         t = step * self.dt
         finite = bool(np.all(np.isfinite(c)))
         l2 = self.engine.l2_norm(c) if finite else float("inf")
         on_stride = step % self.stride == 0 or step == self.steps
+        norm = bound = float("nan")
+        blown = False
         # between stride points only the l2 guard runs; a step it stops is
-        # measured and checkpointed all the same
+        # checkpointed and measured all the same
         if on_stride or not l2 <= _BLOWUP_NORM:
-            norm = self.engine.monitored_norm(c) if finite else float("inf")
-            blown = not (on_stride and norm <= _BLOWUP_NORM)
+            norm = bound = float("inf")
+            if finite:
+                field = self.engine.field(c)
+                bound = self.engine.monitored_bound(field)
+                if (step % _EXACT_STRIDE == 0 or step == self.steps or not on_stride
+                        or not bound <= _BLOWUP_NORM):
+                    norm = self.engine.monitored_norm(field)
+                else:  # the boundary-mass check of the exact norm, once per state
+                    norm = float("nan")
+                    _check_boundary_mass(field)
+            # a step left to its bound has a bound, so a norm, at most the guard
+            blown = not (on_stride and (math.isnan(norm) or norm <= _BLOWUP_NORM))
             self.cp_times.append(t)
             self.cps.append(self.engine.checkpoint(c))
-        else:
-            norm, blown = float("nan"), False
         self.times.append(t)
         self.monitored.append(norm)
+        self.bounds.append(bound)
         self.l2s.append(l2)
         if blown:
             self.blowup_time = t
@@ -307,6 +357,7 @@ class _Recorder:
         return Trajectory(
             times=np.array(self.times),
             monitored_norms=np.array(self.monitored),
+            monitored_bounds=np.array(self.bounds),
             l2_norms=np.array(self.l2s),
             checkpoint_times=np.array(self.cp_times),
             checkpoint_coeffs=np.array(self.cps),
@@ -366,9 +417,10 @@ def picard_solve(spec: NonlinearProblemSpec, horizon: float, dt: float,
     Contraction factors are ratios of successive caps, which are ratios of
     the gaps' L^2 norms. A NonConvergenceError reports the last cap as
     ``last_gap``; a gap whose sum of squares overflows has cap inf.
-    Blow-up (see ``Trajectory`` for how the checkpoint stride sets where it
-    is detected) truncates the trajectory with the blow-up flag instead of
-    raising.
+    Each recorded state is bounded, and measured exactly only where
+    ``_Recorder`` says. Blow-up (see ``Trajectory`` for how the checkpoint
+    stride sets where it is detected) truncates the trajectory with the
+    blow-up flag instead of raising.
     """
     _check_tol(tol)
     if max_iter < 2:

@@ -146,9 +146,10 @@ def test_singular_weight_truncation_markers(hermite_grid, hermite_osc):
 def test_small_data_picard_wellposedness(tmp_path):
     """Defocusing cubic-free (nu=1) problem at initial size 0.05: Picard
     contracts (factor <= 0.5 per window), the monitored norm stays under
-    twice the initial size up to T=5, the integral-equation residual stays
-    under 1e-4 of scale, and the independent exponential integrator agrees
-    within 10 dt scale at dt = 1e-3."""
+    twice the initial size up to T=5 (and so does its certified bound at
+    every step, within 1.6 times the measured sup), the integral-equation
+    residual stays under 1e-4 of scale, and the independent exponential
+    integrator agrees within 10 dt scale at dt = 1e-3."""
     manifest = json.loads((CONFIG_DIR / "nlheat_power.json").read_text())
     initial = manifest["params"]["initial_norm"]
     etd_dt = manifest["params"]["etd"]["dt"]
@@ -157,6 +158,7 @@ def test_small_data_picard_wellposedness(tmp_path):
     scale = rows["sup_monitored_norm"]["value"]
     assert rows["picard_max_contraction"]["value"] <= 0.5
     assert scale <= 2.0 * initial
+    assert scale <= rows["sup_monitored_bound"]["value"] <= min(1.6 * scale, 2.0 * initial)
     assert rows["duhamel_residual"]["value"] <= 1e-4 * scale
     assert rows["picard_etd_gap"]["value"] <= 10.0 * etd_dt * scale
     assert code == EXIT_OK
@@ -165,7 +167,8 @@ def test_small_data_picard_wellposedness(tmp_path):
 def test_inhomogeneous_nonlinearity_runs_globally(tmp_path):
     """The |x|^{-0.2}-weighted nonlinearity with the admissible monitor
     triple from the recorded config runs to T=5 with bounded monitored norm
-    and residual under 1e-4 of scale."""
+    (certified at every step within 1.6 times the measured sup) and
+    residual under 1e-4 of scale."""
     manifest = json.loads((CONFIG_DIR / "nlheat_inhomogeneous.json").read_text())
     initial = manifest["params"]["initial_norm"]
     assert manifest["params"]["horizon"] == 5.0
@@ -174,6 +177,7 @@ def test_inhomogeneous_nonlinearity_runs_globally(tmp_path):
     scale = rows["sup_monitored_norm"]["value"]
     assert rows["picard_max_contraction"]["value"] <= 0.5
     assert scale <= 2.0 * initial
+    assert scale <= rows["sup_monitored_bound"]["value"] <= min(1.6 * scale, 2.0 * initial)
     assert rows["duhamel_residual"]["value"] <= 1e-4 * scale
     assert code == EXIT_OK
 

@@ -557,6 +557,33 @@ class TestRunManifest:
         assert code == EXIT_OK
         assert "BoundaryMassWarning" not in [w["category"] for w in record.warnings]
 
+    def test_growth_between_exact_steps_fails_the_bound_row(self, tmp_path, monkeypatch):
+        """The exact norm runs at the ends of a short flow only, so a state
+        that grows past the gate between them escapes `sup_monitored_norm`;
+        its bound does not escape `sup_monitored_bound`. The growth is put
+        into the record of one step between the ends."""
+        solve = anharmonic.cli.picard_solve
+        planted = []
+
+        def grown(spec, horizon, dt, **kwargs):
+            traj = solve(spec, horizon, dt, **kwargs)
+            assert np.isnan(traj.monitored_norms[2])
+            traj.monitored_bounds[2] = 10.0 * traj.monitored_norms[0]
+            planted.append(float(traj.monitored_bounds[2]))
+            return traj
+
+        monkeypatch.setattr(anharmonic.cli, "picard_solve", grown)
+        manifest = {"schema": 1, "kind": "nlheat",
+                    "grid": {"points_per_axis": 128, "half_width": 10},
+                    "params": {"modes": 48, "horizon": 0.02, "dt": 0.005}}
+        path = write_manifest(tmp_path, manifest)
+        code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
+        rows = {r["name"]: r for r in record.results}
+        assert rows["sup_monitored_norm"]["passed"]
+        assert not rows["sup_monitored_bound"]["passed"]
+        assert rows["sup_monitored_bound"]["value"] == planted[0]
+        assert code == EXIT_CHECK_FAILED
+
     def test_blow_up_before_the_third_checkpoint_is_a_result(self, tmp_path):
         """An initial norm above the blow-up guard stops the flow at step 1,
         with two checkpoints and so no Duhamel residual: that row and the
@@ -570,9 +597,10 @@ class TestRunManifest:
         code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
         assert code == EXIT_CHECK_FAILED
         rows = {r["name"]: r for r in record.results}
-        assert rows["sup_monitored_norm"]["value"] == float("inf")
-        assert rows["sup_monitored_norm"]["deviation"] == float("inf")
-        assert not rows["sup_monitored_norm"]["passed"]
+        for name in ("sup_monitored_norm", "sup_monitored_bound"):
+            assert rows[name]["value"] == float("inf")
+            assert rows[name]["deviation"] == float("inf")
+            assert not rows[name]["passed"]
         assert rows["duhamel_residual"]["value"] == float("inf")
         assert not rows["duhamel_residual"]["passed"]
         assert (tmp_path / "out" / "trajectory.csv").exists()
@@ -589,7 +617,7 @@ class TestRunManifest:
         code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
         assert code == EXIT_CHECK_FAILED
         rows = {r["name"]: r for r in record.results}
-        for name in ("sup_monitored_norm", "duhamel_residual"):
+        for name in ("sup_monitored_norm", "sup_monitored_bound", "duhamel_residual"):
             assert rows[name]["value"] == float("inf") and not rows[name]["passed"]
         assert rows["duhamel_residual"]["tolerance"] == pytest.approx(1e-4 * 1e154)
         assert (tmp_path / "out" / "trajectory.csv").exists()

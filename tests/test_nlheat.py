@@ -173,14 +173,16 @@ class TestParitySector:
     @INTEGRATORS
     def test_every_pass_of_a_gaussian_run_is_half_rows(self, dec, integrate, pass_ranges):
         """The shipped initial data (``cli._gaussian_initial``, scaled) runs
-        every monitored norm and Picard gap on the rows N/2.., so a silent
-        fall back to the full pass fails here."""
+        every exact monitored norm and Picard gap on the rows N/2.., so a
+        silent fall back to the full pass fails here. The steps between are
+        bounded, not measured."""
         base = ah.cli._gaussian_initial(dec.grid)
         u0 = FieldSample(dec.grid, 0.05 * base.values)
-        integrate(NonlinearProblemSpec(dec, u0, monitor=MONITOR), 0.02, 0.005)
+        traj = integrate(NonlinearProblemSpec(dec, u0, monitor=MONITOR), 0.02, 0.005)
         n = dec.grid.points_per_axis
-        assert len(pass_ranges) >= 5  # the initial state and four steps, at least
+        assert len(pass_ranges) >= 2  # the initial state and the last step, at least
         assert set(pass_ranges) == {(n // 2, n)}
+        assert np.isnan(traj.monitored_norms[1:-1]).all()
 
 
 class TestStepValidation:
@@ -414,9 +416,11 @@ class TestBlowup:
 
     @pytest.mark.parametrize("stride", [1, 1000])
     def test_focusing_etd_blows_up_for_real(self, dec, stride):
-        """Stride 1 measures every step; at stride 1000 the l2 guard stops the
-        run between stride points, and the blow-up step is still stored as a
-        checkpoint with its monitored norm measured."""
+        """Stride 1 bounds every step and measures the exact norm at t = 0,
+        the blow-up step and wherever the bound is above 1e6; at stride 1000
+        the l2 guard stops the run between stride points, and the blow-up
+        step is still stored as a checkpoint with its monitored norm
+        measured."""
         x = dec.grid.nodes()
         big = FieldSample(dec.grid, 3.0 * np.exp(-x ** 2 / 2))
         spec = NonlinearProblemSpec(dec, big, coupling=60.0, monitor=MONITOR)
@@ -428,7 +432,11 @@ class TestBlowup:
         assert traj.monitored_norms[-1] > 1e6 or math.isinf(traj.monitored_norms[-1])
         assert traj.checkpoint_times[-1] == traj.blowup_time
         if stride == 1:
-            assert not np.any(np.isnan(traj.monitored_norms))
+            assert not np.any(np.isnan(traj.monitored_bounds))
+            exact = ~np.isnan(traj.monitored_norms)
+            assert exact[0] and exact[-1]
+            assert np.all(traj.monitored_bounds[~exact] <= 1e6)
+            assert np.all(traj.monitored_norms[exact] <= traj.monitored_bounds[exact])
         else:
             assert 1e6 < traj.l2_norms[-1] < np.inf
             assert np.all(np.isnan(traj.monitored_norms[1:-1]))
@@ -438,8 +446,27 @@ class TestBlowup:
         monkeypatch.setattr(anharmonic.nlheat, "_BLOWUP_NORM", 1e-4)
         traj = picard_solve(defocusing, 0.05, 0.005)
         rows = trajectory_csv_rows(traj, tmp_path)
-        assert rows[0] == ["t", "monitored_norm", "l2_norm", "blowup"]
-        assert [r[3] for r in rows[1:]] == ["0", "1"]
+        assert rows[0] == ["t", "monitored_norm", "monitored_bound", "l2_norm", "blowup"]
+        assert [r[4] for r in rows[1:]] == ["0", "1"]
+
+    def test_bound_above_the_guard_hands_the_step_to_the_exact_norm(self, defocusing,
+                                                                    monkeypatch):
+        """With the guard between a step's exact norm and its bound, the
+        bound cannot rule out blow-up there: the exact norm runs at that
+        step and decides, and the flow is not blown up."""
+        first = picard_solve(defocusing, 0.05, 0.005)
+        norm, bound = first.monitored_norms[0], first.monitored_bounds[0]
+        assert norm < bound
+        monkeypatch.setattr(anharmonic.nlheat, "_BLOWUP_NORM", math.sqrt(norm * bound))
+        traj = picard_solve(dataclasses.replace(defocusing), 0.05, 0.005)
+        assert not traj.blown_up and len(traj.times) == 11
+        # the norm decays by 6 % and the bound stays 1.5 times above it, so
+        # every bound is above the guard and every step is measured
+        assert np.all(traj.monitored_bounds > anharmonic.nlheat._BLOWUP_NORM)
+        assert not np.isnan(traj.monitored_norms).any()
+        assert np.all(traj.monitored_norms <= anharmonic.nlheat._BLOWUP_NORM)
+        np.testing.assert_array_equal(traj.monitored_norms[[0, -1]],
+                                      first.monitored_norms[[0, -1]])
 
 
 class TestTrajectoryRecord:
@@ -473,36 +500,57 @@ class TestTrajectoryRecord:
             integrate(defocusing, 0.05, 0.005, checkpoint_stride=stride)
 
     def test_csv_round_trip_values(self, defocusing, tmp_path):
+        """Every step carries its bound; the exact norm is written at the
+        ends and as nan between them."""
         traj = picard_solve(defocusing, 0.02, 0.005)
         rows = trajectory_csv_rows(traj, tmp_path)
         assert len(rows) == 1 + len(traj.times)
         assert float(rows[1][1]) == traj.monitored_norms[0]
+        assert float(rows[-1][1]) == traj.monitored_norms[-1]
+        assert [r[1] for r in rows[2:-1]] == ["nan"] * (len(traj.times) - 2)
+        assert [float(r[2]) for r in rows[1:]] == list(traj.monitored_bounds)
         assert float(rows[-1][0]) == traj.times[-1]
 
     def test_monitored_norm_only_at_checkpoints(self, defocusing, monkeypatch):
-        """A full-stride run measures the monitored norm at its two ends only;
-        stride 1 measures every step. The initial state's norm is measured
-        once per spec: a second run of the same spec reads it."""
-        calls = []
-        measure = anharmonic.nlheat._Engine.monitored_norm
+        """A full-stride run bounds and measures the monitored norm at its two
+        ends only; stride 1 bounds every step and measures the exact norm
+        only at t = 0 and the last step (and every 100th, which a 10-step
+        run has none of). The initial state's values are measured once per
+        spec: a second run of the same spec reads them."""
+        calls = {"monitored_norm": 0, "monitored_bound": 0}
+        for name in calls:
+            method = getattr(anharmonic.nlheat._Engine, name)
 
-        def counted(engine, coeffs):
-            calls.append(1)
-            return measure(engine, coeffs)
+            def counted(engine, field, name=name, method=method):
+                calls[name] += 1
+                return method(engine, field)
 
-        monkeypatch.setattr(anharmonic.nlheat._Engine, "monitored_norm", counted)
+            monkeypatch.setattr(anharmonic.nlheat._Engine, name, counted)
         steps = 10
         traj = etd_evolve(defocusing, 0.05, 0.005, checkpoint_stride=steps)
-        assert len(calls) == 2
+        assert calls == {"monitored_norm": 2, "monitored_bound": 2}
         assert np.isnan(traj.monitored_norms[1:-1]).all()
+        assert np.isnan(traj.monitored_bounds[1:-1]).all()
         assert np.isfinite(traj.monitored_norms[[0, -1]]).all()
-        calls.clear()
+        assert np.all(traj.monitored_norms[[0, -1]] <= traj.monitored_bounds[[0, -1]])
+        calls.update(monitored_norm=0, monitored_bound=0)
         again = picard_solve(defocusing, 0.05, 0.005)
-        assert len(calls) == steps
+        assert calls == {"monitored_norm": 1, "monitored_bound": steps}
         assert again.monitored_norms[0] == traj.monitored_norms[0]
-        calls.clear()
+        assert np.isnan(again.monitored_norms[1:-1]).all()
+        assert np.isfinite(again.monitored_bounds).all()
+        calls.update(monitored_norm=0, monitored_bound=0)
         picard_solve(dataclasses.replace(defocusing), 0.05, 0.005)
-        assert len(calls) == steps + 1
+        assert calls == {"monitored_norm": 2, "monitored_bound": steps + 1}
+
+    def test_exact_norm_every_hundredth_step(self, defocusing, monkeypatch):
+        """A stride-1 record runs the exact norm every ``_EXACT_STRIDE`` steps
+        (here made 4) besides t = 0 and the last step, and bounds the rest."""
+        monkeypatch.setattr(anharmonic.nlheat, "_EXACT_STRIDE", 4)
+        traj = picard_solve(dataclasses.replace(defocusing), 0.05, 0.005)
+        np.testing.assert_array_equal(np.flatnonzero(~np.isnan(traj.monitored_norms)),
+                                      [0, 4, 8, 10])
+        assert np.isfinite(traj.monitored_bounds).all()
 
     def test_residual_needs_three_checkpoints(self, defocusing):
         traj = picard_solve(defocusing, 0.02, 0.005, checkpoint_stride=100)

@@ -13,7 +13,7 @@ from anharmonic import (INF, BoundaryMassWarning, FieldSample, Grid,
                         modulation_norm, modulation_norms, stft, weight_value)
 from anharmonic.estimators import gaussian_probe_fields
 from anharmonic.phasespace import (_column_reduce, _gaussian_window_values, _kept_rows,
-                                   _l2_cap, _modulation_columns, _outer_reduce,
+                                   _l2_cap, _modulation_columns, _outer_reduce, _state_bound,
                                    _weight_lattice, _weighted_columns)
 from oracles import (dense_stft, gaussian_lattice_stft_abs, gaussian_window_transform_abs,
                      mixed_norm_reference)
@@ -1066,3 +1066,105 @@ class TestSquaredModulusPass:
             outcomes.append(np.isfinite(expected))
         if k == 0 and p == 2.0:  # the edge is inside the scan
             assert outcomes[0] and not outcomes[-1]
+
+
+BOUND_PAIRS = [(0.5, 0.5), (1.0, 0.5), (1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (6.0, 2.0),
+               (INF, 1.0), (INF, INF)]
+
+
+class TestStateBound:
+    """``_state_bound`` certifies a state's modulation norm from O(N) sums:
+    every cell is at most min(r_i, c_n), the triangle inequality over the
+    samples and after the DFT convolution theorem, plus the FFT round-off
+    floor of its row; the lattice (quasi-)norm is monotone, so the reduced
+    cell bounds bound the norm for every 0 < p, q <= INF."""
+
+    GRID = Grid(128, 10.0)
+
+    @staticmethod
+    def field(kind):
+        """Seeded fields over the whole box. Noise meets the large weights at
+        the high frequencies and leaves the bound loose; for a nonnegative
+        field the row bound is the xi = 0 column itself, so there the bound
+        is tight up to the round-off that its floor and slack cover."""
+        grid = TestStateBound.GRID
+        re, im = np.random.default_rng(17).standard_normal((2, grid.points_per_axis))
+        x = grid.nodes()
+        bumps = np.exp(-(x - 1.5) ** 2) + 0.5 * np.exp(-2.0 * (x + 2.0) ** 2)
+        return FieldSample(grid, {"real": re, "complex": re + 1j * im, "even": re + re[::-1],
+                                  "odd": re - re[::-1], "nonnegative": np.abs(re),
+                                  "bumps": bumps, "even bumps": bumps + bumps[::-1]}[kind])
+
+    @pytest.mark.parametrize("p,q", BOUND_PAIRS, ids=_exponent_id)
+    @pytest.mark.parametrize("s", [FLAT, 0.02, 2.0], ids=["s0", "s0.02", "s2"])
+    @pytest.mark.parametrize("kind", ["real", "complex", "even", "odd", "nonnegative",
+                                      "bumps", "even bumps"])
+    def test_bounds_the_exact_norm(self, kind, s, p, q):
+        f = self.field(kind)
+        params = MixedNormParams(p, q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryMassWarning)
+            exact = modulation_norm(f, s, HARMONIC, params)
+        bound = _state_bound(f, s, HARMONIC, params)
+        assert 0.0 < exact <= bound
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    def test_tight_for_nonnegative_fields_at_the_sup(self, n):
+        """For a nonnegative field at p = q = INF and s = 0 the largest cell
+        bound is a row bound r_i, which the pass forms as its xi = 0 bin by
+        FFT: the two tie up to round-off, which the floor and the slack
+        cover, and the bound stays within 1e-12 of the norm."""
+        grid = Grid(n, 10.0)
+        params = MixedNormParams(INF, INF)
+        for seed in range(10):
+            f = FieldSample(grid, np.abs(np.random.default_rng(seed).standard_normal(n)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", BoundaryMassWarning)
+                exact = modulation_norm(f, FLAT, None, params)
+            assert exact <= _state_bound(f, FLAT, None, params) <= exact * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("p,q", BOUND_PAIRS, ids=_exponent_id)
+    @pytest.mark.parametrize("s", [FLAT, 2.0, 10.0], ids=["s0", "s2", "s10"])
+    def test_bounds_the_closed_form(self, s, p, q):
+        """The Gaussian e^{-x^2/2} against direct loops over its aliased
+        lattice transform, under the harmonic weight built here."""
+        grid = Grid(128, 8.0)
+        x = grid.nodes()
+        mag = gaussian_lattice_stft_abs(x, grid.frequency_nodes(), 1.0, 0.5, 0.0, 0.0, grid.h)
+        expected = mixed_norm_reference(mag, harmonic_lattice(grid, s), _oracle_exponent(p),
+                                        _oracle_exponent(q), grid.h, grid.frequency_cell)
+        bound = _state_bound(FieldSample(grid, np.exp(-x ** 2 / 2.0)), s, HARMONIC,
+                             MixedNormParams(p, q))
+        assert expected <= bound
+
+    @pytest.mark.parametrize("monitor,ratio", [((2.0, 1.0, 2.0), 1.5302),
+                                               ((6.0, 2.0, 0.02), 1.0773)],
+                             ids=["power", "inhomogeneous"])
+    @pytest.mark.parametrize("scale", [0.05, 1.0, 2.0 ** -600])
+    def test_tight_on_the_shipped_monitors(self, monitor, ratio, scale):
+        """On the flows' grid and initial shape the bound stands a fixed
+        factor above the exact norm (a field of peak below 1 is bounded at
+        a power-of-two scale, as it is measured)."""
+        grid = Grid(512, 12.0)
+        p, q, s = monitor
+        f = FieldSample(grid, scale * np.exp(-grid.nodes() ** 2 / 2.0))
+        params = MixedNormParams(p, q)
+        exact = modulation_norm(f, s, HARMONIC, params)
+        assert _state_bound(f, s, HARMONIC, params) / exact == pytest.approx(ratio, abs=1e-4)
+
+    def test_zero_and_non_finite_fields(self):
+        n = self.GRID.points_per_axis
+        params = MixedNormParams(2.0, 1.0)
+        assert _state_bound(FieldSample(self.GRID, np.zeros(n)), 2.0, HARMONIC, params) == 0.0
+        for bad in (np.inf, np.nan):
+            vals = np.ones(n)
+            vals[5] = bad
+            assert _state_bound(FieldSample(self.GRID, vals), 2.0, HARMONIC, params) == np.inf
+
+    def test_overflow_gives_inf(self):
+        """A bound that overflows is inf, with no NumericalError and no
+        numpy warning: the flow then takes the exact norm."""
+        f = FieldSample(self.GRID, 1e300 * np.exp(-self.GRID.nodes() ** 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _state_bound(f, 2.0, HARMONIC, MixedNormParams(6.0, 2.0)) == np.inf
