@@ -20,7 +20,7 @@ from .calculus import apply_spectral_function, heat_semigroup, sobolev_norm
 from .phasespace import PhaseSpaceField, mixed_norm, modulation_norm, modulation_norms, stft
 from .estimators import (EquivalenceBand, LogLinearFit, SingularWeightResult,
                          WeightQuotientParams, algebra_ratio, algebra_ratios,
-                         eigenfunction_probes, eigenvalue_growth_fit, fit_decay_exponent,
+                         bohr_sommerfeld_eigenvalues, eigenfunction_probes, fit_decay_exponent,
                          gaussian_probe_fields, growth_target, ou_probe_rate,
                          sigma_exponent, singular_weight_norm, smoothing_decay_run,
                          sobolev_modulation_equivalence, standard_probe_family,
@@ -47,7 +47,7 @@ __all__ = [
     # phasespace
     "PhaseSpaceField", "stft", "mixed_norm", "modulation_norm", "modulation_norms",
     # estimators
-    "LogLinearFit", "growth_target", "eigenvalue_growth_fit", "sigma_exponent",
+    "LogLinearFit", "growth_target", "bohr_sommerfeld_eigenvalues", "sigma_exponent",
     "WeightQuotientParams", "weight_quotient_norm", "fit_decay_exponent",
     "smoothing_decay_run", "gaussian_probe_fields", "eigenfunction_probes",
     "standard_probe_family", "ou_probe_rate", "algebra_ratio",

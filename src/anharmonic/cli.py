@@ -8,8 +8,8 @@ bodies contain only deterministically ordered, shortest-round-trip formatted
 numbers, so identical manifest and seed give byte-identical CSV files.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 schema violation or
-rejected manifest value (before any decomposition, save a spectrum fit
-window), 3 numerical failure, 4 report write failure.
+rejected manifest value (before any decomposition), 3 numerical failure,
+4 report write failure.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .errors import NumericalError, SchemaError
 from .model import (INF, MixedNormParams, OscillatorSpec, evaluate_potential,
                     hermite_oscillator, is_inf, submultiplicativity_defect, weight_value)
 from .estimators import (WeightQuotientParams, _check_decay_times, _check_quotient_box,
-                         algebra_ratios,
-                         eigenvalue_growth_fit, gaussian_probe_fields, ou_probe_rate,
+                         algebra_ratios, bohr_sommerfeld_eigenvalues,
+                         gaussian_probe_fields, ou_probe_rate,
                          sigma_exponent, singular_weight_norm, smoothing_decay_run,
                          sobolev_modulation_equivalence, standard_probe_family)
 from .nlheat import (NonlinearProblemSpec, _check_order, _check_problem, _check_steps,
@@ -189,8 +189,8 @@ _TABLE = {
                                   _SELECTION)},
     "params.cases": {"k": ("int", _REQUIRED), "l": ("int", _REQUIRED), "points": ("int", 512),
                      "half_width": ("float", 12.0), "modes": ("int", None),
-                     "j_lo": ("int", 30), "j_hi": ("int", 150),
-                     "tolerance": ("float", 0.10, _FINITE)},
+                     "j_lo": ("int", 30, (lambda v: v >= 0, "{field} must be >= 0")),
+                     "j_hi": ("int", 150), "tolerance": ("float", 1e-3, _FINITE)},
     "params.decay": {"tuples": ("[params.tuples]", [
                          {"k": 1, "l": 1, "beta": 1.0, "p_tilde": 1.0, "q_tilde": 1.0},
                          {"k": 2, "l": 1, "beta": 1.0, "p_tilde": 2.0, "q_tilde": 2.0},
@@ -314,6 +314,9 @@ def _finish_case(case):
         case.oscillator = OscillatorSpec(case.k, case.l)
         case.grid = Grid(case.points, case.half_width)
     case.modes = _modes(case, "spectrum", case.grid, "params.cases.modes")
+    _require(case.j_lo <= case.j_hi < case.modes, f"spectrum case k={case.k}, l={case.l}: "
+             f"the window [{case.j_lo}, {case.j_hi}] must satisfy j_lo <= j_hi < modes = "
+             f"{case.modes}", "params.cases.j_hi")
     case.label = f"k{case.k}_l{case.l}"
     return case
 
@@ -412,21 +415,14 @@ def _canonical_hash(manifest: dict, seed: int) -> str:
 def _run_spectrum(run, record):
     for case in run.params.cases:
         dec = decompose(case.oscillator, case.grid, case.modes)
-        # checked after decompose: perfbench's tiny cases sit below the window floor
-        with _rejected_as("params.cases", f"spectrum case k={case.k}, l={case.l}: "):
-            fit = eigenvalue_growth_fit(dec, case.j_lo, case.j_hi)
-        record.results.append(_result(f"growth_slope_{case.label}", "rel", fit.slope,
-                                      fit.target, case.tolerance))
-        if case.k == 1 and case.l == 1:
-            j = np.arange(min(21, dec.m))
-            exact = 2.0 * j + 1.0
-            err = float(np.max(np.abs(dec.eigenvalues[:len(j)] - exact) / exact))
-            record.results.append(_result("harmonic_spectrum_rel_err", "abs", err, 0.0, 1e-6))
-        anchor = dec.eigenvalues[case.j_lo]
-        rows = [[j, float(dec.eigenvalues[j]), float(anchor * (j / case.j_lo) ** fit.target)]
-                for j in range(1, dec.m)]
+        exact = bohr_sommerfeld_eigenvalues(case.oscillator, np.arange(dec.m))
+        window = slice(case.j_lo, case.j_hi + 1)
+        err = np.max(np.abs(dec.eigenvalues[window] / exact[window] - 1.0))
+        record.results.append(_result(f"bohr_sommerfeld_{case.label}", "abs", err, 0.0,
+                                      case.tolerance))
+        rows = [[j, float(dec.eigenvalues[j]), float(exact[j])] for j in range(dec.m)]
         record.series[f"spectrum_{case.label}"] = {
-            "header": ["j", "lambda", "target_exponent_line"], "rows": rows}
+            "header": ["j", "lambda", "bohr_sommerfeld"], "rows": rows}
 
 
 def _run_decay(run, record):

@@ -1,5 +1,5 @@
-"""Experiment estimators: eigenvalue-growth and smoothing-rate fits, the
-Ornstein-Uhlenbeck rate, algebra ratios, singular weights, and
+"""Experiment estimators: the Bohr-Sommerfeld eigenvalues, smoothing-rate
+fits, the Ornstein-Uhlenbeck rate, algebra ratios, singular weights, and
 norm-equivalence bands. Every slope and rate is one ``LogLinearFit``, and
 every phase-space norm is weighted by the symbol-adapted v_s, given by its
 exponent s (``model.weight_value``).
@@ -13,6 +13,7 @@ operator norms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -286,26 +287,23 @@ def _loglinear_fit(x, values, target=None) -> LogLinearFit:
 
 
 def growth_target(osc: OscillatorSpec) -> float:
-    """The Weyl exponent 2kl / (d (k + l)) of lambda_j at d = 1."""
+    """The Weyl exponent 2kl / (d (k + l)) at d = 1: lambda_n grows like
+    n to this power, the exponent of ``bohr_sommerfeld_eigenvalues``."""
     return 2.0 * osc.k * osc.l / (osc.k + osc.l)
 
 
-def eigenvalue_growth_fit(dec: SpectralDecomposition, j_lo: int, j_hi: int) -> LogLinearFit:
-    """Fit log lambda_j against log j over [j_lo, j_hi], with the target
-    slope ``growth_target``.
+def bohr_sommerfeld_eigenvalues(osc: OscillatorSpec, n) -> np.ndarray:
+    """lambda_n^BS = (2 pi (n + 1/2) / C)^growth_target, the level at which
+    the sublevel set {omega^(2l) + x^(2k) <= lambda} of the symbol has area
+    2 pi (n + 1/2) (Helffer and Robert, Duke Math. J. 49, 1982).
 
-    The window must start at j_lo >= 20 and stop by 0.4 m, away from the
-    discretization-corrupted tail, and must contain at least 20 points.
+    That area is C lambda^(1/(2k) + 1/(2l)), C the area at lambda = 1:
+    C = 4 Gamma(1 + 1/(2k)) Gamma(1 + 1/(2l)) / Gamma(1 + 1/(2k) + 1/(2l));
+    k = l = 1 gives C = pi and lambda_n^BS = 2n + 1.
     """
-    if j_lo < 20:
-        raise ValueError("j_lo must be at least 20 (asymptotic regime)")
-    if j_hi > 0.4 * dec.m:
-        raise ValueError(f"j_hi={j_hi} exceeds 0.4*m = {0.4 * dec.m:.0f}")
-    if j_hi - j_lo + 1 < 20:
-        raise ValueError("growth window needs at least 20 points")
-    j = np.arange(j_lo, j_hi + 1)
-    return _loglinear_fit(np.log(j), dec.eigenvalues[j_lo:j_hi + 1],
-                          growth_target(dec.oscillator))
+    a, b = 1.0 / (2 * osc.k), 1.0 / (2 * osc.l)
+    unit_area = 4.0 * math.gamma(1.0 + a) * math.gamma(1.0 + b) / math.gamma(1.0 + a + b)
+    return (2.0 * np.pi * (np.asarray(n, dtype=float) + 0.5) / unit_area) ** growth_target(osc)
 
 
 def _check_decay_times(ts) -> None:

@@ -8,8 +8,10 @@ from an ODE shooting method, the window transform from a closed form (and
 its Poisson-summed aliases) and, for any field, from the dense sum of its
 definition with an explicit n x n phase matrix (the package streams FFT
 blocks), the mixed norm from direct loops over the definition, and the
-weight quotient from its formula on every node of the full lattice, and a
-report row's verdict from the four deviation rules. Frozen constants at the bottom
+weight quotient from its formula on every node of the full lattice, the
+area of a sublevel set of the symbol by adaptive quadrature (the package
+takes it from a Gamma-function closed form), and a report row's verdict
+from the four deviation rules. Frozen constants at the bottom
 were produced by these oracles and pinned so a regression in either side is
 caught.
 """
@@ -17,7 +19,7 @@ caught.
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from anharmonic import evaluate_potential
 
@@ -225,6 +227,18 @@ def quotient_reference(params, t, radius, resolution):
     return mixed_norm_reference(values, np.ones_like(values),
                                 exponent(params.p_tilde), exponent(params.q_tilde),
                                 2.0 * r_x / resolution, 2.0 * r_xi / resolution)
+
+
+def symbol_sublevel_area(k, l, lam) -> float:
+    """Area of {omega^(2l) + x^(2k) <= lam}: four times the integral, by
+    adaptive quadrature, of the omega half-width (lam - x^(2k))^(1/(2l))
+    over 0 <= x <= lam^(1/(2k))."""
+    def half_width(x):
+        return max(lam - x ** (2 * k), 0.0) ** (1.0 / (2 * l))
+
+    value, _ = quad(half_width, 0.0, lam ** (1.0 / (2 * k)), epsabs=0.0, epsrel=1e-13,
+                    limit=200)
+    return 4.0 * value
 
 
 def assert_rows_judge_themselves(results):

@@ -51,14 +51,18 @@ def test_harmonic_eigenvalues_match_odd_integers(hermite_dec):
 
 
 def test_eigenvalue_growth_exponent_fits_degree_prediction():
-    """Fitted log lambda_j vs log j slope over j in [30, 150] lands within
-    10% of 2kl/(k+l) for three potential/Laplacian degree combinations."""
-    for k, l, half_width in ((1, 1, 25.0), (2, 1, 12.0), (1, 2, 60.0)):
-        dec = ah.decompose(ah.OscillatorSpec(k, l), ah.Grid(512, half_width), 384)
-        fit = ah.eigenvalue_growth_fit(dec, 30, 150)
-        assert fit.target == pytest.approx(2.0 * k * l / (k + l), rel=1e-12)
-        assert abs(fit.slope - fit.target) / abs(fit.target) <= 0.10, (
-            f"(k={k}, l={l}): slope {fit.slope:.4f} vs target {fit.target:.4f}")
+    """lambda_j matches the Bohr-Sommerfeld level (2 pi (j + 1/2) / C)^(2kl/(k+l))
+    within 1e-4 relative over j in [30, 150] for (2, 1) and (1, 2), and
+    within 1e-10 for (1, 1), whose levels are 2j + 1. A bound that tight
+    implies the growth exponent 2kl/(k+l)."""
+    for k, l, half_width, bound in ((1, 1, 25.0, 1e-10), (2, 1, 12.0, 1e-4),
+                                    (1, 2, 60.0, 1e-4)):
+        osc = ah.OscillatorSpec(k, l)
+        dec = ah.decompose(osc, ah.Grid(512, half_width), 384)
+        assert ah.growth_target(osc) == pytest.approx(2.0 * k * l / (k + l), rel=1e-12)
+        j = np.arange(30, 151)
+        err = np.max(np.abs(dec.eigenvalues[j] / ah.bohr_sommerfeld_eigenvalues(osc, j) - 1.0))
+        assert err <= bound, f"(k={k}, l={l}): Bohr-Sommerfeld error {err:.3g}"
 
 
 def test_short_time_smoothing_exponents():

@@ -30,14 +30,14 @@ def selftest_manifest():
     return {"schema": 1, "kind": "selftest", "seed": 1234}
 
 
-def small_spectrum_manifest(tolerance=0.10):
+def small_spectrum_manifest(half_width=25.0):
     return {
         "schema": 1,
         "kind": "spectrum",
         "seed": 7,
         "format": "both",
-        "params": {"cases": [{"k": 1, "l": 1, "points": 256, "half_width": 25.0,
-                              "j_lo": 30, "j_hi": 50, "tolerance": tolerance}]},
+        "params": {"cases": [{"k": 1, "l": 1, "points": 256, "half_width": half_width,
+                              "j_lo": 30, "j_hi": 50, "tolerance": 0.10}]},
     }
 
 
@@ -118,7 +118,7 @@ class TestValidateManifest:
 
     @pytest.mark.parametrize("points,modes", [(256, 128), (512, 384), (1024, 512)])
     def test_default_spectrum_modes_follow_the_points(self, points, modes):
-        case = {"k": 1, "l": 1, "points": points}
+        case = {"k": 1, "l": 1, "points": points, "j_lo": 0, "j_hi": 100}
         run = validate_manifest({"schema": 1, "kind": "spectrum", "params": {"cases": [case]}})
         assert run.params.cases[0].modes == modes
 
@@ -421,6 +421,15 @@ class TestRunManifest:
          {}, None, "(field: params.cases.points)"),
         ("spectrum", {"cases": [{"k": 1, "l": 1, "points": 256, "j_lo": 20, "j_hi": 45.5}]},
          {}, None, "(field: params.cases.j_hi)"),
+        # the eigenvalue window lies in the retained modes
+        ("spectrum", {"cases": [{"k": 1, "l": 1, "points": 256, "j_lo": 30, "j_hi": 128}]},
+         {}, None, "spectrum case k=1, l=1: the window [30, 128] must satisfy j_lo <= j_hi "
+         "< modes = 128 (field: params.cases.j_hi)"),
+        ("spectrum", {"cases": [{"k": 2, "l": 1, "points": 256, "j_lo": 50, "j_hi": 40}]},
+         {}, None, "spectrum case k=2, l=1: the window [50, 40] must satisfy j_lo <= j_hi "
+         "< modes = 128 (field: params.cases.j_hi)"),
+        ("spectrum", {"cases": [{"k": 1, "l": 1, "points": 256, "j_lo": -1, "j_hi": 40}]},
+         {}, None, "params.cases.j_lo must be >= 0 (field: params.cases.j_lo)"),
         ("decay", {"resolution": 256, "tuples": [{"k": 1, "l": 1, "beta": "2"}]}, {}, None,
          "(field: params.tuples.beta)"),
         ("decay", {"resolution": 256, "tuples": [{"k": 1, "l": 1, "s2": float("inf")}]}, {},
@@ -497,8 +506,10 @@ class TestRunManifest:
                               {"k": 1, "l": 1, "beta": 1.0, "p_tilde": 2.0, "q_tilde": 2.0}]},
          {}, None, "run label decay_k1_l1_b1; the second would overwrite the first's "
          "series (field: params.tuples)"),
-        ("spectrum", {"cases": [{"k": 1, "l": 1, "points": 64, "half_width": 8.0},
-                                {"k": 1, "l": 1, "points": 128, "half_width": 12.0}]},
+        ("spectrum", {"cases": [{"k": 1, "l": 1, "points": 64, "half_width": 8.0,
+                                 "j_lo": 0, "j_hi": 10},
+                                {"k": 1, "l": 1, "points": 128, "half_width": 12.0,
+                                 "j_lo": 0, "j_hi": 10}]},
          {}, None, "run label k1_l1; the second would overwrite the first's series "
          "(field: params.cases)"),
     ], ids=["etd_order", "etd_horizon", "monitor_s_inf", "tol", "dt", "norms_no_checks",
@@ -508,6 +519,7 @@ class TestRunManifest:
             "oscillator_k_float", "oscillator_k_zero", "oscillator_beta",
             "oscillator_dimension", "oscillator_potential", "oscillator_q1", "spectrum_k_bool",
             "spectrum_tolerance_str", "spectrum_points_float", "spectrum_j_hi_float",
+            "spectrum_j_hi_past_modes", "spectrum_window_reversed", "spectrum_j_lo_negative",
             "decay_beta_str", "decay_s2_inf", "decay_s2_nan", "ou_gauss_probes_float", "nlheat_kind_cubic", "nlheat_nu_zero",
             "ou_t_check_scalar", "ou_no_check_times", "ou_safe_radius_null", "format_csv", "norms_modes_zero",
             "spectrum_grid", "decay_grid", "selftest_grid", "norms_singular_half_width",
@@ -693,7 +705,8 @@ class TestRunManifest:
         assert "numerical failure" in err and "nodal potential" in err
 
     def test_failing_check_exits_one(self, tmp_path):
-        path = write_manifest(tmp_path, small_spectrum_manifest(tolerance=1e-9))
+        # the box |x| <= 8 cuts off the levels 2j + 1 >= 61 that the window reads
+        path = write_manifest(tmp_path, small_spectrum_manifest(half_width=8.0))
         code, record = run_manifest(path, out_dir=str(tmp_path / "out"))
         assert code == EXIT_CHECK_FAILED
         assert record is not None and not record.all_passed()

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from anharmonic.cli import validate_manifest
+from anharmonic.cli import EXIT_CHECK_FAILED, EXIT_OK, run_manifest, validate_manifest
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
@@ -43,3 +43,17 @@ def test_benchmark_manifests_validate(tiny):
     for workload in workloads.NAMES:
         for _, manifest in workloads.manifests(workload, 1234, tiny):
             validate_manifest(manifest)
+
+
+def test_tiny_benchmark_spectrum_runs_to_its_rows(tmp_path):
+    """The benchmark's tiny spectrum cases (128 points, 64 modes, window
+    [10, 40]) pass validation and run to one row per case: a window inside
+    the retained modes is never rejected after a decomposition."""
+    [manifest] = [m for name, m in load_workloads().manifests("exponents", 1234, True)
+                  if name == "spectrum"]
+    path = tmp_path / "spectrum.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    code, record = run_manifest(str(path), out_dir=str(tmp_path / "out"))
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+    assert [r["name"] for r in record.results] == [
+        f"bohr_sommerfeld_k{c['k']}_l{c['l']}" for c in manifest["params"]["cases"]]

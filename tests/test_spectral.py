@@ -6,11 +6,12 @@ import scipy.linalg
 
 import anharmonic as ah
 from anharmonic import (FieldSample, Grid, InvalidSpecError, NonConvergenceError, NumericalError,
-                        OscillatorSpec, decompose, eigenvalue_growth_fit, evaluate_potential,
-                        growth_target, spectral)
+                        OscillatorSpec, bohr_sommerfeld_eigenvalues, decompose,
+                        evaluate_potential, growth_target, spectral)
 from anharmonic.spectral import real_matmul
 
-from oracles import QUARTIC_LAMBDA0, dense_operator, hermite_function, parity_blocks_by_gather
+from oracles import (QUARTIC_LAMBDA0, dense_operator, hermite_function,
+                     parity_blocks_by_gather, symbol_sublevel_area)
 
 
 class TestGrid:
@@ -472,9 +473,30 @@ class TestGrowthFit:
         assert growth_target(OscillatorSpec(2, 1)) == pytest.approx(4.0 / 3.0)
         assert growth_target(OscillatorSpec(1, 2)) == pytest.approx(4.0 / 3.0)
 
-    def test_fit_window_validation(self, hermite_dec):
-        with pytest.raises(ValueError):
-            eigenvalue_growth_fit(hermite_dec, 5, 150)
-        with pytest.raises(ValueError):
-            eigenvalue_growth_fit(hermite_dec, 30, 380)
+
+class TestBohrSommerfeld:
+    N = np.array([0, 1, 2, 5, 30, 150, 383])
+
+    @pytest.mark.parametrize("k,l", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)])
+    def test_level_encloses_its_quantized_area(self, k, l):
+        """The sublevel set of the symbol at lambda_n^BS has area
+        2 pi (n + 1/2), by quadrature rather than the Gamma closed form."""
+        lam = bohr_sommerfeld_eigenvalues(OscillatorSpec(k, l), self.N)
+        area = np.array([symbol_sublevel_area(k, l, v) for v in lam])
+        np.testing.assert_allclose(area, 2.0 * np.pi * (self.N + 0.5), rtol=1e-12, atol=0)
+
+    def test_harmonic_levels_are_odd_integers(self):
+        n = np.arange(400)
+        np.testing.assert_allclose(bohr_sommerfeld_eigenvalues(OscillatorSpec(1, 1), n),
+                                   2.0 * n + 1.0, rtol=1e-14, atol=0)
+
+    def test_fourier_duality(self):
+        """The Fourier transform carries H_{2,1} to H_{1,2}, so they have one
+        spectrum; the boxes of configs/spectrum.json resolve both through
+        n = 150, where their eigenvalues agree to 1e-10 relative."""
+        low = {}
+        for k, l, half_width in (SPECTRUM_CASES["quartic"], SPECTRUM_CASES["l2"]):
+            low[k, l] = decompose(OscillatorSpec(k, l), Grid(512, half_width),
+                                  384).eigenvalues[:151]
+        np.testing.assert_allclose(low[2, 1], low[1, 2], rtol=1e-10, atol=0)
 
