@@ -39,8 +39,8 @@ from .estimators import (WeightQuotientParams, _check_decay_times, _check_quotie
                          gaussian_probe_fields, ou_probe_rate,
                          sigma_exponent, singular_weight_norm, smoothing_decay_run,
                          sobolev_modulation_equivalence, standard_probe_family)
-from .nlheat import (NonlinearProblemSpec, _check_order, _check_problem, _check_steps,
-                     _check_tol, duhamel_residual, etd_evolve, picard_solve)
+from .nlheat import (NonlinearProblemSpec, _check_monitor, _check_order, _check_problem,
+                     _check_steps, _check_tol, duhamel_residual, etd_evolve, picard_solve)
 from .ougauss import GaussianConjugation, apply_conjugation, ou_semigroup
 from .phasespace import mixed_norm, modulation_norm, stft
 from .spectral import FieldSample, Grid, decompose
@@ -355,10 +355,8 @@ def _finish_nlheat(p):
     with _rejected_as("params", "bad nlheat parameters: "):
         p.beta, p.nu, p.coupling, p.alpha = _check_problem(
             p.kind, p.nu, p.beta, complex(p.coupling_re, p.coupling_im), p.alpha or 0.0)
-    _require(not is_inf(p.monitor[2]) and np.isfinite(p.monitor[2]),
-             "weight exponent must be finite", "params.monitor")
-    with _rejected_as("params.monitor", "bad exponent at params.monitor: "):
-        p.monitor_params = MixedNormParams(*p.monitor[:2])
+    with _rejected_as("params.monitor"):
+        p.monitor_params, _ = _check_monitor(p.monitor, "params.monitor")
     with _rejected_as("params"):
         steps = _check_steps(p.horizon, p.dt)
         _check_tol(p.tol)

@@ -23,8 +23,8 @@ from .errors import InvalidSpecError, NumericalError, ProbeSkipWarning, Truncati
 from .model import (MixedNormParams, OscillatorSpec, check_exponent, evaluate_potential,
                     is_inf)
 from .ougauss import GaussianConjugation, apply_conjugation, ou_semigroup
-from .phasespace import (_BLOCK_CELLS, _check_boundary_mass, _modulation_columns,
-                         _outer_reduce, _weighted_columns, modulation_norm,
+from .phasespace import (_BLOCK_CELLS, _check_boundary_mass, _frame, _modulation_columns,
+                         _outer_reduce, _unframed, _weighted_columns, modulation_norm,
                          modulation_norms)
 from .spectral import FieldSample, Grid, SpectralDecomposition
 
@@ -482,8 +482,8 @@ def singular_weight_norm(alpha: float, params: MixedNormParams, s: float,
         raise ValueError("alpha must be positive")
     if s < 0:
         raise ValueError("singular-weight runs need s >= 0")
-    if radius > grid.half_width:
-        raise ValueError("truncation radius exceeds the grid half-width")
+    if not 0.0 < radius <= grid.half_width:
+        raise ValueError("truncation radius must be a real in (0, half_width]")
 
     nodes_r = np.abs(grid.nodes())
 
@@ -494,8 +494,9 @@ def singular_weight_norm(alpha: float, params: MixedNormParams, s: float,
     _check_boundary_mass(f_full)
     p, q = params.p, params.q
     cells = (grid.h, grid.frequency_cell)
+    f_full, e, _, _ = _frame(f_full)
     [columns] = _modulation_columns(f_full, [s], osc, p)
-    value = _outer_reduce(columns, p, q, *cells)
+    value = _unframed(_outer_reduce(columns, p, q, *cells), e)
     value_half = modulation_norm(truncated(radius / 2.0), s, osc, params)
     x_growth = abs(value - value_half) / value_half if value_half > 0 else float("inf")
     # outer-exponent tail mass A(Xi): sum over the bulk radius < |xi| <= Xi
@@ -506,7 +507,7 @@ def singular_weight_norm(alpha: float, params: MixedNormParams, s: float,
         mask = (xi_radii > _TAIL_BULK_RADIUS) & (xi_radii <= xi_max)
         acc = 0.0
         if np.any(mask):
-            acc = _outer_reduce(columns[mask], p, q, *cells)
+            acc = _unframed(_outer_reduce(columns[mask], p, q, *cells), e)
             if not is_inf(q):
                 acc = acc ** float(q)
         tails.append((float(xi_max), acc))

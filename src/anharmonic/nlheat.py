@@ -60,9 +60,9 @@ class NonlinearProblemSpec:
     for the same with an extra |x|^(-alpha) factor (the staggered grid keeps
     the factor finite). ``monitor`` is the (p, q, s) triple of the
     modulation norm tracked along the flow, measured against the anharmonic
-    weight. ``_engine`` is built at the first integrator or residual call and
-    shared by the later ones (a Picard run, its residual, its ETD cross-check
-    and the cross-check's Picard rerun).
+    weight and checked here. ``_engine`` is built at the first integrator or
+    residual call and shared by the later ones (a Picard run, its residual,
+    its ETD cross-check and the cross-check's Picard rerun).
     """
 
     decomposition: SpectralDecomposition
@@ -80,8 +80,8 @@ class NonlinearProblemSpec:
             object.__setattr__(self, name, value)
         if self.u0.grid != self.decomposition.grid:
             raise InvalidSpecError("initial data and decomposition grids differ")
-        if len(self.monitor) != 3:
-            raise InvalidSpecError("monitor must be a (p, q, s) triple")
+        params, s = _check_monitor(self.monitor)
+        object.__setattr__(self, "monitor", (params.p, params.q, s))
 
     @functools.cached_property
     def _engine(self) -> _Engine:
@@ -104,6 +104,20 @@ def _check_problem(kind, nu, beta, coupling, alpha):
     if kind == "inhomogeneous" and not (np.isfinite(alpha) and alpha > 0):
         raise InvalidSpecError("inhomogeneous kind needs a finite alpha > 0", field="alpha")
     return beta, int(nu), coupling, alpha if kind == "inhomogeneous" else 0.0
+
+
+def _check_monitor(monitor, where="monitor"):
+    """The checked (MixedNormParams(p, q), s) of a (p, q, s) monitor triple;
+    ``where`` names the triple in the message of a bad p or q."""
+    if len(monitor) != 3:
+        raise InvalidSpecError("monitor must be a (p, q, s) triple")
+    p, q, s = monitor
+    if not (isinstance(s, (int, float, np.integer, np.floating)) and math.isfinite(s)):
+        raise InvalidSpecError("weight exponent must be finite")
+    try:
+        return MixedNormParams(p, q), float(s)
+    except InvalidSpecError as exc:
+        raise InvalidSpecError(f"bad exponent at {where}: {exc}") from None
 
 
 class _Engine:
@@ -138,9 +152,8 @@ class _Engine:
         self.coupling, self.power = spec.coupling, 2 * spec.nu
         self.sing = (np.abs(dec.grid.nodes()[self.rows]) ** (-spec.alpha)
                      if spec.kind == "inhomogeneous" else None)
-        p, q, s = spec.monitor
+        p, q, self.monitor_s = spec.monitor
         self.monitor_params = MixedNormParams(p, q)
-        self.monitor_s = float(s)
         self.c0 = self.to_coeff(u0[self.rows])
         self.c0.setflags(write=False)
         _warn_off_span(dec, spec.u0, "initial data", self.checkpoint(self.c0))
@@ -475,11 +488,11 @@ def picard_solve(spec: NonlinearProblemSpec, horizon: float, dt: float,
 
 
 def etd_evolve(spec: NonlinearProblemSpec, horizon: float, dt: float,
-               order: int = 1, checkpoint_stride: int = 1) -> Trajectory:
+               order: int = 2, checkpoint_stride: int = 1) -> Trajectory:
     """Exponential time differencing cross-check integrator.
 
     Order 1: u(t + dt) = exp(-dt H^beta)(u + dt N(u)); the linear flow is
-    exact. Order 2 is the two-stage variant with a trapezoidal correction.
+    exact. Order 2, the default, is the two-stage variant with a trapezoidal correction.
     Blow-up is recorded as in ``picard_solve``.
     """
     _check_order(order)

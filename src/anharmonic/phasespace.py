@@ -38,12 +38,13 @@ magnitudes |h block| (h on every cell), as ``mixed_norm`` does. Finiteness
 is judged on each block's column sums: only a block whose sums are not
 finite has its weighted magnitudes tested, and a cell h |V_g f| v_s that is
 not finite raises NumericalError, while finite cells whose power sums
-overflow give an inf norm. A field whose peak is below 1 is measured as
-2^-e f, its peak in [1/2, 1), and the norm scaled back by 2^e, so that no
-square or power underflows. Either change of scale can overflow where the
-magnitudes of f would not, so a streamed norm that comes out not finite
-is measured again from the magnitudes of f itself, which decide between
-NumericalError, inf and a finite value (see ``_measured_norms``).
+overflow give an inf norm. Every streamed norm and bound measures f in one
+frame, ``_frame``: as 2^-e f, its peak in [1/2, 1), each value scaled back
+once by 2^e (inf on overflow). The scale is exact, so the value at 2^k f is
+2^k times that at f bit for bit. Squared moduli and weights can overflow
+where the magnitudes of f do not, so a streamed norm that comes out not
+finite is measured again from those, which decide between NumericalError,
+inf and a finite value (see ``_measured_norms``).
 ``modulation_norms`` reduces one pass for several weight exponents at once:
 the transform and its squared moduli or magnitudes, which are most of the
 cost, are shared, and each weight adds only its own weighting and column
@@ -59,10 +60,10 @@ pass runs ``rfft`` on the real windowed product, reduces the bins 0..N/2 (the
 leading FFT columns, weighted by the leading lattice columns) and mirrors
 their column sums onto the FFT columns N - k. Complex fields take the full
 spectrum.
-A real field that is also bitwise even or odd (``v == +-v[::-1]``, an
-O(N) check; every state of a parity-sector flow in ``nlheat`` is one) streams
-half the rows as well. The staggered nodes give -x_i = x_{N-1-i} bit for bit,
-so with the even window V_g f(-x, xi) = +-conj(V_g f(x, xi)); the weight
+A real field that is bitwise even or odd (the frame's ``_reflection_parity``;
+every state of a parity-sector flow in ``nlheat`` is one) streams half the
+rows as well. The staggered nodes give -x_i = x_{N-1-i} bit for bit, so
+with the even window V_g f(-x, xi) = +-conj(V_g f(x, xi)); the weight
 depends on x only through the even V. The pass therefore runs the rows
 x > 0 alone (the rows [N/2, N) of ``_stft_blocks``) and doubles the finite-p
 column sums; the column sup for p = INF is the same over half the rows.
@@ -121,7 +122,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BoundaryMassWarning, InvalidSpecError, NumericalError, _warn
 from .model import MixedNormParams, OscillatorSpec, is_inf, weight_value
-from .spectral import FieldSample, Grid
+from .spectral import FieldSample, Grid, _reflection_parity
 
 _WINDOW_NORM_TOL = 1e-10
 _BOUNDARY_TOL = 1e-8
@@ -135,9 +136,6 @@ _ROW_SHARE = 2.0 ** -54
 # the row energies take the squared window exactly within this offset (beyond
 # it g^2 < 3e-44 of its peak, which bounds the rest)
 _BAND_RADIUS = 4.0
-# a cell of the norm pass is at most max|f| sum_j g_j; below this bound its
-# squared modulus cannot overflow
-_SQUARE_LIMIT = 2.0 ** 511
 _EPS = float(np.finfo(float).eps)
 # ``_state_bound`` forms cell bounds only in the columns whose column bound
 # is more than this share of the outer sum
@@ -555,12 +553,12 @@ def _modulation_columns(f: FieldSample, s_values, osc: OscillatorSpec | None, p,
     """``_weighted_columns`` of |V_g f| straight from one blocked STFT pass,
     one column array per weight exponent in ``s_values`` (s = 0 reduces the
     raw magnitudes), each with one column per xi node in ascending order. No
-    boundary-mass check. A real field reduces only the N/2 + 1 ``rfft``
-    bins and mirrors their column sums; if it is also bitwise even or odd,
-    only the rows x > 0, with finite-p column sums doubled (see the module
-    docstring). Blocks are reduced in FFT order; the columns move to
-    ascending xi once, at the end. ``prune`` (p = 2 with an outer q = 2
-    only) runs just the rows of ``_kept_rows``.
+    boundary-mass check; f at its own scale. A real field (by its ``_frame``)
+    reduces only the N/2 + 1 ``rfft`` bins and mirrors their column sums;
+    if it is also bitwise even or odd, only the rows x > 0, with finite-p
+    column sums doubled (see the module docstring). Blocks are reduced in
+    FFT order; the columns move to ascending xi once, at the end. ``prune``
+    (p = 2 with an outer q = 2 only) runs just the rows of ``_kept_rows``.
 
     The pass reduces the magnitudes |h block|, h on every cell; ``squared``
     (an even p only) reduces the squared moduli of the unscaled blocks
@@ -570,7 +568,7 @@ def _modulation_columns(f: FieldSample, s_values, osc: OscillatorSpec | None, p,
     """
     grid = f.grid
     n = grid.points_per_axis
-    real, first_row = _symmetry(f)
+    _, _, real, first_row = _frame(f)
     rows = _kept_rows(f, s_values, osc, first_row) if prune else (first_row, n)
     blocks = _stft_blocks(f, real, rows)
     if squared:
@@ -586,15 +584,23 @@ def _modulation_columns(f: FieldSample, s_values, osc: OscillatorSpec | None, p,
     return columns
 
 
-def _symmetry(f: FieldSample):
-    """(real, first_row): whether f is real, and the first x-shift row a pass
-    over f runs, N/2 for a real field that is bitwise even or odd, else 0."""
-    if f.values.imag.any():
-        return False, 0
-    v = f.values.real
-    mirror = v[::-1]
-    symmetric = (v == mirror).all() or (v == -mirror).all()
-    return True, f.grid.points_per_axis // 2 if symmetric else 0
+def _frame(f: FieldSample):
+    """(2^-e f, e, real, first_row): the frame every streamed pass and bound
+    measures f in. 2^-e f has its peak in [1/2, 1) (e = 0 for a zero or
+    non-finite f); real, and the first x-shift row a pass runs: N/2 for a
+    real f that is bitwise even or odd (``_reflection_parity``), else 0."""
+    e = math.frexp(float(np.max(np.abs(f.values))))[1]
+    if e:
+        f = FieldSample(f.grid, np.ldexp(f.values.view(float), -e).view(complex))
+    real = not f.values.imag.any()
+    first_row = f.grid.points_per_axis // 2 if real and _reflection_parity(f.values.real) else 0
+    return f, e, real, first_row
+
+
+def _unframed(value: float, e: int) -> float:
+    """value 2^e, a value scaled back from its frame; inf on overflow."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(value, e))
 
 
 def _full_columns(sums: np.ndarray, real: bool, first_row: int, p) -> np.ndarray:
@@ -638,37 +644,30 @@ def _state_bound(f: FieldSample, s: float, osc: OscillatorSpec | None,
     columns whose such bound is more than ``_REFINED_SHARE`` of the outer
     sum; the other columns keep that bound. The value is lifted by
     8 N eps / (min(p, 1) min(q, 1)), which covers the relative round-off
-    of both reductions, and a field of peak below 1 is bounded at the
-    power-of-two scale of ``_measured_norms``.
+    of both reductions. The field is bounded in its ``_frame``, as it is
+    measured, and the bound scaled back once.
     """
     grid = f.grid
     n, h = grid.points_per_axis, grid.h
     p, q = params.p, params.q
+    f, e, real, first_row = _frame(f)
     mag = np.abs(f.values)
     amax = float(mag.max())
-    if not amax < np.inf:
-        return math.inf
-    if amax == 0.0:
-        return 0.0
-    e = min(math.frexp(amax)[1], 0)
-    values = f.values
-    if e:
-        values = np.ldexp(values.view(float), -e).view(complex)
-        mag = np.ldexp(mag, -e)
-    real, first_row = _symmetry(f)
+    if not 0.0 < amax < np.inf:
+        return 0.0 if amax == 0.0 else math.inf
     width = n // 2 + 1 if real else n
     fft_error = _fft_error(n)
     with np.errstate(over="ignore", invalid="ignore"):
         band, rest = _window_band(grid)
         row_bounds = h * (_banded_sums(mag, band, slice(first_row, None))
                           + rest * float(mag.sum()))
-        spectrum = np.abs(np.fft.fft(values))
+        spectrum = np.abs(np.fft.fft(f.values))
         band, rest, total = _spectral_window_band(grid)
         col_bounds = (h / n) * (
-            _banded_sums(spectrum, band, slice(0, width))
-            + rest * float(spectrum.sum()) + fft_error * float(np.linalg.norm(values)) * total)
+            _banded_sums(spectrum, band, slice(0, width)) + rest * float(spectrum.sum())
+            + fft_error * float(np.linalg.norm(f.values)) * total)
         energy, tail = _row_energies(f, amax, first_row)
-        floor = fft_error * h * math.ldexp(amax, -e) * np.sqrt(energy + tail)
+        floor = fft_error * h * amax * np.sqrt(energy + tail)
         # min(r_i + floor_i, c_n + max floor) >= min(r_i, c_n) + floor_i
         row_bounds += floor
         col_bounds += floor.max()
@@ -695,7 +694,7 @@ def _state_bound(f: FieldSample, s: float, osc: OscillatorSpec | None,
         value = _outer_reduce(_full_columns(columns, real, first_row, p), p, q, h,
                               grid.frequency_cell)
     below_one = [1.0 if is_inf(r) else min(float(r), 1.0) for r in (p, q)]
-    return math.ldexp(value * (1.0 + 8.0 * n * _EPS / (below_one[0] * below_one[1])), e)
+    return _unframed(value * (1.0 + 8.0 * n * _EPS / (below_one[0] * below_one[1])), e)
 
 
 def mixed_norm(field: PhaseSpaceField, s: float, osc: OscillatorSpec | None,
@@ -726,25 +725,20 @@ def modulation_norm(f: FieldSample, s: float, osc: OscillatorSpec | None,
     L^q follows once all rows are in. A real field transforms
     only the frequencies xi >= 0 (``rfft``) and mirrors their column sums,
     which is about half the work; if it is also bitwise even or odd
-    (``v == +-v[::-1]``), only the x-shift rows x > 0 are run and the
+    (``_reflection_parity``), only the x-shift rows x > 0 are run and the
     finite-p column sums doubled, which halves the work again. Either value
     agrees with the full pass to round-off. At p = q = 2 only the rows of
     ``_kept_rows`` are run: the rows left out carry at most 2^-54 of the
     squared norm, certified from their Parseval row energies and the
     weight's row min and max, so the value moves by less than half an ulp
-    (see the module docstring). An even p reduces squared moduli, any other
-    p magnitudes; a field whose peak is below 1 is measured as 2^-e f with
-    its peak in [1/2, 1) and the norm multiplied by 2^e, so
-    modulation_norm(2^-k f) is 2^-k modulation_norm(f) bit for bit for
-    such an f. A norm that the scaled field or the squared moduli leave not
-    finite is measured again from the magnitudes |h V_g f| of f itself,
-    judged on each block's column sums: a block whose sums are not finite
-    raises NumericalError when a weighted cell h |V_g f| v_s is not finite,
-    and otherwise gives an inf norm (its power sums overflowed). Like
-    ``stft`` it measures a state, so it
-    warns when the field carries boundary mass above 1e-8 of its peak; a
-    Picard gap goes through the same ``_measured_norms`` without that check.
-    This is the one-weight case of ``modulation_norms``.
+    (see the module docstring). f is measured in its frame, so
+    modulation_norm(2^k f) is 2^k modulation_norm(f) bit for bit wherever
+    that is finite; a norm that comes out not finite is measured again from
+    the magnitudes of f itself: NumericalError where a weighted cell
+    h |V_g f| v_s is not finite, else inf. Like ``stft`` it warns when the
+    field carries boundary mass above 1e-8 of its peak; a Picard gap goes
+    through ``_measured_norms`` without that check. This is the one-weight
+    case of ``modulation_norms``.
     """
     _check_boundary_mass(f)
     [value] = _measured_norms(f, [s], osc, params)
@@ -773,17 +767,11 @@ def _measured_norms(f, s_values, osc, params) -> list:
     shared path of a measured state and of a Picard gap (round-off noise
     near convergence). No weight exponent, no pass.
 
-    A field whose peak is below 1 runs as 2^-e f, its peak in [1/2, 1), so
-    that no square or power underflows, and its norms are scaled back by
-    2^e; an even p reduces the squared moduli, unless they could overflow
-    (max|f| sum_j g_j at least ``_SQUARE_LIMIT``, which a non-finite field
-    also fails). Both lift what the pass forms above the cells
-    h |V_g f| v_s of the magnitudes, and can overflow where those do not (a
-    field of peak 2^-600 under s = 100, or the sums of (|V_g f| v_s)^p
-    before h^p), so when any norm of that pass is not finite, or a scaled
-    cell raises, every norm is measured again from the magnitudes of f
-    itself: they give inf, a finite value or NumericalError by the rule of
-    ``mixed_norm``."""
+    f is measured in its ``_frame``; an even p reduces the squared moduli.
+    Both can overflow where the magnitudes h |V_g f| v_s do not (2^-600 f
+    under s = 100, or the sums of (|V_g f| v_s)^p before h^p), so when any
+    norm is not finite, or a scaled cell raises, every norm is measured
+    again from the magnitudes of f itself, by the rule of ``mixed_norm``."""
     if not len(s_values):
         return []
     p, q = params.p, params.q
@@ -791,15 +779,12 @@ def _measured_norms(f, s_values, osc, params) -> list:
     prune = p == 2.0 and q == 2.0
 
     def norms(field, squared, e):
-        return [math.ldexp(_outer_reduce(columns, p, q, *cells), e)
+        return [_unframed(_outer_reduce(columns, p, q, *cells), e)
                 for columns in _modulation_columns(field, s_values, osc, p, prune, squared)]
 
-    peak = float(np.max(np.abs(f.values)))
-    squared = (not is_inf(p) and float(p) % 2.0 == 0.0
-               and peak * np.sum(_gaussian_window_values(f.grid)) < _SQUARE_LIMIT)
-    e = min(math.frexp(peak)[1], 0)
+    scaled, e, _, _ = _frame(f)
+    squared = not is_inf(p) and float(p) % 2.0 == 0.0
     if squared or e:
-        scaled = FieldSample(f.grid, np.ldexp(f.values.view(float), -e).view(complex)) if e else f
         try:
             values = norms(scaled, squared, e)
         except NumericalError:

@@ -102,8 +102,9 @@ def _reflection_parity(v: np.ndarray):
     """Per column (axis 0) of ``v``: 1.0 where it is bitwise even under
     x -> -x (the reversed node index), -1.0 where bitwise odd, 0.0 elsewhere.
     A zero column counts as even."""
-    even = np.all(v == v[::-1], axis=0)
-    return np.where(even, 1.0, np.where(np.all(v == -v[::-1], axis=0), -1.0, 0.0))
+    mirror = v[::-1]
+    even = (v == mirror).all(axis=0)
+    return np.where(even, 1.0, np.where((v == -mirror).all(axis=0), -1.0, 0.0))
 
 
 def real_matmul(a: np.ndarray, x) -> np.ndarray:
@@ -314,7 +315,7 @@ def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None) -> Spectral
     non-finite or non-positive nodal potential or when the vectors violate
     the invariants: orthonormality to 1e-9, a positive ground eigenvalue,
     and the residual against H applied by FFT (see _apply_operator,
-    independent of the blocks) to 1e-8 per unit of (1 + lambda).
+    independent of the blocks) to 1e-8 (1 + lambda) + 16 eps ||H||.
     NonConvergenceError when the dense solver fails.
     """
     n = grid.points_per_axis
@@ -361,7 +362,8 @@ def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None) -> Spectral
         raise NumericalError(f"eigenvector orthonormality error {ortho_err:.3e} exceeds {_ORTHO_TOL}")
     if vals[0] <= 0:
         raise NumericalError(f"ground eigenvalue {vals[0]:.6e} is not positive")
-    bound = _RESIDUAL_TOL * (1.0 + vals)
+    h_norm = mult.max() + v_nodes.max()  # a stable solve leaves up to 3.8 eps ||H||
+    bound = _RESIDUAL_TOL * (1.0 + vals) + 16.0 * np.finfo(float).eps * h_norm
     if np.any(resid_norms > bound):
         worst = int(np.argmax(resid_norms / bound))
         raise NumericalError(

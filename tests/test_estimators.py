@@ -364,6 +364,15 @@ class TestSingularWeight:
         with pytest.raises(ValueError):
             singular_weight_norm(0.3, params, FLAT, 100.0, grid=hermite_grid)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_radius_outside_the_box_raises(self, hermite_grid, radius):
+        """A truncation radius must be a real in (0, half_width]: radius 0,
+        -1 and NaN used to return value 0.0 and x_growth inf."""
+        with pytest.raises(ValueError, match="truncation radius"):
+            singular_weight_norm(0.3, MixedNormParams(2.0, 2.0), FLAT, radius,
+                                 grid=hermite_grid)
+
     def test_admissible_case_is_radius_stable(self, hermite_grid):
         # inner exponent 3 makes the x tail |x|^(-3/2) summable, so doubling
         # the truncation radius barely moves the norm

@@ -70,6 +70,28 @@ class TestProblemSpec:
         with pytest.raises(InvalidSpecError):
             NonlinearProblemSpec(dec, other)
 
+    @pytest.mark.parametrize("monitor", [
+        (0.0, 1.0, 2.0), (2.0, -1.0, 2.0), ("two", 1.0, 2.0), (2.0, math.inf, 2.0),
+        (2.0, 1.0, math.inf), (2.0, 1.0, math.nan), (2.0, 1.0, ah.INF), (2.0, 1.0, "s"),
+        (2.0, 1.0, 2.0, 0.0)],
+        ids=["p_zero", "q_negative", "p_text", "q_float_inf", "s_inf", "s_nan", "s_INF",
+             "s_text", "four"])
+    def test_bad_monitor_raises_at_construction(self, dec, small_u0, monitor):
+        """The monitor is checked when the spec is built, not at the first
+        integrator call, by the rule the runner applies to params.monitor."""
+        with pytest.raises(InvalidSpecError):
+            NonlinearProblemSpec(dec, small_u0, monitor=monitor)
+
+    def test_monitor_is_normalized(self, dec, small_u0):
+        """The engine reads the checked triple: floats, with the INF marker
+        kept."""
+        spec = NonlinearProblemSpec(dec, small_u0, monitor=(ah.INF, 2, 1))
+        assert spec.monitor == (ah.INF, 2.0, 1.0)
+        assert [type(v) for v in spec.monitor[1:]] == [float, float]
+        engine = spec._engine
+        assert engine.monitor_params == ah.MixedNormParams(ah.INF, 2.0)
+        assert engine.monitor_s == 1.0
+
     def test_power_kind_zeroes_alpha(self, dec, small_u0):
         spec = NonlinearProblemSpec(dec, small_u0, kind="power", alpha=0.7)
         assert spec.alpha == 0.0

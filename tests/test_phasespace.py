@@ -1,6 +1,8 @@
+import ast
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -844,13 +846,23 @@ class TestPrunedRows:
             modulation_norms(f, [FLAT, 400.0], HARMONIC, self.L2)
 
     def test_overflowing_norm_keeps_every_row(self, pass_ranges):
-        """A field whose weighted squares overflow gives inf, as the full pass
-        does."""
+        """A field whose norm exceeds the double range gives inf, as the full
+        pass does: 1e305 times the wide real packet, whose s = 4 norm is
+        2.08e3 and whose largest weighted cell is 1.39e3, so every cell is
+        finite and the norm, 2.1e308, is not. Its frame's pruned pass scales
+        back to inf, and the magnitudes of the field itself are measured
+        again over every row. A field whose norm is finite, 1e300 times the
+        narrow packet (2.08e302), is measured."""
         f, _ = self.packet("narrow", "complex")
-        huge = FieldSample(self.GRID, 1e300 * f.values)
+        large = modulation_norm(FieldSample(self.GRID, 1e300 * f.values), 2.0, HARMONIC,
+                                self.L2)
+        assert large == pytest.approx(2.0805347647963648e+302, rel=1e-14)
+        f, _ = self.packet("wide", "real")
+        huge = FieldSample(self.GRID, 1e305 * f.values)
         with np.errstate(over="ignore"):
-            assert modulation_norm(huge, 2.0, HARMONIC, self.L2) == np.inf
-        assert pass_ranges == [(0, self.GRID.points_per_axis)]
+            assert modulation_norm(huge, 4.0, HARMONIC, self.L2) == np.inf
+        n = self.GRID.points_per_axis
+        assert (0, n) not in pass_ranges[:2] and pass_ranges[2:] == [(0, n)]
 
     def test_boundary_mass_warns_and_keeps_every_row(self, pass_ranges):
         x = self.GRID.nodes()
@@ -1163,8 +1175,64 @@ class TestStateBound:
 
     def test_overflow_gives_inf(self):
         """A bound that overflows is inf, with no NumericalError and no
-        numpy warning: the flow then takes the exact norm."""
-        f = FieldSample(self.GRID, 1e300 * np.exp(-self.GRID.nodes() ** 2))
+        numpy warning: the flow then takes the exact norm. The bound of
+        e^{-x^2} is 16.7 under (6, 2, s = 2), so at 1e308 times it the bound
+        overflows and at 1e300 times it is finite."""
+        gaussian = np.exp(-self.GRID.nodes() ** 2)
+        params = MixedNormParams(6.0, 2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _state_bound(f, 2.0, HARMONIC, MixedNormParams(6.0, 2.0)) == np.inf
+            assert _state_bound(FieldSample(self.GRID, 1e308 * gaussian), 2.0, HARMONIC,
+                                params) == np.inf
+            large = _state_bound(FieldSample(self.GRID, 1e300 * gaussian), 2.0, HARMONIC,
+                                 params)
+        assert large == pytest.approx(1.665e301, rel=1e-3)
+
+
+FRAME_PAIRS = [(0.5, 0.5), (1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (3.0, 3.0), (6.0, 2.0),
+               (INF, 1.0)]
+
+
+class TestOneFrame:
+    """Every streamed norm and bound measures a field in one frame, 2^-e f
+    with its peak in [1/2, 1), and scales the value back once, so both are
+    homogeneous bit for bit under any power of two, tiny or large, wherever
+    the scaled value is finite. A square-overflow gate used to send a large
+    field to the magnitudes, whose power sums overflowed: the unit Gaussian
+    read inf from 2^168 under (6, 2, s = 2) (norm 4.9e51), from 2^336
+    under (3, 3) and from 2^508 at p = 2."""
+
+    GRID = Grid(512, 12.0)
+    POWERS = sorted(set(range(-700, 1001, 50)) | {168, 336, 508})
+
+    @pytest.mark.parametrize("p,q", FRAME_PAIRS, ids=_exponent_id)
+    @pytest.mark.parametrize("s", [FLAT, 2.0], ids=["s0", "s2"])
+    def test_powers_of_two_scale_exactly(self, s, p, q):
+        values = np.exp(-self.GRID.nodes() ** 2 / 2.0)
+        params = MixedNormParams(p, q)
+        measures = [lambda f: modulation_norm(f, s, HARMONIC, params),
+                    lambda f: _state_bound(f, s, HARMONIC, params)]
+        bases = [measure(FieldSample(self.GRID, values)) for measure in measures]
+        for k in self.POWERS:
+            f = FieldSample(self.GRID, np.ldexp(values, k))
+            for measure, base in zip(measures, bases):
+                try:
+                    expected = math.ldexp(base, k)
+                except OverflowError:
+                    continue
+                assert measure(f) == expected, k
+
+    def test_only_the_frame_reads_the_scale(self):
+        """``math.frexp`` is the scale rule of ``phasespace._frame``, and
+        nothing else under src/ reads an exponent: a second scale rule
+        would measure some field at another scale."""
+        found = []
+        for path in sorted(Path(ah.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            frames = [node for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef) and node.name == "_frame"]
+            inside = {id(node) for frame in frames for node in ast.walk(frame)}
+            found += [(path.name, id(node) in inside) for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr == "frexp"
+                      or isinstance(node, ast.Name) and node.id == "frexp"]
+        assert found == [("phasespace.py", True)]

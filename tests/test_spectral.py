@@ -391,6 +391,15 @@ class TestParitySolve:
         with pytest.raises(NumericalError, match="residual"):
             decompose(hermite_osc, hermite_grid, 384)
 
+    def test_residual_gate_scales_with_the_operator(self):
+        """(1, 3) on 1024 points at L = 60: the largest kinetic multiplier,
+        (pi N / 2L)^6 = 3.7e8, lets a backward-stable solve leave about
+        eps ||H|| = 8.2e-8 per mode. Mode 0 reads 3.8 eps ||H||, above
+        1e-8 (1 + lambda_0) = 2.1e-8 alone; the gate's 16 eps ||H|| term
+        admits it, and the faults above still fail."""
+        dec = decompose(OscillatorSpec(1, 3), Grid(1024, 60.0), 384)
+        assert dec.m == 384 and np.all(np.diff(dec.eigenvalues) > 0)
+
     @pytest.mark.parametrize("osc,grid,m,mib", [
         (ah.hermite_oscillator(), Grid(512, 12.0), 384, 4.0),
         (OscillatorSpec(2, 1), Grid(1024, 12.0), 512, 12.5),
