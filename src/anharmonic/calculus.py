@@ -73,9 +73,12 @@ def sobolev_norm(dec: SpectralDecomposition, s: float, f: FieldSample,
                  coeffs: np.ndarray | None = None) -> float:
     """Spectral Sobolev norm (sum of lambda^s |<f, Phi_j>|^2)^(1/2).
 
-    ``coeffs`` are f's coefficients when the caller has them already.
+    ``coeffs`` are f's coefficients when the caller has them already; an s
+    that is not finite raises ValueError.
     """
     s = float(s)
+    if not np.isfinite(s):
+        raise ValueError("s must be a finite real")
     if coeffs is None:
         coeffs = dec.coefficients(f)
     if s > 0:

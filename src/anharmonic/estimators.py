@@ -34,14 +34,19 @@ _GUARD_REL = 5e-3
 _DEFAULT_T_GRID = tuple(np.logspace(-1, -3, 6))
 _L2 = MixedNormParams(2.0, 2.0)
 _TAIL_BULK_RADIUS, _TAIL_RADIUS = 1.0, 2.5  # singular_weight_norm's xi tails
+# the ranges of gaussian_probe_fields' centers, widths and modulations
+_PROBE_CENTERS, _PROBE_WIDTHS, _PROBE_MODULATIONS = (-3.0, 3.0), (0.5, 2.0), (-2.0, 2.0)
 
 
 def sigma_exponent(k: int, l: int, beta: float, p_tilde, q_tilde) -> float:
     """Short-time blow-up exponent (d / 2 beta)(1/(k p) + 1/(l q)) at d = 1.
 
     ``p_tilde`` and ``q_tilde`` are the positive-part exponent gaps; the INF
-    marker zeroes the corresponding term.
+    marker zeroes the corresponding term. A beta that is not a positive
+    real raises ValueError.
     """
+    if not 0.0 < beta < math.inf:
+        raise ValueError("beta must be a positive real")
     term_p = 0.0 if is_inf(p_tilde) else 1.0 / (k * float(p_tilde))
     term_q = 0.0 if is_inf(q_tilde) else 1.0 / (l * float(q_tilde))
     return 1.0 / (2.0 * beta) * (term_p + term_q)
@@ -351,16 +356,14 @@ def smoothing_decay_run(params: WeightQuotientParams):
 
 # --- probe corpora ----------------------------------------------------------
 
-def gaussian_probe_fields(grid: Grid, count: int, seed: int = PROBE_SEED,
-                          center_range=(-3.0, 3.0), width_range=(0.5, 2.0),
-                          modulation_range=(-2.0, 2.0)):
+def gaussian_probe_fields(grid: Grid, count: int, seed: int = PROBE_SEED):
     """Unit-L2 Gaussian packets with seeded centers, widths, and modulations."""
     rng = np.random.default_rng(seed)
     probes = []
     for _ in range(count):
-        center = rng.uniform(*center_range)
-        width = rng.uniform(*width_range)
-        mod = rng.uniform(*modulation_range)
+        center = rng.uniform(*_PROBE_CENTERS)
+        width = rng.uniform(*_PROBE_WIDTHS)
+        mod = rng.uniform(*_PROBE_MODULATIONS)
         nodes = grid.nodes()
         envelope = np.exp(-np.pi * ((nodes - center) / width) ** 2)
         carrier = np.exp(2j * np.pi * nodes * mod)
@@ -478,8 +481,8 @@ def singular_weight_norm(alpha: float, params: MixedNormParams, s: float,
     the norm always dominates a lattice total, so the total-norm trend alone
     cannot expose a slowly divergent tail.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be a positive real")
     if s < 0:
         raise ValueError("singular-weight runs need s >= 0")
     if not 0.0 < radius <= grid.half_width:
@@ -494,8 +497,8 @@ def singular_weight_norm(alpha: float, params: MixedNormParams, s: float,
     _check_boundary_mass(f_full)
     p, q = params.p, params.q
     cells = (grid.h, grid.frequency_cell)
-    f_full, e, _, _ = _frame(f_full)
-    [columns] = _modulation_columns(f_full, [s], osc, p)
+    _, e, _, _, _ = frame = _frame(f_full)
+    [columns] = _modulation_columns(frame, [s], osc, p)
     value = _unframed(_outer_reduce(columns, p, q, *cells), e)
     value_half = modulation_norm(truncated(radius / 2.0), s, osc, params)
     x_growth = abs(value - value_half) / value_half if value_half > 0 else float("inf")

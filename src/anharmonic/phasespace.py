@@ -41,10 +41,12 @@ not finite raises NumericalError, while finite cells whose power sums
 overflow give an inf norm. Every streamed norm and bound measures f in one
 frame, ``_frame``: as 2^-e f, its peak in [1/2, 1), each value scaled back
 once by 2^e (inf on overflow). The scale is exact, so the value at 2^k f is
-2^k times that at f bit for bit. Squared moduli and weights can overflow
-where the magnitudes of f do not, so a streamed norm that comes out not
-finite is measured again from those, which decide between NumericalError,
-inf and a finite value (see ``_measured_norms``).
+2^k times that at f bit for bit. Only the frame reads a field's peak,
+scale and layout: the pass, its row pruning and ``_state_bound`` take it.
+Squared moduli and weights can overflow where the magnitudes of f do not,
+so a streamed norm that comes out not finite is measured again from those
+(the frame at e = 0), which decide between NumericalError, inf and a
+finite value (see ``_measured_norms``).
 ``modulation_norms`` reduces one pass for several weight exponents at once:
 the transform and its squared moduli or magnitudes, which are most of the
 cost, are shared, and each weight adds only its own weighting and column
@@ -342,33 +344,34 @@ def _banded_sums(a: np.ndarray, band: np.ndarray, rows: slice) -> np.ndarray:
     return np.einsum("ij,j->i", windows[rows], band)
 
 
-def _row_energies(f: FieldSample, amax: float, first_row: int):
-    """(E, tail) for the rows first_row..N, with
-    E_i <= sum_j |f_j / amax|^2 g(z_j - x_i)^2 <= E_i + tail.
+def _row_energies(frame):
+    """(E, tail) for the rows first_row..N of a ``_frame``, with
+    E_i <= sum_j |f_j / peak|^2 g(z_j - x_i)^2 <= E_i + tail.
 
     By DFT Parseval the row of the pass at x_i has squared l^2 norm
-    N h^2 amax^2 times that sum. The shift table is circulant,
+    N h^2 peak^2 times that sum. The shift table is circulant,
     g(z_j - x_i) = g_{(j - i) mod N}, so E_i pairs the squared window within
-    ``_BAND_RADIUS`` of the row with |f / amax|^2 read cyclically around node
+    ``_BAND_RADIUS`` of the row with |f / peak|^2 read cyclically around node
     i (``_banded_sums``); the terms left out are at most ``tail`` = max g^2
-    outside the band times sum_j |f_j / amax|^2. Each E_i is a sum of
+    outside the band times sum_j |f_j / peak|^2. Each E_i is a sum of
     nonnegative terms, so it carries a relative round-off below N eps;
-    scaling by amax = max|f| keeps the largest terms from underflowing.
+    scaling by the peak max|f| keeps the largest terms from underflowing.
     """
+    f, _, _, first_row, peak = frame
     band, rest = _window_band(f.grid)
-    a = np.square(np.abs(f.values) / amax)
+    a = np.square(np.abs(f.values) / peak)
     return (_banded_sums(a, np.square(band), slice(first_row, None)),
             rest * rest * float(np.sum(a)))
 
 
-def _kept_rows(f: FieldSample, s_values, osc: OscillatorSpec | None, first_row: int):
+def _kept_rows(frame, s_values, osc: OscillatorSpec | None):
     """The rows (start, stop) of a p = q = 2 pass over the rows first_row..N
-    that can move its value: the outermost rows whose share of the squared
-    norm is certified below ``_ROW_SHARE`` are left out.
+    of the ``_frame`` that can move its value: the outermost rows whose share
+    of the squared norm is certified below ``_ROW_SHARE`` are left out.
 
     Row i adds between E_i min_n v_s(x_i, .)^2 and
     (E_i + tail) max_n v_s(x_i, .)^2 to the squared norm, up to the common
-    factor N h^2 max|f|^2 (see ``_row_energies``), for every s of
+    factor N h^2 peak^2 (see ``_row_energies``), for every s of
     ``s_values`` (``_weight_row_bounds``). Rows are dropped from
     both ends while the upper bounds of the dropped rows add up to at most
     ``_ROW_SHARE`` (1 - slack) times the lower bounds of all rows; the
@@ -380,18 +383,18 @@ def _kept_rows(f: FieldSample, s_values, osc: OscillatorSpec | None, first_row: 
     whose weighted squared norm could overflow keep every row, so every
     NumericalError and inf comes out of the pass as before.
     """
+    f, _, _, first_row, peak = frame
     grid = f.grid
     n = grid.points_per_axis
-    amax = float(np.max(np.abs(f.values)))
-    if not 0.0 < amax < np.inf:
+    if not 0.0 < peak < np.inf:
         return first_row, n
-    energy, tail = _row_energies(f, amax, first_row)
+    energy, tail = _row_energies(frame)
     low, high = (b[first_row:] for b in _weight_row_bounds(tuple(s_values), osc, grid))
     slack = 4.0 * n * np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):
         upper = ((energy + tail) * (1.0 + slack) + n * 2.0 ** -1072) * high
         budget = _ROW_SHARE * (1.0 - slack) * float(np.dot(energy, low))
-        scale = amax * amax * n * grid.h * grid.h * float(np.sum(upper))
+        scale = peak * peak * n * grid.h * grid.h * float(np.sum(upper))
     if not (budget > 0.0 and np.isfinite(scale)):
         return first_row, n
     front = np.concatenate(([0.0], np.cumsum(upper)))  # sums of the first a rows
@@ -485,12 +488,11 @@ def _weighted_columns(blocks, lattices, p, squared=False) -> list:
     or (``squared``, at an even p only) their squares m^2, columns in FFT
     order; every entry of ``lattices`` weights it by the leading columns of
     those rows (all of them, or the bins 0..N/2 of an ``rfft`` block). A
-    None lattice reduces the block itself; any other weights a copy of the
-    block in one scratch buffer, sized by the largest block so far, except
-    the last, which overwrites the block in place (so a single lattice
-    costs no copy). Blocks may differ in rows. Squared moduli are weighted
-    twice, (m^2 v) v, and reduced at the power p/2, so no cell takes a
-    square root; at p = 2 the weighting and the column sum are one
+    None lattice reduces the block itself; any other weights a new product,
+    except the last, which overwrites the block in place (so a single
+    lattice costs no copy). Blocks may differ in rows. Squared moduli are
+    weighted twice, (m^2 v) v, and reduced at the power p/2, so no cell
+    takes a square root; at p = 2 the weighting and the column sum are one
     ``einsum``, with the same products in the same row order.
 
     Finiteness is judged on each block's column sums (column maxes for
@@ -504,7 +506,6 @@ def _weighted_columns(blocks, lattices, p, squared=False) -> list:
     inner = float(p) / 2.0 if squared else p
     last = len(lattices) - 1
     columns = [None] * len(lattices)
-    scratch = None
     for lo, block in blocks:
         rows, width = block.shape
         for k, lattice in enumerate(lattices):
@@ -514,11 +515,7 @@ def _weighted_columns(blocks, lattices, p, squared=False) -> list:
             else:
                 weighted = block
                 if weights is not None:
-                    if k < last:
-                        if scratch is None or len(scratch) < rows:
-                            scratch = np.empty_like(block)
-                        weighted = scratch[:rows]
-                    np.multiply(block, weights, out=weighted)
+                    weighted = np.multiply(block, weights, out=block if k == last else None)
                     if squared:
                         weighted *= weights
                 part = _column_reduce(weighted, inner)
@@ -548,15 +545,16 @@ def _squared_moduli(blocks):
         yield lo, np.add(parts[:, 0::2], parts[:, 1::2], out=buf[:rows])
 
 
-def _modulation_columns(f: FieldSample, s_values, osc: OscillatorSpec | None, p,
+def _modulation_columns(frame, s_values, osc: OscillatorSpec | None, p,
                         prune: bool = False, squared: bool = False) -> list:
     """``_weighted_columns`` of |V_g f| straight from one blocked STFT pass,
     one column array per weight exponent in ``s_values`` (s = 0 reduces the
     raw magnitudes), each with one column per xi node in ascending order. No
-    boundary-mass check; f at its own scale. A real field (by its ``_frame``)
-    reduces only the N/2 + 1 ``rfft`` bins and mirrors their column sums;
-    if it is also bitwise even or odd, only the rows x > 0, with finite-p
-    column sums doubled (see the module docstring). Blocks are reduced in
+    boundary-mass check; f is the field of ``frame``, a ``_frame``, whose
+    layout decides the pass. A real field reduces only the N/2 + 1 ``rfft``
+    bins and mirrors their column sums; if it is also bitwise even or odd,
+    only the rows x > 0, with finite-p column sums doubled (see the module
+    docstring). Blocks are reduced in
     FFT order; the columns move to ascending xi once, at the end. ``prune``
     (p = 2 with an outer q = 2 only) runs just the rows of ``_kept_rows``.
 
@@ -566,10 +564,10 @@ def _modulation_columns(f: FieldSample, s_values, osc: OscillatorSpec | None, p,
     decide between NumericalError and inf as ``mixed_norm`` does: squared
     moduli and h^p can overflow where they do not.
     """
+    f, _, real, first_row, _ = frame
     grid = f.grid
     n = grid.points_per_axis
-    _, _, real, first_row = _frame(f)
-    rows = _kept_rows(f, s_values, osc, first_row) if prune else (first_row, n)
+    rows = _kept_rows(frame, s_values, osc) if prune else (first_row, n)
     blocks = _stft_blocks(f, real, rows)
     if squared:
         blocks = _squared_moduli(blocks)
@@ -585,16 +583,16 @@ def _modulation_columns(f: FieldSample, s_values, osc: OscillatorSpec | None, p,
 
 
 def _frame(f: FieldSample):
-    """(2^-e f, e, real, first_row): the frame every streamed pass and bound
-    measures f in. 2^-e f has its peak in [1/2, 1) (e = 0 for a zero or
-    non-finite f); real, and the first x-shift row a pass runs: N/2 for a
+    """(2^-e f, e, real, first_row, peak): the frame every streamed pass and
+    bound measures f in. 2^-e f has its peak in [1/2, 1) (e = 0 for a zero
+    or non-finite f); real, and the first x-shift row a pass runs: N/2 for a
     real f that is bitwise even or odd (``_reflection_parity``), else 0."""
-    e = math.frexp(float(np.max(np.abs(f.values))))[1]
+    peak, e = math.frexp(float(np.max(np.abs(f.values))))
     if e:
         f = FieldSample(f.grid, np.ldexp(f.values.view(float), -e).view(complex))
     real = not f.values.imag.any()
     first_row = f.grid.points_per_axis // 2 if real and _reflection_parity(f.values.real) else 0
-    return f, e, real, first_row
+    return f, e, real, first_row, peak
 
 
 def _unframed(value: float, e: int) -> float:
@@ -650,11 +648,10 @@ def _state_bound(f: FieldSample, s: float, osc: OscillatorSpec | None,
     grid = f.grid
     n, h = grid.points_per_axis, grid.h
     p, q = params.p, params.q
-    f, e, real, first_row = _frame(f)
+    f, e, real, first_row, peak = frame = _frame(f)
+    if not 0.0 < peak < np.inf:
+        return 0.0 if peak == 0.0 else math.inf
     mag = np.abs(f.values)
-    amax = float(mag.max())
-    if not 0.0 < amax < np.inf:
-        return 0.0 if amax == 0.0 else math.inf
     width = n // 2 + 1 if real else n
     fft_error = _fft_error(n)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -666,8 +663,8 @@ def _state_bound(f: FieldSample, s: float, osc: OscillatorSpec | None,
         col_bounds = (h / n) * (
             _banded_sums(spectrum, band, slice(0, width)) + rest * float(spectrum.sum())
             + fft_error * float(np.linalg.norm(f.values)) * total)
-        energy, tail = _row_energies(f, amax, first_row)
-        floor = fft_error * h * amax * np.sqrt(energy + tail)
+        energy, tail = _row_energies(frame)
+        floor = fft_error * h * peak * np.sqrt(energy + tail)
         # min(r_i + floor_i, c_n + max floor) >= min(r_i, c_n) + floor_i
         row_bounds += floor
         col_bounds += floor.max()
@@ -771,24 +768,25 @@ def _measured_norms(f, s_values, osc, params) -> list:
     Both can overflow where the magnitudes h |V_g f| v_s do not (2^-600 f
     under s = 100, or the sums of (|V_g f| v_s)^p before h^p), so when any
     norm is not finite, or a scaled cell raises, every norm is measured
-    again from the magnitudes of f itself, by the rule of ``mixed_norm``."""
+    again from the magnitudes of f itself (its frame at e = 0), by the rule
+    of ``mixed_norm``."""
     if not len(s_values):
         return []
     p, q = params.p, params.q
     cells = (f.grid.h, f.grid.frequency_cell)
     prune = p == 2.0 and q == 2.0
 
-    def norms(field, squared, e):
-        return [_unframed(_outer_reduce(columns, p, q, *cells), e)
-                for columns in _modulation_columns(field, s_values, osc, p, prune, squared)]
+    def norms(frame, squared):
+        return [_unframed(_outer_reduce(columns, p, q, *cells), frame[1])
+                for columns in _modulation_columns(frame, s_values, osc, p, prune, squared)]
 
-    scaled, e, _, _ = _frame(f)
+    _, e, real, first_row, peak = frame = _frame(f)
     squared = not is_inf(p) and float(p) % 2.0 == 0.0
     if squared or e:
         try:
-            values = norms(scaled, squared, e)
+            values = norms(frame, squared)
         except NumericalError:
             values = [math.nan]
         if all(math.isfinite(v) for v in values):
             return values
-    return norms(f, False, 0)
+    return norms((f, 0, real, first_row, math.ldexp(peak, e)), False)

@@ -90,6 +90,13 @@ class TestSobolevNorm:
         f = eigenfield(hermite_dec, 5)
         assert sobolev_norm(hermite_dec, -2.0, f) == pytest.approx(1.0 / 11.0, rel=1e-10)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_order_raises(self, hermite_dec, s):
+        """An order s that is not finite used to return nan, inf or 0
+        without a word."""
+        with pytest.raises(ValueError, match="finite"):
+            sobolev_norm(hermite_dec, s, eigenfield(hermite_dec, 3))
+
 
 class TestApplySpectralFunction:
     def test_misshapen_output_raises(self, hermite_dec, gaussian_field):

@@ -40,6 +40,14 @@ class TestSigmaExponent:
     def test_inf_zeroes_both_terms(self):
         assert sigma_exponent(1, 1, 1.0, INF, INF) == 0.0
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan],
+                             ids=["zero", "negative", "inf", "nan"])
+    def test_beta_outside_the_positive_reals_raises(self, beta):
+        """beta = 0 used to raise ZeroDivisionError, a negative beta gave a
+        negative sigma, and inf or NaN a zero or NaN one."""
+        with pytest.raises(ValueError, match="beta"):
+            sigma_exponent(1, 1, beta, 1.0, 1.0)
+
 
 class TestQuotientParams:
     def test_auto_power_choices(self):
@@ -363,6 +371,17 @@ class TestSingularWeight:
             singular_weight_norm(0.3, params, -1.0, 4.0, grid=hermite_grid)
         with pytest.raises(ValueError):
             singular_weight_norm(0.3, params, FLAT, 100.0, grid=hermite_grid)
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan],
+                             ids=["inf", "-inf", "nan"])
+    def test_alpha_outside_the_positive_reals_raises(self, hermite_grid, alpha):
+        """alpha = inf or NaN used to run a whole pass, warn from numpy and
+        raise NumericalError on the non-finite weighted values."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="alpha"):
+                singular_weight_norm(alpha, MixedNormParams(2.0, 2.0), FLAT, 4.0,
+                                     grid=hermite_grid)
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf],
                              ids=["zero", "negative", "nan", "inf"])

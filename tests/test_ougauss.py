@@ -207,9 +207,7 @@ class TestOuProbeRate:
 
     def test_gaussian_corpus_recovers_rate(self, hermite_dec, hermite_grid):
         c = GaussianConjugation()
-        probes = gaussian_probe_fields(hermite_grid, 5, seed=11,
-                                       center_range=(-1.5, 1.5),
-                                       modulation_range=(-1.0, 1.0))
+        probes = gaussian_probe_fields(hermite_grid, 5, seed=11)
         res = ou_probe_rate(c, hermite_dec, 1.0, (1.0, 2.0, 3.0, 4.0), probes)
         assert abs(res.slope - res.target) / abs(res.target) < 0.05
         assert res.r_squared > 0.99

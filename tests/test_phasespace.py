@@ -14,14 +14,21 @@ from anharmonic import (INF, BoundaryMassWarning, FieldSample, Grid,
                         PhaseSpaceField, apply_conjugation, mixed_norm,
                         modulation_norm, modulation_norms, stft, weight_value)
 from anharmonic.estimators import gaussian_probe_fields
-from anharmonic.phasespace import (_column_reduce, _gaussian_window_values, _kept_rows,
-                                   _l2_cap, _modulation_columns, _outer_reduce, _state_bound,
-                                   _weight_lattice, _weighted_columns)
+from anharmonic.phasespace import (_column_reduce, _frame, _gaussian_window_values,
+                                   _kept_rows, _l2_cap, _modulation_columns, _outer_reduce,
+                                   _state_bound, _weight_lattice, _weighted_columns)
 from oracles import (dense_stft, gaussian_lattice_stft_abs, gaussian_window_transform_abs,
                      mixed_norm_reference)
 
 FLAT = 0.0  # the weight exponent of the flat weight
 HARMONIC = ah.hermite_oscillator()
+
+
+def own_scale_frame(f):
+    """The ``_frame`` of f at its own scale, e = 0, as ``_measured_norms``
+    measures a field again: its layout, with f unscaled."""
+    _, e, real, first_row, peak = _frame(f)
+    return f, 0, real, first_row, math.ldexp(peak, e)
 
 
 def harmonic_lattice(grid, s):
@@ -438,7 +445,7 @@ class TestColumnOrder:
                                2.0 * np.pi * grid.frequency_nodes()[None, :])
         w = np.abs(dense_stft(f)) * weights
         expected = w.max(axis=0) if p is INF else (w ** p).sum(axis=0)
-        [got] = _modulation_columns(f, [s], osc, p)
+        [got] = _modulation_columns(own_scale_frame(f), [s], osc, p)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
@@ -602,10 +609,10 @@ class TestSharedPass:
 
     @pytest.mark.parametrize("p", [2.0, INF], ids=_exponent_id)
     def test_blocks_of_any_size(self, p):
-        """A pruned pass clips its first block, so blocks differ in size: the
-        scratch copy of a weight that is not the last must hold the largest.
-        Each weight's columns are, bit for bit, its per-block reductions
-        added in order."""
+        """A pruned pass clips its first block, so blocks differ in size, and
+        a weight that is not the last weights a new product of each block,
+        leaving the block for the last. Each weight's columns are, bit for
+        bit, its per-block reductions added in order."""
         rng = np.random.default_rng(5)
         mag = rng.uniform(0.0, 3.0, (19, 24))
         lattices = [rng.uniform(0.5, 2.0, (19, 24)) for _ in range(2)]
@@ -654,9 +661,10 @@ class TestSharedPass:
 
     @pytest.mark.parametrize("p", [2.0, 4.0, 6.0], ids=_exponent_id)
     def test_squared_blocks_of_any_size(self, p):
-        """Squared blocks of differing rows: each weight's columns are, bit
-        for bit, its per-block reductions of (m^2 v) v at the power p/2
-        added in order."""
+        """Squared blocks of differing rows, each weighted in a new product
+        for every weight but the last: each weight's columns are, bit for
+        bit, its per-block reductions of (m^2 v) v at the power p/2 added in
+        order."""
         rng = np.random.default_rng(5)
         squares = rng.uniform(0.0, 9.0, (19, 24))
         lattices = [rng.uniform(0.5, 2.0, (19, 24)) for _ in range(2)]
@@ -824,7 +832,7 @@ class TestPrunedRows:
         """The certificate keeps the rows of the tail packet (around row 384)
         that its energy alone would let go."""
         f = self.tail_packet()
-        _, stop = _kept_rows(f, [2.0], HARMONIC, 0)
+        _, stop = _kept_rows(own_scale_frame(f), [2.0], HARMONIC)
         assert stop > 400
 
     def test_zero_field(self, pass_ranges):
@@ -887,7 +895,7 @@ class TestPrunedRows:
         whatever the exponents; a Picard gap goes through ``_measured_norms``
         and at p = q = 2 takes the pruned rows like any such norm."""
         f, _ = self.packet("narrow", "complex")
-        [columns] = _modulation_columns(f, [2.0], HARMONIC, 2.0)
+        [columns] = _modulation_columns(own_scale_frame(f), [2.0], HARMONIC, 2.0)
         full = _outer_reduce(columns, 2.0, 2.0, self.GRID.h, self.GRID.frequency_cell)
         assert pass_ranges == [(0, self.GRID.points_per_axis)]
         assert modulation_norm(f, 2.0, HARMONIC, self.L2) == pytest.approx(full, rel=1e-15)
@@ -918,7 +926,7 @@ class TestBlockGrid:
         vals = 2.0 * np.exp(-8.0 * (x - 0.75) ** 2)
         real = kind == "real"
         f = FieldSample(grid, vals if real else vals * np.exp(3j * np.pi * x))
-        kept = _kept_rows(f, [FLAT], None, 0)
+        kept = _kept_rows(own_scale_frame(f), [FLAT], None)
         assert 0 < kept[0] and kept[1] < n  # clipped at both ends
         full = np.concatenate([b for _, b in phasespace._stft_blocks(f, real, (0, n))])
         for rows in [(n // 2, n), kept]:
@@ -1068,7 +1076,7 @@ class TestSquaredModulusPass:
         outcomes = []
         for s in np.arange(90.0, 100.125, 0.25):
             with np.errstate(over="ignore", invalid="ignore"):
-                [columns] = _modulation_columns(f, [s], HARMONIC, p, prune)
+                [columns] = _modulation_columns(own_scale_frame(f), [s], HARMONIC, p, prune)
                 expected = _outer_reduce(columns, p, q, grid.h, grid.frequency_cell)
                 got = modulation_norm(f, s, HARMONIC, params)
             if np.isfinite(expected):
@@ -1236,3 +1244,41 @@ class TestOneFrame:
                       if isinstance(node, ast.Attribute) and node.attr == "frexp"
                       or isinstance(node, ast.Name) and node.id == "frexp"]
         assert found == [("phasespace.py", True)]
+
+    def test_one_frame_per_measured_value(self, monkeypatch):
+        """A measured value derives its field's scale, peak and layout once:
+        one ``_frame`` and one ``_reflection_parity`` for a norm, a list of
+        norms from one pass, a Picard gap and a state bound, and two for the
+        singular weight's pair of truncations. The pass, its row pruning and
+        the singular weight used to frame the field a second time."""
+        calls = []
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls.append(name)
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(phasespace, "_reflection_parity",
+                            counted("parity", phasespace._reflection_parity))
+        framed = counted("frame", phasespace._frame)
+        monkeypatch.setattr(phasespace, "_frame", framed)
+        monkeypatch.setattr(ah.estimators, "_frame", framed)
+        f = FieldSample(self.GRID, np.exp(-self.GRID.nodes() ** 2 / 2.0))  # real and even
+        l2 = MixedNormParams(2.0, 2.0)
+        measures = {
+            "modulation_norm": lambda: modulation_norm(f, 2.0, HARMONIC, l2),
+            "modulation_norms": lambda: modulation_norms(f, [FLAT, 1.0, 2.0], HARMONIC, l2),
+            "picard_gap": lambda: phasespace._measured_norms(f, [2.0], HARMONIC, l2),
+            "state_bound": lambda: _state_bound(f, 2.0, HARMONIC, l2),
+            "singular_weight_norm": lambda: ah.singular_weight_norm(
+                0.3, MixedNormParams(3.0, 3.0), 0.5, 6.0, grid=self.GRID, osc=HARMONIC),
+        }
+        counts = {}
+        for name, measure in measures.items():
+            calls.clear()
+            measure()
+            counts[name] = (calls.count("frame"), calls.count("parity"))
+        assert counts == {"modulation_norm": (1, 1), "modulation_norms": (1, 1),
+                          "picard_gap": (1, 1), "state_bound": (1, 1),
+                          "singular_weight_norm": (2, 2)}
