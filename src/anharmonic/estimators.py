@@ -494,10 +494,10 @@ def singular_weight_norm(alpha: float, params: MixedNormParams, s: float,
         return FieldSample(grid, np.where(nodes_r <= r, nodes_r ** (-alpha), 0.0))
 
     f_full = truncated(radius)
-    _check_boundary_mass(f_full)
+    scaled, e, _, _, peak = frame = _frame(f_full)
+    _check_boundary_mass(scaled.values, peak, grid)
     p, q = params.p, params.q
     cells = (grid.h, grid.frequency_cell)
-    _, e, _, _, _ = frame = _frame(f_full)
     [columns] = _modulation_columns(frame, [s], osc, p)
     value = _unframed(_outer_reduce(columns, p, q, *cells), e)
     value_half = modulation_norm(truncated(radius / 2.0), s, osc, params)

@@ -1,34 +1,31 @@
-"""Nonlinear heat flows by windowed Picard iteration and exponential stepping.
+"""Nonlinear heat flows by Picard sweeps and exponential stepping.
 
 The solver works in retained-mode coefficient space: the linear semigroup is
 diagonal there, and each nonlinearity evaluation is one reconstruction, one
-pointwise power, and one projection back, the only form of the nonlinearity.
-The runner applies the problem, step, tolerance and ETD-order rules before
-it decomposes anything. On every window [t, t + dt] the Picard map iterates the
-Duhamel formula with midpoint quadrature; the midpoint state is updated
-alongside the endpoint using the averaged input, so both carry second-order
-local accuracy. A restart per window is the computable surrogate for the
-global fixed-point ball. A problem's engine, with its parity sector, its
-nonlinearity and its projected initial state, is built once, at the first
-integrator or residual call on the spec, and read by every later one.
+pointwise power, and one projection back, the only form of the nonlinearity
+(for a block of states, one GEMM each way). The runner applies the problem,
+step, tolerance and ETD-order rules before it decomposes anything. Each
+window [t, t + dt] takes the Duhamel formula with midpoint quadrature. The
+paper's global well-posedness is one contraction of the Duhamel map over
+the time axis; ``picard_solve`` contracts it over blocks of windows at
+once. A problem's engine, with its parity sector, its nonlinearity and its
+projected initial state, is built once, at the first integrator or
+residual call on the spec, and read by every later one.
 
 Both nonlinearities keep parity, and every retained mode is exactly even or
 odd. So a real u0 that is bitwise even or odd (the shipped Gaussian is)
 is evolved in its parity sector alone: the coefficients of that parity's
 modes, with values on the rows x > 0 and twice the cell measure, about half
-of every matvec. Each state, and each Picard gap that takes the exact
-norm, is mirrored into a full field before it is measured or bounded, so
-it is exactly even or odd and takes the half-row pass of ``phasespace``.
-Checkpoint coefficients stay full length m, with exact zeros in the other
-parity. Other initial data (not bitwise symmetric, or complex) evolve in
-the full layout.
+of every matvec. Each state is mirrored into a full field before it is
+measured or bounded, so it is exactly even or odd and takes the half-row
+pass of ``phasespace``. Checkpoint coefficients stay full length m, with
+exact zeros in the other parity. Other initial data (not bitwise
+symmetric, or complex) evolve in the full layout.
 
-The trajectory certifies the monitored norm of every recorded state with
-``phasespace._state_bound``, an upper bound from O(N) sums at a quarter to
-a third of the cost of the exact STFT pass, and runs the exact pass only at
-t = 0, every ``_EXACT_STRIDE``-th step, the last step and any state whose
-bound cannot rule out blow-up (see ``_Recorder``). Every blow-up decision is
-the one the exact norm gives.
+The trajectory certifies the monitored norm of every recorded state with a
+batched bound from O(N) sums and runs the exact STFT pass only where the
+bound cannot decide (see ``_Recorder``), so every blow-up decision is the
+one the exact norm gives.
 """
 
 from __future__ import annotations
@@ -42,8 +39,7 @@ import numpy as np
 from .calculus import _warn_off_span
 from .errors import InvalidSpecError, NonConvergenceError
 from .model import MixedNormParams
-from .phasespace import (_check_boundary_mass, _l2_cap, _measured_norms, _state_bound,
-                         modulation_norm)
+from .phasespace import _check_boundary_mass, _frame, _l2_cap, _state_bounds, modulation_norm
 from .spectral import FieldSample, SpectralDecomposition, _reflection_parity, real_matmul
 
 _BLOWUP_NORM = 1e6
@@ -123,7 +119,8 @@ def _check_monitor(monitor, where="monitor"):
 class _Engine:
     """Coefficient-space state of one flow problem, shared by both
     integrators and ``duhamel_residual``. It keeps only what the flow reads,
-    with no reference back to the spec.
+    with no reference back to the spec. A state is a coefficient vector,
+    a block of states the columns of an (m, K) array.
 
     In a parity sector (``sign`` 1.0 or -1.0, see the module docstring)
     states are the coefficients of the modes ``cols`` of u0's parity, with
@@ -161,8 +158,9 @@ class _Engine:
     @functools.cached_property
     def initial_values(self) -> tuple:
         """(monitored norm, bound) of the initial state."""
-        field = self.field(self.c0)
-        return self.monitored_norm(field), self.monitored_bound(field)
+        values = self.fields(self.c0[:, None])
+        return (self.monitored_norm(FieldSample(self.dec.grid, values[0])),
+                float(self.monitored_bounds(_frame(values))[0]))
 
     def propagator(self, dt: float) -> np.ndarray:
         return np.exp(-dt * self.lam_beta)
@@ -175,24 +173,27 @@ class _Engine:
 
     def nonlin_coeff(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients of N(v) = coupling |v|^(2 nu) v, times |x|^(-alpha)
-        for the inhomogeneous kind, v the values of ``coeffs``."""
+        for the inhomogeneous kind, v the values of ``coeffs``: of one state,
+        or of each column of a block by one GEMM to values and one back."""
         v = self.to_values(coeffs)
         nl = self.coupling * np.abs(v) ** self.power * v
-        return self.to_coeff(nl if self.sing is None else nl * self.sing)
+        return self.to_coeff(nl if self.sing is None else (nl.T * self.sing).T)
 
-    def field(self, coeffs: np.ndarray) -> FieldSample:
-        """The full field of ``coeffs``; a sector state is mirrored from its
-        rows x > 0, so it is exactly even or odd."""
+    def fields(self, coeffs: np.ndarray) -> np.ndarray:
+        """The full fields of the columns of ``coeffs``, the rows of a (K, N)
+        array as ``phasespace._frame`` takes them; a sector state is mirrored
+        from its rows x > 0, so it is exactly even or odd."""
         v = self.to_values(coeffs)
         if self.sign:
             v = np.concatenate((self.sign * v[::-1], v))
-        return FieldSample(self.dec.grid, v)
+        return np.ascontiguousarray(v.T, dtype=complex)
 
     def checkpoint(self, coeffs: np.ndarray) -> np.ndarray:
         """A copy of ``coeffs`` over all m retained modes, exact zeros in the
-        parity a sector run leaves out."""
-        full = np.zeros(self.dec.m, dtype=coeffs.dtype)
-        full[self.cols] = coeffs
+        parity a sector run leaves out: one vector for one state, one row
+        per column for a block."""
+        full = np.zeros(coeffs.shape[1:] + (self.dec.m,), dtype=coeffs.dtype)
+        full[..., self.cols] = coeffs.T
         return full
 
     def monitored_norm(self, field: FieldSample) -> float:
@@ -200,19 +201,11 @@ class _Engine:
         which warns on boundary mass."""
         return modulation_norm(field, self.monitor_s, self.dec.oscillator, self.monitor_params)
 
-    def monitored_bound(self, field: FieldSample) -> float:
-        """``phasespace._state_bound`` of a full field: a certified upper
-        bound of its monitored norm, from O(N) sums."""
-        return _state_bound(field, self.monitor_s, self.dec.oscillator, self.monitor_params)
-
-    def gap_norm(self, coeffs: np.ndarray) -> float:
-        """Monitored norm of a difference of Picard iterates, without the
-        boundary-mass check of a state: near convergence it is round-off.
-        The Picard stop's exact fallback, run when the gap's cap cannot
-        decide."""
-        [value] = _measured_norms(self.field(coeffs), [self.monitor_s],
-                                  self.dec.oscillator, self.monitor_params)
-        return value
+    def monitored_bounds(self, frame) -> np.ndarray:
+        """``phasespace._state_bounds`` of the fields of a batch ``frame``:
+        certified upper bounds of their monitored norms, from O(N) sums."""
+        return _state_bounds(frame, self.dec.grid, self.monitor_s, self.dec.oscillator,
+                             self.monitor_params)
 
     def cap_constant(self) -> float:
         """``phasespace._l2_cap`` of the monitor: the monitored norm of any
@@ -220,16 +213,12 @@ class _Engine:
         return _l2_cap(self.monitor_s, self.dec.oscillator, self.dec.grid,
                        self.monitor_params)
 
-    def field_l2(self, coeffs: np.ndarray) -> float:
-        """L^2 norm of the full field of ``coeffs``, sqrt(cell sum |v|^2) over
-        the engine's rows (a sector field's mirror half is carried by the
-        doubled cell). A sum of squares that overflows (norm above about
-        1e154) gives inf."""
-        v = self.to_values(coeffs)
-        return float(np.sqrt(self.cell * np.vdot(v, v).real))
-
-    def l2_norm(self, coeffs: np.ndarray) -> float:
-        return float(np.linalg.norm(coeffs))
+    def field_l2(self, coeffs: np.ndarray) -> np.ndarray:
+        """L^2 norm of the full field of ``coeffs``, or of each column of a
+        block: sqrt(cell sum |v|^2) over the engine's rows (a sector field's
+        mirror half is carried by the doubled cell). A sum of squares that
+        overflows (norm above about 1e154) gives inf."""
+        return np.sqrt(self.cell) * np.linalg.norm(self.to_values(coeffs), axis=0)
 
 
 @dataclass(eq=False)
@@ -240,22 +229,15 @@ class Trajectory:
     (all m retained-mode coefficients; a parity-sector run stores exact
     zeros in the other parity) are stored every ``checkpoint_stride``
     steps plus the final state. ``monitored_bounds`` holds, at exactly
-    those steps, a certified upper bound of the monitored norm
-    (``phasespace._state_bound``), and NaN between them.
-    ``monitored_norms`` holds the exact norm where it was measured and NaN
-    elsewhere: at t = 0, at the checkpoints on every 100th step, at the
-    last step and at any checkpoint whose bound is not at most 1e6 (see
-    ``_Recorder``).
-    ``contraction_factors`` holds, per Picard window, the ratios of
-    successive gaps in the L^2 norm of the gap field (the cap norm of
-    ``picard_solve``; ``max_contraction`` reads them); exponential stepping
-    leaves it empty. A blow-up truncates the record instead of raising and
-    sets ``blowup_time``; its step is stored as a checkpoint with the
-    monitored norm measured. Blow-up is detected at the granularity of the
-    stride: at a stride point by the monitored norm (non-finite or above
-    1e6; the bound decides where it is at most 1e6, which certifies the
-    norm is), between stride points by non-finite coefficients or an l2
-    coefficient norm above 1e6. With stride 1 every step is checked.
+    those steps, a certified upper bound of the monitored norm, and NaN
+    between them; ``monitored_norms`` holds the exact norm where it was
+    measured and NaN elsewhere (``_Recorder`` says where, and how the stride
+    sets where blow-up is detected; with stride 1 every step is checked).
+    ``contraction_factors`` holds, per Picard block, the ratios of
+    successive sweep caps (see ``picard_solve``; ``max_contraction`` reads
+    them); exponential stepping leaves it empty. A blow-up truncates the
+    record instead of raising and sets ``blowup_time``; its step is stored
+    as a checkpoint with the monitored norm measured.
     """
 
     times: np.ndarray
@@ -280,11 +262,7 @@ class Trajectory:
         return self.checkpoint_coeffs[-1]
 
     def max_contraction(self) -> float:
-        worst = 0.0
-        for window in self.contraction_factors:
-            for ratio in window:
-                worst = max(worst, ratio)
-        return worst
+        return max((ratio for block in self.contraction_factors for ratio in block), default=0.0)
 
     def table(self):
         """CSV header and per-step rows of Python floats and ints (written as
@@ -301,21 +279,23 @@ class _Recorder:
     """Trajectory bookkeeping shared by the integrators: per-step l2 norms,
     checkpoints every ``stride`` steps plus the last, and the blow-up stop.
 
-    At every checkpoint the state is checked for boundary mass and bounded
-    by ``phasespace._state_bound``, O(N) sums and one reduction of the
-    cell bounds; between checkpoints both monitored columns are NaN. The
-    exact monitored norm (one full STFT pass) runs only at t = 0, at the
-    checkpoints on every ``_EXACT_STRIDE``-th step, at the last step (of
-    the horizon, or of a blow-up) and at a checkpoint whose bound is not at
-    most ``_BLOWUP_NORM``; it is NaN elsewhere. At a stride point or the last
-    step the flow has blown up when the monitored norm is non-finite or
-    above ``_BLOWUP_NORM``: a bound at most ``_BLOWUP_NORM`` certifies that
-    it is not, and any other bound hands the decision to the exact norm, so
-    every decision is the one the exact norm gives. Between stride points
-    the flow has blown up when the coefficients are non-finite or their l2
-    norm is above ``_BLOWUP_NORM``. A blow-up step is always checkpointed,
-    with its monitored norm measured (infinite, as its bound, for
-    non-finite coefficients).
+    It takes a run's states in step order, a block at a time (a converged
+    Picard block, or the exponential steps up to a checkpoint). A block's
+    checkpoints get their values from one GEMM, their frame and their
+    bounds (``phasespace._state_bounds``) from one batch. Between
+    checkpoints both monitored columns are NaN. The exact monitored norm (one STFT pass) runs
+    only at t = 0, at the checkpoints on every ``_EXACT_STRIDE``-th step, at
+    the last step (of the horizon, or of a blow-up) and at a checkpoint
+    whose bound is not at most ``_BLOWUP_NORM``; elsewhere it is NaN and the
+    batch's frame gives the state the exact norm's boundary-mass check. At
+    a stride point or the last step the flow has blown up when the monitored
+    norm is non-finite or above ``_BLOWUP_NORM``: a bound at most
+    ``_BLOWUP_NORM`` certifies that it is not, and any other bound hands the
+    decision to the exact norm. Between stride points the flow has blown up
+    when the coefficients are non-finite or their l2 norm is above
+    ``_BLOWUP_NORM``. A blow-up step is always checkpointed, with its
+    monitored norm measured (infinite, as its bound, for non-finite
+    coefficients), and ends the record.
     """
 
     def __init__(self, engine, dt, steps, stride):
@@ -324,47 +304,65 @@ class _Recorder:
         self.times = [0.0]
         self.monitored = [norm]
         self.bounds = [bound]
-        self.l2s = [engine.l2_norm(engine.c0)]
+        self.l2s = [float(np.linalg.norm(engine.c0))]
         self.cp_times = [0.0]
         self.cps = [engine.checkpoint(engine.c0)]
         self.blowup_time = None
 
-    def record(self, step, c) -> bool:
-        """Record the state after ``step``; True when the flow has blown up.
-
-        Non-finite coefficients count as infinite norms and bounds rather
-        than being handed to the monitored norm.
+    def record(self, first, states) -> bool:
+        """Record the states, the columns of ``states``, after the steps
+        first, first + 1, ...; True when the flow has blown up. Non-finite
+        coefficients count as infinite norms and bounds rather than being
+        handed to the monitored norm.
         """
-        t = step * self.dt
-        finite = bool(np.all(np.isfinite(c)))
-        l2 = self.engine.l2_norm(c) if finite else float("inf")
-        on_stride = step % self.stride == 0 or step == self.steps
-        norm = bound = float("nan")
-        blown = False
+        engine = self.engine
+        steps = np.arange(first, first + states.shape[1])
+        finite = np.isfinite(states).all(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            l2 = np.where(finite, np.linalg.norm(states, axis=0), np.inf)
+        on_stride = (steps % self.stride == 0) | (steps == self.steps)
         # between stride points only the l2 guard runs; a step it stops is
         # checkpointed and measured all the same
-        if on_stride or not l2 <= _BLOWUP_NORM:
-            norm = bound = float("inf")
-            if finite:
-                field = self.engine.field(c)
-                bound = self.engine.monitored_bound(field)
-                if (step % _EXACT_STRIDE == 0 or step == self.steps or not on_stride
-                        or not bound <= _BLOWUP_NORM):
-                    norm = self.engine.monitored_norm(field)
-                else:  # the boundary-mass check of the exact norm, once per state
-                    norm = float("nan")
-                    _check_boundary_mass(field)
-            # a step left to its bound has a bound, so a norm, at most the guard
-            blown = not (on_stride and (math.isnan(norm) or norm <= _BLOWUP_NORM))
-            self.cp_times.append(t)
-            self.cps.append(self.engine.checkpoint(c))
-        self.times.append(t)
-        self.monitored.append(norm)
-        self.bounds.append(bound)
-        self.l2s.append(l2)
-        if blown:
-            self.blowup_time = t
-        return blown
+        kept = on_stride | ~(l2 <= _BLOWUP_NORM)
+        norms = np.where(kept & ~finite, np.inf, np.nan)
+        bounds = norms.copy()
+        fielded = np.flatnonzero(kept & finite)
+        if fielded.size:
+            values = engine.fields(states[:, fielded])
+            frame = _frame(values)
+            bounds[fielded] = engine.monitored_bounds(frame)
+        exact = kept & finite & ((steps % _EXACT_STRIDE == 0) | (steps == self.steps)
+                                 | ~on_stride | ~(bounds <= _BLOWUP_NORM))
+        left = kept & finite & ~exact  # the states left to their bounds
+
+        def check(lo, hi):  # the exact norm's boundary-mass check, in step order
+            rows = np.searchsorted(fielded, lo + np.flatnonzero(left[lo:hi]))
+            if rows.size:
+                _check_boundary_mass(frame[0][rows], frame[4][rows], engine.dec.grid)
+
+        # a step left to its bound has a bound, so a norm, at most the guard:
+        # only a measured or non-finite step can have blown up
+        end, checked = len(steps), 0
+        for k in np.flatnonzero(kept & ~left):
+            check(checked, k)
+            checked = k
+            if exact[k]:
+                norms[k] = engine.monitored_norm(
+                    FieldSample(engine.dec.grid, values[np.searchsorted(fielded, k)]))
+            if not (on_stride[k] and (math.isnan(norms[k]) or norms[k] <= _BLOWUP_NORM)):
+                end = k + 1
+                self.blowup_time = float(steps[k] * self.dt)
+                break
+        check(checked, end)
+        kept = np.flatnonzero(kept[:end])
+        times = steps[:end] * self.dt
+        self.times += times.tolist()
+        self.monitored += norms[:end].tolist()
+        self.bounds += bounds[:end].tolist()
+        self.l2s += l2[:end].tolist()
+        self.cp_times += times[kept].tolist()
+        self.cps += list(engine.checkpoint(states[:, kept]))
+        return self.blowup_time is not None
 
     def trajectory(self, contractions=()) -> Trajectory:
         return Trajectory(
@@ -374,7 +372,7 @@ class _Recorder:
             l2_norms=np.array(self.l2s),
             checkpoint_times=np.array(self.cp_times),
             checkpoint_coeffs=np.array(self.cps),
-            contraction_factors=tuple(tuple(w) for w in contractions),
+            contraction_factors=tuple(tuple(b) for b in contractions),
             blowup_time=self.blowup_time,
         )
 
@@ -402,8 +400,7 @@ def _check_steps(horizon, dt):
 
 def _check_tol(tol):
     if not (np.isfinite(tol) and tol >= 1e-10):
-        raise ValueError("tol must be a finite real >= 1e-10, the finest the window "
-                         "quadrature resolves")
+        raise ValueError("tol must be a finite real >= 1e-10")
 
 
 def _check_order(order):
@@ -411,79 +408,100 @@ def _check_order(order):
         raise ValueError("order must be 1 or 2")
 
 
+def _sweeps(engine, c, n, dt, tol, max_iter, t_end):
+    """Picard sweeps over ``n`` windows from the state ``c`` (the block of
+    ``picard_solve``, ending at ``t_end``): the converged endpoints as the
+    columns of an (m, n) array, and the ratios of successive sweep caps.
+    NonConvergenceError carries the windowed iteration's diagnostics, for
+    the window that ends at t_end.
+    """
+    e_full, e_half, e_quarter = (engine.propagator(dt * share) for share in (1.0, 0.5, 0.25))
+    cap = engine.cap_constant()
+    # N at the midpoints, then at the averaged states; the first pass, with
+    # N = 0, is the linear flow, the first iterate
+    nonlin = np.zeros((len(c), 2 * n))
+    ends, gaps, ratios = None, [], []
+    # a sweep that diverges is reported, and its block halved, by the caller
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter + 1):
+            kick = dt * (e_half[:, None] * nonlin[:, :n])
+            new_ends = np.empty((len(c), n), np.result_type(c, kick))
+            end = c
+            for k in range(n):  # the endpoint recurrence, a scan
+                end = new_ends[:, k] = e_full * end + kick[:, k]
+            starts = np.column_stack((c, new_ends[:, :-1]))
+            mids = e_half[:, None] * starts + (dt / 2.0) * (e_quarter[:, None] * nonlin[:, n:])
+            if not (np.all(np.isfinite(new_ends)) and np.all(np.isfinite(mids))):
+                raise NonConvergenceError(
+                    f"Picard iterates diverged to non-finite values at t={t_end:.6g}",
+                    {"t": t_end, "iterations": len(gaps) + 1,
+                     "last_gap": gaps[-1] if gaps else None})
+            if ends is not None:
+                gap_fields = new_ends - ends
+                gaps.append(cap * float(engine.field_l2(gap_fields).max())
+                            if np.any(gap_fields) else 0.0)
+                if len(gaps) >= 2 and gaps[-2] > 0:
+                    ratios.append(gaps[-1] / gaps[-2])
+                # a second sweep is mandatory so the contraction is measured,
+                # not assumed, even when the first correction is below tol
+                if len(gaps) >= 2 and gaps[-1] < tol:
+                    return new_ends, ratios
+            ends = new_ends
+            nonlin = engine.nonlin_coeff(np.concatenate((mids, 0.5 * (starts + mids)), axis=1))
+    raise NonConvergenceError(
+        f"Picard window at t={t_end:.6g} did not converge in {max_iter} iterations",
+        {"t": t_end, "last_gap": gaps[-1],
+         "last_contraction": ratios[-1] if ratios else None})
+
+
 def picard_solve(spec: NonlinearProblemSpec, horizon: float, dt: float,
                  tol: float = 1e-8, max_iter: int = 25,
                  checkpoint_stride: int = 1) -> Trajectory:
-    """Windowed Picard iteration of the Duhamel formula.
+    """Picard iteration of the Duhamel formula, swept over blocks of windows.
 
-    On each window the endpoint iterate is exp(-dt H^beta) u(t) plus the
-    midpoint-quadrature Duhamel increment dt exp(-(dt/2) H^beta) N(u_mid);
-    the midpoint state is refreshed from the averaged endpoint data. The
-    iteration stops, after at least two passes, when the successive-iterate
-    gap in the monitored norm drops below tol.
+    On each window [t, t + dt] the endpoint is exp(-dt H^beta) u(t) plus
+    dt exp(-(dt/2) H^beta) N(u_mid), and the midpoint is
+    exp(-(dt/2) H^beta) u(t) plus (dt/2) exp(-(dt/4) H^beta) N of the
+    averaged start and midpoint, so both carry second-order local accuracy.
+    A block is the windows up to the next multiple of ``_EXACT_STRIDE``
+    steps (at most 100). A sweep evaluates N at every midpoint and averaged
+    state of the block (one GEMM pair), runs the endpoint recurrence as a
+    scan and refreshes the midpoints: Picard waveform relaxation
+    (Lelarasmee, Ruehli and Sangiovanni-Vincentelli, IEEE Trans. CAD 1,
+    1982). A block stops, after at least two sweeps, when its cap
+    C sup_k ||gap_k||_{L^2}, C the monitor's ``phasespace._l2_cap``, which
+    bounds the monitored norm of every endpoint gap, is below tol.
+    ``contraction_factors`` holds, per block, the ratios of successive caps.
 
-    Each gap is recorded as its cap C ||gap||_{L^2}, with C the monitor's
-    ``phasespace._l2_cap``: one O(N) sum after the reconstruction. The cap
-    bounds the monitored norm, so a cap below tol stops the window; only a
-    cap at or above tol sends the gap through the exact STFT norm. Every
-    window therefore takes the iterations the exact gap alone would give.
-    Contraction factors are ratios of successive caps, which are ratios of
-    the gaps' L^2 norms. A NonConvergenceError reports the last cap as
-    ``last_gap``; a gap whose sum of squares overflows has cap inf.
-    Each recorded state is bounded, and measured exactly only where
-    ``_Recorder`` says. Blow-up (see ``Trajectory`` for how the checkpoint
-    stride sets where it is detected) truncates the trajectory with the
-    blow-up flag instead of raising.
+    A block whose sweeps go non-finite or do not converge in ``max_iter`` is
+    halved and solved again from its start. A block of one window is the
+    windowed iteration, and raises NonConvergenceError with the window's
+    ``t`` and the last cap as ``last_gap`` (inf for a sum of squares that
+    overflows). Converged blocks are recorded in step order; blow-up (see
+    ``Trajectory``) truncates the trajectory instead of raising.
     """
     _check_tol(tol)
     if max_iter < 2:
         raise ValueError("max_iter must be at least 2: the contraction factor "
                          "needs two successive-iterate gaps")
     engine, c, rec = _start(spec, horizon, dt, checkpoint_stride)
-    e_full = engine.propagator(dt)
-    e_half = engine.propagator(dt / 2.0)
-    e_quarter = engine.propagator(dt / 4.0)
-    cap = engine.cap_constant()
     contractions = []
-
-    for step in range(1, rec.steps + 1):
-        t_next = step * dt
-        c_mid = e_half * c
-        c_end = e_full * c
-        gaps = []
-        window_ratios = []
-        converged = False
-        for _ in range(max_iter):
-            n_mid = engine.nonlin_coeff(c_mid)
-            new_end = e_full * c + dt * (e_half * n_mid)
-            n_avg = engine.nonlin_coeff(0.5 * (c + c_mid))
-            new_mid = e_half * c + (dt / 2.0) * (e_quarter * n_avg)
-            if not (np.all(np.isfinite(new_end)) and np.all(np.isfinite(new_mid))):
-                raise NonConvergenceError(
-                    f"Picard iterates diverged to non-finite values at t={t_next:.6g}",
-                    {"t": t_next, "iterations": len(gaps) + 1,
-                     "last_gap": gaps[-1] if gaps else None})
-            gap_field = new_end - c_end
-            gap = cap * engine.field_l2(gap_field) if np.any(gap_field) else 0.0
-            c_end, c_mid = new_end, new_mid
-            gaps.append(gap)
-            if len(gaps) >= 2 and gaps[-2] > 0:
-                window_ratios.append(gaps[-1] / gaps[-2])
-            # a second pass is mandatory so the contraction is measured, not
-            # assumed, even when the first correction is already below tol;
-            # the exact norm runs only where the cap cannot decide
-            if len(gaps) >= 2 and (gap < tol or engine.gap_norm(gap_field) < tol):
-                converged = True
+    done = 0
+    while done < rec.steps:
+        n = min(rec.steps, (done // _EXACT_STRIDE + 1) * _EXACT_STRIDE) - done
+        while True:
+            try:
+                ends, ratios = _sweeps(engine, c, n, dt, tol, max_iter, (done + n) * dt)
                 break
-        if not converged:
-            raise NonConvergenceError(
-                f"Picard window at t={t_next:.6g} did not converge in {max_iter} iterations",
-                {"t": t_next, "last_gap": gaps[-1],
-                 "last_contraction": window_ratios[-1] if window_ratios else None})
-        contractions.append(window_ratios)
-        c = c_end
-        if rec.record(step, c):
+            except NonConvergenceError:
+                if n == 1:
+                    raise
+                n //= 2
+        contractions.append(ratios)
+        if rec.record(done + 1, ends):
             break
+        c = ends[:, -1]
+        done += n
     return rec.trajectory(contractions)
 
 
@@ -493,40 +511,46 @@ def etd_evolve(spec: NonlinearProblemSpec, horizon: float, dt: float,
 
     Order 1: u(t + dt) = exp(-dt H^beta)(u + dt N(u)); the linear flow is
     exact. Order 2, the default, is the two-stage variant with a trapezoidal correction.
-    Blow-up is recorded as in ``picard_solve``.
+    The steps up to each checkpoint are recorded as one block; blow-up is
+    recorded as in ``picard_solve``, and the steps after it are dropped.
     """
     _check_order(order)
     engine, c, rec = _start(spec, horizon, dt, checkpoint_stride)
     e_full = engine.propagator(dt)
-
+    block = []
     for step in range(1, rec.steps + 1):
-        k1 = engine.nonlin_coeff(c)
-        if order == 1:
-            c = e_full * (c + dt * k1)
-        else:
-            predictor = e_full * (c + dt * k1)
-            k2 = engine.nonlin_coeff(predictor)
-            c = e_full * c + (dt / 2.0) * (e_full * k1 + k2)
-        if rec.record(step, c):
-            break
+        with np.errstate(over="ignore", invalid="ignore"):  # the recorder stops a blow-up
+            k1 = engine.nonlin_coeff(c)
+            if order == 1:
+                c = e_full * (c + dt * k1)
+            else:
+                predictor = e_full * (c + dt * k1)
+                k2 = engine.nonlin_coeff(predictor)
+                c = e_full * c + (dt / 2.0) * (e_full * k1 + k2)
+        block.append(c)
+        if step % rec.stride == 0 or step == rec.steps:
+            if rec.record(step + 1 - len(block), np.stack(block, axis=1)):
+                break
+            block = []
     return rec.trajectory()
 
 
 def duhamel_residual(traj: Trajectory, spec: NonlinearProblemSpec) -> float:
     """Max L2 defect of the mild-solution identity over stored checkpoints.
 
-    The Duhamel integral is accumulated segment by segment with the
-    trapezoid rule, multiplying by the segment propagator as it goes, so
-    each checkpoint's integral carries the exact semigroup kernel. A sector
-    run (see ``_Engine``) is checked on its sector's coefficients; the
-    others are exact zeros in its checkpoints.
+    The nonlinearity at every checkpoint is one batched evaluation (one
+    GEMM to values and one back). The Duhamel integral is accumulated
+    segment by segment with the trapezoid rule, multiplying by the segment
+    propagator as it goes, so each checkpoint's integral carries the exact
+    semigroup kernel. A sector run (see ``_Engine``) is checked on its
+    sector's coefficients; the others are exact zeros in its checkpoints.
     """
     if len(traj.checkpoint_times) < 3:
         raise ValueError("need at least 3 checkpoints for a residual")
     engine = spec._engine
     times = traj.checkpoint_times
     coeffs = traj.checkpoint_coeffs[:, engine.cols]
-    n_hat = np.stack([engine.nonlin_coeff(coeffs[i]) for i in range(len(times))])
+    n_hat = engine.nonlin_coeff(coeffs.T).T
 
     worst = 0.0
     linear = coeffs[0].copy()
@@ -543,4 +567,3 @@ def duhamel_residual(traj: Trajectory, spec: NonlinearProblemSpec) -> float:
         defect = coeffs[i] - linear - integral
         worst = max(worst, float(np.linalg.norm(defect)))
     return worst
-

@@ -42,11 +42,12 @@ overflow give an inf norm. Every streamed norm and bound measures f in one
 frame, ``_frame``: as 2^-e f, its peak in [1/2, 1), each value scaled back
 once by 2^e (inf on overflow). The scale is exact, so the value at 2^k f is
 2^k times that at f bit for bit. Only the frame reads a field's peak,
-scale and layout: the pass, its row pruning and ``_state_bound`` take it.
+scale and layout: the pass, its row pruning, the boundary-mass check and
+``_state_bound`` take it.
 Squared moduli and weights can overflow where the magnitudes of f do not,
 so a streamed norm that comes out not finite is measured again from those
 (the frame at e = 0), which decide between NumericalError, inf and a
-finite value (see ``_measured_norms``).
+finite value (see ``modulation_norms``).
 ``modulation_norms`` reduces one pass for several weight exponents at once:
 the transform and its squared moduli or magnitudes, which are most of the
 cost, are shared, and each weight adds only its own weighting and column
@@ -70,15 +71,14 @@ depends on x only through the even V. The pass therefore runs the rows
 x > 0 alone (the rows [N/2, N) of ``_stft_blocks``) and doubles the finite-p
 column sums; the column sup for p = INF is the same over half the rows.
 Other fields run every row. The boundary-mass check runs where a state is
-measured (``stft``, ``modulation_norm``, ``modulation_norms``), not in the
-pass: a Picard gap, round-off noise near convergence, is reduced by the
-same ``_measured_norms`` without it.
-A p = q = 2 norm (``modulation_norm``, ``modulation_norms``, a Picard gap)
-runs only the x-shift rows that can move its value. By DFT Parseval the
-row at x_i has squared l^2 norm N h^2 sum_j |f_j|^2 g(z_j - x_i)^2, bounded
-without its FFT from both sides by ``_row_energies``, so the row's share of
-the squared norm lies between those bounds times the square of the row min
-and of the row max of v_s (Groechenig, Foundations of Time-Frequency
+measured (``stft``, ``modulation_norm``, ``modulation_norms``, and the
+states ``nlheat`` only bounds), not in the pass.
+A p = q = 2 norm (``modulation_norm``, ``modulation_norms``) runs only
+the x-shift rows that can move its value. By DFT Parseval the row at x_i
+has squared l^2 norm N h^2 sum_j |f_j|^2 g(z_j - x_i)^2, bounded without
+its FFT from both sides by ``_row_energies``, so the row's share of the
+squared norm lies between those bounds times the square of the row min and
+of the row max of v_s (Groechenig, Foundations of Time-Frequency
 Analysis, 2001, ch. 1 and 3). ``_kept_rows``
 drops outermost rows from both ends of the pass's range ([0, N), or
 [N/2, N) for the half-row pass) while the upper bounds of the dropped rows
@@ -91,8 +91,8 @@ row, and so do a zero or non-finite field, a weight that is not finite
 and a field whose weighted squared norm could overflow.
 Cauchy-Schwarz caps every norm by the field's L^2 norm: ``_l2_cap`` is the
 constant C with ``modulation_norm`` <= C ||f||_{L^2}, cached once per
-(s, oscillator, grid, exponents). ``nlheat`` stops its Picard windows on that
-cap and takes the exact pass of a gap only when the cap cannot decide.
+(s, oscillator, grid, exponents). ``nlheat`` stops its Picard sweeps on that
+cap.
 A state's norm has a much tighter certified bound, ``_state_bound``, that
 runs no FFT over the lattice. The triangle inequality over the samples, and
 again after the DFT convolution theorem, bounds every cell:
@@ -110,7 +110,8 @@ weight and exponents on the same rows and columns, bound the norm for
 every 0 < p, q <= INF. On the shipped flows the bound is 1.53 times the
 (2, 1, 2) norm and 1.08 times the (6, 2, 0.02) norm, at a quarter to a
 third of the cost of the pass; ``nlheat`` bounds every recorded state with
-it and runs the exact pass only at some.
+it, one batch of states at a time (``_state_bounds``), and runs the exact
+pass only at some.
 """
 
 from __future__ import annotations
@@ -177,20 +178,18 @@ class PhaseSpaceField:
         object.__setattr__(self, "values", v)
 
 
-def _check_boundary_mass(f: FieldSample) -> None:
-    """Warn when ``f`` carries boundary mass above ``_BOUNDARY_TOL`` of its
-    peak; through ``errors._warn``, so the warning names the line that called
-    into the package, whichever public function measures ``f``."""
-    grid = f.grid
-    amax = float(np.max(np.abs(f.values)))
-    if amax == 0.0:
-        return
+def _check_boundary_mass(values: np.ndarray, peak, grid: Grid) -> None:
+    """Warn for each field (``values``, or each row) of a ``_frame`` whose
+    boundary mass is above ``_BOUNDARY_TOL`` of its peak; through
+    ``errors._warn``, so the warning names the line that called into the
+    package, whichever public function measures the field."""
     mask = np.abs(grid.nodes()) >= grid.half_width - 2.0 * grid.h
-    edge = float(np.max(np.abs(f.values[mask]))) / amax
-    if edge > _BOUNDARY_TOL:
-        _warn(BoundaryMassWarning,
-              f"field amplitude near the box boundary is {edge:.3e} of its peak; "
-              f"cyclic window wrap-around may contaminate the STFT")
+    edges = np.max(np.abs(values[..., mask]), axis=-1)
+    for edge, top in zip(np.atleast_1d(edges).tolist(), np.atleast_1d(peak).tolist()):
+        if edge > _BOUNDARY_TOL * top:
+            _warn(BoundaryMassWarning,
+                  f"field amplitude near the box boundary is {edge / top:.3e} of its peak; "
+                  f"cyclic window wrap-around may contaminate the STFT")
 
 
 def _stft_blocks(f: FieldSample, real: bool, rows: tuple):
@@ -239,8 +238,9 @@ def stft(f: FieldSample) -> PhaseSpaceField:
     shared pass is put in ascending xi order and given the staggered-grid
     phase. Warns when the field carries boundary mass above 1e-8 of its peak.
     """
-    _check_boundary_mass(f)
+    scaled, _, _, _, peak = _frame(f)
     grid = f.grid
+    _check_boundary_mass(scaled.values, peak, grid)
     phase = _staggered_phase(grid)
     n = grid.points_per_axis
     out = np.empty((n, n), dtype=np.complex128)
@@ -333,19 +333,22 @@ def _fft_error(n: int) -> float:
 
 def _banded_sums(a: np.ndarray, band: np.ndarray, rows: slice) -> np.ndarray:
     """sum_m a_{(i + m) mod N} band_m over m = -k..k (``band`` holds 2k + 1
-    values), for the indices i of ``rows``: a banded circulant product, one
-    ``einsum`` over a sliding view of the cyclically padded a, no (N, N)
-    array."""
-    n, k = len(a), len(band) // 2
-    padded = np.concatenate((a[n - k:], a, a[:k]))
-    # row i of the view is padded[i:i + 2k + 1] (a sliding window view,
-    # without that function's per-call checks)
-    windows = np.ndarray((n, 2 * k + 1), padded.dtype, padded, 0, padded.strides * 2)
-    return np.einsum("ij,j->i", windows[rows], band)
+    values), for the indices i of ``rows`` along the last axis of a (N,) or
+    (K, N) ``a``: a banded circulant product, one ``einsum`` over a sliding
+    view of the cyclically padded a, no (N, N) array. Each row of a batch
+    gets the sums it gets alone."""
+    n, k = a.shape[-1], len(band) // 2
+    padded = np.concatenate((a[..., n - k:], a, a[..., :k]), axis=-1)
+    # entry i of the view's last two axes is padded[..., i:i + 2k + 1] (a
+    # sliding window view, without that function's per-call checks)
+    windows = np.ndarray(padded.shape[:-1] + (n, 2 * k + 1), padded.dtype, padded, 0,
+                         padded.strides + padded.strides[-1:])
+    return np.einsum("...ij,j->...i", windows[..., rows, :], band)
 
 
-def _row_energies(frame):
-    """(E, tail) for the rows first_row..N of a ``_frame``, with
+def _row_energies(values, peak, first_row: int, grid: Grid):
+    """(E, tail) for the rows first_row..N of the framed field ``values`` of
+    peak ``peak`` (or of each row of (K, N) values, peaks (K, 1)), with
     E_i <= sum_j |f_j / peak|^2 g(z_j - x_i)^2 <= E_i + tail.
 
     By DFT Parseval the row of the pass at x_i has squared l^2 norm
@@ -357,11 +360,10 @@ def _row_energies(frame):
     nonnegative terms, so it carries a relative round-off below N eps;
     scaling by the peak max|f| keeps the largest terms from underflowing.
     """
-    f, _, _, first_row, peak = frame
-    band, rest = _window_band(f.grid)
-    a = np.square(np.abs(f.values) / peak)
+    band, rest = _window_band(grid)
+    a = np.square(np.abs(values) / peak)
     return (_banded_sums(a, np.square(band), slice(first_row, None)),
-            rest * rest * float(np.sum(a)))
+            rest * rest * np.sum(a, axis=-1, keepdims=True))
 
 
 def _kept_rows(frame, s_values, osc: OscillatorSpec | None):
@@ -388,7 +390,7 @@ def _kept_rows(frame, s_values, osc: OscillatorSpec | None):
     n = grid.points_per_axis
     if not 0.0 < peak < np.inf:
         return first_row, n
-    energy, tail = _row_energies(frame)
+    energy, tail = _row_energies(f.values, peak, first_row, grid)
     low, high = (b[first_row:] for b in _weight_row_bounds(tuple(s_values), osc, grid))
     slack = 4.0 * n * np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):
@@ -582,17 +584,26 @@ def _modulation_columns(frame, s_values, osc: OscillatorSpec | None, p,
     return columns
 
 
-def _frame(f: FieldSample):
-    """(2^-e f, e, real, first_row, peak): the frame every streamed pass and
-    bound measures f in. 2^-e f has its peak in [1/2, 1) (e = 0 for a zero
-    or non-finite f); real, and the first x-shift row a pass runs: N/2 for a
-    real f that is bitwise even or odd (``_reflection_parity``), else 0."""
-    peak, e = math.frexp(float(np.max(np.abs(f.values))))
-    if e:
-        f = FieldSample(f.grid, np.ldexp(f.values.view(float), -e).view(complex))
-    real = not f.values.imag.any()
-    first_row = f.grid.points_per_axis // 2 if real and _reflection_parity(f.values.real) else 0
-    return f, e, real, first_row, peak
+def _frame(f):
+    """(2^-e f, e, real, first_row, peak): the frame every streamed pass,
+    bound and boundary-mass check measures a field f in. 2^-e f has its
+    peak in [1/2, 1) (e = 0 for a zero or non-finite f); real, and the first
+    x-shift row a pass runs: N/2 for a real f that is bitwise even or odd
+    (``_reflection_parity``), else 0. ``f`` is a FieldSample, or a
+    C-contiguous complex (K, N) array of K fields: then 2^-e f is a new
+    (K, N) array and e, real, first_row and peak are arrays with one entry
+    per row, each the one the row gets alone."""
+    one = isinstance(f, FieldSample)
+    values = f.values[None] if one else f
+    peak, e = np.frexp(np.max(np.abs(values), axis=-1))
+    scaled = np.ldexp(values.view(float), -e[:, None]).view(complex)
+    real = ~values.imag.any(axis=-1)
+    first_row = np.where(real & (_reflection_parity(values.real.T) != 0),
+                         values.shape[-1] // 2, 0)
+    if one:
+        return ((FieldSample(f.grid, scaled[0]) if e[0] else f), int(e[0]), bool(real[0]),
+                int(first_row[0]), float(peak[0]))
+    return scaled, e, real, first_row, peak
 
 
 def _unframed(value: float, e: int) -> float:
@@ -615,10 +626,18 @@ def _full_columns(sums: np.ndarray, real: bool, first_row: int, p) -> np.ndarray
 
 def _state_bound(f: FieldSample, s: float, osc: OscillatorSpec | None,
                  params: MixedNormParams) -> float:
-    """A certified upper bound of ``modulation_norm(f, s, osc, params)``
-    from O(N) banded sums and a reduction of cell bounds, with no FFT over
-    the lattice. No boundary-mass check; a field that is not finite, or a
-    bound that overflows, gives inf.
+    """A certified upper bound of ``modulation_norm(f, s, osc, params)``: the
+    one-field case of ``_state_bounds``."""
+    return float(_state_bounds(_frame(f.values[None]), f.grid, s, osc, params)[0])
+
+
+def _state_bounds(frame, grid: Grid, s: float, osc: OscillatorSpec | None,
+                  params: MixedNormParams) -> np.ndarray:
+    """Certified upper bounds of ``modulation_norm(f, s, osc, params)`` for
+    each field f of the batch ``frame`` (``_frame`` of a (K, N) array), from
+    O(N) banded sums and a reduction of cell bounds, with no FFT over the
+    lattice. No boundary-mass check; a field that is not finite, or a bound
+    that overflows, gives inf.
 
     Every cell of the transform is at most min(r_i, c_n), the triangle
     inequality before and after the DFT convolution theorem:
@@ -642,56 +661,63 @@ def _state_bound(f: FieldSample, s: float, osc: OscillatorSpec | None,
     columns whose such bound is more than ``_REFINED_SHARE`` of the outer
     sum; the other columns keep that bound. The value is lifted by
     8 N eps / (min(p, 1) min(q, 1)), which covers the relative round-off
-    of both reductions. The field is bounded in its ``_frame``, as it is
-    measured, and the bound scaled back once.
+    of both reductions. Each field is bounded in its frame, as it is
+    measured, and its bound scaled back once. The fields of one layout
+    (real, first_row) share every O(N) sum and the FFT, each along a row,
+    so a field's bound is the one it gets alone; only the reduction of its
+    refined cells runs field by field.
     """
-    grid = f.grid
+    scaled, e, real, first_row, peak = frame
     n, h = grid.points_per_axis, grid.h
     p, q = params.p, params.q
-    f, e, real, first_row, peak = frame = _frame(f)
-    if not 0.0 < peak < np.inf:
-        return 0.0 if peak == 0.0 else math.inf
-    mag = np.abs(f.values)
-    width = n // 2 + 1 if real else n
     fft_error = _fft_error(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        band, rest = _window_band(grid)
-        row_bounds = h * (_banded_sums(mag, band, slice(first_row, None))
-                          + rest * float(mag.sum()))
-        spectrum = np.abs(np.fft.fft(f.values))
-        band, rest, total = _spectral_window_band(grid)
-        col_bounds = (h / n) * (
-            _banded_sums(spectrum, band, slice(0, width)) + rest * float(spectrum.sum())
-            + fft_error * float(np.linalg.norm(f.values)) * total)
-        energy, tail = _row_energies(frame)
-        floor = fft_error * h * peak * np.sqrt(energy + tail)
-        # min(r_i + floor_i, c_n + max floor) >= min(r_i, c_n) + floor_i
-        row_bounds += floor
-        col_bounds += floor.max()
-        # each column's bound from c_n alone, and its share of the outer sum
-        columns = _weight_columns(s, osc, grid, p, first_row)[:width]
-        columns = columns * (col_bounds if is_inf(p) else col_bounds ** float(p))
-        share = columns ** ((1.0 if is_inf(p) else 1.0 / float(p))
-                            * (1.0 if is_inf(q) else float(q)))
-        refined = share > _REFINED_SHARE * float(share.sum())
-        if not (np.isfinite(share).all() and refined.any()):
-            refined[:] = True
-        lo, hi = int(np.argmax(refined)), width - int(np.argmax(refined[::-1]))
-        lattice = _weight_lattice(s, osc, grid)
-        if lattice is not None:
-            lattice = lattice[first_row:, lo:hi]
-        height = max(1, _BLOCK_CELLS // (hi - lo))
-        blocks = ((start, np.minimum.outer(row_bounds[start:start + height],
-                                           col_bounds[lo:hi]))
-                  for start in range(0, n - first_row, height))
-        try:
-            [columns[lo:hi]] = _weighted_columns(blocks, [lattice], p)
-        except NumericalError:
-            return math.inf
-        value = _outer_reduce(_full_columns(columns, real, first_row, p), p, q, h,
-                              grid.frequency_cell)
+    lattice = _weight_lattice(s, osc, grid)
+    bounds = np.where(peak == 0.0, 0.0, math.inf)
+    finite = (0.0 < peak) & (peak < np.inf)
+    for is_real, first in sorted(set(zip(real[finite].tolist(), first_row[finite].tolist()))):
+        rows = np.flatnonzero(finite & (real == is_real) & (first_row == first))
+        f, peaks = scaled[rows], peak[rows, None]
+        mag = np.abs(f)
+        width = n // 2 + 1 if is_real else n
+        with np.errstate(over="ignore", invalid="ignore"):
+            band, rest = _window_band(grid)
+            row_bounds = h * (_banded_sums(mag, band, slice(first, None))
+                              + rest * mag.sum(axis=-1, keepdims=True))
+            spectrum = np.abs(np.fft.fft(f, axis=-1))
+            band, rest, total = _spectral_window_band(grid)
+            col_bounds = (h / n) * (
+                _banded_sums(spectrum, band, slice(0, width))
+                + rest * spectrum.sum(axis=-1, keepdims=True)
+                + fft_error * np.linalg.norm(f, axis=-1, keepdims=True) * total)
+            energy, tail = _row_energies(f, peaks, first, grid)
+            floor = fft_error * h * peaks * np.sqrt(energy + tail)
+            # min(r_i + floor_i, c_n + max floor) >= min(r_i, c_n) + floor_i
+            row_bounds += floor
+            col_bounds += floor.max(axis=-1, keepdims=True)
+            # each column's bound from c_n alone, and its share of the outer sum
+            columns = _weight_columns(s, osc, grid, p, first)[:width] * (
+                col_bounds if is_inf(p) else col_bounds ** float(p))
+            share = columns ** ((1.0 if is_inf(p) else 1.0 / float(p))
+                                * (1.0 if is_inf(q) else float(q)))
+            refined = share > _REFINED_SHARE * share.sum(axis=-1, keepdims=True)
+            refined[~(np.isfinite(share).all(axis=-1) & refined.any(axis=-1))] = True
+            for row, r_bounds, c_bounds, cols, keep in zip(rows, row_bounds, col_bounds,
+                                                           columns, refined):
+                lo, hi = int(np.argmax(keep)), width - int(np.argmax(keep[::-1]))
+                height = max(1, _BLOCK_CELLS // (hi - lo))
+                blocks = ((start, np.minimum.outer(r_bounds[start:start + height],
+                                                   c_bounds[lo:hi]))
+                          for start in range(0, n - first, height))
+                try:
+                    [cols[lo:hi]] = _weighted_columns(
+                        blocks, [None if lattice is None else lattice[first:, lo:hi]], p)
+                except NumericalError:
+                    continue
+                bounds[row] = _outer_reduce(_full_columns(cols, is_real, first, p), p, q, h,
+                                            grid.frequency_cell)
     below_one = [1.0 if is_inf(r) else min(float(r), 1.0) for r in (p, q)]
-    return _unframed(value * (1.0 + 8.0 * n * _EPS / (below_one[0] * below_one[1])), e)
+    with np.errstate(over="ignore"):
+        return np.ldexp(bounds * (1.0 + 8.0 * n * _EPS / (below_one[0] * below_one[1])), e)
 
 
 def mixed_norm(field: PhaseSpaceField, s: float, osc: OscillatorSpec | None,
@@ -733,12 +759,10 @@ def modulation_norm(f: FieldSample, s: float, osc: OscillatorSpec | None,
     that is finite; a norm that comes out not finite is measured again from
     the magnitudes of f itself: NumericalError where a weighted cell
     h |V_g f| v_s is not finite, else inf. Like ``stft`` it warns when the
-    field carries boundary mass above 1e-8 of its peak; a Picard gap goes
-    through ``_measured_norms`` without that check. This is the one-weight
-    case of ``modulation_norms``.
+    field carries boundary mass above 1e-8 of its peak. This is the
+    one-weight case of ``modulation_norms``.
     """
-    _check_boundary_mass(f)
-    [value] = _measured_norms(f, [s], osc, params)
+    [value] = modulation_norms(f, [s], osc, params)
     return value
 
 
@@ -754,22 +778,17 @@ def modulation_norms(f: FieldSample, s_values, osc: OscillatorSpec | None,
     norm, as those of a one-weight pass do, but they may be other rows, so
     a value may differ from the one-weight value in the last bit. An
     overflowing weight anywhere in the list raises NumericalError.
+
+    f is measured in its ``_frame``, which also gives the boundary-mass
+    check its peak; an even p reduces the squared moduli. Both can overflow
+    where the magnitudes h |V_g f| v_s do not (2^-600 f under s = 100, or
+    the sums of (|V_g f| v_s)^p before h^p), so when any norm is not
+    finite, or a scaled cell raises, every norm is measured again from the
+    magnitudes of f itself (its frame at e = 0), by the rule of
+    ``mixed_norm``. No weight exponent, no pass.
     """
-    _check_boundary_mass(f)
-    return _measured_norms(f, s_values, osc, params)
-
-
-def _measured_norms(f, s_values, osc, params) -> list:
-    """The norms of ``modulation_norms`` without the boundary-mass check: the
-    shared path of a measured state and of a Picard gap (round-off noise
-    near convergence). No weight exponent, no pass.
-
-    f is measured in its ``_frame``; an even p reduces the squared moduli.
-    Both can overflow where the magnitudes h |V_g f| v_s do not (2^-600 f
-    under s = 100, or the sums of (|V_g f| v_s)^p before h^p), so when any
-    norm is not finite, or a scaled cell raises, every norm is measured
-    again from the magnitudes of f itself (its frame at e = 0), by the rule
-    of ``mixed_norm``."""
+    scaled, e, real, first_row, peak = frame = _frame(f)
+    _check_boundary_mass(scaled.values, peak, f.grid)
     if not len(s_values):
         return []
     p, q = params.p, params.q
@@ -780,7 +799,6 @@ def _measured_norms(f, s_values, osc, params) -> list:
         return [_unframed(_outer_reduce(columns, p, q, *cells), frame[1])
                 for columns in _modulation_columns(frame, s_values, osc, p, prune, squared)]
 
-    _, e, real, first_row, peak = frame = _frame(f)
     squared = not is_inf(p) and float(p) % 2.0 == 0.0
     if squared or e:
         try:

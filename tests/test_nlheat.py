@@ -246,8 +246,9 @@ class TestPicard:
     def test_defocusing_run_shape(self, defocusing):
         traj = picard_solve(defocusing, 0.2, 0.005)
         assert len(traj.times) == 41
-        assert len(traj.contraction_factors) == 40
-        assert all(len(w) >= 1 for w in traj.contraction_factors)
+        # 40 windows are one block: _EXACT_STRIDE is 100
+        assert len(traj.contraction_factors) == 1
+        assert all(len(b) >= 1 for b in traj.contraction_factors)
         assert traj.max_contraction() < 0.5
         assert not traj.blown_up
         assert traj.monitored_norms[-1] < traj.monitored_norms[0]
@@ -351,42 +352,32 @@ class TestOneEngine:
 
 
 class TestCertifiedStop:
-    """Picard records each gap as its cap C ||gap||_{L^2}, which bounds the
-    monitored norm; the exact STFT gap norm runs only when the cap is at or
-    above tol, so every window takes the iterations the exact gap gives."""
+    """Picard records each sweep's gap as its cap C sup_k ||gap_k||_{L^2},
+    which bounds the monitored norm of every endpoint gap of the block, and
+    stops the block on it alone."""
 
-    @staticmethod
-    def exact_gap_calls(monkeypatch):
-        calls = []
-        exact = anharmonic.nlheat._Engine.gap_norm
-
-        def counted(engine, coeffs):
-            calls.append(1)
-            return exact(engine, coeffs)
-
-        monkeypatch.setattr(anharmonic.nlheat._Engine, "gap_norm", counted)
-        return calls
-
-    def test_fallback_keeps_the_exact_iteration_counts(self, defocusing, monkeypatch):
-        """Amplitude 0.5 needs 3-4 passes per window, so the cap cannot
-        decide every stop: the exact norm runs on two passes of each window.
-        The counts were taken while every gap was measured exactly."""
-        calls = self.exact_gap_calls(monkeypatch)
+    def test_sweep_counts_per_block(self, defocusing, monkeypatch):
+        """Amplitude 0.5 over 40 windows: as one block the cap decides the
+        stop after 8 sweeps, and the sweep ratios fall, as a waveform
+        relaxation converges superlinearly; as four blocks of 10 windows,
+        after 6 sweeps each."""
         traj = picard_solve(defocusing, 0.2, 0.005)
-        assert [len(w) + 1 for w in traj.contraction_factors] == [4] * 25 + [3] * 15
-        assert len(calls) == 80
+        assert [len(b) + 1 for b in traj.contraction_factors] == [8]
+        [ratios] = traj.contraction_factors
+        assert all(later < earlier for earlier, later in zip(ratios, ratios[1:]))
+        monkeypatch.setattr(anharmonic.nlheat, "_EXACT_STRIDE", 10)
+        traj = picard_solve(defocusing, 0.2, 0.005)
+        assert [len(b) + 1 for b in traj.contraction_factors] == [6] * 4
 
-    def test_small_data_takes_no_exact_gap(self, dec, small_u0, monkeypatch):
-        """At monitored norm 0.05 (the benchmark flow's initial norm) the cap
-        decides every stop, after the two mandatory passes."""
+    def test_small_data_takes_two_sweeps(self, dec, small_u0):
+        """At monitored norm 0.05 (the benchmark flow's initial norm) a block
+        stops after the two mandatory sweeps."""
         scale = 0.05 / ah.modulation_norm(small_u0, MONITOR[2], dec.oscillator,
                                           ah.MixedNormParams(*MONITOR[:2]))
         u0 = FieldSample(dec.grid, scale * small_u0.values)
         spec = NonlinearProblemSpec(dec, u0, coupling=-1.0, monitor=MONITOR)
-        calls = self.exact_gap_calls(monkeypatch)
         traj = picard_solve(spec, 0.05, 0.005)
-        assert [len(w) + 1 for w in traj.contraction_factors] == [2] * 10
-        assert calls == []
+        assert [len(b) + 1 for b in traj.contraction_factors] == [2]
 
     @LAYOUTS
     def test_field_l2_is_the_full_field_norm(self, dec, shift):
@@ -396,27 +387,9 @@ class TestCertifiedStop:
                                     monitor=MONITOR)
         engine = anharmonic.nlheat._Engine(spec)
         c = np.random.default_rng(3).standard_normal(len(engine.lam_beta))
-        full = engine.field(c).values
+        full = engine.fields(c[:, None])[0]
         expected = math.sqrt(dec.grid.h * np.sum(np.abs(full) ** 2))
         assert engine.field_l2(c) == pytest.approx(expected, rel=1e-13)
-
-    @LAYOUTS
-    def test_gap_norm_skips_the_boundary_mass_check(self, dec, shift):
-        """Near convergence a Picard gap is round-off noise, so its exact norm
-        takes no boundary-mass check. It is the monitored norm of the same
-        mirrored field, which, measured as a state, warns."""
-        x = dec.grid.nodes()
-        spec = NonlinearProblemSpec(dec, FieldSample(dec.grid, np.exp(-(x - shift) ** 2 / 2)),
-                                    monitor=MONITOR)
-        engine = anharmonic.nlheat._Engine(spec)
-        c = np.random.default_rng(5).standard_normal(len(engine.lam_beta))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", BoundaryMassWarning)
-            gap = engine.gap_norm(c)
-        with pytest.warns(BoundaryMassWarning):
-            state = ah.modulation_norm(engine.field(c), MONITOR[2], dec.oscillator,
-                                       ah.MixedNormParams(*MONITOR[:2]))
-        assert gap == state
 
     def test_overflowing_gap_has_cap_inf(self, defocusing):
         """A gap whose sum of squares overflows has cap inf, which a
@@ -425,6 +398,82 @@ class TestCertifiedStop:
         huge = np.full(len(engine.lam_beta), 1e200)
         with np.errstate(over="ignore"):
             assert engine.cap_constant() * engine.field_l2(huge) == math.inf
+
+
+class TestSweeps:
+    """A Picard block is solved by sweeps over all its windows at once, with
+    the fixed point of the windowed iteration."""
+
+    @pytest.mark.parametrize("nu,kind", [(1, "power"), (2, "power"), (1, "inhomogeneous")])
+    def test_first_sweep_ratio_is_eps_to_the_2nu(self, hermite_osc, hermite_grid, nu, kind):
+        """N is homogeneous of degree 2 nu + 1, so the first gap scales as
+        eps^(2 nu + 1) and the second as eps^(4 nu + 1): the first sweep
+        ratio of one 100-window block, over initial monitored norms eps,
+        fits log-log slope 2 nu. A nonlinearity that is not applied, or not
+        of that degree, misses it."""
+        dec = ah.decompose(hermite_osc, hermite_grid, 64)
+        gauss = np.exp(-hermite_grid.nodes() ** 2 / 2)
+        unit = ah.modulation_norm(FieldSample(hermite_grid, gauss), MONITOR[2], hermite_osc,
+                                  ah.MixedNormParams(*MONITOR[:2]))
+        eps = np.array([0.05, 0.1, 0.2, 0.4])
+        kappas = []
+        for e in eps:
+            spec = NonlinearProblemSpec(dec, FieldSample(hermite_grid, e / unit * gauss), nu=nu,
+                                        kind=kind, alpha=0.5 if kind == "inhomogeneous" else 0.0,
+                                        monitor=MONITOR)
+            traj = picard_solve(spec, 0.5, 0.005, checkpoint_stride=100)
+            assert len(traj.contraction_factors) == 1
+            kappas.append(traj.contraction_factors[0][0])
+        slope = np.polyfit(np.log(eps), np.log(kappas), 1)[0]
+        assert abs(slope - 2 * nu) < 1e-3
+
+    def test_zero_coupling_gaps_are_exactly_zero(self, dec, small_u0, monkeypatch):
+        """Without a nonlinearity every sweep reproduces the linear flow bit
+        for bit: no gap is nonzero, so none is measured, and a block stops
+        after the two mandatory sweeps with no ratio."""
+        measured = []
+        monkeypatch.setattr(anharmonic.nlheat._Engine, "field_l2",
+                            lambda engine, coeffs: measured.append(coeffs))
+        monkeypatch.setattr(anharmonic.nlheat, "_EXACT_STRIDE", 4)
+        spec = NonlinearProblemSpec(dec, small_u0, coupling=0.0, monitor=MONITOR)
+        traj = picard_solve(spec, 0.05, 0.005)
+        assert measured == []
+        assert traj.contraction_factors == ((), (), ())
+
+    @pytest.mark.parametrize("kind", ["power", "inhomogeneous"])
+    def test_blocks_agree_with_single_windows(self, dec, small_u0, kind, monkeypatch):
+        """Blocks of one window are the windowed iteration; both converge to
+        the same fixed point, at every checkpoint."""
+        spec = NonlinearProblemSpec(dec, small_u0, coupling=-1.0, kind=kind,
+                                    alpha=0.4 if kind == "inhomogeneous" else 0.0,
+                                    monitor=MONITOR)
+        block = picard_solve(spec, 0.2, 0.005)
+        monkeypatch.setattr(anharmonic.nlheat, "_EXACT_STRIDE", 1)
+        windows = picard_solve(spec, 0.2, 0.005)
+        assert len(block.contraction_factors) == 1 and len(windows.contraction_factors) == 40
+        scale = np.max(np.abs(windows.checkpoint_coeffs))
+        assert np.max(np.abs(block.checkpoint_coeffs - windows.checkpoint_coeffs)) <= 1e-10 * scale
+
+    def test_a_failing_block_is_halved_to_the_failing_window(self, dec, monkeypatch):
+        """A block that cannot converge is halved until the window that fails
+        is alone, which raises with the windowed iteration's diagnostics;
+        the blocks before it converged and were recorded."""
+        x = dec.grid.nodes()
+        spec = NonlinearProblemSpec(dec, FieldSample(dec.grid, 1.2 * np.exp(-x ** 2 / 2)),
+                                    coupling=-5.0, monitor=MONITOR)
+        tried = []
+        sweeps = anharmonic.nlheat._sweeps
+
+        def counted(engine, c, n, *args):
+            tried.append(n)
+            return sweeps(engine, c, n, *args)
+
+        monkeypatch.setattr(anharmonic.nlheat, "_sweeps", counted)
+        with pytest.raises(NonConvergenceError) as exc:
+            picard_solve(spec, 0.05, 0.005, tol=1e-10, max_iter=2)
+        assert tried == [10, 5, 2, 1]
+        assert exc.value.diagnostics["t"] == pytest.approx(0.005)
+        assert set(exc.value.diagnostics) == {"t", "last_gap", "last_contraction"}
 
 
 class TestBlowup:
@@ -540,14 +589,19 @@ class TestTrajectoryRecord:
         run has none of). The initial state's values are measured once per
         spec: a second run of the same spec reads them."""
         calls = {"monitored_norm": 0, "monitored_bound": 0}
-        for name in calls:
-            method = getattr(anharmonic.nlheat._Engine, name)
+        norm, bounds = (anharmonic.nlheat._Engine.monitored_norm,
+                        anharmonic.nlheat._Engine.monitored_bounds)
 
-            def counted(engine, field, name=name, method=method):
-                calls[name] += 1
-                return method(engine, field)
+        def counted_norm(engine, field):
+            calls["monitored_norm"] += 1
+            return norm(engine, field)
 
-            monkeypatch.setattr(anharmonic.nlheat._Engine, name, counted)
+        def counted_bounds(engine, frame):  # a batch: count its states
+            calls["monitored_bound"] += len(frame[1])
+            return bounds(engine, frame)
+
+        monkeypatch.setattr(anharmonic.nlheat._Engine, "monitored_norm", counted_norm)
+        monkeypatch.setattr(anharmonic.nlheat._Engine, "monitored_bounds", counted_bounds)
         steps = 10
         traj = etd_evolve(defocusing, 0.05, 0.005, checkpoint_stride=steps)
         assert calls == {"monitored_norm": 2, "monitored_bound": 2}
@@ -564,6 +618,22 @@ class TestTrajectoryRecord:
         calls.update(monitored_norm=0, monitored_bound=0)
         picard_solve(dataclasses.replace(defocusing), 0.05, 0.005)
         assert calls == {"monitored_norm": 2, "monitored_bound": steps + 1}
+
+    @INTEGRATORS
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_boundary_mass_warns_at_every_checkpoint(self, dec, integrate, stride):
+        """A flow with mass at the box boundary warns once per checkpoint,
+        from the caller's line: the exact norm's own check, or the check a
+        state left to its bound gets from its block's frame."""
+        x = dec.grid.nodes()
+        spec = NonlinearProblemSpec(dec, FieldSample(dec.grid, 0.5 * np.exp(-(x / 4) ** 2 / 2)),
+                                    monitor=MONITOR)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            traj = integrate(spec, 0.03, 0.005, checkpoint_stride=stride)
+        found = [w for w in caught if w.category is BoundaryMassWarning]
+        assert len(found) == len(traj.checkpoint_times) == 6 // stride + 1
+        assert all(w.filename == __file__ for w in found)
 
     def test_exact_norm_every_hundredth_step(self, defocusing, monkeypatch):
         """A stride-1 record runs the exact norm every ``_EXACT_STRIDE`` steps

@@ -16,7 +16,7 @@ from anharmonic import (INF, BoundaryMassWarning, FieldSample, Grid,
 from anharmonic.estimators import gaussian_probe_fields
 from anharmonic.phasespace import (_column_reduce, _frame, _gaussian_window_values,
                                    _kept_rows, _l2_cap, _modulation_columns, _outer_reduce,
-                                   _state_bound, _weight_lattice, _weighted_columns)
+                                   _state_bound, _state_bounds, _weight_lattice, _weighted_columns)
 from oracles import (dense_stft, gaussian_lattice_stft_abs, gaussian_window_transform_abs,
                      mixed_norm_reference)
 
@@ -25,7 +25,7 @@ HARMONIC = ah.hermite_oscillator()
 
 
 def own_scale_frame(f):
-    """The ``_frame`` of f at its own scale, e = 0, as ``_measured_norms``
+    """The ``_frame`` of f at its own scale, e = 0, as ``modulation_norms``
     measures a field again: its layout, with f unscaled."""
     _, e, real, first_row, peak = _frame(f)
     return f, 0, real, first_row, math.ldexp(peak, e)
@@ -892,8 +892,8 @@ class TestPrunedRows:
 
     def test_gap_columns_run_every_row(self, pass_ranges):
         """The unpruned column pass (the singular weight's) runs every row,
-        whatever the exponents; a Picard gap goes through ``_measured_norms``
-        and at p = q = 2 takes the pruned rows like any such norm."""
+        whatever the exponents; ``modulation_norm`` at p = q = 2 takes the
+        pruned rows."""
         f, _ = self.packet("narrow", "complex")
         [columns] = _modulation_columns(own_scale_frame(f), [2.0], HARMONIC, 2.0)
         full = _outer_reduce(columns, 2.0, 2.0, self.GRID.h, self.GRID.frequency_cell)
@@ -1172,6 +1172,29 @@ class TestStateBound:
         exact = modulation_norm(f, s, HARMONIC, params)
         assert _state_bound(f, s, HARMONIC, params) / exact == pytest.approx(ratio, abs=1e-4)
 
+    @pytest.mark.parametrize("p,q", BOUND_PAIRS, ids=_exponent_id)
+    @pytest.mark.parametrize("s", [FLAT, 2.0], ids=["s0", "s2"])
+    def test_a_batch_is_each_field_alone(self, s, p, q):
+        """``_state_bounds`` over one batch of every seeded kind (three
+        layouts), a zero and a non-finite field gives each field the bound
+        ``_state_bound`` gives it alone, bit for bit, and each bounds the
+        exact norm."""
+        kinds = ["real", "complex", "even", "odd", "nonnegative", "bumps", "even bumps"]
+        fields = [self.field(kind) for kind in kinds]
+        n = self.GRID.points_per_axis
+        bad = np.ones(n)
+        bad[3] = np.nan
+        batch = np.array([f.values for f in fields] + [np.zeros(n), bad], dtype=complex)
+        params = MixedNormParams(p, q)
+        bounds = _state_bounds(_frame(batch), self.GRID, s, HARMONIC, params)
+        alone = [_state_bound(FieldSample(self.GRID, v), s, HARMONIC, params) for v in batch]
+        assert list(bounds) == alone
+        assert bounds[-2] == 0.0 and bounds[-1] == np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryMassWarning)
+            exact = [modulation_norm(f, s, HARMONIC, params) for f in fields]
+        assert np.all(np.array(exact) <= bounds[:-2])
+
     def test_zero_and_non_finite_fields(self):
         n = self.GRID.points_per_axis
         params = MixedNormParams(2.0, 1.0)
@@ -1247,10 +1270,12 @@ class TestOneFrame:
 
     def test_one_frame_per_measured_value(self, monkeypatch):
         """A measured value derives its field's scale, peak and layout once:
-        one ``_frame`` and one ``_reflection_parity`` for a norm, a list of
-        norms from one pass, a Picard gap and a state bound, and two for the
-        singular weight's pair of truncations. The pass, its row pruning and
-        the singular weight used to frame the field a second time."""
+        one ``_frame`` and one ``_reflection_parity`` for a norm (its
+        boundary-mass check included), a list of norms from one pass, a
+        transform (for its boundary-mass check) and a state bound, and two
+        for the singular weight's pair of truncations.
+        The pass, its row pruning and the singular weight used to frame the
+        field a second time."""
         calls = []
 
         def counted(name, function):
@@ -1269,7 +1294,7 @@ class TestOneFrame:
         measures = {
             "modulation_norm": lambda: modulation_norm(f, 2.0, HARMONIC, l2),
             "modulation_norms": lambda: modulation_norms(f, [FLAT, 1.0, 2.0], HARMONIC, l2),
-            "picard_gap": lambda: phasespace._measured_norms(f, [2.0], HARMONIC, l2),
+            "stft": lambda: stft(f),
             "state_bound": lambda: _state_bound(f, 2.0, HARMONIC, l2),
             "singular_weight_norm": lambda: ah.singular_weight_norm(
                 0.3, MixedNormParams(3.0, 3.0), 0.5, 6.0, grid=self.GRID, osc=HARMONIC),
@@ -1280,5 +1305,5 @@ class TestOneFrame:
             measure()
             counts[name] = (calls.count("frame"), calls.count("parity"))
         assert counts == {"modulation_norm": (1, 1), "modulation_norms": (1, 1),
-                          "picard_gap": (1, 1), "state_bound": (1, 1),
+                          "stft": (1, 1), "state_bound": (1, 1),
                           "singular_weight_norm": (2, 2)}
