@@ -23,9 +23,8 @@ from .errors import InvalidSpecError, NumericalError, ProbeSkipWarning, Truncati
 from .model import (MixedNormParams, OscillatorSpec, check_exponent, evaluate_potential,
                     is_inf)
 from .ougauss import GaussianConjugation, apply_conjugation, ou_semigroup
-from .phasespace import (_BLOCK_CELLS, _check_boundary_mass, _frame, _modulation_columns,
-                         _outer_reduce, _unframed, _weighted_columns, modulation_norm,
-                         modulation_norms)
+from .phasespace import (_BLOCK_CELLS, _measured_columns, _outer_reduce, _unframed,
+                         _weighted_columns, modulation_norm, modulation_norms)
 from .spectral import FieldSample, Grid, SpectralDecomposition
 
 PROBE_SEED = 1234
@@ -409,7 +408,7 @@ def ou_probe_rate(c: GaussianConjugation, dec: SpectralDecomposition, beta: floa
     modulation norm of that field divided by the window norm, a factor that
     cancels in every ratio. The identity itself is checked through the STFT
     by the ``ou`` row ``gaussian_norm_l2_gamma_rel_err``, the ``norms`` row
-    ``moyal_identity_rel_err`` and the ``selftest`` rows. Zero-norm probes
+    ``moyal_identity_rel_err`` and the ``selftest`` row. Zero-norm probes
     are skipped with a warning (ValueError if all are).
     """
     ts = [float(t) for t in t_list]
@@ -479,7 +478,8 @@ def singular_weight_norm(alpha: float, params: MixedNormParams, s: float,
     value is stable under radius doubling; for inadmissible outer exponents the frequency
     tail keeps growing, which is where divergence shows first: the bulk of
     the norm always dominates a lattice total, so the total-norm trend alone
-    cannot expose a slowly divergent tail.
+    cannot expose a slowly divergent tail. Both values are ``modulation_norm``
+    bit for bit, and the tails reduce the columns of the full value's pass.
     """
     if not 0.0 < alpha < math.inf:
         raise ValueError("alpha must be a positive real")
@@ -493,18 +493,14 @@ def singular_weight_norm(alpha: float, params: MixedNormParams, s: float,
     def truncated(r):
         return FieldSample(grid, np.where(nodes_r <= r, nodes_r ** (-alpha), 0.0))
 
-    f_full = truncated(radius)
-    scaled, e, _, _, peak = frame = _frame(f_full)
-    _check_boundary_mass(scaled.values, peak, grid)
-    p, q = params.p, params.q
-    cells = (grid.h, grid.frequency_cell)
-    [columns] = _modulation_columns(frame, [s], osc, p)
-    value = _unframed(_outer_reduce(columns, p, q, *cells), e)
+    [value], [columns], e = _measured_columns(truncated(radius), [s], osc, params)
     value_half = modulation_norm(truncated(radius / 2.0), s, osc, params)
     x_growth = abs(value - value_half) / value_half if value_half > 0 else float("inf")
     # outer-exponent tail mass A(Xi): sum over the bulk radius < |xi| <= Xi
     # of inner(xi)^q, or the annulus sup for q = INF
     xi_radii = np.abs(grid.frequency_nodes())
+    p, q = params.p, params.q
+    cells = (grid.h, grid.frequency_cell)
     tails = []
     for xi_max in (_TAIL_RADIUS, 2.0 * _TAIL_RADIUS):
         mask = (xi_radii > _TAIL_BULK_RADIUS) & (xi_radii <= xi_max)

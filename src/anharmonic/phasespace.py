@@ -779,32 +779,47 @@ def modulation_norms(f: FieldSample, s_values, osc: OscillatorSpec | None,
     a value may differ from the one-weight value in the last bit. An
     overflowing weight anywhere in the list raises NumericalError.
 
+    f is measured by the rule of ``_measured_columns``. No weight exponent,
+    no pass.
+    """
+    values, _, _ = _measured_columns(f, s_values, osc, params)
+    return values
+
+
+def _measured_columns(f: FieldSample, s_values, osc: OscillatorSpec | None,
+                      params: MixedNormParams):
+    """(norms, columns, e): the ``modulation_norms`` of f, the column sums
+    of ``_modulation_columns`` that each reduces and the exponent of the
+    frame they are measured in, so a norm is 2^e times the outer reduction
+    of its columns.
+
     f is measured in its ``_frame``, which also gives the boundary-mass
     check its peak; an even p reduces the squared moduli. Both can overflow
     where the magnitudes h |V_g f| v_s do not (2^-600 f under s = 100, or
     the sums of (|V_g f| v_s)^p before h^p), so when any norm is not
     finite, or a scaled cell raises, every norm is measured again from the
     magnitudes of f itself (its frame at e = 0), by the rule of
-    ``mixed_norm``. No weight exponent, no pass.
+    ``mixed_norm``.
     """
     scaled, e, real, first_row, peak = frame = _frame(f)
     _check_boundary_mass(scaled.values, peak, f.grid)
     if not len(s_values):
-        return []
+        return [], [], e
     p, q = params.p, params.q
     cells = (f.grid.h, f.grid.frequency_cell)
     prune = p == 2.0 and q == 2.0
 
-    def norms(frame, squared):
-        return [_unframed(_outer_reduce(columns, p, q, *cells), frame[1])
-                for columns in _modulation_columns(frame, s_values, osc, p, prune, squared)]
+    def measure(frame, squared):
+        columns = _modulation_columns(frame, s_values, osc, p, prune, squared)
+        return ([_unframed(_outer_reduce(c, p, q, *cells), frame[1]) for c in columns],
+                columns, frame[1])
 
     squared = not is_inf(p) and float(p) % 2.0 == 0.0
     if squared or e:
         try:
-            values = norms(frame, squared)
+            measured = measure(frame, squared)
+            if all(math.isfinite(v) for v in measured[0]):
+                return measured
         except NumericalError:
-            values = [math.nan]
-        if all(math.isfinite(v) for v in values):
-            return values
-    return norms((f, 0, real, first_row, math.ldexp(peak, e)), False)
+            pass
+    return measure((f, 0, real, first_row, math.ldexp(peak, e)), False)

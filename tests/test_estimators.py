@@ -33,9 +33,10 @@ def at_one_time(params, t):
 
 class TestSigmaExponent:
     def test_closed_forms(self):
-        assert sigma_exponent(1, 1, 1.0, 1.0, 1.0) == pytest.approx(1.0)
-        assert sigma_exponent(2, 1, 1.0, 2.0, 2.0) == pytest.approx(3.0 / 8.0)
-        assert sigma_exponent(1, 2, 2.0, 2.0, INF) == pytest.approx(1.0 / 8.0)
+        # exact: 1, 3/8 and 1/8 are binary fractions
+        assert sigma_exponent(1, 1, 1.0, 1.0, 1.0) == 1.0
+        assert sigma_exponent(2, 1, 1.0, 2.0, 2.0) == 3.0 / 8.0
+        assert sigma_exponent(1, 2, 2.0, 2.0, INF) == 1.0 / 8.0
 
     def test_inf_zeroes_both_terms(self):
         assert sigma_exponent(1, 1, 1.0, INF, INF) == 0.0
@@ -392,6 +393,20 @@ class TestSingularWeight:
             singular_weight_norm(0.3, MixedNormParams(2.0, 2.0), FLAT, radius,
                                  grid=hermite_grid)
 
+    @pytest.mark.parametrize("p,q", [(2.0, 2.0), (3.0, 1.5), (INF, 2.0)],
+                             ids=["p2-q2", "p3-q1.5", "pinf-q2"])
+    def test_values_are_the_modulation_norms(self, hermite_osc, p, q):
+        """Both values are ``modulation_norm`` of the truncated field bit for
+        bit: the full value comes from the same measurement, squared moduli
+        at an even p and row pruning at p = q = 2 included."""
+        grid = Grid(256, 8.0)
+        params = MixedNormParams(p, q)
+        res = singular_weight_norm(0.5, params, 0.5, 6.0, grid=grid, osc=hermite_osc)
+        r = np.abs(grid.nodes())
+        for radius, value in ((6.0, res.value), (3.0, res.value_half)):
+            f = FieldSample(grid, np.where(r <= radius, r ** -0.5, 0.0))
+            assert value == modulation_norm(f, 0.5, hermite_osc, params)
+
     def test_admissible_case_is_radius_stable(self, hermite_grid):
         # inner exponent 3 makes the x tail |x|^(-3/2) summable, so doubling
         # the truncation radius barely moves the norm
@@ -611,6 +626,29 @@ class TestPublicSurface:
                 if isinstance(node, ast.keyword) and node.arg == "stacklevel":
                     found.append(f"{path.name}:{node.value.lineno} stacklevel")
         assert found == []
+
+    def test_no_module_imports_an_unused_name(self):
+        """Every name a module of the package imports is used in it, save in
+        ``__init__``, whose imports are its exports: a deletion leaves no
+        import behind."""
+        package = Path(anharmonic.__file__).parent
+        unused = []
+        for path in sorted(package.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update((alias.asname or alias.name.split(".")[0], node.lineno)
+                                    for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    imported.update((alias.asname or alias.name, node.lineno)
+                                    for alias in node.names)
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                       if name not in used]
+        assert unused == []
 
     def test_every_exported_function_serves_a_run(self):
         """Each function in anharmonic.__all__, from every module, is called by

@@ -1288,7 +1288,6 @@ class TestOneFrame:
                             counted("parity", phasespace._reflection_parity))
         framed = counted("frame", phasespace._frame)
         monkeypatch.setattr(phasespace, "_frame", framed)
-        monkeypatch.setattr(ah.estimators, "_frame", framed)
         f = FieldSample(self.GRID, np.exp(-self.GRID.nodes() ** 2 / 2.0))  # real and even
         l2 = MixedNormParams(2.0, 2.0)
         measures = {
