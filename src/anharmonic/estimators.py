@@ -534,15 +534,15 @@ def sobolev_modulation_equivalence(dec: SpectralDecomposition, s_values, probes)
     sobolev_norm / modulation_norm(p=q=2, anharmonic s).
 
     Probes are projected onto the retained-mode span first, so the spectral
-    norm sees exactly the same object as the lattice norm. Each span is
-    projected once and transformed once: ``modulation_norms`` reduces its
-    pass under every weight, and the span's coefficients serve every s. Per
-    s, a probe with zero modulation norm is skipped with a ProbeSkipWarning,
-    and ValueError is raised when all are.
+    norm sees exactly the same object as the lattice norm. Each probe is
+    projected once and its span transformed once: ``modulation_norms``
+    reduces the pass under every weight, and the projection's coefficients
+    serve every s. Per s, a probe with zero modulation norm is skipped with
+    a ProbeSkipWarning, and ValueError is raised when all are.
     """
     s_values = [float(s) for s in s_values]
-    spans = [dec.reconstruct(dec.coefficients(f)) for f in probes]
-    span_coeffs = [dec.coefficients(f) for f in spans]
+    span_coeffs = [dec.coefficients(f) for f in probes]
+    spans = [dec.reconstruct(c) for c in span_coeffs]
     mod = [modulation_norms(f, s_values, dec.oscillator, _L2) for f in spans]
     bands = []
     for k, s in enumerate(s_values):

@@ -40,7 +40,8 @@ from .calculus import _warn_off_span
 from .errors import InvalidSpecError, NonConvergenceError
 from .model import MixedNormParams
 from .phasespace import _check_boundary_mass, _frame, _l2_cap, _state_bounds, modulation_norm
-from .spectral import FieldSample, SpectralDecomposition, _reflection_parity, real_matmul
+from .spectral import (_ORTHO_TOL, FieldSample, SpectralDecomposition, _reflection_parity,
+                       real_matmul)
 
 _BLOWUP_NORM = 1e6
 # a stride-1 record runs the exact monitored norm at every this many steps
@@ -208,17 +209,12 @@ class _Engine:
                              self.monitor_params)
 
     def cap_constant(self) -> float:
-        """``phasespace._l2_cap`` of the monitor: the monitored norm of any
-        field is at most this times its L^2 norm."""
+        """C with monitored norm <= C ||c||_2 for the field of any coefficients
+        c: ``phasespace._l2_cap`` times sqrt(1 + m ``_ORTHO_TOL``), the
+        Gershgorin bound on the Gram matrix of the m modes, gated by
+        ``decompose``, that relates ||c||_2 to the field's L^2 norm."""
         return _l2_cap(self.monitor_s, self.dec.oscillator, self.dec.grid,
-                       self.monitor_params)
-
-    def field_l2(self, coeffs: np.ndarray) -> np.ndarray:
-        """L^2 norm of the full field of ``coeffs``, or of each column of a
-        block: sqrt(cell sum |v|^2) over the engine's rows (a sector field's
-        mirror half is carried by the doubled cell). A sum of squares that
-        overflows (norm above about 1e154) gives inf."""
-        return np.sqrt(self.cell) * np.linalg.norm(self.to_values(coeffs), axis=0)
+                       self.monitor_params) * math.sqrt(1.0 + len(self.lam_beta) * _ORTHO_TOL)
 
 
 @dataclass(eq=False)
@@ -283,13 +279,14 @@ class _Recorder:
     Picard block, or the exponential steps up to a checkpoint). A block's
     checkpoints get their values from one GEMM, their frame and their
     bounds (``phasespace._state_bounds``) from one batch. Between
-    checkpoints both monitored columns are NaN. The exact monitored norm (one STFT pass) runs
-    only at t = 0, at the checkpoints on every ``_EXACT_STRIDE``-th step, at
-    the last step (of the horizon, or of a blow-up) and at a checkpoint
-    whose bound is not at most ``_BLOWUP_NORM``; elsewhere it is NaN and the
-    batch's frame gives the state the exact norm's boundary-mass check. At
-    a stride point or the last step the flow has blown up when the monitored
-    norm is non-finite or above ``_BLOWUP_NORM``: a bound at most
+    checkpoints both monitored columns are NaN. The exact monitored norm
+    (one STFT pass) runs only at t = 0, at the checkpoints on every
+    ``_EXACT_STRIDE``-th step, at the last step (of the horizon, or of a
+    blow-up) and at a checkpoint whose bound is not at most
+    ``_BLOWUP_NORM``; elsewhere it is NaN and the batch's frame gives the
+    state the exact norm's boundary-mass check, after the block's exact
+    norms. At a stride point or the last step the flow has blown up when the
+    monitored norm is non-finite or above ``_BLOWUP_NORM``: a bound at most
     ``_BLOWUP_NORM`` certifies that it is not, and any other bound hands the
     decision to the exact norm. Between stride points the flow has blown up
     when the coefficients are non-finite or their l2 norm is above
@@ -334,18 +331,10 @@ class _Recorder:
         exact = kept & finite & ((steps % _EXACT_STRIDE == 0) | (steps == self.steps)
                                  | ~on_stride | ~(bounds <= _BLOWUP_NORM))
         left = kept & finite & ~exact  # the states left to their bounds
-
-        def check(lo, hi):  # the exact norm's boundary-mass check, in step order
-            rows = np.searchsorted(fielded, lo + np.flatnonzero(left[lo:hi]))
-            if rows.size:
-                _check_boundary_mass(frame[0][rows], frame[4][rows], engine.dec.grid)
-
         # a step left to its bound has a bound, so a norm, at most the guard:
         # only a measured or non-finite step can have blown up
-        end, checked = len(steps), 0
+        end = len(steps)
         for k in np.flatnonzero(kept & ~left):
-            check(checked, k)
-            checked = k
             if exact[k]:
                 norms[k] = engine.monitored_norm(
                     FieldSample(engine.dec.grid, values[np.searchsorted(fielded, k)]))
@@ -353,7 +342,10 @@ class _Recorder:
                 end = k + 1
                 self.blowup_time = float(steps[k] * self.dt)
                 break
-        check(checked, end)
+        # the exact norm's boundary-mass check, for the states left to their bounds
+        rows = np.searchsorted(fielded, np.flatnonzero(left[:end]))
+        if rows.size:
+            _check_boundary_mass(frame[0][rows], frame[4][rows])
         kept = np.flatnonzero(kept[:end])
         times = steps[:end] * self.dt
         self.times += times.tolist()
@@ -437,9 +429,8 @@ def _sweeps(engine, c, n, dt, tol, max_iter, t_end):
                     {"t": t_end, "iterations": len(gaps) + 1,
                      "last_gap": gaps[-1] if gaps else None})
             if ends is not None:
-                gap_fields = new_ends - ends
-                gaps.append(cap * float(engine.field_l2(gap_fields).max())
-                            if np.any(gap_fields) else 0.0)
+                gap = new_ends - ends  # a sum of squares that overflows gives inf
+                gaps.append(cap * float(np.linalg.norm(gap, axis=0).max()) if np.any(gap) else 0.0)
                 if len(gaps) >= 2 and gaps[-2] > 0:
                     ratios.append(gaps[-1] / gaps[-2])
                 # a second sweep is mandatory so the contraction is measured,
@@ -469,8 +460,9 @@ def picard_solve(spec: NonlinearProblemSpec, horizon: float, dt: float,
     scan and refreshes the midpoints: Picard waveform relaxation
     (Lelarasmee, Ruehli and Sangiovanni-Vincentelli, IEEE Trans. CAD 1,
     1982). A block stops, after at least two sweeps, when its cap
-    C sup_k ||gap_k||_{L^2}, C the monitor's ``phasespace._l2_cap``, which
-    bounds the monitored norm of every endpoint gap, is below tol.
+    C sup_k ||gap_k||_2 over the coefficient gaps of its endpoints, C the
+    engine's ``cap_constant``, which bounds the monitored norm of every
+    endpoint gap, is below tol.
     ``contraction_factors`` holds, per block, the ratios of successive caps.
 
     A block whose sweeps go non-finite or do not converge in ``max_iter`` is

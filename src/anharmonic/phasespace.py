@@ -72,7 +72,8 @@ x > 0 alone (the rows [N/2, N) of ``_stft_blocks``) and doubles the finite-p
 column sums; the column sup for p = INF is the same over half the rows.
 Other fields run every row. The boundary-mass check runs where a state is
 measured (``stft``, ``modulation_norm``, ``modulation_norms``, and the
-states ``nlheat`` only bounds), not in the pass.
+states ``nlheat`` only bounds), not in the pass; it reads the framed field
+at the four nodes within 2h of the box edge (``_EDGE_NODES``).
 A p = q = 2 norm (``modulation_norm``, ``modulation_norms``) runs only
 the x-shift rows that can move its value. By DFT Parseval the row at x_i
 has squared l^2 norm N h^2 sum_j |f_j|^2 g(z_j - x_i)^2, bounded without
@@ -92,7 +93,8 @@ and a field whose weighted squared norm could overflow.
 Cauchy-Schwarz caps every norm by the field's L^2 norm: ``_l2_cap`` is the
 constant C with ``modulation_norm`` <= C ||f||_{L^2}, cached once per
 (s, oscillator, grid, exponents). ``nlheat`` stops its Picard sweeps on that
-cap.
+cap of the coefficient norms of the sweep gaps, lifted by the Gram bound of
+its modes.
 A state's norm has a much tighter certified bound, ``_state_bound``, that
 runs no FFT over the lattice. The triangle inequality over the samples, and
 again after the DFT convolution theorem, bounds every cell:
@@ -129,6 +131,9 @@ from .spectral import FieldSample, Grid, _reflection_parity
 
 _WINDOW_NORM_TOL = 1e-10
 _BOUNDARY_TOL = 1e-8
+# the nodes within 2h of the box edge, |x| >= L - 2h: on the staggered grid
+# x_i = -L + (i + 1/2) h always the first two and the last two
+_EDGE_NODES = [0, 1, -2, -1]
 _BLOCK_CELLS = 1 << 15  # lattice cells per block of the streamed STFT pass
 # relative lift of the L^2 cap over an exact norm's FFT round-off (about
 # eps log2 N, 2e-15 at 512 points)
@@ -178,13 +183,13 @@ class PhaseSpaceField:
         object.__setattr__(self, "values", v)
 
 
-def _check_boundary_mass(values: np.ndarray, peak, grid: Grid) -> None:
+def _check_boundary_mass(values: np.ndarray, peak) -> None:
     """Warn for each field (``values``, or each row) of a ``_frame`` whose
-    boundary mass is above ``_BOUNDARY_TOL`` of its peak; through
-    ``errors._warn``, so the warning names the line that called into the
-    package, whichever public function measures the field."""
-    mask = np.abs(grid.nodes()) >= grid.half_width - 2.0 * grid.h
-    edges = np.max(np.abs(values[..., mask]), axis=-1)
+    boundary mass, its largest magnitude at the ``_EDGE_NODES``, is above
+    ``_BOUNDARY_TOL`` of its peak; through ``errors._warn``, so the warning
+    names the line that called into the package, whichever public function
+    measures the field."""
+    edges = np.max(np.abs(values[..., _EDGE_NODES]), axis=-1)
     for edge, top in zip(np.atleast_1d(edges).tolist(), np.atleast_1d(peak).tolist()):
         if edge > _BOUNDARY_TOL * top:
             _warn(BoundaryMassWarning,
@@ -240,7 +245,7 @@ def stft(f: FieldSample) -> PhaseSpaceField:
     """
     scaled, _, _, _, peak = _frame(f)
     grid = f.grid
-    _check_boundary_mass(scaled.values, peak, grid)
+    _check_boundary_mass(scaled.values, peak)
     phase = _staggered_phase(grid)
     n = grid.points_per_axis
     out = np.empty((n, n), dtype=np.complex128)
@@ -346,22 +351,22 @@ def _banded_sums(a: np.ndarray, band: np.ndarray, rows: slice) -> np.ndarray:
     return np.einsum("...ij,j->...i", windows[..., rows, :], band)
 
 
-def _row_energies(values, peak, first_row: int, grid: Grid):
-    """(E, tail) for the rows first_row..N of the framed field ``values`` of
-    peak ``peak`` (or of each row of (K, N) values, peaks (K, 1)), with
-    E_i <= sum_j |f_j / peak|^2 g(z_j - x_i)^2 <= E_i + tail.
+def _row_energies(mag, first_row: int, grid: Grid):
+    """(E, tail) for the rows first_row..N of a framed field f of magnitudes
+    ``mag`` = |f| (or of each row of (K, N) magnitudes), with
+    E_i <= sum_j |f_j|^2 g(z_j - x_i)^2 <= E_i + tail.
 
     By DFT Parseval the row of the pass at x_i has squared l^2 norm
-    N h^2 peak^2 times that sum. The shift table is circulant,
+    N h^2 times that sum. The shift table is circulant,
     g(z_j - x_i) = g_{(j - i) mod N}, so E_i pairs the squared window within
-    ``_BAND_RADIUS`` of the row with |f / peak|^2 read cyclically around node
-    i (``_banded_sums``); the terms left out are at most ``tail`` = max g^2
-    outside the band times sum_j |f_j / peak|^2. Each E_i is a sum of
-    nonnegative terms, so it carries a relative round-off below N eps;
-    scaling by the peak max|f| keeps the largest terms from underflowing.
+    ``_BAND_RADIUS`` of the row with |f|^2 read cyclically around node i
+    (``_banded_sums``); the terms left out are at most ``tail`` = max g^2
+    outside the band times sum_j |f_j|^2. Each E_i is a sum of nonnegative
+    terms, so it carries a relative round-off below N eps; the frame's peak
+    in [1/2, 1) keeps the largest terms from underflowing.
     """
     band, rest = _window_band(grid)
-    a = np.square(np.abs(values) / peak)
+    a = np.square(mag)
     return (_banded_sums(a, np.square(band), slice(first_row, None)),
             rest * rest * np.sum(a, axis=-1, keepdims=True))
 
@@ -373,7 +378,7 @@ def _kept_rows(frame, s_values, osc: OscillatorSpec | None):
 
     Row i adds between E_i min_n v_s(x_i, .)^2 and
     (E_i + tail) max_n v_s(x_i, .)^2 to the squared norm, up to the common
-    factor N h^2 peak^2 (see ``_row_energies``), for every s of
+    factor N h^2 (see ``_row_energies``), for every s of
     ``s_values`` (``_weight_row_bounds``). Rows are dropped from
     both ends while the upper bounds of the dropped rows add up to at most
     ``_ROW_SHARE`` (1 - slack) times the lower bounds of all rows; the
@@ -390,13 +395,13 @@ def _kept_rows(frame, s_values, osc: OscillatorSpec | None):
     n = grid.points_per_axis
     if not 0.0 < peak < np.inf:
         return first_row, n
-    energy, tail = _row_energies(f.values, peak, first_row, grid)
+    energy, tail = _row_energies(np.abs(f.values), first_row, grid)
     low, high = (b[first_row:] for b in _weight_row_bounds(tuple(s_values), osc, grid))
     slack = 4.0 * n * np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):
         upper = ((energy + tail) * (1.0 + slack) + n * 2.0 ** -1072) * high
         budget = _ROW_SHARE * (1.0 - slack) * float(np.dot(energy, low))
-        scale = peak * peak * n * grid.h * grid.h * float(np.sum(upper))
+        scale = n * grid.h * grid.h * float(np.sum(upper))
     if not (budget > 0.0 and np.isfinite(scale)):
         return first_row, n
     front = np.concatenate(([0.0], np.cumsum(upper)))  # sums of the first a rows
@@ -676,7 +681,7 @@ def _state_bounds(frame, grid: Grid, s: float, osc: OscillatorSpec | None,
     finite = (0.0 < peak) & (peak < np.inf)
     for is_real, first in sorted(set(zip(real[finite].tolist(), first_row[finite].tolist()))):
         rows = np.flatnonzero(finite & (real == is_real) & (first_row == first))
-        f, peaks = scaled[rows], peak[rows, None]
+        f = scaled[rows]
         mag = np.abs(f)
         width = n // 2 + 1 if is_real else n
         with np.errstate(over="ignore", invalid="ignore"):
@@ -689,8 +694,8 @@ def _state_bounds(frame, grid: Grid, s: float, osc: OscillatorSpec | None,
                 _banded_sums(spectrum, band, slice(0, width))
                 + rest * spectrum.sum(axis=-1, keepdims=True)
                 + fft_error * np.linalg.norm(f, axis=-1, keepdims=True) * total)
-            energy, tail = _row_energies(f, peaks, first, grid)
-            floor = fft_error * h * peaks * np.sqrt(energy + tail)
+            energy, tail = _row_energies(mag, first, grid)
+            floor = fft_error * h * np.sqrt(energy + tail)
             # min(r_i + floor_i, c_n + max floor) >= min(r_i, c_n) + floor_i
             row_bounds += floor
             col_bounds += floor.max(axis=-1, keepdims=True)
@@ -802,7 +807,7 @@ def _measured_columns(f: FieldSample, s_values, osc: OscillatorSpec | None,
     ``mixed_norm``.
     """
     scaled, e, real, first_row, peak = frame = _frame(f)
-    _check_boundary_mass(scaled.values, peak, f.grid)
+    _check_boundary_mass(scaled.values, peak)
     if not len(s_values):
         return [], [], e
     p, q = params.p, params.q

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -352,9 +353,9 @@ class TestOneEngine:
 
 
 class TestCertifiedStop:
-    """Picard records each sweep's gap as its cap C sup_k ||gap_k||_{L^2},
-    which bounds the monitored norm of every endpoint gap of the block, and
-    stops the block on it alone."""
+    """Picard records each sweep's gap as its cap C sup_k ||gap_k||_2 over
+    the coefficient gaps, which bounds the monitored norm of every endpoint
+    gap of the block, and stops the block on it alone."""
 
     def test_sweep_counts_per_block(self, defocusing, monkeypatch):
         """Amplitude 0.5 over 40 windows: as one block the cap decides the
@@ -380,24 +381,32 @@ class TestCertifiedStop:
         assert [len(b) + 1 for b in traj.contraction_factors] == [2]
 
     @LAYOUTS
-    def test_field_l2_is_the_full_field_norm(self, dec, shift):
-        """The sector layout's doubled cell carries the mirrored half."""
+    @pytest.mark.parametrize("imag", [0.0, 1.0], ids=["real", "complex"])
+    def test_coefficient_norm_is_the_full_field_norm(self, dec, shift, imag):
+        """The retained modes are orthonormal, so ||c||_2 is the L^2 norm of
+        the full field of c, the sector's mirrored half included; the cap
+        constant times it bounds the exact monitored norm."""
         x = dec.grid.nodes()
         spec = NonlinearProblemSpec(dec, FieldSample(dec.grid, np.exp(-(x - shift) ** 2 / 2)),
                                     monitor=MONITOR)
         engine = anharmonic.nlheat._Engine(spec)
-        c = np.random.default_rng(3).standard_normal(len(engine.lam_beta))
+        assert engine.sign == (1.0 if shift == 0.0 else 0.0)
+        rng = np.random.default_rng(3)
+        m = len(engine.lam_beta)
+        c = rng.standard_normal(m) + imag * 1j * rng.standard_normal(m)
         full = engine.fields(c[:, None])[0]
-        expected = math.sqrt(dec.grid.h * np.sum(np.abs(full) ** 2))
-        assert engine.field_l2(c) == pytest.approx(expected, rel=1e-13)
+        norm = float(np.linalg.norm(c))
+        assert norm == pytest.approx(math.sqrt(dec.grid.h * np.sum(np.abs(full) ** 2)),
+                                     rel=1e-13)
+        assert engine.monitored_norm(FieldSample(dec.grid, full)) <= engine.cap_constant() * norm
 
     def test_overflowing_gap_has_cap_inf(self, defocusing):
         """A gap whose sum of squares overflows has cap inf, which a
         NonConvergenceError reports as last_gap."""
         engine = anharmonic.nlheat._Engine(defocusing)
-        huge = np.full(len(engine.lam_beta), 1e200)
+        huge = np.full((len(engine.lam_beta), 2), 1e200)
         with np.errstate(over="ignore"):
-            assert engine.cap_constant() * engine.field_l2(huge) == math.inf
+            assert engine.cap_constant() * np.linalg.norm(huge, axis=0).max() == math.inf
 
 
 class TestSweeps:
@@ -432,13 +441,21 @@ class TestSweeps:
         for bit: no gap is nonzero, so none is measured, and a block stops
         after the two mandatory sweeps with no ratio."""
         measured = []
-        monkeypatch.setattr(anharmonic.nlheat._Engine, "field_l2",
-                            lambda engine, coeffs: measured.append(coeffs))
+        norm = np.linalg.norm
+
+        def counted(x, *args, **kwargs):  # the gap norms that _sweeps takes
+            if sys._getframe(1).f_code is anharmonic.nlheat._sweeps.__code__:
+                measured.append(x)
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
         monkeypatch.setattr(anharmonic.nlheat, "_EXACT_STRIDE", 4)
         spec = NonlinearProblemSpec(dec, small_u0, coupling=0.0, monitor=MONITOR)
         traj = picard_solve(spec, 0.05, 0.005)
         assert measured == []
         assert traj.contraction_factors == ((), (), ())
+        picard_solve(dataclasses.replace(spec, coupling=-1.0), 0.05, 0.005)
+        assert measured  # the counter sees the gaps of a nonlinear flow
 
     @pytest.mark.parametrize("kind", ["power", "inhomogeneous"])
     def test_blocks_agree_with_single_windows(self, dec, small_u0, kind, monkeypatch):
@@ -634,6 +651,28 @@ class TestTrajectoryRecord:
         found = [w for w in caught if w.category is BoundaryMassWarning]
         assert len(found) == len(traj.checkpoint_times) == 6 // stride + 1
         assert all(w.filename == __file__ for w in found)
+
+    @pytest.mark.filterwarnings("ignore::anharmonic.errors.OffSpanWarning")
+    def test_no_boundary_warning_after_a_blowup_inside_a_block(self, dec, monkeypatch):
+        """A flow with mass at the box boundary, recorded every third step of
+        a ten-window Picard block, blows up at step 3 under a guard that the
+        bound of step 9 is below: it warns for t = 0 and step 3 alone, not
+        for step 9, which the block would have left to its bound."""
+        x = dec.grid.nodes()
+        u0 = 0.5 * np.exp(-(x / 4) ** 2 / 2) + dec.eigenvectors[:, 30]
+        spec = NonlinearProblemSpec(dec, FieldSample(dec.grid, u0), monitor=MONITOR)
+        first = picard_solve(spec, 0.05, 0.005, checkpoint_stride=3)
+        assert len(first.contraction_factors) == 1
+        norm3 = picard_solve(spec, 0.015, 0.005).monitored_norms[-1]
+        bound9 = first.monitored_bounds[9]
+        assert bound9 < norm3 < first.monitored_bounds[3]  # the norm decays
+        monkeypatch.setattr(anharmonic.nlheat, "_BLOWUP_NORM", math.sqrt(norm3 * bound9))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            traj = picard_solve(dataclasses.replace(spec), 0.05, 0.005, checkpoint_stride=3)
+        assert traj.blowup_time == pytest.approx(0.015)
+        found = [w for w in caught if w.category is BoundaryMassWarning]
+        assert len(found) == len(traj.checkpoint_times) == 2
 
     def test_exact_norm_every_hundredth_step(self, defocusing, monkeypatch):
         """A stride-1 record runs the exact norm every ``_EXACT_STRIDE`` steps

@@ -108,6 +108,16 @@ class TestStft:
         with pytest.warns(BoundaryMassWarning):
             stft(f)
 
+    @pytest.mark.parametrize("half_width", [1e-3, 0.7, 6.0, 12.0, 60.0, 1e4])
+    def test_edge_nodes_are_the_nodes_near_the_edge(self, half_width):
+        """The boundary-mass check reads the nodes |x| >= L - 2h, which on
+        the staggered grid are always the first two and the last two."""
+        for n in (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096):
+            grid = Grid(n, half_width)
+            mask = np.abs(grid.nodes()) >= grid.half_width - 2.0 * grid.h
+            edge = np.arange(n)[phasespace._EDGE_NODES]
+            assert np.flatnonzero(mask).tolist() == edge.tolist() == [0, 1, n - 2, n - 1]
+
     def test_interior_field_is_silent(self, hermite_grid, gaussian_field):
         with warnings.catch_warnings():
             warnings.simplefilter("error", BoundaryMassWarning)
