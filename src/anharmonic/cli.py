@@ -43,7 +43,7 @@ from .nlheat import (NonlinearProblemSpec, _check_monitor, _check_order, _check_
                      _check_steps, _check_tol, duhamel_residual, etd_evolve, picard_solve)
 from .ougauss import GaussianConjugation, apply_conjugation, ou_semigroup
 from .phasespace import mixed_norm, modulation_norm, stft
-from .spectral import FieldSample, Grid, decompose
+from .spectral import FieldSample, Grid, _field_parity, decompose
 
 _KINDS = ("spectrum", "decay", "norms", "nlheat", "ou", "selftest")
 _NORMS_CHECKS = ("moyal", "equivalence", "algebra", "singular")
@@ -488,10 +488,11 @@ def _gaussian_initial(grid) -> FieldSample:
 
 def _run_nlheat(run, record):
     p, grid, osc = run.params, run.grid, run.oscillator
-    dec = decompose(osc, grid, p.modes)
     base = _gaussian_initial(grid)
     base_norm = modulation_norm(base, p.monitor[2], osc, p.monitor_params)
     u0 = FieldSample(grid, base.values * (p.initial_norm / base_norm))
+    # the flow keeps u0's parity and reads no mode of the other
+    dec = decompose(osc, grid, p.modes, parity=_field_parity(u0.values) or None)
     spec = NonlinearProblemSpec(dec, u0, beta=p.beta, nu=p.nu, coupling=p.coupling,
                                 kind=p.kind, alpha=p.alpha, monitor=p.monitor)
 

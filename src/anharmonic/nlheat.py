@@ -18,8 +18,12 @@ is evolved in its parity sector alone: the coefficients of that parity's
 modes, with values on the rows x > 0 and twice the cell measure, about half
 of every matvec. Each state is mirrored into a full field before it is
 measured or bounded, so it is exactly even or odd and takes the half-row
-pass of ``phasespace``. Checkpoint coefficients stay full length m, with
-exact zeros in the other parity. Other initial data (not bitwise
+pass of ``phasespace``. On a decomposition of both parities checkpoint
+coefficients stay full length m, with exact zeros in the other parity. A
+flow reads no mode of the other parity, so the nlheat runner decomposes
+u0's parity alone (``decompose(..., parity=)``): every column is then in
+the sector, and the checkpoints hold the sector's coefficients. Such a
+decomposition refuses u0 off its parity. Other initial data (not bitwise
 symmetric, or complex) evolve in the full layout.
 
 The trajectory certifies the monitored norm of every recorded state with a
@@ -40,8 +44,8 @@ from .calculus import _warn_off_span
 from .errors import InvalidSpecError, NonConvergenceError
 from .model import MixedNormParams
 from .phasespace import _check_boundary_mass, _frame, _l2_cap, _state_bounds, modulation_norm
-from .spectral import (_ORTHO_TOL, FieldSample, SpectralDecomposition, _reflection_parity,
-                       real_matmul)
+from .spectral import (_ORTHO_TOL, FieldSample, SpectralDecomposition, _field_parity,
+                       _reflection_parity, real_matmul)
 
 _BLOWUP_NORM = 1e6
 # a stride-1 record runs the exact monitored norm at every this many steps
@@ -59,7 +63,8 @@ class NonlinearProblemSpec:
     modulation norm tracked along the flow, measured against the anharmonic
     weight and checked here. ``_engine`` is built at the first integrator or
     residual call and shared by the later ones (a Picard run, its residual,
-    its ETD cross-check and the cross-check's Picard rerun).
+    its ETD cross-check and the cross-check's Picard rerun). A decomposition
+    that keeps one parity needs u0 real and bitwise of that parity.
     """
 
     decomposition: SpectralDecomposition
@@ -77,6 +82,12 @@ class NonlinearProblemSpec:
             object.__setattr__(self, name, value)
         if self.u0.grid != self.decomposition.grid:
             raise InvalidSpecError("initial data and decomposition grids differ")
+        parity = self.decomposition.parity
+        if parity is not None and _field_parity(self.u0.values) != parity:
+            name = "even" if parity == 1 else "odd"
+            raise InvalidSpecError(
+                f"the decomposition keeps only its {name} modes, so u0 must be real "
+                f"and bitwise {name} under x -> -x", field="u0")
         params, s = _check_monitor(self.monitor)
         object.__setattr__(self, "monitor", (params.p, params.q, s))
 
@@ -124,9 +135,10 @@ class _Engine:
     a block of states the columns of an (m, K) array.
 
     In a parity sector (``sign`` 1.0 or -1.0, see the module docstring)
-    states are the coefficients of the modes ``cols`` of u0's parity, with
-    values on the rows x > 0 (``rows``) and twice the cell measure, mirrored
-    into a full field where they are measured or bounded. Otherwise ``sign`` is 0.0 and
+    states are the coefficients of the modes ``cols`` of u0's parity (every
+    mode of a decomposition that keeps one parity), with values on the rows
+    x > 0 (``rows``) and twice the cell measure, mirrored into a full field
+    where they are measured or bounded. Otherwise ``sign`` is 0.0 and
     ``cols`` and ``rows`` take every mode and node. ``c0``, the projected
     initial coefficients, is read-only and checked for off-span mass at the
     build; ``initial_values``, the trajectory's t = 0 norm and bound, are
@@ -136,7 +148,7 @@ class _Engine:
     def __init__(self, spec: NonlinearProblemSpec):
         dec, u0 = spec.decomposition, spec.u0.values
         self.dec = dec
-        sign = 0.0 if u0.imag.any() else float(_reflection_parity(u0.real))
+        sign = float(_field_parity(u0))
         parity = _reflection_parity(dec.eigenvectors) if sign else None
         if sign and np.all(parity):
             self.sign, self.cols = sign, np.flatnonzero(parity == sign)
@@ -222,9 +234,10 @@ class Trajectory:
     """Time-stepped solution record.
 
     ``l2_norms`` (of the coefficients) are per step. Field checkpoints
-    (all m retained-mode coefficients; a parity-sector run stores exact
-    zeros in the other parity) are stored every ``checkpoint_stride``
-    steps plus the final state. ``monitored_bounds`` holds, at exactly
+    (all m retained-mode coefficients; a parity-sector run on a
+    decomposition of both parities stores exact zeros in the other) are
+    stored every ``checkpoint_stride`` steps plus the final state.
+    ``monitored_bounds`` holds, at exactly
     those steps, a certified upper bound of the monitored norm, and NaN
     between them; ``monitored_norms`` holds the exact norm where it was
     measured and NaN elsewhere (``_Recorder`` says where, and how the stride

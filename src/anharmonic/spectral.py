@@ -7,7 +7,9 @@ is never a node); the potential |x|^(2k) is diagonal. ``decompose`` is the
 one entry: it builds only the even and odd (n/2)² blocks of the real
 symmetric, positive definite grid operator (the multiplier is nonnegative
 and the nodal potential strictly positive), solves them, and checks the
-eigenpairs against H applied from its definition by FFT. Its memory is
+eigenpairs against H applied from its definition by FFT. Asked for one
+parity, it solves that block for its eigenpairs and the other for its
+eigenvalues alone, which only choose the modes kept. Its memory is
 bounded by the result: one parity block exists at a time, each copied from
 strided views of the kernel, and the gauge and the gates run over blocks
 of 64 eigenvector columns, so the traced peak is about 2-2.3 times the
@@ -107,6 +109,12 @@ def _reflection_parity(v: np.ndarray):
     return np.where(even, 1.0, np.where((v == -mirror).all(axis=0), -1.0, 0.0))
 
 
+def _field_parity(values: np.ndarray) -> int:
+    """1 or -1 when the 1-d ``values`` are real and bitwise even or odd under
+    x -> -x, else 0: the parity sector a flow from them evolves in."""
+    return 0 if values.imag.any() else int(_reflection_parity(values.real))
+
+
 def real_matmul(a: np.ndarray, x) -> np.ndarray:
     """``a @ x`` for a real matrix ``a`` and a real or complex ``x`` (1-d or 2-d).
 
@@ -132,13 +140,15 @@ class SpectralDecomposition:
     largest modulus at x > 0 (the second half of the nodes) is positive.
     For the harmonic oscillator that is the sign of the Hermite function.
     Within its parity each eigenpair is unique up to that sign, so a mode is
-    one column.
+    one column. ``parity`` is 1 or -1 when only the modes of that parity
+    among the lowest m were kept (``decompose(..., parity=)``), else None.
     """
 
     oscillator: OscillatorSpec
     grid: Grid
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    parity: int | None = None
 
     def __post_init__(self):
         self.eigenvalues = np.ascontiguousarray(self.eigenvalues, dtype=float)
@@ -215,8 +225,10 @@ def _parity_blocks(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid):
     yield block(np.subtract)
 
 
-def _parity_solve(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid, m: int):
-    """Lowest m eigenpairs of the grid operator from its two parity blocks.
+def _parity_solve(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid, m: int,
+                  parity: int | None = None):
+    """Lowest m eigenpairs of the grid operator from its two parity blocks,
+    or, with ``parity`` 1 or -1, those of them that have that parity.
 
     [u; Ju] and [u; -Ju] are eigenvectors of A exactly when u is one of E or
     O (see _parity_blocks), with the same eigenvalue. Returns the merged
@@ -231,35 +243,48 @@ def _parity_solve(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid, m: int):
     eigenvalues agree with MRRR's to 2.2e-12 relative and the gauged vectors
     to 1.6e-13 in h-L^2 on the 512-point spectrum cases. dsyevd's
     2 (n/2)^2 workspace and numpy's copy of the block raise the process
-    peak at the dense cap (see decompose).
+    peak at the dense cap (see decompose). A block of the parity left out
+    gets its eigenvalues alone (numpy's eigvalsh, about 3 ms against 7 ms
+    at 512 points); they only decide which of the lowest m modes are kept.
     """
     n = grid.points_per_axis
     half = n // 2
     k = min(m, half)
     blocks = []
-    for block in _parity_blocks(mult, v_nodes, grid):
+    for sign, block in zip((1, -1), _parity_blocks(mult, v_nodes, grid)):
         try:
-            vals, u = np.linalg.eigh(block)
+            if parity in (None, sign):
+                vals, u = np.linalg.eigh(block)
+            else:
+                vals, u = np.linalg.eigvalsh(block), None
         except np.linalg.LinAlgError as exc:
             raise NonConvergenceError(f"dense symmetric eigensolver failed: {exc}",
                                       {"matrix_size": half, "modes": k})
         del block  # the loop name would keep E alive while O is built
-        blocks.append((vals[:k], u[:, :k].copy() if k < half else u))
+        if u is not None and k < half:
+            u = u[:, :k].copy()
+        blocks.append((vals[:k], u))
 
     # no block holds more than k of the lowest m, so the lowest m of the two
     # lists are the lowest m overall; a tie puts the even mode first
     order = np.argsort(np.concatenate([blocks[0][0], blocks[1][0]]), kind="stable")[:m]
     odd = order >= k
-    vals = np.empty(m)
-    vecs = np.empty((n, m))
+    if parity is not None:
+        odd = odd[odd == (parity < 0)]
+        if not odd.size:
+            raise ValueError(f"no mode of parity {parity} among the lowest {m}")
+    vals = np.empty(odd.size)
+    vecs = np.empty((n, odd.size))
     norm = 1.0 / np.sqrt(2.0 * grid.h)
-    for parity, (block_vals, u), cols in zip((1.0, -1.0), blocks,
-                                             (np.flatnonzero(~odd), np.flatnonzero(odd))):
+    for sign, (block_vals, u), cols in zip((1.0, -1.0), blocks,
+                                           (np.flatnonzero(~odd), np.flatnonzero(odd))):
+        if u is None:  # the parity left out, which keeps no column
+            continue
         block_vals, u = block_vals[:len(cols)], u[:, :len(cols)]
         u *= norm
         vals[cols] = block_vals
         vecs[:half, cols] = u
-        vecs[half:, cols] = parity * u[::-1]
+        vecs[half:, cols] = sign * u[::-1]
     return vals, vecs
 
 
@@ -274,9 +299,11 @@ def _apply_operator(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid, vecs: np.
     return out
 
 
-def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None) -> SpectralDecomposition:
+def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None,
+              parity: int | None = None) -> SpectralDecomposition:
     """Lowest m eigenpairs of H on the grid, solved by parity, checked and gauged;
-    m defaults to n/2, n = grid.points_per_axis.
+    m defaults to n/2, n = grid.points_per_axis. With ``parity`` 1 (even) or
+    -1 (odd), only the modes of that parity among the lowest m are kept.
 
     H = (-Laplacian)^l + V commutes with the reflection x -> -x, which on the
     staggered grid reverses the node index. So the n unknowns split into
@@ -291,6 +318,15 @@ def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None) -> Spectral
     of the line are simple, so the solver's vectors are used as they come:
     a block whose levels ever came out degenerate would fail the
     orthonormality gate below rather than be re-orthonormalized.
+
+    With ``parity`` set, only that block is solved for its vectors; the
+    other is built but solved for its eigenvalues alone (eigvalsh). Those
+    values are not gated: they only choose, through the same merge, which
+    of the lowest m modes are kept. The kept pairs are bit for bit the
+    columns of that parity in the full decomposition (unless a level of the
+    other parity lies within rounding of the cut at m), and pass the same
+    gauge and gates. A flow evolves one parity sector and reads no other
+    mode (see ``nlheat``), so it needs one eigh, not two.
 
     Memory: E is built and solved before O is built, and the gauge and the
     gates below run over blocks of 64 columns, so besides the two block
@@ -311,7 +347,8 @@ def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None) -> Spectral
     Positivity is certified exactly: the multiplier is nonnegative and the
     strictly positive nodal potential is checked (the staggered grid
     excludes the origin). Raises InvalidSpecError for a grid above the dense
-    cap, ValueError for m outside [1, n], and NumericalError for a
+    cap, ValueError for m outside [1, n], for a ``parity`` other than None,
+    1 or -1, or for one with no mode among the lowest m, and NumericalError for a
     non-finite or non-positive nodal potential or when the vectors violate
     the invariants: orthonormality to 1e-9, a positive ground eigenvalue,
     and the residual against H applied by FFT (see _apply_operator,
@@ -331,10 +368,14 @@ def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None) -> Spectral
         m = n // 2
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 1 <= m <= n:
         raise ValueError(f"mode count m={m} outside [1, {n}]")
+    if parity is not None and (isinstance(parity, bool) or parity not in (1, -1)):
+        raise ValueError(f"parity {parity!r} is not None, 1 or -1")
 
     m = int(m)
+    parity = None if parity is None else int(parity)
     mult = _kinetic_multiplier(osc, grid)
-    vals, vecs = _parity_solve(mult, v_nodes, grid, m)
+    vals, vecs = _parity_solve(mult, v_nodes, grid, m, parity)
+    m = len(vals)
 
     # gauge and gate the vectors a column block at a time, so no (n, m)
     # temporary is formed; the gates are judged after the loop, in order
@@ -370,4 +411,4 @@ def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None) -> Spectral
             f"eigenpair residual {resid_norms[worst]:.3e} at mode {worst} "
             f"exceeds {bound[worst]:.3e}")
 
-    return SpectralDecomposition(osc, grid, vals, vecs)
+    return SpectralDecomposition(osc, grid, vals, vecs, parity)

@@ -748,6 +748,30 @@ class TestRunManifest:
         assert "picard_etd_gap" in [row["name"] for row in r1["results"]]
         assert r1["results"] == r2["results"]
 
+    @pytest.mark.parametrize("kind,half_width,params,solves", [
+        ("nlheat", 12.0, {"modes": 48, "horizon": 0.02, "dt": 0.005,
+                          "etd": {"horizon": 0.01, "dt": 0.001, "order": 2}}, 1),
+        ("norms", 6.0, {"checks": ["moyal", "equivalence", "algebra", "singular"]}, 2)],
+        ids=["nlheat", "norms"])
+    def test_eigh_calls_per_manifest(self, tmp_path, monkeypatch, kind, half_width, params,
+                                     solves):
+        """An nlheat flow from the even Gaussian decomposes its even sector
+        alone: one np.linalg.eigh call in the whole manifest, the ETD
+        cross-check included. The norms runner reads modes of both parities
+        and still solves both blocks."""
+        eigh, calls = np.linalg.eigh, []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        manifest = {"schema": 1, "kind": kind, "seed": 3, "params": params,
+                    "grid": {"dimension": 1, "points_per_axis": 128, "half_width": half_width}}
+        code, _ = run_manifest(write_manifest(tmp_path, manifest), out_dir=str(tmp_path / "out"))
+        assert code == EXIT_OK
+        assert calls == [(64, 64)] * solves
+
     def test_norms_rerun_is_identical(self, tmp_path):
         """All four norms checks on a 128-point grid give the same report
         values on a rerun (the runner writes no CSV)."""

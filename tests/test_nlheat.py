@@ -208,6 +208,45 @@ class TestParitySector:
         assert np.isnan(traj.monitored_norms[1:-1]).all()
 
 
+class TestOneParityDecomposition:
+    """A flow on a decomposition that keeps one parity (``decompose(...,
+    parity=±1)``, as the nlheat runner asks for the even Gaussian) is the
+    same flow as on the full decomposition, and refuses u0 off that parity."""
+
+    @pytest.fixture(scope="class", params=[1, -1], ids=["even", "odd"])
+    def sector_dec(self, request):
+        return decompose(ah.OscillatorSpec(1, 1), Grid(128, 10.0), 48, parity=request.param)
+
+    @pytest.mark.parametrize("shape", ["other_parity", "asymmetric", "complex"])
+    def test_u0_off_the_sector_is_refused(self, sector_dec, shape):
+        x = sector_dec.grid.nodes()
+        gauss = 0.5 * np.exp(-x ** 2 / 2)
+        same = gauss if sector_dec.parity == 1 else x * gauss
+        values = {"other_parity": (x * gauss if sector_dec.parity == 1 else gauss),
+                  "asymmetric": 0.5 * np.exp(-(x - 0.3) ** 2 / 2),
+                  "complex": (1.0 + 0.5j) * same}[shape]
+        name = "even" if sector_dec.parity == 1 else "odd"
+        with pytest.raises(InvalidSpecError, match=f"keeps only its {name} modes") as exc:
+            NonlinearProblemSpec(sector_dec, FieldSample(sector_dec.grid, values))
+        assert exc.value.field == "u0"
+        NonlinearProblemSpec(sector_dec, FieldSample(sector_dec.grid, same))
+
+    @INTEGRATORS
+    def test_flow_is_the_full_decompositions_flow(self, dec, sector_dec, integrate):
+        """Checkpoints hold the sector's coefficients alone, bit for bit the
+        columns of that parity of the same flow on the full decomposition;
+        the monitored norms are the same bits."""
+        parity = "even" if sector_dec.parity == 1 else "odd"
+        u0 = TestParitySector.u0(dec, parity)
+        a = integrate(NonlinearProblemSpec(sector_dec, u0, monitor=MONITOR), 0.05, 0.005)
+        b = integrate(NonlinearProblemSpec(dec, u0, monitor=MONITOR), 0.05, 0.005)
+        cols = anharmonic.spectral._reflection_parity(dec.eigenvectors) == sector_dec.parity
+        assert a.checkpoint_coeffs.shape == (11, sector_dec.m) == (11, np.count_nonzero(cols))
+        np.testing.assert_array_equal(a.checkpoint_coeffs, b.checkpoint_coeffs[:, cols])
+        np.testing.assert_array_equal(a.monitored_norms, b.monitored_norms)
+        np.testing.assert_array_equal(a.monitored_bounds, b.monitored_bounds)
+
+
 class TestStepValidation:
     def test_step_constraints(self, defocusing):
         with pytest.raises(ValueError):

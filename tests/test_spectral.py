@@ -352,6 +352,40 @@ class TestParitySolve:
         with pytest.raises(NumericalError, match=f"residual .* at mode {c} "):
             decompose(hermite_osc, hermite_grid, 384)
 
+    @pytest.mark.parametrize("parity,i,j", [(1, 3, 70), (1, 192, 0), (-1, 5, 130),
+                                            (-1, 190, 2)])
+    def test_sector_vectors_mixed_across_column_blocks_fail_the_orthonormality(
+            self, hermite_osc, hermite_grid, monkeypatch, parity, i, j):
+        """In a one-parity decomposition every column has the same parity, and
+        a 1e-6 mix of two of them in different 64-column blocks still exits
+        through the 1e-9 orthonormality gate."""
+        widths = []
+
+        def mix(vals, vecs):
+            widths.append(vecs.shape[1])
+            vecs[:, i] += 1e-6 * vecs[:, j]
+
+        self._faulty_solve(monkeypatch, mix)
+        with pytest.raises(NumericalError, match="orthonormality"):
+            decompose(hermite_osc, hermite_grid, 384, parity=parity)
+        assert widths == [193 if parity == 1 else 191]
+
+    @pytest.mark.parametrize("parity,c", [(1, 0), (1, 64), (1, 192), (-1, 63), (-1, 190)])
+    def test_sector_scaled_eigenvalue_fails_the_residual(self, hermite_osc, hermite_grid,
+                                                         monkeypatch, parity, c):
+        """The residual gate reads the kept parity's pairs as it reads the
+        full decomposition's."""
+        widths = []
+
+        def scale(vals, vecs):
+            widths.append(vecs.shape[1])
+            vals[c] *= 1.0 + 1e-6
+
+        self._faulty_solve(monkeypatch, scale)
+        with pytest.raises(NumericalError, match=f"residual .* at mode {c} "):
+            decompose(hermite_osc, hermite_grid, 384, parity=parity)
+        assert widths == [193 if parity == 1 else 191]
+
     @pytest.mark.parametrize("m", [1, 255, 256, 257, 384, 512])
     def test_merge_keeps_the_lowest_m(self, hermite_osc, hermite_grid, m):
         w = scipy.linalg.eigvalsh(dense_operator(hermite_osc, hermite_grid))
@@ -417,6 +451,91 @@ class TestParitySolve:
         finally:
             tracemalloc.stop()
         assert peak <= mib * 2 ** 20
+
+
+# (k, l, points, half_width, m) of the one-parity decompositions checked
+# against the full one; the last keeps every mode (m = n)
+SECTOR_CASES = {
+    "hermite_512_384": (1, 1, 512, 12.0, 384),
+    "quartic_512_300": (2, 1, 512, 12.0, 300),
+    "hermite_128_48": (1, 1, 128, 12.0, 48),
+    "hermite_128_all": (1, 1, 128, 12.0, 128),
+}
+
+
+class TestOneParity:
+    """decompose(..., parity=±1) solves that parity's block for its pairs
+    and the other block for its eigenvalues alone, which only choose the
+    modes kept among the lowest m."""
+
+    @pytest.fixture(scope="class", params=sorted(SECTOR_CASES))
+    def full(self, request):
+        k, l, n, half_width, m = SECTOR_CASES[request.param]
+        return decompose(OscillatorSpec(k, l), Grid(n, half_width), m)
+
+    @pytest.mark.parametrize("parity", [1, -1])
+    def test_sector_is_the_columns_of_its_parity(self, full, parity):
+        """Eigenvalues and gauged vectors equal, bit for bit, the columns of
+        that parity in the full decomposition, in the same order."""
+        dec = decompose(full.oscillator, full.grid, full.m, parity=parity)
+        cols = spectral._reflection_parity(full.eigenvectors) == parity
+        assert dec.parity == parity and full.parity is None
+        assert dec.m == np.count_nonzero(cols)
+        assert np.array_equal(dec.eigenvalues, full.eigenvalues[cols])
+        assert np.array_equal(dec.eigenvectors, full.eigenvectors[:, cols])
+
+    def test_sector_sizes_follow_the_merge_not_half_of_m(self, hermite_osc, hermite_grid):
+        """At 512 points on half-width 12 the levels alternate in parity up
+        to j = 266 only; from j = 267 on the box decides. The lowest 384
+        modes are 193 even and 191 odd, so a sector cut to ceil(m/2) modes
+        would be wrong."""
+        parity = spectral._reflection_parity(
+            decompose(hermite_osc, hermite_grid, 384).eigenvectors)
+        alternating = np.where(np.arange(384) % 2 == 0, 1.0, -1.0)
+        assert np.flatnonzero(parity != alternating)[0] == 267
+        sizes = [decompose(hermite_osc, hermite_grid, 384, parity=p).m for p in (1, -1)]
+        assert sizes == [193, 191]
+
+    def test_other_block_gets_eigenvalues_alone(self, hermite_osc, monkeypatch):
+        """One eigh, on the kept parity's block, and one eigvalsh, on the
+        other's; E is built first in both cases."""
+        solves = []
+        for name in ("eigh", "eigvalsh"):
+            def spy(a, _name=name, _solve=getattr(np.linalg, name)):
+                solves.append((_name, a[0, 1]))
+                return _solve(a)
+            monkeypatch.setattr(np.linalg, name, spy)
+        grid = Grid(64, 8.0)
+        even, odd = spectral._parity_blocks(spectral._kinetic_multiplier(hermite_osc, grid),
+                                            _nodal_potential(hermite_osc, grid), grid)
+        decompose(hermite_osc, grid, 16, parity=1)
+        decompose(hermite_osc, grid, 16, parity=-1)
+        assert solves == [("eigh", even[0, 1]), ("eigvalsh", odd[0, 1]),
+                          ("eigvalsh", even[0, 1]), ("eigh", odd[0, 1])]
+
+    @pytest.mark.parametrize("parity", [True, False, 0, 0.5, float("nan"), 2, "1"])
+    def test_parity_is_none_or_plus_minus_one(self, hermite_osc, parity):
+        """A bool is not a parity, though True == 1."""
+        with pytest.raises(ValueError, match="parity .* is not None, 1 or -1"):
+            decompose(hermite_osc, Grid(64, 8.0), 16, parity=parity)
+
+    def test_a_parity_with_no_mode_among_the_lowest_m_is_refused(self, hermite_osc):
+        """The ground state is even: m = 1 holds no odd mode, and an empty
+        decomposition is refused, not returned."""
+        grid = Grid(64, 8.0)
+        assert decompose(hermite_osc, grid, 1, parity=1).m == 1
+        with pytest.raises(ValueError, match="no mode of parity -1 among the lowest 1"):
+            decompose(hermite_osc, grid, 1, parity=-1)
+        assert decompose(hermite_osc, grid, 2, parity=-1).m == 1
+
+    def test_eigenvalue_solver_failure_is_nonconvergence(self, hermite_osc, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NonConvergenceError, match="did not converge") as exc:
+            decompose(hermite_osc, Grid(64, 8.0), 40, parity=-1)
+        assert exc.value.diagnostics == {"matrix_size": 32, "modes": 32}
 
 
 # the three cases of configs/spectrum.json: (k, l, half_width), 512 points, 384 modes
