@@ -13,18 +13,15 @@ projected initial state, is built once, at the first integrator or
 residual call on the spec, and read by every later one.
 
 Both nonlinearities keep parity, and every retained mode is exactly even or
-odd. So a real u0 that is bitwise even or odd (the shipped Gaussian is)
-is evolved in its parity sector alone: the coefficients of that parity's
-modes, with values on the rows x > 0 and twice the cell measure, about half
-of every matvec. Each state is mirrored into a full field before it is
-measured or bounded, so it is exactly even or odd and takes the half-row
-pass of ``phasespace``. On a decomposition of both parities checkpoint
-coefficients stay full length m, with exact zeros in the other parity. A
-flow reads no mode of the other parity, so the nlheat runner decomposes
-u0's parity alone (``decompose(..., parity=)``): every column is then in
-the sector, and the checkpoints hold the sector's coefficients. Such a
-decomposition refuses u0 off its parity. Other initial data (not bitwise
-symmetric, or complex) evolve in the full layout.
+odd. A flow evolves in a parity sector exactly when its decomposition keeps
+one parity (``decompose(..., parity=±1)``; the nlheat runner asks for the
+parity of its u0, and such a decomposition refuses u0 off that parity). Its
+states are then the coefficients of that parity's modes, with values on the
+rows x > 0 and twice the cell measure, about half of every matvec. Each
+state is mirrored into a full field before it is measured or bounded, so it
+is exactly even or odd and takes the half-row pass of ``phasespace``. On a
+decomposition of both parities a flow takes the full layout, whatever the
+symmetry of u0.
 
 The trajectory certifies the monitored norm of every recorded state with a
 batched bound from O(N) sums and runs the exact STFT pass only where the
@@ -44,8 +41,7 @@ from .calculus import _warn_off_span
 from .errors import InvalidSpecError, NonConvergenceError
 from .model import MixedNormParams
 from .phasespace import _check_boundary_mass, _frame, _l2_cap, _state_bounds, modulation_norm
-from .spectral import (_ORTHO_TOL, FieldSample, SpectralDecomposition, _field_parity,
-                       _reflection_parity, real_matmul)
+from .spectral import _ORTHO_TOL, FieldSample, SpectralDecomposition, _field_parity, real_matmul
 
 _BLOWUP_NORM = 1e6
 # a stride-1 record runs the exact monitored norm at every this many steps
@@ -64,7 +60,8 @@ class NonlinearProblemSpec:
     weight and checked here. ``_engine`` is built at the first integrator or
     residual call and shared by the later ones (a Picard run, its residual,
     its ETD cross-check and the cross-check's Picard rerun). A decomposition
-    that keeps one parity needs u0 real and bitwise of that parity.
+    that keeps one parity needs u0 real and bitwise of that parity, and
+    evolves the flow in that parity sector.
     """
 
     decomposition: SpectralDecomposition
@@ -104,7 +101,7 @@ def _check_problem(kind, nu, beta, coupling, alpha):
         raise InvalidSpecError("beta must be a positive real", field="beta")
     if not np.isfinite(coupling):
         raise InvalidSpecError("coupling must be finite", field="coupling")
-    if not isinstance(nu, (int, np.integer)) or nu < 1:
+    if not _is_count(nu, 1):
         raise InvalidSpecError("nu must be an integer >= 1", field="nu")
     if kind not in ("power", "inhomogeneous"):
         raise InvalidSpecError(f"unknown nonlinearity kind {kind!r}", field="kind")
@@ -112,6 +109,12 @@ def _check_problem(kind, nu, beta, coupling, alpha):
     if kind == "inhomogeneous" and not (np.isfinite(alpha) and alpha > 0):
         raise InvalidSpecError("inhomogeneous kind needs a finite alpha > 0", field="alpha")
     return beta, int(nu), coupling, alpha if kind == "inhomogeneous" else 0.0
+
+
+def _is_count(value, low) -> bool:
+    """Whether ``value`` is an integer (a Python or numpy int, not a bool) at
+    least ``low``: the rule of every integer input of a flow."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
 
 
 def _check_monitor(monitor, where="monitor"):
@@ -134,12 +137,11 @@ class _Engine:
     with no reference back to the spec. A state is a coefficient vector,
     a block of states the columns of an (m, K) array.
 
-    In a parity sector (``sign`` 1.0 or -1.0, see the module docstring)
-    states are the coefficients of the modes ``cols`` of u0's parity (every
-    mode of a decomposition that keeps one parity), with values on the rows
-    x > 0 (``rows``) and twice the cell measure, mirrored into a full field
-    where they are measured or bounded. Otherwise ``sign`` is 0.0 and
-    ``cols`` and ``rows`` take every mode and node. ``c0``, the projected
+    The layout is the decomposition's: when it keeps one parity (``sign``
+    that parity, 1.0 or -1.0; see the module docstring) states have their
+    values on the rows x > 0 (``rows``) with twice the cell measure, and are
+    mirrored into a full field where they are measured or bounded. Otherwise
+    ``sign`` is 0.0 and ``rows`` takes every node. ``c0``, the projected
     initial coefficients, is read-only and checked for off-span mass at the
     build; ``initial_values``, the trajectory's t = 0 norm and bound, are
     measured at the first read.
@@ -148,17 +150,15 @@ class _Engine:
     def __init__(self, spec: NonlinearProblemSpec):
         dec, u0 = spec.decomposition, spec.u0.values
         self.dec = dec
-        sign = float(_field_parity(u0))
-        parity = _reflection_parity(dec.eigenvectors) if sign else None
-        if sign and np.all(parity):
-            self.sign, self.cols = sign, np.flatnonzero(parity == sign)
+        if dec.parity:
+            self.sign = float(dec.parity)
             self.rows = slice(dec.grid.points_per_axis // 2, None)
-            self.phi = np.ascontiguousarray(dec.eigenvectors[self.rows, self.cols])
+            self.phi = np.ascontiguousarray(dec.eigenvectors[self.rows])
             self.cell = 2.0 * dec.grid.h
         else:
-            self.sign, self.cols, self.rows = 0.0, slice(None), slice(None)
+            self.sign, self.rows = 0.0, slice(None)
             self.phi, self.cell = dec.eigenvectors, dec.grid.h
-        self.lam_beta = dec.eigenvalues[self.cols] ** spec.beta
+        self.lam_beta = dec.eigenvalues ** spec.beta
         self.coupling, self.power = spec.coupling, 2 * spec.nu
         self.sing = (np.abs(dec.grid.nodes()[self.rows]) ** (-spec.alpha)
                      if spec.kind == "inhomogeneous" else None)
@@ -166,7 +166,7 @@ class _Engine:
         self.monitor_params = MixedNormParams(p, q)
         self.c0 = self.to_coeff(u0[self.rows])
         self.c0.setflags(write=False)
-        _warn_off_span(dec, spec.u0, "initial data", self.checkpoint(self.c0))
+        _warn_off_span(dec, spec.u0, "initial data", self.c0)
 
     @functools.cached_property
     def initial_values(self) -> tuple:
@@ -201,14 +201,6 @@ class _Engine:
             v = np.concatenate((self.sign * v[::-1], v))
         return np.ascontiguousarray(v.T, dtype=complex)
 
-    def checkpoint(self, coeffs: np.ndarray) -> np.ndarray:
-        """A copy of ``coeffs`` over all m retained modes, exact zeros in the
-        parity a sector run leaves out: one vector for one state, one row
-        per column for a block."""
-        full = np.zeros(coeffs.shape[1:] + (self.dec.m,), dtype=coeffs.dtype)
-        full[..., self.cols] = coeffs.T
-        return full
-
     def monitored_norm(self, field: FieldSample) -> float:
         """The exact monitored norm of a state's full field: one STFT pass,
         which warns on boundary mass."""
@@ -234,9 +226,8 @@ class Trajectory:
     """Time-stepped solution record.
 
     ``l2_norms`` (of the coefficients) are per step. Field checkpoints
-    (all m retained-mode coefficients; a parity-sector run on a
-    decomposition of both parities stores exact zeros in the other) are
-    stored every ``checkpoint_stride`` steps plus the final state.
+    (the coefficients of the decomposition's m retained modes) are stored
+    every ``checkpoint_stride`` steps plus the final state.
     ``monitored_bounds`` holds, at exactly
     those steps, a certified upper bound of the monitored norm, and NaN
     between them; ``monitored_norms`` holds the exact norm where it was
@@ -316,7 +307,7 @@ class _Recorder:
         self.bounds = [bound]
         self.l2s = [float(np.linalg.norm(engine.c0))]
         self.cp_times = [0.0]
-        self.cps = [engine.checkpoint(engine.c0)]
+        self.cps = [engine.c0]
         self.blowup_time = None
 
     def record(self, first, states) -> bool:
@@ -366,7 +357,7 @@ class _Recorder:
         self.bounds += bounds[:end].tolist()
         self.l2s += l2[:end].tolist()
         self.cp_times += times[kept].tolist()
-        self.cps += list(engine.checkpoint(states[:, kept]))
+        self.cps += list(states[:, kept].T)
         return self.blowup_time is not None
 
     def trajectory(self, contractions=()) -> Trajectory:
@@ -386,7 +377,7 @@ def _start(spec, horizon, dt, stride):
     """Validated step count, the spec's engine, the initial coefficients and
     a recorder seeded with them."""
     steps = _check_steps(horizon, dt)
-    if not isinstance(stride, (int, np.integer)) or stride < 1:
+    if not _is_count(stride, 1):
         raise ValueError(f"checkpoint_stride must be an integer >= 1, got {stride!r}")
     engine = spec._engine
     return engine, engine.c0, _Recorder(engine, dt, steps, int(stride))
@@ -409,7 +400,7 @@ def _check_tol(tol):
 
 
 def _check_order(order):
-    if order not in (1, 2):
+    if not (_is_count(order, 1) and order <= 2):
         raise ValueError("order must be 1 or 2")
 
 
@@ -486,9 +477,9 @@ def picard_solve(spec: NonlinearProblemSpec, horizon: float, dt: float,
     ``Trajectory``) truncates the trajectory instead of raising.
     """
     _check_tol(tol)
-    if max_iter < 2:
-        raise ValueError("max_iter must be at least 2: the contraction factor "
-                         "needs two successive-iterate gaps")
+    if not _is_count(max_iter, 2):
+        raise ValueError(f"max_iter must be an integer >= 2, got {max_iter!r}: the "
+                         "contraction factor needs two successive-iterate gaps")
     engine, c, rec = _start(spec, horizon, dt, checkpoint_stride)
     contractions = []
     done = 0
@@ -547,14 +538,13 @@ def duhamel_residual(traj: Trajectory, spec: NonlinearProblemSpec) -> float:
     GEMM to values and one back). The Duhamel integral is accumulated
     segment by segment with the trapezoid rule, multiplying by the segment
     propagator as it goes, so each checkpoint's integral carries the exact
-    semigroup kernel. A sector run (see ``_Engine``) is checked on its
-    sector's coefficients; the others are exact zeros in its checkpoints.
+    semigroup kernel.
     """
     if len(traj.checkpoint_times) < 3:
         raise ValueError("need at least 3 checkpoints for a residual")
     engine = spec._engine
     times = traj.checkpoint_times
-    coeffs = traj.checkpoint_coeffs[:, engine.cols]
+    coeffs = traj.checkpoint_coeffs
     n_hat = engine.nonlin_coeff(coeffs.T).T
 
     worst = 0.0

@@ -111,7 +111,8 @@ def _reflection_parity(v: np.ndarray):
 
 def _field_parity(values: np.ndarray) -> int:
     """1 or -1 when the 1-d ``values`` are real and bitwise even or odd under
-    x -> -x, else 0: the parity sector a flow from them evolves in."""
+    x -> -x, else 0: the one parity a decomposition may keep for a flow from
+    them."""
     return 0 if values.imag.any() else int(_reflection_parity(values.real))
 
 
@@ -141,7 +142,9 @@ class SpectralDecomposition:
     For the harmonic oscillator that is the sign of the Hermite function.
     Within its parity each eigenpair is unique up to that sign, so a mode is
     one column. ``parity`` is 1 or -1 when only the modes of that parity
-    among the lowest m were kept (``decompose(..., parity=)``), else None.
+    among the lowest m were kept (``decompose(..., parity=)``), else None;
+    a flow evolves in a parity sector exactly when its decomposition keeps
+    one parity (see ``nlheat``).
     """
 
     oscillator: OscillatorSpec
@@ -325,8 +328,9 @@ def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None,
     of the lowest m modes are kept. The kept pairs are bit for bit the
     columns of that parity in the full decomposition (unless a level of the
     other parity lies within rounding of the cut at m), and pass the same
-    gauge and gates. A flow evolves one parity sector and reads no other
-    mode (see ``nlheat``), so it needs one eigh, not two.
+    gauge and gates. A flow on such a decomposition evolves in that parity
+    sector and reads no other mode (see ``nlheat``), so it needs one eigh,
+    not two.
 
     Memory: E is built and solved before O is built, and the gauge and the
     gates below run over blocks of 64 columns, so besides the two block

@@ -29,6 +29,13 @@ def dec():
     return decompose(ah.OscillatorSpec(1, 1), Grid(128, 10.0), 48)
 
 
+@pytest.fixture(scope="module")
+def sector_decs():
+    """The decompositions like ``dec`` that keep one parity, by parity."""
+    return {parity: decompose(ah.OscillatorSpec(1, 1), Grid(128, 10.0), 48, parity=parity)
+            for parity in (1, -1)}
+
+
 @pytest.fixture()
 def small_u0(dec):
     x = dec.grid.nodes()
@@ -105,9 +112,14 @@ class TestProblemSpec:
             dataclasses.replace(defocusing, u0=FieldSample(other, np.zeros(other.points_per_axis)))
 
 
-# u0 centred at 0 is bitwise even and runs in its parity sector; shifted, it
-# takes the full layout
-LAYOUTS = pytest.mark.parametrize("shift", [0.0, 0.3], ids=["sector", "full"])
+# the layout is the decomposition's: the even one runs u0 centred at 0 in its
+# parity sector, the full one runs u0 shifted in the full layout
+LAYOUTS = pytest.mark.parametrize("layout", ["sector", "full"])
+
+
+def layout_case(layout, dec, sector_decs):
+    """The decomposition and the u0 shift of a ``LAYOUTS`` case."""
+    return (sector_decs[1], 0.0) if layout == "sector" else (dec, 0.3)
 
 
 class TestNonlinearity:
@@ -129,7 +141,8 @@ class TestNonlinearity:
         return FieldSample(dec.grid, 0.5 * np.exp(-(x - shift) ** 2 / 2))
 
     @LAYOUTS
-    def test_power_formula(self, dec, shift):
+    def test_power_formula(self, dec, sector_decs, layout):
+        dec, shift = layout_case(layout, dec, sector_decs)
         spec = NonlinearProblemSpec(dec, self.u0(dec, shift), nu=2, coupling=-0.3 + 0.1j)
         engine, c, u = self.engine_and_state(spec, shift)
         expected = engine.to_coeff((-0.3 + 0.1j) * np.abs(u) ** 4 * u)
@@ -137,7 +150,8 @@ class TestNonlinearity:
                                    atol=1e-14 * np.max(np.abs(expected)))
 
     @LAYOUTS
-    def test_inhomogeneous_factor(self, dec, shift):
+    def test_inhomogeneous_factor(self, dec, sector_decs, layout):
+        dec, shift = layout_case(layout, dec, sector_decs)
         spec = NonlinearProblemSpec(dec, self.u0(dec, shift), kind="inhomogeneous",
                                     alpha=0.4)
         engine, c, u = self.engine_and_state(spec, shift)
@@ -150,9 +164,9 @@ class TestNonlinearity:
 
 
 class TestParitySector:
-    """A real u0 that is bitwise even or odd is evolved in its parity sector.
-    The reference is the same flow from a copy of u0 with one node moved by
-    one ulp, which the full layout evolves."""
+    """A flow on a decomposition that keeps one parity is evolved in that
+    parity sector. The reference is the same flow on the full decomposition,
+    which the full layout evolves."""
 
     @staticmethod
     def u0(dec, parity):
@@ -160,45 +174,56 @@ class TestParitySector:
         gauss = np.exp(-x ** 2 / 2)
         return FieldSample(dec.grid, 0.5 * (gauss if parity == "even" else x * gauss))
 
-    @staticmethod
-    def nudged(u0):
-        vals = np.array(u0.values.real)
-        k = u0.grid.points_per_axis // 2 + 3
-        vals[k] = np.nextafter(vals[k], np.inf)
-        return FieldSample(u0.grid, vals)
-
     @INTEGRATORS
     @pytest.mark.parametrize("coupling", [-1.0, -1.0 + 0.5j], ids=["real", "complex"])
     @pytest.mark.parametrize("parity", ["even", "odd"])
-    def test_agrees_with_the_full_layout(self, dec, parity, coupling, integrate):
-        spec = NonlinearProblemSpec(dec, self.u0(dec, parity), coupling=coupling,
-                                    monitor=MONITOR)
-        full = dataclasses.replace(spec, u0=self.nudged(spec.u0))
-        assert anharmonic.nlheat._Engine(spec).sign == (1.0 if parity == "even" else -1.0)
+    def test_agrees_with_the_full_layout(self, dec, sector_decs, parity, coupling, integrate):
+        sign = 1 if parity == "even" else -1
+        u0 = self.u0(dec, parity)
+        spec = NonlinearProblemSpec(sector_decs[sign], u0, coupling=coupling, monitor=MONITOR)
+        full = NonlinearProblemSpec(dec, u0, coupling=coupling, monitor=MONITOR)
+        assert anharmonic.nlheat._Engine(spec).sign == sign
         assert anharmonic.nlheat._Engine(full).sign == 0.0
         a, b = integrate(spec, 0.05, 0.005), integrate(full, 0.05, 0.005)
+        cols = anharmonic.spectral._reflection_parity(dec.eigenvectors) == sign
         np.testing.assert_allclose(a.monitored_norms, b.monitored_norms, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(a.final_coeffs, b.final_coeffs, rtol=0,
+        np.testing.assert_allclose(a.final_coeffs, b.final_coeffs[cols], rtol=0,
                                    atol=1e-12 * np.max(np.abs(b.final_coeffs)))
-
-    @pytest.mark.parametrize("parity", ["even", "odd"])
-    def test_checkpoints_hold_zeros_in_the_other_parity(self, dec, parity):
-        spec = NonlinearProblemSpec(dec, self.u0(dec, parity), monitor=MONITOR)
-        traj = picard_solve(spec, 0.02, 0.005)
-        vecs = dec.eigenvectors
-        other = ~np.all(vecs == (1.0 if parity == "even" else -1.0) * vecs[::-1], axis=0)
-        assert traj.checkpoint_coeffs.shape == (5, dec.m)
-        assert 0 < np.count_nonzero(other) < dec.m
-        assert np.all(traj.checkpoint_coeffs[:, other] == 0.0)
-        assert np.all(traj.checkpoint_coeffs[:, ~other] != 0.0)
-        assert duhamel_residual(traj, spec) < 1e-6
+        assert duhamel_residual(a, spec) < 1e-6
 
     @INTEGRATORS
-    def test_every_pass_of_a_gaussian_run_is_half_rows(self, dec, integrate, pass_ranges):
-        """The shipped initial data (``cli._gaussian_initial``, scaled) runs
-        every exact monitored norm and Picard gap on the rows N/2.., so a
-        silent fall back to the full pass fails here. The steps between are
-        bounded, not measured."""
+    def test_a_full_decomposition_takes_the_full_layout(self, dec, integrate):
+        """The layout is the decomposition's, not u0's: a bitwise even u0 on
+        the full decomposition runs the full layout, and its checkpoints hold
+        all m coefficients."""
+        spec = NonlinearProblemSpec(dec, self.u0(dec, "even"), monitor=MONITOR)
+        assert anharmonic.spectral._field_parity(spec.u0.values) == 1
+        assert spec._engine.sign == 0.0
+        traj = integrate(spec, 0.02, 0.005)
+        assert traj.checkpoint_coeffs.shape == (5, dec.m)
+
+    @INTEGRATORS
+    def test_u0_of_a_parity_without_modes_takes_the_full_layout(self, hermite_osc, integrate):
+        """An odd u0 on a full decomposition that keeps only the even ground
+        state runs the full layout and is all off the span, so it warns."""
+        grid = Grid(64, 8.0)
+        one_mode = decompose(hermite_osc, grid, 1)
+        x = grid.nodes()
+        spec = NonlinearProblemSpec(one_mode, FieldSample(grid, 0.5 * x * np.exp(-x ** 2 / 2)),
+                                    monitor=MONITOR)
+        with pytest.warns(OffSpanWarning):
+            traj = integrate(spec, 0.02, 0.005)
+        assert spec._engine.sign == 0.0
+        assert traj.checkpoint_coeffs.shape == (5, 1)
+
+    @INTEGRATORS
+    def test_every_pass_of_a_gaussian_run_is_half_rows(self, sector_decs, integrate,
+                                                       pass_ranges):
+        """The shipped initial data (``cli._gaussian_initial``, scaled) on
+        the even decomposition runs every exact monitored norm and Picard
+        gap on the rows N/2.., so a silent fall back to the full pass fails
+        here. The steps between are bounded, not measured."""
+        dec = sector_decs[1]
         base = ah.cli._gaussian_initial(dec.grid)
         u0 = FieldSample(dec.grid, 0.05 * base.values)
         traj = integrate(NonlinearProblemSpec(dec, u0, monitor=MONITOR), 0.02, 0.005)
@@ -210,12 +235,12 @@ class TestParitySector:
 
 class TestOneParityDecomposition:
     """A flow on a decomposition that keeps one parity (``decompose(...,
-    parity=±1)``, as the nlheat runner asks for the even Gaussian) is the
-    same flow as on the full decomposition, and refuses u0 off that parity."""
+    parity=±1)``, as the nlheat runner asks for the even Gaussian) refuses
+    u0 off that parity."""
 
-    @pytest.fixture(scope="class", params=[1, -1], ids=["even", "odd"])
-    def sector_dec(self, request):
-        return decompose(ah.OscillatorSpec(1, 1), Grid(128, 10.0), 48, parity=request.param)
+    @pytest.fixture(params=[1, -1], ids=["even", "odd"])
+    def sector_dec(self, request, sector_decs):
+        return sector_decs[request.param]
 
     @pytest.mark.parametrize("shape", ["other_parity", "asymmetric", "complex"])
     def test_u0_off_the_sector_is_refused(self, sector_dec, shape):
@@ -230,21 +255,6 @@ class TestOneParityDecomposition:
             NonlinearProblemSpec(sector_dec, FieldSample(sector_dec.grid, values))
         assert exc.value.field == "u0"
         NonlinearProblemSpec(sector_dec, FieldSample(sector_dec.grid, same))
-
-    @INTEGRATORS
-    def test_flow_is_the_full_decompositions_flow(self, dec, sector_dec, integrate):
-        """Checkpoints hold the sector's coefficients alone, bit for bit the
-        columns of that parity of the same flow on the full decomposition;
-        the monitored norms are the same bits."""
-        parity = "even" if sector_dec.parity == 1 else "odd"
-        u0 = TestParitySector.u0(dec, parity)
-        a = integrate(NonlinearProblemSpec(sector_dec, u0, monitor=MONITOR), 0.05, 0.005)
-        b = integrate(NonlinearProblemSpec(dec, u0, monitor=MONITOR), 0.05, 0.005)
-        cols = anharmonic.spectral._reflection_parity(dec.eigenvectors) == sector_dec.parity
-        assert a.checkpoint_coeffs.shape == (11, sector_dec.m) == (11, np.count_nonzero(cols))
-        np.testing.assert_array_equal(a.checkpoint_coeffs, b.checkpoint_coeffs[:, cols])
-        np.testing.assert_array_equal(a.monitored_norms, b.monitored_norms)
-        np.testing.assert_array_equal(a.monitored_bounds, b.monitored_bounds)
 
 
 class TestStepValidation:
@@ -263,6 +273,28 @@ class TestStepValidation:
             picard_solve(defocusing, 0.05, 0.005, max_iter=1)
         with pytest.raises(ValueError):
             etd_evolve(defocusing, 0.05, 0.005, order=3)
+
+    @pytest.mark.parametrize("name,value", [
+        ("nu", True), ("nu", 2.0), ("max_iter", True), ("max_iter", 3.5), ("max_iter", "5"),
+        ("max_iter", 25.0), ("checkpoint_stride", True), ("checkpoint_stride", 2.0),
+        ("order", True), ("order", 2.0)])
+    def test_integer_inputs_refuse_bools_and_non_integers(self, defocusing, name, value):
+        """Like ``decompose``'s m: an int or numpy integer, never a bool or a
+        float, however integral."""
+        if name == "nu":
+            with pytest.raises(InvalidSpecError) as exc:
+                dataclasses.replace(defocusing, nu=value)
+            assert exc.value.field == "nu"
+            return
+        integrate = etd_evolve if name == "order" else picard_solve
+        with pytest.raises(ValueError, match=name):
+            integrate(defocusing, 0.01, 0.005, **{name: value})
+
+    def test_numpy_integers_are_integer_inputs(self, defocusing):
+        assert dataclasses.replace(defocusing, nu=np.int64(2)).nu == 2
+        picard_solve(defocusing, 0.01, 0.005, max_iter=np.int64(25),
+                     checkpoint_stride=np.int32(2))
+        etd_evolve(defocusing, 0.01, 0.005, order=np.int64(1))
 
 
 class TestLinearConsistency:
@@ -336,7 +368,7 @@ class TestPicard:
 
 class TestOneEngine:
     """A spec builds its engine once, at the first integrator or residual
-    call: the parity sector, the nonlinearity, the projected initial state
+    call: the layout, the nonlinearity, the projected initial state
     and its off-span check are shared by every later call."""
 
     @staticmethod
@@ -385,8 +417,7 @@ class TestOneEngine:
     def test_initial_coefficients_are_read_only(self, defocusing):
         traj = etd_evolve(defocusing, 0.01, 0.005)
         c0 = defocusing._engine.c0
-        np.testing.assert_array_equal(defocusing._engine.checkpoint(c0),
-                                      traj.checkpoint_coeffs[0])
+        np.testing.assert_array_equal(c0, traj.checkpoint_coeffs[0])
         with pytest.raises(ValueError, match="read-only"):
             c0[0] = 1.0
 
@@ -421,10 +452,11 @@ class TestCertifiedStop:
 
     @LAYOUTS
     @pytest.mark.parametrize("imag", [0.0, 1.0], ids=["real", "complex"])
-    def test_coefficient_norm_is_the_full_field_norm(self, dec, shift, imag):
+    def test_coefficient_norm_is_the_full_field_norm(self, dec, sector_decs, layout, imag):
         """The retained modes are orthonormal, so ||c||_2 is the L^2 norm of
         the full field of c, the sector's mirrored half included; the cap
         constant times it bounds the exact monitored norm."""
+        dec, shift = layout_case(layout, dec, sector_decs)
         x = dec.grid.nodes()
         spec = NonlinearProblemSpec(dec, FieldSample(dec.grid, np.exp(-(x - shift) ** 2 / 2)),
                                     monitor=MONITOR)
