@@ -5,9 +5,9 @@ semigroup exp(-t H^beta), whose beta is its own argument, is its
 exponential case, and a fractional power H^b f is one call with
 phi = lambda ** b. Sobolev norms read the coefficients.
 
-All operations act on the retained-mode component of a field; when a field
-has more than a sliver of energy outside that span, an OffSpanWarning is
-emitted with the discarded fraction.
+All operations act on the retained-mode component of a field: a field with
+more than a sliver of energy outside that span warns (OffSpanWarning, with
+the discarded fraction), and a non-finite field raises NumericalError.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ _OFFSPAN_TOL = 1e-6
 def _warn_off_span(dec, f, context, coeffs=None):
     """Warn when more than ``_OFFSPAN_TOL`` of f's L2 mass lies off the span;
     like every package warning, through ``errors._warn``, so it names the
-    line that called into the package."""
+    line that called into the package. A non-finite f raises NumericalError."""
+    if not np.isfinite(f.values).all():
+        raise NumericalError(f"{context}: the field has non-finite values")
     frac = dec.span_residual_fraction(f, coeffs)
     if frac > _OFFSPAN_TOL:
         _warn(OffSpanWarning,

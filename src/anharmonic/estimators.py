@@ -23,7 +23,7 @@ from .errors import InvalidSpecError, NumericalError, ProbeSkipWarning, Truncati
 from .model import (MixedNormParams, OscillatorSpec, check_exponent, evaluate_potential,
                     is_inf)
 from .ougauss import GaussianConjugation, apply_conjugation, ou_semigroup
-from .phasespace import (_BLOCK_CELLS, _measured_columns, _outer_reduce, _unframed,
+from .phasespace import (_BLOCK_CELLS, _framed, _measured_columns, _outer_reduce, _unframed,
                          _weighted_columns, modulation_norm, modulation_norms)
 from .spectral import FieldSample, Grid, SpectralDecomposition
 
@@ -493,7 +493,8 @@ def singular_weight_norm(alpha: float, params: MixedNormParams, s: float,
     def truncated(r):
         return FieldSample(grid, np.where(nodes_r <= r, nodes_r ** (-alpha), 0.0))
 
-    [value], [columns], e = _measured_columns(truncated(radius), [s], osc, params)
+    values = truncated(radius).values[None]
+    [value], [columns], e = _measured_columns(values, _framed(values), 0, grid, [s], osc, params)
     value_half = modulation_norm(truncated(radius / 2.0), s, osc, params)
     x_growth = abs(value - value_half) / value_half if value_half > 0 else float("inf")
     # outer-exponent tail mass A(Xi): sum over the bulk radius < |xi| <= Xi

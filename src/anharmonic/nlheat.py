@@ -40,7 +40,8 @@ import numpy as np
 from .calculus import _warn_off_span
 from .errors import InvalidSpecError, NonConvergenceError
 from .model import MixedNormParams
-from .phasespace import _check_boundary_mass, _frame, _l2_cap, _state_bounds, modulation_norm
+from .phasespace import (_check_boundary_mass, _frame, _framed, _l2_cap, _measured_columns,
+                         _state_bounds)
 from .spectral import _ORTHO_TOL, FieldSample, SpectralDecomposition, _field_parity, real_matmul
 
 _BLOWUP_NORM = 1e6
@@ -144,7 +145,7 @@ class _Engine:
     ``sign`` is 0.0 and ``rows`` takes every node. ``c0``, the projected
     initial coefficients, is read-only and checked for off-span mass at the
     build; ``initial_values``, the trajectory's t = 0 norm and bound, are
-    measured at the first read.
+    measured at the first read, from one frame of the initial state.
     """
 
     def __init__(self, spec: NonlinearProblemSpec):
@@ -170,10 +171,10 @@ class _Engine:
 
     @functools.cached_property
     def initial_values(self) -> tuple:
-        """(monitored norm, bound) of the initial state."""
+        """(monitored norm, bound) of the initial state, from its one frame."""
         values = self.fields(self.c0[:, None])
-        return (self.monitored_norm(FieldSample(self.dec.grid, values[0])),
-                float(self.monitored_bounds(_frame(values))[0]))
+        frame = _framed(values)
+        return self.monitored_norm(values, frame, 0), float(self.monitored_bounds(frame)[0])
 
     def propagator(self, dt: float) -> np.ndarray:
         return np.exp(-dt * self.lam_beta)
@@ -201,10 +202,13 @@ class _Engine:
             v = np.concatenate((self.sign * v[::-1], v))
         return np.ascontiguousarray(v.T, dtype=complex)
 
-    def monitored_norm(self, field: FieldSample) -> float:
-        """The exact monitored norm of a state's full field: one STFT pass,
-        which warns on boundary mass."""
-        return modulation_norm(field, self.monitor_s, self.dec.oscillator, self.monitor_params)
+    def monitored_norm(self, values: np.ndarray, frame, k: int) -> float:
+        """The exact monitored norm of the full field ``values[k]``, measured
+        in its row of ``frame``, the batch ``_frame`` of ``values``: one STFT
+        pass, with no boundary-mass check."""
+        [norm], _, _ = _measured_columns(values, frame, k, self.dec.grid, [self.monitor_s],
+                                         self.dec.oscillator, self.monitor_params)
+        return norm
 
     def monitored_bounds(self, frame) -> np.ndarray:
         """``phasespace._state_bounds`` of the fields of a batch ``frame``:
@@ -281,21 +285,21 @@ class _Recorder:
 
     It takes a run's states in step order, a block at a time (a converged
     Picard block, or the exponential steps up to a checkpoint). A block's
-    checkpoints get their values from one GEMM, their frame and their
+    checkpoints get their values from one GEMM, their one frame and their
     bounds (``phasespace._state_bounds``) from one batch. Between
     checkpoints both monitored columns are NaN. The exact monitored norm
-    (one STFT pass) runs only at t = 0, at the checkpoints on every
-    ``_EXACT_STRIDE``-th step, at the last step (of the horizon, or of a
-    blow-up) and at a checkpoint whose bound is not at most
-    ``_BLOWUP_NORM``; elsewhere it is NaN and the batch's frame gives the
-    state the exact norm's boundary-mass check, after the block's exact
-    norms. At a stride point or the last step the flow has blown up when the
-    monitored norm is non-finite or above ``_BLOWUP_NORM``: a bound at most
-    ``_BLOWUP_NORM`` certifies that it is not, and any other bound hands the
-    decision to the exact norm. Between stride points the flow has blown up
-    when the coefficients are non-finite or their l2 norm is above
-    ``_BLOWUP_NORM``. A blow-up step is always checkpointed, with its
-    monitored norm measured (infinite, as its bound, for non-finite
+    (one STFT pass on the state's row of the frame) runs only at t = 0, at
+    the checkpoints on every ``_EXACT_STRIDE``-th step, at the last step (of
+    the horizon, or of a blow-up) and at a checkpoint whose bound is not at
+    most ``_BLOWUP_NORM``; elsewhere it is NaN. One call on the frame, after
+    the exact norms, checks the boundary mass of every checkpoint up to the
+    end of the record. At a stride point or the last step the flow has blown
+    up when the monitored norm is non-finite or above ``_BLOWUP_NORM``: a
+    bound at most ``_BLOWUP_NORM`` certifies that it is not, and any other
+    bound hands the decision to the exact norm. Between stride points the
+    flow has blown up when the coefficients are non-finite or their l2 norm
+    is above ``_BLOWUP_NORM``. A blow-up step is always checkpointed, with
+    its monitored norm measured (infinite, as its bound, for non-finite
     coefficients), and ends the record.
     """
 
@@ -334,22 +338,19 @@ class _Recorder:
             bounds[fielded] = engine.monitored_bounds(frame)
         exact = kept & finite & ((steps % _EXACT_STRIDE == 0) | (steps == self.steps)
                                  | ~on_stride | ~(bounds <= _BLOWUP_NORM))
-        left = kept & finite & ~exact  # the states left to their bounds
         # a step left to its bound has a bound, so a norm, at most the guard:
         # only a measured or non-finite step can have blown up
         end = len(steps)
-        for k in np.flatnonzero(kept & ~left):
+        for k in np.flatnonzero(exact | (kept & ~finite)):
             if exact[k]:
-                norms[k] = engine.monitored_norm(
-                    FieldSample(engine.dec.grid, values[np.searchsorted(fielded, k)]))
+                norms[k] = engine.monitored_norm(values, frame, np.searchsorted(fielded, k))
             if not (on_stride[k] and (math.isnan(norms[k]) or norms[k] <= _BLOWUP_NORM)):
                 end = k + 1
                 self.blowup_time = float(steps[k] * self.dt)
                 break
-        # the exact norm's boundary-mass check, for the states left to their bounds
-        rows = np.searchsorted(fielded, np.flatnonzero(left[:end]))
-        if rows.size:
-            _check_boundary_mass(frame[0][rows], frame[4][rows])
+        if fielded.size:  # the boundary-mass check of every framed state up to the end
+            cut = np.searchsorted(fielded, end)
+            _check_boundary_mass(frame[0][:cut], frame[4][:cut])
         kept = np.flatnonzero(kept[:end])
         times = steps[:end] * self.dt
         self.times += times.tolist()
@@ -538,7 +539,7 @@ def duhamel_residual(traj: Trajectory, spec: NonlinearProblemSpec) -> float:
     GEMM to values and one back). The Duhamel integral is accumulated
     segment by segment with the trapezoid rule, multiplying by the segment
     propagator as it goes, so each checkpoint's integral carries the exact
-    semigroup kernel.
+    semigroup kernel. A NaN defect (NaN coefficients) gives a NaN residual.
     """
     if len(traj.checkpoint_times) < 3:
         raise ValueError("need at least 3 checkpoints for a residual")
@@ -560,5 +561,5 @@ def duhamel_residual(traj: Trajectory, spec: NonlinearProblemSpec) -> float:
         linear = e_seg * linear
         integral = e_seg * integral + (seg / 2.0) * (e_seg * n_hat[i - 1] + n_hat[i])
         defect = coeffs[i] - linear - integral
-        worst = max(worst, float(np.linalg.norm(defect)))
+        worst = float(np.maximum(worst, np.linalg.norm(defect)))
     return worst

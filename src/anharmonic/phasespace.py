@@ -39,11 +39,12 @@ is judged on each block's column sums: only a block whose sums are not
 finite has its weighted magnitudes tested, and a cell h |V_g f| v_s that is
 not finite raises NumericalError, while finite cells whose power sums
 overflow give an inf norm. Every streamed norm and bound measures f in one
-frame, ``_frame``: as 2^-e f, its peak in [1/2, 1), each value scaled back
-once by 2^e (inf on overflow). The scale is exact, so the value at 2^k f is
-2^k times that at f bit for bit. Only the frame reads a field's peak,
-scale and layout: the pass, its row pruning, the boundary-mass check and
-``_state_bound`` take it.
+frame, ``_frame`` of the rows of a (K, N) array: as 2^-e f, its peak in
+[1/2, 1), each value scaled back once by 2^e (inf on overflow). The scale
+is exact, so the value at 2^k f is 2^k times that at f bit for bit. Only
+the frame reads a field's peak, scale and layout; the pass helpers take a
+row of it and the grid. Each measured state is framed once: a public norm
+or transform at entry, a recorded state of ``nlheat`` in its block's batch.
 Squared moduli and weights can overflow where the magnitudes of f do not,
 so a streamed norm that comes out not finite is measured again from those
 (the frame at e = 0), which decide between NumericalError, inf and a
@@ -70,10 +71,10 @@ with the even window V_g f(-x, xi) = +-conj(V_g f(x, xi)); the weight
 depends on x only through the even V. The pass therefore runs the rows
 x > 0 alone (the rows [N/2, N) of ``_stft_blocks``) and doubles the finite-p
 column sums; the column sup for p = INF is the same over half the rows.
-Other fields run every row. The boundary-mass check runs where a state is
-measured (``stft``, ``modulation_norm``, ``modulation_norms``, and the
-states ``nlheat`` only bounds), not in the pass; it reads the framed field
-at the four nodes within 2h of the box edge (``_EDGE_NODES``).
+Other fields run every row. The boundary-mass check runs where a field is
+framed (``stft``, ``modulation_norms``, ``singular_weight_norm``, and
+``nlheat`` once per recorded state), not in the pass; it reads the framed
+field at the four nodes within 2h of the box edge (``_EDGE_NODES``).
 A p = q = 2 norm (``modulation_norm``, ``modulation_norms``) runs only
 the x-shift rows that can move its value. By DFT Parseval the row at x_i
 has squared l^2 norm N h^2 sum_j |f_j|^2 g(z_j - x_i)^2, bounded without
@@ -95,7 +96,7 @@ constant C with ``modulation_norm`` <= C ||f||_{L^2}, cached once per
 (s, oscillator, grid, exponents). ``nlheat`` stops its Picard sweeps on that
 cap of the coefficient norms of the sweep gaps, lifted by the Gram bound of
 its modes.
-A state's norm has a much tighter certified bound, ``_state_bound``, that
+A state's norm has a much tighter certified bound, ``_state_bounds``, that
 runs no FFT over the lattice. The triangle inequality over the samples, and
 again after the DFT convolution theorem, bounds every cell:
 |V_g f(x_i, xi_n)| <= min(r_i, c_n) with r_i = h sum_j |f_j| g(z_j - x_i)
@@ -112,8 +113,7 @@ weight and exponents on the same rows and columns, bound the norm for
 every 0 < p, q <= INF. On the shipped flows the bound is 1.53 times the
 (2, 1, 2) norm and 1.08 times the (6, 2, 0.02) norm, at a quarter to a
 third of the cost of the pass; ``nlheat`` bounds every recorded state with
-it, one batch of states at a time (``_state_bounds``), and runs the exact
-pass only at some.
+it, one batch of states at a time, and runs the exact pass only at some.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ _ROW_SHARE = 2.0 ** -54
 # it g^2 < 3e-44 of its peak, which bounds the rest)
 _BAND_RADIUS = 4.0
 _EPS = float(np.finfo(float).eps)
-# ``_state_bound`` forms cell bounds only in the columns whose column bound
+# ``_state_bounds`` forms cell bounds only in the columns whose column bound
 # is more than this share of the outer sum
 _REFINED_SHARE = 2.0 ** -40
 
@@ -197,9 +197,9 @@ def _check_boundary_mass(values: np.ndarray, peak) -> None:
                   f"cyclic window wrap-around may contaminate the STFT")
 
 
-def _stft_blocks(f: FieldSample, real: bool, rows: tuple):
-    """Yield (lo, block) with block[r] = FFT(f g(. - x_{lo+r})), unscaled: the
-    cell factor h is the caller's to apply.
+def _stft_blocks(f: np.ndarray, grid: Grid, real: bool, rows: tuple):
+    """Yield (lo, block) with block[r] = FFT(f g(. - x_{lo+r})), unscaled, for
+    the values f on ``grid``: the cell factor h is the caller's to apply.
 
     ``rows`` = (start, stop) is the range of x shifts to run: (0, N), (N/2, N)
     for the half-row pass of an even or odd field, or a ``_kept_rows`` range.
@@ -215,13 +215,12 @@ def _stft_blocks(f: FieldSample, real: bool, rows: tuple):
     ``real`` (f real) transforms the real product with ``rfft`` and yields
     only the bins 0..N/2, shape (rows, N/2 + 1).
     """
-    grid = f.grid
     size = grid.points_per_axis
     start, stop = rows
     height = max(1, _BLOCK_CELLS // size)
     g = _gaussian_window_values(grid)
     shifts = sliding_window_view(np.concatenate((g, g)), size)[size:0:-1]
-    fv = f.values.real if real else f.values
+    fv = f.real if real else f
     buf = np.empty((min(height, stop - start), size), dtype=fv.dtype)
     for edge in range(start - start % height, stop, height):
         lo, hi = max(edge, start), min(edge + height, stop)
@@ -243,13 +242,12 @@ def stft(f: FieldSample) -> PhaseSpaceField:
     shared pass is put in ascending xi order and given the staggered-grid
     phase. Warns when the field carries boundary mass above 1e-8 of its peak.
     """
-    scaled, _, _, _, peak = _frame(f)
+    _framed(f.values[None])  # for the boundary-mass check
     grid = f.grid
-    _check_boundary_mass(scaled.values, peak)
     phase = _staggered_phase(grid)
     n = grid.points_per_axis
     out = np.empty((n, n), dtype=np.complex128)
-    for lo, block in _stft_blocks(f, False, (0, n)):
+    for lo, block in _stft_blocks(f.values, grid, False, (0, n)):
         rows = out[lo:lo + block.shape[0]]
         np.multiply(np.fft.fftshift(block, axes=1), grid.h, out=rows)
         rows *= phase
@@ -371,10 +369,10 @@ def _row_energies(mag, first_row: int, grid: Grid):
             rest * rest * np.sum(a, axis=-1, keepdims=True))
 
 
-def _kept_rows(frame, s_values, osc: OscillatorSpec | None):
+def _kept_rows(row, grid: Grid, s_values, osc: OscillatorSpec | None):
     """The rows (start, stop) of a p = q = 2 pass over the rows first_row..N
-    of the ``_frame`` that can move its value: the outermost rows whose share
-    of the squared norm is certified below ``_ROW_SHARE`` are left out.
+    of a ``_frame`` row that can move its value: the outermost rows whose
+    share of the squared norm is certified below ``_ROW_SHARE`` are left out.
 
     Row i adds between E_i min_n v_s(x_i, .)^2 and
     (E_i + tail) max_n v_s(x_i, .)^2 to the squared norm, up to the common
@@ -390,12 +388,11 @@ def _kept_rows(frame, s_values, osc: OscillatorSpec | None):
     whose weighted squared norm could overflow keep every row, so every
     NumericalError and inf comes out of the pass as before.
     """
-    f, _, _, first_row, peak = frame
-    grid = f.grid
+    f, _, _, first_row, peak = row
     n = grid.points_per_axis
     if not 0.0 < peak < np.inf:
         return first_row, n
-    energy, tail = _row_energies(np.abs(f.values), first_row, grid)
+    energy, tail = _row_energies(np.abs(f), first_row, grid)
     low, high = (b[first_row:] for b in _weight_row_bounds(tuple(s_values), osc, grid))
     slack = 4.0 * n * np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):
@@ -552,18 +549,18 @@ def _squared_moduli(blocks):
         yield lo, np.add(parts[:, 0::2], parts[:, 1::2], out=buf[:rows])
 
 
-def _modulation_columns(frame, s_values, osc: OscillatorSpec | None, p,
+def _modulation_columns(row, grid: Grid, s_values, osc: OscillatorSpec | None, p,
                         prune: bool = False, squared: bool = False) -> list:
     """``_weighted_columns`` of |V_g f| straight from one blocked STFT pass,
     one column array per weight exponent in ``s_values`` (s = 0 reduces the
     raw magnitudes), each with one column per xi node in ascending order. No
-    boundary-mass check; f is the field of ``frame``, a ``_frame``, whose
-    layout decides the pass. A real field reduces only the N/2 + 1 ``rfft``
-    bins and mirrors their column sums; if it is also bitwise even or odd,
-    only the rows x > 0, with finite-p column sums doubled (see the module
-    docstring). Blocks are reduced in
-    FFT order; the columns move to ascending xi once, at the end. ``prune``
-    (p = 2 with an outer q = 2 only) runs just the rows of ``_kept_rows``.
+    boundary-mass check; f is the field of ``row``, one row of a ``_frame``,
+    on ``grid``, whose layout decides the pass. A real field reduces only
+    the N/2 + 1 ``rfft`` bins and mirrors their column sums; if it is also
+    bitwise even or odd, only the rows x > 0, with finite-p column sums
+    doubled (see the module docstring). Blocks are reduced in FFT order; the
+    columns move to ascending xi once, at the end. ``prune`` (p = 2 with an
+    outer q = 2 only) runs just the rows of ``_kept_rows``.
 
     The pass reduces the magnitudes |h block|, h on every cell; ``squared``
     (an even p only) reduces the squared moduli of the unscaled blocks
@@ -571,11 +568,10 @@ def _modulation_columns(frame, s_values, osc: OscillatorSpec | None, p,
     decide between NumericalError and inf as ``mixed_norm`` does: squared
     moduli and h^p can overflow where they do not.
     """
-    f, _, real, first_row, _ = frame
-    grid = f.grid
+    f, _, real, first_row, _ = row
     n = grid.points_per_axis
-    rows = _kept_rows(frame, s_values, osc) if prune else (first_row, n)
-    blocks = _stft_blocks(f, real, rows)
+    rows = _kept_rows(row, grid, s_values, osc) if prune else (first_row, n)
+    blocks = _stft_blocks(f, grid, real, rows)
     if squared:
         blocks = _squared_moduli(blocks)
     else:
@@ -589,26 +585,29 @@ def _modulation_columns(frame, s_values, osc: OscillatorSpec | None, p,
     return columns
 
 
-def _frame(f):
-    """(2^-e f, e, real, first_row, peak): the frame every streamed pass,
-    bound and boundary-mass check measures a field f in. 2^-e f has its
-    peak in [1/2, 1) (e = 0 for a zero or non-finite f); real, and the first
-    x-shift row a pass runs: N/2 for a real f that is bitwise even or odd
-    (``_reflection_parity``), else 0. ``f`` is a FieldSample, or a
-    C-contiguous complex (K, N) array of K fields: then 2^-e f is a new
-    (K, N) array and e, real, first_row and peak are arrays with one entry
-    per row, each the one the row gets alone."""
-    one = isinstance(f, FieldSample)
-    values = f.values[None] if one else f
+def _frame(values: np.ndarray):
+    """(2^-e f, e, real, first_row, peak) for the fields f, the rows of the
+    C-contiguous complex (K, N) ``values``: the one frame every streamed
+    pass, bound and boundary-mass check measures a state in (a field alone
+    is a batch of one). 2^-e f, a new (K, N) array, has its peak in
+    [1/2, 1) (e = 0 for a zero or non-finite f); real, and the first x-shift
+    row a pass runs: N/2 for a real f that is bitwise even or odd
+    (``_reflection_parity``), else 0. e, real, first_row and peak hold one
+    entry per row, each the one the row gets alone."""
     peak, e = np.frexp(np.max(np.abs(values), axis=-1))
     scaled = np.ldexp(values.view(float), -e[:, None]).view(complex)
     real = ~values.imag.any(axis=-1)
     first_row = np.where(real & (_reflection_parity(values.real.T) != 0),
                          values.shape[-1] // 2, 0)
-    if one:
-        return ((FieldSample(f.grid, scaled[0]) if e[0] else f), int(e[0]), bool(real[0]),
-                int(first_row[0]), float(peak[0]))
     return scaled, e, real, first_row, peak
+
+
+def _framed(values: np.ndarray):
+    """``_frame`` of ``values`` after the boundary-mass check of each field:
+    how a public measurement frames its field, a batch of one."""
+    frame = _frame(values)
+    _check_boundary_mass(frame[0], frame[4])
+    return frame
 
 
 def _unframed(value: float, e: int) -> float:
@@ -627,13 +626,6 @@ def _full_columns(sums: np.ndarray, real: bool, first_row: int, p) -> np.ndarray
         sums = np.concatenate([sums, sums[-2:0:-1]])
     half = len(sums) // 2
     return np.concatenate((sums[half:], sums[:half]))  # the fftshift
-
-
-def _state_bound(f: FieldSample, s: float, osc: OscillatorSpec | None,
-                 params: MixedNormParams) -> float:
-    """A certified upper bound of ``modulation_norm(f, s, osc, params)``: the
-    one-field case of ``_state_bounds``."""
-    return float(_state_bounds(_frame(f.values[None]), f.grid, s, osc, params)[0])
 
 
 def _state_bounds(frame, grid: Grid, s: float, osc: OscillatorSpec | None,
@@ -787,44 +779,43 @@ def modulation_norms(f: FieldSample, s_values, osc: OscillatorSpec | None,
     f is measured by the rule of ``_measured_columns``. No weight exponent,
     no pass.
     """
-    values, _, _ = _measured_columns(f, s_values, osc, params)
-    return values
+    values = f.values[None]
+    norms, _, _ = _measured_columns(values, _framed(values), 0, f.grid, s_values, osc, params)
+    return norms
 
 
-def _measured_columns(f: FieldSample, s_values, osc: OscillatorSpec | None,
-                      params: MixedNormParams):
-    """(norms, columns, e): the ``modulation_norms`` of f, the column sums
-    of ``_modulation_columns`` that each reduces and the exponent of the
-    frame they are measured in, so a norm is 2^e times the outer reduction
-    of its columns.
+def _measured_columns(values: np.ndarray, frame, k: int, grid: Grid, s_values,
+                      osc: OscillatorSpec | None, params: MixedNormParams):
+    """(norms, columns, e): the ``modulation_norms`` of f = values[k] on
+    ``grid``, the column sums of ``_modulation_columns`` that each reduces
+    and the exponent of the frame they are measured in, so a norm is 2^e
+    times the outer reduction of its columns. No boundary-mass check.
 
-    f is measured in its ``_frame``, which also gives the boundary-mass
-    check its peak; an even p reduces the squared moduli. Both can overflow
-    where the magnitudes h |V_g f| v_s do not (2^-600 f under s = 100, or
-    the sums of (|V_g f| v_s)^p before h^p), so when any norm is not
-    finite, or a scaled cell raises, every norm is measured again from the
-    magnitudes of f itself (its frame at e = 0), by the rule of
-    ``mixed_norm``.
+    f is measured in its row of ``frame``, the ``_frame`` of ``values``; an
+    even p reduces the squared moduli. Both can overflow where the
+    magnitudes h |V_g f| v_s do not (2^-600 f under s = 100, or the sums of
+    (|V_g f| v_s)^p before h^p), so when any norm is not finite, or a scaled
+    cell raises, every norm is measured again from the magnitudes of f
+    itself (its frame at e = 0), by the rule of ``mixed_norm``.
     """
-    scaled, e, real, first_row, peak = frame = _frame(f)
-    _check_boundary_mass(scaled.values, peak)
+    _, e, real, first_row, peak = row = tuple(a[k] for a in frame)
     if not len(s_values):
         return [], [], e
     p, q = params.p, params.q
-    cells = (f.grid.h, f.grid.frequency_cell)
+    cells = (grid.h, grid.frequency_cell)
     prune = p == 2.0 and q == 2.0
 
-    def measure(frame, squared):
-        columns = _modulation_columns(frame, s_values, osc, p, prune, squared)
-        return ([_unframed(_outer_reduce(c, p, q, *cells), frame[1]) for c in columns],
-                columns, frame[1])
+    def measure(row, squared):
+        columns = _modulation_columns(row, grid, s_values, osc, p, prune, squared)
+        return ([_unframed(_outer_reduce(c, p, q, *cells), row[1]) for c in columns],
+                columns, row[1])
 
     squared = not is_inf(p) and float(p) % 2.0 == 0.0
     if squared or e:
         try:
-            measured = measure(frame, squared)
+            measured = measure(row, squared)
             if all(math.isfinite(v) for v in measured[0]):
                 return measured
         except NumericalError:
             pass
-    return measure((f, 0, real, first_row, math.ldexp(peak, e)), False)
+    return measure((values[k], 0, real, first_row, math.ldexp(peak, int(e))), False)

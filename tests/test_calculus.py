@@ -98,6 +98,29 @@ class TestSobolevNorm:
             sobolev_norm(hermite_dec, s, eigenfield(hermite_dec, 3))
 
 
+class TestNonFiniteField:
+    """A field with a non-finite node raises NumericalError on every public
+    route through the off-span check, as ``modulation_norm`` does on it. Its
+    off-span fraction is NaN, which used to pass the check, so each route
+    returned NaN without a word."""
+
+    ROUTES = {
+        "apply_spectral_function": lambda dec, f: apply_spectral_function(dec, lambda lam: lam,
+                                                                          f),
+        "heat_semigroup": lambda dec, f: heat_semigroup(dec, 1.0, 0.1, f),
+        "ou_semigroup": lambda dec, f: ou_semigroup(GaussianConjugation(), dec, 1.0, 0.1, f),
+        "sobolev_norm": lambda dec, f: sobolev_norm(dec, 1.0, f),
+    }
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_raises(self, small_dec, route, bad):
+        values = np.array(eigenfield(small_dec, 2).values)
+        values[10] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="non-finite"):
+            self.ROUTES[route](small_dec, FieldSample(small_dec.grid, values))
+
+
 class TestApplySpectralFunction:
     def test_misshapen_output_raises(self, hermite_dec, gaussian_field):
         """phi is applied to the eigenvalue array once; a scalar output is not

@@ -469,7 +469,9 @@ class TestCertifiedStop:
         norm = float(np.linalg.norm(c))
         assert norm == pytest.approx(math.sqrt(dec.grid.h * np.sum(np.abs(full) ** 2)),
                                      rel=1e-13)
-        assert engine.monitored_norm(FieldSample(dec.grid, full)) <= engine.cap_constant() * norm
+        exact = ah.modulation_norm(FieldSample(dec.grid, full), MONITOR[2], dec.oscillator,
+                                   ah.MixedNormParams(*MONITOR[:2]))
+        assert exact <= engine.cap_constant() * norm
 
     def test_overflowing_gap_has_cap_inf(self, defocusing):
         """A gap whose sum of squares overflows has cap inf, which a
@@ -601,6 +603,21 @@ class TestBlowup:
             assert np.all(np.isnan(traj.monitored_norms[1:-1]))
             np.testing.assert_allclose(traj.checkpoint_times, [0.0, traj.blowup_time])
 
+    def test_residual_of_a_nan_blowup_is_nan(self, dec):
+        """A flow that blows up to NaN coefficients at t = 0.01 stores them as
+        its last checkpoint, and its Duhamel residual is NaN. The residual
+        used to fold its defects with ``max``, which keeps the running value
+        against a NaN, and read 1.14e9 here."""
+        x = dec.grid.nodes()
+        spec = NonlinearProblemSpec(dec, FieldSample(dec.grid, 1.08 * np.exp(-x ** 2 / 2)),
+                                    coupling=1.0, nu=20, monitor=MONITOR)
+        with np.errstate(all="ignore"):
+            traj = etd_evolve(spec, 0.3, 0.005)
+            residual = duhamel_residual(traj, spec)
+        assert traj.blowup_time == pytest.approx(0.01)
+        assert np.isnan(traj.final_coeffs).any()
+        assert math.isnan(residual)
+
     def test_blowup_flag_in_csv(self, defocusing, monkeypatch, tmp_path):
         monkeypatch.setattr(anharmonic.nlheat, "_BLOWUP_NORM", 1e-4)
         traj = picard_solve(defocusing, 0.05, 0.005)
@@ -680,9 +697,9 @@ class TestTrajectoryRecord:
         norm, bounds = (anharmonic.nlheat._Engine.monitored_norm,
                         anharmonic.nlheat._Engine.monitored_bounds)
 
-        def counted_norm(engine, field):
+        def counted_norm(engine, *args):
             calls["monitored_norm"] += 1
-            return norm(engine, field)
+            return norm(engine, *args)
 
         def counted_bounds(engine, frame):  # a batch: count its states
             calls["monitored_bound"] += len(frame[1])
@@ -744,6 +761,31 @@ class TestTrajectoryRecord:
         assert traj.blowup_time == pytest.approx(0.015)
         found = [w for w in caught if w.category is BoundaryMassWarning]
         assert len(found) == len(traj.checkpoint_times) == 2
+
+    @INTEGRATORS
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_each_recorded_state_is_framed_once(self, defocusing, integrate, stride,
+                                                monkeypatch):
+        """A flow frames each recorded state of finite coefficients once, t = 0
+        included, in a batch of (K, N) rows: its bound, its exact norm and its
+        boundary-mass check read that one frame. An exact norm used to frame
+        its state a second time, as a FieldSample."""
+        framed, rows = [], []
+        frame = anharmonic.phasespace._frame
+
+        def counted(values):
+            framed.append(values)
+            result = frame(values)
+            rows.append(np.size(result[1]))  # one exponent per framed field
+            return result
+
+        monkeypatch.setattr(anharmonic.phasespace, "_frame", counted)
+        monkeypatch.setattr(anharmonic.nlheat, "_frame", counted)
+        traj = integrate(defocusing, 0.05, 0.005, checkpoint_stride=stride)
+        recorded = int(np.isfinite(traj.monitored_bounds).sum())
+        assert recorded == len(traj.checkpoint_times) == {1: 11, 3: 5}[stride]
+        assert sum(rows) == recorded
+        assert all(isinstance(v, np.ndarray) and v.ndim == 2 for v in framed)
 
     def test_exact_norm_every_hundredth_step(self, defocusing, monkeypatch):
         """A stride-1 record runs the exact norm every ``_EXACT_STRIDE`` steps

@@ -16,7 +16,7 @@ from anharmonic import (INF, BoundaryMassWarning, FieldSample, Grid,
 from anharmonic.estimators import gaussian_probe_fields
 from anharmonic.phasespace import (_column_reduce, _frame, _gaussian_window_values,
                                    _kept_rows, _l2_cap, _modulation_columns, _outer_reduce,
-                                   _state_bound, _state_bounds, _weight_lattice, _weighted_columns)
+                                   _state_bounds, _weight_lattice, _weighted_columns)
 from oracles import (dense_stft, gaussian_lattice_stft_abs, gaussian_window_transform_abs,
                      mixed_norm_reference)
 
@@ -25,10 +25,16 @@ HARMONIC = ah.hermite_oscillator()
 
 
 def own_scale_frame(f):
-    """The ``_frame`` of f at its own scale, e = 0, as ``modulation_norms``
+    """The ``_frame`` row of f at its own scale, e = 0, as ``modulation_norms``
     measures a field again: its layout, with f unscaled."""
-    _, e, real, first_row, peak = _frame(f)
-    return f, 0, real, first_row, math.ldexp(peak, e)
+    _, e, real, first_row, peak = (a[0] for a in _frame(f.values[None]))
+    return f.values, 0, real, first_row, math.ldexp(peak, int(e))
+
+
+def state_bound(f, s, osc, params):
+    """``_state_bounds`` of the one field f, a batch of one framed through
+    the module attribute, so a counted ``_frame`` sees it."""
+    return float(_state_bounds(phasespace._frame(f.values[None]), f.grid, s, osc, params)[0])
 
 
 def harmonic_lattice(grid, s):
@@ -455,7 +461,7 @@ class TestColumnOrder:
                                2.0 * np.pi * grid.frequency_nodes()[None, :])
         w = np.abs(dense_stft(f)) * weights
         expected = w.max(axis=0) if p is INF else (w ** p).sum(axis=0)
-        [got] = _modulation_columns(own_scale_frame(f), [s], osc, p)
+        [got] = _modulation_columns(own_scale_frame(f), f.grid, [s], osc, p)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
@@ -842,7 +848,7 @@ class TestPrunedRows:
         """The certificate keeps the rows of the tail packet (around row 384)
         that its energy alone would let go."""
         f = self.tail_packet()
-        _, stop = _kept_rows(own_scale_frame(f), [2.0], HARMONIC)
+        _, stop = _kept_rows(own_scale_frame(f), f.grid, [2.0], HARMONIC)
         assert stop > 400
 
     def test_zero_field(self, pass_ranges):
@@ -905,7 +911,7 @@ class TestPrunedRows:
         whatever the exponents; ``modulation_norm`` at p = q = 2 takes the
         pruned rows."""
         f, _ = self.packet("narrow", "complex")
-        [columns] = _modulation_columns(own_scale_frame(f), [2.0], HARMONIC, 2.0)
+        [columns] = _modulation_columns(own_scale_frame(f), f.grid, [2.0], HARMONIC, 2.0)
         full = _outer_reduce(columns, 2.0, 2.0, self.GRID.h, self.GRID.frequency_cell)
         assert pass_ranges == [(0, self.GRID.points_per_axis)]
         assert modulation_norm(f, 2.0, HARMONIC, self.L2) == pytest.approx(full, rel=1e-15)
@@ -936,11 +942,12 @@ class TestBlockGrid:
         vals = 2.0 * np.exp(-8.0 * (x - 0.75) ** 2)
         real = kind == "real"
         f = FieldSample(grid, vals if real else vals * np.exp(3j * np.pi * x))
-        kept = _kept_rows(own_scale_frame(f), [FLAT], None)
+        kept = _kept_rows(own_scale_frame(f), grid, [FLAT], None)
         assert 0 < kept[0] and kept[1] < n  # clipped at both ends
-        full = np.concatenate([b for _, b in phasespace._stft_blocks(f, real, (0, n))])
+        blocks = phasespace._stft_blocks(f.values, grid, real, (0, n))
+        full = np.concatenate([b for _, b in blocks])
         for rows in [(n // 2, n), kept]:
-            for lo, block in phasespace._stft_blocks(f, real, rows):
+            for lo, block in phasespace._stft_blocks(f.values, grid, real, rows):
                 assert block.tobytes() == full[lo:lo + block.shape[0]].tobytes()
         assert pass_ranges == [(0, n), (n // 2, n), kept]
         height = max(1, 2 ** 15 // n)
@@ -1086,7 +1093,8 @@ class TestSquaredModulusPass:
         outcomes = []
         for s in np.arange(90.0, 100.125, 0.25):
             with np.errstate(over="ignore", invalid="ignore"):
-                [columns] = _modulation_columns(own_scale_frame(f), [s], HARMONIC, p, prune)
+                [columns] = _modulation_columns(own_scale_frame(f), grid, [s], HARMONIC, p,
+                                                prune)
                 expected = _outer_reduce(columns, p, q, grid.h, grid.frequency_cell)
                 got = modulation_norm(f, s, HARMONIC, params)
             if np.isfinite(expected):
@@ -1103,7 +1111,7 @@ BOUND_PAIRS = [(0.5, 0.5), (1.0, 0.5), (1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (6.0,
 
 
 class TestStateBound:
-    """``_state_bound`` certifies a state's modulation norm from O(N) sums:
+    """``_state_bounds`` certifies a state's modulation norm from O(N) sums:
     every cell is at most min(r_i, c_n), the triangle inequality over the
     samples and after the DFT convolution theorem, plus the FFT round-off
     floor of its row; the lattice (quasi-)norm is monotone, so the reduced
@@ -1135,7 +1143,7 @@ class TestStateBound:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundaryMassWarning)
             exact = modulation_norm(f, s, HARMONIC, params)
-        bound = _state_bound(f, s, HARMONIC, params)
+        bound = state_bound(f, s, HARMONIC, params)
         assert 0.0 < exact <= bound
 
     @pytest.mark.parametrize("n", [128, 256, 512])
@@ -1151,7 +1159,7 @@ class TestStateBound:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", BoundaryMassWarning)
                 exact = modulation_norm(f, FLAT, None, params)
-            assert exact <= _state_bound(f, FLAT, None, params) <= exact * (1.0 + 1e-12)
+            assert exact <= state_bound(f, FLAT, None, params) <= exact * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("p,q", BOUND_PAIRS, ids=_exponent_id)
     @pytest.mark.parametrize("s", [FLAT, 2.0, 10.0], ids=["s0", "s2", "s10"])
@@ -1163,7 +1171,7 @@ class TestStateBound:
         mag = gaussian_lattice_stft_abs(x, grid.frequency_nodes(), 1.0, 0.5, 0.0, 0.0, grid.h)
         expected = mixed_norm_reference(mag, harmonic_lattice(grid, s), _oracle_exponent(p),
                                         _oracle_exponent(q), grid.h, grid.frequency_cell)
-        bound = _state_bound(FieldSample(grid, np.exp(-x ** 2 / 2.0)), s, HARMONIC,
+        bound = state_bound(FieldSample(grid, np.exp(-x ** 2 / 2.0)), s, HARMONIC,
                              MixedNormParams(p, q))
         assert expected <= bound
 
@@ -1180,14 +1188,14 @@ class TestStateBound:
         f = FieldSample(grid, scale * np.exp(-grid.nodes() ** 2 / 2.0))
         params = MixedNormParams(p, q)
         exact = modulation_norm(f, s, HARMONIC, params)
-        assert _state_bound(f, s, HARMONIC, params) / exact == pytest.approx(ratio, abs=1e-4)
+        assert state_bound(f, s, HARMONIC, params) / exact == pytest.approx(ratio, abs=1e-4)
 
     @pytest.mark.parametrize("p,q", BOUND_PAIRS, ids=_exponent_id)
     @pytest.mark.parametrize("s", [FLAT, 2.0], ids=["s0", "s2"])
     def test_a_batch_is_each_field_alone(self, s, p, q):
         """``_state_bounds`` over one batch of every seeded kind (three
         layouts), a zero and a non-finite field gives each field the bound
-        ``_state_bound`` gives it alone, bit for bit, and each bounds the
+        it gets alone, in a batch of one, bit for bit, and each bounds the
         exact norm."""
         kinds = ["real", "complex", "even", "odd", "nonnegative", "bumps", "even bumps"]
         fields = [self.field(kind) for kind in kinds]
@@ -1197,7 +1205,7 @@ class TestStateBound:
         batch = np.array([f.values for f in fields] + [np.zeros(n), bad], dtype=complex)
         params = MixedNormParams(p, q)
         bounds = _state_bounds(_frame(batch), self.GRID, s, HARMONIC, params)
-        alone = [_state_bound(FieldSample(self.GRID, v), s, HARMONIC, params) for v in batch]
+        alone = [state_bound(FieldSample(self.GRID, v), s, HARMONIC, params) for v in batch]
         assert list(bounds) == alone
         assert bounds[-2] == 0.0 and bounds[-1] == np.inf
         with warnings.catch_warnings():
@@ -1208,11 +1216,11 @@ class TestStateBound:
     def test_zero_and_non_finite_fields(self):
         n = self.GRID.points_per_axis
         params = MixedNormParams(2.0, 1.0)
-        assert _state_bound(FieldSample(self.GRID, np.zeros(n)), 2.0, HARMONIC, params) == 0.0
+        assert state_bound(FieldSample(self.GRID, np.zeros(n)), 2.0, HARMONIC, params) == 0.0
         for bad in (np.inf, np.nan):
             vals = np.ones(n)
             vals[5] = bad
-            assert _state_bound(FieldSample(self.GRID, vals), 2.0, HARMONIC, params) == np.inf
+            assert state_bound(FieldSample(self.GRID, vals), 2.0, HARMONIC, params) == np.inf
 
     def test_overflow_gives_inf(self):
         """A bound that overflows is inf, with no NumericalError and no
@@ -1223,9 +1231,9 @@ class TestStateBound:
         params = MixedNormParams(6.0, 2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _state_bound(FieldSample(self.GRID, 1e308 * gaussian), 2.0, HARMONIC,
+            assert state_bound(FieldSample(self.GRID, 1e308 * gaussian), 2.0, HARMONIC,
                                 params) == np.inf
-            large = _state_bound(FieldSample(self.GRID, 1e300 * gaussian), 2.0, HARMONIC,
+            large = state_bound(FieldSample(self.GRID, 1e300 * gaussian), 2.0, HARMONIC,
                                  params)
         assert large == pytest.approx(1.665e301, rel=1e-3)
 
@@ -1252,7 +1260,7 @@ class TestOneFrame:
         values = np.exp(-self.GRID.nodes() ** 2 / 2.0)
         params = MixedNormParams(p, q)
         measures = [lambda f: modulation_norm(f, s, HARMONIC, params),
-                    lambda f: _state_bound(f, s, HARMONIC, params)]
+                    lambda f: state_bound(f, s, HARMONIC, params)]
         bases = [measure(FieldSample(self.GRID, values)) for measure in measures]
         for k in self.POWERS:
             f = FieldSample(self.GRID, np.ldexp(values, k))
@@ -1304,7 +1312,7 @@ class TestOneFrame:
             "modulation_norm": lambda: modulation_norm(f, 2.0, HARMONIC, l2),
             "modulation_norms": lambda: modulation_norms(f, [FLAT, 1.0, 2.0], HARMONIC, l2),
             "stft": lambda: stft(f),
-            "state_bound": lambda: _state_bound(f, 2.0, HARMONIC, l2),
+            "state_bound": lambda: state_bound(f, 2.0, HARMONIC, l2),
             "singular_weight_norm": lambda: ah.singular_weight_norm(
                 0.3, MixedNormParams(3.0, 3.0), 0.5, 6.0, grid=self.GRID, osc=HARMONIC),
         }

@@ -12,10 +12,12 @@ nothing is written next to it.
 
 For each manifest the tool prints the exit codes, whether each CSV is byte
 for byte the same, every report row whose value or verdict moved (with its
-relative change) and every warning category whose count changed. It exits
-1 when a CSV, a row's verdict, the set of CSVs or rows, an exit code or a
-warning count differs, and 0 otherwise: a value that moves with its verdict
-kept is shown, not failed.
+relative change) and every warning category whose count or first message
+changed. It exits 1 when a CSV, a row's verdict, the set of CSVs or rows,
+an exit code, or a warning category's count or first message differs, and
+0 otherwise: a value that moves with its verdict kept is shown, not
+failed. A first message catches warnings of one category that come in
+another order with the same count.
 """
 
 import argparse
@@ -48,7 +50,7 @@ def _config_manifests(tree: Path) -> dict:
 
 def _run(tree: Path, manifest: dict, out: Path) -> dict:
     """Run one manifest in a fresh process: its exit code, report rows,
-    warning counts and CSV bytes."""
+    (count, first message) per warning category and CSV bytes."""
     out.mkdir(parents=True)
     config = out / "manifest.json"
     config.write_text(json.dumps(manifest), encoding="utf-8")
@@ -64,7 +66,8 @@ def _run(tree: Path, manifest: dict, out: Path) -> dict:
     if report.exists():
         record = json.loads(report.read_text(encoding="utf-8"))
         outcome["rows"] = {row["name"]: row for row in record["results"]}
-        outcome["warnings"] = {w["category"]: w["count"] for w in record["warnings"]}
+        outcome["warnings"] = {w["category"]: (w["count"], w["message"])
+                               for w in record["warnings"]}
         outcome["csv"] = {p.name: p.read_bytes() for p in sorted((out / "run").glob("*.csv"))}
     return outcome
 
@@ -105,11 +108,17 @@ def _compare(label: str, old: dict, new: dict) -> tuple:
             if a["passed"] != b["passed"]:
                 verdicts += " -> " + ("pass" if b["passed"] else "FAIL")
             print(f"  row {name}: {a['value']!r} -> {b['value']!r} (rel {rel:.2e}), {verdicts}")
-    if old["warnings"] != new["warnings"]:
+    for name in sorted(set(old["warnings"]) | set(new["warnings"])):
+        a, b = old["warnings"].get(name), new["warnings"].get(name)
+        if a == b:
+            print(f"  warning {name}: {a[0]}, first message kept")
+            continue
         failures += 1
-        print(f"  warnings changed: {old['warnings']} -> {new['warnings']}")
-    else:
-        print(f"  warnings: {old['warnings'] or 'none'}")
+        for side, entry in (("parent", a), ("change", b)):
+            print(f"  warning {name} ({side}): " + ("none" if entry is None
+                                                    else f"{entry[0]}, first {entry[1]!r}"))
+    if not (old["warnings"] or new["warnings"]):
+        print("  warnings: none")
     return failures, moved
 
 
