@@ -7,14 +7,15 @@ phi = lambda ** b. Sobolev norms read the coefficients.
 
 All operations act on the retained-mode component of a field: a field with
 more than a sliver of energy outside that span warns (OffSpanWarning, with
-the discarded fraction), and a non-finite field raises NumericalError.
+the discarded fraction). A field is finite by construction (``FieldSample``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalError, OffSpanWarning, _warn
+from .errors import InvalidSpecError, NumericalError, OffSpanWarning, _warn
+from .model import _real
 from .spectral import FieldSample, SpectralDecomposition
 
 _OFFSPAN_TOL = 1e-6
@@ -23,9 +24,7 @@ _OFFSPAN_TOL = 1e-6
 def _warn_off_span(dec, f, context, coeffs=None):
     """Warn when more than ``_OFFSPAN_TOL`` of f's L2 mass lies off the span;
     like every package warning, through ``errors._warn``, so it names the
-    line that called into the package. A non-finite f raises NumericalError."""
-    if not np.isfinite(f.values).all():
-        raise NumericalError(f"{context}: the field has non-finite values")
+    line that called into the package."""
     frac = dec.span_residual_fraction(f, coeffs)
     if frac > _OFFSPAN_TOL:
         _warn(OffSpanWarning,
@@ -57,17 +56,15 @@ def heat_semigroup(dec: SpectralDecomposition, beta: float, t: float,
                    f: FieldSample) -> FieldSample:
     """exp(-t H^beta) f, H the decomposed oscillator; the exact spectral
     identity on the span at t=0. The arguments come in the order of
-    ``ougauss.ou_semigroup``. ValueError unless beta is a positive real and
-    t is finite and nonnegative.
+    ``ougauss.ou_semigroup``. InvalidSpecError unless beta is a positive
+    real and t a nonnegative one.
 
     Mode-wise exp(-t lambda^beta) underflows to exact zero for deep modes,
     which only sharpens the decay.
     """
-    beta, t = float(beta), float(t)
-    if not np.isfinite(beta) or beta <= 0:
-        raise ValueError("beta must be a positive real")
-    if not np.isfinite(t) or t < 0:
-        raise ValueError("t must be finite and nonnegative")
+    beta, t = _real(beta, "beta", True), _real(t, "t")
+    if t < 0:
+        raise InvalidSpecError("t must be finite and nonnegative", field="t")
     return apply_spectral_function(dec, lambda lam: np.exp(-t * lam ** beta), f)
 
 
@@ -76,11 +73,9 @@ def sobolev_norm(dec: SpectralDecomposition, s: float, f: FieldSample,
     """Spectral Sobolev norm (sum of lambda^s |<f, Phi_j>|^2)^(1/2).
 
     ``coeffs`` are f's coefficients when the caller has them already; an s
-    that is not finite raises ValueError.
+    that is not a finite real raises InvalidSpecError.
     """
-    s = float(s)
-    if not np.isfinite(s):
-        raise ValueError("s must be a finite real")
+    s = _real(s, "s")
     if coeffs is None:
         coeffs = dec.coefficients(f)
     if s > 0:

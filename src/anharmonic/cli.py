@@ -92,7 +92,7 @@ class ReportRecord:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": 3,
+            "schema": 4,
             "provenance": _provenance(),
             "manifest_hash": self.manifest_hash,
             "artifact_version": self.version,
@@ -650,14 +650,19 @@ def _write_report_json(record: ReportRecord, out_dir) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(_json_value(record.to_json_dict()), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
     return path
 
 
 def _json_value(value):
-    """``value`` as strict JSON holds it: a non-finite float becomes the
-    string "inf", "-inf" or "nan"."""
+    """``value`` as strict JSON holds it, through its dicts and lists: a
+    non-finite float becomes the string "inf", "-inf" or "nan"."""
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
     return str(value) if isinstance(value, float) and not np.isfinite(value) else value
 
 
@@ -704,11 +709,11 @@ def run_manifest(path, out_dir=None, fmt=None, seed=None, verbose=False,
     except NumericalError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if getattr(exc, "diagnostics", None):
-            payload["diagnostics"] = {k: _json_value(v) for k, v in exc.diagnostics.items()}
+            payload["diagnostics"] = exc.diagnostics
         if getattr(exc, "suggested_radius", None) is not None:
-            payload["suggested_radius"] = _json_value(exc.suggested_radius)
-        print(f"numerical failure: {json.dumps(payload, sort_keys=True, allow_nan=False)}",
-              file=sys.stderr)
+            payload["suggested_radius"] = exc.suggested_radius
+        payload = json.dumps(_json_value(payload), sort_keys=True, allow_nan=False)
+        print(f"numerical failure: {payload}", file=sys.stderr)
         return EXIT_NUMERICAL, None
     record.wall_time_s = time.perf_counter() - started
 

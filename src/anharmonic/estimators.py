@@ -20,8 +20,8 @@ import numpy as np
 
 from .calculus import sobolev_norm
 from .errors import InvalidSpecError, NumericalError, ProbeSkipWarning, TruncationError, _warn
-from .model import (MixedNormParams, OscillatorSpec, check_exponent, evaluate_potential,
-                    is_inf)
+from .model import (MixedNormParams, OscillatorSpec, _count, _real, check_exponent,
+                    evaluate_potential, is_inf)
 from .ougauss import GaussianConjugation, apply_conjugation, ou_semigroup
 from .phasespace import (_BLOCK_CELLS, _framed, _measured_columns, _outer_reduce, _unframed,
                          _weighted_columns, modulation_norm, modulation_norms)
@@ -41,11 +41,10 @@ def sigma_exponent(k: int, l: int, beta: float, p_tilde, q_tilde) -> float:
     """Short-time blow-up exponent (d / 2 beta)(1/(k p) + 1/(l q)) at d = 1.
 
     ``p_tilde`` and ``q_tilde`` are the positive-part exponent gaps; the INF
-    marker zeroes the corresponding term. A beta that is not a positive
-    real raises ValueError.
+    marker zeroes the corresponding term. k and l are counts
+    (``model._count``) and beta a positive real (``model._real``).
     """
-    if not 0.0 < beta < math.inf:
-        raise ValueError("beta must be a positive real")
+    k, l, beta = _count(k, "k"), _count(l, "l"), _real(beta, "beta", True)
     term_p = 0.0 if is_inf(p_tilde) else 1.0 / (k * float(p_tilde))
     term_q = 0.0 if is_inf(q_tilde) else 1.0 / (l * float(q_tilde))
     return 1.0 / (2.0 * beta) * (term_p + term_q)
@@ -97,13 +96,11 @@ class WeightQuotientParams:
     beta: float = field(default=1.0, kw_only=True)
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", float(self.beta))
-        if not np.isfinite(self.beta) or self.beta <= 0:
-            raise InvalidSpecError("beta must be a positive real")
-        object.__setattr__(self, "s2", float(self.s2))
-        if not (np.isfinite(self.s2) and self.s2 >= 0):
+        object.__setattr__(self, "beta", _real(self.beta, "beta", True))
+        object.__setattr__(self, "s2", _real(self.s2, "s2"))
+        if self.s2 < 0:
             raise InvalidSpecError("s2 must be a finite real >= 0; s2 < 0 is outside "
-                                   "the reduction's validity")
+                                   "the reduction's validity", field="s2")
         object.__setattr__(self, "p_tilde", check_exponent("p_tilde", self.p_tilde))
         object.__setattr__(self, "q_tilde", check_exponent("q_tilde", self.q_tilde))
         object.__setattr__(self, "t_list", _check_quotient_box(self.radius, self.resolution,
@@ -118,9 +115,8 @@ def _check_quotient_box(radius, resolution, form, t_list=_DEFAULT_T_GRID) -> tup
     its parameter. Returns t_list as a tuple of floats."""
     if form not in ("scaled", "weighted"):
         raise InvalidSpecError(f"unknown quotient form {form!r}", field="form")
-    if not (np.isfinite(radius) and radius > 0):
-        raise InvalidSpecError("radius must be a positive real", field="radius")
-    if not isinstance(resolution, (int, np.integer)) or resolution < 32 or resolution % 2:
+    _real(radius, "radius", True)
+    if _count(resolution, "resolution", 32) % 2:
         raise InvalidSpecError("resolution must be an even integer >= 32", field="resolution")
     t = tuple(float(v) for v in t_list)
     if not t or any(not (0.0 < v <= 1.0) for v in t):
@@ -286,7 +282,7 @@ def _loglinear_fit(x, values, target=None) -> LogLinearFit:
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else float(min(max(1.0 - ss_res / ss_tot, 0.0), 1.0))
     return LogLinearFit(float(slope), float(intercept), r2,
-                        None if target is None else float(target),
+                        None if target is None else _real(target, "target"),
                         tuple(zip(x.tolist(), values.tolist())))
 
 
@@ -359,7 +355,7 @@ def gaussian_probe_fields(grid: Grid, count: int, seed: int = PROBE_SEED):
     """Unit-L2 Gaussian packets with seeded centers, widths, and modulations."""
     rng = np.random.default_rng(seed)
     probes = []
-    for _ in range(count):
+    for _ in range(_count(count, "count", 0)):
         center = rng.uniform(*_PROBE_CENTERS)
         width = rng.uniform(*_PROBE_WIDTHS)
         mod = rng.uniform(*_PROBE_MODULATIONS)
@@ -373,7 +369,7 @@ def gaussian_probe_fields(grid: Grid, count: int, seed: int = PROBE_SEED):
 
 
 def eigenfunction_probes(dec: SpectralDecomposition, count: int = 10):
-    return [dec.eigenfunction(j) for j in range(min(count, dec.m))]
+    return [dec.eigenfunction(j) for j in range(min(_count(count, "count", 0), dec.m))]
 
 
 def standard_probe_family(dec: SpectralDecomposition, seed: int = PROBE_SEED):
@@ -411,7 +407,7 @@ def ou_probe_rate(c: GaussianConjugation, dec: SpectralDecomposition, beta: floa
     ``moyal_identity_rel_err`` and the ``selftest`` row. Zero-norm probes
     are skipped with a warning (ValueError if all are).
     """
-    ts = [float(t) for t in t_list]
+    ts = [_real(t, "t_list") for t in t_list]
     if len(set(ts)) < 3:
         raise ValueError("need at least 3 distinct time points")
 
@@ -481,12 +477,12 @@ def singular_weight_norm(alpha: float, params: MixedNormParams, s: float,
     cannot expose a slowly divergent tail. Both values are ``modulation_norm``
     bit for bit, and the tails reduce the columns of the full value's pass.
     """
-    if not 0.0 < alpha < math.inf:
-        raise ValueError("alpha must be a positive real")
+    alpha, s, radius = _real(alpha, "alpha", True), _real(s, "s"), _real(radius, "radius", True)
     if s < 0:
-        raise ValueError("singular-weight runs need s >= 0")
-    if not 0.0 < radius <= grid.half_width:
-        raise ValueError("truncation radius must be a real in (0, half_width]")
+        raise InvalidSpecError("singular-weight runs need s >= 0", field="s")
+    if radius > grid.half_width:
+        raise InvalidSpecError("truncation radius must be a real in (0, half_width]",
+                               field="radius")
 
     nodes_r = np.abs(grid.nodes())
 
@@ -541,7 +537,7 @@ def sobolev_modulation_equivalence(dec: SpectralDecomposition, s_values, probes)
     serve every s. Per s, a probe with zero modulation norm is skipped with
     a ProbeSkipWarning, and ValueError is raised when all are.
     """
-    s_values = [float(s) for s in s_values]
+    s_values = [_real(s, "s") for s in s_values]
     span_coeffs = [dec.coefficients(f) for f in probes]
     spans = [dec.reconstruct(c) for c in span_coeffs]
     mod = [modulation_norms(f, s_values, dec.oscillator, _L2) for f in spans]

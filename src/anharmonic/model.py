@@ -10,6 +10,7 @@ Everything here is an immutable value object, and all operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,19 +51,33 @@ def is_inf(p) -> bool:
     return p is INF
 
 
+def _count(value, name, low=1) -> int:
+    """The rule of every count: an int or numpy integer, not a bool, >= ``low``,
+    returned as an int; else InvalidSpecError with ``field`` ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise InvalidSpecError(f"{name} must be an integer >= {low}", field=name)
+    return int(value)
+
+
+def _real(value, name, positive=False) -> float:
+    """The rule of every real: an int, float or numpy number, not a bool,
+    finite, and > 0 if ``positive``, returned as a float; else
+    InvalidSpecError with ``field`` ``name``. Any other range is the site's."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not math.isfinite(value) or (positive and value <= 0)):
+        raise InvalidSpecError(f"{name} must be a {'positive' if positive else 'finite'} real",
+                               field=name)
+    return float(value)
+
+
 def check_exponent(name, p):
-    """Validate a Lebesgue exponent: INF, or a finite positive real."""
+    """Validate a Lebesgue exponent: INF, or a positive real (``_real``)."""
     if is_inf(p):
         return p
-    try:
-        p = float(p)
-    except (TypeError, ValueError):
-        raise InvalidSpecError(f"{name} must be a positive real or INF, got {p!r}")
-    if not np.isfinite(p):
-        raise InvalidSpecError(f"{name} must be finite; use the INF marker for sup norms")
-    if p <= 0:
-        raise InvalidSpecError(f"{name} must be strictly positive, got {p}")
-    return p
+    if p == math.inf:
+        raise InvalidSpecError(f"{name} must be finite; use the INF marker for sup norms",
+                               field=name)
+    return _real(p, name, positive=True)
 
 
 @dataclass(frozen=True)
@@ -82,10 +97,7 @@ class OscillatorSpec:
 
     def __post_init__(self):
         for name in ("k", "l"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise InvalidSpecError(f"{name} must be a positive integer")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _count(getattr(self, name), name))
 
 
 def _potential(osc, x):
@@ -114,12 +126,10 @@ def weight_value(s: float, osc, x, omega):
     frequency of the operator symbol, 2 pi times a cycle frequency.
 
     The one phase-space weight: s = 0 is the flat weight and needs no
-    oscillator; any other s needs one for V and l. A non-finite s raises
-    InvalidSpecError.
+    oscillator; any other s needs one for V and l. An s that is not a
+    finite real raises InvalidSpecError (``_real``).
     """
-    s = float(s)
-    if not np.isfinite(s):
-        raise InvalidSpecError("weight exponent must be finite")
+    s = _real(s, "s")
     if s != 0.0 and osc is None:
         raise InvalidSpecError("a weight with s != 0 needs an OscillatorSpec")
     x = np.asarray(x, dtype=float)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .calculus import _warn_off_span
 from .errors import InvalidSpecError, NonConvergenceError
-from .model import MixedNormParams
+from .model import MixedNormParams, _count, _real
 from .phasespace import (_check_boundary_mass, _frame, _framed, _l2_cap, _measured_columns,
                          _state_bounds)
 from .spectral import _ORTHO_TOL, FieldSample, SpectralDecomposition, _field_parity, real_matmul
@@ -97,25 +97,13 @@ class NonlinearProblemSpec:
 def _check_problem(kind, nu, beta, coupling, alpha):
     """NonlinearProblemSpec's field rules, which need no decomposition: the
     normalized (beta, nu, coupling, alpha), alpha 0 for the power kind."""
-    beta, coupling = float(beta), complex(coupling)
-    if not np.isfinite(beta) or beta <= 0:
-        raise InvalidSpecError("beta must be a positive real", field="beta")
+    beta, coupling = _real(beta, "beta", True), complex(coupling)
     if not np.isfinite(coupling):
         raise InvalidSpecError("coupling must be finite", field="coupling")
-    if not _is_count(nu, 1):
-        raise InvalidSpecError("nu must be an integer >= 1", field="nu")
+    nu = _count(nu, "nu")
     if kind not in ("power", "inhomogeneous"):
         raise InvalidSpecError(f"unknown nonlinearity kind {kind!r}", field="kind")
-    alpha = float(alpha)
-    if kind == "inhomogeneous" and not (np.isfinite(alpha) and alpha > 0):
-        raise InvalidSpecError("inhomogeneous kind needs a finite alpha > 0", field="alpha")
-    return beta, int(nu), coupling, alpha if kind == "inhomogeneous" else 0.0
-
-
-def _is_count(value, low) -> bool:
-    """Whether ``value`` is an integer (a Python or numpy int, not a bool) at
-    least ``low``: the rule of every integer input of a flow."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
+    return beta, nu, coupling, _real(alpha, "alpha", True) if kind == "inhomogeneous" else 0.0
 
 
 def _check_monitor(monitor, where="monitor"):
@@ -124,10 +112,9 @@ def _check_monitor(monitor, where="monitor"):
     if len(monitor) != 3:
         raise InvalidSpecError("monitor must be a (p, q, s) triple")
     p, q, s = monitor
-    if not (isinstance(s, (int, float, np.integer, np.floating)) and math.isfinite(s)):
-        raise InvalidSpecError("weight exponent must be finite")
+    s = _real(s, "s")
     try:
-        return MixedNormParams(p, q), float(s)
+        return MixedNormParams(p, q), s
     except InvalidSpecError as exc:
         raise InvalidSpecError(f"bad exponent at {where}: {exc}") from None
 
@@ -378,31 +365,29 @@ def _start(spec, horizon, dt, stride):
     """Validated step count, the spec's engine, the initial coefficients and
     a recorder seeded with them."""
     steps = _check_steps(horizon, dt)
-    if not _is_count(stride, 1):
-        raise ValueError(f"checkpoint_stride must be an integer >= 1, got {stride!r}")
+    stride = _count(stride, "checkpoint_stride")
     engine = spec._engine
-    return engine, engine.c0, _Recorder(engine, dt, steps, int(stride))
+    return engine, engine.c0, _Recorder(engine, dt, steps, stride)
 
 
 def _check_steps(horizon, dt):
-    if not (np.isfinite(dt) and 0 < dt <= 1e-2):
-        raise ValueError("step must satisfy 0 < dt <= 1e-2")
-    if not (np.isfinite(horizon) and horizon > 0):
-        raise ValueError("horizon must be a positive real")
+    if _real(dt, "dt", True) > 1e-2:
+        raise InvalidSpecError("step must satisfy 0 < dt <= 1e-2", field="dt")
+    horizon = _real(horizon, "horizon", True)
     steps = int(round(horizon / dt))
     if steps < 1 or abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError("horizon must be an integer number of steps")
+        raise InvalidSpecError("horizon must be an integer number of steps", field="horizon")
     return steps
 
 
 def _check_tol(tol):
-    if not (np.isfinite(tol) and tol >= 1e-10):
-        raise ValueError("tol must be a finite real >= 1e-10")
+    if _real(tol, "tol") < 1e-10:
+        raise InvalidSpecError("tol must be a finite real >= 1e-10", field="tol")
 
 
 def _check_order(order):
-    if not (_is_count(order, 1) and order <= 2):
-        raise ValueError("order must be 1 or 2")
+    if _count(order, "order") > 2:
+        raise InvalidSpecError("order must be 1 or 2", field="order")
 
 
 def _sweeps(engine, c, n, dt, tol, max_iter, t_end):
@@ -478,9 +463,7 @@ def picard_solve(spec: NonlinearProblemSpec, horizon: float, dt: float,
     ``Trajectory``) truncates the trajectory instead of raising.
     """
     _check_tol(tol)
-    if not _is_count(max_iter, 2):
-        raise ValueError(f"max_iter must be an integer >= 2, got {max_iter!r}: the "
-                         "contraction factor needs two successive-iterate gaps")
+    _count(max_iter, "max_iter", 2)  # a contraction factor needs two successive gaps
     engine, c, rec = _start(spec, horizon, dt, checkpoint_stride)
     contractions = []
     done = 0

@@ -24,6 +24,7 @@ import numpy as np
 
 from .calculus import heat_semigroup
 from .errors import DiscardedMassWarning, InvalidSpecError, _warn
+from .model import _real
 from .spectral import FieldSample, Grid, SpectralDecomposition
 
 _DISCARD_TOL = 1e-10
@@ -38,10 +39,7 @@ class GaussianConjugation:
     safe_radius: float = 8.0
 
     def __post_init__(self):
-        r = float(self.safe_radius)
-        if not np.isfinite(r) or r <= 0:
-            raise InvalidSpecError("safe_radius must be a positive real")
-        object.__setattr__(self, "safe_radius", r)
+        object.__setattr__(self, "safe_radius", _real(self.safe_radius, "safe_radius", True))
 
     def density(self, grid) -> np.ndarray:
         r2 = grid.nodes() ** 2

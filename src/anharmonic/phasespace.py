@@ -126,8 +126,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BoundaryMassWarning, InvalidSpecError, NumericalError, _warn
-from .model import MixedNormParams, OscillatorSpec, is_inf, weight_value
-from .spectral import FieldSample, Grid, _reflection_parity
+from .model import MixedNormParams, OscillatorSpec, _real, is_inf, weight_value
+from .spectral import FieldSample, Grid, _peak_scale, _reflection_parity
 
 _WINDOW_NORM_TOL = 1e-10
 _BOUNDARY_TOL = 1e-8
@@ -593,9 +593,8 @@ def _frame(values: np.ndarray):
     [1/2, 1) (e = 0 for a zero or non-finite f); real, and the first x-shift
     row a pass runs: N/2 for a real f that is bitwise even or odd
     (``_reflection_parity``), else 0. e, real, first_row and peak hold one
-    entry per row, each the one the row gets alone."""
-    peak, e = np.frexp(np.max(np.abs(values), axis=-1))
-    scaled = np.ldexp(values.view(float), -e[:, None]).view(complex)
+    entry per row, each the one the row gets alone (``_peak_scale``)."""
+    scaled, e, peak = _peak_scale(values)
     real = ~values.imag.any(axis=-1)
     first_row = np.where(real & (_reflection_parity(values.real.T) != 0),
                          values.shape[-1] // 2, 0)
@@ -728,7 +727,7 @@ def mixed_norm(field: PhaseSpaceField, s: float, osc: OscillatorSpec | None,
     """
     grid = field.grid
     [columns] = _weighted_columns([(0, np.fft.ifftshift(np.abs(field.values), axes=1))],
-                                  [_weight_lattice(s, osc, grid)], params.p)
+                                  [_weight_lattice(_real(s, "s"), osc, grid)], params.p)
     return _outer_reduce(np.fft.fftshift(columns), params.p, params.q,
                          grid.h, grid.frequency_cell)
 
@@ -780,6 +779,7 @@ def modulation_norms(f: FieldSample, s_values, osc: OscillatorSpec | None,
     no pass.
     """
     values = f.values[None]
+    s_values = [_real(s, "s") for s in s_values]
     norms, _, _ = _measured_columns(values, _framed(values), 0, f.grid, s_values, osc, params)
     return norms
 

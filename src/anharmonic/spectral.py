@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidSpecError, NonConvergenceError, NumericalError
-from .model import OscillatorSpec, evaluate_potential
+from .model import OscillatorSpec, _count, _real, evaluate_potential
 
 _ORTHO_TOL = 1e-9
 _RESIDUAL_TOL = 1e-8
@@ -40,14 +40,12 @@ class Grid:
     half_width: float = 12.0
 
     def __post_init__(self):
-        n = self.points_per_axis
-        if not isinstance(n, (int, np.integer)) or n < 8 or (n & (n - 1)) != 0:
-            raise InvalidSpecError("points_per_axis must be a power of two, at least 8")
-        object.__setattr__(self, "points_per_axis", int(n))
-        L = float(self.half_width)
-        if not np.isfinite(L) or L <= 0:
-            raise InvalidSpecError("half_width must be a positive real")
-        object.__setattr__(self, "half_width", L)
+        n = _count(self.points_per_axis, "points_per_axis", 8)
+        if n & (n - 1):
+            raise InvalidSpecError("points_per_axis must be a power of two, at least 8",
+                                   field="points_per_axis")
+        object.__setattr__(self, "points_per_axis", n)
+        object.__setattr__(self, "half_width", _real(self.half_width, "half_width", True))
 
     @property
     def h(self) -> float:
@@ -75,7 +73,8 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class FieldSample:
-    """A complex-valued function sampled on the nodes of a grid."""
+    """A complex-valued function sampled on the nodes of a grid, finite by
+    construction: NaN or inf raises NumericalError here, for every route."""
 
     grid: Grid
     values: np.ndarray
@@ -86,11 +85,22 @@ class FieldSample:
             raise InvalidSpecError(
                 f"field needs {self.grid.points_per_axis} flat values, "
                 f"got shape {np.shape(self.values)}")
+        if not np.isfinite(v).all():
+            raise NumericalError("field has non-finite values")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     def norm_l2(self) -> float:
         return float(np.sqrt(self.grid.h * np.sum(np.abs(self.values) ** 2)))
+
+
+def _peak_scale(values: np.ndarray):
+    """(2^-e f, e, peak) for the fields f, the rows of the C-contiguous
+    complex (K, N) ``values``: the one scale rule, exact, which puts each
+    row's peak in [1/2, 1) (e = 0 for a zero or non-finite row). It frames
+    every measured field (``phasespace._frame``) and the off-span fraction."""
+    peak, e = np.frexp(np.max(np.abs(values), axis=-1))
+    return np.ldexp(values.view(float), -e[:, None]).view(complex), e, peak
 
 
 def _kinetic_multiplier(osc: OscillatorSpec, grid: Grid) -> np.ndarray:
@@ -173,23 +183,25 @@ class SpectralDecomposition:
         return FieldSample(self.grid, real_matmul(self.eigenvectors, coeffs))
 
     def eigenfunction(self, j: int) -> FieldSample:
-        if not 0 <= j < self.m:
-            raise ValueError(f"mode index {j} outside [0, {self.m})")
+        if _count(j, "j", 0) >= self.m:
+            raise InvalidSpecError(f"mode index {j} outside [0, {self.m})", field="j")
         return FieldSample(self.grid, self.eigenvectors[:, j])
 
     def span_residual_fraction(self, f: FieldSample, coeffs: np.ndarray | None = None) -> float:
         """Relative L2 mass of f outside the retained-mode span.
 
         ``coeffs`` are f's coefficients when the caller has them already.
+        Both norms are taken scaled exactly by ``_peak_scale``, so neither
+        overflows nor underflows, and an ordinary f keeps its bits.
         """
-        nf = f.norm_l2()
-        if nf == 0.0:
-            return 0.0
         if coeffs is None:
             coeffs = self.coefficients(f)
-        rec = real_matmul(self.eigenvectors, coeffs)
-        res = float(np.sqrt(self.grid.h * np.sum(np.abs(f.values - rec) ** 2)))
-        return res / nf
+        residual = f.values - real_matmul(self.eigenvectors, coeffs)
+        scaled, e, peak = _peak_scale(np.stack((f.values, residual)))
+        if peak[0] == 0.0:
+            return 0.0
+        nf, res = np.sqrt(self.grid.h * np.sum(np.abs(scaled) ** 2, axis=1))
+        return float(np.ldexp(res / nf, e[1] - e[0]))
 
 
 def _parity_blocks(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid):
@@ -351,9 +363,10 @@ def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None,
     Positivity is certified exactly: the multiplier is nonnegative and the
     strictly positive nodal potential is checked (the staggered grid
     excludes the origin). Raises InvalidSpecError for a grid above the dense
-    cap, ValueError for m outside [1, n], for a ``parity`` other than None,
-    1 or -1, or for one with no mode among the lowest m, and NumericalError for a
-    non-finite or non-positive nodal potential or when the vectors violate
+    cap or an m that is no count (``model._count``) or exceeds n, ValueError
+    for a ``parity`` other than None, 1 or -1, or one with no mode among the
+    lowest m, NumericalError for a non-finite or non-positive nodal potential
+    or when the vectors violate
     the invariants: orthonormality to 1e-9, a positive ground eigenvalue,
     and the residual against H applied by FFT (see _apply_operator,
     independent of the blocks) to 1e-8 (1 + lambda) + 16 eps ||H||.
@@ -368,14 +381,12 @@ def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None,
     v_min = float(np.min(v_nodes))
     if v_min <= 0:
         raise NumericalError(f"nodal potential minimum {v_min:.3e} is not positive")
-    if m is None:
-        m = n // 2
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 1 <= m <= n:
-        raise ValueError(f"mode count m={m} outside [1, {n}]")
+    m = n // 2 if m is None else _count(m, "m")
+    if m > n:
+        raise InvalidSpecError(f"mode count m={m} outside [1, {n}]", field="m")
     if parity is not None and (isinstance(parity, bool) or parity not in (1, -1)):
         raise ValueError(f"parity {parity!r} is not None, 1 or -1")
 
-    m = int(m)
     parity = None if parity is None else int(parity)
     mult = _kinetic_multiplier(osc, grid)
     vals, vecs = _parity_solve(mult, v_nodes, grid, m, parity)

@@ -21,10 +21,14 @@ class TestHeatSemigroup:
         with pytest.raises(ValueError, match="beta must be a positive real"):
             heat_semigroup(hermite_dec, beta, 1.0, gaussian_field)
 
-    @pytest.mark.parametrize("t", [-0.1, math.inf, math.nan])
-    def test_rejects_bad_time(self, hermite_dec, gaussian_field, t):
-        with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+    @pytest.mark.parametrize("t,message", [(-0.1, "t must be finite and nonnegative"),
+                                           (math.inf, "t must be a finite real"),
+                                           (math.nan, "t must be a finite real")],
+                             ids=["-0.1", "inf", "nan"])
+    def test_rejects_bad_time(self, hermite_dec, gaussian_field, t, message):
+        with pytest.raises(ValueError, match=message) as exc:
             heat_semigroup(hermite_dec, 1.0, t, gaussian_field)
+        assert exc.value.field == "t"
 
     @pytest.mark.parametrize("j", [0, 5])
     def test_eigenfunction_rate(self, hermite_dec, j):

@@ -237,7 +237,7 @@ class TestRunManifest:
             "weight_defect_s1", "gaussian_stft_l2_gamma_rel_err", "picard_linear_consistency",
             "conjugation_roundtrip"]
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["schema"] == 3
+        assert report["schema"] == 4
         assert report["all_passed"] is True
         assert report["kind"] == "selftest"
 
@@ -310,7 +310,7 @@ class TestRunManifest:
         ("spectrum", {"cases": []}, "selects no checks (field: params)"),
         ("decay", {"tuples": []}, "selects no checks (field: params)"),
         ("nlheat", {"monitor": [2.0, 1.0, float("nan")], "modes": 16, "horizon": 0.01},
-         "weight exponent must be finite"),
+         "s must be a finite real (field: params.monitor.s)"),
         ("nlheat", {"horizn": 1.0, "modes": 16, "horizon": 0.01},
          "unknown manifest fields: ['params.horizn'] (field: params.horizn)"),
     ], ids=["nlheat_dt", "decay_radius", "ou_rate_t_list", "nlheat_initial_norm_zero",
@@ -361,7 +361,7 @@ class TestRunManifest:
         ("nlheat", {"horizon": 0.02, "etd": {"horizon": 0.0105, "dt": 0.001}},
          {}, None, "horizon must be an integer number of steps"),
         ("nlheat", {"horizon": 0.02, "monitor": [2.0, 1.0, float("inf")]},
-         {}, None, "weight exponent must be finite"),
+         {}, None, "s must be a finite real (field: params.monitor.s)"),
         ("nlheat", {"horizon": 0.02, "tol": 1e-12}, {}, None,
          "tol must be a finite real >= 1e-10"),
         ("nlheat", {"horizon": 0.02, "dt": 0.02}, {}, None,
@@ -392,7 +392,7 @@ class TestRunManifest:
          {"oscillator": {"k": 1.7, "l": 1}}, None, "(field: oscillator.k)"),
         ("norms", {"checks": ["moyal"], "modes": 16},
          {"oscillator": {"k": 0, "l": 1}}, None,
-         "bad oscillator block: k must be a positive integer (field: oscillator)"),
+         "bad oscillator block: k must be an integer >= 1 (field: oscillator.k)"),
         # the oscillator is H = (-Laplacian)^l + |x|^(2k) alone: beta belongs
         # to each semigroup, the dimension to the grid, and the potential and
         # the weight offset are no keys
@@ -430,9 +430,9 @@ class TestRunManifest:
         ("decay", {"resolution": 256, "tuples": [{"k": 1, "l": 1, "beta": "2"}]}, {}, None,
          "(field: params.tuples.beta)"),
         ("decay", {"resolution": 256, "tuples": [{"k": 1, "l": 1, "s2": float("inf")}]}, {},
-         None, "s2 must be a finite real >= 0"),
+         None, "s2 must be a finite real (field: params.tuples.s2)"),
         ("decay", {"resolution": 256, "tuples": [{"k": 1, "l": 1, "s2": float("nan")}]}, {},
-         None, "s2 must be a finite real >= 0"),
+         None, "s2 must be a finite real (field: params.tuples.s2)"),
         ("ou", {"modes": 48, "gauss_probes": 2.9}, {}, None, "(field: params.gauss_probes)"),
         # values that were rejected only after a decomposition
         ("nlheat", {"horizon": 0.02, "kind": "cubic"}, {}, None,
@@ -473,7 +473,7 @@ class TestRunManifest:
         ("decay", {"resolution": 256, "radius": -1.0}, {}, None,
          "radius must be a positive real (field: params.radius)"),
         ("decay", {"resolution": 16}, {}, None,
-         "resolution must be an even integer >= 32 (field: params.resolution)"),
+         "resolution must be an integer >= 32 (field: params.resolution)"),
         ("decay", {"resolution": 255}, {}, None,
          "resolution must be an even integer >= 32 (field: params.resolution)"),
         ("decay", {"resolution": 256, "form": "scaledd"}, {}, None,
@@ -613,6 +613,31 @@ class TestRunManifest:
         assert rows["duhamel_residual"]["value"] == float("inf")
         assert not rows["duhamel_residual"]["passed"]
         assert (tmp_path / "out" / "trajectory.csv").exists()
+
+    def test_report_json_is_strict(self, tmp_path):
+        """The blow-up run's report holds inf row values and deviations; it
+        writes them as the string "inf", as the exit-3 stderr line does, so
+        report.json is strict JSON. It used to write six bare Infinity
+        tokens."""
+        manifest = {"schema": 1, "kind": "nlheat",
+                    "grid": {"points_per_axis": 128, "half_width": 10},
+                    "params": {"modes": 48, "coupling_re": 0.0, "initial_norm": 2e6,
+                               "horizon": 0.05, "dt": 0.005}}
+        code, record = run_manifest(write_manifest(tmp_path, manifest),
+                                    out_dir=str(tmp_path / "out"))
+        assert code == EXIT_CHECK_FAILED
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads((tmp_path / "out" / "report.json").read_text(),
+                            parse_constant=reject)
+        assert report["schema"] == 4
+        rows = {r["name"]: r for r in report["results"]}
+        for name in ("sup_monitored_norm", "sup_monitored_bound", "duhamel_residual"):
+            assert rows[name]["value"] == "inf" and rows[name]["deviation"] == "inf"
+        assert {r["name"]: r["value"] for r in record.results} == {
+            name: float(row["value"]) for name, row in rows.items()}
 
     def test_blow_up_with_every_norm_overflowed_is_a_result(self, tmp_path):
         """At initial norm 1e154 every measured monitored norm overflows to

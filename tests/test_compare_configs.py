@@ -1,0 +1,46 @@
+"""``tools/compare_configs.py``, the check that two source trees give the same
+outputs, on synthetic outcomes: its ``_compare`` reads a non-finite row
+value as a schema-4 report writes it, the string "inf", "-inf" or "nan"."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_configs.py"
+_SPEC = importlib.util.spec_from_file_location("compare_configs", _PATH)
+compare_configs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare_configs)
+
+
+def outcome(value, passed):
+    """One manifest's outcome with one report row."""
+    row = {"name": "duhamel_residual", "value": value, "passed": passed}
+    return {"code": 0 if passed else 1, "stderr": "", "rows": {"duhamel_residual": row},
+            "warnings": {}, "csv": {"trajectory.csv": b"t\n0.0\n"}}
+
+
+@pytest.mark.parametrize("old,new", [("inf", "inf"), ("nan", "nan"), (float("inf"), "inf"),
+                                     ("-inf", float("-inf"))],
+                         ids=["inf", "nan", "schema3_inf", "schema3_minus_inf"])
+def test_equal_non_finite_values_are_unchanged(old, new, capsys):
+    """A value that reads the same, as a string or as an older report's
+    float, neither moves nor fails."""
+    assert compare_configs._compare("m", outcome(old, False), outcome(new, False)) == (0, 0)
+    assert "row" not in capsys.readouterr().out
+
+
+def test_inf_to_a_float_with_a_flipped_verdict_fails(capsys):
+    """A row that goes from "inf" to a finite value and from fail to pass
+    is a moved row and a failure (and an exit-code failure)."""
+    failures, moved = compare_configs._compare("m", outcome("inf", False),
+                                               outcome(2.5e-9, True))
+    assert (failures, moved) == (2, 1)
+    assert "row duhamel_residual: inf -> 2.5e-09 (rel nan), FAIL -> pass" in (
+        capsys.readouterr().out)
+
+
+def test_a_moved_value_with_its_verdict_kept_is_shown_not_failed(capsys):
+    failures, moved = compare_configs._compare("m", outcome(1.0, True), outcome(1.5, True))
+    assert (failures, moved) == (0, 1)
+    assert "(rel 5.00e-01), pass" in capsys.readouterr().out

@@ -62,9 +62,12 @@ class TestQuotientParams:
 
     def test_rejects_bad_settings(self):
         osc = ah.OscillatorSpec(1, 1)
-        for s2 in (-1.0, math.inf, math.nan):
-            with pytest.raises(InvalidSpecError, match="s2 must be a finite real >= 0"):
+        for s2, message in ((-1.0, "s2 must be a finite real >= 0"),
+                            (math.inf, "s2 must be a finite real"),
+                            (math.nan, "s2 must be a finite real")):
+            with pytest.raises(InvalidSpecError, match=message) as exc:
                 WeightQuotientParams(osc, s2=s2)
+            assert exc.value.field == "s2"
         for beta in (0.0, math.nan):
             with pytest.raises(InvalidSpecError, match="beta must be a positive real"):
                 WeightQuotientParams(osc, beta=beta)
@@ -389,9 +392,10 @@ class TestSingularWeight:
     def test_radius_outside_the_box_raises(self, hermite_grid, radius):
         """A truncation radius must be a real in (0, half_width]: radius 0,
         -1 and NaN used to return value 0.0 and x_growth inf."""
-        with pytest.raises(ValueError, match="truncation radius"):
+        with pytest.raises(ValueError, match="radius must be a positive real") as exc:
             singular_weight_norm(0.3, MixedNormParams(2.0, 2.0), FLAT, radius,
                                  grid=hermite_grid)
+        assert exc.value.field == "radius"
 
     @pytest.mark.parametrize("p,q", [(2.0, 2.0), (3.0, 1.5), (INF, 2.0)],
                              ids=["p2-q2", "p3-q1.5", "pinf-q2"])

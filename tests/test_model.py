@@ -100,8 +100,9 @@ class TestOscillator:
     @pytest.mark.parametrize("k,l,name", [(0, 1, "k"), (1.0, 1, "k"), (True, 2, "k"),
                                           (1, 0, "l"), (1, 1.5, "l"), (1, True, "l")])
     def test_k_and_l_are_positive_integers(self, k, l, name):
-        with pytest.raises(InvalidSpecError, match=f"{name} must be a positive integer"):
+        with pytest.raises(InvalidSpecError, match=f"{name} must be an integer >= 1") as exc:
             OscillatorSpec(k, l)
+        assert exc.value.field == name
 
     def test_hermite(self):
         osc = hermite_oscillator()

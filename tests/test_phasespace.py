@@ -31,10 +31,13 @@ def own_scale_frame(f):
     return f.values, 0, real, first_row, math.ldexp(peak, int(e))
 
 
-def state_bound(f, s, osc, params):
-    """``_state_bounds`` of the one field f, a batch of one framed through
-    the module attribute, so a counted ``_frame`` sees it."""
-    return float(_state_bounds(phasespace._frame(f.values[None]), f.grid, s, osc, params)[0])
+def state_bound(grid, values, s, osc, params):
+    """``_state_bounds`` of the one field ``values`` on ``grid``, a batch of
+    one framed through the module attribute, so a counted ``_frame`` sees
+    it. It frames the raw array, as a flow frames its states, so the values
+    may be non-finite, which no ``FieldSample`` holds."""
+    return float(_state_bounds(phasespace._frame(np.asarray(values, complex)[None]), grid, s,
+                               osc, params)[0])
 
 
 def harmonic_lattice(grid, s):
@@ -1143,7 +1146,7 @@ class TestStateBound:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundaryMassWarning)
             exact = modulation_norm(f, s, HARMONIC, params)
-        bound = state_bound(f, s, HARMONIC, params)
+        bound = state_bound(f.grid, f.values, s, HARMONIC, params)
         assert 0.0 < exact <= bound
 
     @pytest.mark.parametrize("n", [128, 256, 512])
@@ -1159,7 +1162,8 @@ class TestStateBound:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", BoundaryMassWarning)
                 exact = modulation_norm(f, FLAT, None, params)
-            assert exact <= state_bound(f, FLAT, None, params) <= exact * (1.0 + 1e-12)
+            bound = state_bound(grid, f.values, FLAT, None, params)
+            assert exact <= bound <= exact * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("p,q", BOUND_PAIRS, ids=_exponent_id)
     @pytest.mark.parametrize("s", [FLAT, 2.0, 10.0], ids=["s0", "s2", "s10"])
@@ -1171,8 +1175,7 @@ class TestStateBound:
         mag = gaussian_lattice_stft_abs(x, grid.frequency_nodes(), 1.0, 0.5, 0.0, 0.0, grid.h)
         expected = mixed_norm_reference(mag, harmonic_lattice(grid, s), _oracle_exponent(p),
                                         _oracle_exponent(q), grid.h, grid.frequency_cell)
-        bound = state_bound(FieldSample(grid, np.exp(-x ** 2 / 2.0)), s, HARMONIC,
-                             MixedNormParams(p, q))
+        bound = state_bound(grid, np.exp(-x ** 2 / 2.0), s, HARMONIC, MixedNormParams(p, q))
         assert expected <= bound
 
     @pytest.mark.parametrize("monitor,ratio", [((2.0, 1.0, 2.0), 1.5302),
@@ -1188,7 +1191,8 @@ class TestStateBound:
         f = FieldSample(grid, scale * np.exp(-grid.nodes() ** 2 / 2.0))
         params = MixedNormParams(p, q)
         exact = modulation_norm(f, s, HARMONIC, params)
-        assert state_bound(f, s, HARMONIC, params) / exact == pytest.approx(ratio, abs=1e-4)
+        assert state_bound(grid, f.values, s, HARMONIC, params) / exact == pytest.approx(ratio,
+                                                                                      abs=1e-4)
 
     @pytest.mark.parametrize("p,q", BOUND_PAIRS, ids=_exponent_id)
     @pytest.mark.parametrize("s", [FLAT, 2.0], ids=["s0", "s2"])
@@ -1205,7 +1209,7 @@ class TestStateBound:
         batch = np.array([f.values for f in fields] + [np.zeros(n), bad], dtype=complex)
         params = MixedNormParams(p, q)
         bounds = _state_bounds(_frame(batch), self.GRID, s, HARMONIC, params)
-        alone = [state_bound(FieldSample(self.GRID, v), s, HARMONIC, params) for v in batch]
+        alone = [state_bound(self.GRID, v, s, HARMONIC, params) for v in batch]
         assert list(bounds) == alone
         assert bounds[-2] == 0.0 and bounds[-1] == np.inf
         with warnings.catch_warnings():
@@ -1216,11 +1220,11 @@ class TestStateBound:
     def test_zero_and_non_finite_fields(self):
         n = self.GRID.points_per_axis
         params = MixedNormParams(2.0, 1.0)
-        assert state_bound(FieldSample(self.GRID, np.zeros(n)), 2.0, HARMONIC, params) == 0.0
+        assert state_bound(self.GRID, np.zeros(n), 2.0, HARMONIC, params) == 0.0
         for bad in (np.inf, np.nan):
             vals = np.ones(n)
             vals[5] = bad
-            assert state_bound(FieldSample(self.GRID, vals), 2.0, HARMONIC, params) == np.inf
+            assert state_bound(self.GRID, vals, 2.0, HARMONIC, params) == np.inf
 
     def test_overflow_gives_inf(self):
         """A bound that overflows is inf, with no NumericalError and no
@@ -1231,10 +1235,8 @@ class TestStateBound:
         params = MixedNormParams(6.0, 2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert state_bound(FieldSample(self.GRID, 1e308 * gaussian), 2.0, HARMONIC,
-                                params) == np.inf
-            large = state_bound(FieldSample(self.GRID, 1e300 * gaussian), 2.0, HARMONIC,
-                                 params)
+            assert state_bound(self.GRID, 1e308 * gaussian, 2.0, HARMONIC, params) == np.inf
+            large = state_bound(self.GRID, 1e300 * gaussian, 2.0, HARMONIC, params)
         assert large == pytest.approx(1.665e301, rel=1e-3)
 
 
@@ -1260,7 +1262,7 @@ class TestOneFrame:
         values = np.exp(-self.GRID.nodes() ** 2 / 2.0)
         params = MixedNormParams(p, q)
         measures = [lambda f: modulation_norm(f, s, HARMONIC, params),
-                    lambda f: state_bound(f, s, HARMONIC, params)]
+                    lambda f: state_bound(f.grid, f.values, s, HARMONIC, params)]
         bases = [measure(FieldSample(self.GRID, values)) for measure in measures]
         for k in self.POWERS:
             f = FieldSample(self.GRID, np.ldexp(values, k))
@@ -1272,19 +1274,20 @@ class TestOneFrame:
                 assert measure(f) == expected, k
 
     def test_only_the_frame_reads_the_scale(self):
-        """``math.frexp`` is the scale rule of ``phasespace._frame``, and
-        nothing else under src/ reads an exponent: a second scale rule
-        would measure some field at another scale."""
+        """``math.frexp`` is the scale rule of ``spectral._peak_scale``, by
+        which ``phasespace._frame`` frames every field, and nothing else
+        under src/ reads an exponent: a second scale rule would measure
+        some field at another scale."""
         found = []
         for path in sorted(Path(ah.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             frames = [node for node in ast.walk(tree)
-                      if isinstance(node, ast.FunctionDef) and node.name == "_frame"]
+                      if isinstance(node, ast.FunctionDef) and node.name == "_peak_scale"]
             inside = {id(node) for frame in frames for node in ast.walk(frame)}
             found += [(path.name, id(node) in inside) for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute) and node.attr == "frexp"
                       or isinstance(node, ast.Name) and node.id == "frexp"]
-        assert found == [("phasespace.py", True)]
+        assert found == [("spectral.py", True)]
 
     def test_one_frame_per_measured_value(self, monkeypatch):
         """A measured value derives its field's scale, peak and layout once:
@@ -1312,7 +1315,7 @@ class TestOneFrame:
             "modulation_norm": lambda: modulation_norm(f, 2.0, HARMONIC, l2),
             "modulation_norms": lambda: modulation_norms(f, [FLAT, 1.0, 2.0], HARMONIC, l2),
             "stft": lambda: stft(f),
-            "state_bound": lambda: state_bound(f, 2.0, HARMONIC, l2),
+            "state_bound": lambda: state_bound(f.grid, f.values, 2.0, HARMONIC, l2),
             "singular_weight_norm": lambda: ah.singular_weight_norm(
                 0.3, MixedNormParams(3.0, 3.0), 0.5, 6.0, grid=self.GRID, osc=HARMONIC),
         }

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -126,11 +127,16 @@ class TestGridOperator:
         with pytest.raises(InvalidSpecError):
             decompose(hermite_osc, Grid(8192, 12.0))
 
-    @pytest.mark.parametrize("m", [0, 65, 1.5, True])
-    def test_mode_count_is_an_integer_in_range(self, hermite_osc, m):
+    @pytest.mark.parametrize("m,message", [(0, "m must be an integer >= 1"),
+                                           (65, r"mode count m=65 outside \[1, 64\]"),
+                                           (1.5, "m must be an integer >= 1"),
+                                           (True, "m must be an integer >= 1")],
+                             ids=["0", "65", "1.5", "True"])
+    def test_mode_count_is_an_integer_in_range(self, hermite_osc, m, message):
         """m lies in [1, n]; a bool is not a count, though it subclasses int."""
-        with pytest.raises(ValueError, match="mode count"):
+        with pytest.raises(ValueError, match=message) as exc:
             decompose(hermite_osc, Grid(64, 8.0), m)
+        assert exc.value.field == "m"
 
     def test_potential_evaluated_once(self, hermite_osc, monkeypatch):
         calls = []
@@ -179,6 +185,34 @@ class TestDecomposition:
 
     def test_span_residual_small_for_gaussian(self, hermite_dec, gaussian_field):
         assert hermite_dec.span_residual_fraction(gaussian_field) <= 1e-6
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-300], ids=["overflow", "underflow"])
+    def test_span_residual_at_extreme_scales(self, small_dec, scale):
+        """A grid-scale oscillation lies off the 48 modes (fraction 1.0 at
+        scale 1). At 1e160 its raw squares overflow and the fraction read
+        NaN with no OffSpanWarning; at 1e-300 they underflow and it read
+        0.0. In the field's frame it reads 1.0 and warns at either end."""
+        values = np.cos(np.pi * np.arange(small_dec.grid.points_per_axis))
+        base = small_dec.span_residual_fraction(FieldSample(small_dec.grid, values))
+        f = FieldSample(small_dec.grid, scale * values)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            frac = small_dec.span_residual_fraction(f)
+            ah.heat_semigroup(small_dec, 1.0, 0.1, f)
+        assert frac == pytest.approx(base, rel=1e-12) and base == pytest.approx(1.0, abs=1e-9)
+        assert [w.category for w in caught] == [ah.OffSpanWarning]
+
+    @pytest.mark.parametrize("k", [-1000, -600, 1, 600, 1000])
+    def test_span_residual_keeps_its_bits_under_powers_of_two(self, small_dec, k):
+        """The fraction is taken in the field's frame, an exact scale, so at
+        2^k f it is the fraction of f bit for bit."""
+        x = small_dec.grid.nodes()
+        values = np.exp(-x ** 2 / 2.0) * (1.0 + 0.3j * np.sin(7.0 * x))
+        base = small_dec.span_residual_fraction(FieldSample(small_dec.grid, values))
+        assert 0.0 < base < 1e-3
+        scaled = FieldSample(small_dec.grid,
+                             np.ldexp(values.real, k) + 1j * np.ldexp(values.imag, k))
+        assert small_dec.span_residual_fraction(scaled) == base
 
     @pytest.mark.parametrize("extra", [(), (3,)], ids=["vector", "columns"])
     def test_real_matmul_matches_complex_product(self, hermite_dec, extra):

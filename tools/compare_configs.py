@@ -73,8 +73,7 @@ def _run(tree: Path, manifest: dict, out: Path) -> dict:
 
 
 def _same(a, b) -> bool:
-    return a == b or (isinstance(a, float) and isinstance(b, float)
-                      and math.isnan(a) and math.isnan(b))
+    return a == b or (math.isnan(a) and math.isnan(b))
 
 
 def _compare(label: str, old: dict, new: dict) -> tuple:
@@ -100,14 +99,15 @@ def _compare(label: str, old: dict, new: dict) -> tuple:
             continue
         if a["passed"] != b["passed"]:
             failures += 1
-        if not _same(a["value"], b["value"]) or a["passed"] != b["passed"]:
+        # schema 4 writes a non-finite value as "inf", "-inf" or "nan", schema 3 as a float
+        va, vb = float(a["value"]), float(b["value"])
+        if not _same(va, vb) or a["passed"] != b["passed"]:
             moved += 1
-            rel = (abs(b["value"] - a["value"]) / abs(a["value"])
-                   if a["value"] and math.isfinite(a["value"]) else math.nan)
+            rel = abs(vb - va) / abs(va) if va and math.isfinite(va) else math.nan
             verdicts = "pass" if a["passed"] else "FAIL"
             if a["passed"] != b["passed"]:
                 verdicts += " -> " + ("pass" if b["passed"] else "FAIL")
-            print(f"  row {name}: {a['value']!r} -> {b['value']!r} (rel {rel:.2e}), {verdicts}")
+            print(f"  row {name}: {va!r} -> {vb!r} (rel {rel:.2e}), {verdicts}")
     for name in sorted(set(old["warnings"]) | set(new["warnings"])):
         a, b = old["warnings"].get(name), new["warnings"].get(name)
         if a == b:
