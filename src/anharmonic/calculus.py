@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidSpecError, NumericalError, OffSpanWarning, _warn
 from .model import _real
-from .spectral import FieldSample, SpectralDecomposition
+from .spectral import FieldSample, SpectralDecomposition, _scaled_l2, _unframed
 
 _OFFSPAN_TOL = 1e-6
 
@@ -70,7 +70,8 @@ def heat_semigroup(dec: SpectralDecomposition, beta: float, t: float,
 
 def sobolev_norm(dec: SpectralDecomposition, s: float, f: FieldSample,
                  coeffs: np.ndarray | None = None) -> float:
-    """Spectral Sobolev norm (sum of lambda^s |<f, Phi_j>|^2)^(1/2).
+    """Spectral Sobolev norm (sum of lambda^s |<f, Phi_j>|^2)^(1/2) by
+    ``spectral._scaled_l2``: norm(2^k f) = 2^k norm(f) bit for bit.
 
     ``coeffs`` are f's coefficients when the caller has them already; an s
     that is not a finite real raises InvalidSpecError.
@@ -80,4 +81,4 @@ def sobolev_norm(dec: SpectralDecomposition, s: float, f: FieldSample,
         coeffs = dec.coefficients(f)
     if s > 0:
         _warn_off_span(dec, f, "sobolev_norm", coeffs)
-    return float(np.sqrt(np.sum(dec.eigenvalues ** s * np.abs(coeffs) ** 2)))
+    return _unframed(*_scaled_l2([coeffs], 1.0, dec.eigenvalues ** s))

@@ -43,7 +43,7 @@ from .nlheat import (NonlinearProblemSpec, _check_monitor, _check_order, _check_
                      _check_steps, _check_tol, duhamel_residual, etd_evolve, picard_solve)
 from .ougauss import GaussianConjugation, apply_conjugation, ou_semigroup
 from .phasespace import mixed_norm, modulation_norm, stft
-from .spectral import FieldSample, Grid, _field_parity, decompose
+from .spectral import FieldSample, Grid, _field_parity, _scaled_l2, _unframed, decompose
 
 _KINDS = ("spectrum", "decay", "norms", "nlheat", "ou", "selftest")
 _NORMS_CHECKS = ("moyal", "equivalence", "algebra", "singular")
@@ -324,9 +324,9 @@ def _finish_case(case):
 def _finish_decay(p):
     t_list = {}
     if p.t_list is not None:  # the default times pass the fit's rule
-        t_list["t_list"] = tuple(sorted(set(p.t_list), reverse=True))
+        t_list["t_list"] = p.t_list
         with _rejected_as("params.t_list"):
-            _check_decay_times(t_list["t_list"])
+            _check_decay_times(p.t_list)
     with _rejected_as("params"):  # the values every tuple shares name their own keys
         _check_quotient_box(p.radius, p.resolution, p.form, **t_list)
     for tup in p.tuples:
@@ -450,8 +450,8 @@ def _run_norms(run, record):
             coeffs = np.zeros(dec.m, dtype=complex)
             coeffs[:band] = rng.standard_normal(band) + 1j * rng.standard_normal(band)
             f = dec.reconstruct(coeffs)
-            norm_mod = modulation_norm(f, 0.0, None, l2_params)
-            worst = max(worst, abs(norm_mod - f.norm_l2()) / f.norm_l2())
+            norm_mod, norm_l2 = modulation_norm(f, 0.0, None, l2_params), f.norm_l2()
+            worst = max(worst, abs(norm_mod - norm_l2) / norm_l2)
         record.results.append(_result("moyal_identity_rel_err", "abs", worst, 0.0, 1e-6))
 
     if "equivalence" in checks:
@@ -533,9 +533,7 @@ def _l2_gamma_rel_err(norm, conj, f) -> float:
     """Relative distance of an L^{2,2} modulation norm of gamma^(1/2) f from
     ||f||_{L^2(gamma)}, with gamma taken from ``conj.density``: the lattice
     Moyal identity makes them equal up to the window-norm error."""
-    grid = f.grid
-    ref = float(np.sqrt(grid.h
-                        * np.sum(conj.density(grid) * np.abs(f.values) ** 2)))
+    ref = _unframed(*_scaled_l2(f.values[None], f.grid.h, conj.density(f.grid)))
     return abs(norm - ref) / ref
 
 

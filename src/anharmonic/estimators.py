@@ -23,9 +23,9 @@ from .errors import InvalidSpecError, NumericalError, ProbeSkipWarning, Truncati
 from .model import (MixedNormParams, OscillatorSpec, _count, _real, check_exponent,
                     evaluate_potential, is_inf)
 from .ougauss import GaussianConjugation, apply_conjugation, ou_semigroup
-from .phasespace import (_BLOCK_CELLS, _framed, _measured_columns, _outer_reduce, _unframed,
+from .phasespace import (_BLOCK_CELLS, _framed, _measured_columns, _outer_reduce,
                          _weighted_columns, modulation_norm, modulation_norms)
-from .spectral import FieldSample, Grid, SpectralDecomposition
+from .spectral import FieldSample, Grid, SpectralDecomposition, _scaled_l2, _unframed
 
 PROBE_SEED = 1234
 
@@ -354,17 +354,14 @@ def smoothing_decay_run(params: WeightQuotientParams):
 def gaussian_probe_fields(grid: Grid, count: int, seed: int = PROBE_SEED):
     """Unit-L2 Gaussian packets with seeded centers, widths, and modulations."""
     rng = np.random.default_rng(seed)
+    nodes = grid.nodes()
     probes = []
     for _ in range(_count(count, "count", 0)):
-        center = rng.uniform(*_PROBE_CENTERS)
-        width = rng.uniform(*_PROBE_WIDTHS)
-        mod = rng.uniform(*_PROBE_MODULATIONS)
-        nodes = grid.nodes()
-        envelope = np.exp(-np.pi * ((nodes - center) / width) ** 2)
-        carrier = np.exp(2j * np.pi * nodes * mod)
-        f = FieldSample(grid, envelope * carrier)
-        n = f.norm_l2()
-        probes.append(FieldSample(grid, f.values / n))
+        center, width, mod = (rng.uniform(*span) for span in
+                              (_PROBE_CENTERS, _PROBE_WIDTHS, _PROBE_MODULATIONS))
+        values = (np.exp(-np.pi * ((nodes - center) / width) ** 2)
+                  * np.exp(2j * np.pi * nodes * mod))
+        probes.append(FieldSample(grid, values / _unframed(*_scaled_l2(values[None], grid.h))))
     return probes
 
 

@@ -13,7 +13,8 @@ M^(-1) exp(-t H^beta) M with M the Gaussian half-density multiplier and H
 the harmonic oscillator, which is the defining relation; beta is an
 argument of each semigroup call. The inverse multiplier grows like
 e^(|x|^2/2), so it is truncated outside a safe radius with explicit mass
-accounting.
+accounting. Its l^2 norms (``spectral._scaled_l2``) are scale-exact:
+norm(2^k f) = 2^k norm(f) bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .calculus import heat_semigroup
 from .errors import DiscardedMassWarning, InvalidSpecError, _warn
 from .model import _real
-from .spectral import FieldSample, Grid, SpectralDecomposition
+from .spectral import FieldSample, Grid, SpectralDecomposition, _scaled_l2
 
 _DISCARD_TOL = 1e-10
 
@@ -54,14 +55,11 @@ def gaussian_half_density(grid: Grid) -> np.ndarray:
 
 
 def conjugation_discarded_mass(c: GaussianConjugation, f: FieldSample) -> float:
-    """Relative L2 mass of f outside the safe radius (lost by the inverse)."""
-    total = f.norm_l2()
-    if total == 0.0:
-        return 0.0
-    radii = np.abs(f.grid.nodes())
-    outside = f.values * (radii > c.safe_radius)
-    lost = float(np.sqrt(f.grid.h * np.sum(np.abs(outside) ** 2)))
-    return lost / total
+    """Relative L2 mass of f outside the safe radius (lost by the inverse),
+    both norms by ``spectral._scaled_l2``: that of 2^k f is that of f, bit for bit."""
+    outside = f.values * (np.abs(f.grid.nodes()) > c.safe_radius)
+    (total, lost), e = _scaled_l2((f.values, outside), f.grid.h)
+    return 0.0 if total == 0.0 else float(np.ldexp(lost / total, e[1] - e[0]))
 
 
 def apply_conjugation(c: GaussianConjugation, direction: str, f: FieldSample) -> FieldSample:
@@ -78,8 +76,7 @@ def apply_conjugation(c: GaussianConjugation, direction: str, f: FieldSample) ->
         return FieldSample(f.grid, f.values * half)
     if direction != "inverse":
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    radii = np.abs(f.grid.nodes())
-    mask = radii <= c.safe_radius
+    mask = np.abs(f.grid.nodes()) <= c.safe_radius
     vals = np.zeros_like(f.values)
     vals[mask] = f.values[mask] / half[mask]
     lost = conjugation_discarded_mass(c, f)

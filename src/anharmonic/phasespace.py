@@ -127,7 +127,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BoundaryMassWarning, InvalidSpecError, NumericalError, _warn
 from .model import MixedNormParams, OscillatorSpec, _real, is_inf, weight_value
-from .spectral import FieldSample, Grid, _peak_scale, _reflection_parity
+from .spectral import FieldSample, Grid, _peak_scale, _reflection_parity, _unframed
 
 _WINDOW_NORM_TOL = 1e-10
 _BOUNDARY_TOL = 1e-8
@@ -607,12 +607,6 @@ def _framed(values: np.ndarray):
     frame = _frame(values)
     _check_boundary_mass(frame[0], frame[4])
     return frame
-
-
-def _unframed(value: float, e: int) -> float:
-    """value 2^e, a value scaled back from its frame; inf on overflow."""
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(value, e))
 
 
 def _full_columns(sums: np.ndarray, real: bool, first_row: int, p) -> np.ndarray:

@@ -91,16 +91,33 @@ class FieldSample:
         object.__setattr__(self, "values", v)
 
     def norm_l2(self) -> float:
-        return float(np.sqrt(self.grid.h * np.sum(np.abs(self.values) ** 2)))
+        """sqrt(h sum |f|^2) by ``_scaled_l2``: norm(2^k f) = 2^k norm(f) bit for bit."""
+        return _unframed(*_scaled_l2(self.values[None], self.grid.h))
 
 
 def _peak_scale(values: np.ndarray):
     """(2^-e f, e, peak) for the fields f, the rows of the C-contiguous
     complex (K, N) ``values``: the one scale rule, exact, which puts each
     row's peak in [1/2, 1) (e = 0 for a zero or non-finite row). It frames
-    every measured field (``phasespace._frame``) and the off-span fraction."""
+    every measured field (``phasespace._frame``) and every l^2 norm
+    (``_scaled_l2``)."""
     peak, e = np.frexp(np.max(np.abs(values), axis=-1))
     return np.ldexp(values.view(float), -e[:, None]).view(complex), e, peak
+
+
+def _scaled_l2(values, cell: float, weights=1.0):
+    """(r, e) per row v of the (K, N) ``values``: r = sqrt(cell sum w |v|^2)
+    of 2^-e v, the frame of ``_peak_scale``. The norm is ``_unframed(r, e)``,
+    inf only where it overflows; a ratio of rows is ldexp(r1 / r0, e1 - e0).
+    The scale is exact: raw sums whose squares stay normal keep their bits."""
+    scaled, e, _ = _peak_scale(np.ascontiguousarray(values, dtype=complex))
+    return np.sqrt(cell * np.sum(weights * np.abs(scaled) ** 2, axis=-1)), e
+
+
+def _unframed(value, e) -> float:
+    """value 2^e: a framed value (or one ``_scaled_l2`` row) scaled back; inf on overflow."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(value, e).item()
 
 
 def _kinetic_multiplier(osc: OscillatorSpec, grid: Grid) -> np.ndarray:
@@ -191,17 +208,13 @@ class SpectralDecomposition:
         """Relative L2 mass of f outside the retained-mode span.
 
         ``coeffs`` are f's coefficients when the caller has them already.
-        Both norms are taken scaled exactly by ``_peak_scale``, so neither
-        overflows nor underflows, and an ordinary f keeps its bits.
+        Both norms are taken by ``_scaled_l2``, so neither overflows nor underflows.
         """
         if coeffs is None:
             coeffs = self.coefficients(f)
         residual = f.values - real_matmul(self.eigenvectors, coeffs)
-        scaled, e, peak = _peak_scale(np.stack((f.values, residual)))
-        if peak[0] == 0.0:
-            return 0.0
-        nf, res = np.sqrt(self.grid.h * np.sum(np.abs(scaled) ** 2, axis=1))
-        return float(np.ldexp(res / nf, e[1] - e[0]))
+        (nf, res), e = _scaled_l2((f.values, residual), self.grid.h)
+        return 0.0 if nf == 0.0 else float(np.ldexp(res / nf, e[1] - e[0]))
 
 
 def _parity_blocks(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid):

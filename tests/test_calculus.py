@@ -94,6 +94,17 @@ class TestSobolevNorm:
         f = eigenfield(hermite_dec, 5)
         assert sobolev_norm(hermite_dec, -2.0, f) == pytest.approx(1.0 / 11.0, rel=1e-10)
 
+    @pytest.mark.parametrize("k", [-560, 540])
+    @pytest.mark.parametrize("s", [0.0, 1.0, 2.0])
+    def test_powers_of_two_scale_exactly(self, small_dec, s, k):
+        """The norm is taken in the frame of the coefficients, so at 2^k f
+        it is 2^k times that of f bit for bit; the raw squares used to
+        underflow to 0 at 2^-560 and overflow to inf at 2^540."""
+        coeffs = np.linspace(1.0, 0.1, 12) * (1.0 + 0.5j)
+        f = small_dec.reconstruct(np.pad(coeffs, (0, small_dec.m - 12)))
+        scaled = FieldSample(f.grid, np.ldexp(f.values.view(float), k).view(complex))
+        assert sobolev_norm(small_dec, s, scaled) == math.ldexp(sobolev_norm(small_dec, s, f), k)
+
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_nonfinite_order_raises(self, hermite_dec, s):
         """An order s that is not finite used to return nan, inf or 0

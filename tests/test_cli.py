@@ -469,6 +469,11 @@ class TestRunManifest:
          "need at least 6 samples for a slope fit (field: params.t_list)"),
         ("decay", {"resolution": 256, "t_list": [0.1, 0.07, 0.05, 0.03, 0.02, 0.01]}, {},
          None, "samples must span at least 1.5 decades of t (field: params.t_list)"),
+        # the one t_list rule of the quotient: no sorting, no dropped repeats
+        ("decay", {"resolution": 256, "t_list": [0.001, 0.005, 0.01, 0.05, 0.1, 1.0]}, {},
+         None, "t_list must be strictly decreasing (field: params.t_list)"),
+        ("decay", {"resolution": 256, "t_list": [1.0, 0.5, 0.5, 0.1, 0.05, 0.01, 0.005]}, {},
+         None, "t_list must be strictly decreasing (field: params.t_list)"),
         # values every decay tuple shares name their own key, not params.tuples
         ("decay", {"resolution": 256, "radius": -1.0}, {}, None,
          "radius must be a positive real (field: params.radius)"),
@@ -521,6 +526,7 @@ class TestRunManifest:
             "ou_t_check_scalar", "ou_no_check_times", "ou_safe_radius_null", "format_csv", "norms_modes_zero",
             "spectrum_grid", "decay_grid", "selftest_grid", "norms_singular_half_width",
             "ou_safe_radius_inside_the_check", "nlheat_one_step", "decay_three_times", "decay_one_decade",
+            "decay_t_increasing", "decay_t_repeated",
             "decay_radius_negative", "decay_resolution_small", "decay_resolution_odd",
             "decay_form_typo", "decay_t_above_one", "nlheat_coupling_re_nan",
             "nlheat_coupling_im_inf", "grid_dimension_two", "spectrum_case_dimension",

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import anharmonic.cli
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_configs.py"
 _SPEC = importlib.util.spec_from_file_location("compare_configs", _PATH)
 compare_configs = importlib.util.module_from_spec(_SPEC)
@@ -44,3 +46,9 @@ def test_a_moved_value_with_its_verdict_kept_is_shown_not_failed(capsys):
     failures, moved = compare_configs._compare("m", outcome(1.0, True), outcome(1.5, True))
     assert (failures, moved) == (0, 1)
     assert "(rel 5.00e-01), pass" in capsys.readouterr().out
+
+
+def test_it_caps_every_thread_pool_a_report_records():
+    """A compared run caps the thread pools that ``cli`` records in a
+    report's provenance, all of them at one thread."""
+    assert compare_configs._THREAD_VARIABLES == anharmonic.cli._THREAD_VARS

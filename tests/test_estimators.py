@@ -475,6 +475,18 @@ class TestEquivalenceBand:
         assert 0 < band.min_ratio <= band.max_ratio
         assert band.spread < 20.0
 
+    def test_tiny_probes_give_the_same_bands(self, hermite_dec):
+        """Both norms of a ratio are scale-exact, so the standard family
+        scaled by 2^-560 gives the bands of the unscaled one bit for bit;
+        the Sobolev norms used to underflow to 0, giving the band (0, 0),
+        whose spread raised ZeroDivisionError."""
+        probes = standard_probe_family(hermite_dec)
+        tiny = [FieldSample(f.grid, np.ldexp(f.values.view(float), -560).view(complex))
+                for f in probes]
+        s_values = (0.0, 1.0, 2.0)
+        expected = sobolev_modulation_equivalence(hermite_dec, s_values, probes)
+        assert sobolev_modulation_equivalence(hermite_dec, s_values, tiny) == expected
+
     def test_all_probes_skipped_raises(self, hermite_dec):
         zero = FieldSample(hermite_dec.grid, np.zeros(hermite_dec.grid.points_per_axis))
         with pytest.warns(ProbeSkipWarning), pytest.raises(ValueError):

@@ -157,7 +157,10 @@ class TestFiniteFields:
 
     def test_an_overflowing_inverse_conjugation_raises(self, ctx):
         """Dividing 1e300 by the half-density near the safe radius overflows:
-        the inverse used to return the inf values as a field."""
+        the inverse used to return the inf values as a field. It reports the
+        mass beyond the safe radius first, taken scale-exact (its raw
+        squares would overflow and read NaN)."""
         f = ah.FieldSample(ctx.grid, np.full(ctx.grid.points_per_axis, 1e300))
-        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite"):
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite"), \
+                pytest.warns(ah.DiscardedMassWarning, match="discarded 4.507e-01"):
             ah.apply_conjugation(ctx.conj, "inverse", f)

@@ -96,6 +96,20 @@ class TestApplyConjugation:
         with pytest.raises(ValueError):
             apply_conjugation(GaussianConjugation(), "sideways", gaussian_field)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e200])
+    def test_discarded_mass_at_extreme_scales(self, small_dec, scale):
+        """A field wholly beyond the safe radius loses all its mass (1.0 at
+        scale 1). Its raw squares used to underflow at 1e-170, reading 0.0,
+        and overflow at 1e200, reading NaN, and the inverse gave no
+        DiscardedMassWarning at either scale."""
+        c = GaussianConjugation()
+        outside = np.where(np.abs(small_dec.grid.nodes()) > c.safe_radius, 1.0, 0.0)
+        base = conjugation_discarded_mass(c, FieldSample(small_dec.grid, outside))
+        f = FieldSample(small_dec.grid, scale * outside)
+        assert conjugation_discarded_mass(c, f) == base == 1.0
+        with pytest.warns(DiscardedMassWarning, match="discarded 1.000e"):
+            apply_conjugation(c, "inverse", f)
+
     def test_discarded_mass_accounting(self, hermite_grid, gaussian_field):
         zero = FieldSample(hermite_grid, np.zeros(hermite_grid.points_per_axis))
         assert conjugation_discarded_mass(GaussianConjugation(), zero) == 0.0
@@ -211,6 +225,18 @@ class TestOuProbeRate:
         res = ou_probe_rate(c, hermite_dec, 1.0, (1.0, 2.0, 3.0, 4.0), probes)
         assert abs(res.slope - res.target) / abs(res.target) < 0.05
         assert res.r_squared > 0.99
+
+    def test_tiny_probes_give_the_same_slope(self, hermite_dec):
+        """Every norm of the fit is scale-exact, so probes scaled by 2^-560
+        give the slope of the unscaled ones bit for bit; their raw squares
+        used to underflow to 0, so every probe was skipped and the fit
+        raised."""
+        probes = gaussian_probe_fields(hermite_dec.grid, 4, seed=9)
+        tiny = [FieldSample(f.grid, np.ldexp(f.values.view(float), -560).view(complex))
+                for f in probes]
+        c, ts = GaussianConjugation(), (1.0, 2.0, 3.0)
+        expected = ou_probe_rate(c, hermite_dec, 1.0, ts, probes)
+        assert ou_probe_rate(c, hermite_dec, 1.0, ts, tiny).slope == expected.slope
 
     def test_zero_probe_skipped_with_warning(self, hermite_dec, hermite_grid):
         """The skip rule of every probe corpus: a zero-norm probe warns and

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -151,6 +152,12 @@ class TestGridOperator:
         assert len(calls) == 1
 
 
+def scale_test_values(grid):
+    """A complex Gaussian packet with a little mass off 48 harmonic modes."""
+    x = grid.nodes()
+    return np.exp(-x ** 2 / 2.0) * (1.0 + 0.3j * np.sin(7.0 * x))
+
+
 class TestDecomposition:
     def test_hermite_eigenvalues(self, hermite_dec):
         j = np.arange(21)
@@ -202,12 +209,21 @@ class TestDecomposition:
         assert frac == pytest.approx(base, rel=1e-12) and base == pytest.approx(1.0, abs=1e-9)
         assert [w.category for w in caught] == [ah.OffSpanWarning]
 
+    @pytest.mark.parametrize("k", [-560, 540])
+    def test_norm_l2_keeps_its_bits_under_powers_of_two(self, small_dec, k):
+        """The norm is taken in the field's frame, so at 2^k f it is 2^k
+        times that of f bit for bit; its raw squares used to underflow to
+        0 at 2^-560 and overflow to inf at 2^540."""
+        values = scale_test_values(small_dec.grid)
+        base = FieldSample(small_dec.grid, values).norm_l2()
+        scaled = FieldSample(small_dec.grid, np.ldexp(values.view(float), k).view(complex))
+        assert scaled.norm_l2() == math.ldexp(base, k)
+
     @pytest.mark.parametrize("k", [-1000, -600, 1, 600, 1000])
     def test_span_residual_keeps_its_bits_under_powers_of_two(self, small_dec, k):
         """The fraction is taken in the field's frame, an exact scale, so at
         2^k f it is the fraction of f bit for bit."""
-        x = small_dec.grid.nodes()
-        values = np.exp(-x ** 2 / 2.0) * (1.0 + 0.3j * np.sin(7.0 * x))
+        values = scale_test_values(small_dec.grid)
         base = small_dec.span_residual_fraction(FieldSample(small_dec.grid, values))
         assert 0.0 < base < 1e-3
         scaled = FieldSample(small_dec.grid,
