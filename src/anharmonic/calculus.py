@@ -32,6 +32,22 @@ def _warn_off_span(dec, f, context, coeffs=None):
               f"retained {dec.m} modes and is dropped")
 
 
+def _spectral_values(dec: SpectralDecomposition, phi, name: str) -> np.ndarray:
+    """phi(lambda) on the eigenvalues of ``dec``, ``phi`` called once on the
+    array: an output not shaped like ``dec.eigenvalues`` raises ValueError,
+    a non-finite value NumericalError naming the mode (``name`` names phi)."""
+    vals = np.asarray(phi(dec.eigenvalues), dtype=float)
+    if vals.shape != dec.eigenvalues.shape:
+        raise ValueError(f"{name} returned shape {vals.shape}, "
+                         f"not the eigenvalue shape {dec.eigenvalues.shape}")
+    if not np.all(np.isfinite(vals)):
+        j = int(np.argmin(np.isfinite(vals)))
+        raise NumericalError(
+            f"{name} is not finite at mode {j} "
+            f"(lambda={dec.eigenvalues[j]:.6e}, phi={float(vals[j])!r})")
+    return vals
+
+
 def apply_spectral_function(dec: SpectralDecomposition, phi, f: FieldSample) -> FieldSample:
     """Sum of phi(lambda_j) <f, Phi_j> Phi_j over retained modes.
 
@@ -40,16 +56,7 @@ def apply_spectral_function(dec: SpectralDecomposition, phi, f: FieldSample) -> 
     """
     coeffs = dec.coefficients(f)
     _warn_off_span(dec, f, "apply_spectral_function", coeffs)
-    vals = np.asarray(phi(dec.eigenvalues), dtype=float)
-    if vals.shape != dec.eigenvalues.shape:
-        raise ValueError(f"spectral function returned shape {vals.shape}, "
-                         f"not the eigenvalue shape {dec.eigenvalues.shape}")
-    if not np.all(np.isfinite(vals)):
-        j = int(np.argmin(np.isfinite(vals)))
-        raise NumericalError(
-            f"spectral function is not finite at mode {j} "
-            f"(lambda={dec.eigenvalues[j]:.6e}, phi={vals[j]!r})")
-    return dec.reconstruct(vals * coeffs)
+    return dec.reconstruct(_spectral_values(dec, phi, "spectral function") * coeffs)
 
 
 def heat_semigroup(dec: SpectralDecomposition, beta: float, t: float,
@@ -74,11 +81,15 @@ def sobolev_norm(dec: SpectralDecomposition, s: float, f: FieldSample,
     ``spectral._scaled_l2``: norm(2^k f) = 2^k norm(f) bit for bit.
 
     ``coeffs`` are f's coefficients when the caller has them already; an s
-    that is not a finite real raises InvalidSpecError.
+    that is not a finite real raises InvalidSpecError. The weights lambda^s
+    go through the rule ``apply_spectral_function`` applies to phi(lambda):
+    one that overflows raises NumericalError naming the mode.
     """
     s = _real(s, "s")
     if coeffs is None:
         coeffs = dec.coefficients(f)
     if s > 0:
         _warn_off_span(dec, f, "sobolev_norm", coeffs)
-    return _unframed(*_scaled_l2([coeffs], 1.0, dec.eigenvalues ** s))
+    with np.errstate(over="ignore"):  # an overflowing weight raises NumericalError
+        weights = _spectral_values(dec, lambda lam: lam ** s, f"Sobolev weight lambda^{s!r}")
+    return _unframed(*_scaled_l2([coeffs], 1.0, weights))

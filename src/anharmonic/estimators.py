@@ -520,7 +520,8 @@ class EquivalenceBand:
 
     @property
     def spread(self) -> float:
-        return self.max_ratio / self.min_ratio
+        """max_ratio / min_ratio; inf when min_ratio is 0."""
+        return self.max_ratio / self.min_ratio if self.min_ratio > 0 else float("inf")
 
 
 def sobolev_modulation_equivalence(dec: SpectralDecomposition, s_values, probes) -> list:

@@ -133,6 +133,11 @@ class _Engine:
     initial coefficients, is read-only and checked for off-span mass at the
     build; ``initial_values``, the trajectory's t = 0 norm and bound, are
     measured at the first read, from one frame of the initial state.
+    ``cap_constant``, computed at the build, is the C with monitored norm
+    <= C ||c||_2 for the field of any coefficients c: ``phasespace._l2_cap``
+    times sqrt(1 + m ``_ORTHO_TOL``), the Gershgorin bound on the Gram matrix
+    of the m modes, gated by ``decompose``, that relates ||c||_2 to the
+    field's L^2 norm.
     """
 
     def __init__(self, spec: NonlinearProblemSpec):
@@ -155,6 +160,8 @@ class _Engine:
         self.c0 = self.to_coeff(u0[self.rows])
         self.c0.setflags(write=False)
         _warn_off_span(dec, spec.u0, "initial data", self.c0)
+        self.cap_constant = (_l2_cap(self.monitor_s, dec.oscillator, dec.grid, self.monitor_params)
+                             * math.sqrt(1.0 + len(self.lam_beta) * _ORTHO_TOL))
 
     @functools.cached_property
     def initial_values(self) -> tuple:
@@ -202,14 +209,6 @@ class _Engine:
         certified upper bounds of their monitored norms, from O(N) sums."""
         return _state_bounds(frame, self.dec.grid, self.monitor_s, self.dec.oscillator,
                              self.monitor_params)
-
-    def cap_constant(self) -> float:
-        """C with monitored norm <= C ||c||_2 for the field of any coefficients
-        c: ``phasespace._l2_cap`` times sqrt(1 + m ``_ORTHO_TOL``), the
-        Gershgorin bound on the Gram matrix of the m modes, gated by
-        ``decompose``, that relates ||c||_2 to the field's L^2 norm."""
-        return _l2_cap(self.monitor_s, self.dec.oscillator, self.dec.grid,
-                       self.monitor_params) * math.sqrt(1.0 + len(self.lam_beta) * _ORTHO_TOL)
 
 
 @dataclass(eq=False)
@@ -398,7 +397,7 @@ def _sweeps(engine, c, n, dt, tol, max_iter, t_end):
     the window that ends at t_end.
     """
     e_full, e_half, e_quarter = (engine.propagator(dt * share) for share in (1.0, 0.5, 0.25))
-    cap = engine.cap_constant()
+    cap = engine.cap_constant
     # N at the midpoints, then at the averaged states; the first pass, with
     # N = 0, is the linear flow, the first iterate
     nonlin = np.zeros((len(c), 2 * n))
@@ -450,9 +449,9 @@ def picard_solve(spec: NonlinearProblemSpec, horizon: float, dt: float,
     scan and refreshes the midpoints: Picard waveform relaxation
     (Lelarasmee, Ruehli and Sangiovanni-Vincentelli, IEEE Trans. CAD 1,
     1982). A block stops, after at least two sweeps, when its cap
-    C sup_k ||gap_k||_2 over the coefficient gaps of its endpoints, C the
-    engine's ``cap_constant``, which bounds the monitored norm of every
-    endpoint gap, is below tol.
+    C sup_k ||gap_k||_2 over the coefficient gaps of its endpoints is below
+    tol. C, the engine's ``cap_constant``, computed once when the flow's
+    engine is built, bounds the monitored norm of every endpoint gap.
     ``contraction_factors`` holds, per block, the ratios of successive caps.
 
     A block whose sweeps go non-finite or do not converge in ``max_iter`` is

@@ -92,10 +92,14 @@ the column pass of ``singular_weight_norm`` and the L^2 cap run every
 row, and so do a zero or non-finite field, a weight that is not finite
 and a field whose weighted squared norm could overflow.
 Cauchy-Schwarz caps every norm by the field's L^2 norm: ``_l2_cap`` is the
-constant C with ``modulation_norm`` <= C ||f||_{L^2}, cached once per
-(s, oscillator, grid, exponents). ``nlheat`` stops its Picard sweeps on that
-cap of the coefficient norms of the sweep gaps, lifted by the Gram bound of
-its modes.
+constant C with ``modulation_norm`` <= C ||f||_{L^2}. ``nlheat`` computes it
+once per flow and stops its Picard sweeps on that cap of the coefficient
+norms of the sweep gaps, lifted by the Gram bound of its modes.
+What a pass reads of its two fixed objects, the window g and the weight v_s,
+is kept in three tables, one per key: ``_window`` (grid) holds g and the
+bands the bounds read off it, ``_weight`` (s, oscillator, grid) the weight
+lattice and its squared row min and max, and ``_weight_columns`` (s,
+oscillator, grid, p, first row) the lattice's own column sums.
 A state's norm has a much tighter certified bound, ``_state_bounds``, that
 runs no FFT over the lattice. The triangle inequality over the samples, and
 again after the DFT convolution theorem, bounds every cell:
@@ -151,8 +155,18 @@ _REFINED_SHARE = 2.0 ** -40
 
 
 @functools.lru_cache(maxsize=16)
-def _gaussian_window_values(grid: Grid) -> np.ndarray:
-    """Unit Gaussian window 2^(1/4) e^(-pi z_i^2) at the wrapped offsets."""
+def _window(grid: Grid):
+    """(g, band, rest, spectral band, spectral rest, spectral total): the unit
+    Gaussian window g = 2^(1/4) e^(-pi z_i^2) at the wrapped offsets, its
+    norm checked, and what the bounds read off it.
+
+    (band, rest) is ``_band`` of g. The spectral three are upper bounds of
+    |G_{-m}|, G the DFT of g, at the offsets m of the frequencies within
+    ``_BAND_RADIUS``, of |G| at any other offset, and of sum_m |G_m|. Each
+    is read from the computed |FFT(g)| plus its round-off bound
+    (``_fft_error``); the spectral band is reversed, so that
+    ``_banded_sums`` of |F| against it is the circular convolution
+    sum_m |F_{n-m}| |G_m| over the band."""
     z = grid.wrapped_offsets()
     g = 2.0 ** 0.25 * np.exp(-np.pi * z ** 2)
     norm = np.sqrt(grid.h * np.sum(g ** 2))
@@ -160,7 +174,10 @@ def _gaussian_window_values(grid: Grid) -> np.ndarray:
         raise NumericalError(
             f"gaussian window norm deviates by {abs(norm - 1.0):.3e}; grid too coarse or small")
     g.setflags(write=False)
-    return g
+    spectrum = np.abs(np.fft.fft(g)) + _fft_error(len(g)) * float(np.linalg.norm(g))
+    reversed_ = np.roll(spectrum[::-1], 1)  # entry m is |G_{-m}|
+    return (g, *_band(g, grid.h), *_band(reversed_, grid.frequency_cell),
+            float(spectrum.sum()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,7 +235,7 @@ def _stft_blocks(f: np.ndarray, grid: Grid, real: bool, rows: tuple):
     size = grid.points_per_axis
     start, stop = rows
     height = max(1, _BLOCK_CELLS // size)
-    g = _gaussian_window_values(grid)
+    g = _window(grid)[0]
     shifts = sliding_window_view(np.concatenate((g, g)), size)[size:0:-1]
     fv = f.real if real else f
     buf = np.empty((min(height, stop - start), size), dtype=fv.dtype)
@@ -255,72 +272,40 @@ def stft(f: FieldSample) -> PhaseSpaceField:
 
 
 @functools.lru_cache(maxsize=8)
-def _weight_lattice(s: float, osc: OscillatorSpec | None, grid: Grid):
-    """``weight_value`` on the full (x, xi) lattice, columns in the FFT order
-    of ``_stft_blocks``, or None for s = 0 (the flat weight, reduced from the
-    raw magnitudes).
+def _weight(s: float, osc: OscillatorSpec | None, grid: Grid):
+    """(lattice, low, high): ``weight_value`` on the full (x, xi) lattice,
+    columns in the FFT order of ``_stft_blocks``, or None for s = 0 (the
+    flat weight, reduced from the raw magnitudes); and the squares of its
+    row min and of its row max, two N-vectors (ones for the flat weight).
+    A square that overflows is inf.
 
     Frequency-scale conversion lives here and nowhere else: the transform
     lattice carries cycle frequencies xi = n/(2L), while the operator symbol,
     and hence the weight, uses the angular variable omega = 2*pi*xi.
     """
     if s == 0.0:
-        return None
+        ones = np.ones(grid.points_per_axis)
+        ones.setflags(write=False)
+        return None, ones, ones
     xi = np.fft.ifftshift(grid.frequency_nodes())
     lattice = weight_value(s, osc, grid.nodes()[:, None], 2.0 * np.pi * xi[None, :])
-    lattice.setflags(write=False)
-    return lattice
-
-
-@functools.lru_cache(maxsize=8)
-def _weight_row_bounds(s_values: tuple, osc: OscillatorSpec | None, grid: Grid):
-    """(low, high): the squares of the smallest row min and of the largest
-    row max of ``_weight_lattice`` over the exponents ``s_values``, two
-    N-vectors (the flat weight's rows are ones). A square that overflows is
-    inf."""
-    ones = np.ones(grid.points_per_axis)
-    lattices = [_weight_lattice(s, osc, grid) for s in s_values]
-    low = np.min([ones if w is None else w.min(axis=1) for w in lattices], axis=0)
-    high = np.max([ones if w is None else w.max(axis=1) for w in lattices], axis=0)
     with np.errstate(over="ignore"):
-        bounds = np.square(low), np.square(high)
-    for b in bounds:
-        b.setflags(write=False)
-    return bounds
+        bounds = np.square(lattice.min(axis=1)), np.square(lattice.max(axis=1))
+    for a in (lattice, *bounds):
+        a.setflags(write=False)
+    return (lattice, *bounds)
 
 
-def _band(values: np.ndarray, k: int):
-    """(band, rest): ``values`` at the cyclic offsets m = -k..k, and their
-    largest value at any other offset (0 when there is none)."""
+def _band(values: np.ndarray, cell: float):
+    """(band, rest): ``values`` at the cyclic offsets m = -k..k, the offsets
+    of spacing ``cell`` within ``_BAND_RADIUS`` (k at most (N - 1)/2), and
+    their largest value at any other offset (0 when there is none)."""
+    k = min(int(_BAND_RADIUS / cell), (len(values) - 1) // 2)
     inside = np.arange(-k, k + 1) % len(values)
     outside = np.delete(values, inside)
     band = values[inside]
     band.setflags(write=False)
     return band, float(outside.max()) if outside.size else 0.0
-
-
-@functools.lru_cache(maxsize=4)
-def _window_band(grid: Grid):
-    """(band, rest) of ``_band`` for the window g at the offsets within
-    ``_BAND_RADIUS``."""
-    n = grid.points_per_axis
-    return _band(_gaussian_window_values(grid), min(int(_BAND_RADIUS / grid.h), (n - 1) // 2))
-
-
-@functools.lru_cache(maxsize=4)
-def _spectral_window_band(grid: Grid):
-    """(band, rest, total): upper bounds of |G_{-m}|, G the DFT of the window,
-    at the offsets m of the frequencies within ``_BAND_RADIUS``, of |G| at
-    any other offset, and of sum_m |G_m|. Each is read from the computed
-    |FFT(g)| plus its round-off bound (``_fft_error``); the band is
-    reversed, so that ``_banded_sums`` of |F| against it is the circular
-    convolution sum_m |F_{n-m}| |G_m| over the band."""
-    n = grid.points_per_axis
-    g = _gaussian_window_values(grid)
-    spectrum = np.abs(np.fft.fft(g)) + _fft_error(n) * float(np.linalg.norm(g))
-    reversed_ = np.roll(spectrum[::-1], 1)  # entry m is |G_{-m}|
-    k = min(int(_BAND_RADIUS / grid.frequency_cell), (n - 1) // 2)
-    return (*_band(reversed_, k), float(spectrum.sum()))
 
 
 def _fft_error(n: int) -> float:
@@ -363,7 +348,7 @@ def _row_energies(mag, first_row: int, grid: Grid):
     terms, so it carries a relative round-off below N eps; the frame's peak
     in [1/2, 1) keeps the largest terms from underflowing.
     """
-    band, rest = _window_band(grid)
+    _, band, rest = _window(grid)[:3]
     a = np.square(mag)
     return (_banded_sums(a, np.square(band), slice(first_row, None)),
             rest * rest * np.sum(a, axis=-1, keepdims=True))
@@ -377,7 +362,8 @@ def _kept_rows(row, grid: Grid, s_values, osc: OscillatorSpec | None):
     Row i adds between E_i min_n v_s(x_i, .)^2 and
     (E_i + tail) max_n v_s(x_i, .)^2 to the squared norm, up to the common
     factor N h^2 (see ``_row_energies``), for every s of
-    ``s_values`` (``_weight_row_bounds``). Rows are dropped from
+    ``s_values``: the row bounds of the weights (``_weight``), folded to the
+    smallest row min and largest row max of the list. Rows are dropped from
     both ends while the upper bounds of the dropped rows add up to at most
     ``_ROW_SHARE`` (1 - slack) times the lower bounds of all rows; the
     slack 4 N eps covers the round-off of E, of the sums and of the FFT
@@ -393,7 +379,9 @@ def _kept_rows(row, grid: Grid, s_values, osc: OscillatorSpec | None):
     if not 0.0 < peak < np.inf:
         return first_row, n
     energy, tail = _row_energies(np.abs(f), first_row, grid)
-    low, high = (b[first_row:] for b in _weight_row_bounds(tuple(s_values), osc, grid))
+    weights = [_weight(s, osc, grid) for s in s_values]
+    low = functools.reduce(np.minimum, [w[1] for w in weights])[first_row:]
+    high = functools.reduce(np.maximum, [w[2] for w in weights])[first_row:]
     slack = 4.0 * n * np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):
         upper = ((energy + tail) * (1.0 + slack) + n * 2.0 ** -1072) * high
@@ -410,7 +398,6 @@ def _kept_rows(row, grid: Grid, s_values, osc: OscillatorSpec | None):
     return first_row + int(a[best]), n - int(b[best])
 
 
-@functools.lru_cache(maxsize=8)
 def _l2_cap(s: float, osc: OscillatorSpec | None, grid: Grid, params: MixedNormParams) -> float:
     """The constant C with ``modulation_norm(f, s, osc, params) <= C ||f||_{L^2}``
     for every field f on ``grid``.
@@ -419,16 +406,17 @@ def _l2_cap(s: float, osc: OscillatorSpec | None, grid: Grid, params: MixedNormP
     (every cyclic shift of g has the lattice L^2 norm of g), and the lattice
     (quasi-)norm is monotone in |V_g f|, so C = ||g||_2 ||v_s||_{L^{p,q}}
     for all 0 < p, q <= INF, with no triangle inequality (Groechenig,
-    Foundations of Time-Frequency Analysis, 2001, ch. 3). The cached weight
-    lattice is reduced by ``_weighted_columns`` in row blocks of the pass's
-    size, never as a whole (``_weight_columns``). Equality holds at
-    p = q = INF, s = 0 for a window shifted to a node and modulated by a
-    lattice frequency; C is lifted by ``_CAP_SLACK`` so that it stays above
-    the round-off of the exact norm there.
+    Foundations of Time-Frequency Analysis, 2001, ch. 3). It is not cached:
+    it reads the cached column sums of the weight lattice
+    (``_weight_columns``), an O(N) reduction, and ``nlheat`` computes it
+    once per flow. Equality holds at p = q = INF, s = 0 for a window shifted
+    to a node and modulated by a lattice frequency; C is lifted by
+    ``_CAP_SLACK`` so that it stays above the round-off of the exact norm
+    there.
     """
     weight = _outer_reduce(_weight_columns(s, osc, grid, params.p, 0), params.p, params.q,
                            grid.h, grid.frequency_cell)
-    g = _gaussian_window_values(grid)
+    g = _window(grid)[0]
     return float(np.sqrt(grid.h * np.dot(g, g))) * weight * (1.0 + _CAP_SLACK)
 
 
@@ -441,7 +429,7 @@ def _weight_columns(s: float, osc: OscillatorSpec | None, grid: Grid, p,
     size, never as a whole; the flat weight's column sums are the row
     count."""
     n = grid.points_per_axis
-    lattice = _weight_lattice(s, osc, grid)
+    lattice = _weight(s, osc, grid)[0]
     if lattice is None:
         columns = np.full(n, 1.0 if is_inf(p) else float(n - first_row))
     else:
@@ -577,7 +565,7 @@ def _modulation_columns(row, grid: Grid, s_values, osc: OscillatorSpec | None, p
     else:
         blocks = ((lo, np.abs(np.multiply(block, grid.h, out=block))) for lo, block in blocks)
     columns = []
-    lattices = [_weight_lattice(s, osc, grid) for s in s_values]
+    lattices = [_weight(s, osc, grid)[0] for s in s_values]
     for sums in _weighted_columns(blocks, lattices, p, squared):
         if squared:
             sums *= grid.h ** float(p)
@@ -661,7 +649,8 @@ def _state_bounds(frame, grid: Grid, s: float, osc: OscillatorSpec | None,
     n, h = grid.points_per_axis, grid.h
     p, q = params.p, params.q
     fft_error = _fft_error(n)
-    lattice = _weight_lattice(s, osc, grid)
+    lattice = _weight(s, osc, grid)[0]
+    _, band, rest, spectral_band, spectral_rest, total = _window(grid)
     bounds = np.where(peak == 0.0, 0.0, math.inf)
     finite = (0.0 < peak) & (peak < np.inf)
     for is_real, first in sorted(set(zip(real[finite].tolist(), first_row[finite].tolist()))):
@@ -670,14 +659,12 @@ def _state_bounds(frame, grid: Grid, s: float, osc: OscillatorSpec | None,
         mag = np.abs(f)
         width = n // 2 + 1 if is_real else n
         with np.errstate(over="ignore", invalid="ignore"):
-            band, rest = _window_band(grid)
             row_bounds = h * (_banded_sums(mag, band, slice(first, None))
                               + rest * mag.sum(axis=-1, keepdims=True))
             spectrum = np.abs(np.fft.fft(f, axis=-1))
-            band, rest, total = _spectral_window_band(grid)
             col_bounds = (h / n) * (
-                _banded_sums(spectrum, band, slice(0, width))
-                + rest * spectrum.sum(axis=-1, keepdims=True)
+                _banded_sums(spectrum, spectral_band, slice(0, width))
+                + spectral_rest * spectrum.sum(axis=-1, keepdims=True)
                 + fft_error * np.linalg.norm(f, axis=-1, keepdims=True) * total)
             energy, tail = _row_energies(mag, first, grid)
             floor = fft_error * h * np.sqrt(energy + tail)
@@ -721,7 +708,7 @@ def mixed_norm(field: PhaseSpaceField, s: float, osc: OscillatorSpec | None,
     """
     grid = field.grid
     [columns] = _weighted_columns([(0, np.fft.ifftshift(np.abs(field.values), axes=1))],
-                                  [_weight_lattice(_real(s, "s"), osc, grid)], params.p)
+                                  [_weight(_real(s, "s"), osc, grid)[0]], params.p)
     return _outer_reduce(np.fft.fftshift(columns), params.p, params.q,
                          grid.h, grid.frequency_cell)
 

@@ -300,7 +300,8 @@ def _parity_solve(mult: np.ndarray, v_nodes: np.ndarray, grid: Grid, m: int,
     if parity is not None:
         odd = odd[odd == (parity < 0)]
         if not odd.size:
-            raise ValueError(f"no mode of parity {parity} among the lowest {m}")
+            raise InvalidSpecError(f"no mode of parity {parity} among the lowest {m}",
+                                   field="parity")
     vals = np.empty(odd.size)
     vecs = np.empty((n, odd.size))
     norm = 1.0 / np.sqrt(2.0 * grid.h)
@@ -376,13 +377,13 @@ def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None,
     Positivity is certified exactly: the multiplier is nonnegative and the
     strictly positive nodal potential is checked (the staggered grid
     excludes the origin). Raises InvalidSpecError for a grid above the dense
-    cap or an m that is no count (``model._count``) or exceeds n, ValueError
-    for a ``parity`` other than None, 1 or -1, or one with no mode among the
-    lowest m, NumericalError for a non-finite or non-positive nodal potential
-    or when the vectors violate
-    the invariants: orthonormality to 1e-9, a positive ground eigenvalue,
-    and the residual against H applied by FFT (see _apply_operator,
-    independent of the blocks) to 1e-8 (1 + lambda) + 16 eps ||H||.
+    cap, an m that is no count (``model._count``) or exceeds n, and a
+    ``parity`` other than None, 1 or -1 or one with no mode among the lowest
+    m (``field`` "parity"), NumericalError for a non-finite or non-positive
+    nodal potential or when the vectors violate the invariants:
+    orthonormality to 1e-9, a positive ground eigenvalue, and the residual
+    against H applied by FFT (see _apply_operator, independent of the
+    blocks) to 1e-8 (1 + lambda) + 16 eps ||H||.
     NonConvergenceError when the dense solver fails.
     """
     n = grid.points_per_axis
@@ -398,7 +399,7 @@ def decompose(osc: OscillatorSpec, grid: Grid, m: int | None = None,
     if m > n:
         raise InvalidSpecError(f"mode count m={m} outside [1, {n}]", field="m")
     if parity is not None and (isinstance(parity, bool) or parity not in (1, -1)):
-        raise ValueError(f"parity {parity!r} is not None, 1 or -1")
+        raise InvalidSpecError(f"parity {parity!r} is not None, 1 or -1", field="parity")
 
     parity = None if parity is None else int(parity)
     mult = _kinetic_multiplier(osc, grid)

@@ -105,6 +105,26 @@ class TestSobolevNorm:
         scaled = FieldSample(f.grid, np.ldexp(f.values.view(float), k).view(complex))
         assert sobolev_norm(small_dec, s, scaled) == math.ldexp(sobolev_norm(small_dec, s, f), k)
 
+    @pytest.mark.parametrize("coeffs", [True, False], ids=["coeffs", "no_coeffs"])
+    def test_overflowing_weight_raises(self, small_dec, coeffs):
+        """lambda^200 overflows at the upper modes of the 48: the weights go
+        through the rule of ``apply_spectral_function`` and raise, naming the
+        mode, where the norm of the ground mode used to read NaN (inf without
+        its coefficients)."""
+        c = np.zeros(small_dec.m)
+        c[0] = 1.0
+        f = small_dec.reconstruct(c)
+        with pytest.raises(NumericalError, match="not finite at mode 17"):
+            sobolev_norm(small_dec, 200.0, f, c if coeffs else None)
+
+    def test_finite_weights_keep_their_value(self, small_dec):
+        """At s = 100 every weight lambda^s is finite and the norm of the
+        ground mode is lambda_0^50, as it was."""
+        c = np.zeros(small_dec.m)
+        c[0] = 1.0
+        assert (sobolev_norm(small_dec, 100.0, small_dec.reconstruct(c), c)
+                == math.sqrt(small_dec.eigenvalues[0] ** 100.0))
+
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_nonfinite_order_raises(self, hermite_dec, s):
         """An order s that is not finite used to return nan, inf or 0

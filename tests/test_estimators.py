@@ -487,6 +487,18 @@ class TestEquivalenceBand:
         expected = sobolev_modulation_equivalence(hermite_dec, s_values, probes)
         assert sobolev_modulation_equivalence(hermite_dec, s_values, tiny) == expected
 
+    def test_zero_minimum_has_spread_inf(self):
+        """At s = -20000 the weights lambda^s underflow to 0 for every mode
+        of the quartic decomposition, so every ratio is 0; the spread of
+        that band is inf, as ``singular_weight_norm`` reads a growth over a
+        zero base, where it used to raise ZeroDivisionError."""
+        grid = Grid(128, 10.0)
+        dec = ah.decompose(ah.OscillatorSpec(2, 1), grid, 32)
+        [band] = sobolev_modulation_equivalence(dec, [-20000.0],
+                                                gaussian_probe_fields(grid, 3, 1))
+        assert band.min_ratio == 0.0
+        assert band.spread == math.inf
+
     def test_all_probes_skipped_raises(self, hermite_dec):
         zero = FieldSample(hermite_dec.grid, np.zeros(hermite_dec.grid.points_per_axis))
         with pytest.warns(ProbeSkipWarning), pytest.raises(ValueError):

@@ -471,7 +471,7 @@ class TestCertifiedStop:
                                      rel=1e-13)
         exact = ah.modulation_norm(FieldSample(dec.grid, full), MONITOR[2], dec.oscillator,
                                    ah.MixedNormParams(*MONITOR[:2]))
-        assert exact <= engine.cap_constant() * norm
+        assert exact <= engine.cap_constant * norm
 
     def test_overflowing_gap_has_cap_inf(self, defocusing):
         """A gap whose sum of squares overflows has cap inf, which a
@@ -479,7 +479,7 @@ class TestCertifiedStop:
         engine = anharmonic.nlheat._Engine(defocusing)
         huge = np.full((len(engine.lam_beta), 2), 1e200)
         with np.errstate(over="ignore"):
-            assert engine.cap_constant() * np.linalg.norm(huge, axis=0).max() == math.inf
+            assert engine.cap_constant * np.linalg.norm(huge, axis=0).max() == math.inf
 
 
 class TestSweeps:

@@ -14,9 +14,9 @@ from anharmonic import (INF, BoundaryMassWarning, FieldSample, Grid,
                         PhaseSpaceField, apply_conjugation, mixed_norm,
                         modulation_norm, modulation_norms, stft, weight_value)
 from anharmonic.estimators import gaussian_probe_fields
-from anharmonic.phasespace import (_column_reduce, _frame, _gaussian_window_values,
-                                   _kept_rows, _l2_cap, _modulation_columns, _outer_reduce,
-                                   _state_bounds, _weight_lattice, _weighted_columns)
+from anharmonic.phasespace import (_column_reduce, _frame, _kept_rows, _l2_cap,
+                                   _modulation_columns, _outer_reduce, _state_bounds, _weight,
+                                   _weight_columns, _weighted_columns, _window)
 from oracles import (dense_stft, gaussian_lattice_stft_abs, gaussian_window_transform_abs,
                      mixed_norm_reference)
 
@@ -61,18 +61,18 @@ def unit_gaussian(grid):
 
 class TestWindow:
     def test_gaussian_is_unit_norm(self, hermite_grid):
-        g = _gaussian_window_values(hermite_grid)
+        g = _window(hermite_grid)[0]
         norm = np.sqrt(hermite_grid.h * np.sum(np.abs(g) ** 2))
         assert norm == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("grid", [Grid(64, 4.0), Grid(256, 8.0)], ids=["64", "256"])
     def test_gaussian_is_unit_norm_on_other_grids(self, grid):
-        g = _gaussian_window_values(grid)
+        g = _window(grid)[0]
         norm = np.sqrt(grid.h * np.sum(np.abs(g) ** 2))
         assert norm == pytest.approx(1.0, abs=1e-12)
 
     def test_wrapped_layout_peaks_at_origin(self, hermite_grid):
-        g = _gaussian_window_values(hermite_grid)
+        g = _window(hermite_grid)[0]
         assert np.argmax(np.abs(g)) == 0
 
     def test_too_coarse_grid_rejected(self):
@@ -751,7 +751,7 @@ class TestL2Cap:
         (freq 64 is xi = 0, a real field.)"""
         grid = self.GRID
         xi = grid.frequency_nodes()[freq]
-        vals = np.roll(_gaussian_window_values(grid), node) * np.exp(2j * np.pi * xi * grid.nodes())
+        vals = np.roll(_window(grid)[0], node) * np.exp(2j * np.pi * xi * grid.nodes())
         f = FieldSample(grid, vals.real if xi == 0.0 else vals)
         params = MixedNormParams(INF, INF)
         exact = modulation_norm(f, FLAT, None, params)
@@ -759,17 +759,38 @@ class TestL2Cap:
         assert exact <= cap <= exact * (1.0 + 1e-12)
 
     def test_reduces_the_weight_lattice_in_blocks(self, hermite_grid, quartic_osc):
-        """With the weight lattice cached, the constant allocates less than
-        one (size, size) real lattice (2 MiB at 512 points)."""
+        """With the weight lattice cached and its column sums not, the
+        constant allocates less than one (size, size) real lattice (2 MiB at
+        512 points)."""
         args = (2.0, quartic_osc, hermite_grid)
-        _weight_lattice(*args)
+        _weight(*args)
+        _weight_columns.cache_clear()
         tracemalloc.start()
         try:
-            _l2_cap.__wrapped__(*args, MixedNormParams(2.0, 1.0))
+            _l2_cap(*args, MixedNormParams(2.0, 1.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < hermite_grid.points_per_axis ** 2 * 8 / 2
+
+
+class TestWeight:
+    """``_weight`` keeps the weight lattice with the squares of its row min
+    and row max, which bound every row's share of a p = q = 2 norm."""
+
+    @pytest.mark.parametrize("s", [FLAT, -3.0, 0.02, 2.0, 100.0])
+    @pytest.mark.parametrize("osc", ["harmonic", "quartic"])
+    def test_row_bounds_are_the_squared_row_extremes(self, osc, s, quartic_osc):
+        """Bit for bit, and inf where a square overflows (quartic, s = 100);
+        the flat weight has no lattice and rows of ones."""
+        grid = Grid(128, 10.0)
+        lattice, low, high = _weight(s, HARMONIC if osc == "harmonic" else quartic_osc, grid)
+        assert (lattice is None) == (s == FLAT)
+        if lattice is None:
+            lattice = np.ones((128, 128))
+        with np.errstate(over="ignore"):
+            assert np.array_equal(low, np.square(lattice.min(axis=1)))
+            assert np.array_equal(high, np.square(lattice.max(axis=1)))
 
 
 class TestPrunedRows:
@@ -1288,6 +1309,23 @@ class TestOneFrame:
                       if isinstance(node, ast.Attribute) and node.attr == "frexp"
                       or isinstance(node, ast.Name) and node.id == "frexp"]
         assert found == [("spectral.py", True)]
+
+    def test_three_tables_hold_what_a_pass_precomputes(self):
+        """The package caches what its passes read of the window and the
+        weight in three ``functools.lru_cache`` tables of ``phasespace``, one
+        per key, and nowhere else: ``_window`` (grid), ``_weight`` (s,
+        oscillator, grid) and ``_weight_columns`` (s, oscillator, grid, p,
+        first row)."""
+        found = []
+        for path in sorted(Path(ah.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found += [(path.name, node.name) for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef)
+                      for decorator in node.decorator_list
+                      if "lru_cache" in ast.unparse(decorator)
+                      or ast.unparse(decorator) in ("cache", "functools.cache")]
+        assert sorted(found) == [("phasespace.py", name)
+                                 for name in ("_weight", "_weight_columns", "_window")]
 
     def test_one_frame_per_measured_value(self, monkeypatch):
         """A measured value derives its field's scale, peak and layout once:

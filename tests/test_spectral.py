@@ -578,6 +578,14 @@ class TestOneParity:
             decompose(hermite_osc, grid, 1, parity=-1)
         assert decompose(hermite_osc, grid, 2, parity=-1).m == 1
 
+    @pytest.mark.parametrize("m,parity", [(16, 2), (1, -1)], ids=["not_a_parity", "no_mode"])
+    def test_parity_errors_name_the_parity(self, hermite_osc, m, parity):
+        """Both parity errors are the package's argument error, with
+        ``field`` set, as every other bad argument of ``decompose``."""
+        with pytest.raises(InvalidSpecError) as exc:
+            decompose(hermite_osc, Grid(64, 8.0), m, parity=parity)
+        assert exc.value.field == "parity"
+
     def test_eigenvalue_solver_failure_is_nonconvergence(self, hermite_osc, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
