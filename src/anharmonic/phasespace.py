@@ -23,14 +23,20 @@ pass runs one range of rows on one block grid from row 0, the first and
 last block clipped to the range. ``stft`` moves each block into ascending
 xi order (the fftshift), applies h and the staggered-grid phase to that
 copy and fills the full ``PhaseSpaceField``. The norms
-reduce in the order the pass yields: the weight lattice is cached with its
-columns in FFT order, and a norm moves its column sums to ascending xi once,
-at the end (the order of the xi lattice is only a convention). Every norm is
-reduced by ``_weighted_columns`` (weighted inner L^p column sums or sups) and
+reduce in the order the pass yields, and a norm moves its column sums to
+ascending xi once, at the end (the order of the xi lattice is only a
+convention). The weight v_s is even in x and in xi (V is even and v_s reads
+|omega| only), so ``_weight`` caches only the quarter of its lattice on the
+rows x > 0 and the FFT bins 0..N/2, and every reader takes views of it: a
+block of rows x < 0 reads the quarter's rows reversed, and the FFT columns
+N/2 + 1..N - 1 of a complex block read its columns N/2 - 1..1 reversed
+(``_quarter_rows``, ``_column_pieces``). At 512 points a cached weight holds
+0.50 MiB, not the 2 MiB of the whole lattice. Every norm is reduced by
+``_weighted_columns`` (weighted inner L^p column sums or sups) and
 ``_outer_reduce`` (outer L^q): ``mixed_norm`` feeds it |field|, put in FFT
 order, as one block, ``modulation_norm`` the blocks of the pass, so a
 streamed norm holds a few blocks, never the lattice, and ``_l2_cap`` row
-blocks of the weight lattice. At an even p a streamed norm reduces the
+blocks of the weight quarter. At an even p a streamed norm reduces the
 squared moduli m^2 = re^2 + im^2 of the unscaled blocks, with no modulus
 and no per-cell h: it weights m^2 twice by v_s, sums ((m^2 v_s) v_s)^(p/2)
 and puts h^p on the column sums once. Any other p, and INF, reduce the
@@ -61,9 +67,9 @@ give only equivalent norms (Groechenig, Foundations of Time-Frequency Analysis, 
 A real field streams half the spectrum: |V_g f(x, -xi)| = |V_g f(x, xi)|
 for real f and the real g, and the weight depends on |xi| only, so the
 pass runs ``rfft`` on the real windowed product, reduces the bins 0..N/2 (the
-leading FFT columns, weighted by the leading lattice columns) and mirrors
-their column sums onto the FFT columns N - k. Complex fields take the full
-spectrum.
+leading FFT columns, weighted by the quarter's columns as they are) and
+mirrors their column sums onto the FFT columns N - k. Complex fields take the
+full spectrum.
 A real field that is bitwise even or odd (the frame's ``_reflection_parity``;
 every state of a parity-sector flow in ``nlheat`` is one) streams half the
 rows as well. The staggered nodes give -x_i = x_{N-1-i} bit for bit, so
@@ -97,9 +103,10 @@ once per flow and stops its Picard sweeps on that cap of the coefficient
 norms of the sweep gaps, lifted by the Gram bound of its modes.
 What a pass reads of its two fixed objects, the window g and the weight v_s,
 is kept in three tables, one per key: ``_window`` (grid) holds g and the
-bands the bounds read off it, ``_weight`` (s, oscillator, grid) the weight
-lattice and its squared row min and max, and ``_weight_columns`` (s,
-oscillator, grid, p, first row) the lattice's own column sums.
+bands the bounds read off it, ``_weight`` (s, oscillator, grid) the quarter
+of the weight lattice and the squares of the lattice's row min and max, and
+``_weight_columns`` (s, oscillator, grid, p, first row) the lattice's own
+column sums.
 A state's norm has a much tighter certified bound, ``_state_bounds``, that
 runs no FFT over the lattice. The triangle inequality over the samples, and
 again after the DFT convolution theorem, bounds every cell:
@@ -221,7 +228,7 @@ def _stft_blocks(f: np.ndarray, grid: Grid, real: bool, rows: tuple):
     ``rows`` = (start, stop) is the range of x shifts to run: (0, N), (N/2, N)
     for the half-row pass of an even or odd field, or a ``_kept_rows`` range.
     The block has shape (rows, N), frequencies in FFT order (bin 0 first),
-    the order the weight lattice and the norms use, with neither fftshift
+    the order the norms reduce in, with neither fftshift
     nor the staggered-grid phase applied. The blocks lie on one grid of
     ``_BLOCK_CELLS`` / N rows (at least one) from row 0, the first and last
     clipped to the range; for a power-of-two N this height divides N/2 or
@@ -273,11 +280,20 @@ def stft(f: FieldSample) -> PhaseSpaceField:
 
 @functools.lru_cache(maxsize=8)
 def _weight(s: float, osc: OscillatorSpec | None, grid: Grid):
-    """(lattice, low, high): ``weight_value`` on the full (x, xi) lattice,
-    columns in the FFT order of ``_stft_blocks``, or None for s = 0 (the
-    flat weight, reduced from the raw magnitudes); and the squares of its
-    row min and of its row max, two N-vectors (ones for the flat weight).
-    A square that overflows is inf.
+    """(quarter, low, high): ``weight_value`` on the quarter of the (x, xi)
+    lattice that holds all of it, the N/2 rows x > 0 (rows N/2..N of the
+    pass) by the N/2 + 1 FFT bins 0..N/2, or None for s = 0 (the flat
+    weight, reduced from the raw magnitudes); and the squares of the row min
+    and of the row max of the whole lattice, two N-vectors (ones for the
+    flat weight). The weight is even in x and in xi: the staggered nodes
+    give x_{N-1-i} = -x_i bit for bit and V is even, so row i < N/2 is
+    quarter row N/2 - 1 - i, and it reads |omega| only, so FFT column
+    N - j is column j. Every reader takes views of the quarter
+    (``_quarter_rows``), and no (N, N) weight array is formed.
+
+    The quarter is built with overflow ignored: an entry that overflows is
+    inf, as is a square of the row bounds that overflows, and whichever
+    reader meets it decides between NumericalError and inf.
 
     Frequency-scale conversion lives here and nowhere else: the transform
     lattice carries cycle frequencies xi = n/(2L), while the operator symbol,
@@ -287,13 +303,27 @@ def _weight(s: float, osc: OscillatorSpec | None, grid: Grid):
         ones = np.ones(grid.points_per_axis)
         ones.setflags(write=False)
         return None, ones, ones
-    xi = np.fft.ifftshift(grid.frequency_nodes())
-    lattice = weight_value(s, osc, grid.nodes()[:, None], 2.0 * np.pi * xi[None, :])
+    half = grid.points_per_axis // 2
+    xi = np.fft.ifftshift(grid.frequency_nodes())[:half + 1]
     with np.errstate(over="ignore"):
-        bounds = np.square(lattice.min(axis=1)), np.square(lattice.max(axis=1))
-    for a in (lattice, *bounds):
+        quarter = weight_value(s, osc, grid.nodes()[half:, None], 2.0 * np.pi * xi[None, :])
+        bounds = np.square(quarter.min(axis=1)), np.square(quarter.max(axis=1))
+    bounds = [np.concatenate((b[::-1], b)) for b in bounds]
+    for a in (quarter, *bounds):
         a.setflags(write=False)
-    return (lattice, *bounds)
+    return (quarter, *bounds)
+
+
+def _quarter_rows(quarter: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The rows lo..hi of the weight lattice whose quarter (``_weight``) is
+    ``quarter``, over its N/2 + 1 columns: a view of the quarter, its rows
+    reversed for x < 0, or, for rows on both sides of x = 0, a copy."""
+    half = len(quarter)
+    if lo >= half:
+        return quarter[lo - half:hi - half]
+    if hi <= half:
+        return quarter[half - hi:half - lo][::-1]
+    return np.concatenate((quarter[half - lo - 1::-1], quarter[:hi - half]))
 
 
 def _band(values: np.ndarray, cell: float):
@@ -425,17 +455,20 @@ def _weight_columns(s: float, osc: OscillatorSpec | None, grid: Grid, p,
                     first_row: int) -> np.ndarray:
     """``_weighted_columns`` of the weight lattice itself over the rows
     first_row..N: the column sums of v_s^p (column max for INF), columns in
-    FFT order. The cached lattice is reduced in row blocks of the pass's
-    size, never as a whole; the flat weight's column sums are the row
-    count."""
+    FFT order. The rows of the cached quarter are reduced in row blocks of
+    the pass's size and order (``_quarter_rows``), never as a whole, and
+    its N/2 + 1 column sums are mirrored onto the FFT columns N - j; the
+    flat weight's column sums are the row count."""
     n = grid.points_per_axis
-    lattice = _weight(s, osc, grid)[0]
-    if lattice is None:
+    quarter = _weight(s, osc, grid)[0]
+    if quarter is None:
         columns = np.full(n, 1.0 if is_inf(p) else float(n - first_row))
     else:
         rows = max(1, _BLOCK_CELLS // n)
-        blocks = ((lo, lattice[lo:lo + rows]) for lo in range(first_row, n, rows))
+        blocks = ((lo, _quarter_rows(quarter, lo, min(lo + rows, n)))
+                  for lo in range(first_row, n, rows))
         [columns] = _weighted_columns(blocks, [None], p)
+        columns = np.concatenate((columns, columns[-2:0:-1]))
     columns.setflags(write=False)
     return columns
 
@@ -445,20 +478,23 @@ def _column_reduce(w: np.ndarray, p) -> np.ndarray:
     INF, otherwise the column sums of w^p (cell measure not yet applied).
     An integer p is formed by repeated squaring in new arrays rather than
     the general ``pow`` (p = 1 sums w itself, p = 2 is one square); w is
-    never written, so a caller may hand the same block to another weight."""
+    never written, so a caller may hand the same block to another weight.
+    Power sums that overflow are inf, with no numpy warning: the caller
+    decides what an inf column means (``_weighted_columns``)."""
     if is_inf(p):
         return w.max(axis=0)
     p = float(p)
-    if not p.is_integer():
-        return (w ** p).sum(axis=0)
-    n, square, power = int(p), w, None
-    while True:
-        if n & 1:
-            power = square if power is None else power * square
-        n >>= 1
-        if not n:
-            return power.sum(axis=0)
-        square = square * square
+    with np.errstate(over="ignore"):
+        if not p.is_integer():
+            return (w ** p).sum(axis=0)
+        n, square, power = int(p), w, None
+        while True:
+            if n & 1:
+                power = square if power is None else power * square
+            n >>= 1
+            if not n:
+                return power.sum(axis=0)
+            square = square * square
 
 
 def _outer_reduce(columns: np.ndarray, p, q, cell_x, cell_xi) -> float:
@@ -474,18 +510,22 @@ def _outer_reduce(columns: np.ndarray, p, q, cell_x, cell_xi) -> float:
     return float((np.sum(inner ** q) * cell_xi) ** (1.0 / q))
 
 
-def _weighted_columns(blocks, lattices, p, squared=False) -> list:
+def _weighted_columns(blocks, lattices, p, squared=False, first_column=0) -> list:
     """The inner reduction of every phase-space norm, for several weights from
     one pass. Each (lo, block) holds the magnitudes m of lattice rows lo..,
-    or (``squared``, at an even p only) their squares m^2, columns in FFT
-    order; every entry of ``lattices`` weights it by the leading columns of
-    those rows (all of them, or the bins 0..N/2 of an ``rfft`` block). A
-    None lattice reduces the block itself; any other weights a new product,
+    or (``squared``, at an even p only) their squares m^2, on the FFT
+    columns first_column.. (all N of them, or the bins 0..N/2 of an
+    ``rfft`` block). Every entry of ``lattices`` is None or a weight quarter
+    (``_weight``), read on those rows and columns as views
+    (``_quarter_rows``, ``_column_pieces``): the bins 0..N/2 read the
+    quarter's columns, the bins N/2 + 1.. the same columns reversed. A None
+    lattice reduces the block itself; any other weights a new product,
     except the last, which overwrites the block in place (so a single
     lattice costs no copy). Blocks may differ in rows. Squared moduli are
     weighted twice, (m^2 v) v, and reduced at the power p/2, so no cell
     takes a square root; at p = 2 the weighting and the column sum are one
-    ``einsum``, with the same products in the same row order.
+    ``einsum`` per column range, with the same products in the same row
+    order.
 
     Finiteness is judged on each block's column sums (column maxes for
     INF), not on its cells: only a part that is not finite has the weighted
@@ -498,18 +538,26 @@ def _weighted_columns(blocks, lattices, p, squared=False) -> list:
     inner = float(p) / 2.0 if squared else p
     last = len(lattices) - 1
     columns = [None] * len(lattices)
+    pieces = {}  # the ``_column_pieces`` of each block width
     for lo, block in blocks:
         rows, width = block.shape
-        for k, lattice in enumerate(lattices):
-            weights = None if lattice is None else lattice[lo:lo + rows, :width]
-            if squared and inner == 1.0 and weights is not None:  # p = 2: sum_i (m^2 v) v
-                part = np.einsum("ij,ij,ij->j", block, weights, weights)
+        for k, quarter in enumerate(lattices):
+            weights = []
+            if quarter is not None:
+                if width not in pieces:
+                    pieces[width] = _column_pieces(len(quarter), first_column, width)
+                lattice_rows = _quarter_rows(quarter, lo, lo + rows)
+                weights = [(cols, lattice_rows[:, at]) for cols, at in pieces[width]]
+            if squared and inner == 1.0 and weights:  # p = 2: sum_i (m^2 v) v
+                part = np.empty(width)
+                for cols, w in weights:
+                    np.einsum("ij,ij,ij->j", block[:, cols], w, w, out=part[cols])
             else:
-                weighted = block
-                if weights is not None:
-                    weighted = np.multiply(block, weights, out=block if k == last else None)
+                weighted = block if k == last or not weights else np.empty_like(block)
+                for cols, w in weights:
+                    np.multiply(block[:, cols], w, out=weighted[:, cols])
                     if squared:
-                        weighted *= weights
+                        weighted[:, cols] *= w
                 part = _column_reduce(weighted, inner)
                 if not (squared or np.isfinite(part).all() or np.isfinite(weighted).all()):
                     raise NumericalError("mixed norm encountered non-finite weighted values")
@@ -520,6 +568,21 @@ def _weighted_columns(blocks, lattices, p, squared=False) -> list:
             else:
                 columns[k] += part
     return columns
+
+
+def _column_pieces(half: int, first: int, width: int) -> list:
+    """[(block columns, quarter columns)] for a block on the FFT columns
+    first..first + width of a lattice of 2 half points: column c <= N/2
+    reads quarter column c, and column c > N/2 (the bin c - N) quarter
+    column N - c, a reversed slice."""
+    n, stop = 2 * half, first + width
+    pieces = []
+    if first <= half:
+        pieces.append((slice(0, min(stop, half + 1) - first), slice(first, min(stop, half + 1))))
+    if stop > half + 1:
+        start = max(first, half + 1)
+        pieces.append((slice(start - first, width), slice(n - start, n - stop, -1)))
+    return pieces
 
 
 def _squared_moduli(blocks):
@@ -637,10 +700,11 @@ def _state_bounds(frame, grid: Grid, s: float, osc: OscillatorSpec | None,
     c_n times the column max for INF) bounds the whole column: the cells
     are formed, and reduced by ``_weighted_columns``, only in the range of
     columns whose such bound is more than ``_REFINED_SHARE`` of the outer
-    sum; the other columns keep that bound. The value is lifted by
-    8 N eps / (min(p, 1) min(q, 1)), which covers the relative round-off
-    of both reductions. Each field is bounded in its frame, as it is
-    measured, and its bound scaled back once. The fields of one layout
+    sum, weighted by views of the weight quarter on those rows and columns
+    (``first_column``); the other columns keep that bound. The value is
+    lifted by 8 N eps / (min(p, 1) min(q, 1)), which covers the relative
+    round-off of both reductions. Each field is bounded in its frame, as it
+    is measured, and its bound scaled back once. The fields of one layout
     (real, first_row) share every O(N) sum and the FFT, each along a row,
     so a field's bound is the one it gets alone; only the reduction of its
     refined cells runs field by field.
@@ -649,7 +713,7 @@ def _state_bounds(frame, grid: Grid, s: float, osc: OscillatorSpec | None,
     n, h = grid.points_per_axis, grid.h
     p, q = params.p, params.q
     fft_error = _fft_error(n)
-    lattice = _weight(s, osc, grid)[0]
+    quarter = _weight(s, osc, grid)[0]
     _, band, rest, spectral_band, spectral_rest, total = _window(grid)
     bounds = np.where(peak == 0.0, 0.0, math.inf)
     finite = (0.0 < peak) & (peak < np.inf)
@@ -682,12 +746,11 @@ def _state_bounds(frame, grid: Grid, s: float, osc: OscillatorSpec | None,
                                                            columns, refined):
                 lo, hi = int(np.argmax(keep)), width - int(np.argmax(keep[::-1]))
                 height = max(1, _BLOCK_CELLS // (hi - lo))
-                blocks = ((start, np.minimum.outer(r_bounds[start:start + height],
-                                                   c_bounds[lo:hi]))
+                blocks = ((first + start, np.minimum.outer(r_bounds[start:start + height],
+                                                           c_bounds[lo:hi]))
                           for start in range(0, n - first, height))
                 try:
-                    [cols[lo:hi]] = _weighted_columns(
-                        blocks, [None if lattice is None else lattice[first:, lo:hi]], p)
+                    [cols[lo:hi]] = _weighted_columns(blocks, [quarter], p, first_column=lo)
                 except NumericalError:
                     continue
                 bounds[row] = _outer_reduce(_full_columns(cols, is_real, first, p), p, q, h,
@@ -703,8 +766,10 @@ def mixed_norm(field: PhaseSpaceField, s: float, osc: OscillatorSpec | None,
 
     INF exponents take the lattice sup; exponents below 1 use the same
     power-sum formula (quasi-norm). Cell measures are h and 1/(2L).
-    |field| is put in the FFT column order of the weight lattice first, and
-    its column sums back in ascending xi, as the streamed norm's are.
+    |field| is put in the FFT column order of the pass first, and its
+    column sums back in ascending xi, as the streamed norm's are. Its one
+    block of every row reads the weight quarter on both sides of x = 0: a
+    copy of N by N/2 + 1 weights for the moment of the call.
     """
     grid = field.grid
     [columns] = _weighted_columns([(0, np.fft.ifftshift(np.abs(field.values), axes=1))],

@@ -1,8 +1,11 @@
 """``tools/compare_configs.py``, the check that two source trees give the same
 outputs, on synthetic outcomes: its ``_compare`` reads a non-finite row
-value as a schema-4 report writes it, the string "inf", "-inf" or "nan"."""
+value as a schema-4 report writes it, the string "inf", "-inf" or "nan",
+and shows each manifest's peak RSS without failing on it."""
 
 import importlib.util
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,11 +18,12 @@ compare_configs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(compare_configs)
 
 
-def outcome(value, passed):
+def outcome(value, passed, rss_mb=40.0):
     """One manifest's outcome with one report row."""
     row = {"name": "duhamel_residual", "value": value, "passed": passed}
-    return {"code": 0 if passed else 1, "stderr": "", "rows": {"duhamel_residual": row},
-            "warnings": {}, "csv": {"trajectory.csv": b"t\n0.0\n"}}
+    return {"code": 0 if passed else 1, "stderr": "", "rss_mb": rss_mb,
+            "rows": {"duhamel_residual": row}, "warnings": {},
+            "csv": {"trajectory.csv": b"t\n0.0\n"}}
 
 
 @pytest.mark.parametrize("old,new", [("inf", "inf"), ("nan", "nan"), (float("inf"), "inf"),
@@ -52,3 +56,23 @@ def test_it_caps_every_thread_pool_a_report_records():
     """A compared run caps the thread pools that ``cli`` records in a
     report's provenance, all of them at one thread."""
     assert compare_configs._THREAD_VARIABLES == anharmonic.cli._THREAD_VARS
+
+
+def test_peak_rss_is_shown_and_never_fails(capsys):
+    """A manifest whose peak RSS doubles is shown beside its exit codes and
+    counts as neither a failure nor a moved row."""
+    assert compare_configs._compare("m", outcome(1.0, True, 40.0),
+                                    outcome(1.0, True, 80.25)) == (0, 0)
+    assert "m: exit 0 / 0, peak RSS 40.0 / 80.2 MB" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("code", [0, 3])
+def test_a_child_reports_its_code_stderr_and_peak_rss(code, tmp_path):
+    """``_child`` reaps the process itself: the exit code, the stderr text
+    and a peak RSS that holds the 32 MiB the child wrote."""
+    script = ("import sys; b = bytearray(b'x') * (32 << 20); "
+              f"print('done', file=sys.stderr); sys.exit({code})")
+    got, stderr, rss_mb = compare_configs._child([sys.executable, "-c", script],
+                                                 dict(os.environ), tmp_path)
+    assert (got, stderr) == (code, "done\n")
+    assert 32.0 < rss_mb < 512.0

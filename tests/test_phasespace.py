@@ -14,9 +14,10 @@ from anharmonic import (INF, BoundaryMassWarning, FieldSample, Grid,
                         PhaseSpaceField, apply_conjugation, mixed_norm,
                         modulation_norm, modulation_norms, stft, weight_value)
 from anharmonic.estimators import gaussian_probe_fields
-from anharmonic.phasespace import (_column_reduce, _frame, _kept_rows, _l2_cap,
-                                   _modulation_columns, _outer_reduce, _state_bounds, _weight,
-                                   _weight_columns, _weighted_columns, _window)
+from anharmonic.phasespace import (_BLOCK_CELLS, _column_pieces, _column_reduce, _frame,
+                                   _kept_rows, _l2_cap, _modulation_columns, _outer_reduce,
+                                   _quarter_rows, _state_bounds, _weight, _weight_columns,
+                                   _weighted_columns, _window)
 from oracles import (dense_stft, gaussian_lattice_stft_abs, gaussian_window_transform_abs,
                      mixed_norm_reference)
 
@@ -52,6 +53,21 @@ def quartic_lattice(grid, s):
     x = grid.nodes()
     xi = grid.frequency_nodes()
     return (1.0 + x[:, None] ** 2 + 2.0 * np.pi * np.abs(xi)[None, :]) ** s
+
+
+def full_lattice(quarter):
+    """The whole weight lattice of a ``_weight`` quarter, columns in FFT
+    order: row i < N/2 is quarter row N/2 - 1 - i, and column j > N/2 is
+    quarter column N - j."""
+    rows = np.concatenate((quarter[::-1], quarter))
+    return np.concatenate((rows, rows[:, -2:0:-1]), axis=1)
+
+
+def full_weight(s, osc, grid):
+    """The independent reference of the weight quarter: ``weight_value`` on
+    the full (x, xi) lattice, columns in FFT order."""
+    xi = np.fft.ifftshift(grid.frequency_nodes())
+    return weight_value(s, osc, grid.nodes()[:, None], 2.0 * np.pi * xi[None, :])
 
 
 def unit_gaussian(grid):
@@ -616,8 +632,9 @@ class TestSharedPass:
         rng = np.random.default_rng(7)
         mag = rng.uniform(0.0, 3.0, (16, 24))
         kept = mag.copy()
-        lattice = rng.uniform(0.5, 2.0, (16, 24))
-        raw, again, weighted = _weighted_columns([(0, mag)], [None, None, lattice], p)
+        quarter = rng.uniform(0.5, 2.0, (12, 13))
+        lattice = full_lattice(quarter)[:16]
+        raw, again, weighted = _weighted_columns([(0, mag)], [None, None, quarter], p)
         assert np.array_equal(raw, again)
         if p is INF:
             assert np.array_equal(raw, kept.max(axis=0))
@@ -634,10 +651,10 @@ class TestSharedPass:
         bit, its per-block reductions added in order."""
         rng = np.random.default_rng(5)
         mag = rng.uniform(0.0, 3.0, (19, 24))
-        lattices = [rng.uniform(0.5, 2.0, (19, 24)) for _ in range(2)]
+        quarters = [rng.uniform(0.5, 2.0, (12, 13)) for _ in range(2)]
         cuts = [(0, 5), (5, 13), (13, 19)]  # the first block is shorter than the second
-        got = _weighted_columns([(lo, mag[lo:hi].copy()) for lo, hi in cuts], lattices, p)
-        for lattice, columns in zip(lattices, got):
+        got = _weighted_columns([(lo, mag[lo:hi].copy()) for lo, hi in cuts], quarters, p)
+        for lattice, columns in zip(map(full_lattice, quarters), got):
             parts = [_column_reduce(mag[lo:hi] * lattice[lo:hi], p) for lo, hi in cuts]
             expected = parts[0]
             for part in parts[1:]:
@@ -651,8 +668,9 @@ class TestSharedPass:
         the same block, weighted twice."""
         rng = np.random.default_rng(7)
         mag = rng.uniform(0.0, 3.0, (16, 24))
-        lattice = rng.uniform(0.5, 2.0, (16, 24))
-        raw, again, weighted = _weighted_columns([(0, mag ** 2)], [None, None, lattice], p,
+        quarter = rng.uniform(0.5, 2.0, (12, 13))
+        lattice = full_lattice(quarter)[:16]
+        raw, again, weighted = _weighted_columns([(0, mag ** 2)], [None, None, quarter], p,
                                                  squared=True)
         assert np.array_equal(raw, again)
         assert raw == pytest.approx((mag ** p).sum(axis=0), rel=1e-14)
@@ -667,15 +685,15 @@ class TestSharedPass:
         raised. Squared moduli are never tested: their inf columns are the
         caller's to measure again from magnitudes."""
         mag = np.full((2, 3), 1e4)
-        lattice = np.full((2, 3), v)
+        quarter = np.full((2, 3), v)  # of a 4-point lattice: rows 0 and 1 read it reversed
         with np.errstate(over="ignore"):
             if raises:
                 with pytest.raises(NumericalError):
-                    _weighted_columns([(0, mag.copy())], [lattice], 2.0)
+                    _weighted_columns([(0, mag.copy())], [quarter], 2.0)
             else:
-                [columns] = _weighted_columns([(0, mag.copy())], [lattice], 2.0)
+                [columns] = _weighted_columns([(0, mag.copy())], [quarter], 2.0)
                 assert np.all(columns == np.inf)
-            [squared] = _weighted_columns([(0, mag ** 2)], [lattice], 2.0, squared=True)
+            [squared] = _weighted_columns([(0, mag ** 2)], [quarter], 2.0, squared=True)
         assert np.all(squared == np.inf)
 
     @pytest.mark.parametrize("p", [2.0, 4.0, 6.0], ids=_exponent_id)
@@ -686,11 +704,11 @@ class TestSharedPass:
         order."""
         rng = np.random.default_rng(5)
         squares = rng.uniform(0.0, 9.0, (19, 24))
-        lattices = [rng.uniform(0.5, 2.0, (19, 24)) for _ in range(2)]
+        quarters = [rng.uniform(0.5, 2.0, (12, 13)) for _ in range(2)]
         cuts = [(0, 5), (5, 13), (13, 19)]  # the first block is shorter than the second
-        got = _weighted_columns([(lo, squares[lo:hi].copy()) for lo, hi in cuts], lattices, p,
+        got = _weighted_columns([(lo, squares[lo:hi].copy()) for lo, hi in cuts], quarters, p,
                                 squared=True)
-        for lattice, columns in zip(lattices, got):
+        for lattice, columns in zip(map(full_lattice, quarters), got):
             parts = [_column_reduce(squares[lo:hi] * lattice[lo:hi] * lattice[lo:hi], p / 2.0)
                      for lo, hi in cuts]
             assert np.array_equal(columns, parts[0] + parts[1] + parts[2])
@@ -775,22 +793,135 @@ class TestL2Cap:
 
 
 class TestWeight:
-    """``_weight`` keeps the weight lattice with the squares of its row min
-    and row max, which bound every row's share of a p = q = 2 norm."""
+    """``_weight`` keeps the weight on the quarter of the lattice that holds
+    all of it, the rows x > 0 by the FFT bins 0..N/2, with the squares of
+    the row min and row max of the whole lattice, which bound every row's
+    share of a p = q = 2 norm. Each reader must see, bit for bit, the cells
+    of the full lattice ``full_weight``."""
+
+    OSCILLATORS = [(1, 1), (2, 1), (1, 2), (3, 2)]
+    POINTS = [8, 16, 128, 512]
 
     @pytest.mark.parametrize("s", [FLAT, -3.0, 0.02, 2.0, 100.0])
     @pytest.mark.parametrize("osc", ["harmonic", "quartic"])
     def test_row_bounds_are_the_squared_row_extremes(self, osc, s, quartic_osc):
-        """Bit for bit, and inf where a square overflows (quartic, s = 100);
-        the flat weight has no lattice and rows of ones."""
+        """Bit for bit the extremes of the full lattice's rows, and inf where
+        a square overflows (quartic, s = 100); the flat weight has no
+        lattice and rows of ones."""
         grid = Grid(128, 10.0)
-        lattice, low, high = _weight(s, HARMONIC if osc == "harmonic" else quartic_osc, grid)
-        assert (lattice is None) == (s == FLAT)
-        if lattice is None:
-            lattice = np.ones((128, 128))
+        osc = HARMONIC if osc == "harmonic" else quartic_osc
+        quarter, low, high = _weight(s, osc, grid)
+        assert (quarter is None) == (s == FLAT)
         with np.errstate(over="ignore"):
+            lattice = np.ones((128, 128)) if s == FLAT else full_weight(s, osc, grid)
             assert np.array_equal(low, np.square(lattice.min(axis=1)))
             assert np.array_equal(high, np.square(lattice.max(axis=1)))
+
+    @pytest.mark.parametrize("n", POINTS)
+    @pytest.mark.parametrize("k,l", OSCILLATORS)
+    def test_readers_see_every_cell_of_the_full_lattice(self, k, l, n):
+        """The weights ``_weighted_columns`` reads for a block: on the
+        pass's block grid from row 0 and from row N/2, real (bins 0..N/2)
+        and complex (every bin), on rows on both sides of x = 0 (at N = 8,
+        16 and 128 the first block holds every row), and on the column
+        ranges of ``_state_bounds`` that start on either side of the bin
+        N/2. Uncovered cells would stay NaN."""
+        grid = Grid(n, 10.0)
+        s = 2.5
+        osc = ah.OscillatorSpec(k, l)
+        quarter = _weight(s, osc, grid)[0]
+        assert quarter.shape == (n // 2, n // 2 + 1)
+        lattice = full_weight(s, osc, grid)
+        height = max(1, _BLOCK_CELLS // n)
+        rows = [(lo, min(lo + height, n)) for first in (0, n // 2)
+                for lo in range(first, n, height)]
+        rows += [(n // 2 - 3, n // 2 + 3), (0, n)]
+        half = n // 2
+        columns = [(0, half + 1), (0, n), (1, half), (2, half + 2), (half, n - 1),
+                   (half + 1, n), (half + 2, n - 2)]
+        for lo, hi in rows:
+            for first, stop in columns:
+                seen = np.full((hi - lo, stop - first), np.nan)
+                for cols, at in _column_pieces(n // 2, first, stop - first):
+                    seen[:, cols] = _quarter_rows(quarter, lo, hi)[:, at]
+                assert np.array_equal(seen, lattice[lo:hi, first:stop]), (lo, hi, first, stop)
+
+    @pytest.mark.parametrize("n", POINTS)
+    @pytest.mark.parametrize("k,l", OSCILLATORS)
+    def test_weighted_columns_reduce_the_full_lattice(self, k, l, n):
+        """``_weighted_columns`` of random blocks on the pass's block grid
+        under the quarter equals, bit for bit, the same reduction of the
+        products with the full lattice: at p = 1, and for squared moduli at
+        p = 2 (one ``einsum`` per column range) and p = 4."""
+        grid = Grid(n, 10.0)
+        osc = ah.OscillatorSpec(k, l)
+        quarter = _weight(1.5, osc, grid)[0]
+        lattice = full_weight(1.5, osc, grid)
+        height = max(1, _BLOCK_CELLS // n)
+        mag = np.random.default_rng(n).uniform(0.0, 2.0, (n, n))
+        for width in (n // 2 + 1, n):
+            cuts = [(lo, min(lo + height, n)) for lo in range(0, n, height)]
+            for p, squared in ((1.0, False), (2.0, True), (4.0, True)):
+                blocks = [(lo, mag[lo:hi, :width].copy()) for lo, hi in cuts]
+                [got] = _weighted_columns(blocks, [quarter], p, squared)
+                expected = 0.0
+                for lo, hi in cuts:
+                    w = lattice[lo:hi, :width]
+                    cells = mag[lo:hi, :width] * w * w if squared else mag[lo:hi, :width] * w
+                    expected = expected + _column_reduce(cells, p / 2.0 if squared else p)
+                assert np.array_equal(got, expected), (width, p)
+
+    @pytest.mark.parametrize("first", ["row0", "half"])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0, INF], ids=_exponent_id)
+    @pytest.mark.parametrize("n", POINTS)
+    @pytest.mark.parametrize("k,l", OSCILLATORS)
+    def test_weight_columns_are_those_of_the_full_lattice(self, k, l, n, p, first):
+        """``_weight_columns`` reduces the quarter's rows and mirrors its
+        columns; bit for bit ``_weighted_columns`` of the plain full lattice
+        in the same row blocks, columns in FFT order."""
+        grid = Grid(n, 10.0)
+        osc = ah.OscillatorSpec(k, l)
+        first_row = 0 if first == "row0" else n // 2
+        lattice = full_weight(2.0, osc, grid)
+        height = max(1, _BLOCK_CELLS // n)
+        blocks = [(lo, lattice[lo:lo + height]) for lo in range(first_row, n, height)]
+        [expected] = _weighted_columns(blocks, [None], p)
+        assert np.array_equal(_weight_columns(2.0, osc, grid, p, first_row), expected)
+
+    def test_holds_a_quarter_of_the_lattice(self):
+        """At 512 points the weight holds 256 x 257 float64 cells (0.50 MiB)
+        and two 512-vectors of row bounds, and no (512, 512) array is formed
+        on the way: the full lattice alone is 2 MiB."""
+        grid = Grid(512, 12.0)
+        _weight.__wrapped__(1.0, HARMONIC, grid)  # numpy's own first-use allocations
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            quarter, low, high = _weight.__wrapped__(2.0, HARMONIC, grid)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert quarter.shape == (256, 257) and low.shape == high.shape == (512,)
+        assert held - before < 0.6 * 2 ** 20
+        assert peak - before < 1.5 * 2 ** 20
+
+    def test_decided_overflows_raise_no_numpy_warning(self):
+        """Outcomes decided by the package, not by numpy's warnings: on
+        e^{-x^2} under the quartic weight the (2, 2) norm at s = 100 is the
+        documented inf (its power sums overflow, its weighted cells do not),
+        and at s = 200 the (1, 1) norm raises NumericalError (the weight
+        itself overflows). Neither may pass a numpy RuntimeWarning on, so
+        both run with warnings as errors and with the weights built inside."""
+        grid = Grid(128, 10.0)
+        f = FieldSample(grid, np.exp(-grid.nodes() ** 2))
+        osc = ah.OscillatorSpec(2, 1)
+        _weight.cache_clear()
+        _weight_columns.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert modulation_norm(f, 100.0, osc, MixedNormParams(2.0, 2.0)) == np.inf
+            with pytest.raises(NumericalError):
+                modulation_norm(f, 200.0, osc, MixedNormParams(1.0, 1.0))
 
 
 class TestPrunedRows:

@@ -10,14 +10,15 @@ with one BLAS thread and every series CSV written. The workloads file is
 read and executed from source, as ``tests/test_manifests.py`` does, so
 nothing is written next to it.
 
-For each manifest the tool prints the exit codes, whether each CSV is byte
-for byte the same, every report row whose value or verdict moved (with its
+For each manifest the tool prints the exit codes and the peak RSS of the
+two processes (``ru_maxrss`` of the child, read with ``os.wait4``), whether
+each CSV is byte for byte the same, every report row whose value or verdict moved (with its
 relative change) and every warning category whose count or first message
 changed. It exits 1 when a CSV, a row's verdict, the set of CSVs or rows,
 an exit code, or a warning category's count or first message differs, and
 0 otherwise: a value that moves with its verdict kept is shown, not
-failed. A first message catches warnings of one category that come in
-another order with the same count.
+failed, and a peak RSS is only shown. A first message catches warnings of
+one category that come in another order with the same count.
 """
 
 import argparse
@@ -49,9 +50,20 @@ def _config_manifests(tree: Path) -> dict:
             for path in sorted((tree / "configs").glob("*.json"))}
 
 
+def _child(command: list, env: dict, cwd: Path) -> tuple:
+    """Run ``command`` to its end: (exit code, stderr, peak RSS in MB), the
+    peak the kernel accounted to the child, read as it is reaped."""
+    with subprocess.Popen(command, env=env, cwd=cwd, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        stderr = proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, stderr, usage.ru_maxrss / 1024.0
+
+
 def _run(tree: Path, manifest: dict, out: Path) -> dict:
-    """Run one manifest in a fresh process: its exit code, report rows,
-    (count, first message) per warning category and CSV bytes."""
+    """Run one manifest in a fresh process: its exit code, peak RSS, report
+    rows, (count, first message) per warning category and CSV bytes."""
     out.mkdir(parents=True)
     config = out / "manifest.json"
     config.write_text(json.dumps(manifest), encoding="utf-8")
@@ -59,9 +71,8 @@ def _run(tree: Path, manifest: dict, out: Path) -> dict:
     env.update((name, "1") for name in _THREAD_VARIABLES)
     command = [sys.executable, "-m", "anharmonic.cli", manifest["kind"], "--config", str(config),
                "--out", str(out / "run"), "--format", "both"]
-    code = subprocess.run(command, env=env, cwd=out, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.PIPE, text=True)
-    outcome = {"code": code.returncode, "stderr": code.stderr.strip(), "rows": {},
+    code, stderr, rss_mb = _child(command, env, out)
+    outcome = {"code": code, "stderr": stderr.strip(), "rss_mb": rss_mb, "rows": {},
                "warnings": {}, "csv": {}}
     report = out / "run" / "report.json"
     if report.exists():
@@ -80,7 +91,8 @@ def _same(a, b) -> bool:
 def _compare(label: str, old: dict, new: dict) -> tuple:
     """Print one manifest's differences; (failures, moved rows)."""
     failures, moved = 0, 0
-    print(f"{label}: exit {old['code']} / {new['code']}")
+    print(f"{label}: exit {old['code']} / {new['code']}, "
+          f"peak RSS {old['rss_mb']:.1f} / {new['rss_mb']:.1f} MB")
     if old["code"] != new["code"]:
         failures += 1
         for side, outcome in (("parent", old), ("change", new)):
