@@ -33,10 +33,11 @@ def _warn_off_span(dec, f, context, coeffs=None):
 
 
 def _spectral_values(dec: SpectralDecomposition, phi, name: str) -> np.ndarray:
-    """phi(lambda) on the eigenvalues of ``dec``, ``phi`` called once on the
-    array: an output not shaped like ``dec.eigenvalues`` raises ValueError,
-    a non-finite value NumericalError naming the mode (``name`` names phi)."""
-    vals = np.asarray(phi(dec.eigenvalues), dtype=float)
+    """phi(lambda) on the eigenvalues of ``dec``, phi called once on the array:
+    the one rule for every phi. A wrong shape raises ValueError, a non-finite
+    value (an overflow too) NumericalError naming the mode (``name``, phi's)."""
+    with np.errstate(over="ignore"):  # an overflowing phi raises NumericalError below
+        vals = np.asarray(phi(dec.eigenvalues), dtype=float)
     if vals.shape != dec.eigenvalues.shape:
         raise ValueError(f"{name} returned shape {vals.shape}, "
                          f"not the eigenvalue shape {dec.eigenvalues.shape}")
@@ -72,7 +73,11 @@ def heat_semigroup(dec: SpectralDecomposition, beta: float, t: float,
     beta, t = _real(beta, "beta", True), _real(t, "t")
     if t < 0:
         raise InvalidSpecError("t must be finite and nonnegative", field="t")
-    return apply_spectral_function(dec, lambda lam: np.exp(-t * lam ** beta), f)
+    return apply_spectral_function(dec, _heat_phi(beta, t), f)
+
+
+def _heat_phi(beta, t):  # exp(-t lambda^beta), of heat_semigroup and a flow's propagator
+    return lambda lam: np.exp(-t * lam ** beta)
 
 
 def sobolev_norm(dec: SpectralDecomposition, s: float, f: FieldSample,
@@ -83,13 +88,16 @@ def sobolev_norm(dec: SpectralDecomposition, s: float, f: FieldSample,
     ``coeffs`` are f's coefficients when the caller has them already; an s
     that is not a finite real raises InvalidSpecError. The weights lambda^s
     go through the rule ``apply_spectral_function`` applies to phi(lambda):
-    one that overflows raises NumericalError naming the mode.
+    one that overflows raises NumericalError naming the mode. For s < 0 they
+    are (lambda / lambda_0)^s, and the norm is scaled back by lambda_0^(s/2).
     """
     s = _real(s, "s")
     if coeffs is None:
         coeffs = dec.coefficients(f)
     if s > 0:
         _warn_off_span(dec, f, "sobolev_norm", coeffs)
-    with np.errstate(over="ignore"):  # an overflowing weight raises NumericalError
-        weights = _spectral_values(dec, lambda lam: lam ** s, f"Sobolev weight lambda^{s!r}")
-    return _unframed(*_scaled_l2([coeffs], 1.0, weights))
+    base = dec.eigenvalues[0] if s < 0 else 1.0
+    weights = _spectral_values(dec, lambda lam: (lam / base) ** s,
+                               f"Sobolev weight lambda^{s!r}")
+    r, e = _scaled_l2([coeffs], 1.0, weights)
+    return _unframed(r * base ** (s / 2.0), e)

@@ -8,8 +8,8 @@ bodies contain only deterministically ordered, shortest-round-trip formatted
 numbers, so identical manifest and seed give byte-identical CSV files.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 schema violation or
-rejected manifest value (before any decomposition), 3 numerical failure,
-4 report write failure.
+rejected manifest value (before any decomposition), 3 numerical failure
+(NumericalError, or numpy's FloatingPointError), 4 report write failure.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .spectral import FieldSample, Grid, _field_parity, _scaled_l2, _unframed, d
 _KINDS = ("spectrum", "decay", "norms", "nlheat", "ou", "selftest")
 _NORMS_CHECKS = ("moyal", "equivalence", "algebra", "singular")
 _FORMATS = ("json", "both")  # report.json alone, or with the series CSVs
-_DEFAULT_SEED = 1234
 _L2_GAMMA_TOL = 1e-9  # Moyal holds up to the window-norm error, capped at 1e-10
 _SINGULAR_RADIUS = 6.0  # the norms singular check truncates |x|^(-alpha) at this radius
 _OU_CHECK_RADIUS = 6.0  # the ou constant-field check compares the field on |x| <= this
@@ -172,7 +171,7 @@ _TABLE = {
         "schema": ("int", _REQUIRED,
                    (lambda v: v == 1, "unsupported schema version; expected 1")),
         "kind": ("str", _REQUIRED, (lambda v: v in _KINDS, f"kind must be one of {_KINDS}")),
-        "seed": ("int", _DEFAULT_SEED,
+        "seed": ("int", 1234,
                  (lambda v: 0 <= v < 2 ** 64, "seed must be an unsigned 64-bit integer")),
         "format": ("str", "both",
                    (lambda v: v in _FORMATS, f"format must be one of {_FORMATS}")),
@@ -664,27 +663,25 @@ def _json_value(value):
     return str(value) if isinstance(value, float) and not np.isfinite(value) else value
 
 
-def run_manifest(path, out_dir=None, fmt=None, seed=None, verbose=False,
-                 expect_kind=None):
-    """Execute a manifest, given as a file path or as its JSON object; returns
-    (exit_code, ReportRecord or None). ``seed`` overrides the manifest's seed
-    and is held to the same rule; ``out_dir`` replaces the manifest's
-    output_dir and, like it, must not be empty."""
+def run_manifest(path, out_dir=None, fmt=None, seed=None, verbose=False):
+    """Execute a manifest, given as a file path or as its JSON object, by the
+    runner its ``kind`` names; returns (exit_code, ReportRecord or None).
+    ``seed`` overrides the manifest's seed and is held to the same rule;
+    ``out_dir`` replaces the manifest's output_dir and, like it, must not be
+    empty. The runner runs under numpy's raise mode (underflow ignored), so a
+    floating-point failure exits 3 as a NumericalError does."""
     try:
         _require(out_dir != "", "--out must name a directory", "--out")
         manifest = path if isinstance(path, dict) else _read_json(path)
         if seed is not None and isinstance(manifest, dict):
             manifest = {**manifest, "seed": seed}  # held to the manifest's seed rule
         run = validate_manifest(manifest)
-        if expect_kind is not None and run.kind != expect_kind:
-            raise SchemaError(
-                f"manifest kind {run.kind!r} does not match the "
-                f"{expect_kind!r} command", field="kind")
         record = ReportRecord(manifest_hash=_canonical_hash(manifest, run.seed),
                               version=__version__, kind=run.kind, seed=run.seed)
 
         started = time.perf_counter()
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught, \
+                np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
             warnings.simplefilter("always")
             _RUNNERS[run.kind](run, record)
         # one report entry per warning category: first message plus an event
@@ -704,7 +701,7 @@ def run_manifest(path, out_dir=None, fmt=None, seed=None, verbose=False,
         print(f"schema error: {exc}" + (f" (field: {field})" if field else ""),
               file=sys.stderr)
         return EXIT_SCHEMA, None
-    except NumericalError as exc:
+    except (NumericalError, FloatingPointError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if getattr(exc, "diagnostics", None):
             payload["diagnostics"] = exc.diagnostics
@@ -736,24 +733,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="anharmonic",
         description="Phase-space experiment runner for fractional oscillator semigroups")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for kind in _KINDS:
-        p = sub.add_parser(kind, help=f"run a {kind} manifest")
-        p.add_argument("--config", help="manifest path (selftest has a built-in default)")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--format", choices=_FORMATS, help="report format")
-        p.add_argument("--seed", type=int, help="overrides the manifest seed")
-        p.add_argument("--verbose", action="store_true")
+    parser.add_argument("manifest", help="manifest path; its kind picks the run")
+    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--format", choices=_FORMATS, help="report format")
+    parser.add_argument("--seed", type=int, help="overrides the manifest seed")
+    parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
-    source = args.config
-    if source is None:
-        if args.command != "selftest":
-            print("--config is required for this command", file=sys.stderr)
-            return EXIT_SCHEMA
-        source = {"schema": 1, "kind": "selftest", "seed": _DEFAULT_SEED}
-    code, record = run_manifest(source, out_dir=args.out, fmt=args.format, seed=args.seed,
-                                verbose=args.verbose, expect_kind=args.command)
+    code, record = run_manifest(args.manifest, out_dir=args.out, fmt=args.format,
+                                seed=args.seed, verbose=args.verbose)
     if record is not None and not args.verbose:
         status = "ok" if record.all_passed() else "CHECKS FAILED"
         print(f"{record.kind}: {len(record.results)} checks, {status}")

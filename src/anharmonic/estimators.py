@@ -173,11 +173,12 @@ def _quotient_columns(params: WeightQuotientParams, t: float, radius: float,
                 np.power(v, params.s2 - two_beta_n, out=v)
             else:  # v^s2 / (1 + t^N v^(2 beta N)), v = 1 + a + b
                 d = den[:v.shape[0]]
-                np.power(v, two_beta_n, out=d)
-                d *= t_n
-                d += 1.0
-                np.power(v, params.s2, out=v)
-                v /= d
+                with np.errstate(over="ignore", invalid="ignore"):  # the reduction refuses inf
+                    np.power(v, two_beta_n, out=d)
+                    d *= t_n
+                    d += 1.0
+                    np.power(v, params.s2, out=v)
+                    v /= d
             yield lo, v
 
     [columns] = _weighted_columns(blocks(), [None], params.p_tilde)

@@ -101,7 +101,8 @@ class OscillatorSpec:
 
 
 def _potential(osc, x):
-    return (x * x) ** osc.k
+    with np.errstate(over="ignore"):  # an overflowing V is inf, which its readers refuse
+        return (x * x) ** osc.k
 
 
 def evaluate_potential(osc: OscillatorSpec, x):

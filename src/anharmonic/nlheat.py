@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _warn_off_span
+from .calculus import _heat_phi, _spectral_values, _warn_off_span
 from .errors import InvalidSpecError, NonConvergenceError
 from .model import MixedNormParams, _count, _real
 from .phasespace import (_check_boundary_mass, _frame, _framed, _l2_cap, _measured_columns,
@@ -151,7 +151,7 @@ class _Engine:
         else:
             self.sign, self.rows = 0.0, slice(None)
             self.phi, self.cell = dec.eigenvectors, dec.grid.h
-        self.lam_beta = dec.eigenvalues ** spec.beta
+        self.beta = spec.beta
         self.coupling, self.power = spec.coupling, 2 * spec.nu
         self.sing = (np.abs(dec.grid.nodes()[self.rows]) ** (-spec.alpha)
                      if spec.kind == "inhomogeneous" else None)
@@ -161,7 +161,7 @@ class _Engine:
         self.c0.setflags(write=False)
         _warn_off_span(dec, spec.u0, "initial data", self.c0)
         self.cap_constant = (_l2_cap(self.monitor_s, dec.oscillator, dec.grid, self.monitor_params)
-                             * math.sqrt(1.0 + len(self.lam_beta) * _ORTHO_TOL))
+                             * math.sqrt(1.0 + dec.m * _ORTHO_TOL))
 
     @functools.cached_property
     def initial_values(self) -> tuple:
@@ -171,7 +171,7 @@ class _Engine:
         return self.monitored_norm(values, frame, 0), float(self.monitored_bounds(frame)[0])
 
     def propagator(self, dt: float) -> np.ndarray:
-        return np.exp(-dt * self.lam_beta)
+        return _spectral_values(self.dec, _heat_phi(self.beta, dt), "heat propagator")
 
     def to_coeff(self, values: np.ndarray) -> np.ndarray:
         return self.cell * real_matmul(self.phi.T, values)
@@ -309,7 +309,7 @@ class _Recorder:
         engine = self.engine
         steps = np.arange(first, first + states.shape[1])
         finite = np.isfinite(states).all(axis=0)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # an l2 that overflows is a blow-up
             l2 = np.where(finite, np.linalg.norm(states, axis=0), np.inf)
         on_stride = (steps % self.stride == 0) | (steps == self.steps)
         # between stride points only the l2 guard runs; a step it stops is

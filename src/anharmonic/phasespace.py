@@ -305,7 +305,7 @@ def _weight(s: float, osc: OscillatorSpec | None, grid: Grid):
         return None, ones, ones
     half = grid.points_per_axis // 2
     xi = np.fft.ifftshift(grid.frequency_nodes())[:half + 1]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an entry or bound that overflows is inf; readers decide
         quarter = weight_value(s, osc, grid.nodes()[half:, None], 2.0 * np.pi * xi[None, :])
         bounds = np.square(quarter.min(axis=1)), np.square(quarter.max(axis=1))
     bounds = [np.concatenate((b[::-1], b)) for b in bounds]
@@ -413,7 +413,7 @@ def _kept_rows(row, grid: Grid, s_values, osc: OscillatorSpec | None):
     low = functools.reduce(np.minimum, [w[1] for w in weights])[first_row:]
     high = functools.reduce(np.maximum, [w[2] for w in weights])[first_row:]
     slack = 4.0 * n * np.finfo(float).eps
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite scale keeps every row
         upper = ((energy + tail) * (1.0 + slack) + n * 2.0 ** -1072) * high
         budget = _ROW_SHARE * (1.0 - slack) * float(np.dot(energy, low))
         scale = n * grid.h * grid.h * float(np.sum(upper))
@@ -484,7 +484,7 @@ def _column_reduce(w: np.ndarray, p) -> np.ndarray:
     if is_inf(p):
         return w.max(axis=0)
     p = float(p)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an overflowing sum is inf; the caller decides
         if not p.is_integer():
             return (w ** p).sum(axis=0)
         n, square, power = int(p), w, None
@@ -722,7 +722,7 @@ def _state_bounds(frame, grid: Grid, s: float, osc: OscillatorSpec | None,
         f = scaled[rows]
         mag = np.abs(f)
         width = n // 2 + 1 if is_real else n
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves the bound inf
             row_bounds = h * (_banded_sums(mag, band, slice(first, None))
                               + rest * mag.sum(axis=-1, keepdims=True))
             spectrum = np.abs(np.fft.fft(f, axis=-1))
@@ -756,7 +756,7 @@ def _state_bounds(frame, grid: Grid, s: float, osc: OscillatorSpec | None,
                 bounds[row] = _outer_reduce(_full_columns(cols, is_real, first, p), p, q, h,
                                             grid.frequency_cell)
     below_one = [1.0 if is_inf(r) else min(float(r), 1.0) for r in (p, q)]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a bound that overflows when scaled back is inf
         return np.ldexp(bounds * (1.0 + 8.0 * n * _EPS / (below_one[0] * below_one[1])), e)
 
 

@@ -116,7 +116,7 @@ def _scaled_l2(values, cell: float, weights=1.0):
 
 def _unframed(value, e) -> float:
     """value 2^e: a framed value (or one ``_scaled_l2`` row) scaled back; inf on overflow."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a value that overflows when scaled back is inf
         return np.ldexp(value, e).item()
 
 

@@ -6,6 +6,15 @@ from anharmonic import phasespace
 from oracles import gaussian_stft_abs
 
 
+@pytest.fixture(autouse=True)
+def strict_floating_point():
+    """Every test runs in the floating-point mode of a manifest run
+    (``cli.run_manifest``): overflow, invalid and divide raise, so only a
+    site that opts out locally may make an inf or a NaN."""
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        yield
+
+
 class PassRanges(list):
     """(start, stop) of each recorded pass; ``blocks`` holds, per pass, the
     (lo, rows) of each of its blocks."""

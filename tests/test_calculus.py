@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from anharmonic import (FieldSample, GaussianConjugation, NumericalError, OffSpanWarning,
-                        apply_spectral_function, heat_semigroup, ou_semigroup, sobolev_norm)
+from anharmonic import (FieldSample, GaussianConjugation, Grid, NumericalError, OffSpanWarning,
+                        OscillatorSpec, apply_spectral_function, decompose,
+                        gaussian_probe_fields, heat_semigroup, ou_semigroup, sobolev_norm)
 from anharmonic.spectral import SpectralDecomposition
 
 
@@ -124,6 +125,18 @@ class TestSobolevNorm:
         c[0] = 1.0
         assert (sobolev_norm(small_dec, 100.0, small_dec.reconstruct(c), c)
                 == math.sqrt(small_dec.eigenvalues[0] ** 100.0))
+
+    def test_very_negative_order_keeps_the_ground_mode(self):
+        """At s = -20000 on the quartic decomposition every lambda_j^s
+        underflows, yet each norm, lambda_0^(s/2) |c_0| to within the modes
+        above (1e-260 to 1e-256), is representable: the weights are taken
+        relative to lambda_0 and the norm scaled back. All three read 0."""
+        grid = Grid(128, 10.0)
+        dec = decompose(OscillatorSpec(2, 1), grid, 32)
+        for f in gaussian_probe_fields(grid, 3, 1):
+            expected = dec.eigenvalues[0] ** -10000.0 * abs(dec.coefficients(f)[0])
+            assert 1e-261 < expected < 1e-255
+            assert sobolev_norm(dec, -20000.0, f) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_nonfinite_order_raises(self, hermite_dec, s):

@@ -18,6 +18,7 @@ from anharmonic.cli import (EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, EXIT_SCH
 
 
 GRID_KINDS = ("norms", "nlheat", "ou")  # the kinds that run on the top-level grid
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_manifest(tmp_path, payload, name="manifest.json"):
@@ -270,13 +271,6 @@ class TestRunManifest:
                                 "tolerance", "passed"}
             assert np.isfinite(row["deviation"])
             assert np.isfinite(row["tolerance"])
-
-    def test_kind_mismatch_is_schema_error(self, tmp_path, capsys):
-        path = write_manifest(tmp_path, selftest_manifest())
-        code, record = run_manifest(path, out_dir=str(tmp_path / "out"),
-                                    expect_kind="nlheat")
-        assert code == EXIT_SCHEMA and record is None
-        assert "does not match" in capsys.readouterr().err
 
     def test_invalid_manifest_exits_schema(self, tmp_path, capsys):
         path = write_manifest(tmp_path, {"schema": 1, "kind": "nope"})
@@ -681,6 +675,41 @@ class TestRunManifest:
         payload = json.loads(line[len(prefix):], parse_constant=reject)
         assert payload["diagnostics"]["last_gap"] == "inf"
 
+    def test_floating_point_error_exits_numerical(self, tmp_path, capsys, monkeypatch):
+        """The runner runs under numpy's raise mode whatever the caller's: an
+        overflow that no site opts out of exits 3 with no report, and the
+        strict-JSON stderr line names FloatingPointError."""
+        def overflowing(run, record):
+            return np.float64(1e300) * np.float64(1e300)
+
+        monkeypatch.setitem(anharmonic.cli._RUNNERS, "selftest", overflowing)
+        with np.errstate(all="warn"):
+            code, record = run_manifest(selftest_manifest(), out_dir=str(tmp_path / "out"))
+        assert code == EXIT_NUMERICAL and record is None
+        assert not (tmp_path / "out").exists()
+        prefix = "numerical failure: "
+        [line] = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith(prefix)]
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(line[len(prefix):], parse_constant=reject)
+        assert payload["error"] == "FloatingPointError"
+        assert "overflow" in payload["message"]
+
+    def test_huge_beta_flow_leaves_no_warning(self, tmp_path):
+        """beta = 1e300 is a valid flow: lambda^beta overflows to inf above
+        lambda = 1 inside the one phi rule, where the propagator
+        exp(-dt lambda^beta) reads 0. The copy of the shipped nlheat_power
+        passes every row, and numpy's overflow reaches neither the report
+        nor the exit code."""
+        manifest = json.loads((CONFIGS / "nlheat_power.json").read_text())
+        manifest["params"]["beta"] = 1e300
+        code, record = run_manifest(manifest, out_dir=str(tmp_path / "out"))
+        assert code == EXIT_OK and record.all_passed()
+        assert record.warnings == []
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["warnings"] == []
+
     def test_write_failure_exits_write(self, tmp_path):
         path = write_manifest(tmp_path, selftest_manifest())
         blocker = tmp_path / "blocked"
@@ -895,24 +924,27 @@ class TestRunManifest:
 
 
 class TestMain:
-    def test_selftest_without_config(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["selftest", "--out", str(tmp_path / "out")]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "selftest:" in out and "ok" in out
+    """``anharmonic MANIFEST [--out] [--format] [--seed] [--verbose]``: the
+    manifest's kind picks the run."""
 
-    def test_selftest_without_config_keeps_its_hash(self, tmp_path):
-        """The built-in manifest runs as a dict and hashes as it always has."""
-        assert main(["selftest", "--out", str(tmp_path / "out")]) == EXIT_OK
+    def test_the_manifest_names_the_run(self, tmp_path, capsys):
+        assert main([str(CONFIGS / "selftest.json"), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert capsys.readouterr().out == "selftest: 4 checks, ok\n"
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["manifest_hash"] == (
-            "c1d8c01369cf86e87f487d582a2bc75938818017a49f6d2f636a295b6e4c9457")
+        assert report["kind"] == "selftest"
+
+    def test_a_manifest_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        assert "manifest" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64 + 5)])
     def test_seed_flag_obeys_the_seed_rule(self, tmp_path, capsys, seed):
         """--seed is held to the manifest's 0 <= seed < 2^64 before any work."""
         out = tmp_path / "out"
-        assert main(["selftest", "--out", str(out), "--seed", seed]) == EXIT_SCHEMA
+        path = write_manifest(tmp_path, selftest_manifest())
+        assert main([path, "--out", str(out), "--seed", seed]) == EXIT_SCHEMA
         assert "seed must be an unsigned 64-bit integer (field: seed)" in capsys.readouterr().err
         assert not out.exists()
 
@@ -926,24 +958,21 @@ class TestMain:
         monkeypatch.setitem(anharmonic.cli._RUNNERS, "selftest",
                             lambda run, record: pytest.fail("the runner started"))
         path = write_manifest(tmp_path, {**selftest_manifest(), "output_dir": output_dir})
-        assert main(["selftest", "--config", path, *flags]) == EXIT_SCHEMA
+        assert main([path, *flags]) == EXIT_SCHEMA
         assert f"(field: {field})" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_config_required_elsewhere(self, capsys):
-        assert main(["ou"]) == EXIT_SCHEMA
-        assert "--config is required" in capsys.readouterr().err
-
     def test_a_run_imports_no_scipy(self, tmp_path):
         """scipy is a test dependency only: a fresh interpreter that imports
-        the package and its CLI, decomposes and runs the built-in selftest
-        never loads it."""
+        the package and its CLI, decomposes and runs the shipped selftest
+        manifest never loads it."""
         code = (
             "import sys\n"
             "import anharmonic as ah\n"
             "import anharmonic.cli\n"
             "ah.decompose(ah.hermite_oscillator(), ah.Grid(64, 8.0), 16)\n"
-            f"assert anharmonic.cli.main(['selftest', '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            f"assert anharmonic.cli.main([{str(CONFIGS / 'selftest.json')!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         env = {**os.environ, "PYTHONPATH": str(Path(anharmonic.cli.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -951,15 +980,9 @@ class TestMain:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
 
-    def test_command_kind_mismatch(self, tmp_path, capsys):
-        path = write_manifest(tmp_path, selftest_manifest())
-        assert main(["ou", "--config", path,
-                     "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
-
     def test_verbose_prints_rows(self, tmp_path, capsys):
         path = write_manifest(tmp_path, selftest_manifest())
-        assert main(["selftest", "--config", path, "--out", str(tmp_path / "out"),
-                     "--verbose"]) == EXIT_OK
+        assert main([path, "--out", str(tmp_path / "out"), "--verbose"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "[pass]" in out
         assert "tolerance" in out
@@ -967,7 +990,6 @@ class TestMain:
     def test_seed_flag_threads_through(self, tmp_path):
         path = write_manifest(tmp_path, selftest_manifest())
         out = tmp_path / "out"
-        assert main(["selftest", "--config", path, "--out", str(out),
-                     "--seed", "42"]) == EXIT_OK
+        assert main([path, "--out", str(out), "--seed", "42"]) == EXIT_OK
         report = json.loads((out / "report.json").read_text())
         assert report["seed"] == 42

@@ -488,16 +488,20 @@ class TestEquivalenceBand:
         assert sobolev_modulation_equivalence(hermite_dec, s_values, tiny) == expected
 
     def test_zero_minimum_has_spread_inf(self):
-        """At s = -20000 the weights lambda^s underflow to 0 for every mode
-        of the quartic decomposition, so every ratio is 0; the spread of
-        that band is inf, as ``singular_weight_norm`` reads a growth over a
-        zero base, where it used to raise ZeroDivisionError."""
+        """The spread of a band whose least ratio is 0 is inf, as
+        ``singular_weight_norm`` reads a growth over a zero base."""
+        assert estimators.EquivalenceBand(0.0, 2.0, 3).spread == math.inf
+
+    def test_very_negative_order_has_a_finite_band(self):
+        """At s = -20000 every lambda_j^s of the quartic decomposition
+        underflows, but the Sobolev norms (about 1e-260) do not: each ratio
+        is positive and the spread finite, where the band read (0, 0)."""
         grid = Grid(128, 10.0)
         dec = ah.decompose(ah.OscillatorSpec(2, 1), grid, 32)
         [band] = sobolev_modulation_equivalence(dec, [-20000.0],
                                                 gaussian_probe_fields(grid, 3, 1))
-        assert band.min_ratio == 0.0
-        assert band.spread == math.inf
+        assert band.count == 3
+        assert 0.0 < band.min_ratio <= band.max_ratio and math.isfinite(band.spread)
 
     def test_all_probes_skipped_raises(self, hermite_dec):
         zero = FieldSample(hermite_dec.grid, np.zeros(hermite_dec.grid.points_per_axis))

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from anharmonic import errors
 from anharmonic.cli import EXIT_CHECK_FAILED, EXIT_OK, run_manifest, validate_manifest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +35,18 @@ def test_configs_are_found():
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
 def test_config_loads(path):
     validate_manifest(json.loads(path.read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_config_warns_only_in_package_categories(path, tmp_path):
+    """A shipped manifest passes, and every warning its report carries is
+    one of the package's own categories (``anharmonic.errors``): numpy's
+    floating-point failures raise in a run, so none is reported."""
+    code, record = run_manifest(str(path), out_dir=str(tmp_path / "out"))
+    assert code == EXIT_OK
+    package = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, Warning)}
+    assert {w["category"] for w in record.warnings} <= package
 
 
 @pytest.mark.parametrize("tiny", [False, True], ids=["full", "tiny"])

@@ -463,7 +463,7 @@ class TestCertifiedStop:
         engine = anharmonic.nlheat._Engine(spec)
         assert engine.sign == (1.0 if shift == 0.0 else 0.0)
         rng = np.random.default_rng(3)
-        m = len(engine.lam_beta)
+        m = engine.dec.m
         c = rng.standard_normal(m) + imag * 1j * rng.standard_normal(m)
         full = engine.fields(c[:, None])[0]
         norm = float(np.linalg.norm(c))
@@ -477,7 +477,7 @@ class TestCertifiedStop:
         """A gap whose sum of squares overflows has cap inf, which a
         NonConvergenceError reports as last_gap."""
         engine = anharmonic.nlheat._Engine(defocusing)
-        huge = np.full((len(engine.lam_beta), 2), 1e200)
+        huge = np.full((engine.dec.m, 2), 1e200)
         with np.errstate(over="ignore"):
             assert engine.cap_constant * np.linalg.norm(huge, axis=0).max() == math.inf
 

@@ -5,8 +5,10 @@
 Each tree is a checkout of this repository. Every manifest of its
 ``configs/`` (at its own seed) and every manifest of the workloads of its
 ``perfbench/workloads.py`` (generated at seed ``_WORKLOAD_SEED``) runs in a
-fresh ``python -m anharmonic.cli`` process that imports the tree's ``src``,
-with one BLAS thread and every series CSV written. The workloads file is
+fresh ``python -c`` process that imports the tree's ``src`` and calls its
+``anharmonic.cli.run_manifest``, as ``perfbench/child.py`` does, with one
+BLAS thread and every series CSV written. No command line is read, so two
+trees compare across a change of the CLI. The workloads file is
 read and executed from source, as ``tests/test_manifests.py`` does, so
 nothing is written next to it.
 
@@ -34,6 +36,9 @@ from pathlib import Path
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                      "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 _WORKLOAD_SEED = 7
+# a child's program: run the manifest argv[1] into argv[2], exit with its code
+_CHILD = ("import sys; from anharmonic.cli import run_manifest; "
+          "sys.exit(run_manifest(sys.argv[1], out_dir=sys.argv[2], fmt='both')[0])")
 
 
 def _workload_manifests(tree: Path, seed: int) -> dict:
@@ -69,9 +74,8 @@ def _run(tree: Path, manifest: dict, out: Path) -> dict:
     config.write_text(json.dumps(manifest), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     env.update((name, "1") for name in _THREAD_VARIABLES)
-    command = [sys.executable, "-m", "anharmonic.cli", manifest["kind"], "--config", str(config),
-               "--out", str(out / "run"), "--format", "both"]
-    code, stderr, rss_mb = _child(command, env, out)
+    code, stderr, rss_mb = _child([sys.executable, "-c", _CHILD, str(config), str(out / "run")],
+                                  env, out)
     outcome = {"code": code, "stderr": stderr.strip(), "rss_mb": rss_mb, "rows": {},
                "warnings": {}, "csv": {}}
     report = out / "run" / "report.json"
