@@ -35,8 +35,8 @@ def _warn_off_span(dec, f, context, coeffs=None):
 def _spectral_values(dec: SpectralDecomposition, phi, name: str) -> np.ndarray:
     """phi(lambda) on the eigenvalues of ``dec``, phi called once on the array:
     the one rule for every phi. A wrong shape raises ValueError, a non-finite
-    value (an overflow too) NumericalError naming the mode (``name``, phi's)."""
-    with np.errstate(over="ignore"):  # an overflowing phi raises NumericalError below
+    value (an overflow or a NaN too) NumericalError naming the mode (``name``, phi's)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite phi raises below
         vals = np.asarray(phi(dec.eigenvalues), dtype=float)
     if vals.shape != dec.eigenvalues.shape:
         raise ValueError(f"{name} returned shape {vals.shape}, "
@@ -77,7 +77,7 @@ def heat_semigroup(dec: SpectralDecomposition, beta: float, t: float,
 
 
 def _heat_phi(beta, t):  # exp(-t lambda^beta), of heat_semigroup and a flow's propagator
-    return lambda lam: np.exp(-t * lam ** beta)
+    return (lambda lam: np.exp(-t * lam ** beta)) if t else np.ones_like  # t = 0: the identity
 
 
 def sobolev_norm(dec: SpectralDecomposition, s: float, f: FieldSample,
@@ -89,7 +89,7 @@ def sobolev_norm(dec: SpectralDecomposition, s: float, f: FieldSample,
     that is not a finite real raises InvalidSpecError. The weights lambda^s
     go through the rule ``apply_spectral_function`` applies to phi(lambda):
     one that overflows raises NumericalError naming the mode. For s < 0 they
-    are (lambda / lambda_0)^s, and the norm is scaled back by lambda_0^(s/2).
+    are (lambda / lambda_0)^s; lambda_0^(s/2) scales the norm back in its exponent.
     """
     s = _real(s, "s")
     if coeffs is None:
@@ -100,4 +100,5 @@ def sobolev_norm(dec: SpectralDecomposition, s: float, f: FieldSample,
     weights = _spectral_values(dec, lambda lam: (lam / base) ** s,
                                f"Sobolev weight lambda^{s!r}")
     r, e = _scaled_l2([coeffs], 1.0, weights)
-    return _unframed(r * base ** (s / 2.0), e)
+    k, frac = divmod(s / 2.0 * np.log2(base), 1.0)  # lambda_0^(s/2) = 2^(k + frac)
+    return _unframed(r * 2.0 ** frac, e + int(k))

@@ -51,6 +51,8 @@ _FORMATS = ("json", "both")  # report.json alone, or with the series CSVs
 _L2_GAMMA_TOL = 1e-9  # Moyal holds up to the window-norm error, capped at 1e-10
 _SINGULAR_RADIUS = 6.0  # the norms singular check truncates |x|^(-alpha) at this radius
 _OU_CHECK_RADIUS = 6.0  # the ou constant-field check compares the field on |x| <= this
+# numpy's floating-point mode of a run: a failure raises, except where a site opts out
+_FP_RULE = {"over": "raise", "invalid": "raise", "divide": "raise", "under": "ignore"}
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -668,7 +670,7 @@ def run_manifest(path, out_dir=None, fmt=None, seed=None, verbose=False):
     runner its ``kind`` names; returns (exit_code, ReportRecord or None).
     ``seed`` overrides the manifest's seed and is held to the same rule;
     ``out_dir`` replaces the manifest's output_dir and, like it, must not be
-    empty. The runner runs under numpy's raise mode (underflow ignored), so a
+    empty. The runner runs under numpy's raise mode (``_FP_RULE``), so a
     floating-point failure exits 3 as a NumericalError does."""
     try:
         _require(out_dir != "", "--out must name a directory", "--out")
@@ -680,8 +682,7 @@ def run_manifest(path, out_dir=None, fmt=None, seed=None, verbose=False):
                               version=__version__, kind=run.kind, seed=run.seed)
 
         started = time.perf_counter()
-        with warnings.catch_warnings(record=True) as caught, \
-                np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        with warnings.catch_warnings(record=True) as caught, np.errstate(**_FP_RULE):
             warnings.simplefilter("always")
             _RUNNERS[run.kind](run, record)
         # one report entry per warning category: first message plus an event

@@ -402,8 +402,7 @@ def _sweeps(engine, c, n, dt, tol, max_iter, t_end):
     # N = 0, is the linear flow, the first iterate
     nonlin = np.zeros((len(c), 2 * n))
     ends, gaps, ratios = None, [], []
-    # a sweep that diverges is reported, and its block halved, by the caller
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller halves a diverging sweep
         for _ in range(max_iter + 1):
             kick = dt * (e_half[:, None] * nonlin[:, :n])
             new_ends = np.empty((len(c), n), np.result_type(c, kick))

@@ -78,7 +78,8 @@ def apply_conjugation(c: GaussianConjugation, direction: str, f: FieldSample) ->
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     mask = np.abs(f.grid.nodes()) <= c.safe_radius
     vals = np.zeros_like(f.values)
-    vals[mask] = f.values[mask] / half[mask]
+    with np.errstate(over="ignore"):  # a quotient that overflows is inf, which FieldSample refuses
+        vals[mask] = f.values[mask] / half[mask]
     lost = conjugation_discarded_mass(c, f)
     if lost > _DISCARD_TOL:
         _warn(DiscardedMassWarning,

@@ -408,12 +408,12 @@ def _kept_rows(row, grid: Grid, s_values, osc: OscillatorSpec | None):
     n = grid.points_per_axis
     if not 0.0 < peak < np.inf:
         return first_row, n
-    energy, tail = _row_energies(np.abs(f), first_row, grid)
     weights = [_weight(s, osc, grid) for s in s_values]
     low = functools.reduce(np.minimum, [w[1] for w in weights])[first_row:]
     high = functools.reduce(np.maximum, [w[2] for w in weights])[first_row:]
     slack = 4.0 * n * np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite scale keeps every row
+        energy, tail = _row_energies(np.abs(f), first_row, grid)
         upper = ((energy + tail) * (1.0 + slack) + n * 2.0 ** -1072) * high
         budget = _ROW_SHARE * (1.0 - slack) * float(np.dot(energy, low))
         scale = n * grid.h * grid.h * float(np.sum(upper))
@@ -479,35 +479,31 @@ def _column_reduce(w: np.ndarray, p) -> np.ndarray:
     An integer p is formed by repeated squaring in new arrays rather than
     the general ``pow`` (p = 1 sums w itself, p = 2 is one square); w is
     never written, so a caller may hand the same block to another weight.
-    Power sums that overflow are inf, with no numpy warning: the caller
-    decides what an inf column means (``_weighted_columns``)."""
+    Power sums that overflow are inf where the caller ignores overflow, as
+    ``_weighted_columns`` does, which decides what an inf column means."""
     if is_inf(p):
         return w.max(axis=0)
     p = float(p)
-    with np.errstate(over="ignore"):  # an overflowing sum is inf; the caller decides
-        if not p.is_integer():
-            return (w ** p).sum(axis=0)
-        n, square, power = int(p), w, None
-        while True:
-            if n & 1:
-                power = square if power is None else power * square
-            n >>= 1
-            if not n:
-                return power.sum(axis=0)
-            square = square * square
+    if not p.is_integer():
+        return (w ** p).sum(axis=0)
+    n, square, power = int(p), w, None
+    while True:
+        if n & 1:
+            power = square if power is None else power * square
+        n >>= 1
+        if not n:
+            return power.sum(axis=0)
+        square = square * square
 
 
 def _outer_reduce(columns: np.ndarray, p, q, cell_x, cell_xi) -> float:
-    """Finish a mixed norm from ``_column_reduce`` output of all rows."""
-    if is_inf(p):
-        inner = columns
-    else:
-        p = float(p)
-        inner = (columns * cell_x) ** (1.0 / p)
-    if is_inf(q):
-        return float(inner.max())
-    q = float(q)
-    return float((np.sum(inner ** q) * cell_xi) ** (1.0 / q))
+    """Finish a mixed norm from ``_column_reduce`` output of all rows; a norm
+    that overflows is inf, for its caller to decide."""
+    with np.errstate(over="ignore"):  # a norm that overflows is inf; the caller decides
+        inner = columns if is_inf(p) else (columns * cell_x) ** (1.0 / float(p))
+        if is_inf(q):
+            return float(inner.max())
+        return float((np.sum(inner ** float(q)) * cell_xi) ** (1.0 / float(q)))
 
 
 def _weighted_columns(blocks, lattices, p, squared=False, first_column=0) -> list:
@@ -533,40 +529,42 @@ def _weighted_columns(blocks, lattices, p, squared=False, first_column=0) -> lis
     NumericalError; if they are all finite, the power sums overflowed and
     the part stays inf. Squared blocks are not tested: a caller of the
     squared reduction measures again from magnitudes whatever does not come
-    out finite. Returns one array per lattice: the column sums of the p-th
-    powers (column max for INF), one per block column."""
+    out finite. Blocks are drawn and reduced with overflow and invalid
+    ignored, so this test decides. Returns one array per lattice: the
+    column sums of the p-th powers (column max for INF), one per block column."""
     inner = float(p) / 2.0 if squared else p
     last = len(lattices) - 1
     columns = [None] * len(lattices)
     pieces = {}  # the ``_column_pieces`` of each block width
-    for lo, block in blocks:
-        rows, width = block.shape
-        for k, quarter in enumerate(lattices):
-            weights = []
-            if quarter is not None:
-                if width not in pieces:
-                    pieces[width] = _column_pieces(len(quarter), first_column, width)
-                lattice_rows = _quarter_rows(quarter, lo, lo + rows)
-                weights = [(cols, lattice_rows[:, at]) for cols, at in pieces[width]]
-            if squared and inner == 1.0 and weights:  # p = 2: sum_i (m^2 v) v
-                part = np.empty(width)
-                for cols, w in weights:
-                    np.einsum("ij,ij,ij->j", block[:, cols], w, w, out=part[cols])
-            else:
-                weighted = block if k == last or not weights else np.empty_like(block)
-                for cols, w in weights:
-                    np.multiply(block[:, cols], w, out=weighted[:, cols])
-                    if squared:
-                        weighted[:, cols] *= w
-                part = _column_reduce(weighted, inner)
-                if not (squared or np.isfinite(part).all() or np.isfinite(weighted).all()):
-                    raise NumericalError("mixed norm encountered non-finite weighted values")
-            if columns[k] is None:
-                columns[k] = part
-            elif is_inf(p):
-                np.maximum(columns[k], part, out=columns[k])
-            else:
-                columns[k] += part
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below decides
+        for lo, block in blocks:
+            rows, width = block.shape
+            for k, quarter in enumerate(lattices):
+                weights = []
+                if quarter is not None:
+                    if width not in pieces:
+                        pieces[width] = _column_pieces(len(quarter), first_column, width)
+                    lattice_rows = _quarter_rows(quarter, lo, lo + rows)
+                    weights = [(cols, lattice_rows[:, at]) for cols, at in pieces[width]]
+                if squared and inner == 1.0 and weights:  # p = 2: sum_i (m^2 v) v
+                    part = np.empty(width)
+                    for cols, w in weights:
+                        np.einsum("ij,ij,ij->j", block[:, cols], w, w, out=part[cols])
+                else:
+                    weighted = block if k == last or not weights else np.empty_like(block)
+                    for cols, w in weights:
+                        np.multiply(block[:, cols], w, out=weighted[:, cols])
+                        if squared:
+                            weighted[:, cols] *= w
+                    part = _column_reduce(weighted, inner)
+                    if not (squared or np.isfinite(part).all() or np.isfinite(weighted).all()):
+                        raise NumericalError("mixed norm encountered non-finite weighted values")
+                if columns[k] is None:
+                    columns[k] = part
+                elif is_inf(p):
+                    np.maximum(columns[k], part, out=columns[k])
+                else:
+                    columns[k] += part
     return columns
 
 
@@ -629,10 +627,11 @@ def _modulation_columns(row, grid: Grid, s_values, osc: OscillatorSpec | None, p
         blocks = ((lo, np.abs(np.multiply(block, grid.h, out=block))) for lo, block in blocks)
     columns = []
     lattices = [_weight(s, osc, grid)[0] for s in s_values]
-    for sums in _weighted_columns(blocks, lattices, p, squared):
-        if squared:
-            sums *= grid.h ** float(p)
-        columns.append(_full_columns(sums, real, first_row, p))
+    with np.errstate(over="ignore"):  # a sum that overflows is inf; the caller measures again
+        for sums in _weighted_columns(blocks, lattices, p, squared):
+            if squared:
+                sums *= grid.h ** float(p)
+            columns.append(_full_columns(sums, real, first_row, p))
     return columns
 
 

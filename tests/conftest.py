@@ -3,15 +3,16 @@ import pytest
 
 import anharmonic as ah
 from anharmonic import phasespace
+from anharmonic.cli import _FP_RULE
 from oracles import gaussian_stft_abs
 
 
 @pytest.fixture(autouse=True)
 def strict_floating_point():
     """Every test runs in the floating-point mode of a manifest run
-    (``cli.run_manifest``): overflow, invalid and divide raise, so only a
-    site that opts out locally may make an inf or a NaN."""
-    with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+    (``cli._FP_RULE``): overflow, invalid and divide raise, so only a site
+    that opts out locally may make an inf or a NaN."""
+    with np.errstate(**_FP_RULE):
         yield
 
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -48,6 +49,15 @@ class TestHeatSemigroup:
         evolved = heat_semigroup(hermite_dec, 1.0, 0.0, gaussian_field)
         span_part = hermite_dec.reconstruct(hermite_dec.coefficients(gaussian_field))
         np.testing.assert_allclose(evolved.values, span_part.values, atol=1e-12)
+
+    @pytest.mark.parametrize("beta", [1.0, 1e300])
+    def test_zero_time_is_the_identity_for_every_beta(self, small_dec, beta):
+        """At t = 0 every mode keeps its coefficient, bit for bit, also where
+        lambda^beta overflows (beta = 1e300), which read 0 inf = NaN and
+        raised NumericalError at mode 0."""
+        f = eigenfield(small_dec, 2)
+        span_part = small_dec.reconstruct(small_dec.coefficients(f))
+        assert np.array_equal(heat_semigroup(small_dec, beta, 0.0, f).values, span_part.values)
 
     def test_composition(self, hermite_dec, gaussian_field):
         two_steps = heat_semigroup(hermite_dec, 1.0, 0.4,
@@ -126,17 +136,25 @@ class TestSobolevNorm:
         assert (sobolev_norm(small_dec, 100.0, small_dec.reconstruct(c), c)
                 == math.sqrt(small_dec.eigenvalues[0] ** 100.0))
 
-    def test_very_negative_order_keeps_the_ground_mode(self):
+    @pytest.mark.parametrize("s,k,low,high", [(-20000.0, 0, 1e-261, 1e-255),
+                                              (-30000.0, 560, 1e-220, 1e-214)])
+    def test_very_negative_order_keeps_the_ground_mode(self, s, k, low, high):
         """At s = -20000 on the quartic decomposition every lambda_j^s
         underflows, yet each norm, lambda_0^(s/2) |c_0| to within the modes
-        above (1e-260 to 1e-256), is representable: the weights are taken
-        relative to lambda_0 and the norm scaled back. All three read 0."""
+        above, is representable: the weights are taken relative to lambda_0
+        and the norm scaled back. All three read 0. At s = -30000, with the
+        probes scaled by 2^560, lambda_0^(s/2) alone underflows (it is 1.5e-382)
+        though the norm does not; its power of two is carried in the
+        exponent. The expected value is taken in decimal, whose exponent
+        range holds lambda_0^(s/2)."""
         grid = Grid(128, 10.0)
         dec = decompose(OscillatorSpec(2, 1), grid, 32)
-        for f in gaussian_probe_fields(grid, 3, 1):
-            expected = dec.eigenvalues[0] ** -10000.0 * abs(dec.coefficients(f)[0])
-            assert 1e-261 < expected < 1e-255
-            assert sobolev_norm(dec, -20000.0, f) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        for probe in gaussian_probe_fields(grid, 3, 1):
+            f = FieldSample(grid, probe.values * 2.0 ** k)
+            expected = float(Decimal(float(dec.eigenvalues[0])) ** Decimal(s / 2.0)
+                             * Decimal(float(abs(dec.coefficients(f)[0]))))
+            assert low < expected < high
+            assert sobolev_norm(dec, s, f) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_nonfinite_order_raises(self, hermite_dec, s):
@@ -165,7 +183,7 @@ class TestNonFiniteField:
     def test_raises(self, small_dec, route, bad):
         values = np.array(eigenfield(small_dec, 2).values)
         values[10] = bad
-        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="non-finite"):
+        with pytest.raises(NumericalError, match="non-finite"):
             self.ROUTES[route](small_dec, FieldSample(small_dec.grid, values))
 
 
@@ -181,6 +199,14 @@ class TestApplySpectralFunction:
             apply_spectral_function(
                 hermite_dec, lambda lam: np.where(lam > 10.0, np.inf, 1.0),
                 gaussian_field)
+
+    def test_invalid_value_raises_naming_the_mode(self, small_dec):
+        """A phi that goes NaN through an invalid operation (0 inf) raises
+        NumericalError naming the mode, in the run's floating-point mode too,
+        not numpy's FloatingPointError."""
+        with pytest.raises(NumericalError, match="not finite at mode 0"):
+            apply_spectral_function(small_dec, lambda lam: (lam - lam) * np.inf,
+                                    eigenfield(small_dec, 2))
 
     def test_off_span_field_warns(self, small_dec):
         # alternating-sign data is pure grid-scale oscillation, far outside 48 modes

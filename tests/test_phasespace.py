@@ -495,7 +495,7 @@ class TestStreamedNormGuards:
     @pytest.mark.parametrize("p", [2.0, INF], ids=_exponent_id)
     def test_overflowing_weight_raises(self, hermite_grid, p):
         # (1 + |x| + 2 pi |xi|)^400 overflows to inf away from the origin
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+        with pytest.raises(NumericalError):
             modulation_norm(unit_gaussian(hermite_grid), 400.0, HARMONIC,
                             MixedNormParams(p, 1.0))
 
@@ -621,7 +621,7 @@ class TestSharedPass:
         weights = [FLAT, 1.5]
         # (1 + x^2 + 2 pi |xi|)^400 overflows to inf away from the origin
         weights.insert(at, 400.0)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+        with pytest.raises(NumericalError):
             modulation_norms(f, weights, osc, MixedNormParams(p, 1.0))
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 6.0, 0.5, INF], ids=_exponent_id)
@@ -686,14 +686,13 @@ class TestSharedPass:
         caller's to measure again from magnitudes."""
         mag = np.full((2, 3), 1e4)
         quarter = np.full((2, 3), v)  # of a 4-point lattice: rows 0 and 1 read it reversed
-        with np.errstate(over="ignore"):
-            if raises:
-                with pytest.raises(NumericalError):
-                    _weighted_columns([(0, mag.copy())], [quarter], 2.0)
-            else:
-                [columns] = _weighted_columns([(0, mag.copy())], [quarter], 2.0)
-                assert np.all(columns == np.inf)
-            [squared] = _weighted_columns([(0, mag ** 2)], [quarter], 2.0, squared=True)
+        if raises:
+            with pytest.raises(NumericalError):
+                _weighted_columns([(0, mag.copy())], [quarter], 2.0)
+        else:
+            [columns] = _weighted_columns([(0, mag.copy())], [quarter], 2.0)
+            assert np.all(columns == np.inf)
+        [squared] = _weighted_columns([(0, mag ** 2)], [quarter], 2.0, squared=True)
         assert np.all(squared == np.inf)
 
     @pytest.mark.parametrize("p", [2.0, 4.0, 6.0], ids=_exponent_id)
@@ -1016,12 +1015,12 @@ class TestPrunedRows:
         f, _ = self.packet("narrow", "complex")
         vals = np.array(f.values)
         vals[200] = bad
-        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+        with pytest.raises(NumericalError):
             modulation_norm(FieldSample(self.GRID, vals), 2.0, HARMONIC, self.L2)
 
     def test_overflowing_weight_raises(self):
         f, _ = self.packet("narrow", "complex")
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+        with pytest.raises(NumericalError):
             modulation_norms(f, [FLAT, 400.0], HARMONIC, self.L2)
 
     def test_overflowing_norm_keeps_every_row(self, pass_ranges):
@@ -1038,8 +1037,7 @@ class TestPrunedRows:
         assert large == pytest.approx(2.0805347647963648e+302, rel=1e-14)
         f, _ = self.packet("wide", "real")
         huge = FieldSample(self.GRID, 1e305 * f.values)
-        with np.errstate(over="ignore"):
-            assert modulation_norm(huge, 4.0, HARMONIC, self.L2) == np.inf
+        assert modulation_norm(huge, 4.0, HARMONIC, self.L2) == np.inf
         n = self.GRID.points_per_axis
         assert (0, n) not in pass_ranges[:2] and pass_ranges[2:] == [(0, n)]
 
@@ -1221,12 +1219,11 @@ class TestSquaredModulusPass:
         oscillator = HARMONIC if osc == "harmonic" else quartic_osc
         pairs = [(2.0, 2.0), (2.0, 1.0), (INF, 1.0), (1.0, 1.0)]
         for (p, q), expected in zip(pairs, self.LARGE_WEIGHTS[osc, s, k]):
-            with np.errstate(over="ignore", invalid="ignore"):
-                if expected is NumericalError:
-                    with pytest.raises(NumericalError):
-                        modulation_norm(f, s, oscillator, MixedNormParams(p, q))
-                    continue
-                got = modulation_norm(f, s, oscillator, MixedNormParams(p, q))
+            if expected is NumericalError:
+                with pytest.raises(NumericalError):
+                    modulation_norm(f, s, oscillator, MixedNormParams(p, q))
+                continue
+            got = modulation_norm(f, s, oscillator, MixedNormParams(p, q))
             assert got == pytest.approx(expected, rel=1e-13), (p, q)
 
     # s = 90..100 in steps of 1/4 crosses the overflow of the unit
@@ -1247,11 +1244,10 @@ class TestSquaredModulusPass:
         params, prune = MixedNormParams(p, q), (p, q) == (2.0, 2.0)
         outcomes = []
         for s in np.arange(90.0, 100.125, 0.25):
-            with np.errstate(over="ignore", invalid="ignore"):
-                [columns] = _modulation_columns(own_scale_frame(f), grid, [s], HARMONIC, p,
-                                                prune)
-                expected = _outer_reduce(columns, p, q, grid.h, grid.frequency_cell)
-                got = modulation_norm(f, s, HARMONIC, params)
+            [columns] = _modulation_columns(own_scale_frame(f), grid, [s], HARMONIC, p,
+                                            prune)
+            expected = _outer_reduce(columns, p, q, grid.h, grid.frequency_cell)
+            got = modulation_norm(f, s, HARMONIC, params)
             if np.isfinite(expected):
                 assert got == pytest.approx(expected, rel=1e-13), s
             else:
@@ -1390,6 +1386,30 @@ class TestStateBound:
             assert state_bound(self.GRID, 1e308 * gaussian, 2.0, HARMONIC, params) == np.inf
             large = state_bound(self.GRID, 1e300 * gaussian, 2.0, HARMONIC, params)
         assert large == pytest.approx(1.665e301, rel=1e-3)
+
+    def test_overflowing_bound_cells_leave_the_bound_inf(self, monkeypatch):
+        """At s = 206.6 every weight on GRID is finite (at most 1.6e308), but
+        the weighted bound cells of a flat-spectrum field, about 1.2 each,
+        overflow: the refinement raises NumericalError, which the bound
+        catches, so the bound is inf. In the run's floating-point mode, with
+        no test-level opt-out."""
+        assert np.isfinite(_weight(206.6, HARMONIC, self.GRID)[0]).all()
+        raised = []
+        reduce = phasespace._weighted_columns
+
+        def counted(*args, **kwargs):
+            try:
+                return reduce(*args, **kwargs)
+            except NumericalError:
+                raised.append(True)
+                raise
+
+        monkeypatch.setattr(phasespace, "_weighted_columns", counted)
+        signs = np.where(np.random.default_rng(3).random(128) < 0.5, -0.999, 0.999)
+        for p, q in [(1.0, 1.0), (2.0, 2.0), (6.0, 2.0)]:
+            raised.clear()
+            assert state_bound(self.GRID, signs, 206.6, HARMONIC, MixedNormParams(p, q)) == np.inf
+            assert raised == [True], (p, q)
 
 
 FRAME_PAIRS = [(0.5, 0.5), (1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (3.0, 3.0), (6.0, 2.0),
